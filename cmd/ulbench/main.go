@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -56,46 +57,41 @@ func main() {
 		runAblations()
 		return
 	}
-	run := func(n int) bool { return *table == 0 || *table == n }
-	if run(1) {
-		table1()
-	}
-	if run(2) {
-		table2()
-	}
-	if run(3) {
-		table3()
-	}
-	if run(4) {
-		table4()
-	}
-	if run(5) {
-		table5()
+	renderTables(os.Stdout, *table)
+}
+
+// renderTables writes the paper's tables (all five, or just the one named)
+// to w. The default output is pinned byte for byte by testdata/tables.golden.
+func renderTables(w io.Writer, only int) {
+	for n, table := range []func(io.Writer){table1, table2, table3, table4, table5} {
+		if only == 0 || only == n+1 {
+			table(w)
+		}
 	}
 }
 
-func header(title string) {
-	fmt.Printf("\n%s\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n%s\n", title)
 	for range title {
-		fmt.Print("=")
+		fmt.Fprint(w, "=")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func table1() {
-	header("Table 1: Impact of Our Mechanisms on Throughput (Ethernet, max-sized packets)")
+func table1(w io.Writer) {
+	header(w, "Table 1: Impact of Our Mechanisms on Throughput (Ethernet, max-sized packets)")
 	r, err := experiments.Table1(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "table1:", err)
 		return
 	}
-	fmt.Printf("%-44s %10s %10s\n", "Configuration", "Mb/s", "% of raw")
-	fmt.Printf("%-44s %10.2f %10.1f\n", "Standalone (link saturation)", r.StandaloneMbps, 100.0)
-	fmt.Printf("%-44s %10.2f %10.1f\n", "With user-level mechanisms", r.MechanismMbps, r.Percent)
-	fmt.Printf("(%d packets, %d notifications; per-packet CPU: sender %v, receiver %v —\n"+
+	fmt.Fprintf(w, "%-44s %10s %10s\n", "Configuration", "Mb/s", "% of raw")
+	fmt.Fprintf(w, "%-44s %10.2f %10.1f\n", "Standalone (link saturation)", r.StandaloneMbps, 100.0)
+	fmt.Fprintf(w, "%-44s %10.2f %10.1f\n", "With user-level mechanisms", r.MechanismMbps, r.Percent)
+	fmt.Fprintf(w, "(%d packets, %d notifications; per-packet CPU: sender %v, receiver %v —\n"+
 		" the mechanisms pipeline completely under the 1.2 ms wire time)\n",
 		r.Packets, r.Notifications, r.SenderCPUPerPkt, r.ReceiverCPUPerPkt)
-	fmt.Println("Paper: \"our mechanisms introduce only very modest overhead\".")
+	fmt.Fprintln(w, "Paper: \"our mechanisms introduce only very modest overhead\".")
 }
 
 // paperT2 holds the published Table 2 values for side-by-side rendering.
@@ -113,10 +109,10 @@ var paperT2 = map[string]map[experiments.NetSel][4]float64{
 	},
 }
 
-func table2() {
-	header("Table 2: Throughput Measurements (Mb/s), user packet sizes 512/1024/2048/4096")
+func table2(w io.Writer) {
+	header(w, "Table 2: Throughput Measurements (Mb/s), user packet sizes 512/1024/2048/4096")
 	cells := experiments.Table2(experiments.Table2Config{})
-	fmt.Printf("%-27s %-13s %26s   %26s\n", "System", "Network", "simulated", "paper")
+	fmt.Fprintf(w, "%-27s %-13s %26s   %26s\n", "System", "Network", "simulated", "paper")
 	byKey := map[string][]experiments.Table2Cell{}
 	var order []string
 	for _, c := range cells {
@@ -128,21 +124,21 @@ func table2() {
 	}
 	for _, k := range order {
 		row := byKey[k]
-		fmt.Printf("%-27s %-13v ", row[0].System, row[0].Net)
+		fmt.Fprintf(w, "%-27s %-13v ", row[0].System, row[0].Net)
 		for _, c := range row {
 			if c.Err != nil {
-				fmt.Printf("%6s ", "ERR")
+				fmt.Fprintf(w, "%6s ", "ERR")
 				continue
 			}
-			fmt.Printf("%6.1f ", c.Mbps)
+			fmt.Fprintf(w, "%6.1f ", c.Mbps)
 		}
-		fmt.Print("  ")
+		fmt.Fprint(w, "  ")
 		if p, ok := paperT2[row[0].System][row[0].Net]; ok {
 			for _, v := range p {
-				fmt.Printf("%6.1f ", v)
+				fmt.Fprintf(w, "%6.1f ", v)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -160,30 +156,30 @@ var paperT3 = map[string]map[experiments.NetSel][3]float64{
 	},
 }
 
-func table3() {
-	header("Table 3: Round Trip Latencies (ms), payload sizes 1/512/1460")
-	fmt.Printf("%-27s %-13s %20s   %20s\n", "System", "Network", "simulated", "paper")
+func table3(w io.Writer) {
+	header(w, "Table 3: Round Trip Latencies (ms), payload sizes 1/512/1460")
+	fmt.Fprintf(w, "%-27s %-13s %20s   %20s\n", "System", "Network", "simulated", "paper")
 	for _, sys := range experiments.Systems {
 		for _, net := range []experiments.NetSel{experiments.NetEthernet, experiments.NetAN1} {
 			if sys.Org == experiments.OrgMachUX && net == experiments.NetAN1 {
 				continue
 			}
-			fmt.Printf("%-27s %-13v ", sys.Label, net)
+			fmt.Fprintf(w, "%-27s %-13v ", sys.Label, net)
 			for _, size := range experiments.LatencySizes {
 				c := experiments.Table3CellFor(sys.Org, sys.Label, net, size, nil)
 				if c.Err != nil {
-					fmt.Printf("%6s ", "ERR")
+					fmt.Fprintf(w, "%6s ", "ERR")
 					continue
 				}
-				fmt.Printf("%6.1f ", float64(c.RTT.Microseconds())/1000)
+				fmt.Fprintf(w, "%6.1f ", float64(c.RTT.Microseconds())/1000)
 			}
-			fmt.Print("  ")
+			fmt.Fprint(w, "  ")
 			if p, ok := paperT3[sys.Label][net]; ok {
 				for _, v := range p {
-					fmt.Printf("%6.1f ", v)
+					fmt.Fprintf(w, "%6.1f ", v)
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 }
@@ -202,64 +198,64 @@ var paperT4 = map[string]map[experiments.NetSel]float64{
 	},
 }
 
-func table4() {
-	header("Table 4: Connection Setup Cost (ms)")
-	fmt.Printf("%-27s %-13s %10s %10s\n", "System", "Network", "simulated", "paper")
+func table4(w io.Writer) {
+	header(w, "Table 4: Connection Setup Cost (ms)")
+	fmt.Fprintf(w, "%-27s %-13s %10s %10s\n", "System", "Network", "simulated", "paper")
 	for _, c := range experiments.Table4(nil) {
 		if c.Err != nil {
-			fmt.Printf("%-27s %-13v %10s\n", c.System, c.Net, "ERR")
+			fmt.Fprintf(w, "%-27s %-13v %10s\n", c.System, c.Net, "ERR")
 			continue
 		}
-		fmt.Printf("%-27s %-13v %10.1f %10.1f\n",
+		fmt.Fprintf(w, "%-27s %-13v %10.1f %10.1f\n",
 			c.System, c.Net, float64(c.Setup.Microseconds())/1000, paperT4[c.System][c.Net])
 	}
-	fmt.Println("\nBreakdown of the user-level library's Ethernet setup cost:")
+	fmt.Fprintln(w, "\nBreakdown of the user-level library's Ethernet setup cost:")
 	paperBreakdown := []float64{4.6, 1.5, 3.4, 0.9, 1.4}
 	var sum time.Duration
 	for i, r := range experiments.Table4Breakdown(nil) {
-		fmt.Printf("  %-56s %6.1f ms   (paper %.1f ms)\n",
+		fmt.Fprintf(w, "  %-56s %6.1f ms   (paper %.1f ms)\n",
 			r.Component, float64(r.Cost.Microseconds())/1000, paperBreakdown[i])
 		sum += r.Cost
 	}
-	fmt.Printf("  %-56s %6.1f ms   (paper 11.9 ms)\n", "total", float64(sum.Microseconds())/1000)
+	fmt.Fprintf(w, "  %-56s %6.1f ms   (paper 11.9 ms)\n", "total", float64(sum.Microseconds())/1000)
 }
 
-func table5() {
-	header("Table 5: Hardware/Software Demultiplexing Tradeoffs (µs per packet)")
+func table5(w io.Writer) {
+	header(w, "Table 5: Hardware/Software Demultiplexing Tradeoffs (µs per packet)")
 	r, err := experiments.Table5(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "table5:", err)
 		return
 	}
-	fmt.Printf("%-34s %10s %10s\n", "Network Interface", "simulated", "paper")
-	fmt.Printf("%-34s %10.0f %10.0f\n", "Lance Ethernet (Software)", float64(r.SoftwareDemux.Nanoseconds())/1000, 52.0)
-	fmt.Printf("%-34s %10.0f %10.0f\n", "AN1 (Hardware BQI)", float64(r.HardwareDemux.Nanoseconds())/1000, 50.0)
+	fmt.Fprintf(w, "%-34s %10s %10s\n", "Network Interface", "simulated", "paper")
+	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "Lance Ethernet (Software)", float64(r.SoftwareDemux.Nanoseconds())/1000, 52.0)
+	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "AN1 (Hardware BQI)", float64(r.HardwareDemux.Nanoseconds())/1000, 50.0)
 }
 
 func runAblations() {
-	header("Ablation: notification batching")
+	header(os.Stdout, "Ablation: notification batching")
 	if r := experiments.AblationBatching(nil); r.Err == nil {
 		fmt.Printf("  batched: %.2f Mb/s    per-packet notifications: %.2f Mb/s\n", r.BatchedMbps, r.UnbatchedMbps)
 	}
-	header("Ablation: AN1 64 KB frames (lifting the 1500-byte encapsulation)")
+	header(os.Stdout, "Ablation: AN1 64 KB frames (lifting the 1500-byte encapsulation)")
 	if r := experiments.AblationAN1MTU(nil); r.Err == nil {
 		fmt.Printf("  1500-byte encapsulation: %.2f Mb/s    64 KB frames: %.2f Mb/s\n", r.Encap1500Mbps, r.Jumbo64KMbps)
 	}
-	header("Ablation: demultiplexing architecture (per matching packet)")
+	header(os.Stdout, "Ablation: demultiplexing architecture (per matching packet)")
 	r := experiments.AblationFilter(nil)
 	fmt.Printf("  CSPF stack machine: %d instructions, %v\n", r.CSPFInstrs, r.CSPFTime)
 	fmt.Printf("  BPF register machine: %d instructions, %v\n", r.BPFInstrs, r.BPFTime)
 	fmt.Printf("  synthesized native predicate: %v\n", r.NativeTime)
-	header("Ablation: application-specific variant (two-write requests)")
+	header(os.Stdout, "Ablation: application-specific variant (two-write requests)")
 	if a := experiments.AblationAppSpecific(nil); a.Err == nil {
 		fmt.Printf("  stock protocol: %v/op    NoDelay variant: %v/op\n", a.StockPerOp, a.NoDelayPerOp)
 	}
-	header("Ablation: registry bypass for connectionless/RPC traffic (§5)")
+	header(os.Stdout, "Ablation: registry bypass for connectionless/RPC traffic (§5)")
 	if rr := experiments.AblationRPC(nil); rr.Err == nil {
 		fmt.Printf("  every datagram via registry: %v/op    bypassed after binding: %v/op\n",
 			rr.ViaServerPerOp, rr.BypassedPerOp)
 	}
-	header("Ablation: checksum elision on 64 KB AN1 frames")
+	header(os.Stdout, "Ablation: checksum elision on 64 KB AN1 frames")
 	if c := experiments.AblationChecksum(nil); c.Err == nil {
 		fmt.Printf("  with software checksum: %.2f Mb/s    elided: %.2f Mb/s\n", c.WithMbps, c.WithoutMbps)
 	}
@@ -271,7 +267,7 @@ func runStats(zerocopy bool) {
 		mode = ", zero-copy rx"
 	}
 	for _, sys := range experiments.Systems {
-		header(fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer%s)", sys.Label, mode))
+		header(os.Stdout, fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer%s)", sys.Label, mode))
 		report, err := experiments.StatsReportZC(sys.Org, experiments.NetEthernet, nil, zerocopy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stats:", err)
@@ -284,10 +280,10 @@ func runStats(zerocopy bool) {
 func printOrgs() {
 	fmt.Print(`Figure 1 — Alternative Organizations of Protocols, as realized here:
 
-  In-Kernel (e.g., UNIX/Ultrix)          internal/stacks  (InKernel)
+  In-Kernel (e.g., UNIX/Ultrix)          internal/stacks  (NewInKernel)
       protocol + device management in the kernel; socket calls trap.
 
-  Single Server (e.g., Mach 3.0 + UX)    internal/stacks  (SingleServer)
+  Single Server (e.g., Mach 3.0 + UX)    internal/stacks  (NewSingleServer)
       protocol suite in one trusted server with a mapped device; every
       socket call is a Mach IPC round trip.
 
@@ -313,7 +309,7 @@ func runChurn(conns, clients, workers, shards int, zerocopy bool) {
 	if zerocopy {
 		zc = ", zero-copy rx"
 	}
-	header(fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers%s", conns, clients, workers, zc))
+	header(os.Stdout, fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers%s", conns, clients, workers, zc))
 	fmt.Printf("%-10s %10s %10s %10s %12s %12s %10s %14s\n",
 		"Config", "p50", "p99", "p999", "setups/vsec", "virtual", "wall", "events/wsec")
 	modes := []struct {
@@ -354,7 +350,7 @@ func runChurn(conns, clients, workers, shards int, zerocopy bool) {
 // where a side abandoned the connection (RFC 1122 R2 / keepalive) and the
 // blocked caller saw a crisp timeout instead of a hang.
 func runDegrade(bytes int) {
-	header(fmt.Sprintf("End-to-end degradation: %d KiB transfer, user-level stack, AN1", bytes>>10))
+	header(os.Stdout, fmt.Sprintf("End-to-end degradation: %d KiB transfer, user-level stack, AN1", bytes>>10))
 	fmt.Printf("%-12s %-18s %-9s %9s %10s %8s %6s %4s %8s %8s %8s\n",
 		"Profile", "Knob", "Outcome", "Mb/s", "virtual", "rexmit", "fast", "R1", "give-ups", "drops", "q-drops")
 	for _, r := range experiments.Degrade(experiments.DegradeConfig{Bytes: bytes}) {

@@ -60,10 +60,7 @@ type Library struct {
 	conns map[*Conn]struct{}
 	ids   ipv4.IDGen
 
-	// wheel, when non-nil, replaces the per-tick scan of every connection
-	// with timing-wheel timers: connections are touched only when a timer
-	// actually fires. Enabled before any connection exists (many-host
-	// worlds); nil keeps the classic per-tick loops.
+	// wheel holds every connection's TCP timers.
 	wheel *stacks.TCPWheel
 
 	// backoff drives control-plane retry delays (capped exponential with
@@ -199,14 +196,20 @@ func newLibrary(s *sim.Sim, app *kern.Domain) *Library {
 		host:    app.Host,
 		app:     app,
 		conns:   make(map[*Conn]struct{}),
+		wheel:   stacks.NewTCPWheel(),
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
 }
 
+// spawnTimers starts the wheel drivers. There is no library-wide engine
+// lock to bracket an advance with; each fire takes its connection's own.
 func (l *Library) spawnTimers() {
-	l.app.Spawn("lib-fast", l.fastTimer)
-	l.app.Spawn("lib-slow", l.slowTimer)
+	l.wheel.Drive(l.app, "lib", stacks.DriverHooks{
+		Fire: func(t *kern.Thread, e *stacks.WheelEnt, fn func()) {
+			e.Owner.(*Conn).runWheelFire(t, fn)
+		},
+	})
 }
 
 // batchItem is one control request queued for coalescing.
@@ -291,20 +294,11 @@ type Conn struct {
 	peerHW  link.Addr
 	peerBQI uint16
 
-	went *stacks.WheelEnt // timing-wheel registration (nil in tick mode)
+	went *stacks.WheelEnt // timing-wheel registration
 
 	cur  *kern.Thread
 	lock *sim.Semaphore
 	done bool
-}
-
-// EnableTimerWheel switches the library's timer backend from per-tick
-// scans to timing wheels. Must be called before the first connection is
-// adopted.
-func (l *Library) EnableTimerWheel() {
-	if l.wheel == nil {
-		l.wheel = stacks.NewTCPWheel()
-	}
 }
 
 // Connect implements the stacks.Stack interface: active open via the
@@ -491,13 +485,10 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	sock.MarkEstablished()
 
 	l.conns[c] = struct{}{}
-	if l.wheel != nil {
-		c.went = l.wheel.Add(tc, c)
-		// An empty engine pass syncs the restored counters (the handshake
-		// may have left the keepalive or retransmit timer armed) onto the
-		// wheel.
-		c.runEngine(t, func() {})
-	}
+	c.went = l.wheel.Add(tc, c)
+	// An empty engine pass syncs the restored counters (the handshake may
+	// have left the keepalive or retransmit timer armed) onto the wheel.
+	c.runEngine(t, func() {})
 	l.app.Spawn("conn-input", c.inputThread)
 	return c
 }
@@ -589,17 +580,20 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 	return true
 }
 
-// sortedConns returns the live connections in local-port order, so map
-// iteration cannot perturb the deterministic schedule.
+// sortedConns returns the live connections in four-tuple order, so map
+// iteration cannot perturb the deterministic schedule. The whole tuple is
+// the key: connections accepted through one listener share a local port.
 func (l *Library) sortedConns() []*Conn {
 	out := make([]*Conn, 0, len(l.conns))
 	for c := range l.conns {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].tc.Local().Port < out[j].tc.Local().Port
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].tuple().Less(out[j].tuple()) })
 	return out
+}
+
+func (c *Conn) tuple() tcp.FourTuple {
+	return tcp.FourTuple{Local: c.tc.Local(), Peer: c.tc.Peer()}
 }
 
 // fail terminates a connection without driving the engine: the control
@@ -695,15 +689,11 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 func (c *Conn) runEngine(t *kern.Thread, fn func()) {
 	c.lock.P(t.Proc)
 	c.cur = t
-	if c.went != nil {
-		// Catch the tick counters up to the wheel clock before the engine
-		// reads them, and put whatever fn arms onto the wheel afterwards.
-		c.lib.wheel.Sync(c.went)
-		fn()
-		c.lib.wheel.Sync(c.went)
-	} else {
-		fn()
-	}
+	// Catch the tick counters up to the wheel clock before the engine reads
+	// them, and put whatever fn arms onto the wheel afterwards.
+	c.lib.wheel.Sync(c.went)
+	fn()
+	c.lib.wheel.Sync(c.went)
 	c.cur = nil
 	c.lock.V()
 }
@@ -779,48 +769,6 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 				PeerHW: c.peerHW, PeerBQI: c.peerBQI,
 			},
 		})
-	}
-}
-
-// fastTimer drives delayed ACKs for all library connections. In wheel
-// mode only connections with a pending delayed ACK are touched; the
-// classic mode walks every connection (in deterministic port order — raw
-// map ranging would let two connections swap their tick-driven
-// transmissions between runs).
-func (l *Library) fastTimer(t *kern.Thread) {
-	cost := &l.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		if l.wheel != nil {
-			l.wheel.AdvanceFast(func(e *stacks.WheelEnt, fn func()) {
-				t.Compute(cost.TimerOp)
-				e.Owner.(*Conn).runWheelFire(t, fn)
-			})
-			continue
-		}
-		for _, c := range l.sortedConns() {
-			t.Compute(cost.TimerOp)
-			c.runEngine(t, func() { c.tc.FastTick() })
-		}
-	}
-}
-
-// slowTimer drives the 500 ms protocol timers.
-func (l *Library) slowTimer(t *kern.Thread) {
-	cost := &l.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		if l.wheel != nil {
-			l.wheel.AdvanceSlow(func(e *stacks.WheelEnt, fn func()) {
-				t.Compute(cost.TimerOp)
-				e.Owner.(*Conn).runWheelFire(t, fn)
-			})
-			continue
-		}
-		for _, c := range l.sortedConns() {
-			t.Compute(cost.TimerOp)
-			c.runEngine(t, func() { c.tc.SlowTick() })
-		}
 	}
 }
 

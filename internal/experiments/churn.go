@@ -2,13 +2,12 @@ package experiments
 
 // Connection churn at many-host scale. The paper measures one connection
 // setup (Table 4); this experiment measures thousands per second, which is
-// where the linear-scan demultiplexing, the per-tick timer loops, and the
-// shared wire stop being noise: every SYN crosses the fabric, every live
-// or TIME_WAIT pcb is a timer client, and every established channel is a
-// demux binding. The fast-path configuration (learning switch + steering
-// tables + timing wheels + wide ephemeral range) keeps per-connection cost
-// flat as the world scales; the classic configuration pays O(connections)
-// per tick and per frame.
+// where the linear-scan demultiplexing and the shared wire stop being
+// noise: every SYN crosses the fabric, every live or TIME_WAIT pcb is a
+// timer client, and every established channel is a demux binding. The
+// fast-path configuration (learning switch + steering tables + wide
+// ephemeral range) keeps per-connection cost flat as the world scales; the
+// classic configuration pays O(connections) per frame.
 
 import (
 	"errors"
@@ -32,9 +31,9 @@ type ChurnConfig struct {
 	// Workers is the number of concurrent connect loops per client host
 	// (default 8).
 	Workers int
-	// FastPath enables the many-host fast path: switched fabric, timing
-	// wheels, and a wide ephemeral range. Off = the classic two-host
-	// configuration scaled up as-is.
+	// FastPath enables the many-host fast path: switched fabric and a wide
+	// ephemeral range. Off = the classic two-host configuration scaled up
+	// as-is.
 	FastPath bool
 	// Shards federates each host's registry into this many shards, each
 	// pinned to its own CPU and owning a static slice of the port space
@@ -95,7 +94,6 @@ func Churn(cfg ChurnConfig) ChurnResult {
 	}
 	if cfg.FastPath {
 		ucfg.Switch = &wire.SwitchConfig{Latency: time.Microsecond}
-		ucfg.TimerWheel = true
 		ucfg.EphemeralLo, ucfg.EphemeralHi = 1024, 60000
 	}
 	if cfg.Shards >= 2 {

@@ -544,8 +544,8 @@ type Module struct {
 	// ZeroCopyRx makes channels created from now on deliver by reference:
 	// matched frames hand the pool buffer to the library and post only a
 	// fixed-size descriptor into the shared region, instead of modeling a
-	// kernel→region copy. Opt-in (Config.ZeroCopyRx), like the switch and
-	// the timer wheel: legacy replays never see the new cost profile.
+	// kernel→region copy. Opt-in (Config.ZeroCopyRx), like the switch:
+	// legacy replays never see the new cost profile.
 	ZeroCopyRx bool
 
 	// DoorbellBatch is the zero-copy doorbell budget: while the library

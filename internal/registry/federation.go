@@ -385,13 +385,6 @@ func (f *Federation) AdmissionDenied() int { return f.denied }
 // Outstanding returns the admission slots currently charged to owner.
 func (f *Federation) Outstanding(owner *kern.Domain) int { return f.outstanding[owner] }
 
-// EnableTimerWheel switches every shard to timing-wheel timers.
-func (f *Federation) EnableTimerWheel() {
-	for _, sh := range f.shards {
-		sh.EnableTimerWheel()
-	}
-}
-
 // SetTrace attaches the trace bus to every shard.
 func (f *Federation) SetTrace(b *trace.Bus) {
 	for _, sh := range f.shards {

@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"time"
-
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -188,55 +186,5 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 	if rst, rb := tcp.MakeRST(th, seg.Len(), r.nif.Headroom(), local, peer); rst != nil {
 		r.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
 		r.resolveAndSend(t, rb, peer.IP, 0, 0)
-	}
-}
-
-// fastTimer drives delayed ACKs for registry-owned pcbs. In wheel mode
-// only pcbs with a pending delayed ACK are touched; the classic mode
-// scans every owned pcb each tick.
-func (r *Server) fastTimer(t *kern.Thread) {
-	c := &r.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		if r.wheel != nil {
-			r.runEngine(t, func() {
-				r.wheel.AdvanceFast(func(e *stacks.WheelEnt, fn func()) {
-					t.Compute(c.TimerOp)
-					fn()
-				})
-			})
-			continue
-		}
-		r.runEngine(t, func() {
-			r.owned.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.FastTick()
-			})
-		})
-	}
-}
-
-// slowTimer drives protocol timers (including inherited TIME_WAIT pcbs)
-// plus ARP and reassembly expiry.
-func (r *Server) slowTimer(t *kern.Thread) {
-	c := &r.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		if r.wheel != nil {
-			r.runEngine(t, func() {
-				r.wheel.AdvanceSlow(func(e *stacks.WheelEnt, fn func()) {
-					t.Compute(c.TimerOp)
-					fn()
-				})
-			})
-		} else {
-			r.runEngine(t, func() {
-				r.owned.Each(func(tc *tcp.Conn) {
-					t.Compute(c.TimerOp)
-					tc.SlowTick()
-				})
-			})
-		}
-		r.nif.Rsm.Expire(r.nifNow())
 	}
 }

@@ -115,7 +115,7 @@ type hsConn struct {
 	ourCh   *netio.Channel
 	ourCap  *netio.Capability
 	ourBQI  uint16           // reserved before the handshake on the AN1
-	went    *stacks.WheelEnt // timing-wheel registration (nil in tick mode)
+	went    *stacks.WheelEnt // timing-wheel registration
 	reply   *kern.Port       // where to deliver the handoff
 	l       *listener        // set for passive-side pcbs
 	reqID   uint64           // originating request id (dedup cache completion)
@@ -211,9 +211,9 @@ type Server struct {
 	// faults is the control-plane fault injector; nil injects nothing.
 	faults *chaos.Injector
 
-	// wheel, when non-nil, replaces the per-tick scan of every owned pcb
-	// with timing-wheel timers (many-host worlds). Enabled before traffic;
-	// carried across Restart.
+	// wheel holds the TCP timers of every owned pcb. Each incarnation has
+	// its own: owned pcbs die with the old one, and rebuild() only
+	// reconstructs transferred endpoints.
 	wheel *stacks.TCPWheel
 
 	rxq  *sim.Queue[*pkt.Buf]
@@ -236,15 +236,6 @@ type Server struct {
 // SetTrace attaches the trace bus. Connections created afterwards inherit
 // it; the libraries query it via Bus when adopting handed-off engines.
 func (r *Server) SetTrace(b *trace.Bus) { r.bus = b }
-
-// EnableTimerWheel switches the registry's timer backend from per-pcb
-// tick scans to timing wheels. Must be called before the first connection
-// is attached; survives Restart.
-func (r *Server) EnableTimerWheel() {
-	if r.wheel == nil {
-		r.wheel = stacks.NewTCPWheel()
-	}
-}
 
 // SetEphemeralRange widens (or moves) the TCP ephemeral port range —
 // many-host churn worlds need more than the classic [1024,5000) window.
@@ -320,6 +311,7 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 		udpPorts:    tcp.NewPortAlloc(),
 		iss:         tcp.Seq(30000 + 7919*uint32(ip[3])), // per-host ISS sequence
 		owned:       tcp.NewTable(),
+		wheel:       stacks.NewTCPWheel(),
 		conns:       make(map[*tcp.Conn]*hsConn),
 		listeners:   make(map[uint16]*listener),
 		transferred: make(map[tcp.FourTuple]*xferConn),
@@ -346,11 +338,6 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 		r.Svc = prev.Svc
 		r.faults = prev.faults
 		r.bus = prev.bus
-		if prev.wheel != nil {
-			// A fresh wheel: owned pcbs died with the old incarnation, and
-			// rebuild() only reconstructs transferred endpoints.
-			r.wheel = stacks.NewTCPWheel()
-		}
 		r.ports = tcp.NewPortAllocRange(prev.ports.EphemeralRange())
 		r.rebuildPending = true
 		// Perturb the ISS base per incarnation so connections the reborn
@@ -379,8 +366,10 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 	}
 	r.dom.Spawn("service", r.serviceLoop)
 	r.dom.Spawn("input", r.inputLoop)
-	r.dom.Spawn("tcp-fast", r.fastTimer)
-	r.dom.Spawn("tcp-slow", r.slowTimer)
+	r.wheel.Drive(r.dom, "tcp", stacks.DriverHooks{
+		Bracket:   r.runEngine,
+		AfterSlow: func() { r.nif.Rsm.Expire(r.nifNow()) },
+	})
 	r.dom.Spawn("lease-hb", r.leaseHeartbeat)
 	return r
 }
@@ -763,9 +752,7 @@ func (r *Server) setupChannel(t *kern.Thread, hc *hsConn, local, remote tcp.Endp
 // attach wires the registry-side callbacks for a pcb it owns.
 func (r *Server) attach(tc *tcp.Conn, hc *hsConn) {
 	r.conns[tc] = hc
-	if r.wheel != nil {
-		hc.went = r.wheel.Add(tc, hc)
-	}
+	hc.went = r.wheel.Add(tc, nil)
 	if r.bus.Enabled() {
 		tc.SetTrace(r.bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
@@ -989,16 +976,12 @@ func (r *Server) runEngine(t *kern.Thread, fn func()) {
 	r.lock.V()
 }
 
-// runConn runs an engine operation on one owned pcb. In wheel mode the
-// connection's tick counters are synced to the wheel clock before fn reads
-// them, and whatever fn arms is synced back onto the wheel afterwards; the
-// exit Sync is a no-op if a callback inside fn already dropped the entry
-// (the engine is Closed, so nothing re-arms).
+// runConn runs an engine operation on one owned pcb: its tick counters are
+// caught up to the wheel clock before fn reads them, and whatever fn arms
+// goes onto the wheel afterwards. The exit Sync does nothing if a callback
+// inside fn dropped the entry — the engine closed, or established() handed
+// the still-live connection to its library.
 func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
-	if hc == nil || hc.went == nil {
-		r.runEngine(t, fn)
-		return
-	}
 	r.runEngine(t, func() {
 		r.wheel.Sync(hc.went)
 		fn()

@@ -1,378 +1,43 @@
 package stacks
 
 import (
-	"time"
-
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
-	"ulp/internal/link"
 	"ulp/internal/netio"
-	"ulp/internal/pkt"
 	"ulp/internal/sim"
-	"ulp/internal/tcp"
 )
 
-// InKernel is the Ultrix-style monolithic organization: the whole protocol
-// stack executes in the kernel. Socket calls are general-purpose traps;
-// data crosses the user/kernel boundary by copy for small writes and by
-// page remap for writes of RemapMinUltrix bytes or more ("Ultrix uses an
-// identical mechanism, but it is invoked only when the user packet size is
-// 1024 bytes or larger"); input runs at software-interrupt level and wakes
+// NewInKernel builds the Ultrix-style monolithic organization on a host
+// whose netio module is mod: the whole protocol stack executes in the
+// kernel. Socket calls are general-purpose traps; data crosses the
+// user/kernel boundary by copy for small writes and by page remap for
+// writes of RemapMinUltrix bytes or more ("Ultrix uses an identical
+// mechanism, but it is invoked only when the user packet size is 1024
+// bytes or larger"); input runs at software-interrupt level and wakes
 // sleeping readers with a context switch.
-type InKernel struct {
-	host  *kern.Host
-	krn   *kern.Domain
-	nif   *Netif
-	table *tcp.Table
-	ports *tcp.PortAlloc
-	iss   tcp.Seq
-
-	cur  *kern.Thread   // thread currently driving the engine
-	lock *sim.Semaphore // serializes engine entry (splnet analogue)
-
-	rxq       *sim.Queue[*pkt.Buf]
-	listeners map[uint16]*ikListener
-	conns     map[*tcp.Conn]*Sock
-	udp       *UDPHost
-}
-
-// NewInKernel builds the organization on a host whose netio module is mod.
-func NewInKernel(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *InKernel {
-	ik := &InKernel{
-		host:      mod.Device().Host(),
-		nif:       NewNetif(s, mod, ip),
-		table:     tcp.NewTable(),
-		ports:     tcp.NewPortAlloc(),
-		iss:       10000,
-		listeners: make(map[uint16]*ikListener),
-		conns:     make(map[*tcp.Conn]*Sock),
+func NewInKernel(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Monolithic {
+	open := func(t *kern.Thread) {
+		t.Trap()
+		t.Compute(t.Cost().PCBSetup)
 	}
-	ik.krn = ik.host.NewDomain("kernel", true)
-	ik.lock = s.NewSemaphore("ik-engine", 1)
-	ik.rxq = sim.NewQueue[*pkt.Buf](s)
-	ik.udp = NewUDPHost(ik.nif)
-	mod.SetDefaultHandler(func(b *pkt.Buf) { ik.rxq.Push(b) })
-	ik.krn.Spawn("softint", ik.softint)
-	ik.krn.Spawn("tcp-fast", ik.fastTimer)
-	ik.krn.Spawn("tcp-slow", ik.slowTimer)
-	return ik
-}
-
-func (ik *InKernel) Name() string     { return "inkernel" }
-func (ik *InKernel) Host() *kern.Host { return ik.host }
-
-// Netif exposes the interface (UDP examples, diagnostics).
-func (ik *InKernel) Netif() *Netif { return ik.nif }
-
-// UDP exposes the host's datagram service.
-func (ik *InKernel) UDP() *UDPHost { return ik.udp }
-
-func (ik *InKernel) nextISS() tcp.Seq {
-	ik.iss += 64009
-	return ik.iss
-}
-
-// tcpConfig derives the engine configuration from options and the link.
-func tcpConfig(nif *Netif, opts Options) tcp.Config {
-	return tcp.Config{
-		MSS:            nif.MSS(),
-		SndBufSize:     opts.SndBuf,
-		RcvBufSize:     opts.RcvBuf,
-		Headroom:       nif.Headroom(),
-		NoDelay:        opts.NoDelay,
-		NoDelayedAck:   opts.NoDelayedAck,
-		FastRetransmit: true,
-		KeepAliveTicks: opts.KeepAliveTicks,
-		RexmtR1:        opts.RexmtR1,
-		RexmtR2:        opts.RexmtR2,
-	}
-}
-
-// SegCost is the per-segment protocol processing charge, identical in all
-// organizations ("the protocol stack that is executed is nearly identical
-// in all three systems").
-func SegCost(h *kern.Host, n int, noChecksum bool) time.Duration {
-	m := &h.Cost
-	d := m.TCPSegment + m.IPPacket + 2*m.TimerOp
-	if !noChecksum {
-		d += m.Checksum(n)
-	}
-	return d
-}
-
-// MbufCost is the per-packet BSD buffer-layer charge the monolithic
-// organizations add on top of SegCost (the library's shared rings avoid
-// it).
-func MbufCost(h *kern.Host) time.Duration { return h.Cost.MbufLayer }
-
-// ikConn augments Sock with teardown bookkeeping.
-type ikConn struct {
-	*Sock
-	ik   *InKernel
-	opts Options
-}
-
-func (kc *ikConn) Read(t *kern.Thread, p []byte) (int, error)  { return kc.Sock.Read(t, p) }
-func (kc *ikConn) Write(t *kern.Thread, p []byte) (int, error) { return kc.Sock.Write(t, p) }
-func (kc *ikConn) Close(t *kern.Thread) error                  { return kc.Sock.Close(t) }
-
-// newConn wires a Sock for a pcb with Ultrix cost hooks.
-func (ik *InKernel) newConn(s *sim.Sim, tc *tcp.Conn, opts Options) *ikConn {
-	sock := NewSock(s, tc)
-	c := &ik.host.Cost
-	sock.Entry = func(t *kern.Thread) { t.Trap() }
-	sock.Run = ik.runEngine
-	sock.WriteMove = func(t *kern.Thread, n int) {
-		if n >= c.RemapMinUltrix {
-			t.Compute(c.PageRemap + c.SockbufOp)
-		} else {
-			t.Compute(c.Copy(n) + time.Duration(1)*c.SockbufOp)
-		}
-	}
-	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(c.Copy(n) + c.SockbufOp) }
-	kc := &ikConn{Sock: sock, ik: ik, opts: opts}
-	return kc
-}
-
-// attachEngine completes pcb wiring: callbacks, table registration,
-// cleanup on close.
-func (ik *InKernel) attachEngine(tc *tcp.Conn, kc *ikConn) {
-	cb := kc.Sock.Callbacks(func(seg *Seg) { ik.transmit(seg, tc, kc.opts) })
-	inner := cb.OnClosed
-	cb.OnClosed = func(err error) {
-		ik.table.Remove(tc)
-		delete(ik.conns, tc)
-		ik.ports.Release(tc.Local().Port)
-		inner(err)
-	}
-	tc.SetCallbacks(cb)
-	if bus := ik.nif.Mod.Bus; bus != nil {
-		tc.SetTrace(bus, ik.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
-	}
-	ik.conns[tc] = kc.Sock
-}
-
-// transmit charges protocol costs and pushes a segment down IP and the
-// device, in the context of whichever thread is driving the engine.
-func (ik *InKernel) transmit(seg *Seg, tc *tcp.Conn, opts Options) {
-	t := ik.cur
-	if t == nil {
-		panic("inkernel: engine transmit outside RunEngine")
-	}
-	t.Compute(SegCost(ik.host, seg.PayloadLen, opts.NoChecksum) + MbufCost(ik.host))
-	ik.nif.WrapIP(seg.Buf, ipv4.ProtoTCP, tc.Peer().IP)
-	ik.nif.Resolve(t, seg.Buf, tc.Peer().IP, 0, ik.nif.Mod.SendKernel)
-}
-
-// runEngine serializes engine entry, tracking the driving thread for
-// transmit charging.
-func (ik *InKernel) runEngine(t *kern.Thread, fn func()) {
-	ik.lock.P(t.Proc)
-	ik.cur = t
-	fn()
-	ik.cur = nil
-	ik.lock.V()
-}
-
-// Listen implements Stack.
-func (ik *InKernel) Listen(t *kern.Thread, port uint16, opts Options) (Listener, error) {
-	t.Trap()
-	t.Compute(t.Cost().PCBSetup)
-	if !ik.ports.Reserve(port) {
-		return nil, ErrPortInUse
-	}
-	l := &ikListener{
-		ik:    ik,
-		port:  port,
-		opts:  opts,
-		ready: sim.NewQueue[*ikConn](t.Sim()),
-	}
-	ik.listeners[port] = l
-	return l, nil
-}
-
-// ikListener queues established connections for Accept.
-type ikListener struct {
-	ik     *InKernel
-	port   uint16
-	opts   Options
-	ready  *sim.Queue[*ikConn]
-	closed bool
-}
-
-// Accept implements Listener.
-func (l *ikListener) Accept(t *kern.Thread) (Conn, error) {
-	t.Trap()
-	return l.ready.Pop(t.Proc), nil
-}
-
-// Close implements Listener.
-func (l *ikListener) Close(t *kern.Thread) {
-	t.Trap()
-	l.closed = true
-	delete(l.ik.listeners, l.port)
-	l.ik.ports.Release(l.port)
-}
-
-// Connect implements Stack.
-func (ik *InKernel) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) (Conn, error) {
-	t.Trap()
-	t.Compute(t.Cost().PCBSetup)
-	port, err := ik.ports.Ephemeral()
-	if err != nil {
-		return nil, err
-	}
-	local := tcp.Endpoint{IP: ik.nif.IP, Port: port}
-	tc := tcp.NewConn(tcpConfig(ik.nif, opts), local, remote, tcp.Callbacks{})
-	kc := ik.newConn(t.Sim(), tc, opts)
-	ik.attachEngine(tc, kc)
-	if err := ik.table.Insert(tc); err != nil {
-		ik.ports.Release(local.Port)
-		return nil, err
-	}
-	ik.runEngine(t, func() { tc.OpenActive(ik.nextISS()) })
-	if err := kc.WaitEstablished(t); err != nil {
-		return nil, err
-	}
-	return kc, nil
-}
-
-// softint is the kernel protocol-input thread: the interrupt handler
-// queues frames; this thread demultiplexes and runs the engine, then wakes
-// any sleeping reader (the context switch the wakeup costs is charged when
-// a waiter exists).
-func (ik *InKernel) softint(t *kern.Thread) {
-	c := &ik.host.Cost
-	for {
-		b := ik.rxq.Pop(t.Proc)
-		t.Compute(c.ThreadSwitch) // interrupt-to-softint dispatch
-		ik.input(t, b)
-	}
-}
-
-// input processes one inbound frame in thread context. The frame dies here
-// on every path: reassembly, the UDP datagram queue and tcp.Conn.Input all
-// copy the bytes they keep.
-func (ik *InKernel) input(t *kern.Thread, b *pkt.Buf) {
-	defer b.Release()
-	et, err := ik.nif.StripLink(b)
-	if err != nil {
-		return
-	}
-	switch et {
-	case link.TypeARP:
-		ik.nif.InputARP(t, b, ik.nif.Mod.SendKernel)
-		return
-	case link.TypeIPv4:
-	default:
-		return
-	}
-	h, data, ok := ik.nif.InputIP(b)
-	if !ok {
-		return
-	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		ik.inputTCP(t, h, data)
-	case ipv4.ProtoUDP:
-		ik.udp.Input(t, h, data)
-	}
-}
-
-// inputTCP demultiplexes a segment through the PCB table.
-func (ik *InKernel) inputTCP(t *kern.Thread, h ipv4.Header, data []byte) {
-	seg := pkt.FromBytes(0, data)
-	defer seg.Release()
-	th, err := tcp.Decode(seg, h.Src, h.Dst)
-	if err != nil {
-		return // bad checksum: dropped silently, retransmission recovers
-	}
-	local := tcp.Endpoint{IP: h.Dst, Port: th.DstPort}
-	peer := tcp.Endpoint{IP: h.Src, Port: th.SrcPort}
-	t.Compute(SegCost(ik.host, seg.Len(), false) + MbufCost(ik.host))
-
-	if tc, ok := ik.table.LookupExact(local, peer); ok {
-		ik.deliverSegment(t, tc, th, seg.Bytes())
-		return
-	}
-	if l, ok := ik.listeners[local.Port]; ok && !l.closed {
-		if th.Flags&tcp.FlagSYN != 0 && th.Flags&(tcp.FlagACK|tcp.FlagRST) == 0 {
-			ik.spawnFromListener(t, l, local, peer, th, seg.Bytes())
-			return
-		}
-	}
-	// No endpoint: reset.
-	if r, rb := tcp.MakeRST(th, seg.Len(), ik.nif.Headroom(), local, peer); r != nil {
-		ik.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
-		ik.nif.Resolve(t, rb, peer.IP, 0, ik.nif.Mod.SendKernel)
-	}
-}
-
-// deliverSegment feeds the engine and charges the reader wakeup.
-func (ik *InKernel) deliverSegment(t *kern.Thread, tc *tcp.Conn, th tcp.Header, data []byte) {
-	sock := ik.conns[tc]
-	waiting := sock != nil && sock.ReadableWaiters() > 0
-	ik.runEngine(t, func() { tc.Input(th, data) })
-	if waiting {
-		t.Compute(ik.host.Cost.ContextSwitch)
-	}
-}
-
-// spawnFromListener clones a pcb for an inbound SYN (BSD's listen-socket
-// cloning) and delivers the SYN to it.
-func (ik *InKernel) spawnFromListener(t *kern.Thread, l *ikListener, local, peer tcp.Endpoint, th tcp.Header, data []byte) {
-	tc := tcp.NewConn(tcpConfig(ik.nif, l.opts), local, peer, tcp.Callbacks{})
-	tc.SetISS(ik.nextISS())
-	kc := ik.newConn(t.Sim(), tc, l.opts)
-	// Queue for Accept once established.
-	base := kc.Sock.Callbacks(func(seg *Seg) { ik.transmit(seg, tc, l.opts) })
-	inner := base.OnEstablished
-	base.OnEstablished = func() {
-		inner()
-		if !l.closed {
-			l.ready.Push(kc)
-		}
-	}
-	innerClosed := base.OnClosed
-	base.OnClosed = func(err error) {
-		ik.table.Remove(tc)
-		delete(ik.conns, tc)
-		innerClosed(err)
-	}
-	tc.SetCallbacks(base)
-	ik.conns[tc] = kc.Sock
-	tc.OpenListen()
-	if err := ik.table.Insert(tc); err != nil {
-		return
-	}
-	ik.runEngine(t, func() { tc.Input(th, data) })
-}
-
-// fastTimer drives 200 ms delayed-ack processing.
-func (ik *InKernel) fastTimer(t *kern.Thread) {
-	c := &ik.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		ik.runEngine(t, func() {
-			ik.table.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.FastTick()
-			})
-		})
-	}
-}
-
-// slowTimer drives 500 ms protocol timers plus ARP/reassembly expiry.
-func (ik *InKernel) slowTimer(t *kern.Thread) {
-	c := &ik.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		ik.runEngine(t, func() {
-			ik.table.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.SlowTick()
-			})
-		})
-		ik.nif.Rsm.Expire(ik.nif.now())
-	}
+	return newMonolithic(s, mod, ip, organization{
+		name:        "inkernel",
+		domain:      "kernel",
+		inputThread: "softint",
+		issOrigin:   10000,
+		issStride:   64009,
+		call:        func(t *kern.Thread) { t.Trap() },
+		listen:      open,
+		connect:     open,
+		writeMove: func(t *kern.Thread, n int) {
+			c := t.Cost()
+			if n >= c.RemapMinUltrix {
+				t.Compute(c.PageRemap + c.SockbufOp)
+			} else {
+				t.Compute(c.Copy(n) + c.SockbufOp)
+			}
+		},
+		readMove:     func(t *kern.Thread, n int) { t.Compute(t.Cost().Copy(n) + t.Cost().SockbufOp) },
+		readerWakeup: func(t *kern.Thread) { t.Compute(t.Cost().ContextSwitch) },
+	})
 }

@@ -1,324 +1,52 @@
 package stacks
 
 import (
-	"time"
-
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
-	"ulp/internal/link"
 	"ulp/internal/netio"
-	"ulp/internal/pkt"
 	"ulp/internal/sim"
-	"ulp/internal/tcp"
 )
 
-// SingleServer is the Mach 3.0 + UX organization: the entire protocol
-// suite executes in one trusted user-level server with the network device
-// mapped into its address space. Every socket call is a Mach IPC round
-// trip between the application and the server (request + reply, each a
-// message send plus a context switch), and all data crosses in message
-// bodies by copy. Inbound packets interrupt the kernel and must then wake
-// the server's input thread in its own address space.
+// NewSingleServer builds the Mach 3.0 + UX organization on a host whose
+// netio module is mod: the entire protocol suite executes in one trusted
+// user-level server with the network device mapped into its address space.
+// Every socket call is a Mach IPC round trip between the application and
+// the server (request + reply, each a message send plus a context switch),
+// and all data crosses in message bodies by copy. Inbound packets interrupt
+// the kernel and must then wake the server's input thread in its own
+// address space.
 //
 // This is the organization the paper's measurements show losing to both
 // Ultrix and the user-level library ("the user-level library implementation
 // outperforms the monolithic Mach/UX implementation ... 42% faster for the
 // 4K packet case").
-type SingleServer struct {
-	host   *kern.Host
-	server *kern.Domain
-	nif    *Netif
-	table  *tcp.Table
-	ports  *tcp.PortAlloc
-	iss    tcp.Seq
-
-	cur  *kern.Thread
-	lock *sim.Semaphore
-
-	rxq       *sim.Queue[*pkt.Buf]
-	listeners map[uint16]*ssListener
-	conns     map[*tcp.Conn]*Sock
-	udp       *UDPHost
-}
-
-// NewSingleServer builds the organization on a host whose netio module is
-// mod.
-func NewSingleServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *SingleServer {
-	ss := &SingleServer{
-		host:      mod.Device().Host(),
-		nif:       NewNetif(s, mod, ip),
-		table:     tcp.NewTable(),
-		ports:     tcp.NewPortAlloc(),
-		iss:       20000,
-		listeners: make(map[uint16]*ssListener),
-		conns:     make(map[*tcp.Conn]*Sock),
+func NewSingleServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Monolithic {
+	// rpc charges one application<->server round trip (request send +
+	// switch into the server, reply send + switch back) with no in-line
+	// data.
+	rpc := func(t *kern.Thread) {
+		c := t.Cost()
+		t.Compute(2*c.MachIPCSend + 2*c.ContextSwitch + c.Copy(0))
 	}
-	// The UX server is a trusted user-level process; it maps the device.
-	ss.server = ss.host.NewDomain("ux-server", true)
-	ss.lock = s.NewSemaphore("ss-engine", 1)
-	ss.rxq = sim.NewQueue[*pkt.Buf](s)
-	ss.udp = NewUDPHost(ss.nif)
-	mod.SetDefaultHandler(func(b *pkt.Buf) {
-		// Waking the server's input thread crosses into its address space.
-		if ss.rxq.Len() == 0 {
-			ss.host.ComputeAsync(ss.host.Cost.KernelWakeup, nil)
-		}
-		ss.rxq.Push(b)
+	move := func(t *kern.Thread, n int) { t.Compute(t.Cost().Copy(n) + t.Cost().SockbufOp) }
+	return newMonolithic(s, mod, ip, organization{
+		name:        "singleserver",
+		domain:      "ux-server", // a trusted user-level process; it maps the device
+		inputThread: "input",
+		issOrigin:   20000,
+		issStride:   64013,
+		call:        rpc,
+		listen:      rpc, // socket() + bind()/listen() folded into one RPC
+		connect: func(t *kern.Thread) {
+			rpc(t) // socket()
+			rpc(t) // connect()
+			t.Compute(t.Cost().PCBSetup)
+		},
+		writeMove: move,
+		readMove:  move,
+		rxWakeup:  func(h *kern.Host) { h.ComputeAsync(h.Cost.KernelWakeup, nil) },
+		// Waking the blocked application read and sending its reply message
+		// crosses address spaces again.
+		readerWakeup: func(t *kern.Thread) { t.Compute(t.Cost().MachIPCSend + t.Cost().ContextSwitch) },
 	})
-	ss.server.Spawn("input", ss.inputThread)
-	ss.server.Spawn("tcp-fast", ss.fastTimer)
-	ss.server.Spawn("tcp-slow", ss.slowTimer)
-	return ss
-}
-
-func (ss *SingleServer) Name() string     { return "singleserver" }
-func (ss *SingleServer) Host() *kern.Host { return ss.host }
-
-// Netif exposes the interface.
-func (ss *SingleServer) Netif() *Netif { return ss.nif }
-
-// UDP exposes the host's datagram service.
-func (ss *SingleServer) UDP() *UDPHost { return ss.udp }
-
-func (ss *SingleServer) nextISS() tcp.Seq {
-	ss.iss += 64013
-	return ss.iss
-}
-
-// rpc charges one application<->server round trip (request send + switch
-// into the server, reply send + switch back), with n bytes of in-line data.
-func (ss *SingleServer) rpc(t *kern.Thread, n int) {
-	c := t.Cost()
-	t.Compute(2*c.MachIPCSend + 2*c.ContextSwitch + c.Copy(n))
-}
-
-// newConn wires a Sock with Mach/UX cost hooks: socket calls are RPCs and
-// data is copied through messages.
-func (ss *SingleServer) newConn(s *sim.Sim, tc *tcp.Conn, opts Options) *Sock {
-	sock := NewSock(s, tc)
-	c := &ss.host.Cost
-	sock.Entry = func(t *kern.Thread) { ss.rpc(t, 0) }
-	sock.Run = ss.runEngine
-	sock.WriteMove = func(t *kern.Thread, n int) { t.Compute(c.Copy(n) + c.SockbufOp) }
-	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(c.Copy(n) + c.SockbufOp) }
-	return sock
-}
-
-func (ss *SingleServer) attach(tc *tcp.Conn, sock *Sock, opts Options, onEst func()) {
-	cb := sock.Callbacks(func(seg *Seg) { ss.transmit(seg, tc, opts) })
-	if onEst != nil {
-		inner := cb.OnEstablished
-		cb.OnEstablished = func() {
-			inner()
-			onEst()
-		}
-	}
-	innerClosed := cb.OnClosed
-	cb.OnClosed = func(err error) {
-		ss.table.Remove(tc)
-		delete(ss.conns, tc)
-		ss.ports.Release(tc.Local().Port)
-		innerClosed(err)
-	}
-	tc.SetCallbacks(cb)
-	if bus := ss.nif.Mod.Bus; bus != nil {
-		tc.SetTrace(bus, ss.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
-	}
-	ss.conns[tc] = sock
-}
-
-// transmit sends a segment through the server's mapped device.
-func (ss *SingleServer) transmit(seg *Seg, tc *tcp.Conn, opts Options) {
-	t := ss.cur
-	if t == nil {
-		panic("singleserver: engine transmit outside runEngine")
-	}
-	t.Compute(SegCost(ss.host, seg.PayloadLen, opts.NoChecksum) + MbufCost(ss.host))
-	ss.nif.WrapIP(seg.Buf, ipv4.ProtoTCP, tc.Peer().IP)
-	ss.nif.Resolve(t, seg.Buf, tc.Peer().IP, 0, ss.nif.Mod.SendKernel)
-}
-
-func (ss *SingleServer) runEngine(t *kern.Thread, fn func()) {
-	ss.lock.P(t.Proc)
-	ss.cur = t
-	fn()
-	ss.cur = nil
-	ss.lock.V()
-}
-
-// Listen implements Stack.
-func (ss *SingleServer) Listen(t *kern.Thread, port uint16, opts Options) (Listener, error) {
-	ss.rpc(t, 0) // socket() + bind()/listen() folded into one RPC
-	if !ss.ports.Reserve(port) {
-		return nil, ErrPortInUse
-	}
-	l := &ssListener{
-		ss:    ss,
-		port:  port,
-		opts:  opts,
-		ready: sim.NewQueue[*Sock](t.Sim()),
-	}
-	ss.listeners[port] = l
-	return l, nil
-}
-
-// ssListener queues established connections for Accept.
-type ssListener struct {
-	ss     *SingleServer
-	port   uint16
-	opts   Options
-	ready  *sim.Queue[*Sock]
-	closed bool
-}
-
-// Accept implements Listener.
-func (l *ssListener) Accept(t *kern.Thread) (Conn, error) {
-	l.ss.rpc(t, 0)
-	return l.ready.Pop(t.Proc), nil
-}
-
-// Close implements Listener.
-func (l *ssListener) Close(t *kern.Thread) {
-	l.ss.rpc(t, 0)
-	l.closed = true
-	delete(l.ss.listeners, l.port)
-	l.ss.ports.Release(l.port)
-}
-
-// Connect implements Stack. socket() and connect() are two RPCs.
-func (ss *SingleServer) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) (Conn, error) {
-	ss.rpc(t, 0) // socket()
-	ss.rpc(t, 0) // connect()
-	t.Compute(t.Cost().PCBSetup)
-	port, err := ss.ports.Ephemeral()
-	if err != nil {
-		return nil, err
-	}
-	local := tcp.Endpoint{IP: ss.nif.IP, Port: port}
-	tc := tcp.NewConn(tcpConfig(ss.nif, opts), local, remote, tcp.Callbacks{})
-	sock := ss.newConn(t.Sim(), tc, opts)
-	ss.attach(tc, sock, opts, nil)
-	if err := ss.table.Insert(tc); err != nil {
-		ss.ports.Release(local.Port)
-		return nil, err
-	}
-	ss.runEngine(t, func() { tc.OpenActive(ss.nextISS()) })
-	if err := sock.WaitEstablished(t); err != nil {
-		return nil, err
-	}
-	return sock, nil
-}
-
-// inputThread is the server's protocol input loop.
-func (ss *SingleServer) inputThread(t *kern.Thread) {
-	c := &ss.host.Cost
-	for {
-		b := ss.rxq.Pop(t.Proc)
-		t.Compute(c.ThreadSwitch)
-		ss.input(t, b)
-	}
-}
-
-func (ss *SingleServer) input(t *kern.Thread, b *pkt.Buf) {
-	// See InKernel.input: the frame dies here on every path.
-	defer b.Release()
-	et, err := ss.nif.StripLink(b)
-	if err != nil {
-		return
-	}
-	switch et {
-	case link.TypeARP:
-		ss.nif.InputARP(t, b, ss.nif.Mod.SendKernel)
-		return
-	case link.TypeIPv4:
-	default:
-		return
-	}
-	h, data, ok := ss.nif.InputIP(b)
-	if !ok {
-		return
-	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		ss.inputTCP(t, h, data)
-	case ipv4.ProtoUDP:
-		ss.udp.Input(t, h, data)
-	}
-}
-
-func (ss *SingleServer) inputTCP(t *kern.Thread, h ipv4.Header, data []byte) {
-	seg := pkt.FromBytes(0, data)
-	defer seg.Release()
-	th, err := tcp.Decode(seg, h.Src, h.Dst)
-	if err != nil {
-		return
-	}
-	local := tcp.Endpoint{IP: h.Dst, Port: th.DstPort}
-	peer := tcp.Endpoint{IP: h.Src, Port: th.SrcPort}
-	t.Compute(SegCost(ss.host, seg.Len(), false) + MbufCost(ss.host))
-
-	if tc, ok := ss.table.LookupExact(local, peer); ok {
-		sock := ss.conns[tc]
-		waiting := sock != nil && sock.ReadableWaiters() > 0
-		ss.runEngine(t, func() { tc.Input(th, seg.Bytes()) })
-		if waiting {
-			// Waking the blocked application read and sending its reply
-			// message crosses address spaces again.
-			t.Compute(ss.host.Cost.MachIPCSend + ss.host.Cost.ContextSwitch)
-		}
-		return
-	}
-	if l, ok := ss.listeners[local.Port]; ok && !l.closed {
-		if th.Flags&tcp.FlagSYN != 0 && th.Flags&(tcp.FlagACK|tcp.FlagRST) == 0 {
-			ss.spawnFromListener(t, l, local, peer, th, seg.Bytes())
-			return
-		}
-	}
-	if r, rb := tcp.MakeRST(th, seg.Len(), ss.nif.Headroom(), local, peer); r != nil {
-		ss.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
-		ss.nif.Resolve(t, rb, peer.IP, 0, ss.nif.Mod.SendKernel)
-	}
-}
-
-func (ss *SingleServer) spawnFromListener(t *kern.Thread, l *ssListener, local, peer tcp.Endpoint, th tcp.Header, data []byte) {
-	tc := tcp.NewConn(tcpConfig(ss.nif, l.opts), local, peer, tcp.Callbacks{})
-	tc.SetISS(ss.nextISS())
-	sock := ss.newConn(t.Sim(), tc, l.opts)
-	ss.attach(tc, sock, l.opts, func() {
-		if !l.closed {
-			l.ready.Push(sock)
-		}
-	})
-	tc.OpenListen()
-	if err := ss.table.Insert(tc); err != nil {
-		return
-	}
-	ss.runEngine(t, func() { tc.Input(th, data) })
-}
-
-func (ss *SingleServer) fastTimer(t *kern.Thread) {
-	c := &ss.host.Cost
-	for {
-		t.Sleep(200 * time.Millisecond)
-		ss.runEngine(t, func() {
-			ss.table.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.FastTick()
-			})
-		})
-	}
-}
-
-func (ss *SingleServer) slowTimer(t *kern.Thread) {
-	c := &ss.host.Cost
-	for {
-		t.Sleep(500 * time.Millisecond)
-		ss.runEngine(t, func() {
-			ss.table.Each(func(tc *tcp.Conn) {
-				t.Compute(c.TimerOp)
-				tc.SlowTick()
-			})
-		})
-		ss.nif.Rsm.Expire(ss.nif.now())
-	}
 }

@@ -1,16 +1,19 @@
 package stacks
 
 import (
+	"time"
+
+	"ulp/internal/kern"
 	"ulp/internal/tcp"
 	"ulp/internal/timerwheel"
 )
 
-// TCPWheel is the timing-wheel backend for the BSD tick timers (Varghese &
-// Lauck, the mechanism the paper names for making "practically every
-// message arrival and departure involves timer operations" cheap). The
-// classic shells walk every connection on every 200/500 ms tick — O(conns)
-// per tick, which at 10k+ connections dominates the virtual CPU. With the
-// wheel a connection is touched only when a timer actually fires:
+// TCPWheel is the TCP timer backend of every organization: timing wheels
+// (Varghese & Lauck, the mechanism the paper names for making "practically
+// every message arrival and departure involves timer operations" cheap)
+// under the BSD 200/500 ms tick timers. A connection is touched only when
+// one of its timers actually fires, so an idle connection costs nothing
+// per tick and timer CPU is charged per fire:
 //
 //   - Each connection registers a WheelEnt holding one slow-wheel and one
 //     fast-wheel timer plus lastSeen, the slow tick the connection's
@@ -20,17 +23,16 @@ import (
 //     and nothing can have fired unseen because the wheel is always armed
 //     for the earliest deadline), then re-arms the slow timer for
 //     NextSlowTicks and the fast timer iff a delayed ACK is pending.
-//   - The shell's driver threads advance the wheels once per tick period
-//     and run each due entry's Sync under that connection's engine lock,
-//     charging timer cost per *fire* rather than per connection per tick.
+//   - Drive spawns the one fast/slow driver pair: each advances its wheel
+//     once per tick period and runs every due entry's Sync under that
+//     connection's engine lock.
 //
 // Shells call Sync on engine entry (so handlers see current counters
 // before processing a segment) and on engine exit (so timers the segment
 // armed get onto the wheel). Both calls are idempotent.
 //
-// This is a wall-clock and virtual-CPU optimization for many-connection
-// worlds and is opt-in per shell; the two-host seed worlds keep the classic
-// per-tick loops and their bit-identical virtual-time tables.
+// The engine's own FastTick/SlowTick remain the reference the wheel is
+// tested against (tcpwheel_test.go, internal/explore).
 type TCPWheel struct {
 	slow, fast *timerwheel.Wheel
 	// One exec slot per wheel, live only inside the matching Advance*.
@@ -43,7 +45,7 @@ type TCPWheel struct {
 }
 
 // WheelEnt is one connection's wheel registration. Owner carries the
-// shell's connection object back to the driver's exec callback.
+// shell's connection object back to the driver's Fire hook.
 type WheelEnt struct {
 	Owner any
 
@@ -52,6 +54,10 @@ type WheelEnt struct {
 	slowT, fastT timerwheel.Timer
 	lastSeen     uint64
 	slowDeadline uint64
+	// dropped entries stay dropped: the shell no longer drives this engine
+	// (it closed, or was handed to another shell while still live), so a
+	// later Sync or a fire already past the wheel must not re-arm it.
+	dropped bool
 }
 
 // NewTCPWheel builds the two wheels: the slow wheel spans 2^16 ticks
@@ -74,16 +80,13 @@ func (w *TCPWheel) Armed() int { return w.slow.Armed() + w.fast.Armed() }
 // current wheel clock; the caller must invoke Sync under the engine lock
 // after any engine activity (Open, Input) arms timers.
 func (w *TCPWheel) Add(tc *tcp.Conn, owner any) *WheelEnt {
-	e := &WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now()}
-	return e
+	return &WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now()}
 }
 
-// Drop deregisters a connection, cancelling any pending timers. Safe to
-// call twice, and a no-op in tick mode (nil receiver or entry).
+// Drop deregisters a connection for good, cancelling any pending timers.
+// Safe to call twice.
 func (w *TCPWheel) Drop(e *WheelEnt) {
-	if w == nil || e == nil {
-		return
-	}
+	e.dropped = true
 	w.slow.Cancel(&e.slowT)
 	w.fast.Cancel(&e.fastT)
 }
@@ -92,8 +95,14 @@ func (w *TCPWheel) Drop(e *WheelEnt) {
 // connection's engine lock held. It advances the tick counters to "now"
 // (firing any counter whose deadline the wheel has reached — normally none
 // on engine entry, exactly one when called from a wheel fire), then
-// re-arms both wheel timers from the resulting counter state.
+// re-arms both wheel timers from the resulting counter state. On a dropped
+// entry it does nothing: the engine operation that dropped it (a close, or
+// the registry's handoff of an ESTABLISHED pcb whose keepalive is armed)
+// is typically bracketed by an exit Sync.
 func (w *TCPWheel) Sync(e *WheelEnt) {
+	if e.dropped {
+		return
+	}
 	if n := w.slow.Now() - e.lastSeen; n > 0 {
 		e.lastSeen = w.slow.Now()
 		e.tc.AdvanceSlowTicks(int(n))
@@ -121,7 +130,8 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 // deadline: the driver's exec acquires the engine lock, and Sync both
 // fires the due counter (through the ordinary SlowTick path) and re-arms.
 // If another thread already advanced the connection past this deadline
-// while we waited for the lock, Sync degenerates to a no-op re-arm.
+// while we waited for the lock, Sync degenerates to a no-op re-arm; if it
+// dropped the entry, to nothing.
 func (e *WheelEnt) fireSlow() {
 	e.w.execSlow(e, func() { e.w.Sync(e) })
 }
@@ -129,6 +139,9 @@ func (e *WheelEnt) fireSlow() {
 // fireFast flushes the pending delayed ACK.
 func (e *WheelEnt) fireFast() {
 	e.w.execFast(e, func() {
+		if e.dropped {
+			return
+		}
 		e.w.Sync(e)
 		e.tc.FastTick()
 		e.w.Sync(e)
@@ -152,4 +165,53 @@ func (w *TCPWheel) AdvanceFast(exec func(e *WheelEnt, fn func())) int {
 	fired := w.fast.Advance(1)
 	w.execFast = nil
 	return fired
+}
+
+// DriverHooks is what differs between the shells' timer drivers: which
+// lock covers a connection's engine.
+type DriverHooks struct {
+	// Bracket runs one whole wheel advance. Shells with one engine lock
+	// for all their connections (the registry, the monolithic stacks) take
+	// it here; nil runs the advance bare.
+	Bracket func(t *kern.Thread, advance func())
+	// Fire runs one due entry's fn. Shells with a lock per connection (the
+	// library) take e.Owner's lock here; nil calls fn directly.
+	Fire func(t *kern.Thread, e *WheelEnt, fn func())
+	// AfterSlow, when set, runs after each slow tick outside the bracket
+	// (the reassembly queue's expiry rides the 500 ms clock).
+	AfterSlow func()
+}
+
+// Drive spawns the wheel's two driver threads, "<name>-fast" and
+// "<name>-slow", in dom. Each sleeps one tick period, advances its wheel,
+// and charges one TimerOp per entry fired.
+func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
+	if h.Bracket == nil {
+		h.Bracket = func(_ *kern.Thread, advance func()) { advance() }
+	}
+	if h.Fire == nil {
+		h.Fire = func(_ *kern.Thread, _ *WheelEnt, fn func()) { fn() }
+	}
+	dom.Spawn(name+"-fast", func(t *kern.Thread) {
+		drive(t, 200*time.Millisecond, w.AdvanceFast, h, nil)
+	})
+	dom.Spawn(name+"-slow", func(t *kern.Thread) {
+		drive(t, 500*time.Millisecond, w.AdvanceSlow, h, h.AfterSlow)
+	})
+}
+
+// drive is the body of one driver thread.
+func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEnt, func())) int, h DriverHooks, after func()) {
+	exec := func(e *WheelEnt, fn func()) {
+		t.Compute(t.Cost().TimerOp)
+		h.Fire(t, e, fn)
+	}
+	tick := func() { advance(exec) }
+	for {
+		t.Sleep(period)
+		h.Bracket(t, tick)
+		if after != nil {
+			after()
+		}
+	}
 }

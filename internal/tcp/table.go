@@ -3,7 +3,6 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // FourTuple identifies a connection.
@@ -87,32 +86,10 @@ func (t *Table) Listener(port uint16) (*Conn, bool) {
 // Len returns the number of registered connections (excluding listeners).
 func (t *Table) Len() int { return len(t.conns) }
 
-// Each calls fn for every registered connection in a deterministic order
-// (four-tuple order for connections, port order for listeners); fn must not
-// mutate the table (collect first, then act). Map-range order would let two
-// connections firing timers in the same tick swap their transmissions
-// between runs, which the seeded replay matrix forbids.
-func (t *Table) Each(fn func(*Conn)) {
-	keys := make([]FourTuple, 0, len(t.conns))
-	for k := range t.conns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	for _, k := range keys {
-		fn(t.conns[k])
-	}
-	ports := make([]int, 0, len(t.listeners))
-	for p := range t.listeners {
-		ports = append(ports, int(p))
-	}
-	sort.Ints(ports)
-	for _, p := range ports {
-		fn(t.listeners[uint16(p)])
-	}
-}
-
-// less orders four-tuples (local port, peer port, local IP, peer IP).
-func (a FourTuple) less(b FourTuple) bool {
+// Less orders four-tuples (local port, peer port, local IP, peer IP): the
+// total order shells use wherever map iteration would otherwise decide the
+// sequence of deterministic-replay-visible actions.
+func (a FourTuple) Less(b FourTuple) bool {
 	if a.Local.Port != b.Local.Port {
 		return a.Local.Port < b.Local.Port
 	}

@@ -21,15 +21,14 @@ import (
 )
 
 // runManyHostScenario builds a 6-host switched-AN1 world (one server, five
-// clients) with the timer wheel enabled, runs five concurrent lossy
-// transfers, and returns the frame trace.
+// clients), runs five concurrent lossy transfers, and returns the frame
+// trace.
 func runManyHostScenario(t *testing.T, seed uint64) []string {
 	t.Helper()
 	const clients = 5
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: AN1, Hosts: clients + 1,
-		Switch:     &wire.SwitchConfig{Latency: time.Microsecond},
-		TimerWheel: true,
+		Switch: &wire.SwitchConfig{Latency: time.Microsecond},
 		Chaos: &chaos.FaultPlan{
 			Seed: seed,
 			Wire: wire.Faults{LossProb: 0.02, DupProb: 0.01},
@@ -124,8 +123,7 @@ func TestManyHostSwitchedReplayDeterministic(t *testing.T) {
 func TestTimerWheelLossyTransfer(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		TimerWheel: true,
-		Faults:     &wire.Faults{Seed: 5, LossProb: 0.05},
+		Faults: &wire.Faults{Seed: 5, LossProb: 0.05},
 	})
 	enableConformance(t, w)
 	srv := w.Node(0).App("server")

@@ -140,12 +140,6 @@ type Config struct {
 	// disjoint flows must not contend. Ethernet ignores it (the paper's
 	// Ethernet is a shared wire by definition).
 	Switch *wire.SwitchConfig
-	// TimerWheel switches the user-level organization's TCP timer backend
-	// (registry and every library) from per-connection tick scans to
-	// timing wheels; O(1) per tick instead of O(connections). Virtual-time
-	// results change only in worlds with >1 connection per shell, where
-	// tick order was never a documented property.
-	TimerWheel bool
 	// EphemeralLo/Hi widen the registries' ephemeral port range beyond
 	// the classic [1024,5000) — churn worlds recycle far more ports.
 	// Both zero = default range.
@@ -166,8 +160,8 @@ type Config struct {
 	// delivery: matched frames are handed to the library as refcounted
 	// buffer references plus a fixed-size descriptor in the shared region,
 	// instead of modeling a per-byte kernel→region copy, and doorbell
-	// notifications are batched under DoorbellBatch. Opt-in like Switch
-	// and TimerWheel: legacy worlds keep the classic copy cost profile.
+	// notifications are batched under DoorbellBatch. Opt-in like Switch:
+	// legacy worlds keep the classic copy cost profile.
 	ZeroCopyRx bool
 	// DoorbellBatch bounds doorbell coalescing in zero-copy mode: at most
 	// one notification per this many posted descriptors while the library
@@ -201,9 +195,8 @@ type Node struct {
 	IP    ipv4.Addr
 
 	// Exactly one of these is set, by organization.
-	Registry *registry.Server
-	InKernel *stacks.InKernel
-	UXServer *stacks.SingleServer
+	Registry   *registry.Server
+	Monolithic *stacks.Monolithic // OrgInKernel and OrgSingleServer
 
 	// Fed is set (alongside a nil Registry) when the world shards the
 	// control plane (Config.RegistryShards >= 2).
@@ -309,9 +302,6 @@ func NewWorld(cfg Config) *World {
 			if cfg.RegistryShards >= 2 {
 				n.Fed = registry.NewFederation(s, mod, n.IP, registry.FederationConfig{
 					Shards: cfg.RegistryShards, Quota: cfg.AdmissionQuota})
-				if cfg.TimerWheel {
-					n.Fed.EnableTimerWheel()
-				}
 				if cfg.EphemeralHi != 0 {
 					n.Fed.SetEphemeralRange(cfg.EphemeralLo, cfg.EphemeralHi)
 				}
@@ -333,9 +323,6 @@ func NewWorld(cfg Config) *World {
 				break
 			}
 			n.Registry = registry.New(s, mod, n.IP)
-			if cfg.TimerWheel {
-				n.Registry.EnableTimerWheel()
-			}
 			if cfg.EphemeralHi != 0 {
 				n.Registry.SetEphemeralRange(cfg.EphemeralLo, cfg.EphemeralHi)
 			}
@@ -354,9 +341,9 @@ func NewWorld(cfg Config) *World {
 				}
 			}
 		case OrgInKernel:
-			n.InKernel = stacks.NewInKernel(s, mod, n.IP)
+			n.Monolithic = stacks.NewInKernel(s, mod, n.IP)
 		case OrgSingleServer:
-			n.UXServer = stacks.NewSingleServer(s, mod, n.IP)
+			n.Monolithic = stacks.NewSingleServer(s, mod, n.IP)
 		}
 		w.nodes = append(w.nodes, n)
 	}
@@ -566,20 +553,12 @@ func (n *Node) App(name string) *App {
 	switch {
 	case n.Fed != nil:
 		a.Lib = core.NewLibraryFed(n.world.Sim, dom, n.Fed)
-		if n.world.cfg.TimerWheel {
-			a.Lib.EnableTimerWheel()
-		}
 		a.Stack = a.Lib
 	case n.Registry != nil:
 		a.Lib = core.NewLibrary(n.world.Sim, dom, n.Registry)
-		if n.world.cfg.TimerWheel {
-			a.Lib.EnableTimerWheel()
-		}
 		a.Stack = a.Lib
-	case n.InKernel != nil:
-		a.Stack = n.InKernel
-	case n.UXServer != nil:
-		a.Stack = n.UXServer
+	case n.Monolithic != nil:
+		a.Stack = n.Monolithic
 	}
 	if plan := n.world.cfg.Chaos; plan != nil {
 		for _, cp := range plan.Crashes {
@@ -619,11 +598,8 @@ func (n *Node) RestartRegistry() *registry.Server {
 
 // UDP returns the node's datagram service (monolithic organizations).
 func (n *Node) UDP() *stacks.UDPHost {
-	switch {
-	case n.InKernel != nil:
-		return n.InKernel.UDP()
-	case n.UXServer != nil:
-		return n.UXServer.UDP()
+	if n.Monolithic != nil {
+		return n.Monolithic.UDP()
 	}
 	return nil
 }
