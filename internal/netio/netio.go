@@ -152,6 +152,10 @@ func (c *Capability) Chan() *Channel { return c.ch }
 // Channel is the shared-memory conduit between the module and one library
 // endpoint: a receive ring in pinned shared memory plus the notification
 // semaphore.
+//
+// The modelled region wires slotBytes per ring slot (RegionBytes). The
+// simulator backs only the part of it any code reads or writes — the
+// descriptor ring at its start — since frames stay in pool buffers.
 type Channel struct {
 	Region  *kern.Region
 	sem     *kern.Sem
@@ -417,12 +421,21 @@ func (ch *Channel) notify(bus *trace.Bus) {
 // frame itself stays in the pool buffer the library reads by reference.
 func (ch *Channel) postDescriptor(b *pkt.Buf) {
 	ch.posted++
-	slot := int(ch.posted%uint64(ch.cap)) * 8
-	d := ch.Region.Buf[slot : slot+8]
+	slot := int(ch.posted%uint64(ch.cap)) * descBytes
+	d := ch.Region.Buf[slot : slot+descBytes]
 	seq, n := uint32(ch.posted), uint32(b.Len())
 	d[0], d[1], d[2], d[3] = byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq)
 	d[4], d[5], d[6], d[7] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 }
+
+const (
+	descBytes = 8    // one receive descriptor: sequence number, frame length
+	slotBytes = 2048 // modelled shared memory wired per ring slot
+)
+
+// RegionBytes returns the size of the shared region the channel models as
+// wired while it lives.
+func (ch *Channel) RegionBytes() int { return ch.cap * slotBytes }
 
 // Placement of a software demux entry: hash-steered (exact or
 // wildcard-remote key) or on the linear fallback chain.
@@ -532,9 +545,9 @@ type Module struct {
 
 	defaultRx netdev.RxHandler
 
-	// regions records every shared region the module ever wired, so the
-	// pinned population is auditable after crashes and teardowns.
-	regions []*kern.Region
+	// pinned counts the shared regions currently wired, so the pinned
+	// population is auditable after crashes and teardowns.
+	pinned int
 
 	// DisableBatching makes every delivered packet post its own
 	// notification (the batching ablation; the paper observes "network
@@ -796,7 +809,7 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 		ringSize = 32
 	}
 	ch := &Channel{
-		Region:   kern.NewRegion(fmt.Sprintf("%s.ch%d", m.dev.Name(), m.nextCapID), ringSize*2048),
+		Region:   kern.NewRegion(fmt.Sprintf("%s.ch%d", m.dev.Name(), m.nextCapID), ringSize*descBytes),
 		sem:      kern.NewSem(m.host, "chan-sem", 0),
 		cap:      ringSize,
 		noBatch:  m.DisableBatching,
@@ -811,7 +824,7 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	m.nextCapID++
 	ch.id = cap.id
 	m.caps[cap.id] = cap
-	m.regions = append(m.regions, ch.Region)
+	m.pinned++
 
 	if an1, ok := m.dev.(*netdev.AN1); ok {
 		// Hardware demultiplexing: install the ring under the reserved (or
@@ -821,7 +834,7 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 			bqi, err := m.allocBQI()
 			if err != nil {
 				delete(m.caps, cap.id)
-				ch.Region.Unpin()
+				m.unpin(ch)
 				return nil, nil, err
 			}
 			ch.bqi = bqi
@@ -909,7 +922,7 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	}
 	cap.ch.rxq = nil
 	cap.ch.sweepInflight(false, "destroy")
-	cap.ch.Region.Unpin()
+	m.unpin(cap.ch)
 	if m.Bus.Enabled() {
 		m.Bus.Emit(trace.Event{Kind: trace.CapRevoked, Node: m.dev.Name(), A: int64(cap.id)})
 	}
@@ -1101,14 +1114,14 @@ func (m *Module) LiveCapabilities(owner *kern.Domain) int {
 }
 
 // PinnedRegions counts shared regions still wired.
-func (m *Module) PinnedRegions() int {
-	n := 0
-	for _, r := range m.regions {
-		if r.Pinned() {
-			n++
-		}
-	}
-	return n
+func (m *Module) PinnedRegions() int { return m.pinned }
+
+// unpin releases a channel's region: orderly teardown, the crash sweep
+// (RevokeOwner) and a set-up that fails after the region was wired all end
+// here, once per channel.
+func (m *Module) unpin(ch *Channel) {
+	ch.Region.Unpin()
+	m.pinned--
 }
 
 // ChannelStats is a snapshot of one live channel's receive counters, for

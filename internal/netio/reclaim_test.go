@@ -117,3 +117,70 @@ func TestOverflowAccounting(t *testing.T) {
 		t.Fatalf("overflow episodes = %d, want 2 after refill", ch.Overflows)
 	}
 }
+
+// PinnedRegions follows the wired population through every way a region
+// comes and goes: create, orderly destroy (a second destroy of the same
+// capability changes nothing), a set-up that fails for want of a BQI after
+// the region was wired, and the crash sweep. The backing store is the
+// descriptor ring alone, whatever size the region models.
+func TestPinnedRegionsAccounting(t *testing.T) {
+	w := newWorld(t, true)
+	spec, tmpl := chanSpecAndTemplate(w, link.AN1HeaderLen)
+	create := func(port uint16) (*Capability, *Channel) {
+		t.Helper()
+		spec.LocalPort, tmpl.LocalPort = port, port
+		cap, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cap, ch
+	}
+	pinned := func(want int, when string) {
+		t.Helper()
+		if got := w.m2.PinnedRegions(); got != want {
+			t.Fatalf("pinned regions %s = %d, want %d", when, got, want)
+		}
+	}
+
+	cap1, ch1 := create(80)
+	cap2, _ := create(81)
+	cap3, _ := create(82)
+	pinned(3, "after three creates")
+	if got, want := ch1.RegionBytes(), 8*2048; got != want {
+		t.Fatalf("modelled region = %d bytes, want %d", got, want)
+	}
+	if got, want := len(ch1.Region.Buf), 8*8; got != want {
+		t.Fatalf("region backing = %d bytes, want the %d-byte descriptor ring", got, want)
+	}
+
+	if err := w.m2.DestroyChannel(w.krn2, cap1); err != nil {
+		t.Fatal(err)
+	}
+	pinned(2, "after a destroy")
+	if ch1.Region.Pinned() {
+		t.Fatal("destroyed channel's region still pinned")
+	}
+	if err := w.m2.DestroyChannel(w.krn2, cap1); err != ErrBadCapability {
+		t.Fatalf("second destroy err = %v, want ErrBadCapability", err)
+	}
+	pinned(2, "after a repeated destroy")
+
+	// Exhaust the ring-index space: the next create wires its region, fails
+	// to get a BQI, and must leave nothing pinned behind.
+	w.m2.freeBQI, w.m2.nextBQI = nil, 0xFFFF
+	spec.LocalPort, tmpl.LocalPort = 83, 83
+	if _, _, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8); err != ErrBQIExhausted {
+		t.Fatalf("create with no BQI left: err = %v, want ErrBQIExhausted", err)
+	}
+	pinned(2, "after a failed create")
+
+	for _, c := range []*Capability{cap2, cap3} {
+		if err := w.m2.AssignOwner(w.krn2, c, w.app2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := w.m2.RevokeOwner(w.krn2, w.app2); n != 2 || err != nil {
+		t.Fatalf("RevokeOwner = %d, %v; want 2, nil", n, err)
+	}
+	pinned(0, "after the crash sweep")
+}

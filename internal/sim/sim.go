@@ -2,12 +2,24 @@
 //
 // The engine owns a virtual clock (nanosecond resolution) and an event heap
 // ordered by (time, sequence). Simulated threads of control ("procs") are
-// ordinary goroutines that the engine runs strictly one at a time: the engine
-// resumes a proc and then blocks until the proc parks again (by sleeping,
-// waiting on a semaphore, popping an empty queue, and so on). This yields
-// fully sequential semantics — protocol and application code can be written
-// in a natural blocking style with no data races and no wall-clock
-// dependence — while the (time, seq) ordering makes every run reproducible.
+// ordinary goroutines that run strictly one at a time. There is no engine
+// goroutine between them: exactly one goroutine at a time holds the baton,
+// and a proc that parks (by sleeping, waiting on a semaphore, popping an
+// empty queue, and so on) keeps it and runs the event loop itself — it pops
+// and fires events on its own stack, simply returns when the next resume is
+// its own, and otherwise wakes the next proc's goroutine directly and blocks.
+// The goroutine that called Run or RunUntil gets the baton back only when the
+// run must stop. Event callbacks therefore run on whichever goroutine holds
+// the baton: they must not block and must not depend on goroutine identity.
+// Procs run on reused worker goroutines, so a world's goroutine count follows
+// how many procs are alive at once, not how many it ever spawned. Idle
+// workers and procs still blocked when a Sim is abandoned stay parked for the
+// life of the process.
+//
+// The result is fully sequential semantics — protocol and application code
+// can be written in a natural blocking style with no data races and no
+// wall-clock dependence — while the (time, seq) ordering makes every run
+// reproducible.
 //
 // The engine is built for wall-clock speed as well as determinism: event
 // records live on an internal free list (no allocation per scheduled event),
@@ -80,11 +92,19 @@ type Sim struct {
 	seq     uint64
 	heap    []heapEnt
 	records []event
-	free    []int32       // free-list of record slots (LIFO)
-	parked  chan struct{} // proc -> engine: "I have parked"
+	free    []int32 // free-list of record slots (LIFO)
 	current *Proc
-	nprocs  int // live procs (started, not yet finished)
+	nprocs  int // live procs (spawned, not yet finished)
+
+	// The run in progress: dispatch stops at the first of Stop, pred() true,
+	// an empty heap, or the next event lying past end.
 	stopped bool
+	pred    func() bool
+	end     Time
+
+	main   *worker   // the goroutine inside Run or RunUntil
+	idle   []*worker // goroutines whose proc returned, waiting for another
+	resume *Proc     // set by a callback: run this proc before the next event
 
 	// Counters (diagnostics only; never consulted by the engine).
 	fired     int64
@@ -100,7 +120,7 @@ func (s *Sim) Counters() (fired, cancelled int64, maxHeap int) {
 
 // New creates an empty simulation at time zero.
 func New() *Sim {
-	return &Sim{parked: make(chan struct{})}
+	return &Sim{main: newWorker()}
 }
 
 // Now returns the current virtual time.
@@ -310,8 +330,9 @@ func (s *Sim) scheduleResume(d Dur, p *Proc) {
 // completes. Pending events are discarded.
 func (s *Sim) Stop() { s.stopped = true }
 
-// fire pops the root event and executes it.
-func (s *Sim) fire() {
+// fire pops the root event. A callback runs here, on the calling goroutine;
+// a proc resume is returned for dispatch to hand the baton to.
+func (s *Sim) fire() *Proc {
 	s.fired++
 	rec := s.heap[0].rec
 	s.heapRemove(0)
@@ -321,12 +342,13 @@ func (s *Sim) fire() {
 	s.release(rec)
 	switch {
 	case proc != nil:
-		s.resume(proc)
+		return proc
 	case fnArg != nil:
 		fnArg(arg)
 	default:
 		fn()
 	}
+	return nil
 }
 
 // Run executes events until the heap is empty, the time limit is exceeded,
@@ -335,37 +357,20 @@ func (s *Sim) fire() {
 //
 // Procs that are still blocked when Run returns remain parked; a subsequent
 // Run continues the simulation.
-func (s *Sim) Run(limit Dur) Time {
-	end := Time(1<<62 - 1)
-	if limit > 0 {
-		end = s.now.Add(limit)
-	}
-	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 {
-		if s.heap[0].at > end {
-			s.now = end
-			break
-		}
-		s.fire()
-	}
-	return s.now
-}
+func (s *Sim) Run(limit Dur) Time { return s.RunUntil(limit, nil) }
 
 // RunUntil executes events until pred() returns true (checked after every
-// event), the heap drains, or the time limit passes.
+// event), the heap drains, or the time limit passes. pred, like an event
+// callback, runs on whichever goroutine holds the baton.
 func (s *Sim) RunUntil(limit Dur, pred func() bool) Time {
-	end := Time(1<<62 - 1)
+	s.end = Time(1<<62 - 1)
 	if limit > 0 {
-		end = s.now.Add(limit)
+		s.end = s.now.Add(limit)
 	}
 	s.stopped = false
-	for !s.stopped && !pred() && len(s.heap) > 0 {
-		if s.heap[0].at > end {
-			s.now = end
-			break
-		}
-		s.fire()
-	}
+	s.pred = pred
+	s.dispatch(s.main)
+	s.pred = nil
 	return s.now
 }
 
@@ -376,6 +381,6 @@ func (s *Sim) Idle() bool { return len(s.heap) == 0 }
 // asserting that cancellation keeps the heap bounded.
 func (s *Sim) PendingEvents() int { return len(s.heap) }
 
-// Procs returns the number of procs that have been started and have not yet
-// returned.
+// Procs returns the number of procs that have been spawned and have not yet
+// returned or been killed.
 func (s *Sim) Procs() int { return s.nprocs }

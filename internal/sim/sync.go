@@ -136,7 +136,7 @@ func (c *Cond) WaitUntil(p *Proc, deadline Time) bool {
 		// the waiter synchronously, so membership decides the winner.
 		if c.remove(p) {
 			timedOut = true
-			c.s.resume(p)
+			c.s.resumeNext(p)
 		}
 	})
 	p.park()

@@ -1,11 +1,30 @@
 package tcp
 
+// appendInPlace appends p to live, a window onto the backing array *buf,
+// without allocating: behind the window if the array's tail has room, else
+// after moving the window back to the array's start. Both buffers drop bytes
+// from the front of their window, so a plain append would find the tail used
+// up on every refill and reallocate. The array is made on first use, at
+// socket-buffer size: a connection that carries no data never pays for it,
+// one that does pays once. Slices of the old window are invalid afterwards.
+func appendInPlace(buf *[]byte, live, p []byte, limit int) []byte {
+	if need := len(live) + len(p); need > cap(live) {
+		if need > len(*buf) {
+			// First use, or live came from Restore and is not in *buf yet.
+			*buf = make([]byte, max(need, limit))
+		}
+		live = (*buf)[:copy(*buf, live)]
+	}
+	return append(live, p...)
+}
+
 // sendBuf holds unacknowledged plus unsent stream bytes. Its origin tracks
 // snd_una: bytes are appended by the application and dropped from the front
 // as acknowledgments arrive. Retransmission reads by absolute sequence
 // number.
 type sendBuf struct {
-	data  []byte
+	data  []byte // live bytes: a window onto buf (see appendInPlace)
+	buf   []byte
 	start Seq // sequence number of data[0]
 	limit int // capacity (socket buffer size)
 }
@@ -24,12 +43,13 @@ func (b *sendBuf) append(p []byte) int {
 	if n > len(p) {
 		n = len(p)
 	}
-	b.data = append(b.data, p[:n]...)
+	b.data = appendInPlace(&b.buf, b.data, p[:n], b.limit)
 	return n
 }
 
-// read copies up to n bytes starting at absolute sequence seq (used by the
-// output and retransmission paths).
+// read returns up to n bytes starting at absolute sequence seq (used by the
+// output and retransmission paths). The slice aliases the buffer and is
+// valid until the next append.
 func (b *sendBuf) read(seq Seq, n int) []byte {
 	off := seq.Diff(b.start)
 	if off < 0 || off > len(b.data) {
@@ -58,7 +78,8 @@ func (b *sendBuf) ackTo(una Seq) {
 // recvBuf holds in-order stream bytes ready for the application, plus a
 // reassembly queue of out-of-order segments (the BSD seg_next queue).
 type recvBuf struct {
-	ready []byte // in-order data not yet read by the application
+	ready []byte // in-order data not yet read by the application: a window onto buf
+	buf   []byte
 	limit int
 
 	// ooo is the reassembly queue, kept sorted and non-overlapping.
@@ -110,7 +131,7 @@ func (b *recvBuf) insert(rcvNxt Seq, seq Seq, data []byte) Seq {
 	}
 	if seq == rcvNxt {
 		data = b.capToWindow(data)
-		b.ready = append(b.ready, data...)
+		b.ready = appendInPlace(&b.buf, b.ready, data, b.limit)
 		rcvNxt = rcvNxt.Add(len(data))
 		return b.drain(rcvNxt)
 	}
@@ -187,7 +208,7 @@ func (b *recvBuf) drain(rcvNxt Seq) Seq {
 		b.ooo = b.ooo[1:]
 		if end := s.seq.Add(len(s.data)); rcvNxt.Less(end) {
 			d := b.capToWindow(s.data[rcvNxt.Diff(s.seq):])
-			b.ready = append(b.ready, d...)
+			b.ready = appendInPlace(&b.buf, b.ready, d, b.limit)
 			rcvNxt = rcvNxt.Add(len(d))
 		}
 	}
