@@ -1,3 +1,3 @@
 module ulp
 
-go 1.22
+go 1.23

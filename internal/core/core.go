@@ -469,13 +469,13 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	sock := stacks.NewSock(l.s, tc)
 	cost := &l.host.Cost
 	sock.Entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
-	sock.Run = c.runEngine
+	sock.Eng = c
 	// Send-side data enters the shared region without a per-byte copy.
 	sock.WriteMove = func(t *kern.Thread, n int) { t.Compute(cost.SockbufOp) }
 	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(cost.Copy(n) + cost.SockbufOp) }
 	c.sock = sock
 
-	cb := sock.Callbacks(func(seg *stacks.Seg) { c.transmit(seg) })
+	cb := sock.Callbacks(c.transmit)
 	innerClosed := cb.OnClosed
 	cb.OnClosed = func(err error) {
 		innerClosed(err)
@@ -488,7 +488,8 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	c.went = l.wheel.Add(tc, c)
 	// An empty engine pass syncs the restored counters (the handshake may
 	// have left the keepalive or retransmit timer armed) onto the wheel.
-	c.runEngine(t, func() {})
+	c.EnterEngine(t)
+	c.LeaveEngine(t)
 	l.app.Spawn("conn-input", c.inputThread)
 	return c
 }
@@ -496,10 +497,10 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 // transmit is the library's data-path output: protocol processing in the
 // calling thread, headers built in the shared region, then the specialized
 // kernel entry with the send capability.
-func (c *Conn) transmit(seg *stacks.Seg) {
+func (c *Conn) transmit(seg stacks.Seg) {
 	t := c.cur
 	if t == nil {
-		panic("core: engine transmit outside runEngine")
+		panic("core: engine transmit outside EnterEngine/LeaveEngine")
 	}
 	t.Compute(stacks.SegCost(c.lib.host, seg.PayloadLen, c.opts.NoChecksum))
 	ih := ipv4.Header{
@@ -623,11 +624,12 @@ func (c *Conn) fail(err error) {
 // underneath us can never free storage we still read.
 func (c *Conn) inputThread(t *kern.Thread) {
 	cost := &c.lib.host.Cost
-	// If the domain is killed mid-batch (Kill runs deferred functions via
-	// Goexit), the frame being processed is released by inputFrame's own
-	// defer — but the rest of the drained batch would leak: it has already
-	// left the channel, so no sweep can see it. Hold the batch in
-	// function scope and release the unprocessed tail on the way out.
+	// If the domain is killed mid-batch (Kill unwinds the thread, running
+	// its deferred functions), the frame being processed is released by
+	// inputFrame's own defer — but the rest of the drained batch would
+	// leak: it has already left the channel, so no sweep can see it. Hold
+	// the batch in function scope and release the unprocessed tail on the
+	// way out.
 	var batch []*pkt.Buf
 	next := 0
 	defer func() {
@@ -683,16 +685,23 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 		return // checksum failure: drop, retransmission recovers
 	}
 	t.Compute(stacks.SegCost(c.lib.host, b.Len(), c.opts.NoChecksum))
-	c.runEngine(t, func() { c.tc.Input(th, b.Bytes()) })
+	c.EnterEngine(t)
+	c.tc.Input(th, b.Bytes())
+	c.LeaveEngine(t)
 }
 
-func (c *Conn) runEngine(t *kern.Thread, fn func()) {
+// EnterEngine and LeaveEngine bracket every engine operation
+// (stacks.Engine): under the connection's lock, with t bound for transmit
+// charging, the tick counters are caught up to the wheel clock before the
+// engine reads them, and whatever the operation arms goes onto the wheel
+// afterwards.
+func (c *Conn) EnterEngine(t *kern.Thread) {
 	c.lock.P(t.Proc)
 	c.cur = t
-	// Catch the tick counters up to the wheel clock before the engine reads
-	// them, and put whatever fn arms onto the wheel afterwards.
 	c.lib.wheel.Sync(c.went)
-	fn()
+}
+
+func (c *Conn) LeaveEngine(t *kern.Thread) {
 	c.lib.wheel.Sync(c.went)
 	c.cur = nil
 	c.lock.V()
@@ -730,14 +739,11 @@ func (c *Conn) Write(t *kern.Thread, p []byte) (int, error) {
 // library ("under normal operation, connection shutdown is done by the
 // protocol library").
 func (c *Conn) Close(t *kern.Thread) error {
-	c.runEngineFrom(t, func() { c.tc.Close() })
+	t.Compute(t.Cost().ProcCall) // the socket-call entry
+	c.EnterEngine(t)
+	c.tc.Close()
+	c.LeaveEngine(t)
 	return nil
-}
-
-// runEngineFrom charges the socket-call entry then runs the engine.
-func (c *Conn) runEngineFrom(t *kern.Thread, fn func()) {
-	t.Compute(t.Cost().ProcCall)
-	c.runEngine(t, fn)
 }
 
 // Stats implements stacks.Conn.
@@ -773,9 +779,9 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 }
 
 // runWheelFire runs a wheel-fire callback under the engine lock. The fire
-// fn does its own Sync, so this bypasses runEngine's Sync-wrapping (which
-// would double-fire the due counter before fn observes it — harmless but
-// wasteful).
+// fn does its own Sync, so this bypasses EnterEngine's and LeaveEngine's
+// (which would double-fire the due counter before fn observes it —
+// harmless but wasteful).
 func (c *Conn) runWheelFire(t *kern.Thread, fn func()) {
 	c.lock.P(t.Proc)
 	c.cur = t

@@ -48,6 +48,12 @@ func (h *Host) ComputeAsync(d time.Duration, fn func()) {
 	h.CPU.UseAsync(d, fn)
 }
 
+// ComputeAsyncArg is ComputeAsync for an argument-carrying callback, which
+// costs no closure: fn is a static function, arg what it works on.
+func (h *Host) ComputeAsyncArg(d time.Duration, fn func(any), arg any) {
+	h.CPU.UseAsyncArg(d, fn, arg)
+}
+
 // NewCPU adds an auxiliary processing resource to the host — a core a
 // pinned domain computes on instead of the main CPU (multiprocessor hosts;
 // the sharded control plane runs one registry shard per core).
@@ -101,10 +107,15 @@ func (d *Domain) Spawn(name string, fn func(t *Thread)) *Thread {
 	return d.SpawnAfter(0, name, fn)
 }
 
+// Name returns the thread's qualified name, "host/domain.name". It is
+// composed on demand: the proc underneath carries only the short name, so
+// spawning a thread builds no string.
+func (t *Thread) Name() string { return t.Dom.String() + "." + t.Proc.Name() }
+
 // SpawnAfter starts a thread in the domain after a delay.
 func (d *Domain) SpawnAfter(delay time.Duration, name string, fn func(t *Thread)) *Thread {
 	t := &Thread{Dom: d}
-	t.Proc = d.Host.S.SpawnAfter(delay, d.String()+"."+name, func(p *sim.Proc) {
+	t.Proc = d.Host.S.SpawnAfter(delay, name, func(p *sim.Proc) {
 		if d.dead {
 			return
 		}
@@ -192,12 +203,14 @@ func NewSem(h *Host, name string, initial int) *Sem {
 func (m *Sem) V() {
 	c := &m.host.Cost
 	if m.sem.Waiters() > 0 {
-		m.host.ComputeAsync(c.KernelWakeup, m.sem.V)
+		m.host.ComputeAsyncArg(c.KernelWakeup, semPost, m.sem)
 		return
 	}
 	m.host.ComputeAsync(c.SemSignal, nil)
 	m.sem.V()
 }
+
+func semPost(a any) { a.(*sim.Semaphore).V() }
 
 // P blocks the thread until the semaphore is posted.
 func (m *Sem) P(t *Thread) { m.sem.P(t.Proc) }
@@ -299,7 +312,7 @@ func (p *Port) Receive(t *Thread) Msg {
 // Call performs an RPC: send m, then block for the reply on a private
 // reply port. The reply path charges the return IPC and switch.
 func (p *Port) Call(t *Thread, m Msg) Msg {
-	reply := NewPort(t.Dom.Host, p.name+".reply")
+	reply := NewPort(t.Dom.Host, "reply") // made per call, so no name is composed for it
 	m.Reply = reply
 	p.Send(t, m)
 	r := reply.Receive(t)
@@ -313,7 +326,7 @@ func (p *Port) Call(t *Thread, m Msg) Msg {
 // port is abandoned on timeout; a late reply lands in a queue nobody reads,
 // exactly like a Mach RPC whose caller gave up on a dead port.
 func (p *Port) CallTimeout(t *Thread, m Msg, d time.Duration) (Msg, bool) {
-	reply := NewPort(t.Dom.Host, p.name+".reply")
+	reply := NewPort(t.Dom.Host, "reply")
 	m.Reply = reply
 	p.Send(t, m)
 	r, ok := reply.q.PopTimeout(t.Proc, d)

@@ -209,3 +209,14 @@ func TestTrapCosts(t *testing.T) {
 		t.Fatalf("busy = %v", h.CPU.Busy())
 	}
 }
+
+// A thread's qualified name is composed when asked for; the proc underneath
+// keeps the short name it was spawned with.
+func TestThreadNameComposedOnDemand(t *testing.T) {
+	s := sim.New()
+	h := NewHost(s, "h0", costs.Default())
+	th := h.NewDomain("app", false).Spawn("reader", func(*Thread) {})
+	if th.Name() != "h0/app.reader" || th.Proc.Name() != "reader" {
+		t.Fatalf("thread %q over proc %q, want h0/app.reader over reader", th.Name(), th.Proc.Name())
+	}
+}

@@ -136,20 +136,27 @@ func (d *Lance) Deliver(b *pkt.Buf) {
 		return
 	}
 	c := &d.host.Cost
-	d.host.ComputeAsync(c.InterruptDispatch+c.LancePIO(b.Len()), func() {
-		d.stats.RxFrames++
-		d.stats.RxBytes += int64(b.Len())
-		if d.handler != nil {
-			d.handler(b)
-		} else {
-			d.stats.RxDropped++
-			if d.bus.Enabled() {
-				d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
-					A: int64(b.Len()), Text: "no-handler"})
-			}
-			b.Release()
+	b.Meta.Rx = d
+	d.host.ComputeAsyncArg(c.InterruptDispatch+c.LancePIO(b.Len()), lanceRx, b)
+}
+
+// lanceRx completes the receive interrupt of frame a.
+func lanceRx(a any) {
+	b := a.(*pkt.Buf)
+	d := b.Meta.Rx.(*Lance)
+	b.Meta.Rx = nil
+	d.stats.RxFrames++
+	d.stats.RxBytes += int64(b.Len())
+	if d.handler != nil {
+		d.handler(b)
+	} else {
+		d.stats.RxDropped++
+		if d.bus.Enabled() {
+			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+				A: int64(b.Len()), Text: "no-handler"})
 		}
-	})
+		b.Release()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -169,6 +176,7 @@ type RingStatus struct {
 // in their handler, recycling the buffer immediately; channel rings hold
 // buffers until the owning library hands them back.
 type an1Ring struct {
+	dev         *AN1
 	status      RingStatus
 	handler     RxHandler
 	autoRelease bool
@@ -211,7 +219,7 @@ func (d *AN1) SetTrace(bus *trace.Bus) { d.bus = bus }
 // The kernel copies packets out of the ring in its handler, so the ring
 // recycles immediately.
 func (d *AN1) SetRxHandler(h RxHandler) {
-	d.rings[0] = &an1Ring{status: RingStatus{Capacity: 64}, handler: h, autoRelease: true}
+	d.rings[0] = &an1Ring{dev: d, status: RingStatus{Capacity: 64}, handler: h, autoRelease: true}
 }
 
 // InstallRing binds a BQI to a ring of host buffers with the given handler.
@@ -219,7 +227,7 @@ func (d *AN1) SetRxHandler(h RxHandler) {
 // index is maintained through memory protection". Ring buffers stay in use
 // until Release.
 func (d *AN1) InstallRing(bqi uint16, capacity int, h RxHandler) {
-	d.rings[bqi] = &an1Ring{status: RingStatus{Capacity: capacity}, handler: h}
+	d.rings[bqi] = &an1Ring{dev: d, status: RingStatus{Capacity: capacity}, handler: h}
 }
 
 // RemoveRing unbinds a BQI (connection teardown).
@@ -300,14 +308,22 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 	}
 	ring.status.InUse++
 	c := &d.host.Cost
-	d.host.ComputeAsync(c.InterruptDispatch+c.AN1DeviceMgmt, func() {
-		d.stats.RxFrames++
-		d.stats.RxBytes += int64(b.Len())
-		if ring.handler != nil {
-			ring.handler(b)
-		}
-		if ring.autoRelease && ring.status.InUse > 0 {
-			ring.status.InUse--
-		}
-	})
+	b.Meta.Rx = ring
+	d.host.ComputeAsyncArg(c.InterruptDispatch+c.AN1DeviceMgmt, an1Rx, b)
+}
+
+// an1Rx completes the receive interrupt of frame a: the ring it sits in was
+// chosen on arrival and is used even if its BQI has been unbound since.
+func an1Rx(a any) {
+	b := a.(*pkt.Buf)
+	ring := b.Meta.Rx.(*an1Ring)
+	b.Meta.Rx = nil
+	ring.dev.stats.RxFrames++
+	ring.dev.stats.RxBytes += int64(b.Len())
+	if ring.handler != nil {
+		ring.handler(b)
+	}
+	if ring.autoRelease && ring.status.InUse > 0 {
+		ring.status.InUse--
+	}
 }

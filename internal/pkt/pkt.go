@@ -32,6 +32,11 @@ type Meta struct {
 	// RxDev names the device the packet arrived on, for diagnostics.
 	RxDev string
 
+	// Rx is the receiving controller's state for the frame (the device, or
+	// the ring it was DMAed into) between arrival and the completion of the
+	// receive interrupt, so that scheduling the completion needs no closure.
+	Rx any
+
 	// Corrupt marks a packet damaged by fault injection after any link CRC
 	// would have been computed, to exercise checksum recovery paths.
 	Corrupt bool

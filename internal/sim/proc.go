@@ -2,39 +2,37 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
+	"os"
+	"runtime/debug"
 )
 
 // Proc is a simulated thread of control: a function that the engine runs on
-// a worker goroutine, one proc at a time. Code inside a proc may block using
+// a worker coroutine, one proc at a time. Code inside a proc may block using
 // the proc's primitives (Sleep, Semaphore.P, Queue.Pop, ...); a blocked proc
-// runs the event loop on its own goroutine, advancing virtual time, until the
+// runs the event loop on its own stack, advancing virtual time, until the
 // next thing to run is a proc — itself or another.
 type Proc struct {
 	s      *Sim
 	name   string
 	fn     func(p *Proc) // nil once the proc has finished
-	w      *worker       // the goroutine running fn; nil until the first resume
+	w      *worker       // the coroutine running fn; nil until the first resume
 	done   bool
 	killed bool
 }
 
-// worker is a goroutine that can hold the baton: the one inside Run
-// (Sim.main, which never has a proc) or one that runs procs, one after
-// another. Whoever hands it the baton sends on wake.
+// worker is an iter.Pull coroutine that runs procs, one after another. Only
+// the hub — the goroutine inside Run — calls next, which switches into the
+// worker and returns when the worker yields the proc that is to run instead
+// of its own (nil: the run must stop).
 type worker struct {
-	// Capacity 1: at most one hand-off is ever outstanding (there is one
-	// baton), and the sender must not wait for a receiver that has given the
-	// baton away but not yet reached its receive.
-	wake chan struct{}
-	p    *Proc // the proc bound to this goroutine; nil while it is idle
+	next  func() (*Proc, bool)
+	yield func(*Proc) bool
+	p     *Proc // the proc bound to this coroutine; nil while it is idle
 }
 
-func newWorker() *worker { return &worker{wake: make(chan struct{}, 1)} }
-
-// spare reports whether w is a proc-running goroutine without a proc: it can
-// take an unstarted one, or wait in the idle pool.
-func (s *Sim) spare(w *worker) bool { return w != nil && w != s.main && w.p == nil }
+// unwound is the panic value with which park unwinds a killed proc.
+type unwound struct{}
 
 // Name returns the debug name given at spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -53,7 +51,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAfter starts fn as a new proc d from now. It only schedules: the proc
-// gets a goroutine when its first resume is dispatched.
+// gets a coroutine when its first resume is dispatched.
 func (s *Sim) SpawnAfter(d Dur, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, fn: fn}
 	s.nprocs++
@@ -61,7 +59,7 @@ func (s *Sim) SpawnAfter(d Dur, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// exit marks p finished and its goroutine, if it has one, free.
+// exit marks p finished and its coroutine, if it has one, free.
 func (p *Proc) exit() {
 	p.done = true
 	p.fn = nil
@@ -72,33 +70,48 @@ func (p *Proc) exit() {
 	}
 }
 
-// work is the body of a worker goroutine: run the proc bound to it, then
-// dispatch — which returns once another proc is bound — and so on.
-func (s *Sim) work(w *worker) {
-	// The loop below never returns: this runs on runtime.Goexit (a killed
-	// proc in park, t.FailNow in a test) with the goroutine holding the
-	// baton, which it passes on without waiting. A panic is re-raised
-	// instead, so that it ends the process at once, as on any goroutine,
-	// and no event runs on a panicking stack.
-	defer func() {
-		if r := recover(); r != nil {
-			panic(r)
-		}
-		if w.p != nil {
+// newWorker makes a coroutine, which starts at the first call of next, with
+// a proc bound to it by then. Its body runs the proc bound to it, then
+// dispatches — which returns once another proc is
+// bound — and so on; it never returns. A panic or runtime.Goexit in it
+// surfaces, through iter.Pull, in the hub's call of next; by then the stack a
+// panic came from is gone, so it is printed here.
+func (s *Sim) newWorker() *worker {
+	w := &worker{}
+	w.next, _ = iter.Pull(func(yield func(*Proc) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				fmt.Fprintf(os.Stderr, "sim: panic on a worker's stack: %v\n%s", r, debug.Stack())
+				panic(r)
+			}
+		}()
+		w.yield = yield
+		for {
+			w.run()
 			w.p.exit()
+			s.dispatch(w)
 		}
-		s.dispatch(nil)
+	})
+	return w
+}
+
+// run runs w's proc until its function returns or park unwinds it because it
+// was killed: that panic stops here, after the proc's deferred functions have
+// run. Any other panic value is not this package's to swallow.
+func (w *worker) run() {
+	defer func() {
+		if w.p.killed {
+			if r := recover(); r != nil && r != (unwound{}) {
+				panic(r)
+			}
+		}
 	}()
-	<-w.wake
-	for {
-		w.p.fn(w.p)
-		w.p.exit()
-		s.dispatch(w)
-	}
+	w.p.fn(w.p)
 }
 
 // nextProc fires events on the calling goroutine until one resumes a live
-// proc, which it returns, or until the run must stop, when it returns nil.
+// proc, which it makes current and returns, or until the run must stop, when
+// it returns nil.
 func (s *Sim) nextProc() *Proc {
 	for {
 		p := s.resume
@@ -118,62 +131,56 @@ func (s *Sim) nextProc() *Proc {
 		switch {
 		case p.done: // a resume that outlived its proc
 		case p.killed && p.w == nil:
-			p.exit() // killed before it ever ran: never gets a goroutine
+			p.exit() // killed before it ever ran: never gets a coroutine
 		default:
+			s.current = p
 			return p
 		}
 	}
 }
 
-// dispatch is called by the goroutine that holds the baton and has nothing
-// to run: Run's, a parked proc's, one whose proc just returned, or (w nil) one
-// that is exiting. It fires events until a proc is to run or the run must
-// stop. If that is w's own business — its parked proc is the one resumed, a
-// not yet started proc can take over this free goroutine, Run's goroutine is
-// told to stop — it returns at once, with no goroutine switch. Otherwise it
-// hands the baton to the goroutine concerned and blocks until it is w's turn
-// again.
+// dispatch is called by a worker that has nothing to run: its proc parked or
+// just returned. It fires events until a proc is to run or the run must stop.
+// If the proc is w's own business — its parked proc is the one resumed, or w
+// is free and the proc has yet to start — it returns at once, with no switch.
+// Otherwise it yields to the hub, which switches into the worker concerned
+// (or returns from Run), and comes back when it is w's turn again.
 func (s *Sim) dispatch(w *worker) {
-	to := s.main
-	if p := s.nextProc(); p != nil {
-		s.current = p
-		if p.w == nil {
-			s.bind(p, w)
+	p := s.nextProc()
+	if p != nil {
+		if p.w == nil && w.p == nil {
+			p.w, w.p = w, p
 		}
-		to = p.w
+		if p.w == w {
+			return
+		}
 	}
-	if to == w {
-		return
-	}
-	if s.spare(w) {
+	if w.p == nil {
 		s.idle = append(s.idle, w)
 	}
-	to.wake <- struct{}{}
-	if w != nil {
-		<-w.wake
+	w.yield(p)
+}
+
+// hub is the body of Run: it fires events until a proc is to run, switches
+// into that proc's worker — an idle or a new one if the proc has yet to
+// start — and, when a worker yields, into the one that worker names.
+func (s *Sim) hub() {
+	for p := s.nextProc(); p != nil; p, _ = p.w.next() {
+		if n := len(s.idle); p.w == nil && n > 0 {
+			p.w, s.idle = s.idle[n-1], s.idle[:n-1]
+		} else if p.w == nil {
+			p.w = s.newWorker()
+		}
+		p.w.p = p // as it is already if the proc has started
 	}
 }
 
-// bind gives the unstarted proc p a goroutine: w itself if it is a free
-// worker, else an idle one, else a new one.
-func (s *Sim) bind(p *Proc, w *worker) {
-	switch n := len(s.idle); {
-	case s.spare(w):
-	case n > 0:
-		w = s.idle[n-1]
-		s.idle = s.idle[:n-1]
-	default:
-		w = newWorker()
-		go s.work(w)
-	}
-	p.w, w.p = w, p
-}
-
-// Kill tears a proc down abruptly: its goroutine unwinds at its current (or
-// next) blocking point without executing any further user code — no exit
-// path, no cleanup. This models a crashing process: whatever the proc had
-// claimed (semaphores held, queue entries, shared state) stays exactly as it
-// was at the kill point. Killing an already-dead proc is a no-op.
+// Kill tears a proc down abruptly: its stack unwinds at its current (or
+// next) blocking point without executing any further user code but its
+// deferred functions — no exit path, no cleanup. This models a crashing
+// process: whatever the proc had claimed (semaphores held, queue entries,
+// shared state) stays exactly as it was at the kill point. Killing an
+// already-dead proc is a no-op.
 //
 // Kill may be called from any simulation context. A proc that kills itself
 // (directly or by killing its own domain) keeps running until its next
@@ -204,18 +211,17 @@ func (p *Proc) Done() bool { return p.done }
 func (s *Sim) resumeNext(p *Proc) { s.resume = p }
 
 // park gives up the proc's turn and returns when it is next resumed; in
-// between, the proc's goroutine dispatches events itself and, if another
-// proc is to run, wakes it and blocks. A proc killed while parked unwinds
-// here instead of returning to its user code (work's deferred function does
-// the bookkeeping and passes the baton on).
+// between, the proc's worker dispatches events itself and, if another proc is
+// to run, yields to the hub. A killed proc unwinds from here instead of
+// returning to its user code: its deferred functions run, and worker.run
+// stops the panic.
 func (p *Proc) park() {
-	if p.killed {
-		runtime.Goexit() // self-kill: die at the blocking point
+	if !p.killed { // a self-killed proc dies at its next blocking point
+		p.s.current = nil
+		p.s.dispatch(p.w)
 	}
-	p.s.current = nil
-	p.s.dispatch(p.w)
 	if p.killed {
-		runtime.Goexit()
+		panic(unwound{})
 	}
 }
 

@@ -1,20 +1,27 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine owns a virtual clock (nanosecond resolution) and an event heap
-// ordered by (time, sequence). Simulated threads of control ("procs") are
-// ordinary goroutines that run strictly one at a time. There is no engine
-// goroutine between them: exactly one goroutine at a time holds the baton,
-// and a proc that parks (by sleeping, waiting on a semaphore, popping an
-// empty queue, and so on) keeps it and runs the event loop itself — it pops
-// and fires events on its own stack, simply returns when the next resume is
-// its own, and otherwise wakes the next proc's goroutine directly and blocks.
-// The goroutine that called Run or RunUntil gets the baton back only when the
+// ordered by (time, sequence). Simulated threads of control ("procs") run
+// strictly one at a time, on workers that are iter.Pull coroutines. There is
+// no engine goroutine between them: exactly one goroutine at a time holds the
+// baton, and a proc that parks (by sleeping, waiting on a semaphore, popping
+// an empty queue, and so on) keeps it and runs the event loop itself — it pops
+// and fires events on its own stack and simply returns when the next resume is
+// its own. When it is another proc's, the worker yields to the hub, the
+// goroutine that called Run or RunUntil, which switches into that proc's
+// worker: two coroutine switches, neither of which passes through the Go
+// scheduler or a channel. The hub gets the baton back for good only when the
 // run must stop. Event callbacks therefore run on whichever goroutine holds
 // the baton: they must not block and must not depend on goroutine identity.
-// Procs run on reused worker goroutines, so a world's goroutine count follows
-// how many procs are alive at once, not how many it ever spawned. Idle
-// workers and procs still blocked when a Sim is abandoned stay parked for the
-// life of the process.
+//
+// Kill unwinds its victim with a private panic value that the worker stops
+// once the proc's deferred functions have run, so proc code must not recover a
+// value it does not own. Any other panic on a worker's stack, and a
+// runtime.Goexit there (t.FailNow), surfaces in the hub — on the goroutine
+// that called Run — and leaves the Sim refusing to run again. Workers are
+// reused, so a world's goroutine count follows how many procs are alive at
+// once, not how many it ever spawned. Idle workers and procs still blocked
+// when a Sim is abandoned stay suspended for the life of the process.
 //
 // The result is fully sequential semantics — protocol and application code
 // can be written in a natural blocking style with no data races and no
@@ -102,9 +109,9 @@ type Sim struct {
 	pred    func() bool
 	end     Time
 
-	main   *worker   // the goroutine inside Run or RunUntil
-	idle   []*worker // goroutines whose proc returned, waiting for another
-	resume *Proc     // set by a callback: run this proc before the next event
+	running bool      // inside RunUntil; stays set if a panic or Goexit ended it
+	idle    []*worker // coroutines whose proc returned, waiting for another
+	resume  *Proc     // set by a callback: run this proc before the next event
 
 	// Counters (diagnostics only; never consulted by the engine).
 	fired     int64
@@ -120,7 +127,7 @@ func (s *Sim) Counters() (fired, cancelled int64, maxHeap int) {
 
 // New creates an empty simulation at time zero.
 func New() *Sim {
-	return &Sim{main: newWorker()}
+	return &Sim{}
 }
 
 // Now returns the current virtual time.
@@ -363,14 +370,19 @@ func (s *Sim) Run(limit Dur) Time { return s.RunUntil(limit, nil) }
 // event), the heap drains, or the time limit passes. pred, like an event
 // callback, runs on whichever goroutine holds the baton.
 func (s *Sim) RunUntil(limit Dur, pred func() bool) Time {
+	if s.running {
+		panic("sim: Run called from inside a run, or after a panic ended one")
+	}
+	s.running = true
 	s.end = Time(1<<62 - 1)
 	if limit > 0 {
 		s.end = s.now.Add(limit)
 	}
 	s.stopped = false
 	s.pred = pred
-	s.dispatch(s.main)
+	s.hub()
 	s.pred = nil
+	s.running = false
 	return s.now
 }
 

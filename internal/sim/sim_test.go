@@ -419,6 +419,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 	s.Run(0)
 }
 
+// BenchmarkProcSwitch is the self-resume path: the parked proc pops its own
+// resume and returns, with no switch.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := New()
 	s.Spawn("switcher", func(p *Proc) {
@@ -430,7 +432,10 @@ func BenchmarkProcSwitch(b *testing.B) {
 	s.Run(0)
 }
 
-func BenchmarkSemaphorePingPong(b *testing.B) {
+// BenchmarkHandoff is the cross-proc path: two procs alternate through a
+// pair of semaphores, so every park ends on the other proc — a yield to the
+// hub and a switch into the other worker. One iteration is two hand-offs.
+func BenchmarkHandoff(b *testing.B) {
 	s := New()
 	s1 := s.NewSemaphore("a", 0)
 	s2 := s.NewSemaphore("b", 0)

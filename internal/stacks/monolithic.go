@@ -67,6 +67,7 @@ type Monolithic struct {
 
 // monoConn is one pcb's shell state.
 type monoConn struct {
+	m    *Monolithic
 	sock *Sock
 	went *WheelEnt
 }
@@ -155,13 +156,13 @@ func MbufCost(h *kern.Host) time.Duration { return h.Cost.MbufLayer }
 // shares its listener's reservation and must not release it).
 func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted func(*Sock)) *Sock {
 	sock := NewSock(s, tc)
-	mc := &monoConn{sock: sock, went: m.wheel.Add(tc, nil)}
+	mc := &monoConn{m: m, sock: sock, went: m.wheel.Add(tc, nil)}
 	sock.Entry = m.org.call
-	sock.Run = func(t *kern.Thread, fn func()) { m.runConn(t, mc, fn) }
+	sock.Eng = mc
 	sock.WriteMove = m.org.writeMove
 	sock.ReadMove = m.org.readMove
 
-	cb := sock.Callbacks(func(seg *Seg) { m.transmit(seg, tc, opts) })
+	cb := sock.Callbacks(func(seg Seg) { m.transmit(seg, tc, opts) })
 	if accepted != nil {
 		inner := cb.OnEstablished
 		cb.OnEstablished = func() {
@@ -189,7 +190,7 @@ func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted fun
 
 // transmit charges protocol costs and pushes a segment down IP and the
 // device, in the context of whichever thread is driving the engine.
-func (m *Monolithic) transmit(seg *Seg, tc *tcp.Conn, opts Options) {
+func (m *Monolithic) transmit(seg Seg, tc *tcp.Conn, opts Options) {
 	t := m.cur
 	if t == nil {
 		panic(m.org.name + ": engine transmit outside runEngine")
@@ -209,15 +210,20 @@ func (m *Monolithic) runEngine(t *kern.Thread, fn func()) {
 	m.lock.V()
 }
 
-// runConn runs an engine operation on one pcb: its tick counters are
-// caught up to the wheel clock before fn reads them, and whatever fn arms
-// goes onto the wheel afterwards.
-func (m *Monolithic) runConn(t *kern.Thread, mc *monoConn, fn func()) {
-	m.runEngine(t, func() {
-		m.wheel.Sync(mc.went)
-		fn()
-		m.wheel.Sync(mc.went)
-	})
+// EnterEngine and LeaveEngine bracket an engine operation on one pcb
+// (Engine): under the engine lock, its tick counters are caught up to the
+// wheel clock before the operation reads them, and whatever it arms goes
+// onto the wheel afterwards.
+func (mc *monoConn) EnterEngine(t *kern.Thread) {
+	mc.m.lock.P(t.Proc)
+	mc.m.cur = t
+	mc.m.wheel.Sync(mc.went)
+}
+
+func (mc *monoConn) LeaveEngine(t *kern.Thread) {
+	mc.m.wheel.Sync(mc.went)
+	mc.m.cur = nil
+	mc.m.lock.V()
 }
 
 // Listen implements Stack.
@@ -273,7 +279,9 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 		m.ports.Release(local.Port)
 		return nil, err
 	}
-	sock.run(t, func() { tc.OpenActive(m.nextISS()) })
+	sock.enter(t)
+	tc.OpenActive(m.nextISS())
+	sock.leave(t)
 	if err := sock.WaitEstablished(t); err != nil {
 		return nil, err
 	}
@@ -336,7 +344,9 @@ func (m *Monolithic) inputTCP(t *kern.Thread, h ipv4.Header, data []byte) {
 	if tc, ok := m.table.LookupExact(local, peer); ok {
 		mc := m.conns[tc]
 		waiting := mc.sock.ReadableWaiters() > 0
-		m.runConn(t, mc, func() { tc.Input(th, seg.Bytes()) })
+		mc.EnterEngine(t)
+		tc.Input(th, seg.Bytes())
+		mc.LeaveEngine(t)
 		if waiting {
 			m.org.readerWakeup(t)
 		}
@@ -370,5 +380,7 @@ func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, local, p
 	if err := m.table.Insert(tc); err != nil {
 		return
 	}
-	sock.run(t, func() { tc.Input(th, data) })
+	sock.enter(t)
+	tc.Input(th, data)
+	sock.leave(t)
 }

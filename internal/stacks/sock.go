@@ -20,9 +20,8 @@ type Sock struct {
 
 	// Entry is charged once per socket call (Read/Write/Close).
 	Entry func(t *kern.Thread)
-	// Run brackets engine invocations so the organization can bind the
-	// driving thread for transmit charging; nil means call directly.
-	Run func(t *kern.Thread, fn func())
+	// Eng brackets engine invocations; nil means call directly.
+	Eng Engine
 	// WriteMove and ReadMove are charged per data movement of n bytes
 	// between the application and the protocol's buffers.
 	WriteMove func(t *kern.Thread, n int)
@@ -34,6 +33,16 @@ type Sock struct {
 	isEst       bool
 	closed      bool
 	err         error
+}
+
+// Engine is an organization's bracket around the invocations of one
+// connection's engine: EnterEngine serializes entry and binds t as the
+// driving thread for transmit charging, LeaveEngine undoes both. The two
+// halves take the place of a function-running bracket so that a socket call
+// needs no closure.
+type Engine interface {
+	EnterEngine(t *kern.Thread)
+	LeaveEngine(t *kern.Thread)
 }
 
 // NewSock builds the wrapper; callers attach Callbacks() to the engine.
@@ -48,10 +57,10 @@ func NewSock(s *sim.Sim, tc *tcp.Conn) *Sock {
 
 // Callbacks returns the engine callbacks that drive the blocking
 // machinery; send is the organization's transmit path.
-func (s *Sock) Callbacks(send func(seg *Seg)) tcp.Callbacks {
+func (s *Sock) Callbacks(send func(seg Seg)) tcp.Callbacks {
 	return tcp.Callbacks{
 		Send: func(b *pktBuf, h tcp.Header, pl int) {
-			send(&Seg{Buf: b, Hdr: h, PayloadLen: pl})
+			send(Seg{Buf: b, Hdr: h, PayloadLen: pl})
 		},
 		OnEstablished: func() {
 			s.isEst = true
@@ -114,13 +123,17 @@ func (s *Sock) WaitEstablished(t *kern.Thread) error {
 // charge their wakeup cost.
 func (s *Sock) ReadableWaiters() int { return s.readable.Waiters() }
 
-// run invokes an engine operation under the organization's bracket.
-func (s *Sock) run(t *kern.Thread, fn func()) {
-	if s.Run != nil {
-		s.Run(t, fn)
-		return
+// enter and leave put an engine operation under the organization's bracket.
+func (s *Sock) enter(t *kern.Thread) {
+	if s.Eng != nil {
+		s.Eng.EnterEngine(t)
 	}
-	fn()
+}
+
+func (s *Sock) leave(t *kern.Thread) {
+	if s.Eng != nil {
+		s.Eng.LeaveEngine(t)
+	}
 }
 
 // Read blocks until data or EOF; EOF returns (0, nil).
@@ -130,8 +143,9 @@ func (s *Sock) Read(t *kern.Thread, p []byte) (int, error) {
 	}
 	for {
 		if n := s.TC.Readable(); n > 0 {
-			var got int
-			s.run(t, func() { got = s.TC.Read(p) })
+			s.enter(t)
+			got := s.TC.Read(p)
+			s.leave(t)
 			if s.ReadMove != nil {
 				s.ReadMove(t, got)
 			}
@@ -163,8 +177,9 @@ func (s *Sock) Write(t *kern.Thread, p []byte) (int, error) {
 			}
 			return total, ErrClosed
 		}
-		var n int
-		s.run(t, func() { n = s.TC.Write(p[total:]) })
+		s.enter(t)
+		n := s.TC.Write(p[total:])
+		s.leave(t)
 		if n > 0 {
 			if s.WriteMove != nil {
 				s.WriteMove(t, n)
@@ -182,7 +197,9 @@ func (s *Sock) Close(t *kern.Thread) error {
 	if s.Entry != nil {
 		s.Entry(t)
 	}
-	s.run(t, func() { s.TC.Close() })
+	s.enter(t)
+	s.TC.Close()
+	s.leave(t)
 	return nil
 }
 

@@ -278,7 +278,7 @@ func TestSockBlockingSemantics(t *testing.T) {
 	peer := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2}
 	tc := tcp.NewConn(tcp.Config{}, local, peer, tcp.Callbacks{})
 	sock := NewSock(s, tc)
-	tc.SetCallbacks(sock.Callbacks(func(seg *Seg) {}))
+	tc.SetCallbacks(sock.Callbacks(func(seg Seg) {}))
 
 	var readReturned bool
 	dom.Spawn("reader", func(th *kern.Thread) {

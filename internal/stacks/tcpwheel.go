@@ -54,6 +54,8 @@ type WheelEnt struct {
 	slowT, fastT timerwheel.Timer
 	lastSeen     uint64
 	slowDeadline uint64
+	// The timers' callbacks, bound once: Sync re-arms on most segments.
+	onSlow, onFast func()
 	// dropped entries stay dropped: the shell no longer drives this engine
 	// (it closed, or was handed to another shell while still live), so a
 	// later Sync or a fire already past the wheel must not re-arm it.
@@ -80,7 +82,9 @@ func (w *TCPWheel) Armed() int { return w.slow.Armed() + w.fast.Armed() }
 // current wheel clock; the caller must invoke Sync under the engine lock
 // after any engine activity (Open, Input) arms timers.
 func (w *TCPWheel) Add(tc *tcp.Conn, owner any) *WheelEnt {
-	return &WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now()}
+	e := &WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now()}
+	e.onSlow, e.onFast = e.fireSlow, e.fireFast
+	return e
 }
 
 // Drop deregisters a connection for good, cancelling any pending timers.
@@ -113,13 +117,13 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 	} else {
 		deadline := w.slow.Now() + uint64(next)
 		if !e.slowT.Armed() || e.slowDeadline != deadline {
-			w.slow.Set(&e.slowT, uint64(next), e.fireSlow)
+			w.slow.Set(&e.slowT, uint64(next), e.onSlow)
 			e.slowDeadline = deadline
 		}
 	}
 	if e.tc.DelAckPending() {
 		if !e.fastT.Armed() {
-			w.fast.Set(&e.fastT, 1, e.fireFast)
+			w.fast.Set(&e.fastT, 1, e.onFast)
 		}
 	} else if e.fastT.Armed() {
 		w.fast.Cancel(&e.fastT)
