@@ -8,6 +8,7 @@ package ulp
 // driven by the trusted registry and network I/O module.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -40,30 +41,35 @@ func assertNoPoolLeaks(t *testing.T) {
 	}
 }
 
-// assertNoOrphans checks that a crashed or exited application left nothing
-// behind on its node: no allocated ports, no transferred or registry-owned
-// connections, no listeners, no live capabilities, no pinned regions.
-func assertNoOrphans(t *testing.T, w *World, node int, dom *kern.Domain) {
+// assertNoLeaks audits hosts once everything on them has crashed, exited or
+// closed: no allocated ports, no transferred or registry-owned connections,
+// no listeners, no admission slots, no live capabilities, no pinned regions.
+func assertNoLeaks(t *testing.T, w *World, hosts ...int) {
 	t.Helper()
-	n := w.Node(node)
-	r := n.Registry
-	if got := r.PortsInUse(); got != 0 {
-		t.Errorf("node %d: %d ports still allocated", node, got)
-	}
-	if got := r.TransferredConns(); got != 0 {
-		t.Errorf("node %d: %d transferred connections not reclaimed", node, got)
-	}
-	if got := r.OwnedConns(); got != 0 {
-		t.Errorf("node %d: %d registry-owned pcbs remain", node, got)
-	}
-	if got := r.ListenerCount(); got != 0 {
-		t.Errorf("node %d: %d listeners remain", node, got)
-	}
-	if got := n.Mod.LiveCapabilities(dom); got != 0 {
-		t.Errorf("node %d: %d live capabilities for dead domain", node, got)
-	}
-	if got := n.Mod.PinnedRegions(); got != 0 {
-		t.Errorf("node %d: %d shared regions still pinned", node, got)
+	for _, host := range hosts {
+		n := w.Node(host)
+		r := n.Registry
+		if got := r.PortsInUse(); got != 0 {
+			t.Errorf("host %d: %d ports still allocated", host, got)
+		}
+		if got := r.TransferredConns(); got != 0 {
+			t.Errorf("host %d: %d transferred connections not reclaimed", host, got)
+		}
+		if got := r.OwnedConns(); got != 0 {
+			t.Errorf("host %d: %d registry-owned pcbs remain", host, got)
+		}
+		if got := r.ListenerCount(); got != 0 {
+			t.Errorf("host %d: %d listeners remain", host, got)
+		}
+		if got := r.Outstanding(nil); got != 0 {
+			t.Errorf("host %d: %d admission slots still held", host, got)
+		}
+		if got := n.Mod.LiveCapabilities(nil); got != 0 {
+			t.Errorf("host %d: %d live capabilities", host, got)
+		}
+		if got := n.Mod.PinnedRegions(); got != 0 {
+			t.Errorf("host %d: %d shared regions still pinned", host, got)
+		}
 	}
 }
 
@@ -132,7 +138,7 @@ func TestChaosCrashMidTransferResetsPeer(t *testing.T) {
 	}
 	// Let teardown messages drain, then audit the crashed node.
 	w.Run(5 * time.Second)
-	assertNoOrphans(t, w, 1, cli.Dom)
+	assertNoLeaks(t, w, 1)
 	assertNoPoolLeaks(t)
 }
 
@@ -173,22 +179,7 @@ func TestChaosCrashDuringHandshake(t *testing.T) {
 	if !cli.Dom.Dead() {
 		t.Fatal("crash point did not fire")
 	}
-	r := w.Node(1).Registry
-	if got := r.OwnedConns(); got != 0 {
-		t.Errorf("%d handshake pcbs not aborted", got)
-	}
-	if got := r.TransferredConns(); got != 0 {
-		t.Errorf("%d transferred connections for a dead domain", got)
-	}
-	if got := r.PortsInUse(); got != 0 {
-		t.Errorf("%d ports leaked by the aborted handshake", got)
-	}
-	if got := w.Node(1).Mod.LiveCapabilities(cli.Dom); got != 0 {
-		t.Errorf("%d capabilities leaked", got)
-	}
-	if got := w.Node(1).Mod.PinnedRegions(); got != 0 {
-		t.Errorf("%d regions still pinned", got)
-	}
+	assertNoLeaks(t, w, 1)
 	assertNoPoolLeaks(t)
 }
 
@@ -235,7 +226,7 @@ func TestChaosOrderlyExitLeavesNoState(t *testing.T) {
 	}
 	// TIME_WAIT is 2*MSL = 60 s of virtual time; run well past it.
 	w.Run(2 * time.Minute)
-	assertNoOrphans(t, w, 1, cli.Dom)
+	assertNoLeaks(t, w, 1)
 	assertNoPoolLeaks(t)
 }
 
@@ -352,7 +343,7 @@ func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
 			Seed: 21,
-			RegistryCrashes: []chaos.RegistryCrash{
+			ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, At: 100 * time.Millisecond, RestartAfter: 200 * time.Millisecond},
 			},
 		},
@@ -411,7 +402,7 @@ func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 	if received != chunks*chunk {
 		t.Fatalf("server received %d bytes, want %d", received, chunks*chunk)
 	}
-	r := w.Node(0).Registry
+	r := w.Node(0).Registry.Shard(0)
 	if r.Epoch() != 2 {
 		t.Fatalf("server registry epoch = %d, want 2 (one restart)", r.Epoch())
 	}
@@ -434,7 +425,7 @@ func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
 			Seed: 23,
-			RegistryCrashes: []chaos.RegistryCrash{
+			ShardCrashes: []chaos.ShardCrash{
 				{Host: 1, At: 100 * time.Millisecond, RestartAfter: 4 * time.Second},
 			},
 		},
@@ -493,7 +484,7 @@ func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
 	if got := w.Node(1).Mod.SendRejected; got < 1 {
 		t.Fatal("no send was ever rejected: the lease never expired, scenario is not testing quarantine")
 	}
-	r := w.Node(1).Registry
+	r := w.Node(1).Registry.Shard(0)
 	if r.Epoch() != 2 {
 		t.Fatalf("client registry epoch = %d, want 2", r.Epoch())
 	}
@@ -718,8 +709,52 @@ func TestChaosZeroCopyCrashSweepsReferences(t *testing.T) {
 	// Drain the teardown, then audit the crashed node: the sweep must have
 	// reclaimed the dead receiver's rings, liens, and capabilities.
 	w.Run(5 * time.Second)
-	assertNoOrphans(t, w, 0, srv.Dom)
+	assertNoLeaks(t, w, 0)
 	assertNoPoolLeaks(t)
+}
+
+// A registry-crash entry is honoured whatever the world's shape, or refused:
+// the plan that crashes "the registry" (shard 0) of a four-shard world must
+// really take that shard down and bring it back — a new incarnation, with the
+// listeners re-replicated from a sibling — and a plan naming a shard the world
+// does not have must be rejected, not dropped. Both used to be silently
+// ignored: the lone and the sharded shape each read only its own list.
+func TestChaosCrashScheduleHonouredOrRefused(t *testing.T) {
+	plan := func(shard int) *chaos.FaultPlan {
+		return &chaos.FaultPlan{Seed: 5, ShardCrashes: []chaos.ShardCrash{
+			{Host: 0, Shard: shard, At: 100 * time.Millisecond, RestartAfter: 200 * time.Millisecond}}}
+	}
+	w := NewWorld(Config{Org: OrgUserLib, Net: Ethernet, RegistryShards: 4, Chaos: plan(0)})
+	srv := w.Node(0).App("server")
+	srv.Go("srv", func(th *kern.Thread) {
+		if _, err := srv.Stack.Listen(th, 80, stacks.Options{}); err != nil {
+			t.Errorf("listen: %v", err)
+		}
+	})
+	reg := w.Node(0).Registry
+	w.Run(150 * time.Millisecond)
+	if reg.Live(0) {
+		t.Fatal("shard 0 still live after its scheduled crash")
+	}
+	if got := reg.ListenerCount(); got != 3 {
+		t.Fatalf("%d listeners on the three survivors, want 3", got)
+	}
+	w.Run(250 * time.Millisecond)
+	if !reg.Live(0) || reg.Shard(0).Epoch() != 2 {
+		t.Fatalf("shard 0 live=%v epoch=%d after its scheduled restart, want true and 2",
+			reg.Live(0), reg.Shard(0).Epoch())
+	}
+	if got := reg.Shard(0).ListenerCount(); got != 1 {
+		t.Fatalf("reborn shard 0 holds %d listeners, want 1 (re-replicated)", got)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "shard 3 on host 0") {
+			t.Fatalf("a one-shard world accepted a crash of shard 3 (panic %q)", msg)
+		}
+	}()
+	NewWorld(Config{Org: OrgUserLib, Net: Ethernet, Chaos: plan(3)})
 }
 
 // Shards crash independently — on both hosts — while a dozen connections
@@ -814,7 +849,7 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 	// Every crashed shard reborn, siblings untouched.
 	wantEpoch := map[[2]int]int{{0, 0}: 2, {0, 1}: 2, {1, 0}: 1, {1, 1}: 2}
 	for host := 0; host < 2; host++ {
-		fed := w.Node(host).Fed
+		fed := w.Node(host).Registry
 		for i := 0; i < fed.Shards(); i++ {
 			if !fed.Live(i) {
 				t.Errorf("host %d shard %d not live at end", host, i)
@@ -824,22 +859,7 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 			}
 		}
 	}
-	for host := 0; host < 2; host++ {
-		n := w.Node(host)
-		fed := n.Fed
-		if got := fed.PortsInUse(); got != 0 {
-			t.Errorf("host %d: %d ports still allocated", host, got)
-		}
-		if got := fed.TransferredConns(); got != 0 {
-			t.Errorf("host %d: %d transferred connections not reclaimed", host, got)
-		}
-		if got := fed.OwnedConns(); got != 0 {
-			t.Errorf("host %d: %d registry-owned pcbs remain", host, got)
-		}
-		if got := n.Mod.PinnedRegions(); got != 0 {
-			t.Errorf("host %d: %d shared regions still pinned", host, got)
-		}
-	}
+	assertNoLeaks(t, w, 0, 1)
 	assertNoPoolLeaks(t)
 }
 
@@ -930,21 +950,6 @@ func TestChaosPartitionUnderChurnHealsWithoutLeaks(t *testing.T) {
 	}
 	// Ride out TIME_WAIT (2*MSL = 60 s), then audit both hosts.
 	w.Run(2 * time.Minute)
-	for host := 0; host < 2; host++ {
-		n := w.Node(host)
-		r := n.Registry
-		if got := r.PortsInUse(); got != 0 {
-			t.Errorf("host %d: %d ports still allocated", host, got)
-		}
-		if got := r.TransferredConns(); got != 0 {
-			t.Errorf("host %d: %d transferred connections not reclaimed", host, got)
-		}
-		if got := r.OwnedConns(); got != 0 {
-			t.Errorf("host %d: %d registry-owned pcbs remain", host, got)
-		}
-		if got := n.Mod.PinnedRegions(); got != 0 {
-			t.Errorf("host %d: %d shared regions still pinned", host, got)
-		}
-	}
+	assertNoLeaks(t, w, 0, 1)
 	assertNoPoolLeaks(t)
 }

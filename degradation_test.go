@@ -243,19 +243,5 @@ func TestConnectThroughPartitionBoundedAndLeakFree(t *testing.T) {
 	srv.Go("closer", func(th *kern.Thread) { lis.Close(th) })
 	// Let the registry's abandoned handshake exhaust R2 and sweep itself.
 	w.Run(3 * time.Minute)
-	for host := 0; host < 2; host++ {
-		n := w.Node(host)
-		if got := n.Fed.PortsInUse(); got != 0 {
-			t.Errorf("host %d: %d ports still allocated", host, got)
-		}
-		if got := n.Fed.OwnedConns(); got != 0 {
-			t.Errorf("host %d: %d registry-owned pcbs remain", host, got)
-		}
-		if got := n.Fed.TransferredConns(); got != 0 {
-			t.Errorf("host %d: %d transferred connections not reclaimed", host, got)
-		}
-	}
-	if got := w.Node(1).Fed.Outstanding(cli.Dom); got != 0 {
-		t.Errorf("client still holds %d admission slots", got)
-	}
+	assertNoLeaks(t, w, 0, 1)
 }

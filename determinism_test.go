@@ -160,7 +160,7 @@ func runRegistryCrashScenario(t *testing.T, seed uint64) []string {
 		Chaos: &chaos.FaultPlan{
 			Seed: seed,
 			Wire: wire.Faults{LossProb: 0.03, DupProb: 0.02},
-			RegistryCrashes: []chaos.RegistryCrash{
+			ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, At: 150 * time.Millisecond, RestartAfter: 200 * time.Millisecond},
 			},
 		},
@@ -209,8 +209,8 @@ func runRegistryCrashScenario(t *testing.T, seed uint64) []string {
 	if !srvDone {
 		t.Fatal("crash-recovery scenario did not complete")
 	}
-	if w.Node(0).Registry.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", w.Node(0).Registry.Epoch())
+	if w.Node(0).Registry.Shard(0).Epoch() != 2 {
+		t.Fatalf("epoch = %d, want 2", w.Node(0).Registry.Shard(0).Epoch())
 	}
 	if len(frames) == 0 {
 		t.Fatal("scenario produced no frames")
@@ -382,7 +382,7 @@ func runShardCrashScenario(t *testing.T, seed uint64) []string {
 	// (counters are per-Server-incarnation).
 	migrated := 0
 	srv.GoAfter(8900*time.Millisecond, "sample", func(th *kern.Thread) {
-		migrated = w.Node(0).Fed.ReRegistered()
+		migrated = w.Node(0).Registry.ReRegistered()
 	})
 	w.RunUntil(time.Minute, func() bool { return cliDone })
 	w.Run(8 * time.Second) // ride out shard 1's restart + heartbeat
@@ -392,7 +392,7 @@ func runShardCrashScenario(t *testing.T, seed uint64) []string {
 	if migrated == 0 {
 		t.Fatal("lease expiry did not drive a cross-shard migration")
 	}
-	fed := w.Node(0).Fed
+	fed := w.Node(0).Registry
 	for i := 0; i < fed.Shards(); i++ {
 		if !fed.Live(i) {
 			t.Fatalf("shard %d not live after restarts", i)

@@ -37,14 +37,11 @@ type FaultPlan struct {
 	// Crashes schedules abrupt application terminations.
 	Crashes []CrashPoint
 
-	// RegistryCrashes schedules crashes of registry servers themselves —
-	// the control plane's single point of failure — optionally followed by
-	// a restart on the same host at a later virtual time.
-	RegistryCrashes []RegistryCrash
-
-	// ShardCrashes schedules crashes of individual registry shards in a
-	// federated (sharded) control plane. Worlds built without RegistryShards
-	// ignore them.
+	// ShardCrashes schedules crashes of registry servers themselves,
+	// optionally followed by a restart on the same host at a later virtual
+	// time. A lone registry — the control plane's single point of failure —
+	// is shard 0. A world that does not have the named host and shard
+	// refuses the plan.
 	ShardCrashes []ShardCrash
 
 	// Partitions schedules network partitions: during each window, frames
@@ -80,32 +77,21 @@ type CrashPoint struct {
 	At time.Duration
 }
 
-// RegistryCrash kills one host's registry domain at time At. If
-// RestartAfter is nonzero, a fresh registry is started on the same host
-// RestartAfter later; it rebuilds its state from the network I/O module's
-// installed header templates. A zero RestartAfter means the registry never
-// comes back: capability leases run out and the module quarantines the
-// endpoints it was serving.
-type RegistryCrash struct {
-	// Host indexes the node whose registry dies.
-	Host int
-	// At is the virtual time of the crash.
-	At time.Duration
-	// RestartAfter is the delay from the crash to the restart (0 = never).
-	RestartAfter time.Duration
-}
-
-// ShardCrash kills one shard of a host's federated registry at time At.
-// The surviving shards keep serving (requests and frames for the dead
-// shard's tuples fail over to a successor); leases the dead shard issued
-// expire, so its handed-off connections migrate to survivors. If
+// ShardCrash kills one shard of a host's registry at time At. Where
+// sibling shards survive they keep serving (requests and frames for the
+// dead shard's tuples fail over to a successor), and since the leases the
+// dead shard issued expire, its handed-off connections migrate to them. If
 // RestartAfter is nonzero a fresh incarnation of the shard boots that much
-// later, rebuilds its statically-owned endpoints from the module, and
-// reclaims ownership from the survivors.
+// later, rebuilds its statically-owned endpoints from the network I/O
+// module's installed header templates, and reclaims ownership from the
+// survivors. A zero RestartAfter means the shard never comes back: with no
+// sibling to migrate to, capability leases run out and the module
+// quarantines the endpoints it was serving.
 type ShardCrash struct {
-	// Host indexes the node whose registry federation loses a shard.
+	// Host indexes the node whose registry loses a shard.
 	Host int
-	// Shard indexes the shard within the federation.
+	// Shard indexes the shard within the host's registry (0 for a lone
+	// registry).
 	Shard int
 	// At is the virtual time of the crash.
 	At time.Duration

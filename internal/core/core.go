@@ -32,7 +32,6 @@ import (
 	"ulp/internal/sim"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
-	"ulp/internal/trace"
 )
 
 // Library is one application's protocol library instance.
@@ -40,22 +39,18 @@ type Library struct {
 	s    *sim.Sim
 	host *kern.Host
 	app  *kern.Domain
-	reg  *registry.Server
+	reg  *registry.Federation
 	mod  *netio.Module
 	nif  *stacks.Netif
 
-	// meta, when non-nil, is the metaregistry index of a sharded registry:
-	// control-plane requests are routed to the authoritative shard and
-	// coalesced into per-tick batches instead of going to one server port.
+	// meta is the metaregistry index: control-plane requests are routed to
+	// the authoritative registry shard through it.
 	meta *registry.Meta
 	// rr sequences round-robin connect routing across live shards.
 	rr uint64
-	// batchq feeds the batcher thread; nil outside federation mode.
+	// batchq feeds the batcher thread; nil when the registry is one shard
+	// and requests go to it one IPC each.
 	batchq *sim.Queue[batchItem]
-
-	// busFn resolves the current trace bus (tracing may be enabled after
-	// the library is created, and registry incarnations change on restart).
-	busFn func() *trace.Bus
 
 	conns map[*Conn]struct{}
 	ids   ipv4.IDGen
@@ -144,72 +139,54 @@ func (l *Library) callPort(t *kern.Thread, svc *kern.Port, m kern.Msg) (kern.Msg
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
 }
 
-// svcDefault returns the default control port: the lone registry, or in
-// federation mode the datagram-plane shard (0) with live failover.
+// svcDefault returns the default control port: the datagram-plane shard (0)
+// with live failover.
 func (l *Library) svcDefault() *kern.Port {
-	if l.meta == nil {
-		return l.reg.Svc
-	}
 	return l.meta.Svc(l.meta.Route(0))
 }
 
 // svcOwner returns the control port of the shard that owns a tuple,
 // failing over to the next live shard while the owner is down.
 func (l *Library) svcOwner(local, peer tcp.Endpoint) *kern.Port {
-	if l.meta == nil {
-		return l.reg.Svc
-	}
 	return l.meta.Svc(l.meta.OwnerOrSuccessor(local, peer))
 }
 
-// NewLibrary links the protocol library into an application domain.
-func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Server) *Library {
-	l := newLibrary(s, app)
-	l.reg = reg
-	l.nif = reg.Netif()
-	l.mod = l.nif.Mod
-	l.busFn = reg.Bus
-	l.spawnTimers()
-	return l
-}
-
-// NewLibraryFed links the protocol library against a sharded registry: the
-// library routes control RPCs through the metaregistry index and coalesces
-// them into per-tick batches on a dedicated batcher thread.
-func NewLibraryFed(s *sim.Sim, app *kern.Domain, fed *registry.Federation) *Library {
-	l := newLibrary(s, app)
-	l.meta = fed.Meta()
-	l.nif = fed.Netif()
-	l.mod = l.nif.Mod
-	l.busFn = func() *trace.Bus { return fed.Shard(0).Bus() }
-	l.batchq = sim.NewQueue[batchItem](s)
-	app.Spawn("lib-batch", l.batcher)
-	l.spawnTimers()
-	return l
-}
-
-func newLibrary(s *sim.Sim, app *kern.Domain) *Library {
+// NewLibrary links the protocol library into an application domain. Control
+// RPCs are routed through the registry's metaregistry index.
+func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library {
 	h := fnv.New64a()
 	h.Write([]byte(app.String()))
-	return &Library{
+	l := &Library{
 		s:       s,
 		host:    app.Host,
 		app:     app,
+		reg:     reg,
+		meta:    reg.Meta(),
+		nif:     reg.Netif(),
+		mod:     reg.Netif().Mod,
 		conns:   make(map[*Conn]struct{}),
 		wheel:   stacks.NewTCPWheel(),
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
-}
-
-// spawnTimers starts the wheel drivers. There is no library-wide engine
-// lock to bracket an advance with; each fire takes its connection's own.
-func (l *Library) spawnTimers() {
+	// Policy: against a sharded registry, connects and teardowns are held
+	// for batchWindow on a dedicated thread and coalesced into one IPC per
+	// shard, which is what keeps N shards fed under churn. A lone registry
+	// gets each request as its own IPC from the calling thread, with no
+	// added latency: there is one port to send to and the paper's library
+	// has no such thread.
+	if l.meta.Shards() > 1 {
+		l.batchq = sim.NewQueue[batchItem](s)
+		app.Spawn("lib-batch", l.batcher)
+	}
+	// There is no library-wide engine lock to bracket a wheel advance with;
+	// each fire takes its connection's own.
 	l.wheel.Drive(l.app, "lib", stacks.DriverHooks{
 		Fire: func(t *kern.Thread, e *stacks.WheelEnt, fn func()) {
 			e.Owner.(*Conn).runWheelFire(t, fn)
 		},
 	})
+	return l
 }
 
 // batchItem is one control request queued for coalescing.
@@ -218,10 +195,19 @@ type batchItem struct {
 	m   kern.Msg
 }
 
-// enqueue hands a control request to the batcher. Callable from engine
-// context (a queue push has no cost and never blocks).
-func (l *Library) enqueue(svc *kern.Port, m kern.Msg) {
-	l.batchq.Push(batchItem{svc: svc, m: m})
+// post sends a control request whose reply, if any, comes back on m.Reply:
+// through the batcher when there is one (a queue push has no cost and never
+// blocks, so engine context may call it), else as one IPC — charged to t, or
+// with a nil t from engine context, asynchronously to the host.
+func (l *Library) post(t *kern.Thread, svc *kern.Port, m kern.Msg) {
+	switch {
+	case l.batchq != nil:
+		l.batchq.Push(batchItem{svc: svc, m: m})
+	case t != nil:
+		svc.Send(t, m)
+	default:
+		svc.SendAsync(m)
+	}
 }
 
 // batcher coalesces the control requests issued within one window into a
@@ -305,14 +291,7 @@ type Conn struct {
 // registry, then adopt the established connection.
 func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Options) (stacks.Conn, error) {
 	t.Compute(t.Cost().ProcCall)
-	req := registry.ConnectReq{Remote: remote, Opts: opts, Owner: l.app}
-	var reply kern.Msg
-	var err error
-	if l.meta != nil {
-		reply, err = l.connectFed(t, req)
-	} else {
-		reply, err = l.callRegistry(t, kern.Msg{Op: "connect", Body: req})
-	}
+	reply, err := l.callConnect(t, registry.ConnectReq{Remote: remote, Opts: opts, Owner: l.app})
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +305,12 @@ func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Optio
 	return l.adopt(t, ho, opts), nil
 }
 
-// connectFed routes an active open through the federation: round-robin over
-// live shards (re-picked per retry, so a crashed shard's retries fail over),
-// the request riding the coalesced batch path with a private reply port per
-// attempt. A quota denial is retried as a fresh request under backoff — the
-// denied attempt executed nothing, and reusing its id would only replay the
-// cached denial.
-func (l *Library) connectFed(t *kern.Thread, req registry.ConnectReq) (kern.Msg, error) {
+// callConnect issues an active open under callPort's deadline/retry policy:
+// round-robin over live shards (re-picked per retry, so a crashed shard's
+// retries fail over), posted with a private reply port per attempt. A quota
+// denial is retried as a fresh request under backoff — the denied attempt
+// executed nothing, and reusing its id would only replay the cached denial.
+func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg, error) {
 	id := l.nextReqID()
 	timeout := rpcBaseTimeout
 	denied := 0
@@ -340,7 +318,7 @@ func (l *Library) connectFed(t *kern.Thread, req registry.ConnectReq) (kern.Msg,
 		shard := l.meta.Route(l.rr)
 		l.rr++
 		replyPort := kern.NewPort(l.host, "connect-reply")
-		l.enqueue(l.meta.Svc(shard),
+		l.post(t, l.meta.Svc(shard),
 			kern.Msg{Op: "connect", ID: id, Reply: replyPort, Body: req})
 		m, ok := replyPort.ReceiveTimeout(t, timeout)
 		if ok {
@@ -374,47 +352,36 @@ type Listener struct {
 	accept *kern.Port
 }
 
-// Listen implements stacks.Stack. In federation mode the listener is
-// replicated to every live shard — a passive tuple's handshake runs on the
-// shard its hash selects, and any shard must be able to answer a SYN — so
-// the effective backlog is per shard (N× the single-registry bound).
+// Listen implements stacks.Stack. The listener is replicated to every
+// registry shard — a passive tuple's handshake runs on the shard its hash
+// selects, and any shard must be able to answer a SYN — so the effective
+// backlog is per shard (N× the single-registry bound). A dead shard a live
+// sibling covers for is skipped: its next incarnation re-replicates from a
+// survivor.
 func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stacks.Listener, error) {
 	t.Compute(t.Cost().ProcCall)
 	acceptPort := kern.NewPort(l.host, "accept")
 	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort, Owner: l.app}
-	if l.meta != nil {
-		var firstErr error
-		n := 0
-		for i := 0; i < l.meta.Shards(); i++ {
-			if !l.meta.Live(i) {
-				continue // the restarted shard re-replicates from a survivor
-			}
-			reply, err := l.callPort(t, l.meta.Svc(i), kern.Msg{Op: "listen", Body: req})
-			if err == nil {
-				err, _ = reply.Body.(error)
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			n++
+	var firstErr error
+	n := 0
+	for i := 0; i < l.meta.Shards(); i++ {
+		if l.meta.Covered(i) {
+			continue
 		}
-		if n == 0 {
+		reply, err := l.callPort(t, l.meta.Svc(i), kern.Msg{Op: "listen", Body: req})
+		if err == nil {
+			err, _ = reply.Body.(error)
+		}
+		if err != nil {
 			if firstErr == nil {
-				firstErr = stacks.ErrRegistryUnavailable
+				firstErr = err
 			}
-			return nil, firstErr
+			continue
 		}
-		return &Listener{lib: l, port: port, opts: opts, accept: acceptPort}, nil
+		n++
 	}
-	reply, err := l.callRegistry(t, kern.Msg{Op: "listen", Body: req})
-	if err != nil {
-		return nil, err
-	}
-	if err, _ := reply.Body.(error); err != nil {
-		return nil, err
+	if n == 0 {
+		return nil, firstErr
 	}
 	return &Listener{lib: l, port: port, opts: opts, accept: acceptPort}, nil
 }
@@ -432,22 +399,17 @@ func (ln *Listener) Accept(t *kern.Thread) (stacks.Conn, error) {
 }
 
 // Close stops listening. A registry that has become unavailable is
-// tolerated: the endpoint is abandoned and reclaimed by crash cleanup. In
-// federation mode the unlisten is broadcast to every live shard, mirroring
-// the replicated listen.
+// tolerated: the endpoint is abandoned and reclaimed by crash cleanup. The
+// unlisten goes to every shard the listen went to.
 func (ln *Listener) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
 	l := ln.lib
 	m := kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}}
-	if l.meta != nil {
-		for i := 0; i < l.meta.Shards(); i++ {
-			if l.meta.Live(i) {
-				_, _ = l.callPort(t, l.meta.Svc(i), m)
-			}
+	for i := 0; i < l.meta.Shards(); i++ {
+		if !l.meta.Covered(i) {
+			_, _ = l.callPort(t, l.meta.Svc(i), m)
 		}
-		return
 	}
-	_, _ = l.callRegistry(t, m)
 }
 
 // adopt turns a registry handoff into a live library connection.
@@ -463,7 +425,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	}
 	tc := tcp.Restore(ho.Snap, tcp.Callbacks{})
 	c.tc = tc
-	if bus := l.busFn(); bus.Enabled() {
+	if bus := l.reg.Bus(); bus.Enabled() {
 		tc.SetTrace(bus, l.app.String()+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
 	sock := stacks.NewSock(l.s, tc)
@@ -708,23 +670,18 @@ func (c *Conn) LeaveEngine(t *kern.Thread) {
 }
 
 // teardown releases registry-held resources once the engine fully closes.
-// Fire-and-forget; in federation mode it is routed to the owning shard and
-// rides the coalesced batch path.
+// Fire-and-forget to the owning shard, from engine context.
 func (c *Conn) teardown() {
 	c.done = true
 	c.ch.Poke()
 	l := c.lib
 	delete(l.conns, c)
 	l.wheel.Drop(c.went)
-	m := kern.Msg{Op: "teardown", ID: l.nextReqID(),
+	l.post(nil, l.svcOwner(c.tc.Local(), c.tc.Peer()), kern.Msg{
+		Op: "teardown", ID: l.nextReqID(),
 		Body: registry.TeardownReq{
 			Local: c.tc.Local(), Peer: c.tc.Peer(), Cap: c.cap,
-		}}
-	if l.meta != nil {
-		l.enqueue(l.svcOwner(c.tc.Local(), c.tc.Peer()), m)
-		return
-	}
-	l.reg.Svc.SendAsync(m)
+		}})
 }
 
 // Read implements stacks.Conn.

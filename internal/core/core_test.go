@@ -28,15 +28,15 @@ func twoLibraries() (*sim.Sim, [2]*Library, [2]ipv4.Addr) {
 	for i := range libs {
 		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
 		mod := netio.New(h, netdev.NewLance(h, seg, link.MakeAddr(i+1)))
-		libs[i] = NewLibrary(s, h.NewDomain("app", false), registry.New(s, mod, ips[i]))
+		libs[i] = NewLibrary(s, h.NewDomain("app", false), registry.NewFederation(s, mod, ips[i], 1))
 	}
 	return s, libs, ips
 }
 
 // reregisterOrder accepts n connections through one listener — they all
-// share local port 80 — then points the library at a recording stand-in for
-// the reborn registry and returns the peer ports in the order
-// reregisterAll issued its claims.
+// share local port 80 — then kills the registry, stands a recorder in for
+// its next incarnation at the service port, and returns the peer ports in
+// the order reregisterAll issued its claims.
 func reregisterOrder(t *testing.T, n int) []uint16 {
 	t.Helper()
 	s, libs, ips := twoLibraries()
@@ -67,8 +67,8 @@ func reregisterOrder(t *testing.T, n int) []uint16 {
 		t.Fatalf("accepted %d of %d connections", accepted, n)
 	}
 
-	reborn := kern.NewPort(srv.host, "registry")
-	srv.reg = &registry.Server{Svc: reborn}
+	srv.reg.CrashShard(0)
+	reborn := srv.reg.Shard(0).Svc
 	var order []uint16
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {
 		for {

@@ -35,9 +35,9 @@ type ChurnConfig struct {
 	// ephemeral range. Off = the classic two-host configuration scaled up
 	// as-is.
 	FastPath bool
-	// Shards federates each host's registry into this many shards, each
-	// pinned to its own CPU and owning a static slice of the port space
-	// (0 or 1 = the single-registry control plane). Connection setup is
+	// Shards builds each host's registry from this many shards, each owning
+	// a static slice of the port space and, from two up, pinned to its own
+	// CPU (0 or 1 = the paper's single registry). Connection setup is
 	// registry-CPU bound, so this is the knob that lifts the setup rate.
 	Shards int
 	// ZeroCopyRx delivers received frames by reference (refcounted pool
@@ -96,9 +96,7 @@ func Churn(cfg ChurnConfig) ChurnResult {
 		ucfg.Switch = &wire.SwitchConfig{Latency: time.Microsecond}
 		ucfg.EphemeralLo, ucfg.EphemeralHi = 1024, 60000
 	}
-	if cfg.Shards >= 2 {
-		ucfg.RegistryShards = cfg.Shards
-	}
+	ucfg.RegistryShards = cfg.Shards
 	ucfg.ZeroCopyRx = cfg.ZeroCopyRx
 	w := ulp.NewWorld(ucfg)
 

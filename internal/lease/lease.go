@@ -1,7 +1,7 @@
 // Package lease implements time-bounded grants over capability ids, the
 // mechanism that lets the in-kernel network I/O module outlive its control
 // plane safely. The registry grants a lease when it installs a channel and
-// renews all leases on a heartbeat; if the registry dies and stays dead, the
+// renews the leases it issued on a heartbeat; if the registry dies and stays dead, the
 // leases run out and the module quarantines the affected endpoints instead
 // of serving a dead control plane forever. A restarted registry re-adopts
 // state from the module and resumes renewing, which lifts the quarantine.
@@ -49,18 +49,6 @@ func (t *Table) Renew(id uint64) bool {
 	t.exp[id] = t.now() + t.ttl
 	t.Renewals++
 	return true
-}
-
-// RenewAll extends every lease (the registry heartbeat) and returns how
-// many were renewed.
-func (t *Table) RenewAll() int {
-	deadline := t.now() + t.ttl
-	for id := range t.exp {
-		t.exp[id] = deadline
-	}
-	n := len(t.exp)
-	t.Renewals += n
-	return n
 }
 
 // Drop forgets id's lease (channel destroyed).

@@ -50,7 +50,7 @@ func TestUnknownIDNeverExpired(t *testing.T) {
 	}
 }
 
-func TestRenewAllAndDrop(t *testing.T) {
+func TestRenewAndDrop(t *testing.T) {
 	c := &clock{}
 	tb := NewTable(c.now, 50*time.Millisecond)
 	tb.Grant(1)
@@ -61,8 +61,11 @@ func TestRenewAllAndDrop(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", tb.Len())
 	}
 	c.at = 40 * time.Millisecond
-	if n := tb.RenewAll(); n != 2 {
-		t.Fatalf("RenewAll = %d, want 2", n)
+	if !tb.Renew(1) || !tb.Renew(3) {
+		t.Fatal("renew of a live lease failed")
+	}
+	if tb.Renew(2) {
+		t.Fatal("renew of a dropped lease succeeded")
 	}
 	c.at = 80 * time.Millisecond // would be past the original deadline
 	if tb.Expired(1) || tb.Expired(3) {

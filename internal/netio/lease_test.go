@@ -50,9 +50,10 @@ func TestLeaseExpiryQuarantinesAndRenewalLifts(t *testing.T) {
 		t.Fatalf("quarantine counters = %d/%d, want 1/1", ch.Quarantined, w.m2.QuarantineDrops)
 	}
 
-	// RenewLeases (the reborn registry's first act) lifts the quarantine.
-	if n, err := w.m2.RenewLeases(w.krn2); err != nil || n != 1 {
-		t.Fatalf("RenewLeases = %d, %v", n, err)
+	// RenewLeasesIssued (the reborn registry's first act, once it has
+	// reissued what it adopts) lifts the quarantine.
+	if n, err := w.m2.RenewLeasesIssued(w.krn2); err != nil || n != 1 {
+		t.Fatalf("RenewLeasesIssued = %d, %v", n, err)
 	}
 	ch.Inject(mkFrame())
 	if ch.Pending() != 1 {

@@ -951,24 +951,13 @@ func (m *Module) quarantined(id uint64) bool {
 	return m.leases != nil && m.leases.Expired(id)
 }
 
-// RenewLeases extends every lease — the registry's heartbeat. Only a
-// privileged domain may renew. Returns how many leases were extended.
-func (m *Module) RenewLeases(from *kern.Domain) (int, error) {
-	if !from.Privileged {
-		return 0, fmt.Errorf("netio: lease renewal from unprivileged domain %s", from)
-	}
-	if m.leases == nil {
-		return 0, nil
-	}
-	return m.leases.RenewAll(), nil
-}
-
-// RenewLeasesIssued extends only the leases of capabilities issued by (or
-// reassigned to) the given domain — the per-shard heartbeat of a sharded
-// control plane. A dead shard stops calling this, its endpoints' leases
-// expire and quarantine, and the libraries migrate them to a live shard;
-// the other shards' endpoints never miss a beat. Returns how many leases
-// were extended.
+// RenewLeasesIssued extends the leases of the capabilities issued by (or
+// reassigned to) the given domain — a registry shard's heartbeat. Only a
+// privileged domain may renew. A dead shard stops calling this, its
+// endpoints' leases expire and quarantine, and the libraries migrate them
+// to a live shard or re-register them with the next incarnation; the other
+// shards' endpoints never miss a beat. Returns how many leases were
+// extended.
 func (m *Module) RenewLeasesIssued(from *kern.Domain) (int, error) {
 	if !from.Privileged {
 		return 0, fmt.Errorf("netio: lease renewal from unprivileged domain %s", from)

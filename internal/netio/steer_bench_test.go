@@ -3,8 +3,8 @@ package netio
 // Wall-clock scaling benchmarks for the software demultiplexing path: the
 // hash-keyed steering table must stay flat as the binding population grows
 // 10× and 100×, while the chain (the pre-steering linear scan, still used
-// for non-steerable specs) degrades linearly. BENCH_PR7.json records the
-// trajectory.
+// for non-steerable specs) degrades linearly. bench/ tracks the steered
+// path as netio.demux_steered_ns.
 
 import (
 	"fmt"

@@ -15,12 +15,16 @@ import (
 	"ulp/internal/trace"
 )
 
-// Federation shards one host's registry control plane: N registry servers,
-// each pinned to its own CPU and owning a static contiguous slice of the
-// ephemeral port space, share a single network interface. Connection setup
-// work that a lone registry serializes on one CPU (~6.5 ms per setup)
-// spreads across the shards; data-path frames never touch the federation
-// at all.
+// Federation is one host's registry: N registry servers (shards) sharing a
+// single network interface, each owning a static contiguous slice of the
+// ephemeral port space. N = 1 is the paper's registry — one trusted server
+// per host, computing on the host CPU. N > 1 is the same code plus three
+// policies: each shard is pinned to a CPU of its own (NewFederation), so
+// connection setup work that a lone registry serializes on one CPU (~6.5 ms
+// per setup) spreads across the shards; the libraries coalesce their
+// requests into batches (core.NewLibrary); and requests and frames for a
+// dead shard's tuples go to a live sibling (successor). Data-path frames
+// never touch the federation at all.
 //
 // Ownership is static and derivable, which is what makes the control plane
 // recoverable: a frame or control request for tuple (local, peer) belongs
@@ -39,8 +43,14 @@ type Federation struct {
 
 	shards []*Server
 	live   []bool
-	cpus   []*sim.Resource
-	slices [][2]uint16 // per-shard ephemeral [lo,hi)
+	names  []string        // per-shard domain and service-port name
+	cpus   []*sim.Resource // per-shard pinned CPU; nil = the host CPU
+	slices [][2]uint16     // per-shard ephemeral [lo,hi)
+
+	// faults is the control-plane fault injector and bus the trace bus every
+	// incarnation of every shard starts with; nil injects and records nothing.
+	faults *chaos.Injector
+	bus    *trace.Bus
 
 	// Admission: bounded outstanding setups per application domain across
 	// all shards. Serialized by the simulation scheduler, like everything
@@ -50,30 +60,13 @@ type Federation struct {
 	denied      int
 }
 
-// FederationConfig parameterizes NewFederation.
-type FederationConfig struct {
-	// Shards is the number of registry shards (>= 2; a single shard is the
-	// classic New).
-	Shards int
-	// Quota bounds outstanding connection setups per application domain;
-	// 0 uses DefaultAdmissionQuota.
-	Quota int
-}
-
-// DefaultAdmissionQuota bounds outstanding setups per application domain
-// when FederationConfig.Quota is zero.
+// DefaultAdmissionQuota bounds outstanding setups per application domain.
 const DefaultAdmissionQuota = 64
 
-// NewFederation boots a sharded registry over a host's network I/O module.
-func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, cfg FederationConfig) *Federation {
-	n := cfg.Shards
-	if n < 2 {
-		panic("registry: federation needs at least 2 shards")
-	}
-	quota := cfg.Quota
-	if quota <= 0 {
-		quota = DefaultAdmissionQuota
-	}
+// NewFederation boots a host's registry over its network I/O module, as n
+// shards (fewer than two: the lone registry).
+func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federation {
+	n = max(n, 1)
 	f := &Federation{
 		s:           s,
 		mod:         mod,
@@ -81,27 +74,29 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, cfg FederationCo
 		ip:          ip,
 		nif:         stacks.NewNetif(s, mod, ip),
 		live:        make([]bool, n),
+		names:       make([]string, n),
 		cpus:        make([]*sim.Resource, n),
-		quota:       quota,
+		quota:       DefaultAdmissionQuota,
 		outstanding: make(map[*kern.Domain]int),
 	}
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
 	f.slices = partition(lo, hi, n)
+	mod.EnableLeases(LeaseTTL)
 	for i := 0; i < n; i++ {
-		f.cpus[i] = f.host.NewCPU(shardName(i) + "-cpu")
-		f.shards = append(f.shards, newServer(s, mod, ip, nil, &shardOpts{
-			fed: f, index: i, nif: f.nif, cpu: f.cpus[i],
-			lo: f.slices[i][0], hi: f.slices[i][1],
-		}))
+		// Policy: a sharded control plane pins each shard to a core of its
+		// own, so the shards' setups run in parallel; a lone registry is the
+		// paper's server process, sharing the host CPU with everything else.
+		f.names[i] = "registry"
+		if n > 1 {
+			f.names[i] = fmt.Sprintf("registry%d", i)
+			f.cpus[i] = f.host.NewCPU(fmt.Sprintf("shard%d-cpu", i))
+		}
+		f.shards = append(f.shards, f.newShard(i, nil))
 		f.live[i] = true
 	}
 	mod.SetDefaultHandler(f.steer)
 	return f
-}
-
-func shardName(i int) string {
-	return fmt.Sprintf("shard%d", i)
 }
 
 // partition splits [lo,hi) into n contiguous slices.
@@ -174,10 +169,10 @@ func (f *Federation) successor(i int) int {
 	return -1
 }
 
-// steer is the module's default handler in federation mode: classify the
-// frame to its authoritative shard (successor when that shard is down) and
-// deliver it to the shard's receive queue, charging the wakeup to the
-// shard's pinned CPU.
+// steer is the module's default handler: classify the frame to its
+// authoritative shard (successor when that shard is down) and deliver it to
+// the shard's receive queue, charging the wakeup to the CPU the shard
+// computes on.
 func (f *Federation) steer(b *pkt.Buf) {
 	i := f.classify(b.Bytes())
 	if !f.live[i] {
@@ -269,9 +264,12 @@ func (f *Federation) release(owner *kern.Domain) {
 // scheduling point, its receive queue is drained back to the pool, and the
 // admission slots its in-flight setups held are returned (their owners get
 // no reply; the library's RPC deadline surfaces the loss). Frames and
-// requests for the dead shard's tuples steer to the successor; leases the
-// dead shard issued stop being renewed, so its handed-off endpoints
-// quarantine at the TTL and their libraries migrate to a survivor.
+// requests for the dead shard's tuples steer to the successor — with no live
+// sibling, default-path frames are discarded, as the kernel does for a dead
+// domain, and requests queue at the service port for the next incarnation.
+// Leases the dead shard issued stop being renewed, so its handed-off
+// endpoints quarantine at the TTL and their libraries migrate to a survivor
+// or re-register once the shard is back.
 func (f *Federation) CrashShard(i int) {
 	if !f.live[i] {
 		return
@@ -304,11 +302,7 @@ func (f *Federation) RestartShard(i int) {
 	if f.live[i] {
 		return
 	}
-	prev := f.shards[i]
-	lo, hi := prev.ports.EphemeralRange()
-	f.shards[i] = newServer(f.s, f.mod, f.ip, prev, &shardOpts{
-		fed: f, index: i, nif: f.nif, cpu: f.cpus[i], lo: lo, hi: hi,
-	})
+	f.shards[i] = f.newShard(i, f.shards[i])
 	f.live[i] = true
 	f.dropForeign(i)
 	f.replicateListeners(i)
@@ -382,64 +376,78 @@ func (f *Federation) Netif() *stacks.Netif { return f.nif }
 // AdmissionDenied returns how many setups the quota layer refused.
 func (f *Federation) AdmissionDenied() int { return f.denied }
 
-// Outstanding returns the admission slots currently charged to owner.
-func (f *Federation) Outstanding(owner *kern.Domain) int { return f.outstanding[owner] }
+// Outstanding counts the admission slots currently charged; with a non-nil
+// owner, only those charged to that domain. Leak audits assert it reaches
+// zero.
+func (f *Federation) Outstanding(owner *kern.Domain) int {
+	if owner != nil {
+		return f.outstanding[owner]
+	}
+	n := 0
+	for _, held := range f.outstanding {
+		n += held
+	}
+	return n
+}
 
-// SetTrace attaches the trace bus to every shard.
+// SetTrace attaches the trace bus to every shard. Connections created
+// afterwards inherit it; the libraries query it via Bus when adopting
+// handed-off engines.
 func (f *Federation) SetTrace(b *trace.Bus) {
+	f.bus = b
 	for _, sh := range f.shards {
-		sh.SetTrace(b)
+		sh.bus = b
 	}
 }
 
-// SetControlFaults installs the chaos injector on every shard.
+// Bus returns the attached trace bus (nil when tracing is off).
+func (f *Federation) Bus() *trace.Bus { return f.bus }
+
+// SetControlFaults installs a chaos injector for control-plane faults
+// (dropped or delayed service requests) on every shard. A nil injector is
+// the fault-free fast path.
 func (f *Federation) SetControlFaults(inj *chaos.Injector) {
+	f.faults = inj
 	for _, sh := range f.shards {
-		sh.SetControlFaults(inj)
+		sh.faults = inj
 	}
 }
 
-// SetEphemeralRange repartitions [lo,hi) into per-shard contiguous slices.
-// Must be called before any traffic (ownership is derived from the slices).
+// SetEphemeralRange widens (or moves) the TCP ephemeral port range — many-host
+// churn worlds need more than the classic [1024,5000) window — and
+// repartitions it into per-shard contiguous slices. Must be called before
+// any traffic (ownership is derived from the slices).
 func (f *Federation) SetEphemeralRange(lo, hi uint16) {
 	f.slices = partition(lo, hi, len(f.shards))
 	for i, sh := range f.shards {
-		sh.SetEphemeralRange(f.slices[i][0], f.slices[i][1])
+		sh.ports = tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1])
 	}
+}
+
+// sumLive totals a per-shard count over the live shards (a dead shard's
+// tables died with it).
+func (f *Federation) sumLive(count func(*Server) int) int {
+	n := 0
+	for i, sh := range f.shards {
+		if f.live[i] {
+			n += count(sh)
+		}
+	}
+	return n
 }
 
 // PortsInUse sums allocated ports across live shards.
-func (f *Federation) PortsInUse() int {
-	n := 0
-	for i, sh := range f.shards {
-		if f.live[i] {
-			n += sh.PortsInUse()
-		}
-	}
-	return n
-}
+func (f *Federation) PortsInUse() int { return f.sumLive((*Server).PortsInUse) }
 
 // OwnedConns sums registry-owned pcbs across live shards.
-func (f *Federation) OwnedConns() int {
-	n := 0
-	for i, sh := range f.shards {
-		if f.live[i] {
-			n += sh.OwnedConns()
-		}
-	}
-	return n
-}
+func (f *Federation) OwnedConns() int { return f.sumLive((*Server).OwnedConns) }
 
 // TransferredConns sums handed-off connections across live shards.
-func (f *Federation) TransferredConns() int {
-	n := 0
-	for i, sh := range f.shards {
-		if f.live[i] {
-			n += sh.TransferredConns()
-		}
-	}
-	return n
-}
+func (f *Federation) TransferredConns() int { return f.sumLive((*Server).TransferredConns) }
+
+// ListenerCount sums registered passive endpoints across live shards: a
+// replicated listener counts once per shard holding it.
+func (f *Federation) ListenerCount() int { return f.sumLive((*Server).ListenerCount) }
 
 // DedupHits sums dedup-cache hits across shards.
 func (f *Federation) DedupHits() int {
@@ -465,13 +473,12 @@ func (f *Federation) ReRegistered() int {
 
 // Meta is the metaregistry: the thin routing index libraries consult to
 // reach the authoritative shard. It holds no connection state — just the
-// static port partition and the shard service ports, all derivable from
-// the federation — so it can be discarded and rebuilt at any time
-// (Rebuild does exactly that, and is all a metaregistry restart is).
+// shard service ports, with ownership and liveness read through to the
+// federation — so it can be discarded and rebuilt at any time (Rebuild does
+// exactly that, and is all a metaregistry restart is).
 type Meta struct {
-	fed    *Federation
-	slices [][2]uint16
-	svc    []*kern.Port
+	fed *Federation
+	svc []*kern.Port
 }
 
 // Meta builds (or rebuilds — it is stateless) the routing index.
@@ -481,16 +488,12 @@ func (f *Federation) Meta() *Meta {
 	return m
 }
 
-// Rebuild reconstructs the index from the federation's static ownership
-// map. Service ports survive shard restarts (the new incarnation reuses
-// them), so a rebuilt index is valid across any crash/restart history.
+// Rebuild reconstructs the index from the federation. Service ports survive
+// shard restarts (the new incarnation reuses them), so a rebuilt index is
+// valid across any crash/restart history.
 func (m *Meta) Rebuild() {
-	f := m.fed
-	m.slices = m.slices[:0]
 	m.svc = m.svc[:0]
-	for _, sh := range f.shards {
-		lo, hi := sh.ports.EphemeralRange()
-		m.slices = append(m.slices, [2]uint16{lo, hi})
+	for _, sh := range m.fed.shards {
 		m.svc = append(m.svc, sh.Svc)
 	}
 }
@@ -501,44 +504,34 @@ func (m *Meta) Shards() int { return len(m.svc) }
 // Svc returns shard i's service port (stable across restarts).
 func (m *Meta) Svc(i int) *kern.Port { return m.svc[i] }
 
-// Live reports whether shard i is currently up (liveness is the one
-// dynamic input; it is read through to the federation, never cached).
-func (m *Meta) Live(i int) bool { return m.fed.live[i] }
+// failover returns shard i, or while it is down the next live shard; with
+// every shard down it stays on i, whose port queues the request for the
+// next incarnation while the RPC deadline runs.
+func (m *Meta) failover(i int) int {
+	if !m.fed.live[i] {
+		if s := m.fed.successor(i); s >= 0 {
+			return s
+		}
+	}
+	return i
+}
+
+// Covered reports whether shard i is down while a live sibling stands in
+// for it. Requests replicated to every shard skip a covered one (its next
+// incarnation copies the state from a survivor); with no survivor they go
+// to the dead shard's port all the same — which is all a lone registry's
+// crash can mean.
+func (m *Meta) Covered(i int) bool { return m.failover(i) != i }
 
 // Route picks the shard for the seq-th connect: round-robin over the
 // shards, advanced past dead ones.
 func (m *Meta) Route(seq uint64) int {
-	n := len(m.svc)
-	i := int(seq % uint64(n))
-	if m.fed.live[i] {
-		return i
-	}
-	if s := m.fed.successor(i); s >= 0 {
-		return s
-	}
-	return i // all dead: the RPC deadline handles it
+	return m.failover(int(seq % uint64(len(m.svc))))
 }
 
-// Owner returns the statically-owning shard for a tuple (it may be dead;
-// see OwnerOrSuccessor).
-func (m *Meta) Owner(local, peer tcp.Endpoint) int {
-	for i, sl := range m.slices {
-		if local.Port >= sl[0] && local.Port < sl[1] {
-			return i
-		}
-	}
-	return int(endpointHash(local, peer) % uint32(len(m.svc)))
-}
-
-// OwnerOrSuccessor routes to the owning shard, falling over to the next
-// live shard while the owner is down (cross-shard migration).
+// OwnerOrSuccessor routes to the shard that statically owns a tuple, falling
+// over to the next live shard while the owner is down (cross-shard
+// migration).
 func (m *Meta) OwnerOrSuccessor(local, peer tcp.Endpoint) int {
-	i := m.Owner(local, peer)
-	if m.fed.live[i] {
-		return i
-	}
-	if s := m.fed.successor(i); s >= 0 {
-		return s
-	}
-	return i
+	return m.failover(m.fed.ownerEndpoints(local, peer))
 }

@@ -24,8 +24,8 @@ import (
 	"ulp/internal/wire"
 )
 
-// fedRig is a two-host world: host 0 runs a classic single registry (the
-// far side), host 1 runs an N-shard federation. Tests speak the service
+// fedRig is a two-host world: host 0 runs a lone registry (the far side),
+// host 1 runs an N-shard federation. Tests speak the service
 // protocol directly to individual shards, which is legitimate exactly
 // because ownership is static: a shard only ever allocates ports from its
 // own slice, so a connect sent to shard k is owned by shard k.
@@ -49,8 +49,11 @@ func newFedRig(t *testing.T, shards, quota int) *fedRig {
 		rg.apps = append(rg.apps, h.NewDomain("app", false))
 		return mod
 	}
-	rg.r0 = New(s, mkMod(0), rg.ips[0])
-	rg.fed = NewFederation(s, mkMod(1), rg.ips[1], FederationConfig{Shards: shards, Quota: quota})
+	rg.r0 = NewFederation(s, mkMod(0), rg.ips[0], 1).Shard(0)
+	rg.fed = NewFederation(s, mkMod(1), rg.ips[1], shards)
+	if quota > 0 {
+		rg.fed.quota = quota
+	}
 	return rg
 }
 

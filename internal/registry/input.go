@@ -176,11 +176,11 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 		return
 	}
 
-	// No endpoint: reset. A federation shard only resets tuples it
-	// authoritatively owns — a stray steered here because its owner shard
-	// is down must be dropped, not answered: the connection it belongs to
-	// is alive in some library, and an RST from a non-owner would kill it.
-	if r.fed != nil && !r.fed.authoritative(r, local, peer) {
+	// No endpoint: reset. A shard only resets tuples it authoritatively
+	// owns — a stray steered here because its owner shard is down must be
+	// dropped, not answered: the connection it belongs to is alive in some
+	// library, and an RST from a non-owner would kill it.
+	if !r.fed.authoritative(r, local, peer) {
 		return
 	}
 	if rst, rb := tcp.MakeRST(th, seg.Len(), r.nif.Headroom(), local, peer); rst != nil {

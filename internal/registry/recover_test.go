@@ -18,15 +18,21 @@ import (
 	"ulp/internal/tcp"
 )
 
+// restart crashes a lone registry and returns the fresh incarnation booted
+// over the same module.
+func restart(r *Server) *Server {
+	r.fed.CrashShard(0)
+	r.fed.RestartShard(0)
+	return r.fed.Shard(0)
+}
+
 // restartR1 crashes host 1's registry and boots a fresh incarnation over
 // the same module, running the sim long enough for the rebuild to finish.
 // The settle step first lets in-flight handshake frames (the final ACK the
 // crash would otherwise strand) reach both sides.
 func (rg *rig) restartR1() {
 	rg.s.Run(100 * time.Millisecond)
-	old := rg.r1
-	old.Crash()
-	rg.r1 = Restart(rg.s, old.Netif().Mod, rg.ips[1], old)
+	rg.r1 = restart(rg.r1)
 	rg.s.Run(50 * time.Millisecond)
 }
 
@@ -61,9 +67,7 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 	// The passive host: its transferred connection is rebuilt too, but the
 	// listener is not — listeners have no kernel-side template to rebuild
 	// from, by design.
-	old := rg.r0
-	old.Crash()
-	rg.r0 = Restart(rg.s, old.Netif().Mod, rg.ips[0], old)
+	rg.r0 = restart(rg.r0)
 	rg.s.Run(50 * time.Millisecond)
 	if rg.r0.TransferredConns() != 1 {
 		t.Fatalf("passive side rebuilt %d transferred conns, want 1", rg.r0.TransferredConns())

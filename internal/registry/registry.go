@@ -22,7 +22,6 @@
 package registry
 
 import (
-	"fmt"
 	"time"
 
 	"ulp/internal/chaos"
@@ -122,8 +121,8 @@ type hsConn struct {
 	// inBacklog marks a passive pcb counted against its listener's
 	// backlog, so exactly one decrement happens on handoff or failure.
 	inBacklog bool
-	// admitted marks a setup counted against its owner's admission quota
-	// (federation mode), so exactly one release happens on every exit path.
+	// admitted marks a setup counted against its owner's admission quota,
+	// so exactly one release happens on every exit path.
 	admitted bool
 }
 
@@ -158,7 +157,8 @@ type udpBinding struct {
 	cap   *netio.Capability
 }
 
-// Server is one host's registry.
+// Server is one shard of a host's registry (see Federation; the paper's
+// single registry is the only shard of a one-shard federation).
 type Server struct {
 	host *kern.Host
 	dom  *kern.Domain
@@ -224,27 +224,12 @@ type Server struct {
 	// the server creates. Nil-safe.
 	bus *trace.Bus
 
-	// fed/shardIdx are set when this server is one shard of a federation:
-	// it owns a static slice of the port space, shares the Netif with its
-	// sibling shards, renews only the leases it issued, and runs its
-	// threads on a pinned per-shard CPU. Nil fed is the classic
-	// single-server registry.
+	// fed is the federation this server is shard shardIdx of: it owns a
+	// static slice of the port space, shares the Netif with its sibling
+	// shards and renews only the leases it issued.
 	fed      *Federation
 	shardIdx int
 }
-
-// SetTrace attaches the trace bus. Connections created afterwards inherit
-// it; the libraries query it via Bus when adopting handed-off engines.
-func (r *Server) SetTrace(b *trace.Bus) { r.bus = b }
-
-// SetEphemeralRange widens (or moves) the TCP ephemeral port range —
-// many-host churn worlds need more than the classic [1024,5000) window.
-func (r *Server) SetEphemeralRange(lo, hi uint16) {
-	r.ports = tcp.NewPortAllocRange(lo, hi)
-}
-
-// Bus returns the attached trace bus (nil when tracing is off).
-func (r *Server) Bus() *trace.Bus { return r.bus }
 
 // crashReq is the internal notification a domain-death hook posts to the
 // service loop so reclamation runs on a registry thread with normal cost
@@ -277,39 +262,23 @@ const (
 	dedupCap = 512
 )
 
-// New starts a registry server over a host's network I/O module.
-func New(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Server {
-	return newServer(s, mod, ip, nil, nil)
-}
-
-// Restart boots a fresh registry over the same module after a crash. The
-// previous incarnation's service port is reused — libraries hold send
-// rights to it, and a Mach-style port queue outlives the domain that was
-// receiving from it, so requests queued across the outage drain into the
-// new server. Port table and connection map are rebuilt from the module's
+// newShard boots shard i. prev is the crashed incarnation it replaces, nil
+// at first boot: its service port is reused — libraries hold send rights to
+// it, and a Mach-style port queue outlives the domain that was receiving
+// from it, so requests queued across the outage drain into the new server —
+// and the port table and connection map are rebuilt from the module's
 // installed header templates before the first request is served.
-func Restart(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server) *Server {
-	return newServer(s, mod, ip, prev, nil)
-}
-
-// shardOpts carries the federation-specific construction parameters of one
-// shard: its index, the shared interface wiring, the pinned CPU its domain
-// computes on, and the static slice of the ephemeral port space it owns.
-type shardOpts struct {
-	fed    *Federation
-	index  int
-	nif    *stacks.Netif
-	cpu    *sim.Resource
-	lo, hi uint16
-}
-
-func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *shardOpts) *Server {
+func (f *Federation) newShard(i int, prev *Server) *Server {
 	r := &Server{
-		host:        mod.Device().Host(),
-		nif:         stacks.NewNetif(s, mod, ip),
-		ports:       tcp.NewPortAlloc(),
-		udpPorts:    tcp.NewPortAlloc(),
-		iss:         tcp.Seq(30000 + 7919*uint32(ip[3])), // per-host ISS sequence
+		fed:      f,
+		shardIdx: i,
+		host:     f.host,
+		nif:      f.nif, // one ARP cache and reassembler for all shards
+		ports:    tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1]),
+		udpPorts: tcp.NewPortAlloc(),
+		// Per-host ISS sequence, perturbed per shard so concurrent actives
+		// from different shards start in distinct sequence regions.
+		iss:         tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
 		owned:       tcp.NewTable(),
 		wheel:       stacks.NewTCPWheel(),
 		conns:       make(map[*tcp.Conn]*hsConn),
@@ -319,51 +288,24 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 		watched:     make(map[*kern.Domain]bool),
 		reqCache:    make(map[uint64]*pendingReq),
 		epoch:       1,
-	}
-	domName := "registry"
-	if so != nil {
-		// Federation shard: share one Netif (ARP cache, reassembly) with the
-		// sibling shards, own a static slice of the ephemeral port space, and
-		// perturb the ISS base per shard so concurrent actives from different
-		// shards start in distinct sequence regions.
-		r.fed = so.fed
-		r.shardIdx = so.index
-		r.nif = so.nif
-		r.ports = tcp.NewPortAllocRange(so.lo, so.hi)
-		r.iss += tcp.Seq(1000003 * uint32(so.index))
-		domName = fmt.Sprintf("registry%d", so.index)
+		faults:      f.faults,
+		bus:         f.bus,
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
 		r.Svc = prev.Svc
-		r.faults = prev.faults
-		r.bus = prev.bus
-		r.ports = tcp.NewPortAllocRange(prev.ports.EphemeralRange())
 		r.rebuildPending = true
 		// Perturb the ISS base per incarnation so connections the reborn
 		// registry opens cannot collide with sequence space the crashed one
 		// was using.
 		r.iss += tcp.Seq(250007 * uint32(r.epoch-1))
 	} else {
-		r.Svc = kern.NewPort(r.host, domName)
+		r.Svc = kern.NewPort(r.host, f.names[i])
 	}
-	r.dom = r.host.NewDomain(domName, true)
-	if so != nil {
-		r.dom.PinCPU(so.cpu)
-	}
-	r.lock = s.NewSemaphore("registry-engine", 1)
-	r.rxq = sim.NewQueue[*pkt.Buf](s)
-	mod.EnableLeases(LeaseTTL)
-	if so == nil {
-		// The federation owns the default handler (it steers frames to the
-		// authoritative shard); a lone registry claims it directly.
-		mod.SetDefaultHandler(func(b *pkt.Buf) {
-			if r.rxq.Len() == 0 {
-				r.host.ComputeAsync(r.host.Cost.KernelWakeup, nil)
-			}
-			r.rxq.Push(b)
-		})
-	}
+	r.dom = r.host.NewDomain(f.names[i], true)
+	r.dom.PinCPU(f.cpus[i]) // nil for a lone registry: it stays on the host CPU
+	r.lock = f.s.NewSemaphore("registry-engine", 1)
+	r.rxq = sim.NewQueue[*pkt.Buf](f.s)
 	r.dom.Spawn("service", r.serviceLoop)
 	r.dom.Spawn("input", r.inputLoop)
 	r.wheel.Drive(r.dom, "tcp", stacks.DriverHooks{
@@ -374,37 +316,16 @@ func newServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, prev *Server, so *sh
 	return r
 }
 
-// leaseHeartbeat renews every capability lease the module tracks — or, for
-// a federation shard, only the leases this shard issued, so a crashed
-// sibling's endpoints expire (and migrate) instead of being kept alive by
-// the survivors. It charges no CPU: the renewal models a kernel-side table
-// write whose cost is negligible next to the IPC-heavy control path, and
-// keeping it free leaves the fault-free experiment timings untouched.
+// leaseHeartbeat renews the leases this shard issued, and only those, so a
+// crashed sibling's endpoints expire (and migrate) instead of being kept
+// alive by the survivors. It charges no CPU: the renewal models a
+// kernel-side table write whose cost is negligible next to the IPC-heavy
+// control path, and keeping it free leaves the fault-free experiment timings
+// untouched.
 func (r *Server) leaseHeartbeat(t *kern.Thread) {
 	for {
 		t.Sleep(LeaseHeartbeat)
-		if r.fed != nil {
-			_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
-		} else {
-			_, _ = r.nif.Mod.RenewLeases(r.dom)
-		}
-	}
-}
-
-// Crash kills the registry abruptly, as a chaos plan's RegistryCrash does:
-// every thread dies at its next scheduling point with no cleanup run. The
-// kernel-side consequences are modelled here: frames arriving on the
-// default path for a dead domain are discarded (and returned to the pool),
-// as is anything still queued for the dead input thread.
-func (r *Server) Crash() {
-	r.dom.Kill()
-	r.nif.Mod.SetDefaultHandler(func(b *pkt.Buf) { b.Release() })
-	for {
-		b, ok := r.rxq.TryPop()
-		if !ok {
-			break
-		}
-		b.Release()
+		_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
 	}
 }
 
@@ -423,11 +344,6 @@ func (r *Server) nextISS() tcp.Seq {
 // ---------------------------------------------------------------------------
 // Service loop: requests from libraries
 // ---------------------------------------------------------------------------
-
-// SetControlFaults installs a chaos injector for control-plane faults
-// (dropped or delayed service requests). A nil injector is the fault-free
-// fast path.
-func (r *Server) SetControlFaults(inj *chaos.Injector) { r.faults = inj }
 
 func (r *Server) serviceLoop(t *kern.Thread) {
 	if r.rebuildPending {
@@ -568,26 +484,19 @@ func (r *Server) finishAsync(reqID uint64, target *kern.Port, reply kern.Msg) {
 
 // handleConnect performs the active open on the library's behalf.
 func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
-	// Admission (federation mode): bound how many setups one application
-	// domain may have outstanding across all shards. A denied setup has no
-	// side effects — the library retries it under backoff with a fresh
-	// request id.
-	admitted := false
-	if r.fed != nil {
-		if !r.fed.admit(req.Owner) {
-			r.finish(t, m, kern.Msg{Op: "handoff",
-				Body: Handoff{Err: stacks.ErrAdmissionDenied}})
-			return
-		}
-		admitted = true
+	// Admission: bound how many setups one application domain may have
+	// outstanding across all shards. A denied setup has no side effects —
+	// the library retries it under backoff with a fresh request id.
+	if !r.fed.admit(req.Owner) {
+		r.finish(t, m, kern.Msg{Op: "handoff",
+			Body: Handoff{Err: stacks.ErrAdmissionDenied}})
+		return
 	}
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.RegistryConnSetup)
 	port, err := r.ports.Ephemeral()
 	if err != nil {
-		if admitted {
-			r.fed.release(req.Owner)
-		}
+		r.fed.release(req.Owner)
 		r.finish(t, m, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
 		return
 	}
@@ -600,7 +509,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// — is activated as establishment completes, so handshake segments
 	// reach the registry's default path.
 	hc := &hsConn{opts: req.Opts, owner: req.Owner, reply: m.Reply, reqID: m.ID,
-		admitted: admitted}
+		admitted: true}
 	r.watch(req.Owner)
 	if r.nif.IsAN1() {
 		t.Compute(t.Cost().BQIReserve)
@@ -794,8 +703,7 @@ func (r *Server) attach(tc *tcp.Conn, hc *hsConn) {
 	})
 }
 
-// releaseAdmit returns a setup's admission-quota slot (federation mode).
-// The flag guards exactly-once release however many exit paths the setup
+// releaseAdmit returns a setup's admission-quota slot. The flag guards exactly-once release however many exit paths the setup
 // traverses.
 func (r *Server) releaseAdmit(hc *hsConn) {
 	if hc != nil && hc.admitted {
@@ -1142,16 +1050,15 @@ func (r *Server) rebuild(t *kern.Thread) {
 			}
 			local := tcp.Endpoint{IP: tmpl.LocalIP, Port: tmpl.LocalPort}
 			peer := tcp.Endpoint{IP: tmpl.RemoteIP, Port: tmpl.RemotePort}
-			if r.fed != nil {
-				// A shard adopts only the endpoints it statically owns; its
-				// siblings' slices are theirs to rebuild. Re-issuing moves
-				// lease-renewal responsibility back here even if a survivor
-				// adopted the endpoint during the outage.
-				if r.fed.ownerEndpoints(local, peer) != r.shardIdx {
-					continue
-				}
-				_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
+			// A shard adopts only the endpoints it statically owns; its
+			// siblings' slices are theirs to rebuild. Re-issuing moves
+			// lease-renewal responsibility to this incarnation, away from
+			// its dead predecessor or a survivor that adopted the endpoint
+			// during the outage.
+			if r.fed.ownerEndpoints(local, peer) != r.shardIdx {
+				continue
 			}
+			_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
 			t.Compute(c.RegistryPortAlloc)
 			if !r.ports.Reserve(local.Port) {
 				r.ports.Retain(local.Port) // accepted conns share a port
@@ -1167,12 +1074,10 @@ func (r *Server) rebuild(t *kern.Thread) {
 			r.watch(ep.Owner)
 			n++
 		case ipv4.ProtoUDP:
-			if r.fed != nil {
-				if r.shardIdx != 0 {
-					continue // shard 0 owns all datagram endpoints
-				}
-				_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
+			if r.shardIdx != 0 {
+				continue // shard 0 owns all datagram endpoints
 			}
+			_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
 			t.Compute(c.RegistryPortAlloc)
 			r.udpPorts.Reserve(tmpl.LocalPort)
 			r.udpChannels[tmpl.LocalPort] = &udpBinding{owner: ep.Owner, ch: ep.Channel, cap: ep.Cap}
@@ -1183,7 +1088,7 @@ func (r *Server) rebuild(t *kern.Thread) {
 	r.rebuilt = n
 	// Resume renewing before anything can expire further: re-adopted
 	// endpoints leave quarantine immediately.
-	_, _ = r.nif.Mod.RenewLeases(r.dom)
+	_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
 	if r.bus.Enabled() {
 		r.bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
 			A: int64(r.epoch), B: int64(n)})
@@ -1225,12 +1130,10 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 	xc.peerBQI = req.PeerBQI
 	xc.sndNxt, xc.rcvNxt = req.SndNxt, req.RcvNxt
 	r.watch(req.Owner)
-	if r.fed != nil {
-		// Cross-shard migration: adopting a crashed sibling's connection
-		// takes over lease renewal too, or the endpoint would quarantine
-		// again at the next TTL despite being re-registered here.
-		_ = mod.Reissue(r.dom, req.Cap)
-	}
+	// Adopting a connection takes over its lease renewal too (from a dead
+	// predecessor or, across shards, a crashed sibling), or the endpoint
+	// would quarantine again at the next TTL despite being re-registered.
+	_ = mod.Reissue(r.dom, req.Cap)
 	_ = mod.RenewLease(r.dom, req.Cap)
 	r.reregistered++
 	r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: nil})

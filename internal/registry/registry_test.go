@@ -45,7 +45,7 @@ func newRig(an1 bool) *rig {
 		}
 		mod := netio.New(h, dev)
 		rg.apps = append(rg.apps, h.NewDomain("app", false))
-		return New(s, mod, rg.ips[i])
+		return NewFederation(s, mod, rg.ips[i], 1).Shard(0)
 	}
 	rg.r0 = mk(0)
 	rg.r1 = mk(1)

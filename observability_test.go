@@ -61,6 +61,20 @@ func TestStatsReportPerLayer(t *testing.T) {
 	// channel's shared region is a counted copy.
 	atLeast("netio.h1.copied_bytes", 64*1024)
 
+	// A lone registry reports as a registry of one shard: the same keys a
+	// sharded world emits, its incarnation counters under shard0.
+	for name, want := range map[string]int64{
+		"registry.h0.shards": 1, "registry.h0.shard0.live": 1, "registry.h0.shard0.epoch": 1,
+		"registry.h0.shard0.syn_dropped": 0, "registry.h0.admission_denied": 0,
+		"registry.h0.transferred": 0, // closed and torn down by now
+	} {
+		if got, ok := snap[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	atLeast("registry.h0.listeners", 0)
+	atLeast("registry.h0.ports_in_use", 0)
+
 	// Both directions checksum the payload at sender and receiver.
 	atLeast("checksum.bytes_summed", 2*2*64*1024)
 

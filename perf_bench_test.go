@@ -5,8 +5,8 @@
 // Unlike the BenchmarkTable*/BenchmarkAblation* suite (whose ns/op is
 // meaningless — those report *virtual-time* metrics through ReportMetric),
 // these benchmarks measure real CPU time and allocation counts: how fast
-// the simulation itself executes. BENCH_PR3.json records the before/after
-// trajectory; CI runs the Engine benchmarks as a smoke test.
+// the simulation itself executes. bench/ measures whole worlds on the same
+// clock and holds the baseline; CI runs the Engine benchmarks as a smoke test.
 package ulp_test
 
 import (

@@ -145,28 +145,23 @@ type Config struct {
 	// Both zero = default range.
 	EphemeralLo, EphemeralHi uint16
 
-	// RegistryShards, when >= 2, shards each host's registry control plane
-	// into that many federated registry servers, each pinned to its own CPU
-	// and owning a static slice of the port space, fronted by a stateless
-	// metaregistry index in every library. 0 or 1 keeps the classic single
-	// registry — bit-identical to worlds built before federation existed.
+	// RegistryShards is the number of registry servers each host's control
+	// plane is built from, each owning a static slice of the port space,
+	// fronted by a stateless metaregistry index in every library. 0 or 1
+	// builds one shard: the paper's single registry on the host CPU. With
+	// two or more, each shard is pinned to its own CPU, the libraries batch
+	// their requests, and a dead shard's work fails over to a live sibling.
 	// Only OrgUserLib worlds use it.
 	RegistryShards int
-	// AdmissionQuota bounds outstanding connection setups per application
-	// domain in sharded worlds (0 = registry.DefaultAdmissionQuota).
-	AdmissionQuota int
 
 	// ZeroCopyRx switches every module's receive channels to by-reference
 	// delivery: matched frames are handed to the library as refcounted
 	// buffer references plus a fixed-size descriptor in the shared region,
 	// instead of modeling a per-byte kernel→region copy, and doorbell
-	// notifications are batched under DoorbellBatch. Opt-in like Switch:
-	// legacy worlds keep the classic copy cost profile.
+	// notifications are batched (at most one per 8 posted descriptors while
+	// the library lags). Opt-in like Switch: legacy worlds keep the classic
+	// copy cost profile.
 	ZeroCopyRx bool
-	// DoorbellBatch bounds doorbell coalescing in zero-copy mode: at most
-	// one notification per this many posted descriptors while the library
-	// lags. Zero means the default (8).
-	DoorbellBatch int
 }
 
 // World is a built simulation: a network segment plus hosts running the
@@ -195,12 +190,8 @@ type Node struct {
 	IP    ipv4.Addr
 
 	// Exactly one of these is set, by organization.
-	Registry   *registry.Server
-	Monolithic *stacks.Monolithic // OrgInKernel and OrgSingleServer
-
-	// Fed is set (alongside a nil Registry) when the world shards the
-	// control plane (Config.RegistryShards >= 2).
-	Fed *registry.Federation
+	Registry   *registry.Federation // OrgUserLib
+	Monolithic *stacks.Monolithic   // OrgInKernel and OrgSingleServer
 }
 
 // App is one application on a node: an address space plus the stack handle
@@ -277,6 +268,18 @@ func NewWorld(cfg Config) *World {
 	if cfg.Costs != nil {
 		model = *cfg.Costs
 	}
+	if cfg.Chaos != nil {
+		shards := 0 // the monolithic organizations have no registry to crash
+		if cfg.Org == OrgUserLib {
+			shards = max(cfg.RegistryShards, 1)
+		}
+		for _, sc := range cfg.Chaos.ShardCrashes {
+			if sc.Host < 0 || sc.Host >= cfg.Hosts || sc.Shard < 0 || sc.Shard >= shards {
+				panic(fmt.Sprintf("ulp: fault plan crashes registry shard %d on host %d; this world has hosts 0-%d with %d shard(s) each",
+					sc.Shard, sc.Host, cfg.Hosts-1, shards))
+			}
+		}
+	}
 	w := &World{Sim: s, Seg: seg, cfg: cfg}
 	for i := 0; i < cfg.Hosts; i++ {
 		h := kern.NewHost(s, fmt.Sprintf("h%d", i), model)
@@ -292,51 +295,29 @@ func NewWorld(cfg Config) *World {
 		}
 		mod := netio.New(h, dev)
 		mod.ZeroCopyRx = cfg.ZeroCopyRx
-		mod.DoorbellBatch = cfg.DoorbellBatch
 		// The third octet carries the high host bits, so worlds scale past
 		// 254 hosts; for small worlds this is the classic 10.0.0.x.
 		n := &Node{world: w, Index: i, Host: h, Mod: mod,
 			IP: ipv4.Addr{10, 0, byte((i + 1) >> 8), byte(i + 1)}}
 		switch cfg.Org {
 		case OrgUserLib:
-			if cfg.RegistryShards >= 2 {
-				n.Fed = registry.NewFederation(s, mod, n.IP, registry.FederationConfig{
-					Shards: cfg.RegistryShards, Quota: cfg.AdmissionQuota})
-				if cfg.EphemeralHi != 0 {
-					n.Fed.SetEphemeralRange(cfg.EphemeralLo, cfg.EphemeralHi)
-				}
-				if cfg.Chaos != nil {
-					n.Fed.SetControlFaults(chaos.NewInjector(
-						cfg.Chaos.Seed+uint64(i), cfg.Chaos.Control))
-					for _, sc := range cfg.Chaos.ShardCrashes {
-						if sc.Host != i {
-							continue
-						}
-						fed, shard := n.Fed, sc.Shard
-						s.After(sim.Dur(sc.At), func() { fed.CrashShard(shard) })
-						if sc.RestartAfter > 0 {
-							s.After(sim.Dur(sc.At+sc.RestartAfter),
-								func() { fed.RestartShard(shard) })
-						}
-					}
-				}
-				break
-			}
-			n.Registry = registry.New(s, mod, n.IP)
+			reg := registry.NewFederation(s, mod, n.IP, cfg.RegistryShards)
+			n.Registry = reg
 			if cfg.EphemeralHi != 0 {
-				n.Registry.SetEphemeralRange(cfg.EphemeralLo, cfg.EphemeralHi)
+				reg.SetEphemeralRange(cfg.EphemeralLo, cfg.EphemeralHi)
 			}
 			if cfg.Chaos != nil {
-				n.Registry.SetControlFaults(chaos.NewInjector(
+				reg.SetControlFaults(chaos.NewInjector(
 					cfg.Chaos.Seed+uint64(i), cfg.Chaos.Control))
-				for _, rc := range cfg.Chaos.RegistryCrashes {
-					if rc.Host != i {
+				for _, sc := range cfg.Chaos.ShardCrashes {
+					if sc.Host != i {
 						continue
 					}
-					nn := n
-					s.After(sim.Dur(rc.At), func() { nn.Registry.Crash() })
-					if rc.RestartAfter > 0 {
-						s.After(sim.Dur(rc.At+rc.RestartAfter), func() { nn.RestartRegistry() })
+					shard := sc.Shard
+					s.After(sim.Dur(sc.At), func() { reg.CrashShard(shard) })
+					if sc.RestartAfter > 0 {
+						s.After(sim.Dur(sc.At+sc.RestartAfter),
+							func() { reg.RestartShard(shard) })
 					}
 				}
 			}
@@ -372,9 +353,6 @@ func (w *World) EnableTrace() *trace.Bus {
 		n.Mod.Device().SetTrace(bus)
 		if n.Registry != nil {
 			n.Registry.SetTrace(bus)
-		}
-		if n.Fed != nil {
-			n.Fed.SetTrace(bus)
 		}
 	}
 	return bus
@@ -448,37 +426,23 @@ func (w *World) StatsRegistry() *stats.Registry {
 				emit(pfx+"notifications", int64(cs.Notifications))
 			}
 		})
-		if n.Registry != nil {
-			// The closure reads n.Registry at snapshot time, so it tracks
-			// the live incarnation across restarts.
+		if reg := n.Registry; reg != nil {
 			r.RegisterFunc(fmt.Sprintf("registry.h%d", n.Index), func(emit func(string, int64)) {
-				reg := n.Registry
-				emit("epoch", int64(reg.Epoch()))
+				emit("shards", int64(reg.Shards()))
 				emit("ports_in_use", int64(reg.PortsInUse()))
 				emit("owned_conns", int64(reg.OwnedConns()))
 				emit("transferred", int64(reg.TransferredConns()))
 				emit("listeners", int64(reg.ListenerCount()))
-				emit("syn_dropped", int64(reg.SynDrops()))
 				emit("dedup_hits", int64(reg.DedupHits()))
 				emit("reregistered", int64(reg.ReRegistered()))
-				emit("rebuilt_endpoints", int64(reg.RebuiltEndpoints()))
-			})
-		}
-		if n.Fed != nil {
-			r.RegisterFunc(fmt.Sprintf("registry.h%d", n.Index), func(emit func(string, int64)) {
-				fed := n.Fed
-				emit("shards", int64(fed.Shards()))
-				emit("ports_in_use", int64(fed.PortsInUse()))
-				emit("owned_conns", int64(fed.OwnedConns()))
-				emit("transferred", int64(fed.TransferredConns()))
-				emit("dedup_hits", int64(fed.DedupHits()))
-				emit("reregistered", int64(fed.ReRegistered()))
-				emit("admission_denied", int64(fed.AdmissionDenied()))
-				for i := 0; i < fed.Shards(); i++ {
-					sh := fed.Shard(i)
+				emit("admission_denied", int64(reg.AdmissionDenied()))
+				// Shard reads the live incarnation at snapshot time, so the
+				// per-shard counters track it across restarts.
+				for i := 0; i < reg.Shards(); i++ {
+					sh := reg.Shard(i)
 					pfx := fmt.Sprintf("shard%d.", i)
 					live := int64(0)
-					if fed.Live(i) {
+					if reg.Live(i) {
 						live = 1
 					}
 					emit(pfx+"live", live)
@@ -550,14 +514,10 @@ func (w *World) TraceFrames(fn func(at time.Duration, frame *pkt.Buf)) {
 func (n *Node) App(name string) *App {
 	dom := n.Host.NewDomain(name, false)
 	a := &App{Node: n, Dom: dom}
-	switch {
-	case n.Fed != nil:
-		a.Lib = core.NewLibraryFed(n.world.Sim, dom, n.Fed)
-		a.Stack = a.Lib
-	case n.Registry != nil:
+	if n.Registry != nil {
 		a.Lib = core.NewLibrary(n.world.Sim, dom, n.Registry)
 		a.Stack = a.Lib
-	case n.Monolithic != nil:
+	} else {
 		a.Stack = n.Monolithic
 	}
 	if plan := n.world.cfg.Chaos; plan != nil {
@@ -584,16 +544,6 @@ func (a *App) Go(name string, fn func(t *kern.Thread)) *kern.Thread {
 // GoAfter runs fn as an application thread after a delay.
 func (a *App) GoAfter(d time.Duration, name string, fn func(t *kern.Thread)) *kern.Thread {
 	return a.Dom.SpawnAfter(d, name, fn)
-}
-
-// RestartRegistry boots a fresh registry over the node's network I/O
-// module after a crash (see registry.Restart: the service port is reused
-// and state is rebuilt from the module's installed templates). Libraries
-// created before the crash keep working — their handle resolves to the
-// same service port and interface wiring.
-func (n *Node) RestartRegistry() *registry.Server {
-	n.Registry = registry.Restart(n.world.Sim, n.Mod, n.IP, n.Registry)
-	return n.Registry
 }
 
 // UDP returns the node's datagram service (monolithic organizations).
