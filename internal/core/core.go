@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -54,6 +55,11 @@ type Library struct {
 
 	conns map[*Conn]struct{}
 	ids   ipv4.IDGen
+	// free holds the records of closed connections nobody is inside any more.
+	free freelist.List[*connRec]
+	// The socket-call cost hooks are the same for every connection.
+	entry               func(t *kern.Thread)
+	writeMove, readMove func(t *kern.Thread, n int)
 
 	// wheel holds every connection's TCP timers.
 	wheel *stacks.TCPWheel
@@ -169,6 +175,11 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
+	cost := &l.host.Cost
+	l.entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
+	// Send-side data enters the shared region without a per-byte copy.
+	l.writeMove = func(t *kern.Thread, n int) { t.Compute(cost.SockbufOp) }
+	l.readMove = func(t *kern.Thread, n int) { t.Compute(cost.Copy(n) + cost.SockbufOp) }
 	// Policy: against a sharded registry, connects and teardowns are held
 	// for batchWindow on a dedicated thread and coalesced into one IPC per
 	// shard, which is what keeps N shards fed under churn. A lone registry
@@ -182,8 +193,8 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 	// There is no library-wide engine lock to bracket a wheel advance with;
 	// each fire takes its connection's own.
 	l.wheel.Drive(l.app, "lib", stacks.DriverHooks{
-		Fire: func(t *kern.Thread, e *stacks.WheelEnt, fn func()) {
-			e.Owner.(*Conn).runWheelFire(t, fn)
+		Fire: func(t *kern.Thread, e *stacks.WheelEnt, fn func(*stacks.WheelEnt)) {
+			e.Owner.(*connRec).runWheelFire(t, e, fn)
 		},
 	})
 	return l
@@ -215,10 +226,13 @@ func (l *Library) post(t *kern.Thread, svc *kern.Port, m kern.Msg) {
 // Mach IPC + context-switch cost is paid once per batch instead of once
 // per request. Arrival order is preserved within and across batches.
 func (l *Library) batcher(t *kern.Thread) {
+	// The two lists are scratch, reused from batch to batch. A batch's
+	// message list is not: it travels in the IPC and is the registry's.
+	var items, rest []batchItem
 	for {
 		first := l.batchq.Pop(t.Proc)
 		t.Sleep(batchWindow)
-		items := []batchItem{first}
+		items = append(items[:0], first)
 		for {
 			it, ok := l.batchq.TryPop()
 			if !ok {
@@ -230,24 +244,35 @@ func (l *Library) batcher(t *kern.Thread) {
 		// flushes first — deterministic, no map iteration).
 		for len(items) > 0 {
 			svc := items[0].svc
-			var msgs []kern.Msg
-			var rest []batchItem
-			size := 0
+			n, size := 0, 0
 			for _, it := range items {
 				if it.svc == svc {
-					msgs = append(msgs, it.m)
+					n++
 					size += it.m.Size
-				} else {
-					rest = append(rest, it)
 				}
 			}
-			if len(msgs) == 1 {
-				svc.Send(t, msgs[0])
+			var msgs []kern.Msg
+			if n > 1 {
+				msgs = make([]kern.Msg, 0, n)
+			}
+			rest = rest[:0]
+			for _, it := range items {
+				switch {
+				case it.svc != svc:
+					rest = append(rest, it)
+				case n > 1:
+					msgs = append(msgs, it.m)
+				}
+			}
+			if n == 1 {
+				svc.Send(t, items[0].m)
 			} else {
 				svc.Send(t, kern.Msg{Op: "batch", Size: size, Body: kern.Batch{Msgs: msgs}})
 			}
-			items = rest
+			items, rest = rest, items
 		}
+		clear(items[:cap(items)]) // the requests are sent: do not pin them
+		clear(rest[:cap(rest)])
 	}
 }
 
@@ -267,24 +292,79 @@ func (l *Library) Name() string { return "userlib" }
 // Host returns the host the library runs on.
 func (l *Library) Host() *kern.Host { return l.host }
 
-// Conn is a library-owned connection: the engine, its channel, capability,
-// and the framing parameters negotiated at setup.
+// Conn is the handle an application holds on a library-owned connection. It
+// is never reused. The connection's state is in rec, which is (DESIGN §5.5):
+// once the engine has closed and the last thread has left the connection, rec
+// goes back to the library for its next connection, and the handle answers
+// from final what it would have answered from the closed engine.
 type Conn struct {
-	lib  *Library
-	sock *stacks.Sock
-	tc   *tcp.Conn
+	lib   *Library
+	rec   *connRec
+	final *closedConn
+	ch    *netio.Channel
+	done  bool
+}
+
+// closedConn is what a handle remembers of a connection whose record is gone.
+type closedConn struct {
+	stats tcp.Stats
+	err   error // the socket's close reason
+	eof   bool  // the peer's FIN was read
+}
+
+// connRec is the reusable part of a connection: the engine with its socket
+// buffers, the blocking wrapper and its condition variables, the engine
+// lock, the wheel entry, and the framing parameters negotiated at setup.
+type connRec struct {
+	c    *Conn // the handle of the connection the record currently is
+	tc   tcp.Conn
+	sock stacks.Sock
+	lock sim.Semaphore
+	went stacks.WheelEnt // timing-wheel registration
+	// cbs holds the engine callbacks, bound to the record once.
+	cbs tcp.Callbacks
+
 	cap  *netio.Capability
-	ch   *netio.Channel
 	opts stacks.Options
 
 	peerHW  link.Addr
 	peerBQI uint16
 
-	went *stacks.WheelEnt // timing-wheel registration
+	cur *kern.Thread
+	// pins counts the threads inside the record: every application call
+	// under way and the input thread. closed marks that the engine reached
+	// CLOSED and teardown ran. The last thread to leave a closed connection
+	// recycles the record (unpin).
+	pins   int
+	closed bool
+}
 
-	cur  *kern.Thread
-	lock *sim.Semaphore
-	done bool
+// Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and a
+// socket and lock that belong to no simulation; the socket buffers' and the
+// waiter lists' arrays and the bound callbacks stay.
+func (r *connRec) Scrub() {
+	r.tc.Scrub()
+	r.went.Scrub()
+	r.sock.Init(nil, nil)
+	r.lock.Init(nil, "", 0)
+	*r = connRec{tc: r.tc, sock: r.sock, lock: r.lock, went: r.went, cbs: r.cbs}
+}
+
+// unpin ends the calling thread's stay in r. If it is the last one out and
+// the connection is closed, the record is recycled: teardown took it out of
+// the library's tables and off the wheel, so the handle's pointer is the only
+// one left — unless a wheel driver is part-way through firing the entry, or
+// the application has yet to read what the peer sent, in which case the
+// record stays with the handle (a later call's unpin looks again).
+func (c *Conn) unpin(r *connRec) {
+	r.pins--
+	if r.pins > 0 || !r.closed || !r.went.Idle() || r.tc.Readable() > 0 {
+		return
+	}
+	_, err := r.sock.Closed()
+	c.final = &closedConn{stats: r.tc.Stats(), err: err, eof: r.tc.EOF()}
+	c.rec = nil
+	c.lib.free.Put(r)
 }
 
 // Connect implements the stacks.Stack interface: active open via the
@@ -414,44 +494,42 @@ func (ln *Listener) Close(t *kern.Thread) {
 
 // adopt turns a registry handoff into a live library connection.
 func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options) *Conn {
-	c := &Conn{
-		lib:     l,
-		cap:     ho.Cap,
-		ch:      ho.Channel,
-		opts:    opts,
-		peerHW:  ho.PeerHW,
-		peerBQI: ho.PeerBQI,
-		lock:    l.s.NewSemaphore("conn-engine", 1),
+	r := l.free.Get()
+	if r == nil {
+		r = new(connRec)
 	}
-	tc := tcp.Restore(ho.Snap, tcp.Callbacks{})
-	c.tc = tc
+	c := &Conn{lib: l, rec: r, ch: ho.Channel}
+	r.c = c
+	r.cap, r.opts = ho.Cap, opts
+	r.peerHW, r.peerBQI = ho.PeerHW, ho.PeerBQI
+	r.lock.Init(l.s, "conn-engine", 1)
+	tc := &r.tc
+	tcp.RestoreInto(tc, ho.Snap, tcp.Callbacks{})
 	if bus := l.reg.Bus(); bus.Enabled() {
 		tc.SetTrace(bus, l.app.String()+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
-	sock := stacks.NewSock(l.s, tc)
-	cost := &l.host.Cost
-	sock.Entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
-	sock.Eng = c
-	// Send-side data enters the shared region without a per-byte copy.
-	sock.WriteMove = func(t *kern.Thread, n int) { t.Compute(cost.SockbufOp) }
-	sock.ReadMove = func(t *kern.Thread, n int) { t.Compute(cost.Copy(n) + cost.SockbufOp) }
-	c.sock = sock
-
-	cb := sock.Callbacks(c.transmit)
-	innerClosed := cb.OnClosed
-	cb.OnClosed = func(err error) {
-		innerClosed(err)
-		c.teardown()
+	sock := &r.sock
+	sock.Init(l.s, tc)
+	sock.Entry, sock.WriteMove, sock.ReadMove = l.entry, l.writeMove, l.readMove
+	sock.Eng = r
+	if r.cbs.Send == nil {
+		r.cbs = sock.Callbacks(r.transmit)
+		innerClosed := r.cbs.OnClosed
+		r.cbs.OnClosed = func(err error) {
+			innerClosed(err)
+			r.teardown()
+		}
 	}
-	tc.SetCallbacks(cb)
+	tc.SetCallbacks(r.cbs)
 	sock.MarkEstablished()
 
 	l.conns[c] = struct{}{}
-	c.went = l.wheel.Add(tc, c)
+	l.wheel.Init(&r.went, tc, r)
 	// An empty engine pass syncs the restored counters (the handshake may
 	// have left the keepalive or retransmit timer armed) onto the wheel.
-	c.EnterEngine(t)
-	c.LeaveEngine(t)
+	r.EnterEngine(t)
+	r.LeaveEngine(t)
+	r.pins = 1 // the input thread, until it returns
 	l.app.Spawn("conn-input", c.inputThread)
 	return c
 }
@@ -459,22 +537,22 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 // transmit is the library's data-path output: protocol processing in the
 // calling thread, headers built in the shared region, then the specialized
 // kernel entry with the send capability.
-func (c *Conn) transmit(seg stacks.Seg) {
-	t := c.cur
+func (r *connRec) transmit(seg stacks.Seg) {
+	t, l := r.cur, r.c.lib
 	if t == nil {
 		panic("core: engine transmit outside EnterEngine/LeaveEngine")
 	}
-	t.Compute(stacks.SegCost(c.lib.host, seg.PayloadLen, c.opts.NoChecksum))
+	t.Compute(stacks.SegCost(l.host, seg.PayloadLen, r.opts.NoChecksum))
 	ih := ipv4.Header{
-		ID: c.lib.ids.Next(), DF: true, TTL: 64,
-		Proto: ipv4.ProtoTCP, Src: c.tc.Local().IP, Dst: c.tc.Peer().IP,
+		ID: l.ids.Next(), DF: true, TTL: 64,
+		Proto: ipv4.ProtoTCP, Src: r.tc.Local().IP, Dst: r.tc.Peer().IP,
 	}
 	ih.Encode(seg.Buf)
-	if c.lib.nif.IsAN1() {
-		lh := link.AN1Header{Dst: c.peerHW, Src: c.lib.nif.HW, BQI: c.peerBQI, Type: link.TypeIPv4}
+	if l.nif.IsAN1() {
+		lh := link.AN1Header{Dst: r.peerHW, Src: l.nif.HW, BQI: r.peerBQI, Type: link.TypeIPv4}
 		lh.Encode(seg.Buf)
 	} else {
-		lh := link.EthHeader{Dst: c.peerHW, Src: c.lib.nif.HW, Type: link.TypeIPv4}
+		lh := link.EthHeader{Dst: r.peerHW, Src: l.nif.HW, Type: link.TypeIPv4}
 		lh.Encode(seg.Buf)
 	}
 	// Template violations cannot happen from this code path; a buggy or
@@ -483,8 +561,8 @@ func (c *Conn) transmit(seg stacks.Seg) {
 	// endpoint is quarantined — kick off re-registration with the (to-be-)
 	// reborn registry. The rejected segment is recovered by ordinary TCP
 	// retransmission once the quarantine lifts.
-	if err := c.lib.mod.Send(t, c.cap, seg.Buf); err == netio.ErrLeaseExpired {
-		c.lib.scheduleReconnect()
+	if err := l.mod.Send(t, r.cap, seg.Buf); err == netio.ErrLeaseExpired {
+		l.scheduleReconnect()
 	}
 }
 
@@ -523,14 +601,18 @@ func (l *Library) reconnectLoop(t *kern.Thread) {
 // revoked, template mismatch) fails that connection but counts as contact.
 func (l *Library) reregisterAll(t *kern.Thread) bool {
 	for _, c := range l.sortedConns() {
-		snap := c.tc.Snapshot()
+		if c.done {
+			continue // closed or failed while an earlier claim waited for its answer
+		}
+		r := c.rec
+		snap := r.tc.Snapshot()
 		m := kern.Msg{Op: "reregister", ID: l.nextReqID(), Body: registry.ReRegisterReq{
-			Local: c.tc.Local(), Peer: c.tc.Peer(), Cap: c.cap,
-			PeerHW: c.peerHW, PeerBQI: c.peerBQI,
+			Local: r.tc.Local(), Peer: r.tc.Peer(), Cap: r.cap,
+			PeerHW: r.peerHW, PeerBQI: r.peerBQI,
 			SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
 			Owner: l.app,
 		}}
-		reply, ok := l.svcOwner(c.tc.Local(), c.tc.Peer()).CallTimeout(t, m, rpcBaseTimeout)
+		reply, ok := l.svcOwner(r.tc.Local(), r.tc.Peer()).CallTimeout(t, m, rpcBaseTimeout)
 		if !ok {
 			return false
 		}
@@ -546,6 +628,9 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 // sortedConns returns the live connections in four-tuple order, so map
 // iteration cannot perturb the deterministic schedule. The whole tuple is
 // the key: connections accepted through one listener share a local port.
+// A caller that blocks between one connection and the next must skip those
+// that are done by the time it gets to them: they have left Library.conns,
+// and their record and channel may be another connection's.
 func (l *Library) sortedConns() []*Conn {
 	out := make([]*Conn, 0, len(l.conns))
 	for c := range l.conns {
@@ -555,8 +640,9 @@ func (l *Library) sortedConns() []*Conn {
 	return out
 }
 
+// tuple is for a connection in Library.conns, which has its record.
 func (c *Conn) tuple() tcp.FourTuple {
-	return tcp.FourTuple{Local: c.tc.Local(), Peer: c.tc.Peer()}
+	return tcp.FourTuple{Local: c.rec.tc.Local(), Peer: c.rec.tc.Peer()}
 }
 
 // fail terminates a connection without driving the engine: the control
@@ -569,9 +655,9 @@ func (c *Conn) fail(err error) {
 	c.done = true
 	c.ch.Poke()
 	delete(c.lib.conns, c)
-	c.lib.wheel.Drop(c.went)
-	c.tc.SetCallbacks(tcp.Callbacks{})
-	c.sock.Fail(err)
+	c.lib.wheel.Drop(&c.rec.went)
+	c.rec.tc.SetCallbacks(tcp.Callbacks{})
+	c.rec.sock.Fail(err)
 }
 
 // inputThread is the per-connection upcalled thread: it waits on the
@@ -585,6 +671,7 @@ func (c *Conn) fail(err error) {
 // deferred sweep below covers a mid-batch kill — so the lien settling
 // underneath us can never free storage we still read.
 func (c *Conn) inputThread(t *kern.Thread) {
+	r := c.rec // adopt pinned it for this thread
 	cost := &c.lib.host.Cost
 	// If the domain is killed mid-batch (Kill unwinds the thread, running
 	// its deferred functions), the frame being processed is released by
@@ -607,22 +694,28 @@ func (c *Conn) inputThread(t *kern.Thread) {
 		}
 		for i, b := range batch {
 			next = i + 1
-			c.inputFrame(t, b)
+			r.inputFrame(t, b)
 		}
-		if c.sock.ReadableWaiters() > 0 {
+		if r.sock.ReadableWaiters() > 0 {
 			// Hand off to the blocked application thread.
 			t.Compute(cost.ThreadSwitch)
 		}
 	}
+	// This thread was the channel's only consumer and is done with it. A
+	// killed thread never gets here: its channel and record are never reused.
+	batch, next = nil, 0
+	c.ch.Disown()
+	c.unpin(r)
 }
 
 // inputFrame processes one frame from the shared region. The frame dies
 // here on every path — tcp.Conn.Input copies the payload bytes it keeps —
 // so the buffer goes back to the free list when processing completes.
-func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
+func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
+	l := r.c.lib
 	var et link.EtherType
-	if c.lib.nif.IsAN1() {
+	if l.nif.IsAN1() {
 		h, err := link.DecodeAN1(b)
 		if err != nil {
 			return
@@ -639,17 +732,17 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 		return
 	}
 	ih, err := ipv4.Decode(b)
-	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != c.tc.Local().IP {
+	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != r.tc.Local().IP {
 		return
 	}
 	th, err := tcp.Decode(b, ih.Src, ih.Dst)
 	if err != nil {
 		return // checksum failure: drop, retransmission recovers
 	}
-	t.Compute(stacks.SegCost(c.lib.host, b.Len(), c.opts.NoChecksum))
-	c.EnterEngine(t)
-	c.tc.Input(th, b.Bytes())
-	c.LeaveEngine(t)
+	t.Compute(stacks.SegCost(l.host, b.Len(), r.opts.NoChecksum))
+	r.EnterEngine(t)
+	r.tc.Input(th, b.Bytes())
+	r.LeaveEngine(t)
 }
 
 // EnterEngine and LeaveEngine bracket every engine operation
@@ -657,39 +750,73 @@ func (c *Conn) inputFrame(t *kern.Thread, b *pkt.Buf) {
 // charging, the tick counters are caught up to the wheel clock before the
 // engine reads them, and whatever the operation arms goes onto the wheel
 // afterwards.
-func (c *Conn) EnterEngine(t *kern.Thread) {
-	c.lock.P(t.Proc)
-	c.cur = t
-	c.lib.wheel.Sync(c.went)
+func (r *connRec) EnterEngine(t *kern.Thread) {
+	r.lock.P(t.Proc)
+	r.cur = t
+	r.c.lib.wheel.Sync(&r.went)
 }
 
-func (c *Conn) LeaveEngine(t *kern.Thread) {
-	c.lib.wheel.Sync(c.went)
-	c.cur = nil
-	c.lock.V()
+func (r *connRec) LeaveEngine(t *kern.Thread) {
+	r.c.lib.wheel.Sync(&r.went)
+	r.cur = nil
+	r.lock.V()
 }
 
 // teardown releases registry-held resources once the engine fully closes.
-// Fire-and-forget to the owning shard, from engine context.
-func (c *Conn) teardown() {
+// Fire-and-forget to the owning shard, from engine context. It is the one
+// place a record is marked for reuse — Exit and fail leave theirs to the
+// collector — and the reuse itself waits for the engine pass under way, and
+// every other thread inside the record, to leave (unpin).
+func (r *connRec) teardown() {
+	c := r.c
 	c.done = true
 	c.ch.Poke()
 	l := c.lib
 	delete(l.conns, c)
-	l.wheel.Drop(c.went)
-	l.post(nil, l.svcOwner(c.tc.Local(), c.tc.Peer()), kern.Msg{
+	l.wheel.Drop(&r.went)
+	l.post(nil, l.svcOwner(r.tc.Local(), r.tc.Peer()), kern.Msg{
 		Op: "teardown", ID: l.nextReqID(),
 		Body: registry.TeardownReq{
-			Local: c.tc.Local(), Peer: c.tc.Peer(), Cap: c.cap,
+			Local: r.tc.Local(), Peer: r.tc.Peer(), Cap: r.cap,
 		}})
+	r.closed = true
 }
 
 // Read implements stacks.Conn.
-func (c *Conn) Read(t *kern.Thread, p []byte) (int, error) { return c.sock.Read(t, p) }
+func (c *Conn) Read(t *kern.Thread, p []byte) (int, error) {
+	r := c.rec
+	if r == nil {
+		// What Sock.Read does on a closed, drained engine.
+		c.lib.entry(t)
+		if c.final.eof {
+			return 0, nil
+		}
+		return 0, c.final.err
+	}
+	r.pins++
+	n, err := r.sock.Read(t, p)
+	c.unpin(r)
+	return n, err
+}
 
 // Write implements stacks.Conn.
 func (c *Conn) Write(t *kern.Thread, p []byte) (int, error) {
-	return c.sock.Write(t, p)
+	r := c.rec
+	if r == nil {
+		// What Sock.Write does on a closed engine.
+		c.lib.entry(t)
+		switch {
+		case len(p) == 0:
+			return 0, nil
+		case c.final.err != nil:
+			return 0, c.final.err
+		}
+		return 0, stacks.ErrClosed
+	}
+	r.pins++
+	n, err := r.sock.Write(t, p)
+	c.unpin(r)
+	return n, err
 }
 
 // Close implements stacks.Conn: the orderly release runs entirely in the
@@ -697,19 +824,37 @@ func (c *Conn) Write(t *kern.Thread, p []byte) (int, error) {
 // protocol library").
 func (c *Conn) Close(t *kern.Thread) error {
 	t.Compute(t.Cost().ProcCall) // the socket-call entry
-	c.EnterEngine(t)
-	c.tc.Close()
-	c.LeaveEngine(t)
+	r := c.rec
+	if r == nil {
+		return nil // closing a closed engine does nothing
+	}
+	r.pins++
+	r.EnterEngine(t)
+	r.tc.Close()
+	r.LeaveEngine(t)
+	c.unpin(r)
 	return nil
 }
 
 // Stats implements stacks.Conn.
-func (c *Conn) Stats() tcp.Stats { return c.tc.Stats() }
+func (c *Conn) Stats() tcp.Stats {
+	if r := c.rec; r != nil {
+		return r.tc.Stats()
+	}
+	return c.final.stats
+}
 
 // State implements stacks.Conn.
-func (c *Conn) State() tcp.State { return c.tc.State() }
+func (c *Conn) State() tcp.State {
+	if r := c.rec; r != nil {
+		return r.tc.State()
+	}
+	return tcp.Closed
+}
 
-// Channel exposes the netio channel (experiments measure batching).
+// Channel exposes the netio channel (experiments measure batching). Once the
+// connection is closed the channel is the module's to destroy and reuse: the
+// pointer stays what it was, what it points to does not.
 func (c *Conn) Channel() *netio.Channel { return c.ch }
 
 // Exit hands every open connection back to the registry. With abnormal set
@@ -717,19 +862,23 @@ func (c *Conn) Channel() *netio.Channel { return c.ch }
 // states (including TIME_WAIT) on the application's behalf.
 func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 	for _, c := range l.sortedConns() {
+		if c.done {
+			continue // closed while an earlier hand-back was being sent: nothing to inherit
+		}
+		r := c.rec
 		c.done = true
 		c.ch.Poke()
 		delete(l.conns, c)
-		l.wheel.Drop(c.went)
-		snap := c.tc.Snapshot()
-		c.tc.SetCallbacks(tcp.Callbacks{}) // detach: the registry owns it now
-		l.svcOwner(c.tc.Local(), c.tc.Peer()).Send(t, kern.Msg{
+		l.wheel.Drop(&r.went)
+		snap := r.tc.Snapshot()
+		r.tc.SetCallbacks(tcp.Callbacks{}) // detach: the registry owns it now
+		l.svcOwner(r.tc.Local(), r.tc.Peer()).Send(t, kern.Msg{
 			Op:   "inherit",
 			ID:   l.nextReqID(),
 			Size: snap.Size(),
 			Body: registry.InheritReq{
-				Snap: snap, Cap: c.cap, Abort: abnormal,
-				PeerHW: c.peerHW, PeerBQI: c.peerBQI,
+				Snap: snap, Cap: r.cap, Abort: abnormal,
+				PeerHW: r.peerHW, PeerBQI: r.peerBQI,
 			},
 		})
 	}
@@ -739,10 +888,10 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 // fn does its own Sync, so this bypasses EnterEngine's and LeaveEngine's
 // (which would double-fire the due counter before fn observes it —
 // harmless but wasteful).
-func (c *Conn) runWheelFire(t *kern.Thread, fn func()) {
-	c.lock.P(t.Proc)
-	c.cur = t
-	fn()
-	c.cur = nil
-	c.lock.V()
+func (r *connRec) runWheelFire(t *kern.Thread, e *stacks.WheelEnt, fn func(*stacks.WheelEnt)) {
+	r.lock.P(t.Proc)
+	r.cur = t
+	fn(e)
+	r.cur = nil
+	r.lock.V()
 }

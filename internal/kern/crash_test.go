@@ -122,3 +122,54 @@ func TestRegionUnpin(t *testing.T) {
 		t.Fatal("region still pinned after Unpin")
 	}
 }
+
+// A domain that spawns a thread per connection must not remember the threads
+// whose connections are over: ten thousand short threads one after another
+// leave an empty list (each used to stay listed, with its proc, its closure
+// and whatever that captured, for the life of the domain), and a kill among
+// finished threads reaches the live ones only, in spawn order.
+func TestFinishedThreadsLeaveTheDomain(t *testing.T) {
+	s := sim.New()
+	h := newHost(s)
+	d := h.NewDomain("app", false)
+	ran := 0
+	d.Spawn("spawner", func(th *Thread) {
+		for i := 0; i < 10000; i++ {
+			d.Spawn("short", func(*Thread) { ran++ })
+			th.Sleep(time.Microsecond)
+			if n := d.Threads(); n != 1 {
+				t.Fatalf("after %d short threads the domain lists %d threads, want 1", i+1, n)
+			}
+		}
+	})
+	s.Run(0)
+	if ran != 10000 || d.Threads() != 0 {
+		t.Fatalf("%d threads ran, %d still listed; want 10000 and 0", ran, d.Threads())
+	}
+
+	// Three sleepers among finished threads: the kill unwinds exactly those,
+	// first spawned first.
+	var unwound []string
+	sleeper := func(name string) {
+		d.Spawn(name, func(th *Thread) {
+			defer func() { unwound = append(unwound, name) }()
+			th.Sleep(time.Hour)
+		})
+	}
+	short := func() { d.Spawn("short", func(*Thread) {}) }
+	short()
+	sleeper("a")
+	short()
+	short()
+	sleeper("b")
+	sleeper("c")
+	short()
+	s.After(time.Millisecond, d.Kill)
+	s.Run(time.Second)
+	if d.Threads() != 0 {
+		t.Fatalf("%d threads listed after the kill", d.Threads())
+	}
+	if len(unwound) != 3 || unwound[0] != "a" || unwound[1] != "b" || unwound[2] != "c" {
+		t.Fatalf("kill unwound %v, want [a b c]", unwound)
+	}
+}

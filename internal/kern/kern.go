@@ -67,7 +67,10 @@ type Domain struct {
 	Name       string
 	Privileged bool
 
-	threads    []*Thread
+	// threads lists the live threads in spawn order (Kill walks it); a
+	// thread unlinks itself when its function returns, so a domain that
+	// spawns a thread per connection holds only the connections still open.
+	threads    threadList
 	dead       bool
 	deathHooks []func()
 	cpu        *sim.Resource // non-nil: threads compute here, not Host.CPU
@@ -99,7 +102,45 @@ func (d *Domain) String() string { return d.Host.Name + "/" + d.Name }
 type Thread struct {
 	*sim.Proc
 	Dom *Domain
+
+	prev, next *Thread // Dom.threads
 }
+
+// threadList is an intrusive doubly-linked list: append at the tail and
+// unlink anywhere in O(1), order kept.
+type threadList struct {
+	head, tail *Thread
+	n          int
+}
+
+func (l *threadList) push(t *Thread) {
+	t.prev = l.tail
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+	l.n++
+}
+
+func (l *threadList) unlink(t *Thread) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		l.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.prev, t.next = nil, nil
+	l.n--
+}
+
+// Threads returns how many of the domain's threads have not finished.
+func (d *Domain) Threads() int { return d.threads.n }
 
 // Spawn starts a thread in the domain. Spawning into a dead (crashed)
 // domain returns a thread that never runs, as the address space is gone.
@@ -116,12 +157,15 @@ func (t *Thread) Name() string { return t.Dom.String() + "." + t.Proc.Name() }
 func (d *Domain) SpawnAfter(delay time.Duration, name string, fn func(t *Thread)) *Thread {
 	t := &Thread{Dom: d}
 	t.Proc = d.Host.S.SpawnAfter(delay, name, func(p *sim.Proc) {
+		// Deferred, so that a thread killed on its own leaves the list too.
+		// Kill only marks its victims, so this never runs under Kill's walk.
+		defer d.threads.unlink(t)
 		if d.dead {
 			return
 		}
 		fn(t)
 	})
-	d.threads = append(d.threads, t)
+	d.threads.push(t)
 	if d.dead {
 		d.Host.S.Kill(t.Proc)
 	}
@@ -152,7 +196,7 @@ func (d *Domain) Kill() {
 		return
 	}
 	d.dead = true
-	for _, t := range d.threads {
+	for t := d.threads.head; t != nil; t = t.next {
 		d.Host.S.Kill(t.Proc)
 	}
 	for _, fn := range d.deathHooks {
@@ -190,12 +234,24 @@ func (t *Thread) FastTrap() { t.Compute(t.Cost().FastTrap) }
 // amortizes the signalling cost.
 type Sem struct {
 	host *Host
-	sem  *sim.Semaphore
+	sem  sim.Semaphore
+	// posting counts kernel wakeups on their way: posts that found a waiter
+	// and reach the semaphore once the CPU has done the wakeup's work.
+	posting int
 }
 
 // NewSem creates a semaphore owned by (delivering wakeups on) host h.
 func NewSem(h *Host, name string, initial int) *Sem {
-	return &Sem{host: h, sem: h.S.NewSemaphore(name, initial)}
+	m := new(Sem)
+	m.Init(h, name, initial)
+	return m
+}
+
+// Init makes m a fresh semaphore in place, for one embedded in a record that
+// is reused. m must be Quiet.
+func (m *Sem) Init(h *Host, name string, initial int) {
+	m.host, m.posting = h, 0
+	m.sem.Init(h.S, name, initial)
 }
 
 // V posts the semaphore. May be called from any context; the cost is
@@ -203,14 +259,24 @@ func NewSem(h *Host, name string, initial int) *Sem {
 func (m *Sem) V() {
 	c := &m.host.Cost
 	if m.sem.Waiters() > 0 {
-		m.host.ComputeAsyncArg(c.KernelWakeup, semPost, m.sem)
+		m.posting++
+		m.host.ComputeAsyncArg(c.KernelWakeup, semPost, m)
 		return
 	}
 	m.host.ComputeAsync(c.SemSignal, nil)
 	m.sem.V()
 }
 
-func semPost(a any) { a.(*sim.Semaphore).V() }
+func semPost(a any) {
+	m := a.(*Sem)
+	m.posting--
+	m.sem.V()
+}
+
+// Quiet reports that nothing will touch the semaphore unless somebody calls
+// it: no thread is blocked in P and no wakeup is on its way. Only then may
+// the record it is embedded in be reused.
+func (m *Sem) Quiet() bool { return m.posting == 0 && m.sem.Waiters() == 0 }
 
 // P blocks the thread until the semaphore is posted.
 func (m *Sem) P(t *Thread) { m.sem.P(t.Proc) }
@@ -233,7 +299,21 @@ type Region struct {
 
 // NewRegion allocates a wired shared region.
 func NewRegion(name string, size int) *Region {
-	return &Region{Name: name, Buf: make([]byte, size), pinned: true}
+	r := &Region{Name: name}
+	r.Wire(size)
+	return r
+}
+
+// Wire makes r a wired, zeroed region of size bytes in place — for a region
+// embedded in a record that is reused — on its old backing array if that is
+// large enough.
+func (r *Region) Wire(size int) {
+	if cap(r.Buf) < size {
+		r.Buf = make([]byte, size)
+	}
+	r.Buf = r.Buf[:size]
+	clear(r.Buf)
+	r.pinned = true
 }
 
 // Unpin releases the wiring when the owning connection is torn down — on
@@ -279,12 +359,14 @@ type Batch struct {
 type Port struct {
 	host *Host
 	name string
-	q    *sim.Queue[Msg]
+	q    sim.Queue[Msg]
 }
 
 // NewPort creates a port on host h.
 func NewPort(h *Host, name string) *Port {
-	return &Port{host: h, name: name, q: sim.NewQueue[Msg](h.S)}
+	p := &Port{host: h, name: name}
+	p.q.Init(h.S)
+	return p
 }
 
 // Send transmits m to the port from thread t, charging one-way IPC cost,

@@ -170,12 +170,14 @@ type RingStatus struct {
 	Dropped  int
 }
 
-// an1Ring is one entry in the controller's BQI table: a ring of host
+// Ring is one entry in the controller's BQI table: a ring of host
 // buffers the controller DMAs into. autoRelease models consumers (the
 // kernel default queue) that copy the packet out of the ring synchronously
 // in their handler, recycling the buffer immediately; channel rings hold
-// buffers until the owning library hands them back.
-type an1Ring struct {
+// buffers until the owning library hands them back. The record is the
+// installer's (InstallRing), so that one which installs and removes rings
+// all day can reuse it.
+type Ring struct {
 	dev         *AN1
 	status      RingStatus
 	handler     RxHandler
@@ -188,7 +190,7 @@ type AN1 struct {
 	seg   *wire.Segment
 	addr  link.Addr
 	mtu   int
-	rings map[uint16]*an1Ring
+	rings map[uint16]*Ring
 	bus   *trace.Bus
 	stats Stats
 }
@@ -200,7 +202,7 @@ func NewAN1(h *kern.Host, seg *wire.Segment, addr link.Addr, mtu int) *AN1 {
 	if mtu <= 0 {
 		mtu = link.AN1EncapMTU
 	}
-	d := &AN1{host: h, seg: seg, addr: addr, mtu: mtu, rings: make(map[uint16]*an1Ring)}
+	d := &AN1{host: h, seg: seg, addr: addr, mtu: mtu, rings: make(map[uint16]*Ring)}
 	seg.Attach(d)
 	return d
 }
@@ -219,19 +221,28 @@ func (d *AN1) SetTrace(bus *trace.Bus) { d.bus = bus }
 // The kernel copies packets out of the ring in its handler, so the ring
 // recycles immediately.
 func (d *AN1) SetRxHandler(h RxHandler) {
-	d.rings[0] = &an1Ring{dev: d, status: RingStatus{Capacity: 64}, handler: h, autoRelease: true}
+	d.rings[0] = &Ring{dev: d, status: RingStatus{Capacity: 64}, handler: h, autoRelease: true}
 }
 
-// InstallRing binds a BQI to a ring of host buffers with the given handler.
-// Only the network I/O module calls this; "strict access control to the
-// index is maintained through memory protection". Ring buffers stay in use
-// until Release.
-func (d *AN1) InstallRing(bqi uint16, capacity int, h RxHandler) {
-	d.rings[bqi] = &an1Ring{dev: d, status: RingStatus{Capacity: capacity}, handler: h}
+// InstallRing binds a BQI to a ring of host buffers with the given handler,
+// in the record r, which the caller must leave alone until RemoveRing says it
+// may have it back. Only the network I/O module calls this; "strict access
+// control to the index is maintained through memory protection". Ring
+// buffers stay in use until Release.
+func (d *AN1) InstallRing(bqi uint16, r *Ring, capacity int, h RxHandler) {
+	*r = Ring{dev: d, status: RingStatus{Capacity: capacity}, handler: h}
+	d.rings[bqi] = r
 }
 
-// RemoveRing unbinds a BQI (connection teardown).
-func (d *AN1) RemoveRing(bqi uint16) { delete(d.rings, bqi) }
+// RemoveRing unbinds a BQI (connection teardown). It reports whether the
+// ring's record is the installer's again: with a buffer still in use a frame
+// may be between its arrival and its interrupt, which completes in the ring
+// the frame arrived in.
+func (d *AN1) RemoveRing(bqi uint16) (idle bool) {
+	r, ok := d.rings[bqi]
+	delete(d.rings, bqi)
+	return ok && r.status.InUse == 0
+}
 
 // RingStatus reports a ring's occupancy; ok is false if the BQI is unbound.
 func (d *AN1) RingStatus(bqi uint16) (RingStatus, bool) {
@@ -316,7 +327,7 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 // chosen on arrival and is used even if its BQI has been unbound since.
 func an1Rx(a any) {
 	b := a.(*pkt.Buf)
-	ring := b.Meta.Rx.(*an1Ring)
+	ring := b.Meta.Rx.(*Ring)
 	b.Meta.Rx = nil
 	ring.dev.stats.RxFrames++
 	ring.dev.stats.RxBytes += int64(b.Len())

@@ -189,8 +189,8 @@ func TestAN1HardwareDemux(t *testing.T) {
 	w := newAN1World(0)
 	an1 := w.d2.(*AN1)
 	var toRing, toDefault int
-	an1.InstallRing(0, 16, func(b *pkt.Buf) { toDefault++ })
-	an1.InstallRing(7, 16, func(b *pkt.Buf) {
+	an1.InstallRing(0, new(Ring), 16, func(b *pkt.Buf) { toDefault++ })
+	an1.InstallRing(7, new(Ring), 16, func(b *pkt.Buf) {
 		toRing++
 		if b.Meta.BQI != 7 {
 			t.Errorf("meta BQI = %d", b.Meta.BQI)
@@ -211,7 +211,7 @@ func TestAN1HardwareDemux(t *testing.T) {
 func TestAN1RingOverflow(t *testing.T) {
 	w := newAN1World(0)
 	an1 := w.d2.(*AN1)
-	an1.InstallRing(3, 2, func(b *pkt.Buf) {})
+	an1.InstallRing(3, new(Ring), 2, func(b *pkt.Buf) {})
 	w.h1.NewDomain("app", false).Spawn("tx", func(th *kern.Thread) {
 		for i := 0; i < 5; i++ {
 			w.d1.Transmit(th, an1Frame(link.MakeAddr(1), link.MakeAddr(2), 3, []byte("x")))
@@ -264,10 +264,27 @@ func TestAN1MTUConfiguration(t *testing.T) {
 func TestAN1RemoveRing(t *testing.T) {
 	w := newAN1World(0)
 	an1 := w.d2.(*AN1)
-	an1.InstallRing(5, 4, func(b *pkt.Buf) {})
-	an1.RemoveRing(5)
+	an1.InstallRing(5, new(Ring), 4, func(b *pkt.Buf) {})
+	if !an1.RemoveRing(5) {
+		t.Fatal("an unused ring's record was not handed back")
+	}
 	if _, ok := an1.RingStatus(5); ok {
 		t.Fatal("ring still present after removal")
+	}
+	if an1.RemoveRing(5) {
+		t.Fatal("removing an unbound BQI handed a record back")
+	}
+
+	// A ring holding a buffer — here one the consumer never released — may
+	// have a frame between arrival and interrupt: its record stays the
+	// controller's.
+	an1.InstallRing(6, new(Ring), 4, func(b *pkt.Buf) { b.Release() })
+	w.h1.NewDomain("app", false).Spawn("tx", func(th *kern.Thread) {
+		w.d1.Transmit(th, an1Frame(link.MakeAddr(1), link.MakeAddr(2), 6, []byte("x")))
+	})
+	w.s.Run(0)
+	if an1.RemoveRing(6) {
+		t.Fatal("a ring with a buffer in use was handed back")
 	}
 }
 

@@ -25,9 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"ulp/internal/filter"
+	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/lease"
@@ -118,7 +120,10 @@ func (t *Template) Verify(frame []byte, hdrLen int) bool {
 	return true
 }
 
-// Capability is an unforgeable send/receive right for one channel.
+// Capability is an unforgeable send/receive right for one channel. It is the
+// one part of an endpoint the module never reuses: whoever still holds a
+// revoked capability holds an id the module will never issue again, which is
+// what makes the m.caps[id] == cap check a fence against stale holders.
 type Capability struct {
 	id       uint64
 	template Template
@@ -146,7 +151,9 @@ func (c *Capability) ID() uint64 { return c.id }
 // ground truth for what endpoints exist.
 func (c *Capability) Template() Template { return c.template }
 
-// Chan returns the channel the capability grants access to.
+// Chan returns the channel the capability grants access to: nil once the
+// capability is revoked, since the channel's record may by then be another
+// endpoint's.
 func (c *Capability) Chan() *Channel { return c.ch }
 
 // Channel is the shared-memory conduit between the module and one library
@@ -157,15 +164,22 @@ func (c *Capability) Chan() *Channel { return c.ch }
 // simulator backs only the part of it any code reads or writes — the
 // descriptor ring at its start — since frames stay in pool buffers.
 type Channel struct {
-	Region  *kern.Region
-	sem     *kern.Sem
-	rxq     []*pkt.Buf
-	cap     int
-	id      uint64 // owning capability's id (trace correlation)
-	bqi     uint16 // nonzero on AN1
-	noBatch bool
-	mod     *Module
-	bd      *binding // software demux entry (nil on AN1 / raw kernel)
+	Region *kern.Region
+	sem    *kern.Sem
+	// rxq is the receive ring. take hands it to the consumer as the batch,
+	// which stays the consumer's until the next drain, and fills spare — the
+	// batch before — meanwhile: two arrays in turn, neither ever given up.
+	rxq, spare []*pkt.Buf
+	cap        int
+	id         uint64 // owning capability's id (trace correlation)
+	bqi        uint16 // nonzero on AN1
+	noBatch    bool
+	mod        *Module
+	bd         *binding // software demux entry (nil on AN1 / raw kernel)
+	// rec is the record the channel is part of; disowned marks that the
+	// consumer has let go of it (Disown).
+	rec      *chanRec
+	disowned bool
 
 	// Zero-copy receive mode (Module.ZeroCopyRx at creation time): deliver
 	// hands buffer references to the library instead of modeling a copy
@@ -235,8 +249,11 @@ func (ch *Channel) TryRecv() []*pkt.Buf {
 // over-releases ring slots.
 func (ch *Channel) take() []*pkt.Buf {
 	ch.settleInflight()
-	batch := ch.rxq
-	ch.rxq = nil
+	var batch []*pkt.Buf
+	if len(ch.rxq) > 0 {
+		clear(ch.spare) // the batch before this one: the consumer is done with it
+		batch, ch.rxq, ch.spare = ch.rxq, ch.spare[:0], ch.rxq
+	}
 	ch.sinceDoorbell = 0
 	// Consume any extra pending notification so the next Wait blocks.
 	for ch.sem.TryP() {
@@ -255,8 +272,9 @@ func (ch *Channel) take() []*pkt.Buf {
 
 // settleInflight drops the channel's liens on the previously drained batch.
 func (ch *Channel) settleInflight() {
-	for _, b := range ch.inflight {
+	for i, b := range ch.inflight {
 		b.Release()
+		ch.inflight[i] = nil
 	}
 	ch.inflight = ch.inflight[:0]
 }
@@ -277,7 +295,8 @@ func (ch *Channel) sweepInflight(poison bool, reason string) {
 		}
 		b.Release()
 	}
-	ch.inflight = nil
+	clear(ch.inflight)
+	ch.inflight = ch.inflight[:0]
 	if ch.mod.Bus.Enabled() {
 		ch.mod.Bus.Emit(trace.Event{Kind: trace.ChanSweep, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(n), Text: reason})
@@ -301,6 +320,18 @@ func (ch *Channel) Pending() int { return len(ch.rxq) }
 // Poke wakes a thread blocked in Wait without delivering a packet, so the
 // owner can observe a shutdown flag.
 func (ch *Channel) Poke() { ch.sem.V() }
+
+// Disown is the consumer's last call on a channel: its promise never to
+// Wait, TryRecv, Poke or read the channel again, made by the thread that did
+// so. A channel disowned before it is destroyed has no user left but the
+// module, which may then give its record to the next endpoint; one that is
+// not — its consumer was killed, or never said — is left to the collector.
+func (ch *Channel) Disown() { ch.disowned = true }
+
+// RegionName names the channel's shared region, "<device>.ch<id>".
+func (ch *Channel) RegionName() string {
+	return ch.mod.dev.Name() + ".ch" + strconv.FormatUint(ch.id, 10)
+}
 
 // Inject delivers a frame into the channel from the kernel's default input
 // path — used by the registry to forward stray segments of a connection
@@ -404,6 +435,19 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 	}
 }
 
+// dropQueued returns the frames still in the ring to the pool, and with
+// slots set their hardware ring slots too.
+func (ch *Channel) dropQueued(slots bool) {
+	for i, b := range ch.rxq {
+		if slots {
+			ch.releaseSlot(b)
+		}
+		b.Release()
+		ch.rxq[i] = nil
+	}
+	ch.rxq = ch.rxq[:0]
+}
+
 // notify posts the channel's semaphore and accounts the doorbell.
 func (ch *Channel) notify(bus *trace.Bus) {
 	ch.Notifications++
@@ -436,6 +480,32 @@ const (
 // RegionBytes returns the size of the shared region the channel models as
 // wired while it lives.
 func (ch *Channel) RegionBytes() int { return ch.cap * slotBytes }
+
+// chanRec is everything the module allocates for one endpoint but its
+// capability, as one record: the channel, its shared region, its semaphore,
+// its AN1 ring or software demux entry. DestroyChannel puts a record whose
+// consumer has disowned the channel on Module.free, and createChannel takes
+// the next endpoint's from there.
+type chanRec struct {
+	ch     Channel
+	region kern.Region
+	sem    kern.Sem
+	ring   netdev.Ring
+	bd     binding
+	// rx is the ring's receive handler, bound to the record once.
+	rx netdev.RxHandler
+}
+
+// Scrub zeroes the record but for its storage (the region's bytes, the
+// receive ring's two arrays, the lien list) and rx, which refers only to the
+// record itself. A stale Channel pointer then has no semaphore, region or
+// module to act on.
+func (r *chanRec) Scrub() {
+	r.ch = Channel{rxq: r.ch.rxq[:0], spare: r.ch.spare[:0], inflight: r.ch.inflight[:0]}
+	r.region.Buf = r.region.Buf[:0]
+	r.ring = netdev.Ring{}
+	r.bd = binding{}
+}
 
 // Placement of a software demux entry: hash-steered (exact or
 // wildcard-remote key) or on the linear fallback chain.
@@ -532,6 +602,8 @@ type Module struct {
 	nextBQI   uint16
 	freeBQI   []uint16 // recycled ring indices, reused LIFO
 	caps      map[uint64]*Capability
+	// free holds the records of destroyed channels nobody else can reach.
+	free freelist.List[*chanRec]
 
 	// Software demux is split two ways: steer holds fully specified
 	// five-tuple endpoints, steerWild holds listener endpoints (remote
@@ -765,7 +837,7 @@ func (m *Module) CreateChannel(from *kern.Domain, spec filter.Spec, tmpl Templat
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, &spec, spec.Compile(), tmpl, ringSize, 0)
+	return m.createChannel(from, &spec, nil, tmpl, ringSize, 0)
 }
 
 // CreateChannelBQI is CreateChannel with a previously reserved BQI.
@@ -773,7 +845,7 @@ func (m *Module) CreateChannelBQI(from *kern.Domain, spec filter.Spec, tmpl Temp
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, &spec, spec.Compile(), tmpl, ringSize, bqi)
+	return m.createChannel(from, &spec, nil, tmpl, ringSize, bqi)
 }
 
 // CreateRawChannel builds a channel demultiplexed by EtherType alone, for
@@ -796,9 +868,10 @@ func (m *Module) CreateRawChannel(from *kern.Domain, et link.EtherType, tmpl Tem
 
 // createChannel installs the channel. spec, when non-nil, describes the
 // endpoint predicate structurally so software demux can steer it by hash
-// key; match is the compiled predicate used when it cannot (raw channels,
-// partial wildcards, or a key collision — the colliding entry chains
-// behind the steered one, preserving first-installed-wins order).
+// key; match is the predicate used when it cannot (raw channels, partial
+// wildcards, or a key collision — the colliding entry chains behind the
+// steered one, preserving first-installed-wins order), compiled from spec
+// if nil, and only where demultiplexing is in software.
 func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func([]byte) bool, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
 	if m.FailSetup != nil {
 		if err := m.FailSetup("create"); err != nil {
@@ -808,15 +881,19 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	if ringSize <= 0 {
 		ringSize = 32
 	}
-	ch := &Channel{
-		Region:   kern.NewRegion(fmt.Sprintf("%s.ch%d", m.dev.Name(), m.nextCapID), ringSize*descBytes),
-		sem:      kern.NewSem(m.host, "chan-sem", 0),
-		cap:      ringSize,
-		noBatch:  m.DisableBatching,
-		zeroCopy: m.ZeroCopyRx,
-		budget:   m.DoorbellBatch,
-		mod:      m,
+	rec := m.free.Get()
+	if rec == nil {
+		rec = new(chanRec)
 	}
+	rec.region.Wire(ringSize * descBytes)
+	rec.sem.Init(m.host, "chan-sem", 0)
+	ch := &rec.ch
+	ch.rec, ch.Region, ch.sem = rec, &rec.region, &rec.sem
+	ch.cap = ringSize
+	ch.noBatch = m.DisableBatching
+	ch.zeroCopy = m.ZeroCopyRx
+	ch.budget = m.DoorbellBatch
+	ch.mod = m
 	if ch.budget <= 0 {
 		ch.budget = 8
 	}
@@ -839,16 +916,23 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 			}
 			ch.bqi = bqi
 		}
-		an1.InstallRing(ch.bqi, ringSize, func(b *pkt.Buf) {
-			m.DemuxMatched++
-			if m.Bus.Enabled() {
-				m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
-					A: int64(ch.id), B: int64(b.Len())})
+		if rec.rx == nil {
+			rec.rx = func(b *pkt.Buf) {
+				m.DemuxMatched++
+				if m.Bus.Enabled() {
+					m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
+						A: int64(ch.id), B: int64(b.Len())})
+				}
+				ch.deliver(b)
 			}
-			ch.deliver(b)
-		})
+		}
+		an1.InstallRing(ch.bqi, &rec.ring, ringSize, rec.rx)
 	} else {
-		bd := &binding{match: match, ch: ch}
+		if match == nil {
+			match = spec.Compile()
+		}
+		bd := &rec.bd
+		*bd = binding{match: match, ch: ch}
 		bd.key, bd.where = steerable(spec)
 		switch bd.where {
 		case placeSteer:
@@ -889,9 +973,10 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	if m.leases != nil {
 		m.leases.Drop(cap.id)
 	}
+	ringIdle := true
 	if cap.ch.bqi != 0 {
 		if an1, ok := m.dev.(*netdev.AN1); ok {
-			an1.RemoveRing(cap.ch.bqi)
+			ringIdle = an1.RemoveRing(cap.ch.bqi)
 		}
 		m.freeBQI = append(m.freeBQI, cap.ch.bqi)
 	}
@@ -917,14 +1002,22 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	// Zero-copy liens on the batch last handed out die the same way — a
 	// crashed application's outstanding references must not keep pool
 	// storage alive (no scrub: the owner is gone, not distrusting).
-	for _, b := range cap.ch.rxq {
-		b.Release()
-	}
-	cap.ch.rxq = nil
-	cap.ch.sweepInflight(false, "destroy")
-	m.unpin(cap.ch)
+	ch := cap.ch
+	ch.dropQueued(false)
+	ch.sweepInflight(false, "destroy")
+	m.unpin(ch)
 	if m.Bus.Enabled() {
 		m.Bus.Emit(trace.Event{Kind: trace.CapRevoked, Node: m.dev.Name(), A: int64(cap.id)})
+	}
+	// The record is reused only when the module holds the last reference to
+	// it: the consumer said it is gone, no frame is between arrival and
+	// interrupt in the ring, and nobody sleeps on the semaphore or is about
+	// to post it. Every other destroyed channel — a crashed application's,
+	// whose consumer was killed, a datagram or raw one, whose consumer never
+	// says — is the collector's.
+	cap.ch = nil
+	if ch.disowned && ringIdle && ch.sem.Quiet() {
+		m.free.Put(ch.rec)
 	}
 	return nil
 }

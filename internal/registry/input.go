@@ -126,7 +126,11 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 			lh := link.EthHeader{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
 			lh.Encode(fwd)
 		}
-		xc.ch.Inject(fwd)
+		if ch := xc.cap.Chan(); ch != nil {
+			ch.Inject(fwd)
+		} else {
+			fwd.Release() // the record outlived its channel (a sibling shard tore it down)
+		}
 		return
 	}
 
@@ -147,26 +151,28 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 			}
 			return
 		}
-		hc := &hsConn{opts: l.opts, owner: l.owner, l: l, peerBQI: advBQI}
+		var ourBQI uint16
 		if r.nif.IsAN1() {
 			t.Compute(t.Cost().BQIReserve)
 			bqi, err := r.nif.Mod.ReserveBQI(r.dom)
 			if err != nil {
 				return
 			}
-			hc.ourBQI = bqi
+			ourBQI = bqi
 		}
-		tc := tcp.NewConn(r.tcpConfig(l.opts), local, peer, tcp.Callbacks{})
+		hc := r.newConn()
+		hc.opts, hc.owner, hc.l, hc.peerBQI, hc.ourBQI = l.opts, l.owner, l, advBQI, ourBQI
+		tc := &hc.tc
+		tc.Init(r.tcpConfig(l.opts), local, peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
-		hc.tc = tc
-		r.attach(tc, hc)
+		r.attach(hc)
 		tc.OpenListen()
 		if err := r.owned.Insert(tc); err != nil {
 			// Duplicate tuple: drop, and unwind everything attach and the
 			// BQI reservation allocated — the wheel entry and ring index
 			// would otherwise leak on every colliding SYN.
 			delete(r.conns, tc)
-			r.wheel.Drop(hc.went)
+			r.wheel.Drop(&hc.went)
 			r.dropBQI(hc)
 			return
 		}

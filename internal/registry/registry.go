@@ -26,6 +26,7 @@ import (
 
 	"ulp/internal/chaos"
 	"ulp/internal/filter"
+	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -104,26 +105,46 @@ type ReRegisterReq struct {
 }
 
 // hsConn is a connection the registry currently owns: handshaking,
-// inherited, or awaiting teardown.
+// inherited, or awaiting teardown. The pcb and its wheel entry are part of
+// the record, which the shard reuses (DESIGN §5.5): drop retires it when the
+// registry stops owning the connection, and the engine pass that did so puts
+// it on Server.free once it has unwound.
 type hsConn struct {
-	tc      *tcp.Conn
+	r    *Server         // the shard the record belongs to
+	tc   tcp.Conn        // the pcb
+	went stacks.WheelEnt // its timing-wheel registration
+	// cb holds the engine callbacks, bound to the record once.
+	cb tcp.Callbacks
+	// gen counts the record's retirements: a thread that waited for the
+	// engine lock with a record in hand checks that it is still the
+	// connection it meant (runConn).
+	gen uint32
+
 	opts    stacks.Options
 	owner   *kern.Domain // application the connection is destined for
 	peerHW  link.Addr
 	peerBQI uint16 // peer's advertised data-phase BQI
 	ourCh   *netio.Channel
 	ourCap  *netio.Capability
-	ourBQI  uint16           // reserved before the handshake on the AN1
-	went    *stacks.WheelEnt // timing-wheel registration
-	reply   *kern.Port       // where to deliver the handoff
-	l       *listener        // set for passive-side pcbs
-	reqID   uint64           // originating request id (dedup cache completion)
+	ourBQI  uint16     // reserved before the handshake on the AN1
+	reply   *kern.Port // where to deliver the handoff
+	l       *listener  // set for passive-side pcbs
+	reqID   uint64     // originating request id (dedup cache completion)
 	// inBacklog marks a passive pcb counted against its listener's
 	// backlog, so exactly one decrement happens on handoff or failure.
 	inBacklog bool
 	// admitted marks a setup counted against its owner's admission quota,
 	// so exactly one release happens on every exit path.
 	admitted bool
+}
+
+// Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and no
+// connection state; the socket buffers' arrays, the bound callbacks and the
+// retirement count stay.
+func (hc *hsConn) Scrub() {
+	hc.tc.Scrub()
+	hc.went.Scrub()
+	*hc = hsConn{r: hc.r, tc: hc.tc, went: hc.went, cb: hc.cb, gen: hc.gen}
 }
 
 // listener is a registered passive endpoint.
@@ -142,8 +163,7 @@ type listener struct {
 // handoff time for crafting a best-effort reset to the peer.
 type xferConn struct {
 	owner          *kern.Domain
-	ch             *netio.Channel
-	cap            *netio.Capability
+	cap            *netio.Capability // cap.Chan() is the channel, nil once revoked
 	local, peer    tcp.Endpoint
 	peerHW         link.Addr
 	peerBQI        uint16
@@ -219,6 +239,12 @@ type Server struct {
 	rxq  *sim.Queue[*pkt.Buf]
 	cur  *kern.Thread
 	lock *sim.Semaphore
+
+	// free holds connection records for reuse; retired those the engine pass
+	// under way has dropped, which go onto free when it ends (runEngine).
+	// Both start empty in every incarnation.
+	free    freelist.List[*hsConn]
+	retired []*hsConn
 
 	// bus receives RegistryRPC events and is handed to every TCP engine
 	// the server creates. Nil-safe.
@@ -419,8 +445,10 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleUnlisten(t, m, req)
 	case InheritReq:
 		r.handleInherit(t, req)
+		r.finish(t, m, kern.Msg{})
 	case TeardownReq:
 		r.handleTeardown(t, req)
+		r.finish(t, m, kern.Msg{})
 	case ReRegisterReq:
 		r.handleReRegister(t, m, req)
 	case BindUDPReq:
@@ -431,6 +459,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleUDPSend(t, m, req)
 	case UnbindUDPReq:
 		r.handleUnbindUDP(t, req)
+		r.finish(t, m, kern.Msg{})
 	}
 }
 
@@ -442,22 +471,30 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 // flight the cache grows past dedupCap temporarily; the admission layer
 // bounds how many setups can be outstanding at once.
 func (r *Server) track(id uint64) {
+	var e *pendingReq
 	if len(r.reqOrder) >= dedupCap {
 		for i, old := range r.reqOrder {
-			if e, ok := r.reqCache[old]; !ok || e.done {
+			if oe, ok := r.reqCache[old]; !ok || oe.done {
 				delete(r.reqCache, old)
 				r.reqOrder = append(r.reqOrder[:i], r.reqOrder[i+1:]...)
+				e = oe // out of the map, it is nobody's: the new entry takes its place
 				break
 			}
 		}
 	}
-	r.reqCache[id] = &pendingReq{}
+	if e == nil {
+		e = new(pendingReq)
+	}
+	*e = pendingReq{}
+	r.reqCache[id] = e
 	r.reqOrder = append(r.reqOrder, id)
 }
 
 // finish records a request's reply in the dedup cache and delivers it.
 // One-way requests (nil Reply) are still recorded so a duplicate does not
-// re-execute (a double Teardown would double-release a port).
+// re-execute (a double Teardown would double-release a port) — and must be
+// finished all the same once handled, or their entries count as in flight
+// for ever: never evicted, and walked over by every later eviction.
 func (r *Server) finish(t *kern.Thread, m kern.Msg, reply kern.Msg) {
 	if m.ID != 0 {
 		if e, ok := r.reqCache[m.ID]; ok {
@@ -508,8 +545,8 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// channel itself — and on Ethernet the software demultiplexing binding
 	// — is activated as establishment completes, so handshake segments
 	// reach the registry's default path.
-	hc := &hsConn{opts: req.Opts, owner: req.Owner, reply: m.Reply, reqID: m.ID,
-		admitted: true}
+	hc := r.newConn()
+	hc.opts, hc.owner, hc.reply, hc.reqID, hc.admitted = req.Opts, req.Owner, m.Reply, m.ID, true
 	r.watch(req.Owner)
 	if r.nif.IsAN1() {
 		t.Compute(t.Cost().BQIReserve)
@@ -522,13 +559,12 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 		}
 		hc.ourBQI = bqi
 	}
-	cfg := r.tcpConfig(req.Opts)
-	tc := tcp.NewConn(cfg, local, req.Remote, tcp.Callbacks{})
-	hc.tc = tc
-	r.attach(tc, hc)
+	tc := &hc.tc
+	tc.Init(r.tcpConfig(req.Opts), local, req.Remote, tcp.Callbacks{})
+	r.attach(hc)
 	if err := r.owned.Insert(tc); err != nil {
 		delete(r.conns, tc)
-		r.wheel.Drop(hc.went)
+		r.wheel.Drop(&hc.went)
 		r.ports.Release(local.Port)
 		r.dropBQI(hc)
 		r.releaseAdmit(hc)
@@ -591,10 +627,11 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 		_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap)
 	}
 	delete(r.transferred, tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer})
-	hc := &hsConn{peerHW: req.PeerHW, peerBQI: req.PeerBQI}
-	tc := tcp.Restore(req.Snap, tcp.Callbacks{})
-	hc.tc = tc
-	r.attach(tc, hc)
+	hc := r.newConn()
+	hc.peerHW, hc.peerBQI = req.PeerHW, req.PeerBQI
+	tc := &hc.tc
+	tcp.RestoreInto(tc, req.Snap, tcp.Callbacks{})
+	r.attach(hc)
 	if tc.State() != tcp.Closed {
 		if err := r.owned.Insert(tc); err != nil {
 			return
@@ -658,49 +695,80 @@ func (r *Server) setupChannel(t *kern.Thread, hc *hsConn, local, remote tcp.Endp
 	return nil
 }
 
-// attach wires the registry-side callbacks for a pcb it owns.
-func (r *Server) attach(tc *tcp.Conn, hc *hsConn) {
+// newConn returns a blank connection record: a reused one if there is one.
+func (r *Server) newConn() *hsConn {
+	if hc := r.free.Get(); hc != nil {
+		return hc
+	}
+	return &hsConn{r: r}
+}
+
+// attach makes the registry the owner of hc's initialised pcb: on the wheel,
+// in the connection map, with the registry-side callbacks.
+func (r *Server) attach(hc *hsConn) {
+	tc := &hc.tc
 	r.conns[tc] = hc
-	hc.went = r.wheel.Add(tc, nil)
+	r.wheel.Init(&hc.went, tc, nil)
 	if r.bus.Enabled() {
 		tc.SetTrace(r.bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
-	tc.SetCallbacks(tcp.Callbacks{
-		Send: func(seg *pkt.Buf, h tcp.Header, pl int) {
-			r.transmit(seg, tc, hc, h)
-		},
-		OnEstablished: func() { r.established(tc, hc) },
-		OnClosed: func(err error) {
-			r.owned.Remove(tc)
-			delete(r.conns, tc)
-			r.wheel.Drop(hc.went)
-			if hc.inBacklog {
-				hc.inBacklog = false
-				hc.l.pending--
-			}
-			// Passive-side pcbs share the listener's port and hold no
-			// reference of their own until handoff; releasing here would
-			// strip the listener's reservation.
-			if hc.l == nil {
-				r.ports.Release(tc.Local().Port)
-			}
-			if hc.reply != nil && hc.ourCap != nil {
-				// Handshake failed before handoff.
-				_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-				hc.ourCap = nil
-			}
-			// Complete the dedup entry even when no one is listening for
-			// the reply (the crash sweep nils hc.reply before aborting):
-			// an entry stuck in-flight forever would pin a slot in the
-			// never-evict-in-flight cache, and a late retry of the id
-			// would wait on a handoff that can no longer come.
-			r.finishAsync(hc.reqID, hc.reply,
-				kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.MapError(err)}})
-			hc.reply = nil
-			r.dropBQI(hc)
-			r.releaseAdmit(hc)
-		},
-	})
+	if hc.cb.Send == nil {
+		hc.cb = tcp.Callbacks{Send: hc.send, OnEstablished: hc.established, OnClosed: hc.closed}
+	}
+	tc.SetCallbacks(hc.cb)
+}
+
+// drop ends the registry's ownership of hc's pcb — it closed, its set-up was
+// aborted, or it was handed to its library still live — and retires the
+// record. This is the one way a record reaches Server.free: the pass that
+// dropped it still has it on its stack (the engine returns into the pcb, the
+// exit Sync into the wheel entry), so it is put there only when that pass
+// ends. Once per attach, however many exit routes cross: a record the
+// registry does not own (any more) is not retired (again).
+func (r *Server) drop(hc *hsConn) {
+	owned := r.conns[&hc.tc] == hc
+	r.owned.Remove(&hc.tc)
+	delete(r.conns, &hc.tc)
+	r.wheel.Drop(&hc.went)
+	if owned {
+		hc.gen++
+		r.retired = append(r.retired, hc)
+	}
+}
+
+func (hc *hsConn) send(seg *pkt.Buf, h tcp.Header, _ int) { hc.r.transmit(seg, hc, h) }
+
+func (hc *hsConn) established() { hc.r.established(hc) }
+
+// closed is the pcb's OnClosed.
+func (hc *hsConn) closed(err error) {
+	r, tc := hc.r, &hc.tc
+	r.drop(hc)
+	if hc.inBacklog {
+		hc.inBacklog = false
+		hc.l.pending--
+	}
+	// Passive-side pcbs share the listener's port and hold no
+	// reference of their own until handoff; releasing here would
+	// strip the listener's reservation.
+	if hc.l == nil {
+		r.ports.Release(tc.Local().Port)
+	}
+	if hc.reply != nil && hc.ourCap != nil {
+		// Handshake failed before handoff.
+		_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
+		hc.ourCap = nil
+	}
+	// Complete the dedup entry even when no one is listening for
+	// the reply (the crash sweep nils hc.reply before aborting):
+	// an entry stuck in-flight forever would pin a slot in the
+	// never-evict-in-flight cache, and a late retry of the id
+	// would wait on a handoff that can no longer come.
+	r.finishAsync(hc.reqID, hc.reply,
+		kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.MapError(err)}})
+	hc.reply = nil
+	r.dropBQI(hc)
+	r.releaseAdmit(hc)
 }
 
 // releaseAdmit returns a setup's admission-quota slot. The flag guards exactly-once release however many exit paths the setup
@@ -713,7 +781,8 @@ func (r *Server) releaseAdmit(hc *hsConn) {
 }
 
 // transmit is the registry's un-optimized send path.
-func (r *Server) transmit(seg *pkt.Buf, tc *tcp.Conn, hc *hsConn, h tcp.Header) {
+func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
+	tc := &hc.tc
 	t := r.cur
 	if t == nil {
 		panic("registry: engine transmit outside runEngine")
@@ -748,7 +817,8 @@ func (r *Server) resolveAndSend(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, d
 
 // established completes setup: narrow the template to the negotiated peer,
 // transfer the state to the library, and route future default-path strays.
-func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
+func (r *Server) established(hc *hsConn) {
+	tc := &hc.tc
 	if tc.State() != tcp.Established {
 		// The establishment notification is deferred to the end of segment
 		// processing; if the connection died in the meantime (give-up,
@@ -763,7 +833,7 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 	// now, as establishment completes.
 	if hc.ourCap == nil {
 		if err := r.setupChannel(t, hc, tc.Local(), tc.Peer()); err != nil {
-			r.abortSetup(tc, hc, err)
+			r.abortSetup(hc, err)
 			return
 		}
 	}
@@ -782,9 +852,7 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 	// Transfer TCP state to user level.
 	t.Compute(c.StateTransfer)
 	snap := tc.Snapshot()
-	r.owned.Remove(tc)
-	delete(r.conns, tc)
-	r.wheel.Drop(hc.went)
+	r.drop(hc)
 	if hc.inBacklog {
 		hc.inBacklog = false
 		hc.l.pending--
@@ -800,7 +868,6 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 	}
 	r.transferred[tcp.FourTuple{Local: tc.Local(), Peer: tc.Peer()}] = &xferConn{
 		owner:   hc.owner,
-		ch:      hc.ourCh,
 		cap:     hc.ourCap,
 		local:   tc.Local(),
 		peer:    tc.Peer(),
@@ -819,12 +886,20 @@ func (r *Server) established(tc *tcp.Conn, hc *hsConn) {
 		PeerHW:  hc.peerHW,
 		PeerBQI: hc.peerBQI,
 	}
-	if hc.reply != nil {
-		r.finishAsync(hc.reqID, hc.reply, kern.Msg{Op: "handoff", Body: ho, Size: snap.Size()})
-		hc.reply = nil
-	} else if hc.l != nil {
-		hc.l.accept.SendAsync(kern.Msg{Op: "handoff", Body: ho, Size: snap.Size()})
+	r.handoff(hc, kern.Msg{Op: "handoff", Body: ho, Size: snap.Size()})
+}
+
+// handoff delivers the outcome of a set-up: to the listener's accept port, or
+// to the connect request's reply port and dedup entry — the entry also when
+// nobody waits for the reply any more (the crash sweep cleared hc.reply), for
+// it must not go on naming a record that is about to be reused.
+func (r *Server) handoff(hc *hsConn, msg kern.Msg) {
+	if hc.l != nil {
+		hc.l.accept.SendAsync(msg)
+		return
 	}
+	r.finishAsync(hc.reqID, hc.reply, msg)
+	hc.reply = nil
 }
 
 // dropBQI returns a reserved-but-unconsumed ring index to the module. A
@@ -842,11 +917,10 @@ func (r *Server) dropBQI(hc *hsConn) {
 // abortSetup unwinds a connection whose channel could not be created at
 // establishment time: without it the port, pcb-table entry and backlog
 // slot stayed allocated forever and the client never got an answer.
-func (r *Server) abortSetup(tc *tcp.Conn, hc *hsConn, err error) {
+func (r *Server) abortSetup(hc *hsConn, err error) {
+	tc := &hc.tc
 	tc.SetCallbacks(tcp.Callbacks{})
-	r.owned.Remove(tc)
-	delete(r.conns, tc)
-	r.wheel.Drop(hc.went)
+	r.drop(hc)
 	if hc.ourCap != nil {
 		// A channel that was created before the failure (e.g. the
 		// template update path) would otherwise leave its lease, BQI and
@@ -863,13 +937,7 @@ func (r *Server) abortSetup(tc *tcp.Conn, hc *hsConn, err error) {
 	if hc.l == nil {
 		r.ports.Release(tc.Local().Port)
 	}
-	msg := kern.Msg{Op: "handoff", Body: Handoff{Err: err}}
-	if hc.reply != nil {
-		r.finishAsync(hc.reqID, hc.reply, msg)
-		hc.reply = nil
-	} else if hc.l != nil {
-		hc.l.accept.SendAsync(msg)
-	}
+	r.handoff(hc, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
 }
 
 func (r *Server) nifNow() uint64 {
@@ -881,6 +949,17 @@ func (r *Server) runEngine(t *kern.Thread, fn func()) {
 	r.cur = t
 	fn()
 	r.cur = nil
+	// The pass has unwound: nothing on this stack touches the records it
+	// dropped again, and nothing else can name them (drop) — unless a wheel
+	// driver is still part-way through firing one, which then stays the
+	// collector's.
+	for i, hc := range r.retired {
+		if hc.went.Idle() {
+			r.free.Put(hc)
+		}
+		r.retired[i] = nil
+	}
+	r.retired = r.retired[:0]
 	r.lock.V()
 }
 
@@ -888,12 +967,18 @@ func (r *Server) runEngine(t *kern.Thread, fn func()) {
 // caught up to the wheel clock before fn reads them, and whatever fn arms
 // goes onto the wheel afterwards. The exit Sync does nothing if a callback
 // inside fn dropped the entry — the engine closed, or established() handed
-// the still-live connection to its library.
+// the still-live connection to its library. And the whole pass does nothing
+// if the registry dropped the connection while the caller waited for the
+// engine: the record may be another connection's by now.
 func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
+	gen := hc.gen
 	r.runEngine(t, func() {
-		r.wheel.Sync(hc.went)
+		if hc.gen != gen {
+			return
+		}
+		r.wheel.Sync(&hc.went)
 		fn()
-		r.wheel.Sync(hc.went)
+		r.wheel.Sync(&hc.went)
 	})
 }
 
@@ -937,13 +1022,21 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		}
 	}
 	for _, hc := range dead {
-		tc := hc.tc
-		r.runConn(t, hc, func() { tc.Abort() })
-		if hc.ourCap != nil {
-			_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-			hc.ourCap = nil
+		// Each abort may wait for the engine, and what held it may have
+		// dropped a later victim, whose record may be on its next connection
+		// already: abort only what is still a set-up of the dead application.
+		if r.conns[&hc.tc] != hc || hc.owner != dom {
+			continue
 		}
-		r.dropBQI(hc)
+		r.runConn(t, hc, func() {
+			hc.tc.Abort()
+			// Inside the pass the record is still this connection's.
+			if hc.ourCap != nil {
+				_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
+				hc.ourCap = nil
+			}
+			r.dropBQI(hc)
+		})
 	}
 
 	// Transferred connections: revoke the channel, release the port, reset
@@ -1064,7 +1157,7 @@ func (r *Server) rebuild(t *kern.Thread) {
 				r.ports.Retain(local.Port) // accepted conns share a port
 			}
 			r.transferred[tcp.FourTuple{Local: local, Peer: peer}] = &xferConn{
-				owner: ep.Owner, ch: ep.Channel, cap: ep.Cap,
+				owner: ep.Owner, cap: ep.Cap,
 				local: local, peer: peer,
 				peerHW: tmpl.LinkDst, peerBQI: 0,
 				// Sequence numbers are unknown until the library
@@ -1124,7 +1217,6 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 		r.transferred[ft] = xc
 	}
 	xc.owner = req.Owner
-	xc.ch = req.Cap.Chan()
 	xc.cap = req.Cap
 	xc.peerHW = req.PeerHW
 	xc.peerBQI = req.PeerBQI

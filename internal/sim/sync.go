@@ -8,13 +8,22 @@ type Semaphore struct {
 	s       *Sim
 	name    string
 	count   int
-	waiters []*Proc
+	waiters ring[*Proc]
 	signals int // statistics: total V operations
 }
 
 // NewSemaphore creates a semaphore with an initial count.
 func (s *Sim) NewSemaphore(name string, initial int) *Semaphore {
-	return &Semaphore{s: s, name: name, count: initial}
+	m := new(Semaphore)
+	m.Init(s, name, initial)
+	return m
+}
+
+// Init makes m a fresh semaphore in place, for one embedded in a record that
+// is reused; the waiter list keeps its array. Nothing may be blocked on m.
+func (m *Semaphore) Init(s *Sim, name string, initial int) {
+	m.waiters.reset()
+	*m = Semaphore{s: s, name: name, count: initial, waiters: m.waiters}
 }
 
 // P decrements the semaphore, blocking the proc while the count is zero.
@@ -24,7 +33,7 @@ func (m *Semaphore) P(p *Proc) {
 		m.count--
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.park()
 }
 
@@ -42,9 +51,8 @@ func (m *Semaphore) TryP() bool {
 // wakeups do not starve the remaining waiters.
 func (m *Semaphore) V() {
 	m.signals++
-	for len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	for m.waiters.len() > 0 {
+		w := m.waiters.pop()
 		if w.done || w.killed {
 			continue
 		}
@@ -62,33 +70,42 @@ func (m *Semaphore) Count() int { return m.count }
 func (m *Semaphore) Signals() int { return m.signals }
 
 // Waiters returns the number of procs blocked in P.
-func (m *Semaphore) Waiters() int { return len(m.waiters) }
+func (m *Semaphore) Waiters() int { return m.waiters.len() }
 
 // Cond is a simple condition variable: procs Wait, any context may Signal
 // (wake one) or Broadcast (wake all). There is no associated lock — the
 // engine's sequential execution makes one unnecessary.
 type Cond struct {
 	s       *Sim
-	waiters []*Proc
+	waiters ring[*Proc]
 }
 
 // NewCond creates a condition variable.
-func (s *Sim) NewCond() *Cond { return &Cond{s: s} }
+func (s *Sim) NewCond() *Cond {
+	c := new(Cond)
+	c.Init(s)
+	return c
+}
+
+// Init makes c a fresh condition variable in place (see Semaphore.Init).
+func (c *Cond) Init(s *Sim) {
+	c.waiters.reset()
+	c.s = s
+}
 
 // Wait parks the proc until Signal or Broadcast wakes it. As with any
 // condition variable, callers must re-check their predicate on wakeup.
 func (c *Cond) Wait(p *Proc) {
 	p.ensureCurrent()
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park()
 }
 
 // Signal wakes the longest-waiting live proc, if any. Dead (killed) waiters
 // are skipped.
 func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for c.waiters.len() > 0 {
+		w := c.waiters.pop()
 		if w.done || w.killed {
 			continue
 		}
@@ -99,21 +116,19 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes every waiting proc.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		c.s.scheduleResume(0, w)
+	for c.waiters.len() > 0 {
+		c.s.scheduleResume(0, c.waiters.pop())
 	}
 }
 
 // Waiters returns the number of procs blocked in Wait.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return c.waiters.len() }
 
 // remove deletes p from the waiter list, reporting whether it was present.
 func (c *Cond) remove(p *Proc) bool {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+	for i := 0; i < c.waiters.len(); i++ {
+		if *c.waiters.at(i) == p {
+			c.waiters.remove(i)
 			return true
 		}
 	}
@@ -129,7 +144,7 @@ func (c *Cond) WaitUntil(p *Proc, deadline Time) bool {
 	if deadline <= c.s.now {
 		return false
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	timedOut := false
 	timer := c.s.At(deadline, func() {
 		// Only fire if no Signal claimed the proc first: Signal removes
@@ -150,56 +165,59 @@ func (c *Cond) WaitUntil(p *Proc, deadline Time) bool {
 // Pop blocks the calling proc while the queue is empty.
 type Queue[T any] struct {
 	s     *Sim
-	items []T
-	cond  *Cond
+	items ring[T]
+	cond  Cond
 }
 
 // NewQueue creates an empty queue.
 func NewQueue[T any](s *Sim) *Queue[T] {
-	return &Queue[T]{s: s, cond: s.NewCond()}
+	q := new(Queue[T])
+	q.Init(s)
+	return q
+}
+
+// Init makes q an empty queue in place, for one embedded in another record.
+func (q *Queue[T]) Init(s *Sim) {
+	q.s = s
+	q.items.reset()
+	q.cond.Init(s)
 }
 
 // Push appends v and wakes one blocked Pop, if any.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.cond.Signal()
 }
 
 // Pop removes and returns the head, blocking while the queue is empty.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		q.cond.Wait(p)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // PopTimeout removes and returns the head, blocking at most d of virtual
 // time. It reports false if the deadline passed with the queue still empty.
 func (q *Queue[T]) PopTimeout(p *Proc, d Dur) (T, bool) {
 	deadline := q.s.now.Add(d)
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if !q.cond.WaitUntil(p, deadline) {
 			var zero T
 			return zero, false
 		}
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // TryPop removes and returns the head without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }

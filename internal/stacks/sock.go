@@ -27,9 +27,9 @@ type Sock struct {
 	WriteMove func(t *kern.Thread, n int)
 	ReadMove  func(t *kern.Thread, n int)
 
-	readable    *sim.Cond
-	writable    *sim.Cond
-	established *sim.Cond
+	readable    sim.Cond
+	writable    sim.Cond
+	established sim.Cond
 	isEst       bool
 	closed      bool
 	err         error
@@ -47,12 +47,19 @@ type Engine interface {
 
 // NewSock builds the wrapper; callers attach Callbacks() to the engine.
 func NewSock(s *sim.Sim, tc *tcp.Conn) *Sock {
-	return &Sock{
-		TC:          tc,
-		readable:    s.NewCond(),
-		writable:    s.NewCond(),
-		established: s.NewCond(),
-	}
+	k := new(Sock)
+	k.Init(s, tc)
+	return k
+}
+
+// Init makes k a fresh wrapper around tc in place, for a Sock embedded in a
+// record that is reused: the cost hooks and Eng are cleared for the caller to
+// set, the condition variables keep their arrays. Nobody may be blocked on k.
+func (k *Sock) Init(s *sim.Sim, tc *tcp.Conn) {
+	k.readable.Init(s)
+	k.writable.Init(s)
+	k.established.Init(s)
+	*k = Sock{TC: tc, readable: k.readable, writable: k.writable, established: k.established}
 }
 
 // Callbacks returns the engine callbacks that drive the blocking

@@ -40,8 +40,8 @@ type TCPWheel struct {
 	// threads, and a fire that blocks on a connection's engine lock
 	// suspends its Advance mid-tick — the other driver can run a full
 	// Advance (setting and clearing a shared slot) in the gap.
-	execSlow func(e *WheelEnt, fn func())
-	execFast func(e *WheelEnt, fn func())
+	execSlow func(e *WheelEnt, fn func(*WheelEnt))
+	execFast func(e *WheelEnt, fn func(*WheelEnt))
 }
 
 // WheelEnt is one connection's wheel registration. Owner carries the
@@ -60,6 +60,10 @@ type WheelEnt struct {
 	// (it closed, or was handed to another shell while still live), so a
 	// later Sync or a fire already past the wheel must not re-arm it.
 	dropped bool
+	// firing counts fires of this entry that are under way: a driver thread
+	// has taken the timer off the wheel and is charging for it, or waiting
+	// for the engine lock, and will touch the entry again.
+	firing int
 }
 
 // NewTCPWheel builds the two wheels: the slow wheel spans 2^16 ticks
@@ -82,10 +86,29 @@ func (w *TCPWheel) Armed() int { return w.slow.Armed() + w.fast.Armed() }
 // current wheel clock; the caller must invoke Sync under the engine lock
 // after any engine activity (Open, Input) arms timers.
 func (w *TCPWheel) Add(tc *tcp.Conn, owner any) *WheelEnt {
-	e := &WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now()}
-	e.onSlow, e.onFast = e.fireSlow, e.fireFast
+	e := new(WheelEnt)
+	w.Init(e, tc, owner)
 	return e
 }
+
+// Init is Add onto an entry the caller supplies: one embedded in a
+// connection record that is reused. The entry must be dropped and Idle; it
+// keeps the two callbacks bound to it.
+func (w *TCPWheel) Init(e *WheelEnt, tc *tcp.Conn, owner any) {
+	onSlow, onFast := e.onSlow, e.onFast
+	if onSlow == nil {
+		onSlow, onFast = e.fireSlow, e.fireFast
+	}
+	*e = WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now(), onSlow: onSlow, onFast: onFast}
+}
+
+// Scrub zeroes a dropped, idle entry its owner is putting aside for reuse,
+// but for the callbacks bound to it.
+func (e *WheelEnt) Scrub() { *e = WheelEnt{onSlow: e.onSlow, onFast: e.onFast} }
+
+// Idle reports that no fire of the entry is under way. A dropped, idle entry
+// is touched by nobody but its owner and may be reused.
+func (e *WheelEnt) Idle() bool { return e.firing == 0 }
 
 // Drop deregisters a connection for good, cancelling any pending timers.
 // Safe to call twice.
@@ -137,26 +160,35 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 // while we waited for the lock, Sync degenerates to a no-op re-arm; if it
 // dropped the entry, to nothing.
 func (e *WheelEnt) fireSlow() {
-	e.w.execSlow(e, func() { e.w.Sync(e) })
+	e.firing++
+	e.w.execSlow(e, (*WheelEnt).sync)
+	e.firing--
 }
+
+func (e *WheelEnt) sync() { e.w.Sync(e) }
 
 // fireFast flushes the pending delayed ACK.
 func (e *WheelEnt) fireFast() {
-	e.w.execFast(e, func() {
-		if e.dropped {
-			return
-		}
-		e.w.Sync(e)
-		e.tc.FastTick()
-		e.w.Sync(e)
-	})
+	e.firing++
+	e.w.execFast(e, (*WheelEnt).flushDelAck)
+	e.firing--
+}
+
+func (e *WheelEnt) flushDelAck() {
+	if e.dropped {
+		return
+	}
+	e.w.Sync(e)
+	e.tc.FastTick()
+	e.w.Sync(e)
 }
 
 // AdvanceSlow moves the slow wheel one tick, dispatching each due entry
-// through exec, which must run the provided fn under that connection's
-// engine lock (and charge whatever per-fire cost the shell models). It
+// through exec, which must run fn(e) under that connection's engine lock
+// (and charge whatever per-fire cost the shell models). fn is a function of
+// the entry and not a closure over it, so a fire allocates nothing. It
 // returns the number of entries fired.
-func (w *TCPWheel) AdvanceSlow(exec func(e *WheelEnt, fn func())) int {
+func (w *TCPWheel) AdvanceSlow(exec func(e *WheelEnt, fn func(*WheelEnt))) int {
 	w.execSlow = exec
 	fired := w.slow.Advance(1)
 	w.execSlow = nil
@@ -164,7 +196,7 @@ func (w *TCPWheel) AdvanceSlow(exec func(e *WheelEnt, fn func())) int {
 }
 
 // AdvanceFast is AdvanceSlow for the 200 ms delayed-ACK wheel.
-func (w *TCPWheel) AdvanceFast(exec func(e *WheelEnt, fn func())) int {
+func (w *TCPWheel) AdvanceFast(exec func(e *WheelEnt, fn func(*WheelEnt))) int {
 	w.execFast = exec
 	fired := w.fast.Advance(1)
 	w.execFast = nil
@@ -178,9 +210,10 @@ type DriverHooks struct {
 	// for all their connections (the registry, the monolithic stacks) take
 	// it here; nil runs the advance bare.
 	Bracket func(t *kern.Thread, advance func())
-	// Fire runs one due entry's fn. Shells with a lock per connection (the
-	// library) take e.Owner's lock here; nil calls fn directly.
-	Fire func(t *kern.Thread, e *WheelEnt, fn func())
+	// Fire runs one due entry's fn, as fn(e). Shells with a lock per
+	// connection (the library) take e.Owner's lock here; nil calls fn
+	// directly.
+	Fire func(t *kern.Thread, e *WheelEnt, fn func(*WheelEnt))
 	// AfterSlow, when set, runs after each slow tick outside the bracket
 	// (the reassembly queue's expiry rides the 500 ms clock).
 	AfterSlow func()
@@ -194,7 +227,7 @@ func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
 		h.Bracket = func(_ *kern.Thread, advance func()) { advance() }
 	}
 	if h.Fire == nil {
-		h.Fire = func(_ *kern.Thread, _ *WheelEnt, fn func()) { fn() }
+		h.Fire = func(_ *kern.Thread, e *WheelEnt, fn func(*WheelEnt)) { fn(e) }
 	}
 	dom.Spawn(name+"-fast", func(t *kern.Thread) {
 		drive(t, 200*time.Millisecond, w.AdvanceFast, h, nil)
@@ -205,8 +238,8 @@ func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
 }
 
 // drive is the body of one driver thread.
-func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEnt, func())) int, h DriverHooks, after func()) {
-	exec := func(e *WheelEnt, fn func()) {
+func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEnt, func(*WheelEnt))) int, h DriverHooks, after func()) {
+	exec := func(e *WheelEnt, fn func(*WheelEnt)) {
 		t.Compute(t.Cost().TimerOp)
 		h.Fire(t, e, fn)
 	}

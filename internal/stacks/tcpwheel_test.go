@@ -94,7 +94,7 @@ func (p *tickPipe) advance() {
 			p.engine(i, func(c *tcp.Conn) { c.Input(seg.h, seg.data) })
 		}
 	}
-	direct := func(_ *WheelEnt, fn func()) { fn() }
+	direct := func(e *WheelEnt, fn func(*WheelEnt)) { fn(e) }
 	if p.step%2 == 1 {
 		if p.wheel != nil {
 			p.wheel.AdvanceFast(direct)
@@ -258,9 +258,9 @@ func TestWheelFireOnDroppedEntryIsNoop(t *testing.T) {
 			p.conns[1].DelAckPending(), p.wheel.Armed())
 	}
 	sent := p.sent[1]
-	dropThenRun := func(e *WheelEnt, fn func()) {
+	dropThenRun := func(e *WheelEnt, fn func(*WheelEnt)) {
 		p.wheel.Drop(e)
-		fn()
+		fn(e)
 	}
 	p.wheel.Drop(p.ents[0]) // only the receiver's fires are under test
 	for i := 0; i < 4; i++ {

@@ -1,5 +1,7 @@
 package tcp
 
+import "slices"
+
 // appendInPlace appends p to live, a window onto the backing array *buf,
 // without allocating: behind the window if the array's tail has room, else
 // after moving the window back to the array's start. Both buffers drop bytes
@@ -29,7 +31,8 @@ type sendBuf struct {
 	limit int // capacity (socket buffer size)
 }
 
-func newSendBuf(limit int) *sendBuf { return &sendBuf{limit: limit} }
+// init empties the buffer for a new connection, keeping the backing array.
+func (b *sendBuf) init(limit int) { *b = sendBuf{buf: b.buf, limit: limit} }
 
 // space returns how many more bytes the application may append.
 func (b *sendBuf) space() int { return b.limit - len(b.data) }
@@ -82,16 +85,57 @@ type recvBuf struct {
 	buf   []byte
 	limit int
 
-	// ooo is the reassembly queue, kept sorted and non-overlapping.
-	ooo []oooSeg
+	// ooo is the reassembly queue, kept sorted and non-overlapping. Each
+	// queued segment's bytes are a copy; spare holds the storage of segments
+	// that left the queue, for the next one to arrive out of order.
+	ooo   []oooSeg
+	spare [][]byte
 }
+
+// maxOOO bounds the reassembly queue.
+const maxOOO = 64
 
 type oooSeg struct {
 	seq  Seq
 	data []byte
 }
 
-func newRecvBuf(limit int) *recvBuf { return &recvBuf{limit: limit} }
+// init empties the buffer for a new connection, keeping the backing arrays.
+func (b *recvBuf) init(limit int) {
+	for i := range b.ooo {
+		b.freeSeg(i)
+	}
+	*b = recvBuf{buf: b.buf, limit: limit, ooo: b.ooo[:0], spare: b.spare}
+}
+
+// holdSeg returns a copy of data in spare storage when a piece large enough
+// is at hand, else in storage of its own.
+func (b *recvBuf) holdSeg(data []byte) []byte {
+	for i := len(b.spare) - 1; i >= 0; i-- {
+		if d := b.spare[i]; cap(d) >= len(data) {
+			b.spare[i] = b.spare[len(b.spare)-1]
+			b.spare[len(b.spare)-1] = nil
+			b.spare = b.spare[:len(b.spare)-1]
+			return append(d[:0], data...)
+		}
+	}
+	return append([]byte(nil), data...)
+}
+
+// freeSeg takes queued segment i's storage back, up to as many pieces as the
+// queue may hold segments. The caller removes the entry.
+func (b *recvBuf) freeSeg(i int) {
+	if len(b.spare) < maxOOO {
+		b.spare = append(b.spare, b.ooo[i].data)
+	}
+	b.ooo[i].data = nil
+}
+
+// dropOOO removes queued segment i, keeping its storage and the queue's.
+func (b *recvBuf) dropOOO(i int) {
+	b.freeSeg(i)
+	b.ooo = slices.Delete(b.ooo, i, i+1)
+}
 
 // window returns the receive window to advertise: free buffer space.
 func (b *recvBuf) window() int {
@@ -137,7 +181,7 @@ func (b *recvBuf) insert(rcvNxt Seq, seq Seq, data []byte) Seq {
 	}
 	// Out of order: store (bounded by a generous multiple of the window to
 	// prevent pathological memory use).
-	if len(b.ooo) < 64 {
+	if len(b.ooo) < maxOOO {
 		b.insertOOO(seq, data)
 	}
 	return rcvNxt
@@ -183,7 +227,7 @@ func (b *recvBuf) insertOOO(seq Seq, data []byte) {
 		}
 		if nxt.seq.Add(len(nxt.data)).Leq(end) {
 			// Successor fully covered by new data: drop it.
-			b.ooo = append(b.ooo[:i], b.ooo[i+1:]...)
+			b.dropOOO(i)
 			continue
 		}
 		// Partial overlap: trim our tail.
@@ -195,7 +239,7 @@ func (b *recvBuf) insertOOO(seq Seq, data []byte) {
 	}
 	b.ooo = append(b.ooo, oooSeg{})
 	copy(b.ooo[i+1:], b.ooo[i:])
-	b.ooo[i] = oooSeg{seq: seq, data: append([]byte(nil), data...)}
+	b.ooo[i] = oooSeg{seq: seq, data: b.holdSeg(data)}
 }
 
 // drain moves now-in-order segments from the reassembly queue to ready.
@@ -205,12 +249,12 @@ func (b *recvBuf) drain(rcvNxt Seq) Seq {
 		if rcvNxt.Less(s.seq) {
 			break
 		}
-		b.ooo = b.ooo[1:]
 		if end := s.seq.Add(len(s.data)); rcvNxt.Less(end) {
 			d := b.capToWindow(s.data[rcvNxt.Diff(s.seq):])
 			b.ready = appendInPlace(&b.buf, b.ready, d, b.limit)
 			rcvNxt = rcvNxt.Add(len(d))
 		}
+		b.dropOOO(0)
 	}
 	return rcvNxt
 }

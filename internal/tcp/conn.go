@@ -233,9 +233,9 @@ type Conn struct {
 	irs            Seq
 	rcvNxt, rcvAdv Seq
 
-	// Buffers.
-	snd *sendBuf
-	rcv *recvBuf
+	// Buffers, by value: a pcb that is reused (Init) keeps their arrays.
+	snd sendBuf
+	rcv recvBuf
 
 	// Effective MSS for sending (min of ours and peer's option).
 	sndMSS int
@@ -291,19 +291,40 @@ func (c *Conn) SetTrace(bus *trace.Bus, label string) {
 
 // NewConn creates a connection in the Closed state.
 func NewConn(cfg Config, local, peer Endpoint, cb Callbacks) *Conn {
+	c := new(Conn)
+	c.Init(cfg, local, peer, cb)
+	return c
+}
+
+// Init makes c a new connection in the Closed state, in place: a shell that
+// recycles its pcbs (as BSD's zone allocator does) calls it on one whose last
+// user is gone. Nothing of the old connection survives but the socket
+// buffers' backing arrays.
+func (c *Conn) Init(cfg Config, local, peer Endpoint, cb Callbacks) {
 	cfg.fill()
-	c := &Conn{
+	snd, rcv := c.snd, c.rcv
+	*c = Conn{
 		cfg:    cfg,
 		cb:     cb,
 		local:  local,
 		peer:   peer,
 		state:  Closed,
-		snd:    newSendBuf(cfg.SndBufSize),
-		rcv:    newRecvBuf(cfg.RcvBufSize),
+		snd:    snd,
+		rcv:    rcv,
 		sndMSS: cfg.MSS,
 		rxtCur: 6, // 3 s initial RTO, per BSD TCPTV_SRTTDFLT handling
 	}
-	return c
+	c.snd.init(cfg.SndBufSize)
+	c.rcv.init(cfg.RcvBufSize)
+}
+
+// Scrub zeroes a pcb its shell is putting aside for reuse: Closed, no
+// callbacks, no timers, no bytes — a stale caller's segment or tick finds
+// nothing to act on. The socket buffers' arrays stay for the next Init.
+func (c *Conn) Scrub() {
+	c.snd.init(0)
+	c.rcv.init(0)
+	*c = Conn{snd: c.snd, rcv: c.rcv}
 }
 
 // State returns the current connection state.

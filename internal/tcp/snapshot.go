@@ -61,7 +61,15 @@ func (c *Conn) Snapshot() Snapshot {
 // new owner's callbacks. Timers restart conservatively (a retransmission
 // timer is armed if data is outstanding).
 func Restore(s Snapshot, cb Callbacks) *Conn {
-	c := NewConn(s.Cfg, s.Local, s.Peer, cb)
+	c := new(Conn)
+	RestoreInto(c, s, cb)
+	return c
+}
+
+// RestoreInto is Restore onto a pcb the caller supplies (see Conn.Init). The
+// buffered bytes are copied, never shared with the snapshot.
+func RestoreInto(c *Conn, s Snapshot, cb Callbacks) {
+	c.Init(s.Cfg, s.Local, s.Peer, cb)
 	c.state = s.State
 	c.iss, c.irs = s.ISS, s.IRS
 	c.sndUna, c.sndNxt, c.sndMax = s.SndUna, s.SndNxt, s.SndMax
@@ -72,9 +80,9 @@ func Restore(s Snapshot, cb Callbacks) *Conn {
 	c.sndMSS = s.SndMSS
 	c.rxtCur = s.RxtCur
 	c.srtt, c.rttvar = s.SRTT, s.RTTVar
-	c.snd.data = append([]byte(nil), s.SndData...)
+	c.snd.data = appendInPlace(&c.snd.buf, nil, s.SndData, c.snd.limit)
 	c.snd.start = s.SndStart
-	c.rcv.ready = append([]byte(nil), s.RcvReady...)
+	c.rcv.ready = appendInPlace(&c.rcv.buf, nil, s.RcvReady, c.rcv.limit)
 	if c.sndNxt != c.sndUna {
 		c.startRexmt()
 	}
@@ -87,5 +95,4 @@ func Restore(s Snapshot, cb Callbacks) *Conn {
 		// never detect a dead peer that goes silent right after transfer.
 		c.setTimer(&c.tKeep, c.cfg.KeepAliveTicks)
 	}
-	return c
 }

@@ -55,6 +55,9 @@ type Wheel struct {
 	now    uint64 // current absolute tick
 	armed  int
 	ops    int // statistics: set+cancel+fire operations
+	// due is the list tick fires from: empty between ticks. It lives here
+	// and not on tick's stack because the timers on it point at its head.
+	due slotList
 }
 
 // New creates a wheel with the given number of levels, each with slots
@@ -65,6 +68,7 @@ func New(levels, slots int) *Wheel {
 		panic("timerwheel: slots must be a power of two")
 	}
 	w := &Wheel{slots: uint64(slots), mask: uint64(slots - 1)}
+	w.due.init()
 	for s := slots; s > 1; s >>= 1 {
 		w.shift++
 	}
@@ -175,8 +179,7 @@ func (w *Wheel) tick() int {
 	// an expiry callback may freely Cancel or re-Set any other timer —
 	// including one due this same tick — without corrupting the walk.
 	l := &w.levels[0][w.now&w.mask]
-	var due slotList
-	due.init()
+	due := &w.due
 	for t := l.head.next; t != &l.head; {
 		next := t.next
 		if t.deadline <= w.now {
