@@ -22,31 +22,39 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ulp/internal/explore"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "mutation RNG seed (same seed => identical campaign)")
-	budget := flag.Int("budget", 100, "total scenario executions (baseline library runs count)")
-	minCov := flag.Float64("min-coverage", 0.9, "minimum fraction of legal (state, trigger) edges to exercise")
-	out := flag.String("out", "", "write reproducers (JSON) to this file")
-	replay := flag.String("replay", "", "replay a reproducer file instead of exploring")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, writes its report to stdout and
+// returns the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("ulexplore", flag.ContinueOnError)
+	seed := fs.Uint64("seed", 1, "mutation RNG seed (same seed => identical campaign)")
+	budget := fs.Int("budget", 100, "total scenario executions (baseline library runs count)")
+	minCov := fs.Float64("min-coverage", 0.9, "minimum fraction of legal (state, trigger) edges to exercise")
+	out := fs.String("out", "", "write reproducers (JSON) to this file")
+	replay := fs.String("replay", "", "replay a reproducer file instead of exploring")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *replay != "" {
-		os.Exit(runReplay(*replay))
+		return runReplay(*replay, stdout)
 	}
 
 	rep := explore.New(*seed, *budget).Explore()
-	fmt.Printf("explored %d schedules: %d/%d legal edges (%.0f%%), %d reproducers\n",
+	fmt.Fprintf(stdout, "explored %d schedules: %d/%d legal edges (%.0f%%), %d reproducers\n",
 		rep.Runs, rep.Covered, rep.Total, 100*rep.Coverage, len(rep.Reproducers))
 	for _, e := range rep.Missing {
-		fmt.Println("  uncovered:", e)
+		fmt.Fprintln(stdout, "  uncovered:", e)
 	}
 	for _, r := range rep.Reproducers {
-		fmt.Printf("  VIOLATION %s in %q (%d-fault reproducer): %s\n",
+		fmt.Fprintf(stdout, "  VIOLATION %s in %q (%d-fault reproducer): %s\n",
 			r.Violation.Rule, r.Scenario, len(r.Faults), r.Violation.Detail)
 	}
 
@@ -56,24 +64,25 @@ func main() {
 			err = os.WriteFile(*out, blob, 0o644)
 		}
 		if err != nil {
-			fmt.Println("write reproducers:", err)
-			os.Exit(1)
+			fmt.Fprintln(stdout, "write reproducers:", err)
+			return 1
 		}
-		fmt.Println("reproducers written to", *out)
+		fmt.Fprintln(stdout, "reproducers written to", *out)
 	}
 
 	if len(rep.Reproducers) > 0 || rep.Coverage < *minCov {
 		if rep.Coverage < *minCov {
-			fmt.Printf("coverage %.2f below floor %.2f\n", rep.Coverage, *minCov)
+			fmt.Fprintf(stdout, "coverage %.2f below floor %.2f\n", rep.Coverage, *minCov)
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func runReplay(path string) int {
+func runReplay(path string, stdout io.Writer) int {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Println("replay:", err)
+		fmt.Fprintln(stdout, "replay:", err)
 		return 1
 	}
 	var repros []explore.Reproducer
@@ -81,7 +90,7 @@ func runReplay(path string) int {
 		// Also accept a single reproducer object.
 		var one explore.Reproducer
 		if err2 := json.Unmarshal(blob, &one); err2 != nil {
-			fmt.Println("replay:", err)
+			fmt.Fprintln(stdout, "replay:", err)
 			return 1
 		}
 		repros = []explore.Reproducer{one}
@@ -90,11 +99,11 @@ func runReplay(path string) int {
 	for _, r := range repros {
 		res, err := explore.Replay(r)
 		if err != nil {
-			fmt.Printf("%s: %v\n", r.Scenario, err)
+			fmt.Fprintf(stdout, "%s: %v\n", r.Scenario, err)
 			status = 1
 			continue
 		}
-		fmt.Printf("%s: reproduced %s (%d violations, %d steps, %d frames)\n",
+		fmt.Fprintf(stdout, "%s: reproduced %s (%d violations, %d steps, %d frames)\n",
 			r.Scenario, r.Violation.Rule, len(res.Violations), res.Steps, res.Frames)
 	}
 	return status

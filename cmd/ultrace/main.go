@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,14 +36,21 @@ import (
 	"ulp/internal/wire"
 )
 
-func main() {
-	orgName := flag.String("org", "userlib", "organization: userlib | inkernel | singleserver")
-	netName := flag.String("net", "ethernet", "network: ethernet | an1 | an1-64k")
-	loss := flag.Float64("loss", 0, "wire loss probability")
-	bytes := flag.Int("bytes", 3000, "payload bytes to echo")
-	pcapPath := flag.String("pcap", "", "write every transmitted frame to this pcap file")
-	conformFlag := flag.Bool("conform", false, "check the trace against the RFC 793 state machine; exit 1 on violations")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, writes the trace to stdout and
+// returns the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("ultrace", flag.ContinueOnError)
+	orgName := fs.String("org", "userlib", "organization: userlib | inkernel | singleserver")
+	netName := fs.String("net", "ethernet", "network: ethernet | an1 | an1-64k")
+	loss := fs.Float64("loss", 0, "wire loss probability")
+	bytes := fs.Int("bytes", 3000, "payload bytes to echo")
+	pcapPath := fs.String("pcap", "", "write every transmitted frame to this pcap file")
+	conformFlag := fs.Bool("conform", false, "check the trace against the RFC 793 state machine; exit 1 on violations")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cfg := ulp.Config{}
 	switch *orgName {
@@ -53,8 +61,8 @@ func main() {
 	case "singleserver":
 		cfg.Org = ulp.OrgSingleServer
 	default:
-		fmt.Println("unknown organization", *orgName)
-		return
+		fmt.Fprintln(stdout, "unknown organization", *orgName)
+		return 2
 	}
 	switch *netName {
 	case "ethernet":
@@ -64,8 +72,8 @@ func main() {
 	case "an1-64k":
 		cfg.Net = ulp.AN1Jumbo
 	default:
-		fmt.Println("unknown network", *netName)
-		return
+		fmt.Fprintln(stdout, "unknown network", *netName)
+		return 2
 	}
 	if *loss > 0 {
 		cfg.Faults = &wire.Faults{Seed: 1, LossProb: *loss}
@@ -78,14 +86,14 @@ func main() {
 	}
 	an1 := cfg.Net != ulp.Ethernet
 	w.TraceFrames(func(at time.Duration, frame *pkt.Buf) {
-		fmt.Printf("%12v  %s\n", at, renderFrame(frame, an1))
+		fmt.Fprintf(stdout, "%12v  %s\n", at, renderFrame(frame, an1))
 	})
 
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
-			fmt.Println("pcap:", err)
-			return
+			fmt.Fprintln(stdout, "pcap:", err)
+			return 1
 		}
 		defer f.Close()
 		linkType := trace.LinkTypeEthernet
@@ -94,8 +102,8 @@ func main() {
 		}
 		pw, err := trace.NewPcapWriter(f, linkType)
 		if err != nil {
-			fmt.Println("pcap:", err)
-			return
+			fmt.Fprintln(stdout, "pcap:", err)
+			return 1
 		}
 		w.EnableTrace().Subscribe(func(e trace.Event) {
 			if e.Kind == trace.FrameTx {
@@ -129,7 +137,7 @@ func main() {
 	cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
 		c, err := cli.Stack.Connect(t, w.Endpoint(0, 80), stacks.Options{})
 		if err != nil {
-			fmt.Println("connect:", err)
+			fmt.Fprintln(stdout, "connect:", err)
 			done = true
 			return
 		}
@@ -149,15 +157,16 @@ func main() {
 
 	if checker != nil {
 		cov := checker.Coverage()
-		fmt.Printf("conformance: %d violations, %d/%d legal transition edges exercised\n",
+		fmt.Fprintf(stdout, "conformance: %d violations, %d/%d legal transition edges exercised\n",
 			len(checker.Violations()), cov.Count(), cov.Total())
 		for _, v := range checker.Violations() {
-			fmt.Println("  ", v)
+			fmt.Fprintln(stdout, "  ", v)
 		}
 		if len(checker.Violations()) > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // renderFrame decodes one frame for display.

@@ -112,6 +112,7 @@ func udpRPC() (time.Duration, bool) {
 			sock.Recv(t)
 		}
 		perOp = (w.Now() - start) / ops
+		sock.Close(t)
 		done = true
 	})
 	w.RunUntil(time.Minute, func() bool { return done })

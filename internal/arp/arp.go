@@ -148,19 +148,3 @@ func (c *Cache) Input(now uint64, p Packet) (reply *Packet, released []*pkt.Buf)
 	}
 	return reply, released
 }
-
-// DropPending discards the hold queue for ip (resolution timed out) and
-// returns how many datagrams were dropped.
-func (c *Cache) DropPending(ip ipv4.Addr) int {
-	n := len(c.pending[ip])
-	delete(c.pending, ip)
-	return n
-}
-
-// Insert installs a static entry (used by tests and the quickstart example).
-func (c *Cache) Insert(now uint64, ip ipv4.Addr, hw link.Addr) {
-	c.entries[ip] = entry{hw: hw, expires: now + c.ttl}
-}
-
-// Len returns the number of entries (live or expired-but-unswept).
-func (c *Cache) Len() int { return len(c.entries) }

@@ -104,7 +104,7 @@ func TestRequestForOtherHostIgnored(t *testing.T) {
 
 func TestEntryExpiry(t *testing.T) {
 	c := NewCache(hwA, ipA, 10)
-	c.Insert(0, ipB, hwB)
+	c.Input(0, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA})
 	if _, ok := c.Lookup(9, ipB); !ok {
 		t.Fatal("entry expired early")
 	}
@@ -127,18 +127,6 @@ func TestPendingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-func TestDropPending(t *testing.T) {
-	c := NewCache(hwA, ipA, 100)
-	c.Enqueue(ipB, pkt.FromBytes(0, []byte("x")))
-	c.Enqueue(ipB, pkt.FromBytes(0, []byte("y")))
-	if n := c.DropPending(ipB); n != 2 {
-		t.Fatalf("dropped %d, want 2", n)
-	}
-	if c.Enqueue(ipB, pkt.FromBytes(0, []byte("z"))) != true {
-		t.Fatal("after drop, enqueue should request again")
-	}
-}
-
 func TestOpportunisticLearning(t *testing.T) {
 	c := NewCache(hwA, ipA, 100)
 	// Any ARP traffic teaches us the sender.
@@ -146,7 +134,7 @@ func TestOpportunisticLearning(t *testing.T) {
 	if hw, ok := c.Lookup(0, ipB); !ok || hw != hwB {
 		t.Fatal("did not learn from overheard request")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if _, ok := c.Lookup(0, ipv4.Addr{10, 0, 0, 77}); ok {
+		t.Fatal("learned the target of an overheard request")
 	}
 }

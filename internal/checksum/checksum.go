@@ -107,15 +107,3 @@ func PseudoHeader(acc uint32, src, dst [4]byte, proto uint8, length int) uint32 
 	acc += uint32(length)
 	return acc
 }
-
-// Update incrementally adjusts an existing checksum old for a 16-bit field
-// change from oldVal to newVal (RFC 1624 eqn. 3), avoiding recomputation.
-// Used when rewriting single header fields (e.g. TTL+checksum updates).
-func Update(old uint16, oldVal, newVal uint16) uint16 {
-	// HC' = ~(~HC + ~m + m')
-	acc := uint32(^old&0xffff) + uint32(^oldVal&0xffff) + uint32(newVal)
-	for acc>>16 != 0 {
-		acc = (acc & 0xffff) + acc>>16
-	}
-	return ^uint16(acc)
-}

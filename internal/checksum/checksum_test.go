@@ -92,31 +92,6 @@ func TestChainingProperty(t *testing.T) {
 
 // Property: RFC 1624 incremental update equals recomputation when a 16-bit
 // field changes.
-func TestIncrementalUpdateProperty(t *testing.T) {
-	if err := quick.Check(func(seed int64, newVal uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := make([]byte, 20)
-		rng.Read(b)
-		b[10], b[11] = 0, 0
-		ck := Checksum(b)
-		b[10], b[11] = byte(ck>>8), byte(ck)
-
-		oldVal := uint16(b[2])<<8 | uint16(b[3])
-		updated := Update(ck, oldVal, newVal)
-
-		b[2], b[3] = byte(newVal>>8), byte(newVal)
-		b[10], b[11] = 0, 0
-		recomputed := Checksum(b)
-		// Ones-complement arithmetic has two representations of zero
-		// (0x0000 and 0xffff); they are equivalent as checksums.
-		eq := updated == recomputed ||
-			(updated == 0xffff && recomputed == 0) || (updated == 0 && recomputed == 0xffff)
-		return eq
-	}, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPseudoHeader(t *testing.T) {
 	src := [4]byte{192, 168, 0, 1}
 	dst := [4]byte{10, 0, 0, 2}

@@ -43,7 +43,7 @@ func expectOne(t *testing.T, k *Checker, rule string) Violation {
 }
 
 func TestSpecRelation(t *testing.T) {
-	edges := AllLegalEdges()
+	edges := legalEdges
 	if len(edges) != 42 {
 		t.Errorf("legal relation has %d edges, want 42", len(edges))
 	}
@@ -349,7 +349,7 @@ func TestBusAttach(t *testing.T) {
 	if vs := k.Violations(); len(vs) != 0 {
 		t.Fatalf("open/close flagged: %v", vs)
 	}
-	if !k.Coverage().Covered(Edge{tcp.Closed, tcp.SynSent, tcp.TrigUser}) {
+	if k.Coverage().hits[Edge{tcp.Closed, tcp.SynSent, tcp.TrigUser}] == 0 {
 		t.Error("active open edge not covered")
 	}
 }

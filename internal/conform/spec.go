@@ -55,8 +55,8 @@ var legalEdges = func() []Edge {
 	}
 
 	// --- User calls (open, close, abort) -------------------------------
-	add(tcp.Closed, tcp.Listen, tcp.TrigUser)   // passive open
-	add(tcp.Closed, tcp.SynSent, tcp.TrigUser)  // active open
+	add(tcp.Closed, tcp.Listen, tcp.TrigUser)        // passive open
+	add(tcp.Closed, tcp.SynSent, tcp.TrigUser)       // active open
 	add(tcp.SynRcvd, tcp.FinWait1, tcp.TrigUser)     // close before handshake completes
 	add(tcp.Established, tcp.FinWait1, tcp.TrigUser) // orderly close
 	add(tcp.CloseWait, tcp.LastAck, tcp.TrigUser)    // close after peer's FIN
@@ -66,16 +66,16 @@ var legalEdges = func() []Edge {
 	}
 
 	// --- Segment arrivals ----------------------------------------------
-	add(tcp.Listen, tcp.SynRcvd, tcp.TrigSegment)       // SYN received
-	add(tcp.SynSent, tcp.Established, tcp.TrigSegment)  // SYN|ACK received
-	add(tcp.SynSent, tcp.SynRcvd, tcp.TrigSegment)      // simultaneous open
-	add(tcp.SynRcvd, tcp.Established, tcp.TrigSegment)  // handshake ACK
+	add(tcp.Listen, tcp.SynRcvd, tcp.TrigSegment)        // SYN received
+	add(tcp.SynSent, tcp.Established, tcp.TrigSegment)   // SYN|ACK received
+	add(tcp.SynSent, tcp.SynRcvd, tcp.TrigSegment)       // simultaneous open
+	add(tcp.SynRcvd, tcp.Established, tcp.TrigSegment)   // handshake ACK
 	add(tcp.Established, tcp.CloseWait, tcp.TrigSegment) // peer's FIN
-	add(tcp.FinWait1, tcp.FinWait2, tcp.TrigSegment)    // our FIN acked
-	add(tcp.FinWait1, tcp.Closing, tcp.TrigSegment)     // simultaneous close
-	add(tcp.FinWait2, tcp.TimeWait, tcp.TrigSegment)    // peer's FIN
-	add(tcp.Closing, tcp.TimeWait, tcp.TrigSegment)     // our FIN acked
-	add(tcp.LastAck, tcp.Closed, tcp.TrigSegment)       // our FIN acked
+	add(tcp.FinWait1, tcp.FinWait2, tcp.TrigSegment)     // our FIN acked
+	add(tcp.FinWait1, tcp.Closing, tcp.TrigSegment)      // simultaneous close
+	add(tcp.FinWait2, tcp.TimeWait, tcp.TrigSegment)     // peer's FIN
+	add(tcp.Closing, tcp.TimeWait, tcp.TrigSegment)      // our FIN acked
+	add(tcp.LastAck, tcp.Closed, tcp.TrigSegment)        // our FIN acked
 
 	// --- Resets (received RST, or fatal in-window SYN) -----------------
 	add(tcp.SynSent, tcp.Closed, tcp.TrigReset)
@@ -101,10 +101,6 @@ var legalEdges = func() []Edge {
 	}
 	return edges
 }()
-
-// AllLegalEdges returns the complete legal transition relation, in a fixed
-// deterministic order. The slice is shared; callers must not mutate it.
-func AllLegalEdges() []Edge { return legalEdges }
 
 // Legal reports whether the edge from->to under the given trigger is in the
 // relation.
@@ -173,9 +169,6 @@ func (c *Coverage) Total() int { return len(legalEdges) }
 func (c *Coverage) Frac() float64 {
 	return float64(c.Count()) / float64(c.Total())
 }
-
-// Covered reports whether the edge has been exercised.
-func (c *Coverage) Covered(e Edge) bool { return c.hits[e] > 0 }
 
 // Missing returns the legal edges not yet exercised, in relation order.
 func (c *Coverage) Missing() []Edge {

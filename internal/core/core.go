@@ -548,13 +548,7 @@ func (r *connRec) transmit(seg stacks.Seg) {
 		Proto: ipv4.ProtoTCP, Src: r.tc.Local().IP, Dst: r.tc.Peer().IP,
 	}
 	ih.Encode(seg.Buf)
-	if l.nif.IsAN1() {
-		lh := link.AN1Header{Dst: r.peerHW, Src: l.nif.HW, BQI: r.peerBQI, Type: link.TypeIPv4}
-		lh.Encode(seg.Buf)
-	} else {
-		lh := link.EthHeader{Dst: r.peerHW, Src: l.nif.HW, Type: link.TypeIPv4}
-		lh.Encode(seg.Buf)
-	}
+	l.nif.Frame(seg.Buf, r.peerHW, link.TypeIPv4, r.peerBQI, 0)
 	// Template violations cannot happen from this code path; a buggy or
 	// malicious library would be stopped here by the kernel. A lease
 	// rejection is different: it means the control plane died and our
@@ -714,21 +708,7 @@ func (c *Conn) inputThread(t *kern.Thread) {
 func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
 	l := r.c.lib
-	var et link.EtherType
-	if l.nif.IsAN1() {
-		h, err := link.DecodeAN1(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
-	} else {
-		h, err := link.DecodeEth(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
-	}
-	if et != link.TypeIPv4 {
+	if et, _, err := l.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
 		return
 	}
 	ih, err := ipv4.Decode(b)

@@ -54,9 +54,6 @@ func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	}, nil
 }
 
-// Local returns the bound end-point.
-func (u *UDPConn) Local() udp.Endpoint { return u.local }
-
 // Resolve performs the address-binding phase for a peer. Subsequent
 // SendTo calls to that peer bypass the registry.
 func (u *UDPConn) Resolve(t *kern.Thread, ip ipv4.Addr) error {
@@ -94,13 +91,7 @@ func (u *UDPConn) buildFrame(dst udp.Endpoint, hw link.Addr, payload []byte) *pk
 	uh.Encode(b, u.local.IP, dst.IP)
 	ih := ipv4.Header{ID: u.lib.ids.Next(), DF: true, TTL: 64, Proto: ipv4.ProtoUDP, Src: u.local.IP, Dst: dst.IP}
 	ih.Encode(b)
-	if nif.IsAN1() {
-		lh := link.AN1Header{Dst: hw, Src: nif.HW, Type: link.TypeIPv4}
-		lh.Encode(b)
-	} else {
-		lh := link.EthHeader{Dst: hw, Src: nif.HW, Type: link.TypeIPv4}
-		lh.Encode(b)
-	}
+	nif.Frame(b, hw, link.TypeIPv4, 0, 0)
 	return b
 }
 
@@ -169,15 +160,8 @@ func (u *UDPConn) Recv(t *kern.Thread) udp.Datagram {
 
 // parse decodes a channel frame into a datagram.
 func (u *UDPConn) parse(b *pkt.Buf) (udp.Datagram, bool) {
-	nif := u.lib.nif
-	if nif.IsAN1() {
-		if _, err := link.DecodeAN1(b); err != nil {
-			return udp.Datagram{}, false
-		}
-	} else {
-		if _, err := link.DecodeEth(b); err != nil {
-			return udp.Datagram{}, false
-		}
+	if _, _, err := u.lib.nif.StripLink(b); err != nil {
+		return udp.Datagram{}, false
 	}
 	ih, err := ipv4.Decode(b)
 	if err != nil || ih.Proto != ipv4.ProtoUDP || ih.Dst != u.local.IP {

@@ -322,6 +322,7 @@ func AblationRPC(model *costs.Model) RPCResult {
 				sock.Recv(t)
 			}
 			perOp = (time.Duration(t.Now()) - start) / ops
+			sock.Close(t)
 			done = true
 		})
 		w.runUntil(5*time.Minute, func() bool { return done })

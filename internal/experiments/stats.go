@@ -8,19 +8,14 @@ import (
 	"ulp/internal/stacks"
 )
 
-// StatsReport runs a representative 1 MB bulk transfer on a fresh world and
+// StatsReportZC runs a representative 1 MB bulk transfer on a fresh world and
 // returns the per-layer counter breakdown (wire frames and bytes, device
 // tx/rx, demux decisions, notification batching, copies, checksum bytes,
 // packet-pool churn, engine activity) in the style of the paper's per-layer
 // cost accounting. The report reflects the whole run including connection
-// setup.
-func StatsReport(org OrgSel, net NetSel, model *costs.Model) (string, error) {
-	return StatsReportZC(org, net, model, false)
-}
-
-// StatsReportZC is StatsReport with the zero-copy receive path toggled:
-// with it on, the breakdown shows referenced_bytes/delivered_by_ref rising
-// where copied_bytes would have, per channel and in aggregate.
+// setup. zeroCopy toggles the zero-copy receive path: with it on, the
+// breakdown shows referenced_bytes/delivered_by_ref rising where
+// copied_bytes would have, per channel and in aggregate.
 func StatsReportZC(org OrgSel, net NetSel, model *costs.Model, zeroCopy bool) (string, error) {
 	w := newWorldWith(org, net, model, func(cfg *ulp.Config) {
 		cfg.ZeroCopyRx = zeroCopy

@@ -203,22 +203,6 @@ func Table3CellFor(org OrgSel, label string, net NetSel, size int, model *costs.
 	return Table3Cell{System: label, Net: net, Size: size, RTT: rtt, Err: err}
 }
 
-// Table3 measures the full latency matrix.
-func Table3(model *costs.Model) []Table3Cell {
-	var out []Table3Cell
-	for _, sys := range Systems {
-		for _, net := range []NetSel{NetEthernet, NetAN1} {
-			if sys.Org == OrgMachUX && net == NetAN1 {
-				continue
-			}
-			for _, size := range LatencySizes {
-				out = append(out, Table3CellFor(sys.Org, sys.Label, net, size, model))
-			}
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Table 4 — Connection setup
 // ---------------------------------------------------------------------------

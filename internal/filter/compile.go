@@ -9,9 +9,11 @@ import "encoding/binary"
 //
 // The registry server constructs a Spec per endpoint at connection-setup
 // time and installs it with the network I/O module, which demultiplexes
-// with direct native code ("the demultiplexing logic requires only a few
-// instructions", synthesized into the kernel); the CSPF and BPF compilers
-// exist to reproduce the paper's interpreter-architecture comparison.
+// with the native predicate Compile returns ("the demultiplexing logic
+// requires only a few instructions", synthesized into the kernel).
+// CompileBPF and CompileCSPF emit the same predicate for the interpreters
+// in filter.go, which exist only to reproduce the paper's
+// interpreter-architecture comparison (experiments.AblationFilter).
 type Spec struct {
 	// LinkHdrLen is the link header size in bytes (14 Ethernet, 16 AN1).
 	LinkHdrLen int
@@ -27,46 +29,56 @@ type Spec struct {
 	RemotePort uint16
 }
 
-// Match is the native demultiplexing predicate: the direct-execution code
-// the kernel synthesizes. It handles variable IP header lengths and skips
-// non-first fragments (whose transport ports are absent).
-func (s Spec) Match(frame []byte) bool {
+// Compile returns the native demultiplexing predicate: the direct-execution
+// code the kernel synthesizes, with every constant hoisted out of the
+// per-packet path (addresses pre-packed into words, the wildcard decisions
+// taken once here instead of per packet). It handles variable IP header
+// lengths and skips non-first fragments, whose transport ports are absent.
+// netio installs this form for its software demux bindings.
+func (s Spec) Compile() func(frame []byte) bool {
 	l := s.LinkHdrLen
-	if len(frame) < l+20 {
-		return false
+	minLen := l + 20
+	proto := s.Proto
+	localIP := binary.BigEndian.Uint32(s.LocalIP[:])
+	localPort := s.LocalPort
+	checkRemoteIP := s.RemoteIP != ([4]byte{})
+	remoteIP := binary.BigEndian.Uint32(s.RemoteIP[:])
+	remotePort := s.RemotePort
+	return func(frame []byte) bool {
+		if len(frame) < minLen {
+			return false
+		}
+		if binary.BigEndian.Uint16(frame[l-2:]) != 0x0800 {
+			return false
+		}
+		ip := frame[l:]
+		if ip[0]>>4 != 4 {
+			return false
+		}
+		if ip[9] != proto {
+			return false
+		}
+		if binary.BigEndian.Uint32(ip[16:]) != localIP {
+			return false
+		}
+		if checkRemoteIP && binary.BigEndian.Uint32(ip[12:]) != remoteIP {
+			return false
+		}
+		if binary.BigEndian.Uint16(ip[6:])&0x1fff != 0 {
+			return false // non-first fragment: no transport header
+		}
+		ihl := int(ip[0]&0x0f) * 4
+		if ihl < 20 || len(ip) < ihl+4 {
+			return false
+		}
+		if binary.BigEndian.Uint16(ip[ihl+2:]) != localPort {
+			return false
+		}
+		if remotePort != 0 && binary.BigEndian.Uint16(ip[ihl:]) != remotePort {
+			return false
+		}
+		return true
 	}
-	if binary.BigEndian.Uint16(frame[l-2:]) != 0x0800 {
-		return false
-	}
-	ip := frame[l:]
-	if ip[0]>>4 != 4 {
-		return false
-	}
-	if ip[9] != s.Proto {
-		return false
-	}
-	if [4]byte(ip[16:20]) != s.LocalIP {
-		return false
-	}
-	if s.RemoteIP != ([4]byte{}) && [4]byte(ip[12:16]) != s.RemoteIP {
-		return false
-	}
-	if binary.BigEndian.Uint16(ip[6:])&0x1fff != 0 {
-		return false // non-first fragment: no transport header
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl+4 {
-		return false
-	}
-	srcPort := binary.BigEndian.Uint16(ip[ihl:])
-	dstPort := binary.BigEndian.Uint16(ip[ihl+2:])
-	if dstPort != s.LocalPort {
-		return false
-	}
-	if s.RemotePort != 0 && srcPort != s.RemotePort {
-		return false
-	}
-	return true
 }
 
 // CompileBPF emits the register-machine form of the predicate, using the
@@ -77,11 +89,10 @@ func (s Spec) CompileBPF() BPFProgram {
 	emit := func(in BPFInstr) { p = append(p, in) }
 	// Each test either falls through (match) or jumps to the final reject.
 	// Jump offsets are patched at the end.
-	type patch struct{ idx int }
-	var rejects []patch
+	var rejects []int
 	test := func(in BPFInstr, cmp BPFInstr) {
 		emit(in)
-		rejects = append(rejects, patch{len(p)})
+		rejects = append(rejects, len(p))
 		emit(cmp) // Jf patched to reject
 	}
 	test(BPFInstr{Op: BPFLdH, K: l - 2}, BPFInstr{Op: BPFJEq, K: 0x0800})
@@ -100,13 +111,11 @@ func (s Spec) CompileBPF() BPFProgram {
 	if s.RemotePort != 0 {
 		test(BPFInstr{Op: BPFLdHI, K: l}, BPFInstr{Op: BPFJEq, K: uint32(s.RemotePort)})
 	}
-	acceptIdx := len(p)
 	emit(BPFInstr{Op: BPFRet, K: 1})
 	rejectIdx := len(p)
 	emit(BPFInstr{Op: BPFRet, K: 0})
-	_ = acceptIdx
-	for _, pt := range rejects {
-		p[pt.idx].Jf = uint8(rejectIdx - pt.idx - 1)
+	for _, i := range rejects {
+		p[i].Jf = uint8(rejectIdx - i - 1)
 	}
 	p[fragIdx].Jt = uint8(rejectIdx - fragIdx - 1)
 	return p

@@ -11,14 +11,13 @@
 //     for modern RISC processors".
 //
 // Both virtual machines report the number of instructions executed, so the
-// simulation can charge interpretation cost, and the ablation benchmark can
-// compare architectures on identical demultiplexing predicates.
+// filter ablation (experiments.AblationFilter) can compare the architectures
+// on identical demultiplexing predicates. The receive path runs neither: it
+// installs the native predicate Spec.Compile returns and charges a fixed
+// per-frame demux cost (netio.rxSoftware).
 package filter
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // ---------------------------------------------------------------------------
 // CSPF: stack machine
@@ -290,22 +289,4 @@ func (p BPFProgram) Run(packet []byte) (accept bool, executed int) {
 		}
 	}
 	return false, executed
-}
-
-// Validate checks that all jumps land within the program and that it ends
-// in (or cannot run past) a return, so the kernel can refuse bad programs
-// at installation time rather than at packet-arrival time.
-func (p BPFProgram) Validate() error {
-	for i, in := range p {
-		switch in.Op {
-		case BPFJEq, BPFJGt, BPFJSet:
-			if i+1+int(in.Jt) >= len(p) || i+1+int(in.Jf) >= len(p) {
-				return fmt.Errorf("filter: jump out of range at %d", i)
-			}
-		}
-	}
-	if len(p) == 0 {
-		return fmt.Errorf("filter: empty program")
-	}
-	return nil
 }

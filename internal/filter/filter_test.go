@@ -34,7 +34,7 @@ var testSpec = Spec{
 
 func TestMatchAccepts(t *testing.T) {
 	f := buildFrame(testSpec, testSpec.RemoteIP, testSpec.LocalIP, 6, 80, 1234, 0)
-	if !testSpec.Match(f) {
+	if !testSpec.Compile()(f) {
 		t.Fatal("native match rejected a matching frame")
 	}
 }
@@ -55,8 +55,9 @@ func TestMatchRejections(t *testing.T) {
 		"short":          make([]byte, 20),
 		"empty":          nil,
 	}
+	match := testSpec.Compile()
 	for name, f := range cases {
-		if testSpec.Match(f) {
+		if match(f) {
 			t.Errorf("%s: native match accepted", name)
 		}
 	}
@@ -65,7 +66,7 @@ func TestMatchRejections(t *testing.T) {
 func TestWildcardSpec(t *testing.T) {
 	listen := Spec{LinkHdrLen: 14, Proto: 6, LocalIP: [4]byte{10, 0, 0, 2}, LocalPort: 21}
 	f := buildFrame(listen, [4]byte{1, 2, 3, 4}, listen.LocalIP, 6, 5555, 21, 0)
-	if !listen.Match(f) {
+	if !listen.Compile()(f) {
 		t.Fatal("wildcard spec rejected matching frame")
 	}
 	for _, prog := range []interface {
@@ -77,16 +78,24 @@ func TestWildcardSpec(t *testing.T) {
 	}
 }
 
+// TestCompiledProgramsValidate checks CompileBPF's jump patching: every
+// jump of every emitted program lands inside the program, and the program
+// ends in a return, so the interpreter never runs off its end.
 func TestCompiledProgramsValidate(t *testing.T) {
-	if err := testSpec.CompileBPF().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (BPFProgram{}).Validate(); err == nil {
-		t.Fatal("empty program should not validate")
-	}
-	bad := BPFProgram{{Op: BPFJEq, Jt: 5, Jf: 0}, {Op: BPFRet, K: 1}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("out-of-range jump should not validate")
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		p := randSpec(rng).CompileBPF()
+		if len(p) == 0 || p[len(p)-1].Op != BPFRet {
+			t.Fatalf("program does not end in a return: %+v", p)
+		}
+		for j, in := range p {
+			switch in.Op {
+			case BPFJEq, BPFJGt, BPFJSet:
+				if j+1+int(in.Jt) >= len(p) || j+1+int(in.Jf) >= len(p) {
+					t.Fatalf("jump out of range at %d: %+v", j, p)
+				}
+			}
+		}
 	}
 }
 
@@ -103,7 +112,7 @@ func TestVariableIHLBPFOnly(t *testing.T) {
 	copy(ip[16:20], spec.LocalIP[:])
 	binary.BigEndian.PutUint16(ip[24:], 80)
 	binary.BigEndian.PutUint16(ip[26:], 1234)
-	if !spec.Match(f) {
+	if !spec.Compile()(f) {
 		t.Fatal("native match should handle IHL=6")
 	}
 	if ok, _ := spec.CompileBPF().Run(f); !ok {
@@ -127,9 +136,7 @@ func TestArchitecturesAgreeProperty(t *testing.T) {
 		}
 		bpf := spec.CompileBPF()
 		cspf := spec.CompileCSPF()
-		if err := bpf.Validate(); err != nil {
-			return false
-		}
+		native := spec.Compile()
 		// Draw fields from small ranges so matches actually occur.
 		for i := 0; i < 40; i++ {
 			f := buildFrame(spec,
@@ -138,7 +145,7 @@ func TestArchitecturesAgreeProperty(t *testing.T) {
 				[]uint8{6, 17}[rng.Intn(2)],
 				uint16(rng.Intn(4)+1), uint16(rng.Intn(4)+1),
 				uint16(rng.Intn(2)*77))
-			want := spec.Match(f)
+			want := native(f)
 			if got, _ := bpf.Run(f); got != want {
 				return false
 			}
@@ -158,10 +165,11 @@ func TestArchitecturesAgreeProperty(t *testing.T) {
 func TestRobustnessOnGarbage(t *testing.T) {
 	bpf := testSpec.CompileBPF()
 	cspf := testSpec.CompileCSPF()
+	native := testSpec.Compile()
 	if err := quick.Check(func(data []byte) bool {
 		a, _ := bpf.Run(data)
 		b, _ := cspf.Run(data)
-		c := testSpec.Match(data)
+		c := native(data)
 		// On arbitrary garbage the odds of a match are negligible but not
 		// impossible; require only no-panic and BPF==native.
 		_ = b
@@ -295,5 +303,105 @@ func TestBPFRunOffEndRejects(t *testing.T) {
 	p := BPFProgram{{Op: BPFLdB, K: 0}}
 	if ok, _ := p.Run([]byte{1}); ok {
 		t.Fatal("program without RET should reject")
+	}
+}
+
+// randSpec produces a random demux spec, sometimes with wildcard remote
+// fields, over Ethernet or AN1 link header lengths.
+func randSpec(rng *rand.Rand) Spec {
+	s := Spec{
+		LinkHdrLen: []int{14, 16}[rng.Intn(2)],
+		Proto:      []uint8{6, 17}[rng.Intn(2)],
+		LocalPort:  uint16(rng.Intn(65536)),
+	}
+	rng.Read(s.LocalIP[:])
+	if rng.Intn(2) == 0 {
+		rng.Read(s.RemoteIP[:])
+		s.RemotePort = uint16(1 + rng.Intn(65535))
+	}
+	return s
+}
+
+// randFrame produces a frame that sometimes matches the spec, sometimes
+// differs in one field, and sometimes is random garbage or truncated —
+// covering accept paths, every reject path, IP options (IHL 5 to 7) and
+// bounds handling.
+func randFrame(rng *rand.Rand, s Spec) []byte {
+	l := s.LinkHdrLen
+	n := l + 20 + 8 + rng.Intn(64)
+	f := make([]byte, n)
+	rng.Read(f)
+	switch rng.Intn(8) {
+	case 0: // pure garbage
+		return f
+	case 1: // truncated
+		return f[:rng.Intn(len(f))]
+	}
+	// Construct a matching frame, then maybe perturb one field.
+	f[l-2], f[l-1] = 0x08, 0x00
+	ihl := 5 + rng.Intn(3)
+	f[l] = 0x40 | byte(ihl)
+	f[l+6] &= 0xe0 // first fragment
+	f[l+7] = 0
+	f[l+9] = s.Proto
+	copy(f[l+12:], s.RemoteIP[:])
+	copy(f[l+16:], s.LocalIP[:])
+	tp := l + ihl*4
+	if tp+4 > len(f) {
+		return f[:rng.Intn(len(f))]
+	}
+	f[tp] = byte(s.RemotePort >> 8)
+	f[tp+1] = byte(s.RemotePort)
+	f[tp+2] = byte(s.LocalPort >> 8)
+	f[tp+3] = byte(s.LocalPort)
+	if rng.Intn(2) == 0 {
+		f[rng.Intn(len(f))] ^= 1 << rng.Intn(8) // perturb one bit anywhere
+	}
+	return f
+}
+
+// TestCompiledEquivalence verifies the native predicate against the
+// interpreters over randomized specs and frames. The BPF program is the
+// reference on every frame, except that the native code also refuses an IP
+// version other than 4 and an IHL below 5, which the BPF program does not
+// test; the CSPF program, which assumes a 20-byte IP header, must agree on
+// every frame whose version/IHL byte is 0x45.
+func TestCompiledEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var accepted, options int
+	for i := 0; i < 500; i++ {
+		s := randSpec(rng)
+		bpf := s.CompileBPF()
+		cspf := s.CompileCSPF()
+		native := s.Compile()
+		for j := 0; j < 40; j++ {
+			f := randFrame(rng, s)
+			got := native(f)
+			want, _ := bpf.Run(f)
+			var vihl byte
+			if len(f) > s.LinkHdrLen {
+				vihl = f[s.LinkHdrLen]
+			}
+			if vihl>>4 != 4 || vihl&0x0f < 5 {
+				want = false
+			}
+			if got != want {
+				t.Fatalf("native %v, BPF reference %v\nspec %+v\nframe %x", got, want, s, f)
+			}
+			if vihl == 0x45 {
+				if c, _ := cspf.Run(f); c != got {
+					t.Fatalf("native %v, CSPF %v on an IHL=5 frame\nspec %+v\nframe %x", got, c, s, f)
+				}
+			}
+			if got {
+				accepted++
+				if vihl != 0x45 {
+					options++
+				}
+			}
+		}
+	}
+	if accepted < 5000 || options < 3000 {
+		t.Fatalf("corpus too thin: %d accepted frames, %d with IP options", accepted, options)
 	}
 }

@@ -219,8 +219,8 @@ func testReassembly(t *testing.T, order func(int, []int) []int) {
 	if !done {
 		t.Fatal("never completed")
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d", r.Pending())
+	if len(r.entries) != 0 {
+		t.Fatalf("pending = %d", len(r.entries))
 	}
 }
 
@@ -231,12 +231,12 @@ func TestReassemblyTimeout(t *testing.T) {
 	fh, _ := Decode(frags[0])
 	r.Insert(100, fh, frags[0].Bytes())
 	r.Expire(104)
-	if r.Pending() != 1 {
+	if len(r.entries) != 1 {
 		t.Fatal("expired too early")
 	}
 	r.Expire(105)
-	if r.Pending() != 0 || r.TimedOut != 1 {
-		t.Fatalf("pending=%d timedout=%d", r.Pending(), r.TimedOut)
+	if len(r.entries) != 0 || r.TimedOut != 1 {
+		t.Fatalf("pending=%d timedout=%d", len(r.entries), r.TimedOut)
 	}
 }
 

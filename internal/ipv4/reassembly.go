@@ -46,9 +46,6 @@ func NewReassembler(ttl uint64) *Reassembler {
 	return &Reassembler{entries: make(map[reasmKey]*reasmEntry), ttl: ttl}
 }
 
-// Pending returns the number of datagrams awaiting completion.
-func (r *Reassembler) Pending() int { return len(r.entries) }
-
 // Insert adds a fragment. When the datagram completes, it returns the
 // header (of the first fragment, with fragmentation fields cleared) and the
 // full payload.

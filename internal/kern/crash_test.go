@@ -113,7 +113,8 @@ func TestCallTimeout(t *testing.T) {
 
 // Region pinning is released exactly once by Unpin.
 func TestRegionUnpin(t *testing.T) {
-	r := NewRegion("buf", 4096)
+	var r Region
+	r.Wire(4096)
 	if !r.Pinned() {
 		t.Fatal("fresh region should be pinned")
 	}
@@ -137,14 +138,14 @@ func TestFinishedThreadsLeaveTheDomain(t *testing.T) {
 		for i := 0; i < 10000; i++ {
 			d.Spawn("short", func(*Thread) { ran++ })
 			th.Sleep(time.Microsecond)
-			if n := d.Threads(); n != 1 {
+			if n := d.threads.n; n != 1 {
 				t.Fatalf("after %d short threads the domain lists %d threads, want 1", i+1, n)
 			}
 		}
 	})
 	s.Run(0)
-	if ran != 10000 || d.Threads() != 0 {
-		t.Fatalf("%d threads ran, %d still listed; want 10000 and 0", ran, d.Threads())
+	if ran != 10000 || d.threads.n != 0 {
+		t.Fatalf("%d threads ran, %d still listed; want 10000 and 0", ran, d.threads.n)
 	}
 
 	// Three sleepers among finished threads: the kill unwinds exactly those,
@@ -166,8 +167,8 @@ func TestFinishedThreadsLeaveTheDomain(t *testing.T) {
 	short()
 	s.After(time.Millisecond, d.Kill)
 	s.Run(time.Second)
-	if d.Threads() != 0 {
-		t.Fatalf("%d threads listed after the kill", d.Threads())
+	if d.threads.n != 0 {
+		t.Fatalf("%d threads listed after the kill", d.threads.n)
 	}
 	if len(unwound) != 3 || unwound[0] != "a" || unwound[1] != "b" || unwound[2] != "c" {
 		t.Fatalf("kill unwound %v, want [a b c]", unwound)

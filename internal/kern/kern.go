@@ -139,9 +139,6 @@ func (l *threadList) unlink(t *Thread) {
 	l.n--
 }
 
-// Threads returns how many of the domain's threads have not finished.
-func (d *Domain) Threads() int { return d.threads.n }
-
 // Spawn starts a thread in the domain. Spawning into a dead (crashed)
 // domain returns a thread that never runs, as the address space is gone.
 func (d *Domain) Spawn(name string, fn func(t *Thread)) *Thread {
@@ -284,24 +281,13 @@ func (m *Sem) P(t *Thread) { m.sem.P(t.Proc) }
 // TryP consumes a pending post without blocking.
 func (m *Sem) TryP() bool { return m.sem.TryP() }
 
-// Signals returns the number of V operations, for batching statistics.
-func (m *Sem) Signals() int { return m.sem.Signals() }
-
 // Region is a memory region shared between domains (e.g. the packet buffer
 // area the network I/O module shares with a protocol library). The region
 // is wired (pinned) while a connection uses it, as in the paper. Access
 // control is by possession of the *Region, mirroring capability possession.
 type Region struct {
-	Name   string
 	Buf    []byte
 	pinned bool
-}
-
-// NewRegion allocates a wired shared region.
-func NewRegion(name string, size int) *Region {
-	r := &Region{Name: name}
-	r.Wire(size)
-	return r
 }
 
 // Wire makes r a wired, zeroed region of size bytes in place — for a region
@@ -437,7 +423,7 @@ func (p *Port) ReceiveTimeout(t *Thread, d time.Duration) (Msg, bool) {
 // Reply responds to a received message carrying a reply port.
 func (m Msg) ReplyTo(t *Thread, r Msg) {
 	if m.Reply == nil {
-		panic(fmt.Sprintf("kern: reply to one-way message %q", m.Op))
+		panic(fmt.Sprintf("kern: %s replied to one-way message %q", t.Name(), m.Op))
 	}
 	// The responder pays the send; the caller pays the receive-side costs
 	// in Call.

@@ -174,8 +174,8 @@ func TestReplyToOneWayPanics(t *testing.T) {
 	d.Spawn("recv", func(th *Thread) {
 		m := port.Receive(th)
 		defer func() {
-			if recover() == nil {
-				t.Error("expected panic replying to one-way message")
+			if r := recover(); r != `kern: h0/a.recv replied to one-way message "oneway"` {
+				t.Errorf("panic %v, want one naming the replying thread", r)
 			}
 		}()
 		m.ReplyTo(th, Msg{})
@@ -185,13 +185,22 @@ func TestReplyToOneWayPanics(t *testing.T) {
 }
 
 func TestRegion(t *testing.T) {
-	r := NewRegion("ring", 4096)
-	if len(r.Buf) != 4096 {
-		t.Fatalf("region size = %d", len(r.Buf))
+	var r Region
+	r.Wire(4096)
+	if len(r.Buf) != 4096 || !r.Pinned() {
+		t.Fatalf("region size = %d, pinned %v", len(r.Buf), r.Pinned())
 	}
 	copy(r.Buf, "shared")
 	if string(r.Buf[:6]) != "shared" {
 		t.Fatal("region not writable")
+	}
+	// Re-wiring a reused record keeps its backing array and zeroes it.
+	first := &r.Buf[0]
+	r.Unpin()
+	r.Wire(2048)
+	if len(r.Buf) != 2048 || &r.Buf[0] != first || r.Buf[0] != 0 || !r.Pinned() {
+		t.Fatalf("rewired region: len %d, same array %v, first byte %d, pinned %v",
+			len(r.Buf), &r.Buf[0] == first, r.Buf[0], r.Pinned())
 	}
 }
 

@@ -29,9 +29,6 @@ func NewTable(now func() time.Duration, ttl time.Duration) *Table {
 	return &Table{now: now, ttl: ttl, exp: make(map[uint64]time.Duration)}
 }
 
-// TTL returns the lease lifetime.
-func (t *Table) TTL() time.Duration { return t.ttl }
-
 // Grant starts a fresh lease for id.
 func (t *Table) Grant(id uint64) {
 	t.exp[id] = t.now() + t.ttl
@@ -61,20 +58,4 @@ func (t *Table) Drop(id uint64) { delete(t.exp, id) }
 func (t *Table) Expired(id uint64) bool {
 	e, ok := t.exp[id]
 	return ok && t.now() >= e
-}
-
-// Len returns the number of tracked leases.
-func (t *Table) Len() int { return len(t.exp) }
-
-// ExpiredCount returns how many tracked leases are currently expired
-// (diagnostics; quarantined endpoints).
-func (t *Table) ExpiredCount() int {
-	n := 0
-	now := t.now()
-	for _, e := range t.exp {
-		if now >= e {
-			n++
-		}
-	}
-	return n
 }

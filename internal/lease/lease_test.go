@@ -26,9 +26,6 @@ func TestGrantRenewExpire(t *testing.T) {
 	if !tb.Expired(7) {
 		t.Fatal("lease not expired at ttl")
 	}
-	if tb.ExpiredCount() != 1 {
-		t.Fatalf("ExpiredCount = %d, want 1", tb.ExpiredCount())
-	}
 
 	// An expired lease can still be renewed (quarantine is a suspension).
 	if !tb.Renew(7) {
@@ -57,9 +54,6 @@ func TestRenewAndDrop(t *testing.T) {
 	tb.Grant(2)
 	tb.Grant(3)
 	tb.Drop(2)
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tb.Len())
-	}
 	c.at = 40 * time.Millisecond
 	if !tb.Renew(1) || !tb.Renew(3) {
 		t.Fatal("renew of a live lease failed")

@@ -39,7 +39,7 @@ func TestLeaseExpiryQuarantinesAndRenewalLifts(t *testing.T) {
 	// no-op event just carries the virtual clock forward.)
 	w.s.After(2*ttl, func() {})
 	w.s.Run(2 * ttl)
-	if !w.m2.Leases().Expired(cap.ID()) {
+	if !w.m2.leases.Expired(cap.id) {
 		t.Fatal("lease not expired after 2*ttl without renewal")
 	}
 	ch.Inject(mkFrame())
@@ -122,7 +122,7 @@ func TestInstalledEndpointsEnumeration(t *testing.T) {
 		t.Fatalf("%d endpoints, want 2", len(eps))
 	}
 	// Ordered by capability id: rebuild iterates deterministically.
-	if eps[0].Cap.ID() > eps[1].Cap.ID() {
+	if eps[0].Cap.id > eps[1].Cap.id {
 		t.Fatal("endpoints not ordered by capability id")
 	}
 	if eps[0].Cap != cap1 || eps[0].Channel != ch1 || eps[0].Template.LocalPort != 80 {

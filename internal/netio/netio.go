@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"ulp/internal/filter"
@@ -138,13 +137,6 @@ type Capability struct {
 	// while its peers' stay fresh.
 	issuer *kern.Domain
 }
-
-// Owner returns the application domain the capability was issued to (nil
-// if never assigned).
-func (c *Capability) Owner() *kern.Domain { return c.owner }
-
-// ID returns the capability's id (lease key, trace correlation).
-func (c *Capability) ID() uint64 { return c.id }
 
 // Template returns the current header template. A restarted registry
 // rebuilds its connection map from these — the module is the authoritative
@@ -328,11 +320,6 @@ func (ch *Channel) Poke() { ch.sem.V() }
 // not — its consumer was killed, or never said — is left to the collector.
 func (ch *Channel) Disown() { ch.disowned = true }
 
-// RegionName names the channel's shared region, "<device>.ch<id>".
-func (ch *Channel) RegionName() string {
-	return ch.mod.dev.Name() + ".ch" + strconv.FormatUint(ch.id, 10)
-}
-
 // Inject delivers a frame into the channel from the kernel's default input
 // path — used by the registry to forward stray segments of a connection
 // whose demultiplexing binding was installed mid-exchange. An injected
@@ -345,10 +332,6 @@ func (ch *Channel) Inject(b *pkt.Buf) {
 
 // BQI returns the channel's hardware demultiplexing index (0 on Ethernet).
 func (ch *Channel) BQI() uint16 { return ch.bqi }
-
-// ID returns the id of the capability the channel was created with (trace
-// correlation: ChanDeliver/DemuxHit/CapRevoked events carry it in A).
-func (ch *Channel) ID() uint64 { return ch.id }
 
 // deliver enqueues a packet and notifies the library. The semaphore is
 // posted only when the queue transitions from empty, so a burst arriving
@@ -476,10 +459,6 @@ const (
 	descBytes = 8    // one receive descriptor: sequence number, frame length
 	slotBytes = 2048 // modelled shared memory wired per ring slot
 )
-
-// RegionBytes returns the size of the shared region the channel models as
-// wired while it lives.
-func (ch *Channel) RegionBytes() int { return ch.cap * slotBytes }
 
 // chanRec is everything the module allocates for one endpoint but its
 // capability, as one record: the channel, its shared region, its semaphore,
@@ -1036,9 +1015,6 @@ func (m *Module) EnableLeases(ttl time.Duration) *lease.Table {
 	return m.leases
 }
 
-// Leases returns the lease table (nil if EnableLeases was never called).
-func (m *Module) Leases() *lease.Table { return m.leases }
-
 // quarantined reports whether a channel's lease has expired.
 func (m *Module) quarantined(id uint64) bool {
 	return m.leases != nil && m.leases.Expired(id)
@@ -1081,10 +1057,6 @@ func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 	cap.issuer = from
 	return nil
 }
-
-// Issuer returns the control-plane domain currently responsible for
-// renewing the capability's lease.
-func (c *Capability) Issuer() *kern.Domain { return c.issuer }
 
 // RenewLease extends one capability's lease (re-registration of a single
 // endpoint by a reborn registry).

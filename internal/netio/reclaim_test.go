@@ -146,9 +146,6 @@ func TestPinnedRegionsAccounting(t *testing.T) {
 	cap2, _ := create(81)
 	cap3, _ := create(82)
 	pinned(3, "after three creates")
-	if got, want := ch1.RegionBytes(), 8*2048; got != want {
-		t.Fatalf("modelled region = %d bytes, want %d", got, want)
-	}
 	if got, want := len(ch1.Region.Buf), 8*8; got != want {
 		t.Fatalf("region backing = %d bytes, want the %d-byte descriptor ring", got, want)
 	}

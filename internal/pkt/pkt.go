@@ -175,10 +175,6 @@ func (b *Buf) Retain() {
 // other holders see the same bytes.
 func (b *Buf) Shared() bool { return b.refs > 0 }
 
-// Refs returns the number of extra references (0 = sole owner). For
-// diagnostics and tests.
-func (b *Buf) Refs() int { return int(b.refs) }
-
 // Poison zeroes the packet bytes in place. Revocation paths use it so a
 // distrusting or misbehaving tenant that is stripped of a buffer reference
 // can never read data that arrived after its lease ended.

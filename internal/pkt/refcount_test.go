@@ -18,8 +18,8 @@ func TestRetainKeepsStorageAlive(t *testing.T) {
 		b.Bytes()[i] = 0x7E
 	}
 	b.Retain()
-	if !b.Shared() || b.Refs() != 1 {
-		t.Fatalf("after Retain: Shared=%v Refs=%d, want true/1", b.Shared(), b.Refs())
+	if !b.Shared() || b.refs != 1 {
+		t.Fatalf("after Retain: Shared=%v Refs=%d, want true/1", b.Shared(), b.refs)
 	}
 
 	b.Release() // consumer's reference

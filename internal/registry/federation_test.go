@@ -60,7 +60,7 @@ func newFedRig(t *testing.T, shards, quota int) *fedRig {
 // listenOn0 registers a listener on the far (single-registry) host.
 func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 	t.Helper()
-	accept := kern.NewPort(rg.r0.Host(), "accept")
+	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
 		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: port, AcceptPort: accept}})
@@ -202,7 +202,7 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 		sh := shard
 		rg.apps[1].Spawn("listen", func(th *kern.Thread) {
 			rg.fed.Shard(sh).Svc.Call(th, kern.Msg{Op: "listen",
-				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.Shard(sh).Host(), "a"), Owner: rg.apps[1]}})
+				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.Shard(sh).host, "a"), Owner: rg.apps[1]}})
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
@@ -251,24 +251,24 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 
 	// The peer retransmits into the dead shard's tuple. The frame steers to
 	// the successor (shard 0), which does not own it: it must drop, not RST.
-	tx0 := rg.r0.Netif().Mod.Device().Stats().TxFrames
+	tx0 := rg.r0.nif.Mod.Device().Stats().TxFrames
 	sent := false
-	rg.r0.Host().NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
+	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
 			Seq: ho.Snap.RcvNxt, Ack: ho.Snap.SndNxt, Flags: tcp.FlagACK, Window: 100}
-		b := pktFromBytes(rg.r0.Netif().Headroom()+tcp.HeaderLen, nil)
+		b := pktFromBytes(rg.r0.nif.Headroom()+tcp.HeaderLen, nil)
 		hdr.Encode(b, rg.ips[0], rg.ips[1])
-		rg.r0.Netif().WrapIP(b, ipv4.ProtoTCP, rg.ips[1])
-		rg.r0.Netif().Resolve(th, b, rg.ips[1], 0, rg.r0.Netif().Mod.SendKernel)
+		rg.r0.nif.WrapIP(b, ipv4.ProtoTCP, rg.ips[1])
+		rg.r0.nif.Resolve(th, b, rg.ips[1], 0, rg.r0.nif.Mod.SendKernel)
 		sent = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
 	rg.s.Run(100 * time.Millisecond)
-	rx0 := rg.r0.Netif().Mod.Device().Stats().RxFrames
+	rx0 := rg.r0.nif.Mod.Device().Stats().RxFrames
 	_ = tx0
 	// Host 0 received no RST: its rx counter grew only by its own ARP
 	// traffic (none expected — addresses already resolved). Allow zero.
-	if rg.r0.Netif().Mod.Device().Stats().RxFrames != rx0 {
+	if rg.r0.nif.Mod.Device().Stats().RxFrames != rx0 {
 		t.Fatal("successor answered a non-authoritative stray")
 	}
 }

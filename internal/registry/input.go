@@ -28,21 +28,9 @@ func (r *Server) input(t *kern.Thread, b *pkt.Buf) {
 	// are built in fresh buffers, reassembly and tcp.Conn.Input copy the
 	// bytes they keep.
 	defer b.Release()
-	var et link.EtherType
-	advBQI := uint16(0)
-	if r.nif.IsAN1() {
-		h, err := link.DecodeAN1(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
-		advBQI = h.AdvBQI
-	} else {
-		h, err := link.DecodeEth(b)
-		if err != nil {
-			return
-		}
-		et = h.Type
+	et, advBQI, err := r.nif.StripLink(b)
+	if err != nil {
+		return
 	}
 	switch et {
 	case link.TypeARP:
@@ -75,17 +63,19 @@ func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
 	if !ok {
 		return // port unreachable: the simplified IP library drops
 	}
-	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: ipv4.ProtoUDP, Src: h.Src, Dst: h.Dst}
-	fwd := pkt.FromBytes(r.nif.Mod.Device().HdrLen()+ipv4.HeaderLen, data)
+	ub.ch.Inject(r.reframe(h, data))
+}
+
+// reframe rebuilds the frame a channel consumer expects around a
+// default-path datagram's payload: the IP header re-encoded from h and a
+// link header addressed to ourselves, so the library-side input path
+// parses it like any frame the device delivered.
+func (r *Server) reframe(h ipv4.Header, data []byte) *pkt.Buf {
+	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: h.Proto, Src: h.Src, Dst: h.Dst}
+	fwd := pkt.FromBytes(r.nif.Headroom(), data)
 	ih.Encode(fwd)
-	if r.nif.IsAN1() {
-		lh := link.AN1Header{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-		lh.Encode(fwd)
-	} else {
-		lh := link.EthHeader{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-		lh.Encode(fwd)
-	}
-	ub.ch.Inject(fwd)
+	r.nif.Frame(fwd, r.nif.HW, link.TypeIPv4, 0, 0)
+	return fwd
 }
 
 func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uint16) {
@@ -114,18 +104,7 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 	// retransmitted handshake ACK on the AN1): forward into its channel by
 	// rebuilding the frame bytes the channel consumer expects.
 	if xc, ok := r.transferred[tcp.FourTuple{Local: local, Peer: peer}]; ok {
-		// Re-encode IP + link headers so the library-side input path can
-		// parse the frame uniformly.
-		ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: ipv4.ProtoTCP, Src: h.Src, Dst: h.Dst}
-		fwd := pkt.FromBytes(r.nif.Mod.Device().HdrLen()+ipv4.HeaderLen, data)
-		ih.Encode(fwd)
-		if r.nif.IsAN1() {
-			lh := link.AN1Header{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-			lh.Encode(fwd)
-		} else {
-			lh := link.EthHeader{Dst: r.nif.HW, Src: r.nif.HW, Type: link.TypeIPv4}
-			lh.Encode(fwd)
-		}
+		fwd := r.reframe(h, data)
 		if ch := xc.cap.Chan(); ch != nil {
 			ch.Inject(fwd)
 		} else {

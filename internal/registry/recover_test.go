@@ -134,7 +134,7 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 // own first attempt.
 func TestDedupReplaysCachedReply(t *testing.T) {
 	rg := newRig(false)
-	accept := kern.NewPort(rg.r0.Host(), "accept")
+	accept := kern.NewPort(rg.r0.host, "accept")
 	listen := func(id uint64) error {
 		var err error
 		done := false
@@ -205,7 +205,7 @@ func TestTeardownIdempotent(t *testing.T) {
 // flood cannot grow registry state without bound.
 func TestSynFloodBoundedByBacklog(t *testing.T) {
 	rg := newRig(false)
-	accept := kern.NewPort(rg.r0.Host(), "accept")
+	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
 		rg.r0.Svc.Call(th, kern.Msg{Op: "listen",
@@ -219,7 +219,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 	// handshakes can never complete, so the backlog stays saturated.
 	src := ipv4.Addr{10, 0, 0, 9}
 	pushed := false
-	rg.r0.Host().NewDomain("flood", true).Spawn("push", func(th *kern.Thread) {
+	rg.r0.host.NewDomain("flood", true).Spawn("push", func(th *kern.Thread) {
 		for i := 0; i < 12; i++ {
 			hdr := tcp.Header{SrcPort: uint16(2000 + i), DstPort: 80,
 				Seq: tcp.Seq(1000 * uint32(i)), Flags: tcp.FlagSYN, Window: 4096}
@@ -292,13 +292,13 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	// 0's channel for the connection (nothing else transmits any more).
 	base := srvHo.Channel.Pending()
 	sent := false
-	rg.r0.Host().NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
+	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
 			Seq: ho.Snap.RcvNxt, Ack: ho.Snap.SndNxt, Flags: tcp.FlagACK, Window: 100}
-		b := pkt.FromBytes(rg.r0.Netif().Headroom()+tcp.HeaderLen, nil)
+		b := pkt.FromBytes(rg.r0.nif.Headroom()+tcp.HeaderLen, nil)
 		hdr.Encode(b, rg.ips[0], rg.ips[1])
-		rg.r0.Netif().WrapIP(b, ipv4.ProtoTCP, rg.ips[1])
-		rg.r0.Netif().Resolve(th, b, rg.ips[1], 0, rg.r0.Netif().Mod.SendKernel)
+		rg.r0.nif.WrapIP(b, ipv4.ProtoTCP, rg.ips[1])
+		rg.r0.nif.Resolve(th, b, rg.ips[1], 0, rg.r0.nif.Mod.SendKernel)
 		sent = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
@@ -316,7 +316,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 func TestConnectBQIFailureLeaksNothing(t *testing.T) {
 	rg := newRig(true)
 	rg.listenOn(t, 80)
-	rg.r1.Netif().Mod.FailSetup = func(op string) error {
+	rg.r1.nif.Mod.FailSetup = func(op string) error {
 		if op == "bqi" {
 			return errors.New("induced: BQI exhausted")
 		}
@@ -341,7 +341,7 @@ func TestConnectBQIFailureLeaksNothing(t *testing.T) {
 func TestConnectChannelFailureLeaksNothing(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	rg.r1.Netif().Mod.FailSetup = func(op string) error {
+	rg.r1.nif.Mod.FailSetup = func(op string) error {
 		if op == "create" {
 			return errors.New("induced: channel setup failed")
 		}

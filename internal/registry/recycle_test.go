@@ -47,7 +47,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	mod := rg.fed.Netif().Mod
 
 	// The far host accepts whatever is handed to it and reclaims it at once.
-	accept := kern.NewPort(rg.r0.Host(), "accept")
+	accept := kern.NewPort(rg.r0.host, "accept")
 	accepted := 0
 	rg.apps[0].Spawn("srv", func(th *kern.Thread) {
 		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: accept}})

@@ -355,13 +355,6 @@ func (r *Server) leaseHeartbeat(t *kern.Thread) {
 	}
 }
 
-// Netif exposes the registry's interface wiring (the library builds its
-// data-path frames from the same parameters).
-func (r *Server) Netif() *stacks.Netif { return r.nif }
-
-// Host returns the host the registry serves.
-func (r *Server) Host() *kern.Host { return r.host }
-
 func (r *Server) nextISS() tcp.Seq {
 	r.iss += 64021
 	return r.iss
@@ -799,20 +792,14 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 
 // resolveAndSend frames with BQI fields and transmits via the kernel path.
 func (r *Server) resolveAndSend(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, dstBQI, advBQI uint16) {
-	if !r.nif.IsAN1() {
-		r.nif.Resolve(t, ippkt, dst, 0, r.nif.Mod.SendKernel)
+	if hw, ok := r.nif.ARP.Lookup(0, dst); ok && r.nif.IsAN1() {
+		r.nif.Frame(ippkt, hw, link.TypeIPv4, dstBQI, advBQI)
+		r.nif.Mod.SendKernel(t, ippkt)
 		return
 	}
-	hw, ok := r.nif.ARP.Lookup(0, dst)
-	if !ok {
-		// Resolve handles the ARP exchange; BQI fields stay zero for the
-		// queued copy, which is correct for handshake traffic.
-		r.nif.Resolve(t, ippkt, dst, 0, r.nif.Mod.SendKernel)
-		return
-	}
-	h := link.AN1Header{Dst: hw, Src: r.nif.HW, BQI: dstBQI, AdvBQI: advBQI, Type: link.TypeIPv4}
-	h.Encode(ippkt)
-	r.nif.Mod.SendKernel(t, ippkt)
+	// Resolve handles the ARP exchange; on the AN1 the BQI fields stay zero
+	// for the queued copy, which is correct for handshake traffic.
+	r.nif.Resolve(t, ippkt, dst, 0, r.nif.Mod.SendKernel)
 }
 
 // established completes setup: narrow the template to the negotiated peer,

@@ -56,7 +56,7 @@ func newRig(an1 bool) *rig {
 // returns the accept port.
 func (rg *rig) listenOn(t *testing.T, port uint16) *kern.Port {
 	t.Helper()
-	accept := kern.NewPort(rg.r0.Host(), "accept")
+	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	var failure error
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
@@ -148,7 +148,7 @@ func TestListenPortConflict(t *testing.T) {
 	var second error
 	done := false
 	rg.apps[0].Spawn("listen2", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.Host(), "a2")}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a2")}})
 		second, _ = reply.Body.(error)
 		done = true
 	})
@@ -165,7 +165,7 @@ func TestUnlistenReleases(t *testing.T) {
 	var relisten error
 	rg.apps[0].Spawn("cycle", func(th *kern.Thread) {
 		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: UnlistenReq{Port: 80}})
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.Host(), "a")}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a")}})
 		relisten, _ = reply.Body.(error)
 		done = true
 	})
@@ -274,17 +274,17 @@ func TestStraySegmentAnsweredWithRST(t *testing.T) {
 	sent := false
 	rg.apps[1].Host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		seg := tcp.Header{SrcPort: 999, DstPort: 4000, Seq: 5, Flags: tcp.FlagACK, Window: 100}
-		b := newSegBuf(rg.r1.Netif().Headroom(), nil)
+		b := newSegBuf(rg.r1.nif.Headroom(), nil)
 		seg.Encode(b, rg.ips[1], rg.ips[0])
-		rg.r1.Netif().WrapIP(b, ipv4.ProtoTCP, rg.ips[0])
-		rg.r1.Netif().Resolve(th, b, rg.ips[0], 0, rg.r1.Netif().Mod.SendKernel)
+		rg.r1.nif.WrapIP(b, ipv4.ProtoTCP, rg.ips[0])
+		rg.r1.nif.Resolve(th, b, rg.ips[0], 0, rg.r1.nif.Mod.SendKernel)
 		sent = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
 	rg.s.Run(100 * time.Millisecond)
 	// Host 0 transmitted an RST: observable through its device counters
 	// (ARP req/reply + RST >= 2 tx frames from host 0).
-	stats := rg.r0.Netif().Mod.Device().Stats()
+	stats := rg.r0.nif.Mod.Device().Stats()
 	if stats.TxFrames < 2 {
 		t.Fatalf("host 0 sent %d frames; expected ARP reply + RST", stats.TxFrames)
 	}

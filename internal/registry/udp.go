@@ -112,24 +112,10 @@ func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
 			r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{HW: hw}})
 			return
 		}
-		r.txARPRequest(t, req.IP)
+		r.nif.RequestARP(t, req.IP, r.nif.Mod.SendKernel)
 		t.Sleep(2 * time.Millisecond)
 	}
 	r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{Err: stacks.ErrUnreachable}})
-}
-
-// txARPRequest broadcasts an ARP request for ip.
-func (r *Server) txARPRequest(t *kern.Thread, ip ipv4.Addr) {
-	req := r.nif.ARP.MakeRequest(ip)
-	b := req.Encode(r.nif.Mod.Device().HdrLen())
-	if r.nif.IsAN1() {
-		h := link.AN1Header{Dst: link.Broadcast, Src: r.nif.HW, Type: link.TypeARP}
-		h.Encode(b)
-	} else {
-		h := link.EthHeader{Dst: link.Broadcast, Src: r.nif.HW, Type: link.TypeARP}
-		h.Encode(b)
-	}
-	r.nif.Mod.SendKernel(t, b)
 }
 
 // handleUDPSend relays a datagram through the registry's kernel path.

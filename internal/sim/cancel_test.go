@@ -11,14 +11,14 @@ import (
 func TestCancelRemovesEagerly(t *testing.T) {
 	s := New()
 	tm := s.After(time.Hour, func() { t.Fatal("cancelled event fired") })
-	if s.PendingEvents() != 1 {
-		t.Fatalf("pending = %d, want 1", s.PendingEvents())
+	if len(s.heap) != 1 {
+		t.Fatalf("pending = %d, want 1", len(s.heap))
 	}
 	if !tm.Cancel() {
 		t.Fatal("Cancel reported not pending")
 	}
-	if s.PendingEvents() != 0 {
-		t.Fatalf("pending after cancel = %d, want 0 (dead event leaked)", s.PendingEvents())
+	if len(s.heap) != 0 {
+		t.Fatalf("pending after cancel = %d, want 0 (dead event leaked)", len(s.heap))
 	}
 	if tm.Cancel() {
 		t.Fatal("second Cancel reported pending")
@@ -39,12 +39,12 @@ func TestRearmCancelLoopBounded(t *testing.T) {
 	for i := 0; i < rearms; i++ {
 		tm.Cancel()
 		tm = s.After(3*time.Second, func() {})
-		if n := s.PendingEvents(); n > 2 {
+		if n := len(s.heap); n > 2 {
 			t.Fatalf("heap grew to %d events after %d re-arms; cancel is leaking", n, i)
 		}
 	}
 	tm.Cancel()
-	if n := s.PendingEvents(); n != 0 {
+	if n := len(s.heap); n != 0 {
 		t.Fatalf("heap holds %d events after final cancel, want 0", n)
 	}
 }

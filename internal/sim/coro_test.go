@@ -29,8 +29,8 @@ func TestKilledProcRunsDefersBeforeLaterEvents(t *testing.T) {
 	if want := "[earlier inner outer later]"; fmt.Sprint(log) != want {
 		t.Fatalf("log %v, want %v", log, want)
 	}
-	if !victim.Done() || s.Procs() != 0 {
-		t.Fatalf("victim done=%v, procs %d", victim.Done(), s.Procs())
+	if !victim.done || s.nprocs != 0 {
+		t.Fatalf("victim done=%v, procs %d", victim.done, s.nprocs)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestKillFromEveryDispatcher(t *testing.T) {
 		if killerG != dispatcherG || unwoundG != victimG || victimG == dispatcherG {
 			t.Fatalf("kill on goroutine %d (dispatcher %d), unwound on %d (victim %d)", killerG, dispatcherG, unwoundG, victimG)
 		}
-		if !victim.Done() || !slept || s.Procs() != 0 {
-			t.Fatalf("victim done=%v, dispatcher finished=%v, procs %d", victim.Done(), slept, s.Procs())
+		if !victim.done || !slept || s.nprocs != 0 {
+			t.Fatalf("victim done=%v, dispatcher finished=%v, procs %d", victim.done, slept, s.nprocs)
 		}
 	})
 	t.Run("hub dispatching", func(t *testing.T) {
@@ -159,8 +159,8 @@ func TestKillFromEveryDispatcher(t *testing.T) {
 		if killerG != goid() || unwoundG != victimG || victimG == goid() {
 			t.Fatalf("kill on goroutine %d (hub %d), unwound on %d (victim %d)", killerG, goid(), unwoundG, victimG)
 		}
-		if !victim.Done() || !later || s.Procs() != 0 {
-			t.Fatalf("victim done=%v, later event=%v, procs %d", victim.Done(), later, s.Procs())
+		if !victim.done || !later || s.nprocs != 0 {
+			t.Fatalf("victim done=%v, later event=%v, procs %d", victim.done, later, s.nprocs)
 		}
 	})
 	t.Run("before the first resume", func(t *testing.T) {
@@ -173,8 +173,8 @@ func TestKillFromEveryDispatcher(t *testing.T) {
 		})
 		victim = s.SpawnAfter(time.Millisecond, "unborn", func(p *Proc) { ran = true })
 		s.Run(0)
-		if ran || !victim.Done() || victim.w != nil || s.Procs() != 0 {
-			t.Fatalf("ran=%v done=%v worker=%v procs=%d", ran, victim.Done(), victim.w, s.Procs())
+		if ran || !victim.done || victim.w != nil || s.nprocs != 0 {
+			t.Fatalf("ran=%v done=%v worker=%v procs=%d", ran, victim.done, victim.w, s.nprocs)
 		}
 	})
 }
@@ -204,8 +204,8 @@ func TestRunFromTwoGoroutines(t *testing.T) {
 	if len(wakes) != 2 {
 		t.Fatalf("%d wakes in the first run, want 2", len(wakes))
 	}
-	if end := s.Run(0); end != Time(40*time.Millisecond) || len(wakes) != 4 || s.Procs() != 0 {
-		t.Fatalf("second run ended at %v with wakes %v, %d procs", end, wakes, s.Procs())
+	if end := s.Run(0); end != Time(40*time.Millisecond) || len(wakes) != 4 || s.nprocs != 0 {
+		t.Fatalf("second run ended at %v with wakes %v, %d procs", end, wakes, s.nprocs)
 	}
 	if len(gs) != 1 || gs[goid()] {
 		t.Fatalf("proc ran on goroutines %v (test is %d), want one of its own", gs, goid())

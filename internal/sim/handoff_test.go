@@ -46,15 +46,15 @@ func TestKillDispatchingProc(t *testing.T) {
 	if killerG != victimG || victimG == goid() {
 		t.Fatalf("kill ran on goroutine %d, victim on %d, test on %d: want the victim dispatching", killerG, victimG, goid())
 	}
-	if resumed || !victim.Done() {
-		t.Fatalf("victim resumed=%v done=%v, want false/true", resumed, victim.Done())
+	if resumed || !victim.done {
+		t.Fatalf("victim resumed=%v done=%v, want false/true", resumed, victim.done)
 	}
 	if !laterEvent || !laterProc {
 		t.Fatalf("after the kill: event fired=%v, proc ran=%v", laterEvent, laterProc)
 	}
 	// The victim's own one-second resume is still popped (a no-op).
-	if end != Time(time.Second) || s.Procs() != 0 {
-		t.Fatalf("run ended at %v with %d procs", end, s.Procs())
+	if end != Time(time.Second) || s.nprocs != 0 {
+		t.Fatalf("run ended at %v with %d procs", end, s.nprocs)
 	}
 }
 
@@ -76,11 +76,11 @@ func TestKillProcParkedOnAnotherGoroutine(t *testing.T) {
 		killerDone = true
 	})
 	s.Run(0)
-	if resumed || !unwound || !victim.Done() {
-		t.Fatalf("victim resumed=%v unwound=%v done=%v", resumed, unwound, victim.Done())
+	if resumed || !unwound || !victim.done {
+		t.Fatalf("victim resumed=%v unwound=%v done=%v", resumed, unwound, victim.done)
 	}
-	if !killerDone || s.Procs() != 0 {
-		t.Fatalf("killer done=%v, procs %d", killerDone, s.Procs())
+	if !killerDone || s.nprocs != 0 {
+		t.Fatalf("killer done=%v, procs %d", killerDone, s.nprocs)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestKillNeverStartedProc(t *testing.T) {
 	p := s.SpawnAfter(time.Second, "unborn", func(p *Proc) { ran = true })
 	s.After(time.Millisecond, func() { s.Kill(p) })
 	end := s.Run(0)
-	if ran || !p.Done() || !p.Killed() || s.Procs() != 0 {
-		t.Fatalf("ran=%v done=%v killed=%v procs=%d", ran, p.Done(), p.Killed(), s.Procs())
+	if ran || !p.done || !p.killed || s.nprocs != 0 {
+		t.Fatalf("ran=%v done=%v killed=%v procs=%d", ran, p.done, p.killed, s.nprocs)
 	}
 	if fired, _, _ := s.Counters(); fired != 3 || end != Time(time.Second) {
 		t.Fatalf("fired %d events, ended at %v; want 3 and 1s", fired, end)
@@ -120,8 +120,8 @@ func TestSelfKillPassesBatonToUnstartedProc(t *testing.T) {
 		nextRan = true
 	})
 	s.Run(0)
-	if past || !nextRan || s.Procs() != 0 {
-		t.Fatalf("self-killed proc survived=%v, next ran=%v, procs %d", past, nextRan, s.Procs())
+	if past || !nextRan || s.nprocs != 0 {
+		t.Fatalf("self-killed proc survived=%v, next ran=%v, procs %d", past, nextRan, s.nprocs)
 	}
 }
 
@@ -142,14 +142,14 @@ func TestRunLimitWhileProcDispatches(t *testing.T) {
 	if end := s.Run(25 * time.Millisecond); end != Time(25*time.Millisecond) {
 		t.Fatalf("first run ended at %v, want 25ms", end)
 	}
-	if len(wakes) != 2 || s.Procs() != 1 || s.PendingEvents() != 1 {
-		t.Fatalf("at the limit: %d wakes, %d procs, %d pending", len(wakes), s.Procs(), s.PendingEvents())
+	if len(wakes) != 2 || s.nprocs != 1 || len(s.heap) != 1 {
+		t.Fatalf("at the limit: %d wakes, %d procs, %d pending", len(wakes), s.nprocs, len(s.heap))
 	}
 	if end := s.Run(0); end != Time(100*time.Millisecond) {
 		t.Fatalf("second run ended at %v, want 100ms", end)
 	}
-	if len(wakes) != 10 || wakes[2] != Time(30*time.Millisecond) || s.Procs() != 0 {
-		t.Fatalf("after the second run: wakes %v, procs %d", wakes, s.Procs())
+	if len(wakes) != 10 || wakes[2] != Time(30*time.Millisecond) || s.nprocs != 0 {
+		t.Fatalf("after the second run: wakes %v, procs %d", wakes, s.nprocs)
 	}
 	if len(gs) != 1 {
 		t.Fatalf("proc ran on %d goroutines, want 1", len(gs))
@@ -173,12 +173,12 @@ func TestRunUntilPredOnProcGoroutine(t *testing.T) {
 	if firstG != procG {
 		t.Fatalf("event ran on goroutine %d, want the parked proc's %d", firstG, procG)
 	}
-	if !first || second || end != Time(time.Millisecond) || s.PendingEvents() != 2 {
-		t.Fatalf("first=%v second=%v end=%v pending=%d", first, second, end, s.PendingEvents())
+	if !first || second || end != Time(time.Millisecond) || len(s.heap) != 2 {
+		t.Fatalf("first=%v second=%v end=%v pending=%d", first, second, end, len(s.heap))
 	}
 	s.Run(0)
-	if !second || s.Procs() != 0 {
-		t.Fatalf("continuation: second=%v procs=%d", second, s.Procs())
+	if !second || s.nprocs != 0 {
+		t.Fatalf("continuation: second=%v procs=%d", second, s.nprocs)
 	}
 }
 
@@ -229,8 +229,8 @@ func TestSequentialProcsReuseGoroutines(t *testing.T) {
 		t.Fatalf("spawning %d procs started %d goroutines", n, g-base)
 	}
 	s.Run(0)
-	if ran != n || s.Procs() != 0 {
-		t.Fatalf("%d of %d procs ran, %d left", ran, n, s.Procs())
+	if ran != n || s.nprocs != 0 {
+		t.Fatalf("%d of %d procs ran, %d left", ran, n, s.nprocs)
 	}
 	if peak > base+2 {
 		t.Fatalf("goroutines peaked at %d over a base of %d", peak, base)
@@ -255,8 +255,8 @@ func TestWorkerPoolFollowsConcurrency(t *testing.T) {
 		}
 	}
 	s.Run(0)
-	if s.Procs() != 0 || peak > base+width {
-		t.Fatalf("procs left %d; goroutines peaked at %d over a base of %d with %d at a time", s.Procs(), peak, base, width)
+	if s.nprocs != 0 || peak > base+width {
+		t.Fatalf("procs left %d; goroutines peaked at %d over a base of %d with %d at a time", s.nprocs, peak, base, width)
 	}
 	if len(s.idle) != width {
 		t.Fatalf("%d idle workers at the end, want %d", len(s.idle), width)

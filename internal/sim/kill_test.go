@@ -19,11 +19,11 @@ func TestKillWhileParked(t *testing.T) {
 	if resumed {
 		t.Fatal("killed proc resumed past its park point")
 	}
-	if !victim.Killed() || !victim.Done() {
-		t.Fatalf("victim killed=%v done=%v, want true/true", victim.Killed(), victim.Done())
+	if !victim.killed || !victim.done {
+		t.Fatalf("victim killed=%v done=%v, want true/true", victim.killed, victim.done)
 	}
-	if s.Procs() != 0 {
-		t.Fatalf("procs remaining = %d, want 0", s.Procs())
+	if s.nprocs != 0 {
+		t.Fatalf("procs remaining = %d, want 0", s.nprocs)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestSelfKill(t *testing.T) {
 	if past {
 		t.Fatal("self-killed proc survived its park")
 	}
-	if !self.Done() {
+	if !self.done {
 		t.Fatal("self-killed proc not marked done")
 	}
 }
@@ -112,8 +112,8 @@ func TestKillIdempotent(t *testing.T) {
 		s.Kill(p) // second kill is a no-op
 	})
 	s.Run(0)
-	if s.Procs() != 0 {
-		t.Fatalf("procs remaining = %d", s.Procs())
+	if s.nprocs != 0 {
+		t.Fatalf("procs remaining = %d", s.nprocs)
 	}
 }
 

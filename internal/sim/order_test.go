@@ -115,7 +115,7 @@ func orderLog(seed int64) []byte {
 	for i := 0; i < 200; i++ {
 		timers = append(timers, s.After(dur(3000), tick(len(timers))))
 	}
-	for slice := 0; !s.Idle() && slice < 200; slice++ {
+	for slice := 0; len(s.heap) > 0 && slice < 200; slice++ {
 		switch slice % 3 {
 		case 0:
 			s.Run(100 * time.Microsecond)
@@ -126,7 +126,7 @@ func orderLog(seed int64) []byte {
 			s.After(dur(60), s.Stop)
 			s.Run(0)
 		}
-		note("slice %d: procs %d pending %d fired %d", slice, s.Procs(), s.PendingEvents(), s.fired)
+		note("slice %d: procs %d pending %d fired %d", slice, s.nprocs, len(s.heap), s.fired)
 	}
 	return log.Bytes()
 }

@@ -199,12 +199,6 @@ func (s *Sim) Kill(p *Proc) {
 	s.scheduleResume(0, p)
 }
 
-// Killed reports whether the proc was torn down by Kill.
-func (p *Proc) Killed() bool { return p.killed }
-
-// Done reports whether the proc has finished (returned or been killed).
-func (p *Proc) Done() bool { return p.done }
-
 // resumeNext asks the dispatch loop to run p before it pops another event.
 // It is for an event callback that must wake a proc as part of the same
 // event (Cond.WaitUntil's timeout), and may be called once per callback.

@@ -68,8 +68,5 @@ func (r *Resource) UseAsyncArg(d Dur, fn func(any), arg any) {
 	}
 }
 
-// FreeAt returns the time at which all currently reserved work completes.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // Busy returns the cumulative reserved time, for utilization reporting.
 func (r *Resource) Busy() Dur { return r.busy }

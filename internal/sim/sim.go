@@ -385,14 +385,3 @@ func (s *Sim) RunUntil(limit Dur, pred func() bool) Time {
 	s.running = false
 	return s.now
 }
-
-// Idle reports whether no events remain.
-func (s *Sim) Idle() bool { return len(s.heap) == 0 }
-
-// PendingEvents returns the number of scheduled (live) events, for tests
-// asserting that cancellation keeps the heap bounded.
-func (s *Sim) PendingEvents() int { return len(s.heap) }
-
-// Procs returns the number of procs that have been spawned and have not yet
-// returned or been killed.
-func (s *Sim) Procs() int { return s.nprocs }

@@ -101,8 +101,8 @@ func TestProcSleep(t *testing.T) {
 	if wake != Time(42*time.Microsecond) {
 		t.Fatalf("woke at %v, want 42µs", wake)
 	}
-	if s.Procs() != 0 {
-		t.Fatalf("procs remaining = %d, want 0", s.Procs())
+	if s.nprocs != 0 {
+		t.Fatalf("procs remaining = %d, want 0", s.nprocs)
 	}
 }
 
@@ -187,8 +187,8 @@ func TestSemaphoreTryP(t *testing.T) {
 		t.Fatal("TryP should fail with count 0")
 	}
 	sem.V()
-	if sem.Count() != 1 {
-		t.Fatalf("count = %d, want 1", sem.Count())
+	if sem.count != 1 {
+		t.Fatalf("count = %d, want 1", sem.count)
 	}
 }
 

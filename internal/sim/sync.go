@@ -9,7 +9,6 @@ type Semaphore struct {
 	name    string
 	count   int
 	waiters ring[*Proc]
-	signals int // statistics: total V operations
 }
 
 // NewSemaphore creates a semaphore with an initial count.
@@ -50,7 +49,6 @@ func (m *Semaphore) TryP() bool {
 // Waiters that died (were killed) while blocked are skipped so their lost
 // wakeups do not starve the remaining waiters.
 func (m *Semaphore) V() {
-	m.signals++
 	for m.waiters.len() > 0 {
 		w := m.waiters.pop()
 		if w.done || w.killed {
@@ -61,13 +59,6 @@ func (m *Semaphore) V() {
 	}
 	m.count++
 }
-
-// Count returns the current count (pending wakeups excluded).
-func (m *Semaphore) Count() int { return m.count }
-
-// Signals returns the total number of V operations, used by the experiments
-// to measure notification batching effectiveness.
-func (m *Semaphore) Signals() int { return m.signals }
 
 // Waiters returns the number of procs blocked in P.
 func (m *Semaphore) Waiters() int { return m.waiters.len() }

@@ -86,7 +86,7 @@ func TestSockWriteReadCycleAllocatesNothing(t *testing.T) {
 		a.TC.OpenActive(1000)
 		p.enters--
 		p.pump()
-		if !a.Established() || !b.Established() {
+		if !a.isEst || !b.isEst {
 			t.Errorf("handshake: states %v/%v", a.State(), b.State())
 			return
 		}

@@ -105,9 +105,6 @@ func newMonolithic(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, org organization
 func (m *Monolithic) Name() string     { return m.org.name }
 func (m *Monolithic) Host() *kern.Host { return m.host }
 
-// Netif exposes the interface (UDP examples, diagnostics).
-func (m *Monolithic) Netif() *Netif { return m.nif }
-
 // UDP exposes the host's datagram service.
 func (m *Monolithic) UDP() *UDPHost { return m.udp }
 
@@ -305,7 +302,7 @@ func (m *Monolithic) inputLoop(t *kern.Thread) {
 // copy the bytes they keep.
 func (m *Monolithic) input(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
-	et, err := m.nif.StripLink(b)
+	et, _, err := m.nif.StripLink(b)
 	if err != nil {
 		return
 	}

@@ -77,16 +77,18 @@ func (n *Netif) WrapIPFragments(payload *pkt.Buf, proto uint8, dst ipv4.Addr) ([
 	return ipv4.Fragment(h, payload, n.Mod.Device().MTU(), n.Mod.Device().HdrLen())
 }
 
-// Frame prepends the link header for a resolved destination. bqi is the
-// peer's negotiated buffer queue index (AN1 only; 0 = kernel default).
-func (n *Netif) Frame(ippkt *pkt.Buf, dstHW link.Addr, bqi uint16) {
+// Frame prepends the link header of type typ for a resolved destination,
+// in the device's format. On the AN1, bqi is the peer's negotiated buffer
+// queue index (0 = its kernel default) and advBQI advertises ours; the
+// Ethernet header has no such fields and they are ignored.
+func (n *Netif) Frame(b *pkt.Buf, dstHW link.Addr, typ link.EtherType, bqi, advBQI uint16) {
 	if n.an1 {
-		h := link.AN1Header{Dst: dstHW, Src: n.HW, BQI: bqi, Type: link.TypeIPv4}
-		h.Encode(ippkt)
-	} else {
-		h := link.EthHeader{Dst: dstHW, Src: n.HW, Type: link.TypeIPv4}
-		h.Encode(ippkt)
+		h := link.AN1Header{Dst: dstHW, Src: n.HW, BQI: bqi, AdvBQI: advBQI, Type: typ}
+		h.Encode(b)
+		return
 	}
+	h := link.EthHeader{Dst: dstHW, Src: n.HW, Type: typ}
+	h.Encode(b)
 }
 
 // Transmit is the trusted (kernel/server mapped-device) transmit path.
@@ -101,27 +103,25 @@ func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, bqi uint1
 		return
 	}
 	if hw, ok := n.ARP.Lookup(n.now(), dst); ok {
-		n.Frame(ippkt, hw, bqi)
+		n.Frame(ippkt, hw, link.TypeIPv4, bqi, 0)
 		tx(t, ippkt)
 		return
 	}
 	ippkt.Meta.BQI = bqi // remember for transmission after resolution
 	if n.ARP.Enqueue(dst, ippkt) {
-		req := n.ARP.MakeRequest(dst)
-		n.txARP(t, req, link.Broadcast, tx)
+		n.RequestARP(t, dst, tx)
 	}
+}
+
+// RequestARP broadcasts an ARP request for ip.
+func (n *Netif) RequestARP(t *kern.Thread, ip ipv4.Addr, tx Transmit) {
+	n.txARP(t, n.ARP.MakeRequest(ip), link.Broadcast, tx)
 }
 
 // txARP frames and transmits an ARP packet.
 func (n *Netif) txARP(t *kern.Thread, p arp.Packet, dstHW link.Addr, tx Transmit) {
 	b := p.Encode(n.Mod.Device().HdrLen())
-	if n.an1 {
-		h := link.AN1Header{Dst: dstHW, Src: n.HW, BQI: 0, Type: link.TypeARP}
-		h.Encode(b)
-	} else {
-		h := link.EthHeader{Dst: dstHW, Src: n.HW, Type: link.TypeARP}
-		h.Encode(b)
-	}
+	n.Frame(b, dstHW, link.TypeARP, 0, 0)
 	tx(t, b)
 }
 
@@ -138,25 +138,21 @@ func (n *Netif) InputARP(t *kern.Thread, b *pkt.Buf, tx Transmit) {
 	}
 	for _, q := range released {
 		hw, _ := n.ARP.Lookup(n.now(), p.SenderIP)
-		n.Frame(q, hw, q.Meta.BQI)
+		n.Frame(q, hw, link.TypeIPv4, q.Meta.BQI, 0)
 		tx(t, q)
 	}
 }
 
-// StripLink removes and returns the link-level type of an inbound frame.
-func (n *Netif) StripLink(b *pkt.Buf) (link.EtherType, error) {
+// StripLink removes the link header of an inbound frame, returning its type
+// and, on the AN1, the buffer queue index the sender advertises (0
+// elsewhere).
+func (n *Netif) StripLink(b *pkt.Buf) (typ link.EtherType, advBQI uint16, err error) {
 	if n.an1 {
 		h, err := link.DecodeAN1(b)
-		if err != nil {
-			return 0, err
-		}
-		return h.Type, nil
+		return h.Type, h.AdvBQI, err
 	}
 	h, err := link.DecodeEth(b)
-	if err != nil {
-		return 0, err
-	}
-	return h.Type, nil
+	return h.Type, 0, err
 }
 
 // InputIP decodes an inbound IP packet addressed to this host, reassembling

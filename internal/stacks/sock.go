@@ -86,9 +86,6 @@ func (s *Sock) Callbacks(send func(seg Seg)) tcp.Callbacks {
 	}
 }
 
-// Established reports whether the connection has completed its handshake.
-func (s *Sock) Established() bool { return s.isEst }
-
 // MarkEstablished records that the connection arrived already established
 // (a registry handoff restores the engine past the handshake, so the
 // OnEstablished callback never fires locally).

@@ -214,7 +214,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 	krn1 := mods[1].Device().Host().NewDomain("kernel", true)
 	mods[1].SetDefaultHandler(func(b *pktBuf) {
 		krn1.Spawn("arp", func(th *kern.Thread) {
-			if et, err := nif1.StripLink(b); err == nil && et == link.TypeARP {
+			if et, _, err := nif1.StripLink(b); err == nil && et == link.TypeARP {
 				nif1.InputARP(th, b, nif1.Mod.SendKernel)
 			}
 		})
@@ -224,7 +224,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 	krn0 := mods[0].Device().Host().NewDomain("kernel", true)
 	mods[0].SetDefaultHandler(func(b *pktBuf) {
 		krn0.Spawn("in", func(th *kern.Thread) {
-			et, err := nif0.StripLink(b)
+			et, _, err := nif0.StripLink(b)
 			if err != nil {
 				return
 			}
@@ -240,7 +240,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 	got1 := 0
 	mods[1].SetDefaultHandler(func(b *pktBuf) {
 		krn1.Spawn("in", func(th *kern.Thread) {
-			et, err := nif1.StripLink(b)
+			et, _, err := nif1.StripLink(b)
 			if err != nil {
 				return
 			}

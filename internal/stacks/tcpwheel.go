@@ -76,9 +76,6 @@ func NewTCPWheel() *TCPWheel {
 	}
 }
 
-// TimerOps reports total wheel operations (cost accounting, diagnostics).
-func (w *TCPWheel) TimerOps() int { return w.slow.Ops() + w.fast.Ops() }
-
 // Armed reports pending timers across both wheels (diagnostics).
 func (w *TCPWheel) Armed() int { return w.slow.Armed() + w.fast.Armed() }
 

@@ -99,9 +99,6 @@ func (s *UDPSock) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 	return nil
 }
 
-// Local returns the bound endpoint.
-func (s *UDPSock) Local() udp.Endpoint { return s.sock.Local }
-
 // Close releases the port.
 func (s *UDPSock) Close(t *kern.Thread) {
 	t.Trap()

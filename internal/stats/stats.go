@@ -1,15 +1,14 @@
-// Package stats is a small counter/gauge registry with per-layer
+// Package stats is a small registry of per-layer metric providers with
 // namespaces ("wire", "netio.h0", "tcp", "pkt", ...). It exists so
 // ulbench and the examples can print Table-style per-layer breakdowns —
 // checksum bytes, copies, demux decisions, notifications batched —
 // without every layer growing its own ad-hoc dump.
 //
-// Hot paths stay lock-free: a Counter or Gauge is a single atomic word,
-// and a nil *Counter/*Gauge is a no-op, so producers can hold
-// unconditioned fields that cost one predictable branch when stats are
-// off. Layers that already keep plain ints (guarded by their own
-// serialization) instead register a provider function that is polled only
-// at Snapshot time, leaving their hot paths untouched.
+// Every layer keeps plain integers under its own serialization and
+// registers a provider function that is polled only at Snapshot time, so
+// hot paths never touch the registry. A nil *Registry accepts
+// registrations and snapshots to nil, so layers can wire stats
+// unconditionally.
 package stats
 
 import (
@@ -17,70 +16,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter. All methods are
-// nil-receiver safe.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (zero on a nil receiver).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous atomic value. All methods are nil-receiver
-// safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// SetMax raises the gauge to v if v is larger (high-water marks).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (zero on a nil receiver).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Registry maps "namespace.name" keys to counters, gauges, and polled
-// providers. Registration takes a mutex; reads and updates of registered
-// counters do not.
+// Registry maps "namespace.name" keys to polled providers. Registration
+// takes a mutex.
 type Registry struct {
 	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	providers []provider
 }
 
@@ -90,52 +31,11 @@ type provider struct {
 }
 
 // New creates an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-	}
-}
-
-// Counter returns the counter registered under ns.name, creating it on
-// first use. Returns nil on a nil registry (and nil counters are no-ops),
-// so callers can wire stats unconditionally.
-func (r *Registry) Counter(ns, name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	key := ns + "." + name
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[key]
-	if c == nil {
-		c = &Counter{}
-		r.counters[key] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under ns.name, creating it on first
-// use. Returns nil on a nil registry.
-func (r *Registry) Gauge(ns, name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	key := ns + "." + name
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[key]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
-}
+func New() *Registry { return &Registry{} }
 
 // RegisterFunc registers a provider polled at Snapshot time. The provider
 // calls emit once per metric with the bare name (the registry prefixes the
-// namespace). Providers let layers that already count under their own
-// serialization export those values without touching their hot paths.
+// namespace).
 func (r *Registry) RegisterFunc(ns string, fn func(emit func(name string, v int64))) {
 	if r == nil {
 		return
@@ -152,16 +52,10 @@ func (r *Registry) Snapshot() map[string]int64 {
 		return nil
 	}
 	r.mu.Lock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges))
-	for k, c := range r.counters {
-		out[k] = c.Value()
-	}
-	for k, g := range r.gauges {
-		out[k] = g.Value()
-	}
 	provs := make([]provider, len(r.providers))
 	copy(provs, r.providers)
 	r.mu.Unlock()
+	out := make(map[string]int64)
 	for _, p := range provs {
 		ns := p.ns
 		p.fn(func(name string, v int64) {

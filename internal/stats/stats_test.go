@@ -7,77 +7,52 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("ns", "x")
-	if c != nil {
-		t.Fatal("nil registry must hand out nil counters")
-	}
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter must read zero")
-	}
-	g := r.Gauge("ns", "y")
-	g.Set(3)
-	g.SetMax(9)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must read zero")
-	}
 	r.RegisterFunc("ns", func(emit func(string, int64)) { emit("z", 1) })
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
+	if r.Render() != "" {
+		t.Fatal("nil registry must render empty")
+	}
 }
 
-func TestCountersGaugesProviders(t *testing.T) {
+func TestProvidersPrefixed(t *testing.T) {
 	r := New()
-	c := r.Counter("tcp", "segs_sent")
-	c.Inc()
-	c.Add(4)
-	if got := r.Counter("tcp", "segs_sent"); got != c {
-		t.Fatal("Counter must return the same instance for the same key")
-	}
-	g := r.Gauge("netio", "high_water")
-	g.SetMax(7)
-	g.SetMax(3) // must not lower
+	calls := 0
 	r.RegisterFunc("pkt", func(emit func(string, int64)) {
-		emit("gets", 11)
+		calls++
+		emit("gets", 11+int64(calls))
 		emit("puts", 10)
 	})
+	r.RegisterFunc("netio.h0", func(emit func(string, int64)) { emit("high_water", 7) })
 	snap := r.Snapshot()
 	want := map[string]int64{
-		"tcp.segs_sent":    5,
-		"netio.high_water": 7,
-		"pkt.gets":         11,
-		"pkt.puts":         10,
+		"netio.h0.high_water": 7,
+		"pkt.gets":            12,
+		"pkt.puts":            10,
+	}
+	if len(snap) != len(want) {
+		t.Errorf("snapshot has %d keys, want %d: %v", len(snap), len(want), snap)
 	}
 	for k, v := range want {
 		if snap[k] != v {
 			t.Errorf("snapshot[%q] = %d, want %d", k, snap[k], v)
 		}
 	}
+	if got := r.Snapshot()["pkt.gets"]; got != 13 {
+		t.Errorf("second snapshot pkt.gets = %d, want 13: providers are polled per Snapshot", got)
+	}
 }
 
 func TestRenderSortedDeterministic(t *testing.T) {
 	r := New()
-	r.Counter("b", "two").Add(2)
-	r.Counter("a", "one").Add(1)
+	r.RegisterFunc("b", func(emit func(string, int64)) { emit("two", 2) })
+	r.RegisterFunc("a", func(emit func(string, int64)) { emit("one", 1) })
 	out := r.Render()
 	if strings.Index(out, "a.one") > strings.Index(out, "b.two") {
 		t.Fatalf("render not sorted:\n%s", out)
 	}
 	if out != r.Render() {
 		t.Fatal("render must be deterministic")
-	}
-}
-
-func TestCounterAddAllocFree(t *testing.T) {
-	r := New()
-	c := r.Counter("ns", "hot")
-	if n := testing.AllocsPerRun(100, func() { c.Add(1) }); n != 0 {
-		t.Fatalf("Counter.Add allocates %v times per op", n)
-	}
-	var nilC *Counter
-	if n := testing.AllocsPerRun(100, func() { nilC.Add(1) }); n != 0 {
-		t.Fatalf("nil Counter.Add allocates %v times per op", n)
 	}
 }

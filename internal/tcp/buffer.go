@@ -258,6 +258,3 @@ func (b *recvBuf) drain(rcvNxt Seq) Seq {
 	}
 	return rcvNxt
 }
-
-// oooCount reports queued out-of-order segments (diagnostics).
-func (b *recvBuf) oooCount() int { return len(b.ooo) }

@@ -120,13 +120,13 @@ func TestReassemblySteadyStateAllocatesNothing(t *testing.T) {
 				t.Fatalf("out-of-order insert moved rcv_nxt to %d", got)
 			}
 		}
-		if rcv.oooCount() != 3 {
-			t.Fatalf("%d segments queued, want 3", rcv.oooCount())
+		if len(rcv.ooo) != 3 {
+			t.Fatalf("%d segments queued, want 3", len(rcv.ooo))
 		}
 		nxt = rcv.insert(nxt, nxt, payload)
-		if rcv.oooCount() != 0 || rcv.readable() != 4*seg {
+		if len(rcv.ooo) != 0 || rcv.readable() != 4*seg {
 			t.Fatalf("after the fill: %d queued, %d readable, want 0 and %d",
-				rcv.oooCount(), rcv.readable(), 4*seg)
+				len(rcv.ooo), rcv.readable(), 4*seg)
 		}
 		rcv.read(out)
 	}

@@ -346,9 +346,6 @@ func (c *Conn) Stats() Stats { return c.stats }
 func (c *Conn) Local() Endpoint { return c.local }
 func (c *Conn) Peer() Endpoint  { return c.peer }
 
-// EffectiveMSS returns the negotiated maximum segment size.
-func (c *Conn) EffectiveMSS() int { return c.sndMSS }
-
 // setState transitions and fires notifications. why classifies the cause of
 // the transition (user call, segment, reset, timer) for the trace stream.
 func (c *Conn) setState(s State, why Trigger) {

@@ -27,11 +27,11 @@ func TestMSSNegotiation(t *testing.T) {
 		Send: n.b.cb.Send,
 	}))
 	n.connect()
-	if n.a.EffectiveMSS() != 512 {
-		t.Fatalf("a effective MSS = %d, want 512 (peer's option)", n.a.EffectiveMSS())
+	if n.a.sndMSS != 512 {
+		t.Fatalf("a effective MSS = %d, want 512 (peer's option)", n.a.sndMSS)
 	}
-	if n.b.EffectiveMSS() != 512 {
-		t.Fatalf("b effective MSS = %d, want 512 (own limit)", n.b.EffectiveMSS())
+	if n.b.sndMSS != 512 {
+		t.Fatalf("b effective MSS = %d, want 512 (own limit)", n.b.sndMSS)
 	}
 }
 
@@ -507,8 +507,8 @@ func TestRTTEstimation(t *testing.T) {
 	if n.a.Stats().RTTSamples == 0 {
 		t.Fatal("no RTT samples collected")
 	}
-	if n.a.RTO() < minRexmtTicks || n.a.RTO() > maxRexmtTicks {
-		t.Fatalf("RTO %d outside clamp", n.a.RTO())
+	if n.a.rxtCur < minRexmtTicks || n.a.rxtCur > maxRexmtTicks {
+		t.Fatalf("RTO %d outside clamp", n.a.rxtCur)
 	}
 }
 

@@ -239,7 +239,8 @@ func TestRestoreArmsKeepalive(t *testing.T) {
 
 	var closedErr error
 	closed := false
-	r := Restore(n.a.Snapshot(), Callbacks{
+	r := new(Conn)
+	RestoreInto(r, n.a.Snapshot(), Callbacks{
 		OnClosed: func(err error) { closed = true; closedErr = err },
 	})
 	if r.State() != Established {

@@ -138,9 +138,6 @@ func TestSeqArithmetic(t *testing.T) {
 	if seqMax(Seq(0xfffffff0), Seq(0x10)) != Seq(0x10) {
 		t.Fatal("seqMax broken across wrap")
 	}
-	if seqMin(Seq(0xfffffff0), Seq(0x10)) != Seq(0xfffffff0) {
-		t.Fatal("seqMin broken across wrap")
-	}
 	if !Seq(5).Leq(5) {
 		t.Fatal("Leq not reflexive")
 	}
@@ -221,7 +218,7 @@ func TestRecvBufOverlaps(t *testing.T) {
 	nxt := Seq(0)
 	nxt = b.insert(nxt, 10, []byte("cdef")) // ooo
 	nxt = b.insert(nxt, 8, []byte("abcd"))  // overlaps ooo head
-	if b.oooCount() == 0 {
+	if len(b.ooo) == 0 {
 		t.Fatal("expected out-of-order segments queued")
 	}
 	nxt = b.insert(nxt, 0, []byte("01234567")) // fills the hole
@@ -265,7 +262,8 @@ func TestSnapshotRestoreMidConnection(t *testing.T) {
 		t.Fatal("snapshot size must be positive")
 	}
 	bEvents := &events{}
-	nb := Restore(snap, bEvents.callbacks(Callbacks{
+	nb := new(Conn)
+	RestoreInto(nb, snap, bEvents.callbacks(Callbacks{
 		Send: n.b.cb.Send,
 	}))
 	n.b = nb
@@ -291,7 +289,8 @@ func TestSnapshotCarriesBufferedData(t *testing.T) {
 	if len(snap.SndData) == 0 {
 		t.Fatal("snapshot lost send-buffer data")
 	}
-	na := Restore(snap, Callbacks{Send: n.a.cb.Send})
+	na := new(Conn)
+	RestoreInto(na, snap, Callbacks{Send: n.a.cb.Send})
 	n.a = na
 	n.run(30)
 	buf := make([]byte, 64)
@@ -305,36 +304,43 @@ func TestTableLookup(t *testing.T) {
 	tb := NewTable()
 	l1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}
 	p1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
+	p2 := Endpoint{IP: ipv4.Addr{10, 0, 0, 3}, Port: 2000}
 	c := NewConn(Config{}, l1, p1, Callbacks{})
-	lst := NewConn(Config{}, Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}, Endpoint{}, Callbacks{})
+	c2 := NewConn(Config{}, l1, p2, Callbacks{})
 
-	if err := tb.InsertListener(lst); err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.Insert(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Insert(c); err == nil {
 		t.Fatal("duplicate insert allowed")
 	}
-	if got, ok := tb.Lookup(l1, p1); !ok || got != c {
+	if err := tb.Insert(NewConn(Config{}, l1, p1, Callbacks{})); err == nil {
+		t.Fatal("second pcb on a taken four-tuple allowed")
+	}
+	if err := tb.Insert(c2); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tb.LookupExact(l1, p1); !ok || got != c {
 		t.Fatal("exact lookup failed")
 	}
-	other := Endpoint{IP: ipv4.Addr{10, 0, 0, 3}, Port: 999}
-	if got, ok := tb.Lookup(l1, other); !ok || got != lst {
-		t.Fatal("listener fallback failed")
+	if got, ok := tb.LookupExact(l1, p2); !ok || got != c2 {
+		t.Fatal("exact lookup of a second peer on the same local port failed")
 	}
-	if _, ok := tb.Lookup(Endpoint{IP: l1.IP, Port: 81}, other); ok {
-		t.Fatal("lookup on unused port matched")
+	if _, ok := tb.LookupExact(l1, Endpoint{IP: p1.IP, Port: 2001}); ok {
+		t.Fatal("lookup matched a different peer port")
+	}
+	if _, ok := tb.LookupExact(Endpoint{IP: l1.IP, Port: 81}, p1); ok {
+		t.Fatal("lookup matched a different local port")
 	}
 	tb.Remove(c)
-	if got, ok := tb.Lookup(l1, p1); !ok || got != lst {
-		t.Fatal("after remove, should fall back to listener")
+	if _, ok := tb.LookupExact(l1, p1); ok {
+		t.Fatal("lookup matched after remove")
 	}
-	tb.RemoveListener(80)
-	if _, ok := tb.Lookup(l1, p1); ok {
-		t.Fatal("lookup matched after listener removal")
+	if err := tb.Insert(c); err != nil {
+		t.Fatalf("re-insert after remove: %v", err)
 	}
+	tb.Remove(c)
+	tb.Remove(c2)
 	if tb.Len() != 0 {
 		t.Fatalf("table not empty: %d", tb.Len())
 	}

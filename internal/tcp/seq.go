@@ -36,11 +36,3 @@ func seqMax(a, b Seq) Seq {
 	}
 	return a
 }
-
-// seqMin returns the earlier of two sequence numbers.
-func seqMin(a, b Seq) Seq {
-	if a.Less(b) {
-		return a
-	}
-	return b
-}

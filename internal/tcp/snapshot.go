@@ -57,17 +57,10 @@ func (c *Conn) Snapshot() Snapshot {
 	}
 }
 
-// Restore builds a live connection from transferred state, attaching the
-// new owner's callbacks. Timers restart conservatively (a retransmission
-// timer is armed if data is outstanding).
-func Restore(s Snapshot, cb Callbacks) *Conn {
-	c := new(Conn)
-	RestoreInto(c, s, cb)
-	return c
-}
-
-// RestoreInto is Restore onto a pcb the caller supplies (see Conn.Init). The
-// buffered bytes are copied, never shared with the snapshot.
+// RestoreInto builds a live connection from transferred state on a pcb the
+// caller supplies (see Conn.Init), attaching the new owner's callbacks. The
+// buffered bytes are copied, never shared with the snapshot. Timers restart
+// conservatively (a retransmission timer is armed if data is outstanding).
 func RestoreInto(c *Conn, s Snapshot, cb Callbacks) {
 	c.Init(s.Cfg, s.Local, s.Peer, cb)
 	c.state = s.State

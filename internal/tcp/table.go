@@ -11,21 +11,18 @@ type FourTuple struct {
 }
 
 // Table is the protocol-control-block lookup structure the monolithic
-// organizations use to demultiplex inbound segments: exact four-tuple match
-// first, then a listener on the local port. (In the user-level-library
-// organization this lookup is replaced by the network I/O module's per-
-// endpoint filters and the AN1's BQI, which is the paper's point.)
+// organizations and the registry use to demultiplex inbound segments to
+// fully specified connections; each keeps its own listeners beside it. (In
+// the user-level-library organization this lookup is replaced by the
+// network I/O module's per-endpoint filters and the AN1's BQI, which is the
+// paper's point.)
 type Table struct {
-	conns     map[FourTuple]*Conn
-	listeners map[uint16]*Conn
+	conns map[FourTuple]*Conn
 }
 
 // NewTable creates an empty PCB table.
 func NewTable() *Table {
-	return &Table{
-		conns:     make(map[FourTuple]*Conn),
-		listeners: make(map[uint16]*Conn),
-	}
+	return &Table{conns: make(map[FourTuple]*Conn)}
 }
 
 // Insert registers a fully specified connection. It fails if the four-tuple
@@ -39,51 +36,18 @@ func (t *Table) Insert(c *Conn) error {
 	return nil
 }
 
-// InsertListener registers a listening pcb on a local port.
-func (t *Table) InsertListener(c *Conn) error {
-	p := c.Local().Port
-	if _, dup := t.listeners[p]; dup {
-		return fmt.Errorf("tcp: port %d already listening", p)
-	}
-	t.listeners[p] = c
-	return nil
-}
-
 // Remove deletes a connection.
 func (t *Table) Remove(c *Conn) {
 	delete(t.conns, FourTuple{c.Local(), c.Peer()})
 }
 
-// RemoveListener deletes a listener by port.
-func (t *Table) RemoveListener(port uint16) {
-	delete(t.listeners, port)
-}
-
-// Lookup finds the pcb for a segment received for local from peer:
-// connection match first, then listener.
-func (t *Table) Lookup(local, peer Endpoint) (*Conn, bool) {
-	if c, ok := t.conns[FourTuple{local, peer}]; ok {
-		return c, true
-	}
-	if c, ok := t.listeners[local.Port]; ok {
-		return c, true
-	}
-	return nil, false
-}
-
-// LookupExact finds only a fully specified connection.
+// LookupExact finds a fully specified connection.
 func (t *Table) LookupExact(local, peer Endpoint) (*Conn, bool) {
 	c, ok := t.conns[FourTuple{local, peer}]
 	return c, ok
 }
 
-// Listener returns the listening pcb on a port.
-func (t *Table) Listener(port uint16) (*Conn, bool) {
-	c, ok := t.listeners[port]
-	return c, ok
-}
-
-// Len returns the number of registered connections (excluding listeners).
+// Len returns the number of registered connections.
 func (t *Table) Len() int { return len(t.conns) }
 
 // Less orders four-tuples (local port, peer port, local IP, peer IP): the

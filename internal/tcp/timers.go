@@ -32,13 +32,6 @@ func (c *Conn) clearTimer(t *int) {
 // startRexmt arms the retransmission timer with the current RTO.
 func (c *Conn) startRexmt() { c.setTimer(&c.tRexmt, c.rxtCur) }
 
-// RTO returns the current retransmission timeout in ticks (diagnostics).
-func (c *Conn) RTO() int { return c.rxtCur }
-
-// SRTT returns the smoothed RTT estimate in ticks (diagnostics; fixed point
-// removed).
-func (c *Conn) SRTT() int { return c.srtt >> 3 }
-
 // updateRTT folds a measured RTT (in ticks, counted from 1) into the
 // Jacobson estimator: srtt is kept scaled by 8, rttvar by 4, and
 // RTO = srtt + 4*rttvar, clamped to [1 s, 64 s].

@@ -54,7 +54,6 @@ type Wheel struct {
 	shift  uint   // log2(slots)
 	now    uint64 // current absolute tick
 	armed  int
-	ops    int // statistics: set+cancel+fire operations
 	// due is the list tick fires from: empty between ticks. It lives here
 	// and not on tick's stack because the timers on it point at its head.
 	due slotList
@@ -88,10 +87,6 @@ func (w *Wheel) Now() uint64 { return w.now }
 // Armed returns the number of pending timers.
 func (w *Wheel) Armed() int { return w.armed }
 
-// Ops returns the total number of timer operations performed, for cost
-// accounting by the caller.
-func (w *Wheel) Ops() int { return w.ops }
-
 // place inserts t into the level/slot appropriate for its deadline.
 func (w *Wheel) place(t *Timer) {
 	delta := t.deadline - w.now
@@ -112,7 +107,6 @@ func (w *Wheel) place(t *Timer) {
 // Set arms t to fire fn after delay ticks (minimum 1). If t is already
 // armed it is rescheduled.
 func (w *Wheel) Set(t *Timer, delay uint64, fn func()) {
-	w.ops++
 	if t.armed {
 		t.unlink()
 		w.armed--
@@ -133,7 +127,6 @@ func (w *Wheel) Set(t *Timer, delay uint64, fn func()) {
 
 // Cancel disarms t; it reports whether the timer was pending.
 func (w *Wheel) Cancel(t *Timer) bool {
-	w.ops++
 	if !t.armed {
 		return false
 	}
@@ -193,7 +186,6 @@ func (w *Wheel) tick() int {
 		t.unlink()
 		t.armed = false
 		w.armed--
-		w.ops++
 		fired++
 		t.fn()
 	}

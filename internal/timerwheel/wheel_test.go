@@ -189,19 +189,6 @@ func TestCancelSubsetProperty(t *testing.T) {
 	}
 }
 
-func TestOpsCounting(t *testing.T) {
-	w := New(2, 8)
-	var tm Timer
-	w.Set(&tm, 1, func() {})
-	w.Cancel(&tm)
-	w.Set(&tm, 1, func() {})
-	w.Advance(2)
-	// set + cancel + set + fire = 4
-	if w.Ops() != 4 {
-		t.Fatalf("ops = %d, want 4", w.Ops())
-	}
-}
-
 // TestLevelBoundaryRollover pins the cascade edge where a deadline sits
 // exactly on a higher-level span boundary: the timer lives in level 1+, is
 // redistributed by the cascade on the tick its low digit rolls to zero, and

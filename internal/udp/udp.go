@@ -140,6 +140,3 @@ func (s *Sock) Recv() (Datagram, bool) {
 	s.queue = s.queue[1:]
 	return d, true
 }
-
-// Pending returns the queue depth.
-func (s *Sock) Pending() int { return len(s.queue) }

@@ -106,8 +106,8 @@ func TestTableBindDeliver(t *testing.T) {
 	}
 	tb.Deliver(local, Datagram{Payload: []byte("b")})
 	tb.Deliver(local, Datagram{Payload: []byte("c")}) // over limit
-	if s.Dropped != 1 || s.Pending() != 2 {
-		t.Fatalf("dropped=%d pending=%d", s.Dropped, s.Pending())
+	if s.Dropped != 1 || len(s.queue) != 2 {
+		t.Fatalf("dropped=%d pending=%d", s.Dropped, len(s.queue))
 	}
 	d, ok := s.Recv()
 	if !ok || string(d.Payload) != "a" || d.From.Port != 99 {

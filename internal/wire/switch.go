@@ -62,9 +62,6 @@ func NewSwitched(s *sim.Sim, cfg Config, sw SwitchConfig) *Segment {
 	return g
 }
 
-// Switched reports whether the segment runs a learning switch.
-func (g *Segment) Switched() bool { return g.sw != nil }
-
 // SwitchStats reports learned table size and forwarding counters:
 // switched frames took a single learned port, flooded frames were unicast
 // misses copied to every port.

@@ -224,52 +224,3 @@ func TestSwitchMacRefresh(t *testing.T) {
 			switched-switchedBefore, flooded-floodedBefore)
 	}
 }
-
-// TestSwitchDetachInvalidatesAndRecovers is the kill-and-restart
-// regression: a host dies (its station detaches), comes back behind a new
-// port with the same address, and traffic must recover. Pre-fix there was
-// no invalidate-on-port-removal at all — the dead station's learned entry
-// steered frames into the old port forever and a re-attach panicked on
-// the duplicate address.
-func TestSwitchDetachInvalidatesAndRecovers(t *testing.T) {
-	s, g, sts := setupSwitch(3, SwitchConfig{})
-	a, b := sts[0], sts[1]
-
-	// Learn a and b, then kill b: only b's entry may be invalidated.
-	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 64)))
-	s.Run(0)
-	g.Transmit(b.addr, a.addr, pkt.FromBytes(0, make([]byte, 64)))
-	s.Run(0)
-	g.Detach(b.addr)
-	if learned, _, _ := g.SwitchStats(); learned != 1 {
-		t.Fatalf("learned = %d after detach, want 1 (only b invalidated)", learned)
-	}
-
-	// Restart: same address, different port (a fresh station object).
-	b2 := &fakeStation{addr: b.addr, s: s}
-	g.Attach(b2)
-
-	// Traffic to the reborn address must reach the new port. The first
-	// frame floods (the stale entry is gone); after b2 transmits, frames
-	// switch straight to it.
-	g.Transmit(a.addr, b2.addr, pkt.FromBytes(0, make([]byte, 64)))
-	s.Run(0)
-	if len(b2.got) != 1 {
-		t.Fatalf("reborn station got %d frames, want 1 (flooded)", len(b2.got))
-	}
-	if len(b.got) != 1 {
-		t.Fatalf("dead station got %d frames, want 1 (nothing after detach)", len(b.got))
-	}
-	g.Transmit(b2.addr, a.addr, pkt.FromBytes(0, make([]byte, 64)))
-	s.Run(0)
-	_, switchedBefore, _ := g.SwitchStats()
-	g.Transmit(a.addr, b2.addr, pkt.FromBytes(0, make([]byte, 64)))
-	s.Run(0)
-	if _, switched, _ := g.SwitchStats(); switched != switchedBefore+1 {
-		t.Fatalf("re-learned frame did not switch: switched = %d, want %d",
-			switched, switchedBefore+1)
-	}
-	if len(b2.got) != 2 {
-		t.Fatalf("reborn station got %d frames, want 2", len(b2.got))
-	}
-}

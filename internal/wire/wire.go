@@ -177,9 +177,6 @@ func (g *Segment) SetFaults(f Faults) {
 	g.rng = rand.New(rand.NewSource(int64(f.Seed)))
 }
 
-// Config returns the segment configuration.
-func (g *Segment) Config() Config { return g.cfg }
-
 // Attach registers a station. Attaching two stations with one address is a
 // configuration error and panics.
 func (g *Segment) Attach(st Station) {
@@ -194,34 +191,6 @@ func (g *Segment) Attach(st Station) {
 	}
 	if g.sw != nil {
 		g.egress[a] = g.s.NewResource(g.cfg.Name + "." + a.String() + ".egress")
-	}
-}
-
-// Detach removes a station from the segment: its address no longer
-// resolves, broadcasts no longer reach it, and on a switched fabric every
-// learned MAC entry steering frames to its port is invalidated, so traffic
-// to a re-attached address floods and re-learns instead of black-holing
-// into the dead port. Detaching an unknown address is a no-op.
-func (g *Segment) Detach(addr link.Addr) {
-	st, ok := g.stations[addr]
-	if !ok {
-		return
-	}
-	delete(g.stations, addr)
-	for i, o := range g.order {
-		if o == st {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
-	delete(g.perPort, addr)
-	if g.sw != nil {
-		delete(g.egress, addr)
-		for a, e := range g.macPort {
-			if e.st == st {
-				delete(g.macPort, a)
-			}
-		}
 	}
 }
 

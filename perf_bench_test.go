@@ -271,51 +271,9 @@ func BenchmarkHotPathDemuxCSPFInterp(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathDemuxBPFCompiled measures the BPF predicate compiled to
-// threaded native closures (same executed counts as the interpreter).
-func BenchmarkHotPathDemuxBPFCompiled(b *testing.B) {
-	prog := demuxSpec.CompileBPF().Compile()
-	frame := demuxFrame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, _ := prog.Run(frame); !ok {
-			b.Fatal("predicate rejected matching frame")
-		}
-	}
-}
-
-// BenchmarkHotPathDemuxCSPFCompiled measures the CSPF predicate compiled to
-// threaded native closures.
-func BenchmarkHotPathDemuxCSPFCompiled(b *testing.B) {
-	prog := demuxSpec.CompileCSPF().Compile()
-	frame := demuxFrame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, _ := prog.Run(frame); !ok {
-			b.Fatal("predicate rejected matching frame")
-		}
-	}
-}
-
-// BenchmarkHotPathDemuxNative measures the synthesized native predicate
-// method (uncompiled form).
-func BenchmarkHotPathDemuxNative(b *testing.B) {
-	frame := demuxFrame()
-	match := demuxSpec.Match
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !match(frame) {
-			b.Fatal("predicate rejected matching frame")
-		}
-	}
-}
-
-// BenchmarkHotPathDemuxNativeCompiled measures the hoisted-constant closure
+// BenchmarkHotPathDemuxNative measures the hoisted-constant native predicate
 // netio installs for its software demux bindings.
-func BenchmarkHotPathDemuxNativeCompiled(b *testing.B) {
+func BenchmarkHotPathDemuxNative(b *testing.B) {
 	frame := demuxFrame()
 	match := demuxSpec.Compile()
 	b.ReportAllocs()
