@@ -30,7 +30,7 @@ func TestChurnSetupAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		r := experiments.Churn(experiments.ChurnConfig{Conns: conns, Shards: 4, FastPath: true})
+		r := experiments.Churn(experiments.ChurnConfig{Conns: conns, Shards: 4})
 		runtime.ReadMemStats(&after)
 		if r.Err != nil {
 			t.Fatalf("%d connections: %v", conns, r.Err)

@@ -9,8 +9,7 @@ import (
 
 // TestChurnVirtualNumbersPinned holds the control plane's virtual clock still
 // in both registry shapes: 200 connection set-ups through a lone registry
-// (Shards 0, the paper's) and through four shards, on the many-host fast
-// path. The constants were recorded at commit 5d632a0, before the lone
+// (Shards 0, the paper's) and through four shards. The constants were recorded at commit 5d632a0, before the lone
 // registry became a one-shard federation; the paper tables (ulbench's golden
 // file) pin only the lone shape, and bench/'s baselines pin the sharded one
 // only outside `go test`. A change meant to move them records new constants
@@ -23,7 +22,7 @@ func TestChurnVirtualNumbersPinned(t *testing.T) {
 		{0, 123536952, 186697300, 186844208, 1634896016},
 		{4, 18691364, 34079380, 34300060, 511102496},
 	} {
-		r := experiments.Churn(experiments.ChurnConfig{Conns: 200, Shards: want.shards, FastPath: true})
+		r := experiments.Churn(experiments.ChurnConfig{Conns: 200, Shards: want.shards})
 		if r.Err != nil {
 			t.Fatalf("shards %d: %v", want.shards, r.Err)
 		}

@@ -26,7 +26,7 @@ func main() {
 	ablations := flag.Bool("ablations", false, "run the ablation experiments")
 	orgs := flag.Bool("orgs", false, "print the organization map (Figure 1)")
 	stats := flag.Bool("stats", false, "run a 1 MB transfer per organization and dump per-layer counters")
-	churn := flag.Bool("churn", false, "run the connection-churn experiment (legacy vs fast path)")
+	churn := flag.Bool("churn", false, "run the connection-churn experiment")
 	churnConns := flag.Int("churn-conns", 1000, "churn: total connection setups")
 	churnClients := flag.Int("churn-clients", 4, "churn: number of client hosts")
 	churnWorkers := flag.Int("churn-workers", 8, "churn: concurrent connect loops per client")
@@ -37,11 +37,11 @@ func main() {
 	flag.Parse()
 
 	if *degrade {
-		runDegrade(*degradeBytes)
+		runDegrade(os.Stdout, *degradeBytes)
 		return
 	}
 	if *churn {
-		runChurn(*churnConns, *churnClients, *churnWorkers, *shards, *zerocopy)
+		runChurn(os.Stdout, *churnConns, *churnClients, *churnWorkers, *shards, *zerocopy)
 		return
 	}
 
@@ -298,50 +298,44 @@ func printOrgs() {
 `)
 }
 
-// runChurn renders the connection-churn experiment (PR 7): the same
-// setup/teardown workload through the classic configuration and the
-// many-host fast path (switched fabric, steered demux, timing wheels).
-// With -zerocopy both modes also deliver received frames by reference.
-// With -shards N a third row federates each host's registry into N
+// runChurn renders the connection-churn experiment: the setup/teardown
+// workload on the many-host fast path (switched fabric, steered demux,
+// timing wheels). With -zerocopy it delivers received frames by reference.
+// With -shards N a second row federates each host's registry into N
 // pinned-CPU shards, the sharded control plane that parallelizes setup.
-func runChurn(conns, clients, workers, shards int, zerocopy bool) {
+func runChurn(w io.Writer, conns, clients, workers, shards int, zerocopy bool) {
 	zc := ""
 	if zerocopy {
 		zc = ", zero-copy rx"
 	}
-	header(os.Stdout, fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers%s", conns, clients, workers, zc))
-	fmt.Printf("%-10s %10s %10s %10s %12s %12s %10s %14s\n",
+	header(w, fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers%s", conns, clients, workers, zc))
+	fmt.Fprintf(w, "%-10s %10s %10s %10s %12s %12s %10s %14s\n",
 		"Config", "p50", "p99", "p999", "setups/vsec", "virtual", "wall", "events/wsec")
-	modes := []struct {
-		name   string
-		fast   bool
-		shards int
-	}{{"legacy", false, 0}, {"fast", true, 0}}
+	rows := []int{0}
 	if shards >= 2 {
-		modes = append(modes, struct {
-			name   string
-			fast   bool
-			shards int
-		}{fmt.Sprintf("sharded%d", shards), true, shards})
+		rows = append(rows, shards)
 	}
-	for _, mode := range modes {
+	for _, n := range rows {
+		name := "fast"
+		if n > 0 {
+			name = fmt.Sprintf("sharded%d", n)
+		}
 		r := experiments.Churn(experiments.ChurnConfig{
-			Conns: conns, Clients: clients, Workers: workers, FastPath: mode.fast,
-			Shards: mode.shards, ZeroCopyRx: zerocopy,
+			Conns: conns, Clients: clients, Workers: workers, Shards: n, ZeroCopyRx: zerocopy,
 		})
 		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "churn (%s): %v\n", mode.name, r.Err)
+			fmt.Fprintf(os.Stderr, "churn (%s): %v\n", name, r.Err)
 			continue
 		}
-		fmt.Printf("%-10s %10v %10v %10v %12.1f %12v %10v %14.0f\n",
-			mode.name, r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
+		fmt.Fprintf(w, "%-10s %10v %10v %10v %12.1f %12v %10v %14.0f\n",
+			name, r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
 			r.P999.Round(time.Millisecond), r.SetupsPerVSec,
 			r.Virtual.Round(time.Millisecond), r.Wall.Round(time.Millisecond),
 			r.EventsPerWSec)
 	}
-	fmt.Println("(virtual percentiles are dominated by the modeled 1993 registry setup cost;")
-	fmt.Println(" the fast path's win is wall-clock events/sec and flat per-conn demux/timer cost;")
-	fmt.Println(" sharding parallelizes the registry CPU itself, lifting setups/vsec)")
+	fmt.Fprintln(w, "(virtual percentiles are dominated by the modeled 1993 registry setup cost;")
+	fmt.Fprintln(w, " the fast path's win is wall-clock events/sec and flat per-conn demux/timer cost;")
+	fmt.Fprintln(w, " sharding parallelizes the registry CPU itself, lifting setups/vsec)")
 }
 
 // runDegrade renders the degradation experiment (PR 10): a fixed transfer
@@ -349,9 +343,9 @@ func runChurn(conns, clients, workers, shards int, zerocopy bool) {
 // length, flap period and bufferbloat queue depth. "gave-up" marks rows
 // where a side abandoned the connection (RFC 1122 R2 / keepalive) and the
 // blocked caller saw a crisp timeout instead of a hang.
-func runDegrade(bytes int) {
-	header(os.Stdout, fmt.Sprintf("End-to-end degradation: %d KiB transfer, user-level stack, AN1", bytes>>10))
-	fmt.Printf("%-12s %-18s %-9s %9s %10s %8s %6s %4s %8s %8s %8s\n",
+func runDegrade(w io.Writer, bytes int) {
+	header(w, fmt.Sprintf("End-to-end degradation: %d KiB transfer, user-level stack, AN1", bytes>>10))
+	fmt.Fprintf(w, "%-12s %-18s %-9s %9s %10s %8s %6s %4s %8s %8s %8s\n",
 		"Profile", "Knob", "Outcome", "Mb/s", "virtual", "rexmit", "fast", "R1", "give-ups", "drops", "q-drops")
 	for _, r := range experiments.Degrade(experiments.DegradeConfig{Bytes: bytes}) {
 		if r.Err != nil {
@@ -362,10 +356,10 @@ func runDegrade(bytes int) {
 		if !r.Completed {
 			outcome = "gave-up"
 		}
-		fmt.Printf("%-12s %-18s %-9s %9.2f %10v %8d %6d %4d %8d %8d %8d\n",
+		fmt.Fprintf(w, "%-12s %-18s %-9s %9.2f %10v %8d %6d %4d %8d %8d %8d\n",
 			r.Profile, r.Knob, outcome, r.Goodput, r.Virtual.Round(time.Millisecond),
 			r.Rexmits, r.FastRexmits, r.R1, r.GiveUps, r.CondDrops, r.QueueDrops)
 	}
-	fmt.Println("(goodput is delivered payload over virtual time; the partition row must")
-	fmt.Println(" end in a give-up — a hang there is a bug, not a degradation)")
+	fmt.Fprintln(w, "(goodput is delivered payload over virtual time; the partition row must")
+	fmt.Fprintln(w, " end in a give-up — a hang there is a bug, not a degradation)")
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tables.golden from the current output")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
 
 // TestTablesGolden holds the default ulbench output — Tables 1–5 and the
 // setup breakdown — byte for byte: a change that is meant to leave the
@@ -21,9 +21,42 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.golden from the
 func TestTablesGolden(t *testing.T) {
 	var got bytes.Buffer
 	renderTables(&got, 0)
-	const golden = "testdata/tables.golden"
+	checkGolden(t, "testdata/tables.golden", got.Bytes())
+}
+
+// wallColumns matches a churn header or result row; what follows its first
+// 69 bytes is the wall-clock pair (wall, events/wsec), which no run repeats.
+var wallColumns = regexp.MustCompile(`^(Config|fast|sharded\d+) `)
+
+// TestChurnGolden pins the sharded churn smoke (-churn -churn-conns 200
+// -shards 4) on the virtual clock; the wall-clock columns are cut.
+func TestChurnGolden(t *testing.T) {
+	var out bytes.Buffer
+	runChurn(&out, 200, 4, 8, 4, false)
+	lines := strings.SplitAfter(out.String(), "\n")
+	for i, line := range lines {
+		if wallColumns.MatchString(line) {
+			lines[i] = strings.TrimRight(line[:69], " ") + "\n"
+		}
+	}
+	checkGolden(t, "testdata/churn.golden", []byte(strings.Join(lines, "")))
+}
+
+// TestDegradeGolden pins the degradation smoke (-degrade -degrade-bytes
+// 65536). Its give-up rows run to 18 virtual minutes, past the 10-minute ARP
+// entry lifetime.
+func TestDegradeGolden(t *testing.T) {
+	var out bytes.Buffer
+	runDegrade(&out, 65536)
+	checkGolden(t, "testdata/degrade.golden", out.Bytes())
+}
+
+// checkGolden compares got with the golden file, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -32,14 +65,14 @@ func TestTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("tables drifted from %s at line %d:\n golden: %s\n now:    %s", golden, i+1, wl[i], gl[i])
+				t.Fatalf("output drifted from %s at line %d:\n golden: %s\n now:    %s", golden, i+1, wl[i], gl[i])
 			}
 		}
-		t.Fatalf("tables drifted from %s: %d lines, golden has %d", golden, len(gl), len(wl))
+		t.Fatalf("output drifted from %s: %d lines, golden has %d", golden, len(gl), len(wl))
 	}
 }
 

@@ -12,6 +12,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -45,7 +46,10 @@ func (s *shared) fail(msg string) {
 	s.done = true
 }
 
-func main() {
+func main() { os.Exit(run(os.Stdout)) }
+
+// run is the whole program; it returns 1 if the transfer failed verification.
+func run(stdout io.Writer) int {
 	faults := wire.Faults{
 		Seed:         7,
 		LossProb:     0.05,
@@ -54,7 +58,7 @@ func main() {
 		ReorderProb:  0.05,
 		ReorderDelay: 2 * time.Millisecond,
 	}
-	fmt.Printf("wire faults: %.0f%% loss, %.0f%% duplication, %.0f%% corruption, %.0f%% reordering\n\n",
+	fmt.Fprintf(stdout, "wire faults: %.0f%% loss, %.0f%% duplication, %.0f%% corruption, %.0f%% reordering\n\n",
 		faults.LossProb*100, faults.DupProb*100, faults.CorruptProb*100, faults.ReorderProb*100)
 
 	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Faults: &faults})
@@ -116,7 +120,6 @@ func main() {
 			sent += n
 		}
 	})
-	start := time.Now()
 	w.RunUntil(30*time.Minute, func() bool {
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -125,39 +128,37 @@ func main() {
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	fmt.Printf("transferred %d/%d bytes in %v of virtual time (%.2fs of wall time)\n",
-		len(st.got), transferSize, w.Now().Round(time.Millisecond), time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "transferred %d/%d bytes in %v of virtual time\n",
+		len(st.got), transferSize, w.Now().Round(time.Millisecond))
 
-	ok := true
+	code := 0
 	if st.failure != "" {
-		fmt.Println("failure:", st.failure)
-		ok = false
+		fmt.Fprintln(stdout, "failure:", st.failure)
+		code = 1
 	}
 	if !st.done {
-		fmt.Println("failure: transfer did not complete within the virtual-time budget")
-		ok = false
+		fmt.Fprintln(stdout, "failure: transfer did not complete within the virtual-time budget")
+		code = 1
 	}
 	if bytes.Equal(st.got, data) {
-		fmt.Println("integrity: byte-for-byte intact")
+		fmt.Fprintln(stdout, "integrity: byte-for-byte intact")
 	} else {
-		fmt.Println("integrity: CORRUPTED — protocol failure!")
-		ok = false
+		fmt.Fprintln(stdout, "integrity: CORRUPTED — protocol failure!")
+		code = 1
 	}
 
 	sent, dropped, corrupted, duplicated, reordered, _ := w.Seg.Stats()
-	fmt.Printf("\nwire:   %d frames sent, %d dropped, %d corrupted, %d duplicated, %d reordered\n",
+	fmt.Fprintf(stdout, "\nwire:   %d frames sent, %d dropped, %d corrupted, %d duplicated, %d reordered\n",
 		sent, dropped, corrupted, duplicated, reordered)
 	if st.cConn != nil {
 		cs := st.cConn.Stats()
-		fmt.Printf("sender: %d segments, %d timeout retransmissions, %d fast retransmissions, %d dup-acks seen\n",
+		fmt.Fprintf(stdout, "sender: %d segments, %d timeout retransmissions, %d fast retransmissions, %d dup-acks seen\n",
 			cs.SegsSent, cs.Rexmits, cs.FastRexmits, cs.DupAcksRcvd)
 	}
 	if st.sConn != nil {
 		ss := st.sConn.Stats()
-		fmt.Printf("receiver: %d segments received, %d out-of-order arrivals queued for reassembly\n",
+		fmt.Fprintf(stdout, "receiver: %d segments received, %d out-of-order arrivals queued for reassembly\n",
 			ss.SegsRcvd, ss.OutOfOrder)
 	}
-	if !ok {
-		os.Exit(1)
-	}
+	return code
 }

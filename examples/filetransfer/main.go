@@ -11,6 +11,8 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"os"
 	"time"
 
 	"ulp"
@@ -31,7 +33,7 @@ func makeFile() []byte {
 	return f
 }
 
-func transfer(org ulp.Org, net ulp.Net) (mbps float64, d time.Duration, ok bool) {
+func transfer(stdout io.Writer, org ulp.Org, net ulp.Net) (mbps float64, d time.Duration, ok bool) {
 	w := ulp.NewWorld(ulp.Config{Org: org, Net: net})
 	file := makeFile()
 	want := fnv.New64a()
@@ -86,7 +88,7 @@ func transfer(org ulp.Org, net ulp.Net) (mbps float64, d time.Duration, ok bool)
 	})
 	w.RunUntil(10*time.Minute, func() bool { return done })
 	if *statsFlag {
-		fmt.Printf("\n--- %v / %v per-layer stats ---\n%s\n", org, net, w.StatsReport())
+		fmt.Fprintf(stdout, "\n--- %v / %v per-layer stats ---\n%s\n", org, net, w.StatsReport())
 	}
 	if received != fileSize || got.Sum64() != want.Sum64() {
 		return 0, 0, false
@@ -95,28 +97,28 @@ func transfer(org ulp.Org, net ulp.Net) (mbps float64, d time.Duration, ok bool)
 	return float64(fileSize) * 8 / d.Seconds() / 1e6, d, true
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func main() {
 	flag.Parse()
-	fmt.Printf("transferring a %d KB file (FNV-checksummed end to end)\n\n", fileSize>>10)
-	fmt.Printf("%-14s %-12s %12s %14s %10s\n", "organization", "network", "virtual time", "throughput", "integrity")
+	os.Exit(run(os.Stdout))
+}
+
+// run is the whole program; it returns 1 if a transfer arrived corrupted.
+func run(stdout io.Writer) int {
+	code := 0
+	fmt.Fprintf(stdout, "transferring a %d KB file (FNV-checksummed end to end)\n\n", fileSize>>10)
+	fmt.Fprintf(stdout, "%-14s %-12s %12s %14s %10s\n", "organization", "network", "virtual time", "throughput", "integrity")
 	for _, org := range []ulp.Org{ulp.OrgInKernel, ulp.OrgSingleServer, ulp.OrgUserLib} {
 		for _, net := range []ulp.Net{ulp.Ethernet, ulp.AN1, ulp.AN1Jumbo} {
 			if org == ulp.OrgSingleServer && net != ulp.Ethernet {
 				continue // the paper has no mapped AN1 driver for Mach/UX
 			}
-			mbps, d, ok := transfer(org, net)
+			mbps, d, ok := transfer(stdout, org, net)
 			status := "OK"
 			if !ok {
-				status = "CORRUPT"
+				status, code = "CORRUPT", 1
 			}
-			fmt.Printf("%-14v %-12v %12v %11.2f Mb/s %8s\n", org, net, d.Round(time.Millisecond), mbps, status)
+			fmt.Fprintf(stdout, "%-14v %-12v %12v %11.2f Mb/s %8s\n", org, net, d.Round(time.Millisecond), mbps, status)
 		}
 	}
+	return code
 }

@@ -11,6 +11,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"ulp"
@@ -18,9 +20,15 @@ import (
 	"ulp/internal/stacks"
 )
 
+var stats = flag.Bool("stats", false, "print the per-layer stats breakdown after the run")
+
 func main() {
-	stats := flag.Bool("stats", false, "print the per-layer stats breakdown after the run")
 	flag.Parse()
+	os.Exit(run(os.Stdout))
+}
+
+// run is the whole program; it returns the exit status.
+func run(stdout io.Writer) int {
 	// Two DECstation-class hosts on a 10 Mb/s Ethernet, each running a
 	// registry server and the in-kernel network I/O module.
 	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet})
@@ -35,15 +43,15 @@ func main() {
 	server.Go("server", func(t *kern.Thread) {
 		l, err := server.Stack.Listen(t, 7, stacks.Options{})
 		if err != nil {
-			fmt.Println("listen:", err)
+			fmt.Fprintln(stdout, "listen:", err)
 			return
 		}
 		c, err := l.Accept(t)
 		if err != nil {
-			fmt.Println("accept:", err)
+			fmt.Fprintln(stdout, "accept:", err)
 			return
 		}
-		fmt.Printf("[%8v] server: accepted connection, state %v\n", w.Now(), c.State())
+		fmt.Fprintf(stdout, "[%8v] server: accepted connection, state %v\n", w.Now(), c.State())
 		buf := make([]byte, 256)
 		for {
 			n, err := c.Read(t, buf)
@@ -51,7 +59,7 @@ func main() {
 				c.Close(t)
 				return
 			}
-			fmt.Printf("[%8v] server: echoing %q\n", w.Now(), buf[:n])
+			fmt.Fprintf(stdout, "[%8v] server: echoing %q\n", w.Now(), buf[:n])
 			c.Write(t, buf[:n])
 		}
 	})
@@ -63,11 +71,11 @@ func main() {
 		start := w.Now()
 		c, err := client.Stack.Connect(t, w.Endpoint(0, 7), stacks.Options{})
 		if err != nil {
-			fmt.Println("connect:", err)
+			fmt.Fprintln(stdout, "connect:", err)
 			done = true
 			return
 		}
-		fmt.Printf("[%8v] client: connected in %v (registry handshake + channel setup + state transfer)\n",
+		fmt.Fprintf(stdout, "[%8v] client: connected in %v (registry handshake + channel setup + state transfer)\n",
 			w.Now(), w.Now()-start)
 
 		for _, msg := range []string{"hello, user-level TCP", "the registry is bypassed now"} {
@@ -78,10 +86,10 @@ func main() {
 				n, _ := c.Read(t, buf[total:len(msg)])
 				total += n
 			}
-			fmt.Printf("[%8v] client: echo %q\n", w.Now(), buf[:total])
+			fmt.Fprintf(stdout, "[%8v] client: echo %q\n", w.Now(), buf[:total])
 		}
 		st := c.Stats()
-		fmt.Printf("[%8v] client: closing; %d segments sent, %d received, %d timer ops\n",
+		fmt.Fprintf(stdout, "[%8v] client: closing; %d segments sent, %d received, %d timer ops\n",
 			w.Now(), st.SegsSent, st.SegsRcvd, st.TimerOps)
 		c.Close(t)
 		done = true
@@ -89,16 +97,17 @@ func main() {
 
 	w.RunUntil(time.Minute, func() bool { return done })
 
-	fmt.Println()
-	fmt.Println("network I/O module counters:")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "network I/O module counters:")
 	for i := 0; i < w.Nodes(); i++ {
 		m := w.Node(i).Mod
-		fmt.Printf("  host %d: %d sends verified against templates, %d rejected; demux: %d to channels, %d to kernel default\n",
+		fmt.Fprintf(stdout, "  host %d: %d sends verified against templates, %d rejected; demux: %d to channels, %d to kernel default\n",
 			i, m.SendOK, m.SendRejected, m.DemuxMatched, m.DemuxDefault)
 	}
 	if *stats {
-		fmt.Println()
-		fmt.Println("per-layer stats:")
-		fmt.Print(w.StatsReport())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "per-layer stats:")
+		fmt.Fprint(stdout, w.StatsReport())
 	}
+	return 0
 }

@@ -17,6 +17,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"ulp"
@@ -119,17 +121,21 @@ func udpRPC() (time.Duration, bool) {
 	return perOp, done && perOp > 0
 }
 
-func main() {
-	fmt.Printf("request-response workload: %d RPCs of 16-byte requests/replies over the Ethernet\n\n", ops)
+func main() { os.Exit(run(os.Stdout)) }
+
+// run is the whole program; it returns the exit status.
+func run(stdout io.Writer) int {
+	fmt.Fprintf(stdout, "request-response workload: %d RPCs of 16-byte requests/replies over the Ethernet\n\n", ops)
 	if d, ok := tcpRPC(stacks.Options{}); ok {
-		fmt.Printf("  %-44s %10v/op\n", "TCP, stock protocol (user-level library)", d)
+		fmt.Fprintf(stdout, "  %-44s %10v/op\n", "TCP, stock protocol (user-level library)", d)
 	}
 	if d, ok := tcpRPC(stacks.Options{NoDelay: true, NoDelayedAck: true}); ok {
-		fmt.Printf("  %-44s %10v/op\n", "TCP, application-specific variant (NoDelay)", d)
+		fmt.Fprintf(stdout, "  %-44s %10v/op\n", "TCP, application-specific variant (NoDelay)", d)
 	}
 	if d, ok := udpRPC(); ok {
-		fmt.Printf("  %-44s %10v/op\n", "UDP request-response (in-kernel)", d)
+		fmt.Fprintf(stdout, "  %-44s %10v/op\n", "UDP request-response (in-kernel)", d)
 	}
-	fmt.Println("\nThe two-write requests collide with Nagle under the stock protocol;")
-	fmt.Println("the specialized variant recovers request-response latency, the §5 idea.")
+	fmt.Fprintln(stdout, "\nThe two-write requests collide with Nagle under the stock protocol;")
+	fmt.Fprintln(stdout, "the specialized variant recovers request-response latency, the §5 idea.")
+	return 0
 }

@@ -707,22 +707,18 @@ func (c *Conn) inputThread(t *kern.Thread) {
 // so the buffer goes back to the free list when processing completes.
 func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
-	l := r.c.lib
-	if et, _, err := l.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
+	if et, _, err := r.c.lib.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
 		return
 	}
 	ih, err := ipv4.Decode(b)
 	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != r.tc.Local().IP {
 		return
 	}
-	th, err := tcp.Decode(b, ih.Src, ih.Dst)
-	if err != nil {
-		return // checksum failure: drop, retransmission recovers
+	if th, ok := stacks.DecodeSegment(t, ih, b, r.opts.NoChecksum, 0); ok {
+		r.EnterEngine(t)
+		r.tc.Input(th, b.Bytes())
+		r.LeaveEngine(t)
 	}
-	t.Compute(stacks.SegCost(l.host, b.Len(), r.opts.NoChecksum))
-	r.EnterEngine(t)
-	r.tc.Input(th, b.Bytes())
-	r.LeaveEngine(t)
 }
 
 // EnterEngine and LeaveEngine bracket every engine operation

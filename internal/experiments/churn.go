@@ -4,10 +4,9 @@ package experiments
 // setup (Table 4); this experiment measures thousands per second, which is
 // where the linear-scan demultiplexing and the shared wire stop being
 // noise: every SYN crosses the fabric, every live or TIME_WAIT pcb is a
-// timer client, and every established channel is a demux binding. The
-// fast-path configuration (learning switch + steering tables + wide
-// ephemeral range) keeps per-connection cost flat as the world scales; the
-// classic configuration pays O(connections) per frame.
+// timer client, and every established channel is a demux binding. The world
+// is the many-host one (learning switch, steering tables, wide ephemeral
+// range), which keeps per-connection cost flat as it scales.
 
 import (
 	"errors"
@@ -31,10 +30,6 @@ type ChurnConfig struct {
 	// Workers is the number of concurrent connect loops per client host
 	// (default 8).
 	Workers int
-	// FastPath enables the many-host fast path: switched fabric and a wide
-	// ephemeral range. Off = the classic two-host configuration scaled up
-	// as-is.
-	FastPath bool
 	// Shards builds each host's registry from this many shards, each owning
 	// a static slice of the port space and, from two up, pinned to its own
 	// CPU (0 or 1 = the paper's single registry). Connection setup is
@@ -80,9 +75,11 @@ func Churn(cfg ChurnConfig) ChurnResult {
 		cfg.Workers = 8
 	}
 	ucfg := ulp.Config{
-		Org:   ulp.OrgUserLib,
-		Hosts: cfg.Clients + 1,
-		Costs: cfg.Model,
+		Org:         ulp.OrgUserLib,
+		Hosts:       cfg.Clients + 1,
+		Costs:       cfg.Model,
+		Switch:      &wire.SwitchConfig{Latency: time.Microsecond},
+		EphemeralLo: 1024, EphemeralHi: 60000,
 	}
 	switch cfg.Net {
 	case NetEthernet:
@@ -91,10 +88,6 @@ func Churn(cfg ChurnConfig) ChurnResult {
 		ucfg.Net = ulp.AN1Jumbo
 	default:
 		ucfg.Net = ulp.AN1
-	}
-	if cfg.FastPath {
-		ucfg.Switch = &wire.SwitchConfig{Latency: time.Microsecond}
-		ucfg.EphemeralLo, ucfg.EphemeralHi = 1024, 60000
 	}
 	ucfg.RegistryShards = cfg.Shards
 	ucfg.ZeroCopyRx = cfg.ZeroCopyRx

@@ -78,15 +78,13 @@ func TestTable5Smoke(t *testing.T) {
 }
 
 func TestChurnSmoke(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		r := Churn(ChurnConfig{Conns: 200, Clients: 2, Workers: 4, FastPath: fast})
-		if r.Err != nil {
-			t.Fatalf("fast=%v: %v", fast, r.Err)
-		}
-		t.Logf("fast=%v: %d conns, p50=%v p99=%v p999=%v, %.0f setups/vsec, %v virtual, %v wall",
-			fast, r.Conns, r.P50, r.P99, r.P999, r.SetupsPerVSec, r.Virtual, r.Wall)
-		if r.P50 <= 0 || r.P999 < r.P50 {
-			t.Fatalf("fast=%v: implausible percentiles p50=%v p999=%v", fast, r.P50, r.P999)
-		}
+	r := Churn(ChurnConfig{Conns: 200, Clients: 2, Workers: 4})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	t.Logf("%d conns, p50=%v p99=%v p999=%v, %.0f setups/vsec, %v virtual, %v wall",
+		r.Conns, r.P50, r.P99, r.P999, r.SetupsPerVSec, r.Virtual, r.Wall)
+	if r.P50 <= 0 || r.P999 < r.P50 {
+		t.Fatalf("implausible percentiles p50=%v p999=%v", r.P50, r.P999)
 	}
 }

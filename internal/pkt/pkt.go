@@ -28,6 +28,8 @@ type Meta struct {
 	// BQI is the AN1 buffer queue index parsed from (or to be written into)
 	// the link header. Zero is the protected kernel default queue.
 	BQI uint16
+	// AdvBQI is the index a frame waiting for ARP advertises once framed.
+	AdvBQI uint16
 
 	// RxDev names the device the packet arrived on, for diagnostics.
 	RxDev string

@@ -10,48 +10,6 @@ import (
 	"ulp/internal/trace"
 )
 
-// inputLoop is the registry's default-path receive thread: everything the
-// per-connection demultiplexing did not claim arrives here — handshake
-// segments, ARP, strays for transferred connections, and segments for
-// nonexistent endpoints (answered with RST).
-func (r *Server) inputLoop(t *kern.Thread) {
-	c := &r.host.Cost
-	for {
-		b := r.rxq.Pop(t.Proc)
-		t.Compute(c.ThreadSwitch)
-		r.input(t, b)
-	}
-}
-
-func (r *Server) input(t *kern.Thread, b *pkt.Buf) {
-	// The frame dies here on every path: ARP replies and forwarded segments
-	// are built in fresh buffers, reassembly and tcp.Conn.Input copy the
-	// bytes they keep.
-	defer b.Release()
-	et, advBQI, err := r.nif.StripLink(b)
-	if err != nil {
-		return
-	}
-	switch et {
-	case link.TypeARP:
-		r.nif.InputARP(t, b, r.nif.Mod.SendKernel)
-		return
-	case link.TypeIPv4:
-	default:
-		return
-	}
-	h, data, ok := r.nif.InputIP(b)
-	if !ok {
-		return
-	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		r.inputTCP(t, h, data, advBQI)
-	case ipv4.ProtoUDP:
-		r.inputUDP(t, h, data)
-	}
-}
-
 // inputUDP demultiplexes default-path datagrams to bound library
 // end-points (the software fallback when BQIs cannot be negotiated).
 func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
@@ -78,46 +36,38 @@ func (r *Server) reframe(h ipv4.Header, data []byte) *pkt.Buf {
 	return fwd
 }
 
-func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uint16) {
-	seg := pkt.FromBytes(0, data)
-	defer seg.Release()
-	th, err := tcp.Decode(seg, h.Src, h.Dst)
-	if err != nil {
-		return
-	}
-	local := tcp.Endpoint{IP: h.Dst, Port: th.DstPort}
-	peer := tcp.Endpoint{IP: h.Src, Port: th.SrcPort}
-	t.Compute(stacks.SegCost(r.host, seg.Len(), false))
-
+// inputTCP is the pipeline's TCP hook (stacks.Hooks) for everything the
+// per-connection demultiplexing did not claim: handshake segments, strays
+// for transferred connections, and segments for nonexistent endpoints.
+func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	// Registry-owned pcb (handshaking or inherited)?
-	if tc, ok := r.owned.LookupExact(local, peer); ok {
+	if tc, ok := r.owned.LookupExact(s.Local, s.Peer); ok {
 		hc := r.conns[tc]
-		if hc != nil && advBQI != 0 {
+		if hc != nil && s.AdvBQI != 0 {
 			// Learn the peer's data-phase BQI from the link header.
-			hc.peerBQI = advBQI
+			hc.peerBQI = s.AdvBQI
 		}
-		r.runConn(t, hc, func() { tc.Input(th, seg.Bytes()) })
-		return
+		r.runConn(t, hc, func() { tc.Input(s.Hdr, s.Data) })
+		return true
 	}
 
 	// Stray default-path segment of a transferred connection (e.g. a
 	// retransmitted handshake ACK on the AN1): forward into its channel by
 	// rebuilding the frame bytes the channel consumer expects.
-	if xc, ok := r.transferred[tcp.FourTuple{Local: local, Peer: peer}]; ok {
-		fwd := r.reframe(h, data)
+	if xc, ok := r.transferred[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
+		fwd := r.reframe(s.IP, s.Raw)
 		if ch := xc.cap.Chan(); ch != nil {
 			ch.Inject(fwd)
 		} else {
 			fwd.Release() // the record outlived its channel (a sibling shard tore it down)
 		}
-		return
+		return true
 	}
 
 	// SYN for a registered listener: clone a pcb and let the handshake
 	// proceed; setup of the user channel happens before the SYN|ACK goes
 	// out so the BQI can ride its link header.
-	if l, ok := r.listeners[local.Port]; ok &&
-		th.Flags&tcp.FlagSYN != 0 && th.Flags&(tcp.FlagACK|tcp.FlagRST) == 0 {
+	if l, ok := r.listeners[s.Local.Port]; ok && s.OpensConnection() {
 		if l.pending >= l.backlog {
 			// Backlog full: drop the SYN deterministically instead of
 			// growing hsConn state without bound under a SYN flood. The
@@ -126,23 +76,23 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 			r.synDrops++
 			if r.bus.Enabled() {
 				r.bus.Emit(trace.Event{Kind: trace.ListenDrop, Node: r.host.Name,
-					A: int64(local.Port), B: int64(l.pending)})
+					A: int64(s.Local.Port), B: int64(l.pending)})
 			}
-			return
+			return true
 		}
 		var ourBQI uint16
 		if r.nif.IsAN1() {
 			t.Compute(t.Cost().BQIReserve)
 			bqi, err := r.nif.Mod.ReserveBQI(r.dom)
 			if err != nil {
-				return
+				return true
 			}
 			ourBQI = bqi
 		}
 		hc := r.newConn()
-		hc.opts, hc.owner, hc.l, hc.peerBQI, hc.ourBQI = l.opts, l.owner, l, advBQI, ourBQI
+		hc.opts, hc.owner, hc.l, hc.peerBQI, hc.ourBQI = l.opts, l.owner, l, s.AdvBQI, ourBQI
 		tc := &hc.tc
-		tc.Init(r.tcpConfig(l.opts), local, peer, tcp.Callbacks{})
+		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
 		r.attach(hc)
 		tc.OpenListen()
@@ -153,23 +103,17 @@ func (r *Server) inputTCP(t *kern.Thread, h ipv4.Header, data []byte, advBQI uin
 			delete(r.conns, tc)
 			r.wheel.Drop(&hc.went)
 			r.dropBQI(hc)
-			return
+			return true
 		}
 		l.pending++
 		hc.inBacklog = true
-		r.runConn(t, hc, func() { tc.Input(th, seg.Bytes()) })
-		return
+		r.runConn(t, hc, func() { tc.Input(s.Hdr, s.Data) })
+		return true
 	}
 
-	// No endpoint: reset. A shard only resets tuples it authoritatively
-	// owns — a stray steered here because its owner shard is down must be
-	// dropped, not answered: the connection it belongs to is alive in some
-	// library, and an RST from a non-owner would kill it.
-	if !r.fed.authoritative(r, local, peer) {
-		return
-	}
-	if rst, rb := tcp.MakeRST(th, seg.Len(), r.nif.Headroom(), local, peer); rst != nil {
-		r.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
-		r.resolveAndSend(t, rb, peer.IP, 0, 0)
-	}
+	// No endpoint: the pipeline resets it. A shard only resets tuples it
+	// authoritatively owns — a stray steered here because its owner shard is
+	// down must be dropped, not answered: the connection it belongs to is
+	// alive in some library, and an RST from a non-owner would kill it.
+	return !r.fed.authoritative(r, s.Local, s.Peer)
 }

@@ -297,8 +297,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 			Seq: ho.Snap.RcvNxt, Ack: ho.Snap.SndNxt, Flags: tcp.FlagACK, Window: 100}
 		b := pkt.FromBytes(rg.r0.nif.Headroom()+tcp.HeaderLen, nil)
 		hdr.Encode(b, rg.ips[0], rg.ips[1])
-		rg.r0.nif.WrapIP(b, ipv4.ProtoTCP, rg.ips[1])
-		rg.r0.nif.Resolve(th, b, rg.ips[1], 0, rg.r0.nif.Mod.SendKernel)
+		rg.r0.nif.SendTCP(th, b, rg.ips[1], 0)
 		sent = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })

@@ -333,10 +333,12 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 	r.lock = f.s.NewSemaphore("registry-engine", 1)
 	r.rxq = sim.NewQueue[*pkt.Buf](f.s)
 	r.dom.Spawn("service", r.serviceLoop)
-	r.dom.Spawn("input", r.inputLoop)
+	// The default-path receive thread: everything the per-connection
+	// demultiplexing did not claim arrives here.
+	r.dom.Spawn("input", r.nif.InputLoop(r.rxq, &stacks.Hooks{TCP: r.inputTCP, UDP: r.inputUDP}))
 	r.wheel.Drive(r.dom, "tcp", stacks.DriverHooks{
 		Bracket:   r.runEngine,
-		AfterSlow: func() { r.nif.Rsm.Expire(r.nifNow()) },
+		AfterSlow: func() { r.nif.Rsm.Expire(r.nif.Now()) },
 	})
 	r.dom.Spawn("lease-hb", r.leaseHeartbeat)
 	return r
@@ -553,7 +555,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 		hc.ourBQI = bqi
 	}
 	tc := &hc.tc
-	tc.Init(r.tcpConfig(req.Opts), local, req.Remote, tcp.Callbacks{})
+	tc.Init(stacks.TCPConfig(r.nif, req.Opts), local, req.Remote, tcp.Callbacks{})
 	r.attach(hc)
 	if err := r.owned.Insert(tc); err != nil {
 		delete(r.conns, tc)
@@ -645,23 +647,6 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 // Channel setup and handoff
 // ---------------------------------------------------------------------------
 
-// tcpConfig mirrors the library's configuration so handshake state is
-// directly transferable.
-func (r *Server) tcpConfig(opts stacks.Options) tcp.Config {
-	return tcp.Config{
-		MSS:            r.nif.MSS(),
-		SndBufSize:     opts.SndBuf,
-		RcvBufSize:     opts.RcvBuf,
-		Headroom:       r.nif.Headroom(),
-		NoDelay:        opts.NoDelay,
-		NoDelayedAck:   opts.NoDelayedAck,
-		FastRetransmit: true,
-		KeepAliveTicks: opts.KeepAliveTicks,
-		RexmtR1:        opts.RexmtR1,
-		RexmtR2:        opts.RexmtR2,
-	}
-}
-
 // setupChannel creates the shared region, ring, capability, template and
 // demux binding for an endpoint ("nearly 3.4 ms are spent in setting up
 // user channels to the network device").
@@ -737,10 +722,7 @@ func (hc *hsConn) established() { hc.r.established(hc) }
 func (hc *hsConn) closed(err error) {
 	r, tc := hc.r, &hc.tc
 	r.drop(hc)
-	if hc.inBacklog {
-		hc.inBacklog = false
-		hc.l.pending--
-	}
+	hc.leaveBacklog()
 	// Passive-side pcbs share the listener's port and hold no
 	// reference of their own until handoff; releasing here would
 	// strip the listener's reservation.
@@ -764,6 +746,14 @@ func (hc *hsConn) closed(err error) {
 	r.releaseAdmit(hc)
 }
 
+// leaveBacklog returns a passive set-up's listen-backlog slot, exactly once.
+func (hc *hsConn) leaveBacklog() {
+	if hc.inBacklog {
+		hc.inBacklog = false
+		hc.l.pending--
+	}
+}
+
 // releaseAdmit returns a setup's admission-quota slot. The flag guards exactly-once release however many exit paths the setup
 // traverses.
 func (r *Server) releaseAdmit(hc *hsConn) {
@@ -783,23 +773,10 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 	c := t.Cost()
 	t.Compute(c.RegistrySendPath)
 	t.Compute(stacks.SegCost(r.host, seg.Len(), false))
-	r.nif.WrapIP(seg, ipv4.ProtoTCP, tc.Peer().IP)
 	// Handshake segments advertise our data-phase BQI in the link header
 	// but are themselves addressed to the peer's protected kernel queue
 	// (BQI zero): only data-phase traffic uses the negotiated rings.
-	r.resolveAndSend(t, seg, tc.Peer().IP, 0, hc.ourBQI)
-}
-
-// resolveAndSend frames with BQI fields and transmits via the kernel path.
-func (r *Server) resolveAndSend(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, dstBQI, advBQI uint16) {
-	if hw, ok := r.nif.ARP.Lookup(0, dst); ok && r.nif.IsAN1() {
-		r.nif.Frame(ippkt, hw, link.TypeIPv4, dstBQI, advBQI)
-		r.nif.Mod.SendKernel(t, ippkt)
-		return
-	}
-	// Resolve handles the ARP exchange; on the AN1 the BQI fields stay zero
-	// for the queued copy, which is correct for handshake traffic.
-	r.nif.Resolve(t, ippkt, dst, 0, r.nif.Mod.SendKernel)
+	r.nif.SendTCP(t, seg, tc.Peer().IP, hc.ourBQI)
 }
 
 // established completes setup: narrow the template to the negotiated peer,
@@ -825,7 +802,7 @@ func (r *Server) established(hc *hsConn) {
 		}
 	}
 	// Narrow the template now that the peer link address is known.
-	if hw, ok := r.nif.ARP.Lookup(r.nifNow(), tc.Peer().IP); ok {
+	if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), tc.Peer().IP); ok {
 		hc.peerHW = hw
 	}
 	tmpl := netio.Template{
@@ -840,10 +817,7 @@ func (r *Server) established(hc *hsConn) {
 	t.Compute(c.StateTransfer)
 	snap := tc.Snapshot()
 	r.drop(hc)
-	if hc.inBacklog {
-		hc.inBacklog = false
-		hc.l.pending--
-	}
+	hc.leaveBacklog()
 	if hc.l != nil {
 		// The accepted connection shares its listener's port; the handoff
 		// takes a reference of its own, balanced by Teardown/Inherit/crash
@@ -917,18 +891,11 @@ func (r *Server) abortSetup(hc *hsConn, err error) {
 	}
 	r.dropBQI(hc)
 	r.releaseAdmit(hc)
-	if hc.inBacklog {
-		hc.inBacklog = false
-		hc.l.pending--
-	}
+	hc.leaveBacklog()
 	if hc.l == nil {
 		r.ports.Release(tc.Local().Port)
 	}
 	r.handoff(hc, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
-}
-
-func (r *Server) nifNow() uint64 {
-	return uint64(time.Duration(r.host.S.Now()) / (500 * time.Millisecond))
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -1031,8 +998,8 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// if the application moved data afterwards; if the peer answers the
 	// stale reset with a challenge ACK, that ACK lands on the (now
 	// reclaimed) default path below and is answered with an exactly-aimed
-	// RST by inputTCP's no-endpoint case — so the peer converges to reset
-	// either way.
+	// RST by the receive pipeline's no-endpoint case — so the peer converges
+	// to reset either way.
 	for ft, xc := range r.transferred {
 		if xc.owner != dom {
 			continue
@@ -1076,8 +1043,9 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 // that never advanced. The bare ACK sent after it covers the rest: an
 // out-of-window ACK makes the peer respond with its own ACK, which lands on
 // this host's default path — the tuple is already reclaimed — and is
-// answered by inputTCP's no-endpoint case with a reset aimed exactly at the
-// peer's expected sequence. Either way the peer converges to a reset.
+// answered by the receive pipeline's no-endpoint case with a reset aimed
+// exactly at the peer's expected sequence. Either way the peer converges to
+// a reset.
 func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, tcp.FlagACK} {
 		h := tcp.Header{
@@ -1090,8 +1058,7 @@ func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 		c := t.Cost()
 		t.Compute(c.RegistrySendPath)
 		t.Compute(stacks.SegCost(r.host, b.Len(), false))
-		r.nif.WrapIP(b, ipv4.ProtoTCP, xc.peer.IP)
-		r.resolveAndSend(t, b, xc.peer.IP, 0, 0)
+		r.nif.SendTCP(t, b, xc.peer.IP, 0)
 	}
 }
 

@@ -276,8 +276,7 @@ func TestStraySegmentAnsweredWithRST(t *testing.T) {
 		seg := tcp.Header{SrcPort: 999, DstPort: 4000, Seq: 5, Flags: tcp.FlagACK, Window: 100}
 		b := newSegBuf(rg.r1.nif.Headroom(), nil)
 		seg.Encode(b, rg.ips[1], rg.ips[0])
-		rg.r1.nif.WrapIP(b, ipv4.ProtoTCP, rg.ips[0])
-		rg.r1.nif.Resolve(th, b, rg.ips[0], 0, rg.r1.nif.Mod.SendKernel)
+		rg.r1.nif.SendTCP(th, b, rg.ips[0], 0)
 		sent = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })

@@ -108,7 +108,7 @@ func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
 		return
 	}
 	for attempt := 0; attempt < 5; attempt++ {
-		if hw, ok := r.nif.ARP.Lookup(r.nifNow(), req.IP); ok {
+		if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), req.IP); ok {
 			r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{HW: hw}})
 			return
 		}

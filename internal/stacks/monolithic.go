@@ -1,11 +1,8 @@
 package stacks
 
 import (
-	"time"
-
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
-	"ulp/internal/link"
 	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
@@ -40,6 +37,85 @@ type organization struct {
 	// readerWakeup charges the input thread for handing received data to a
 	// blocked reader.
 	readerWakeup func(t *kern.Thread)
+}
+
+// NewInKernel builds the Ultrix-style monolithic organization on a host
+// whose netio module is mod: the whole protocol stack executes in the
+// kernel. Socket calls are general-purpose traps; data crosses the
+// user/kernel boundary by copy for small writes and by page remap for
+// writes of RemapMinUltrix bytes or more ("Ultrix uses an identical
+// mechanism, but it is invoked only when the user packet size is 1024
+// bytes or larger"); input runs at software-interrupt level and wakes
+// sleeping readers with a context switch.
+func NewInKernel(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Monolithic {
+	open := func(t *kern.Thread) {
+		t.Trap()
+		t.Compute(t.Cost().PCBSetup)
+	}
+	return newMonolithic(s, mod, ip, organization{
+		name:        "inkernel",
+		domain:      "kernel",
+		inputThread: "softint",
+		issOrigin:   10000,
+		issStride:   64009,
+		call:        func(t *kern.Thread) { t.Trap() },
+		listen:      open,
+		connect:     open,
+		writeMove: func(t *kern.Thread, n int) {
+			c := t.Cost()
+			if n >= c.RemapMinUltrix {
+				t.Compute(c.PageRemap + c.SockbufOp)
+			} else {
+				t.Compute(c.Copy(n) + c.SockbufOp)
+			}
+		},
+		readMove:     func(t *kern.Thread, n int) { t.Compute(t.Cost().Copy(n) + t.Cost().SockbufOp) },
+		readerWakeup: func(t *kern.Thread) { t.Compute(t.Cost().ContextSwitch) },
+	})
+}
+
+// NewSingleServer builds the Mach 3.0 + UX organization on a host whose
+// netio module is mod: the entire protocol suite executes in one trusted
+// user-level server with the network device mapped into its address space.
+// Every socket call is a Mach IPC round trip between the application and
+// the server (request + reply, each a message send plus a context switch),
+// and all data crosses in message bodies by copy. Inbound packets interrupt
+// the kernel and must then wake the server's input thread in its own
+// address space.
+//
+// This is the organization the paper's measurements show losing to both
+// Ultrix and the user-level library ("the user-level library implementation
+// outperforms the monolithic Mach/UX implementation ... 42% faster for the
+// 4K packet case").
+func NewSingleServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Monolithic {
+	// rpc charges one application<->server round trip (request send +
+	// switch into the server, reply send + switch back) with no in-line
+	// data.
+	rpc := func(t *kern.Thread) {
+		c := t.Cost()
+		t.Compute(2*c.MachIPCSend + 2*c.ContextSwitch + c.Copy(0))
+	}
+	move := func(t *kern.Thread, n int) { t.Compute(t.Cost().Copy(n) + t.Cost().SockbufOp) }
+	return newMonolithic(s, mod, ip, organization{
+		name:        "singleserver",
+		domain:      "ux-server", // a trusted user-level process; it maps the device
+		inputThread: "input",
+		issOrigin:   20000,
+		issStride:   64013,
+		call:        rpc,
+		listen:      rpc, // socket() + bind()/listen() folded into one RPC
+		connect: func(t *kern.Thread) {
+			rpc(t) // socket()
+			rpc(t) // connect()
+			t.Compute(t.Cost().PCBSetup)
+		},
+		writeMove: move,
+		readMove:  move,
+		rxWakeup:  func(h *kern.Host) { h.ComputeAsync(h.Cost.KernelWakeup, nil) },
+		// Waking the blocked application read and sending its reply message
+		// crosses address spaces again.
+		readerWakeup: func(t *kern.Thread) { t.Compute(t.Cost().MachIPCSend + t.Cost().ContextSwitch) },
+	})
 }
 
 // Monolithic is the host-stack core of the two monolithic organizations
@@ -94,10 +170,13 @@ func newMonolithic(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, org organization
 		}
 		m.rxq.Push(b)
 	})
-	m.dom.Spawn(org.inputThread, m.inputLoop)
+	// The input thread demultiplexes and runs the engine, then wakes any
+	// sleeping reader.
+	m.dom.Spawn(org.inputThread, m.nif.InputLoop(m.rxq,
+		&Hooks{Extra: MbufCost(m.host), TCP: m.inputTCP, UDP: m.udp.Input}))
 	m.wheel.Drive(m.dom, "tcp", DriverHooks{
 		Bracket:   m.runEngine,
-		AfterSlow: func() { m.nif.Rsm.Expire(m.nif.now()) },
+		AfterSlow: func() { m.nif.Rsm.Expire(m.nif.Now()) },
 	})
 	return m
 }
@@ -113,8 +192,9 @@ func (m *Monolithic) nextISS() tcp.Seq {
 	return m.iss
 }
 
-// tcpConfig derives the engine configuration from options and the link.
-func tcpConfig(nif *Netif, opts Options) tcp.Config {
+// TCPConfig derives the engine configuration from options and the link.
+// The registry uses it too, so handshake state transfers to the library.
+func TCPConfig(nif *Netif, opts Options) tcp.Config {
 	return tcp.Config{
 		MSS:            nif.MSS(),
 		SndBufSize:     opts.SndBuf,
@@ -128,23 +208,6 @@ func tcpConfig(nif *Netif, opts Options) tcp.Config {
 		RexmtR2:        opts.RexmtR2,
 	}
 }
-
-// SegCost is the per-segment protocol processing charge, identical in all
-// organizations ("the protocol stack that is executed is nearly identical
-// in all three systems").
-func SegCost(h *kern.Host, n int, noChecksum bool) time.Duration {
-	m := &h.Cost
-	d := m.TCPSegment + m.IPPacket + 2*m.TimerOp
-	if !noChecksum {
-		d += m.Checksum(n)
-	}
-	return d
-}
-
-// MbufCost is the per-packet BSD buffer-layer charge the monolithic
-// organizations add on top of SegCost (the library's shared rings avoid
-// it).
-func MbufCost(h *kern.Host) time.Duration { return h.Cost.MbufLayer }
 
 // attach builds the pcb's shell state — the Sock with the organization's
 // cost hooks, the wheel entry, the engine callbacks — and registers it.
@@ -193,8 +256,7 @@ func (m *Monolithic) transmit(seg Seg, tc *tcp.Conn, opts Options) {
 		panic(m.org.name + ": engine transmit outside runEngine")
 	}
 	t.Compute(SegCost(m.host, seg.PayloadLen, opts.NoChecksum) + MbufCost(m.host))
-	m.nif.WrapIP(seg.Buf, ipv4.ProtoTCP, tc.Peer().IP)
-	m.nif.Resolve(t, seg.Buf, tc.Peer().IP, 0, m.nif.Mod.SendKernel)
+	m.nif.SendTCP(t, seg.Buf, tc.Peer().IP, 0)
 }
 
 // runEngine serializes engine entry, tracking the driving thread for
@@ -270,7 +332,7 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 		return nil, err
 	}
 	local := tcp.Endpoint{IP: m.nif.IP, Port: port}
-	tc := tcp.NewConn(tcpConfig(m.nif, opts), local, remote, tcp.Callbacks{})
+	tc := tcp.NewConn(TCPConfig(m.nif, opts), local, remote, tcp.Callbacks{})
 	sock := m.attach(t.Sim(), tc, opts, nil)
 	if err := m.table.Insert(tc); err != nil {
 		m.ports.Release(local.Port)
@@ -285,88 +347,32 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 	return sock, nil
 }
 
-// inputLoop is the protocol-input thread: the interrupt handler queues
-// frames; this thread demultiplexes and runs the engine, then wakes any
-// sleeping reader.
-func (m *Monolithic) inputLoop(t *kern.Thread) {
-	c := &m.host.Cost
-	for {
-		b := m.rxq.Pop(t.Proc)
-		t.Compute(c.ThreadSwitch) // interrupt-to-input-thread dispatch
-		m.input(t, b)
-	}
-}
-
-// input processes one inbound frame in thread context. The frame dies here
-// on every path: reassembly, the UDP datagram queue and tcp.Conn.Input all
-// copy the bytes they keep.
-func (m *Monolithic) input(t *kern.Thread, b *pkt.Buf) {
-	defer b.Release()
-	et, _, err := m.nif.StripLink(b)
-	if err != nil {
-		return
-	}
-	switch et {
-	case link.TypeARP:
-		m.nif.InputARP(t, b, m.nif.Mod.SendKernel)
-		return
-	case link.TypeIPv4:
-	default:
-		return
-	}
-	h, data, ok := m.nif.InputIP(b)
-	if !ok {
-		return
-	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		m.inputTCP(t, h, data)
-	case ipv4.ProtoUDP:
-		m.udp.Input(t, h, data)
-	}
-}
-
-// inputTCP demultiplexes a segment through the PCB table.
-func (m *Monolithic) inputTCP(t *kern.Thread, h ipv4.Header, data []byte) {
-	seg := pkt.FromBytes(0, data)
-	defer seg.Release()
-	th, err := tcp.Decode(seg, h.Src, h.Dst)
-	if err != nil {
-		return // bad checksum: dropped silently, retransmission recovers
-	}
-	local := tcp.Endpoint{IP: h.Dst, Port: th.DstPort}
-	peer := tcp.Endpoint{IP: h.Src, Port: th.SrcPort}
-	t.Compute(SegCost(m.host, seg.Len(), false) + MbufCost(m.host))
-
-	if tc, ok := m.table.LookupExact(local, peer); ok {
+// inputTCP is the pipeline's TCP hook: a segment for a pcb runs the engine,
+// a bare SYN for a listener clones one, and anything else is no endpoint's.
+func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
+	if tc, ok := m.table.LookupExact(s.Local, s.Peer); ok {
 		mc := m.conns[tc]
 		waiting := mc.sock.ReadableWaiters() > 0
 		mc.EnterEngine(t)
-		tc.Input(th, seg.Bytes())
+		tc.Input(s.Hdr, s.Data)
 		mc.LeaveEngine(t)
 		if waiting {
 			m.org.readerWakeup(t)
 		}
-		return
+		return true
 	}
-	if l, ok := m.listeners[local.Port]; ok && !l.closed {
-		if th.Flags&tcp.FlagSYN != 0 && th.Flags&(tcp.FlagACK|tcp.FlagRST) == 0 {
-			m.spawnFromListener(t, l, local, peer, th, seg.Bytes())
-			return
-		}
+	if l, ok := m.listeners[s.Local.Port]; ok && !l.closed && s.OpensConnection() {
+		m.spawnFromListener(t, l, s)
+		return true
 	}
-	// No endpoint: reset.
-	if r, rb := tcp.MakeRST(th, seg.Len(), m.nif.Headroom(), local, peer); r != nil {
-		m.nif.WrapIP(rb, ipv4.ProtoTCP, peer.IP)
-		m.nif.Resolve(t, rb, peer.IP, 0, m.nif.Mod.SendKernel)
-	}
+	return false
 }
 
 // spawnFromListener clones a pcb for an inbound SYN (BSD's listen-socket
 // cloning) and delivers the SYN to it; the connection is queued for Accept
 // once established.
-func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, local, peer tcp.Endpoint, th tcp.Header, data []byte) {
-	tc := tcp.NewConn(tcpConfig(m.nif, l.opts), local, peer, tcp.Callbacks{})
+func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, s Segment) {
+	tc := tcp.NewConn(TCPConfig(m.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 	tc.SetISS(m.nextISS())
 	sock := m.attach(t.Sim(), tc, l.opts, func(sock *Sock) {
 		if !l.closed {
@@ -378,6 +384,6 @@ func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, local, p
 		return
 	}
 	sock.enter(t)
-	tc.Input(th, data)
+	tc.Input(s.Hdr, s.Data)
 	sock.leave(t)
 }

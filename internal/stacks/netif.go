@@ -52,19 +52,17 @@ func (n *Netif) MSS() int { return n.Mod.Device().MTU() - ipv4.HeaderLen - 20 }
 // Headroom returns the buffer headroom needed below the TCP/UDP header.
 func (n *Netif) Headroom() int { return n.Mod.Device().HdrLen() + ipv4.HeaderLen }
 
-// now returns the ARP/reassembly coarse clock (500 ms units).
-func (n *Netif) now() uint64 {
+// Now returns the ARP/reassembly coarse clock (500 ms units).
+func (n *Netif) Now() uint64 {
 	return uint64(time.Duration(n.sim.Now()) / (500 * time.Millisecond))
 }
 
-// WrapIP prepends the IP header onto a transport segment. The caller then
-// frames and transmits it (possibly after ARP).
-func (n *Netif) WrapIP(seg *pkt.Buf, proto uint8, dst ipv4.Addr) {
-	h := ipv4.Header{
-		ID: n.ids.Next(), DF: true, TTL: 64,
-		Proto: proto, Src: n.IP, Dst: dst,
-	}
+// SendTCP prepends the IP header onto a TCP segment and sends it to dst
+// through the kernel path (Resolve), advertising advBQI.
+func (n *Netif) SendTCP(t *kern.Thread, seg *pkt.Buf, dst ipv4.Addr, advBQI uint16) {
+	h := ipv4.Header{ID: n.ids.Next(), DF: true, TTL: 64, Proto: ipv4.ProtoTCP, Src: n.IP, Dst: dst}
 	h.Encode(seg)
+	n.Resolve(t, seg, dst, advBQI, n.Mod.SendKernel)
 }
 
 // WrapIPFragments encapsulates a datagram that may exceed the MTU (UDP
@@ -94,20 +92,22 @@ func (n *Netif) Frame(b *pkt.Buf, dstHW link.Addr, typ link.EtherType, bqi, advB
 // Transmit is the trusted (kernel/server mapped-device) transmit path.
 type Transmit func(t *kern.Thread, frame *pkt.Buf)
 
-// Resolve sends ippkt to dst, resolving dst's link address first if needed:
-// a cache hit frames and transmits immediately; a miss queues the packet
-// and broadcasts an ARP request via tx.
-func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, bqi uint16, tx Transmit) {
+// Resolve sends ippkt to dst through the kernel path, resolving dst's link
+// address first if needed: a cache hit frames and transmits immediately; a
+// miss queues the packet and broadcasts an ARP request via tx. The frame is
+// addressed to the peer's kernel queue (BQI zero) and, on the AN1,
+// advertises advBQI, ours for the connection's data phase.
+func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, advBQI uint16, tx Transmit) {
 	if !ipv4.SameSubnet(n.IP, dst) {
 		// No gateway functions (paper): off-subnet traffic is dropped.
 		return
 	}
-	if hw, ok := n.ARP.Lookup(n.now(), dst); ok {
-		n.Frame(ippkt, hw, link.TypeIPv4, bqi, 0)
+	if hw, ok := n.ARP.Lookup(n.Now(), dst); ok {
+		n.Frame(ippkt, hw, link.TypeIPv4, 0, advBQI)
 		tx(t, ippkt)
 		return
 	}
-	ippkt.Meta.BQI = bqi // remember for transmission after resolution
+	ippkt.Meta.AdvBQI = advBQI // remember for transmission after resolution
 	if n.ARP.Enqueue(dst, ippkt) {
 		n.RequestARP(t, dst, tx)
 	}
@@ -132,13 +132,13 @@ func (n *Netif) InputARP(t *kern.Thread, b *pkt.Buf, tx Transmit) {
 	if err != nil {
 		return
 	}
-	reply, released := n.ARP.Input(n.now(), p)
+	reply, released := n.ARP.Input(n.Now(), p)
 	if reply != nil {
 		n.txARP(t, *reply, p.SenderHW, tx)
 	}
 	for _, q := range released {
-		hw, _ := n.ARP.Lookup(n.now(), p.SenderIP)
-		n.Frame(q, hw, link.TypeIPv4, q.Meta.BQI, 0)
+		hw, _ := n.ARP.Lookup(n.Now(), p.SenderIP)
+		n.Frame(q, hw, link.TypeIPv4, 0, q.Meta.AdvBQI)
 		tx(t, q)
 	}
 }
@@ -153,27 +153,6 @@ func (n *Netif) StripLink(b *pkt.Buf) (typ link.EtherType, advBQI uint16, err er
 	}
 	h, err := link.DecodeEth(b)
 	return h.Type, 0, err
-}
-
-// InputIP decodes an inbound IP packet addressed to this host, reassembling
-// fragments. It returns (header, payload bytes, true) when a complete
-// datagram for us is available.
-func (n *Netif) InputIP(b *pkt.Buf) (ipv4.Header, []byte, bool) {
-	h, err := ipv4.Decode(b)
-	if err != nil {
-		return ipv4.Header{}, nil, false
-	}
-	if h.Dst != n.IP {
-		return ipv4.Header{}, nil, false // not ours; no forwarding
-	}
-	if h.MF || h.FragOff > 0 {
-		hh, data, done := n.Rsm.Insert(n.now(), h, b.Bytes())
-		if !done {
-			return ipv4.Header{}, nil, false
-		}
-		return hh, data, true
-	}
-	return h, b.Bytes(), true
 }
 
 // String identifies the interface for diagnostics.

@@ -202,7 +202,8 @@ func TestNetifOffSubnetDropped(t *testing.T) {
 
 func pktWithIP(nif *Netif, dst ipv4.Addr) *pktBuf {
 	b := pktNew(nif.Headroom(), 8)
-	nif.WrapIP(b, ipv4.ProtoUDP, dst)
+	h := ipv4.Header{TTL: 64, Proto: ipv4.ProtoUDP, Src: nif.IP, Dst: dst}
+	h.Encode(b)
 	return b
 }
 

@@ -289,32 +289,21 @@ func BenchmarkHotPathDemuxNative(b *testing.B) {
 // Connection churn (many-host fast path)
 // ---------------------------------------------------------------------------
 
-// BenchmarkChurn runs the connection-churn experiment end to end in both
-// configurations and reports simulator throughput (events/wall-second). The
-// fast sub-benchmark exercises the PR 7 path — switched fabric, steered
-// demux, timing wheels — against the classic configuration scaled up as-is.
-// ns/op here is the wall-clock cost of the whole experiment; events/sec is
-// the honest cross-mode comparison (the virtual-time results are asserted
-// separately in TestChurnSmoke).
+// BenchmarkChurn runs the connection-churn experiment end to end — switched
+// fabric, steered demux, timing wheels — and reports simulator throughput
+// (events/wall-second). ns/op here is the wall-clock cost of the whole
+// experiment (the virtual-time results are asserted separately in
+// TestChurnSmoke).
 func BenchmarkChurn(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"legacy", false}, {"fast", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var events float64
-			for i := 0; i < b.N; i++ {
-				r := experiments.Churn(experiments.ChurnConfig{
-					Conns: 400, Clients: 4, Workers: 8, FastPath: mode.fast,
-				})
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-				events += r.EventsPerWSec
-			}
-			b.ReportMetric(events/float64(b.N), "events/sec")
-		})
+	var events float64
+	for i := 0; i < b.N; i++ {
+		r := experiments.Churn(experiments.ChurnConfig{Conns: 400, Clients: 4, Workers: 8})
+		if r.Err != nil {
+			b.Fatal(r.Err)
+		}
+		events += r.EventsPerWSec
 	}
+	b.ReportMetric(events/float64(b.N), "events/sec")
 }
 
 // ---------------------------------------------------------------------------
