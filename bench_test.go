@@ -8,11 +8,95 @@
 package ulp_test
 
 import (
+	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ulp/internal/experiments"
 )
+
+// TestBenchmarksRun runs each of the package's benchmarks once, as
+// `go test -bench . -benchtime=1x` does, so a benchmark that fails fails
+// tier-1 too. It also fails when some package's TestBenchmarksRun leaves out
+// one of that package's benchmarks.
+func TestBenchmarksRun(t *testing.T) {
+	runBenchmarksOnce(t,
+		BenchmarkTable1, BenchmarkTable2, BenchmarkTable3, BenchmarkTable4, BenchmarkTable5,
+		BenchmarkAblationBatching, BenchmarkAblationAN1MTU, BenchmarkAblationFilter,
+		BenchmarkAblationAppSpecific, BenchmarkAblationZeroCopy, BenchmarkAblationChecksum,
+		BenchmarkAblationRPC,
+		BenchmarkEngineEvents, BenchmarkEngineTimerChurn, BenchmarkEngineProcSleep,
+		BenchmarkHotPathPacketAlloc, BenchmarkHotPathWire, BenchmarkHotPathChecksum,
+		BenchmarkHotPathChecksumShort, BenchmarkHotPathDemuxBPFInterp,
+		BenchmarkHotPathDemuxCSPFInterp, BenchmarkHotPathDemuxNative,
+		BenchmarkChurn, BenchmarkZeroCopyRx)
+
+	fset := token.NewFileSet()
+	declared := map[string][]string{}   // package directory -> its benchmarks
+	run := map[string]map[string]bool{} // package directory -> names its TestBenchmarksRun uses
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			switch {
+			case !ok || fd.Recv != nil:
+			case strings.HasPrefix(fd.Name.Name, "Benchmark"):
+				declared[dir] = append(declared[dir], fd.Name.Name)
+			case fd.Name.Name == "TestBenchmarksRun":
+				run[dir] = map[string]bool{}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						run[dir][id.Name] = true
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, names := range declared {
+		for _, name := range names {
+			if !run[dir][name] {
+				t.Errorf("%s: TestBenchmarksRun does not run %s", dir, name)
+			}
+		}
+	}
+}
+
+// runBenchmarksOnce runs each benchmark for one iteration.
+func runBenchmarksOnce(t *testing.T, benches ...func(*testing.B)) {
+	bt := flag.Lookup("test.benchtime").Value
+	defer bt.Set(bt.String())
+	if err := bt.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range benches {
+		// A failed sub-benchmark fails its parent but leaves N at 1.
+		failed := false
+		r := testing.Benchmark(func(b *testing.B) { bench(b); failed = b.Failed() })
+		if failed || r.N != 1 {
+			t.Errorf("%s failed", runtime.FuncForPC(reflect.ValueOf(bench).Pointer()).Name())
+		}
+	}
+}
 
 // BenchmarkTable1 — impact of the user-level mechanisms on throughput:
 // maximum-sized Ethernet packets over the raw mechanisms, no transport
@@ -41,7 +125,7 @@ func BenchmarkTable2(b *testing.B) {
 				name := fmt.Sprintf("%s/%v/%dB", sys.Label, net, up)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						c := experiments.Table2CellFor(sys.Org, sys.Label, net, up, experiments.Table2Config{})
+						c := experiments.Table2CellFor(sys.Org, sys.Label, net, up, nil)
 						if c.Err != nil {
 							b.Fatal(c.Err)
 						}
@@ -160,8 +244,8 @@ func BenchmarkAblationAppSpecific(b *testing.B) {
 // 512-byte user packets on the AN1, ours vs Ultrix (the Table 2 crossover).
 func BenchmarkAblationZeroCopy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ours := experiments.Table2CellFor(experiments.OrgOurs, "ours", experiments.NetAN1, 512, experiments.Table2Config{})
-		ultrix := experiments.Table2CellFor(experiments.OrgUltrix, "ultrix", experiments.NetAN1, 512, experiments.Table2Config{})
+		ours := experiments.Table2CellFor(experiments.OrgOurs, "ours", experiments.NetAN1, 512, nil)
+		ultrix := experiments.Table2CellFor(experiments.OrgUltrix, "ultrix", experiments.NetAN1, 512, nil)
 		if ours.Err != nil || ultrix.Err != nil {
 			b.Fatal(ours.Err, ultrix.Err)
 		}

@@ -111,7 +111,7 @@ var paperT2 = map[string]map[experiments.NetSel][4]float64{
 
 func table2(w io.Writer) {
 	header(w, "Table 2: Throughput Measurements (Mb/s), user packet sizes 512/1024/2048/4096")
-	cells := experiments.Table2(experiments.Table2Config{})
+	cells := experiments.Table2(nil)
 	fmt.Fprintf(w, "%-27s %-13s %26s   %26s\n", "System", "Network", "simulated", "paper")
 	byKey := map[string][]experiments.Table2Cell{}
 	var order []string
@@ -299,8 +299,8 @@ func printOrgs() {
 }
 
 // runChurn renders the connection-churn experiment: the setup/teardown
-// workload on the many-host fast path (switched fabric, steered demux,
-// timing wheels). With -zerocopy it delivers received frames by reference.
+// workload on the shared Ethernet (steered demux, timing wheels). With
+// -zerocopy it delivers received frames by reference.
 // With -shards N a second row federates each host's registry into N
 // pinned-CPU shards, the sharded control plane that parallelizes setup.
 func runChurn(w io.Writer, conns, clients, workers, shards int, zerocopy bool) {

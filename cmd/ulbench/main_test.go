@@ -17,11 +17,17 @@ var update = flag.Bool("update", false, "rewrite the testdata/*.golden files fro
 // setup breakdown — byte for byte: a change that is meant to leave the
 // paper's numbers alone proves it here, and one that is meant to move them
 // shows the move as a reviewed diff of the golden file (go test
-// ./cmd/ulbench -update).
+// ./cmd/ulbench -update). With ULP_TRACE=1 every world runs with tracing on,
+// and the output must not move: tracing is a pure observer.
 func TestTablesGolden(t *testing.T) {
-	var got bytes.Buffer
-	renderTables(&got, 0)
-	checkGolden(t, "testdata/tables.golden", got.Bytes())
+	for _, trace := range []string{"0", "1"} {
+		t.Run("ULP_TRACE="+trace, func(t *testing.T) {
+			t.Setenv("ULP_TRACE", trace)
+			var got bytes.Buffer
+			renderTables(&got, 0)
+			checkGolden(t, "testdata/tables.golden", got.Bytes())
+		})
+	}
 }
 
 // wallColumns matches a churn header or result row; what follows its first

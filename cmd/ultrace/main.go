@@ -24,6 +24,7 @@ import (
 
 	"ulp"
 	"ulp/internal/arp"
+	"ulp/internal/chaos"
 	"ulp/internal/conform"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -76,7 +77,7 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 	if *loss > 0 {
-		cfg.Faults = &wire.Faults{Seed: 1, LossProb: *loss}
+		cfg.Chaos = &chaos.FaultPlan{Wire: wire.Faults{Seed: 1, LossProb: *loss}}
 	}
 
 	w := ulp.NewWorld(cfg)

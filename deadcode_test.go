@@ -83,10 +83,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 	decls := map[*types.Func]decl{}
 	var methods []*types.Func
 	for _, p := range l.pkgs {
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.pkg.Path(), modPath), "/")
-		if rel == "" {
-			rel = modPath
-		}
+		rel := relPkg(p.pkg)
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -165,7 +162,129 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 }
 
+// settingAllowed lists the fields of settings structs that no non-test file
+// outside the declaring package writes, each with the test that sets it. An
+// entry belongs here only when that test needs a value production never
+// picks; a field nothing sets is a constant and is deleted instead.
+var settingAllowed = map[string]string{
+	// The aging and refresh tests (TestSwitchMacRefresh too) set a TTL of
+	// their own and place frames on either side of it.
+	"internal/wire.SwitchConfig.MacTTL": "TestSwitchMacAging",
+}
+
+// settingExempt lists settings structs whose fields are filled by presets in
+// their own package rather than chosen field by field.
+var settingExempt = map[string]bool{
+	"internal/wire.Config": true, // EthernetConfig and AN1Config
+}
+
+// TestEverySettingIsChosen fails when an exported field of an exported struct
+// named Config, Options or …Config is written by no non-test file outside
+// its declaring package: a setting no caller chooses is a constant. A write
+// is a composite-literal key, or an assignment or ++/-- through a selector.
+// Every non-test file counts as a writer, including bench/, cmd/ and
+// examples/. A field only tests set needs an entry in settingAllowed, and
+// the test also fails on a stale entry or one naming a test that does not
+// exist.
+func TestEverySettingIsChosen(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newModLoader(t, root)
+	l.loadAll()
+
+	fields := map[*types.Var]string{}
+	for _, p := range l.pkgs {
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(name == "Options" || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || settingExempt[relPkg(p.pkg)+"."+name] {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = relPkg(p.pkg) + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range l.pkgs {
+		write := func(id *ast.Ident) {
+			if f, ok := p.info.Uses[id].(*types.Var); ok && f.Pkg() != p.pkg {
+				written[f] = true
+			}
+		}
+		through := func(x ast.Expr) {
+			if sel, ok := x.(*ast.SelectorExpr); ok {
+				write(sel.Sel)
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write(id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						through(x)
+					}
+				case *ast.IncDecStmt:
+					through(n.X)
+				}
+				return true
+			})
+		}
+	}
+
+	tests := l.testFuncs()
+	seen := map[string]bool{}
+	var unchosen []string
+	for f, key := range fields {
+		seen[key] = true
+		_, allowed := settingAllowed[key]
+		switch {
+		case !written[f] && !allowed:
+			unchosen = append(unchosen, key)
+		case written[f] && allowed:
+			t.Errorf("stale allow-list entry %s: a non-test file outside its package sets it now; delete the entry", key)
+		}
+	}
+	for key, test := range settingAllowed {
+		if !seen[key] {
+			t.Errorf("stale allow-list entry %s: no such setting; delete the entry", key)
+		}
+		if !tests[test] {
+			t.Errorf("allow-list entry %s names %s, which is not a test in the module", key, test)
+		}
+	}
+	sort.Strings(unchosen)
+	for _, key := range unchosen {
+		t.Errorf("%s is set by no non-test file outside its package: make it the constant it always is, or list it in settingAllowed with the test that sets it", key)
+	}
+}
+
 const modPath = "ulp"
+
+// relPkg names a module package by its path relative to the module root;
+// the root package is "ulp".
+func relPkg(pkg *types.Package) string {
+	if rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), modPath), "/"); rel != "" {
+		return rel
+	}
+	return modPath
+}
 
 // modLoader type-checks the module's non-test files, resolving module
 // imports itself and the standard library from source.

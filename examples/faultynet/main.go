@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ulp"
+	"ulp/internal/chaos"
 	"ulp/internal/kern"
 	"ulp/internal/stacks"
 	"ulp/internal/wire"
@@ -61,7 +62,7 @@ func run(stdout io.Writer) int {
 	fmt.Fprintf(stdout, "wire faults: %.0f%% loss, %.0f%% duplication, %.0f%% corruption, %.0f%% reordering\n\n",
 		faults.LossProb*100, faults.DupProb*100, faults.CorruptProb*100, faults.ReorderProb*100)
 
-	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Faults: &faults})
+	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Chaos: &chaos.FaultPlan{Wire: faults}})
 	data := make([]byte, transferSize)
 	for i := range data {
 		data[i] = byte(i*31 + i>>11)
@@ -147,9 +148,9 @@ func run(stdout io.Writer) int {
 		code = 1
 	}
 
-	sent, dropped, corrupted, duplicated, reordered, _ := w.Seg.Stats()
+	ws := w.Seg.Stats()
 	fmt.Fprintf(stdout, "\nwire:   %d frames sent, %d dropped, %d corrupted, %d duplicated, %d reordered\n",
-		sent, dropped, corrupted, duplicated, reordered)
+		ws.Sent, ws.Dropped, ws.Corrupted, ws.Duplicated, ws.Reordered)
 	if st.cConn != nil {
 		cs := st.cConn.Stats()
 		fmt.Fprintf(stdout, "sender: %d segments, %d timeout retransmissions, %d fast retransmissions, %d dup-acks seen\n",

@@ -3,9 +3,11 @@ package ulp
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"ulp/internal/chaos"
 	"ulp/internal/core"
 	"ulp/internal/kern"
 	"ulp/internal/stacks"
@@ -126,10 +128,38 @@ func TestTransferUnderLossAllOrganizations(t *testing.T) {
 		t.Run(org.String(), func(t *testing.T) {
 			w := NewWorld(Config{
 				Org: org, Net: Ethernet,
-				Faults: &wire.Faults{Seed: 42, LossProb: 0.03, DupProb: 0.01},
+				Chaos: &chaos.FaultPlan{Wire: wire.Faults{Seed: 42, LossProb: 0.03, DupProb: 0.01}},
 			})
 			echoTransfer(t, w, 20000, stacks.Options{}, 20*time.Minute)
 		})
+	}
+}
+
+// TestNewWorldRefusesIgnoredSettings: a setting the world would be built
+// without honouring is refused by name, not silently dropped.
+func TestNewWorldRefusesIgnoredSettings(t *testing.T) {
+	sw := &wire.SwitchConfig{Latency: time.Microsecond}
+	NewWorld(Config{Org: OrgUserLib, Net: AN1, Switch: sw, RegistryShards: 4,
+		EphemeralLo: 1024, EphemeralHi: 60000, ZeroCopyRx: true}) // every one honoured
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"RegistryShards", Config{Org: OrgInKernel, RegistryShards: 4}},
+		{"EphemeralLo/Hi", Config{Org: OrgSingleServer, EphemeralLo: 1024, EphemeralHi: 60000}},
+		{"ZeroCopyRx", Config{Org: OrgInKernel, Net: AN1, ZeroCopyRx: true}},
+		{"Switch", Config{Org: OrgUserLib, Net: Ethernet, Switch: sw}},
+		{"EphemeralLo/Hi", Config{Org: OrgUserLib, EphemeralHi: 60000}},
+		{"EphemeralLo/Hi", Config{Org: OrgUserLib, EphemeralLo: 1024}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "ulp: Config."+tc.field) {
+					t.Errorf("NewWorld(%+v) panicked with %q, want a panic naming %s", tc.cfg, msg, tc.field)
+				}
+			}()
+			NewWorld(tc.cfg)
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package chaos extends the wire-level fault model (wire.Faults: loss,
-// duplication, corruption, reordering) into a full-system FaultPlan that
-// also covers the control plane — the faults that exercise the paper's
+// Package chaos defines FaultPlan, a world's one fault plan (ulp.Config's
+// Chaos). It carries the wire-level fault set (wire.Faults: loss,
+// duplication, corruption, reordering) and extends it to the whole system,
+// covering the control plane too — the faults that exercise the paper's
 // trust argument (§3.2–§3.3) rather than the protocol machinery:
 //
 //   - registry service faults: requests dropped before processing or

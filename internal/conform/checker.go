@@ -8,44 +8,29 @@ import (
 	"ulp/internal/trace"
 )
 
-// Config parameterizes the checker. The zero value is completed with the
-// engine's defaults by New.
-type Config struct {
-	// Tick is the slow-timer period all tick-counter intervals are
-	// expressed in (default 500 ms, the 4.3BSD slow timeout).
-	Tick time.Duration
-	// SlackTicks is the timing tolerance for tick-based checks: timers are
+const (
+	// tick is the slow-timer period all tick-counter intervals are
+	// expressed in: the 4.3BSD slow timeout.
+	tick = 500 * time.Millisecond
+	// slack is the timing tolerance for tick-based checks: timers are
 	// decremented at host tick boundaries, so an interval of N ticks armed
 	// between ticks legitimately elapses in (N-1, N] tick periods. One
-	// extra tick of slack on each side absorbs the arming phase.
-	SlackTicks int
-	// MaxViolations caps the report list so a systematically broken run
+	// extra tick on each side absorbs the arming phase.
+	slack = tick
+	// maxViolations caps the report list so a systematically broken run
 	// cannot accumulate unbounded reports; Truncated reports overflow.
-	MaxViolations int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Tick == 0 {
-		c.Tick = 500 * time.Millisecond
-	}
-	if c.SlackTicks == 0 {
-		c.SlackTicks = 1
-	}
-	if c.MaxViolations == 0 {
-		c.MaxViolations = 100
-	}
-	return c
-}
+	maxViolations = 100
+)
 
 // Violation is one conformance failure, with enough structure for the
 // explorer to key, dedup, and shrink on it.
 type Violation struct {
-	Conn   string        `json:"conn"`            // connection or flow label
-	Index  int           `json:"index"`           // ordinal of the offending event in the observed stream
-	At     time.Duration `json:"at"`              // virtual time
-	Rule   string        `json:"rule"`            // which invariant failed
-	Detail string        `json:"detail"`          // human-readable specifics
-	Edge   *Edge         `json:"edge,omitempty"`  // offending transition, for edge rules
+	Conn   string        `json:"conn"`           // connection or flow label
+	Index  int           `json:"index"`          // ordinal of the offending event in the observed stream
+	At     time.Duration `json:"at"`             // virtual time
+	Rule   string        `json:"rule"`           // which invariant failed
+	Detail string        `json:"detail"`         // human-readable specifics
+	Edge   *Edge         `json:"edge,omitempty"` // offending transition, for edge rules
 }
 
 func (v Violation) String() string {
@@ -55,21 +40,21 @@ func (v Violation) String() string {
 
 // Rule names.
 const (
-	RuleIllegalEdge      = "illegal-edge"       // transition outside the legal relation
-	RuleBadTrigger       = "bad-trigger"        // legal edge, impossible trigger class
-	RuleDiscontinuity    = "state-discontinuity" // event's old state != tracked state
-	RuleTimeWait         = "timewait-duration"  // TIME_WAIT shorter/longer than armed 2*MSL
-	RuleTimeWaitArm      = "timewait-arm-state" // 2*MSL armed outside TIME_WAIT
-	RuleRexmitState      = "rexmit-state"       // retransmission in an impossible state
-	RuleRexmitRange      = "rexmit-range"       // backoff shift or RTO out of range
-	RulePersistState     = "persist-state"      // window probe in an impossible state
-	RulePersistRange     = "persist-range"      // persist shift or interval out of range
-	RuleRTOState         = "rto-state"          // RTT sample in an impossible state
-	RuleKarn             = "karn-sample"        // RTT sample spans a retransmission
-	RuleRTOMismatch      = "rto-mismatch"       // RTO disagrees with the Jacobson estimator
-	RuleAckRegress       = "ack-regress"        // ACK field moved backward on a flow
-	RuleDataAfterFin     = "data-after-fin"     // payload beyond the flow's FIN
-	RuleFinMoved         = "fin-moved"          // FIN retransmitted at a different sequence
+	RuleIllegalEdge   = "illegal-edge"        // transition outside the legal relation
+	RuleBadTrigger    = "bad-trigger"         // legal edge, impossible trigger class
+	RuleDiscontinuity = "state-discontinuity" // event's old state != tracked state
+	RuleTimeWait      = "timewait-duration"   // TIME_WAIT shorter/longer than armed 2*MSL
+	RuleTimeWaitArm   = "timewait-arm-state"  // 2*MSL armed outside TIME_WAIT
+	RuleRexmitState   = "rexmit-state"        // retransmission in an impossible state
+	RuleRexmitRange   = "rexmit-range"        // backoff shift or RTO out of range
+	RulePersistState  = "persist-state"       // window probe in an impossible state
+	RulePersistRange  = "persist-range"       // persist shift or interval out of range
+	RuleRTOState      = "rto-state"           // RTT sample in an impossible state
+	RuleKarn          = "karn-sample"         // RTT sample spans a retransmission
+	RuleRTOMismatch   = "rto-mismatch"        // RTO disagrees with the Jacobson estimator
+	RuleAckRegress    = "ack-regress"         // ACK field moved backward on a flow
+	RuleDataAfterFin  = "data-after-fin"      // payload beyond the flow's FIN
+	RuleFinMoved      = "fin-moved"           // FIN retransmitted at a different sequence
 )
 
 // connTrack is the checker's per-connection-label state.
@@ -114,7 +99,6 @@ type flowTrack struct {
 // them against the RFC 793 spec in spec.go. Attach it to a trace.Bus with
 // Attach, or feed it directly with HandleEvent / Segment.
 type Checker struct {
-	cfg   Config
 	conns map[string]*connTrack
 	flows map[flowKey]*flowTrack
 	cov   *Coverage
@@ -124,10 +108,9 @@ type Checker struct {
 	truncated  bool
 }
 
-// New creates a checker with the given configuration.
-func New(cfg Config) *Checker {
+// New creates a checker.
+func New() *Checker {
 	return &Checker{
-		cfg:   cfg.withDefaults(),
 		conns: make(map[string]*connTrack),
 		flows: make(map[flowKey]*flowTrack),
 		cov:   NewCoverage(),
@@ -140,14 +123,14 @@ func (k *Checker) Attach(bus *trace.Bus) { bus.Subscribe(k.HandleEvent) }
 // Violations returns the accumulated reports.
 func (k *Checker) Violations() []Violation { return k.violations }
 
-// Truncated reports whether reports were dropped after MaxViolations.
+// Truncated reports whether reports were dropped after the first 100.
 func (k *Checker) Truncated() bool { return k.truncated }
 
 // Coverage returns the legal-edge coverage accumulated so far.
 func (k *Checker) Coverage() *Coverage { return k.cov }
 
 func (k *Checker) report(conn string, at time.Duration, rule, detail string, edge *Edge) {
-	if len(k.violations) >= k.cfg.MaxViolations {
+	if len(k.violations) >= maxViolations {
 		k.truncated = true
 		return
 	}
@@ -229,7 +212,7 @@ func (k *Checker) onState(e trace.Event) {
 // checkTimeWaitRelease verifies the 2*MSL quiet period: the timer release
 // must come the armed number of ticks after the most recent arming. A timer
 // armed between host ticks legitimately fires within (N-1, N] tick periods;
-// SlackTicks widens both bounds.
+// slack widens both bounds.
 func (k *Checker) checkTimeWaitRelease(e trace.Event, ct *connTrack) {
 	if !ct.twArmed {
 		if ct.sawTWEntry {
@@ -239,9 +222,8 @@ func (k *Checker) checkTimeWaitRelease(e trace.Event, ct *connTrack) {
 		return
 	}
 	elapsed := e.At - ct.twArmedAt
-	slack := time.Duration(k.cfg.SlackTicks) * k.cfg.Tick
-	lo := time.Duration(ct.twTicks-1)*k.cfg.Tick - slack
-	hi := time.Duration(ct.twTicks)*k.cfg.Tick + slack
+	lo := time.Duration(ct.twTicks-1)*tick - slack
+	hi := time.Duration(ct.twTicks)*tick + slack
 	if elapsed < lo || elapsed > hi {
 		k.report(e.Conn, e.At, RuleTimeWait,
 			fmt.Sprintf("TIME_WAIT lasted %v since last 2*MSL arm; armed for %d ticks (want (%v, %v])",
@@ -303,7 +285,7 @@ func (k *Checker) onRTO(e trace.Event) {
 	// transmission of new data, which cannot predate the last
 	// retransmission (retransmissions zero the measurement).
 	if ct.sawRexmit {
-		minElapsed := time.Duration(sample-1-k.cfg.SlackTicks) * k.cfg.Tick
+		minElapsed := time.Duration(sample-1)*tick - slack
 		if e.At-ct.lastRexmitAt < minElapsed {
 			k.report(e.Conn, e.At, RuleKarn,
 				fmt.Sprintf("RTT sample of %d ticks taken %v after a retransmission (sample spans it)",

@@ -12,8 +12,6 @@ import (
 	"ulp/internal/trace"
 )
 
-const tick = 500 * time.Millisecond
-
 // st builds a TCPState event.
 func st(at time.Duration, conn string, from, to tcp.State, via tcp.Trigger) trace.Event {
 	return trace.Event{
@@ -78,7 +76,7 @@ func TestSpecRelation(t *testing.T) {
 }
 
 func TestLegalLifecycleNoViolations(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	base := time.Second
 	feed(k,
 		st(base, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
@@ -101,7 +99,7 @@ func TestLegalLifecycleNoViolations(t *testing.T) {
 }
 
 func TestIllegalEdge(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	// ESTABLISHED->LISTEN exists under no trigger at all.
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
@@ -118,7 +116,7 @@ func TestIllegalEdge(t *testing.T) {
 }
 
 func TestSkipTimeWaitSignature(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	// The injected-bug signature: FIN_WAIT_2 closing on a segment without
 	// passing through TIME_WAIT. The edge exists for abort (user) and
 	// reset, so this classifies as a trigger violation.
@@ -136,7 +134,7 @@ func TestSkipTimeWaitSignature(t *testing.T) {
 }
 
 func TestBadTrigger(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	// ESTABLISHED->CLOSE_WAIT is a real edge but only a peer FIN (segment)
 	// may cause it.
 	feed(k,
@@ -148,7 +146,7 @@ func TestBadTrigger(t *testing.T) {
 }
 
 func TestStateDiscontinuity(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -159,7 +157,7 @@ func TestStateDiscontinuity(t *testing.T) {
 }
 
 func TestTimeWaitCutShort(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -174,7 +172,7 @@ func TestTimeWaitCutShort(t *testing.T) {
 }
 
 func TestTimeWaitRearmRestartsClock(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -192,7 +190,7 @@ func TestTimeWaitRearmRestartsClock(t *testing.T) {
 }
 
 func TestKarnViolation(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -214,7 +212,7 @@ func TestKarnViolation(t *testing.T) {
 }
 
 func TestRTOMismatch(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -227,7 +225,7 @@ func TestRTOMismatch(t *testing.T) {
 }
 
 func TestRexmitAndPersistStateRules(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	feed(k,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -238,7 +236,7 @@ func TestRexmitAndPersistStateRules(t *testing.T) {
 	)
 	expectOne(t, k, RulePersistState)
 
-	k2 := New(Config{})
+	k2 := New()
 	feed(k2,
 		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
 		st(tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
@@ -258,7 +256,7 @@ func seg(k *Checker, at time.Duration, sp, dp uint16, seqn, ackn tcp.Seq, flags 
 }
 
 func TestAckRegression(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	seg(k, 0, 1000, 2000, 100, 0, tcp.FlagSYN, 0)
 	seg(k, tick, 1000, 2000, 101, 5000, tcp.FlagACK, 0)
 	seg(k, 2*tick, 1000, 2000, 101, 6000, tcp.FlagACK, 0)
@@ -267,7 +265,7 @@ func TestAckRegression(t *testing.T) {
 }
 
 func TestDataAfterFin(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	seg(k, 0, 1000, 2000, 100, 50, tcp.FlagACK|tcp.FlagFIN, 10) // FIN at 110
 	seg(k, tick, 1000, 2000, 100, 50, tcp.FlagACK, 10)          // retransmit: fine
 	seg(k, 2*tick, 1000, 2000, 111, 50, tcp.FlagACK, 5)         // beyond the FIN
@@ -275,7 +273,7 @@ func TestDataAfterFin(t *testing.T) {
 }
 
 func TestFinMoved(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	seg(k, 0, 1000, 2000, 100, 50, tcp.FlagACK|tcp.FlagFIN, 10)     // FIN at 110
 	seg(k, tick, 1000, 2000, 100, 50, tcp.FlagACK|tcp.FlagFIN, 10)  // same FIN: fine
 	seg(k, 2*tick, 1000, 2000, 115, 50, tcp.FlagACK|tcp.FlagFIN, 0) // FIN at 115
@@ -283,7 +281,7 @@ func TestFinMoved(t *testing.T) {
 }
 
 func TestRSTSegmentsExempt(t *testing.T) {
-	k := New(Config{})
+	k := New()
 	seg(k, 0, 1000, 2000, 100, 6000, tcp.FlagACK, 0)
 	// A shell answering a stray segment echoes its ACK as seq with an
 	// arbitrary (lower) ack — legal for RST.
@@ -299,7 +297,7 @@ func TestRSTSegmentsExempt(t *testing.T) {
 func TestFrameParser(t *testing.T) {
 	for _, framing := range []string{"eth", "an1"} {
 		t.Run(framing, func(t *testing.T) {
-			k := New(Config{})
+			k := New()
 			build := func(seqn, ackn tcp.Seq, flags uint8, payload []byte) []byte {
 				src, dst := ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}
 				b := pkt.FromBytes(128, payload)
@@ -337,7 +335,7 @@ func TestFrameParser(t *testing.T) {
 func TestBusAttach(t *testing.T) {
 	now := time.Duration(0)
 	bus := trace.NewBus(func() time.Duration { return now })
-	k := New(Config{})
+	k := New()
 	k.Attach(bus)
 	c := tcp.NewConn(tcp.Config{MSS: 512},
 		tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 1},

@@ -9,9 +9,8 @@ import (
 // crossovers, and magnitude bands. It is the regression net for the cost
 // model — EXPERIMENTS.md records the precise paper-vs-simulated values.
 func TestCalibrationShapes(t *testing.T) {
-	cfg := Table2Config{TotalBytes: 300 << 10}
 	cell := func(org OrgSel, net NetSel, up int) float64 {
-		c := Table2CellFor(org, "x", net, up, cfg)
+		c := Table2CellFor(org, "x", net, up, nil)
 		if c.Err != nil {
 			t.Fatalf("cell %v/%v/%d: %v", org, net, up, c.Err)
 		}
@@ -168,8 +167,8 @@ func TestCalibrationShapes(t *testing.T) {
 // TestDeterministicExperiments pins reproducibility: identical runs produce
 // identical measurements.
 func TestDeterministicExperiments(t *testing.T) {
-	a := Table2CellFor(OrgOurs, "x", NetAN1, 512, Table2Config{TotalBytes: 100 << 10})
-	b := Table2CellFor(OrgOurs, "x", NetAN1, 512, Table2Config{TotalBytes: 100 << 10})
+	a := Table2CellFor(OrgOurs, "x", NetAN1, 512, nil)
+	b := Table2CellFor(OrgOurs, "x", NetAN1, 512, nil)
 	if a.Err != nil || b.Err != nil {
 		t.Fatal(a.Err, b.Err)
 	}

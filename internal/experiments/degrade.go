@@ -26,14 +26,17 @@ import (
 type DegradeConfig struct {
 	// Bytes is the payload per transfer (default 256 KiB).
 	Bytes int
-	// Seed drives the link-condition RNG (default 1).
-	Seed uint64
-	// R2 is the retransmission give-up threshold applied to every
-	// connection (default 8: permanent outages fail in a few virtual
-	// minutes instead of tens, and before the keepalive horizon, so the
-	// sender's R2 give-up — not the idle probe — is what fires).
-	R2 int
 }
+
+const (
+	// degradeSeed drives the link-condition RNG.
+	degradeSeed = 1
+	// degradeR2 is the retransmission give-up threshold applied to every
+	// connection: permanent outages fail in a few virtual minutes instead
+	// of tens, and before the keepalive horizon, so the sender's R2 give-up
+	// — not the idle probe — is what fires.
+	degradeR2 = 8
+)
 
 // DegradeRow is one (profile, knob) measurement.
 type DegradeRow struct {
@@ -64,19 +67,13 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 	if cfg.Bytes == 0 {
 		cfg.Bytes = 256 << 10
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.R2 == 0 {
-		cfg.R2 = 8
-	}
 	var rows []DegradeRow
 
 	// Bursty loss: ~3% of frames enter a loss burst; the knob is the mean
 	// burst length (1/PBadGood), with every frame inside a burst lost.
 	for _, pbg := range []float64{0.5, 0.2, 0.1, 0.05} {
 		lc := &wire.LinkConditions{
-			Seed:  cfg.Seed,
+			Seed:  degradeSeed,
 			Burst: &wire.GilbertElliott{PGoodBad: 0.03, PBadGood: pbg, LossBad: 1},
 		}
 		rows = append(rows, degradeRow(cfg, "bursty-loss",
@@ -87,7 +84,7 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 	// half-period, 20 cycles starting at 200 ms. Short flaps cost little;
 	// long flaps push the sender deep into backoff.
 	for _, hp := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
-		lc := &wire.LinkConditions{Seed: cfg.Seed}
+		lc := &wire.LinkConditions{Seed: degradeSeed}
 		start := 200 * time.Millisecond
 		for k := 0; k < 20; k++ {
 			from := start + time.Duration(2*k)*hp
@@ -100,7 +97,7 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 	// Permanent partition mid-transfer: no heal, so the only acceptable
 	// outcome is a crisp R2 give-up surfacing a timeout to the writer.
 	lc := &wire.LinkConditions{
-		Seed:       cfg.Seed,
+		Seed:       degradeSeed,
 		Partitions: []wire.PartitionWindow{{Window: wire.Window{From: 200 * time.Millisecond}}},
 	}
 	rows = append(rows, degradeRow(cfg, "partition", "permanent @200ms", lc))
@@ -110,7 +107,7 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 	// the RTT instead.
 	for _, depth := range []int{4, 16, 64, 256} {
 		lc := &wire.LinkConditions{
-			Seed:  cfg.Seed,
+			Seed:  degradeSeed,
 			Queue: &wire.QueueModel{RateBitsPerSec: 10_000_000, MaxFrames: depth},
 		}
 		rows = append(rows, degradeRow(cfg, "bufferbloat",
@@ -129,7 +126,7 @@ func degradeRow(cfg DegradeConfig, profile, knob string, lc *wire.LinkConditions
 	// default thresholds, fires before the keepalive horizon). Large
 	// socket buffers keep the window — not the BSD 8 KB default — as the
 	// flight-size limit, so the bufferbloat queue actually fills.
-	opts := stacks.Options{RexmtR2: cfg.R2, KeepAliveTicks: 240, SndBuf: 64 << 10, RcvBuf: 64 << 10}
+	opts := stacks.Options{RexmtR2: degradeR2, KeepAliveTicks: 240, SndBuf: 64 << 10, RcvBuf: 64 << 10}
 
 	var got int
 	var srvConn, cliConn stacks.Conn

@@ -24,14 +24,13 @@ func TestTable1Smoke(t *testing.T) {
 }
 
 func TestTable2Smoke(t *testing.T) {
-	cfg := Table2Config{TotalBytes: 200 << 10}
 	for _, sys := range Systems {
 		for _, net := range []NetSel{NetEthernet, NetAN1} {
 			if sys.Org == OrgMachUX && net == NetAN1 {
 				continue
 			}
 			for _, up := range []int{512, 4096} {
-				c := Table2CellFor(sys.Org, sys.Label, net, up, cfg)
+				c := Table2CellFor(sys.Org, sys.Label, net, up, nil)
 				if c.Err != nil {
 					t.Errorf("%s/%v/%d: %v", c.System, c.Net, c.UserPacket, c.Err)
 					continue

@@ -128,33 +128,15 @@ type Table2Cell struct {
 	Err        error
 }
 
-// Table2Config tunes the bulk measurement.
-type Table2Config struct {
-	TotalBytes int
-	Budget     time.Duration
-	Model      *costs.Model
-	Opts       stacks.Options
-}
-
-func (c *Table2Config) fill() {
-	if c.TotalBytes == 0 {
-		c.TotalBytes = 400 << 10
-	}
-	if c.Budget == 0 {
-		c.Budget = 10 * time.Minute
-	}
-}
-
-// Table2CellFor measures one system/net/size cell.
-func Table2CellFor(org OrgSel, label string, net NetSel, userPacket int, cfg Table2Config) Table2Cell {
-	cfg.fill()
+// Table2CellFor measures one system/net/size cell: 400 KiB of bulk data
+// under a 10-minute virtual budget.
+func Table2CellFor(org OrgSel, label string, net NetSel, userPacket int, model *costs.Model) Table2Cell {
 	// One network packet per user packet (up to the link maximum): the
 	// paper's observed size dependence ("network efficiency improves with
 	// increased packet size up to the maximum allowable on the link")
 	// requires per-write transmission rather than Nagle coalescing.
-	cfg.Opts.NoDelay = true
-	w := newWorld(org, net, cfg.Model)
-	mbps, err := bulkSend(w, cfg.TotalBytes, userPacket, cfg.Opts, cfg.Budget)
+	w := newWorld(org, net, model)
+	mbps, err := bulkSend(w, 400<<10, userPacket, stacks.Options{NoDelay: true}, 10*time.Minute)
 	return Table2Cell{System: label, Net: net, UserPacket: userPacket, Mbps: mbps, Err: err}
 }
 
@@ -162,7 +144,7 @@ func Table2CellFor(org OrgSel, label string, net NetSel, userPacket int, cfg Tab
 // both networks, and Mach/UX on Ethernet only ("standard Mach does not
 // currently support a mapped AN1 driver ... we therefore do not report
 // Mach/UX performance on AN1").
-func Table2(cfg Table2Config) []Table2Cell {
+func Table2(model *costs.Model) []Table2Cell {
 	var out []Table2Cell
 	for _, sys := range Systems {
 		for _, net := range []NetSel{NetEthernet, NetAN1} {
@@ -170,7 +152,7 @@ func Table2(cfg Table2Config) []Table2Cell {
 				continue
 			}
 			for _, up := range UserPacketSizes {
-				out = append(out, Table2CellFor(sys.Org, sys.Label, net, up, cfg))
+				out = append(out, Table2CellFor(sys.Org, sys.Label, net, up, model))
 			}
 		}
 	}

@@ -52,8 +52,8 @@ const (
 
 // Direction masks for OpCut/OpUncut and FaultCut.
 const (
-	DirAB = 1 << iota // frames from A toward B
-	DirBA             // frames from B toward A
+	DirAB   = 1 << iota // frames from A toward B
+	DirBA               // frames from B toward A
 	DirBoth = DirAB | DirBA
 )
 
@@ -177,7 +177,7 @@ func Run(sc Scenario, faults []Fault) Result {
 	bus := trace.NewBus(func() time.Duration {
 		return time.Duration(h.step) * stepDur
 	})
-	h.checker = conform.New(conform.Config{})
+	h.checker = conform.New()
 	h.checker.Attach(bus)
 
 	cfg := tcp.Config{MSS: 512, NoDelayedAck: true}

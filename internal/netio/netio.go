@@ -177,9 +177,6 @@ type Channel struct {
 	// hands buffer references to the library instead of modeling a copy
 	// into the shared region; only a fixed-size descriptor is written.
 	zeroCopy bool
-	// budget is the doorbell batch budget: at most one semaphore post per
-	// budget descriptors while the library lags (zero-copy mode only).
-	budget int
 	// sinceDoorbell counts descriptors posted since the last doorbell.
 	sinceDoorbell int
 	// posted numbers descriptors written into the shared region's ring.
@@ -403,11 +400,11 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 		ch.postDescriptor(b)
 		// Batched doorbells: the empty→nonempty transition always rings
 		// (the library may be asleep), and while the library lags the bell
-		// rings again at most once per budget descriptors — a bounded
-		// prod, not one post per packet. DisableBatching degrades to the
-		// per-packet ablation as in copy mode.
+		// rings again at most once per doorbellBudget descriptors — a
+		// bounded prod, not one post per packet. DisableBatching degrades
+		// to the per-packet ablation as in copy mode.
 		ch.sinceDoorbell++
-		if len(ch.rxq) == 1 || ch.noBatch || ch.sinceDoorbell >= ch.budget {
+		if len(ch.rxq) == 1 || ch.noBatch || ch.sinceDoorbell >= doorbellBudget {
 			ch.sinceDoorbell = 0
 			ch.notify(bus)
 		}
@@ -458,6 +455,9 @@ func (ch *Channel) postDescriptor(b *pkt.Buf) {
 const (
 	descBytes = 8    // one receive descriptor: sequence number, frame length
 	slotBytes = 2048 // modelled shared memory wired per ring slot
+	// doorbellBudget bounds zero-copy doorbells: while the library lags, at
+	// most one semaphore post per this many posted descriptors.
+	doorbellBudget = 8
 )
 
 // chanRec is everything the module allocates for one endpoint but its
@@ -611,11 +611,6 @@ type Module struct {
 	// kernel→region copy. Opt-in (Config.ZeroCopyRx), like the switch:
 	// legacy replays never see the new cost profile.
 	ZeroCopyRx bool
-
-	// DoorbellBatch is the zero-copy doorbell budget: while the library
-	// lags, at most one semaphore post per this many posted descriptors.
-	// Zero means the default of 8.
-	DoorbellBatch int
 
 	// leases, when non-nil, bounds how long an endpoint may be served
 	// without the control plane renewing it. The table belongs to the
@@ -871,11 +866,7 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	ch.cap = ringSize
 	ch.noBatch = m.DisableBatching
 	ch.zeroCopy = m.ZeroCopyRx
-	ch.budget = m.DoorbellBatch
 	ch.mod = m
-	if ch.budget <= 0 {
-		ch.budget = 8
-	}
 	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, issuer: from}
 	m.nextCapID++
 	ch.id = cap.id

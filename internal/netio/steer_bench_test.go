@@ -7,7 +7,10 @@ package netio
 // path as netio.demux_steered_ns.
 
 import (
+	"flag"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ulp/internal/filter"
@@ -15,6 +18,25 @@ import (
 	"ulp/internal/link"
 	"ulp/internal/pkt"
 )
+
+// TestBenchmarksRun runs each of the package's benchmarks once, as
+// `go test -bench . -benchtime=1x` does, so a benchmark that fails fails
+// tier-1 too.
+func TestBenchmarksRun(t *testing.T) {
+	bt := flag.Lookup("test.benchtime").Value
+	defer bt.Set(bt.String())
+	if err := bt.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []func(*testing.B){BenchmarkSteeredDemux, BenchmarkChainedDemux} {
+		// A failed sub-benchmark fails its parent but leaves N at 1.
+		failed := false
+		r := testing.Benchmark(func(b *testing.B) { bench(b); failed = b.Failed() })
+		if failed || r.N != 1 {
+			t.Errorf("%s failed", runtime.FuncForPC(reflect.ValueOf(bench).Pointer()).Name())
+		}
+	}
+}
 
 // benchFrameRaw builds the raw bytes of a TCP frame for port pair
 // (20000+i → 10000+i) once; iterations re-wrap them in pooled buffers.

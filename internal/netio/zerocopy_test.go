@@ -102,14 +102,13 @@ func TestZeroCopyLienSettlesAtNextDrain(t *testing.T) {
 
 // TestZeroCopyDoorbellBudget verifies batched doorbells: a burst landing on
 // a sleeping reader rings once on the empty→nonempty transition and then at
-// most once per budget descriptors, while DisableBatching still degrades to
-// one ring per packet.
+// most once per doorbellBudget descriptors, while DisableBatching still
+// degrades to one ring per packet.
 func TestZeroCopyDoorbellBudget(t *testing.T) {
-	const burst = 10
+	const burst = 2*doorbellBudget + 4
 	run := func(noBatch bool) (*world, int) {
 		w := newWorld(t, false)
 		w.m2.ZeroCopyRx = true
-		w.m2.DoorbellBatch = 4
 		w.m2.DisableBatching = noBatch
 		spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
 		_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 32)
@@ -135,9 +134,9 @@ func TestZeroCopyDoorbellBudget(t *testing.T) {
 		return w, ch.Notifications
 	}
 
-	// Budget 4 over a 10-packet burst: doorbells at packets 1, 5, 9.
+	// Budget 8 over a 20-packet burst: doorbells at packets 1, 9, 17.
 	if _, n := run(false); n != 3 {
-		t.Fatalf("batched doorbells = %d, want 3 (budget 4, burst %d)", n, burst)
+		t.Fatalf("batched doorbells = %d, want 3 (budget %d, burst %d)", n, doorbellBudget, burst)
 	}
 	if _, n := run(true); n != burst {
 		t.Fatalf("DisableBatching doorbells = %d, want %d", n, burst)

@@ -24,7 +24,7 @@ import (
 func tracedFedRig(t *testing.T, shards int) (*fedRig, *conform.Checker) {
 	rg := newFedRig(t, shards, 0)
 	bus := trace.NewBus(func() time.Duration { return time.Duration(rg.s.Now()) })
-	ck := conform.New(conform.Config{})
+	ck := conform.New()
 	ck.Attach(bus)
 	rg.r0.fed.SetTrace(bus)
 	rg.fed.SetTrace(bus)

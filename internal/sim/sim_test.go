@@ -1,12 +1,34 @@
 package sim
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// TestBenchmarksRun runs each of the package's benchmarks once, as
+// `go test -bench . -benchtime=1x` does, so a benchmark that fails fails
+// tier-1 too.
+func TestBenchmarksRun(t *testing.T) {
+	bt := flag.Lookup("test.benchtime").Value
+	defer bt.Set(bt.String())
+	if err := bt.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []func(*testing.B){BenchmarkEventDispatch, BenchmarkProcSwitch, BenchmarkHandoff} {
+		// A failed sub-benchmark fails its parent but leaves N at 1.
+		failed := false
+		r := testing.Benchmark(func(b *testing.B) { bench(b); failed = b.Failed() })
+		if failed || r.N != 1 {
+			t.Errorf("%s failed", runtime.FuncForPC(reflect.ValueOf(bench).Pointer()).Name())
+		}
+	}
+}
 
 func TestEventOrdering(t *testing.T) {
 	s := New()

@@ -40,13 +40,12 @@ type Options struct {
 	// ticks (500 ms each); 0 disables. With it, a dead peer or permanent
 	// partition surfaces as ErrConnTimeout even on an idle connection.
 	KeepAliveTicks int
-	// RexmtR1 and RexmtR2 tune the RFC 1122 retransmission thresholds per
-	// connection (see tcp.Config); 0 selects the defaults (3 and 12).
-	// Lowering R2 makes a blackholed connection fail fast with
-	// ErrConnTimeout instead of retrying for minutes — the per-connection
-	// robustness policy a user-level stack can offer where a kernel
-	// implementation has one global knob.
-	RexmtR1, RexmtR2 int
+	// RexmtR2 tunes the RFC 1122 give-up threshold per connection (see
+	// tcp.Config); 0 selects 12. Lowering it makes a blackholed connection
+	// fail fast with ErrConnTimeout instead of retrying for minutes — the
+	// per-connection robustness policy a user-level stack can offer where a
+	// kernel implementation has one global knob.
+	RexmtR2 int
 }
 
 // Stack is one protocol organization instantiated on one host.

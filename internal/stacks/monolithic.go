@@ -202,9 +202,7 @@ func TCPConfig(nif *Netif, opts Options) tcp.Config {
 		Headroom:       nif.Headroom(),
 		NoDelay:        opts.NoDelay,
 		NoDelayedAck:   opts.NoDelayedAck,
-		FastRetransmit: true,
 		KeepAliveTicks: opts.KeepAliveTicks,
-		RexmtR1:        opts.RexmtR1,
 		RexmtR2:        opts.RexmtR2,
 	}
 }

@@ -151,8 +151,8 @@ func runLifecycle(t *testing.T, wheel bool, seed int64) *tickPipe {
 		if len(payload) > 0 && p.step >= 10 {
 			p.engine(0, func(c *tcp.Conn) { payload = payload[c.Write(payload):] })
 		}
-		// The receiver sleeps through steps 40–400 with its window shut.
-		if p.step < 40 || p.step > 400 {
+		// The receiver sleeps through steps 20–400 with its window shut.
+		if p.step < 20 || p.step > 400 {
 			p.engine(1, func(c *tcp.Conn) {
 				for n := c.Read(buf); n > 0; n = c.Read(buf) {
 					got = append(got, buf[:n]...)

@@ -1,11 +1,34 @@
 package tcp
 
 import (
+	"flag"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ulp/internal/ipv4"
 	"ulp/internal/pkt"
 )
+
+// TestBenchmarksRun runs each of the package's benchmarks once, as
+// `go test -bench . -benchtime=1x` does, so a benchmark that fails fails
+// tier-1 too.
+func TestBenchmarksRun(t *testing.T) {
+	bt := flag.Lookup("test.benchtime").Value
+	defer bt.Set(bt.String())
+	if err := bt.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []func(*testing.B){BenchmarkHeaderEncode, BenchmarkHeaderDecode, BenchmarkEngineTransfer,
+		BenchmarkRecvBufInsertInOrder, BenchmarkSendBufReadAck} {
+		// A failed sub-benchmark fails its parent but leaves N at 1.
+		failed := false
+		r := testing.Benchmark(func(b *testing.B) { bench(b); failed = b.Failed() })
+		if failed || r.N != 1 {
+			t.Errorf("%s failed", runtime.FuncForPC(reflect.ValueOf(bench).Pointer()).Name())
+		}
+	}
+}
 
 // These benchmarks measure the real (wall-clock) cost of the protocol
 // engine itself — the Go implementation, not the simulated 1993 hardware.

@@ -103,9 +103,9 @@ const (
 	keepIdleDflt    = 120 // probe after 60 s idle (shortened from BSD's 2h for simulation)
 	keepMaxProbes   = 8
 
-	// defaultRexmtR1 is the default RFC 1122 R1 threshold ("at least 3
-	// retransmissions" before the advisory fires).
-	defaultRexmtR1 = 3
+	// rexmtR1 is the RFC 1122 R1 threshold ("at least 3 retransmissions"
+	// before the advisory fires), capped at the connection's R2.
+	rexmtR1 = 3
 )
 
 // Config parameterizes a connection. The zero value is completed with
@@ -125,22 +125,16 @@ type Config struct {
 	NoDelay bool
 	// NoDelayedAck acknowledges every in-order segment immediately.
 	NoDelayedAck bool
-	// FastRetransmit enables the 3-dup-ack retransmission (4.3BSD-Tahoe).
-	FastRetransmit bool
-	// Reno additionally enables fast recovery (cwnd deflation instead of a
-	// full slow start after a fast retransmit).
-	Reno bool
 	// KeepAliveTicks is the idle period before probing; 0 disables
 	// keepalives.
 	KeepAliveTicks int
-	// RexmtR1 and RexmtR2 are the RFC 1122 §4.2.3.5 retransmission
-	// thresholds, counted in consecutive retransmissions of the same data.
-	// Reaching R1 is advisory (Stats.R1Advisories; a full stack would ask
-	// IP to re-route); exceeding R2 abandons the connection with
-	// ErrTimeout. Zero selects the defaults (R1 = 3, R2 = 12). R2 is
-	// capped at 12 so give-up stays within the BSD backoff table, and R1
-	// is capped at R2.
-	RexmtR1, RexmtR2 int
+	// RexmtR2 is the RFC 1122 §4.2.3.5 give-up threshold, counted in
+	// consecutive retransmissions of the same data: exceeding it abandons
+	// the connection with ErrTimeout. Zero selects 12, which is also the
+	// cap, so give-up stays within the BSD backoff table. Reaching R1 =
+	// min(3, R2) is advisory (Stats.R1Advisories; a full stack would ask IP
+	// to re-route).
+	RexmtR2 int
 	// TimeWaitTicks overrides the 2*MSL wait (0 = standard 120 ticks).
 	TimeWaitTicks int
 }
@@ -163,12 +157,6 @@ func (c *Config) fill() {
 	}
 	if c.RexmtR2 <= 0 || c.RexmtR2 > maxRexmtShift {
 		c.RexmtR2 = maxRexmtShift
-	}
-	if c.RexmtR1 <= 0 {
-		c.RexmtR1 = defaultRexmtR1
-	}
-	if c.RexmtR1 > c.RexmtR2 {
-		c.RexmtR1 = c.RexmtR2
 	}
 }
 

@@ -357,9 +357,7 @@ func TestSynRetransmission(t *testing.T) {
 }
 
 func TestDataRetransmissionOnTimeout(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.FastRetransmit = false // force timeout-driven recovery
-	n := newTestNet(t, cfg)
+	n := newTestNet(t, defaultCfg())
 	n.connect()
 	dropped := false
 	n.drop = func(dir string, h Header, pl int) bool {

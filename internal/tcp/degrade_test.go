@@ -11,20 +11,18 @@ import (
 
 func TestConfigFillRexmtThresholds(t *testing.T) {
 	cases := []struct {
-		in     Config
-		r1, r2 int
+		in Config
+		r2 int
 	}{
-		{Config{}, defaultRexmtR1, maxRexmtShift},
-		{Config{RexmtR2: 2}, 2, 2}, // R1 capped at R2
-		{Config{RexmtR1: 5, RexmtR2: 8}, 5, 8},
-		{Config{RexmtR2: 99}, defaultRexmtR1, maxRexmtShift}, // R2 capped at table size
-		{Config{RexmtR1: -1, RexmtR2: -1}, defaultRexmtR1, maxRexmtShift},
+		{Config{}, maxRexmtShift},
+		{Config{RexmtR2: 8}, 8},
+		{Config{RexmtR2: 99}, maxRexmtShift}, // R2 capped at table size
+		{Config{RexmtR2: -1}, maxRexmtShift},
 	}
 	for i, tc := range cases {
 		tc.in.fill()
-		if tc.in.RexmtR1 != tc.r1 || tc.in.RexmtR2 != tc.r2 {
-			t.Errorf("case %d: fill gave R1=%d R2=%d, want %d/%d",
-				i, tc.in.RexmtR1, tc.in.RexmtR2, tc.r1, tc.r2)
+		if tc.in.RexmtR2 != tc.r2 {
+			t.Errorf("case %d: fill gave R2=%d, want %d", i, tc.in.RexmtR2, tc.r2)
 		}
 	}
 }
@@ -51,6 +49,10 @@ func TestRexmtR2GiveUp(t *testing.T) {
 	if st.Rexmits != 2 {
 		t.Fatalf("Rexmits = %d, want 2", st.Rexmits)
 	}
+	// R1 is capped at R2, so the advisory still fired before the give-up.
+	if st.R1Advisories != 1 {
+		t.Fatalf("R1Advisories = %d, want 1 (R1 capped at R2 = 2)", st.R1Advisories)
+	}
 	// Give-up must sweep every timer (entering Closed cancels them all).
 	for i, tm := range [4]int{n.a.tRexmt, n.a.tPersist, n.a.tKeep, n.a.t2MSL} {
 		if tm != 0 {
@@ -66,7 +68,7 @@ func TestRexmtR1Advisory(t *testing.T) {
 	n.a.Write(pattern(100))
 	// Run long enough to cross R1 (3 retransmissions: RTO 6+12+24 ticks)
 	// but far short of R2 give-up.
-	for n.a.Stats().Rexmits < defaultRexmtR1 {
+	for n.a.Stats().Rexmits < rexmtR1 {
 		n.run(10)
 	}
 	st := n.a.Stats()

@@ -61,46 +61,6 @@ func TestConnectionDropsAfterMaxRetries(t *testing.T) {
 	}
 }
 
-// TestRenoVsTahoeRecovery distinguishes the two fast-retransmit modes: Reno
-// keeps cwnd at ssthresh after recovery, Tahoe collapses to one segment.
-func TestRenoVsTahoeRecovery(t *testing.T) {
-	run := func(reno bool) int {
-		cfg := defaultCfg()
-		cfg.MSS = 512
-		cfg.SndBufSize = 8192
-		cfg.RcvBufSize = 8192
-		cfg.Reno = reno
-		n := newTestNet(t, cfg)
-		n.connect()
-		warm := pattern(30000)
-		checkIntegrity(t, warm, n.pump(n.a, n.b, warm, 8000))
-		dropped := false
-		n.drop = func(dir string, h Header, pl int) bool {
-			if dir == "a->b" && pl > 0 && !dropped {
-				dropped = true
-				return true
-			}
-			return false
-		}
-		data := pattern(20000)
-		checkIntegrity(t, data, n.pump(n.a, n.b, data, 8000))
-		if n.a.Stats().FastRexmits == 0 {
-			t.Fatal("no fast retransmit")
-		}
-		return n.a.cwnd
-	}
-	renoCwnd := run(true)
-	tahoeCwnd := run(false)
-	// Post-recovery Reno should operate with a larger window than Tahoe's
-	// restarted slow-start at the same point in the transfer... both have
-	// continued growing since, so compare against ssthresh-scale instead:
-	// the check here is simply that both recovered and Reno did not end
-	// smaller (it avoids the full collapse).
-	if renoCwnd < tahoeCwnd/2 {
-		t.Fatalf("reno cwnd %d implausibly below tahoe %d", renoCwnd, tahoeCwnd)
-	}
-}
-
 // TestOutOfOrderFIN delivers the FIN before its preceding data.
 func TestOutOfOrderFIN(t *testing.T) {
 	cfg := defaultCfg()

@@ -188,7 +188,7 @@ func pattern(size int) []byte {
 }
 
 func defaultCfg() Config {
-	return Config{MSS: 1460, FastRetransmit: true}
+	return Config{MSS: 1460}
 }
 
 func checkIntegrity(t *testing.T, want, got []byte) {

@@ -293,14 +293,8 @@ func (c *Conn) processAck(h Header) bool {
 		if h.Ack == c.sndUna && c.snd.len() > 0 && int(h.Window) == c.sndWnd {
 			c.stats.DupAcksRcvd++
 			c.dupAcks++
-			if c.cfg.FastRetransmit && c.dupAcks == 3 {
+			if c.dupAcks == 3 {
 				c.fastRetransmit()
-				return true
-			}
-			if c.cfg.Reno && c.dupAcks > 3 {
-				// Fast recovery inflation.
-				c.cwnd += c.sndMSS
-				c.Output()
 				return true
 			}
 		}
@@ -316,12 +310,6 @@ func (c *Conn) processAck(h Header) bool {
 
 	// New ACK.
 	acked := h.Ack.Diff(c.sndUna)
-	if c.dupAcks >= 3 && c.cfg.Reno {
-		// Leaving fast recovery: deflate.
-		if c.cwnd > c.ssthresh {
-			c.cwnd = c.ssthresh
-		}
-	}
 	c.dupAcks = 0
 
 	// RTT sample (Karn: only if the timed sequence is covered and we did
@@ -415,8 +403,8 @@ func (c *Conn) updateSndWnd(h Header) {
 	}
 }
 
-// fastRetransmit performs the 3-dup-ack retransmission (Tahoe, optionally
-// Reno fast recovery).
+// fastRetransmit performs the 3-dup-ack retransmission of 4.3BSD-Tahoe:
+// resend the missing segment, then slow start over.
 func (c *Conn) fastRetransmit() {
 	c.stats.FastRexmits++
 	win := c.sndWnd
@@ -439,11 +427,6 @@ func (c *Conn) fastRetransmit() {
 	}
 	c.outputForced()
 	c.sndNxt = seqMax(savedNxt, c.sndNxt)
-	if c.cfg.Reno {
-		c.cwnd = c.ssthresh + 3*c.sndMSS
-	} else {
-		c.cwnd = c.sndMSS // Tahoe: slow start over
-	}
 	c.setTimer(&c.tRexmt, c.rxtCur)
 }
 

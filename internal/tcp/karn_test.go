@@ -49,7 +49,7 @@ func fillPeerWindow(t *testing.T, n *testNet) {
 // retransmission timer is parked with an inflated RTO so it cannot mask
 // the bug by clearing the measurement first (its own Karn clear).
 func TestPersistProbeNotTimedKarn(t *testing.T) {
-	n := newTestNet(t, Config{MSS: 1460}) // no fast retransmit: only persist touches snd_una
+	n := newTestNet(t, Config{MSS: 1460})
 	n.connect()
 
 	// Record every RTT sample the estimator accepts, via the trace bus

@@ -199,7 +199,7 @@ func (c *Conn) rexmtTimeout() {
 		c.setState(Closed, TrigTimer)
 		return
 	}
-	if c.rxtShift == c.cfg.RexmtR1 {
+	if c.rxtShift == min(rexmtR1, c.cfg.RexmtR2) {
 		// RFC 1122 R1: delivery looks degraded; a layered stack would hint
 		// IP to re-route here. We record it so applications (and the
 		// degradation experiment) can observe the threshold crossing.

@@ -136,7 +136,7 @@ func (lc *LinkConditions) Active() bool {
 }
 
 // CondStats breaks down the conditions layer's drops and delays; all drop
-// counts are also included in the segment's framesDropped total.
+// counts are also included in the segment's Stats().Dropped total.
 type CondStats struct {
 	BurstDrops     int // Gilbert–Elliott losses (in either state)
 	PathDrops      int // Forward/Reverse directional losses

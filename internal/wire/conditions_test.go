@@ -235,8 +235,8 @@ func TestReorderCounterAndStats(t *testing.T) {
 	g.SetFaults(Faults{Seed: 1, ReorderProb: 1.0, ReorderDelay: time.Millisecond})
 	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, []byte{1}))
 	s.Run(0)
-	_, _, _, _, reordered, _ := g.Stats()
+	reordered := g.Stats().Reordered
 	if reordered != 1 {
-		t.Fatalf("framesReordered = %d, want 1", reordered)
+		t.Fatalf("Stats().Reordered = %d, want 1", reordered)
 	}
 }

@@ -24,10 +24,6 @@ type SwitchConfig struct {
 	// Latency is the per-frame store-and-forward plus lookup delay.
 	Latency time.Duration
 
-	// PortBitsPerSec is the egress port signalling rate; 0 uses the
-	// segment's BitsPerSec (a non-blocking fabric with matched ports).
-	PortBitsPerSec int64
-
 	// MacTTL ages learned MAC entries: an entry whose source has not
 	// transmitted for MacTTL is treated as a miss (the frame floods and
 	// the address re-learns). 0 uses DefaultMacTTL. Without aging, a
@@ -137,17 +133,12 @@ func (g *Segment) flood(f *inflight) {
 	}
 }
 
-// egressSend serializes the frame onto the destination port's egress link
-// and schedules final delivery after the port-to-station propagation.
+// egressSend serializes the frame onto the destination port's egress link,
+// which runs at the segment's rate (a non-blocking fabric with matched
+// ports), and schedules final delivery after the port-to-station
+// propagation.
 func (g *Segment) egressSend(f *inflight) {
-	rate := g.sw.PortBitsPerSec
-	if rate == 0 {
-		rate = g.cfg.BitsPerSec
-	}
-	bits := int64(f.b.Len()+g.cfg.FrameOverhead) * 8
-	tx := time.Duration(bits * int64(time.Second) / rate)
-	res := g.egress[f.st.Addr()]
-	res.UseAsyncArg(tx, egressCB, f)
+	g.egress[f.st.Addr()].UseAsyncArg(g.TxTime(f.b.Len()), egressCB, f)
 }
 
 func egressCB(a any) {

@@ -150,11 +150,16 @@ type Segment struct {
 	// FrameDup events. Nil-safe; see the trace package invariants.
 	Bus *trace.Bus
 
-	// Stats
-	framesSent, framesDropped, framesCorrupted, framesDuplicated int
-	framesReordered                                              int
-	framesSwitched, framesFlooded                                int
-	bytesSent                                                    int64
+	stats                         Stats
+	framesSwitched, framesFlooded int
+}
+
+// Stats is a segment's cumulative frame counters: frames transmitted, and of
+// those the ones the fault and condition layers dropped, corrupted,
+// duplicated or reordered, plus the bytes transmitted.
+type Stats struct {
+	Sent, Dropped, Corrupted, Duplicated, Reordered int
+	Bytes                                           int64
 }
 
 // New creates a segment.
@@ -213,8 +218,8 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 			panic(fmt.Sprintf("wire: transmit from unattached station %s", src))
 		}
 	}
-	g.framesSent++
-	g.bytesSent += int64(b.Len())
+	g.stats.Sent++
+	g.stats.Bytes += int64(b.Len())
 	if g.Trace != nil {
 		g.Trace(src, dst, b.Len(), g.s.Now())
 	}
@@ -227,7 +232,7 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 	}
 	tx := g.TxTime(b.Len())
 	f := inflightPool.Get().(*inflight)
-	*f = inflight{g: g, src: src, dst: dst, b: b, idx: g.framesSent - 1}
+	*f = inflight{g: g, src: src, dst: dst, b: b, idx: g.stats.Sent - 1}
 	res.UseAsyncArg(tx, propagateCB, f)
 }
 
@@ -276,7 +281,7 @@ func (g *Segment) propagate(f *inflight) {
 	if g.faults.scheduled() {
 		schedDrop = containsInt(g.faults.DropFrames, f.idx)
 		if !schedDrop && containsInt(g.faults.CorruptFrames, f.idx) && b.Len() > 0 {
-			g.framesCorrupted++
+			g.stats.Corrupted++
 			off := b.Len() / 2 // deterministic: flip the low bit mid-frame
 			b.Bytes()[off] ^= 1
 			b.Meta.Corrupt = true
@@ -288,7 +293,7 @@ func (g *Segment) propagate(f *inflight) {
 	}
 	if g.faults.active() {
 		if g.rng.Float64() < g.faults.LossProb {
-			g.framesDropped++
+			g.stats.Dropped++
 			if g.Bus.Enabled() {
 				g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
 					A: int64(b.Len()), Text: "loss", Frame: b.Bytes()})
@@ -298,7 +303,7 @@ func (g *Segment) propagate(f *inflight) {
 			return
 		}
 		if g.rng.Float64() < g.faults.CorruptProb && b.Len() > 0 {
-			g.framesCorrupted++
+			g.stats.Corrupted++
 			bit := g.rng.Intn(b.Len() * 8)
 			b.Bytes()[bit/8] ^= 1 << (bit % 8)
 			b.Meta.Corrupt = true
@@ -308,7 +313,7 @@ func (g *Segment) propagate(f *inflight) {
 			}
 		}
 		if g.rng.Float64() < g.faults.DupProb {
-			g.framesDuplicated++
+			g.stats.Duplicated++
 			if g.Bus.Enabled() {
 				g.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
 					A: int64(b.Len()), Frame: b.Bytes()})
@@ -318,7 +323,7 @@ func (g *Segment) propagate(f *inflight) {
 			g.s.AfterArg(delay, deliverCB, d)
 		}
 		if g.rng.Float64() < g.faults.ReorderProb {
-			g.framesReordered++
+			g.stats.Reordered++
 			if g.Bus.Enabled() {
 				g.Bus.Emit(trace.Event{Kind: trace.FrameReorder, Node: g.cfg.Name,
 					A: int64(b.Len()), B: int64(g.faults.ReorderDelay), Frame: b.Bytes()})
@@ -327,7 +332,7 @@ func (g *Segment) propagate(f *inflight) {
 		}
 	}
 	if schedDrop {
-		g.framesDropped++
+		g.stats.Dropped++
 		if g.Bus.Enabled() {
 			g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
 				A: int64(b.Len()), B: int64(f.idx), Text: "sched-drop", Frame: b.Bytes()})
@@ -342,7 +347,7 @@ func (g *Segment) propagate(f *inflight) {
 		// composition and determinism contract.
 		kind, extra := g.cond.apply(g, f.src, f.dst, b.Len())
 		if kind != condKeep {
-			g.framesDropped++
+			g.stats.Dropped++
 			if g.Bus.Enabled() {
 				g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
 					A: int64(b.Len()), Text: string(kind), Frame: b.Bytes()})
@@ -416,7 +421,4 @@ func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 }
 
 // Stats reports cumulative counters.
-func (g *Segment) Stats() (sent, dropped, corrupted, duplicated, reordered int, bytes int64) {
-	return g.framesSent, g.framesDropped, g.framesCorrupted, g.framesDuplicated,
-		g.framesReordered, g.bytesSent
-}
+func (g *Segment) Stats() Stats { return g.stats }

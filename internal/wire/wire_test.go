@@ -95,7 +95,7 @@ func TestUnknownDestinationVanishes(t *testing.T) {
 	s, g, a, _ := setup(EthernetConfig())
 	g.Transmit(a.addr, link.MakeAddr(99), pkt.FromBytes(0, []byte("x")))
 	s.Run(0) // no panic, nothing delivered
-	sent, _, _, _, _, _ := g.Stats()
+	sent := g.Stats().Sent
 	if sent != 1 {
 		t.Fatalf("sent = %d", sent)
 	}
@@ -121,7 +121,7 @@ func TestLossInjection(t *testing.T) {
 		g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 64)))
 	}
 	s.Run(0)
-	_, dropped, _, _, _, _ := g.Stats()
+	dropped := g.Stats().Dropped
 	if dropped == 0 || dropped == n {
 		t.Fatalf("dropped = %d of %d, expected partial loss", dropped, n)
 	}
@@ -178,8 +178,7 @@ func TestFaultDeterminism(t *testing.T) {
 			g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 64)))
 		}
 		s.Run(0)
-		_, dropped, _, dup, _, _ := g.Stats()
-		_ = dup
+		dropped := g.Stats().Dropped
 		return len(b.got), dropped
 	}
 	g1, d1 := run()
@@ -214,7 +213,7 @@ func TestScheduledDrop(t *testing.T) {
 			t.Errorf("delivery %d carries payload %d, want %d", i, got, want)
 		}
 	}
-	_, dropped, _, _, _, _ := g.Stats()
+	dropped := g.Stats().Dropped
 	if dropped != 2 {
 		t.Errorf("dropped = %d, want 2", dropped)
 	}

@@ -123,7 +123,7 @@ func TestManyHostSwitchedReplayDeterministic(t *testing.T) {
 func TestTimerWheelLossyTransfer(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		Faults: &wire.Faults{Seed: 5, LossProb: 0.05},
+		Chaos: &chaos.FaultPlan{Wire: wire.Faults{Seed: 5, LossProb: 0.05}},
 	})
 	enableConformance(t, w)
 	srv := w.Node(0).App("server")

@@ -6,7 +6,7 @@
 // meaningless — those report *virtual-time* metrics through ReportMetric),
 // these benchmarks measure real CPU time and allocation counts: how fast
 // the simulation itself executes. bench/ measures whole worlds on the same
-// clock and holds the baseline; CI runs the Engine benchmarks as a smoke test.
+// clock and holds the baseline; TestBenchmarksRun runs each of these once.
 package ulp_test
 
 import (

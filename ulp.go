@@ -122,27 +122,26 @@ type Config struct {
 	Net Net
 	// Hosts is the number of workstations (default 2).
 	Hosts int
-	// Faults optionally injects loss/duplication/corruption/reordering.
-	Faults *wire.Faults
-	// Chaos optionally installs a full-system fault plan: wire faults,
-	// registry control-plane faults, and scheduled application crashes.
-	// Chaos's wire faults apply only when Faults is nil.
+	// Chaos optionally installs the world's fault plan: wire faults (loss,
+	// duplication, corruption, reordering), registry control-plane faults,
+	// scheduled application and registry crashes, and partitions.
 	Chaos *chaos.FaultPlan
 	// Conditions optionally installs a time-scripted link-condition plan
 	// (bursty loss, asymmetric paths, partitions, flaps, bufferbloat) on
-	// the segment, layered after Faults. Chaos.Partitions merge into it.
+	// the segment, layered after Chaos's wire faults. Chaos.Partitions
+	// merge into it.
 	Conditions *wire.LinkConditions
 	// Costs overrides the calibrated cost model (ablations).
 	Costs *costs.Model
 
 	// Switch builds the segment as a store-and-forward learning switch
 	// instead of a single medium — required for many-host worlds where
-	// disjoint flows must not contend. Ethernet ignores it (the paper's
-	// Ethernet is a shared wire by definition).
+	// disjoint flows must not contend. Not on Ethernet: the paper's
+	// Ethernet is a shared wire by definition.
 	Switch *wire.SwitchConfig
 	// EphemeralLo/Hi widen the registries' ephemeral port range beyond
 	// the classic [1024,5000) — churn worlds recycle far more ports.
-	// Both zero = default range.
+	// Both zero = default range; set both or neither. OrgUserLib only.
 	EphemeralLo, EphemeralHi uint16
 
 	// RegistryShards is the number of registry servers each host's control
@@ -151,7 +150,7 @@ type Config struct {
 	// builds one shard: the paper's single registry on the host CPU. With
 	// two or more, each shard is pinned to its own CPU, the libraries batch
 	// their requests, and a dead shard's work fails over to a live sibling.
-	// Only OrgUserLib worlds use it.
+	// Two or more is OrgUserLib only.
 	RegistryShards int
 
 	// ZeroCopyRx switches every module's receive channels to by-reference
@@ -160,7 +159,7 @@ type Config struct {
 	// instead of modeling a per-byte kernel→region copy, and doorbell
 	// notifications are batched (at most one per 8 posted descriptors while
 	// the library lags). Opt-in like Switch: legacy worlds keep the classic
-	// copy cost profile.
+	// copy cost profile. OrgUserLib only.
 	ZeroCopyRx bool
 }
 
@@ -237,10 +236,37 @@ func buildConditions(cfg Config) *wire.LinkConditions {
 	return lc
 }
 
-// NewWorld builds a world.
+// ignored names a setting the world would be built without honouring, or
+// returns "" when every setting takes effect.
+func (cfg *Config) ignored() string {
+	if cfg.Org != OrgUserLib {
+		switch {
+		case cfg.RegistryShards > 1:
+			return "RegistryShards: " + cfg.Org.String() + " has no registry to shard"
+		case cfg.EphemeralLo != 0 || cfg.EphemeralHi != 0:
+			return "EphemeralLo/Hi: " + cfg.Org.String() + " has no registry to allocate ports from the range"
+		case cfg.ZeroCopyRx:
+			return "ZeroCopyRx: " + cfg.Org.String() + " has no user-level receive channels"
+		}
+	}
+	if cfg.Switch != nil && cfg.Net == Ethernet {
+		return "Switch: the Ethernet is one shared wire"
+	}
+	if (cfg.EphemeralLo == 0) != (cfg.EphemeralHi == 0) {
+		return "EphemeralLo/Hi: set both bounds or neither"
+	}
+	return ""
+}
+
+// NewWorld builds a world. It panics on a setting it would not honour (see
+// the Config fields) and on a fault plan naming a host or registry shard the
+// world does not have.
 func NewWorld(cfg Config) *World {
 	if cfg.Hosts == 0 {
 		cfg.Hosts = 2
+	}
+	if why := cfg.ignored(); why != "" {
+		panic("ulp: Config." + why)
 	}
 	s := sim.New()
 	var wcfg wire.Config
@@ -251,14 +277,12 @@ func NewWorld(cfg Config) *World {
 		wcfg = wire.AN1Config()
 	}
 	var seg *wire.Segment
-	if cfg.Switch != nil && !wcfg.Shared {
+	if cfg.Switch != nil {
 		seg = wire.NewSwitched(s, wcfg, *cfg.Switch)
 	} else {
 		seg = wire.New(s, wcfg)
 	}
-	if cfg.Faults != nil {
-		seg.SetFaults(*cfg.Faults)
-	} else if cfg.Chaos != nil {
+	if cfg.Chaos != nil {
 		seg.SetFaults(cfg.Chaos.WireFaults())
 	}
 	if lc := buildConditions(cfg); lc != nil {
@@ -370,7 +394,7 @@ func (w *World) Bus() *trace.Bus { return w.bus }
 // one.
 func (w *World) EnableConformance() *conform.Checker {
 	bus := w.EnableTrace()
-	ck := conform.New(conform.Config{})
+	ck := conform.New()
 	ck.Attach(bus)
 	return ck
 }
@@ -382,13 +406,13 @@ func (w *World) EnableConformance() *conform.Checker {
 func (w *World) StatsRegistry() *stats.Registry {
 	r := stats.New()
 	r.RegisterFunc("wire", func(emit func(string, int64)) {
-		sent, dropped, corrupted, duplicated, reordered, bytes := w.Seg.Stats()
-		emit("frames_sent", int64(sent))
-		emit("frames_dropped", int64(dropped))
-		emit("frames_corrupted", int64(corrupted))
-		emit("frames_duplicated", int64(duplicated))
-		emit("frames_reordered", int64(reordered))
-		emit("bytes_sent", bytes)
+		st := w.Seg.Stats()
+		emit("frames_sent", int64(st.Sent))
+		emit("frames_dropped", int64(st.Dropped))
+		emit("frames_corrupted", int64(st.Corrupted))
+		emit("frames_duplicated", int64(st.Duplicated))
+		emit("frames_reordered", int64(st.Reordered))
+		emit("bytes_sent", st.Bytes)
 	})
 	for _, n := range w.nodes {
 		n := n
