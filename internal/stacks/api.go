@@ -20,7 +20,8 @@ import (
 // paper's §5 "canned options that determine certain characteristics of a
 // protocol" (the simple form of application-specific specialization).
 type Options struct {
-	// SndBuf and RcvBuf size the socket buffers (0 = BSD default 4096).
+	// SndBuf and RcvBuf size the socket buffers (0 = tcp.DefaultBufSize,
+	// 8192).
 	SndBuf, RcvBuf int
 	// NoDelay disables the Nagle algorithm.
 	NoDelay bool

@@ -217,6 +217,12 @@ type Conn struct {
 	cwnd, ssthresh         int
 	dupAcks                int
 
+	// NewReno fast recovery (RFC 6582): recover is snd_max when recovery
+	// last began (or a time-out fired), kept within 2^31 of snd_una by
+	// pulling it up on every new ACK outside recovery.
+	recover    Seq
+	inRecovery bool
+
 	// Receive sequence space.
 	irs            Seq
 	rcvNxt, rcvAdv Seq
@@ -394,7 +400,7 @@ func (c *Conn) OpenActive(iss Seq) {
 		panic("tcp: OpenActive on non-closed connection")
 	}
 	c.iss = iss
-	c.sndUna, c.sndNxt, c.sndMax = iss, iss, iss
+	c.sndUna, c.sndNxt, c.sndMax, c.recover = iss, iss, iss, iss
 	c.snd.start = iss.Add(1) // first data byte follows the SYN
 	c.cwnd = c.sndMSS
 	c.ssthresh = MaxWindow

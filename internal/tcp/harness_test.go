@@ -24,6 +24,8 @@ type testNet struct {
 	rng      *rand.Rand
 	reorderP float64
 	dupP     float64
+	// around, when set, wraps every segment input: it must call input once.
+	around func(dst *Conn, h Header, input func())
 }
 
 type events struct {
@@ -98,7 +100,7 @@ func (n *testNet) deliver() {
 			if err != nil {
 				n.t.Fatalf("a->b decode: %v", err)
 			}
-			n.b.Input(h, seg.Bytes())
+			n.input(n.b, h, seg.Bytes())
 		}
 		if len(n.toA) > 0 {
 			seg := n.toA[0]
@@ -107,10 +109,18 @@ func (n *testNet) deliver() {
 			if err != nil {
 				n.t.Fatalf("b->a decode: %v", err)
 			}
-			n.a.Input(h, seg.Bytes())
+			n.input(n.a, h, seg.Bytes())
 		}
 	}
 	n.t.Fatal("delivery did not quiesce (segment storm)")
+}
+
+func (n *testNet) input(c *Conn, h Header, data []byte) {
+	if n.around == nil {
+		c.Input(h, data)
+		return
+	}
+	n.around(c, h, func() { c.Input(h, data) })
 }
 
 // tick advances one 100 ms unit: deliver, then fire due timeouts.

@@ -192,7 +192,7 @@ func (c *Conn) inputListen(h Header, data []byte) {
 	if c.iss == 0 {
 		c.iss = h.Seq + 64000
 	}
-	c.sndUna, c.sndNxt, c.sndMax = c.iss, c.iss, c.iss
+	c.sndUna, c.sndNxt, c.sndMax, c.recover = c.iss, c.iss, c.iss, c.iss
 	c.snd.start = c.iss.Add(1)
 	c.cwnd = c.sndMSS
 	c.ssthresh = MaxWindow
@@ -293,10 +293,7 @@ func (c *Conn) processAck(h Header) bool {
 		if h.Ack == c.sndUna && c.snd.len() > 0 && int(h.Window) == c.sndWnd {
 			c.stats.DupAcksRcvd++
 			c.dupAcks++
-			if c.dupAcks == 3 {
-				c.fastRetransmit()
-				return true
-			}
+			c.dupAck()
 		}
 		// Old ACK: ignore (but continue with payload processing).
 		c.updateSndWnd(h)
@@ -319,14 +316,22 @@ func (c *Conn) processAck(h Header) bool {
 		c.tRtt = 0
 	}
 
-	// Congestion window growth (slow start / congestion avoidance).
-	if c.cwnd < c.ssthresh {
-		c.cwnd += c.sndMSS
-	} else {
-		c.cwnd += c.sndMSS * c.sndMSS / c.cwnd
-	}
-	if c.cwnd > MaxWindow {
-		c.cwnd = MaxWindow
+	// Outside recovery, pull recover up to the snd_una this ACK moves on
+	// from, so that it stays within 2^31 of snd_una; it then still lies
+	// below every later snd_una and cannot stop a recovery. Congestion
+	// window growth: slow start adds a segment per ACK; congestion
+	// avoidance adds one per window of acknowledged bytes (RFC 3465), so an
+	// ACK for two segments counts twice.
+	if !c.inRecovery {
+		c.recover = seqMax(c.recover, c.sndUna)
+		if c.cwnd < c.ssthresh {
+			c.cwnd += c.sndMSS
+		} else {
+			c.cwnd += c.sndMSS * acked / c.cwnd
+		}
+		if c.cwnd > MaxWindow {
+			c.cwnd = MaxWindow
+		}
 	}
 
 	// Did the ACK cover our FIN?
@@ -357,6 +362,10 @@ func (c *Conn) processAck(h Header) bool {
 	}
 
 	c.updateSndWnd(h)
+
+	if c.inRecovery {
+		c.recoveryAck(acked)
+	}
 
 	if ackedData > 0 && c.cb.OnWritable != nil {
 		c.cb.OnWritable()
@@ -403,31 +412,81 @@ func (c *Conn) updateSndWnd(h Header) {
 	}
 }
 
-// fastRetransmit performs the 3-dup-ack retransmission of 4.3BSD-Tahoe:
-// resend the missing segment, then slow start over.
-func (c *Conn) fastRetransmit() {
+// dupAck acts on a counted duplicate ACK. The first two send new data by
+// limited transmit (RFC 3042), the third starts NewReno fast recovery (RFC
+// 6582), and each one during recovery inflates cwnd by the segment that has
+// left the network, for Input's closing Output to fill.
+func (c *Conn) dupAck() {
+	switch {
+	case c.inRecovery:
+		c.cwnd += c.sndMSS
+	case c.dupAcks == 3 && c.recover.Less(c.sndUna):
+		// recover is snd_max as it stood when recovery last began or a
+		// time-out fired. Until an ACK covers data first sent after that,
+		// duplicates may be echoes of that loss, not a new one.
+		c.enterRecovery()
+	case c.dupAcks < 3 && c.sndNxt == c.sndMax:
+		// One segment beyond cwnd per duplicate so far; Nagle,
+		// silly-window avoidance and the peer's window still decide.
+		cwnd := c.cwnd
+		c.cwnd += c.dupAcks * c.sndMSS
+		c.outputOne(false)
+		c.cwnd = cwnd
+	}
+}
+
+// enterRecovery halves the operating window into ssthresh, resends the
+// segment at snd_una and inflates cwnd by the three segments the duplicates
+// say have left the network.
+func (c *Conn) enterRecovery() {
+	c.halveWindow()
+	c.recover = c.sndMax
+	c.inRecovery = true
+	c.retransmitUna()
+	c.cwnd = c.ssthresh + 3*c.sndMSS
+	c.setTimer(&c.tRexmt, c.rxtCur)
+}
+
+// recoveryAck handles a new ACK during fast recovery, after snd_una moved.
+func (c *Conn) recoveryAck(acked int) {
+	if c.sndUna.Less(c.recover) {
+		// Partial ACK: the next hole was lost too. Resend it at once, then
+		// deflate cwnd by what was acknowledged, adding back one segment
+		// if that was a full one.
+		c.retransmitUna()
+		c.cwnd -= acked
+		if acked >= c.sndMSS {
+			c.cwnd += c.sndMSS
+		}
+		c.cwnd = max(c.cwnd, c.sndMSS)
+		return
+	}
+	// Full ACK: leave recovery at ssthresh (RFC 6582's second choice). The
+	// first, flight + 1 segment, is one segment when the full ACK empties
+	// the pipe, and a lone segment waits out the peer's delayed-ACK timer.
+	c.inRecovery = false
+	c.cwnd = c.ssthresh
+}
+
+// retransmitUna resends the one segment at snd_una. outputForced would go
+// on to resend the whole window behind it.
+func (c *Conn) retransmitUna() {
 	c.stats.FastRexmits++
-	win := c.sndWnd
-	if c.cwnd < win {
-		win = c.cwnd
-	}
-	ss := win / 2
-	if ss < 2*c.sndMSS {
-		ss = 2 * c.sndMSS
-	}
-	c.ssthresh = ss
-	// Retransmit the missing segment.
-	savedNxt := c.sndNxt
-	c.sndNxt = c.sndUna
 	c.tRtt = 0 // Karn
-	c.cwnd = c.sndMSS
 	if c.bus.Enabled() {
 		c.bus.Emit(trace.Event{Kind: trace.TCPRexmit, Conn: c.busLabel,
 			A: int64(c.rxtShift), B: int64(c.rxtCur), Text: "fast"})
 	}
-	c.outputForced()
-	c.sndNxt = seqMax(savedNxt, c.sndNxt)
-	c.setTimer(&c.tRexmt, c.rxtCur)
+	saved := c.sndNxt
+	c.sndNxt = c.sndUna
+	c.outputOne(true)
+	c.sndNxt = seqMax(saved, c.sndNxt)
+}
+
+// halveWindow is the congestion response to a loss (Van Jacobson): half
+// the operating window, at least two segments, into ssthresh.
+func (c *Conn) halveWindow() {
+	c.ssthresh = max(min(c.sndWnd, c.cwnd)/2, 2*c.sndMSS)
 }
 
 // enterTimeWait transitions to TIME_WAIT and starts the 2*MSL timer.

@@ -1,10 +1,10 @@
 // Package tcp implements the Transmission Control Protocol in the style of
 // the 4.3BSD implementation the paper's library borrows: tick-driven timers
 // (500 ms slow / 200 ms fast timeouts), Jacobson SRTT/RTTVAR estimation with
-// Karn's clamp, slow start and congestion avoidance, optional fast
-// retransmit, delayed acknowledgments, the Nagle algorithm, silly-window
-// avoidance, keepalives, and the full connection state machine including
-// simultaneous open/close and TIME_WAIT.
+// Karn's clamp, slow start, byte-counted congestion avoidance, NewReno fast
+// recovery with limited transmit, delayed acknowledgments, the Nagle
+// algorithm, silly-window avoidance, keepalives, and the full connection
+// state machine including simultaneous open/close and TIME_WAIT.
 //
 // The engine is pure protocol logic: no blocking, no virtual time, no cost
 // accounting. Organization shells (user-level library, in-kernel,

@@ -18,6 +18,8 @@ type Snapshot struct {
 	SndWl1, SndWl2         Seq
 	MaxSndWnd              int
 	Cwnd, Ssthresh         int
+	Recover                Seq
+	InRecovery             bool
 	RcvNxt, RcvAdv         Seq
 	SndMSS                 int
 	RxtCur                 int
@@ -47,6 +49,7 @@ func (c *Conn) Snapshot() Snapshot {
 		SndWnd: c.sndWnd, SndWl1: c.sndWl1, SndWl2: c.sndWl2,
 		MaxSndWnd: c.maxSndWnd,
 		Cwnd:      c.cwnd, Ssthresh: c.ssthresh,
+		Recover: c.recover, InRecovery: c.inRecovery,
 		RcvNxt: c.rcvNxt, RcvAdv: c.rcvAdv,
 		SndMSS: c.sndMSS,
 		RxtCur: c.rxtCur,
@@ -66,6 +69,7 @@ func RestoreInto(c *Conn, s Snapshot, cb Callbacks) {
 	c.state = s.State
 	c.iss, c.irs = s.ISS, s.IRS
 	c.sndUna, c.sndNxt, c.sndMax = s.SndUna, s.SndNxt, s.SndMax
+	c.recover, c.inRecovery = s.Recover, s.InRecovery
 	c.sndWnd, c.sndWl1, c.sndWl2 = s.SndWnd, s.SndWl1, s.SndWl2
 	c.maxSndWnd = s.MaxSndWnd
 	c.cwnd, c.ssthresh = s.Cwnd, s.Ssthresh

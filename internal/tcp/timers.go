@@ -218,19 +218,13 @@ func (c *Conn) rexmtTimeout() {
 		c.rxtCur = maxRexmtTicks
 	}
 
-	// Congestion response (Van Jacobson): half the operating window into
-	// ssthresh, collapse cwnd to one segment.
-	win := c.sndWnd
-	if c.cwnd < win {
-		win = c.cwnd
-	}
-	ss := win / 2
-	if ss < 2*c.sndMSS {
-		ss = 2 * c.sndMSS
-	}
-	c.ssthresh = ss
+	// Collapse cwnd to one segment and leave fast recovery; duplicates for
+	// what was sent before now must not start it again.
+	c.halveWindow()
 	c.cwnd = c.sndMSS
 	c.dupAcks = 0
+	c.inRecovery = false
+	c.recover = c.sndMax
 
 	// Karn: a retransmitted sequence must not be timed.
 	c.tRtt = 0
