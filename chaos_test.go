@@ -271,9 +271,9 @@ func TestChaosTransferSurvivesCombinedFaults(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
 			Seed:    42,
-			Wire:    wire.Faults{LossProb: 0.03, DupProb: 0.01},
 			Control: chaos.ControlFaults{DelayProb: 0.5, Delay: 30 * time.Millisecond},
 		},
+		Conditions: &wire.LinkConditions{Seed: 42, LossProb: 0.03, DupProb: 0.01},
 	})
 	enableConformance(t, w)
 	echoTransfer(t, w, 64*1024, stacks.Options{}, 5*time.Minute)
@@ -287,10 +287,10 @@ func TestChaosDeterministic(t *testing.T) {
 			Org: OrgUserLib, Net: Ethernet,
 			Chaos: &chaos.FaultPlan{
 				Seed:    99,
-				Wire:    wire.Faults{LossProb: 0.05},
 				Control: chaos.ControlFaults{DelayProb: 0.3, Delay: 10 * time.Millisecond},
 				Crashes: []chaos.CrashPoint{{Host: 1, At: 200 * time.Millisecond}},
 			},
+			Conditions: &wire.LinkConditions{Seed: 99, LossProb: 0.05},
 		})
 		srv := w.Node(0).App("server")
 		cli := w.Node(1).App("client")
@@ -769,9 +769,8 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 	trackPoolLeaks(t)
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
+		Conditions: &wire.LinkConditions{Seed: 11, LossProb: 0.02},
 		Chaos: &chaos.FaultPlan{
-			Seed: 11,
-			Wire: wire.Faults{LossProb: 0.02},
 			ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, Shard: 0, At: 1 * time.Second, RestartAfter: 5 * time.Second},
 				{Host: 1, Shard: 1, At: 3 * time.Second, RestartAfter: 5 * time.Second},
@@ -874,11 +873,11 @@ func TestChaosPartitionUnderChurnHealsWithoutLeaks(t *testing.T) {
 	trackPoolLeaks(t)
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		Chaos: &chaos.FaultPlan{
-			Seed: 29,
-			Wire: wire.Faults{LossProb: 0.02},
-			Partitions: []chaos.Partition{
-				{At: 2 * time.Second, HealAfter: 3 * time.Second},
+		Conditions: &wire.LinkConditions{
+			Seed:     29,
+			LossProb: 0.02,
+			Partitions: []wire.Window{
+				{From: 2 * time.Second, Until: 5 * time.Second},
 			},
 		},
 	})

@@ -24,7 +24,6 @@ import (
 
 	"ulp"
 	"ulp/internal/arp"
-	"ulp/internal/chaos"
 	"ulp/internal/conform"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -77,7 +76,7 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 	if *loss > 0 {
-		cfg.Chaos = &chaos.FaultPlan{Wire: wire.Faults{Seed: 1, LossProb: *loss}}
+		cfg.Conditions = &wire.LinkConditions{Seed: 1, LossProb: *loss}
 	}
 
 	w := ulp.NewWorld(cfg)

@@ -56,7 +56,7 @@ func TestConformanceEchoAllOrganizations(t *testing.T) {
 func TestConformanceUnderLoss(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		Chaos: &chaos.FaultPlan{Wire: wire.Faults{Seed: 42, LossProb: 0.03, DupProb: 0.01}},
+		Conditions: &wire.LinkConditions{Seed: 42, LossProb: 0.03, DupProb: 0.01},
 	})
 	enableConformance(t, w)
 	echoTransfer(t, w, 20000, stacks.Options{}, 20*time.Minute)

@@ -170,6 +170,15 @@ var settingAllowed = map[string]string{
 	// The aging and refresh tests (TestSwitchMacRefresh too) set a TTL of
 	// their own and place frames on either side of it.
 	"internal/wire.SwitchConfig.MacTTL": "TestSwitchMacAging",
+	// Control-plane faults and crashes are what the chaos suites test; no
+	// program injects them.
+	"ulp.Config.Chaos": "TestChaosCrashMidTransferResetsPeer",
+}
+
+// settingPlans lists settings structs checked although their names do not
+// end in Config, together with every module struct their fields reach.
+var settingPlans = map[string]bool{
+	"internal/wire.LinkConditions": true, // the segment's impairment plan
 }
 
 // settingExempt lists settings structs whose fields are filled by presets in
@@ -179,8 +188,9 @@ var settingExempt = map[string]bool{
 }
 
 // TestEverySettingIsChosen fails when an exported field of an exported struct
-// named Config, Options or …Config is written by no non-test file outside
-// its declaring package: a setting no caller chooses is a constant. A write
+// named Config, Options or …Config, or of a settingPlans struct or a struct
+// its fields reach, is written by no non-test file outside its declaring
+// package: a setting no caller chooses is a constant. A write
 // is a composite-literal key, or an assignment or ++/-- through a selector.
 // Every non-test file counts as a writer, including bench/, cmd/ and
 // examples/. A field only tests set needs an entry in settingAllowed, and
@@ -195,20 +205,35 @@ func TestEverySettingIsChosen(t *testing.T) {
 	l.loadAll()
 
 	fields := map[*types.Var]string{}
+	var add func(tn *types.TypeName, reach bool)
+	add = func(tn *types.TypeName, reach bool) {
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		key := relPkg(tn.Pkg()) + "." + tn.Name()
+		if !ok || settingExempt[key] {
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, done := fields[f]; done || !f.Exported() {
+				continue
+			}
+			fields[f] = key + "." + f.Name()
+			if !reach {
+				continue
+			}
+			if n, ok := elemType(f.Type()).(*types.Named); ok && n.Obj().Pkg() != nil && l.pkgs[n.Obj().Pkg().Path()] != nil {
+				add(n.Obj(), true)
+			}
+		}
+	}
 	for _, p := range l.pkgs {
 		for _, name := range p.pkg.Scope().Names() {
 			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !(name == "Options" || strings.HasSuffix(name, "Config")) {
+			if !ok || !tn.Exported() {
 				continue
 			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok || settingExempt[relPkg(p.pkg)+"."+name] {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = relPkg(p.pkg) + "." + name + "." + f.Name()
-				}
+			if plan := settingPlans[relPkg(p.pkg)+"."+name]; plan || name == "Options" || strings.HasSuffix(name, "Config") {
+				add(tn, plan)
 			}
 		}
 	}
@@ -272,6 +297,20 @@ func TestEverySettingIsChosen(t *testing.T) {
 	sort.Strings(unchosen)
 	for _, key := range unchosen {
 		t.Errorf("%s is set by no non-test file outside its package: make it the constant it always is, or list it in settingAllowed with the test that sets it", key)
+	}
+}
+
+// elemType strips pointers and slices: the struct a plan field reaches.
+func elemType(t types.Type) types.Type {
+	for {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		default:
+			return t
+		}
 	}
 }
 

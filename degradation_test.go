@@ -30,8 +30,8 @@ func TestConnSurvivesPartitionShorterThanGiveUp(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet,
 		Conditions: &wire.LinkConditions{
 			Seed: 5,
-			Partitions: []wire.PartitionWindow{
-				{Window: wire.Window{From: 100 * time.Millisecond, Until: 3100 * time.Millisecond}},
+			Partitions: []wire.Window{
+				{From: 100 * time.Millisecond, Until: 3100 * time.Millisecond},
 			},
 		},
 	})
@@ -113,8 +113,8 @@ func TestPermanentPartitionTimesOutSendAndRecv(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet,
 		Conditions: &wire.LinkConditions{
 			Seed: 6,
-			Partitions: []wire.PartitionWindow{
-				{Window: wire.Window{From: time.Second}}, // never heals
+			Partitions: []wire.Window{
+				{From: time.Second}, // never heals
 			},
 		},
 	})
@@ -198,8 +198,8 @@ func TestConnectThroughPartitionBoundedAndLeakFree(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
 		Conditions: &wire.LinkConditions{
 			Seed: 7,
-			Partitions: []wire.PartitionWindow{
-				{Window: wire.Window{From: 500 * time.Millisecond}}, // never heals
+			Partitions: []wire.Window{
+				{From: 500 * time.Millisecond}, // never heals
 			},
 		},
 	})

@@ -42,15 +42,15 @@ func runSeededScenario(t *testing.T, seed uint64, withTrace bool) []string {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{
-				LossProb:     0.05,
-				DupProb:      0.03,
-				CorruptProb:  0.02,
-				ReorderProb:  0.05,
-				ReorderDelay: 2 * time.Millisecond,
-			},
 			Crashes: []chaos.CrashPoint{{Host: 1, App: "client", At: 400 * time.Millisecond}},
+		},
+		Conditions: &wire.LinkConditions{
+			Seed:         seed,
+			LossProb:     0.05,
+			DupProb:      0.03,
+			CorruptProb:  0.02,
+			ReorderProb:  0.05,
+			ReorderDelay: 2 * time.Millisecond,
 		},
 	})
 	if withTrace {
@@ -157,9 +157,8 @@ func runRegistryCrashScenario(t *testing.T, seed uint64) []string {
 	t.Helper()
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
+		Conditions: &wire.LinkConditions{Seed: seed, LossProb: 0.03, DupProb: 0.02},
 		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{LossProb: 0.03, DupProb: 0.02},
 			ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, At: 150 * time.Millisecond, RestartAfter: 200 * time.Millisecond},
 			},
@@ -239,15 +238,15 @@ func runZeroCopyScenario(t *testing.T, seed uint64) []string {
 		Org: OrgUserLib, Net: Ethernet,
 		ZeroCopyRx: true,
 		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{
-				LossProb:     0.05,
-				DupProb:      0.03,
-				CorruptProb:  0.02,
-				ReorderProb:  0.05,
-				ReorderDelay: 2 * time.Millisecond,
-			},
 			Crashes: []chaos.CrashPoint{{Host: 1, App: "client", At: 400 * time.Millisecond}},
+		},
+		Conditions: &wire.LinkConditions{
+			Seed:         seed,
+			LossProb:     0.05,
+			DupProb:      0.03,
+			CorruptProb:  0.02,
+			ReorderProb:  0.05,
+			ReorderDelay: 2 * time.Millisecond,
 		},
 	})
 	var frames []string
@@ -326,9 +325,8 @@ func runShardCrashScenario(t *testing.T, seed uint64) []string {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
 		RegistryShards: 2,
+		Conditions:     &wire.LinkConditions{Seed: seed, LossProb: 0.03, DupProb: 0.02},
 		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{LossProb: 0.03, DupProb: 0.02},
 			ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, Shard: 0, At: 500 * time.Millisecond, RestartAfter: 8 * time.Second},
 				{Host: 0, Shard: 1, At: 9 * time.Second, RestartAfter: 8 * time.Second},
@@ -419,28 +417,21 @@ func TestShardCrashReplayDeterministic(t *testing.T) {
 }
 
 // runDegradationScenario is the link-conditions member of the replay
-// matrix: the probabilistic wire faults stay on while a LinkConditions
-// plan layers Gilbert–Elliott bursty loss, a flap schedule, and a
-// rate-limited bounded queue on top. The condition layer draws from its
-// own RNG after the fault layer's draws, so this scenario pins both that
-// the layer is internally deterministic and that its presence does not
-// shift a single fault-layer draw (the composition contract).
+// matrix: one impairment plan runs every stage at once — i.i.d. frame
+// faults, Gilbert–Elliott bursty loss, a flap schedule and a rate-limited
+// bounded queue — so two probabilistic stages draw from their own
+// generators, both derived from the one seed.
 func runDegradationScenario(t *testing.T, seed uint64) []string {
 	t.Helper()
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{
-				LossProb:     0.03,
-				DupProb:      0.02,
-				ReorderProb:  0.03,
-				ReorderDelay: 2 * time.Millisecond,
-			},
-		},
 		Conditions: &wire.LinkConditions{
-			Seed:  seed + 1,
-			Burst: &wire.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 1},
+			Seed:         seed,
+			LossProb:     0.03,
+			DupProb:      0.02,
+			ReorderProb:  0.03,
+			ReorderDelay: 2 * time.Millisecond,
+			Burst:        &wire.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 1},
 			Flaps: []wire.Window{
 				{From: 80 * time.Millisecond, Until: 120 * time.Millisecond},
 				{From: 300 * time.Millisecond, Until: 340 * time.Millisecond},
@@ -498,8 +489,8 @@ func runDegradationScenario(t *testing.T, seed uint64) []string {
 }
 
 // TestDegradationReplayDeterministic pins the acceptance criterion for the
-// link-condition layer: the same seeded bursty-loss + flap + bufferbloat
-// scenario must be bit-identical across two replays.
+// impairment plan: the same seeded frame-fault + bursty-loss + flap +
+// bufferbloat scenario must be bit-identical across two replays.
 func TestDegradationReplayDeterministic(t *testing.T) {
 	seed := uint64(23)
 	a := runDegradationScenario(t, seed)

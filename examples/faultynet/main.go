@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ulp"
-	"ulp/internal/chaos"
 	"ulp/internal/kern"
 	"ulp/internal/stacks"
 	"ulp/internal/wire"
@@ -51,7 +50,7 @@ func main() { os.Exit(run(os.Stdout)) }
 
 // run is the whole program; it returns 1 if the transfer failed verification.
 func run(stdout io.Writer) int {
-	faults := wire.Faults{
+	faults := &wire.LinkConditions{
 		Seed:         7,
 		LossProb:     0.05,
 		DupProb:      0.02,
@@ -62,7 +61,7 @@ func run(stdout io.Writer) int {
 	fmt.Fprintf(stdout, "wire faults: %.0f%% loss, %.0f%% duplication, %.0f%% corruption, %.0f%% reordering\n\n",
 		faults.LossProb*100, faults.DupProb*100, faults.CorruptProb*100, faults.ReorderProb*100)
 
-	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Chaos: &chaos.FaultPlan{Wire: faults}})
+	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Conditions: faults})
 	data := make([]byte, transferSize)
 	for i := range data {
 		data[i] = byte(i*31 + i>>11)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"ulp/internal/chaos"
 	"ulp/internal/core"
 	"ulp/internal/kern"
 	"ulp/internal/stacks"
@@ -128,7 +127,7 @@ func TestTransferUnderLossAllOrganizations(t *testing.T) {
 		t.Run(org.String(), func(t *testing.T) {
 			w := NewWorld(Config{
 				Org: org, Net: Ethernet,
-				Chaos: &chaos.FaultPlan{Wire: wire.Faults{Seed: 42, LossProb: 0.03, DupProb: 0.01}},
+				Conditions: &wire.LinkConditions{Seed: 42, LossProb: 0.03, DupProb: 0.01},
 			})
 			echoTransfer(t, w, 20000, stacks.Options{}, 20*time.Minute)
 		})

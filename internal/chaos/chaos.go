@@ -1,8 +1,9 @@
-// Package chaos defines FaultPlan, a world's one fault plan (ulp.Config's
-// Chaos). It carries the wire-level fault set (wire.Faults: loss,
-// duplication, corruption, reordering) and extends it to the whole system,
-// covering the control plane too — the faults that exercise the paper's
-// trust argument (§3.2–§3.3) rather than the protocol machinery:
+// Package chaos defines FaultPlan, a world's control-plane fault plan
+// (ulp.Config's Chaos): the faults that exercise the paper's trust argument
+// (§3.2–§3.3) rather than the protocol machinery. Link impairments — loss,
+// duplication, corruption, reordering, partitions — are not here: they are
+// the segment's one impairment plan, wire.LinkConditions (ulp.Config's
+// Conditions). A plan covers:
 //
 //   - registry service faults: requests dropped before processing or
 //     delayed before a reply is issued, so libraries see an unresponsive
@@ -10,7 +11,7 @@
 //   - crash schedules: applications torn down abruptly at chosen points in
 //     virtual time, with no exit path run, so the registry and network I/O
 //     module must reclaim ports, capabilities and pinned regions on their
-//     own.
+//     own; and registry shards killed and, optionally, restarted.
 //
 // Everything is seeded and deterministic: the same plan yields the same
 // fault sequence on every run, which keeps chaos tests stable in CI.
@@ -19,18 +20,13 @@ package chaos
 import (
 	"math/rand"
 	"time"
-
-	"ulp/internal/wire"
 )
 
-// FaultPlan is the full-system fault configuration for one scenario.
+// FaultPlan is the control-plane fault configuration for one scenario.
 type FaultPlan struct {
-	// Seed drives every random draw in the plan. A zero Wire.Seed is
-	// filled from it so one number reproduces the whole scenario.
+	// Seed drives the control-fault draws (each host's registry draws
+	// from Seed plus its host index).
 	Seed uint64
-
-	// Wire is the data-plane fault set applied to the segment.
-	Wire wire.Faults
 
 	// Control is the registry-side control-plane fault set.
 	Control ControlFaults
@@ -44,12 +40,6 @@ type FaultPlan struct {
 	// is shard 0. A world that does not have the named host and shard
 	// refuses the plan.
 	ShardCrashes []ShardCrash
-
-	// Partitions schedules network partitions: during each window, frames
-	// crossing the cut vanish silently (no reset, no error), exactly like
-	// a dead route. Time-scripted, no RNG draws — adding a partition to a
-	// seeded plan leaves every probabilistic fault's fate intact.
-	Partitions []Partition
 }
 
 // ControlFaults describes registry service misbehaviour.
@@ -98,28 +88,6 @@ type ShardCrash struct {
 	At time.Duration
 	// RestartAfter is the delay from the crash to the restart (0 = never).
 	RestartAfter time.Duration
-}
-
-// Partition isolates a set of hosts from the rest of the world between At
-// and At+HealAfter. Hosts on the same side of the cut still talk to each
-// other; only frames crossing the cut are blackholed.
-type Partition struct {
-	// Hosts indexes the nodes on one side of the cut. Empty means the
-	// whole segment goes dark (a full blackhole).
-	Hosts []int
-	// At is the virtual time the partition starts.
-	At time.Duration
-	// HealAfter is how long the partition lasts (0 = never heals).
-	HealAfter time.Duration
-}
-
-// WireFaults returns the data-plane fault set with the seed filled in.
-func (p *FaultPlan) WireFaults() wire.Faults {
-	f := p.Wire
-	if f.Seed == 0 {
-		f.Seed = p.Seed
-	}
-	return f
 }
 
 // Injector is the seeded decision source a registry consults per request.

@@ -2,7 +2,7 @@ package experiments
 
 // End-to-end degradation under adversarial link conditions. The paper's
 // tables measure the stacks over a clean wire; this experiment drives the
-// same user-level stack through the time-scripted link-condition layer
+// same user-level stack through the segment's impairment plan
 // (wire.LinkConditions) and tabulates how gracefully throughput degrades —
 // and where the stack gives up — as a function of loss-burst length, link
 // flap period, and bufferbloat queue depth. The interesting outputs are
@@ -53,7 +53,7 @@ type DegradeRow struct {
 	R1          int // R1 advisories (sender)
 	GiveUps     int // R2 give-ups, both sides
 
-	CondDrops  int // frames dropped by the condition layer (all causes)
+	CondDrops  int // frames dropped by the link conditions (all stages)
 	QueueDrops int // of which bufferbloat tail drops
 
 	Err error // unexpected failure (budget exhausted, corrupt transfer)
@@ -98,7 +98,7 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 	// outcome is a crisp R2 give-up surfacing a timeout to the writer.
 	lc := &wire.LinkConditions{
 		Seed:       degradeSeed,
-		Partitions: []wire.PartitionWindow{{Window: wire.Window{From: 200 * time.Millisecond}}},
+		Partitions: []wire.Window{{From: 200 * time.Millisecond}},
 	}
 	rows = append(rows, degradeRow(cfg, "partition", "permanent @200ms", lc))
 
@@ -214,9 +214,8 @@ func degradeRow(cfg DegradeConfig, profile, knob string, lc *wire.LinkConditions
 	row.GaveUp = row.GiveUps > 0 ||
 		errorsIsTimeout(cliErr) || errorsIsTimeout(srvErr)
 
-	st := w.w.Seg.ConditionStats()
-	row.CondDrops = st.BurstDrops + st.PathDrops + st.PartitionDrops + st.FlapDrops + st.QueueDrops
-	row.QueueDrops = st.QueueDrops
+	st := w.w.Seg.Stats()
+	row.CondDrops, row.QueueDrops = st.Dropped, st.QueueDrops
 
 	if !row.Completed && !row.GaveUp {
 		row.Err = fmt.Errorf("degrade(%s/%s): neither completed nor gave up (got %d/%d, cli=%v srv=%v)",

@@ -72,7 +72,7 @@ type FaultKind string
 // Fault kinds.
 const (
 	// FaultDrop drops the frame with transmit-order index At (counted
-	// across both directions), mirroring wire.Faults.DropFrames.
+	// across both directions).
 	FaultDrop FaultKind = "drop"
 	// FaultRST injects an acceptable RST into Side at step At, as a
 	// connection-killing attacker or a stale peer would.

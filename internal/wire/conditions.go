@@ -1,21 +1,20 @@
 package wire
 
-// Link conditions: time-scripted, correlated network degradation layered on
-// top of the i.i.d. Faults model. Faults answers "what if 5% of frames
-// vanish"; LinkConditions answers what real degraded paths do — losses come
-// in bursts (Gilbert–Elliott), impairment is asymmetric per direction, links
-// flap down and up on schedules, partitions blackhole traffic silently (no
-// RST, no ICMP — the frames just stop), and a rate-limited bottleneck with a
-// bounded queue turns load into real queueing delay (bufferbloat) and tail
-// drops.
+// Link conditions: the segment's one impairment plan. Every transmitted
+// frame passes through one ordered pipeline of stages, each optional:
 //
-// Composition order per frame: scheduled Faults (no RNG) and probabilistic
-// Faults (the segment RNG, draws in the fixed loss/corrupt/dup/reorder
-// order) run first, exactly as without conditions; a frame that survives
-// them then passes through the conditions layer, which draws only from its
-// own dedicated RNG. A nil or inactive LinkConditions therefore leaves every
-// existing seeded run bit-identical, and enabling conditions never shifts a
-// Faults draw.
+//  1. frame faults — i.i.d. loss, corruption, duplication and reordering
+//     ("what if 5% of frames vanish");
+//  2. flaps — whole-link outages on a schedule;
+//  3. partitions — windows that blackhole the segment silently (no RST, no
+//     ICMP — the frames just stop);
+//  4. burst — Gilbert–Elliott correlated loss;
+//  5. path loss — i.i.d. loss per direction, for asymmetric paths;
+//  6. queue — a rate-limited bottleneck with a bounded queue, turning load
+//     into real queueing delay (bufferbloat) and tail drops.
+//
+// A frame a stage drops never reaches the later stages. See SetConditions
+// for the draw discipline that keeps every plan replay-deterministic.
 
 import (
 	"math/rand"
@@ -23,33 +22,32 @@ import (
 
 	"ulp/internal/link"
 	"ulp/internal/sim"
+	"ulp/internal/trace"
 )
 
 // GilbertElliott is the classic two-state Markov loss model: the channel is
-// either Good or Bad, transitions are drawn per frame, and each state has
-// its own loss probability. With LossBad near 1 and PBadGood small, losses
-// arrive in bursts whose mean length is 1/PBadGood frames — the loss
-// correlation i.i.d. LossProb cannot express.
+// either Good or Bad, transitions are drawn per frame, and the Bad state
+// loses frames. With LossBad near 1 and PBadGood small, losses arrive in
+// bursts whose mean length is 1/PBadGood frames — the loss correlation
+// i.i.d. loss cannot express.
 type GilbertElliott struct {
 	// PGoodBad and PBadGood are the per-frame state transition
 	// probabilities (Good→Bad and Bad→Good).
 	PGoodBad, PBadGood float64
-	// LossGood and LossBad are the per-frame loss probabilities in each
-	// state (typically LossGood ≈ 0, LossBad ≫ 0).
-	LossGood, LossBad float64
+	// LossBad is the per-frame loss probability in the Bad state; the Good
+	// state loses nothing.
+	LossBad float64
 }
 
-// PathShape is a direction-specific impairment: extra i.i.d. loss and a
-// fixed extra one-way delay. Forward and Reverse shapes model asymmetric
-// paths (a clean downlink over a lossy uplink, or a long satellite return
-// path) that a symmetric fault plan cannot.
+// PathShape is a direction-specific i.i.d. loss. Forward and Reverse shapes
+// model asymmetric paths (a clean downlink over a lossy uplink) that the
+// symmetric frame-fault loss cannot.
 type PathShape struct {
-	LossProb   float64
-	ExtraDelay time.Duration
+	LossProb float64
 }
 
 func (p *PathShape) active() bool {
-	return p != nil && (p.LossProb > 0 || p.ExtraDelay > 0)
+	return p != nil && p.LossProb > 0
 }
 
 // Window is a half-open virtual-time interval [From, Until). A zero Until
@@ -63,30 +61,6 @@ func (w Window) contains(at sim.Time) bool {
 	return t >= w.From && (w.Until == 0 || t < w.Until)
 }
 
-// PartitionWindow blackholes frames crossing a cut during the window.
-// Hosts lists the stations on one side of the cut: a frame is dropped iff
-// exactly one of its endpoints is in the set (traffic within either side
-// still flows). An empty Hosts set blackholes the whole segment.
-type PartitionWindow struct {
-	Window
-	Hosts []link.Addr
-}
-
-func (p PartitionWindow) severs(src, dst link.Addr) bool {
-	if len(p.Hosts) == 0 {
-		return true
-	}
-	in := func(a link.Addr) bool {
-		for _, h := range p.Hosts {
-			if h == a {
-				return true
-			}
-		}
-		return false
-	}
-	return in(src) != in(dst)
-}
-
 // QueueModel is a rate-limited bottleneck with a bounded FIFO in front of
 // it: frames are serviced at RateBitsPerSec, a frame arriving while the
 // queue holds MaxFrames is tail-dropped, and every queued frame picks up
@@ -98,14 +72,33 @@ type QueueModel struct {
 	MaxFrames      int
 }
 
-// LinkConditions is a full time-scripted degradation plan for a segment.
-// The zero value (and a nil pointer) is a perfect pass-through; every
-// sub-model is optional and composes with the others. Seeded: the same plan
-// replays bit-identically.
+// LinkConditions is a segment's impairment plan (see the stage list at the
+// top of this file). The zero value (and a nil pointer) is a perfect wire.
+// Seeded: the same plan replays bit-identically.
 type LinkConditions struct {
-	// Seed drives the conditions layer's private RNG (burst transitions and
-	// probabilistic losses). Independent of Faults.Seed by design.
+	// Seed drives every probabilistic stage (see SetConditions).
 	Seed uint64
+
+	// LossProb drops a frame with this probability.
+	LossProb float64
+	// DupProb delivers a frame twice.
+	DupProb float64
+	// CorruptProb flips one bit of the frame (after the link CRC would have
+	// passed, to exercise transport checksums).
+	CorruptProb float64
+	// ReorderProb delays a frame by ReorderDelay, letting later frames
+	// overtake it.
+	ReorderProb  float64
+	ReorderDelay time.Duration
+
+	// Flaps scripts whole-link outages: during each window the link is
+	// down and every frame is dropped silently.
+	Flaps []Window
+
+	// Partitions scripts blackhole windows: while one is open the whole
+	// segment is dark and every frame is dropped silently — no reset, no
+	// error, exactly like a dead route.
+	Partitions []Window
 
 	// Burst is the Gilbert–Elliott bursty-loss model (both directions).
 	Burst *GilbertElliott
@@ -116,65 +109,63 @@ type LinkConditions struct {
 	// in a two-host world Forward is h0→h1).
 	Forward, Reverse *PathShape
 
-	// Partitions scripts blackhole windows: frames crossing the cut are
-	// dropped silently — no reset, no error, exactly like a dead route.
-	Partitions []PartitionWindow
-
-	// Flaps scripts whole-link outages: during each window the link is
-	// down and every frame is dropped silently.
-	Flaps []Window
-
 	// Queue, when non-nil, sends every surviving frame through a
 	// rate-limited bounded queue (bufferbloat).
 	Queue *QueueModel
 }
 
-// Active reports whether the plan can affect any frame.
-func (lc *LinkConditions) Active() bool {
-	return lc != nil && (lc.Burst != nil || lc.Forward.active() || lc.Reverse.active() ||
-		len(lc.Partitions) > 0 || len(lc.Flaps) > 0 || lc.Queue != nil)
+func (lc *LinkConditions) frameFaults() bool {
+	return lc.LossProb > 0 || lc.DupProb > 0 || lc.CorruptProb > 0 || lc.ReorderProb > 0
 }
 
-// CondStats breaks down the conditions layer's drops and delays; all drop
-// counts are also included in the segment's Stats().Dropped total.
-type CondStats struct {
-	BurstDrops     int // Gilbert–Elliott losses (in either state)
-	PathDrops      int // Forward/Reverse directional losses
-	PartitionDrops int // frames blackholed by a partition window
-	FlapDrops      int // frames lost to a link-down window
-	QueueDrops     int // bottleneck tail drops
-	QueuedFrames   int // frames that waited behind at least one other frame
-	BadStateFrames int // frames that saw the burst model in the Bad state
+func (lc *LinkConditions) active() bool {
+	return lc != nil && (lc.frameFaults() || len(lc.Flaps) > 0 || len(lc.Partitions) > 0 ||
+		lc.Burst != nil || lc.Forward.active() || lc.Reverse.active() || lc.Queue != nil)
 }
 
-// condState is the runtime state of a segment's conditions layer.
+// condState is the runtime state of a segment's impairment plan.
 type condState struct {
-	lc   *LinkConditions
-	rng  *rand.Rand
-	bad  bool // Gilbert–Elliott state (false = Good)
-	qLen int
-	qEnd sim.Time // bottleneck busy-until
-	st   CondStats
+	lc *LinkConditions
+	// One generator per probabilistic stage, nil while the stage is off.
+	faultRNG, burstRNG, pathRNG *rand.Rand
+	bad                         bool // Gilbert–Elliott state (false = Good)
+	qLen                        int
+	qEnd                        sim.Time // bottleneck busy-until
 }
 
-// SetConditions installs a link-condition plan (nil clears). Must be set
-// before the run starts; changing conditions mid-run would not be
-// replay-deterministic.
+// SetConditions installs the segment's impairment plan, replacing the one
+// before it; nil (or a plan with no stage on) restores a perfect wire. It
+// may be called at any virtual instant, before or during a run: installing
+// restarts every stage's generator from Seed and resets the burst state and
+// the queue, so a plan installed at a deterministic instant replays
+// bit-identically.
+//
+// Draw discipline: each probabilistic stage (frame faults, burst, path
+// loss) draws from its own generator, and only for the frames that reach
+// it. The stage that is i-th among the plan's active probabilistic stages,
+// in pipeline order, is seeded with mix(Seed, i), where mix(Seed, 0) = Seed.
+// So a plan with one probabilistic stage draws exactly the sequence of
+// rand.NewSource(Seed), and turning on a later stage never shifts an
+// earlier stage's draws. Flaps, partitions and the queue draw nothing.
 func (g *Segment) SetConditions(lc *LinkConditions) {
-	if !lc.Active() {
+	if !lc.active() {
 		g.cond = nil
 		return
 	}
-	g.cond = &condState{lc: lc, rng: rand.New(rand.NewSource(int64(lc.Seed)))}
-}
-
-// ConditionStats returns the conditions layer's counters (zero value when
-// no conditions are installed).
-func (g *Segment) ConditionStats() CondStats {
-	if g.cond == nil {
-		return CondStats{}
+	cs := &condState{lc: lc}
+	i := 0
+	stream := func(on bool) *rand.Rand {
+		if !on {
+			return nil
+		}
+		seed := lc.Seed ^ uint64(i)*0x9E3779B97F4A7C15 // mix(Seed, i)
+		i++
+		return rand.New(rand.NewSource(int64(seed)))
 	}
-	return g.cond.st
+	cs.faultRNG = stream(lc.frameFaults())
+	cs.burstRNG = stream(lc.Burst != nil)
+	cs.pathRNG = stream(lc.Forward.active() || lc.Reverse.active())
+	g.cond = cs
 }
 
 // forwardDir reports whether src→dst is the plan's forward direction
@@ -188,12 +179,12 @@ func forwardDir(src, dst link.Addr) bool {
 	return false
 }
 
-// condDropKind classifies why the conditions layer dropped a frame (empty =
-// keep it).
+// condDropKind names the stage that dropped a frame (empty = keep it).
 type condDropKind string
 
 const (
 	condKeep      condDropKind = ""
+	condLoss      condDropKind = "loss"
 	condFlap      condDropKind = "flap"
 	condPartition condDropKind = "partition"
 	condBurst     condDropKind = "burst-loss"
@@ -201,72 +192,97 @@ const (
 	condQueueFull condDropKind = "queue-full"
 )
 
-// apply runs one surviving frame through the conditions pipeline. It
-// returns the drop classification (condKeep to deliver) and any extra
-// delay to add to the propagation time. RNG discipline: the time-scripted
-// models (flaps, partitions, queue) draw nothing; the probabilistic models
-// draw in a fixed order (burst transition, burst loss, path loss) and only
-// when configured, so a given plan's draw sequence depends only on the
-// frames that reach this layer.
-func (cs *condState) apply(g *Segment, src, dst link.Addr, frameLen int) (condDropKind, time.Duration) {
-	lc := cs.lc
-	now := g.s.Now()
+// apply runs one frame through the pipeline. It returns the stage that
+// dropped it (condKeep to deliver) and the delay to add to the propagation
+// time. A duplicate is scheduled here, straight for delivery after the
+// propagation time.
+func (cs *condState) apply(g *Segment, f *inflight) (condDropKind, time.Duration) {
+	lc, b, now := cs.lc, f.b, g.s.Now()
+	var extra time.Duration
+
+	if r := cs.faultRNG; r != nil {
+		if r.Float64() < lc.LossProb {
+			return condLoss, 0
+		}
+		if r.Float64() < lc.CorruptProb && b.Len() > 0 {
+			g.stats.Corrupted++
+			bit := r.Intn(b.Len() * 8)
+			b.Bytes()[bit/8] ^= 1 << (bit % 8)
+			b.Meta.Corrupt = true
+			if g.Bus.Enabled() {
+				g.Bus.Emit(trace.Event{Kind: trace.FrameCorrupt, Node: g.cfg.Name,
+					A: int64(bit / 8), Frame: b.Bytes()})
+			}
+		}
+		if r.Float64() < lc.DupProb {
+			g.stats.Duplicated++
+			if g.Bus.Enabled() {
+				g.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
+					A: int64(b.Len()), Frame: b.Bytes()})
+			}
+			d := inflightPool.Get().(*inflight)
+			*d = inflight{g: g, src: f.src, dst: f.dst, b: b.Clone()}
+			g.s.AfterArg(g.cfg.Propagation, deliverCB, d)
+		}
+		if r.Float64() < lc.ReorderProb {
+			g.stats.Reordered++
+			if g.Bus.Enabled() {
+				g.Bus.Emit(trace.Event{Kind: trace.FrameReorder, Node: g.cfg.Name,
+					A: int64(b.Len()), B: int64(lc.ReorderDelay), Frame: b.Bytes()})
+			}
+			extra += lc.ReorderDelay
+		}
+	}
 
 	for _, w := range lc.Flaps {
 		if w.contains(now) {
-			cs.st.FlapDrops++
+			g.stats.FlapDrops++
 			return condFlap, 0
 		}
 	}
-	for _, p := range lc.Partitions {
-		if p.contains(now) && p.severs(src, dst) {
-			cs.st.PartitionDrops++
+	for _, w := range lc.Partitions {
+		if w.contains(now) {
+			g.stats.PartitionDrops++
 			return condPartition, 0
 		}
 	}
 
-	if ge := lc.Burst; ge != nil {
+	if ge, r := lc.Burst, cs.burstRNG; ge != nil {
 		if cs.bad {
-			if cs.rng.Float64() < ge.PBadGood {
+			if r.Float64() < ge.PBadGood {
 				cs.bad = false
 			}
-		} else if cs.rng.Float64() < ge.PGoodBad {
+		} else if r.Float64() < ge.PGoodBad {
 			cs.bad = true
 		}
-		loss := ge.LossGood
 		if cs.bad {
-			cs.st.BadStateFrames++
-			loss = ge.LossBad
-		}
-		if loss > 0 && cs.rng.Float64() < loss {
-			cs.st.BurstDrops++
-			return condBurst, 0
+			g.stats.BadStateFrames++
+			if ge.LossBad > 0 && r.Float64() < ge.LossBad {
+				g.stats.BurstDrops++
+				return condBurst, 0
+			}
 		}
 	}
 
-	var extra time.Duration
 	shape := lc.Forward
-	if !forwardDir(src, dst) {
+	if !forwardDir(f.src, f.dst) {
 		shape = lc.Reverse
 	}
-	if shape.active() {
-		if shape.LossProb > 0 && cs.rng.Float64() < shape.LossProb {
-			cs.st.PathDrops++
-			return condPath, 0
-		}
-		extra += shape.ExtraDelay
+	if shape.active() && cs.pathRNG.Float64() < shape.LossProb {
+		g.stats.PathDrops++
+		return condPath, 0
 	}
 
 	if q := lc.Queue; q != nil {
 		if cs.qLen >= q.MaxFrames {
-			cs.st.QueueDrops++
+			g.stats.QueueDrops++
 			return condQueueFull, 0
 		}
-		svc := time.Duration(int64(frameLen+g.cfg.FrameOverhead) * 8 *
+		svc := time.Duration(int64(b.Len()+g.cfg.FrameOverhead) * 8 *
 			int64(time.Second) / q.RateBitsPerSec)
 		start := now
 		if cs.qEnd > start {
-			cs.st.QueuedFrames++
+			g.stats.QueuedFrames++
 			start = cs.qEnd
 		}
 		depart := start + sim.Time(svc)

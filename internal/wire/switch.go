@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ulp/internal/link"
+	"ulp/internal/pkt"
 	"ulp/internal/sim"
 	"ulp/internal/trace"
 )
@@ -97,40 +98,15 @@ func (g *Segment) forward(f *inflight) {
 	g.flood(f)
 }
 
-// flood copies the frame to every port except the ingress one, in attach
-// order; the last recipient takes ownership of the original buffer. A
-// frame someone else still references (zero-copy lien) is cloned for every
-// recipient instead — stations strip headers in place, so a shared buffer
-// must never be handed over — and our reference is dropped.
+// flood copies the frame to every port except the ingress one (see fanOut).
 func (g *Segment) flood(f *inflight) {
 	src, dst, b := f.src, f.dst, f.b
 	f.put()
-	last := -1
-	for i, st := range g.order {
-		if st.Addr() != src {
-			last = i
-		}
-	}
-	if last < 0 {
-		b.Release()
-		return
-	}
-	shared := b.Shared()
-	for i, st := range g.order {
-		if st.Addr() == src {
-			continue
-		}
-		fb := b
-		if i != last || shared {
-			fb = b.Clone()
-		}
+	g.fanOut(src, b, func(st Station, fb *pkt.Buf) {
 		d := inflightPool.Get().(*inflight)
 		*d = inflight{g: g, src: src, dst: dst, b: fb, st: st}
 		g.egressSend(d)
-	}
-	if shared {
-		b.Release()
-	}
+	})
 }
 
 // egressSend serializes the frame onto the destination port's egress link,

@@ -137,7 +137,7 @@ func TestSwitchLatencyAndTiming(t *testing.T) {
 func TestSwitchDeterminism(t *testing.T) {
 	run := func() string {
 		s, g, sts := setupSwitch(8, SwitchConfig{Latency: time.Microsecond})
-		g.SetFaults(Faults{Seed: 99, LossProb: 0.05, DupProb: 0.02})
+		g.SetConditions(&LinkConditions{Seed: 99, LossProb: 0.05, DupProb: 0.02})
 		for round := 0; round < 5; round++ {
 			for i := range sts {
 				dst := sts[(i+round+1)%len(sts)]

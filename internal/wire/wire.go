@@ -2,8 +2,9 @@
 // segment and a switched, full-duplex 100 Mb/s AN1 segment. A segment
 // serializes transmissions (globally for the shared Ethernet, per source
 // port for the switched AN1), charges transmission and propagation delay,
-// and optionally injects faults (loss, duplication, corruption, reordering)
-// for protocol robustness testing.
+// and runs every frame through the segment's impairment plan
+// (LinkConditions: loss, duplication, corruption, reordering, flaps,
+// partitions, bursts, a bottleneck queue) for protocol robustness testing.
 //
 // Stations are identified by link.Addr; attached devices receive delivery
 // callbacks in event context at frame-arrival time.
@@ -11,7 +12,6 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -64,53 +64,6 @@ func AN1Config() Config {
 	}
 }
 
-// Faults configures seeded fault injection. Zero value = perfect network.
-type Faults struct {
-	Seed uint64
-
-	// LossProb drops a frame with this probability.
-	LossProb float64
-
-	// DupProb delivers a frame twice.
-	DupProb float64
-
-	// CorruptProb flips a bit in the frame payload (after link CRC would
-	// have passed, to exercise transport checksums).
-	CorruptProb float64
-
-	// ReorderProb delays a frame by ReorderDelay, letting later frames
-	// overtake it.
-	ReorderProb  float64
-	ReorderDelay time.Duration
-
-	// DropFrames and CorruptFrames schedule faults at exact frames,
-	// identified by 0-based transmit order on the segment (the order of
-	// Transmit calls, which is deterministic under the simulator). They
-	// need no seed, draw nothing from the RNG, and compose with the
-	// probabilistic faults: the fault-schedule explorer uses them to
-	// place a loss at precisely the retransmission or handshake step it
-	// wants to test.
-	DropFrames    []int
-	CorruptFrames []int
-}
-
-func (f Faults) active() bool {
-	return f.LossProb > 0 || f.DupProb > 0 || f.CorruptProb > 0 || f.ReorderProb > 0
-}
-
-func (f Faults) scheduled() bool {
-	return len(f.DropFrames) > 0 || len(f.CorruptFrames) > 0
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // Station is a device attached to a segment.
 type Station interface {
 	// Deliver is invoked in event context when a frame arrives at the
@@ -129,21 +82,15 @@ type Segment struct {
 	order    []Station // broadcast delivery order (attach order, deterministic)
 	shared   *sim.Resource
 	perPort  map[link.Addr]*sim.Resource
-	faults   Faults
-	rng      *rand.Rand
-	cond     *condState // link-condition layer (nil unless SetConditions)
+	cond     *condState // impairment plan (nil unless SetConditions)
 
 	// Learning-switch state (nil/unused unless built with NewSwitched).
 	sw      *SwitchConfig
 	macPort map[link.Addr]macEntry
 	egress  map[link.Addr]*sim.Resource
 
-	// Trace, when non-nil, observes every transmission at queue time (for
-	// diagnostics and protocol traces).
-	Trace func(src, dst link.Addr, frameLen int, at sim.Time)
-
-	// TraceFrame, when non-nil, additionally receives the frame itself at
-	// queue time. Observers must treat the buffer as read-only.
+	// TraceFrame, when non-nil, receives every transmitted frame at queue
+	// time. Observers must treat the buffer as read-only.
 	TraceFrame func(b *pkt.Buf, at sim.Time)
 
 	// Bus, when set, receives FrameTx/FrameRx/FrameDrop/FrameCorrupt/
@@ -154,12 +101,19 @@ type Segment struct {
 	framesSwitched, framesFlooded int
 }
 
-// Stats is a segment's cumulative frame counters: frames transmitted, and of
-// those the ones the fault and condition layers dropped, corrupted,
-// duplicated or reordered, plus the bytes transmitted.
+// Stats is a segment's cumulative frame counters. Sent and Bytes count
+// transmissions. Dropped counts every frame the impairment plan discarded;
+// the ...Drops fields break it down by stage, the rest being i.i.d. losses.
+// Corrupted, Duplicated and Reordered count the frame-fault stage's other
+// outcomes. QueuedFrames counts frames that waited behind another at the
+// bottleneck, BadStateFrames frames that met the burst model in its Bad
+// state.
 type Stats struct {
 	Sent, Dropped, Corrupted, Duplicated, Reordered int
 	Bytes                                           int64
+
+	FlapDrops, PartitionDrops, BurstDrops, PathDrops, QueueDrops int
+	QueuedFrames, BadStateFrames                                 int
 }
 
 // New creates a segment.
@@ -174,12 +128,6 @@ func New(s *sim.Sim, cfg Config) *Segment {
 		g.shared = s.NewResource(cfg.Name + ".medium")
 	}
 	return g
-}
-
-// SetFaults installs a fault plan (seeded; deterministic).
-func (g *Segment) SetFaults(f Faults) {
-	g.faults = f
-	g.rng = rand.New(rand.NewSource(int64(f.Seed)))
 }
 
 // Attach registers a station. Attaching two stations with one address is a
@@ -220,9 +168,6 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 	}
 	g.stats.Sent++
 	g.stats.Bytes += int64(b.Len())
-	if g.Trace != nil {
-		g.Trace(src, dst, b.Len(), g.s.Now())
-	}
 	if g.TraceFrame != nil {
 		g.TraceFrame(b, g.s.Now())
 	}
@@ -232,7 +177,7 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 	}
 	tx := g.TxTime(b.Len())
 	f := inflightPool.Get().(*inflight)
-	*f = inflight{g: g, src: src, dst: dst, b: b, idx: g.stats.Sent - 1}
+	*f = inflight{g: g, src: src, dst: dst, b: b}
 	res.UseAsyncArg(tx, propagateCB, f)
 }
 
@@ -243,7 +188,6 @@ type inflight struct {
 	g        *Segment
 	src, dst link.Addr
 	b        *pkt.Buf
-	idx      int     // 0-based transmit-order index (for scheduled faults)
 	st       Station // resolved egress station (switched fabric only)
 }
 
@@ -266,87 +210,14 @@ func deliverCB(a any) {
 	g.deliver(src, dst, b)
 }
 
-// propagate handles fault injection and schedules final delivery. It takes
-// over ownership of f (and the frame it carries).
+// propagate runs the frame through the impairment plan and schedules its
+// delivery. It takes over ownership of f (and the frame it carries).
 func (g *Segment) propagate(f *inflight) {
-	b := f.b
 	delay := g.cfg.Propagation
-	// Scheduled (per-frame-index) faults never touch the RNG, and a
-	// scheduled drop is applied *after* the probabilistic block (which
-	// consumes this frame's usual draws), so adding a schedule to a seeded
-	// plan leaves every other frame's probabilistic fate intact — crucial
-	// for the explorer, whose shrinking loop adds and removes schedule
-	// entries against a fixed chaos seed.
-	schedDrop := false
-	if g.faults.scheduled() {
-		schedDrop = containsInt(g.faults.DropFrames, f.idx)
-		if !schedDrop && containsInt(g.faults.CorruptFrames, f.idx) && b.Len() > 0 {
-			g.stats.Corrupted++
-			off := b.Len() / 2 // deterministic: flip the low bit mid-frame
-			b.Bytes()[off] ^= 1
-			b.Meta.Corrupt = true
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameCorrupt, Node: g.cfg.Name,
-					A: int64(off), B: int64(f.idx), Text: "sched-corrupt", Frame: b.Bytes()})
-			}
-		}
-	}
-	if g.faults.active() {
-		if g.rng.Float64() < g.faults.LossProb {
-			g.stats.Dropped++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
-					A: int64(b.Len()), Text: "loss", Frame: b.Bytes()})
-			}
-			f.put()
-			b.Release()
-			return
-		}
-		if g.rng.Float64() < g.faults.CorruptProb && b.Len() > 0 {
-			g.stats.Corrupted++
-			bit := g.rng.Intn(b.Len() * 8)
-			b.Bytes()[bit/8] ^= 1 << (bit % 8)
-			b.Meta.Corrupt = true
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameCorrupt, Node: g.cfg.Name,
-					A: int64(bit / 8), Frame: b.Bytes()})
-			}
-		}
-		if g.rng.Float64() < g.faults.DupProb {
-			g.stats.Duplicated++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
-					A: int64(b.Len()), Frame: b.Bytes()})
-			}
-			d := inflightPool.Get().(*inflight)
-			*d = inflight{g: g, src: f.src, dst: f.dst, b: b.Clone()}
-			g.s.AfterArg(delay, deliverCB, d)
-		}
-		if g.rng.Float64() < g.faults.ReorderProb {
-			g.stats.Reordered++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameReorder, Node: g.cfg.Name,
-					A: int64(b.Len()), B: int64(g.faults.ReorderDelay), Frame: b.Bytes()})
-			}
-			delay += g.faults.ReorderDelay
-		}
-	}
-	if schedDrop {
-		g.stats.Dropped++
-		if g.Bus.Enabled() {
-			g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
-				A: int64(b.Len()), B: int64(f.idx), Text: "sched-drop", Frame: b.Bytes()})
-		}
-		f.put()
-		b.Release()
-		return
-	}
 	if g.cond != nil {
-		// Conditions run last, on frames that survived the Faults layer,
-		// and draw only from their own RNG — see conditions.go for the
-		// composition and determinism contract.
-		kind, extra := g.cond.apply(g, f.src, f.dst, b.Len())
+		kind, extra := g.cond.apply(g, f)
 		if kind != condKeep {
+			b := f.b
 			g.stats.Dropped++
 			if g.Bus.Enabled() {
 				g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
@@ -360,8 +231,8 @@ func (g *Segment) propagate(f *inflight) {
 	}
 	if g.sw != nil {
 		// Switched fabric: the ingress hop ends at the switch, which
-		// forwards (or floods) onto per-destination egress links. Faults
-		// above model the ingress link, so the RNG draw order per frame is
+		// forwards (or floods) onto per-destination egress links. The plan
+		// above models the ingress link, so the draw order per frame is
 		// identical to the point-to-point segment.
 		g.s.AfterArg(delay+g.sw.Latency, switchCB, f)
 		return
@@ -376,36 +247,7 @@ func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 			Conn: dst.String(), A: int64(b.Len()), Frame: b.Bytes()})
 	}
 	if dst.IsBroadcast() {
-		// The final recipient takes ownership of the original frame, so a
-		// broadcast to n stations costs n-1 clones rather than n. A frame
-		// someone else still references (zero-copy lien, retransmission
-		// hold) cannot be handed to a recipient at all — recipients strip
-		// headers in place — so every copy is a clone and our reference is
-		// dropped instead.
-		last := -1
-		for i, st := range g.order {
-			if st.Addr() != src {
-				last = i
-			}
-		}
-		if last < 0 {
-			b.Release()
-			return
-		}
-		shared := b.Shared()
-		for i, st := range g.order {
-			if st.Addr() == src {
-				continue
-			}
-			if i == last && !shared {
-				st.Deliver(b)
-			} else {
-				st.Deliver(b.Clone())
-			}
-		}
-		if shared {
-			b.Release()
-		}
+		g.fanOut(src, b, Station.Deliver)
 		return
 	}
 	if st, ok := g.stations[dst]; ok {
@@ -418,6 +260,35 @@ func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 			A: int64(b.Len()), Text: "unknown-dst"})
 	}
 	b.Release()
+}
+
+// fanOut sends frame b from src to every other station, in attach order:
+// a broadcast, or a unicast the switch floods. The last recipient takes
+// ownership of the original frame, so n recipients cost n-1 clones. A frame
+// someone else still references (zero-copy lien, retransmission hold)
+// cannot be handed to a recipient at all — recipients strip headers in
+// place — so every copy is a clone and our reference is dropped instead.
+func (g *Segment) fanOut(src link.Addr, b *pkt.Buf, send func(Station, *pkt.Buf)) {
+	shared := b.Shared()
+	var last Station
+	for _, st := range g.order {
+		if st.Addr() == src {
+			continue
+		}
+		if last != nil {
+			send(last, b.Clone())
+		}
+		last = st
+	}
+	switch {
+	case last == nil:
+		b.Release()
+	case shared:
+		send(last, b.Clone())
+		b.Release()
+	default:
+		send(last, b)
+	}
 }
 
 // Stats reports cumulative counters.

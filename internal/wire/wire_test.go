@@ -115,7 +115,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 
 func TestLossInjection(t *testing.T) {
 	s, g, a, b := setup(EthernetConfig())
-	g.SetFaults(Faults{Seed: 42, LossProb: 0.5})
+	g.SetConditions(&LinkConditions{Seed: 42, LossProb: 0.5})
 	const n = 200
 	for i := 0; i < n; i++ {
 		g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 64)))
@@ -132,7 +132,7 @@ func TestLossInjection(t *testing.T) {
 
 func TestCorruptionInjection(t *testing.T) {
 	s, g, a, b := setup(EthernetConfig())
-	g.SetFaults(Faults{Seed: 7, CorruptProb: 1.0})
+	g.SetConditions(&LinkConditions{Seed: 7, CorruptProb: 1.0})
 	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 32)))
 	s.Run(0)
 	if len(b.got) != 1 || !b.got[0].Meta.Corrupt {
@@ -152,7 +152,7 @@ func TestCorruptionInjection(t *testing.T) {
 
 func TestDuplicationInjection(t *testing.T) {
 	s, g, a, b := setup(EthernetConfig())
-	g.SetFaults(Faults{Seed: 3, DupProb: 1.0})
+	g.SetConditions(&LinkConditions{Seed: 3, DupProb: 1.0})
 	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, []byte("dup")))
 	s.Run(0)
 	if len(b.got) != 2 {
@@ -162,7 +162,7 @@ func TestDuplicationInjection(t *testing.T) {
 
 func TestReorderInjection(t *testing.T) {
 	s, g, a, b := setup(AN1Config())
-	g.SetFaults(Faults{Seed: 1, ReorderProb: 1.0, ReorderDelay: time.Millisecond})
+	g.SetConditions(&LinkConditions{Seed: 1, ReorderProb: 1.0, ReorderDelay: time.Millisecond})
 	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, []byte{1}))
 	s.Run(0)
 	if b.arrivals[0] < sim.Time(time.Millisecond) {
@@ -173,7 +173,7 @@ func TestReorderInjection(t *testing.T) {
 func TestFaultDeterminism(t *testing.T) {
 	run := func() (int, int) {
 		s, g, a, b := setup(EthernetConfig())
-		g.SetFaults(Faults{Seed: 99, LossProb: 0.3, DupProb: 0.2})
+		g.SetConditions(&LinkConditions{Seed: 99, LossProb: 0.3, DupProb: 0.2})
 		for i := 0; i < 100; i++ {
 			g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 64)))
 		}
@@ -193,86 +193,5 @@ func TestTxTime(t *testing.T) {
 	// 1500B + 24B overhead = 1524B = 12192 bits at 10 Mb/s = 1.2192 ms.
 	if got := g.TxTime(1500); got != 1219200*time.Nanosecond {
 		t.Fatalf("TxTime(1500) = %v", got)
-	}
-}
-
-func TestScheduledDrop(t *testing.T) {
-	s, g, a, b := setup(EthernetConfig())
-	g.SetFaults(Faults{DropFrames: []int{1, 3}})
-	const n = 5
-	for i := 0; i < n; i++ {
-		g.Transmit(a.addr, b.addr, pkt.FromBytes(0, []byte{byte(i)}))
-	}
-	s.Run(0)
-	if len(b.got) != n-2 {
-		t.Fatalf("delivered %d frames, want %d", len(b.got), n-2)
-	}
-	// Transmit-order indices 1 and 3 are gone; payloads identify frames.
-	for i, want := range []byte{0, 2, 4} {
-		if got := b.got[i].Bytes()[0]; got != want {
-			t.Errorf("delivery %d carries payload %d, want %d", i, got, want)
-		}
-	}
-	dropped := g.Stats().Dropped
-	if dropped != 2 {
-		t.Errorf("dropped = %d, want 2", dropped)
-	}
-}
-
-func TestScheduledCorrupt(t *testing.T) {
-	s, g, a, b := setup(EthernetConfig())
-	g.SetFaults(Faults{CorruptFrames: []int{0}})
-	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 32)))
-	g.Transmit(a.addr, b.addr, pkt.FromBytes(0, make([]byte, 32)))
-	s.Run(0)
-	if len(b.got) != 2 {
-		t.Fatalf("delivered %d frames, want 2", len(b.got))
-	}
-	if !b.got[0].Meta.Corrupt || b.got[1].Meta.Corrupt {
-		t.Fatalf("corruption flags = %v,%v; want frame 0 only",
-			b.got[0].Meta.Corrupt, b.got[1].Meta.Corrupt)
-	}
-	if b.got[0].Bytes()[16] != 1 {
-		t.Errorf("expected deterministic low-bit flip at mid-frame byte")
-	}
-}
-
-// TestScheduledFaultsPreserveRNGSequence checks that adding a frame-index
-// schedule to a seeded probabilistic plan does not shift the plan's random
-// draws for the frames the schedule does not touch.
-func TestScheduledFaultsPreserveRNGSequence(t *testing.T) {
-	run := func(sched []int) (survivors []byte) {
-		s, g, a, b := setup(EthernetConfig())
-		g.SetFaults(Faults{Seed: 42, LossProb: 0.3, DropFrames: sched})
-		for i := 0; i < 50; i++ {
-			g.Transmit(a.addr, b.addr, pkt.FromBytes(0, []byte{byte(i)}))
-		}
-		s.Run(0)
-		for _, f := range b.got {
-			survivors = append(survivors, f.Bytes()[0])
-		}
-		return
-	}
-	plain := run(nil)
-	if len(plain) < 2 || len(plain) == 50 {
-		t.Fatalf("seeded loss dropped %d of 50; bad baseline", 50-len(plain))
-	}
-	// Schedule a drop of one frame the probabilistic plan let through: the
-	// result must be exactly the baseline minus that frame.
-	victim := plain[len(plain)/2]
-	with := run([]int{int(victim)})
-	if len(with) != len(plain)-1 {
-		t.Fatalf("scheduled drop changed survivor count to %d, want %d",
-			len(with), len(plain)-1)
-	}
-	j := 0
-	for _, p := range plain {
-		if p == victim {
-			continue
-		}
-		if with[j] != p {
-			t.Fatalf("survivor %d differs: %d vs %d (RNG sequence shifted)", j, with[j], p)
-		}
-		j++
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ulp/internal/chaos"
 	"ulp/internal/kern"
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
@@ -28,11 +27,8 @@ func runManyHostScenario(t *testing.T, seed uint64) []string {
 	const clients = 5
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: AN1, Hosts: clients + 1,
-		Switch: &wire.SwitchConfig{Latency: time.Microsecond},
-		Chaos: &chaos.FaultPlan{
-			Seed: seed,
-			Wire: wire.Faults{LossProb: 0.02, DupProb: 0.01},
-		},
+		Switch:     &wire.SwitchConfig{Latency: time.Microsecond},
+		Conditions: &wire.LinkConditions{Seed: seed, LossProb: 0.02, DupProb: 0.01},
 	})
 	enableConformance(t, w)
 	var frames []string
@@ -123,7 +119,7 @@ func TestManyHostSwitchedReplayDeterministic(t *testing.T) {
 func TestTimerWheelLossyTransfer(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
-		Chaos: &chaos.FaultPlan{Wire: wire.Faults{Seed: 5, LossProb: 0.05}},
+		Conditions: &wire.LinkConditions{Seed: 5, LossProb: 0.05},
 	})
 	enableConformance(t, w)
 	srv := w.Node(0).App("server")

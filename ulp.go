@@ -122,14 +122,14 @@ type Config struct {
 	Net Net
 	// Hosts is the number of workstations (default 2).
 	Hosts int
-	// Chaos optionally installs the world's fault plan: wire faults (loss,
-	// duplication, corruption, reordering), registry control-plane faults,
-	// scheduled application and registry crashes, and partitions.
+	// Chaos optionally installs the world's control-plane fault plan:
+	// registry request faults and scheduled application and registry
+	// crashes.
 	Chaos *chaos.FaultPlan
-	// Conditions optionally installs a time-scripted link-condition plan
-	// (bursty loss, asymmetric paths, partitions, flaps, bufferbloat) on
-	// the segment, layered after Chaos's wire faults. Chaos.Partitions
-	// merge into it.
+	// Conditions optionally installs the segment's impairment plan from
+	// the start (loss, duplication, corruption, reordering, flaps,
+	// partitions, bursty loss, asymmetric paths, bufferbloat). World.Seg's
+	// SetConditions installs or replaces it during a run.
 	Conditions *wire.LinkConditions
 	// Costs overrides the calibrated cost model (ablations).
 	Costs *costs.Model
@@ -205,37 +205,6 @@ type App struct {
 	Lib *core.Library
 }
 
-// buildConditions merges the explicit link-condition plan with the chaos
-// plan's scripted partitions (host indices become station addresses). It
-// returns nil when nothing is active, so condition-free worlds keep a nil
-// conditions layer and stay bit-identical to older builds.
-func buildConditions(cfg Config) *wire.LinkConditions {
-	var lc *wire.LinkConditions
-	if cfg.Conditions != nil {
-		cp := *cfg.Conditions
-		lc = &cp
-	}
-	if cfg.Chaos != nil && len(cfg.Chaos.Partitions) > 0 {
-		if lc == nil {
-			lc = &wire.LinkConditions{Seed: cfg.Chaos.Seed}
-		}
-		for _, p := range cfg.Chaos.Partitions {
-			pw := wire.PartitionWindow{Window: wire.Window{From: p.At}}
-			if p.HealAfter > 0 {
-				pw.Until = p.At + p.HealAfter
-			}
-			for _, h := range p.Hosts {
-				pw.Hosts = append(pw.Hosts, link.MakeAddr(h+1))
-			}
-			lc.Partitions = append(lc.Partitions, pw)
-		}
-	}
-	if !lc.Active() {
-		return nil
-	}
-	return lc
-}
-
 // ignored names a setting the world would be built without honouring, or
 // returns "" when every setting takes effect.
 func (cfg *Config) ignored() string {
@@ -282,12 +251,7 @@ func NewWorld(cfg Config) *World {
 	} else {
 		seg = wire.New(s, wcfg)
 	}
-	if cfg.Chaos != nil {
-		seg.SetFaults(cfg.Chaos.WireFaults())
-	}
-	if lc := buildConditions(cfg); lc != nil {
-		seg.SetConditions(lc)
-	}
+	seg.SetConditions(cfg.Conditions)
 	model := costs.Default()
 	if cfg.Costs != nil {
 		model = *cfg.Costs
