@@ -57,6 +57,26 @@ func TestDegradeGolden(t *testing.T) {
 	checkGolden(t, "testdata/degrade.golden", out.Bytes())
 }
 
+// TestAblationsGolden pins the ablation experiments (-ablations).
+func TestAblationsGolden(t *testing.T) {
+	var out bytes.Buffer
+	runAblations(&out)
+	checkGolden(t, "testdata/ablations.golden", out.Bytes())
+}
+
+// poolHistory matches the packet-pool counters that depend on what earlier
+// worlds in the same process left in the pool, not on this world's run.
+var poolHistory = regexp.MustCompile(`(?m)^pkt\.(heap_allocs|recycled) .*\n`)
+
+// TestStatsGolden pins the per-layer counters (-stats, then -stats
+// -zerocopy), less the pool-history lines.
+func TestStatsGolden(t *testing.T) {
+	var out bytes.Buffer
+	runStats(&out, false)
+	runStats(&out, true)
+	checkGolden(t, "testdata/stats.golden", poolHistory.ReplaceAll(out.Bytes(), nil))
+}
+
 // checkGolden compares got with the golden file, or rewrites the file under
 // -update.
 func checkGolden(t *testing.T, golden string, got []byte) {
