@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"ulp"
 	"ulp/internal/experiments"
 )
 
@@ -116,68 +117,50 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 — TCP throughput for every system, network, and user
 // packet size the paper reports.
 func BenchmarkTable2(b *testing.B) {
-	for _, sys := range experiments.Systems {
-		for _, net := range []experiments.NetSel{experiments.NetEthernet, experiments.NetAN1} {
-			if sys.Org == experiments.OrgMachUX && net == experiments.NetAN1 {
-				continue
-			}
-			for _, up := range experiments.UserPacketSizes {
-				name := fmt.Sprintf("%s/%v/%dB", sys.Label, net, up)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						c := experiments.Table2CellFor(sys.Org, sys.Label, net, up, nil)
-						if c.Err != nil {
-							b.Fatal(c.Err)
-						}
-						b.ReportMetric(c.Mbps, "Mb/s")
+	for _, r := range experiments.Grid {
+		for _, up := range experiments.UserPacketSizes {
+			b.Run(fmt.Sprintf("%s/%s/%dB", r.System, r.Network, up), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c := experiments.Table2CellFor(r.Org, r.Net, up, nil)
+					if c.Err != nil {
+						b.Fatal(c.Err)
 					}
-				})
-			}
+					b.ReportMetric(c.Mbps, "Mb/s")
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkTable3 — round-trip latency for 1/512/1460-byte exchanges.
 func BenchmarkTable3(b *testing.B) {
-	for _, sys := range experiments.Systems {
-		for _, net := range []experiments.NetSel{experiments.NetEthernet, experiments.NetAN1} {
-			if sys.Org == experiments.OrgMachUX && net == experiments.NetAN1 {
-				continue
-			}
-			for _, size := range experiments.LatencySizes {
-				name := fmt.Sprintf("%s/%v/%dB", sys.Label, net, size)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						c := experiments.Table3CellFor(sys.Org, sys.Label, net, size, nil)
-						if c.Err != nil {
-							b.Fatal(c.Err)
-						}
-						b.ReportMetric(float64(c.RTT.Microseconds())/1000, "RTT-ms")
+	for _, r := range experiments.Grid {
+		for _, size := range experiments.LatencySizes {
+			b.Run(fmt.Sprintf("%s/%s/%dB", r.System, r.Network, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c := experiments.Table3CellFor(r.Org, r.Net, size, nil)
+					if c.Err != nil {
+						b.Fatal(c.Err)
 					}
-				})
-			}
+					b.ReportMetric(float64(c.RTT.Microseconds())/1000, "RTT-ms")
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkTable4 — connection setup cost per system and network.
 func BenchmarkTable4(b *testing.B) {
-	for _, sys := range experiments.Systems {
-		for _, net := range []experiments.NetSel{experiments.NetEthernet, experiments.NetAN1} {
-			if sys.Org == experiments.OrgMachUX && net == experiments.NetAN1 {
-				continue
-			}
-			name := fmt.Sprintf("%s/%v", sys.Label, net)
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c := experiments.Table4CellFor(sys.Org, sys.Label, net, nil)
-					if c.Err != nil {
-						b.Fatal(c.Err)
-					}
-					b.ReportMetric(float64(c.Setup.Microseconds())/1000, "setup-ms")
+	for _, r := range experiments.Grid {
+		b.Run(fmt.Sprintf("%s/%s", r.System, r.Network), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := experiments.Table4CellFor(r.Org, r.Net, nil)
+				if c.Err != nil {
+					b.Fatal(c.Err)
 				}
-			})
-		}
+				b.ReportMetric(float64(c.Setup.Microseconds())/1000, "setup-ms")
+			}
+		})
 	}
 }
 
@@ -244,8 +227,8 @@ func BenchmarkAblationAppSpecific(b *testing.B) {
 // 512-byte user packets on the AN1, ours vs Ultrix (the Table 2 crossover).
 func BenchmarkAblationZeroCopy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ours := experiments.Table2CellFor(experiments.OrgOurs, "ours", experiments.NetAN1, 512, nil)
-		ultrix := experiments.Table2CellFor(experiments.OrgUltrix, "ultrix", experiments.NetAN1, 512, nil)
+		ours := experiments.Table2CellFor(ulp.OrgUserLib, ulp.AN1, 512, nil)
+		ultrix := experiments.Table2CellFor(ulp.OrgInKernel, ulp.AN1, 512, nil)
 		if ours.Err != nil || ultrix.Err != nil {
 			b.Fatal(ours.Err, ultrix.Err)
 		}

@@ -18,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"ulp"
 	"ulp/internal/experiments"
 )
 
@@ -94,130 +95,75 @@ func table1(w io.Writer) {
 	fmt.Fprintln(w, "Paper: \"our mechanisms introduce only very modest overhead\".")
 }
 
-// paperT2 holds the published Table 2 values for side-by-side rendering.
-var paperT2 = map[string]map[experiments.NetSel][4]float64{
-	"Ultrix 4.2A": {
-		experiments.NetEthernet: {5.8, 7.6, 7.6, 7.6},
-		experiments.NetAN1:      {4.8, 10.2, 11.9, 11.9},
-	},
-	"Mach 3.0/UX (mapped)": {
-		experiments.NetEthernet: {2.1, 2.5, 3.2, 3.5},
-	},
-	"Our (Mach) Implementation": {
-		experiments.NetEthernet: {4.3, 4.6, 4.8, 5.0},
-		experiments.NetAN1:      {6.7, 8.1, 9.4, 11.9},
-	},
-}
-
 func table2(w io.Writer) {
 	header(w, "Table 2: Throughput Measurements (Mb/s), user packet sizes 512/1024/2048/4096")
-	cells := experiments.Table2(nil)
 	fmt.Fprintf(w, "%-27s %-13s %26s   %26s\n", "System", "Network", "simulated", "paper")
-	byKey := map[string][]experiments.Table2Cell{}
-	var order []string
-	for _, c := range cells {
-		k := c.System + "|" + c.Net.String()
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
+	for i, cells := range experiments.Table2(nil) {
+		r := experiments.Grid[i]
+		fmt.Fprintf(w, "%-27s %-13s ", r.System, r.Network)
+		for _, c := range cells {
+			cell(w, c.Mbps, c.Err)
 		}
-		byKey[k] = append(byKey[k], c)
+		paper(w, r.PaperMbps[:])
 	}
-	for _, k := range order {
-		row := byKey[k]
-		fmt.Fprintf(w, "%-27s %-13v ", row[0].System, row[0].Net)
-		for _, c := range row {
-			if c.Err != nil {
-				fmt.Fprintf(w, "%6s ", "ERR")
-				continue
-			}
-			fmt.Fprintf(w, "%6.1f ", c.Mbps)
-		}
-		fmt.Fprint(w, "  ")
-		if p, ok := paperT2[row[0].System][row[0].Net]; ok {
-			for _, v := range p {
-				fmt.Fprintf(w, "%6.1f ", v)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-var paperT3 = map[string]map[experiments.NetSel][3]float64{
-	"Ultrix 4.2A": {
-		experiments.NetEthernet: {1.6, 3.5, 6.2},
-		experiments.NetAN1:      {1.8, 2.7, 3.2},
-	},
-	"Mach 3.0/UX (mapped)": {
-		experiments.NetEthernet: {7.8, 10.8, 16.0},
-	},
-	"Our (Mach) Implementation": {
-		experiments.NetEthernet: {2.8, 5.2, 9.9},
-		experiments.NetAN1:      {2.7, 3.4, 4.7},
-	},
 }
 
 func table3(w io.Writer) {
 	header(w, "Table 3: Round Trip Latencies (ms), payload sizes 1/512/1460")
 	fmt.Fprintf(w, "%-27s %-13s %20s   %20s\n", "System", "Network", "simulated", "paper")
-	for _, sys := range experiments.Systems {
-		for _, net := range []experiments.NetSel{experiments.NetEthernet, experiments.NetAN1} {
-			if sys.Org == experiments.OrgMachUX && net == experiments.NetAN1 {
-				continue
-			}
-			fmt.Fprintf(w, "%-27s %-13v ", sys.Label, net)
-			for _, size := range experiments.LatencySizes {
-				c := experiments.Table3CellFor(sys.Org, sys.Label, net, size, nil)
-				if c.Err != nil {
-					fmt.Fprintf(w, "%6s ", "ERR")
-					continue
-				}
-				fmt.Fprintf(w, "%6.1f ", float64(c.RTT.Microseconds())/1000)
-			}
-			fmt.Fprint(w, "  ")
-			if p, ok := paperT3[sys.Label][net]; ok {
-				for _, v := range p {
-					fmt.Fprintf(w, "%6.1f ", v)
-				}
-			}
-			fmt.Fprintln(w)
+	for _, r := range experiments.Grid {
+		fmt.Fprintf(w, "%-27s %-13s ", r.System, r.Network)
+		for _, size := range experiments.LatencySizes {
+			c := experiments.Table3CellFor(r.Org, r.Net, size, nil)
+			cell(w, ms(c.RTT), c.Err)
 		}
+		paper(w, r.PaperRTT[:])
 	}
 }
 
-var paperT4 = map[string]map[experiments.NetSel]float64{
-	"Ultrix 4.2A": {
-		experiments.NetEthernet: 2.6,
-		experiments.NetAN1:      2.9,
-	},
-	"Mach 3.0/UX (mapped)": {
-		experiments.NetEthernet: 6.8,
-	},
-	"Our (Mach) Implementation": {
-		experiments.NetEthernet: 11.9,
-		experiments.NetAN1:      12.3,
-	},
+// cell prints one simulated grid cell, or ERR for one whose run failed.
+func cell(w io.Writer, v float64, err error) {
+	if err != nil {
+		fmt.Fprintf(w, "%6s ", "ERR")
+		return
+	}
+	fmt.Fprintf(w, "%6.1f ", v)
 }
+
+// paper ends a grid row with the paper's values.
+func paper(w io.Writer, values []float64) {
+	fmt.Fprint(w, "  ")
+	for _, v := range values {
+		fmt.Fprintf(w, "%6.1f ", v)
+	}
+	fmt.Fprintln(w)
+}
+
+// ms renders a duration in milliseconds, truncated to the microsecond.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func table4(w io.Writer) {
 	header(w, "Table 4: Connection Setup Cost (ms)")
 	fmt.Fprintf(w, "%-27s %-13s %10s %10s\n", "System", "Network", "simulated", "paper")
-	for _, c := range experiments.Table4(nil) {
+	var paperTotal float64 // the paper's ours/Ethernet cell, which the breakdown splits
+	for i, c := range experiments.Table4(nil) {
+		r := experiments.Grid[i]
+		if r.Org == ulp.OrgUserLib && r.Net == ulp.Ethernet {
+			paperTotal = r.PaperSetup
+		}
 		if c.Err != nil {
-			fmt.Fprintf(w, "%-27s %-13v %10s\n", c.System, c.Net, "ERR")
+			fmt.Fprintf(w, "%-27s %-13s %10s\n", r.System, r.Network, "ERR")
 			continue
 		}
-		fmt.Fprintf(w, "%-27s %-13v %10.1f %10.1f\n",
-			c.System, c.Net, float64(c.Setup.Microseconds())/1000, paperT4[c.System][c.Net])
+		fmt.Fprintf(w, "%-27s %-13s %10.1f %10.1f\n", r.System, r.Network, ms(c.Setup), r.PaperSetup)
 	}
 	fmt.Fprintln(w, "\nBreakdown of the user-level library's Ethernet setup cost:")
-	paperBreakdown := []float64{4.6, 1.5, 3.4, 0.9, 1.4}
 	var sum time.Duration
-	for i, r := range experiments.Table4Breakdown(nil) {
-		fmt.Fprintf(w, "  %-56s %6.1f ms   (paper %.1f ms)\n",
-			r.Component, float64(r.Cost.Microseconds())/1000, paperBreakdown[i])
+	for _, r := range experiments.Table4Breakdown(nil) {
+		fmt.Fprintf(w, "  %-56s %6.1f ms   (paper %.1f ms)\n", r.Component, ms(r.Cost), r.Paper)
 		sum += r.Cost
 	}
-	fmt.Fprintf(w, "  %-56s %6.1f ms   (paper 11.9 ms)\n", "total", float64(sum.Microseconds())/1000)
+	fmt.Fprintf(w, "  %-56s %6.1f ms   (paper %.1f ms)\n", "total", ms(sum), paperTotal)
 }
 
 func table5(w io.Writer) {
@@ -227,9 +173,10 @@ func table5(w io.Writer) {
 		fmt.Fprintln(os.Stderr, "table5:", err)
 		return
 	}
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
 	fmt.Fprintf(w, "%-34s %10s %10s\n", "Network Interface", "simulated", "paper")
-	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "Lance Ethernet (Software)", float64(r.SoftwareDemux.Nanoseconds())/1000, 52.0)
-	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "AN1 (Hardware BQI)", float64(r.HardwareDemux.Nanoseconds())/1000, 50.0)
+	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "Lance Ethernet (Software)", us(r.SoftwareDemux), experiments.PaperSoftwareDemux)
+	fmt.Fprintf(w, "%-34s %10.0f %10.0f\n", "AN1 (Hardware BQI)", us(r.HardwareDemux), experiments.PaperHardwareDemux)
 }
 
 // runAblations renders the extension and ablation experiments. A failed
@@ -276,9 +223,12 @@ func runStats(w io.Writer, zerocopy bool) {
 	if zerocopy {
 		mode = ", zero-copy rx"
 	}
-	for _, sys := range experiments.Systems {
-		header(w, fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer%s)", sys.Label, mode))
-		report, err := experiments.StatsReportZC(sys.Org, experiments.NetEthernet, nil, zerocopy)
+	for _, r := range experiments.Grid {
+		if r.Net != ulp.Ethernet {
+			continue
+		}
+		header(w, fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer%s)", r.System, mode))
+		report, err := experiments.StatsReport(r.Org, zerocopy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stats:", err)
 			continue

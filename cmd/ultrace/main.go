@@ -13,6 +13,9 @@
 //	                             # scenarios decode fully; AN1 uses DLT_USER0)
 //	ultrace -conform             # check the run against the RFC 793 state
 //	                             # machine; non-zero exit on any violation
+//
+// The exit status is 1 when the echo fails to connect or to finish within
+// five virtual minutes.
 package main
 
 import (
@@ -114,7 +117,9 @@ func run(args []string, stdout io.Writer) int {
 
 	srv := w.Node(0).App("server")
 	cli := w.Node(1).App("client")
+	const budget = 5 * time.Minute
 	done := false
+	var failure error
 	srv.Go("srv", func(t *kern.Thread) {
 		l, err := srv.Stack.Listen(t, 80, stacks.Options{})
 		if err != nil {
@@ -135,10 +140,10 @@ func run(args []string, stdout io.Writer) int {
 		}
 	})
 	cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
+		defer func() { done = true }()
 		c, err := cli.Stack.Connect(t, w.Endpoint(0, 80), stacks.Options{})
 		if err != nil {
-			fmt.Fprintln(stdout, "connect:", err)
-			done = true
+			failure = fmt.Errorf("connect: %w", err)
 			return
 		}
 		payload := make([]byte, *bytes)
@@ -146,14 +151,24 @@ func run(args []string, stdout io.Writer) int {
 		got := 0
 		buf := make([]byte, 65536)
 		for got < *bytes {
-			n, _ := c.Read(t, buf)
+			n, err := c.Read(t, buf)
+			if err != nil || n == 0 {
+				failure = fmt.Errorf("echo ended after %d of %d bytes: %v", got, *bytes, err)
+				return
+			}
 			got += n
 		}
 		c.Close(t)
-		done = true
 	})
-	w.RunUntil(5*time.Minute, func() bool { return done })
+	w.RunUntil(budget, func() bool { return done })
 	w.Run(100 * time.Millisecond) // drain the close exchange
+	if !done {
+		failure = fmt.Errorf("echo did not finish within %v", budget)
+	}
+	if failure != nil {
+		fmt.Fprintln(stdout, "echo failed:", failure)
+		return 1
+	}
 
 	if checker != nil {
 		cov := checker.Coverage()

@@ -35,6 +35,20 @@ func TestConformGate(t *testing.T) {
 	}
 }
 
+// TestEchoFailureExits1: with every frame lost the echo cannot finish, and
+// under every organization the command says so and exits 1.
+func TestEchoFailureExits1(t *testing.T) {
+	for _, org := range []string{"userlib", "inkernel", "singleserver"} {
+		var out strings.Builder
+		if code := run([]string{"-org", org, "-loss", "1"}, &out); code != 1 {
+			t.Errorf("%s -loss 1: exit %d, want 1:\n%s", org, code, out.String())
+		}
+		if !strings.Contains(out.String(), "echo failed:") {
+			t.Errorf("%s -loss 1: no failure message:\n%s", org, out.String())
+		}
+	}
+}
+
 // pcapHashes pins the SHA-256 of the capture file each organization writes
 // for the echo scenario on each network.
 var pcapHashes = map[string]string{

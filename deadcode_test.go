@@ -37,7 +37,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/registry.Federation.Outstanding": "TestFederationAdmissionQuota",
 	"internal/netdev.AN1.RingStatus":           "TestQuarantineMidBurstReleasesSlotsAndBufs",
 	"internal/netio.Module.SoftwareBindings":   "TestDestroyChannelRemovesSteered",
-	"internal/netio.Module.SteeredBindings":    "TestSteeringExactAndWildcard",
 	"internal/stacks.TCPWheel.Armed":           "TestWheelDropIsFinal",
 	"internal/sim.Timer.Pending":               "TestCancelRemovesEagerly",
 	"internal/conform.Checker.Truncated":       "TestConformanceEchoAllOrganizations",

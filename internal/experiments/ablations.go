@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"fmt"
+	"cmp"
 	"time"
 
+	"ulp"
 	"ulp/internal/costs"
 	"ulp/internal/filter"
 	"ulp/internal/ipv4"
@@ -25,20 +26,22 @@ type BatchingResult struct {
 
 // AblationBatching measures the value of batching packets per notification
 // on the user-level library's Ethernet receive path.
-func AblationBatching(model *costs.Model) BatchingResult {
-	run := func(disable bool) (float64, error) {
-		w := newWorld(OrgOurs, NetEthernet, model)
-		w.node(0).Mod.DisableBatching = disable
-		w.node(1).Mod.DisableBatching = disable
+func AblationBatching(model *costs.Model) (r BatchingResult) {
+	r.BatchedMbps, r.UnbatchedMbps, r.Err = variants(func(disable bool) (float64, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Costs: model})
+		w.Node(0).Mod.DisableBatching = disable
+		w.Node(1).Mod.DisableBatching = disable
 		return bulkSend(w, 300<<10, 4096, stacks.Options{NoDelay: true}, 10*time.Minute)
-	}
-	batched, err1 := run(false)
-	unbatched, err2 := run(true)
-	err := err1
-	if err == nil {
-		err = err2
-	}
-	return BatchingResult{BatchedMbps: batched, UnbatchedMbps: unbatched, Err: err}
+	}, false, true)
+	return r
+}
+
+// variants runs an ablation's two variants in order and returns both results
+// and the first error.
+func variants[V, R any](run func(V) (R, error), a, b V) (R, R, error) {
+	ra, errA := run(a)
+	rb, errB := run(b)
+	return ra, rb, cmp.Or(errA, errB)
 }
 
 // ---------------------------------------------------------------------------
@@ -53,20 +56,14 @@ type MTUResult struct {
 }
 
 // AblationAN1MTU lifts the 1500-byte encapsulation restriction.
-func AblationAN1MTU(model *costs.Model) MTUResult {
-	run := func(net NetSel) (float64, error) {
-		w := newWorld(OrgOurs, net, model)
+func AblationAN1MTU(model *costs.Model) (r MTUResult) {
+	r.Encap1500Mbps, r.Jumbo64KMbps, r.Err = variants(func(net ulp.Net) (float64, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: net, Costs: model})
 		// Large user packets and windows to exercise the big frames.
 		opts := stacks.Options{SndBuf: 65535, RcvBuf: 65535}
 		return bulkSend(w, 2<<20, 16384, opts, 10*time.Minute)
-	}
-	encap, err1 := run(NetAN1)
-	jumbo, err2 := run(NetAN1Jumbo)
-	err := err1
-	if err == nil {
-		err = err2
-	}
-	return MTUResult{Encap1500Mbps: encap, Jumbo64KMbps: jumbo, Err: err}
+	}, ulp.AN1, ulp.AN1Jumbo)
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -147,72 +144,44 @@ type AppSpecificResult struct {
 
 // AblationAppSpecific runs the header+body request pattern that suffers
 // under Nagle.
-func AblationAppSpecific(model *costs.Model) AppSpecificResult {
-	run := func(opts stacks.Options) (time.Duration, error) {
-		w := newWorld(OrgOurs, NetEthernet, model)
-		srv := w.app(0, "server")
-		cli := w.app(1, "client")
+func AblationAppSpecific(model *costs.Model) (r AppSpecificResult) {
+	r.StockPerOp, r.NoDelayPerOp, r.Err = variants(func(noDelay bool) (time.Duration, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Costs: model})
 		var perOp time.Duration
-		done := false
-		var failure error
-		srv.Go("srv", func(t *kern.Thread) {
-			l, err := srv.Stack.Listen(t, 80, opts)
-			if err != nil {
-				failure = err
-				done = true
-				return
-			}
-			c, err := l.Accept(t)
-			if err != nil {
-				failure = err
-				done = true
-				return
-			}
-			buf := make([]byte, 64)
-			for {
-				got := 0
-				for got < 8 {
-					n, _ := c.Read(t, buf[got:8])
-					if n == 0 {
-						return
+		err := exchange{opts: stacks.Options{NoDelay: noDelay}, budget: 10 * time.Minute,
+			serve: func(t *kern.Thread, l stacks.Listener) error {
+				c, err := l.Accept(t)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, 8)
+				for readFull(t, c, buf) == nil {
+					c.Write(t, []byte("response"))
+				}
+				return nil
+			},
+			client: func(t *kern.Thread, dial func() (stacks.Conn, error)) error {
+				c, err := dial()
+				if err != nil {
+					return err
+				}
+				const ops = 10
+				buf := make([]byte, 8)
+				start := time.Duration(t.Now())
+				for i := 0; i < ops; i++ {
+					c.Write(t, []byte("hdr:"))
+					c.Write(t, []byte("body"))
+					if err := readFull(t, c, buf); err != nil {
+						return err
 					}
-					got += n
 				}
-				c.Write(t, []byte("response"))
-			}
-		})
-		cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
-			c, err := cli.Stack.Connect(t, w.endpoint(0, 80), opts)
-			if err != nil {
-				failure = err
-				done = true
-				return
-			}
-			const ops = 10
-			buf := make([]byte, 64)
-			start := time.Duration(t.Now())
-			for i := 0; i < ops; i++ {
-				c.Write(t, []byte("hdr:"))
-				c.Write(t, []byte("body"))
-				got := 0
-				for got < 8 {
-					n, _ := c.Read(t, buf[got:8])
-					got += n
-				}
-			}
-			perOp = (time.Duration(t.Now()) - start) / ops
-			done = true
-		})
-		w.runUntil(10*time.Minute, func() bool { return done })
-		return perOp, failure
-	}
-	stock, err1 := run(stacks.Options{})
-	nodelay, err2 := run(stacks.Options{NoDelay: true})
-	err := err1
-	if err == nil {
-		err = err2
-	}
-	return AppSpecificResult{StockPerOp: stock, NoDelayPerOp: nodelay, Err: err}
+				perOp = (time.Duration(t.Now()) - start) / ops
+				return nil
+			},
+		}.run(w)
+		return perOp, err
+	}, false, true)
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -231,19 +200,13 @@ type ChecksumResult struct {
 // AblationChecksum measures checksum cost on the AN1 with full-size 64 KB
 // frames, where the software checksum is a large fraction of per-segment
 // processing (~460 µs of a 25 MHz CPU per segment).
-func AblationChecksum(model *costs.Model) ChecksumResult {
-	run := func(off bool) (float64, error) {
-		w := newWorld(OrgOurs, NetAN1Jumbo, model)
+func AblationChecksum(model *costs.Model) (r ChecksumResult) {
+	r.WithMbps, r.WithoutMbps, r.Err = variants(func(off bool) (float64, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.AN1Jumbo, Costs: model})
 		opts := stacks.Options{SndBuf: 65535, RcvBuf: 65535, NoChecksum: off}
 		return bulkSend(w, 4<<20, 16384, opts, 10*time.Minute)
-	}
-	with, err1 := run(false)
-	without, err2 := run(true)
-	err := err1
-	if err == nil {
-		err = err2
-	}
-	return ChecksumResult{WithMbps: with, WithoutMbps: without, Err: err}
+	}, false, true)
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -261,11 +224,11 @@ type RPCResult struct {
 
 // AblationRPC runs a UDP echo workload over the user-level library both
 // ways.
-func AblationRPC(model *costs.Model) RPCResult {
-	run := func(bypass bool) (time.Duration, error) {
-		w := newWorld(OrgOurs, NetEthernet, model)
-		srv := w.app(0, "server")
-		cli := w.app(1, "client")
+func AblationRPC(model *costs.Model) (r RPCResult) {
+	r.ViaServerPerOp, r.BypassedPerOp, r.Err = variants(func(bypass bool) (time.Duration, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Costs: model})
+		srv := w.Node(0).App("server")
+		cli := w.Node(1).App("client")
 		var perOp time.Duration
 		done := false
 		var failure error
@@ -298,7 +261,7 @@ func AblationRPC(model *costs.Model) RPCResult {
 				done = true
 				return
 			}
-			dst := udpEndpoint(w, 0, 111)
+			dst := udp.Endpoint{IP: w.Node(0).IP, Port: 111}
 			// Address-binding phase, then the timed exchanges.
 			if err := sock.Resolve(t, dst.IP); err != nil {
 				failure = err
@@ -325,27 +288,14 @@ func AblationRPC(model *costs.Model) RPCResult {
 			sock.Close(t)
 			done = true
 		})
-		w.runUntil(5*time.Minute, func() bool { return done })
+		w.RunUntil(5*time.Minute, func() bool { return done })
 		if failure != nil {
 			return 0, failure
 		}
 		if perOp == 0 {
-			return 0, errIncomplete
+			return 0, errUnfinished
 		}
 		return perOp, nil
-	}
-	via, err1 := run(false)
-	byp, err2 := run(true)
-	err := err1
-	if err == nil {
-		err = err2
-	}
-	return RPCResult{ViaServerPerOp: via, BypassedPerOp: byp, Err: err}
-}
-
-var errIncomplete = fmt.Errorf("experiments: workload incomplete")
-
-// udpEndpoint names a UDP endpoint on a node.
-func udpEndpoint(w *world, node int, port uint16) udp.Endpoint {
-	return udp.Endpoint{IP: w.node(node).IP, Port: port}
+	}, false, true)
+	return r
 }

@@ -3,14 +3,16 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"ulp"
 )
 
 // TestCalibrationShapes pins the paper's qualitative findings: orderings,
 // crossovers, and magnitude bands. It is the regression net for the cost
 // model — EXPERIMENTS.md records the precise paper-vs-simulated values.
 func TestCalibrationShapes(t *testing.T) {
-	cell := func(org OrgSel, net NetSel, up int) float64 {
-		c := Table2CellFor(org, "x", net, up, nil)
+	cell := func(org ulp.Org, net ulp.Net, up int) float64 {
+		c := Table2CellFor(org, net, up, nil)
 		if c.Err != nil {
 			t.Fatalf("cell %v/%v/%d: %v", org, net, up, c.Err)
 		}
@@ -18,8 +20,8 @@ func TestCalibrationShapes(t *testing.T) {
 	}
 
 	t.Run("Table2/UltrixEthernetPlateau", func(t *testing.T) {
-		small := cell(OrgUltrix, NetEthernet, 512)
-		large := cell(OrgUltrix, NetEthernet, 4096)
+		small := cell(ulp.OrgInKernel, ulp.Ethernet, 512)
+		large := cell(ulp.OrgInKernel, ulp.Ethernet, 4096)
 		if large <= small {
 			t.Errorf("throughput must grow with user packet size: %0.1f -> %0.1f", small, large)
 		}
@@ -30,9 +32,9 @@ func TestCalibrationShapes(t *testing.T) {
 
 	t.Run("Table2/MachUXWorstOnEthernet", func(t *testing.T) {
 		for _, up := range []int{512, 4096} {
-			ux := cell(OrgMachUX, NetEthernet, up)
-			ultrix := cell(OrgUltrix, NetEthernet, up)
-			ours := cell(OrgOurs, NetEthernet, up)
+			ux := cell(ulp.OrgSingleServer, ulp.Ethernet, up)
+			ultrix := cell(ulp.OrgInKernel, ulp.Ethernet, up)
+			ours := cell(ulp.OrgUserLib, ulp.Ethernet, up)
 			if ux >= ultrix || ux >= ours {
 				t.Errorf("size %d: Mach/UX (%.1f) must trail Ultrix (%.1f) and ours (%.1f)", up, ux, ultrix, ours)
 			}
@@ -45,22 +47,22 @@ func TestCalibrationShapes(t *testing.T) {
 	})
 
 	t.Run("Table2/AN1SmallPacketCrossover", func(t *testing.T) {
-		ours := cell(OrgOurs, NetAN1, 512)
-		ultrix := cell(OrgUltrix, NetAN1, 512)
+		ours := cell(ulp.OrgUserLib, ulp.AN1, 512)
+		ultrix := cell(ulp.OrgInKernel, ulp.AN1, 512)
 		if ours <= ultrix {
 			t.Errorf("the zero-copy buffer organization must win at 512B on AN1: ours %.1f vs Ultrix %.1f (paper 6.7 vs 4.8)", ours, ultrix)
 		}
 	})
 
 	t.Run("Table2/AN1LargePacketBand", func(t *testing.T) {
-		ultrix := cell(OrgUltrix, NetAN1, 4096)
+		ultrix := cell(ulp.OrgInKernel, ulp.AN1, 4096)
 		if ultrix < 9 || ultrix > 15 {
 			t.Errorf("Ultrix AN1 at 4096 = %.1f Mb/s, outside [9, 15] (paper 11.9)", ultrix)
 		}
 	})
 
-	rtt := func(org OrgSel, net NetSel, size int) time.Duration {
-		c := Table3CellFor(org, "x", net, size, nil)
+	rtt := func(org ulp.Org, net ulp.Net, size int) time.Duration {
+		c := Table3CellFor(org, net, size, nil)
 		if c.Err != nil {
 			t.Fatalf("rtt %v/%v/%d: %v", org, net, size, c.Err)
 		}
@@ -69,9 +71,9 @@ func TestCalibrationShapes(t *testing.T) {
 
 	t.Run("Table3/LatencyOrdering", func(t *testing.T) {
 		for _, size := range LatencySizes {
-			ultrix := rtt(OrgUltrix, NetEthernet, size)
-			ours := rtt(OrgOurs, NetEthernet, size)
-			ux := rtt(OrgMachUX, NetEthernet, size)
+			ultrix := rtt(ulp.OrgInKernel, ulp.Ethernet, size)
+			ours := rtt(ulp.OrgUserLib, ulp.Ethernet, size)
+			ux := rtt(ulp.OrgSingleServer, ulp.Ethernet, size)
 			if !(ultrix < ours && ours < ux) {
 				t.Errorf("size %d: want Ultrix < ours < Mach/UX, got %v / %v / %v", size, ultrix, ours, ux)
 			}
@@ -79,38 +81,38 @@ func TestCalibrationShapes(t *testing.T) {
 	})
 
 	t.Run("Table3/Magnitudes", func(t *testing.T) {
-		u := rtt(OrgUltrix, NetEthernet, 1)
+		u := rtt(ulp.OrgInKernel, ulp.Ethernet, 1)
 		if u < 1200*time.Microsecond || u > 2600*time.Microsecond {
 			t.Errorf("Ultrix 1B RTT %v outside [1.2ms, 2.6ms] (paper 1.6ms)", u)
 		}
-		o := rtt(OrgOurs, NetEthernet, 1)
+		o := rtt(ulp.OrgUserLib, ulp.Ethernet, 1)
 		if o < 2*time.Millisecond || o > 4*time.Millisecond {
 			t.Errorf("ours 1B RTT %v outside [2ms, 4ms] (paper 2.8ms)", o)
 		}
-		x := rtt(OrgMachUX, NetEthernet, 1)
+		x := rtt(ulp.OrgSingleServer, ulp.Ethernet, 1)
 		if x < 5*time.Millisecond || x > 10*time.Millisecond {
 			t.Errorf("Mach/UX 1B RTT %v outside [5ms, 10ms] (paper 7.8ms)", x)
 		}
 	})
 
 	t.Run("Table3/AN1FasterThanEthernetAtSize", func(t *testing.T) {
-		if rtt(OrgOurs, NetAN1, 1460) >= rtt(OrgOurs, NetEthernet, 1460) {
+		if rtt(ulp.OrgUserLib, ulp.AN1, 1460) >= rtt(ulp.OrgUserLib, ulp.Ethernet, 1460) {
 			t.Error("AN1 should beat Ethernet for 1460B exchanges")
 		}
 	})
 
 	t.Run("Table4/SetupOrderingAndBands", func(t *testing.T) {
-		setup := func(org OrgSel, net NetSel) time.Duration {
-			c := Table4CellFor(org, "x", net, nil)
+		setup := func(org ulp.Org, net ulp.Net) time.Duration {
+			c := Table4CellFor(org, net, nil)
 			if c.Err != nil {
 				t.Fatalf("setup: %v", c.Err)
 			}
 			return c.Setup
 		}
-		ultrix := setup(OrgUltrix, NetEthernet)
-		ux := setup(OrgMachUX, NetEthernet)
-		ours := setup(OrgOurs, NetEthernet)
-		oursAN1 := setup(OrgOurs, NetAN1)
+		ultrix := setup(ulp.OrgInKernel, ulp.Ethernet)
+		ux := setup(ulp.OrgSingleServer, ulp.Ethernet)
+		ours := setup(ulp.OrgUserLib, ulp.Ethernet)
+		oursAN1 := setup(ulp.OrgUserLib, ulp.AN1)
 		if !(ultrix < ux && ux < ours) {
 			t.Errorf("want Ultrix < Mach/UX < ours, got %v / %v / %v", ultrix, ux, ours)
 		}
@@ -157,7 +159,7 @@ func TestCalibrationShapes(t *testing.T) {
 			}
 			sum += r.Cost
 		}
-		total := Table4CellFor(OrgOurs, "x", NetEthernet, nil).Setup
+		total := Table4CellFor(ulp.OrgUserLib, ulp.Ethernet, nil).Setup
 		if sum != total {
 			t.Errorf("breakdown sum %v != measured total %v", sum, total)
 		}
@@ -167,8 +169,8 @@ func TestCalibrationShapes(t *testing.T) {
 // TestDeterministicExperiments pins reproducibility: identical runs produce
 // identical measurements.
 func TestDeterministicExperiments(t *testing.T) {
-	a := Table2CellFor(OrgOurs, "x", NetAN1, 512, nil)
-	b := Table2CellFor(OrgOurs, "x", NetAN1, 512, nil)
+	a := Table2CellFor(ulp.OrgUserLib, ulp.AN1, 512, nil)
+	b := Table2CellFor(ulp.OrgUserLib, ulp.AN1, 512, nil)
 	if a.Err != nil || b.Err != nil {
 		t.Fatal(a.Err, b.Err)
 	}

@@ -14,6 +14,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"ulp"
@@ -118,7 +119,7 @@ func Degrade(cfg DegradeConfig) []DegradeRow {
 
 // degradeRow runs one transfer through one condition plan.
 func degradeRow(cfg DegradeConfig, profile, knob string, lc *wire.LinkConditions) DegradeRow {
-	w := newWorldWith(OrgOurs, NetAN1, nil, func(c *ulp.Config) { c.Conditions = lc })
+	w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.AN1, Conditions: lc})
 	row := DegradeRow{Profile: profile, Knob: knob}
 
 	// Keepalive lets the silent (server) side notice a dead peer too; R2
@@ -128,80 +129,52 @@ func degradeRow(cfg DegradeConfig, profile, knob string, lc *wire.LinkConditions
 	// flight-size limit, so the bufferbloat queue actually fills.
 	opts := stacks.Options{RexmtR2: degradeR2, KeepAliveTicks: 240, SndBuf: 64 << 10, RcvBuf: 64 << 10}
 
+	// The row ends when the server has every byte, or when a give-up
+	// surfaces as an error on the blocked writer (or the reader, via
+	// keepalive).
 	var got int
 	var srvConn, cliConn stacks.Conn
-	var srvErr, cliErr error
-	srvDone, cliDone := false, false
-
-	srv := w.app(0, "server")
-	srv.Go("srv", func(t *kern.Thread) {
-		defer func() { srvDone = true }()
-		l, err := srv.Stack.Listen(t, 9000, opts)
-		if err != nil {
-			srvErr = err
-			return
-		}
-		c, err := l.Accept(t)
-		if err != nil {
-			srvErr = err
-			return
-		}
-		srvConn = c
-		buf := make([]byte, 16384)
-		for got < cfg.Bytes {
-			n, err := c.Read(t, buf)
-			got += n
+	err := exchange{opts: opts, budget: 20 * time.Minute, serverEnds: true,
+		serve: func(t *kern.Thread, l stacks.Listener) error {
+			c, err := l.Accept(t)
 			if err != nil {
-				srvErr = err
-				return
+				return err
 			}
-			if n == 0 {
-				return // premature EOF
+			srvConn = c
+			buf := make([]byte, 16384)
+			for got < cfg.Bytes {
+				n, err := c.Read(t, buf)
+				got += n
+				if err != nil {
+					return err
+				}
+				if n == 0 {
+					return io.ErrUnexpectedEOF
+				}
 			}
-		}
-		c.Close(t)
-	})
-
-	cli := w.app(1, "client")
-	cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
-		defer func() { cliDone = true }()
-		c, err := cli.Stack.Connect(t, w.endpoint(0, 9000), opts)
-		if err != nil {
-			cliErr = err
-			return
-		}
-		cliConn = c
-		chunk := make([]byte, 32768)
-		for i := range chunk {
-			chunk[i] = byte(i)
-		}
-		for sent := 0; sent < cfg.Bytes; {
-			n := len(chunk)
-			if cfg.Bytes-sent < n {
-				n = cfg.Bytes - sent
+			return nil
+		},
+		client: func(t *kern.Thread, dial func() (stacks.Conn, error)) error {
+			c, err := dial()
+			if err != nil {
+				return err
 			}
-			if _, err := c.Write(t, chunk[:n]); err != nil {
-				cliErr = err
-				return
+			cliConn = c
+			chunk := make([]byte, 32768)
+			for i := range chunk {
+				chunk[i] = byte(i)
 			}
-			sent += n
-		}
-		if err := c.Close(t); err != nil {
-			cliErr = err
-		}
-	})
-
-	w.runUntil(20*time.Minute, func() bool {
-		if got >= cfg.Bytes {
-			return true
-		}
-		// A give-up surfaces as an error on the blocked writer (and the
-		// reader, via keepalive); either ends the row.
-		return cliDone && (srvDone || cliErr != nil)
-	})
-	row.Virtual = w.now()
-	row.Completed = got >= cfg.Bytes && cliErr == nil
-	row.Goodput = Mbps(int64(got), row.Virtual)
+			for sent := 0; sent < cfg.Bytes; sent += len(chunk) {
+				if _, err := c.Write(t, chunk[:min(len(chunk), cfg.Bytes-sent)]); err != nil {
+					return err
+				}
+			}
+			return c.Close(t)
+		},
+	}.run(w)
+	row.Virtual = w.Now()
+	row.Completed = err == nil
+	row.Goodput = mbps(int64(got), row.Virtual)
 
 	if cliConn != nil {
 		cs := cliConn.Stats()
@@ -211,19 +184,14 @@ func degradeRow(cfg DegradeConfig, profile, knob string, lc *wire.LinkConditions
 	if srvConn != nil {
 		row.GiveUps += srvConn.Stats().RexmtGiveUps
 	}
-	row.GaveUp = row.GiveUps > 0 ||
-		errorsIsTimeout(cliErr) || errorsIsTimeout(srvErr)
+	row.GaveUp = row.GiveUps > 0 || errors.Is(err, stacks.ErrTimeout)
 
-	st := w.w.Seg.Stats()
+	st := w.Seg.Stats()
 	row.CondDrops, row.QueueDrops = st.Dropped, st.QueueDrops
 
 	if !row.Completed && !row.GaveUp {
-		row.Err = fmt.Errorf("degrade(%s/%s): neither completed nor gave up (got %d/%d, cli=%v srv=%v)",
-			profile, knob, got, cfg.Bytes, cliErr, srvErr)
+		row.Err = fmt.Errorf("degrade(%s/%s): neither completed nor gave up (got %d/%d): %w",
+			profile, knob, got, cfg.Bytes, err)
 	}
 	return row
-}
-
-func errorsIsTimeout(err error) bool {
-	return err != nil && errors.Is(err, stacks.ErrTimeout)
 }

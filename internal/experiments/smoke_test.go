@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"ulp"
+	"ulp/internal/kern"
+	"ulp/internal/stacks"
 )
 
 func TestTable1Smoke(t *testing.T) {
@@ -24,41 +29,37 @@ func TestTable1Smoke(t *testing.T) {
 }
 
 func TestTable2Smoke(t *testing.T) {
-	for _, sys := range Systems {
-		for _, net := range []NetSel{NetEthernet, NetAN1} {
-			if sys.Org == OrgMachUX && net == NetAN1 {
+	for _, r := range Grid {
+		for _, up := range []int{512, 4096} {
+			c := Table2CellFor(r.Org, r.Net, up, nil)
+			if c.Err != nil {
+				t.Errorf("%s/%s/%d: %v", r.System, r.Network, up, c.Err)
 				continue
 			}
-			for _, up := range []int{512, 4096} {
-				c := Table2CellFor(sys.Org, sys.Label, net, up, nil)
-				if c.Err != nil {
-					t.Errorf("%s/%v/%d: %v", c.System, c.Net, c.UserPacket, c.Err)
-					continue
-				}
-				t.Logf("%-26s %-12v %5d: %6.2f Mb/s", c.System, c.Net, c.UserPacket, c.Mbps)
-			}
+			t.Logf("%-26s %-12s %5d: %6.2f Mb/s", r.System, r.Network, up, c.Mbps)
 		}
 	}
 }
 
 func TestTable3Smoke(t *testing.T) {
-	for _, sys := range Systems {
-		c := Table3CellFor(sys.Org, sys.Label, NetEthernet, 1, nil)
+	for _, r := range Grid {
+		c := Table3CellFor(r.Org, r.Net, 1, nil)
 		if c.Err != nil {
-			t.Errorf("%s: %v", c.System, c.Err)
+			t.Errorf("%s/%s: %v", r.System, r.Network, c.Err)
 			continue
 		}
-		t.Logf("%-26s 1B RTT: %v", c.System, c.RTT)
+		t.Logf("%-26s %-12s 1B RTT: %v", r.System, r.Network, c.RTT)
 	}
 }
 
 func TestTable4Smoke(t *testing.T) {
-	for _, c := range Table4(nil) {
+	for i, c := range Table4(nil) {
+		r := Grid[i]
 		if c.Err != nil {
-			t.Errorf("%s/%v: %v", c.System, c.Net, c.Err)
+			t.Errorf("%s/%s: %v", r.System, r.Network, c.Err)
 			continue
 		}
-		t.Logf("%-26s %-12v setup: %v", c.System, c.Net, c.Setup)
+		t.Logf("%-26s %-12s setup: %v", r.System, r.Network, c.Setup)
 	}
 	var sum time.Duration
 	for _, r := range Table4Breakdown(nil) {
@@ -85,5 +86,28 @@ func TestChurnSmoke(t *testing.T) {
 		r.Conns, r.P50, r.P99, r.P999, r.SetupsPerVSec, r.Virtual, r.Wall)
 	if r.P50 <= 0 || r.P999 < r.P50 {
 		t.Fatalf("implausible percentiles p50=%v p999=%v", r.P50, r.P999)
+	}
+}
+
+// TestExchangeUnfinishedIsAnError: a client/server run whose client never
+// finishes within the budget reports an error instead of a zero result.
+func TestExchangeUnfinishedIsAnError(t *testing.T) {
+	w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet})
+	err := exchange{budget: time.Second,
+		serve: func(t *kern.Thread, l stacks.Listener) error {
+			_, err := l.Accept(t)
+			return err
+		},
+		client: func(t *kern.Thread, dial func() (stacks.Conn, error)) error {
+			c, err := dial()
+			if err != nil {
+				return err
+			}
+			// The server never writes: this read waits out the budget.
+			return readFull(t, c, make([]byte, 1))
+		},
+	}.run(w)
+	if !errors.Is(err, errUnfinished) {
+		t.Fatalf("stalled run returned %v, want %v", err, errUnfinished)
 	}
 }

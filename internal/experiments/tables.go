@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ulp"
 	"ulp/internal/costs"
 	"ulp/internal/filter"
 	"ulp/internal/ipv4"
@@ -38,19 +39,19 @@ type Table1Result struct {
 
 // Table1 runs the mechanism micro-benchmark on the Ethernet.
 func Table1(model *costs.Model) (Table1Result, error) {
-	w := newWorld(OrgOurs, NetEthernet, model)
+	w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, Costs: model})
 	const payload = link.EthMTU
 	const packets = 400
 
 	// Standalone: link saturation with Ethernet framing and inter-packet
 	// gaps accounted for, measured on the same simulated wire.
 	frameLen := link.EthHeaderLen + payload
-	txTime := w.w.Seg.TxTime(frameLen)
-	standalone := Mbps(int64(payload), txTime)
+	txTime := w.Seg.TxTime(frameLen)
+	standalone := mbps(int64(payload), txTime)
 
 	// Receiver-side channel: raw EtherType demux binding created by the
 	// privileged kernel domain, exactly as the registry would.
-	n2 := w.node(1)
+	n2 := w.Node(1)
 	krn := n2.Host.NewDomain("bench-kernel", true)
 	tmpl2 := netio.Template{LinkSrc: n2.Mod.Device().Addr(), Type: link.TypeRaw}
 	_, ch, err := n2.Mod.CreateRawChannel(krn, link.TypeRaw, tmpl2, 64)
@@ -59,7 +60,7 @@ func Table1(model *costs.Model) (Table1Result, error) {
 	}
 
 	// Sender-side capability.
-	n1 := w.node(0)
+	n1 := w.Node(0)
 	krn1 := n1.Host.NewDomain("bench-kernel", true)
 	tmpl1 := netio.Template{LinkSrc: n1.Mod.Device().Addr(), Type: link.TypeRaw}
 	cap, _, err := n1.Mod.CreateRawChannel(krn1, link.TypeRaw, tmpl1, 4)
@@ -69,8 +70,8 @@ func Table1(model *costs.Model) (Table1Result, error) {
 
 	var firstByte, lastByte time.Duration
 	received := 0
-	app1 := w.app(0, "blaster")
-	app2 := w.app(1, "sink")
+	app1 := w.Node(0).App("blaster")
+	app2 := w.Node(1).App("sink")
 
 	app1.Go("tx", func(t *kern.Thread) {
 		for i := 0; i < packets; i++ {
@@ -96,11 +97,11 @@ func Table1(model *costs.Model) (Table1Result, error) {
 			}
 		}
 	})
-	w.runUntil(5*time.Minute, func() bool { return received >= packets })
+	w.RunUntil(5*time.Minute, func() bool { return received >= packets })
 	if received < packets {
 		return Table1Result{}, fmt.Errorf("table1: received %d/%d", received, packets)
 	}
-	got := Mbps(int64(payload)*int64(packets-1), lastByte-firstByte)
+	got := mbps(int64(payload)*int64(packets-1), lastByte-firstByte)
 	return Table1Result{
 		StandaloneMbps:    standalone,
 		MechanismMbps:     got,
@@ -119,44 +120,35 @@ func Table1(model *costs.Model) (Table1Result, error) {
 // UserPacketSizes are the application write sizes of Table 2.
 var UserPacketSizes = []int{512, 1024, 2048, 4096}
 
-// Table2Cell is one measurement.
+// Table2Cell is one throughput measurement.
 type Table2Cell struct {
-	System     string
-	Net        NetSel
-	UserPacket int
-	Mbps       float64
-	Err        error
+	Mbps float64
+	Err  error
 }
 
 // Table2CellFor measures one system/net/size cell: 400 KiB of bulk data
 // under a 10-minute virtual budget.
-func Table2CellFor(org OrgSel, label string, net NetSel, userPacket int, model *costs.Model) Table2Cell {
+func Table2CellFor(org ulp.Org, net ulp.Net, userPacket int, model *costs.Model) Table2Cell {
 	// One network packet per user packet (up to the link maximum): the
 	// paper's observed size dependence ("network efficiency improves with
 	// increased packet size up to the maximum allowable on the link")
 	// requires per-write transmission rather than Nagle coalescing.
-	w := newWorld(org, net, model)
+	w := newWorld(ulp.Config{Org: org, Net: net, Costs: model})
 	mbps, err := bulkSend(w, 400<<10, userPacket, stacks.Options{NoDelay: true}, 10*time.Minute)
-	return Table2Cell{System: label, Net: net, UserPacket: userPacket, Mbps: mbps, Err: err}
+	return Table2Cell{Mbps: mbps, Err: err}
 }
 
-// Table2 measures the full matrix: the paper reports Ultrix and ours on
-// both networks, and Mach/UX on Ethernet only ("standard Mach does not
-// currently support a mapped AN1 driver ... we therefore do not report
-// Mach/UX performance on AN1").
-func Table2(model *costs.Model) []Table2Cell {
-	var out []Table2Cell
-	for _, sys := range Systems {
-		for _, net := range []NetSel{NetEthernet, NetAN1} {
-			if sys.Org == OrgMachUX && net == NetAN1 {
-				continue
-			}
-			for _, up := range UserPacketSizes {
-				out = append(out, Table2CellFor(sys.Org, sys.Label, net, up, model))
-			}
+// Table2 measures every Grid row at every user packet size: cells[i][j] is
+// Grid[i] at UserPacketSizes[j].
+func Table2(model *costs.Model) (cells [][]Table2Cell) {
+	for _, r := range Grid {
+		var row []Table2Cell
+		for _, up := range UserPacketSizes {
+			row = append(row, Table2CellFor(r.Org, r.Net, up, model))
 		}
+		cells = append(cells, row)
 	}
-	return out
+	return cells
 }
 
 // ---------------------------------------------------------------------------
@@ -168,21 +160,18 @@ var LatencySizes = []int{1, 512, 1460}
 
 // Table3Cell is one latency measurement.
 type Table3Cell struct {
-	System string
-	Net    NetSel
-	Size   int
-	RTT    time.Duration
-	Err    error
+	RTT time.Duration
+	Err error
 }
 
 // Table3CellFor measures one cell. Latency tests disable the batching-
 // friendly policies that hurt request-response (the paper measured simple
 // ping-pong exchanges; Nagle never engages because each side has at most
 // one outstanding small segment, and delayed ACKs piggyback on the echo).
-func Table3CellFor(org OrgSel, label string, net NetSel, size int, model *costs.Model) Table3Cell {
-	w := newWorld(org, net, model)
+func Table3CellFor(org ulp.Org, net ulp.Net, size int, model *costs.Model) Table3Cell {
+	w := newWorld(ulp.Config{Org: org, Net: net, Costs: model})
 	rtt, err := pingPong(w, size, 32, stacks.Options{}, 10*time.Minute)
-	return Table3Cell{System: label, Net: net, Size: size, RTT: rtt, Err: err}
+	return Table3Cell{RTT: rtt, Err: err}
 }
 
 // ---------------------------------------------------------------------------
@@ -191,86 +180,61 @@ func Table3CellFor(org OrgSel, label string, net NetSel, size int, model *costs.
 
 // Table4Cell is one connection-setup measurement.
 type Table4Cell struct {
-	System string
-	Net    NetSel
-	Setup  time.Duration
-	Err    error
+	Setup time.Duration
+	Err   error
 }
 
 // Table4CellFor measures active-open latency with the passive peer already
 // listening, averaged over several connections.
-func Table4CellFor(org OrgSel, label string, net NetSel, model *costs.Model) Table4Cell {
-	w := newWorld(org, net, model)
-	srv := w.app(0, "server")
-	cli := w.app(1, "client")
+func Table4CellFor(org ulp.Org, net ulp.Net, model *costs.Model) Table4Cell {
+	w := newWorld(ulp.Config{Org: org, Net: net, Costs: model})
 	const conns = 8
 	var total time.Duration
-	done := false
-	var failure error
-
-	srv.Go("srv", func(t *kern.Thread) {
-		l, err := srv.Stack.Listen(t, 80, stacks.Options{})
-		if err != nil {
-			failure = err
-			done = true
-			return
-		}
-		for {
-			if _, err := l.Accept(t); err != nil {
-				return
+	err := exchange{budget: 5 * time.Minute,
+		serve: func(t *kern.Thread, l stacks.Listener) error {
+			for {
+				if _, err := l.Accept(t); err != nil {
+					return nil
+				}
 			}
-		}
-	})
-	cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
-		for i := 0; i < conns; i++ {
-			// Space the opens out so one measurement's server-side
-			// completion work does not queue behind the next (the paper
-			// measured isolated setups on idle machines).
-			t.Sleep(25 * time.Millisecond)
-			start := time.Duration(t.Now())
-			c, err := cli.Stack.Connect(t, w.endpoint(0, 80), stacks.Options{})
-			if err != nil {
-				failure = err
-				done = true
-				return
+		},
+		client: func(t *kern.Thread, dial func() (stacks.Conn, error)) error {
+			for i := 0; i < conns; i++ {
+				// Space the opens out so one measurement's server-side
+				// completion work does not queue behind the next (the paper
+				// measured isolated setups on idle machines).
+				t.Sleep(25 * time.Millisecond)
+				start := time.Duration(t.Now())
+				// Leave the connection open; Table 4 isolates setup time.
+				if _, err := dial(); err != nil {
+					return err
+				}
+				total += time.Duration(t.Now()) - start
 			}
-			total += time.Duration(t.Now()) - start
-			// Leave the connection open; Table 4 isolates setup time.
-			_ = c
-		}
-		done = true
-	})
-	w.runUntil(5*time.Minute, func() bool { return done })
-	if failure != nil {
-		return Table4Cell{System: label, Net: net, Err: failure}
+			return nil
+		},
+	}.run(w)
+	if err != nil {
+		return Table4Cell{Err: err}
 	}
-	if !done {
-		return Table4Cell{System: label, Net: net, Err: fmt.Errorf("setup bench incomplete")}
-	}
-	return Table4Cell{System: label, Net: net, Setup: total / conns}
+	return Table4Cell{Setup: total / conns}
 }
 
-// Table4 measures the configurations the paper reports: Ultrix on both
-// networks, Mach/UX on Ethernet, ours on both.
-func Table4(model *costs.Model) []Table4Cell {
-	var out []Table4Cell
-	for _, sys := range Systems {
-		for _, net := range []NetSel{NetEthernet, NetAN1} {
-			if sys.Org == OrgMachUX && net == NetAN1 {
-				continue
-			}
-			out = append(out, Table4CellFor(sys.Org, sys.Label, net, model))
-		}
+// Table4 measures every Grid row: cells[i] is Grid[i].
+func Table4(model *costs.Model) (cells []Table4Cell) {
+	for _, r := range Grid {
+		cells = append(cells, Table4CellFor(r.Org, r.Net, model))
 	}
-	return out
+	return cells
 }
 
-// Table4Breakdown reproduces the paper's decomposition of the user-level
-// library's Ethernet setup cost from the calibrated cost model (the 11.9 ms
-// breakdown of §4).
+// Table4BreakdownRow is one component of the paper's decomposition of the
+// user-level library's Ethernet setup cost (the 11.9 ms breakdown of §4),
+// with the paper's value for it.
 type Table4BreakdownRow struct {
 	Component string
 	Cost      time.Duration
+	Paper     float64 // ms
 }
 
 // Table4Breakdown decomposes the measured user-level-library Ethernet setup
@@ -283,16 +247,16 @@ func Table4Breakdown(model *costs.Model) []Table4BreakdownRow {
 		d := costs.Default()
 		m = &d
 	}
-	total := Table4CellFor(OrgOurs, "ours", NetEthernet, m).Setup
+	total := Table4CellFor(ulp.OrgUserLib, ulp.Ethernet, m).Setup
 	rpc := 2*m.MachIPCSend + 2*m.ContextSwitch
 	outbound := m.RegistryPortAlloc + m.RegistryConnSetup
 	remote := total - outbound - m.ChannelSetup - rpc - m.StateTransfer
 	return []Table4BreakdownRow{
-		{"remote peer and back (incl. registry device access)", remote},
-		{"non-overlapped outbound processing", outbound},
-		{"user channel setup with network I/O module", m.ChannelSetup},
-		{"application to server and back (Mach IPC)", rpc},
-		{"TCP state transfer to user level", m.StateTransfer},
+		{"remote peer and back (incl. registry device access)", remote, 4.6},
+		{"non-overlapped outbound processing", outbound, 1.5},
+		{"user channel setup with network I/O module", m.ChannelSetup, 3.4},
+		{"application to server and back (Mach IPC)", rpc, 0.9},
+		{"TCP state transfer to user level", m.StateTransfer, 1.4},
 	}
 }
 
@@ -310,6 +274,12 @@ type Table5Result struct {
 	Packets       int
 }
 
+// The paper's Table 5, µs per packet.
+const (
+	PaperSoftwareDemux = 52.0
+	PaperHardwareDemux = 50.0
+)
+
 // Table5 measures both paths by observing receive-side CPU time per packet
 // and subtracting the interrupt dispatch and (for the LANCE) programmed-I/O
 // copy components.
@@ -321,9 +291,9 @@ func Table5(model *costs.Model) (Table5Result, error) {
 		m = &d
 	}
 
-	perPacketCPU := func(net NetSel) (time.Duration, int, error) {
-		w := newWorld(OrgOurs, net, model)
-		n1, n2 := w.node(0), w.node(1)
+	perPacketCPU := func(net ulp.Net) (time.Duration, int, error) {
+		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: net, Costs: model})
+		n1, n2 := w.Node(0), w.Node(1)
 		krn2 := n2.Host.NewDomain("bench-kernel", true)
 		spec := filter.Spec{
 			LinkHdrLen: n2.Mod.Device().HdrLen(), Proto: ipv4.ProtoTCP,
@@ -337,7 +307,7 @@ func Table5(model *costs.Model) (Table5Result, error) {
 		}
 		baseline := n2.Host.CPU.Busy()
 		frameLen := 0
-		w.spawnKernelThread(0, "tx", func(t *kern.Thread) {
+		n1.Host.NewDomain("tx-dom", true).Spawn("tx", func(t *kern.Thread) {
 			for i := 0; i < packets; i++ {
 				b := buildTCPFrame(n1, n2, ch.BQI(), 8888, 7777, 64)
 				frameLen = b.Len()
@@ -347,7 +317,7 @@ func Table5(model *costs.Model) (Table5Result, error) {
 		// No consumer thread: packets pool in the ring under a single
 		// batched notification, so the measured CPU is the pure delivery
 		// path with no wakeups or reader switches.
-		w.run(time.Second)
+		w.Run(time.Second)
 		if ch.Pending() < packets {
 			return 0, frameLen, fmt.Errorf("table5: delivered %d/%d", ch.Pending(), packets)
 		}
@@ -355,7 +325,7 @@ func Table5(model *costs.Model) (Table5Result, error) {
 		return perPkt, frameLen, nil
 	}
 
-	sw, frameLen, err := perPacketCPU(NetEthernet)
+	sw, frameLen, err := perPacketCPU(ulp.Ethernet)
 	if err != nil {
 		return Table5Result{}, err
 	}
@@ -368,7 +338,7 @@ func Table5(model *costs.Model) (Table5Result, error) {
 	}
 	sw -= m.InterruptDispatch + m.LancePIO(pioLen) + m.Copy(pioLen)
 
-	hwTotal, _, err := perPacketCPU(NetAN1)
+	hwTotal, _, err := perPacketCPU(ulp.AN1)
 	if err != nil {
 		return Table5Result{}, err
 	}
@@ -380,7 +350,7 @@ func Table5(model *costs.Model) (Table5Result, error) {
 // buildTCPFrame assembles a syntactically valid TCP/IP frame between bench
 // endpoints (demultiplexing benchmarks need headers, not a live
 // connection).
-func buildTCPFrame(from, to *ulpNode, bqi uint16, srcPort, dstPort uint16, payload int) *pkt.Buf {
+func buildTCPFrame(from, to *ulp.Node, bqi uint16, srcPort, dstPort uint16, payload int) *pkt.Buf {
 	hdrLen := to.Mod.Device().HdrLen()
 	b := pkt.New(hdrLen+ipv4.HeaderLen+tcp.HeaderLen, payload)
 	th := tcp.Header{SrcPort: srcPort, DstPort: dstPort, Flags: tcp.FlagACK, Window: 1024}

@@ -1,80 +1,94 @@
 package experiments
 
 import (
+	"errors"
+	"io"
 	"os"
 	"time"
 
 	"ulp"
-	"ulp/internal/costs"
 	"ulp/internal/kern"
-	"ulp/internal/tcp"
+	"ulp/internal/stacks"
 	"ulp/internal/trace"
 )
 
-// world adapts the public facade for the experiment drivers.
-type world struct {
-	w *ulp.World
-}
-
-// newWorld builds a two-host world for a system/network pair. A nil model
-// uses the calibrated default.
-func newWorld(org OrgSel, net NetSel, model *costs.Model) *world {
-	return newWorldWith(org, net, model, nil)
-}
-
-// newWorldWith is newWorld with a config hook applied before the world is
-// built (zero-copy mode, doorbell budgets — anything experiments toggle).
-func newWorldWith(org OrgSel, net NetSel, model *costs.Model, mut func(*ulp.Config)) *world {
-	cfg := ulp.Config{Costs: model}
-	switch org {
-	case OrgUltrix:
-		cfg.Org = ulp.OrgInKernel
-	case OrgMachUX:
-		cfg.Org = ulp.OrgSingleServer
-	case OrgOurs:
-		cfg.Org = ulp.OrgUserLib
-	}
-	switch net {
-	case NetEthernet:
-		cfg.Net = ulp.Ethernet
-	case NetAN1:
-		cfg.Net = ulp.AN1
-	case NetAN1Jumbo:
-		cfg.Net = ulp.AN1Jumbo
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	w := &world{w: ulp.NewWorld(cfg)}
+// newWorld builds the world a driver measures.
+func newWorld(cfg ulp.Config) *ulp.World {
+	w := ulp.NewWorld(cfg)
 	if os.Getenv("ULP_TRACE") == "1" {
 		// Exercise every emission path during the run (CI diffs traced
 		// against untraced tables for bit-identity). The no-op subscriber
 		// matters: a bus with no subscribers reports Enabled() == false and
 		// the producers skip their hooks entirely.
-		w.w.EnableTrace().Subscribe(func(trace.Event) {})
+		w.EnableTrace().Subscribe(func(trace.Event) {})
 	}
 	return w
 }
 
-func (w *world) app(node int, name string) *ulp.App { return w.w.Node(node).App(name) }
+// errUnfinished reports a run that spent its virtual-time budget.
+var errUnfinished = errors.New("experiments: run did not finish within its budget")
 
-func (w *world) endpoint(node int, port uint16) tcp.Endpoint { return w.w.Endpoint(node, port) }
-
-func (w *world) runUntil(budget time.Duration, pred func() bool) {
-	w.w.RunUntil(budget, pred)
+// exchange is one client/server run on a two-host world. The server thread
+// (host 0, app "server") listens on port 80 and hands the listener to serve;
+// 1 ms later the client thread (host 1, app "client") runs client, whose
+// dial connects to the server. Both sides use opts.
+//
+// The run ends at the first error either side returns, or when the client
+// returns — the server, with serverEnds. A run still going when the budget
+// of virtual time is spent is an error.
+type exchange struct {
+	opts       stacks.Options
+	budget     time.Duration
+	serverEnds bool
+	serve      func(t *kern.Thread, l stacks.Listener) error
+	client     func(t *kern.Thread, dial func() (stacks.Conn, error)) error
 }
 
-func (w *world) run(budget time.Duration) { w.w.Run(budget) }
+func (x exchange) run(w *ulp.World) error {
+	const port = 80
+	srv, cli := w.Node(0).App("server"), w.Node(1).App("client")
+	var failure error
+	done := false
+	end := func(err error, ends bool) {
+		if err != nil && failure == nil {
+			failure = err
+		}
+		done = done || ends || err != nil
+	}
+	srv.Go("srv", func(t *kern.Thread) {
+		l, err := srv.Stack.Listen(t, port, x.opts)
+		if err == nil {
+			err = x.serve(t, l)
+		}
+		end(err, x.serverEnds)
+	})
+	cli.GoAfter(time.Millisecond, "cli", func(t *kern.Thread) {
+		end(x.client(t, func() (stacks.Conn, error) {
+			return cli.Stack.Connect(t, w.Endpoint(0, port), x.opts)
+		}), !x.serverEnds)
+	})
+	w.RunUntil(x.budget, func() bool { return done })
+	switch {
+	case failure != nil:
+		return failure
+	case !done:
+		return errUnfinished
+	}
+	return nil
+}
 
-func (w *world) node(i int) *ulpNode { return w.w.Node(i) }
-
-// ulpNode aliases the facade's node type for the drivers.
-type ulpNode = ulp.Node
-
-func (w *world) now() time.Duration { return w.w.Now() }
-
-// spawnKernelThread runs fn in a fresh privileged domain on node i (the
-// mechanism micro-benchmarks drive devices directly).
-func (w *world) spawnKernelThread(i int, name string, fn func(t *kern.Thread)) {
-	w.w.Node(i).Host.NewDomain(name+"-dom", true).Spawn(name, fn)
+// readFull reads exactly len(p) bytes from c; the stream ending first is an
+// error.
+func readFull(t *kern.Thread, c stacks.Conn, p []byte) error {
+	for got := 0; got < len(p); {
+		n, err := c.Read(t, p[got:])
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return io.ErrUnexpectedEOF
+		}
+		got += n
+	}
+	return nil
 }

@@ -486,29 +486,17 @@ func (r *chanRec) Scrub() {
 	r.bd = binding{}
 }
 
-// Placement of a software demux entry: hash-steered (exact or
-// wildcard-remote key) or on the linear fallback chain.
-const (
-	placeChain = iota
-	placeSteer
-	placeSteerWild
-)
-
-// binding is one software demux entry. Indexable endpoint predicates live
-// in a steering table keyed by the packet's five-tuple; everything else
-// (raw EtherType channels, partially wildcarded specs) stays on a linear
-// chain. where/key let DestroyChannel remove the entry without scanning.
+// binding is one software demux entry, installed in Module.steer under key.
 type binding struct {
-	match func([]byte) bool
-	ch    *Channel
-	where int
-	key   steerKey
+	ch  *Channel
+	key steerKey
 }
 
-// steerKey is the exact-match steering index: the fields Spec.Match tests
-// against an inbound IPv4 frame. The wildcard (listener) form zeroes the
-// remote half.
+// steerKey indexes the software demux table. An endpoint's key is the
+// fields Spec.Match tests against an inbound IPv4 frame, with the remote
+// half zeroed for a listener; a raw channel's key is its EtherType alone.
 type steerKey struct {
+	etherType  link.EtherType // raw channels only
 	proto      uint8
 	localIP    ipv4.Addr
 	localPort  uint16
@@ -518,9 +506,9 @@ type steerKey struct {
 
 // steerKeys extracts the steering keys from an inbound frame: the fully
 // specified key and its listener form (remote half zeroed). ok is false
-// when the frame cannot hit any steered binding — short, non-IPv4, or a
-// non-first fragment (no transport header) — in which case only the chain
-// can match, mirroring Spec.Match's reject conditions exactly.
+// when the frame cannot hit any endpoint — short, non-IPv4, or a non-first
+// fragment (no transport header) — mirroring Spec.Match's reject
+// conditions exactly.
 func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
 	if len(frame) < hdrLen+20 {
 		return
@@ -552,24 +540,20 @@ func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
 	return full, wild, true
 }
 
-// steerable classifies a Spec: a fully specified five-tuple steers on the
-// exact table, a fully wildcarded remote steers on the listener table, and
-// anything else (no transport predicate, or a half-wildcarded remote,
-// which the hash key cannot express) falls back to the chain.
-func steerable(s *filter.Spec) (key steerKey, where int) {
-	if s == nil || s.Proto == 0 || s.LocalPort == 0 || s.LocalIP == ([4]byte{}) {
-		return steerKey{}, placeChain
+// steerable returns a Spec's key: a fully specified five-tuple, or a
+// listener with the remote half wild. ok is false for anything else (no
+// transport predicate, or a half-wildcarded remote), which the table cannot
+// express.
+func steerable(s *filter.Spec) (key steerKey, ok bool) {
+	if s.Proto == 0 || s.LocalPort == 0 || s.LocalIP == ([4]byte{}) {
+		return steerKey{}, false
 	}
 	key = steerKey{proto: s.Proto, localIP: s.LocalIP, localPort: s.LocalPort}
-	if s.RemoteIP == ([4]byte{}) && s.RemotePort == 0 {
-		return key, placeSteerWild
+	if (s.RemoteIP == ([4]byte{})) != (s.RemotePort == 0) {
+		return steerKey{}, false
 	}
-	if s.RemoteIP != ([4]byte{}) && s.RemotePort != 0 {
-		key.remoteIP = s.RemoteIP
-		key.remotePort = s.RemotePort
-		return key, placeSteer
-	}
-	return steerKey{}, placeChain
+	key.remoteIP, key.remotePort = s.RemoteIP, s.RemotePort
+	return key, true
 }
 
 // Module is one device's network I/O module.
@@ -584,15 +568,11 @@ type Module struct {
 	// free holds the records of destroyed channels nobody else can reach.
 	free freelist.List[*chanRec]
 
-	// Software demux is split two ways: steer holds fully specified
-	// five-tuple endpoints, steerWild holds listener endpoints (remote
-	// wildcarded), and chain is the linear fallback for everything the
-	// hash key cannot express. An inbound frame consults steer, then
-	// steerWild, then the chain — so a steered entry always beats a chain
-	// entry that would also match.
-	steer     map[steerKey]*binding
-	steerWild map[steerKey]*binding
-	chain     []*binding
+	// steer is the software demux table: fully specified five-tuple
+	// endpoints, listener endpoints (remote wildcarded) and raw EtherType
+	// channels, each under its own key. An inbound frame consults its
+	// five-tuple, then its listener form, then its EtherType.
+	steer map[steerKey]*binding
 
 	defaultRx netdev.RxHandler
 
@@ -658,7 +638,6 @@ func New(h *kern.Host, dev netdev.Device) *Module {
 		nextBQI:   1,
 		caps:      make(map[uint64]*Capability),
 		steer:     make(map[steerKey]*binding),
-		steerWild: make(map[steerKey]*binding),
 	}
 	dev.SetRxHandler(m.rxSoftware)
 	return m
@@ -682,16 +661,9 @@ func (m *Module) rxSoftware(b *pkt.Buf) {
 		// regardless of how the match is found — the steering tables are a
 		// wall-clock optimization and must not perturb virtual time.
 		m.host.CPU.UseAsync(c.LanceDemuxFixed+c.FilterDemux, nil)
-		frame := b.Bytes()
-		if bd := m.steerLookup(frame); bd != nil {
+		if bd := m.steerLookup(b.Bytes()); bd != nil {
 			m.deliverMatched(bd, b)
 			return
-		}
-		for _, bd := range m.chain {
-			if bd.match(frame) {
-				m.deliverMatched(bd, b)
-				return
-			}
 		}
 	}
 	m.DemuxDefault++
@@ -706,21 +678,25 @@ func (m *Module) rxSoftware(b *pkt.Buf) {
 }
 
 // steerLookup finds the software binding for a frame in O(1): exact
-// five-tuple first, then the listener (wildcard-remote) form. A frame that
-// cannot carry a steerable key (non-IPv4, fragment) returns nil and falls
-// through to the chain.
+// five-tuple first, then the listener (wildcard-remote) form, then a raw
+// channel for the frame's EtherType.
 func (m *Module) steerLookup(frame []byte) *binding {
-	if len(m.steer) == 0 && len(m.steerWild) == 0 {
+	if len(m.steer) == 0 {
 		return nil
 	}
-	full, wild, ok := steerKeys(m.dev.HdrLen(), frame)
-	if !ok {
+	hdrLen := m.dev.HdrLen()
+	if full, wild, ok := steerKeys(hdrLen, frame); ok {
+		if bd := m.steer[full]; bd != nil {
+			return bd
+		}
+		if bd := m.steer[wild]; bd != nil {
+			return bd
+		}
+	}
+	if len(frame) < hdrLen {
 		return nil
 	}
-	if bd := m.steer[full]; bd != nil {
-		return bd
-	}
-	return m.steerWild[wild]
+	return m.steer[steerKey{etherType: link.EtherType(uint16(frame[hdrLen-2])<<8 | uint16(frame[hdrLen-1]))}]
 }
 
 // deliverMatched accounts and completes a software demux hit. On the
@@ -806,51 +782,48 @@ func (m *Module) ReleaseBQI(from *kern.Domain, bqi uint16) error {
 // to the network module."
 //
 // spec describes the endpoint for input demultiplexing; tmpl constrains
-// output. ringSize is the receive ring capacity in packets.
+// output. ringSize is the receive ring capacity in packets. A spec that is
+// neither a full five-tuple nor a listener is refused, and so, where
+// demultiplexing is in software, is one whose key another channel holds.
 func (m *Module) CreateChannel(from *kern.Domain, spec filter.Spec, tmpl Template, ringSize int) (*Capability, *Channel, error) {
-	if !from.Privileged {
-		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
-	}
-	return m.createChannel(from, &spec, nil, tmpl, ringSize, 0)
+	return m.CreateChannelBQI(from, spec, tmpl, ringSize, 0)
 }
 
-// CreateChannelBQI is CreateChannel with a previously reserved BQI.
+// CreateChannelBQI is CreateChannel with a previously reserved BQI (0 for
+// none).
 func (m *Module) CreateChannelBQI(from *kern.Domain, spec filter.Spec, tmpl Template, ringSize int, bqi uint16) (*Capability, *Channel, error) {
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, &spec, nil, tmpl, ringSize, bqi)
+	key, ok := steerable(&spec)
+	if !ok {
+		return nil, nil, fmt.Errorf("netio: cannot demultiplex spec %+v", spec)
+	}
+	return m.createChannel(from, key, tmpl, ringSize, bqi)
 }
 
 // CreateRawChannel builds a channel demultiplexed by EtherType alone, for
 // link-level protocols (the Table 1 mechanism micro-benchmark "used two
 // applications to exchange data ... without using any higher-level
-// protocols").
+// protocols"). One channel per EtherType.
 func (m *Module) CreateRawChannel(from *kern.Domain, et link.EtherType, tmpl Template, ringSize int) (*Capability, *Channel, error) {
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: raw channel creation from unprivileged domain %s", from)
 	}
-	hdrLen := m.dev.HdrLen()
-	match := func(frame []byte) bool {
-		if len(frame) < hdrLen {
-			return false
-		}
-		return link.EtherType(uint16(frame[hdrLen-2])<<8|uint16(frame[hdrLen-1])) == et
-	}
-	return m.createChannel(from, nil, match, tmpl, ringSize, 0)
+	return m.createChannel(from, steerKey{etherType: et}, tmpl, ringSize, 0)
 }
 
-// createChannel installs the channel. spec, when non-nil, describes the
-// endpoint predicate structurally so software demux can steer it by hash
-// key; match is the predicate used when it cannot (raw channels, partial
-// wildcards, or a key collision — the colliding entry chains behind the
-// steered one, preserving first-installed-wins order), compiled from spec
-// if nil, and only where demultiplexing is in software.
-func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func([]byte) bool, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
+// createChannel installs the channel; where demultiplexing is in software,
+// its binding goes into the steering table under key.
+func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
 	if m.FailSetup != nil {
 		if err := m.FailSetup("create"); err != nil {
 			return nil, nil, err
 		}
+	}
+	an1, hardware := m.dev.(*netdev.AN1)
+	if !hardware && m.steer[key] != nil {
+		return nil, nil, fmt.Errorf("netio: demux key %+v already has a channel", key)
 	}
 	if ringSize <= 0 {
 		ringSize = 32
@@ -873,7 +846,7 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 	m.caps[cap.id] = cap
 	m.pinned++
 
-	if an1, ok := m.dev.(*netdev.AN1); ok {
+	if hardware {
 		// Hardware demultiplexing: install the ring under the reserved (or
 		// a fresh) BQI.
 		ch.bqi = reservedBQI
@@ -898,30 +871,9 @@ func (m *Module) createChannel(from *kern.Domain, spec *filter.Spec, match func(
 		}
 		an1.InstallRing(ch.bqi, &rec.ring, ringSize, rec.rx)
 	} else {
-		if match == nil {
-			match = spec.Compile()
-		}
-		bd := &rec.bd
-		*bd = binding{match: match, ch: ch}
-		bd.key, bd.where = steerable(spec)
-		switch bd.where {
-		case placeSteer:
-			if m.steer[bd.key] != nil {
-				bd.where = placeChain // duplicate key: first install wins
-			} else {
-				m.steer[bd.key] = bd
-			}
-		case placeSteerWild:
-			if m.steerWild[bd.key] != nil {
-				bd.where = placeChain
-			} else {
-				m.steerWild[bd.key] = bd
-			}
-		}
-		if bd.where == placeChain {
-			m.chain = append(m.chain, bd)
-		}
-		ch.bd = bd
+		rec.bd = binding{ch: ch, key: key}
+		m.steer[key] = &rec.bd
+		ch.bd = &rec.bd
 	}
 	if m.leases != nil {
 		m.leases.Grant(cap.id)
@@ -951,19 +903,7 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 		m.freeBQI = append(m.freeBQI, cap.ch.bqi)
 	}
 	if bd := cap.ch.bd; bd != nil {
-		switch bd.where {
-		case placeSteer:
-			delete(m.steer, bd.key)
-		case placeSteerWild:
-			delete(m.steerWild, bd.key)
-		default:
-			for i, cbd := range m.chain {
-				if cbd == bd {
-					m.chain = append(m.chain[:i], m.chain[i+1:]...)
-					break
-				}
-			}
-		}
+		delete(m.steer, bd.key)
 		cap.ch.bd = nil
 	}
 	// Packets still queued in the ring die with the channel: nobody will
@@ -1212,18 +1152,8 @@ func (m *Module) ChannelStats() []ChannelStats {
 	return out
 }
 
-// SoftwareBindings counts installed software demux entries across the
-// steering tables and the fallback chain (diagnostics).
-func (m *Module) SoftwareBindings() int {
-	return len(m.steer) + len(m.steerWild) + len(m.chain)
-}
-
-// SteeredBindings reports how many software demux entries are hash-steered
-// vs on the linear fallback chain (diagnostics; scaling benchmarks assert
-// the chain stays empty for endpoint-shaped specs).
-func (m *Module) SteeredBindings() (steered, chained int) {
-	return len(m.steer) + len(m.steerWild), len(m.chain)
-}
+// SoftwareBindings counts installed software demux entries (diagnostics).
+func (m *Module) SoftwareBindings() int { return len(m.steer) }
 
 // UpdateTemplate amends a capability's template (the registry narrows it
 // once the remote endpoint and link address are known).

@@ -36,8 +36,8 @@ func TestSteeringExactAndWildcard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steered, chained := w.m2.SteeredBindings(); steered != 2 || chained != 0 {
-		t.Fatalf("steered=%d chained=%d, want 2/0", steered, chained)
+	if got := w.m2.SoftwareBindings(); got != 2 {
+		t.Fatalf("bindings = %d, want 2", got)
 	}
 	defaulted := 0
 	w.m2.SetDefaultHandler(func(b *pkt.Buf) { defaulted++; b.Release() })
@@ -120,34 +120,57 @@ func TestSteeringMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestSteeringDuplicateKeyFirstWins: installing two bindings with the same
-// five-tuple must preserve linear-scan semantics — the first keeps
-// receiving, the second waits on the chain and takes over when the first
-// is destroyed.
-func TestSteeringDuplicateKeyFirstWins(t *testing.T) {
+// TestSteeringRefusesTakenOrUnsteerableKeys: a second channel for a
+// five-tuple, listener or EtherType that already has one is refused, as is a
+// spec the table cannot key (a half-wildcarded remote); the refusals leave
+// the first channel receiving, allocate nothing, and the key is free again
+// once its channel is destroyed.
+func TestSteeringRefusesTakenOrUnsteerableKeys(t *testing.T) {
 	w := newWorld(t, false)
-	spec := tcpSpec(80, 1025)
-	cap1, ch1, err := w.m2.CreateChannel(w.krn2, spec, Template{}, 8)
+	exact, listener := tcpSpec(80, 1025), tcpSpec(81, 0)
+	cap1, ch1, err := w.m2.CreateChannel(w.krn2, exact, Template{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ch2, err := w.m2.CreateChannel(w.krn2, spec, Template{}, 8)
-	if err != nil {
+	if _, _, err := w.m2.CreateChannel(w.krn2, listener, Template{}, 8); err != nil {
 		t.Fatal(err)
 	}
-	if steered, chained := w.m2.SteeredBindings(); steered != 1 || chained != 1 {
-		t.Fatalf("steered=%d chained=%d, want 1/1 (duplicate key chains)", steered, chained)
+	if _, _, err := w.m2.CreateRawChannel(w.krn2, link.EtherType(0x88b5), Template{}, 8); err != nil {
+		t.Fatal(err)
+	}
+	halfWild := tcpSpec(82, 0)
+	halfWild.RemoteIP = ip1
+	pinned := w.m2.PinnedRegions()
+	for name, create := range map[string]func() error{
+		"exact":    func() error { _, _, err := w.m2.CreateChannel(w.krn2, exact, Template{}, 8); return err },
+		"listener": func() error { _, _, err := w.m2.CreateChannel(w.krn2, listener, Template{}, 8); return err },
+		"raw": func() error {
+			_, _, err := w.m2.CreateRawChannel(w.krn2, link.EtherType(0x88b5), Template{}, 8)
+			return err
+		},
+		"half-wild": func() error { _, _, err := w.m2.CreateChannel(w.krn2, halfWild, Template{}, 8); return err },
+	} {
+		if create() == nil {
+			t.Errorf("%s: second channel accepted, want refusal", name)
+		}
+	}
+	if w.m2.SoftwareBindings() != 3 || w.m2.PinnedRegions() != pinned {
+		t.Fatalf("after refusals: bindings=%d pinned=%d, want 3/%d", w.m2.SoftwareBindings(), w.m2.PinnedRegions(), pinned)
 	}
 	w.m2.rxSoftware(buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("a")))
-	if ch1.Pending() != 1 || ch2.Pending() != 0 {
-		t.Fatalf("pending = %d/%d, want 1/0 (first install wins)", ch1.Pending(), ch2.Pending())
+	if ch1.Pending() != 1 {
+		t.Fatalf("first channel got %d packets, want 1", ch1.Pending())
 	}
 	if err := w.m2.DestroyChannel(w.krn2, cap1); err != nil {
 		t.Fatal(err)
 	}
+	_, ch2, err := w.m2.CreateChannel(w.krn2, exact, Template{}, 8)
+	if err != nil {
+		t.Fatalf("key still taken after its channel was destroyed: %v", err)
+	}
 	w.m2.rxSoftware(buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("b")))
 	if ch2.Pending() != 1 {
-		t.Fatalf("chained duplicate got %d packets after first destroyed, want 1", ch2.Pending())
+		t.Fatalf("new channel got %d packets, want 1", ch2.Pending())
 	}
 }
 
@@ -173,8 +196,8 @@ func TestSteeringFragmentFallsThrough(t *testing.T) {
 	}
 }
 
-// TestDestroyChannelRemovesSteered verifies indexed removal across both
-// tables and the chain.
+// TestDestroyChannelRemovesSteered verifies indexed removal of exact,
+// listener and raw entries.
 func TestDestroyChannelRemovesSteered(t *testing.T) {
 	w := newWorld(t, false)
 	caps := make([]*Capability, 0, 3)
@@ -200,9 +223,6 @@ func TestDestroyChannelRemovesSteered(t *testing.T) {
 	}
 	if w.m2.SoftwareBindings() != 0 {
 		t.Fatalf("bindings = %d after destroying all, want 0", w.m2.SoftwareBindings())
-	}
-	if steered, chained := w.m2.SteeredBindings(); steered != 0 || chained != 0 {
-		t.Fatalf("steered=%d chained=%d after teardown", steered, chained)
 	}
 }
 
@@ -262,8 +282,8 @@ func TestManySteeredEndpoints(t *testing.T) {
 		}
 		chans[i] = ch
 	}
-	if steered, chained := w.m2.SteeredBindings(); steered != n || chained != 0 {
-		t.Fatalf("steered=%d chained=%d, want %d/0", steered, chained, n)
+	if got := w.m2.SoftwareBindings(); got != n {
+		t.Fatalf("bindings = %d, want %d", got, n)
 	}
 	for _, i := range []int{0, 1, n / 2, n - 2, n - 1} {
 		w.m2.rxSoftware(buildTCPFrame(w, link.EthHeaderLen,
