@@ -245,3 +245,116 @@ func TestConnectThroughPartitionBoundedAndLeakFree(t *testing.T) {
 	w.Run(3 * time.Minute)
 	assertNoLeaks(t, w, 0, 1)
 }
+
+// TestConnectsAfterFirstARPRequestLost: the segment is dark for the first
+// 100 ms, so the client host's first ARP request is lost. The SYN's
+// retransmission repeats the request, and the connection comes up in every
+// organization; before requests were repeated, the destination stayed
+// unresolved for as long as traffic kept queueing behind the lost one.
+func TestConnectsAfterFirstARPRequestLost(t *testing.T) {
+	for _, org := range []Org{OrgUserLib, OrgInKernel, OrgSingleServer} {
+		w := NewWorld(Config{
+			Org: org, Net: Ethernet,
+			Conditions: &wire.LinkConditions{
+				Seed:       3,
+				Partitions: []wire.Window{{Until: 100 * time.Millisecond}},
+			},
+		})
+		enableConformance(t, w)
+		srv := w.Node(0).App("server")
+		cli := w.Node(1).App("client")
+		var got []byte
+		var cliErr, srvErr error
+		srv.Go("srv", func(th *kern.Thread) {
+			l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+			c, err := l.Accept(th)
+			if err != nil {
+				srvErr = err
+				return
+			}
+			buf := make([]byte, 64)
+			n, err := c.Read(th, buf)
+			got, srvErr = buf[:n], err
+		})
+		cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				cliErr = err
+				return
+			}
+			_, cliErr = c.Write(th, []byte("hello"))
+		})
+		w.RunUntil(time.Minute, func() bool { return got != nil || cliErr != nil || srvErr != nil })
+		if cliErr != nil || srvErr != nil || string(got) != "hello" {
+			t.Errorf("%v: read %q; client error %v, server error %v", org, got, cliErr, srvErr)
+		}
+	}
+}
+
+// TestAbandonedConnectLeavesNothing: the segment goes dark while a connect
+// is under way and heals after the library's RPC budget has run out but
+// before the registry's handshake gives up. The library withdraws the
+// request it stopped waiting for, so the handshake that would have come up
+// for nobody is aborted and neither host is left holding a port, a channel
+// or a buffer.
+func TestAbandonedConnectLeavesNothing(t *testing.T) {
+	trackPoolLeaks(t)
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet,
+		Conditions: &wire.LinkConditions{
+			Seed:       7,
+			Partitions: []wire.Window{{From: 500 * time.Millisecond, Until: 8 * time.Second}},
+		},
+	})
+	enableConformance(t, w)
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	var lis stacks.Listener
+	accepted := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		lis, _ = srv.Stack.Listen(th, 80, stacks.Options{})
+		for {
+			c, err := lis.Accept(th)
+			if err != nil {
+				return
+			}
+			accepted++
+			srv.Go("reader", func(th *kern.Thread) {
+				buf := make([]byte, 64)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						break
+					}
+				}
+				c.Close(th)
+			})
+		}
+	})
+	var err error
+	done := false
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		// A first connection resolves both hosts' ARP entries before the
+		// segment goes dark.
+		c, err0 := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+		if err0 != nil {
+			t.Errorf("first connect: %v", err0)
+			return
+		}
+		c.Close(th)
+		th.Sleep(time.Second - time.Duration(th.Now()))
+		_, err = cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+		done = true
+	})
+	w.RunUntil(time.Minute, func() bool { return done })
+	if err != stacks.ErrRegistryUnavailable {
+		t.Fatalf("connect into the dark segment: error %v, want ErrRegistryUnavailable", err)
+	}
+	w.Run(3 * time.Minute)
+	srv.Go("closer", func(th *kern.Thread) { lis.Close(th) })
+	w.Run(time.Second)
+	if accepted != 1 {
+		t.Errorf("server accepted %d connections, want only the first", accepted)
+	}
+	assertNoLeaks(t, w, 0, 1)
+	assertNoPoolLeaks(t)
+}

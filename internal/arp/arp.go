@@ -9,8 +9,10 @@
 package arp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ulp/internal/ipv4"
 	"ulp/internal/link"
@@ -76,9 +78,11 @@ type Cache struct {
 	selfHW link.Addr
 	selfIP ipv4.Addr
 	ttl    uint64
+	retry  uint64
+	down   uint64
 
 	entries map[ipv4.Addr]entry
-	pending map[ipv4.Addr][]*pkt.Buf
+	pending map[ipv4.Addr]hold
 }
 
 type entry struct {
@@ -86,17 +90,26 @@ type entry struct {
 	expires uint64
 }
 
+// hold is one destination's queue of datagrams awaiting resolution, with the
+// time its last request went out.
+type hold struct {
+	q     []*pkt.Buf
+	asked uint64
+}
+
 // MaxPendingPerAddr bounds the per-destination hold queue, as BSD did (it
 // kept one; we keep a few to avoid gratuitous drops in bulk tests).
 const MaxPendingPerAddr = 8
 
-// NewCache creates a cache for an interface with the given addresses;
-// entries live for ttl clock units.
-func NewCache(selfHW link.Addr, selfIP ipv4.Addr, ttl uint64) *Cache {
+// NewCache creates a cache for an interface with the given addresses. In
+// units of the caller's clock, entries live for ttl, an unanswered request is
+// repeated after retry, and the datagrams held for a destination that has not
+// answered for down are released (Expire).
+func NewCache(selfHW link.Addr, selfIP ipv4.Addr, ttl, retry, down uint64) *Cache {
 	return &Cache{
-		selfHW: selfHW, selfIP: selfIP, ttl: ttl,
+		selfHW: selfHW, selfIP: selfIP, ttl: ttl, retry: retry, down: down,
 		entries: make(map[ipv4.Addr]entry),
-		pending: make(map[ipv4.Addr][]*pkt.Buf),
+		pending: make(map[ipv4.Addr]hold),
 	}
 }
 
@@ -109,17 +122,46 @@ func (c *Cache) Lookup(now uint64, ip ipv4.Addr) (link.Addr, bool) {
 	return e.hw, true
 }
 
-// Enqueue holds an IP datagram awaiting resolution of ip; it reports
-// whether a request should be transmitted (true for the first queued
-// packet). Overflow drops the oldest, as BSD's single-packet hold did.
-func (c *Cache) Enqueue(ip ipv4.Addr, b *pkt.Buf) (sendRequest bool) {
-	q := c.pending[ip]
-	sendRequest = len(q) == 0
-	if len(q) >= MaxPendingPerAddr {
-		q = q[1:]
+// Enqueue holds an IP datagram awaiting resolution of ip at time now; it
+// reports whether a request should be transmitted. That is true for the first
+// datagram held, and again for a later one once the last request is retry
+// units old: one lost request must not strand the destination until the
+// traffic stops. As in BSD's arpresolve, the datagrams the sender keeps
+// retransmitting drive the retries, at most one per retry interval (RFC 1122
+// 2.3.2.1). Overflow releases the oldest, as BSD's single-packet hold did.
+func (c *Cache) Enqueue(now uint64, ip ipv4.Addr, b *pkt.Buf) (sendRequest bool) {
+	h, waiting := c.pending[ip]
+	sendRequest = !waiting || now >= h.asked+c.retry
+	if sendRequest {
+		h.asked = now
 	}
-	c.pending[ip] = append(q, b)
+	if len(h.q) >= MaxPendingPerAddr {
+		h.q[0].Release()
+		h.q = h.q[1:]
+	}
+	h.q = append(h.q, b)
+	c.pending[ip] = h
 	return sendRequest
+}
+
+// Expire releases the datagrams held for each destination whose last request
+// is down old: nothing is left to drive another request, and a sender that
+// tries again starts a new hold and asks at once. Destinations go in address
+// order, so buffers return to the pool in the same order on every run.
+func (c *Cache) Expire(now uint64) {
+	var gone []ipv4.Addr
+	for ip, h := range c.pending {
+		if now >= h.asked+c.down {
+			gone = append(gone, ip)
+		}
+	}
+	slices.SortFunc(gone, func(a, b ipv4.Addr) int { return bytes.Compare(a[:], b[:]) })
+	for _, ip := range gone {
+		for _, b := range c.pending[ip].q {
+			b.Release()
+		}
+		delete(c.pending, ip)
+	}
 }
 
 // MakeRequest builds the broadcast request for ip.
@@ -134,8 +176,8 @@ func (c *Cache) MakeRequest(ip ipv4.Addr) Packet {
 func (c *Cache) Input(now uint64, p Packet) (reply *Packet, released []*pkt.Buf) {
 	if !p.SenderIP.IsZero() {
 		c.entries[p.SenderIP] = entry{hw: p.SenderHW, expires: now + c.ttl}
-		if q := c.pending[p.SenderIP]; len(q) > 0 {
-			released = q
+		if h, ok := c.pending[p.SenderIP]; ok {
+			released = h.q
 			delete(c.pending, p.SenderIP)
 		}
 	}

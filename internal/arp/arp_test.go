@@ -1,6 +1,7 @@
 package arp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,15 +56,15 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestRequestReplyExchange(t *testing.T) {
-	a := NewCache(hwA, ipA, 100)
-	b := NewCache(hwB, ipB, 100)
+	a := NewCache(hwA, ipA, 100, 2, 40)
+	b := NewCache(hwB, ipB, 100, 2, 40)
 
 	// A wants B: enqueue a datagram, send a request.
 	dg := pkt.FromBytes(0, []byte("ip datagram"))
-	if !a.Enqueue(ipB, dg) {
+	if !a.Enqueue(0, ipB, dg) {
 		t.Fatal("first enqueue should request")
 	}
-	if a.Enqueue(ipB, pkt.FromBytes(0, []byte("second"))) {
+	if a.Enqueue(1, ipB, pkt.FromBytes(0, []byte("second"))) {
 		t.Fatal("second enqueue should not re-request")
 	}
 	req := a.MakeRequest(ipB)
@@ -93,8 +94,63 @@ func TestRequestReplyExchange(t *testing.T) {
 	}
 }
 
+// TestUnansweredRequestRepeated: while datagrams keep arriving for an
+// unresolved destination, a request goes out again once the last one is the
+// retry interval old, and not sooner.
+func TestUnansweredRequestRepeated(t *testing.T) {
+	c := NewCache(hwA, ipA, 100, 2, 40)
+	var asked []uint64
+	for now := uint64(0); now < 7; now++ {
+		if c.Enqueue(now, ipB, pkt.FromBytes(0, []byte{byte(now)})) {
+			asked = append(asked, now)
+		}
+	}
+	if want := []uint64{0, 2, 4, 6}; !slices.Equal(asked, want) {
+		t.Fatalf("requests at %v, want %v", asked, want)
+	}
+	_, rel := c.Input(7, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA})
+	if len(rel) != 7 {
+		t.Fatalf("released %d datagrams, want 7", len(rel))
+	}
+	// Resolved and released: the next miss (after expiry) asks at once.
+	if !c.Enqueue(107, ipB, pkt.FromBytes(0, []byte("late"))) {
+		t.Fatal("first datagram after the entry expired did not request")
+	}
+}
+
+// TestHoldReleasedWhenDestinationSilent: datagrams held for a destination
+// that has not answered its last request for the down interval go back to
+// the pool; a destination asked more recently keeps its hold.
+func TestHoldReleasedWhenDestinationSilent(t *testing.T) {
+	pkt.SetLeakTracking(true)
+	defer pkt.SetLeakTracking(false)
+	ipC := ipv4.Addr{10, 0, 0, 3}
+	c := NewCache(hwA, ipA, 100, 2, 40)
+	c.Enqueue(0, ipB, pkt.New(0, 10))
+	c.Enqueue(0, ipC, pkt.New(0, 10))
+	c.Enqueue(3, ipC, pkt.New(0, 10)) // asks again: ipC was last asked at 3
+	c.Expire(39)
+	if n := pkt.OutstandingCount(); n != 3 {
+		t.Fatalf("%d buffers held before the down interval, want 3", n)
+	}
+	c.Expire(40)
+	if n := pkt.OutstandingCount(); n != 2 {
+		t.Fatalf("%d buffers held after ipB went down, want ipC's 2", n)
+	}
+	if !c.Enqueue(41, ipB, pkt.New(0, 10)) {
+		t.Fatal("a datagram for an expired hold did not ask at once")
+	}
+	c.Expire(43)
+	_, rel := c.Input(44, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipC, TargetHW: hwA, TargetIP: ipA})
+	_, relB := c.Input(44, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA})
+	if len(rel) != 0 || len(relB) != 1 {
+		t.Fatalf("released %d for ipC (expired at 43), %d for ipB; want 0 and 1", len(rel), len(relB))
+	}
+	relB[0].Release()
+}
+
 func TestRequestForOtherHostIgnored(t *testing.T) {
-	b := NewCache(hwB, ipB, 100)
+	b := NewCache(hwB, ipB, 100, 2, 40)
 	req := Packet{Op: OpRequest, SenderHW: hwA, SenderIP: ipA, TargetIP: ipv4.Addr{10, 0, 0, 99}}
 	reply, _ := b.Input(0, req)
 	if reply != nil {
@@ -103,7 +159,7 @@ func TestRequestForOtherHostIgnored(t *testing.T) {
 }
 
 func TestEntryExpiry(t *testing.T) {
-	c := NewCache(hwA, ipA, 10)
+	c := NewCache(hwA, ipA, 10, 2, 40)
 	c.Input(0, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA})
 	if _, ok := c.Lookup(9, ipB); !ok {
 		t.Fatal("entry expired early")
@@ -114,9 +170,16 @@ func TestEntryExpiry(t *testing.T) {
 }
 
 func TestPendingOverflowDropsOldest(t *testing.T) {
-	c := NewCache(hwA, ipA, 100)
+	pkt.SetLeakTracking(true)
+	defer pkt.SetLeakTracking(false)
+	c := NewCache(hwA, ipA, 100, 2, 40)
 	for i := 0; i < MaxPendingPerAddr+3; i++ {
-		c.Enqueue(ipB, pkt.FromBytes(0, []byte{byte(i)}))
+		b := pkt.New(0, 1)
+		b.Bytes()[0] = byte(i)
+		c.Enqueue(0, ipB, b)
+	}
+	if n := pkt.OutstandingCount(); n != MaxPendingPerAddr {
+		t.Fatalf("%d buffers outstanding, want the %d held: the dropped ones go back to the pool", n, MaxPendingPerAddr)
 	}
 	_, rel := c.Input(0, Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA})
 	if len(rel) != MaxPendingPerAddr {
@@ -128,7 +191,7 @@ func TestPendingOverflowDropsOldest(t *testing.T) {
 }
 
 func TestOpportunisticLearning(t *testing.T) {
-	c := NewCache(hwA, ipA, 100)
+	c := NewCache(hwA, ipA, 100, 2, 40)
 	// Any ARP traffic teaches us the sender.
 	c.Input(0, Packet{Op: OpRequest, SenderHW: hwB, SenderIP: ipB, TargetIP: ipv4.Addr{10, 0, 0, 77}})
 	if hw, ok := c.Lookup(0, ipB); !ok || hw != hwB {

@@ -20,6 +20,7 @@ package core
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -390,24 +391,32 @@ func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Optio
 // retries fail over), posted with a private reply port per attempt. A quota
 // denial is retried as a fresh request under backoff — the denied attempt
 // executed nothing, and reusing its id would only replay the cached denial.
+// An attempt that timed out may still be executing — a handshake under loss
+// outlasts the RPC deadline — so every id the library stops waiting for is
+// withdrawn from the shards it went to, except the one that answered it.
 func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg, error) {
 	id := l.nextReqID()
+	var shards [rpcAttempts]*kern.Port
+	asked := shards[:0] // where the current id was posted
 	timeout := rpcBaseTimeout
 	denied := 0
 	for attempt := 0; attempt < rpcAttempts; {
-		shard := l.meta.Route(l.rr)
+		svc := l.meta.Svc(l.meta.Route(l.rr))
 		l.rr++
+		if !slices.Contains(asked, svc) {
+			asked = append(asked, svc)
+		}
 		replyPort := kern.NewPort(l.host, "connect-reply")
-		l.post(t, l.meta.Svc(shard),
-			kern.Msg{Op: "connect", ID: id, Reply: replyPort, Body: req})
+		l.post(t, svc, kern.Msg{Op: "connect", ID: id, Reply: replyPort, Body: req})
 		m, ok := replyPort.ReceiveTimeout(t, timeout)
 		if ok {
+			l.abandon(t, id, asked, svc)
 			if ho, isHo := m.Body.(registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied {
 				denied++
 				if denied > admissionRetries {
 					return m, nil // surface the denial to the application
 				}
-				id = l.nextReqID()
+				id, asked = l.nextReqID(), asked[:0]
 				t.Sleep(l.backoff.Next(denied - 1))
 				continue // denied retries do not burn the deadline budget
 			}
@@ -421,7 +430,19 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 			timeout *= 2
 		}
 	}
+	l.abandon(t, id, asked, nil)
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
+}
+
+// abandon withdraws connect request id from each shard in asked but the one
+// that answered it (nil when none did), so that a set-up nobody will adopt
+// gives back its port and channel.
+func (l *Library) abandon(t *kern.Thread, id uint64, asked []*kern.Port, answered *kern.Port) {
+	for _, svc := range asked {
+		if svc != answered {
+			l.post(t, svc, kern.Msg{Op: "abandon", Body: registry.AbandonReq{ID: id}})
+		}
+	}
 }
 
 // Listener is the library side of a passive open.

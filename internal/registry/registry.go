@@ -80,6 +80,11 @@ type Handoff struct {
 	Err     error
 }
 
+// AbandonReq withdraws connect request ID, whose library stopped waiting for
+// the answer: the set-up is aborted, or the connection it already handed off
+// to nobody is reset and reclaimed.
+type AbandonReq struct{ ID uint64 }
+
 // InheritReq returns a connection to the registry when its application
 // exits: the registry drives remaining timers (TIME_WAIT) or, for an
 // abnormal exit, resets the peer.
@@ -338,7 +343,7 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 	r.dom.Spawn("input", r.nif.InputLoop(r.rxq, &stacks.Hooks{TCP: r.inputTCP, UDP: r.inputUDP}))
 	r.wheel.Drive(r.dom, "tcp", stacks.DriverHooks{
 		Bracket:   r.runEngine,
-		AfterSlow: func() { r.nif.Rsm.Expire(r.nif.Now()) },
+		AfterSlow: r.nif.Expire,
 	})
 	r.dom.Spawn("lease-hb", r.leaseHeartbeat)
 	return r
@@ -443,6 +448,9 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.finish(t, m, kern.Msg{})
 	case TeardownReq:
 		r.handleTeardown(t, req)
+		r.finish(t, m, kern.Msg{})
+	case AbandonReq:
+		r.handleAbandon(t, req.ID)
 		r.finish(t, m, kern.Msg{})
 	case ReRegisterReq:
 		r.handleReRegister(t, m, req)
@@ -611,6 +619,32 @@ func (r *Server) handleTeardown(t *kern.Thread, req TeardownReq) {
 	if _, ok := r.transferred[ft]; ok {
 		delete(r.transferred, ft)
 		r.ports.Release(req.Local.Port)
+	}
+}
+
+// handleAbandon withdraws connect request id. Its library stopped waiting for
+// the answer — the RPC budget ran out while the handshake was still
+// retransmitting, or another shard answered first — so nobody will adopt what
+// the request produces: a set-up still under way is aborted, and a
+// connection already handed off to the abandoned reply port is reclaimed as
+// a crashed application's would be. Nothing else would ever free either.
+func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
+	if e, ok := r.reqCache[id]; ok && !e.done && e.hc != nil {
+		e.hc.reply = nil // no one is listening for the handoff
+		r.abandonSetup(t, e.hc)
+	}
+	// The set-up may have completed before the abandon, or while the abort
+	// waited for the engine.
+	e, ok := r.reqCache[id]
+	if !ok || !e.done {
+		return
+	}
+	if ho, isHo := e.reply.Body.(Handoff); isHo && ho.Err == nil {
+		ft := tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}
+		if xc, ok := r.transferred[ft]; ok && xc.cap == ho.Cap {
+			r.reclaimTransferred(t, ft, xc)
+		}
+		e.reply = kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.ErrRegistryUnavailable}}
 	}
 }
 
@@ -982,15 +1016,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		if r.conns[&hc.tc] != hc || hc.owner != dom {
 			continue
 		}
-		r.runConn(t, hc, func() {
-			hc.tc.Abort()
-			// Inside the pass the record is still this connection's.
-			if hc.ourCap != nil {
-				_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-				hc.ourCap = nil
-			}
-			r.dropBQI(hc)
-		})
+		r.abandonSetup(t, hc)
 	}
 
 	// Transferred connections: revoke the channel, release the port, reset
@@ -1001,15 +1027,9 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// RST by the receive pipeline's no-endpoint case — so the peer converges
 	// to reset either way.
 	for ft, xc := range r.transferred {
-		if xc.owner != dom {
-			continue
+		if xc.owner == dom {
+			r.reclaimTransferred(t, ft, xc)
 		}
-		if xc.cap != nil {
-			_ = r.nif.Mod.DestroyChannel(r.dom, xc.cap)
-		}
-		delete(r.transferred, ft)
-		r.ports.Release(ft.Local.Port)
-		r.sendCrashRST(t, xc)
 	}
 
 	// Listeners and datagram bindings.
@@ -1032,6 +1052,33 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// Final sweep: the module revokes anything still issued to the dead
 	// domain, even if the registry's own records were incomplete.
 	_, _ = r.nif.Mod.RevokeOwner(r.dom, dom)
+}
+
+// abandonSetup aborts a set-up whose requester no longer waits for it (the
+// caller cleared hc.reply): the engine resets the peer, and its closed
+// callback frees the port and admission slot and completes the dedup entry.
+// The channel, which closed leaves to a requester still waiting, goes here.
+func (r *Server) abandonSetup(t *kern.Thread, hc *hsConn) {
+	r.runConn(t, hc, func() {
+		hc.tc.Abort()
+		// Inside the pass the record is still this connection's.
+		if hc.ourCap != nil {
+			_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
+			hc.ourCap = nil
+		}
+		r.dropBQI(hc)
+	})
+}
+
+// reclaimTransferred takes back a handed-off connection no application will
+// close: it revokes the channel, releases the port and resets the peer.
+func (r *Server) reclaimTransferred(t *kern.Thread, ft tcp.FourTuple, xc *xferConn) {
+	if xc.cap != nil {
+		_ = r.nif.Mod.DestroyChannel(r.dom, xc.cap)
+	}
+	delete(r.transferred, ft)
+	r.ports.Release(ft.Local.Port)
+	r.sendCrashRST(t, xc)
 }
 
 // sendCrashRST issues the proactive reset for a crashed application's

@@ -298,3 +298,45 @@ func newSegBuf(headroom int, data []byte) *pktBuf {
 type pktBuf = pkt.Buf
 
 func pktFromBytes(headroom int, b []byte) *pktBuf { return pkt.FromBytes(headroom, b) }
+
+// TestAbandonReclaimsHandedOffConnect: a library that gave up on connect
+// request 91 withdraws it after the handshake completed and the handoff went
+// to its abandoned reply port. The registry takes the connection back as a
+// crashed application's (channel revoked, port released) and a late retry of
+// the id is not handed the reclaimed connection.
+func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
+	rg := newRig(false)
+	rg.listenOn(t, 80)
+	call := func(m kern.Msg) (ho Handoff) {
+		done := false
+		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
+			if m.Op == "abandon" {
+				rg.r1.Svc.Send(th, m)
+			} else {
+				ho, _ = rg.r1.Svc.Call(th, m).Body.(Handoff)
+			}
+			done = true
+		})
+		rg.s.RunUntil(time.Minute, func() bool { return done })
+		rg.s.Run(50 * time.Millisecond)
+		return ho
+	}
+	connect := kern.Msg{Op: "connect", ID: 91,
+		Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Owner: rg.apps[1]}}
+	if ho := call(connect); ho.Err != nil || ho.Cap == nil {
+		t.Fatalf("connect: %+v", ho)
+	}
+	call(kern.Msg{Op: "abandon", Body: AbandonReq{ID: 91}})
+	if n := len(rg.r1.transferred); n != 0 {
+		t.Fatalf("%d transferred connections after the abandon, want 0", n)
+	}
+	if n := rg.r1.PortsInUse(); n != 0 {
+		t.Fatalf("%d ports in use after the abandon, want 0", n)
+	}
+	if n := rg.r1.nif.Mod.LiveCapabilities(nil); n != 0 {
+		t.Fatalf("%d live capabilities after the abandon, want 0", n)
+	}
+	if ho := call(connect); ho.Err == nil {
+		t.Fatal("a retry of the abandoned id was handed a connection")
+	}
+}

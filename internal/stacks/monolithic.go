@@ -176,7 +176,7 @@ func newMonolithic(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, org organization
 		&Hooks{Extra: MbufCost(m.host), TCP: m.inputTCP, UDP: m.udp.Input}))
 	m.wheel.Drive(m.dom, "tcp", DriverHooks{
 		Bracket:   m.runEngine,
-		AfterSlow: func() { m.nif.Rsm.Expire(m.nif.Now()) },
+		AfterSlow: m.nif.Expire,
 	})
 	return m
 }

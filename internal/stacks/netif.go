@@ -36,8 +36,8 @@ func NewNetif(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Netif {
 		Mod: mod,
 		IP:  ip,
 		HW:  mod.Device().Addr(),
-		ARP: arp.NewCache(mod.Device().Addr(), ip, 1200), // 10 min at 500 ms ticks
-		Rsm: ipv4.NewReassembler(60),                     // 30 s at 500 ms ticks
+		ARP: arp.NewCache(mod.Device().Addr(), ip, 1200, 2, 40), // 10 min, 1 s and 20 s at 500 ms ticks
+		Rsm: ipv4.NewReassembler(60),                            // 30 s at 500 ms ticks
 		an1: an1,
 		sim: s,
 	}
@@ -55,6 +55,14 @@ func (n *Netif) Headroom() int { return n.Mod.Device().HdrLen() + ipv4.HeaderLen
 // Now returns the ARP/reassembly coarse clock (500 ms units).
 func (n *Netif) Now() uint64 {
 	return uint64(time.Duration(n.sim.Now()) / (500 * time.Millisecond))
+}
+
+// Expire is the interface's 500 ms housekeeping: it drops partial datagrams
+// past their deadline and releases those held for a silent destination.
+func (n *Netif) Expire() {
+	now := n.Now()
+	n.Rsm.Expire(now)
+	n.ARP.Expire(now)
 }
 
 // SendTCP prepends the IP header onto a TCP segment and sends it to dst
@@ -108,7 +116,7 @@ func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, advBQI ui
 		return
 	}
 	ippkt.Meta.AdvBQI = advBQI // remember for transmission after resolution
-	if n.ARP.Enqueue(dst, ippkt) {
+	if n.ARP.Enqueue(n.Now(), dst, ippkt) {
 		n.RequestARP(t, dst, tx)
 	}
 }

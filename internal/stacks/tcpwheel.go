@@ -212,7 +212,7 @@ type DriverHooks struct {
 	// directly.
 	Fire func(t *kern.Thread, e *WheelEnt, fn func(*WheelEnt))
 	// AfterSlow, when set, runs after each slow tick outside the bracket
-	// (the reassembly queue's expiry rides the 500 ms clock).
+	// (the interface's expiry, Netif.Expire, rides the 500 ms clock).
 	AfterSlow func()
 }
 

@@ -146,6 +146,9 @@ func (b *recvBuf) window() int {
 	return w
 }
 
+// queued reports whether the reassembly queue holds out-of-order data.
+func (b *recvBuf) queued() bool { return len(b.ooo) > 0 }
+
 // readable returns the number of in-order bytes available to the app.
 func (b *recvBuf) readable() int { return len(b.ready) }
 

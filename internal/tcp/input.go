@@ -112,7 +112,7 @@ func (c *Conn) Input(h Header, data []byte) {
 	if segLen > 0 {
 		switch c.state {
 		case Established, FinWait1, FinWait2:
-			before := c.rcvNxt
+			before, queued := c.rcvNxt, c.rcv.queued()
 			c.rcvNxt = c.rcv.insert(c.rcvNxt, segSeq, data)
 			if c.rcvNxt == before && segSeq != before {
 				// Out of order: duplicate-ack immediately so the sender's
@@ -123,7 +123,11 @@ func (c *Conn) Input(h Header, data []byte) {
 				c.stats.BytesRcvd += int64(c.rcvNxt.Diff(before))
 				// Delayed ACK: first in-order segment sets the flag; a
 				// second one forces an immediate ACK ("ack every other").
-				if c.cfg.NoDelayedAck {
+				// The segment that empties the reassembly queue is ACKed
+				// at once (RFC 5681 §4.2): its sender is in recovery and
+				// may have nothing else it is allowed to send. One that
+				// leaves a hole behind it waits like any other.
+				if c.cfg.NoDelayedAck || (queued && !c.rcv.queued()) {
 					c.ackNow = true
 				} else if c.delAck {
 					c.ackNow = true

@@ -260,6 +260,58 @@ func TestRecoveryAcrossWrapAndRestore(t *testing.T) {
 	}
 }
 
+// TestHoleFillAckedAtOnce: the segment that empties the reassembly queue is
+// ACKed within its own Input, so the sender's recovery does not wait out the
+// delayed-ACK tick. A plain in-order segment, and one that leaves a hole
+// behind it, keep the delayed ACK: loss-free runs must not change.
+func TestHoleFillAckedAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		order []int // indexes into a's burst, in the order b receives them
+		acked bool  // whether the last one is ACKed at once
+	}{
+		{"in order", []int{0}, false},
+		{"fills the hole", []int{1, 0}, true},
+		{"leaves a hole", []int{1, 3, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newTestNet(t, defaultCfg())
+			n.connect()
+			warmUp(t, n)
+			n.a.Write(pattern(4 * mss))
+			burst := n.toB
+			n.toB = nil
+			if len(burst) < 4 {
+				t.Fatalf("a sent %d segments, want 4", len(burst))
+			}
+			for _, i := range tc.order {
+				h, err := Decode(burst[i], n.aIP, n.bIP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.toA = nil
+				n.b.Input(h, burst[i].Bytes())
+			}
+			var acks []Seq
+			for _, seg := range n.toA {
+				h, err := Decode(seg, n.bIP, n.aIP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acks = append(acks, h.Ack)
+			}
+			switch {
+			case tc.acked && (len(acks) != 1 || acks[0] != n.b.rcvNxt || n.b.DelAckPending()):
+				t.Fatalf("b sent ACKs %v (delayed ACK pending %v), want one for rcv_nxt %d at once",
+					acks, n.b.DelAckPending(), n.b.rcvNxt)
+			case !tc.acked && (len(acks) != 0 || !n.b.DelAckPending()):
+				t.Fatalf("b sent ACKs %v (delayed ACK pending %v), want the ACK delayed",
+					acks, n.b.DelAckPending())
+			}
+		})
+	}
+}
+
 // TestCongestionAvoidanceCountsBytes: with delayed ACKs each ACK covers two
 // segments, and congestion avoidance still grows cwnd by about one segment
 // per window of acknowledged bytes.

@@ -20,9 +20,9 @@ import (
 func TestLossRecoveryPinned(t *testing.T) {
 	const (
 		flows, perFlow, write = 8, 512 << 10, 4096
-		wantDone              = time.Duration(13512051424)
-		wantTimeouts          = 41
-		wantFast              = 53
+		wantDone              = time.Duration(9643378756)
+		wantTimeouts          = 28
+		wantFast              = 67
 	)
 	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
 	enableConformance(t, w)
