@@ -114,17 +114,12 @@ func (l *Library) nextReqID() uint64 {
 	return l.idBase | l.reqSeq
 }
 
-// callRegistry issues one control-plane RPC under the deadline/retry policy.
-// All attempts carry the same request ID, so a retry whose original was
-// executed (reply lost) is answered from the registry's dedup cache rather
-// than re-executed.
-func (l *Library) callRegistry(t *kern.Thread, m kern.Msg) (kern.Msg, error) {
-	return l.callPort(t, nil, m)
-}
-
-// callPort is callRegistry aimed at an explicit shard service port. A nil
-// svc re-picks the default control port per attempt, so retries fail over
-// past a shard that crashed mid-call.
+// callPort issues one control-plane RPC to shard service port svc under the
+// deadline/retry policy. A nil svc re-picks the default control port per
+// attempt, so retries fail over past a shard that crashed mid-call. All
+// attempts carry the same request ID, so a retry whose original was executed
+// (reply lost) is answered from the registry's dedup cache rather than
+// re-executed.
 func (l *Library) callPort(t *kern.Thread, svc *kern.Port, m kern.Msg) (kern.Msg, error) {
 	m.ID = l.nextReqID()
 	timeout := rpcBaseTimeout
@@ -593,7 +588,7 @@ func (l *Library) scheduleReconnect() {
 
 // reconnectLoop retries re-registration of every live connection with
 // capped exponential backoff + seeded jitter (the schedule shared with
-// callRegistry). When the budget is spent without reaching a registry, a
+// callPort). When the budget is spent without reaching a registry, a
 // terminal ErrRegistryUnavailable is surfaced on every connection.
 func (l *Library) reconnectLoop(t *kern.Thread) {
 	defer func() { l.reconnecting = false }()
@@ -667,12 +662,19 @@ func (c *Conn) fail(err error) {
 	if c.done {
 		return
 	}
+	c.detach()
+	c.rec.tc.SetCallbacks(tcp.Callbacks{})
+	c.rec.sock.Fail(err)
+}
+
+// detach takes a connection out of the library, on whichever of the three
+// ways it leaves (fail, teardown, Exit): it is done, its input thread is
+// poked to notice, and it leaves the connection table and the wheel.
+func (c *Conn) detach() {
 	c.done = true
 	c.ch.Poke()
 	delete(c.lib.conns, c)
 	c.lib.wheel.Drop(&c.rec.went)
-	c.rec.tc.SetCallbacks(tcp.Callbacks{})
-	c.rec.sock.Fail(err)
 }
 
 // inputThread is the per-connection upcalled thread: it waits on the
@@ -765,12 +767,8 @@ func (r *connRec) LeaveEngine(t *kern.Thread) {
 // collector — and the reuse itself waits for the engine pass under way, and
 // every other thread inside the record, to leave (unpin).
 func (r *connRec) teardown() {
-	c := r.c
-	c.done = true
-	c.ch.Poke()
-	l := c.lib
-	delete(l.conns, c)
-	l.wheel.Drop(&r.went)
+	c, l := r.c, r.c.lib
+	c.detach()
 	l.post(nil, l.svcOwner(r.tc.Local(), r.tc.Peer()), kern.Msg{
 		Op: "teardown", ID: l.nextReqID(),
 		Body: registry.TeardownReq{
@@ -863,10 +861,7 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 			continue // closed while an earlier hand-back was being sent: nothing to inherit
 		}
 		r := c.rec
-		c.done = true
-		c.ch.Poke()
-		delete(l.conns, c)
-		l.wheel.Drop(&r.went)
+		c.detach()
 		snap := r.tc.Snapshot()
 		r.tc.SetCallbacks(tcp.Callbacks{}) // detach: the registry owns it now
 		l.svcOwner(r.tc.Local(), r.tc.Peer()).Send(t, kern.Msg{

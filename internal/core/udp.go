@@ -34,7 +34,7 @@ type UDPConn struct {
 // BindUDP allocates a datagram end-point through the registry.
 func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.callRegistry(t, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port, Owner: l.app}})
+	reply, err := l.callPort(t, nil, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port, Owner: l.app}})
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (u *UDPConn) Resolve(t *kern.Thread, ip ipv4.Addr) error {
 		return nil
 	}
 	t.Compute(t.Cost().ProcCall)
-	reply, err := u.lib.callRegistry(t, kern.Msg{Op: "resolve", Body: registry.ResolveReq{IP: ip}})
+	reply, err := u.lib.callPort(t, nil, kern.Msg{Op: "resolve", Body: registry.ResolveReq{IP: ip}})
 	if err != nil {
 		return err
 	}
@@ -83,8 +83,23 @@ func (u *UDPConn) maxDatagram() int {
 	return u.lib.nif.Mod.Device().MTU() - ipv4.HeaderLen - udp.HeaderLen
 }
 
-// buildFrame assembles the complete link frame for a datagram.
-func (u *UDPConn) buildFrame(dst udp.Endpoint, hw link.Addr, payload []byte) *pkt.Buf {
+// frame readies a datagram for either send path: it checks the size, resolves
+// the peer if SendTo or SendVia is the first to need it (the implicit
+// binding phase), charges the send-side protocol work and assembles the
+// complete link frame.
+func (u *UDPConn) frame(t *kern.Thread, dst udp.Endpoint, payload []byte) (*pkt.Buf, error) {
+	if len(payload) > u.maxDatagram() {
+		return nil, fmt.Errorf("core: datagram %d exceeds link maximum %d", len(payload), u.maxDatagram())
+	}
+	hw, ok := u.peers[dst.IP]
+	if !ok {
+		if err := u.Resolve(t, dst.IP); err != nil {
+			return nil, err
+		}
+		hw = u.peers[dst.IP]
+	}
+	c := t.Cost()
+	t.Compute(c.ProcCall + c.UDPPacket + c.Checksum(len(payload)) + c.SockbufOp)
 	nif := u.lib.nif
 	b := pkt.FromBytes(nif.Headroom()+udp.HeaderLen, payload)
 	uh := udp.Header{SrcPort: u.local.Port, DstPort: dst.Port}
@@ -92,47 +107,30 @@ func (u *UDPConn) buildFrame(dst udp.Endpoint, hw link.Addr, payload []byte) *pk
 	ih := ipv4.Header{ID: u.lib.ids.Next(), DF: true, TTL: 64, Proto: ipv4.ProtoUDP, Src: u.local.IP, Dst: dst.IP}
 	ih.Encode(b)
 	nif.Frame(b, hw, link.TypeIPv4, 0, 0)
-	return b
+	return b, nil
 }
 
-// SendTo transmits a datagram on the bypassed fast path; the peer must
-// have been resolved (implicitly resolving on first use).
+// SendTo transmits a datagram on the bypassed fast path.
 func (u *UDPConn) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error {
-	if len(payload) > u.maxDatagram() {
-		return fmt.Errorf("core: datagram %d exceeds link maximum %d", len(payload), u.maxDatagram())
+	b, err := u.frame(t, dst, payload)
+	if err != nil {
+		return err
 	}
-	hw, ok := u.peers[dst.IP]
-	if !ok {
-		if err := u.Resolve(t, dst.IP); err != nil {
-			return err
-		}
-		hw = u.peers[dst.IP]
-	}
-	c := t.Cost()
-	t.Compute(c.ProcCall + c.UDPPacket + c.Checksum(len(payload)) + c.SockbufOp)
-	return u.lib.mod.Send(t, u.cap, u.buildFrame(dst, hw, payload))
+	return u.lib.mod.Send(t, u.cap, b)
 }
 
 // SendVia relays a datagram through the registry — the pre-binding path a
 // dedicated-server organization pays on every send. The RPC ablation
 // measures SendTo against it.
 func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) error {
-	if len(payload) > u.maxDatagram() {
-		return fmt.Errorf("core: datagram %d exceeds link maximum %d", len(payload), u.maxDatagram())
+	b, err := u.frame(t, dst, payload)
+	if err != nil {
+		return err
 	}
-	hw, ok := u.peers[dst.IP]
-	if !ok {
-		if err := u.Resolve(t, dst.IP); err != nil {
-			return err
-		}
-		hw = u.peers[dst.IP]
-	}
-	c := t.Cost()
-	t.Compute(c.ProcCall + c.UDPPacket + c.Checksum(len(payload)) + c.SockbufOp)
-	_, err := u.lib.callRegistry(t, kern.Msg{
+	_, err = u.lib.callPort(t, nil, kern.Msg{
 		Op:   "udp-send",
 		Size: len(payload),
-		Body: registry.UDPSendReq{SrcPort: u.local.Port, Dst: dst.IP, Frame: u.buildFrame(dst, hw, payload)},
+		Body: registry.UDPSendReq{SrcPort: u.local.Port, Dst: dst.IP, Frame: b},
 	})
 	return err
 }

@@ -21,12 +21,12 @@ type Reproducer struct {
 
 // Report summarizes an exploration campaign.
 type Report struct {
-	Runs        int             `json:"runs"`
-	Coverage    float64         `json:"coverage"` // fraction of legal edges hit
-	Covered     int             `json:"covered"`
-	Total       int             `json:"total"`
-	Missing     []conform.Edge  `json:"missing,omitempty"`
-	Reproducers []Reproducer    `json:"reproducers,omitempty"`
+	Runs        int            `json:"runs"`
+	Coverage    float64        `json:"coverage"` // fraction of legal edges hit
+	Covered     int            `json:"covered"`
+	Total       int            `json:"total"`
+	Missing     []conform.Edge `json:"missing,omitempty"`
+	Reproducers []Reproducer   `json:"reproducers,omitempty"`
 }
 
 // Explorer runs the campaign: a baseline pass over the scenario library,

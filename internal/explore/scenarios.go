@@ -149,12 +149,12 @@ func Library() []Scenario {
 	// Injected resets in states the abort pairs do not reach.
 	add(Scenario{ // SYN_SENT->CLOSED (reset): connection refused
 		Name: "rst-synsent", MaxSteps: 40,
-		Ops: []Op{{Step: 0, Side: A, Kind: OpOpenActive}},
+		Ops:    []Op{{Step: 0, Side: A, Kind: OpOpenActive}},
 		Faults: []Fault{{Kind: FaultRST, At: 3, Side: A}},
 	})
 	add(Scenario{ // SYN_RCVD->CLOSED (reset)
 		Name: "rst-synrcvd", MaxSteps: 60,
-		Ops: withOpen(Op{Step: 2, Side: A, Kind: OpCut, Arg: DirBoth}),
+		Ops:    withOpen(Op{Step: 2, Side: A, Kind: OpCut, Arg: DirBoth}),
 		Faults: []Fault{{Kind: FaultRST, At: 10, Side: B}},
 	})
 	add(Scenario{ // FIN_WAIT_1->CLOSED (reset)

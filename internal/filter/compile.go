@@ -8,12 +8,14 @@ import "encoding/binary"
 // port. Zero remote fields are wildcards, as for a listening socket.
 //
 // The registry server constructs a Spec per endpoint at connection-setup
-// time and installs it with the network I/O module, which demultiplexes
-// with the native predicate Compile returns ("the demultiplexing logic
-// requires only a few instructions", synthesized into the kernel).
-// CompileBPF and CompileCSPF emit the same predicate for the interpreters
-// in filter.go, which exist only to reproduce the paper's
-// interpreter-architecture comparison (experiments.AblationFilter).
+// time and installs it with the network I/O module, which demultiplexes by
+// the Spec's fields: one steering-table lookup per frame, under the fully
+// specified tuple or the listener form (netio's steerKey). Compile returns
+// the same predicate as native code ("the demultiplexing logic requires only
+// a few instructions", synthesized into the kernel), and CompileBPF and
+// CompileCSPF emit it for the interpreters in filter.go, which exist only to
+// reproduce the paper's interpreter-architecture comparison
+// (experiments.AblationFilter).
 type Spec struct {
 	// LinkHdrLen is the link header size in bytes (14 Ethernet, 16 AN1).
 	LinkHdrLen int
@@ -34,7 +36,9 @@ type Spec struct {
 // per-packet path (addresses pre-packed into words, the wildcard decisions
 // taken once here instead of per packet). It handles variable IP header
 // lengths and skips non-first fragments, whose transport ports are absent.
-// netio installs this form for its software demux bindings.
+// The receive path does not run it (netio looks the fields up instead): it
+// is the native form the benchmark's demux probe times and the interpreters
+// are tested against.
 func (s Spec) Compile() func(frame []byte) bool {
 	l := s.LinkHdrLen
 	minLen := l + 20

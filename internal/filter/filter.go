@@ -12,9 +12,9 @@
 //
 // Both virtual machines report the number of instructions executed, so the
 // filter ablation (experiments.AblationFilter) can compare the architectures
-// on identical demultiplexing predicates. The receive path runs neither: it
-// installs the native predicate Spec.Compile returns and charges a fixed
-// per-frame demux cost (netio.rxSoftware).
+// on identical demultiplexing predicates. The receive path runs neither: the
+// network I/O module looks each frame up by a Spec's fields in its steering
+// table and charges a fixed per-frame demux cost (netio.rxSoftware).
 package filter
 
 import "encoding/binary"

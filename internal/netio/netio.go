@@ -492,9 +492,10 @@ type binding struct {
 	key steerKey
 }
 
-// steerKey indexes the software demux table. An endpoint's key is the
-// fields Spec.Match tests against an inbound IPv4 frame, with the remote
-// half zeroed for a listener; a raw channel's key is its EtherType alone.
+// steerKey indexes the software demux table. An endpoint's key is its
+// Spec's fields — protocol, local address and port, remote address and
+// port — with the remote half zeroed for a listener; a raw channel's key is
+// its EtherType alone.
 type steerKey struct {
 	etherType  link.EtherType // raw channels only
 	proto      uint8
@@ -507,8 +508,8 @@ type steerKey struct {
 // steerKeys extracts the steering keys from an inbound frame: the fully
 // specified key and its listener form (remote half zeroed). ok is false
 // when the frame cannot hit any endpoint — short, non-IPv4, or a non-first
-// fragment (no transport header) — mirroring Spec.Match's reject
-// conditions exactly.
+// fragment (no transport header) — which are exactly the frames the
+// predicate Spec.Compile returns rejects whatever the Spec.
 func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
 	if len(frame) < hdrLen+20 {
 		return

@@ -277,7 +277,9 @@ func (f *Federation) CrashShard(i int) {
 	f.live[i] = false
 	sh := f.shards[i]
 	for _, hc := range sh.conns {
-		sh.releaseAdmit(hc)
+		if hc.l == nil { // as in Server.release: only active set-ups hold one
+			f.release(hc.owner)
+		}
 	}
 	sh.dom.Kill()
 	for {
@@ -330,9 +332,7 @@ func (f *Federation) replicateListeners(restarted int) {
 		if _, ok := nsh.listeners[port]; ok {
 			continue
 		}
-		if !nsh.ports.Reserve(port) {
-			nsh.ports.Retain(port)
-		}
+		nsh.ports.Retain(port)
 		nsh.listeners[port] = &listener{port: ln.port, opts: ln.opts,
 			accept: ln.accept, owner: ln.owner, backlog: ln.backlog}
 		nsh.watch(ln.owner)
@@ -350,8 +350,7 @@ func (f *Federation) dropForeign(restarted int) {
 		}
 		for ft := range sh.transferred {
 			if f.ownerEndpoints(ft.Local, ft.Peer) == restarted {
-				delete(sh.transferred, ft)
-				sh.ports.Release(ft.Local.Port)
+				sh.reclaim(ft, nil, false)
 			}
 		}
 	}

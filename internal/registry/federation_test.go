@@ -3,12 +3,11 @@ package registry
 // Federation tests: static shard ownership, frame steering to the
 // authoritative shard, the per-application admission quota, shard
 // crash/restart with ownership-filtered rebuild and listener replication,
-// and the two stale-state regressions the sharded control plane exposed —
-// dedup-cache eviction of in-flight setups and admission/lease leaks on
-// the connect path's error branches.
+// and the dedup-cache regression the sharded control plane exposed:
+// eviction of in-flight setups. The connect path's error branches are
+// audited in leak_test.go.
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -31,6 +30,7 @@ import (
 // own slice, so a connect sent to shard k is owned by shard k.
 type fedRig struct {
 	s    *sim.Sim
+	seg  *wire.Segment
 	r0   *Server
 	fed  *Federation
 	ips  []ipv4.Addr
@@ -38,13 +38,28 @@ type fedRig struct {
 }
 
 func newFedRig(t *testing.T, shards, quota int) *fedRig {
+	return newFedRigOn(t, false, shards, quota)
+}
+
+// newFedRigOn is newFedRig on an AN1 segment if an1 is set, else on an
+// Ethernet.
+func newFedRigOn(t *testing.T, an1 bool, shards, quota int) *fedRig {
 	t.Helper()
 	s := sim.New()
-	seg := wire.New(s, wire.EthernetConfig())
 	rg := &fedRig{s: s, ips: []ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}}}
+	if an1 {
+		rg.seg = wire.New(s, wire.AN1Config())
+	} else {
+		rg.seg = wire.New(s, wire.EthernetConfig())
+	}
 	mkMod := func(i int) *netio.Module {
 		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
-		dev := netdev.NewLance(h, seg, link.MakeAddr(i+1))
+		var dev netdev.Device
+		if an1 {
+			dev = netdev.NewAN1(h, rg.seg, link.MakeAddr(i+1), 0)
+		} else {
+			dev = netdev.NewLance(h, rg.seg, link.MakeAddr(i+1))
+		}
 		mod := netio.New(h, dev)
 		rg.apps = append(rg.apps, h.NewDomain("app", false))
 		return mod
@@ -328,74 +343,5 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	}
 	if rg.r1.PortsInUse() != base {
 		t.Fatalf("retry allocated a second port: %d -> %d", base, rg.r1.PortsInUse())
-	}
-}
-
-// Regression (stale-state bug #2): every error branch of the sharded
-// connect path must unwind completely — admission slot, ephemeral port,
-// lease/capability state. Exhausting a shard's (small) port slice and
-// failing BQI reservations must both leave the module's capability and
-// pinned-region audits at baseline and release their admission slots.
-func TestFederationFailedSetupLeaksNothing(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
-	rg.listenOn0(t, 80)
-	// Squeeze shard 0 to a 2-port slice (shard 1 gets the rest).
-	rg.fed.SetEphemeralRange(2000, 2004)
-	mod := rg.fed.Netif().Mod
-	capsBase := mod.LiveCapabilities(nil)
-	pinsBase := mod.PinnedRegions()
-
-	// Two setups hold shard 0's whole slice (stalled against a dead peer);
-	// the third must fail with port exhaustion, leaving no state behind.
-	dead := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}
-	for i := 0; i < 2; i++ {
-		rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-			rg.fed.Shard(0).Svc.Call(th, kern.Msg{Op: "connect",
-				Body: ConnectReq{Remote: dead, Owner: rg.apps[1]}})
-		})
-	}
-	rg.s.Run(10 * time.Millisecond)
-	ho, got := rg.connectVia(t, 0, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Second)
-	if !got || ho.Err == nil {
-		t.Fatalf("connect on exhausted slice: got=%v err=%v, want port exhaustion", got, ho.Err)
-	}
-	if out := rg.fed.Outstanding(rg.apps[1]); out != 2 {
-		t.Fatalf("failed setup leaked an admission slot: outstanding=%d, want 2", out)
-	}
-
-	// Induced channel-creation failure on the healthy shard: same audit.
-	mod.FailSetup = func(op string) error {
-		if op == "create" {
-			return errors.New("induced: channel setup failed")
-		}
-		return nil
-	}
-	ho, got = rg.connectVia(t, 1, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Minute)
-	if !got || ho.Err == nil {
-		t.Fatal("induced channel failure did not surface")
-	}
-	mod.FailSetup = nil
-	rg.s.Run(100 * time.Millisecond)
-	if out := rg.fed.Outstanding(rg.apps[1]); out != 2 {
-		t.Fatalf("aborted setup leaked an admission slot: outstanding=%d, want 2", out)
-	}
-	if sh1 := rg.fed.Shard(1); sh1.PortsInUse() != 0 || sh1.OwnedConns() != 0 {
-		t.Fatalf("aborted setup leaked on shard 1: ports=%d owned=%d", sh1.PortsInUse(), sh1.OwnedConns())
-	}
-	// Let the stalled pair abort too (SYN retransmissions exhaust after
-	// just over ten virtual minutes), then audit the module: no capability
-	// or pinned region outlives its failed setup.
-	rg.s.Run(11 * time.Minute)
-	if out := rg.fed.Outstanding(rg.apps[1]); out != 0 {
-		t.Fatalf("admission slots leaked after aborts: %d", out)
-	}
-	if rg.fed.PortsInUse() != 0 {
-		t.Fatalf("ports leaked after aborts: %d", rg.fed.PortsInUse())
-	}
-	if mod.LiveCapabilities(nil) != capsBase {
-		t.Fatalf("capabilities leaked: %d -> %d", capsBase, mod.LiveCapabilities(nil))
-	}
-	if mod.PinnedRegions() != pinsBase {
-		t.Fatalf("pinned regions leaked: %d -> %d", pinsBase, mod.PinnedRegions())
 	}
 }

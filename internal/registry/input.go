@@ -94,19 +94,14 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		tc := &hc.tc
 		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
-		r.attach(hc)
-		tc.OpenListen()
 		if err := r.owned.Insert(tc); err != nil {
-			// Duplicate tuple: drop, and unwind everything attach and the
-			// BQI reservation allocated — the wheel entry and ring index
-			// would otherwise leak on every colliding SYN.
-			delete(r.conns, tc)
-			r.wheel.Drop(&hc.went)
-			r.dropBQI(hc)
+			r.release(t, hc, Handoff{Err: err}) // a duplicate tuple: nobody to tell
 			return true
 		}
+		hc.reply = l.accept
+		r.attach(hc)
+		tc.OpenListen()
 		l.pending++
-		hc.inBacklog = true
 		r.runConn(t, hc, func() { tc.Input(s.Hdr, s.Data) })
 		return true
 	}

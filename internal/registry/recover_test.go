@@ -2,11 +2,9 @@ package registry
 
 // Crash-recovery tests for the registry itself: restart with state rebuild
 // from the network I/O module, verified re-registration, request-ID
-// deduplication, idempotent teardown, bounded listen backlogs, and the
-// leak audit of the connect path's error branches.
+// deduplication, idempotent teardown and bounded listen backlogs.
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -307,59 +305,5 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	}
 	for _, b := range srvHo.Channel.TryRecv() {
 		b.Release()
-	}
-}
-
-// Leak audit, AN1 connect path: a BQI reservation failure must release the
-// ephemeral port and leave no pcb behind.
-func TestConnectBQIFailureLeaksNothing(t *testing.T) {
-	rg := newRig(true)
-	rg.listenOn(t, 80)
-	rg.r1.nif.Mod.FailSetup = func(op string) error {
-		if op == "bqi" {
-			return errors.New("induced: BQI exhausted")
-		}
-		return nil
-	}
-	base := rg.r1.PortsInUse()
-	ho, got := rg.connectFrom(t, 80, time.Minute)
-	if !got || ho.Err == nil {
-		t.Fatalf("connect should fail: got=%v err=%v", got, ho.Err)
-	}
-	if rg.r1.PortsInUse() != base {
-		t.Fatalf("ports in use %d != baseline %d after failed connect", rg.r1.PortsInUse(), base)
-	}
-	if rg.r1.OwnedConns() != 0 {
-		t.Fatalf("%d pcbs leaked by the failed connect", rg.r1.OwnedConns())
-	}
-}
-
-// Leak audit, Ethernet connect path: a channel-creation failure at
-// establishment time (abortSetup) must unwind the port, the pcb-table
-// entry, and still answer the client.
-func TestConnectChannelFailureLeaksNothing(t *testing.T) {
-	rg := newRig(false)
-	rg.listenOn(t, 80)
-	rg.r1.nif.Mod.FailSetup = func(op string) error {
-		if op == "create" {
-			return errors.New("induced: channel setup failed")
-		}
-		return nil
-	}
-	base := rg.r1.PortsInUse()
-	ho, got := rg.connectFrom(t, 80, time.Minute)
-	if !got {
-		t.Fatal("failed setup never answered the client")
-	}
-	if ho.Err == nil {
-		t.Fatal("connect should surface the channel failure")
-	}
-	rg.s.Run(100 * time.Millisecond)
-	if rg.r1.PortsInUse() != base {
-		t.Fatalf("ports in use %d != baseline %d after aborted setup", rg.r1.PortsInUse(), base)
-	}
-	if rg.r1.OwnedConns() != 0 || rg.r1.TransferredConns() != 0 {
-		t.Fatalf("aborted setup left owned=%d transferred=%d",
-			rg.r1.OwnedConns(), rg.r1.TransferredConns())
 	}
 }

@@ -84,7 +84,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	rg.fed.RestartShard(1)
 	rg.s.Run(2 * time.Second)
 
-	// 2. abortSetup: the channel cannot be created at establishment.
+	// 2. The channel cannot be created at establishment.
 	mod.FailSetup = func(op string) error {
 		if op == "create" {
 			return errors.New("induced: channel setup failed")

@@ -109,11 +109,11 @@ type ReRegisterReq struct {
 	Owner          *kern.Domain
 }
 
-// hsConn is a connection the registry currently owns: handshaking,
-// inherited, or awaiting teardown. The pcb and its wheel entry are part of
-// the record, which the shard reuses (DESIGN §5.5): drop retires it when the
-// registry stops owning the connection, and the engine pass that did so puts
-// it on Server.free once it has unwound.
+// hsConn is a connection the registry currently owns: handshaking, or
+// inherited and closing. The pcb and its wheel entry are part of the record,
+// which the shard reuses (DESIGN §5.5): release retires it when the registry
+// stops owning the connection, and the engine pass that did so puts it on
+// Server.free once it has unwound.
 type hsConn struct {
 	r    *Server         // the shard the record belongs to
 	tc   tcp.Conn        // the pcb
@@ -128,19 +128,11 @@ type hsConn struct {
 	opts    stacks.Options
 	owner   *kern.Domain // application the connection is destined for
 	peerHW  link.Addr
-	peerBQI uint16 // peer's advertised data-phase BQI
-	ourCh   *netio.Channel
-	ourCap  *netio.Capability
+	peerBQI uint16     // peer's advertised data-phase BQI
 	ourBQI  uint16     // reserved before the handshake on the AN1
-	reply   *kern.Port // where to deliver the handoff
+	reply   *kern.Port // where the outcome goes: the connect's reply port or the listener's accept port
 	l       *listener  // set for passive-side pcbs
 	reqID   uint64     // originating request id (dedup cache completion)
-	// inBacklog marks a passive pcb counted against its listener's
-	// backlog, so exactly one decrement happens on handoff or failure.
-	inBacklog bool
-	// admitted marks a setup counted against its owner's admission quota,
-	// so exactly one release happens on every exit path.
-	admitted bool
 }
 
 // Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and no
@@ -493,32 +485,24 @@ func (r *Server) track(id uint64) {
 	r.reqOrder = append(r.reqOrder, id)
 }
 
-// finish records a request's reply in the dedup cache and delivers it.
-// One-way requests (nil Reply) are still recorded so a duplicate does not
-// re-execute (a double Teardown would double-release a port) — and must be
-// finished all the same once handled, or their entries count as in flight
-// for ever: never evicted, and walked over by every later eviction.
-func (r *Server) finish(t *kern.Thread, m kern.Msg, reply kern.Msg) {
-	if m.ID != 0 {
-		if e, ok := r.reqCache[m.ID]; ok {
-			e.done, e.reply, e.hc = true, reply, nil
-		}
+// finish records request m's reply in the dedup cache and delivers it to m's
+// reply port, if it has one: from t, or with a nil t asynchronously (a
+// set-up's outcome, sent from an engine callback). One-way requests (nil
+// Reply) are still recorded so a duplicate does not re-execute (a double
+// Teardown would double-release a port) — and must be finished all the same
+// once handled, or their entries count as in flight for ever: never evicted,
+// and walked over by every later eviction. The cache never holds id zero
+// (track), so an untracked request finds no entry.
+func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
+	if e, ok := r.reqCache[m.ID]; ok {
+		e.done, e.reply, e.hc = true, reply, nil
 	}
-	if m.Reply != nil {
+	switch {
+	case m.Reply == nil:
+	case t == nil:
+		m.Reply.SendAsync(reply)
+	default:
 		m.ReplyTo(t, reply)
-	}
-}
-
-// finishAsync is finish for replies produced outside the service loop (the
-// handoff sent by the established/closed callbacks).
-func (r *Server) finishAsync(reqID uint64, target *kern.Port, reply kern.Msg) {
-	if reqID != 0 {
-		if e, ok := r.reqCache[reqID]; ok {
-			e.done, e.reply, e.hc = true, reply, nil
-		}
-	}
-	if target != nil {
-		target.SendAsync(reply)
 	}
 }
 
@@ -534,13 +518,15 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	}
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.RegistryConnSetup)
+	hc := r.newConn()
+	hc.opts, hc.owner, hc.reply, hc.reqID = req.Opts, req.Owner, m.Reply, m.ID
 	port, err := r.ports.Ephemeral()
 	if err != nil {
-		r.fed.release(req.Owner)
-		r.finish(t, m, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
+		r.release(t, hc, Handoff{Err: err})
 		return
 	}
-	local := tcp.Endpoint{IP: r.nif.IP, Port: port}
+	tc := &hc.tc
+	tc.Init(stacks.TCPConfig(r.nif, req.Opts), tcp.Endpoint{IP: r.nif.IP, Port: port}, req.Remote, tcp.Callbacks{})
 
 	// On the AN1 the BQI is reserved before the SYN leaves so it can ride
 	// the link header: "before initiating connection the server requests
@@ -548,33 +534,20 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// channel itself — and on Ethernet the software demultiplexing binding
 	// — is activated as establishment completes, so handshake segments
 	// reach the registry's default path.
-	hc := r.newConn()
-	hc.opts, hc.owner, hc.reply, hc.reqID, hc.admitted = req.Opts, req.Owner, m.Reply, m.ID, true
 	r.watch(req.Owner)
 	if r.nif.IsAN1() {
 		t.Compute(t.Cost().BQIReserve)
-		bqi, err := r.nif.Mod.ReserveBQI(r.dom)
-		if err != nil {
-			r.ports.Release(local.Port)
-			r.releaseAdmit(hc)
-			r.finish(t, m, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
+		if hc.ourBQI, err = r.nif.Mod.ReserveBQI(r.dom); err != nil {
+			r.release(t, hc, Handoff{Err: err})
 			return
 		}
-		hc.ourBQI = bqi
 	}
-	tc := &hc.tc
-	tc.Init(stacks.TCPConfig(r.nif, req.Opts), local, req.Remote, tcp.Callbacks{})
-	r.attach(hc)
 	if err := r.owned.Insert(tc); err != nil {
-		delete(r.conns, tc)
-		r.wheel.Drop(&hc.went)
-		r.ports.Release(local.Port)
-		r.dropBQI(hc)
-		r.releaseAdmit(hc)
-		r.finish(t, m, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
+		r.release(t, hc, Handoff{Err: err})
 		return
 	}
-	if e, ok := r.reqCache[m.ID]; ok && m.ID != 0 {
+	r.attach(hc)
+	if e, ok := r.reqCache[m.ID]; ok {
 		e.hc = hc // a retry of this id retargets the eventual handoff
 	}
 	r.runConn(t, hc, func() { tc.OpenActive(r.nextISS()) })
@@ -600,25 +573,41 @@ func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 }
 
 func (r *Server) handleUnlisten(t *kern.Thread, m kern.Msg, req UnlistenReq) {
-	if _, ok := r.listeners[req.Port]; ok {
-		delete(r.listeners, req.Port)
-		r.ports.Release(req.Port)
-	}
+	r.unlisten(req.Port)
 	r.finish(t, m, kern.Msg{Op: "unlisten-ack"})
 }
 
-// handleTeardown reclaims the channel and port of a closed connection. It
-// is idempotent: the port reference is dropped only if the connection was
-// still on record, so a duplicated teardown (or one racing a crash sweep)
-// cannot double-release a port another holder still owns.
-func (r *Server) handleTeardown(t *kern.Thread, req TeardownReq) {
-	if req.Cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap)
+// unlisten gives back the listener on port, if there is one: its record and
+// its port reference. Unlisten requests and the crash sweep end here.
+func (r *Server) unlisten(port uint16) {
+	if _, ok := r.listeners[port]; ok {
+		delete(r.listeners, port)
+		r.ports.Release(port)
 	}
-	ft := tcp.FourTuple{Local: req.Local, Peer: req.Peer}
+}
+
+// handleTeardown reclaims the channel and port of a closed connection.
+func (r *Server) handleTeardown(t *kern.Thread, req TeardownReq) {
+	r.reclaim(tcp.FourTuple{Local: req.Local, Peer: req.Peer}, req.Cap, false)
+}
+
+// reclaim takes back the connection handed off on ft, whichever way it comes
+// back: teardown, inherit, abandon, the crash sweep or dropForeign. It
+// destroys the channel cap names (nil names none: dropForeign's channel is
+// the restarted shard's), and if the connection is still on record it
+// deletes the record and, unless keepPort, drops its port reference (inherit
+// passes that to the registry's pcb). Checking the record makes it
+// idempotent: a duplicated teardown, or one racing a crash sweep, cannot
+// double-release a port another holder owns.
+func (r *Server) reclaim(ft tcp.FourTuple, cap *netio.Capability, keepPort bool) {
+	if cap != nil {
+		_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+	}
 	if _, ok := r.transferred[ft]; ok {
 		delete(r.transferred, ft)
-		r.ports.Release(req.Local.Port)
+		if !keepPort {
+			r.ports.Release(ft.Local.Port)
+		}
 	}
 }
 
@@ -630,8 +619,11 @@ func (r *Server) handleTeardown(t *kern.Thread, req TeardownReq) {
 // a crashed application's would be. Nothing else would ever free either.
 func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 	if e, ok := r.reqCache[id]; ok && !e.done && e.hc != nil {
-		e.hc.reply = nil // no one is listening for the handoff
-		r.abandonSetup(t, e.hc)
+		hc := e.hc
+		// No one is listening for the handoff: abort, and the closed callback
+		// releases the set-up.
+		hc.reply = nil
+		r.runConn(t, hc, hc.tc.Abort)
 	}
 	// The set-up may have completed before the abandon, or while the abort
 	// waited for the engine.
@@ -642,7 +634,8 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 	if ho, isHo := e.reply.Body.(Handoff); isHo && ho.Err == nil {
 		ft := tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}
 		if xc, ok := r.transferred[ft]; ok && xc.cap == ho.Cap {
-			r.reclaimTransferred(t, ft, xc)
+			r.reclaim(ft, xc.cap, false)
+			r.sendCrashRST(t, xc)
 		}
 		e.reply = kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.ErrRegistryUnavailable}}
 	}
@@ -652,10 +645,7 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 	c := t.Cost()
 	t.Compute(c.StateTransfer)
-	if req.Cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap)
-	}
-	delete(r.transferred, tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer})
+	r.reclaim(tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}, req.Cap, true)
 	hc := r.newConn()
 	hc.peerHW, hc.peerBQI = req.PeerHW, req.PeerBQI
 	tc := &hc.tc
@@ -682,9 +672,10 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 // ---------------------------------------------------------------------------
 
 // setupChannel creates the shared region, ring, capability, template and
-// demux binding for an endpoint ("nearly 3.4 ms are spent in setting up
-// user channels to the network device").
-func (r *Server) setupChannel(t *kern.Thread, hc *hsConn, local, remote tcp.Endpoint) error {
+// demux binding for an endpoint, on the BQI the set-up reserved (zero for
+// none) — "nearly 3.4 ms are spent in setting up user channels to the
+// network device".
+func (r *Server) setupChannel(t *kern.Thread, local, remote tcp.Endpoint, bqi uint16) (*netio.Capability, *netio.Channel, error) {
 	c := t.Cost()
 	t.Compute(c.ChannelSetup)
 	spec := filter.Spec{
@@ -699,12 +690,7 @@ func (r *Server) setupChannel(t *kern.Thread, hc *hsConn, local, remote tcp.Endp
 		LocalIP: local.IP, LocalPort: local.Port,
 		RemoteIP: remote.IP, RemotePort: remote.Port,
 	}
-	cap, ch, err := r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, hc.ourBQI)
-	if err != nil {
-		return err
-	}
-	hc.ourCap, hc.ourCh = cap, ch
-	return nil
+	return r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, bqi)
 }
 
 // newConn returns a blank connection record: a reused one if there is one.
@@ -730,71 +716,61 @@ func (r *Server) attach(hc *hsConn) {
 	tc.SetCallbacks(hc.cb)
 }
 
-// drop ends the registry's ownership of hc's pcb — it closed, its set-up was
-// aborted, or it was handed to its library still live — and retires the
-// record. This is the one way a record reaches Server.free: the pass that
-// dropped it still has it on its stack (the engine returns into the pcb, the
-// exit Sync into the wheel entry), so it is put there only when that pass
-// ends. Once per attach, however many exit routes cross: a record the
-// registry does not own (any more) is not retired (again).
-func (r *Server) drop(hc *hsConn) {
-	owned := r.conns[&hc.tc] == hc
-	r.owned.Remove(&hc.tc)
-	delete(r.conns, &hc.tc)
-	r.wheel.Drop(&hc.went)
-	if owned {
-		hc.gen++
-		r.retired = append(r.retired, hc)
-	}
-}
-
 func (hc *hsConn) send(seg *pkt.Buf, h tcp.Header, _ int) { hc.r.transmit(seg, hc, h) }
 
 func (hc *hsConn) established() { hc.r.established(hc) }
 
-// closed is the pcb's OnClosed.
+// closed is the pcb's OnClosed: a set-up that failed, was refused, gave up or
+// was aborted ends here, and so does an inherited connection once it has
+// closed. A failed passive handshake is no news to the listener: only a
+// connection, or a failure to hand one off, goes to its accept port.
 func (hc *hsConn) closed(err error) {
-	r, tc := hc.r, &hc.tc
-	r.drop(hc)
-	hc.leaveBacklog()
-	// Passive-side pcbs share the listener's port and hold no
-	// reference of their own until handoff; releasing here would
-	// strip the listener's reservation.
+	if hc.l != nil {
+		hc.reply = nil
+	}
+	hc.r.release(nil, hc, Handoff{Err: stacks.MapError(err)})
+}
+
+// release ends set-up hc — it failed, was refused, gave up, was abandoned or
+// crashed, or ho hands it off — and gives back each thing it holds, once:
+//   - once attached, its pcb-table and wheel entries and a passive set-up's
+//     backlog slot; the record is retired (runEngine frees it when the pass
+//     has unwound, and the bumped gen turns away a thread that waited for the
+//     engine with it in hand);
+//   - an active set-up's admission slot (an inherited pcb has no owner);
+//   - unless ho carries a capability — a hand-off passes both to the
+//     transferred record — its port reference (none for a passive set-up,
+//     which shares its listener's, or for an active one whose allocation
+//     failed) and its reserved BQI;
+//   - last, the answer: ho goes to hc.reply, from t or with a nil t
+//     asynchronously (an engine callback), and completes the connect's dedup
+//     entry even if nobody waits any more: the entry must not name a record
+//     about to be reused.
+func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
+	tc := &hc.tc
+	if r.conns[tc] == hc {
+		r.owned.Remove(tc)
+		delete(r.conns, tc)
+		r.wheel.Drop(&hc.went)
+		hc.gen++
+		r.retired = append(r.retired, hc)
+		if hc.l != nil {
+			hc.l.pending--
+		}
+	}
 	if hc.l == nil {
-		r.ports.Release(tc.Local().Port)
-	}
-	if hc.reply != nil && hc.ourCap != nil {
-		// Handshake failed before handoff.
-		_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-		hc.ourCap = nil
-	}
-	// Complete the dedup entry even when no one is listening for
-	// the reply (the crash sweep nils hc.reply before aborting):
-	// an entry stuck in-flight forever would pin a slot in the
-	// never-evict-in-flight cache, and a late retry of the id
-	// would wait on a handoff that can no longer come.
-	r.finishAsync(hc.reqID, hc.reply,
-		kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.MapError(err)}})
-	hc.reply = nil
-	r.dropBQI(hc)
-	r.releaseAdmit(hc)
-}
-
-// leaveBacklog returns a passive set-up's listen-backlog slot, exactly once.
-func (hc *hsConn) leaveBacklog() {
-	if hc.inBacklog {
-		hc.inBacklog = false
-		hc.l.pending--
-	}
-}
-
-// releaseAdmit returns a setup's admission-quota slot. The flag guards exactly-once release however many exit paths the setup
-// traverses.
-func (r *Server) releaseAdmit(hc *hsConn) {
-	if hc != nil && hc.admitted {
-		hc.admitted = false
 		r.fed.release(hc.owner)
 	}
+	msg := kern.Msg{Op: "handoff", Body: ho}
+	if ho.Cap != nil {
+		msg.Size = ho.Snap.Size()
+	} else {
+		if port := tc.Local().Port; hc.l == nil && port != 0 {
+			r.ports.Release(port)
+		}
+		_ = r.nif.Mod.ReleaseBQI(r.dom, hc.ourBQI)
+	}
+	r.finish(t, kern.Msg{ID: hc.reqID, Reply: hc.reply}, msg)
 }
 
 // transmit is the registry's un-optimized send path.
@@ -813,8 +789,9 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 	r.nif.SendTCP(t, seg, tc.Peer().IP, hc.ourBQI)
 }
 
-// established completes setup: narrow the template to the negotiated peer,
-// transfer the state to the library, and route future default-path strays.
+// established completes setup: create the channel, narrow its template to
+// the negotiated peer, transfer the state to the library, and route future
+// default-path strays.
 func (r *Server) established(hc *hsConn) {
 	tc := &hc.tc
 	if tc.State() != tcp.Established {
@@ -827,13 +804,14 @@ func (r *Server) established(hc *hsConn) {
 	}
 	t := r.cur
 	c := t.Cost()
-	// On Ethernet the channel and its demultiplexing binding are created
-	// now, as establishment completes.
-	if hc.ourCap == nil {
-		if err := r.setupChannel(t, hc, tc.Local(), tc.Peer()); err != nil {
-			r.abortSetup(hc, err)
-			return
-		}
+	cap, ch, err := r.setupChannel(t, tc.Local(), tc.Peer(), hc.ourBQI)
+	if err != nil {
+		// Nothing to hand off: answer the requester with the error. The pcb
+		// stays ESTABLISHED, so it must not call back into a record that is
+		// no longer this connection's.
+		tc.SetCallbacks(tcp.Callbacks{})
+		r.release(nil, hc, Handoff{Err: err})
+		return
 	}
 	// Narrow the template now that the peer link address is known.
 	if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), tc.Peer().IP); ok {
@@ -845,25 +823,22 @@ func (r *Server) established(hc *hsConn) {
 		LocalIP: tc.Local().IP, LocalPort: tc.Local().Port,
 		RemoteIP: tc.Peer().IP, RemotePort: tc.Peer().Port,
 	}
-	_ = r.nif.Mod.UpdateTemplate(r.dom, hc.ourCap, tmpl)
+	_ = r.nif.Mod.UpdateTemplate(r.dom, cap, tmpl)
 
 	// Transfer TCP state to user level.
 	t.Compute(c.StateTransfer)
 	snap := tc.Snapshot()
-	r.drop(hc)
-	hc.leaveBacklog()
 	if hc.l != nil {
 		// The accepted connection shares its listener's port; the handoff
-		// takes a reference of its own, balanced by Teardown/Inherit/crash
-		// reclamation.
+		// takes a reference of its own, balanced by reclaim.
 		r.ports.Retain(tc.Local().Port)
 	}
 	if hc.owner != nil {
-		_ = r.nif.Mod.AssignOwner(r.dom, hc.ourCap, hc.owner)
+		_ = r.nif.Mod.AssignOwner(r.dom, cap, hc.owner)
 	}
 	r.transferred[tcp.FourTuple{Local: tc.Local(), Peer: tc.Peer()}] = &xferConn{
 		owner:   hc.owner,
-		cap:     hc.ourCap,
+		cap:     cap,
 		local:   tc.Local(),
 		peer:    tc.Peer(),
 		peerHW:  hc.peerHW,
@@ -871,65 +846,7 @@ func (r *Server) established(hc *hsConn) {
 		sndNxt:  snap.SndNxt,
 		rcvNxt:  snap.RcvNxt,
 	}
-
-	r.releaseAdmit(hc) // setup complete: free the admission-quota slot
-
-	ho := Handoff{
-		Snap:    snap,
-		Cap:     hc.ourCap,
-		Channel: hc.ourCh,
-		PeerHW:  hc.peerHW,
-		PeerBQI: hc.peerBQI,
-	}
-	r.handoff(hc, kern.Msg{Op: "handoff", Body: ho, Size: snap.Size()})
-}
-
-// handoff delivers the outcome of a set-up: to the listener's accept port, or
-// to the connect request's reply port and dedup entry — the entry also when
-// nobody waits for the reply any more (the crash sweep cleared hc.reply), for
-// it must not go on naming a record that is about to be reused.
-func (r *Server) handoff(hc *hsConn, msg kern.Msg) {
-	if hc.l != nil {
-		hc.l.accept.SendAsync(msg)
-		return
-	}
-	r.finishAsync(hc.reqID, hc.reply, msg)
-	hc.reply = nil
-}
-
-// dropBQI returns a reserved-but-unconsumed ring index to the module. A
-// BQI that made it into a channel is recycled by DestroyChannel instead;
-// this covers handshakes that die between reservation and channel
-// creation, which under connection churn would otherwise drain the
-// hardware index space.
-func (r *Server) dropBQI(hc *hsConn) {
-	if hc.ourCap == nil && hc.ourBQI != 0 {
-		_ = r.nif.Mod.ReleaseBQI(r.dom, hc.ourBQI)
-	}
-	hc.ourBQI = 0
-}
-
-// abortSetup unwinds a connection whose channel could not be created at
-// establishment time: without it the port, pcb-table entry and backlog
-// slot stayed allocated forever and the client never got an answer.
-func (r *Server) abortSetup(hc *hsConn, err error) {
-	tc := &hc.tc
-	tc.SetCallbacks(tcp.Callbacks{})
-	r.drop(hc)
-	if hc.ourCap != nil {
-		// A channel that was created before the failure (e.g. the
-		// template update path) would otherwise leave its lease, BQI and
-		// pinned region installed forever.
-		_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-		hc.ourCap = nil
-	}
-	r.dropBQI(hc)
-	r.releaseAdmit(hc)
-	hc.leaveBacklog()
-	if hc.l == nil {
-		r.ports.Release(tc.Local().Port)
-	}
-	r.handoff(hc, kern.Msg{Op: "handoff", Body: Handoff{Err: err}})
+	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, Channel: ch, PeerHW: hc.peerHW, PeerBQI: hc.peerBQI})
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -938,7 +855,7 @@ func (r *Server) runEngine(t *kern.Thread, fn func()) {
 	fn()
 	r.cur = nil
 	// The pass has unwound: nothing on this stack touches the records it
-	// dropped again, and nothing else can name them (drop) — unless a wheel
+	// released again, and nothing else can name them (release) — unless a wheel
 	// driver is still part-way through firing one, which then stays the
 	// collector's.
 	for i, hc := range r.retired {
@@ -954,9 +871,9 @@ func (r *Server) runEngine(t *kern.Thread, fn func()) {
 // runConn runs an engine operation on one owned pcb: its tick counters are
 // caught up to the wheel clock before fn reads them, and whatever fn arms
 // goes onto the wheel afterwards. The exit Sync does nothing if a callback
-// inside fn dropped the entry — the engine closed, or established() handed
+// inside fn released the set-up — the engine closed, or established() handed
 // the still-live connection to its library. And the whole pass does nothing
-// if the registry dropped the connection while the caller waited for the
+// if the registry released the connection while the caller waited for the
 // engine: the record may be another connection's by now.
 func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
 	gen := hc.gen
@@ -1016,7 +933,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		if r.conns[&hc.tc] != hc || hc.owner != dom {
 			continue
 		}
-		r.abandonSetup(t, hc)
+		r.runConn(t, hc, hc.tc.Abort) // the closed callback releases the set-up
 	}
 
 	// Transferred connections: revoke the channel, release the port, reset
@@ -1028,57 +945,26 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// to reset either way.
 	for ft, xc := range r.transferred {
 		if xc.owner == dom {
-			r.reclaimTransferred(t, ft, xc)
+			r.reclaim(ft, xc.cap, false)
+			r.sendCrashRST(t, xc)
 		}
 	}
 
 	// Listeners and datagram bindings.
 	for port, l := range r.listeners {
 		if l.owner == dom {
-			delete(r.listeners, port)
-			r.ports.Release(port)
+			r.unlisten(port)
 		}
 	}
 	for port, ub := range r.udpChannels {
 		if ub.owner == dom {
-			if ub.cap != nil {
-				_ = r.nif.Mod.DestroyChannel(r.dom, ub.cap)
-			}
-			delete(r.udpChannels, port)
-			r.udpPorts.Release(port)
+			r.unbind(port, ub.cap, 0)
 		}
 	}
 
 	// Final sweep: the module revokes anything still issued to the dead
 	// domain, even if the registry's own records were incomplete.
 	_, _ = r.nif.Mod.RevokeOwner(r.dom, dom)
-}
-
-// abandonSetup aborts a set-up whose requester no longer waits for it (the
-// caller cleared hc.reply): the engine resets the peer, and its closed
-// callback frees the port and admission slot and completes the dedup entry.
-// The channel, which closed leaves to a requester still waiting, goes here.
-func (r *Server) abandonSetup(t *kern.Thread, hc *hsConn) {
-	r.runConn(t, hc, func() {
-		hc.tc.Abort()
-		// Inside the pass the record is still this connection's.
-		if hc.ourCap != nil {
-			_ = r.nif.Mod.DestroyChannel(r.dom, hc.ourCap)
-			hc.ourCap = nil
-		}
-		r.dropBQI(hc)
-	})
-}
-
-// reclaimTransferred takes back a handed-off connection no application will
-// close: it revokes the channel, releases the port and resets the peer.
-func (r *Server) reclaimTransferred(t *kern.Thread, ft tcp.FourTuple, xc *xferConn) {
-	if xc.cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, xc.cap)
-	}
-	delete(r.transferred, ft)
-	r.ports.Release(ft.Local.Port)
-	r.sendCrashRST(t, xc)
 }
 
 // sendCrashRST issues the proactive reset for a crashed application's
@@ -1154,9 +1040,7 @@ func (r *Server) rebuild(t *kern.Thread) {
 			}
 			_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
 			t.Compute(c.RegistryPortAlloc)
-			if !r.ports.Reserve(local.Port) {
-				r.ports.Retain(local.Port) // accepted conns share a port
-			}
+			r.ports.Retain(local.Port) // accepted conns share a port
 			r.transferred[tcp.FourTuple{Local: local, Peer: peer}] = &xferConn{
 				owner: ep.Owner, cap: ep.Cap,
 				local: local, peer: peer,
@@ -1211,9 +1095,7 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 	ft := tcp.FourTuple{Local: req.Local, Peer: req.Peer}
 	xc, ok := r.transferred[ft]
 	if !ok {
-		if !r.ports.Reserve(req.Local.Port) {
-			r.ports.Retain(req.Local.Port)
-		}
+		r.ports.Retain(req.Local.Port)
 		xc = &xferConn{local: req.Local, peer: req.Peer}
 		r.transferred[ft] = xc
 	}

@@ -82,13 +82,18 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 		LocalIP: r.nif.IP, LocalPort: req.Port,
 	}
 	var bqi uint16
+	var err error
 	if r.nif.IsAN1() {
 		t.Compute(c.BQIReserve)
-		bqi, _ = r.nif.Mod.ReserveBQI(r.dom)
+		bqi, err = r.nif.Mod.ReserveBQI(r.dom)
 	}
-	cap, ch, err := r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, bqi)
+	var cap *netio.Capability
+	var ch *netio.Channel
+	if err == nil {
+		cap, ch, err = r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, bqi)
+	}
 	if err != nil {
-		r.udpPorts.Release(req.Port)
+		r.unbind(req.Port, nil, bqi)
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
 		return
 	}
@@ -128,9 +133,19 @@ func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 
 // handleUnbindUDP reclaims a datagram end-point.
 func (r *Server) handleUnbindUDP(t *kern.Thread, req UnbindUDPReq) {
-	if req.Cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap)
+	r.unbind(req.Port, req.Cap, 0)
+}
+
+// unbind gives back a datagram binding: the channel cap names (nil names
+// none) or, for a bind that failed before it had one, the BQI it reserved
+// (zero for none); its routing entry; and its port. Unbind requests, the
+// crash sweep and a failed bind end here.
+func (r *Server) unbind(port uint16, cap *netio.Capability, bqi uint16) {
+	if cap != nil {
+		_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+	} else {
+		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
 	}
-	delete(r.udpChannels, req.Port)
-	r.udpPorts.Release(req.Port)
+	delete(r.udpChannels, port)
+	r.udpPorts.Release(port)
 }

@@ -111,8 +111,8 @@ func (k Kind) String() string {
 // Frame slice, when set, aliases producer-owned storage and must not be
 // retained past the callback (copy it if needed).
 type Event struct {
-	At   time.Duration // virtual time the event was emitted
-	Kind Kind
+	At      time.Duration // virtual time the event was emitted
+	Kind    Kind
 	Node    string // producing host, device, or segment ("" when not applicable)
 	Conn    string // connection / channel / domain label ("" when not applicable)
 	A, B, C int64  // kind-specific numeric payload
