@@ -8,6 +8,9 @@ package ulp
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
 	"testing"
 	"time"
 
@@ -17,7 +20,10 @@ import (
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/trace"
+	"ulp/internal/wire"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // TestStatsReportPerLayer runs a 64 KB echo under the user-level library and
 // asserts the per-layer counters a Table 2/3-style breakdown depends on.
@@ -87,6 +93,83 @@ func TestStatsReportPerLayer(t *testing.T) {
 
 	if rep := w.StatsReport(); !bytes.Contains([]byte(rep), []byte("wire.frames_sent")) {
 		t.Errorf("StatsReport missing wire namespace:\n%s", rep)
+	}
+}
+
+// poolHistory matches the packet-pool counters that depend on what earlier
+// worlds in the same process left in the pool, not on this world's run.
+var poolHistory = regexp.MustCompile(`(?m)^pkt\.(heap_allocs|recycled) .*\n`)
+
+// TestShardedStatsGolden pins the full stats report of a short churn in
+// bench's churn shape — switched AN1, four registry shards per host, the wide
+// ephemeral range, five hosts — less the pool-history lines. It holds the key
+// set and values of what only a sharded AN1 world emits: per-shard registry
+// rows, AN1 devices, and per-channel rows of the connections still in
+// TIME_WAIT.
+func TestShardedStatsGolden(t *testing.T) {
+	const clients, workers, each = 4, 4, 4
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: AN1, Hosts: clients + 1,
+		Switch:         &wire.SwitchConfig{Latency: time.Microsecond},
+		RegistryShards: 4,
+		EphemeralLo:    1024, EphemeralHi: 60000,
+	})
+	srv := w.Node(0).App("server")
+	srv.Go("srv", func(th *kern.Thread) {
+		l, err := srv.Stack.Listen(th, 80, stacks.Options{Backlog: clients * workers})
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		for {
+			c, err := l.Accept(th)
+			if err != nil {
+				return
+			}
+			c.Close(th)
+		}
+	})
+	done := 0
+	for ci := 1; ci <= clients; ci++ {
+		cli := w.Node(ci).App("client")
+		for wi := 0; wi < workers; wi++ {
+			cli.GoAfter(time.Duration(wi)*50*time.Microsecond, "worker", func(th *kern.Thread) {
+				buf := make([]byte, 64)
+				for k := 0; k < each; k++ {
+					c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+					if err != nil {
+						t.Errorf("connect: %v", err)
+						return
+					}
+					for {
+						if n, err := c.Read(th, buf); err != nil || n == 0 {
+							break
+						}
+					}
+					c.Close(th)
+					done++
+				}
+			})
+		}
+	}
+	w.RunUntil(time.Minute, func() bool { return done == clients*workers*each })
+	if done != clients*workers*each {
+		t.Fatalf("churn completed %d of %d connections", done, clients*workers*each)
+	}
+	got := poolHistory.ReplaceAllString(w.StatsReport(), "")
+	const golden = "testdata/sharded_stats.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("stats report drifted from %s:\n%s", golden, got)
 	}
 }
 
