@@ -8,6 +8,7 @@ package ulp
 // driven by the trusted registry and network I/O module.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -282,7 +283,7 @@ func TestChaosTransferSurvivesCombinedFaults(t *testing.T) {
 // The same fault plan must produce the identical execution: chaos tests
 // stay stable in CI because every draw is seeded.
 func TestChaosDeterministic(t *testing.T) {
-	run := func() (time.Duration, int, int) {
+	run := func() (time.Duration, int64, int64) {
 		w := NewWorld(Config{
 			Org: OrgUserLib, Net: Ethernet,
 			Chaos: &chaos.FaultPlan{
@@ -323,7 +324,7 @@ func TestChaosDeterministic(t *testing.T) {
 			}
 		})
 		end := w.RunUntil(time.Minute, func() bool { return srvDone })
-		return end, w.Node(0).Mod.SendOK, w.Node(1).Mod.DemuxDefault
+		return end, Counter(t, w, "netio.h0.send_ok"), Counter(t, w, "netio.h1.demux_default")
 	}
 	e1, s1, d1 := run()
 	e2, s2, d2 := run()
@@ -402,15 +403,14 @@ func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 	if received != chunks*chunk {
 		t.Fatalf("server received %d bytes, want %d", received, chunks*chunk)
 	}
-	r := w.Node(0).Registry.Shard(0)
-	if r.Epoch() != 2 {
-		t.Fatalf("server registry epoch = %d, want 2 (one restart)", r.Epoch())
+	if epoch := Counter(t, w, "registry.h0.shard0.epoch"); epoch != 2 {
+		t.Fatalf("server registry epoch = %d, want 2 (one restart)", epoch)
 	}
-	if r.RebuiltEndpoints() < 1 {
+	if Counter(t, w, "registry.h0.shard0.rebuilt_endpoints") < 1 {
 		t.Fatal("reborn registry rebuilt nothing from the module's templates")
 	}
 	// Restart within the lease TTL: the quarantine machinery must stay cold.
-	if n := w.Node(0).Mod.QuarantineDrops + w.Node(1).Mod.QuarantineDrops; n != 0 {
+	if n := Counter(t, w, "netio.h0.quarantine_drops") + Counter(t, w, "netio.h1.quarantine_drops"); n != 0 {
 		t.Fatalf("%d frames quarantined despite the restart beating the lease TTL", n)
 	}
 }
@@ -481,14 +481,13 @@ func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
 	if received != chunks*chunk {
 		t.Fatalf("server received %d bytes, want %d", received, chunks*chunk)
 	}
-	if got := w.Node(1).Mod.SendRejected; got < 1 {
+	if Counter(t, w, "netio.h1.send_rejected") < 1 {
 		t.Fatal("no send was ever rejected: the lease never expired, scenario is not testing quarantine")
 	}
-	r := w.Node(1).Registry.Shard(0)
-	if r.Epoch() != 2 {
-		t.Fatalf("client registry epoch = %d, want 2", r.Epoch())
+	if epoch := Counter(t, w, "registry.h1.shard0.epoch"); epoch != 2 {
+		t.Fatalf("client registry epoch = %d, want 2", epoch)
 	}
-	if r.ReRegistered() < 1 {
+	if Counter(t, w, "registry.h1.reregistered") < 1 {
 		t.Fatal("library never re-registered its connection with the reborn registry")
 	}
 }
@@ -554,7 +553,7 @@ func TestChaosDelayedReplyDeduped(t *testing.T) {
 		t.Fatalf("server received %q", received)
 	}
 	// At least one retried request must have been answered from the cache.
-	if hits := w.Node(0).Registry.DedupHits() + w.Node(1).Registry.DedupHits(); hits < 1 {
+	if hits := Counter(t, w, "registry.h0.dedup_hits") + Counter(t, w, "registry.h1.dedup_hits"); hits < 1 {
 		t.Fatal("no dedup hits: the delayed-reply path never exercised the request-ID cache")
 	}
 }
@@ -733,19 +732,18 @@ func TestChaosCrashScheduleHonouredOrRefused(t *testing.T) {
 	})
 	reg := w.Node(0).Registry
 	w.Run(150 * time.Millisecond)
-	if reg.Live(0) {
+	if Counter(t, w, "registry.h0.shard0.live") != 0 {
 		t.Fatal("shard 0 still live after its scheduled crash")
 	}
 	if got := reg.ListenerCount(); got != 3 {
 		t.Fatalf("%d listeners on the three survivors, want 3", got)
 	}
 	w.Run(250 * time.Millisecond)
-	if !reg.Live(0) || reg.Shard(0).Epoch() != 2 {
-		t.Fatalf("shard 0 live=%v epoch=%d after its scheduled restart, want true and 2",
-			reg.Live(0), reg.Shard(0).Epoch())
+	if live, epoch := Counter(t, w, "registry.h0.shard0.live"), Counter(t, w, "registry.h0.shard0.epoch"); live != 1 || epoch != 2 {
+		t.Fatalf("shard 0 live=%d epoch=%d after its scheduled restart, want 1 and 2", live, epoch)
 	}
-	if got := reg.Shard(0).ListenerCount(); got != 1 {
-		t.Fatalf("reborn shard 0 holds %d listeners, want 1 (re-replicated)", got)
+	if got := reg.ListenerCount(); got != 4 {
+		t.Fatalf("%d listeners on the four shards, want 4 (re-replicated to the reborn one)", got)
 	}
 
 	defer func() {
@@ -848,12 +846,12 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 	// Every crashed shard reborn, siblings untouched.
 	wantEpoch := map[[2]int]int{{0, 0}: 2, {0, 1}: 2, {1, 0}: 1, {1, 1}: 2}
 	for host := 0; host < 2; host++ {
-		fed := w.Node(host).Registry
-		for i := 0; i < fed.Shards(); i++ {
-			if !fed.Live(i) {
+		for i := 0; i < 2; i++ {
+			pfx := fmt.Sprintf("registry.h%d.shard%d.", host, i)
+			if Counter(t, w, pfx+"live") != 1 {
 				t.Errorf("host %d shard %d not live at end", host, i)
 			}
-			if got := fed.Shard(i).Epoch(); got != wantEpoch[[2]int{host, i}] {
+			if got := int(Counter(t, w, pfx+"epoch")); got != wantEpoch[[2]int{host, i}] {
 				t.Errorf("host %d shard %d epoch = %d, want %d", host, i, got, wantEpoch[[2]int{host, i}])
 			}
 		}

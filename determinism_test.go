@@ -208,8 +208,8 @@ func runRegistryCrashScenario(t *testing.T, seed uint64) []string {
 	if !srvDone {
 		t.Fatal("crash-recovery scenario did not complete")
 	}
-	if w.Node(0).Registry.Shard(0).Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", w.Node(0).Registry.Shard(0).Epoch())
+	if epoch := Counter(t, w, "registry.h0.shard0.epoch"); epoch != 2 {
+		t.Fatalf("epoch = %d, want 2", epoch)
 	}
 	if len(frames) == 0 {
 		t.Fatal("scenario produced no frames")
@@ -378,9 +378,9 @@ func runShardCrashScenario(t *testing.T, seed uint64) []string {
 	})
 	// Sample the migration counter before shard 1's crash resets visibility
 	// (counters are per-Server-incarnation).
-	migrated := 0
+	migrated := int64(0)
 	srv.GoAfter(8900*time.Millisecond, "sample", func(th *kern.Thread) {
-		migrated = w.Node(0).Registry.ReRegistered()
+		migrated = Counter(t, w, "registry.h0.reregistered")
 	})
 	w.RunUntil(time.Minute, func() bool { return cliDone })
 	w.Run(8 * time.Second) // ride out shard 1's restart + heartbeat
@@ -390,13 +390,13 @@ func runShardCrashScenario(t *testing.T, seed uint64) []string {
 	if migrated == 0 {
 		t.Fatal("lease expiry did not drive a cross-shard migration")
 	}
-	fed := w.Node(0).Registry
-	for i := 0; i < fed.Shards(); i++ {
-		if !fed.Live(i) {
+	for i := 0; i < 2; i++ {
+		pfx := fmt.Sprintf("registry.h0.shard%d.", i)
+		if Counter(t, w, pfx+"live") != 1 {
 			t.Fatalf("shard %d not live after restarts", i)
 		}
-		if fed.Shard(i).Epoch() != 2 {
-			t.Fatalf("shard %d epoch = %d, want 2 (crashed and reborn)", i, fed.Shard(i).Epoch())
+		if epoch := Counter(t, w, pfx+"epoch"); epoch != 2 {
+			t.Fatalf("shard %d epoch = %d, want 2 (crashed and reborn)", i, epoch)
 		}
 	}
 	if len(frames) == 0 {
@@ -496,4 +496,80 @@ func TestDegradationReplayDeterministic(t *testing.T) {
 	a := runDegradationScenario(t, seed)
 	b := runDegradationScenario(t, seed)
 	diffTraces(t, seed, a, b)
+}
+
+// runCrashManyConnsScenario is the many-connection crash member of the replay
+// matrix: a client application holding twelve established connections dies
+// mid-stream. Its registry's crash sweep reclaims every connection, resets
+// each peer and destroys each channel, so the order of that sweep decides the
+// order and timestamps of the resets on the wire and which ring indices the
+// next set-ups reuse.
+func runCrashManyConnsScenario(t *testing.T) []string {
+	t.Helper()
+	const conns = 12
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet,
+		Chaos: &chaos.FaultPlan{
+			Crashes: []chaos.CrashPoint{{Host: 1, App: "client", At: 300 * time.Millisecond}},
+		},
+	})
+	var frames []string
+	w.TraceFrames(func(at time.Duration, frame *pkt.Buf) {
+		h := fnv.New64a()
+		h.Write(frame.Bytes())
+		frames = append(frames, fmt.Sprintf("%d %d %016x", at, len(frame.Bytes()), h.Sum64()))
+	})
+
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	reset := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{Backlog: conns})
+		for i := 0; i < conns; i++ {
+			c, err := l.Accept(th)
+			if err != nil {
+				return
+			}
+			srv.Go(fmt.Sprintf("srv%d", i), func(th *kern.Thread) {
+				buf := make([]byte, 4096)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						break
+					}
+				}
+				reset++
+			})
+		}
+	})
+	opened := 0
+	for i := 0; i < conns; i++ {
+		cli.GoAfter(time.Duration(i+1)*time.Millisecond, fmt.Sprintf("cli%d", i), func(th *kern.Thread) {
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				return
+			}
+			opened++
+			for {
+				if _, err := c.Write(th, pattern(256)); err != nil {
+					return
+				}
+				th.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+	w.RunUntil(time.Minute, func() bool { return reset == conns })
+	w.Run(2 * time.Second)
+	if opened != conns || reset != conns {
+		t.Fatalf("opened %d and reset %d of %d connections", opened, reset, conns)
+	}
+	return frames
+}
+
+// TestCrashManyConnsReplayDeterministic requires ten in-process replays of
+// the many-connection crash to put the same frames on the wire.
+func TestCrashManyConnsReplayDeterministic(t *testing.T) {
+	first := runCrashManyConnsScenario(t)
+	for i := 1; i < 10; i++ {
+		diffTraces(t, uint64(i), first, runCrashManyConnsScenario(t))
+	}
 }

@@ -99,10 +99,11 @@ func run(stdout io.Writer) int {
 
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "network I/O module counters:")
+	snap := w.StatsRegistry().Snapshot()
 	for i := 0; i < w.Nodes(); i++ {
-		m := w.Node(i).Mod
+		ns := fmt.Sprintf("netio.h%d.", i)
 		fmt.Fprintf(stdout, "  host %d: %d sends verified against templates, %d rejected; demux: %d to channels, %d to kernel default\n",
-			i, m.SendOK, m.SendRejected, m.DemuxMatched, m.DemuxDefault)
+			i, snap[ns+"send_ok"], snap[ns+"send_rejected"], snap[ns+"demux_matched"], snap[ns+"demux_default"])
 	}
 	if *stats {
 		fmt.Fprintln(stdout)

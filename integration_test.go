@@ -287,8 +287,8 @@ func TestUserLibBQIExchangeOnAN1(t *testing.T) {
 	// Device-level check: host 1's AN1 must have delivered to a nonzero
 	// ring, and the registry default path must not have seen data-phase
 	// segments.
-	if w.Node(1).Mod.DemuxDefault > 8 {
-		t.Errorf("default path saw %d packets; data phase should bypass it", w.Node(1).Mod.DemuxDefault)
+	if n := Counter(t, w, "netio.h1.demux_default"); n > 8 {
+		t.Errorf("default path saw %d packets; data phase should bypass it", n)
 	}
 }
 
@@ -504,8 +504,8 @@ func TestUserLibUDPDatagrams(t *testing.T) {
 	// they arrive at BQI zero and are demultiplexed in software by the
 	// registry's default path — the paper's §5 observation about
 	// connectionless protocols and hardware demultiplexing.
-	if w.Node(0).Mod.DemuxDefault < 3 {
-		t.Errorf("default path saw %d packets; AN1 datagrams should take the software fallback", w.Node(0).Mod.DemuxDefault)
+	if n := Counter(t, w, "netio.h0.demux_default"); n < 3 {
+		t.Errorf("default path saw %d packets; AN1 datagrams should take the software fallback", n)
 	}
 }
 

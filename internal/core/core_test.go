@@ -68,7 +68,7 @@ func reregisterOrder(t *testing.T, n int) []uint16 {
 	}
 
 	srv.reg.CrashShard(0)
-	reborn := srv.reg.Shard(0).Svc
+	reborn := srv.meta.Svc(0)
 	var order []uint16
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {
 		for {

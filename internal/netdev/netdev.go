@@ -60,14 +60,23 @@ type Device interface {
 	// FrameDrop events with a reason in Text.
 	SetTrace(bus *trace.Bus)
 
-	// Stats returns receive/transmit/drop counters.
-	Stats() Stats
+	// Describe emits the device's frame counters under their stats names.
+	Describe(emit func(string, int64))
 }
 
-// Stats holds device counters.
-type Stats struct {
-	TxFrames, RxFrames, RxDropped int
-	TxBytes, RxBytes              int64
+// counters are a device's frame counters; both devices embed them.
+type counters struct {
+	txFrames, rxFrames, rxDropped int
+	txBytes, rxBytes              int64
+}
+
+// describe emits the counters under their stats names.
+func (c *counters) describe(emit func(string, int64)) {
+	emit("tx_frames", int64(c.txFrames))
+	emit("rx_frames", int64(c.rxFrames))
+	emit("rx_dropped", int64(c.rxDropped))
+	emit("tx_bytes", c.txBytes)
+	emit("rx_bytes", c.rxBytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ type Lance struct {
 	addr    link.Addr
 	handler RxHandler
 	bus     *trace.Bus
-	stats   Stats
+	counters
 }
 
 // NewLance creates a LANCE attached to the segment.
@@ -98,7 +107,9 @@ func (d *Lance) HdrLen() int              { return link.EthHeaderLen }
 func (d *Lance) MTU() int                 { return link.EthMTU }
 func (d *Lance) SetRxHandler(h RxHandler) { d.handler = h }
 func (d *Lance) SetTrace(bus *trace.Bus)  { d.bus = bus }
-func (d *Lance) Stats() Stats             { return d.stats }
+
+// Describe emits the device's frame counters under their stats names.
+func (d *Lance) Describe(emit func(string, int64)) { d.describe(emit) }
 
 // Transmit copies the frame into the on-board staging buffer with programmed
 // I/O (charged to the calling thread), then lets the controller contend for
@@ -116,8 +127,8 @@ func (d *Lance) Transmit(t *kern.Thread, b *pkt.Buf) {
 	if err != nil {
 		panic(fmt.Sprintf("netdev: transmit of malformed frame: %v", err))
 	}
-	d.stats.TxFrames++
-	d.stats.TxBytes += int64(b.Len())
+	d.txFrames++
+	d.txBytes += int64(b.Len())
 	d.seg.Transmit(d.addr, hdr.Dst, b)
 }
 
@@ -145,12 +156,12 @@ func lanceRx(a any) {
 	b := a.(*pkt.Buf)
 	d := b.Meta.Rx.(*Lance)
 	b.Meta.Rx = nil
-	d.stats.RxFrames++
-	d.stats.RxBytes += int64(b.Len())
+	d.rxFrames++
+	d.rxBytes += int64(b.Len())
 	if d.handler != nil {
 		d.handler(b)
 	} else {
-		d.stats.RxDropped++
+		d.rxDropped++
 		if d.bus.Enabled() {
 			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), Text: "no-handler"})
@@ -192,7 +203,7 @@ type AN1 struct {
 	mtu   int
 	rings map[uint16]*Ring
 	bus   *trace.Bus
-	stats Stats
+	counters
 }
 
 // NewAN1 creates an AN1 controller attached to the segment. The mtu
@@ -212,7 +223,9 @@ func (d *AN1) Name() string     { return d.host.Name + ".an1" }
 func (d *AN1) Addr() link.Addr  { return d.addr }
 func (d *AN1) HdrLen() int      { return link.AN1HeaderLen }
 func (d *AN1) MTU() int         { return d.mtu }
-func (d *AN1) Stats() Stats     { return d.stats }
+
+// Describe emits the device's frame counters under their stats names.
+func (d *AN1) Describe(emit func(string, int64)) { d.describe(emit) }
 
 // SetTrace attaches a trace bus for controller-level drop events.
 func (d *AN1) SetTrace(bus *trace.Bus) { d.bus = bus }
@@ -271,8 +284,8 @@ func (d *AN1) Transmit(t *kern.Thread, b *pkt.Buf) {
 	if err != nil {
 		panic(fmt.Sprintf("netdev: transmit of malformed AN1 frame: %v", err))
 	}
-	d.stats.TxFrames++
-	d.stats.TxBytes += int64(b.Len())
+	d.txFrames++
+	d.txBytes += int64(b.Len())
 	d.seg.Transmit(d.addr, hdr.Dst, b)
 }
 
@@ -295,7 +308,7 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 		// Unbound BQIs fall back to the protected kernel default.
 		ring, ok = d.rings[0]
 		if !ok {
-			d.stats.RxDropped++
+			d.rxDropped++
 			if d.bus.Enabled() {
 				d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 					A: int64(b.Len()), Text: "no-ring"})
@@ -309,7 +322,7 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 	}
 	if ring.status.InUse >= ring.status.Capacity {
 		ring.status.Dropped++
-		d.stats.RxDropped++
+		d.rxDropped++
 		if d.bus.Enabled() {
 			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), B: int64(hdr.BQI), Text: "ring-overflow"})
@@ -329,8 +342,8 @@ func an1Rx(a any) {
 	b := a.(*pkt.Buf)
 	ring := b.Meta.Rx.(*Ring)
 	b.Meta.Rx = nil
-	ring.dev.stats.RxFrames++
-	ring.dev.stats.RxBytes += int64(b.Len())
+	ring.dev.rxFrames++
+	ring.dev.rxBytes += int64(b.Len())
 	if ring.handler != nil {
 		ring.handler(b)
 	}

@@ -74,8 +74,8 @@ func TestLanceEndToEnd(t *testing.T) {
 	if err != nil || hdr.Src != link.MakeAddr(1) {
 		t.Fatalf("decode: %+v, %v", hdr, err)
 	}
-	if w.d1.Stats().TxFrames != 1 || w.d2.Stats().RxFrames != 1 {
-		t.Fatalf("stats: tx=%+v rx=%+v", w.d1.Stats(), w.d2.Stats())
+	if tx, rx := w.d1.(*Lance).txFrames, w.d2.(*Lance).rxFrames; tx != 1 || rx != 1 {
+		t.Fatalf("stats: tx=%d rx=%d", tx, rx)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestLeaseExpiryQuarantinesAndRenewalLifts(t *testing.T) {
 	if ch.Pending() != 0 {
 		t.Fatal("quarantined channel delivered a frame")
 	}
-	if ch.Quarantined != 1 || w.m2.QuarantineDrops != 1 {
-		t.Fatalf("quarantine counters = %d/%d, want 1/1", ch.Quarantined, w.m2.QuarantineDrops)
+	if ch.Quarantined != 1 || w.m2.quarantineDrops != 1 {
+		t.Fatalf("quarantine counters = %d/%d, want 1/1", ch.Quarantined, w.m2.quarantineDrops)
 	}
 
 	// RenewLeasesIssued (the reborn registry's first act, once it has
@@ -92,8 +92,8 @@ func TestSendRejectedWhileLeaseExpired(t *testing.T) {
 	if got != ErrLeaseExpired {
 		t.Fatalf("Send on expired lease = %v, want ErrLeaseExpired", got)
 	}
-	if w.m2.SendRejected != 1 {
-		t.Fatalf("SendRejected = %d, want 1", w.m2.SendRejected)
+	if w.m2.sendRejected != 1 {
+		t.Fatalf("SendRejected = %d, want 1", w.m2.sendRejected)
 	}
 }
 

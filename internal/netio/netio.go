@@ -24,7 +24,8 @@ package netio
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"ulp/internal/filter"
@@ -346,7 +347,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 		// covers every delivery source — software demux, the AN1 hardware
 		// ring, and kernel-path Inject.
 		ch.Quarantined++
-		ch.mod.QuarantineDrops++
+		ch.mod.quarantineDrops++
 		if bus.Enabled() {
 			bus.Emit(trace.Event{Kind: trace.ChanQuarantine, Node: ch.mod.dev.Name(), A: int64(ch.id)})
 		}
@@ -367,7 +368,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 	}
 	if len(ch.rxq) >= ch.cap {
 		ch.Dropped++
-		ch.mod.RxDropped++
+		ch.mod.rxDropped++
 		if bus.Enabled() {
 			bus.Emit(trace.Event{Kind: trace.ChanDrop, Node: ch.mod.dev.Name(), A: int64(ch.id)})
 		}
@@ -375,7 +376,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 			ch.overflowed = true
 			ch.Overflows++
 			ch.Notifications++
-			ch.mod.NotificationsTotal++
+			ch.mod.notificationsTotal++
 			ch.sem.V()
 		}
 		ch.releaseSlot(b)
@@ -385,11 +386,11 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 	ch.overflowed = false
 	ch.rxq = append(ch.rxq, b)
 	ch.Delivered++
-	ch.mod.DeliveredTotal++
+	ch.mod.deliveredTotal++
 	if len(ch.rxq) > ch.HighWater {
 		ch.HighWater = len(ch.rxq)
-		if ch.HighWater > ch.mod.RingHighWater {
-			ch.mod.RingHighWater = ch.HighWater
+		if ch.HighWater > ch.mod.ringHighWater {
+			ch.mod.ringHighWater = ch.HighWater
 		}
 	}
 	if bus.Enabled() {
@@ -431,7 +432,7 @@ func (ch *Channel) dropQueued(slots bool) {
 // notify posts the channel's semaphore and accounts the doorbell.
 func (ch *Channel) notify(bus *trace.Bus) {
 	ch.Notifications++
-	ch.mod.NotificationsTotal++
+	ch.mod.notificationsTotal++
 	if bus.Enabled() {
 		bus.Emit(trace.Event{Kind: trace.ChanNotify, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(len(ch.rxq))})
@@ -605,24 +606,24 @@ type Module struct {
 	// setup error paths.
 	FailSetup func(op string) error
 
-	// Stats
-	SendOK, SendRejected, DemuxMatched, DemuxDefault int
-	RxDropped                                        int
-	// QuarantineDrops counts packets suppressed on lease-expired channels.
-	QuarantineDrops int
-	// DeliveredTotal/NotificationsTotal aggregate the per-channel
+	// Counters (Describe).
+	sendOK, sendRejected, demuxMatched, demuxDefault int
+	rxDropped                                        int
+	// quarantineDrops counts packets suppressed on lease-expired channels.
+	quarantineDrops int
+	// deliveredTotal/notificationsTotal aggregate the per-channel
 	// counters across all channels (including destroyed ones), so the
 	// notification-batching ratio survives teardown.
-	DeliveredTotal, NotificationsTotal int
-	// CopiedBytes counts bytes moved by the kernel→shared-region receive
+	deliveredTotal, notificationsTotal int
+	// copiedBytes counts bytes moved by the kernel→shared-region receive
 	// copy on software-demux devices (Table-style "copies" breakdown).
-	CopiedBytes int64
-	// ReferencedBytes/DeliveredByRef count the zero-copy complement:
+	copiedBytes int64
+	// referencedBytes/deliveredByRef count the zero-copy complement:
 	// payload volume and packets handed to the library by reference.
-	ReferencedBytes int64
-	DeliveredByRef  int
-	// RingHighWater is the deepest any channel's receive ring ever got.
-	RingHighWater int
+	referencedBytes int64
+	deliveredByRef  int
+	// ringHighWater is the deepest any channel's receive ring ever got.
+	ringHighWater int
 
 	// Bus, when set, receives demux/channel/capability events. Nil-safe.
 	Bus *trace.Bus
@@ -667,7 +668,7 @@ func (m *Module) rxSoftware(b *pkt.Buf) {
 			return
 		}
 	}
-	m.DemuxDefault++
+	m.demuxDefault++
 	if m.Bus.Enabled() {
 		m.Bus.Emit(trace.Event{Kind: trace.DemuxMiss, Node: m.dev.Name(), B: int64(b.Len())})
 	}
@@ -707,19 +708,19 @@ func (m *Module) steerLookup(frame []byte) *binding {
 // pays only the fixed descriptor post — the per-packet cost no longer
 // scales with payload size, which is the whole point.
 func (m *Module) deliverMatched(bd *binding, b *pkt.Buf) {
-	m.DemuxMatched++
+	m.demuxMatched++
 	if m.Bus.Enabled() {
 		m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
 			A: int64(bd.ch.id), B: int64(b.Len())})
 	}
 	if bd.ch.zeroCopy {
-		m.ReferencedBytes += int64(b.Len())
-		m.DeliveredByRef++
+		m.referencedBytes += int64(b.Len())
+		m.deliveredByRef++
 		bd.ch.ReferencedBytes += int64(b.Len())
 		bd.ch.DeliveredByRef++
 		m.host.CPU.UseAsync(m.host.Cost.DescriptorPost, nil)
 	} else {
-		m.CopiedBytes += int64(b.Len())
+		m.copiedBytes += int64(b.Len())
 		bd.ch.CopiedBytes += int64(b.Len())
 		m.host.CPU.UseAsync(m.host.Cost.Copy(b.Len()), nil)
 	}
@@ -862,7 +863,7 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 		}
 		if rec.rx == nil {
 			rec.rx = func(b *pkt.Buf) {
-				m.DemuxMatched++
+				m.demuxMatched++
 				if m.Bus.Enabled() {
 					m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
 						A: int64(ch.id), B: int64(b.Len())})
@@ -1031,13 +1032,8 @@ func (m *Module) InstalledEndpoints(from *kern.Domain) ([]InstalledEndpoint, err
 	if !from.Privileged {
 		return nil, fmt.Errorf("netio: endpoint enumeration from unprivileged domain %s", from)
 	}
-	ids := make([]uint64, 0, len(m.caps))
-	for id := range m.caps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	eps := make([]InstalledEndpoint, 0, len(ids))
-	for _, id := range ids {
+	eps := make([]InstalledEndpoint, 0, len(m.caps))
+	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
 		cap := m.caps[id]
 		eps = append(eps, InstalledEndpoint{
 			Cap:      cap,
@@ -1076,11 +1072,11 @@ func (m *Module) RevokeOwner(from *kern.Domain, owner *kern.Domain) (int, error)
 		return 0, fmt.Errorf("netio: owner revocation from unprivileged domain %s", from)
 	}
 	revoked := 0
-	for _, cap := range m.caps {
-		if cap.owner == owner {
-			if m.DestroyChannel(from, cap) == nil {
-				revoked++
-			}
+	// Capability-id order: on the AN1 the order decides which ring indices
+	// the next set-ups reuse.
+	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
+		if cap, ok := m.caps[id]; ok && cap.owner == owner && m.DestroyChannel(from, cap) == nil {
+			revoked++
 		}
 	}
 	return revoked, nil
@@ -1110,47 +1106,34 @@ func (m *Module) unpin(ch *Channel) {
 	m.pinned--
 }
 
-// ChannelStats is a snapshot of one live channel's receive counters, for
-// the stats registry's per-channel breakdown.
-type ChannelStats struct {
-	ID                                int64
-	BQI                               uint16
-	Delivered, Dropped, Notifications int
-	Overflows, HighWater, Quarantined int
-	DeliveredByRef                    int
-	CopiedBytes, ReferencedBytes      int64
-	Pending, Inflight                 int
-}
-
-// ChannelStats enumerates per-channel receive counters for every live
-// channel, ordered by capability id (deterministic). Destroyed channels'
-// contributions survive only in the module aggregates.
-func (m *Module) ChannelStats() []ChannelStats {
-	ids := make([]uint64, 0, len(m.caps))
-	for id := range m.caps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]ChannelStats, 0, len(ids))
-	for _, id := range ids {
+// Describe emits the module's counters under their stats names: the
+// aggregates, then for each live channel, by capability id, what its ring
+// delivered, copied, referenced or dropped. Destroyed channels' contributions
+// survive only in the aggregates.
+func (m *Module) Describe(emit func(string, int64)) {
+	emit("send_ok", int64(m.sendOK))
+	emit("send_rejected", int64(m.sendRejected))
+	emit("demux_matched", int64(m.demuxMatched))
+	emit("demux_default", int64(m.demuxDefault))
+	emit("rx_dropped", int64(m.rxDropped))
+	emit("delivered", int64(m.deliveredTotal))
+	emit("notifications", int64(m.notificationsTotal))
+	emit("copied_bytes", m.copiedBytes)
+	emit("referenced_bytes", m.referencedBytes)
+	emit("delivered_by_ref", int64(m.deliveredByRef))
+	emit("ring_high_water", int64(m.ringHighWater))
+	emit("quarantine_drops", int64(m.quarantineDrops))
+	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
 		ch := m.caps[id].ch
-		out = append(out, ChannelStats{
-			ID:              int64(id),
-			BQI:             ch.bqi,
-			Delivered:       ch.Delivered,
-			Dropped:         ch.Dropped,
-			Notifications:   ch.Notifications,
-			Overflows:       ch.Overflows,
-			HighWater:       ch.HighWater,
-			Quarantined:     ch.Quarantined,
-			DeliveredByRef:  ch.DeliveredByRef,
-			CopiedBytes:     ch.CopiedBytes,
-			ReferencedBytes: ch.ReferencedBytes,
-			Pending:         len(ch.rxq),
-			Inflight:        len(ch.inflight),
-		})
+		pfx := fmt.Sprintf("ch%d.", id)
+		emit(pfx+"delivered", int64(ch.Delivered))
+		emit(pfx+"delivered_by_ref", int64(ch.DeliveredByRef))
+		emit(pfx+"copied_bytes", ch.CopiedBytes)
+		emit(pfx+"referenced_bytes", ch.ReferencedBytes)
+		emit(pfx+"dropped", int64(ch.Dropped))
+		emit(pfx+"high_water", int64(ch.HighWater))
+		emit(pfx+"notifications", int64(ch.Notifications))
 	}
-	return out
 }
 
 // SoftwareBindings counts installed software demux entries (diagnostics).
@@ -1176,7 +1159,7 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 	c := t.Cost()
 	t.FastTrap()
 	if cap == nil || m.caps[cap.id] != cap {
-		m.SendRejected++
+		m.sendRejected++
 		if m.Bus.Enabled() {
 			var id int64
 			if cap != nil {
@@ -1188,7 +1171,7 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 		return ErrBadCapability
 	}
 	if m.quarantined(cap.id) {
-		m.SendRejected++
+		m.sendRejected++
 		if m.Bus.Enabled() {
 			m.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
 				A: int64(cap.id), Text: "lease-expired"})
@@ -1197,14 +1180,14 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 	}
 	t.Compute(c.TemplateCheck)
 	if !cap.template.Verify(frame.Bytes(), m.dev.HdrLen()) {
-		m.SendRejected++
+		m.sendRejected++
 		if m.Bus.Enabled() {
 			m.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
 				A: int64(cap.id), Text: "template-mismatch"})
 		}
 		return ErrTemplateMismatch
 	}
-	m.SendOK++
+	m.sendOK++
 	m.dev.Transmit(t, frame)
 	return nil
 }

@@ -129,8 +129,8 @@ func TestSoftwareDemuxDelivers(t *testing.T) {
 	if defaulted != 1 {
 		t.Fatalf("default path got %d packets, want 1", defaulted)
 	}
-	if w.m2.DemuxMatched != 1 || w.m2.DemuxDefault != 1 {
-		t.Fatalf("demux stats: %d/%d", w.m2.DemuxMatched, w.m2.DemuxDefault)
+	if w.m2.demuxMatched != 1 || w.m2.demuxDefault != 1 {
+		t.Fatalf("demux stats: %d/%d", w.m2.demuxMatched, w.m2.demuxDefault)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestSendTemplateEnforcement(t *testing.T) {
 	if received != 1 {
 		t.Fatalf("wire saw %d frames, want 1 (only the legitimate one)", received)
 	}
-	if w.m1.SendRejected != 3 || w.m1.SendOK != 1 {
-		t.Fatalf("send stats: ok=%d rejected=%d", w.m1.SendOK, w.m1.SendRejected)
+	if w.m1.sendRejected != 3 || w.m1.sendOK != 1 {
+		t.Fatalf("send stats: ok=%d rejected=%d", w.m1.sendOK, w.m1.sendRejected)
 	}
 }
 

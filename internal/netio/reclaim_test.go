@@ -89,8 +89,8 @@ func TestOverflowAccounting(t *testing.T) {
 	if ch.Overflows != 1 {
 		t.Fatalf("overflow episodes = %d, want 1 (a burst is one episode)", ch.Overflows)
 	}
-	if w.m2.RxDropped != 4 {
-		t.Fatalf("module RxDropped = %d, want 4", w.m2.RxDropped)
+	if w.m2.rxDropped != 4 {
+		t.Fatalf("module RxDropped = %d, want 4", w.m2.rxDropped)
 	}
 	if ch.HighWater != 2 {
 		t.Fatalf("high-water = %d, want 2", ch.HighWater)

@@ -40,11 +40,11 @@ func TestZeroCopyDeliversByReference(t *testing.T) {
 		t.Fatalf("channel got %d packets, want 1", len(got))
 	}
 	frameLen := got[0].Len()
-	if w.m2.CopiedBytes != 0 {
-		t.Fatalf("copied bytes = %d, want 0 on the zero-copy path", w.m2.CopiedBytes)
+	if w.m2.copiedBytes != 0 {
+		t.Fatalf("copied bytes = %d, want 0 on the zero-copy path", w.m2.copiedBytes)
 	}
-	if w.m2.ReferencedBytes != int64(frameLen) || w.m2.DeliveredByRef != 1 {
-		t.Fatalf("referenced=%d by_ref=%d, want %d/1", w.m2.ReferencedBytes, w.m2.DeliveredByRef, frameLen)
+	if w.m2.referencedBytes != int64(frameLen) || w.m2.deliveredByRef != 1 {
+		t.Fatalf("referenced=%d by_ref=%d, want %d/1", w.m2.referencedBytes, w.m2.deliveredByRef, frameLen)
 	}
 	if ch.ReferencedBytes != int64(frameLen) || ch.DeliveredByRef != 1 || ch.CopiedBytes != 0 {
 		t.Fatalf("per-channel: referenced=%d by_ref=%d copied=%d", ch.ReferencedBytes, ch.DeliveredByRef, ch.CopiedBytes)

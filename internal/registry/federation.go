@@ -360,20 +360,8 @@ func (f *Federation) dropForeign(restarted int) {
 // Configuration forwarding and introspection
 // ---------------------------------------------------------------------------
 
-// Shards returns the shard count.
-func (f *Federation) Shards() int { return len(f.shards) }
-
-// Shard returns shard i's current incarnation.
-func (f *Federation) Shard(i int) *Server { return f.shards[i] }
-
-// Live reports whether shard i is up.
-func (f *Federation) Live(i int) bool { return f.live[i] }
-
 // Netif exposes the shared interface wiring.
 func (f *Federation) Netif() *stacks.Netif { return f.nif }
-
-// AdmissionDenied returns how many setups the quota layer refused.
-func (f *Federation) AdmissionDenied() int { return f.denied }
 
 // Outstanding counts the admission slots currently charged; with a non-nil
 // owner, only those charged to that domain. Leak audits assert it reaches
@@ -448,22 +436,35 @@ func (f *Federation) TransferredConns() int { return f.sumLive((*Server).Transfe
 // replicated listener counts once per shard holding it.
 func (f *Federation) ListenerCount() int { return f.sumLive((*Server).ListenerCount) }
 
-// DedupHits sums dedup-cache hits across shards.
-func (f *Federation) DedupHits() int {
-	n := 0
+// Describe emits the registry's counters under their stats names: the shard
+// count, totals (the tables over the live shards, the event counts over every
+// shard's current incarnation), then each shard's incarnation counters, which
+// restart with it.
+func (f *Federation) Describe(emit func(string, int64)) {
+	emit("shards", int64(len(f.shards)))
+	emit("ports_in_use", int64(f.PortsInUse()))
+	emit("owned_conns", int64(f.OwnedConns()))
+	emit("transferred", int64(f.TransferredConns()))
+	emit("listeners", int64(f.ListenerCount()))
+	var dedupHits, reregistered int
 	for _, sh := range f.shards {
-		n += sh.DedupHits()
+		dedupHits += sh.dedupHits
+		reregistered += sh.reregistered
 	}
-	return n
-}
-
-// ReRegistered sums migrated/re-adopted connections across shards.
-func (f *Federation) ReRegistered() int {
-	n := 0
-	for _, sh := range f.shards {
-		n += sh.ReRegistered()
+	emit("dedup_hits", int64(dedupHits))
+	emit("reregistered", int64(reregistered))
+	emit("admission_denied", int64(f.denied))
+	for i, sh := range f.shards {
+		pfx := fmt.Sprintf("shard%d.", i)
+		live := int64(0)
+		if f.live[i] {
+			live = 1
+		}
+		emit(pfx+"live", live)
+		emit(pfx+"epoch", int64(sh.epoch))
+		emit(pfx+"syn_dropped", int64(sh.synDrops))
+		emit(pfx+"rebuilt_endpoints", int64(sh.rebuilt))
 	}
-	return n
 }
 
 // ---------------------------------------------------------------------------

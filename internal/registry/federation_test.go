@@ -64,7 +64,7 @@ func newFedRigOn(t *testing.T, an1 bool, shards, quota int) *fedRig {
 		rg.apps = append(rg.apps, h.NewDomain("app", false))
 		return mod
 	}
-	rg.r0 = NewFederation(s, mkMod(0), rg.ips[0], 1).Shard(0)
+	rg.r0 = NewFederation(s, mkMod(0), rg.ips[0], 1).shards[0]
 	rg.fed = NewFederation(s, mkMod(1), rg.ips[1], shards)
 	if quota > 0 {
 		rg.fed.quota = quota
@@ -93,7 +93,7 @@ func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id ui
 	var ho Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-		reply := rg.fed.Shard(shard).Svc.Call(th, kern.Msg{
+		reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{
 			Op: "connect", ID: id,
 			Body: ConnectReq{Remote: remote, Owner: rg.apps[1]},
 		})
@@ -142,8 +142,8 @@ func TestFederationSteersHandshakeToOwner(t *testing.T) {
 		if rg.fed.ownerEndpoints(ho.Snap.Local, ho.Snap.Peer) != shard {
 			t.Fatalf("shard %d handed off a tuple it does not own: %v", shard, ho.Snap.Local)
 		}
-		if rg.fed.Shard(shard).TransferredConns() != 1 {
-			t.Fatalf("shard %d transferred %d conns, want 1", shard, rg.fed.Shard(shard).TransferredConns())
+		if rg.fed.shards[shard].TransferredConns() != 1 {
+			t.Fatalf("shard %d transferred %d conns, want 1", shard, rg.fed.shards[shard].TransferredConns())
 		}
 	}
 	// No shard adopted another's connection.
@@ -163,7 +163,7 @@ func TestFederationAdmissionQuota(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		shard := i
 		rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-			rg.fed.Shard(shard).Svc.Call(th, kern.Msg{
+			rg.fed.shards[shard].Svc.Call(th, kern.Msg{
 				Op: "connect", Body: ConnectReq{Remote: dead, Owner: rg.apps[1]}})
 		})
 	}
@@ -179,8 +179,8 @@ func TestFederationAdmissionQuota(t *testing.T) {
 	if ho.Err != stacks.ErrAdmissionDenied {
 		t.Fatalf("third connect err = %v, want ErrAdmissionDenied", ho.Err)
 	}
-	if rg.fed.AdmissionDenied() != 1 {
-		t.Fatalf("denied = %d, want 1", rg.fed.AdmissionDenied())
+	if rg.fed.denied != 1 {
+		t.Fatalf("denied = %d, want 1", rg.fed.denied)
 	}
 	// A denied setup has no side effects: no port, no pcb, no slot.
 	if rg.fed.PortsInUse() != portsBefore {
@@ -216,34 +216,34 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 		done := false
 		sh := shard
 		rg.apps[1].Spawn("listen", func(th *kern.Thread) {
-			rg.fed.Shard(sh).Svc.Call(th, kern.Msg{Op: "listen",
-				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.Shard(sh).host, "a"), Owner: rg.apps[1]}})
+			rg.fed.shards[sh].Svc.Call(th, kern.Msg{Op: "listen",
+				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.shards[sh].host, "a"), Owner: rg.apps[1]}})
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
 	}
 
 	rg.fed.CrashShard(1)
-	if rg.fed.Live(1) {
+	if rg.fed.live[1] {
 		t.Fatal("shard 1 still live after crash")
 	}
 	rg.s.Run(50 * time.Millisecond)
 	rg.fed.RestartShard(1)
 	rg.s.Run(50 * time.Millisecond)
 
-	sh1 := rg.fed.Shard(1)
-	if sh1.Epoch() != 2 {
-		t.Fatalf("restarted shard epoch = %d, want 2", sh1.Epoch())
+	sh1 := rg.fed.shards[1]
+	if sh1.epoch != 2 {
+		t.Fatalf("restarted shard epoch = %d, want 2", sh1.epoch)
 	}
-	if sh1.RebuiltEndpoints() != 1 {
-		t.Fatalf("restarted shard rebuilt %d endpoints, want exactly its own 1", sh1.RebuiltEndpoints())
+	if sh1.rebuilt != 1 {
+		t.Fatalf("restarted shard rebuilt %d endpoints, want exactly its own 1", sh1.rebuilt)
 	}
 	if sh1.TransferredConns() != 1 {
 		t.Fatalf("restarted shard holds %d transferred conns, want 1", sh1.TransferredConns())
 	}
 	// Shard 0's connection was untouched by the sweep.
-	if rg.fed.Shard(0).TransferredConns() != 1 {
-		t.Fatalf("surviving shard lost its connection: %d", rg.fed.Shard(0).TransferredConns())
+	if rg.fed.shards[0].TransferredConns() != 1 {
+		t.Fatalf("surviving shard lost its connection: %d", rg.fed.shards[0].TransferredConns())
 	}
 	// The replicated listener came back from the surviving sibling.
 	if sh1.ListenerCount() != 1 {
@@ -266,7 +266,6 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 
 	// The peer retransmits into the dead shard's tuple. The frame steers to
 	// the successor (shard 0), which does not own it: it must drop, not RST.
-	tx0 := rg.r0.nif.Mod.Device().Stats().TxFrames
 	sent := false
 	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
@@ -278,11 +277,10 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
 	rg.s.Run(100 * time.Millisecond)
-	rx0 := rg.r0.nif.Mod.Device().Stats().RxFrames
-	_ = tx0
+	rx0 := counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames")
 	// Host 0 received no RST: its rx counter grew only by its own ARP
 	// traffic (none expected — addresses already resolved). Allow zero.
-	if rg.r0.nif.Mod.Device().Stats().RxFrames != rx0 {
+	if counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames") != rx0 {
 		t.Fatal("successor answered a non-authoritative stray")
 	}
 }
@@ -325,7 +323,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	// Retry the in-flight connect (a client whose reply timed out). The
 	// entry must still be cached: the retry retargets the eventual handoff
 	// instead of running a second handshake.
-	hits := rg.r1.DedupHits()
+	hits := rg.r1.dedupHits
 	retried := false
 	rg.apps[1].Spawn("retry", func(th *kern.Thread) {
 		retried = true
@@ -334,9 +332,9 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Second, func() bool { return retried })
 	rg.s.Run(10 * time.Millisecond)
-	if rg.r1.DedupHits() != hits+1 {
+	if rg.r1.dedupHits != hits+1 {
 		t.Fatalf("retry of in-flight connect was not a dedup hit (hits %d -> %d): entry was evicted",
-			hits, rg.r1.DedupHits())
+			hits, rg.r1.dedupHits)
 	}
 	if rg.r1.OwnedConns() != 1 {
 		t.Fatalf("retry re-executed the connect: %d handshake pcbs, want 1", rg.r1.OwnedConns())

@@ -31,7 +31,7 @@ type leakRow struct {
 // give up.
 func (rg *fedRig) stall(shard int, id uint64, opts stacks.Options) {
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-		rg.fed.Shard(shard).Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
+		rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
 			Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}, Opts: opts, Owner: rg.apps[1]}})
 	})
 	rg.s.Run(10 * time.Millisecond)
@@ -40,7 +40,7 @@ func (rg *fedRig) stall(shard int, id uint64, opts stacks.Options) {
 // oneWay sends a one-way request to shard from a domain of host 1's own.
 func (rg *fedRig) oneWay(shard int, m kern.Msg) {
 	rg.fed.host.NewDomain("lib", false).Spawn("send", func(th *kern.Thread) {
-		rg.fed.Shard(shard).Svc.Send(th, m)
+		rg.fed.shards[shard].Svc.Send(th, m)
 	})
 	rg.s.Run(100 * time.Millisecond)
 }
@@ -51,7 +51,7 @@ func (rg *fedRig) oneWay(shard int, m kern.Msg) {
 // failed to drop stays armed.
 func (rg *fedRig) probe(t *testing.T, id uint64) {
 	t.Helper()
-	sh := rg.fed.Shard(0)
+	sh := rg.fed.shards[0]
 	var ho Handoff
 	got := false
 	rg.fed.host.NewDomain("probe", false).Spawn("probe", func(th *kern.Thread) {
@@ -76,7 +76,7 @@ func (rg *fedRig) probe(t *testing.T, id uint64) {
 // 16th reservation needs one past 16. It leaves the indexes reserved.
 func (rg *fedRig) auditBQIs(t *testing.T) {
 	t.Helper()
-	mod, dom := rg.fed.Netif().Mod, rg.fed.Shard(0).dom
+	mod, dom := rg.fed.Netif().Mod, rg.fed.shards[0].dom
 	highest := uint16(0)
 	for i := 0; i < 16; i++ {
 		bqi, err := mod.ReserveBQI(dom)
@@ -102,9 +102,9 @@ func (rg *fedRig) auditNoLeaks(t *testing.T) {
 			f.PortsInUse(), f.OwnedConns(), f.TransferredConns(), f.Outstanding(nil), m.LiveCapabilities(nil), m.PinnedRegions())
 	}
 	shards := []*Server{rg.r0}
-	for i := 0; i < f.Shards(); i++ {
-		if f.Live(i) {
-			shards = append(shards, f.Shard(i))
+	for i := 0; i < len(f.shards); i++ {
+		if f.live[i] {
+			shards = append(shards, f.shards[i])
 		}
 	}
 	for _, sh := range shards {
@@ -179,7 +179,7 @@ var leakRows = []leakRow{
 		var ho Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-			ho, _ = rg.fed.Shard(0).Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
+			ho, _ = rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
 				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}, Owner: rg.apps[1]}}).Body.(Handoff)
 			got = true
 		})

@@ -21,7 +21,7 @@ import (
 func restart(r *Server) *Server {
 	r.fed.CrashShard(0)
 	r.fed.RestartShard(0)
-	return r.fed.Shard(0)
+	return r.fed.shards[0]
 }
 
 // restartR1 crashes host 1's registry and boots a fresh incarnation over
@@ -47,11 +47,11 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 	}
 
 	rg.restartR1()
-	if rg.r1.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", rg.r1.Epoch())
+	if rg.r1.epoch != 2 {
+		t.Fatalf("epoch = %d, want 2", rg.r1.epoch)
 	}
-	if rg.r1.RebuiltEndpoints() != 1 {
-		t.Fatalf("rebuilt %d endpoints, want 1 (the transferred connection)", rg.r1.RebuiltEndpoints())
+	if rg.r1.rebuilt != 1 {
+		t.Fatalf("rebuilt %d endpoints, want 1 (the transferred connection)", rg.r1.rebuilt)
 	}
 	if rg.r1.TransferredConns() != 1 {
 		t.Fatalf("transferred map has %d entries after rebuild, want 1", rg.r1.TransferredConns())
@@ -118,8 +118,8 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest reregister refused: %v", err)
 	}
-	if rg.r1.ReRegistered() != 1 {
-		t.Fatalf("reregistered = %d, want 1", rg.r1.ReRegistered())
+	if rg.r1.reregistered != 1 {
+		t.Fatalf("reregistered = %d, want 1", rg.r1.reregistered)
 	}
 	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
 	if xc == nil || xc.sndNxt != ho.Snap.SndNxt {
@@ -152,8 +152,8 @@ func TestDedupReplaysCachedReply(t *testing.T) {
 	if err := listen(77); err != nil {
 		t.Fatalf("retried listen re-executed and failed: %v", err)
 	}
-	if rg.r0.DedupHits() != 1 {
-		t.Fatalf("dedup hits = %d, want 1", rg.r0.DedupHits())
+	if rg.r0.dedupHits != 1 {
+		t.Fatalf("dedup hits = %d, want 1", rg.r0.dedupHits)
 	}
 	if rg.r0.ListenerCount() != 1 {
 		t.Fatalf("%d listeners after retry, want 1", rg.r0.ListenerCount())
@@ -234,7 +234,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 	rg.s.RunUntil(time.Second, func() bool { return pushed })
 	rg.s.Run(100 * time.Millisecond)
 
-	if got := rg.r0.SynDrops(); got != 8 {
+	if got := rg.r0.synDrops; got != 8 {
 		t.Fatalf("dropped %d SYNs, want 8 (12 sent, backlog 4)", got)
 	}
 	if got := rg.r0.OwnedConns(); got != 4 {
@@ -280,9 +280,9 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	// Crash mid-close. The reborn registry has nothing to rebuild: inherit
 	// destroyed the channel, so the kernel holds no template for the tuple.
 	rg.restartR1()
-	if rg.r1.OwnedConns() != 0 || rg.r1.RebuiltEndpoints() != 0 {
+	if rg.r1.OwnedConns() != 0 || rg.r1.rebuilt != 0 {
 		t.Fatalf("owned=%d rebuilt=%d after restart, want 0/0 (TIME_WAIT deliberately lost)",
-			rg.r1.OwnedConns(), rg.r1.RebuiltEndpoints())
+			rg.r1.OwnedConns(), rg.r1.rebuilt)
 	}
 
 	// The peer retransmits into the orphaned tuple; host 1's no-endpoint

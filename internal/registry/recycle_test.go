@@ -72,12 +72,12 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	// the checker would take a second connection on a four-tuple this test
 	// abandoned mid-life for the first one continuing.)
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-		rg.fed.Shard(1).Svc.CallTimeout(th, kern.Msg{Op: "connect",
+		rg.fed.shards[1].Svc.CallTimeout(th, kern.Msg{Op: "connect",
 			Body: ConnectReq{Remote: dead, Owner: rg.apps[1]}}, time.Second)
 	})
 	rg.s.Run(10 * time.Millisecond)
-	if rg.fed.Shard(1).OwnedConns() != 1 {
-		t.Fatalf("shard 1 owns %d pcbs before its crash, want the stalled handshake", rg.fed.Shard(1).OwnedConns())
+	if rg.fed.shards[1].OwnedConns() != 1 {
+		t.Fatalf("shard 1 owns %d pcbs before its crash, want the stalled handshake", rg.fed.shards[1].OwnedConns())
 	}
 	rg.fed.CrashShard(1)
 	rg.s.Run(100 * time.Millisecond)
@@ -103,7 +103,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 		var ho Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-			reply := rg.fed.Shard(shard).Svc.Call(th, kern.Msg{Op: "connect",
+			reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect",
 				Body: ConnectReq{Remote: dead, Owner: rg.apps[1], Opts: stacks.Options{RexmtR2: 2}}})
 			ho, _ = reply.Body.(Handoff)
 			got = true
@@ -125,7 +125,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 			t.Fatalf("set-up %d: handoff in state %v, capability %v, channel %v",
 				i, ho.Snap.State, ho.Cap, ho.Channel)
 		}
-		rg.teardown(rg.fed.Shard(shard).Svc, rg.apps[1], ho)
+		rg.teardown(rg.fed.shards[shard].Svc, rg.apps[1], ho)
 	}
 	rg.s.Run(time.Second)
 	// The far host also completed its half of the set-ups aborted in step 2.
@@ -162,7 +162,7 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 	rg, _ := tracedFedRig(t, 1)
 	rg.listenOn0(t, 80)
 	far := tcp.Endpoint{IP: rg.ips[0], Port: 80}
-	sh := rg.fed.Shard(0)
+	sh := rg.fed.shards[0]
 
 	connect := func() {
 		t.Helper()
@@ -202,7 +202,7 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 
 	rg.fed.CrashShard(0)
 	rg.fed.RestartShard(0)
-	if n := rg.fed.Shard(0).free.Len(); n != 0 {
+	if n := rg.fed.shards[0].free.Len(); n != 0 {
 		t.Fatalf("restarted shard starts with %d free records, want none", n)
 	}
 }

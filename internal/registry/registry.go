@@ -22,6 +22,9 @@
 package registry
 
 import (
+	"maps"
+	"slices"
+	"sort"
 	"time"
 
 	"ulp/internal/chaos"
@@ -918,6 +921,9 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	t.Compute(c.StateTransfer)
 	delete(r.watched, dom)
 
+	// Every table is walked in key order, never map order: each step puts
+	// frames on the wire or frees a ring index the next set-up reuses.
+	//
 	// Registry-owned pcbs (handshakes in flight for the dead app): abort.
 	var dead []*hsConn
 	for _, hc := range r.conns {
@@ -926,6 +932,10 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 			dead = append(dead, hc)
 		}
 	}
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := &dead[i].tc, &dead[j].tc
+		return tcp.FourTuple{Local: a.Local(), Peer: a.Peer()}.Less(tcp.FourTuple{Local: b.Local(), Peer: b.Peer()})
+	})
 	for _, hc := range dead {
 		// Each abort may wait for the engine, and what held it may have
 		// dropped a later victim, whose record may be on its next connection
@@ -943,21 +953,30 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// reclaimed) default path below and is answered with an exactly-aimed
 	// RST by the receive pipeline's no-endpoint case — so the peer converges
 	// to reset either way.
+	var fts []tcp.FourTuple
 	for ft, xc := range r.transferred {
 		if xc.owner == dom {
+			fts = append(fts, ft)
+		}
+	}
+	sort.Slice(fts, func(i, j int) bool { return fts[i].Less(fts[j]) })
+	for _, ft := range fts {
+		// A reset in flight charges this thread, and meanwhile a later
+		// record may have gone.
+		if xc, ok := r.transferred[ft]; ok && xc.owner == dom {
 			r.reclaim(ft, xc.cap, false)
 			r.sendCrashRST(t, xc)
 		}
 	}
 
 	// Listeners and datagram bindings.
-	for port, l := range r.listeners {
-		if l.owner == dom {
+	for _, port := range slices.Sorted(maps.Keys(r.listeners)) {
+		if r.listeners[port].owner == dom {
 			r.unlisten(port)
 		}
 	}
-	for port, ub := range r.udpChannels {
-		if ub.owner == dom {
+	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
+		if ub := r.udpChannels[port]; ub.owner == dom {
 			r.unbind(port, ub.cap, 0)
 		}
 	}
@@ -1132,20 +1151,3 @@ func (r *Server) PortsInUse() int { return r.ports.InUse() + r.udpPorts.InUse() 
 
 // ListenerCount returns registered passive endpoints.
 func (r *Server) ListenerCount() int { return len(r.listeners) }
-
-// Epoch returns the incarnation number (1 = first boot on this host).
-func (r *Server) Epoch() int { return r.epoch }
-
-// SynDrops returns SYNs dropped by full listen backlogs.
-func (r *Server) SynDrops() int { return r.synDrops }
-
-// DedupHits returns duplicate control-plane requests answered from the
-// request-ID cache instead of being re-executed.
-func (r *Server) DedupHits() int { return r.dedupHits }
-
-// ReRegistered returns connections re-adopted after a restart.
-func (r *Server) ReRegistered() int { return r.reregistered }
-
-// RebuiltEndpoints returns endpoints reconstructed from module templates
-// at restart.
-func (r *Server) RebuiltEndpoints() int { return r.rebuilt }

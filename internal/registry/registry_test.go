@@ -45,7 +45,7 @@ func newRig(an1 bool) *rig {
 		}
 		mod := netio.New(h, dev)
 		rg.apps = append(rg.apps, h.NewDomain("app", false))
-		return NewFederation(s, mod, rg.ips[i], 1).Shard(0)
+		return NewFederation(s, mod, rg.ips[i], 1).shards[0]
 	}
 	rg.r0 = mk(0)
 	rg.r1 = mk(1)
@@ -283,10 +283,25 @@ func TestStraySegmentAnsweredWithRST(t *testing.T) {
 	rg.s.Run(100 * time.Millisecond)
 	// Host 0 transmitted an RST: observable through its device counters
 	// (ARP req/reply + RST >= 2 tx frames from host 0).
-	stats := rg.r0.nif.Mod.Device().Stats()
-	if stats.TxFrames < 2 {
-		t.Fatalf("host 0 sent %d frames; expected ARP reply + RST", stats.TxFrames)
+	if tx := counter(t, rg.r0.nif.Mod.Device().Describe, "tx_frames"); tx < 2 {
+		t.Fatalf("host 0 sent %d frames; expected ARP reply + RST", tx)
 	}
+}
+
+// counter reads one counter a layer describes, failing the test when the
+// layer does not describe it.
+func counter(t *testing.T, describe func(func(string, int64)), key string) int64 {
+	t.Helper()
+	v, ok := int64(0), false
+	describe(func(k string, n int64) {
+		if k == key {
+			v, ok = n, true
+		}
+	})
+	if !ok {
+		t.Fatalf("counter %q is not described", key)
+	}
+	return v
 }
 
 // newSegBuf mirrors the tcp package's internal helper for tests.

@@ -117,7 +117,7 @@ func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
 			r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{HW: hw}})
 			return
 		}
-		r.nif.RequestARP(t, req.IP, r.nif.Mod.SendKernel)
+		r.nif.RequestARP(t, req.IP)
 		t.Sleep(2 * time.Millisecond)
 	}
 	r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{Err: stacks.ErrUnreachable}})

@@ -68,7 +68,7 @@ func (n *Netif) Input(t *kern.Thread, b *pkt.Buf, h *Hooks) {
 		return
 	}
 	if et == link.TypeARP {
-		n.InputARP(t, b, n.Mod.SendKernel)
+		n.InputARP(t, b)
 		return
 	}
 	if et != link.TypeIPv4 {

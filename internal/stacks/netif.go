@@ -70,7 +70,7 @@ func (n *Netif) Expire() {
 func (n *Netif) SendTCP(t *kern.Thread, seg *pkt.Buf, dst ipv4.Addr, advBQI uint16) {
 	h := ipv4.Header{ID: n.ids.Next(), DF: true, TTL: 64, Proto: ipv4.ProtoTCP, Src: n.IP, Dst: dst}
 	h.Encode(seg)
-	n.Resolve(t, seg, dst, advBQI, n.Mod.SendKernel)
+	n.Resolve(t, seg, dst, advBQI)
 }
 
 // WrapIPFragments encapsulates a datagram that may exceed the MTU (UDP
@@ -97,57 +97,54 @@ func (n *Netif) Frame(b *pkt.Buf, dstHW link.Addr, typ link.EtherType, bqi, advB
 	h.Encode(b)
 }
 
-// Transmit is the trusted (kernel/server mapped-device) transmit path.
-type Transmit func(t *kern.Thread, frame *pkt.Buf)
-
 // Resolve sends ippkt to dst through the kernel path, resolving dst's link
 // address first if needed: a cache hit frames and transmits immediately; a
-// miss queues the packet and broadcasts an ARP request via tx. The frame is
+// miss queues the packet and broadcasts an ARP request. The frame is
 // addressed to the peer's kernel queue (BQI zero) and, on the AN1,
 // advertises advBQI, ours for the connection's data phase.
-func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, advBQI uint16, tx Transmit) {
+func (n *Netif) Resolve(t *kern.Thread, ippkt *pkt.Buf, dst ipv4.Addr, advBQI uint16) {
 	if !ipv4.SameSubnet(n.IP, dst) {
 		// No gateway functions (paper): off-subnet traffic is dropped.
 		return
 	}
 	if hw, ok := n.ARP.Lookup(n.Now(), dst); ok {
 		n.Frame(ippkt, hw, link.TypeIPv4, 0, advBQI)
-		tx(t, ippkt)
+		n.Mod.SendKernel(t, ippkt)
 		return
 	}
 	ippkt.Meta.AdvBQI = advBQI // remember for transmission after resolution
 	if n.ARP.Enqueue(n.Now(), dst, ippkt) {
-		n.RequestARP(t, dst, tx)
+		n.RequestARP(t, dst)
 	}
 }
 
 // RequestARP broadcasts an ARP request for ip.
-func (n *Netif) RequestARP(t *kern.Thread, ip ipv4.Addr, tx Transmit) {
-	n.txARP(t, n.ARP.MakeRequest(ip), link.Broadcast, tx)
+func (n *Netif) RequestARP(t *kern.Thread, ip ipv4.Addr) {
+	n.txARP(t, n.ARP.MakeRequest(ip), link.Broadcast)
 }
 
 // txARP frames and transmits an ARP packet.
-func (n *Netif) txARP(t *kern.Thread, p arp.Packet, dstHW link.Addr, tx Transmit) {
+func (n *Netif) txARP(t *kern.Thread, p arp.Packet, dstHW link.Addr) {
 	b := p.Encode(n.Mod.Device().HdrLen())
 	n.Frame(b, dstHW, link.TypeARP, 0, 0)
-	tx(t, b)
+	n.Mod.SendKernel(t, b)
 }
 
 // InputARP processes a received ARP packet (kernel side in every
 // organization), replying and flushing newly deliverable queued packets.
-func (n *Netif) InputARP(t *kern.Thread, b *pkt.Buf, tx Transmit) {
+func (n *Netif) InputARP(t *kern.Thread, b *pkt.Buf) {
 	p, err := arp.Decode(b)
 	if err != nil {
 		return
 	}
 	reply, released := n.ARP.Input(n.Now(), p)
 	if reply != nil {
-		n.txARP(t, *reply, p.SenderHW, tx)
+		n.txARP(t, *reply, p.SenderHW)
 	}
 	for _, q := range released {
 		hw, _ := n.ARP.Lookup(n.Now(), p.SenderIP)
 		n.Frame(q, hw, link.TypeIPv4, 0, q.Meta.AdvBQI)
-		tx(t, q)
+		n.Mod.SendKernel(t, q)
 	}
 }
 

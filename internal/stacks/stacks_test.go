@@ -188,16 +188,31 @@ func TestNetifOffSubnetDropped(t *testing.T) {
 	s, mods, ips := twoHosts(false)
 	nif := NewNetif(s, mods[0], ips[0])
 	done := false
-	sent := 0
 	mods[0].Device().Host().NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		b := pktWithIP(nif, ipv4.Addr{192, 168, 9, 9})
-		nif.Resolve(th, b, ipv4.Addr{192, 168, 9, 9}, 0, func(t2 *kern.Thread, f *pktBuf) { sent++ })
+		nif.Resolve(th, b, ipv4.Addr{192, 168, 9, 9}, 0)
 		done = true
 	})
 	s.RunUntil(time.Second, func() bool { return done })
-	if sent != 0 {
-		t.Fatal("off-subnet packet transmitted despite no gateway support")
+	if sent := counter(t, mods[0].Device().Describe, "tx_frames"); sent != 0 {
+		t.Fatalf("off-subnet packet transmitted despite no gateway support (%d frames)", sent)
 	}
+}
+
+// counter reads one counter a layer describes, failing the test when the
+// layer does not describe it.
+func counter(t *testing.T, describe func(func(string, int64)), key string) int64 {
+	t.Helper()
+	v, ok := int64(0), false
+	describe(func(k string, n int64) {
+		if k == key {
+			v, ok = n, true
+		}
+	})
+	if !ok {
+		t.Fatalf("counter %q is not described", key)
+	}
+	return v
 }
 
 func pktWithIP(nif *Netif, dst ipv4.Addr) *pktBuf {
@@ -216,7 +231,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 	mods[1].SetDefaultHandler(func(b *pktBuf) {
 		krn1.Spawn("arp", func(th *kern.Thread) {
 			if et, _, err := nif1.StripLink(b); err == nil && et == link.TypeARP {
-				nif1.InputARP(th, b, nif1.Mod.SendKernel)
+				nif1.InputARP(th, b)
 			}
 		})
 	})
@@ -231,7 +246,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 			}
 			switch et {
 			case link.TypeARP:
-				nif0.InputARP(th, b, nif0.Mod.SendKernel)
+				nif0.InputARP(th, b)
 			case link.TypeIPv4:
 				delivered++
 			}
@@ -247,7 +262,7 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 			}
 			switch et {
 			case link.TypeARP:
-				nif1.InputARP(th, b, nif1.Mod.SendKernel)
+				nif1.InputARP(th, b)
 			case link.TypeIPv4:
 				got1++
 			}
@@ -256,8 +271,8 @@ func TestNetifARPResolutionFlow(t *testing.T) {
 	done := false
 	krn0.Spawn("tx", func(th *kern.Thread) {
 		// Two sends: the first queues pending ARP; both flush on reply.
-		nif0.Resolve(th, pktWithIP(nif0, ips[1]), ips[1], 0, nif0.Mod.SendKernel)
-		nif0.Resolve(th, pktWithIP(nif0, ips[1]), ips[1], 0, nif0.Mod.SendKernel)
+		nif0.Resolve(th, pktWithIP(nif0, ips[1]), ips[1], 0)
+		nif0.Resolve(th, pktWithIP(nif0, ips[1]), ips[1], 0)
 		done = true
 	})
 	s.RunUntil(time.Second, func() bool { return done && got1 >= 2 })

@@ -94,7 +94,7 @@ func (s *UDPSock) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 		return err
 	}
 	for _, f := range frags {
-		s.h.nif.Resolve(t, f, dst.IP, 0, s.h.nif.Mod.SendKernel)
+		s.h.nif.Resolve(t, f, dst.IP, 0)
 	}
 	return nil
 }

@@ -1,12 +1,13 @@
 // Package stats is a small registry of per-layer metric providers with
-// namespaces ("wire", "netio.h0", "tcp", "pkt", ...). It exists so
-// ulbench and the examples can print Table-style per-layer breakdowns —
-// checksum bytes, copies, demux decisions, notifications batched —
-// without every layer growing its own ad-hoc dump.
+// namespaces ("wire", "netdev.h0", "netio.h0", "registry.h0", "pkt",
+// "checksum", "sim"). It exists so ulbench and the examples can print
+// Table-style per-layer breakdowns — checksum bytes, copies, demux
+// decisions, notifications batched — without every layer growing its own
+// ad-hoc dump.
 //
 // Every layer keeps plain integers under its own serialization and
-// registers a provider function that is polled only at Snapshot time, so
-// hot paths never touch the registry. A nil *Registry accepts
+// describes them in one method of the provider shape, polled only at
+// Snapshot time, so hot paths never touch the registry. A nil *Registry accepts
 // registrations and snapshots to nil, so layers can wire stats
 // unconditionally.
 package stats

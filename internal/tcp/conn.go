@@ -192,7 +192,7 @@ type Stats struct {
 	R1Advisories          int // retransmit runs that crossed the R1 threshold
 	RexmtGiveUps          int // connections abandoned after exceeding R2
 	BadChecksumOrTrim     int
-	TimerOps              int // set/clear operations, for cost charging
+	TimerOps              int // set/clear operations; counted only (stacks.SegCost charges a fixed 2 TimerOp)
 	RTTSamples            int
 	SndBufFullEvents      int
 }

@@ -6,8 +6,8 @@ import "ulp/internal/trace"
 // counters decremented by two periodic timeouts the shell drives — SlowTick
 // every 500 ms (retransmit, persist, keepalive, 2*MSL) and FastTick every
 // 200 ms (delayed acknowledgments). "Practically every message arrival and
-// departure involves timer operations": shells charge the cost model using
-// the Stats.TimerOps counter.
+// departure involves timer operations": Stats.TimerOps counts them, while
+// the shells' SegCost charges a fixed two TimerOp per segment.
 
 // rexmtBackoff is the BSD retransmission backoff table.
 var rexmtBackoff = [maxRexmtShift + 1]int{1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 64, 64}

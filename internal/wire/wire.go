@@ -293,3 +293,13 @@ func (g *Segment) fanOut(src link.Addr, b *pkt.Buf, send func(Station, *pkt.Buf)
 
 // Stats reports cumulative counters.
 func (g *Segment) Stats() Stats { return g.stats }
+
+// Describe emits the segment's frame counters under their stats names.
+func (g *Segment) Describe(emit func(string, int64)) {
+	emit("frames_sent", int64(g.stats.Sent))
+	emit("frames_dropped", int64(g.stats.Dropped))
+	emit("frames_corrupted", int64(g.stats.Corrupted))
+	emit("frames_duplicated", int64(g.stats.Duplicated))
+	emit("frames_reordered", int64(g.stats.Reordered))
+	emit("bytes_sent", g.stats.Bytes)
+}

@@ -25,6 +25,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
+// Counter reads one key of the world's stats report, failing the test when
+// the world does not export it. Tests outside a layer read its counters
+// through this, never through the layer's fields.
+func Counter(tb testing.TB, w *World, key string) int64 {
+	tb.Helper()
+	v, ok := w.StatsRegistry().Snapshot()[key]
+	if !ok {
+		tb.Fatalf("the world exports no counter %q", key)
+	}
+	return v
+}
+
 // TestStatsReportPerLayer runs a 64 KB echo under the user-level library and
 // asserts the per-layer counters a Table 2/3-style breakdown depends on.
 func TestStatsReportPerLayer(t *testing.T) {
@@ -36,13 +48,9 @@ func TestStatsReportPerLayer(t *testing.T) {
 	// completes and every in-flight frame reaches a releasing consumer.
 	w.Run(5 * time.Second)
 
-	snap := w.StatsRegistry().Snapshot()
 	atLeast := func(name string, min int64) int64 {
 		t.Helper()
-		v, ok := snap[name]
-		if !ok {
-			t.Fatalf("counter %q missing from snapshot", name)
-		}
+		v := Counter(t, w, name)
 		if v < min {
 			t.Errorf("%s = %d, want >= %d", name, v, min)
 		}
@@ -74,8 +82,8 @@ func TestStatsReportPerLayer(t *testing.T) {
 		"registry.h0.shard0.syn_dropped": 0, "registry.h0.admission_denied": 0,
 		"registry.h0.transferred": 0, // closed and torn down by now
 	} {
-		if got, ok := snap[name]; !ok || got != want {
-			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		if got := Counter(t, w, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 	atLeast("registry.h0.listeners", 0)
@@ -86,7 +94,7 @@ func TestStatsReportPerLayer(t *testing.T) {
 
 	// The pool served the run and nothing leaked.
 	atLeast("pkt.gets", 10)
-	if out := snap["pkt.outstanding"]; out != 0 {
+	if out := Counter(t, w, "pkt.outstanding"); out != 0 {
 		t.Errorf("pkt.outstanding = %d, want 0 after a clean run", out)
 	}
 	atLeast("sim.events_fired", 100)

@@ -361,9 +361,8 @@ func rxTransfer(b *testing.B, zeroCopy bool, size int) (virt, rxBusy time.Durati
 	if !done {
 		b.Fatal("rx transfer did not complete")
 	}
-	mod := w.Node(0).Mod
 	rxBusy = time.Duration(w.Node(0).Host.CPU.Busy())
-	return w.Now(), rxBusy, mod.CopiedBytes, mod.ReferencedBytes
+	return w.Now(), rxBusy, ulp.Counter(b, w, "netio.h0.copied_bytes"), ulp.Counter(b, w, "netio.h0.referenced_bytes")
 }
 
 // BenchmarkZeroCopyRx measures the by-reference receive path against the

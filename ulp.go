@@ -363,82 +363,19 @@ func (w *World) EnableConformance() *conform.Checker {
 	return ck
 }
 
-// StatsRegistry builds a stats registry over every layer's counters. The
+// StatsRegistry builds a stats registry over every layer's counters: each
+// layer describes its own (wire, netdev.hN, netio.hN, registry.hN). The
 // returned registry polls live state: snapshot it whenever a breakdown is
 // wanted. Per-process counters (packet pool, checksum) are reported relative
 // to the world's construction baseline.
 func (w *World) StatsRegistry() *stats.Registry {
 	r := stats.New()
-	r.RegisterFunc("wire", func(emit func(string, int64)) {
-		st := w.Seg.Stats()
-		emit("frames_sent", int64(st.Sent))
-		emit("frames_dropped", int64(st.Dropped))
-		emit("frames_corrupted", int64(st.Corrupted))
-		emit("frames_duplicated", int64(st.Duplicated))
-		emit("frames_reordered", int64(st.Reordered))
-		emit("bytes_sent", st.Bytes)
-	})
+	r.RegisterFunc("wire", w.Seg.Describe)
 	for _, n := range w.nodes {
-		n := n
-		r.RegisterFunc(fmt.Sprintf("netdev.h%d", n.Index), func(emit func(string, int64)) {
-			st := n.Mod.Device().Stats()
-			emit("tx_frames", int64(st.TxFrames))
-			emit("rx_frames", int64(st.RxFrames))
-			emit("rx_dropped", int64(st.RxDropped))
-			emit("tx_bytes", st.TxBytes)
-			emit("rx_bytes", st.RxBytes)
-		})
-		r.RegisterFunc(fmt.Sprintf("netio.h%d", n.Index), func(emit func(string, int64)) {
-			emit("send_ok", int64(n.Mod.SendOK))
-			emit("send_rejected", int64(n.Mod.SendRejected))
-			emit("demux_matched", int64(n.Mod.DemuxMatched))
-			emit("demux_default", int64(n.Mod.DemuxDefault))
-			emit("rx_dropped", int64(n.Mod.RxDropped))
-			emit("delivered", int64(n.Mod.DeliveredTotal))
-			emit("notifications", int64(n.Mod.NotificationsTotal))
-			emit("copied_bytes", n.Mod.CopiedBytes)
-			emit("referenced_bytes", n.Mod.ReferencedBytes)
-			emit("delivered_by_ref", int64(n.Mod.DeliveredByRef))
-			emit("ring_high_water", int64(n.Mod.RingHighWater))
-			emit("quarantine_drops", int64(n.Mod.QuarantineDrops))
-			// Per-channel breakdown for live channels, keyed by capability
-			// id: which endpoint's ring copied, referenced, or dropped.
-			for _, cs := range n.Mod.ChannelStats() {
-				pfx := fmt.Sprintf("ch%d.", cs.ID)
-				emit(pfx+"delivered", int64(cs.Delivered))
-				emit(pfx+"delivered_by_ref", int64(cs.DeliveredByRef))
-				emit(pfx+"copied_bytes", cs.CopiedBytes)
-				emit(pfx+"referenced_bytes", cs.ReferencedBytes)
-				emit(pfx+"dropped", int64(cs.Dropped))
-				emit(pfx+"high_water", int64(cs.HighWater))
-				emit(pfx+"notifications", int64(cs.Notifications))
-			}
-		})
-		if reg := n.Registry; reg != nil {
-			r.RegisterFunc(fmt.Sprintf("registry.h%d", n.Index), func(emit func(string, int64)) {
-				emit("shards", int64(reg.Shards()))
-				emit("ports_in_use", int64(reg.PortsInUse()))
-				emit("owned_conns", int64(reg.OwnedConns()))
-				emit("transferred", int64(reg.TransferredConns()))
-				emit("listeners", int64(reg.ListenerCount()))
-				emit("dedup_hits", int64(reg.DedupHits()))
-				emit("reregistered", int64(reg.ReRegistered()))
-				emit("admission_denied", int64(reg.AdmissionDenied()))
-				// Shard reads the live incarnation at snapshot time, so the
-				// per-shard counters track it across restarts.
-				for i := 0; i < reg.Shards(); i++ {
-					sh := reg.Shard(i)
-					pfx := fmt.Sprintf("shard%d.", i)
-					live := int64(0)
-					if reg.Live(i) {
-						live = 1
-					}
-					emit(pfx+"live", live)
-					emit(pfx+"epoch", int64(sh.Epoch()))
-					emit(pfx+"syn_dropped", int64(sh.SynDrops()))
-					emit(pfx+"rebuilt_endpoints", int64(sh.RebuiltEndpoints()))
-				}
-			})
+		r.RegisterFunc(fmt.Sprintf("netdev.h%d", n.Index), n.Mod.Device().Describe)
+		r.RegisterFunc(fmt.Sprintf("netio.h%d", n.Index), n.Mod.Describe)
+		if n.Registry != nil {
+			r.RegisterFunc(fmt.Sprintf("registry.h%d", n.Index), n.Registry.Describe)
 		}
 	}
 	r.RegisterFunc("pkt", func(emit func(string, int64)) {
