@@ -280,59 +280,6 @@ func TestChaosTransferSurvivesCombinedFaults(t *testing.T) {
 	echoTransfer(t, w, 64*1024, stacks.Options{}, 5*time.Minute)
 }
 
-// The same fault plan must produce the identical execution: chaos tests
-// stay stable in CI because every draw is seeded.
-func TestChaosDeterministic(t *testing.T) {
-	run := func() (time.Duration, int64, int64) {
-		w := NewWorld(Config{
-			Org: OrgUserLib, Net: Ethernet,
-			Chaos: &chaos.FaultPlan{
-				Seed:    99,
-				Control: chaos.ControlFaults{DelayProb: 0.3, Delay: 10 * time.Millisecond},
-				Crashes: []chaos.CrashPoint{{Host: 1, At: 200 * time.Millisecond}},
-			},
-			Conditions: &wire.LinkConditions{Seed: 99, LossProb: 0.05},
-		})
-		srv := w.Node(0).App("server")
-		cli := w.Node(1).App("client")
-		srvDone := false
-		srv.Go("srv", func(th *kern.Thread) {
-			l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
-			c, err := l.Accept(th)
-			if err != nil {
-				return
-			}
-			buf := make([]byte, 4096)
-			for {
-				n, err := c.Read(th, buf)
-				if err != nil || n == 0 {
-					break
-				}
-			}
-			srvDone = true
-		})
-		cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
-			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
-			if err != nil {
-				return
-			}
-			for {
-				if _, err := c.Write(th, pattern(1024)); err != nil {
-					return
-				}
-				th.Sleep(5 * time.Millisecond)
-			}
-		})
-		end := w.RunUntil(time.Minute, func() bool { return srvDone })
-		return end, Counter(t, w, "netio.h0.send_ok"), Counter(t, w, "netio.h1.demux_default")
-	}
-	e1, s1, d1 := run()
-	e2, s2, d2 := run()
-	if e1 != e2 || s1 != s2 || d1 != d2 {
-		t.Fatalf("same seed diverged: (%v,%d,%d) vs (%v,%d,%d)", e1, s1, d1, e2, s2, d2)
-	}
-}
-
 // The tentpole scenario: the SERVER's registry is killed mid-transfer and
 // restarted within the lease TTL. The data path never touches the registry,
 // so the transfer keeps moving through the outage; the reborn registry

@@ -2,7 +2,6 @@ package ulp
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -105,33 +104,6 @@ func echoTransfer(t *testing.T, w *World, size int, opts stacks.Options, budget 
 		t.Fatalf("transfer did not complete within %v of virtual time", budget)
 	}
 	return stats
-}
-
-func TestEchoAllOrganizationsAndNetworks(t *testing.T) {
-	for _, org := range []Org{OrgUserLib, OrgInKernel, OrgSingleServer} {
-		for _, net := range []Net{Ethernet, AN1, AN1Jumbo} {
-			name := fmt.Sprintf("%v/%v", org, net)
-			t.Run(name, func(t *testing.T) {
-				w := NewWorld(Config{Org: org, Net: net})
-				st := echoTransfer(t, w, 60000, stacks.Options{}, 5*time.Minute)
-				if st.BytesSent < 60000 {
-					t.Errorf("client sent %d bytes, want >= 60000", st.BytesSent)
-				}
-			})
-		}
-	}
-}
-
-func TestTransferUnderLossAllOrganizations(t *testing.T) {
-	for _, org := range []Org{OrgUserLib, OrgInKernel, OrgSingleServer} {
-		t.Run(org.String(), func(t *testing.T) {
-			w := NewWorld(Config{
-				Org: org, Net: Ethernet,
-				Conditions: &wire.LinkConditions{Seed: 42, LossProb: 0.03, DupProb: 0.01},
-			})
-			echoTransfer(t, w, 20000, stacks.Options{}, 20*time.Minute)
-		})
-	}
 }
 
 // TestNewWorldRefusesIgnoredSettings: a setting the world would be built
@@ -708,5 +680,76 @@ func TestSequentialAcceptsReusePort(t *testing.T) {
 				t.Fatalf("served %d/%d connections", served, conns)
 			}
 		})
+	}
+}
+
+// TestTimerWheelLossyTransfer drives the wheel backend through its full
+// repertoire on a two-host world: retransmission timers under 5% loss,
+// delayed ACKs, and TIME_WAIT expiry returning the ephemeral port.
+func TestTimerWheelLossyTransfer(t *testing.T) {
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet,
+		Conditions: &wire.LinkConditions{Seed: 5, LossProb: 0.05},
+	})
+	enableConformance(t, w)
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	var cliConn stacks.Conn
+	phase := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		c, err := l.Accept(th)
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 8192)
+		total := 0
+		for {
+			n, err := c.Read(th, buf)
+			if err != nil || n == 0 {
+				break
+			}
+			total += n
+		}
+		c.Close(th)
+		if total != 64*1024 {
+			t.Errorf("server received %d bytes, want %d", total, 64*1024)
+		}
+		phase = 2
+	})
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			phase = -1
+			return
+		}
+		cliConn = c
+		for sent := 0; sent < 64*1024; sent += 4096 {
+			if _, err := c.Write(th, pattern(4096)); err != nil {
+				t.Errorf("write: %v", err)
+				phase = -1
+				return
+			}
+		}
+		c.Close(th)
+		phase = 1
+	})
+	w.RunUntil(2*time.Minute, func() bool { return phase >= 2 || phase < 0 })
+	if phase < 2 {
+		t.Fatalf("transfer incomplete (phase %d)", phase)
+	}
+	// The active closer sits in TIME_WAIT; the wheel must fire its 2MSL
+	// timer (a cross-level cascade: 120 slow ticks) and the library's
+	// teardown must return the ephemeral port to the registry.
+	w.Run(3 * time.Minute)
+	if s := cliConn.State(); s != tcp.Closed {
+		t.Fatalf("client state after 2MSL = %v, want Closed", s)
+	}
+	if n := w.Node(1).Registry.PortsInUse(); n != 0 {
+		t.Fatalf("client registry still holds %d ports after teardown", n)
+	}
+	if n := w.Node(0).Registry.PortsInUse(); n != 1 {
+		t.Fatalf("server registry holds %d ports, want 1 (the listener)", n)
 	}
 }

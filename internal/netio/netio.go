@@ -566,7 +566,10 @@ type Module struct {
 	nextCapID uint64
 	nextBQI   uint16
 	freeBQI   []uint16 // recycled ring indices, reused LIFO
-	caps      map[uint64]*Capability
+	// reserved lists the ring indices reserved and not yet bound to a
+	// channel or given back, in reservation order, each with its holder.
+	reserved []bqiHold
+	caps     map[uint64]*Capability
 	// free holds the records of destroyed channels nobody else can reach.
 	free freelist.List[*chanRec]
 
@@ -743,7 +746,28 @@ func (m *Module) ReserveBQI(from *kern.Domain) (uint16, error) {
 	if _, ok := m.dev.(*netdev.AN1); !ok {
 		return 0, nil // no hardware demultiplexing on this device
 	}
-	return m.allocBQI()
+	bqi, err := m.allocBQI()
+	if err != nil {
+		return 0, err
+	}
+	m.reserved = append(m.reserved, bqiHold{bqi: bqi, holder: from})
+	return bqi, nil
+}
+
+// bqiHold is one outstanding ring index reservation.
+type bqiHold struct {
+	bqi    uint16
+	holder *kern.Domain
+}
+
+// unreserve ends bqi's reservation: the index was bound or given back.
+func (m *Module) unreserve(bqi uint16) {
+	for i, r := range m.reserved {
+		if r.bqi == bqi {
+			m.reserved = slices.Delete(m.reserved, i, i+1)
+			return
+		}
+	}
 }
 
 // allocBQI hands out a ring index, preferring recycled ones (LIFO keeps
@@ -773,9 +797,27 @@ func (m *Module) ReleaseBQI(from *kern.Domain, bqi uint16) error {
 		return fmt.Errorf("netio: BQI release from unprivileged domain %s", from)
 	}
 	if bqi != 0 {
+		m.unreserve(bqi)
 		m.freeBQI = append(m.freeBQI, bqi)
 	}
 	return nil
+}
+
+// ReleaseReservations gives back, in reservation order, every ring index
+// holder reserved and neither bound to a channel nor released. A privileged
+// domain that dies mid-handshake — a crashed registry shard — cannot release
+// its own.
+func (m *Module) ReleaseReservations(holder *kern.Domain) {
+	kept := m.reserved[:0]
+	for _, r := range m.reserved {
+		if r.holder == holder {
+			m.freeBQI = append(m.freeBQI, r.bqi)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(m.reserved[len(kept):])
+	m.reserved = kept
 }
 
 // CreateChannel builds the shared region, ring, capability and demux
@@ -852,7 +894,9 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 		// Hardware demultiplexing: install the ring under the reserved (or
 		// a fresh) BQI.
 		ch.bqi = reservedBQI
-		if ch.bqi == 0 {
+		if ch.bqi != 0 {
+			m.unreserve(ch.bqi)
+		} else {
 			bqi, err := m.allocBQI()
 			if err != nil {
 				delete(m.caps, cap.id)

@@ -262,11 +262,12 @@ func (f *Federation) release(owner *kern.Domain) {
 
 // CrashShard kills one shard abruptly: its threads die at their next
 // scheduling point, its receive queue is drained back to the pool, and the
-// admission slots its in-flight setups held are returned (their owners get
-// no reply; the library's RPC deadline surfaces the loss). Frames and
-// requests for the dead shard's tuples steer to the successor — with no live
-// sibling, default-path frames are discarded, as the kernel does for a dead
-// domain, and requests queue at the service port for the next incarnation.
+// admission slots and reserved ring indices its in-flight setups held are
+// returned (their owners get no reply; the library's RPC deadline surfaces
+// the loss). Frames and requests for the dead shard's tuples steer to the
+// successor — with no live sibling, default-path frames are discarded, as
+// the kernel does for a dead domain, and requests queue at the service port
+// for the next incarnation.
 // Leases the dead shard issued stop being renewed, so its handed-off
 // endpoints quarantine at the TTL and their libraries migrate to a survivor
 // or re-register once the shard is back.
@@ -281,6 +282,7 @@ func (f *Federation) CrashShard(i int) {
 			f.release(hc.owner)
 		}
 	}
+	f.mod.ReleaseReservations(sh.dom)
 	sh.dom.Kill()
 	for {
 		b, ok := sh.rxq.TryPop()

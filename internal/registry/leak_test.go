@@ -237,9 +237,7 @@ func TestSetupExitsLeakNothing(t *testing.T) {
 				rg.auditNoLeaks(t)
 				rg.probe(t, 2)
 				rg.auditNoLeaks(t)
-				// A crashed shard's reserved index dies with its memory: only
-				// the module could sweep it.
-				if an1 && row.name != "shard-crash-mid-handshake" {
+				if an1 {
 					rg.auditBQIs(t)
 				}
 			})
