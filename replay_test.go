@@ -456,31 +456,56 @@ func leftEstablished(cov *conform.Coverage) bool {
 	return false
 }
 
+const replayGolden = "testdata/replay.golden"
+
+// readReplayGolden returns the golden lines by row name. Under -update a
+// missing golden reads as empty.
+func readReplayGolden(t *testing.T) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	data, err := os.ReadFile(replayGolden)
+	if err != nil {
+		if !*update {
+			t.Fatal(err)
+		}
+		return want
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		want[strings.Fields(line)[0]] = line
+	}
+	return want
+}
+
+// checkReplay runs row once per entry of traced, in order, and returns the
+// first run's line. The first run must equal want (unless -update is set)
+// and every later run must equal the first.
+func checkReplay(t *testing.T, row replayRow, want string, traced ...bool) string {
+	t.Helper()
+	first := ""
+	for i, tr := range traced {
+		line := runReplay(t, row, tr)
+		switch {
+		case i == 0:
+			first = line
+			if !*update && line != want {
+				t.Errorf("run differs from %s:\n  got:    %s\n  golden: %q", replayGolden, line, want)
+			}
+		case line != first:
+			t.Errorf("tracing changed the run:\n  plain:  %s\n  traced: %s", first, line)
+		}
+	}
+	return first
+}
+
 // TestReplayMatrix runs every row plain and traced and holds both to the
 // row's line in testdata/replay.golden.
 func TestReplayMatrix(t *testing.T) {
-	const golden = "testdata/replay.golden"
 	rows := replayRows()
-	want := map[string]string{}
-	if data, err := os.ReadFile(golden); err == nil {
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			want[strings.Fields(line)[0]] = line
-		}
-	} else if !*update {
-		t.Fatal(err)
-	}
+	want := readReplayGolden(t)
 	got := map[string]string{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			plain := runReplay(t, row, false)
-			traced := runReplay(t, row, true)
-			got[row.name] = plain
-			if traced != plain {
-				t.Errorf("tracing changed the run:\n  plain:  %s\n  traced: %s", plain, traced)
-			}
-			if !*update && plain != want[row.name] {
-				t.Errorf("run differs from %s:\n  got:    %s\n  golden: %q", golden, plain, want[row.name])
-			}
+			got[row.name] = checkReplay(t, row, want[row.name], false, true)
 		})
 	}
 	var lines []string
@@ -496,12 +521,57 @@ func TestReplayMatrix(t *testing.T) {
 	}
 	for name := range want {
 		if !*update {
-			t.Errorf("%s pins %s, which is no row of the matrix", golden, name)
+			t.Errorf("%s pins %s, which is no row of the matrix", replayGolden, name)
 		}
 	}
 	if *update {
-		if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(replayGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
+
+// replayFamily runs the matrix rows named family, or family/<sub> as
+// subtest <sub>, once per entry of traced, against their golden lines.
+func replayFamily(t *testing.T, family string, traced ...bool) {
+	t.Helper()
+	want := readReplayGolden(t)
+	found := false
+	for _, row := range replayRows() {
+		if row.name == family {
+			found = true
+			checkReplay(t, row, want[row.name], traced...)
+		} else if sub, ok := strings.CutPrefix(row.name, family+"/"); ok {
+			found = true
+			t.Run(sub, func(t *testing.T) { checkReplay(t, row, want[row.name], traced...) })
+		}
+	}
+	if !found {
+		t.Fatalf("the replay matrix has no row %s or %s/...", family, family)
+	}
+}
+
+// The long-standing names of the scenarios the matrix absorbed. Each runs
+// its rows of the one table, plain or traced as the name says, against the
+// same golden lines; TestReplayMatrix runs every row both ways.
+
+func TestDeterministicReplay(t *testing.T)         { replayFamily(t, "seeded", false) }
+func TestTracingPreservesDeterminism(t *testing.T) { replayFamily(t, "seeded", true) }
+func TestZeroCopyReplayDeterministic(t *testing.T) { replayFamily(t, "zero-copy", false) }
+func TestChaosDeterministic(t *testing.T)          { replayFamily(t, "chaos", false) }
+func TestRegistryCrashReplayDeterministic(t *testing.T) {
+	replayFamily(t, "registry-crash", false)
+}
+func TestShardCrashReplayDeterministic(t *testing.T)  { replayFamily(t, "shard-crash", false) }
+func TestDegradationReplayDeterministic(t *testing.T) { replayFamily(t, "degradation", false) }
+func TestCrashManyConnsReplayDeterministic(t *testing.T) {
+	replayFamily(t, "crash-many-conns", false)
+}
+func TestConformanceUnderCrash(t *testing.T) { replayFamily(t, "crash-many-conns", true) }
+func TestManyHostSwitchedReplayDeterministic(t *testing.T) {
+	replayFamily(t, "many-host", false)
+}
+func TestEchoAllOrganizationsAndNetworks(t *testing.T)   { replayFamily(t, "echo", false) }
+func TestConformanceEchoAllOrganizations(t *testing.T)   { replayFamily(t, "echo", true) }
+func TestTransferUnderLossAllOrganizations(t *testing.T) { replayFamily(t, "loss", false) }
+func TestConformanceUnderLoss(t *testing.T)              { replayFamily(t, "loss", true) }
