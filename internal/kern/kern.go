@@ -27,11 +27,20 @@ type Host struct {
 	Cost costs.Model
 
 	domains []*Domain
+	// wakeups and signals count semaphore posts by what they cost: a wakeup
+	// made a blocked thread runnable, a signal found nobody to wake (Sem.V).
+	wakeups, signals int64
 }
 
 // NewHost creates a host with the given cost model.
 func NewHost(s *sim.Sim, name string, model costs.Model) *Host {
 	return &Host{S: s, Name: name, CPU: s.NewResource(name + ".cpu"), Cost: model}
+}
+
+// Describe emits the host's kernel counters under their stats names.
+func (h *Host) Describe(emit func(string, int64)) {
+	emit("wakeups", h.wakeups)
+	emit("signals", h.signals)
 }
 
 // NewDomain creates an address space on the host. Privileged domains model
@@ -256,10 +265,12 @@ func (m *Sem) Init(h *Host, name string, initial int) {
 func (m *Sem) V() {
 	c := &m.host.Cost
 	if m.sem.Waiters() > 0 {
+		m.host.wakeups++
 		m.posting++
 		m.host.ComputeAsyncArg(c.KernelWakeup, semPost, m)
 		return
 	}
+	m.host.signals++
 	m.host.ComputeAsync(c.SemSignal, nil)
 	m.sem.V()
 }

@@ -80,6 +80,16 @@ func TestSemWakeupCost(t *testing.T) {
 	if wake != want {
 		t.Fatalf("woke at %v, want %v", wake, want)
 	}
+	if got := describe(h); got["wakeups"] != 1 || got["signals"] != 0 {
+		t.Fatalf("counters = %v, want one wakeup and no signal", got)
+	}
+}
+
+// describe collects what h.Describe emits.
+func describe(h *Host) map[string]int64 {
+	got := map[string]int64{}
+	h.Describe(func(k string, v int64) { got[k] = v })
+	return got
 }
 
 func TestSemNoWaiterCheapSignal(t *testing.T) {
@@ -93,6 +103,9 @@ func TestSemNoWaiterCheapSignal(t *testing.T) {
 	}
 	if !sem.TryP() {
 		t.Fatal("post was lost")
+	}
+	if got := describe(h); got["wakeups"] != 0 || got["signals"] != 1 {
+		t.Fatalf("counters = %v, want one signal and no wakeup", got)
 	}
 }
 

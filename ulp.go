@@ -364,14 +364,15 @@ func (w *World) EnableConformance() *conform.Checker {
 }
 
 // StatsRegistry builds a stats registry over every layer's counters: each
-// layer describes its own (wire, netdev.hN, netio.hN, registry.hN). The
-// returned registry polls live state: snapshot it whenever a breakdown is
-// wanted. Per-process counters (packet pool, checksum) are reported relative
-// to the world's construction baseline.
+// layer describes its own (wire, kern.hN, netdev.hN, netio.hN, registry.hN).
+// The returned registry polls live state: snapshot it whenever a breakdown
+// is wanted. Per-process counters (packet pool, checksum) are reported
+// relative to the world's construction baseline.
 func (w *World) StatsRegistry() *stats.Registry {
 	r := stats.New()
 	r.RegisterFunc("wire", w.Seg.Describe)
 	for _, n := range w.nodes {
+		r.RegisterFunc(fmt.Sprintf("kern.h%d", n.Index), n.Host.Describe)
 		r.RegisterFunc(fmt.Sprintf("netdev.h%d", n.Index), n.Mod.Device().Describe)
 		r.RegisterFunc(fmt.Sprintf("netio.h%d", n.Index), n.Mod.Describe)
 		if n.Registry != nil {
