@@ -577,7 +577,7 @@ func TestChaosZeroCopyHostileFloodBounded(t *testing.T) {
 	}
 	// The flood's entire pool footprint is the hostile ring: every other
 	// buffer in the world has been released (the neighbor's liens settle
-	// when its input threads go back to Wait).
+	// when its library's input thread drains its channels empty).
 	if n := pkt.OutstandingCount(); n != ring {
 		t.Fatalf("%d pkt.Bufs outstanding with the hostile ring full, want %d:\n%s",
 			n, ring, pkt.FormatLeakReport())

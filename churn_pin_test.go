@@ -9,18 +9,19 @@ import (
 
 // TestChurnVirtualNumbersPinned holds the control plane's virtual clock still
 // in both registry shapes: 200 connection set-ups through a lone registry
-// (Shards 0, the paper's) and through four shards. The constants were recorded at commit 5d632a0, before the lone
-// registry became a one-shard federation; the paper tables (ulbench's golden
-// file) pin only the lone shape, and bench/'s baselines pin the sharded one
-// only outside `go test`. A change meant to move them records new constants
-// and says why.
+// (Shards 0, the paper's) and through four shards. The constants were
+// recorded when each library's connections came to share one input thread
+// (a frame that finds it running costs a signal, not a wakeup); the paper
+// tables (ulbench's golden file) pin only the lone shape, and bench/'s
+// baselines pin the sharded one only outside `go test`. A change meant to
+// move them records new constants and says why.
 func TestChurnVirtualNumbersPinned(t *testing.T) {
 	for _, want := range []struct {
 		shards                  int
 		p50, p99, p999, virtual time.Duration
 	}{
-		{0, 123536952, 186697300, 186844208, 1634896016},
-		{4, 18691364, 34079380, 34300060, 511102496},
+		{0, 116239004, 171162096, 173147928, 1536870016},
+		{4, 17944920, 37143120, 37893544, 361013656},
 	} {
 		r := experiments.Churn(experiments.ChurnConfig{Conns: 200, Shards: want.shards})
 		if r.Err != nil {

@@ -28,6 +28,7 @@ var testOnlyAllowed = map[string]string{
 	// by asserting that nothing stayed outstanding.
 	"internal/freelist.List.Len":               "TestConnRecordsAreReused",
 	"internal/kern.Domain.Dead":                "TestChaosCrashMidTransferResetsPeer",
+	"internal/kern.Domain.Threads":             "TestOneInputThreadServesSequentialConnections",
 	"internal/kern.Region.Pinned":              "TestPinnedRegionsAccounting",
 	"internal/netio.Module.LiveCapabilities":   "TestRevokeOwner",
 	"internal/netio.Module.PinnedRegions":      "TestPinnedRegionsAccounting",

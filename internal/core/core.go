@@ -7,10 +7,13 @@
 //     state, a send capability, and a shared-memory channel;
 //   - thereafter runs the entire data path itself: "the server is bypassed
 //     in the common path of data transmission and reception";
-//   - is multithreaded: a per-connection input thread is upcalled from the
-//     channel's lightweight semaphore ("protocol control block lookups are
-//     eliminated by having separate threads per connection"), and fast/slow
-//     timer threads drive the BSD tick machinery;
+//   - is multithreaded: one input thread is upcalled from the lightweight
+//     semaphore every connection's channel rings, so frames for several
+//     connections cost one wakeup ("multiple network packets per semaphore
+//     notification"); the channel that rang names its connection, so
+//     protocol control block lookups stay eliminated, as the paper's
+//     separate threads per connection eliminated them; and fast/slow timer
+//     threads drive the BSD tick machinery;
 //   - moves user data through the shared region, avoiding per-byte copies
 //     on the send path ("a buffer organization that eliminates byte
 //     copying");
@@ -55,7 +58,17 @@ type Library struct {
 	batchq *sim.Queue[batchItem]
 
 	conns map[*Conn]struct{}
-	ids   ipv4.IDGen
+	// bell is what the input thread sleeps on: adopt attaches every
+	// connection's channel to it. inputUp marks that the thread was spawned:
+	// with the first connection, so that a library with none has no thread
+	// and one with a single connection keeps the schedule the paper tables
+	// were measured on. closing lists the connections that left the library
+	// (detach) whose channel and input pin the thread has yet to let go of.
+	bell    netio.Doorbell
+	inputUp bool
+	closing []*Conn
+
+	ids ipv4.IDGen
 	// free holds the records of closed connections nobody is inside any more.
 	free freelist.List[*connRec]
 	// The socket-call cost hooks are the same for every connection.
@@ -171,6 +184,7 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
+	l.bell.Init(l.host)
 	cost := &l.host.Cost
 	l.entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
 	// Send-side data enters the shared region without a per-byte copy.
@@ -328,9 +342,9 @@ type connRec struct {
 
 	cur *kern.Thread
 	// pins counts the threads inside the record: every application call
-	// under way and the input thread. closed marks that the engine reached
-	// CLOSED and teardown ran. The last thread to leave a closed connection
-	// recycles the record (unpin).
+	// under way, and the input thread until it has let go of the connection.
+	// closed marks that the engine reached CLOSED and teardown ran. The last
+	// thread to leave a closed connection recycles the record (unpin).
 	pins   int
 	closed bool
 }
@@ -545,8 +559,12 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	// have left the keepalive or retransmit timer armed) onto the wheel.
 	r.EnterEngine(t)
 	r.LeaveEngine(t)
-	r.pins = 1 // the input thread, until it returns
-	l.app.Spawn("conn-input", c.inputThread)
+	r.pins = 1 // the input thread's, until it lets go of the connection
+	c.ch.Attach(&l.bell, r)
+	if !l.inputUp {
+		l.inputUp = true
+		l.app.Spawn("lib-input", l.inputThread)
+	}
 	return c
 }
 
@@ -668,28 +686,33 @@ func (c *Conn) fail(err error) {
 }
 
 // detach takes a connection out of the library, on whichever of the three
-// ways it leaves (fail, teardown, Exit): it is done, its input thread is
-// poked to notice, and it leaves the connection table and the wheel.
+// ways it leaves (fail, teardown, Exit): it is done, it is queued for the
+// input thread to let go of, the doorbell is poked so the thread notices,
+// and it leaves the connection table and the wheel.
 func (c *Conn) detach() {
+	l := c.lib
 	c.done = true
-	c.ch.Poke()
-	delete(c.lib.conns, c)
-	c.lib.wheel.Drop(&c.rec.went)
+	l.closing = append(l.closing, c)
+	l.bell.Poke()
+	delete(l.conns, c)
+	l.wheel.Drop(&c.rec.went)
 }
 
-// inputThread is the per-connection upcalled thread: it waits on the
-// channel's lightweight semaphore and feeds batches to the engine.
+// inputThread is the library's upcalled thread: it sleeps on the doorbell
+// every connection's channel rings, and serves the channels that rang in
+// the order they rang, each until its ring is empty. The channel names its
+// connection, so there is no lookup between the doorbell and the engine.
 //
 // Zero-copy interplay: on a ZeroCopyRx channel the batch frames are the
 // module's pool buffers handed over by reference, with the channel holding
-// a lien that settles at the next Wait. The contract this loop satisfies is
-// that a batch is fully consumed before Wait is called again — inputFrame
-// releases each frame after TCP reassembly copies what it keeps, and the
-// deferred sweep below covers a mid-batch kill — so the lien settling
-// underneath us can never free storage we still read.
-func (c *Conn) inputThread(t *kern.Thread) {
-	r := c.rec // adopt pinned it for this thread
-	cost := &c.lib.host.Cost
+// a lien that settles at the channel's next drain. The contract this loop
+// satisfies is that a batch is fully consumed before its channel is drained
+// again — inputFrame releases each frame after TCP reassembly copies what it
+// keeps, and the deferred sweep below covers a mid-batch kill — so the lien
+// settling underneath us can never free storage we still read. A channel is
+// left only once a drain came back empty, which settled its last liens.
+func (l *Library) inputThread(t *kern.Thread) {
+	cost := &l.host.Cost
 	// If the domain is killed mid-batch (Kill unwinds the thread, running
 	// its deferred functions), the frame being processed is released by
 	// inputFrame's own defer — but the rest of the drained batch would
@@ -703,26 +726,36 @@ func (c *Conn) inputThread(t *kern.Thread) {
 			b.Release()
 		}
 	}()
-	for !c.done {
-		batch = c.ch.Wait(t)
-		next = 0
-		if len(batch) == 0 {
-			continue // poked for shutdown or spurious wakeup
+	for {
+		l.bell.Wait(t)
+		for ch := l.bell.Next(); ch != nil; ch = l.bell.Next() {
+			r := ch.Owner().(*connRec) // pinned for this thread until it lets go below
+			for !r.c.done {
+				batch, next = ch.TryRecv(), 0
+				if len(batch) == 0 {
+					break
+				}
+				for i, b := range batch {
+					next = i + 1
+					r.inputFrame(t, b)
+				}
+				if r.sock.ReadableWaiters() > 0 {
+					// Hand off to the blocked application thread.
+					t.Compute(cost.ThreadSwitch)
+				}
+			}
+			batch, next = nil, 0
 		}
-		for i, b := range batch {
-			next = i + 1
-			r.inputFrame(t, b)
+		// This thread is each closed connection's channel's only consumer
+		// and is done with it. A killed thread never gets here: its channels
+		// and records are never reused.
+		for i, c := range l.closing {
+			c.ch.Disown()
+			c.unpin(c.rec)
+			l.closing[i] = nil
 		}
-		if r.sock.ReadableWaiters() > 0 {
-			// Hand off to the blocked application thread.
-			t.Compute(cost.ThreadSwitch)
-		}
+		l.closing = l.closing[:0]
 	}
-	// This thread was the channel's only consumer and is done with it. A
-	// killed thread never gets here: its channel and record are never reused.
-	batch, next = nil, 0
-	c.ch.Disown()
-	c.unpin(r)
 }
 
 // inputFrame processes one frame from the shared region. The frame dies

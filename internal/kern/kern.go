@@ -213,6 +213,9 @@ func (d *Domain) Kill() {
 // Dead reports whether the domain has been killed.
 func (d *Domain) Dead() bool { return d.dead }
 
+// Threads counts the domain's live threads.
+func (d *Domain) Threads() int { return d.threads.n }
+
 // Compute charges d of CPU time on behalf of the thread — to the host CPU,
 // or to the domain's pinned core if one was dedicated — blocking through
 // any queueing delay.
@@ -263,17 +266,27 @@ func (m *Sem) Init(h *Host, name string, initial int) {
 // V posts the semaphore. May be called from any context; the cost is
 // charged to the host CPU asynchronously.
 func (m *Sem) V() {
-	c := &m.host.Cost
 	if m.sem.Waiters() > 0 {
 		m.host.wakeups++
 		m.posting++
-		m.host.ComputeAsyncArg(c.KernelWakeup, semPost, m)
+		m.host.ComputeAsyncArg(m.host.Cost.KernelWakeup, semPost, m)
 		return
 	}
-	m.host.signals++
-	m.host.ComputeAsync(c.SemSignal, nil)
+	m.Signal()
 	m.sem.V()
 }
+
+// Signal charges and counts a post that wakes nobody, without posting: one
+// that joins an earlier post whose thread is running or already being woken
+// and will see this one's work too.
+func (m *Sem) Signal() {
+	m.host.signals++
+	m.host.ComputeAsync(m.host.Cost.SemSignal, nil)
+}
+
+// Sleeping reports whether a thread is blocked in P that no wakeup on its way
+// will reach.
+func (m *Sem) Sleeping() bool { return m.sem.Waiters() > m.posting }
 
 func semPost(a any) {
 	m := a.(*Sem)

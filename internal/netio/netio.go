@@ -13,7 +13,8 @@
 //     hardware on the AN1 via the BQI ring table.
 //   - Received packets land in a memory region shared with the library,
 //     pinned for the connection's lifetime, and the library is notified by a
-//     lightweight semaphore; notifications are batched when packets arrive
+//     lightweight semaphore — a Doorbell, which one library thread may share
+//     across its channels; notifications are batched when packets arrive
 //     faster than the library drains them.
 //
 // Packets matching no binding fall through to a default handler: the
@@ -150,15 +151,21 @@ func (c *Capability) Template() Template { return c.template }
 func (c *Capability) Chan() *Channel { return c.ch }
 
 // Channel is the shared-memory conduit between the module and one library
-// endpoint: a receive ring in pinned shared memory plus the notification
-// semaphore.
+// endpoint: a receive ring in pinned shared memory plus the doorbell it
+// rings.
 //
 // The modelled region wires slotBytes per ring slot (RegionBytes). The
 // simulator backs only the part of it any code reads or writes — the
 // descriptor ring at its start — since frames stay in pool buffers.
 type Channel struct {
 	Region *kern.Region
-	sem    *kern.Sem
+	// bell is the doorbell the channel rings: its record's own until Attach
+	// moves it onto its consumer's. ready marks that it is on bell's list,
+	// between prev and next; owner is what Attach said serves it.
+	bell       *Doorbell
+	ready      bool
+	prev, next *Channel
+	owner      any
 	// rxq is the receive ring. take hands it to the consumer as the batch,
 	// which stays the consumer's until the next drain, and fills spare — the
 	// batch before — meanwhile: two arrays in turn, neither ever given up.
@@ -208,8 +215,10 @@ type Channel struct {
 // Wait blocks the library thread until the channel is notified, then
 // drains and returns the pending batch ("our implementation attempts,
 // where possible, to batch multiple network packets per semaphore
-// notification"). A nil batch means a spurious wakeup (see Poke); callers
-// re-check their termination condition and wait again.
+// notification"). A nil batch means a spurious wakeup; callers re-check
+// their termination condition and wait again. Only a channel on its own
+// doorbell is waited on this way; an attached one is served from its
+// doorbell's list with TryRecv.
 func (ch *Channel) Wait(t *kern.Thread) []*pkt.Buf {
 	// The previous batch's liens settle before blocking, not after: calling
 	// Wait again is the consumer's declaration that it is done with the old
@@ -217,9 +226,13 @@ func (ch *Channel) Wait(t *kern.Thread) []*pkt.Buf {
 	// references at all.
 	ch.settleInflight()
 	if len(ch.rxq) == 0 {
-		ch.sem.P(t)
+		ch.bell.sem.P(t)
 	}
-	return ch.take()
+	batch := ch.take()
+	// Consume any extra pending notification so the next Wait blocks.
+	for ch.bell.sem.TryP() {
+	}
+	return batch
 }
 
 // TryRecv drains pending packets without blocking.
@@ -229,8 +242,9 @@ func (ch *Channel) TryRecv() []*pkt.Buf {
 
 // take drains the ring: it settles the liens on the previous batch (the
 // library finished with it — a batch is valid only until the next drain),
-// returns the hardware ring slots the drained frames held, and in zero-copy
-// mode liens the new batch so revocation can always reclaim it.
+// takes the channel off its doorbell's list, returns the hardware ring slots
+// the drained frames held, and in zero-copy mode liens the new batch so
+// revocation can always reclaim it.
 //
 // Slot accounting is per frame via Meta.BQI, not per channel: a batch may
 // mix hardware-ring frames with kernel-injected ones (which never occupied
@@ -245,9 +259,7 @@ func (ch *Channel) take() []*pkt.Buf {
 		batch, ch.rxq, ch.spare = ch.rxq, ch.spare[:0], ch.rxq
 	}
 	ch.sinceDoorbell = 0
-	// Consume any extra pending notification so the next Wait blocks.
-	for ch.sem.TryP() {
-	}
+	ch.bell.unlink(ch)
 	for _, b := range batch {
 		ch.releaseSlot(b)
 	}
@@ -307,16 +319,18 @@ func (ch *Channel) releaseSlot(b *pkt.Buf) {
 // Pending reports queued packets (diagnostics).
 func (ch *Channel) Pending() int { return len(ch.rxq) }
 
-// Poke wakes a thread blocked in Wait without delivering a packet, so the
-// owner can observe a shutdown flag.
-func (ch *Channel) Poke() { ch.sem.V() }
-
 // Disown is the consumer's last call on a channel: its promise never to
-// Wait, TryRecv, Poke or read the channel again, made by the thread that did
-// so. A channel disowned before it is destroyed has no user left but the
-// module, which may then give its record to the next endpoint; one that is
-// not — its consumer was killed, or never said — is left to the collector.
-func (ch *Channel) Disown() { ch.disowned = true }
+// Wait, TryRecv or read the channel again, made by the thread that did so.
+// The channel leaves the doorbell it was attached to and rings its own again,
+// so that frames still arriving before it is destroyed wake nobody. A
+// channel disowned before it is destroyed has no user left but the module,
+// which may then give its record to the next endpoint; one that is not — its
+// consumer was killed, or never said — is left to the collector.
+func (ch *Channel) Disown() {
+	ch.bell.unlink(ch)
+	ch.bell, ch.owner = &ch.rec.bell, nil
+	ch.disowned = true
+}
 
 // Inject delivers a frame into the channel from the kernel's default input
 // path — used by the registry to forward stray segments of a connection
@@ -331,9 +345,9 @@ func (ch *Channel) Inject(b *pkt.Buf) {
 // BQI returns the channel's hardware demultiplexing index (0 on Ethernet).
 func (ch *Channel) BQI() uint16 { return ch.bqi }
 
-// deliver enqueues a packet and notifies the library. The semaphore is
-// posted only when the queue transitions from empty, so a burst arriving
-// before the library wakes is delivered under a single notification.
+// deliver enqueues a packet and notifies the library. The doorbell is rung
+// only when the queue transitions from empty, so a burst arriving before the
+// library wakes is delivered under a single notification.
 //
 // A full ring is backpressure, not silent loss: the drop is accounted on
 // the channel and the module, and the first drop of an episode posts an
@@ -377,7 +391,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 			ch.Overflows++
 			ch.Notifications++
 			ch.mod.notificationsTotal++
-			ch.sem.V()
+			ch.bell.ring(ch)
 		}
 		ch.releaseSlot(b)
 		b.Release()
@@ -429,7 +443,7 @@ func (ch *Channel) dropQueued(slots bool) {
 	ch.rxq = ch.rxq[:0]
 }
 
-// notify posts the channel's semaphore and accounts the doorbell.
+// notify rings the channel's doorbell and accounts the notification.
 func (ch *Channel) notify(bus *trace.Bus) {
 	ch.Notifications++
 	ch.mod.notificationsTotal++
@@ -437,7 +451,7 @@ func (ch *Channel) notify(bus *trace.Bus) {
 		bus.Emit(trace.Event{Kind: trace.ChanNotify, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(len(ch.rxq))})
 	}
-	ch.sem.V()
+	ch.bell.ring(ch)
 }
 
 // postDescriptor writes the fixed-size receive descriptor — sequence
@@ -462,14 +476,14 @@ const (
 )
 
 // chanRec is everything the module allocates for one endpoint but its
-// capability, as one record: the channel, its shared region, its semaphore,
-// its AN1 ring or software demux entry. DestroyChannel puts a record whose
-// consumer has disowned the channel on Module.free, and createChannel takes
-// the next endpoint's from there.
+// capability, as one record: the channel, its shared region, its own
+// doorbell, its AN1 ring or software demux entry. DestroyChannel puts a
+// record whose consumer has disowned the channel on Module.free, and
+// createChannel takes the next endpoint's from there.
 type chanRec struct {
 	ch     Channel
 	region kern.Region
-	sem    kern.Sem
+	bell   Doorbell
 	ring   netdev.Ring
 	bd     binding
 	// rx is the ring's receive handler, bound to the record once.
@@ -478,7 +492,7 @@ type chanRec struct {
 
 // Scrub zeroes the record but for its storage (the region's bytes, the
 // receive ring's two arrays, the lien list) and rx, which refers only to the
-// record itself. A stale Channel pointer then has no semaphore, region or
+// record itself. A stale Channel pointer then has no doorbell, region or
 // module to act on.
 func (r *chanRec) Scrub() {
 	r.ch = Channel{rxq: r.ch.rxq[:0], spare: r.ch.spare[:0], inflight: r.ch.inflight[:0]}
@@ -877,9 +891,9 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 		rec = new(chanRec)
 	}
 	rec.region.Wire(ringSize * descBytes)
-	rec.sem.Init(m.host, "chan-sem", 0)
+	rec.bell.Init(m.host)
 	ch := &rec.ch
-	ch.rec, ch.Region, ch.sem = rec, &rec.region, &rec.sem
+	ch.rec, ch.Region, ch.bell = rec, &rec.region, &rec.bell
 	ch.cap = ringSize
 	ch.noBatch = m.DisableBatching
 	ch.zeroCopy = m.ZeroCopyRx
@@ -959,6 +973,7 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	// crashed application's outstanding references must not keep pool
 	// storage alive (no scrub: the owner is gone, not distrusting).
 	ch := cap.ch
+	ch.bell.unlink(ch)
 	ch.dropQueued(false)
 	ch.sweepInflight(false, "destroy")
 	m.unpin(ch)
@@ -967,12 +982,13 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	}
 	// The record is reused only when the module holds the last reference to
 	// it: the consumer said it is gone, no frame is between arrival and
-	// interrupt in the ring, and nobody sleeps on the semaphore or is about
-	// to post it. Every other destroyed channel — a crashed application's,
+	// interrupt in the ring, and nobody sleeps on its own doorbell or is
+	// about to post it; the doorbell it may have been attached to has just
+	// let go of it. Every other destroyed channel — a crashed application's,
 	// whose consumer was killed, a datagram or raw one, whose consumer never
 	// says — is the collector's.
 	cap.ch = nil
-	if ch.disowned && ringIdle && ch.sem.Quiet() {
+	if ch.disowned && ringIdle && ch.rec.bell.sem.Quiet() {
 		m.free.Put(ch.rec)
 	}
 	return nil

@@ -62,7 +62,7 @@ func TestChannelRecordsAreReused(t *testing.T) {
 		if w.m2.free.Len() != 1 {
 			t.Fatalf("an1=%v: %d records free after a disowned channel was destroyed, want 1", an1, w.m2.free.Len())
 		}
-		if ch3.Region != nil || ch3.sem != nil || ch3.mod != nil || ch3.rec != nil {
+		if ch3.Region != nil || ch3.bell != nil || ch3.mod != nil || ch3.rec != nil {
 			t.Fatalf("an1=%v: free record not scrubbed: %+v", an1, ch3)
 		}
 		cap4, ch4 := create(83)
