@@ -38,7 +38,7 @@ func TestBenchmarksRun(t *testing.T) {
 		BenchmarkHotPathPacketAlloc, BenchmarkHotPathWire, BenchmarkHotPathChecksum,
 		BenchmarkHotPathChecksumShort, BenchmarkHotPathDemuxBPFInterp,
 		BenchmarkHotPathDemuxCSPFInterp, BenchmarkHotPathDemuxNative,
-		BenchmarkChurn, BenchmarkZeroCopyRx)
+		BenchmarkChurn)
 
 	fset := token.NewFileSet()
 	declared := map[string][]string{}   // package directory -> its benchmarks

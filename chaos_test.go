@@ -22,6 +22,7 @@ import (
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
+	"ulp/internal/trace"
 	"ulp/internal/wire"
 )
 
@@ -519,7 +520,7 @@ func rawTCPFrame(srcIP, dstIP ipv4.Addr, src, dst link.Addr, srcPort, dstPort ui
 	return b
 }
 
-// Zero-copy safety among nontrusting tenants, half 1: a hostile tenant
+// By-reference safety among nontrusting tenants, half 1: a hostile tenant
 // claims a receive ring and never drains it while a flood is aimed at it.
 // By-reference delivery must not let that pin unbounded pool storage — once
 // the ring is full, further frames are dropped at delivery with buffer and
@@ -528,7 +529,7 @@ func rawTCPFrame(srcIP, dstIP ipv4.Addr, src, dst link.Addr, srcPort, dstPort ui
 // transfer through the same module proceeds untouched.
 func TestChaosZeroCopyHostileFloodBounded(t *testing.T) {
 	trackPoolLeaks(t)
-	w := NewWorld(Config{Org: OrgUserLib, Net: Ethernet, ZeroCopyRx: true})
+	w := NewWorld(Config{Org: OrgUserLib, Net: Ethernet})
 	n0, n1 := w.Node(0), w.Node(1)
 
 	// The hostile tenant: a ring of 8 frames, never drained.
@@ -592,24 +593,33 @@ func TestChaosZeroCopyHostileFloodBounded(t *testing.T) {
 	assertNoPoolLeaks(t)
 }
 
-// Zero-copy safety among nontrusting tenants, half 2: an application
+// By-reference safety among nontrusting tenants, half 2: an application
 // crashes while the module still holds by-reference deliveries on its
 // behalf — frames queued in its ring and liens on the batch its input
 // thread was processing. The kill path must sweep every reference (no
 // pinned regions, no live capabilities, no stranded pool buffers) and the
-// peer must observe a reset, all without the dead application's help.
+// peer must observe a reset, all without the dead application's help. Every
+// batch is delivered by reference, so the teardown has liens to sweep: at
+// least the peer library's, whose connection fails on the reset while the
+// batch that carried it is still liened.
 func TestChaosZeroCopyCrashSweepsReferences(t *testing.T) {
 	trackPoolLeaks(t)
 	w := NewWorld(Config{
-		Org: OrgUserLib, Net: Ethernet, ZeroCopyRx: true,
+		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
 			Seed: 7,
 			// The receiver dies mid-stream: it is the side holding
-			// zero-copy references when the crash lands.
+			// references when the crash lands.
 			Crashes: []chaos.CrashPoint{{Host: 0, App: "server", At: 80 * time.Millisecond}},
 		},
 	})
 	enableConformance(t, w)
+	swept := int64(0)
+	w.Bus().Subscribe(func(e trace.Event) {
+		if e.Kind == trace.ChanSweep {
+			swept += e.B
+		}
+	})
 	srv := w.Node(0).App("server")
 	cli := w.Node(1).App("client")
 	var cliErr error
@@ -655,6 +665,12 @@ func TestChaosZeroCopyCrashSweepsReferences(t *testing.T) {
 	// Drain the teardown, then audit the crashed node: the sweep must have
 	// reclaimed the dead receiver's rings, liens, and capabilities.
 	w.Run(5 * time.Second)
+	if swept == 0 {
+		t.Error("the teardown swept no lien: no batch was held by reference")
+	}
+	if out := Counter(t, w, "pkt.outstanding"); out != 0 {
+		t.Errorf("pkt.outstanding = %d after the drain, want 0", out)
+	}
 	assertNoLeaks(t, w, 0)
 	assertNoPoolLeaks(t)
 }

@@ -32,7 +32,6 @@ func main() {
 	churnClients := flag.Int("churn-clients", 4, "churn: number of client hosts")
 	churnWorkers := flag.Int("churn-workers", 8, "churn: concurrent connect loops per client")
 	shards := flag.Int("shards", 0, "churn: federate each host's registry into N shards (0/1 = single registry)")
-	zerocopy := flag.Bool("zerocopy", false, "deliver received frames by reference (refcounted zero-copy rings) in -stats and -churn")
 	degrade := flag.Bool("degrade", false, "run the degradation experiment (bursty loss, link flaps, bufferbloat)")
 	degradeBytes := flag.Int("degrade-bytes", 256<<10, "degrade: payload bytes per transfer")
 	flag.Parse()
@@ -42,7 +41,7 @@ func main() {
 		return
 	}
 	if *churn {
-		runChurn(os.Stdout, *churnConns, *churnClients, *churnWorkers, *shards, *zerocopy)
+		runChurn(os.Stdout, *churnConns, *churnClients, *churnWorkers, *shards)
 		return
 	}
 
@@ -51,7 +50,7 @@ func main() {
 		return
 	}
 	if *stats {
-		runStats(os.Stdout, *zerocopy)
+		runStats(os.Stdout)
 		return
 	}
 	if *ablations {
@@ -218,17 +217,13 @@ func runAblations(w io.Writer) {
 
 // runStats renders the per-layer counters of a 1 MB Ethernet transfer under
 // each organization.
-func runStats(w io.Writer, zerocopy bool) {
-	mode := ""
-	if zerocopy {
-		mode = ", zero-copy rx"
-	}
+func runStats(w io.Writer) {
 	for _, r := range experiments.Grid {
 		if r.Net != ulp.Ethernet {
 			continue
 		}
-		header(w, fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer%s)", r.System, mode))
-		report, err := experiments.StatsReport(r.Org, zerocopy)
+		header(w, fmt.Sprintf("Per-layer counters: %s (Ethernet, 1 MB bulk transfer)", r.System))
+		report, err := experiments.StatsReport(r.Org)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stats:", err)
 			continue
@@ -259,16 +254,11 @@ func printOrgs() {
 }
 
 // runChurn renders the connection-churn experiment: the setup/teardown
-// workload on the shared Ethernet (steered demux, timing wheels). With
-// -zerocopy it delivers received frames by reference.
+// workload on the shared Ethernet (steered demux, timing wheels).
 // With -shards N a second row federates each host's registry into N
 // pinned-CPU shards, the sharded control plane that parallelizes setup.
-func runChurn(w io.Writer, conns, clients, workers, shards int, zerocopy bool) {
-	zc := ""
-	if zerocopy {
-		zc = ", zero-copy rx"
-	}
-	header(w, fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers%s", conns, clients, workers, zc))
+func runChurn(w io.Writer, conns, clients, workers, shards int) {
+	header(w, fmt.Sprintf("Connection churn: %d setups, %d clients x %d workers", conns, clients, workers))
 	fmt.Fprintf(w, "%-10s %10s %10s %10s %12s %12s %10s %14s\n",
 		"Config", "p50", "p99", "p999", "setups/vsec", "virtual", "wall", "events/wsec")
 	rows := []int{0}
@@ -281,7 +271,7 @@ func runChurn(w io.Writer, conns, clients, workers, shards int, zerocopy bool) {
 			name = fmt.Sprintf("sharded%d", n)
 		}
 		r := experiments.Churn(experiments.ChurnConfig{
-			Conns: conns, Clients: clients, Workers: workers, Shards: n, ZeroCopyRx: zerocopy,
+			Conns: conns, Clients: clients, Workers: workers, Shards: n,
 		})
 		if r.Err != nil {
 			fmt.Fprintf(os.Stderr, "churn (%s): %v\n", name, r.Err)

@@ -38,7 +38,7 @@ var wallColumns = regexp.MustCompile(`^(Config|fast|sharded\d+) `)
 // -shards 4) on the virtual clock; the wall-clock columns are cut.
 func TestChurnGolden(t *testing.T) {
 	var out bytes.Buffer
-	runChurn(&out, 200, 4, 8, 4, false)
+	runChurn(&out, 200, 4, 8, 4)
 	lines := strings.SplitAfter(out.String(), "\n")
 	for i, line := range lines {
 		if wallColumns.MatchString(line) {
@@ -68,12 +68,11 @@ func TestAblationsGolden(t *testing.T) {
 // worlds in the same process left in the pool, not on this world's run.
 var poolHistory = regexp.MustCompile(`(?m)^pkt\.(heap_allocs|recycled) .*\n`)
 
-// TestStatsGolden pins the per-layer counters (-stats, then -stats
-// -zerocopy), less the pool-history lines.
+// TestStatsGolden pins the per-layer counters (-stats), less the
+// pool-history lines.
 func TestStatsGolden(t *testing.T) {
 	var out bytes.Buffer
-	runStats(&out, false)
-	runStats(&out, true)
+	runStats(&out)
 	checkGolden(t, "testdata/stats.golden", poolHistory.ReplaceAll(out.Bytes(), nil))
 }
 

@@ -300,6 +300,91 @@ func TestEverySettingIsChosen(t *testing.T) {
 	}
 }
 
+// TestEveryCostIsCharged fails when a field of costs.Model is read by no
+// non-test file outside internal/costs, either directly or through a Model
+// method such a file calls. Writes do not count — Default setting the
+// field, an ablation overriding it — since a cost nothing reads is charged
+// to no CPU and moves no cell of any table.
+func TestEveryCostIsCharged(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newModLoader(t, root)
+	l.loadAll()
+	costs := l.pkgs[modPath+"/internal/costs"]
+	model := costs.pkg.Scope().Lookup("Model").(*types.TypeName)
+	st := model.Type().Underlying().(*types.Struct)
+	isField := map[*types.Var]bool{}
+	for i := 0; i < st.NumFields(); i++ {
+		isField[st.Field(i)] = true
+	}
+
+	// The fields each Model method reads.
+	methodReads := map[*types.Func][]*types.Var{}
+	for _, f := range costs.files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			fn := costs.info.Defs[fd.Name].(*types.Func)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if v, ok := costs.info.Uses[sel.Sel].(*types.Var); ok && isField[v] {
+						methodReads[fn] = append(methodReads[fn], v)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for _, p := range l.pkgs {
+		if p == costs {
+			continue
+		}
+		written := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						for _, x := range n.Lhs {
+							if sel, ok := x.(*ast.SelectorExpr); ok {
+								written[sel.Sel] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			switch obj := obj.(type) {
+			case *types.Var:
+				if isField[obj] && !written[id] {
+					read[obj] = true
+				}
+			case *types.Func:
+				for _, v := range methodReads[obj] {
+					read[v] = true
+				}
+			}
+		}
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); !read[f] {
+			t.Errorf("costs.Model.%s is charged nowhere: no non-test file outside internal/costs reads it, directly or through a Model method; delete it", f.Name())
+		}
+	}
+}
+
 // elemType strips pointers and slices: the struct a plan field reaches.
 func elemType(t types.Type) types.Type {
 	for {

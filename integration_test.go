@@ -111,14 +111,13 @@ func echoTransfer(t *testing.T, w *World, size int, opts stacks.Options, budget 
 func TestNewWorldRefusesIgnoredSettings(t *testing.T) {
 	sw := &wire.SwitchConfig{Latency: time.Microsecond}
 	NewWorld(Config{Org: OrgUserLib, Net: AN1, Switch: sw, RegistryShards: 4,
-		EphemeralLo: 1024, EphemeralHi: 60000, ZeroCopyRx: true}) // every one honoured
+		EphemeralLo: 1024, EphemeralHi: 60000}) // every one honoured
 	for _, tc := range []struct {
 		field string
 		cfg   Config
 	}{
 		{"RegistryShards", Config{Org: OrgInKernel, RegistryShards: 4}},
 		{"EphemeralLo/Hi", Config{Org: OrgSingleServer, EphemeralLo: 1024, EphemeralHi: 60000}},
-		{"ZeroCopyRx", Config{Org: OrgInKernel, Net: AN1, ZeroCopyRx: true}},
 		{"Switch", Config{Org: OrgUserLib, Net: Ethernet, Switch: sw}},
 		{"EphemeralLo/Hi", Config{Org: OrgUserLib, EphemeralHi: 60000}},
 		{"EphemeralLo/Hi", Config{Org: OrgUserLib, EphemeralLo: 1024}},

@@ -703,9 +703,9 @@ func (c *Conn) detach() {
 // the order they rang, each until its ring is empty. The channel names its
 // connection, so there is no lookup between the doorbell and the engine.
 //
-// Zero-copy interplay: on a ZeroCopyRx channel the batch frames are the
-// module's pool buffers handed over by reference, with the channel holding
-// a lien that settles at the channel's next drain. The contract this loop
+// By-reference interplay: the batch frames are the module's pool buffers
+// handed over by reference, with the channel holding a lien that settles at
+// the channel's next drain. The contract this loop
 // satisfies is that a batch is fully consumed before its channel is drained
 // again — inputFrame releases each frame after TCP reassembly copies what it
 // keeps, and the deferred sweep below covers a mid-batch kill — so the lien
@@ -880,7 +880,7 @@ func (c *Conn) State() tcp.State {
 	return tcp.Closed
 }
 
-// Channel exposes the netio channel (experiments measure batching). Once the
+// Channel exposes the netio channel, for tests that read its ring. Once the
 // connection is closed the channel is the module's to destroy and reuse: the
 // pointer stays what it was, what it points to does not.
 func (c *Conn) Channel() *netio.Channel { return c.ch }

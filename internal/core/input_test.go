@@ -28,12 +28,9 @@ func wakeups(h *kern.Host) int64 {
 // the first, each with a reader thread on the server that reads whatever
 // arrives and counts it in *read. It returns the libraries and both ends of
 // every connection once all are up and the exchange has gone quiet.
-func acceptN(t *testing.T, n int, zeroCopy bool, read *int) (srv, cli *Library, srvEnds, cliEnds []*Conn) {
+func acceptN(t *testing.T, n int, read *int) (srv, cli *Library, srvEnds, cliEnds []*Conn) {
 	t.Helper()
 	s, libs, ips := twoLibraries()
-	for _, l := range libs {
-		l.mod.ZeroCopyRx = zeroCopy
-	}
 	srv, cli = libs[0], libs[1]
 	srv.app.Spawn("srv", func(th *kern.Thread) {
 		l, err := srv.Listen(th, 80, stacks.Options{Backlog: n})
@@ -97,7 +94,7 @@ func writeEach(t *testing.T, cli *Library, conns []*Conn) {
 func TestBurstAcrossConnectionsTakesOneWakeup(t *testing.T) {
 	const n = 8
 	read := 0
-	srv, cli, _, cliEnds := acceptN(t, n, false, &read)
+	srv, cli, _, cliEnds := acceptN(t, n, &read)
 	before := wakeups(srv.host)
 	writeEach(t, cli, cliEnds)
 	srv.s.RunUntil(time.Minute, func() bool { return read == n })
@@ -175,58 +172,54 @@ func TestKillWithFramesQueuedOnThreeChannels(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	defer pkt.SetLeakTracking(false)
 	const n = 3
-	for _, zeroCopy := range []bool{false, true} {
-		if zeroCopy {
-			read := 0
-			srv, cli, _, cliEnds := acceptN(t, n, true, &read)
-			writeEach(t, cli, cliEnds)
-			srv.s.RunUntil(time.Minute, func() bool { return read == n })
-			srv.s.Run(time.Second)
-			if read != n {
-				t.Fatalf("zero-copy: server read %d of %d bytes", read, n)
+	read := 0
+	srv, cli, _, cliEnds := acceptN(t, n, &read)
+	writeEach(t, cli, cliEnds)
+	srv.s.RunUntil(time.Minute, func() bool { return read == n })
+	srv.s.Run(time.Second)
+	if read != n {
+		t.Fatalf("server read %d of %d bytes", read, n)
+	}
+	if k := pkt.OutstandingCount(); k != 0 {
+		t.Fatalf("%d packet buffers outstanding with the library idle:\n%s", k, pkt.FormatLeakReport())
+	}
+	for _, after := range []time.Duration{0, 500 * time.Microsecond, 800 * time.Microsecond, time.Millisecond, 1500 * time.Microsecond} {
+		read := 0
+		srv, cli, srvEnds, cliEnds := acceptN(t, n, &read)
+		before := wakeups(srv.host)
+		// Another address space holds the server's CPU while the frames
+		// arrive, so their interrupts complete back to back behind it and
+		// all three rings fill before the input thread can run.
+		srv.host.NewDomain("hog", false).Spawn("hog", func(th *kern.Thread) { th.Compute(20 * time.Millisecond) })
+		writeEach(t, cli, cliEnds)
+		chans := make([]*netio.Channel, n)
+		for i, c := range srvEnds {
+			chans[i] = c.Channel()
+		}
+		srv.s.RunUntil(time.Minute, func() bool {
+			for _, ch := range chans {
+				if ch.Pending() == 0 {
+					return false
+				}
 			}
-			if k := pkt.OutstandingCount(); k != 0 {
-				t.Fatalf("zero-copy: %d packet buffers outstanding with the library idle:\n%s", k, pkt.FormatLeakReport())
+			return true
+		})
+		for i, ch := range chans {
+			if ch.Pending() == 0 {
+				t.Fatalf("channel %d never had a frame queued", i)
 			}
 		}
-		for _, after := range []time.Duration{0, 500 * time.Microsecond, 800 * time.Microsecond, time.Millisecond, 1500 * time.Microsecond} {
-			read := 0
-			srv, cli, srvEnds, cliEnds := acceptN(t, n, zeroCopy, &read)
-			before := wakeups(srv.host)
-			// Another address space holds the server's CPU while the frames
-			// arrive, so their interrupts complete back to back behind it and
-			// all three rings fill before the input thread can run.
-			srv.host.NewDomain("hog", false).Spawn("hog", func(th *kern.Thread) { th.Compute(20 * time.Millisecond) })
-			writeEach(t, cli, cliEnds)
-			chans := make([]*netio.Channel, n)
-			for i, c := range srvEnds {
-				chans[i] = c.Channel()
-			}
-			srv.s.RunUntil(time.Minute, func() bool {
-				for _, ch := range chans {
-					if ch.Pending() == 0 {
-						return false
-					}
-				}
-				return true
-			})
-			for i, ch := range chans {
-				if ch.Pending() == 0 {
-					t.Fatalf("zero-copy %v: channel %d never had a frame queued", zeroCopy, i)
-				}
-			}
-			if got := wakeups(srv.host) - before; got != 1 {
-				t.Fatalf("zero-copy %v: frames queued on %d channels cost %d wakeups, want 1", zeroCopy, n, got)
-			}
-			if after > 0 {
-				srv.s.Run(after)
-			}
-			srv.app.Kill()
-			srv.s.Run(time.Second)
-			if k := pkt.OutstandingCount(); k != 0 {
-				t.Fatalf("zero-copy %v, killed %v after the frames were queued (%d bytes read): %d packet buffers outstanding:\n%s",
-					zeroCopy, after, read, k, pkt.FormatLeakReport())
-			}
+		if got := wakeups(srv.host) - before; got != 1 {
+			t.Fatalf("frames queued on %d channels cost %d wakeups, want 1", n, got)
+		}
+		if after > 0 {
+			srv.s.Run(after)
+		}
+		srv.app.Kill()
+		srv.s.Run(time.Second)
+		if k := pkt.OutstandingCount(); k != 0 {
+			t.Fatalf("killed %v after the frames were queued (%d bytes read): %d packet buffers outstanding:\n%s",
+				after, read, k, pkt.FormatLeakReport())
 		}
 	}
 }

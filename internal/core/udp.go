@@ -145,8 +145,8 @@ func (u *UDPConn) Recv(t *kern.Thread) udp.Datagram {
 				t.Compute(c.UDPPacket + c.Checksum(len(d.Payload)))
 				u.queue = append(u.queue, d)
 			}
-			// parse copied the payload it kept; the frame dies here, so
-			// the pool (and a zero-copy channel's lien) can recycle it.
+			// parse copied the payload it kept; the frame dies here, and
+			// the pool recycles it once the channel's lien settles.
 			b.Release()
 		}
 	}

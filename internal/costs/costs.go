@@ -102,13 +102,6 @@ type Model struct {
 	// bookkeeping accounts for the observed times."
 	AN1DeviceMgmt time.Duration
 
-	// DescriptorPost is writing one receive descriptor (buffer reference +
-	// length) into an application's shared receive ring on the zero-copy
-	// delivery path. It replaces the per-byte Copy charge for matched
-	// frames: the kernel posts a fixed-size descriptor instead of moving
-	// the payload (cf. AN1DMASetup — same idea, host-to-app direction).
-	DescriptorPost time.Duration
-
 	// ---- Demultiplexing and protection -------------------------------------
 
 	// FilterDemux is running the software input demultiplexer over one
@@ -222,7 +215,6 @@ func Default() Model {
 		LancePIOPerByte:   75 * time.Nanosecond,
 		AN1DMASetup:       12 * time.Microsecond,
 		AN1DeviceMgmt:     50 * time.Microsecond,
-		DescriptorPost:    2 * time.Microsecond,
 		FilterDemux:       30 * time.Microsecond,
 		LanceDemuxFixed:   22 * time.Microsecond,
 		TemplateCheck:     12 * time.Microsecond,

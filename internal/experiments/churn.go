@@ -33,10 +33,6 @@ type ChurnConfig struct {
 	// CPU (0 or 1 = the paper's single registry). Connection setup is
 	// registry-CPU bound, so this is the knob that lifts the setup rate.
 	Shards int
-	// ZeroCopyRx delivers received frames by reference (refcounted pool
-	// buffers plus ring descriptors) instead of modeling the per-byte
-	// kernel→region copy.
-	ZeroCopyRx bool
 }
 
 // ChurnResult reports setup-latency percentiles (virtual time) and the
@@ -73,7 +69,6 @@ func Churn(cfg ChurnConfig) ChurnResult {
 		Hosts:       cfg.Clients + 1,
 		EphemeralLo: 1024, EphemeralHi: 60000,
 		RegistryShards: cfg.Shards,
-		ZeroCopyRx:     cfg.ZeroCopyRx,
 	})
 
 	res := ChurnResult{Conns: cfg.Conns, Clients: cfg.Clients}

@@ -15,52 +15,59 @@ func statusOf(w *world, bqi uint16) (netdev.RingStatus, bool) {
 	return w.m2.Device().(*netdev.AN1).RingStatus(bqi)
 }
 
-// TestZeroCopyDeliversByReference verifies the tentpole property: with
-// ZeroCopyRx on, a matched frame reaches the library without the modeled
-// kernel→region copy — zero copied bytes, the full frame accounted by
-// reference, and only the fixed-size descriptor written into the shared
-// region.
+// TestZeroCopyDeliversByReference verifies the one receive path and the
+// device rule on it: on either device a matched frame reaches the library
+// as the pool buffer itself, with the channel's lien attached and its
+// descriptor posted in the shared region's ring. The copy into the region
+// is the device's to charge — the LANCE's software demux path copies the
+// frame, the AN1 has DMAed it there and copies nothing.
 func TestZeroCopyDeliversByReference(t *testing.T) {
-	w := newWorld(t, false)
-	w.m2.ZeroCopyRx = true
-	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("zero-copy payload")
-	var got []*pkt.Buf
-	w.app2.Spawn("reader", func(th *kern.Thread) { got = ch.Wait(th) })
-	w.app1.Spawn("sender", func(th *kern.Thread) {
-		w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, payload))
-	})
-	w.s.Run(0)
+	for _, an1 := range []bool{false, true} {
+		w := newWorld(t, an1)
+		hdrLen := link.EthHeaderLen
+		if an1 {
+			hdrLen = link.AN1HeaderLen
+		}
+		spec, tmpl := chanSpecAndTemplate(w, hdrLen)
+		_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []*pkt.Buf
+		w.app2.Spawn("reader", func(th *kern.Thread) { got = ch.Wait(th) })
+		w.app1.Spawn("sender", func(th *kern.Thread) {
+			b := buildTCPFrame(w, hdrLen, 1025, 80, []byte("by-reference payload"))
+			if an1 {
+				raw := b.Bytes()
+				raw[12], raw[13] = byte(ch.BQI()>>8), byte(ch.BQI())
+			}
+			w.m1.SendKernel(th, b)
+		})
+		w.s.Run(0)
 
-	if len(got) != 1 {
-		t.Fatalf("channel got %d packets, want 1", len(got))
+		if len(got) != 1 {
+			t.Fatalf("an1 %v: channel got %d packets, want 1", an1, len(got))
+		}
+		frameLen := got[0].Len()
+		if !got[0].Shared() {
+			t.Fatalf("an1 %v: delivered frame carries no channel lien", an1)
+		}
+		// The descriptor ring in the shared region holds (seq=1, len=frame).
+		d := ch.Region.Buf[8:16] // posted=1 → slot 1
+		seq := uint32(d[0])<<24 | uint32(d[1])<<16 | uint32(d[2])<<8 | uint32(d[3])
+		dlen := uint32(d[4])<<24 | uint32(d[5])<<16 | uint32(d[6])<<8 | uint32(d[7])
+		if seq != 1 || dlen != uint32(frameLen) {
+			t.Fatalf("an1 %v: descriptor = (seq %d, len %d), want (1, %d)", an1, seq, dlen, frameLen)
+		}
+		want := int64(frameLen)
+		if an1 {
+			want = 0
+		}
+		if w.m2.copiedBytes != want || ch.CopiedBytes != want {
+			t.Fatalf("an1 %v: copied %d bytes (channel %d), want %d", an1, w.m2.copiedBytes, ch.CopiedBytes, want)
+		}
+		got[0].Release()
 	}
-	frameLen := got[0].Len()
-	if w.m2.copiedBytes != 0 {
-		t.Fatalf("copied bytes = %d, want 0 on the zero-copy path", w.m2.copiedBytes)
-	}
-	if w.m2.referencedBytes != int64(frameLen) || w.m2.deliveredByRef != 1 {
-		t.Fatalf("referenced=%d by_ref=%d, want %d/1", w.m2.referencedBytes, w.m2.deliveredByRef, frameLen)
-	}
-	if ch.ReferencedBytes != int64(frameLen) || ch.DeliveredByRef != 1 || ch.CopiedBytes != 0 {
-		t.Fatalf("per-channel: referenced=%d by_ref=%d copied=%d", ch.ReferencedBytes, ch.DeliveredByRef, ch.CopiedBytes)
-	}
-	// The descriptor ring in the shared region holds (seq=1, len=frame).
-	d := ch.Region.Buf[8:16] // posted=1 → slot 1
-	seq := uint32(d[0])<<24 | uint32(d[1])<<16 | uint32(d[2])<<8 | uint32(d[3])
-	dlen := uint32(d[4])<<24 | uint32(d[5])<<16 | uint32(d[6])<<8 | uint32(d[7])
-	if seq != 1 || dlen != uint32(frameLen) {
-		t.Fatalf("descriptor = (seq %d, len %d), want (1, %d)", seq, dlen, frameLen)
-	}
-	// The frame was handed over with the channel's lien still attached.
-	if !got[0].Shared() {
-		t.Fatal("delivered frame carries no channel lien")
-	}
-	got[0].Release()
 }
 
 // TestZeroCopyLienSettlesAtNextDrain verifies the lien protocol: the
@@ -71,7 +78,6 @@ func TestZeroCopyLienSettlesAtNextDrain(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
 	w := newWorld(t, false)
-	w.m2.ZeroCopyRx = true
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
 	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
 	if err != nil {
@@ -100,55 +106,13 @@ func TestZeroCopyLienSettlesAtNextDrain(t *testing.T) {
 	}
 }
 
-// TestZeroCopyDoorbellBudget verifies batched doorbells: a burst landing on
-// a sleeping reader rings once on the empty→nonempty transition and then at
-// most once per doorbellBudget descriptors, while DisableBatching still
-// degrades to one ring per packet.
-func TestZeroCopyDoorbellBudget(t *testing.T) {
-	const burst = 2*doorbellBudget + 4
-	run := func(noBatch bool) (*world, int) {
-		w := newWorld(t, false)
-		w.m2.ZeroCopyRx = true
-		w.m2.DisableBatching = noBatch
-		spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-		_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.app1.Spawn("sender", func(th *kern.Thread) {
-			for i := 0; i < burst; i++ {
-				w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("pkt")))
-			}
-		})
-		var batch []*pkt.Buf
-		w.app2.SpawnAfter(50_000_000, "reader", func(th *kern.Thread) {
-			batch = ch.Wait(th)
-			for _, b := range batch {
-				b.Release()
-			}
-		})
-		w.s.Run(0)
-		if len(batch) != burst {
-			t.Fatalf("batch = %d packets, want %d", len(batch), burst)
-		}
-		return w, ch.Notifications
-	}
-
-	// Budget 8 over a 20-packet burst: doorbells at packets 1, 9, 17.
-	if _, n := run(false); n != 3 {
-		t.Fatalf("batched doorbells = %d, want 3 (budget %d, burst %d)", n, doorbellBudget, burst)
-	}
-	if _, n := run(true); n != burst {
-		t.Fatalf("DisableBatching doorbells = %d, want %d", n, burst)
-	}
-}
-
 // TestQuarantineMidBurstReleasesSlotsAndBufs is the AN1 release-accounting
-// regression: frames queued before quarantine onset hold hardware ring
-// slots that the drain must return one per frame, and frames suppressed
-// after onset must return slot and buffer at the drop point. Before the
-// per-frame Meta.BQI accounting, the drop path leaked its slot forever —
-// a quarantined endpoint permanently shrank its hardware ring.
+// rule for quarantine: at onset the channel gives back everything it holds
+// for the tenant — its liens on the batch the tenant drained (the bytes
+// scrubbed), and the frames queued but not drained, each with its hardware
+// ring slot — and every frame suppressed after onset returns slot and
+// buffer at the drop point. A slot missed anywhere would shrink the
+// endpoint's hardware ring for good; a buffer missed would leak.
 func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
@@ -159,45 +123,51 @@ func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := func(th *kern.Thread) {
-		b := buildTCPFrame(w, link.AN1HeaderLen, 1025, 80, []byte("burst"))
-		raw := b.Bytes()
-		raw[12] = byte(ch.BQI() >> 8)
-		raw[13] = byte(ch.BQI())
-		w.m1.SendKernel(th, b)
+	burst := func(at time.Duration, n int) {
+		w.app1.SpawnAfter(at, "burst", func(th *kern.Thread) {
+			for i := 0; i < n; i++ {
+				b := buildTCPFrame(w, link.AN1HeaderLen, 1025, 80, []byte("burst"))
+				raw := b.Bytes()
+				raw[12], raw[13] = byte(ch.BQI()>>8), byte(ch.BQI())
+				w.m1.SendKernel(th, b)
+			}
+		})
 	}
-	// Three frames land before the lease expires and sit in the ring.
-	w.app1.Spawn("early", func(th *kern.Thread) {
-		for i := 0; i < 3; i++ {
-			send(th)
-		}
-	})
-	// Three more arrive after expiry (no renewal): quarantine-dropped.
-	w.app1.SpawnAfter(50_000_000, "late", func(th *kern.Thread) {
-		for i := 0; i < 3; i++ {
-			send(th)
-		}
-	})
+	// Two frames are drained and kept, three more sit in the ring, and
+	// three arrive after the lease expired (no renewal).
+	var held []*pkt.Buf
+	burst(0, 2)
+	w.app2.SpawnAfter(2*time.Millisecond, "reader", func(th *kern.Thread) { held = ch.Wait(th) })
+	burst(5*time.Millisecond, 3)
+	w.s.Run(9 * time.Millisecond)
+	if len(held) != 2 || ch.Pending() != 3 {
+		t.Fatalf("before expiry: %d frames drained, %d queued, want 2 and 3", len(held), ch.Pending())
+	}
+	if st, ok := statusOf(w, ch.BQI()); !ok || st.InUse != 3 {
+		t.Fatalf("ring InUse = %d before expiry, want 3 (one per queued frame)", st.InUse)
+	}
+	burst(50*time.Millisecond, 3)
 	w.s.Run(0)
 
 	if ch.Quarantined != 3 {
 		t.Fatalf("quarantined = %d, want 3", ch.Quarantined)
 	}
-	// The three queued frames still occupy their slots; the three dropped
-	// ones must not.
-	if st, ok := statusOf(w, ch.BQI()); !ok || st.InUse != 3 {
-		t.Fatalf("ring InUse = %d before drain, want 3 (drops leaked slots?)", st.InUse)
-	}
-	// Drain across quarantine onset: per-frame slot release.
-	batch := ch.TryRecv()
-	if len(batch) != 3 {
-		t.Fatalf("drained %d frames, want 3", len(batch))
+	if ch.Pending() != 0 {
+		t.Fatalf("%d frames still queued after quarantine onset", ch.Pending())
 	}
 	if st, ok := statusOf(w, ch.BQI()); !ok || st.InUse != 0 {
-		t.Fatalf("ring InUse = %d after drain, want 0", st.InUse)
+		t.Fatalf("ring InUse = %d after quarantine, want 0 (slots leaked)", st.InUse)
 	}
-	for _, b := range batch {
-		b.Release()
+	for _, b := range held {
+		if b.Shared() {
+			t.Fatal("channel lien survived quarantine onset")
+		}
+		for _, v := range b.Bytes() {
+			if v != 0 {
+				t.Fatal("quarantine onset did not scrub a drained frame")
+			}
+		}
+		b.Release() // the tenant's own reference
 	}
 	if n := pkt.OutstandingCount(); n != 0 {
 		t.Fatalf("%d pkt.Buf leaked across quarantine onset:\n%s", n, pkt.FormatLeakReport())
@@ -212,7 +182,6 @@ func TestZeroCopyQuarantineSweepsAndPoisons(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
 	w := newWorld(t, false)
-	w.m2.ZeroCopyRx = true
 	w.m2.EnableLeases(10 * time.Millisecond)
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
 	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
@@ -257,7 +226,6 @@ func TestZeroCopyDestroySweepsInflight(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
 	w := newWorld(t, false)
-	w.m2.ZeroCopyRx = true
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
 	cap, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
 	if err != nil {

@@ -12,10 +12,15 @@
 //     package reproduces the CSPF/BPF interpreters it replaces) and in
 //     hardware on the AN1 via the BQI ring table.
 //   - Received packets land in a memory region shared with the library,
-//     pinned for the connection's lifetime, and the library is notified by a
-//     lightweight semaphore — a Doorbell, which one library thread may share
-//     across its channels; notifications are batched when packets arrive
-//     faster than the library drains them.
+//     pinned for the connection's lifetime: the module hands each frame's
+//     pool buffer over by reference, posts its descriptor into the region's
+//     ring and holds a lien on it until the library's next drain, so a
+//     revocation can always reclaim what the library still references. The
+//     device decides what that costs the kernel: the LANCE's software path
+//     copies the frame into the region, the AN1 has already DMAed it there.
+//   - The library is notified by a lightweight semaphore — a Doorbell, which
+//     one library thread may share across its channels; notifications are
+//     batched when packets arrive faster than the library drains them.
 //
 // Packets matching no binding fall through to a default handler: the
 // protected kernel path used by the registry server (connection setup, ARP)
@@ -181,12 +186,6 @@ type Channel struct {
 	rec      *chanRec
 	disowned bool
 
-	// Zero-copy receive mode (Module.ZeroCopyRx at creation time): deliver
-	// hands buffer references to the library instead of modeling a copy
-	// into the shared region; only a fixed-size descriptor is written.
-	zeroCopy bool
-	// sinceDoorbell counts descriptors posted since the last doorbell.
-	sinceDoorbell int
 	// posted numbers descriptors written into the shared region's ring.
 	posted uint64
 	// inflight holds the channel's liens: buffers handed out by the last
@@ -206,10 +205,9 @@ type Channel struct {
 	// Quarantined counts packets suppressed because the channel's lease
 	// expired (control plane down).
 	Quarantined int
-	// DeliveredByRef counts packets handed over by reference (zero-copy);
-	// CopiedBytes/ReferencedBytes split the payload volume by path.
-	DeliveredByRef               int
-	CopiedBytes, ReferencedBytes int64
+	// CopiedBytes counts the bytes the software demux path copied into the
+	// shared region (zero on the AN1, whose rings are DMAed).
+	CopiedBytes int64
 }
 
 // Wait blocks the library thread until the channel is notified, then
@@ -243,8 +241,8 @@ func (ch *Channel) TryRecv() []*pkt.Buf {
 // take drains the ring: it settles the liens on the previous batch (the
 // library finished with it — a batch is valid only until the next drain),
 // takes the channel off its doorbell's list, returns the hardware ring slots
-// the drained frames held, and in zero-copy mode liens the new batch so
-// revocation can always reclaim it.
+// the drained frames held, and liens the new batch so revocation can always
+// reclaim it.
 //
 // Slot accounting is per frame via Meta.BQI, not per channel: a batch may
 // mix hardware-ring frames with kernel-injected ones (which never occupied
@@ -258,17 +256,12 @@ func (ch *Channel) take() []*pkt.Buf {
 		clear(ch.spare) // the batch before this one: the consumer is done with it
 		batch, ch.rxq, ch.spare = ch.rxq, ch.spare[:0], ch.rxq
 	}
-	ch.sinceDoorbell = 0
 	ch.bell.unlink(ch)
 	for _, b := range batch {
 		ch.releaseSlot(b)
+		b.Retain()
 	}
-	if ch.zeroCopy && len(batch) > 0 {
-		for _, b := range batch {
-			b.Retain()
-		}
-		ch.inflight = append(ch.inflight, batch...)
-	}
+	ch.inflight = append(ch.inflight, batch...)
 	return batch
 }
 
@@ -345,9 +338,10 @@ func (ch *Channel) Inject(b *pkt.Buf) {
 // BQI returns the channel's hardware demultiplexing index (0 on Ethernet).
 func (ch *Channel) BQI() uint16 { return ch.bqi }
 
-// deliver enqueues a packet and notifies the library. The doorbell is rung
-// only when the queue transitions from empty, so a burst arriving before the
-// library wakes is delivered under a single notification.
+// deliver enqueues a packet, posts its descriptor and notifies the library.
+// The doorbell is rung only when the queue transitions from empty, so a
+// burst arriving before the library wakes is delivered under a single
+// notification.
 //
 // A full ring is backpressure, not silent loss: the drop is accounted on
 // the channel and the module, and the first drop of an episode posts an
@@ -365,17 +359,11 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 		if bus.Enabled() {
 			bus.Emit(trace.Event{Kind: trace.ChanQuarantine, Node: ch.mod.dev.Name(), A: int64(ch.id)})
 		}
-		if ch.zeroCopy {
-			// Zero-copy channels hold references a distrusting tenant can
-			// still read: reclaim the liens (scrubbing the bytes) and the
-			// queued-but-undrained frames at quarantine onset.
-			ch.sweepInflight(true, "quarantine")
-			for _, q := range ch.rxq {
-				ch.releaseSlot(q)
-				q.Release()
-			}
-			ch.rxq = nil
-		}
+		// The tenant may still read the buffers it was handed: reclaim the
+		// liens (scrubbing the bytes) and the frames queued but not yet
+		// drained, with their ring slots.
+		ch.sweepInflight(true, "quarantine")
+		ch.dropQueued(true)
 		ch.releaseSlot(b)
 		b.Release()
 		return
@@ -411,20 +399,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 		bus.Emit(trace.Event{Kind: trace.ChanDeliver, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(len(ch.rxq))})
 	}
-	if ch.zeroCopy {
-		ch.postDescriptor(b)
-		// Batched doorbells: the empty→nonempty transition always rings
-		// (the library may be asleep), and while the library lags the bell
-		// rings again at most once per doorbellBudget descriptors — a
-		// bounded prod, not one post per packet. DisableBatching degrades
-		// to the per-packet ablation as in copy mode.
-		ch.sinceDoorbell++
-		if len(ch.rxq) == 1 || ch.noBatch || ch.sinceDoorbell >= doorbellBudget {
-			ch.sinceDoorbell = 0
-			ch.notify(bus)
-		}
-		return
-	}
+	ch.postDescriptor(b)
 	if len(ch.rxq) == 1 || ch.noBatch {
 		ch.notify(bus)
 	}
@@ -455,8 +430,7 @@ func (ch *Channel) notify(bus *trace.Bus) {
 }
 
 // postDescriptor writes the fixed-size receive descriptor — sequence
-// number and frame length — into the channel's shared-region ring. On the
-// zero-copy path these eight bytes are the only ones the kernel moves; the
+// number and frame length — into the channel's shared-region ring. The
 // frame itself stays in the pool buffer the library reads by reference.
 func (ch *Channel) postDescriptor(b *pkt.Buf) {
 	ch.posted++
@@ -470,9 +444,6 @@ func (ch *Channel) postDescriptor(b *pkt.Buf) {
 const (
 	descBytes = 8    // one receive descriptor: sequence number, frame length
 	slotBytes = 2048 // modelled shared memory wired per ring slot
-	// doorbellBudget bounds zero-copy doorbells: while the library lags, at
-	// most one semaphore post per this many posted descriptors.
-	doorbellBudget = 8
 )
 
 // chanRec is everything the module allocates for one endpoint but its
@@ -604,13 +575,6 @@ type Module struct {
 	// packet batching is very effective").
 	DisableBatching bool
 
-	// ZeroCopyRx makes channels created from now on deliver by reference:
-	// matched frames hand the pool buffer to the library and post only a
-	// fixed-size descriptor into the shared region, instead of modeling a
-	// kernel→region copy. Opt-in (Config.ZeroCopyRx), like the switch:
-	// legacy replays never see the new cost profile.
-	ZeroCopyRx bool
-
 	// leases, when non-nil, bounds how long an endpoint may be served
 	// without the control plane renewing it. The table belongs to the
 	// module, not the registry: leases survive a registry crash exactly
@@ -635,10 +599,6 @@ type Module struct {
 	// copiedBytes counts bytes moved by the kernel→shared-region receive
 	// copy on software-demux devices (Table-style "copies" breakdown).
 	copiedBytes int64
-	// referencedBytes/deliveredByRef count the zero-copy complement:
-	// payload volume and packets handed to the library by reference.
-	referencedBytes int64
-	deliveredByRef  int
 	// ringHighWater is the deepest any channel's receive ring ever got.
 	ringHighWater int
 
@@ -718,29 +678,19 @@ func (m *Module) steerLookup(frame []byte) *binding {
 	return m.steer[steerKey{etherType: link.EtherType(uint16(frame[hdrLen-2])<<8 | uint16(frame[hdrLen-1]))}]
 }
 
-// deliverMatched accounts and completes a software demux hit. On the
-// classic path the packet was staged into kernel memory by the PIO copy and
-// moving it into the channel's shared region is a second, per-byte copy.
-// On a zero-copy channel the buffer itself is handed over and the kernel
-// pays only the fixed descriptor post — the per-packet cost no longer
-// scales with payload size, which is the whole point.
+// deliverMatched accounts and completes a software demux hit. The packet
+// was staged into kernel memory by the PIO copy, and moving it into the
+// channel's shared region is a second, per-byte copy — the one receive cost
+// that depends on the device: the AN1's hardware rings deliver with none.
 func (m *Module) deliverMatched(bd *binding, b *pkt.Buf) {
 	m.demuxMatched++
 	if m.Bus.Enabled() {
 		m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
 			A: int64(bd.ch.id), B: int64(b.Len())})
 	}
-	if bd.ch.zeroCopy {
-		m.referencedBytes += int64(b.Len())
-		m.deliveredByRef++
-		bd.ch.ReferencedBytes += int64(b.Len())
-		bd.ch.DeliveredByRef++
-		m.host.CPU.UseAsync(m.host.Cost.DescriptorPost, nil)
-	} else {
-		m.copiedBytes += int64(b.Len())
-		bd.ch.CopiedBytes += int64(b.Len())
-		m.host.CPU.UseAsync(m.host.Cost.Copy(b.Len()), nil)
-	}
+	m.copiedBytes += int64(b.Len())
+	bd.ch.CopiedBytes += int64(b.Len())
+	m.host.CPU.UseAsync(m.host.Cost.Copy(b.Len()), nil)
 	bd.ch.deliver(b)
 }
 
@@ -896,7 +846,6 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 	ch.rec, ch.Region, ch.bell = rec, &rec.region, &rec.bell
 	ch.cap = ringSize
 	ch.noBatch = m.DisableBatching
-	ch.zeroCopy = m.ZeroCopyRx
 	ch.mod = m
 	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, issuer: from}
 	m.nextCapID++
@@ -969,9 +918,9 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	// Packets still queued in the ring die with the channel: nobody will
 	// ever Wait on it again, so they must be returned to the pool here or
 	// they leak (found by the pool leak report under the chaos scenarios).
-	// Zero-copy liens on the batch last handed out die the same way — a
-	// crashed application's outstanding references must not keep pool
-	// storage alive (no scrub: the owner is gone, not distrusting).
+	// The liens on the batch last handed out die the same way — a crashed
+	// application's outstanding references must not keep pool storage
+	// alive (no scrub: the owner is gone, not distrusting).
 	ch := cap.ch
 	ch.bell.unlink(ch)
 	ch.dropQueued(false)
@@ -1168,7 +1117,7 @@ func (m *Module) unpin(ch *Channel) {
 
 // Describe emits the module's counters under their stats names: the
 // aggregates, then for each live channel, by capability id, what its ring
-// delivered, copied, referenced or dropped. Destroyed channels' contributions
+// delivered, copied or dropped. Destroyed channels' contributions
 // survive only in the aggregates.
 func (m *Module) Describe(emit func(string, int64)) {
 	emit("send_ok", int64(m.sendOK))
@@ -1179,17 +1128,13 @@ func (m *Module) Describe(emit func(string, int64)) {
 	emit("delivered", int64(m.deliveredTotal))
 	emit("notifications", int64(m.notificationsTotal))
 	emit("copied_bytes", m.copiedBytes)
-	emit("referenced_bytes", m.referencedBytes)
-	emit("delivered_by_ref", int64(m.deliveredByRef))
 	emit("ring_high_water", int64(m.ringHighWater))
 	emit("quarantine_drops", int64(m.quarantineDrops))
 	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
 		ch := m.caps[id].ch
 		pfx := fmt.Sprintf("ch%d.", id)
 		emit(pfx+"delivered", int64(ch.Delivered))
-		emit(pfx+"delivered_by_ref", int64(ch.DeliveredByRef))
 		emit(pfx+"copied_bytes", ch.CopiedBytes)
-		emit(pfx+"referenced_bytes", ch.ReferencedBytes)
 		emit(pfx+"dropped", int64(ch.Dropped))
 		emit(pfx+"high_water", int64(ch.HighWater))
 		emit(pfx+"notifications", int64(ch.Notifications))

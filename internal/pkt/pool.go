@@ -22,14 +22,14 @@ func SetTraceBus(b *trace.Bus) { poolBus.Store(b) }
 // compatible size. Classes cover the stack's real frame population — control
 // segments (bare headers), Ethernet MTU frames, and AN1 jumbo frames.
 //
-// Lifecycle rules (see DESIGN.md §7c "Buffer ownership and zero-copy
-// lifecycle"):
+// Lifecycle rules (see DESIGN.md §7c "Buffer ownership and by-reference
+// receive"):
 //
 //   - Exactly one owner at a time. Passing a buffer to Transmit/Deliver
 //     transfers ownership; cloning creates an independently owned copy.
 //   - Retain adds an extra reference; each reference is balanced by its own
 //     Release. The storage returns to the free list only when the final
-//     reference releases, so a zero-copy channel can lien a buffer while the
+//     reference releases, so a receive channel can lien a buffer while the
 //     application still reads it.
 //   - The holder at a packet's death point calls Release. Releasing more
 //     times than references exist, or touching a buffer (or any slice

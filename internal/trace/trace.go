@@ -64,7 +64,7 @@ const (
 	ChanQuarantine  // delivery suppressed: capability lease expired; A = capability id
 	RegistryRestart // reborn registry rebuilt state from the module; A = epoch, B = endpoints re-adopted
 
-	// Zero-copy receive events.
+	// By-reference receive events.
 	ChanSweep // in-flight buffer references reclaimed; A = capability id, B = count, Text = reason
 )
 

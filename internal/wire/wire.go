@@ -265,8 +265,8 @@ func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 // fanOut sends frame b from src to every other station, in attach order:
 // a broadcast, or a unicast the switch floods. The last recipient takes
 // ownership of the original frame, so n recipients cost n-1 clones. A frame
-// someone else still references (zero-copy lien, retransmission hold)
-// cannot be handed to a recipient at all — recipients strip headers in
+// someone else still references (a receive channel's lien) cannot be
+// handed to a recipient at all — recipients strip headers in
 // place — so every copy is a clone and our reference is dropped instead.
 func (g *Segment) fanOut(src link.Addr, b *pkt.Buf, send func(Station, *pkt.Buf)) {
 	shared := b.Shared()

@@ -13,16 +13,13 @@ import (
 	"testing"
 	"time"
 
-	"ulp"
 	"ulp/internal/checksum"
 	"ulp/internal/experiments"
 	"ulp/internal/filter"
 	"ulp/internal/ipv4"
-	"ulp/internal/kern"
 	"ulp/internal/link"
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
-	"ulp/internal/stacks"
 	"ulp/internal/wire"
 )
 
@@ -304,88 +301,4 @@ func BenchmarkChurn(b *testing.B) {
 		events += r.EventsPerWSec
 	}
 	b.ReportMetric(events/float64(b.N), "events/sec")
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy receive rings
-// ---------------------------------------------------------------------------
-
-// rxTransfer streams size bytes one-way into a reading server and returns
-// the virtual time consumed plus the receive module's copied/referenced
-// byte split — the benchmark's evidence that the zero-copy run really took
-// the by-reference path. Ethernet, because that is where the contrast
-// lives: the Lance has no hardware demux, so matched frames cross the
-// software path that charges the per-byte copy (or, zero-copy, the fixed
-// descriptor post); the AN1's rings already DMA into the region.
-func rxTransfer(b *testing.B, zeroCopy bool, size int) (virt, rxBusy time.Duration, copied, referenced int64) {
-	b.Helper()
-	w := ulp.NewWorld(ulp.Config{Org: ulp.OrgUserLib, Net: ulp.Ethernet, ZeroCopyRx: zeroCopy})
-	srv := w.Node(0).App("server")
-	cli := w.Node(1).App("client")
-	chunk := make([]byte, 2048)
-	for i := range chunk {
-		chunk[i] = byte(i * 31)
-	}
-	got, done := 0, false
-	srv.Go("srv", func(th *kern.Thread) {
-		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
-		c, err := l.Accept(th)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		buf := make([]byte, 8192)
-		for got < size {
-			n, err := c.Read(th, buf)
-			if err != nil || n == 0 {
-				break
-			}
-			got += n
-		}
-		done = true
-	})
-	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
-		c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for sent := 0; sent < size; sent += len(chunk) {
-			if _, err := c.Write(th, chunk); err != nil {
-				return
-			}
-		}
-		c.Close(th)
-	})
-	w.RunUntil(time.Minute, func() bool { return done })
-	if !done {
-		b.Fatal("rx transfer did not complete")
-	}
-	rxBusy = time.Duration(w.Node(0).Host.CPU.Busy())
-	return w.Now(), rxBusy, ulp.Counter(b, w, "netio.h0.copied_bytes"), ulp.Counter(b, w, "netio.h0.referenced_bytes")
-}
-
-// BenchmarkZeroCopyRx measures the by-reference receive path against the
-// copying baseline: the same one-way 256 KB stream over the Ethernet, same cost
-// model, only Config.ZeroCopyRx differing. The flow is window-bound, so
-// the modeled win — a fixed descriptor post replacing the per-byte
-// kernel→region copy on every received frame — lands in the receive
-// host's CPU busy time (rx-cpu-ms) more than in virtual-Mb/s; ns/op
-// tracks what each mode costs the simulator itself in wall-clock terms.
-func BenchmarkZeroCopyRx(b *testing.B) {
-	const size = 256 << 10
-	run := func(b *testing.B, zeroCopy bool) {
-		b.ReportAllocs()
-		var virt, rxBusy time.Duration
-		var copied, referenced int64
-		for i := 0; i < b.N; i++ {
-			virt, rxBusy, copied, referenced = rxTransfer(b, zeroCopy, size)
-		}
-		b.ReportMetric(float64(size)*8/virt.Seconds()/1e6, "virtual-Mb/s")
-		b.ReportMetric(float64(rxBusy.Microseconds())/1000, "rx-cpu-ms")
-		b.ReportMetric(float64(copied), "copied-bytes")
-		b.ReportMetric(float64(referenced), "referenced-bytes")
-	}
-	b.Run("copy", func(b *testing.B) { run(b, false) })
-	b.Run("zerocopy", func(b *testing.B) { run(b, true) })
 }

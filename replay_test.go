@@ -71,7 +71,7 @@ type replayLoad struct {
 // to play out on the wire and under the checker.
 const replayDrain = 5 * time.Minute
 
-// seededFaults is the frame-fault plan of the seeded and zero-copy rows.
+// seededFaults is the frame-fault plan of the seeded rows.
 func seededFaults(seed uint64) *wire.LinkConditions {
 	return &wire.LinkConditions{
 		Seed:         seed,
@@ -93,12 +93,6 @@ func replayRows() []replayRow {
 	rows := []replayRow{
 		{name: "seeded/7", cfg: Config{Org: OrgUserLib, Net: Ethernet, Conditions: seededFaults(7)}, load: stream},
 		{name: "seeded/42", cfg: Config{Org: OrgUserLib, Net: Ethernet, Conditions: seededFaults(42)}, load: stream},
-		// By-reference delivery under the same faults: lien settlement,
-		// refcounted clones and the descriptor-post cost feed frame timing.
-		{name: "zero-copy/7", cfg: Config{Org: OrgUserLib, Net: Ethernet, ZeroCopyRx: true, Conditions: seededFaults(7)},
-			load: stream, arm: deliveredByRef},
-		{name: "zero-copy/42", cfg: Config{Org: OrgUserLib, Net: Ethernet, ZeroCopyRx: true, Conditions: seededFaults(42)},
-			load: stream, arm: deliveredByRef},
 		// Control-plane delays on top of wire loss. The client starts once the
 		// server's delayed listen is surely in place.
 		{name: "chaos/99", cfg: Config{Org: OrgUserLib, Net: Ethernet,
@@ -163,15 +157,6 @@ func replayRows() []replayRow {
 			load: replayLoad{chunk: 1024, writes: 20, echo: true}})
 	}
 	return rows
-}
-
-// deliveredByRef checks that the zero-copy path carried frames.
-func deliveredByRef(t *testing.T, w *World) func() {
-	return func() {
-		if Counter(t, w, "netio.h0.delivered_by_ref") == 0 {
-			t.Error("no frame was delivered by reference")
-		}
-	}
 }
 
 // registryReborn checks that the server's registry crashed and came back.
@@ -557,7 +542,6 @@ func replayFamily(t *testing.T, family string, traced ...bool) {
 
 func TestDeterministicReplay(t *testing.T)         { replayFamily(t, "seeded", false) }
 func TestTracingPreservesDeterminism(t *testing.T) { replayFamily(t, "seeded", true) }
-func TestZeroCopyReplayDeterministic(t *testing.T) { replayFamily(t, "zero-copy", false) }
 func TestChaosDeterministic(t *testing.T)          { replayFamily(t, "chaos", false) }
 func TestRegistryCrashReplayDeterministic(t *testing.T) {
 	replayFamily(t, "registry-crash", false)

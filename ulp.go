@@ -152,15 +152,6 @@ type Config struct {
 	// their requests, and a dead shard's work fails over to a live sibling.
 	// Two or more is OrgUserLib only.
 	RegistryShards int
-
-	// ZeroCopyRx switches every module's receive channels to by-reference
-	// delivery: matched frames are handed to the library as refcounted
-	// buffer references plus a fixed-size descriptor in the shared region,
-	// instead of modeling a per-byte kernel→region copy, and doorbell
-	// notifications are batched (at most one per 8 posted descriptors while
-	// the library lags). Opt-in like Switch: legacy worlds keep the classic
-	// copy cost profile. OrgUserLib only.
-	ZeroCopyRx bool
 }
 
 // World is a built simulation: a network segment plus hosts running the
@@ -214,8 +205,6 @@ func (cfg *Config) ignored() string {
 			return "RegistryShards: " + cfg.Org.String() + " has no registry to shard"
 		case cfg.EphemeralLo != 0 || cfg.EphemeralHi != 0:
 			return "EphemeralLo/Hi: " + cfg.Org.String() + " has no registry to allocate ports from the range"
-		case cfg.ZeroCopyRx:
-			return "ZeroCopyRx: " + cfg.Org.String() + " has no user-level receive channels"
 		}
 	}
 	if cfg.Switch != nil && cfg.Net == Ethernet {
@@ -282,7 +271,6 @@ func NewWorld(cfg Config) *World {
 			dev = netdev.NewAN1(h, seg, addr, link.AN1MaxMTU)
 		}
 		mod := netio.New(h, dev)
-		mod.ZeroCopyRx = cfg.ZeroCopyRx
 		// The third octet carries the high host bits, so worlds scale past
 		// 254 hosts; for small worlds this is the classic 10.0.0.x.
 		n := &Node{world: w, Index: i, Host: h, Mod: mod,
