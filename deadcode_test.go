@@ -9,6 +9,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -381,6 +383,133 @@ func TestEveryCostIsCharged(t *testing.T) {
 	for i := 0; i < st.NumFields(); i++ {
 		if f := st.Field(i); !read[f] {
 			t.Errorf("costs.Model.%s is charged nowhere: no non-test file outside internal/costs reads it, directly or through a Model method; delete it", f.Name())
+		}
+	}
+}
+
+// docsAllowed lists the Go-shaped names the docs mention that name no live
+// code, each with the reason it stays.
+var docsAllowed = map[string]string{
+	"Config.TimerWheel": "EXPERIMENTS.md records that the timer-backend knob is gone",
+}
+
+// docFiles are the documents TestDocsNameLiveCode reads.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	goShaped   = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*){1,2}(\(\))?$`)
+	// keyPart marks a stats or benchmark key, which has a Go name's shape:
+	// a snake_case part, or a per-host, per-channel or per-shard one.
+	keyPart = regexp.MustCompile(`_|^(h|ch|shard)[0-9NK]$`)
+	// fileExt marks a file name.
+	fileExt = map[string]bool{"go": true, "md": true, "json": true, "golden": true, "mod": true}
+)
+
+// TestDocsNameLiveCode fails when README.md, DESIGN.md or EXPERIMENTS.md
+// name, in backticks, Go code the module does not have. A name of Go shape
+// — pkg.Name, Type.Member or pkg.Type.Member — whose first part is a
+// module package or a module type must resolve in the type-checked module,
+// where Name may also be a test function or a member of one of the
+// package's types; names that start anywhere else (sync.Pool, t.Fatal) are
+// not the module's to check. Deliberate history goes on docsAllowed, and
+// the test also fails on an entry no doc needs any more.
+func TestDocsNameLiveCode(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newModLoader(t, root)
+	l.loadAll()
+	pkgs := map[string]*types.Package{}
+	named := map[string][]types.Type{}
+	for _, p := range l.pkgs {
+		if p.pkg.Name() != "main" {
+			pkgs[p.pkg.Name()] = p.pkg
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				named[name] = append(named[name], tn.Type())
+			}
+		}
+	}
+	tests := l.testFuncs()
+
+	// chain reports whether the selectors sels lead from typ through fields
+	// to a field or method.
+	var chain func(typ types.Type, sels []string) bool
+	chain = func(typ types.Type, sels []string) bool {
+		var pkg *types.Package
+		if n, ok := elemType(typ).(*types.Named); ok {
+			pkg = n.Obj().Pkg()
+		}
+		obj, _, _ := types.LookupFieldOrMethod(typ, true, pkg, sels[0])
+		if obj == nil || len(sels) == 1 {
+			return obj != nil
+		}
+		v, ok := obj.(*types.Var)
+		return ok && chain(elemType(v.Type()), sels[1:])
+	}
+	// resolves reports whether name is the module's to check, and if so
+	// whether it names live code.
+	resolves := func(parts []string) (checked, live bool) {
+		if pkg, ok := pkgs[parts[0]]; ok {
+			obj := pkg.Scope().Lookup(parts[1])
+			if len(parts) == 3 {
+				return true, obj != nil && chain(obj.Type(), parts[2:])
+			}
+			if obj != nil || tests[parts[1]] {
+				return true, true
+			}
+			for _, name := range pkg.Scope().Names() {
+				if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && chain(tn.Type(), parts[1:]) {
+					return true, true
+				}
+			}
+			return true, false
+		}
+		cands, ok := named[parts[0]]
+		if !ok {
+			return false, false
+		}
+		for _, typ := range cands {
+			if chain(typ, parts[1:]) {
+				return true, true
+			}
+		}
+		return true, false
+	}
+
+	mentioned := map[string]bool{}
+	for _, doc := range docFiles {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range backticked.FindAllStringSubmatch(string(src), -1) {
+			if !goShaped.MatchString(m[1]) {
+				continue
+			}
+			name := strings.TrimSuffix(m[1], "()")
+			parts := strings.Split(name, ".")
+			if fileExt[parts[len(parts)-1]] || slices.ContainsFunc(parts[1:], keyPart.MatchString) {
+				continue
+			}
+			checked, live := resolves(parts)
+			if !checked {
+				continue
+			}
+			mentioned[name] = true
+			if _, allowed := docsAllowed[name]; live && allowed {
+				t.Errorf("stale allow-list entry %s: it names live code now; delete the entry", name)
+			} else if !live && !allowed {
+				t.Errorf("%s names `%s`, which the module does not have: mend the text, or list it in docsAllowed with the reason it stays", doc, m[1])
+			}
+		}
+	}
+	for name := range docsAllowed {
+		if !mentioned[name] {
+			t.Errorf("stale allow-list entry %s: no doc names it; delete the entry", name)
 		}
 	}
 }

@@ -24,6 +24,8 @@ type UDPConn struct {
 	cap   *netio.Capability
 	ch    *netio.Channel
 	local udp.Endpoint
+	// bell is what Recv sleeps on; BindUDP attaches the channel to it.
+	bell netio.Doorbell
 
 	// peers maps resolved addresses from the binding phase.
 	peers map[ipv4.Addr]link.Addr
@@ -45,13 +47,16 @@ func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	if ho.Err != nil {
 		return nil, ho.Err
 	}
-	return &UDPConn{
+	u := &UDPConn{
 		lib:   l,
 		cap:   ho.Cap,
 		ch:    ho.Channel,
 		local: udp.Endpoint{IP: l.nif.IP, Port: port},
 		peers: make(map[ipv4.Addr]link.Addr),
-	}, nil
+	}
+	u.bell.Init(l.host)
+	u.ch.Attach(&u.bell, u)
+	return u, nil
 }
 
 // Resolve performs the address-binding phase for a peer. Subsequent
@@ -135,11 +140,17 @@ func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) erro
 	return err
 }
 
-// Recv blocks for the next datagram.
+// Recv blocks for the next datagram. It drains the channel until a drain
+// comes back empty, which settles the liens on the last batch, and only then
+// sleeps on the doorbell.
 func (u *UDPConn) Recv(t *kern.Thread) udp.Datagram {
 	c := t.Cost()
 	for len(u.queue) == 0 {
-		batch := u.ch.Wait(t)
+		batch := u.ch.TryRecv()
+		if len(batch) == 0 {
+			u.bell.Wait(t)
+			continue
+		}
 		for _, b := range batch {
 			if d, ok := u.parse(b); ok {
 				t.Compute(c.UDPPacket + c.Checksum(len(d.Payload)))

@@ -58,6 +58,9 @@ func Table1(model *costs.Model) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
+	var bell netio.Doorbell
+	bell.Init(n2.Host)
+	ch.Attach(&bell, nil)
 
 	// Sender-side capability.
 	n1 := w.Node(0)
@@ -86,7 +89,11 @@ func Table1(model *costs.Model) (Table1Result, error) {
 	})
 	app2.Go("rx", func(t *kern.Thread) {
 		for received < packets {
-			batch := ch.Wait(t)
+			batch := ch.TryRecv()
+			if len(batch) == 0 {
+				bell.Wait(t)
+				continue
+			}
 			for _, b := range batch {
 				if received == 0 {
 					firstByte = time.Duration(t.Now())

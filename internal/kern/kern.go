@@ -256,8 +256,8 @@ func NewSem(h *Host, name string, initial int) *Sem {
 	return m
 }
 
-// Init makes m a fresh semaphore in place, for one embedded in a record that
-// is reused. m must be Quiet.
+// Init makes m a fresh semaphore in place, for one embedded in another
+// record. No thread may be blocked in P and no wakeup on its way.
 func (m *Sem) Init(h *Host, name string, initial int) {
 	m.host, m.posting = h, 0
 	m.sem.Init(h.S, name, initial)
@@ -294,16 +294,8 @@ func semPost(a any) {
 	m.sem.V()
 }
 
-// Quiet reports that nothing will touch the semaphore unless somebody calls
-// it: no thread is blocked in P and no wakeup is on its way. Only then may
-// the record it is embedded in be reused.
-func (m *Sem) Quiet() bool { return m.posting == 0 && m.sem.Waiters() == 0 }
-
 // P blocks the thread until the semaphore is posted.
 func (m *Sem) P(t *Thread) { m.sem.P(t.Proc) }
-
-// TryP consumes a pending post without blocking.
-func (m *Sem) TryP() bool { return m.sem.TryP() }
 
 // Region is a memory region shared between domains (e.g. the packet buffer
 // area the network I/O module shares with a protocol library). The region

@@ -101,7 +101,14 @@ func TestSemNoWaiterCheapSignal(t *testing.T) {
 	if h.CPU.Busy() != costs.Default().SemSignal {
 		t.Fatalf("cpu busy = %v, want SemSignal only", h.CPU.Busy())
 	}
-	if !sem.TryP() {
+	// The post was kept: a later P passes without blocking.
+	passed := false
+	h.NewDomain("app", false).Spawn("late", func(th *Thread) {
+		sem.P(th)
+		passed = true
+	})
+	s.Run(0)
+	if !passed {
 		t.Fatal("post was lost")
 	}
 	if got := describe(h); got["wakeups"] != 0 || got["signals"] != 1 {

@@ -34,7 +34,7 @@ func TestZeroCopyDeliversByReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []*pkt.Buf
-		w.app2.Spawn("reader", func(th *kern.Thread) { got = ch.Wait(th) })
+		w.app2.Spawn("reader", func(th *kern.Thread) { got = wait(th, ch) })
 		w.app1.Spawn("sender", func(th *kern.Thread) {
 			b := buildTCPFrame(w, hdrLen, 1025, 80, []byte("by-reference payload"))
 			if an1 {
@@ -89,7 +89,7 @@ func TestZeroCopyLienSettlesAtNextDrain(t *testing.T) {
 		}
 	})
 	w.app2.SpawnAfter(50_000_000, "reader", func(th *kern.Thread) {
-		batch := ch.Wait(th)
+		batch := wait(th, ch)
 		for _, b := range batch {
 			b.Release() // consumer's reference; the lien remains
 		}
@@ -137,7 +137,7 @@ func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 	// three arrive after the lease expired (no renewal).
 	var held []*pkt.Buf
 	burst(0, 2)
-	w.app2.SpawnAfter(2*time.Millisecond, "reader", func(th *kern.Thread) { held = ch.Wait(th) })
+	w.app2.SpawnAfter(2*time.Millisecond, "reader", func(th *kern.Thread) { held = wait(th, ch) })
 	burst(5*time.Millisecond, 3)
 	w.s.Run(9 * time.Millisecond)
 	if len(held) != 2 || ch.Pending() != 3 {
@@ -193,7 +193,7 @@ func TestZeroCopyQuarantineSweepsAndPoisons(t *testing.T) {
 		w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("secret")))
 	})
 	w.app2.SpawnAfter(2_000_000, "reader", func(th *kern.Thread) {
-		held = ch.Wait(th) // tenant keeps the references past its lease
+		held = wait(th, ch) // tenant keeps the references past its lease
 	})
 	// A frame arriving after expiry triggers the quarantine sweep.
 	w.app1.SpawnAfter(50_000_000, "late", func(th *kern.Thread) {
@@ -238,7 +238,7 @@ func TestZeroCopyDestroySweepsInflight(t *testing.T) {
 		}
 	})
 	w.app2.SpawnAfter(10_000_000, "reader", func(th *kern.Thread) {
-		held = ch.Wait(th)
+		held = wait(th, ch)
 		// The app "crashes" here: its own references go through the usual
 		// kill-path deferred release, but it never drains again — so the
 		// channel's liens on this batch can only be reclaimed by the

@@ -3,11 +3,11 @@ package netio
 import "ulp/internal/kern"
 
 // Doorbell is what a channel's consumer sleeps on: a lightweight semaphore
-// and the FIFO of channels that have rung it and not been drained since. A
-// channel rings the doorbell in its own record until Attach moves it onto
-// another, so one thread can serve many channels, and frames arriving on
-// several of them while it is awake or being woken cost it no further
-// wakeup ("multiple network packets per semaphore notification", across
+// and the FIFO of channels that have rung it and not been drained since.
+// Each consumer owns one and Attach moves the channels it serves onto it,
+// so one thread can serve many channels, and frames arriving on several of
+// them while it is awake or being woken cost it no further wakeup
+// ("multiple network packets per semaphore notification", across
 // connections). The list is intrusive: ringing allocates nothing.
 type Doorbell struct {
 	sem        kern.Sem
@@ -41,11 +41,11 @@ func (d *Doorbell) Next() *Channel {
 func (d *Doorbell) Poke() { d.sem.V() }
 
 // ring queues ch and posts the semaphore. A channel already on the list
-// posts as its own semaphore always did. One that joins a list other
-// channels are on needs no wakeup: the post that queued the first of them
-// found the consumer running or is on its way to wake it, and the consumer
-// drains the whole list before it sleeps again. So a doorbell only one
-// channel rings charges exactly what that channel's own semaphore would.
+// posts again. One that joins a list other channels are on needs no wakeup:
+// the post that queued the first of them found the consumer running or is on
+// its way to wake it, and the consumer drains the whole list before it
+// sleeps again. So a doorbell only one channel rings charges exactly what a
+// semaphore of that channel's own would.
 func (d *Doorbell) ring(ch *Channel) {
 	switch {
 	case ch.ready:
@@ -91,9 +91,10 @@ func (d *Doorbell) unlink(ch *Channel) {
 
 // Attach moves ch onto doorbell d, to be served by d's consumer, and makes
 // owner what Owner returns, so the consumer goes from the doorbell to its
-// connection with no lookup. A channel that has rung its own doorbell and
-// not been drained takes its place on d's list with it: that post was paid,
-// and it is paid again only if d's consumer is asleep and must be woken.
+// connection with no lookup. It is the only way to wait on a channel. A
+// channel that rang before it was attached and has not been drained takes
+// its place on d's list with it: that post was paid, and it is paid again
+// only if d's consumer is asleep and must be woken.
 func (ch *Channel) Attach(d *Doorbell, owner any) {
 	ch.owner = owner
 	if !ch.ready {
@@ -108,6 +109,6 @@ func (ch *Channel) Attach(d *Doorbell, owner any) {
 	}
 }
 
-// Owner returns what Attach made the channel's owner; nil for a channel on
-// its own doorbell.
+// Owner returns what Attach made the channel's owner; nil for a channel no
+// consumer has attached, or one disowned.
 func (ch *Channel) Owner() any { return ch.owner }

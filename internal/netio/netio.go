@@ -18,9 +18,10 @@
 //     revocation can always reclaim what the library still references. The
 //     device decides what that costs the kernel: the LANCE's software path
 //     copies the frame into the region, the AN1 has already DMAed it there.
-//   - The library is notified by a lightweight semaphore — a Doorbell, which
-//     one library thread may share across its channels; notifications are
-//     batched when packets arrive faster than the library drains them.
+//   - The library is notified by a lightweight semaphore — a Doorbell of
+//     the consumer's own, which one library thread shares across the
+//     channels it attached; notifications are batched when packets arrive
+//     faster than the library drains them.
 //
 // Packets matching no binding fall through to a default handler: the
 // protected kernel path used by the registry server (connection setup, ARP)
@@ -157,16 +158,18 @@ func (c *Capability) Chan() *Channel { return c.ch }
 
 // Channel is the shared-memory conduit between the module and one library
 // endpoint: a receive ring in pinned shared memory plus the doorbell it
-// rings.
+// rings. Its consumer waits on a doorbell of its own, onto which Attach
+// moves the channel, and drains it with TryRecv.
 //
 // The modelled region wires slotBytes per ring slot (RegionBytes). The
 // simulator backs only the part of it any code reads or writes — the
 // descriptor ring at its start — since frames stay in pool buffers.
 type Channel struct {
 	Region *kern.Region
-	// bell is the doorbell the channel rings: its record's own until Attach
-	// moves it onto its consumer's. ready marks that it is on bell's list,
-	// between prev and next; owner is what Attach said serves it.
+	// bell is the doorbell the channel rings: the module's unattached one
+	// until Attach moves it onto its consumer's, and again once Disown takes
+	// it off. ready marks that it is on bell's list, between prev and next;
+	// owner is what Attach said serves it.
 	bell       *Doorbell
 	ready      bool
 	prev, next *Channel
@@ -189,7 +192,7 @@ type Channel struct {
 	// posted numbers descriptors written into the shared region's ring.
 	posted uint64
 	// inflight holds the channel's liens: buffers handed out by the last
-	// Wait/TryRecv, retained until the next drain (or a revocation sweep)
+	// TryRecv, retained until the next drain (or a revocation sweep)
 	// so the kernel can always reclaim what a dead or distrusting
 	// application still references.
 	inflight []*pkt.Buf
@@ -210,30 +213,12 @@ type Channel struct {
 	CopiedBytes int64
 }
 
-// Wait blocks the library thread until the channel is notified, then
-// drains and returns the pending batch ("our implementation attempts,
-// where possible, to batch multiple network packets per semaphore
-// notification"). A nil batch means a spurious wakeup; callers re-check
-// their termination condition and wait again. Only a channel on its own
-// doorbell is waited on this way; an attached one is served from its
-// doorbell's list with TryRecv.
-func (ch *Channel) Wait(t *kern.Thread) []*pkt.Buf {
-	// The previous batch's liens settle before blocking, not after: calling
-	// Wait again is the consumer's declaration that it is done with the old
-	// batch, so an idle consumer parked on an empty ring holds no buffer
-	// references at all.
-	ch.settleInflight()
-	if len(ch.rxq) == 0 {
-		ch.bell.sem.P(t)
-	}
-	batch := ch.take()
-	// Consume any extra pending notification so the next Wait blocks.
-	for ch.bell.sem.TryP() {
-	}
-	return batch
-}
-
-// TryRecv drains pending packets without blocking.
+// TryRecv drains and returns the pending batch without blocking ("our
+// implementation attempts, where possible, to batch multiple network packets
+// per semaphore notification"). Calling it is the consumer's declaration
+// that it is done with the batch before, so a consumer that drains until the
+// batch comes back empty before it sleeps holds no buffer references while
+// it does.
 func (ch *Channel) TryRecv() []*pkt.Buf {
 	return ch.take()
 }
@@ -313,15 +298,15 @@ func (ch *Channel) releaseSlot(b *pkt.Buf) {
 func (ch *Channel) Pending() int { return len(ch.rxq) }
 
 // Disown is the consumer's last call on a channel: its promise never to
-// Wait, TryRecv or read the channel again, made by the thread that did so.
-// The channel leaves the doorbell it was attached to and rings its own again,
-// so that frames still arriving before it is destroyed wake nobody. A
+// TryRecv or read the channel again, made by the thread that did so. The
+// channel leaves the doorbell it was attached to for the module's unattached
+// one, so that frames still arriving before it is destroyed wake nobody. A
 // channel disowned before it is destroyed has no user left but the module,
 // which may then give its record to the next endpoint; one that is not — its
 // consumer was killed, or never said — is left to the collector.
 func (ch *Channel) Disown() {
 	ch.bell.unlink(ch)
-	ch.bell, ch.owner = &ch.rec.bell, nil
+	ch.bell, ch.owner = &ch.mod.unattached, nil
 	ch.disowned = true
 }
 
@@ -447,14 +432,13 @@ const (
 )
 
 // chanRec is everything the module allocates for one endpoint but its
-// capability, as one record: the channel, its shared region, its own
-// doorbell, its AN1 ring or software demux entry. DestroyChannel puts a
-// record whose consumer has disowned the channel on Module.free, and
-// createChannel takes the next endpoint's from there.
+// capability, as one record: the channel, its shared region, its AN1 ring or
+// software demux entry. DestroyChannel puts a record whose consumer has
+// disowned the channel on Module.free, and createChannel takes the next
+// endpoint's from there.
 type chanRec struct {
 	ch     Channel
 	region kern.Region
-	bell   Doorbell
 	ring   netdev.Ring
 	bd     binding
 	// rx is the ring's receive handler, bound to the record once.
@@ -557,6 +541,10 @@ type Module struct {
 	caps     map[uint64]*Capability
 	// free holds the records of destroyed channels nobody else can reach.
 	free freelist.List[*chanRec]
+	// unattached is the doorbell a channel rings while no consumer has
+	// attached it or after it was disowned. No thread sleeps on it, so each
+	// post costs a SemSignal and wakes nobody.
+	unattached Doorbell
 
 	// steer is the software demux table: fully specified five-tuple
 	// endpoints, listener endpoints (remote wildcarded) and raw EtherType
@@ -618,6 +606,7 @@ func New(h *kern.Host, dev netdev.Device) *Module {
 		caps:      make(map[uint64]*Capability),
 		steer:     make(map[steerKey]*binding),
 	}
+	m.unattached.Init(h)
 	dev.SetRxHandler(m.rxSoftware)
 	return m
 }
@@ -841,9 +830,8 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 		rec = new(chanRec)
 	}
 	rec.region.Wire(ringSize * descBytes)
-	rec.bell.Init(m.host)
 	ch := &rec.ch
-	ch.rec, ch.Region, ch.bell = rec, &rec.region, &rec.bell
+	ch.rec, ch.Region, ch.bell = rec, &rec.region, &m.unattached
 	ch.cap = ringSize
 	ch.noBatch = m.DisableBatching
 	ch.mod = m
@@ -916,7 +904,7 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 		cap.ch.bd = nil
 	}
 	// Packets still queued in the ring die with the channel: nobody will
-	// ever Wait on it again, so they must be returned to the pool here or
+	// ever drain it again, so they must be returned to the pool here or
 	// they leak (found by the pool leak report under the chaos scenarios).
 	// The liens on the batch last handed out die the same way — a crashed
 	// application's outstanding references must not keep pool storage
@@ -931,13 +919,12 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	}
 	// The record is reused only when the module holds the last reference to
 	// it: the consumer said it is gone, no frame is between arrival and
-	// interrupt in the ring, and nobody sleeps on its own doorbell or is
-	// about to post it; the doorbell it may have been attached to has just
-	// let go of it. Every other destroyed channel — a crashed application's,
-	// whose consumer was killed, a datagram or raw one, whose consumer never
-	// says — is the collector's.
+	// interrupt in the ring, and the doorbell it rang has just let go of it.
+	// Every other destroyed channel — a crashed application's, whose
+	// consumer was killed, a datagram or raw one, whose consumer never says —
+	// is the collector's.
 	cap.ch = nil
-	if ch.disowned && ringIdle && ch.rec.bell.sem.Quiet() {
+	if ch.disowned && ringIdle {
 		m.free.Put(ch.rec)
 	}
 	return nil

@@ -77,6 +77,20 @@ func buildTCPFrame(w *world, hdrLen int, srcPort, dstPort uint16, payload []byte
 	return b
 }
 
+// wait is a lone consumer's receive: it attaches ch to a doorbell of its own,
+// sleeps on it until the channel has frames and returns what it drains.
+func wait(th *kern.Thread, ch *Channel) []*pkt.Buf {
+	var d Doorbell
+	d.Init(ch.mod.host)
+	ch.Attach(&d, nil)
+	for {
+		if batch := ch.TryRecv(); len(batch) > 0 {
+			return batch
+		}
+		d.Wait(th)
+	}
+}
+
 func chanSpecAndTemplate(w *world, hdrLen int) (filter.Spec, Template) {
 	spec := filter.Spec{
 		LinkHdrLen: hdrLen, Proto: ipv4.ProtoTCP,
@@ -114,7 +128,7 @@ func TestSoftwareDemuxDelivers(t *testing.T) {
 
 	var got []*pkt.Buf
 	w.app2.Spawn("reader", func(th *kern.Thread) {
-		got = ch.Wait(th)
+		got = wait(th, ch)
 	})
 	w.app1.Spawn("sender", func(th *kern.Thread) {
 		// Matching packet goes to the channel.
@@ -145,7 +159,7 @@ func TestHardwareDemuxViaBQI(t *testing.T) {
 		t.Fatal("AN1 channel did not allocate a BQI")
 	}
 	var got []*pkt.Buf
-	w.app2.Spawn("reader", func(th *kern.Thread) { got = ch.Wait(th) })
+	w.app2.Spawn("reader", func(th *kern.Thread) { got = wait(th, ch) })
 	w.app1.Spawn("sender", func(th *kern.Thread) {
 		b := buildTCPFrame(w, link.AN1HeaderLen, 1025, 80, []byte("hw"))
 		// The sender writes the peer's BQI into the link header, as
@@ -250,7 +264,7 @@ func TestNotificationBatching(t *testing.T) {
 	// few notifications.
 	var batch []*pkt.Buf
 	w.app2.SpawnAfter(50_000_000, "reader", func(th *kern.Thread) {
-		batch = ch.Wait(th)
+		batch = wait(th, ch)
 	})
 	w.s.Run(0)
 	if len(batch) != burst {

@@ -3,13 +3,12 @@ package netio
 import (
 	"testing"
 
-	"ulp/internal/kern"
 	"ulp/internal/link"
 )
 
 // A destroyed channel's record goes to the next endpoint only when the
 // module provably holds the last reference to it: the consumer disowned the
-// channel, nobody sleeps on its semaphore and no wakeup is on its way. The
+// channel and no frame is in its ring on its way to the module. The
 // capability is never reused, so a stale one stays fenced however often its
 // channel's record has been.
 func TestChannelRecordsAreReused(t *testing.T) {
@@ -44,18 +43,7 @@ func TestChannelRecordsAreReused(t *testing.T) {
 			t.Fatalf("an1=%v: a channel nobody disowned was put up for reuse", an1)
 		}
 
-		// Disowned, but its consumer is asleep on the semaphore (a thread
-		// that was killed would look the same): not reused either.
-		cap2, ch2 := create(81)
-		w.app2.Spawn("sleeper", func(th *kern.Thread) { ch2.Wait(th) })
-		w.s.Run(0)
-		ch2.Disown()
-		destroy(cap2)
-		if w.m2.free.Len() != 0 {
-			t.Fatalf("an1=%v: a channel with a sleeping consumer was put up for reuse", an1)
-		}
-
-		// Disowned and quiet: the next endpoint is made from the record.
+		// Disowned: the next endpoint is made from the record.
 		cap3, ch3 := create(82)
 		ch3.Disown()
 		destroy(cap3)

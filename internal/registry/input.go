@@ -41,13 +41,12 @@ func (r *Server) reframe(h ipv4.Header, data []byte) *pkt.Buf {
 // for transferred connections, and segments for nonexistent endpoints.
 func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	// Registry-owned pcb (handshaking or inherited)?
-	if tc, ok := r.owned.LookupExact(s.Local, s.Peer); ok {
-		hc := r.conns[tc]
-		if hc != nil && s.AdvBQI != 0 {
+	if hc, ok := r.conns[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
+		if s.AdvBQI != 0 {
 			// Learn the peer's data-phase BQI from the link header.
 			hc.peerBQI = s.AdvBQI
 		}
-		r.runConn(t, hc, func() { tc.Input(s.Hdr, s.Data) })
+		r.runConn(t, hc, func() { hc.tc.Input(s.Hdr, s.Data) })
 		return true
 	}
 
@@ -94,12 +93,11 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		tc := &hc.tc
 		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
-		if err := r.owned.Insert(tc); err != nil {
+		if err := r.attach(hc); err != nil {
 			r.release(t, hc, Handoff{Err: err}) // a duplicate tuple: nobody to tell
 			return true
 		}
 		hc.reply = l.accept
-		r.attach(hc)
 		tc.OpenListen()
 		l.pending++
 		r.runConn(t, hc, func() { tc.Input(s.Hdr, s.Data) })

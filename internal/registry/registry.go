@@ -188,8 +188,7 @@ type Server struct {
 	ports     *tcp.PortAlloc
 	udpPorts  *tcp.PortAlloc
 	iss       tcp.Seq
-	owned     *tcp.Table
-	conns     map[*tcp.Conn]*hsConn
+	conns     map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
 	listeners map[uint16]*listener
 	// transferred routes stray default-path segments of handed-off
 	// connections into their channels (e.g. a retransmitted handshake ACK
@@ -305,9 +304,8 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		// Per-host ISS sequence, perturbed per shard so concurrent actives
 		// from different shards start in distinct sequence regions.
 		iss:         tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
-		owned:       tcp.NewTable(),
 		wheel:       stacks.NewTCPWheel(),
-		conns:       make(map[*tcp.Conn]*hsConn),
+		conns:       make(map[tcp.FourTuple]*hsConn),
 		listeners:   make(map[uint16]*listener),
 		transferred: make(map[tcp.FourTuple]*xferConn),
 		udpChannels: make(map[uint16]*udpBinding),
@@ -545,11 +543,10 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 			return
 		}
 	}
-	if err := r.owned.Insert(tc); err != nil {
+	if err := r.attach(hc); err != nil {
 		r.release(t, hc, Handoff{Err: err})
 		return
 	}
-	r.attach(hc)
 	if e, ok := r.reqCache[m.ID]; ok {
 		e.hc = hc // a retry of this id retargets the eventual handoff
 	}
@@ -644,20 +641,25 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 	}
 }
 
-// handleInherit takes a connection back from an exiting application.
+// handleInherit takes a connection back from an exiting application. A
+// closed one needs no shepherding: its port goes back with its channel. One
+// on a tuple the registry already owns a pcb for — the same connection
+// inherited twice — is refused before anything is registered.
 func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 	c := t.Cost()
 	t.Compute(c.StateTransfer)
-	r.reclaim(tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}, req.Cap, true)
+	live := req.Snap.State != tcp.Closed
+	r.reclaim(tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}, req.Cap, live)
+	if !live {
+		return
+	}
 	hc := r.newConn()
 	hc.peerHW, hc.peerBQI = req.PeerHW, req.PeerBQI
 	tc := &hc.tc
 	tcp.RestoreInto(tc, req.Snap, tcp.Callbacks{})
-	r.attach(hc)
-	if tc.State() != tcp.Closed {
-		if err := r.owned.Insert(tc); err != nil {
-			return
-		}
+	if err := r.attach(hc); err != nil {
+		r.free.Put(hc)
+		return
 	}
 	if req.Abort {
 		// "To guard against an abnormal application termination, the
@@ -705,10 +707,15 @@ func (r *Server) newConn() *hsConn {
 }
 
 // attach makes the registry the owner of hc's initialised pcb: on the wheel,
-// in the connection map, with the registry-side callbacks.
-func (r *Server) attach(hc *hsConn) {
+// in the connection map, with the registry-side callbacks. It refuses a pcb
+// whose four-tuple is taken before it registers anything.
+func (r *Server) attach(hc *hsConn) error {
 	tc := &hc.tc
-	r.conns[tc] = hc
+	ft := tc.Tuple()
+	if _, dup := r.conns[ft]; dup {
+		return tcp.ErrTupleInUse
+	}
+	r.conns[ft] = hc
 	r.wheel.Init(&hc.went, tc, nil)
 	if r.bus.Enabled() {
 		tc.SetTrace(r.bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
@@ -717,6 +724,7 @@ func (r *Server) attach(hc *hsConn) {
 		hc.cb = tcp.Callbacks{Send: hc.send, OnEstablished: hc.established, OnClosed: hc.closed}
 	}
 	tc.SetCallbacks(hc.cb)
+	return nil
 }
 
 func (hc *hsConn) send(seg *pkt.Buf, h tcp.Header, _ int) { hc.r.transmit(seg, hc, h) }
@@ -736,7 +744,7 @@ func (hc *hsConn) closed(err error) {
 
 // release ends set-up hc — it failed, was refused, gave up, was abandoned or
 // crashed, or ho hands it off — and gives back each thing it holds, once:
-//   - once attached, its pcb-table and wheel entries and a passive set-up's
+//   - once attached, its conns and wheel entries and a passive set-up's
 //     backlog slot; the record is retired (runEngine frees it when the pass
 //     has unwound, and the bumped gen turns away a thread that waited for the
 //     engine with it in hand);
@@ -751,9 +759,8 @@ func (hc *hsConn) closed(err error) {
 //     about to be reused.
 func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
 	tc := &hc.tc
-	if r.conns[tc] == hc {
-		r.owned.Remove(tc)
-		delete(r.conns, tc)
+	if ft := tc.Tuple(); r.conns[ft] == hc {
+		delete(r.conns, ft)
 		r.wheel.Drop(&hc.went)
 		hc.gen++
 		r.retired = append(r.retired, hc)
@@ -932,15 +939,12 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 			dead = append(dead, hc)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := &dead[i].tc, &dead[j].tc
-		return tcp.FourTuple{Local: a.Local(), Peer: a.Peer()}.Less(tcp.FourTuple{Local: b.Local(), Peer: b.Peer()})
-	})
+	sort.Slice(dead, func(i, j int) bool { return dead[i].tc.Tuple().Less(dead[j].tc.Tuple()) })
 	for _, hc := range dead {
 		// Each abort may wait for the engine, and what held it may have
 		// dropped a later victim, whose record may be on its next connection
 		// already: abort only what is still a set-up of the dead application.
-		if r.conns[&hc.tc] != hc || hc.owner != dom {
+		if r.conns[hc.tc.Tuple()] != hc || hc.owner != dom {
 			continue
 		}
 		r.runConn(t, hc, hc.tc.Abort) // the closed callback releases the set-up
@@ -1139,7 +1143,7 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 
 // OwnedConns returns how many pcbs the registry currently owns
 // (handshaking, inherited, TIME_WAIT).
-func (r *Server) OwnedConns() int { return r.owned.Len() }
+func (r *Server) OwnedConns() int { return len(r.conns) }
 
 // TransferredConns returns how many connections are handed off to
 // libraries and not yet reclaimed.

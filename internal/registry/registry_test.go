@@ -122,8 +122,8 @@ func TestHandshakeAndHandoff(t *testing.T) {
 		t.Fatalf("server handoff state = %v", srvHo.Snap.State)
 	}
 	// Registries no longer own any pcbs.
-	if rg.r0.owned.Len() != 0 || rg.r1.owned.Len() != 0 {
-		t.Fatalf("registries still own pcbs: %d/%d", rg.r0.owned.Len(), rg.r1.owned.Len())
+	if rg.r0.OwnedConns() != 0 || rg.r1.OwnedConns() != 0 {
+		t.Fatalf("registries still own pcbs: %d/%d", rg.r0.OwnedConns(), rg.r1.OwnedConns())
 	}
 }
 
@@ -185,7 +185,7 @@ func TestConnectRefusedWithoutListener(t *testing.T) {
 		t.Fatalf("err = %v, want refused", ho.Err)
 	}
 	// The failed connection's resources are reclaimed.
-	if rg.r1.owned.Len() != 0 {
+	if rg.r1.OwnedConns() != 0 {
 		t.Fatal("failed pcb not reclaimed")
 	}
 }
@@ -211,8 +211,8 @@ func TestInheritAbortSendsRST(t *testing.T) {
 	// RST lands at the server app's connection if adopted; here nobody
 	// adopted it, so it reaches the channel. What we can check centrally:
 	// the aborting registry reclaimed everything.
-	if rg.r1.owned.Len() != 0 {
-		t.Fatalf("aborted pcb retained: %d", rg.r1.owned.Len())
+	if rg.r1.OwnedConns() != 0 {
+		t.Fatalf("aborted pcb retained: %d", rg.r1.OwnedConns())
 	}
 }
 
@@ -236,8 +236,66 @@ func TestInheritOrderlyDrivesTimeWait(t *testing.T) {
 	// the far side never adopted its handoff, so the close cannot complete,
 	// but the registry must be retrying (owning the pcb) rather than
 	// dropping it.
-	if rg.r1.owned.Len() != 1 {
-		t.Fatalf("registry owns %d pcbs, want 1 (inherited)", rg.r1.owned.Len())
+	if rg.r1.OwnedConns() != 1 {
+		t.Fatalf("registry owns %d pcbs, want 1 (inherited)", rg.r1.OwnedConns())
+	}
+}
+
+// An untrusted library may hand the same connection back twice under two
+// request ids. The registry shepherds it once; the second inherit must
+// leave nothing behind, so once the first has closed no pcb, armed wheel
+// timer or port remains.
+func TestInheritTwiceLeaksNothing(t *testing.T) {
+	rg := newRig(false)
+	rg.listenOn(t, 80)
+	ho, got := rg.connectFrom(t, 80, time.Minute)
+	if !got || ho.Err != nil {
+		t.Fatal("setup failed")
+	}
+	done := false
+	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
+		for id := uint64(1); id <= 2; id++ {
+			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: id, Body: InheritReq{
+				Snap: ho.Snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
+			}})
+		}
+		done = true
+	})
+	rg.s.RunUntil(time.Minute, func() bool { return done })
+	rg.s.Run(200 * time.Millisecond)
+	if len(rg.r1.conns) != 1 {
+		t.Fatalf("registry holds %d pcbs while it closes the inherited connection, want 1", len(rg.r1.conns))
+	}
+	rg.s.Run(30 * time.Minute)
+	if len(rg.r1.conns) != 0 || rg.r1.wheel.Armed() != 0 || rg.r1.ports.InUse() != 0 {
+		t.Fatalf("registry left %d pcbs, %d armed wheel timers, %d ports",
+			len(rg.r1.conns), rg.r1.wheel.Armed(), rg.r1.ports.InUse())
+	}
+}
+
+// A connection handed back already closed has nothing left to shepherd:
+// its channel and port are reclaimed at once and no pcb is registered.
+func TestInheritClosedLeaksNothing(t *testing.T) {
+	rg := newRig(false)
+	rg.listenOn(t, 80)
+	ho, got := rg.connectFrom(t, 80, time.Minute)
+	if !got || ho.Err != nil {
+		t.Fatal("setup failed")
+	}
+	snap := ho.Snap
+	snap.State = tcp.Closed
+	done := false
+	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: 1, Body: InheritReq{
+			Snap: snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
+		}})
+		done = true
+	})
+	rg.s.RunUntil(time.Minute, func() bool { return done })
+	rg.s.Run(100 * time.Millisecond)
+	if len(rg.r1.conns) != 0 || len(rg.r1.transferred) != 0 || rg.r1.ports.InUse() != 0 {
+		t.Fatalf("registry left %d pcbs, %d transferred connections, %d ports",
+			len(rg.r1.conns), len(rg.r1.transferred), rg.r1.ports.InUse())
 	}
 }
 

@@ -199,21 +199,6 @@ func TestSemaphoreCountingAndFIFO(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryP(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore("sem", 1)
-	if !sem.TryP() {
-		t.Fatal("TryP should succeed with count 1")
-	}
-	if sem.TryP() {
-		t.Fatal("TryP should fail with count 0")
-	}
-	sem.V()
-	if sem.count != 1 {
-		t.Fatalf("count = %d, want 1", sem.count)
-	}
-}
-
 func TestCondBroadcast(t *testing.T) {
 	s := New()
 	c := s.NewCond()

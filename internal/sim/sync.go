@@ -36,15 +36,6 @@ func (m *Semaphore) P(p *Proc) {
 	p.park()
 }
 
-// TryP decrements without blocking; reports whether it succeeded.
-func (m *Semaphore) TryP() bool {
-	if m.count > 0 {
-		m.count--
-		return true
-	}
-	return false
-}
-
 // V increments the semaphore, waking the longest-waiting live proc if any.
 // Waiters that died (were killed) while blocked are skipped so their lost
 // wakeups do not starve the remaining waiters.

@@ -120,14 +120,13 @@ func NewSingleServer(s *sim.Sim, mod *netio.Module, ip ipv4.Addr) *Monolithic {
 
 // Monolithic is the host-stack core of the two monolithic organizations
 // (NewInKernel, NewSingleServer): one protocol domain per host holding the
-// PCB table, one engine lock (the splnet analogue), one input thread fed
+// pcbs, one engine lock (the splnet analogue), one input thread fed
 // from the interrupt handler, and the TCP timer drivers.
 type Monolithic struct {
 	org   organization
 	host  *kern.Host
 	dom   *kern.Domain
 	nif   *Netif
-	table *tcp.Table
 	ports *tcp.PortAlloc
 	iss   tcp.Seq
 	wheel *TCPWheel
@@ -137,7 +136,7 @@ type Monolithic struct {
 
 	rxq       *sim.Queue[*pkt.Buf]
 	listeners map[uint16]*monoListener
-	conns     map[*tcp.Conn]*monoConn
+	conns     map[tcp.FourTuple]*monoConn
 	udp       *UDPHost
 }
 
@@ -153,12 +152,11 @@ func newMonolithic(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, org organization
 		org:       org,
 		host:      mod.Device().Host(),
 		nif:       NewNetif(s, mod, ip),
-		table:     tcp.NewTable(),
 		ports:     tcp.NewPortAlloc(),
 		iss:       org.issOrigin,
 		wheel:     NewTCPWheel(),
 		listeners: make(map[uint16]*monoListener),
-		conns:     make(map[*tcp.Conn]*monoConn),
+		conns:     make(map[tcp.FourTuple]*monoConn),
 	}
 	m.dom = m.host.NewDomain(org.domain, true)
 	m.lock = s.NewSemaphore(org.name+"-engine", 1)
@@ -208,11 +206,16 @@ func TCPConfig(nif *Netif, opts Options) tcp.Config {
 }
 
 // attach builds the pcb's shell state — the Sock with the organization's
-// cost hooks, the wheel entry, the engine callbacks — and registers it.
+// cost hooks, the wheel entry, the engine callbacks — and registers it,
+// unless its four-tuple is taken: then it registers nothing.
 // accepted, when non-nil, receives the Sock once the handshake completes;
 // nil marks an active open, which owns its local port (a passive pcb
 // shares its listener's reservation and must not release it).
-func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted func(*Sock)) *Sock {
+func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted func(*Sock)) (*Sock, error) {
+	ft := tc.Tuple()
+	if _, dup := m.conns[ft]; dup {
+		return nil, tcp.ErrTupleInUse
+	}
 	sock := NewSock(s, tc)
 	mc := &monoConn{m: m, sock: sock, went: m.wheel.Add(tc, nil)}
 	sock.Entry = m.org.call
@@ -230,8 +233,7 @@ func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted fun
 	}
 	innerClosed := cb.OnClosed
 	cb.OnClosed = func(err error) {
-		m.table.Remove(tc)
-		delete(m.conns, tc)
+		delete(m.conns, ft)
 		m.wheel.Drop(mc.went)
 		if accepted == nil {
 			m.ports.Release(tc.Local().Port)
@@ -242,8 +244,8 @@ func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted fun
 	if bus := m.nif.Mod.Bus; bus != nil {
 		tc.SetTrace(bus, m.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
-	m.conns[tc] = mc
-	return sock
+	m.conns[ft] = mc
+	return sock, nil
 }
 
 // transmit charges protocol costs and pushes a segment down IP and the
@@ -331,8 +333,8 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 	}
 	local := tcp.Endpoint{IP: m.nif.IP, Port: port}
 	tc := tcp.NewConn(TCPConfig(m.nif, opts), local, remote, tcp.Callbacks{})
-	sock := m.attach(t.Sim(), tc, opts, nil)
-	if err := m.table.Insert(tc); err != nil {
+	sock, err := m.attach(t.Sim(), tc, opts, nil)
+	if err != nil {
 		m.ports.Release(local.Port)
 		return nil, err
 	}
@@ -348,11 +350,10 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 // inputTCP is the pipeline's TCP hook: a segment for a pcb runs the engine,
 // a bare SYN for a listener clones one, and anything else is no endpoint's.
 func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
-	if tc, ok := m.table.LookupExact(s.Local, s.Peer); ok {
-		mc := m.conns[tc]
+	if mc, ok := m.conns[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
 		waiting := mc.sock.ReadableWaiters() > 0
 		mc.EnterEngine(t)
-		tc.Input(s.Hdr, s.Data)
+		mc.sock.TC.Input(s.Hdr, s.Data)
 		mc.LeaveEngine(t)
 		if waiting {
 			m.org.readerWakeup(t)
@@ -372,15 +373,15 @@ func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, s Segment) {
 	tc := tcp.NewConn(TCPConfig(m.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 	tc.SetISS(m.nextISS())
-	sock := m.attach(t.Sim(), tc, l.opts, func(sock *Sock) {
+	sock, err := m.attach(t.Sim(), tc, l.opts, func(sock *Sock) {
 		if !l.closed {
 			l.ready.Push(sock)
 		}
 	})
-	tc.OpenListen()
-	if err := m.table.Insert(tc); err != nil {
+	if err != nil {
 		return
 	}
+	tc.OpenListen()
 	sock.enter(t)
 	tc.Input(s.Hdr, s.Data)
 	sock.leave(t)

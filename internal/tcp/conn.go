@@ -340,6 +340,9 @@ func (c *Conn) Stats() Stats { return c.stats }
 func (c *Conn) Local() Endpoint { return c.local }
 func (c *Conn) Peer() Endpoint  { return c.peer }
 
+// Tuple returns the connection's four-tuple.
+func (c *Conn) Tuple() FourTuple { return FourTuple{c.local, c.peer} }
+
 // setState transitions and fires notifications. why classifies the cause of
 // the transition (user call, segment, reset, timer) for the trace stream.
 func (c *Conn) setState(s State, why Trigger) {

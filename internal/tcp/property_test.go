@@ -300,52 +300,6 @@ func TestSnapshotCarriesBufferedData(t *testing.T) {
 	}
 }
 
-func TestTableLookup(t *testing.T) {
-	tb := NewTable()
-	l1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}
-	p1 := Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
-	p2 := Endpoint{IP: ipv4.Addr{10, 0, 0, 3}, Port: 2000}
-	c := NewConn(Config{}, l1, p1, Callbacks{})
-	c2 := NewConn(Config{}, l1, p2, Callbacks{})
-
-	if err := tb.Insert(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Insert(c); err == nil {
-		t.Fatal("duplicate insert allowed")
-	}
-	if err := tb.Insert(NewConn(Config{}, l1, p1, Callbacks{})); err == nil {
-		t.Fatal("second pcb on a taken four-tuple allowed")
-	}
-	if err := tb.Insert(c2); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := tb.LookupExact(l1, p1); !ok || got != c {
-		t.Fatal("exact lookup failed")
-	}
-	if got, ok := tb.LookupExact(l1, p2); !ok || got != c2 {
-		t.Fatal("exact lookup of a second peer on the same local port failed")
-	}
-	if _, ok := tb.LookupExact(l1, Endpoint{IP: p1.IP, Port: 2001}); ok {
-		t.Fatal("lookup matched a different peer port")
-	}
-	if _, ok := tb.LookupExact(Endpoint{IP: l1.IP, Port: 81}, p1); ok {
-		t.Fatal("lookup matched a different local port")
-	}
-	tb.Remove(c)
-	if _, ok := tb.LookupExact(l1, p1); ok {
-		t.Fatal("lookup matched after remove")
-	}
-	if err := tb.Insert(c); err != nil {
-		t.Fatalf("re-insert after remove: %v", err)
-	}
-	tb.Remove(c)
-	tb.Remove(c2)
-	if tb.Len() != 0 {
-		t.Fatalf("table not empty: %d", tb.Len())
-	}
-}
-
 func TestPortAlloc(t *testing.T) {
 	a := NewPortAlloc()
 	if !a.Reserve(80) {

@@ -5,50 +5,19 @@ import (
 	"fmt"
 )
 
-// FourTuple identifies a connection.
+// FourTuple identifies a connection. The monolithic organizations and the
+// registry each index their pcbs by it to demultiplex inbound segments to
+// fully specified connections, and keep their listeners beside it. (In the
+// user-level-library organization this lookup is replaced by the network I/O
+// module's per-endpoint filters and the AN1's BQI, which is the paper's
+// point.)
 type FourTuple struct {
 	Local, Peer Endpoint
 }
 
-// Table is the protocol-control-block lookup structure the monolithic
-// organizations and the registry use to demultiplex inbound segments to
-// fully specified connections; each keeps its own listeners beside it. (In
-// the user-level-library organization this lookup is replaced by the
-// network I/O module's per-endpoint filters and the AN1's BQI, which is the
-// paper's point.)
-type Table struct {
-	conns map[FourTuple]*Conn
-}
-
-// NewTable creates an empty PCB table.
-func NewTable() *Table {
-	return &Table{conns: make(map[FourTuple]*Conn)}
-}
-
-// Insert registers a fully specified connection. It fails if the four-tuple
-// is taken.
-func (t *Table) Insert(c *Conn) error {
-	k := FourTuple{c.Local(), c.Peer()}
-	if _, dup := t.conns[k]; dup {
-		return fmt.Errorf("tcp: connection %v already exists", k)
-	}
-	t.conns[k] = c
-	return nil
-}
-
-// Remove deletes a connection.
-func (t *Table) Remove(c *Conn) {
-	delete(t.conns, FourTuple{c.Local(), c.Peer()})
-}
-
-// LookupExact finds a fully specified connection.
-func (t *Table) LookupExact(local, peer Endpoint) (*Conn, bool) {
-	c, ok := t.conns[FourTuple{local, peer}]
-	return c, ok
-}
-
-// Len returns the number of registered connections.
-func (t *Table) Len() int { return len(t.conns) }
+// ErrTupleInUse reports that a pcb index already holds a connection on the
+// four-tuple.
+var ErrTupleInUse = errors.New("tcp: connection four-tuple already in use")
 
 // Less orders four-tuples (local port, peer port, local IP, peer IP): the
 // total order shells use wherever map iteration would otherwise decide the
