@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ulp/internal/experiments"
-	"ulp/internal/pkt"
 )
 
 // What one more connection set-up may allocate on a warm world, on the
@@ -23,9 +22,6 @@ const (
 // between an 800- and a 400-connection run in one process, which cancels the
 // world build and the warm-up of every free list.
 func TestChurnSetupAllocBudget(t *testing.T) {
-	// The packet pool's trace bus is process-wide: an earlier test's traced
-	// world would have this one's frames recorded, and counted here.
-	pkt.SetTraceBus(nil)
 	run := func(conns int) (bytes, mallocs uint64) {
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -16,7 +16,7 @@ import (
 // wheel timers — allocates nothing once every queue, waiter list and ring on
 // the way has been through one.
 func TestEchoExchangeAllocatesNothing(t *testing.T) {
-	s, libs, ips := twoLibraries()
+	s, libs, ips, _ := twoLibraries()
 	srv, cli := libs[0], libs[1]
 	msg := make([]byte, 512)
 	srv.app.Spawn("srv", func(th *kern.Thread) {

@@ -44,7 +44,6 @@ type Library struct {
 	s    *sim.Sim
 	host *kern.Host
 	app  *kern.Domain
-	reg  *registry.Federation
 	mod  *netio.Module
 	nif  *stacks.Netif
 
@@ -175,7 +174,6 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		s:       s,
 		host:    app.Host,
 		app:     app,
-		reg:     reg,
 		meta:    reg.Meta(),
 		nif:     reg.Netif(),
 		mod:     reg.Netif().Mod,
@@ -535,7 +533,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	r.lock.Init(l.s, "conn-engine", 1)
 	tc := &r.tc
 	tcp.RestoreInto(tc, ho.Snap, tcp.Callbacks{})
-	if bus := l.reg.Bus(); bus.Enabled() {
+	if bus := l.s.Bus; bus.Enabled() {
 		tc.SetTrace(bus, l.app.String()+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
 	sock := &r.sock

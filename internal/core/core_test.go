@@ -19,18 +19,19 @@ import (
 )
 
 // twoLibraries builds a two-host Ethernet world with a registry on each
-// host and one application library linked against each.
-func twoLibraries() (*sim.Sim, [2]*Library, [2]ipv4.Addr) {
-	s := sim.New()
+// host and one application library linked against each; regs are the
+// registries, which the libraries reach only through their ports.
+func twoLibraries() (s *sim.Sim, libs [2]*Library, ips [2]ipv4.Addr, regs [2]*registry.Federation) {
+	s = sim.New()
 	seg := wire.New(s, wire.EthernetConfig())
-	ips := [2]ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}}
-	var libs [2]*Library
+	ips = [2]ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}}
 	for i := range libs {
 		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
 		mod := netio.New(h, netdev.NewLance(h, seg, link.MakeAddr(i+1)))
-		libs[i] = NewLibrary(s, h.NewDomain("app", false), registry.NewFederation(s, mod, ips[i], 1))
+		regs[i] = registry.NewFederation(s, mod, ips[i], 1)
+		libs[i] = NewLibrary(s, h.NewDomain("app", false), regs[i])
 	}
-	return s, libs, ips
+	return s, libs, ips, regs
 }
 
 // reregisterOrder accepts n connections through one listener — they all
@@ -39,7 +40,7 @@ func twoLibraries() (*sim.Sim, [2]*Library, [2]ipv4.Addr) {
 // the order reregisterAll issued its claims.
 func reregisterOrder(t *testing.T, n int) []uint16 {
 	t.Helper()
-	s, libs, ips := twoLibraries()
+	s, libs, ips, regs := twoLibraries()
 	srv, cli := libs[0], libs[1]
 	accepted := 0
 	srv.app.Spawn("srv", func(th *kern.Thread) {
@@ -67,7 +68,7 @@ func reregisterOrder(t *testing.T, n int) []uint16 {
 		t.Fatalf("accepted %d of %d connections", accepted, n)
 	}
 
-	srv.reg.CrashShard(0)
+	regs[0].CrashShard(0)
 	reborn := srv.meta.Svc(0)
 	var order []uint16
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {

@@ -30,7 +30,7 @@ func wakeups(h *kern.Host) int64 {
 // every connection once all are up and the exchange has gone quiet.
 func acceptN(t *testing.T, n int, read *int) (srv, cli *Library, srvEnds, cliEnds []*Conn) {
 	t.Helper()
-	s, libs, ips := twoLibraries()
+	s, libs, ips, _ := twoLibraries()
 	srv, cli = libs[0], libs[1]
 	srv.app.Spawn("srv", func(th *kern.Thread) {
 		l, err := srv.Listen(th, 80, stacks.Options{Backlog: n})
@@ -112,7 +112,7 @@ func TestBurstAcrossConnectionsTakesOneWakeup(t *testing.T) {
 func TestOneInputThreadServesSequentialConnections(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	defer pkt.SetLeakTracking(false)
-	s, libs, ips := twoLibraries()
+	s, libs, ips, _ := twoLibraries()
 	cli := libs[1]
 	connect := closers(t, s, libs, tcp.Endpoint{IP: ips[0], Port: 80})
 	base := cli.app.Threads() // the library's own: its fast and slow timer threads

@@ -70,7 +70,7 @@ func readAll(t *testing.T, th *kern.Thread, c stacks.Conn) []byte {
 // connection does, at the price a socket call has, and the unread bytes must
 // still be there.
 func TestKeptHandleAnswersAfterRecordsAreReused(t *testing.T) {
-	s, libs, ips := twoLibraries()
+	s, libs, ips, _ := twoLibraries()
 	cli := libs[1]
 	connect := closers(t, s, libs, tcp.Endpoint{IP: ips[0], Port: 80})
 
@@ -199,7 +199,7 @@ func TestKeptHandleAnswersAfterRecordsAreReused(t *testing.T) {
 // are bytes the application has yet to read — and the next connection is made
 // from it; a connection that failed or was handed back is not reused.
 func TestConnRecordsAreReused(t *testing.T) {
-	s, libs, ips := twoLibraries()
+	s, libs, ips, _ := twoLibraries()
 	cli := libs[1]
 	connect := closers(t, s, libs, tcp.Endpoint{IP: ips[0], Port: 80})
 

@@ -56,10 +56,6 @@ type Device interface {
 	// SetRxHandler installs the interrupt-level receive handler.
 	SetRxHandler(h RxHandler)
 
-	// SetTrace attaches a trace bus; frame drops at the controller emit
-	// FrameDrop events with a reason in Text.
-	SetTrace(bus *trace.Bus)
-
 	// Describe emits the device's frame counters under their stats names.
 	Describe(emit func(string, int64))
 }
@@ -89,7 +85,6 @@ type Lance struct {
 	seg     *wire.Segment
 	addr    link.Addr
 	handler RxHandler
-	bus     *trace.Bus
 	counters
 }
 
@@ -106,7 +101,6 @@ func (d *Lance) Addr() link.Addr          { return d.addr }
 func (d *Lance) HdrLen() int              { return link.EthHeaderLen }
 func (d *Lance) MTU() int                 { return link.EthMTU }
 func (d *Lance) SetRxHandler(h RxHandler) { d.handler = h }
-func (d *Lance) SetTrace(bus *trace.Bus)  { d.bus = bus }
 
 // Describe emits the device's frame counters under their stats names.
 func (d *Lance) Describe(emit func(string, int64)) { d.describe(emit) }
@@ -139,8 +133,8 @@ func (d *Lance) Transmit(t *kern.Thread, b *pkt.Buf) {
 // the installed receive handler.
 func (d *Lance) Deliver(b *pkt.Buf) {
 	if hdr, err := link.PeekEth(b); err != nil || (hdr.Dst != d.addr && !hdr.Dst.IsBroadcast()) {
-		if d.bus.Enabled() {
-			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+		if d.host.S.Bus.Enabled() {
+			d.host.S.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), Text: "addr-filter"})
 		}
 		b.Release() // address filter in the controller
@@ -162,8 +156,8 @@ func lanceRx(a any) {
 		d.handler(b)
 	} else {
 		d.rxDropped++
-		if d.bus.Enabled() {
-			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+		if d.host.S.Bus.Enabled() {
+			d.host.S.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), Text: "no-handler"})
 		}
 		b.Release()
@@ -202,7 +196,6 @@ type AN1 struct {
 	addr  link.Addr
 	mtu   int
 	rings map[uint16]*Ring
-	bus   *trace.Bus
 	counters
 }
 
@@ -226,9 +219,6 @@ func (d *AN1) MTU() int         { return d.mtu }
 
 // Describe emits the device's frame counters under their stats names.
 func (d *AN1) Describe(emit func(string, int64)) { d.describe(emit) }
-
-// SetTrace attaches a trace bus for controller-level drop events.
-func (d *AN1) SetTrace(bus *trace.Bus) { d.bus = bus }
 
 // SetRxHandler installs the handler for the default kernel ring (BQI 0).
 // The kernel copies packets out of the ring in its handler, so the ring
@@ -296,8 +286,8 @@ func (d *AN1) Transmit(t *kern.Thread, b *pkt.Buf) {
 func (d *AN1) Deliver(b *pkt.Buf) {
 	hdr, err := link.PeekAN1(b)
 	if err != nil || (hdr.Dst != d.addr && !hdr.Dst.IsBroadcast()) {
-		if d.bus.Enabled() {
-			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+		if d.host.S.Bus.Enabled() {
+			d.host.S.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), Text: "addr-filter"})
 		}
 		b.Release()
@@ -309,8 +299,8 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 		ring, ok = d.rings[0]
 		if !ok {
 			d.rxDropped++
-			if d.bus.Enabled() {
-				d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+			if d.host.S.Bus.Enabled() {
+				d.host.S.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 					A: int64(b.Len()), Text: "no-ring"})
 			}
 			b.Release()
@@ -323,8 +313,8 @@ func (d *AN1) Deliver(b *pkt.Buf) {
 	if ring.status.InUse >= ring.status.Capacity {
 		ring.status.Dropped++
 		d.rxDropped++
-		if d.bus.Enabled() {
-			d.bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
+		if d.host.S.Bus.Enabled() {
+			d.host.S.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: d.Name(),
 				A: int64(b.Len()), B: int64(hdr.BQI), Text: "ring-overflow"})
 		}
 		b.Release()

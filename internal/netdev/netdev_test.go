@@ -173,7 +173,7 @@ func TestDeviceDropTraceEvents(t *testing.T) {
 			drops = append(drops, e)
 		}
 	})
-	w.d2.SetTrace(bus)
+	w.s.Bus = bus
 	w.d2.SetRxHandler(func(b *pkt.Buf) { t.Error("filtered frame delivered") })
 	w.h1.NewDomain("app", false).Spawn("tx", func(th *kern.Thread) {
 		f := ethFrame(link.MakeAddr(1), link.MakeAddr(9), make([]byte, 64))

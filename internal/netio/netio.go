@@ -277,8 +277,8 @@ func (ch *Channel) sweepInflight(poison bool, reason string) {
 	}
 	clear(ch.inflight)
 	ch.inflight = ch.inflight[:0]
-	if ch.mod.Bus.Enabled() {
-		ch.mod.Bus.Emit(trace.Event{Kind: trace.ChanSweep, Node: ch.mod.dev.Name(),
+	if ch.mod.host.S.Bus.Enabled() {
+		ch.mod.host.S.Bus.Emit(trace.Event{Kind: trace.ChanSweep, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(n), Text: reason})
 	}
 }
@@ -332,7 +332,7 @@ func (ch *Channel) BQI() uint16 { return ch.bqi }
 // the channel and the module, and the first drop of an episode posts an
 // extra notification so a slow consumer is prodded to drain the ring.
 func (ch *Channel) deliver(b *pkt.Buf) {
-	bus := ch.mod.Bus
+	bus := ch.mod.host.S.Bus
 	if ch.mod.quarantined(ch.id) {
 		// The lease on this endpoint ran out: the control plane that
 		// vouched for it is dead. Deliver nothing until a reborn registry
@@ -386,7 +386,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 	}
 	ch.postDescriptor(b)
 	if len(ch.rxq) == 1 || ch.noBatch {
-		ch.notify(bus)
+		ch.notify()
 	}
 }
 
@@ -404,10 +404,10 @@ func (ch *Channel) dropQueued(slots bool) {
 }
 
 // notify rings the channel's doorbell and accounts the notification.
-func (ch *Channel) notify(bus *trace.Bus) {
+func (ch *Channel) notify() {
 	ch.Notifications++
 	ch.mod.notificationsTotal++
-	if bus.Enabled() {
+	if bus := ch.mod.host.S.Bus; bus.Enabled() {
 		bus.Emit(trace.Event{Kind: trace.ChanNotify, Node: ch.mod.dev.Name(),
 			A: int64(ch.id), B: int64(len(ch.rxq))})
 	}
@@ -589,9 +589,6 @@ type Module struct {
 	copiedBytes int64
 	// ringHighWater is the deepest any channel's receive ring ever got.
 	ringHighWater int
-
-	// Bus, when set, receives demux/channel/capability events. Nil-safe.
-	Bus *trace.Bus
 }
 
 // New creates the module for a device and installs its receive path. For
@@ -635,8 +632,8 @@ func (m *Module) rxSoftware(b *pkt.Buf) {
 		}
 	}
 	m.demuxDefault++
-	if m.Bus.Enabled() {
-		m.Bus.Emit(trace.Event{Kind: trace.DemuxMiss, Node: m.dev.Name(), B: int64(b.Len())})
+	if m.host.S.Bus.Enabled() {
+		m.host.S.Bus.Emit(trace.Event{Kind: trace.DemuxMiss, Node: m.dev.Name(), B: int64(b.Len())})
 	}
 	if m.defaultRx != nil {
 		m.defaultRx(b)
@@ -673,8 +670,8 @@ func (m *Module) steerLookup(frame []byte) *binding {
 // that depends on the device: the AN1's hardware rings deliver with none.
 func (m *Module) deliverMatched(bd *binding, b *pkt.Buf) {
 	m.demuxMatched++
-	if m.Bus.Enabled() {
-		m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
+	if m.host.S.Bus.Enabled() {
+		m.host.S.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
 			A: int64(bd.ch.id), B: int64(b.Len())})
 	}
 	m.copiedBytes += int64(b.Len())
@@ -859,8 +856,8 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 		if rec.rx == nil {
 			rec.rx = func(b *pkt.Buf) {
 				m.demuxMatched++
-				if m.Bus.Enabled() {
-					m.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
+				if m.host.S.Bus.Enabled() {
+					m.host.S.Bus.Emit(trace.Event{Kind: trace.DemuxHit, Node: m.dev.Name(),
 						A: int64(ch.id), B: int64(b.Len())})
 				}
 				ch.deliver(b)
@@ -914,8 +911,8 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	ch.dropQueued(false)
 	ch.sweepInflight(false, "destroy")
 	m.unpin(ch)
-	if m.Bus.Enabled() {
-		m.Bus.Emit(trace.Event{Kind: trace.CapRevoked, Node: m.dev.Name(), A: int64(cap.id)})
+	if m.host.S.Bus.Enabled() {
+		m.host.S.Bus.Emit(trace.Event{Kind: trace.CapRevoked, Node: m.dev.Name(), A: int64(cap.id)})
 	}
 	// The record is reused only when the module holds the last reference to
 	// it: the consumer said it is gone, no frame is between arrival and
@@ -1152,20 +1149,20 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 	t.FastTrap()
 	if cap == nil || m.caps[cap.id] != cap {
 		m.sendRejected++
-		if m.Bus.Enabled() {
+		if m.host.S.Bus.Enabled() {
 			var id int64
 			if cap != nil {
 				id = int64(cap.id)
 			}
-			m.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
+			m.host.S.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
 				A: id, Text: "bad-capability"})
 		}
 		return ErrBadCapability
 	}
 	if m.quarantined(cap.id) {
 		m.sendRejected++
-		if m.Bus.Enabled() {
-			m.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
+		if m.host.S.Bus.Enabled() {
+			m.host.S.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
 				A: int64(cap.id), Text: "lease-expired"})
 		}
 		return ErrLeaseExpired
@@ -1173,8 +1170,8 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 	t.Compute(c.TemplateCheck)
 	if !cap.template.Verify(frame.Bytes(), m.dev.HdrLen()) {
 		m.sendRejected++
-		if m.Bus.Enabled() {
-			m.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
+		if m.host.S.Bus.Enabled() {
+			m.host.S.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
 				A: int64(cap.id), Text: "template-mismatch"})
 		}
 		return ErrTemplateMismatch

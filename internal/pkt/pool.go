@@ -1,20 +1,6 @@
 package pkt
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"ulp/internal/trace"
-)
-
-// poolBus, when set, receives PoolGet/PoolPut events. Process-global like
-// the pool itself; the last world to enable tracing wins. Atomic so that a
-// world enabling tracing on one goroutine is race-free with engine procs.
-var poolBus atomic.Pointer[trace.Bus]
-
-// SetTraceBus attaches (or, with nil, detaches) the trace bus that
-// receives pool get/put events.
-func SetTraceBus(b *trace.Bus) { poolBus.Store(b) }
+import "sync"
 
 // The allocator keeps per-size-class free lists of buffer storage and of Buf
 // structs, so the steady-state packet path performs no heap allocation: a
@@ -128,9 +114,6 @@ func getBuf(size int) *Buf {
 	}
 	*b = Buf{data: data[:size], cls: cls}
 	leakTrackGet(b)
-	if bus := poolBus.Load(); bus.Enabled() {
-		bus.Emit(trace.Event{Kind: trace.PoolGet, A: int64(size)})
-	}
 	return b
 }
 
@@ -160,7 +143,6 @@ func (b *Buf) Release() {
 	}
 	b.released = true
 	data, cls := b.data, b.cls
-	size := len(data)
 	b.data = nil
 	leakTrackPut(b)
 	pool.mu.Lock()
@@ -170,9 +152,6 @@ func (b *Buf) Release() {
 	}
 	pool.bufs = append(pool.bufs, b)
 	pool.mu.Unlock()
-	if bus := poolBus.Load(); bus.Enabled() {
-		bus.Emit(trace.Event{Kind: trace.PoolPut, A: int64(size)})
-	}
 }
 
 // zero clears p (the compiler lowers this loop to memclr).

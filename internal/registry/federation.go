@@ -47,10 +47,9 @@ type Federation struct {
 	cpus   []*sim.Resource // per-shard pinned CPU; nil = the host CPU
 	slices [][2]uint16     // per-shard ephemeral [lo,hi)
 
-	// faults is the control-plane fault injector and bus the trace bus every
-	// incarnation of every shard starts with; nil injects and records nothing.
+	// faults is the control-plane fault injector every incarnation of every
+	// shard starts with; nil injects nothing.
 	faults *chaos.Injector
-	bus    *trace.Bus
 
 	// Admission: bounded outstanding setups per application domain across
 	// all shards. Serialized by the simulation scheduler, like everything
@@ -291,8 +290,8 @@ func (f *Federation) CrashShard(i int) {
 		}
 		b.Release()
 	}
-	if sh.bus.Enabled() {
-		sh.bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: sh.host.Name,
+	if sh.host.S.Bus.Enabled() {
+		sh.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: sh.host.Name,
 			Text: "shard-crash", A: int64(i)})
 	}
 }
@@ -378,19 +377,6 @@ func (f *Federation) Outstanding(owner *kern.Domain) int {
 	}
 	return n
 }
-
-// SetTrace attaches the trace bus to every shard. Connections created
-// afterwards inherit it; the libraries query it via Bus when adopting
-// handed-off engines.
-func (f *Federation) SetTrace(b *trace.Bus) {
-	f.bus = b
-	for _, sh := range f.shards {
-		sh.bus = b
-	}
-}
-
-// Bus returns the attached trace bus (nil when tracing is off).
-func (f *Federation) Bus() *trace.Bus { return f.bus }
 
 // SetControlFaults installs a chaos injector for control-plane faults
 // (dropped or delayed service requests) on every shard. A nil injector is

@@ -73,8 +73,8 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 			// legitimate client's retransmission retries once a slot
 			// frees; the flood's segments die here.
 			r.synDrops++
-			if r.bus.Enabled() {
-				r.bus.Emit(trace.Event{Kind: trace.ListenDrop, Node: r.host.Name,
+			if r.host.S.Bus.Enabled() {
+				r.host.S.Bus.Emit(trace.Event{Kind: trace.ListenDrop, Node: r.host.Name,
 					A: int64(s.Local.Port), B: int64(l.pending)})
 			}
 			return true

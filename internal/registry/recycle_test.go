@@ -26,8 +26,7 @@ func tracedFedRig(t *testing.T, shards int) (*fedRig, *conform.Checker) {
 	bus := trace.NewBus(func() time.Duration { return time.Duration(rg.s.Now()) })
 	ck := conform.New()
 	ck.Attach(bus)
-	rg.r0.fed.SetTrace(bus)
-	rg.fed.SetTrace(bus)
+	rg.s.Bus = bus
 	return rg, ck
 }
 

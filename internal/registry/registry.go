@@ -245,10 +245,6 @@ type Server struct {
 	free    freelist.List[*hsConn]
 	retired []*hsConn
 
-	// bus receives RegistryRPC events and is handed to every TCP engine
-	// the server creates. Nil-safe.
-	bus *trace.Bus
-
 	// fed is the federation this server is shard shardIdx of: it owns a
 	// static slice of the port space, shares the Netif with its sibling
 	// shards and renews only the leases it issued.
@@ -278,10 +274,6 @@ const (
 	// is three heartbeats so one delayed beat never quarantines anything.
 	LeaseTTL       = 3 * time.Second
 	LeaseHeartbeat = 1 * time.Second
-
-	// DefaultBacklog bounds concurrent handshakes per listener when the
-	// application does not set Options.Backlog.
-	DefaultBacklog = 16
 
 	// dedupCap bounds the request-ID cache (FIFO eviction).
 	dedupCap = 512
@@ -313,7 +305,6 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		reqCache:    make(map[uint64]*pendingReq),
 		epoch:       1,
 		faults:      f.faults,
-		bus:         f.bus,
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
@@ -374,8 +365,8 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 		// Internal crash notifications bypass fault injection: reclamation
 		// must run even (especially) when the control plane is misbehaving.
 		if cr, ok := m.Body.(crashReq); ok {
-			if r.bus.Enabled() {
-				r.bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
+			if r.host.S.Bus.Enabled() {
+				r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
 					Conn: cr.dom.String(), Text: "crash-sweep"})
 			}
 			r.handleCrash(t, cr.dom)
@@ -397,8 +388,8 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 // dispatch runs one control-plane request through fault injection, the
 // request-ID dedup cache, and the handler switch.
 func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
-	if r.bus.Enabled() {
-		r.bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
+	if r.host.S.Bus.Enabled() {
+		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
 	}
 	if r.faults.DropRequest() {
 		return // the library's RPC never gets a reply
@@ -414,8 +405,8 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if m.ID != 0 {
 		if e, ok := r.reqCache[m.ID]; ok {
 			r.dedupHits++
-			if r.bus.Enabled() {
-				r.bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
+			if r.host.S.Bus.Enabled() {
+				r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
 					Text: m.Op + "-dup"})
 			}
 			if e.done {
@@ -564,7 +555,7 @@ func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 	}
 	bl := req.Opts.Backlog
 	if bl <= 0 {
-		bl = DefaultBacklog
+		bl = stacks.DefaultBacklog
 	}
 	r.listeners[req.Port] = &listener{port: req.Port, opts: req.Opts,
 		accept: req.AcceptPort, owner: req.Owner, backlog: bl}
@@ -717,8 +708,8 @@ func (r *Server) attach(hc *hsConn) error {
 	}
 	r.conns[ft] = hc
 	r.wheel.Init(&hc.went, tc, nil)
-	if r.bus.Enabled() {
-		tc.SetTrace(r.bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
+	if r.host.S.Bus.Enabled() {
+		tc.SetTrace(r.host.S.Bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
 	if hc.cb.Send == nil {
 		hc.cb = tcp.Callbacks{Send: hc.send, OnEstablished: hc.established, OnClosed: hc.closed}
@@ -1090,8 +1081,8 @@ func (r *Server) rebuild(t *kern.Thread) {
 	// Resume renewing before anything can expire further: re-adopted
 	// endpoints leave quarantine immediately.
 	_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
-	if r.bus.Enabled() {
-		r.bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
+	if r.host.S.Bus.Enabled() {
+		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
 			A: int64(r.epoch), B: int64(n)})
 	}
 }

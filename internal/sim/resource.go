@@ -36,18 +36,11 @@ func (r *Resource) Use(p *Proc, d Dur) {
 // UseAsync reserves d of compute from event context (e.g. an interrupt
 // handler) and schedules fn at the completion time. fn may be nil.
 func (r *Resource) UseAsync(d Dur, fn func()) {
-	if d < 0 {
-		d = 0
+	if fn == nil {
+		r.UseAsyncArg(d, nil, nil)
+		return
 	}
-	start := r.s.now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	r.freeAt = start.Add(d)
-	r.busy += d
-	if fn != nil {
-		r.s.At(r.freeAt, fn)
-	}
+	r.UseAsyncArg(d, call, fn)
 }
 
 // UseAsyncArg is UseAsync with an argument-carrying callback: fn is

@@ -40,6 +40,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"ulp/internal/trace"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -59,16 +61,15 @@ func (t Time) Add(d Dur) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Dur { return Dur(t - u) }
 
-// event is one pooled event record. Exactly one of fn, fnArg, or proc is
-// set: fn is a plain callback, fnArg is called with arg (letting hot paths
-// schedule static functions without a closure allocation), and proc resumes
-// a parked proc. gen distinguishes a live record from a recycled one so
-// stale Timers cannot cancel an unrelated event.
+// event is one pooled event record. Exactly one of fn or proc is set: fn is
+// called with arg (letting hot paths schedule static functions without a
+// closure allocation; a plain func() rides in arg behind call), and proc
+// resumes a parked proc. gen distinguishes a live record from a recycled one
+// so stale Timers cannot cancel an unrelated event.
 type event struct {
 	at      Time
 	seq     uint64
-	fn      func()
-	fnArg   func(any)
+	fn      func(any)
 	arg     any
 	proc    *Proc
 	gen     uint32
@@ -117,6 +118,10 @@ type Sim struct {
 	fired     int64
 	cancelled int64
 	maxHeap   int
+
+	// Bus is the world's trace bus: nil until tracing is enabled, read by
+	// every layer that emits events and never by the engine.
+	Bus *trace.Bus
 }
 
 // Counters reports cumulative engine activity: events fired, timers
@@ -161,7 +166,6 @@ func (s *Sim) alloc(at Time) int32 {
 func (s *Sim) release(rec int32) {
 	e := &s.records[rec]
 	e.fn = nil
-	e.fnArg = nil
 	e.arg = nil
 	e.proc = nil
 	e.gen++
@@ -287,13 +291,11 @@ func (s *Sim) checkPast(at Time) {
 }
 
 // At schedules fn to run at absolute virtual time at.
-func (s *Sim) At(at Time, fn func()) Timer {
-	s.checkPast(at)
-	rec := s.alloc(at)
-	e := &s.records[rec]
-	e.fn = fn
-	return Timer{s: s, rec: rec, gen: e.gen}
-}
+func (s *Sim) At(at Time, fn func()) Timer { return s.AtArg(at, call, fn) }
+
+// call runs a plain callback carried as an event argument. A func value is
+// pointer-shaped, so boxing it in arg does not allocate.
+func call(a any) { a.(func())() }
 
 // AtArg schedules fn(arg) at absolute virtual time at. Because fn is
 // typically a static function and arg a pooled object, this path performs no
@@ -302,7 +304,7 @@ func (s *Sim) AtArg(at Time, fn func(any), arg any) Timer {
 	s.checkPast(at)
 	rec := s.alloc(at)
 	e := &s.records[rec]
-	e.fnArg = fn
+	e.fn = fn
 	e.arg = arg
 	return Timer{s: s, rec: rec, gen: e.gen}
 }
@@ -345,16 +347,12 @@ func (s *Sim) fire() *Proc {
 	s.heapRemove(0)
 	e := &s.records[rec]
 	s.now = e.at
-	fn, fnArg, arg, proc := e.fn, e.fnArg, e.arg, e.proc
+	fn, arg, proc := e.fn, e.arg, e.proc
 	s.release(rec)
-	switch {
-	case proc != nil:
+	if proc != nil {
 		return proc
-	case fnArg != nil:
-		fnArg(arg)
-	default:
-		fn()
 	}
+	fn(arg)
 	return nil
 }
 

@@ -16,6 +16,10 @@ import (
 	"ulp/internal/tcp"
 )
 
+// DefaultBacklog bounds concurrent handshakes per listener when the
+// application does not set Options.Backlog, in every organization.
+const DefaultBacklog = 16
+
 // Options carries the per-connection knobs an application may set — the
 // paper's §5 "canned options that determine certain characteristics of a
 // protocol" (the simple form of application-specific specialization).
@@ -34,8 +38,7 @@ type Options struct {
 	NoChecksum bool
 	// Backlog bounds concurrent handshakes held for a listener; a SYN
 	// arriving beyond it is deterministically dropped (the client's
-	// retransmission retries once capacity frees up). 0 = implementation
-	// default.
+	// retransmission retries once capacity frees up). 0 = DefaultBacklog.
 	Backlog int
 	// KeepAliveTicks enables keepalive probing after that many idle slow
 	// ticks (500 ms each); 0 disables. With it, a dead peer or permanent

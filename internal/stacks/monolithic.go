@@ -140,11 +140,13 @@ type Monolithic struct {
 	udp       *UDPHost
 }
 
-// monoConn is one pcb's shell state.
+// monoConn is one pcb's shell state. l is the listener whose backlog a
+// passive pcb's handshake holds, nil once it is established or closed.
 type monoConn struct {
 	m    *Monolithic
 	sock *Sock
 	went *WheelEnt
+	l    *monoListener
 }
 
 func newMonolithic(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, org organization) *Monolithic {
@@ -208,44 +210,59 @@ func TCPConfig(nif *Netif, opts Options) tcp.Config {
 // attach builds the pcb's shell state — the Sock with the organization's
 // cost hooks, the wheel entry, the engine callbacks — and registers it,
 // unless its four-tuple is taken: then it registers nothing.
-// accepted, when non-nil, receives the Sock once the handshake completes;
-// nil marks an active open, which owns its local port (a passive pcb
-// shares its listener's reservation and must not release it).
-func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, accepted func(*Sock)) (*Sock, error) {
+// l, when non-nil, is the listener a passive pcb was cloned from: the
+// handshake holds a slot of its backlog until it completes or the pcb
+// closes, and the Sock is queued for Accept once it completes. nil marks an
+// active open, which owns its local port (a passive pcb shares its
+// listener's reservation and must not release it).
+func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, l *monoListener) (*Sock, error) {
 	ft := tc.Tuple()
 	if _, dup := m.conns[ft]; dup {
 		return nil, tcp.ErrTupleInUse
 	}
 	sock := NewSock(s, tc)
-	mc := &monoConn{m: m, sock: sock, went: m.wheel.Add(tc, nil)}
+	mc := &monoConn{m: m, sock: sock, went: m.wheel.Add(tc, nil), l: l}
 	sock.Entry = m.org.call
 	sock.Eng = mc
 	sock.WriteMove = m.org.writeMove
 	sock.ReadMove = m.org.readMove
 
 	cb := sock.Callbacks(func(seg Seg) { m.transmit(seg, tc, opts) })
-	if accepted != nil {
+	if l != nil {
+		l.pending++
 		inner := cb.OnEstablished
 		cb.OnEstablished = func() {
 			inner()
-			accepted(sock)
+			mc.unhold()
+			if !l.closed {
+				l.ready.Push(sock)
+			}
 		}
 	}
 	innerClosed := cb.OnClosed
 	cb.OnClosed = func(err error) {
 		delete(m.conns, ft)
 		m.wheel.Drop(mc.went)
-		if accepted == nil {
+		if l == nil {
 			m.ports.Release(tc.Local().Port)
 		}
+		mc.unhold()
 		innerClosed(err)
 	}
 	tc.SetCallbacks(cb)
-	if bus := m.nif.Mod.Bus; bus != nil {
+	if bus := s.Bus; bus != nil {
 		tc.SetTrace(bus, m.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
 	m.conns[ft] = mc
 	return sock, nil
+}
+
+// unhold gives back the backlog slot a passive pcb's handshake holds.
+func (mc *monoConn) unhold() {
+	if mc.l != nil {
+		mc.l.pending--
+		mc.l = nil
+	}
 }
 
 // transmit charges protocol costs and pushes a segment down IP and the
@@ -292,22 +309,28 @@ func (m *Monolithic) Listen(t *kern.Thread, port uint16, opts Options) (Listener
 		return nil, ErrPortInUse
 	}
 	l := &monoListener{
-		m:     m,
-		port:  port,
-		opts:  opts,
-		ready: sim.NewQueue[*Sock](t.Sim()),
+		m:       m,
+		port:    port,
+		opts:    opts,
+		backlog: opts.Backlog,
+		ready:   sim.NewQueue[*Sock](t.Sim()),
+	}
+	if l.backlog <= 0 {
+		l.backlog = DefaultBacklog
 	}
 	m.listeners[port] = l
 	return l, nil
 }
 
-// monoListener queues established connections for Accept.
+// monoListener queues established connections for Accept. pending counts
+// the handshakes its backlog holds.
 type monoListener struct {
-	m      *Monolithic
-	port   uint16
-	opts   Options
-	ready  *sim.Queue[*Sock]
-	closed bool
+	m                *Monolithic
+	port             uint16
+	opts             Options
+	backlog, pending int
+	ready            *sim.Queue[*Sock]
+	closed           bool
 }
 
 // Accept implements Listener.
@@ -348,7 +371,9 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 }
 
 // inputTCP is the pipeline's TCP hook: a segment for a pcb runs the engine,
-// a bare SYN for a listener clones one, and anything else is no endpoint's.
+// a bare SYN for a listener clones one unless the listener's backlog is full
+// (then it is dropped, as the registry drops it), and anything else is no
+// endpoint's.
 func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 	if mc, ok := m.conns[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
 		waiting := mc.sock.ReadableWaiters() > 0
@@ -361,7 +386,9 @@ func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 		return true
 	}
 	if l, ok := m.listeners[s.Local.Port]; ok && !l.closed && s.OpensConnection() {
-		m.spawnFromListener(t, l, s)
+		if l.pending < l.backlog {
+			m.spawnFromListener(t, l, s)
+		}
 		return true
 	}
 	return false
@@ -373,11 +400,7 @@ func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, s Segment) {
 	tc := tcp.NewConn(TCPConfig(m.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 	tc.SetISS(m.nextISS())
-	sock, err := m.attach(t.Sim(), tc, l.opts, func(sock *Sock) {
-		if !l.closed {
-			l.ready.Push(sock)
-		}
-	})
+	sock, err := m.attach(t.Sim(), tc, l.opts, l)
 	if err != nil {
 		return
 	}

@@ -7,7 +7,9 @@ import (
 
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
+	"ulp/internal/link"
 	"ulp/internal/netio"
+	"ulp/internal/pkt"
 	"ulp/internal/sim"
 	"ulp/internal/tcp"
 )
@@ -156,5 +158,73 @@ func TestOrganizationsDifferOnlyInCost(t *testing.T) {
 			t.Errorf("host %d: in-kernel CPU %v, single-server %v; the server organization pays IPC on every call",
 				h, ik.cpu[h], ss.cpu[h])
 		}
+	}
+}
+
+// TestSynFloodBoundedByBacklog: a monolithic listener holds at most
+// Options.Backlog handshakes, as the registry does. SYNs beyond it are
+// dropped, and a slot comes back when its handshake gives up or completes.
+// (The monolithic stacks ignored Backlog and cloned a pcb for every SYN.)
+func TestSynFloodBoundedByBacklog(t *testing.T) {
+	for _, org := range organizations {
+		t.Run(org.name, func(t *testing.T) {
+			s, mods, ips := twoHosts(false)
+			srv := org.build(s, mods[0], ips[0])
+			cli := org.build(s, mods[1], ips[1])
+			const backlog, syns = 4, 40
+			accepted := 0
+			srv.Host().NewDomain("app", false).Spawn("srv", func(th *kern.Thread) {
+				l, err := srv.Listen(th, 80, Options{Backlog: backlog})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					l.Accept(th)
+					accepted++
+				}
+			})
+			// SYNs from a source no host answers ARP for, pushed back to
+			// back into the input queue: their handshakes cannot complete.
+			src := ipv4.Addr{10, 0, 0, 99}
+			srv.Host().NewDomain("flood", true).SpawnAfter(time.Millisecond, "push", func(th *kern.Thread) {
+				for i := 0; i < syns; i++ {
+					hdr := tcp.Header{SrcPort: uint16(2000 + i), DstPort: 80,
+						Seq: tcp.Seq(1000 * uint32(i)), Flags: tcp.FlagSYN, Window: 4096}
+					b := pkt.FromBytes(link.EthHeaderLen+ipv4.HeaderLen+tcp.HeaderLen, nil)
+					hdr.Encode(b, src, ips[0])
+					ih := ipv4.Header{TTL: 64, Proto: ipv4.ProtoTCP, Src: src, Dst: ips[0]}
+					ih.Encode(b)
+					lh := link.EthHeader{Dst: link.MakeAddr(1), Src: link.MakeAddr(99), Type: link.TypeIPv4}
+					lh.Encode(b)
+					srv.rxq.Push(b)
+				}
+			})
+			s.Run(100 * time.Millisecond)
+			if got := len(srv.conns); got != backlog {
+				t.Fatalf("%d SYNs left %d pcbs, want the backlog (%d)", syns, got, backlog)
+			}
+
+			// The flood's handshakes give up once their SYN|ACK
+			// retransmissions run out; then more connections than the
+			// backlog holds, one after another, all get through.
+			s.Run(20 * time.Minute)
+			if got := len(srv.conns); got != 0 {
+				t.Fatalf("%d flood pcbs outlived their handshakes", got)
+			}
+			const conns = 2 * backlog
+			cli.Host().NewDomain("app", false).Spawn("cli", func(th *kern.Thread) {
+				for i := 0; i < conns; i++ {
+					if _, err := cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, Options{}); err != nil {
+						t.Errorf("connect %d: %v", i, err)
+						return
+					}
+				}
+			})
+			s.RunUntil(time.Minute, func() bool { return accepted == conns })
+			if accepted != conns {
+				t.Fatalf("accepted %d of %d connections after the flood", accepted, conns)
+			}
+		})
 	}
 }

@@ -1,9 +1,9 @@
 // Package trace is the structured event bus behind the observability layer.
 // It generalizes what cmd/ultrace used to do with an ad-hoc frame callback:
 // every layer of the stack — wire segment, network devices, the in-kernel
-// network I/O module, TCP engines, the registry server, and the packet
-// buffer pool — publishes typed events to a single bus, and consumers
-// (pcap writers, test assertions, decoders) subscribe to the stream.
+// network I/O module, TCP engines and the registry server — publishes typed
+// events to a single bus, and consumers (pcap writers, test assertions,
+// decoders) subscribe to the stream.
 //
 // Two invariants make the bus safe to leave wired in everywhere:
 //
@@ -54,11 +54,6 @@ const (
 	// Registry server events. Text = operation, Conn = requesting domain.
 	RegistryRPC
 
-	// Packet pool events. A = requested size in bytes.
-	PoolGet
-	PoolPut
-	PoolLeak // leak report found outstanding buffers; A = count
-
 	// Crash-recovery events.
 	ListenDrop      // SYN dropped by a full listen backlog; A = listener port, B = pending handshakes
 	ChanQuarantine  // delivery suppressed: capability lease expired; A = capability id
@@ -66,9 +61,11 @@ const (
 
 	// By-reference receive events.
 	ChanSweep // in-flight buffer references reclaimed; A = capability id, B = count, Text = reason
+
+	numKinds // not a kind: one past the last, so every kind has a slot in kindNames
 )
 
-var kindNames = [...]string{
+var kindNames = [numKinds]string{
 	KindInvalid:  "invalid",
 	FrameTx:      "frame-tx",
 	FrameRx:      "frame-rx",
@@ -89,9 +86,6 @@ var kindNames = [...]string{
 	ChanNotify:   "chan-notify",
 	CapRevoked:   "cap-revoked",
 	RegistryRPC:  "registry-rpc",
-	PoolGet:      "pool-get",
-	PoolPut:      "pool-put",
-	PoolLeak:     "pool-leak",
 
 	ListenDrop:      "listen-drop",
 	ChanQuarantine:  "chan-quarantine",

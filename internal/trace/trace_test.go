@@ -53,7 +53,7 @@ func TestEmitStampsAndFansOut(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindInvalid; k <= PoolLeak; k++ {
+	for k := KindInvalid; int(k) < len(kindNames); k++ {
 		if k.String() == "" || k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

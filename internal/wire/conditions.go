@@ -209,15 +209,15 @@ func (cs *condState) apply(g *Segment, f *inflight) (condDropKind, time.Duration
 			bit := r.Intn(b.Len() * 8)
 			b.Bytes()[bit/8] ^= 1 << (bit % 8)
 			b.Meta.Corrupt = true
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameCorrupt, Node: g.cfg.Name,
+			if g.s.Bus.Enabled() {
+				g.s.Bus.Emit(trace.Event{Kind: trace.FrameCorrupt, Node: g.cfg.Name,
 					A: int64(bit / 8), Frame: b.Bytes()})
 			}
 		}
 		if r.Float64() < lc.DupProb {
 			g.stats.Duplicated++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
+			if g.s.Bus.Enabled() {
+				g.s.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
 					A: int64(b.Len()), Frame: b.Bytes()})
 			}
 			d := inflightPool.Get().(*inflight)
@@ -226,8 +226,8 @@ func (cs *condState) apply(g *Segment, f *inflight) (condDropKind, time.Duration
 		}
 		if r.Float64() < lc.ReorderProb {
 			g.stats.Reordered++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameReorder, Node: g.cfg.Name,
+			if g.s.Bus.Enabled() {
+				g.s.Bus.Emit(trace.Event{Kind: trace.FrameReorder, Node: g.cfg.Name,
 					A: int64(b.Len()), B: int64(lc.ReorderDelay), Frame: b.Bytes()})
 			}
 			extra += lc.ReorderDelay

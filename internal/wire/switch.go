@@ -127,8 +127,8 @@ func switchedDeliverCB(a any) {
 	g, st, b := f.g, f.st, f.b
 	f.put()
 	b.Meta.RxDev = g.cfg.Name
-	if g.Bus.Enabled() {
-		g.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
+	if g.s.Bus.Enabled() {
+		g.s.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
 			Conn: st.Addr().String(), A: int64(b.Len()), Frame: b.Bytes()})
 	}
 	st.Deliver(b)

@@ -93,10 +93,6 @@ type Segment struct {
 	// time. Observers must treat the buffer as read-only.
 	TraceFrame func(b *pkt.Buf, at sim.Time)
 
-	// Bus, when set, receives FrameTx/FrameRx/FrameDrop/FrameCorrupt/
-	// FrameDup events. Nil-safe; see the trace package invariants.
-	Bus *trace.Bus
-
 	stats                         Stats
 	framesSwitched, framesFlooded int
 }
@@ -171,8 +167,8 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 	if g.TraceFrame != nil {
 		g.TraceFrame(b, g.s.Now())
 	}
-	if g.Bus.Enabled() {
-		g.Bus.Emit(trace.Event{Kind: trace.FrameTx, Node: g.cfg.Name,
+	if g.s.Bus.Enabled() {
+		g.s.Bus.Emit(trace.Event{Kind: trace.FrameTx, Node: g.cfg.Name,
 			A: int64(b.Len()), Frame: b.Bytes()})
 	}
 	tx := g.TxTime(b.Len())
@@ -219,8 +215,8 @@ func (g *Segment) propagate(f *inflight) {
 		if kind != condKeep {
 			b := f.b
 			g.stats.Dropped++
-			if g.Bus.Enabled() {
-				g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
+			if g.s.Bus.Enabled() {
+				g.s.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
 					A: int64(b.Len()), Text: string(kind), Frame: b.Bytes()})
 			}
 			f.put()
@@ -242,8 +238,8 @@ func (g *Segment) propagate(f *inflight) {
 
 func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 	b.Meta.RxDev = g.cfg.Name
-	if g.Bus.Enabled() {
-		g.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
+	if g.s.Bus.Enabled() {
+		g.s.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
 			Conn: dst.String(), A: int64(b.Len()), Frame: b.Bytes()})
 	}
 	if dst.IsBroadcast() {
@@ -255,8 +251,8 @@ func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
 		return
 	}
 	// Frames to unknown stations vanish, as on a real wire.
-	if g.Bus.Enabled() {
-		g.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
+	if g.s.Bus.Enabled() {
+		g.s.Bus.Emit(trace.Event{Kind: trace.FrameDrop, Node: g.cfg.Name,
 			A: int64(b.Len()), Text: "unknown-dst"})
 	}
 	b.Release()

@@ -321,3 +321,49 @@ func TestCrashSweepRevokesBeforeSilence(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceBusIsPerWorld: a world's trace bus is a pure observer of that
+// world alone. World a is traced; world b, built and run beside it in the
+// same process, is not, and none of b's activity may reach a's subscriber.
+func TestTraceBusIsPerWorld(t *testing.T) {
+	a := NewWorld(Config{Org: OrgUserLib, Net: Ethernet})
+	seen := map[string]int{}
+	a.EnableTrace().Subscribe(func(e trace.Event) { seen[e.Kind.String()]++ })
+
+	b := NewWorld(Config{Org: OrgUserLib, Net: Ethernet})
+	srv, cli := b.Node(0).App("server"), b.Node(1).App("client")
+	got := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		c, err := l.Accept(th)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := make([]byte, 512)
+		for {
+			n, err := c.Read(th, buf)
+			if err != nil || n == 0 {
+				return
+			}
+			got += n
+		}
+	})
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		c, err := cli.Stack.Connect(th, b.Endpoint(0, 80), stacks.Options{})
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		c.Write(th, pattern(512))
+		c.Close(th)
+	})
+	b.RunUntil(time.Minute, func() bool { return got == 512 })
+	if got != 512 {
+		t.Fatalf("world b moved %d of 512 bytes", got)
+	}
+	b.Run(5 * time.Second) // the close handshake
+	if len(seen) != 0 {
+		t.Fatalf("world a's subscriber saw world b's events: %v", seen)
+	}
+}

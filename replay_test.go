@@ -219,7 +219,6 @@ func runReplay(t *testing.T, row replayRow, traced bool) string {
 	var ck *conform.Checker
 	if traced {
 		ck = enableConformance(t, w)
-		defer pkt.SetTraceBus(nil) // the next row's plain run is untraced
 	}
 	sum, frames := sha256.New(), 0
 	w.TraceFrames(func(at time.Duration, b *pkt.Buf) {

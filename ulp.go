@@ -162,8 +162,6 @@ type World struct {
 	nodes []*Node
 	cfg   Config
 
-	bus *trace.Bus
-
 	// Process-global counter baselines captured at construction, so a
 	// world's stats report covers only its own activity even when several
 	// worlds share the process (tests, ulbench sweeps).
@@ -309,33 +307,23 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// EnableTrace attaches a trace bus to every layer of the world — wire,
-// devices, network I/O modules, registries, TCP connections (via the
-// registry attach path) and the packet allocator — and returns it.
-// Timestamps are virtual time. Idempotent; call before running scenarios so
-// connection labels are assigned at setup. Tracing never consumes virtual
-// time, sequence numbers or randomness: a traced run is bit-identical to an
+// EnableTrace creates the world's trace bus, if it has none yet, and returns
+// it. The bus is the Sim's: every layer of the world — wire, devices,
+// network I/O modules, registries, and the TCP connections set up from here
+// on — emits to it, and no other world's events reach it. Timestamps are
+// virtual time. Idempotent; call before running scenarios so connection
+// labels are assigned at setup. Tracing never consumes virtual time,
+// sequence numbers or randomness: a traced run is bit-identical to an
 // untraced one.
 func (w *World) EnableTrace() *trace.Bus {
-	if w.bus != nil {
-		return w.bus
+	if w.Sim.Bus == nil {
+		w.Sim.Bus = trace.NewBus(func() time.Duration { return time.Duration(w.Sim.Now()) })
 	}
-	bus := trace.NewBus(func() time.Duration { return time.Duration(w.Sim.Now()) })
-	w.bus = bus
-	w.Seg.Bus = bus
-	pkt.SetTraceBus(bus)
-	for _, n := range w.nodes {
-		n.Mod.Bus = bus
-		n.Mod.Device().SetTrace(bus)
-		if n.Registry != nil {
-			n.Registry.SetTrace(bus)
-		}
-	}
-	return bus
+	return w.Sim.Bus
 }
 
 // Bus returns the world's trace bus, or nil if EnableTrace was never called.
-func (w *World) Bus() *trace.Bus { return w.bus }
+func (w *World) Bus() *trace.Bus { return w.Sim.Bus }
 
 // EnableConformance attaches an RFC 793 conformance checker to the world's
 // trace bus (enabling tracing first if needed) and returns it. Every TCP
