@@ -10,12 +10,14 @@ import (
 // What one more connection set-up may allocate on a warm world, on the
 // benchmark's churn shape (fast path, four shards). The server closes first,
 // so its library's half of every connection sits in TIME_WAIT for the rest of
-// the run and is the floor; everything else is recycled (DESIGN §5.5). The
-// constants are about a tenth above what the recycling change measured
-// (5 693 bytes, 60 mallocs); its parent measured 10 706 and 152.
+// the run and is the floor: a compact record (DESIGN §5.5), its handle and
+// its channel; everything else is recycled. The constants are about a tenth
+// above what compacting TIME_WAIT measured (3 263 bytes, 28 mallocs); with a
+// full record held through TIME_WAIT it was 4 455 and 35, and before records
+// were recycled 10 706 and 152.
 const (
-	churnSetupBytesBudget   = 6500
-	churnSetupMallocsBudget = 65
+	churnSetupBytesBudget   = 3600
+	churnSetupMallocsBudget = 31
 )
 
 // TestChurnSetupAllocBudget measures the marginal set-up: the difference

@@ -56,16 +56,24 @@ type Library struct {
 	// and requests go to it one IPC each.
 	batchq *sim.Queue[batchItem]
 
-	conns map[*Conn]struct{}
+	// conns holds the connections with a full record, tws those compacted
+	// for TIME_WAIT (DESIGN §5.5); twEnded wakes the writers waiting on a
+	// compacted connection for its end.
+	conns   map[*Conn]struct{}
+	tws     twList
+	twEnded sim.Cond
 	// bell is what the input thread sleeps on: adopt attaches every
 	// connection's channel to it. inputUp marks that the thread was spawned:
 	// with the first connection, so that a library with none has no thread
 	// and one with a single connection keeps the schedule the paper tables
 	// were measured on. closing lists the connections that left the library
 	// (detach) whose channel and input pin the thread has yet to let go of.
+	// serving is the channel the thread is draining, whose connection no
+	// other thread may compact.
 	bell    netio.Doorbell
 	inputUp bool
 	closing []*Conn
+	serving *netio.Channel
 
 	ids ipv4.IDGen
 	// free holds the records of closed connections nobody is inside any more.
@@ -183,6 +191,7 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
 	l.bell.Init(l.host)
+	l.twEnded.Init(s)
 	cost := &l.host.Cost
 	l.entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
 	// Send-side data enters the shared region without a per-byte copy.
@@ -301,13 +310,15 @@ func (l *Library) Name() string { return "userlib" }
 func (l *Library) Host() *kern.Host { return l.host }
 
 // Conn is the handle an application holds on a library-owned connection. It
-// is never reused. The connection's state is in rec, which is (DESIGN §5.5):
-// once the engine has closed and the last thread has left the connection, rec
+// is never reused. The connection's state is in rec, which is recycled
+// (DESIGN §5.5): once the engine has closed, or has entered TIME_WAIT and
+// been compacted into tw, and the last thread has left the connection, rec
 // goes back to the library for its next connection, and the handle answers
-// from final what it would have answered from the closed engine.
+// from final what it would have answered from the engine.
 type Conn struct {
 	lib   *Library
 	rec   *connRec
+	tw    *twRec
 	final *closedConn
 	ch    *netio.Channel
 	done  bool
@@ -322,7 +333,7 @@ type closedConn struct {
 
 // connRec is the reusable part of a connection: the engine with its socket
 // buffers, the blocking wrapper and its condition variables, the engine
-// lock, the wheel entry, and the framing parameters negotiated at setup.
+// lock, the wheel entry, and the route negotiated at setup.
 type connRec struct {
 	c    *Conn // the handle of the connection the record currently is
 	tc   tcp.Conn
@@ -331,12 +342,7 @@ type connRec struct {
 	went stacks.WheelEnt // timing-wheel registration
 	// cbs holds the engine callbacks, bound to the record once.
 	cbs tcp.Callbacks
-
-	cap  *netio.Capability
-	opts stacks.Options
-
-	peerHW  link.Addr
-	peerBQI uint16
+	route
 
 	cur *kern.Thread
 	// pins counts the threads inside the record: every application call
@@ -345,6 +351,57 @@ type connRec struct {
 	// thread to leave a closed connection recycles the record (unpin).
 	pins   int
 	closed bool
+}
+
+// route is what a connection's segments need on their way out: the send
+// capability, the link framing toward the peer, and whether TCP checksums
+// are skipped.
+type route struct {
+	cap        *netio.Capability
+	peerHW     link.Addr
+	peerBQI    uint16
+	noChecksum bool
+}
+
+// twRec is a connection in TIME_WAIT once its full record has gone back to
+// the free list (DESIGN §5.5): TIME_WAIT's rule and state (tcp.TW), its 2MSL
+// timer, where it stood on the wheel, the route its answers take, and what
+// its handle answers from. It owns the connection's channel until the 2MSL
+// ends, and is never reused.
+type twRec struct {
+	c    *Conn
+	tw   tcp.TW
+	went stacks.TimeWaitEnt
+	route
+	final closedConn
+	// busy marks the input thread inside the rule or sending its answer; an
+	// expiry due meanwhile waits for it (expired), as a full record's waits
+	// for the engine lock.
+	busy, expired bool
+	prev, next    *twRec // Library.tws
+}
+
+// twList links a library's compact records.
+type twList struct{ head *twRec }
+
+func (l *twList) push(tr *twRec) {
+	tr.next = l.head
+	if l.head != nil {
+		l.head.prev = tr
+	}
+	l.head = tr
+}
+
+func (l *twList) remove(tr *twRec) {
+	if tr.prev != nil {
+		tr.prev.next = tr.next
+	} else {
+		l.head = tr.next
+	}
+	if tr.next != nil {
+		tr.next.prev = tr.prev
+	}
+	tr.prev, tr.next = nil, nil
 }
 
 // Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and a
@@ -363,16 +420,48 @@ func (r *connRec) Scrub() {
 // the library's tables and off the wheel, so the handle's pointer is the only
 // one left — unless a wheel driver is part-way through firing the entry, or
 // the application has yet to read what the peer sent, in which case the
-// record stays with the handle (a later call's unpin looks again).
+// record stays with the handle (a later call's unpin looks again). If only
+// the input thread's pin is left on a connection in TIME_WAIT, the
+// connection may be compacted, which recycles the record the same way.
 func (c *Conn) unpin(r *connRec) {
 	r.pins--
+	if r.pins == 1 && c.lib.compact(r) {
+		return
+	}
 	if r.pins > 0 || !r.closed || !r.went.Idle() || r.tc.Readable() > 0 {
 		return
 	}
-	_, err := r.sock.Closed()
-	c.final = &closedConn{stats: r.tc.Stats(), err: err, eof: r.tc.EOF()}
+	if c.final == nil {
+		_, err := r.sock.Closed()
+		c.final = &closedConn{stats: r.tc.Stats(), err: err, eof: r.tc.EOF()}
+	}
 	c.rec = nil
 	c.lib.free.Put(r)
+}
+
+// compact replaces r's connection, if it is in TIME_WAIT, with a compact
+// record, and gives r back to the free list through the input thread's pin.
+// It is bookkeeping only — nothing is computed, sent or woken — so it may
+// happen on any thread. It waits, and reports false, while any thread but
+// the input thread is inside r, a wheel fire of r is under way, the
+// application has bytes to read, or the input thread is draining the
+// connection's channel; the input thread tries again when it is done with
+// the channel, and the application's last thread when it leaves (unpin).
+func (l *Library) compact(r *connRec) bool {
+	c := r.c
+	if r.pins != 1 || c.done || r.tc.State() != tcp.TimeWait || r.tc.Readable() > 0 ||
+		!r.went.Idle() || c.ch == l.serving {
+		return false
+	}
+	tr := &twRec{c: c, tw: r.tc.Compact(), route: r.route, final: closedConn{stats: r.tc.Stats(), eof: true}}
+	l.wheel.Compact(&r.went, &tr.went, tr.expire)
+	c.ch.Attach(&l.bell, tr)
+	delete(l.conns, c)
+	l.tws.push(tr)
+	c.tw, c.final = tr, &tr.final
+	r.closed = true
+	c.unpin(r)
+	return true
 }
 
 // Connect implements the stacks.Stack interface: active open via the
@@ -528,8 +617,7 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	}
 	c := &Conn{lib: l, rec: r, ch: ho.Channel}
 	r.c = c
-	r.cap, r.opts = ho.Cap, opts
-	r.peerHW, r.peerBQI = ho.PeerHW, ho.PeerBQI
+	r.route = route{cap: ho.Cap, peerHW: ho.PeerHW, peerBQI: ho.PeerBQI, noChecksum: opts.NoChecksum}
 	r.lock.Init(l.s, "conn-engine", 1)
 	tc := &r.tc
 	tcp.RestoreInto(tc, ho.Snap, tcp.Callbacks{})
@@ -566,28 +654,33 @@ func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options
 	return c
 }
 
-// transmit is the library's data-path output: protocol processing in the
-// calling thread, headers built in the shared region, then the specialized
-// kernel entry with the send capability.
+// transmit is the engine's output (tcp.Callbacks.Send), charged to the
+// thread inside the engine.
 func (r *connRec) transmit(seg stacks.Seg) {
-	t, l := r.cur, r.c.lib
-	if t == nil {
+	if r.cur == nil {
 		panic("core: engine transmit outside EnterEngine/LeaveEngine")
 	}
-	t.Compute(stacks.SegCost(l.host, seg.PayloadLen, r.opts.NoChecksum))
+	r.c.lib.send(r.cur, &r.route, r.tc.Local().IP, r.tc.Peer().IP, seg.Buf, seg.PayloadLen)
+}
+
+// send is the library's data-path output: protocol processing in the
+// calling thread, headers built in the shared region, then the specialized
+// kernel entry with the send capability.
+func (l *Library) send(t *kern.Thread, rt *route, src, dst ipv4.Addr, b *pkt.Buf, payloadLen int) {
+	t.Compute(stacks.SegCost(l.host, payloadLen, rt.noChecksum))
 	ih := ipv4.Header{
 		ID: l.ids.Next(), DF: true, TTL: 64,
-		Proto: ipv4.ProtoTCP, Src: r.tc.Local().IP, Dst: r.tc.Peer().IP,
+		Proto: ipv4.ProtoTCP, Src: src, Dst: dst,
 	}
-	ih.Encode(seg.Buf)
-	l.nif.Frame(seg.Buf, r.peerHW, link.TypeIPv4, r.peerBQI, 0)
+	ih.Encode(b)
+	l.nif.Frame(b, rt.peerHW, link.TypeIPv4, rt.peerBQI, 0)
 	// Template violations cannot happen from this code path; a buggy or
 	// malicious library would be stopped here by the kernel. A lease
 	// rejection is different: it means the control plane died and our
 	// endpoint is quarantined — kick off re-registration with the (to-be-)
 	// reborn registry. The rejected segment is recovered by ordinary TCP
 	// retransmission once the quarantine lifts.
-	if err := l.mod.Send(t, r.cap, seg.Buf); err == netio.ErrLeaseExpired {
+	if err := l.mod.Send(t, rt.cap, b); err == netio.ErrLeaseExpired {
 		l.scheduleReconnect()
 	}
 }
@@ -613,7 +706,7 @@ func (l *Library) reconnectLoop(t *kern.Thread) {
 		if l.reregisterAll(t) {
 			return
 		}
-		if len(l.conns) == 0 {
+		if len(l.conns) == 0 && l.tws.head == nil {
 			return // nothing left to re-adopt
 		}
 	}
@@ -630,15 +723,14 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 		if c.done {
 			continue // closed or failed while an earlier claim waited for its answer
 		}
-		r := c.rec
-		snap := r.tc.Snapshot()
+		snap, rt := c.snapshot()
 		m := kern.Msg{Op: "reregister", ID: l.nextReqID(), Body: registry.ReRegisterReq{
-			Local: r.tc.Local(), Peer: r.tc.Peer(), Cap: r.cap,
-			PeerHW: r.peerHW, PeerBQI: r.peerBQI,
+			Local: snap.Local, Peer: snap.Peer, Cap: rt.cap,
+			PeerHW: rt.peerHW, PeerBQI: rt.peerBQI,
 			SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
 			Owner: l.app,
 		}}
-		reply, ok := l.svcOwner(r.tc.Local(), r.tc.Peer()).CallTimeout(t, m, rpcBaseTimeout)
+		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, m, rpcBaseTimeout)
 		if !ok {
 			return false
 		}
@@ -651,24 +743,38 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 	return true
 }
 
-// sortedConns returns the live connections in four-tuple order, so map
-// iteration cannot perturb the deterministic schedule. The whole tuple is
-// the key: connections accepted through one listener share a local port.
-// A caller that blocks between one connection and the next must skip those
-// that are done by the time it gets to them: they have left Library.conns,
-// and their record and channel may be another connection's.
+// sortedConns returns the live connections, full and compacted, in
+// four-tuple order, so map iteration cannot perturb the deterministic
+// schedule. The whole tuple is the key: connections accepted through one
+// listener share a local port. A caller that blocks between one connection
+// and the next must skip those that are done by the time it gets to them:
+// they have left the library, and their channel may be another connection's.
 func (l *Library) sortedConns() []*Conn {
 	out := make([]*Conn, 0, len(l.conns))
 	for c := range l.conns {
 		out = append(out, c)
 	}
+	for tr := l.tws.head; tr != nil; tr = tr.next {
+		out = append(out, tr.c)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].tuple().Less(out[j].tuple()) })
 	return out
 }
 
-// tuple is for a connection in Library.conns, which has its record.
+// tuple is for a live connection, which has its full or its compact record.
 func (c *Conn) tuple() tcp.FourTuple {
-	return tcp.FourTuple{Local: c.rec.tc.Local(), Peer: c.rec.tc.Peer()}
+	if r := c.rec; r != nil {
+		return r.tc.Tuple()
+	}
+	return tcp.FourTuple{Local: c.tw.tw.Local(), Peer: c.tw.tw.Peer()}
+}
+
+// snapshot is a live connection's transferable state and route.
+func (c *Conn) snapshot() (tcp.Snapshot, *route) {
+	if r := c.rec; r != nil {
+		return r.tc.Snapshot(), &r.route
+	}
+	return c.tw.tw.Snapshot(), &c.tw.route
 }
 
 // fail terminates a connection without driving the engine: the control
@@ -679,21 +785,32 @@ func (c *Conn) fail(err error) {
 		return
 	}
 	c.detach()
-	c.rec.tc.SetCallbacks(tcp.Callbacks{})
-	c.rec.sock.Fail(err)
+	if r := c.rec; r != nil {
+		r.tc.SetCallbacks(tcp.Callbacks{})
+		r.sock.Fail(err)
+		return
+	}
+	c.final.err = err
+	c.lib.twEnded.Broadcast()
 }
 
 // detach takes a connection out of the library, on whichever of the three
-// ways it leaves (fail, teardown, Exit): it is done, it is queued for the
-// input thread to let go of, the doorbell is poked so the thread notices,
-// and it leaves the connection table and the wheel.
+// ways it leaves (fail, teardown or the end of its TIME_WAIT, Exit): it is
+// done, it is queued for the input thread to let go of, the doorbell is
+// poked so the thread notices, and it leaves the connection tables and the
+// wheel.
 func (c *Conn) detach() {
 	l := c.lib
 	c.done = true
 	l.closing = append(l.closing, c)
 	l.bell.Poke()
-	delete(l.conns, c)
-	l.wheel.Drop(&c.rec.went)
+	if r := c.rec; r != nil {
+		delete(l.conns, c)
+		l.wheel.Drop(&r.went)
+		return
+	}
+	l.tws.remove(c.tw)
+	l.wheel.DropTimeWait(&c.tw.went)
 }
 
 // inputThread is the library's upcalled thread: it sleeps on the doorbell
@@ -727,52 +844,109 @@ func (l *Library) inputThread(t *kern.Thread) {
 	for {
 		l.bell.Wait(t)
 		for ch := l.bell.Next(); ch != nil; ch = l.bell.Next() {
-			r := ch.Owner().(*connRec) // pinned for this thread until it lets go below
-			for !r.c.done {
+			// A full record is pinned for this thread until it lets go
+			// below; a compact one is never reused. Neither changes while
+			// the thread serves the channel.
+			ep := ch.Owner().(endpoint)
+			l.serving = ch
+			for !ep.conn().done {
 				batch, next = ch.TryRecv(), 0
 				if len(batch) == 0 {
 					break
 				}
 				for i, b := range batch {
 					next = i + 1
-					r.inputFrame(t, b)
+					ep.inputFrame(t, b)
 				}
-				if r.sock.ReadableWaiters() > 0 {
+				if ep.readableWaiters() > 0 {
 					// Hand off to the blocked application thread.
 					t.Compute(cost.ThreadSwitch)
 				}
 			}
 			batch, next = nil, 0
+			l.serving = nil
+			if r, ok := ep.(*connRec); ok {
+				l.compact(r)
+			}
 		}
 		// This thread is each closed connection's channel's only consumer
 		// and is done with it. A killed thread never gets here: its channels
 		// and records are never reused.
 		for i, c := range l.closing {
 			c.ch.Disown()
-			c.unpin(c.rec)
+			if r := c.rec; r != nil {
+				c.unpin(r)
+			}
 			l.closing[i] = nil
 		}
 		l.closing = l.closing[:0]
 	}
 }
 
-// inputFrame processes one frame from the shared region. The frame dies
-// here on every path — tcp.Conn.Input copies the payload bytes it keeps —
-// so the buffer goes back to the free list when processing completes.
+// endpoint is what owns a library channel: a connection's full record, or
+// its compact TIME_WAIT one.
+type endpoint interface {
+	conn() *Conn
+	// inputFrame processes one frame from the shared region. The frame dies
+	// there on every path — the engine copies the payload bytes it keeps —
+	// so the buffer goes back to the free list when processing completes.
+	inputFrame(t *kern.Thread, b *pkt.Buf)
+	readableWaiters() int
+}
+
+func (r *connRec) conn() *Conn          { return r.c }
+func (r *connRec) readableWaiters() int { return r.sock.ReadableWaiters() }
+func (tr *twRec) conn() *Conn           { return tr.c }
+func (tr *twRec) readableWaiters() int  { return 0 }
+
 func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
-	if et, _, err := r.c.lib.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
-		return
-	}
-	ih, err := ipv4.Decode(b)
-	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != r.tc.Local().IP {
-		return
-	}
-	if th, ok := stacks.DecodeSegment(t, ih, b, r.opts.NoChecksum, 0); ok {
+	if th, ok := r.c.lib.decode(t, b, r.tc.Local().IP, r.noChecksum); ok {
 		r.EnterEngine(t)
 		r.tc.Input(th, b.Bytes())
 		r.LeaveEngine(t)
 	}
+}
+
+// inputFrame runs TIME_WAIT's rule on the segment and sends its answer. A
+// segment for a connection that has left the library is counted and dropped,
+// as a closed engine does.
+func (tr *twRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
+	defer b.Release()
+	l := tr.c.lib
+	th, ok := l.decode(t, b, tr.tw.Local().IP, tr.noChecksum)
+	switch {
+	case !ok:
+		return
+	case tr.c.done:
+		tr.final.stats.SegsRcvd++
+		return
+	}
+	tr.busy = true
+	rep := tr.tw.Input(th, len(b.Bytes()), &tr.final.stats)
+	if rep.Seg != nil {
+		l.send(t, &tr.route, tr.tw.Local().IP, tr.tw.Peer().IP, rep.Seg, 0)
+	}
+	tr.busy = false
+	switch {
+	case rep.Closed:
+		tr.end(tcp.TrigReset, rep.Err)
+	case tr.expired:
+		tr.end(tcp.TrigTimer, nil)
+	}
+}
+
+// decode strips a frame to its TCP segment for the connection whose local
+// address is dst, charging the protocol work (stacks.DecodeSegment).
+func (l *Library) decode(t *kern.Thread, b *pkt.Buf, dst ipv4.Addr, noChecksum bool) (tcp.Header, bool) {
+	if et, _, err := l.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
+		return tcp.Header{}, false
+	}
+	ih, err := ipv4.Decode(b)
+	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != dst {
+		return tcp.Header{}, false
+	}
+	return stacks.DecodeSegment(t, ih, b, noChecksum, 0)
 }
 
 // EnterEngine and LeaveEngine bracket every engine operation
@@ -808,6 +982,33 @@ func (r *connRec) teardown() {
 	r.closed = true
 }
 
+// expire is the end of the 2MSL, run by the wheel's slow driver.
+func (tr *twRec) expire(*kern.Thread) {
+	if tr.busy {
+		tr.expired = true
+		return
+	}
+	tr.end(tcp.TrigTimer, nil)
+}
+
+// end closes a compacted connection, by its 2MSL expiry or a reset, as a
+// full record's engine closes: the transition is traced, blocked writers
+// wake, and the connection leaves the library and is torn down at the
+// registry with the request teardown sends.
+func (tr *twRec) end(why tcp.Trigger, err error) {
+	c, l := tr.c, tr.c.lib
+	tr.tw.Close(why, &tr.final.stats)
+	tr.final.err = stacks.MapError(err)
+	l.twEnded.Broadcast()
+	c.detach()
+	local, peer := tr.tw.Local(), tr.tw.Peer()
+	l.post(nil, l.svcOwner(local, peer), kern.Msg{
+		Op: "teardown", ID: l.nextReqID(),
+		Body: registry.TeardownReq{Local: local, Peer: peer, Cap: tr.cap},
+	})
+	c.tw = nil
+}
+
 // Read implements stacks.Conn.
 func (c *Conn) Read(t *kern.Thread, p []byte) (int, error) {
 	r := c.rec
@@ -829,12 +1030,16 @@ func (c *Conn) Read(t *kern.Thread, p []byte) (int, error) {
 func (c *Conn) Write(t *kern.Thread, p []byte) (int, error) {
 	r := c.rec
 	if r == nil {
-		// What Sock.Write does on a closed engine.
+		// What Sock.Write does on a closed engine, or on one in TIME_WAIT,
+		// which takes no data: wait for it to close.
 		c.lib.entry(t)
-		switch {
-		case len(p) == 0:
+		if len(p) == 0 {
 			return 0, nil
-		case c.final.err != nil:
+		}
+		for !c.done {
+			c.lib.twEnded.Wait(t.Proc)
+		}
+		if c.final.err != nil {
 			return 0, c.final.err
 		}
 		return 0, stacks.ErrClosed
@@ -872,8 +1077,11 @@ func (c *Conn) Stats() tcp.Stats {
 
 // State implements stacks.Conn.
 func (c *Conn) State() tcp.State {
-	if r := c.rec; r != nil {
-		return r.tc.State()
+	switch {
+	case c.rec != nil:
+		return c.rec.tc.State()
+	case c.tw != nil:
+		return tcp.TimeWait
 	}
 	return tcp.Closed
 }
@@ -891,17 +1099,18 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 		if c.done {
 			continue // closed while an earlier hand-back was being sent: nothing to inherit
 		}
-		r := c.rec
+		snap, rt := c.snapshot()
+		if r := c.rec; r != nil {
+			r.tc.SetCallbacks(tcp.Callbacks{}) // the registry owns it now
+		}
 		c.detach()
-		snap := r.tc.Snapshot()
-		r.tc.SetCallbacks(tcp.Callbacks{}) // detach: the registry owns it now
-		l.svcOwner(r.tc.Local(), r.tc.Peer()).Send(t, kern.Msg{
+		l.svcOwner(snap.Local, snap.Peer).Send(t, kern.Msg{
 			Op:   "inherit",
 			ID:   l.nextReqID(),
 			Size: snap.Size(),
 			Body: registry.InheritReq{
-				Snap: snap, Cap: r.cap, Abort: abnormal,
-				PeerHW: r.peerHW, PeerBQI: r.peerBQI,
+				Snap: snap, Cap: rt.cap, Abort: abnormal,
+				PeerHW: rt.peerHW, PeerBQI: rt.peerBQI,
 			},
 		})
 	}

@@ -3,8 +3,10 @@ package explore
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
+	"ulp/internal/conform"
 	"ulp/internal/tcp"
 )
 
@@ -131,5 +133,40 @@ func TestShrinkRemovesIrrelevantFaults(t *testing.T) {
 func TestReplayUnknownScenario(t *testing.T) {
 	if _, err := Replay(Reproducer{Scenario: "no-such"}); err == nil {
 		t.Error("expected error for unknown scenario")
+	}
+}
+
+// TestCompactedTimeWaitPoints: the two scenarios that hold TIME_WAIT in the
+// compact record reach what they are for, with no violation: a FIN
+// retransmitted into the compacted tuple is answered, so its sender closes
+// on the answer and the record expires by its timer; a SYN that reuses the
+// tuple inside its window resets it.
+func TestCompactedTimeWaitPoints(t *testing.T) {
+	for name, want := range map[string][]conform.Edge{
+		"timewait-compact-late-fin": {
+			{From: tcp.LastAck, To: tcp.Closed, Via: tcp.TrigSegment},
+			{From: tcp.TimeWait, To: tcp.Closed, Via: tcp.TrigTimer},
+		},
+		"timewait-compact-syn-reuse": {
+			{From: tcp.TimeWait, To: tcp.Closed, Via: tcp.TrigReset},
+		},
+	} {
+		sc, ok := ScenarioByName(name)
+		if !ok {
+			t.Fatalf("no scenario %s", name)
+		}
+		res := Run(sc, nil)
+		for _, v := range res.Violations {
+			t.Errorf("%s: %v", name, v)
+		}
+		missing := res.Coverage.Missing()
+		for _, e := range want {
+			if slices.Contains(missing, e) {
+				t.Errorf("%s: edge %v not taken", name, e)
+			}
+		}
+		if res.Final != [2]tcp.State{tcp.Closed, tcp.Closed} {
+			t.Errorf("%s: final states %v, want both CLOSED", name, res.Final)
+		}
 	}
 }

@@ -282,6 +282,32 @@ func Library() []Scenario {
 		},
 	})
 
+	// TIME_WAIT held by the compact record the protocol library keeps
+	// (tcp.TW). A closes first and is compacted on entering TIME_WAIT. In
+	// the first, its ACK of B's FIN is dropped, so B retransmits the FIN
+	// into the compacted tuple, which answers it, and B closes on that
+	// answer: LAST_ACK->CLOSED (segment), TIME_WAIT->CLOSED (timer). In the
+	// second, B opens again on the same tuple with a SYN inside A's window,
+	// which the compact record answers with a reset: TIME_WAIT->CLOSED
+	// (reset).
+	add(Scenario{
+		Name: "timewait-compact-late-fin", TimeWaitTicks: 10, MaxSteps: 200, Compact: true,
+		Ops: withOpen(
+			Op{Step: 10, Side: A, Kind: OpClose},
+			Op{Step: 20, Side: B, Kind: OpClose},
+		),
+		Faults: []Fault{{Kind: FaultDrop, At: 6}}, // A's ACK of B's FIN
+	})
+	add(Scenario{
+		Name: "timewait-compact-syn-reuse", TimeWaitTicks: 10, MaxSteps: 200, Compact: true,
+		Ops: withOpen(
+			Op{Step: 10, Side: A, Kind: OpClose},
+			Op{Step: 20, Side: B, Kind: OpClose},
+			Op{Step: 30, Side: B, Kind: OpOpenActive, Arg: 100},
+			Op{Step: 40, Side: B, Kind: OpClose},
+		),
+	})
+
 	return lib
 }
 

@@ -94,10 +94,11 @@ func (d *Doorbell) unlink(ch *Channel) {
 // connection with no lookup. It is the only way to wait on a channel. A
 // channel that rang before it was attached and has not been drained takes
 // its place on d's list with it: that post was paid, and it is paid again
-// only if d's consumer is asleep and must be woken.
+// only if d's consumer is asleep and must be woken. Attached again to the
+// doorbell it is on, it changes owner and keeps its place.
 func (ch *Channel) Attach(d *Doorbell, owner any) {
 	ch.owner = owner
-	if !ch.ready {
+	if !ch.ready || ch.bell == d {
 		ch.bell = d
 		return
 	}

@@ -140,6 +140,24 @@ func TestDoorbellCostRule(t *testing.T) {
 			t.Fatalf("consumer served %v, want ch2 then ch1", r.got)
 		}
 	})
+	t.Run("reattach-keeps-place", func(t *testing.T) {
+		// A channel on the list attached again to the same doorbell, as a
+		// connection compacted for TIME_WAIT is, changes owner in place:
+		// no post, and it is served in its turn.
+		r := newBellRig(t)
+		r.consume()
+		ch1, ch2 := r.channel(t, 80), r.channel(t, 81)
+		ch1.Attach(&r.bell, nil)
+		ch2.Attach(&r.bell, nil)
+		ch1.Inject(pkt.FromBytes(0, []byte("x")))
+		ch2.Inject(pkt.FromBytes(0, []byte("x")))
+		ch1.Attach(&r.bell, "compacted")
+		r.w.s.Run(0)
+		r.check(t, "two channels", 1, 1)
+		if len(r.got) != 2 || r.got[0] != ch1 || r.got[1] != ch2 || ch1.Owner() != "compacted" {
+			t.Fatalf("consumer served %v, owner %v; want ch1 then ch2, the new owner", r.got, ch1.Owner())
+		}
+	})
 	t.Run("disowned", func(t *testing.T) {
 		// A disowned channel's frames wake nobody.
 		r := newBellRig(t)

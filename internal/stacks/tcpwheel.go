@@ -42,6 +42,9 @@ type TCPWheel struct {
 	// Advance (setting and clearing a shared slot) in the gap.
 	execSlow func(e *WheelEnt, fn func(*WheelEnt))
 	execFast func(e *WheelEnt, fn func(*WheelEnt))
+	// expire runs a due TimeWaitEnt on the slow driver's thread, charged
+	// like any fire; Drive sets it.
+	expire func(e *TimeWaitEnt)
 }
 
 // WheelEnt is one connection's wheel registration. Owner carries the
@@ -64,6 +67,14 @@ type WheelEnt struct {
 	// has taken the timer off the wheel and is charging for it, or waiting
 	// for the engine lock, and will touch the entry again.
 	firing int
+}
+
+// TimeWaitEnt is a connection's place on the wheel once its shell has
+// compacted it for TIME_WAIT (tcp.TW): the one slow timer its 2MSL needs.
+type TimeWaitEnt struct {
+	w      *TCPWheel
+	slowT  timerwheel.Timer
+	expire func(t *kern.Thread)
 }
 
 // NewTCPWheel builds the two wheels: the slow wheel spans 2^16 ticks
@@ -114,6 +125,23 @@ func (w *TCPWheel) Drop(e *WheelEnt) {
 	w.slow.Cancel(&e.slowT)
 	w.fast.Cancel(&e.fastT)
 }
+
+// Compact moves e's connection, which its Sync has just left in TIME_WAIT
+// with nothing but the 2MSL timer armed, onto tw: tw's timer takes the place
+// of e's, so it expires at the same tick and in the same turn among the
+// timers due on it as the full connection would have, and then runs expire
+// on the slow driver's thread, charged one TimerOp like any fire. e is
+// dropped. Nothing but the shell's bookkeeping changes: no timer is set.
+func (w *TCPWheel) Compact(e *WheelEnt, tw *TimeWaitEnt, expire func(t *kern.Thread)) {
+	tw.w, tw.expire = w, expire
+	w.slow.Move(&e.slowT, &tw.slowT, tw.fire)
+	w.Drop(e)
+}
+
+// DropTimeWait takes a compacted connection off the wheel for good.
+func (w *TCPWheel) DropTimeWait(tw *TimeWaitEnt) { w.slow.Cancel(&tw.slowT) }
+
+func (e *TimeWaitEnt) fire() { e.w.expire(e) }
 
 // Sync reconciles one connection with the wheel clock. Call only with the
 // connection's engine lock held. It advances the tick counters to "now"
@@ -218,7 +246,8 @@ type DriverHooks struct {
 
 // Drive spawns the wheel's two driver threads, "<name>-fast" and
 // "<name>-slow", in dom. Each sleeps one tick period, advances its wheel,
-// and charges one TimerOp per entry fired.
+// and charges one TimerOp per entry fired; the slow one also expires the
+// compacted entries (TimeWaitEnt) that fall due.
 func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
 	if h.Bracket == nil {
 		h.Bracket = func(_ *kern.Thread, advance func()) { advance() }
@@ -230,6 +259,10 @@ func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
 		drive(t, 200*time.Millisecond, w.AdvanceFast, h, nil)
 	})
 	dom.Spawn(name+"-slow", func(t *kern.Thread) {
+		w.expire = func(e *TimeWaitEnt) {
+			t.Compute(t.Cost().TimerOp)
+			e.expire(t)
+		}
 		drive(t, 500*time.Millisecond, w.AdvanceSlow, h, h.AfterSlow)
 	})
 }

@@ -351,13 +351,7 @@ func (c *Conn) setState(s State, why Trigger) {
 	}
 	prev := c.state
 	c.state = s
-	if c.bus.Enabled() {
-		c.bus.Emit(trace.Event{
-			Kind: trace.TCPState, Conn: c.busLabel,
-			A: int64(prev), B: int64(s), C: int64(why),
-			Text: prev.String() + "->" + s.String(),
-		})
-	}
+	emitState(c.bus, c.busLabel, prev, s, why)
 	switch s {
 	case Established:
 		if c.cfg.KeepAliveTicks > 0 {
@@ -384,6 +378,17 @@ func (c *Conn) setState(s State, why Trigger) {
 				c.cb.OnClosed(c.closedErr)
 			}
 		}
+	}
+}
+
+// emitState traces a connection's transition from prev to s.
+func emitState(bus *trace.Bus, label string, prev, s State, why Trigger) {
+	if bus.Enabled() {
+		bus.Emit(trace.Event{
+			Kind: trace.TCPState, Conn: label,
+			A: int64(prev), B: int64(s), C: int64(why),
+			Text: prev.String() + "->" + s.String(),
+		})
 	}
 }
 

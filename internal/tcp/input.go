@@ -5,6 +5,10 @@ import "ulp/internal/trace"
 // Input processes an arriving segment (header already decoded and checksum
 // verified by the shell via Decode). data is the segment payload.
 func (c *Conn) Input(h Header, data []byte) {
+	if c.state == TimeWait {
+		c.inputTimeWait(h, data)
+		return
+	}
 	c.inInput = true
 	defer func() {
 		c.inInput = false
@@ -43,33 +47,17 @@ func (c *Conn) Input(h Header, data []byte) {
 	fin := h.Flags&FlagFIN != 0
 
 	wnd := c.rcv.window()
-	// Acceptability test.
-	acceptable := false
-	switch {
-	case segLen == 0 && wnd == 0:
-		acceptable = segSeq == c.rcvNxt
-	case segLen == 0:
-		acceptable = c.rcvNxt.Leq(segSeq) && segSeq.Less(c.rcvNxt.Add(wnd))
-	case wnd == 0:
+	ok := acceptable(c.rcvNxt, wnd, segSeq, segLen)
+	if ok && wnd == 0 && segLen > 0 {
 		// Zero window: only window probes at rcv_nxt are interesting; the
 		// probe data is dropped but must be acknowledged so the sender
 		// keeps probing and discovers the reopening.
-		acceptable = segSeq == c.rcvNxt
-		if acceptable {
-			if segLen > 0 {
-				c.ackNow = true
-			}
-			data = nil
-			segLen = 0
-			fin = false
-		}
-	default:
-		end := segSeq.Add(segLen)
-		acceptable = (c.rcvNxt.Leq(segSeq) && segSeq.Less(c.rcvNxt.Add(wnd))) ||
-			(c.rcvNxt.Less(end) && end.Leq(c.rcvNxt.Add(wnd))) ||
-			(segSeq.Less(c.rcvNxt) && c.rcvNxt.Add(wnd).Less(end))
+		c.ackNow = true
+		data = nil
+		segLen = 0
+		fin = false
 	}
-	if !acceptable {
+	if !ok {
 		c.stats.BadChecksumOrTrim++
 		if h.Flags&FlagRST == 0 {
 			c.ackNow = true
@@ -170,6 +158,22 @@ func (c *Conn) Input(h Header, data []byte) {
 	}
 
 	c.Output()
+}
+
+// acceptable is RFC 793's acceptability test of a segment at seq carrying
+// segLen bytes against the receive window of wnd bytes at rcvNxt. With the
+// window closed only a segment at rcv_nxt is acceptable.
+func acceptable(rcvNxt Seq, wnd int, seq Seq, segLen int) bool {
+	switch {
+	case wnd == 0:
+		return seq == rcvNxt
+	case segLen == 0:
+		return rcvNxt.Leq(seq) && seq.Less(rcvNxt.Add(wnd))
+	}
+	end := seq.Add(segLen)
+	return (rcvNxt.Leq(seq) && seq.Less(rcvNxt.Add(wnd))) ||
+		(rcvNxt.Less(end) && end.Leq(rcvNxt.Add(wnd))) ||
+		(seq.Less(rcvNxt) && rcvNxt.Add(wnd).Less(end))
 }
 
 // inputListen handles segments in LISTEN (RFC 793 p.65).
@@ -376,6 +380,9 @@ func (c *Conn) processAck(h Header) bool {
 	}
 
 	// State transitions driven by our FIN being acknowledged.
+	// The ACK that takes CLOSING to TIME_WAIT only changes the state: it is
+	// answered by nothing and arms 2MSL once, in enterTimeWait. A segment
+	// arriving in TIME_WAIT never gets here (inputTimeWait).
 	if finAcked {
 		switch c.state {
 		case FinWait1:
@@ -387,12 +394,6 @@ func (c *Conn) processAck(h Header) bool {
 			c.setState(Closed, TrigSegment)
 			return false
 		}
-	}
-	if c.state == TimeWait {
-		// Retransmitted peer FIN: re-ack and restart 2MSL.
-		c.ackNow = true
-		c.setTimer(&c.t2MSL, c.cfg.TimeWaitTicks)
-		c.emitTimeWaitArm()
 	}
 	return true
 }
@@ -505,13 +506,8 @@ func (c *Conn) enterTimeWait(why Trigger) {
 	c.setState(TimeWait, why)
 	c.cancelDataTimers()
 	c.setTimer(&c.t2MSL, c.cfg.TimeWaitTicks)
-	c.emitTimeWaitArm()
-}
-
-// emitTimeWaitArm traces an arming (or re-arming) of the 2*MSL timer, so
-// the conformance checker can verify TIME_WAIT lasts exactly TimeWaitTicks
-// from the most recent arming.
-func (c *Conn) emitTimeWaitArm() {
+	// Traced so the conformance checker can verify TIME_WAIT lasts exactly
+	// TimeWaitTicks from its arming.
 	if c.bus.Enabled() {
 		c.bus.Emit(trace.Event{Kind: trace.TCPTimeWait, Conn: c.busLabel,
 			A: int64(c.cfg.TimeWaitTicks)})

@@ -253,17 +253,24 @@ func (c *Conn) advertisableWindow() int {
 
 // sendRST emits a reset for this connection (seq = snd_nxt).
 func (c *Conn) sendRST() {
-	h := Header{
-		SrcPort: c.local.Port, DstPort: c.peer.Port,
-		Seq: c.sndNxt, Ack: c.rcvNxt,
-		Flags: FlagRST | FlagACK,
-	}
-	b := pkt.New(c.cfg.Headroom+HeaderLen, 0)
-	h.Encode(b, c.local.IP, c.peer.IP)
+	h, b := resetSeg(c.local, c.peer, c.sndNxt, c.rcvNxt, c.cfg.Headroom)
 	c.stats.SegsSent++
 	if c.cb.Send != nil {
 		c.cb.Send(b, h, 0)
 	}
+}
+
+// resetSeg builds the reset a connection sends from local to peer when it
+// aborts: RST|ACK at seq, acknowledging ack.
+func resetSeg(local, peer Endpoint, seq, ack Seq, headroom int) (Header, *pkt.Buf) {
+	h := Header{
+		SrcPort: local.Port, DstPort: peer.Port,
+		Seq: seq, Ack: ack,
+		Flags: FlagRST | FlagACK,
+	}
+	b := pkt.New(headroom+HeaderLen, 0)
+	h.Encode(b, local.IP, peer.IP)
+	return h, b
 }
 
 // sendRSTFor answers an unacceptable segment with the appropriate reset

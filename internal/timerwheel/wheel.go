@@ -136,6 +136,19 @@ func (w *Wheel) Cancel(t *Timer) bool {
 	return true
 }
 
+// Move hands from's place on the wheel to to, which is unarmed: to fires at
+// from's deadline, in from's turn among the timers due on that tick, and
+// runs fn. from is left unarmed. Moving an unarmed timer does nothing.
+func (w *Wheel) Move(from, to *Timer, fn func()) {
+	if !from.armed {
+		return
+	}
+	*to = Timer{fn: fn, deadline: from.deadline, armed: true, prev: from.prev, next: from.next, slot: from.slot}
+	to.prev.next = to
+	to.next.prev = to
+	*from = Timer{}
+}
+
 // Advance moves the wheel forward by n ticks, firing every timer whose
 // deadline is reached, in deadline order within each tick. It returns the
 // number of timers fired.

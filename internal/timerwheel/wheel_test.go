@@ -381,3 +381,30 @@ func BenchmarkSetCancelLoaded(b *testing.B) {
 		})
 	}
 }
+
+// TestMoveKeepsPlace: a moved timer fires at the deadline of the one it
+// replaced, in that one's turn among the timers due on the same tick, on
+// either level, and the wheel counts it once.
+func TestMoveKeepsPlace(t *testing.T) {
+	for _, delay := range []uint64{5, 40} { // level 0, and level 1 of a 2×16 wheel
+		w := New(2, 16)
+		var order []string
+		var a, b, c, moved Timer
+		w.Set(&a, delay, func() { order = append(order, "a") })
+		w.Set(&b, delay, func() { order = append(order, "b") })
+		w.Set(&c, delay, func() { order = append(order, "c") })
+		w.Advance(2)
+		w.Move(&b, &moved, func() { order = append(order, "moved") })
+		if b.Armed() || !moved.Armed() || w.Armed() != 3 {
+			t.Fatalf("delay %d: after Move b armed %v, moved armed %v, wheel holds %d", delay, b.Armed(), moved.Armed(), w.Armed())
+		}
+		var spare Timer
+		w.Move(&b, &spare, func() { t.Error("an unarmed timer's Move armed its target") })
+		if w.Advance(delay-3) != 0 {
+			t.Fatalf("delay %d: fired before the deadline", delay)
+		}
+		if w.Advance(1) != 3 || fmt.Sprint(order) != "[a moved c]" {
+			t.Fatalf("delay %d: fired %v at tick %d, want [a moved c] at %d", delay, order, w.Now(), delay)
+		}
+	}
+}
