@@ -929,6 +929,9 @@ func (tr *twRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	}
 	tr.busy = false
 	switch {
+	case tr.c.done:
+		// Exit or fail took the connection while the answer went out: it
+		// is no longer the library's to end.
 	case rep.Closed:
 		tr.end(tcp.TrigReset, rep.Err)
 	case tr.expired:

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"ulp/internal/ipv4"
 	"ulp/internal/kern"
+	"ulp/internal/link"
 	"ulp/internal/pkt"
 	"ulp/internal/registry"
 	"ulp/internal/sim"
@@ -184,5 +186,68 @@ func TestExitHandsCompactedConnectionsToTheRegistry(t *testing.T) {
 	s.Run(last + 63*time.Second - time.Duration(s.Now()))
 	if got := regs[0].OwnedConns() + regs[0].PortsInUse(); got != 0 {
 		t.Fatalf("the registry holds %d connections and ports after their TIME_WAIT, want 0", got)
+	}
+}
+
+// TestExitWhileTimeWaitAnswers: Exit takes a compacted connection while the
+// input thread is sending TIME_WAIT's answer to a SYN inside its window,
+// the answer that would reset it. The connection is the registry's from
+// then on, so the record does not end it a second time: every compact
+// record not yet handed back stays on the library's list, and the handle
+// reports TIME_WAIT, which the registry completes, as a full record's would.
+func TestExitWhileTimeWaitAnswers(t *testing.T) {
+	const n = 6
+	s, libs, regs, srvEnds, _, _ := closeFirst(t, n)
+	srv := libs[0]
+	first := srv.sortedConns()[0]
+	tr := first.tw
+	local, peer := tr.tw.Local(), tr.tw.Peer()
+	b := pkt.New(64, 0)
+	syn := tcp.Header{SrcPort: peer.Port, DstPort: local.Port, Seq: tr.tw.Snapshot().RcvNxt, Flags: tcp.FlagSYN, Window: 4096}
+	syn.Encode(b, peer.IP, local.IP)
+	ih := ipv4.Header{DF: true, TTL: 64, Proto: ipv4.ProtoTCP, Src: peer.IP, Dst: local.IP}
+	ih.Encode(b)
+	srv.nif.Frame(b, srv.nif.HW, link.TypeIPv4, 0, 0)
+
+	answered, exitAt := false, 0
+	srv.app.Spawn("syn", func(th *kern.Thread) {
+		tr.inputFrame(th, b)
+		answered = true
+		listed := map[*Conn]bool{}
+		for tr := srv.tws.head; tr != nil; tr = tr.next {
+			listed[tr.c] = true
+		}
+		pending := 0
+		for i, c := range srvEnds {
+			if listed[c] == c.done {
+				t.Errorf("connection %d: done %v, on the library's list %v", i, c.done, listed[c])
+			}
+			if !c.done {
+				pending++
+			}
+		}
+		if pending == 0 {
+			t.Error("Exit had handed back every connection before the answer went out: nothing tested")
+		}
+	})
+	srv.app.Spawn("exit", func(th *kern.Thread) {
+		for !tr.busy {
+			th.Sleep(time.Microsecond)
+			exitAt++
+		}
+		srv.Exit(th, false)
+	})
+	s.Run(time.Second)
+	if !answered || exitAt == 0 {
+		t.Fatalf("answer sent %v, Exit after %d µs: the interleaving did not happen", answered, exitAt)
+	}
+	if first.State() != tcp.TimeWait || !first.done {
+		t.Errorf("the connection Exit took is in %v (done %v), want TIME_WAIT, the registry's", first.State(), first.done)
+	}
+	if srv.tws.head != nil || len(srv.closing) != 0 {
+		t.Fatal("compact records still the library's after Exit")
+	}
+	if got := regs[0].OwnedConns(); got != n {
+		t.Fatalf("the registry inherited %d connections in TIME_WAIT, want %d", got, n)
 	}
 }

@@ -136,18 +136,18 @@ func TestReplayUnknownScenario(t *testing.T) {
 	}
 }
 
-// TestCompactedTimeWaitPoints: the two scenarios that hold TIME_WAIT in the
-// compact record reach what they are for, with no violation: a FIN
-// retransmitted into the compacted tuple is answered, so its sender closes
-// on the answer and the record expires by its timer; a SYN that reuses the
-// tuple inside its window resets it.
-func TestCompactedTimeWaitPoints(t *testing.T) {
+// TestTimeWaitRulePoints: the two scenarios that drive TIME_WAIT's
+// rule reach what they are for, with no violation: a FIN retransmitted into
+// TIME_WAIT is answered, so its sender closes on the answer and TIME_WAIT
+// ends by its timer; a SYN that reuses the tuple inside its window resets
+// it.
+func TestTimeWaitRulePoints(t *testing.T) {
 	for name, want := range map[string][]conform.Edge{
-		"timewait-compact-late-fin": {
+		"timewait-late-fin": {
 			{From: tcp.LastAck, To: tcp.Closed, Via: tcp.TrigSegment},
 			{From: tcp.TimeWait, To: tcp.Closed, Via: tcp.TrigTimer},
 		},
-		"timewait-compact-syn-reuse": {
+		"timewait-syn-reuse": {
 			{From: tcp.TimeWait, To: tcp.Closed, Via: tcp.TrigReset},
 		},
 	} {

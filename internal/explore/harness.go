@@ -40,7 +40,7 @@ type OpKind int
 
 // Scripted operations (the deterministic part of a scenario).
 const (
-	OpOpenActive OpKind = iota // active open (deterministic ISS per side, plus Arg)
+	OpOpenActive OpKind = iota // active open (deterministic ISS per side)
 	OpOpenListen               // passive open
 	OpClose                    // orderly close
 	OpAbort                    // abortive close (sends RST)
@@ -48,6 +48,10 @@ const (
 	OpRead                     // drain readable data once
 	OpCut                      // stop carrying frames; Arg = direction mask
 	OpUncut                    // clear cut directions in Arg
+	// OpReopen opens the side again on its tuple, with an ISS Arg past its
+	// first one's, once it has closed; a fault schedule that holds it in
+	// another state skips the reopen (OpOpenActive there is a scripting bug).
+	OpReopen
 )
 
 // Direction masks for OpCut/OpUncut and FaultCut.
@@ -125,10 +129,6 @@ type Scenario struct {
 	TimeWaitTicks int  // 2*MSL override in slow ticks (0 = engine default)
 	KeepAlive     int  // keepalive ticks (0 = off)
 	NoAutoRead    bool // suppress the per-step drain (zero-window scenarios)
-	// Compact replaces a side that enters TIME_WAIT with its compact record
-	// (tcp.TW), as the protocol library does: its later segments go to the
-	// TIME_WAIT rule and its 2MSL ends on the tick the engine armed it for.
-	Compact bool
 }
 
 // Result is one run's outcome.
@@ -165,12 +165,6 @@ type harness struct {
 	lastAck [2]tcp.Seq
 	hasAck  [2]bool
 	seqEnd  [2]tcp.Seq
-
-	// tw[i] is side i compacted in TIME_WAIT (Scenario.Compact), with
-	// twLeft[i] slow ticks of its 2MSL to go; 0 once it has closed.
-	tw      [2]*tcp.TW
-	twLeft  [2]int
-	twStats [2]tcp.Stats
 }
 
 // Run executes a scenario with the given fault schedule and returns the
@@ -252,12 +246,10 @@ func Run(sc Scenario, faults []Fault) Result {
 		// Scripted operations, then scheduled faults, for this step.
 		for opIdx < len(ops) && ops[opIdx].Step <= h.step {
 			h.apply(ops[opIdx])
-			h.compact()
 			opIdx++
 		}
 		for _, f := range stepFaults[h.step] {
 			h.applyFault(f)
-			h.compact()
 		}
 		// Deliveries due this step (new sends are due next step).
 		for i := 0; i < 2; i++ {
@@ -265,29 +257,24 @@ func Run(sc Scenario, faults []Fault) Result {
 			for h.head[i] < len(*q) && (*q)[h.head[i]].at <= h.step {
 				seg := (*q)[h.head[i]]
 				h.head[i]++
-				h.input(Side(i), seg.h, seg.data)
-				h.compact()
+				h.conns[i].Input(seg.h, seg.data)
 			}
 		}
-		// BSD tick structure. A compacted side has only its 2MSL.
+		// BSD tick structure.
 		if h.step%2 == 1 {
-			for i, c := range h.conns {
-				if h.tw[i] == nil {
-					c.FastTick()
-				}
-			}
+			h.conns[A].FastTick()
+			h.conns[B].FastTick()
 		}
 		if h.step%5 == 4 {
-			h.slowTick(A)
-			h.slowTick(B)
+			h.conns[A].SlowTick()
+			h.conns[B].SlowTick()
 		}
-		h.compact()
 		if !sc.NoAutoRead {
 			h.drain(A)
 			h.drain(B)
 		}
 		// Early exit once nothing can ever happen again.
-		if h.state(A) == tcp.Closed && h.state(B) == tcp.Closed &&
+		if h.conns[A].State() == tcp.Closed && h.conns[B].State() == tcp.Closed &&
 			h.head[0] == len(h.queue[0]) && h.head[1] == len(h.queue[1]) &&
 			opIdx == len(ops) {
 			h.step++
@@ -300,78 +287,8 @@ func Run(sc Scenario, faults []Fault) Result {
 		Coverage:   h.checker.Coverage(),
 		Steps:      h.step,
 		Frames:     h.frames,
-		Final:      [2]tcp.State{h.state(A), h.state(B)},
+		Final:      [2]tcp.State{h.conns[A].State(), h.conns[B].State()},
 	}
-}
-
-// state is side s's connection state, compacted or not.
-func (h *harness) state(s Side) tcp.State {
-	switch {
-	case h.tw[s] == nil:
-		return h.conns[s].State()
-	case h.twLeft[s] > 0:
-		return tcp.TimeWait
-	}
-	return tcp.Closed
-}
-
-// compact compacts a side that has just entered TIME_WAIT, when the
-// scenario asks for it.
-func (h *harness) compact() {
-	for i, c := range h.conns {
-		if h.sc.Compact && h.tw[i] == nil && c.State() == tcp.TimeWait {
-			tw := c.Compact()
-			h.tw[i], h.twLeft[i] = &tw, c.NextSlowTicks()
-		}
-	}
-}
-
-// input delivers a segment to side s: to its engine, or to TIME_WAIT's rule
-// once it is compacted, sending the rule's answer as the engine would.
-func (h *harness) input(s Side, hdr tcp.Header, data []byte) {
-	tw := h.tw[s]
-	switch {
-	case tw == nil:
-		h.conns[s].Input(hdr, data)
-		return
-	case h.twLeft[s] == 0:
-		return
-	}
-	r := tw.Input(hdr, len(data), &h.twStats[s])
-	if r.Seg != nil {
-		h.send(s, r.Seg, r.Hdr, 0)
-	}
-	if r.Closed {
-		h.endTW(s, tcp.TrigReset)
-	}
-}
-
-// slowTick runs side s's 500 ms timeout.
-func (h *harness) slowTick(s Side) {
-	switch {
-	case h.tw[s] == nil:
-		h.conns[s].SlowTick()
-	case h.twLeft[s] > 0:
-		if h.twLeft[s]--; h.twLeft[s] == 0 {
-			h.endTW(s, tcp.TrigTimer)
-		}
-	}
-}
-
-// abort is a user's abort of side s; on a compacted side it ends TIME_WAIT.
-func (h *harness) abort(s Side) {
-	switch {
-	case h.tw[s] == nil:
-		h.conns[s].Abort()
-	case h.twLeft[s] > 0:
-		h.endTW(s, tcp.TrigUser)
-	}
-}
-
-// endTW closes compacted side s.
-func (h *harness) endTW(s Side, why tcp.Trigger) {
-	h.tw[s].Close(why, &h.twStats[s])
-	h.twLeft[s] = 0
 }
 
 func sideName(s Side) string {
@@ -422,9 +339,9 @@ func segEnd(h tcp.Header, pl int) tcp.Seq {
 func (h *harness) apply(op Op) {
 	c := h.conns[op.Side]
 	switch op.Kind {
-	case OpOpenActive:
-		if c.State() != tcp.Closed {
-			return // a fault schedule left the side elsewhere: no reopen
+	case OpOpenActive, OpReopen:
+		if op.Kind == OpReopen && c.State() != tcp.Closed {
+			return
 		}
 		iss := tcp.Seq(1000)
 		if op.Side == B {
@@ -436,7 +353,7 @@ func (h *harness) apply(op Op) {
 	case OpClose:
 		c.Close()
 	case OpAbort:
-		h.abort(op.Side)
+		c.Abort()
 	case OpWrite:
 		c.Write(patternBytes(op.Arg))
 	case OpRead:
@@ -451,7 +368,7 @@ func (h *harness) apply(op Op) {
 func (h *harness) applyFault(f Fault) {
 	switch f.Kind {
 	case FaultAbort:
-		h.abort(f.Side)
+		h.conns[f.Side].Abort()
 	case FaultClose:
 		h.conns[f.Side].Close()
 	case FaultCut:
@@ -469,7 +386,7 @@ func (h *harness) applyFault(f Fault) {
 			Ack:     h.seqEnd[f.Side],
 			Flags:   tcp.FlagRST | tcp.FlagACK,
 		}
-		h.input(f.Side, hdr, nil)
+		h.conns[f.Side].Input(hdr, nil)
 	}
 }
 

@@ -282,16 +282,16 @@ func Library() []Scenario {
 		},
 	})
 
-	// TIME_WAIT held by the compact record the protocol library keeps
-	// (tcp.TW). A closes first and is compacted on entering TIME_WAIT. In
-	// the first, its ACK of B's FIN is dropped, so B retransmits the FIN
-	// into the compacted tuple, which answers it, and B closes on that
-	// answer: LAST_ACK->CLOSED (segment), TIME_WAIT->CLOSED (timer). In the
+	// TIME_WAIT's one rule (tcp.TW), which the protocol library's compact
+	// record runs once a connection that closed first is compacted, and a
+	// pcb in TIME_WAIT runs on its own state. A closes first. In the first
+	// scenario its ACK of B's FIN is dropped, so B retransmits the FIN into
+	// A's TIME_WAIT, which answers it, and B closes on that answer:
+	// LAST_ACK->CLOSED (segment), then TIME_WAIT->CLOSED (timer). In the
 	// second, B opens again on the same tuple with a SYN inside A's window,
-	// which the compact record answers with a reset: TIME_WAIT->CLOSED
-	// (reset).
+	// which A answers with a reset: TIME_WAIT->CLOSED (reset).
 	add(Scenario{
-		Name: "timewait-compact-late-fin", TimeWaitTicks: 10, MaxSteps: 200, Compact: true,
+		Name: "timewait-late-fin", TimeWaitTicks: 10, MaxSteps: 200,
 		Ops: withOpen(
 			Op{Step: 10, Side: A, Kind: OpClose},
 			Op{Step: 20, Side: B, Kind: OpClose},
@@ -299,11 +299,11 @@ func Library() []Scenario {
 		Faults: []Fault{{Kind: FaultDrop, At: 6}}, // A's ACK of B's FIN
 	})
 	add(Scenario{
-		Name: "timewait-compact-syn-reuse", TimeWaitTicks: 10, MaxSteps: 200, Compact: true,
+		Name: "timewait-syn-reuse", TimeWaitTicks: 10, MaxSteps: 200,
 		Ops: withOpen(
 			Op{Step: 10, Side: A, Kind: OpClose},
 			Op{Step: 20, Side: B, Kind: OpClose},
-			Op{Step: 30, Side: B, Kind: OpOpenActive, Arg: 100},
+			Op{Step: 30, Side: B, Kind: OpReopen, Arg: 100},
 			Op{Step: 40, Side: B, Kind: OpClose},
 		),
 	})
