@@ -185,6 +185,61 @@ func TestChaosCrashDuringHandshake(t *testing.T) {
 	assertNoPoolLeaks(t)
 }
 
+// A listener closed with hand-offs still queued on its accept port: nobody
+// will read them, so their records are the collector's, but the connections
+// they carry are the application's, and its death gives every one back —
+// ports, channels, capabilities, regions and buffers on both hosts — and
+// resets each client.
+func TestChaosListenerClosedWithQueuedHandoffs(t *testing.T) {
+	trackPoolLeaks(t)
+	const n = 3
+	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
+	enableConformance(t, w)
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	queued, closed := false, false
+	srv.Go("srv", func(th *kern.Thread) {
+		l, err := srv.Stack.Listen(th, 80, stacks.Options{Backlog: n})
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		for !queued {
+			th.Sleep(time.Millisecond)
+		}
+		l.Close(th)
+		closed = true
+	})
+	resets := 0
+	for i := range n {
+		cli.GoAfter(time.Duration(i+1)*time.Millisecond, "cli", func(th *kern.Thread) {
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+			if _, err := c.Read(th, make([]byte, 16)); err == stacks.ErrReset {
+				resets++
+			}
+			c.Close(th)
+		})
+	}
+	w.RunUntil(time.Minute, func() bool {
+		queued = w.Node(0).Registry.TransferredConns() == n
+		return closed
+	})
+	if !closed || w.Node(0).Registry.ListenerCount() != 0 {
+		t.Fatalf("listener closed %v with %d hand-offs queued", closed, w.Node(0).Registry.TransferredConns())
+	}
+	srv.Crash()
+	w.Run(5 * time.Second)
+	if resets != n {
+		t.Errorf("%d of %d clients reset", resets, n)
+	}
+	assertNoLeaks(t, w, 0, 1)
+	assertNoPoolLeaks(t)
+}
+
 // Regression for the orderly path: an application that exits cleanly
 // (InheritReq) must also leave zero ports and bindings once the registry
 // has driven TIME_WAIT to completion.

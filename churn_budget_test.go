@@ -11,13 +11,15 @@ import (
 // benchmark's churn shape (fast path, four shards). The server closes first,
 // so its library's half of every connection sits in TIME_WAIT for the rest of
 // the run and is the floor: a compact record (DESIGN §5.5), its handle and
-// its channel; everything else is recycled. The constants are about a tenth
-// above what compacting TIME_WAIT measured (3 263 bytes, 28 mallocs); with a
-// full record held through TIME_WAIT it was 4 455 and 35, and before records
-// were recycled 10 706 and 152.
+// its channel; everything else is recycled, down to the hand-off, the
+// connect's reply port and the control path's timed waits and asynchronous
+// sends. The constants are about a tenth above what lending hand-offs
+// measured (2 573 bytes, 20 mallocs); before, it was 3 263 and 28, with a
+// full record held through TIME_WAIT 4 455 and 35, and before records were
+// recycled 10 706 and 152.
 const (
-	churnSetupBytesBudget   = 3600
-	churnSetupMallocsBudget = 31
+	churnSetupBytesBudget   = 2800
+	churnSetupMallocsBudget = 22
 )
 
 // TestChurnSetupAllocBudget measures the marginal set-up: the difference

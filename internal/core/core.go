@@ -76,8 +76,10 @@ type Library struct {
 	serving *netio.Channel
 
 	ids ipv4.IDGen
-	// free holds the records of closed connections nobody is inside any more.
-	free freelist.List[*connRec]
+	// free holds the records of closed connections nobody is inside any more,
+	// replies the connect reply ports whose one answer has been received.
+	free    freelist.List[*connRec]
+	replies freelist.List[*kern.Port]
 	// The socket-call cost hooks are the same for every connection.
 	entry               func(t *kern.Thread)
 	writeMove, readMove func(t *kern.Thread, n int)
@@ -472,10 +474,17 @@ func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Optio
 	if err != nil {
 		return nil, err
 	}
-	ho, ok := reply.Body.(registry.Handoff)
+	ho, ok := reply.Body.(*registry.Handoff)
 	if !ok {
 		return nil, stacks.ErrClosed
 	}
+	return l.adoptHandoff(t, ho, opts)
+}
+
+// adoptHandoff adopts the connection a hand-off carries, or returns its
+// error, and gives the record back.
+func (l *Library) adoptHandoff(t *kern.Thread, ho *registry.Handoff, opts stacks.Options) (stacks.Conn, error) {
+	defer ho.Done()
 	if ho.Err != nil {
 		return nil, ho.Err
 	}
@@ -484,7 +493,9 @@ func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Optio
 
 // callConnect issues an active open under callPort's deadline/retry policy:
 // round-robin over live shards (re-picked per retry, so a crashed shard's
-// retries fail over), posted with a private reply port per attempt. A quota
+// retries fail over), posted with a private reply port per attempt: one that
+// received its answer is reused (nothing addresses it again), one that timed
+// out never is (a late answer may still land on it). A quota
 // denial is retried as a fresh request under backoff — the denied attempt
 // executed nothing, and reusing its id would only replay the cached denial.
 // An attempt that timed out may still be executing — a handshake under loss
@@ -502,16 +513,21 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 		if !slices.Contains(asked, svc) {
 			asked = append(asked, svc)
 		}
-		replyPort := kern.NewPort(l.host, "connect-reply")
+		replyPort := l.replies.Get()
+		if replyPort == nil {
+			replyPort = kern.NewPort(l.host, "connect-reply")
+		}
 		l.post(t, svc, kern.Msg{Op: "connect", ID: id, Reply: replyPort, Body: req})
 		m, ok := replyPort.ReceiveTimeout(t, timeout)
 		if ok {
+			l.replies.Put(replyPort)
 			l.abandon(t, id, asked, svc)
-			if ho, isHo := m.Body.(registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied {
+			if ho, isHo := m.Body.(*registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied {
 				denied++
 				if denied > admissionRetries {
 					return m, nil // surface the denial to the application
 				}
+				ho.Done()
 				id, asked = l.nextReqID(), asked[:0]
 				t.Sleep(l.backoff.Next(denied - 1))
 				continue // denied retries do not burn the deadline budget
@@ -588,11 +604,7 @@ func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stac
 func (ln *Listener) Accept(t *kern.Thread) (stacks.Conn, error) {
 	m := ln.accept.Receive(t)
 	t.Compute(t.Cost().ContextSwitch) // handoff message receipt
-	ho := m.Body.(registry.Handoff)
-	if ho.Err != nil {
-		return nil, ho.Err
-	}
-	return ln.lib.adopt(t, ho, ln.opts), nil
+	return ln.lib.adoptHandoff(t, m.Body.(*registry.Handoff), ln.opts)
 }
 
 // Close stops listening. A registry that has become unavailable is
@@ -609,8 +621,9 @@ func (ln *Listener) Close(t *kern.Thread) {
 	}
 }
 
-// adopt turns a registry handoff into a live library connection.
-func (l *Library) adopt(t *kern.Thread, ho registry.Handoff, opts stacks.Options) *Conn {
+// adopt turns a registry handoff into a live library connection. It copies
+// what it keeps out of ho.
+func (l *Library) adopt(t *kern.Thread, ho *registry.Handoff, opts stacks.Options) *Conn {
 	r := l.free.Get()
 	if r == nil {
 		r = new(connRec)
@@ -678,10 +691,13 @@ func (l *Library) send(t *kern.Thread, rt *route, src, dst ipv4.Addr, b *pkt.Buf
 	// malicious library would be stopped here by the kernel. A lease
 	// rejection is different: it means the control plane died and our
 	// endpoint is quarantined — kick off re-registration with the (to-be-)
-	// reborn registry. The rejected segment is recovered by ordinary TCP
-	// retransmission once the quarantine lifts.
-	if err := l.mod.Send(t, rt.cap, b); err == netio.ErrLeaseExpired {
-		l.scheduleReconnect()
+	// reborn registry. The rejected segment, which the kernel gives back, is
+	// recovered by ordinary TCP retransmission once the quarantine lifts.
+	if err := l.mod.Send(t, rt.cap, b); err != nil {
+		b.Release()
+		if err == netio.ErrLeaseExpired {
+			l.scheduleReconnect()
+		}
 	}
 }
 

@@ -121,7 +121,11 @@ func (u *UDPConn) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 	if err != nil {
 		return err
 	}
-	return u.lib.mod.Send(t, u.cap, b)
+	if err := u.lib.mod.Send(t, u.cap, b); err != nil {
+		b.Release() // a rejected frame stays the sender's
+		return err
+	}
+	return nil
 }
 
 // SendVia relays a datagram through the registry — the pre-binding path a

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ulp/internal/costs"
+	"ulp/internal/freelist"
 	"ulp/internal/sim"
 )
 
@@ -30,6 +31,8 @@ type Host struct {
 	// wakeups and signals count semaphore posts by what they cost: a wakeup
 	// made a blocked thread runnable, a signal found nobody to wake (Sem.V).
 	wakeups, signals int64
+	// sends holds the records of SendAsync messages that have been pushed.
+	sends freelist.List[*asyncSend]
 }
 
 // NewHost creates a host with the given cost model.
@@ -380,12 +383,42 @@ func (p *Port) Send(t *Thread, m Msg) {
 }
 
 // SendAsync posts from event context (e.g. a kernel-side completion),
-// charging costs asynchronously.
+// charging costs asynchronously. The message waits for the CPU in a record
+// from the host's list, which deliverAsync gives back as it pushes.
 func (p *Port) SendAsync(m Msg) {
 	c := &p.host.Cost
-	p.host.ComputeAsync(c.MachIPCSend+c.Copy(m.Size), func() {
-		p.q.Push(m)
-	})
+	as := p.host.sends.Get()
+	if as == nil {
+		as = new(asyncSend)
+	}
+	as.p, as.m = p, m
+	p.host.ComputeAsyncArg(c.MachIPCSend+c.Copy(m.Size), deliverAsync, as)
+}
+
+// asyncSend is a SendAsync message and its port while the send's CPU time
+// runs.
+type asyncSend struct {
+	p *Port
+	m Msg
+}
+
+// Scrub drops the port and the message.
+func (as *asyncSend) Scrub() { *as = asyncSend{} }
+
+func deliverAsync(a any) {
+	as := a.(*asyncSend)
+	p, m := as.p, as.m
+	p.host.sends.Put(as)
+	p.q.Push(m)
+}
+
+// Scrub readies a port for reuse by the thread that received on it. Only a
+// port nothing will send to again may be reused — a reply port whose one
+// answer has been received — so one with a message queued is a bug.
+func (p *Port) Scrub() {
+	if p.q.Len() != 0 {
+		panic("kern: port " + p.name + " reused with a message queued")
+	}
 }
 
 // Receive blocks until a message arrives.

@@ -249,3 +249,28 @@ func TestThreadNameComposedOnDemand(t *testing.T) {
 		t.Fatalf("thread %q over proc %q, want h0/app.reader over reader", th.Name(), th.Proc.Name())
 	}
 }
+
+// A SendAsync on a warm host allocates nothing: the message waits for its
+// CPU time in a record from the host's list, and the event carries a static
+// callback.
+func TestSendAsyncAllocatesNothing(t *testing.T) {
+	s := sim.New()
+	h := newHost(s)
+	p := NewPort(h, "p")
+	body := new(int)
+	got := 0
+	step := func() {
+		p.SendAsync(Msg{Op: "async", Body: body, Size: 64})
+		s.Run(0)
+		if m, ok := p.q.TryPop(); ok && m.Body == body {
+			got++
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("a SendAsync and its delivery allocate %v times, want 0", allocs)
+	}
+	if got < 200 {
+		t.Fatalf("%d messages delivered", got)
+	}
+}

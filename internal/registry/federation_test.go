@@ -97,7 +97,7 @@ func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id ui
 			Op: "connect", ID: id,
 			Body: ConnectReq{Remote: remote, Owner: rg.apps[1]},
 		})
-		ho, _ = reply.Body.(Handoff)
+		ho = received(reply)
 		got = true
 	})
 	rg.s.RunUntil(budget, func() bool { return got })

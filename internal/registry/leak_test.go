@@ -55,8 +55,8 @@ func (rg *fedRig) probe(t *testing.T, id uint64) {
 	var ho Handoff
 	got := false
 	rg.fed.host.NewDomain("probe", false).Spawn("probe", func(th *kern.Thread) {
-		ho, _ = sh.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
-			Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{KeepAliveTicks: 1000}}}).Body.(Handoff)
+		ho = received(sh.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
+			Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{KeepAliveTicks: 1000}}}))
 		got = true
 		if ho.Err == nil {
 			sh.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap}})
@@ -178,8 +178,8 @@ var leakRows = []leakRow{
 		var ho Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-			ho, _ = rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
-				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}, Owner: rg.apps[1]}}).Body.(Handoff)
+			ho = received(rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
+				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}, Owner: rg.apps[1]}}))
 			got = true
 		})
 		rg.s.RunUntil(2*time.Minute, func() bool { return got })

@@ -258,7 +258,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	gotSrv := false
 	rg.apps[0].Spawn("accept", func(th *kern.Thread) {
 		m := accept.Receive(th)
-		srvHo = m.Body.(Handoff)
+		srvHo = received(m)
 		gotSrv = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return gotSrv })

@@ -55,7 +55,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 			return
 		}
 		for {
-			ho := accept.Receive(th).Body.(Handoff)
+			ho := received(accept.Receive(th))
 			if ho.Err != nil {
 				continue
 			}
@@ -104,7 +104,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 			reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect",
 				Body: ConnectReq{Remote: dead, Owner: rg.apps[1], Opts: stacks.Options{RexmtR2: 2}}})
-			ho, _ = reply.Body.(Handoff)
+			ho = received(reply)
 			got = true
 		})
 		rg.s.RunUntil(2*time.Minute, func() bool { return got })

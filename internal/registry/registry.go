@@ -73,7 +73,10 @@ type TeardownReq struct {
 
 // Handoff carries an established connection to a library: the TCP state,
 // the channel and capability for the data path, and the peer's link
-// address and buffer queue index for outbound framing.
+// address and buffer queue index for outbound framing. The record is lent
+// (DESIGN §5.5): it comes from its shard's list, each message that carries
+// it and a connect's dedup entry hold it, and a receiver gives its hold
+// back with Done once it has read the record.
 type Handoff struct {
 	Snap    tcp.Snapshot
 	Cap     *netio.Capability
@@ -81,6 +84,37 @@ type Handoff struct {
 	PeerHW  link.Addr
 	PeerBQI uint16
 	Err     error
+
+	r     *Server // the shard whose list the record goes back to
+	holds int
+}
+
+// Done gives back one hold on the record; the last returns it to its shard's
+// list, and a Done past the last panics.
+func (ho *Handoff) Done() {
+	ho.holds--
+	switch {
+	case ho.holds == 0:
+		ho.r.handoffs.Put(ho)
+	case ho.holds < 0:
+		panic("registry: hand-off given back more often than it was held")
+	}
+}
+
+// Scrub leaves the record with nothing but its shard.
+func (ho *Handoff) Scrub() { *ho = Handoff{r: ho.r} }
+
+// hold and drop count a holder of the hand-off record m carries, if any.
+func hold(m kern.Msg) {
+	if ho, ok := m.Body.(*Handoff); ok {
+		ho.holds++
+	}
+}
+
+func drop(m kern.Msg) {
+	if ho, ok := m.Body.(*Handoff); ok {
+		ho.Done()
+	}
 }
 
 // AbandonReq withdraws connect request ID, whose library stopped waiting for
@@ -244,6 +278,8 @@ type Server struct {
 	// Both start empty in every incarnation.
 	free    freelist.List[*hsConn]
 	retired []*hsConn
+	// handoffs holds hand-off records no message or dedup entry holds.
+	handoffs freelist.List[*Handoff]
 
 	// fed is the federation this server is shard shardIdx of: it owns a
 	// static slice of the port space, shares the Netif with its sibling
@@ -411,6 +447,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			}
 			if e.done {
 				if m.Reply != nil {
+					hold(e.reply)
 					m.ReplyTo(t, e.reply)
 				}
 			} else if e.hc != nil {
@@ -464,6 +501,9 @@ func (r *Server) track(id uint64) {
 			if oe, ok := r.reqCache[old]; !ok || oe.done {
 				delete(r.reqCache, old)
 				r.reqOrder = append(r.reqOrder[:i], r.reqOrder[i+1:]...)
+				if ok {
+					drop(oe.reply)
+				}
 				e = oe // out of the map, it is nobody's: the new entry takes its place
 				break
 			}
@@ -484,18 +524,41 @@ func (r *Server) track(id uint64) {
 // Teardown would double-release a port) — and must be finished all the same
 // once handled, or their entries count as in flight for ever: never evicted,
 // and walked over by every later eviction. The cache never holds id zero
-// (track), so an untracked request finds no entry.
+// (track), so an untracked request finds no entry. The entry and the reply
+// each hold a hand-off the reply lends; one that neither holds goes back.
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
 	if e, ok := r.reqCache[m.ID]; ok {
 		e.done, e.reply, e.hc = true, reply, nil
+		hold(reply)
 	}
 	switch {
 	case m.Reply == nil:
+		if ho, ok := reply.Body.(*Handoff); ok && ho.holds == 0 {
+			r.handoffs.Put(ho)
+		}
 	case t == nil:
+		hold(reply)
 		m.Reply.SendAsync(reply)
 	default:
+		hold(reply)
 		m.ReplyTo(t, reply)
 	}
+}
+
+// handoff lends a record from the shard's list carrying ho, in the message
+// that answers a connect or an accept.
+func (r *Server) handoff(ho Handoff) kern.Msg {
+	rec := r.handoffs.Get()
+	if rec == nil {
+		rec = new(Handoff)
+	}
+	*rec = ho
+	rec.r = r
+	msg := kern.Msg{Op: "handoff", Body: rec}
+	if ho.Cap != nil {
+		msg.Size = ho.Snap.Size()
+	}
+	return msg
 }
 
 // handleConnect performs the active open on the library's behalf.
@@ -504,8 +567,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// outstanding across all shards. A denied setup has no side effects —
 	// the library retries it under backoff with a fresh request id.
 	if !r.fed.admit(req.Owner) {
-		r.finish(t, m, kern.Msg{Op: "handoff",
-			Body: Handoff{Err: stacks.ErrAdmissionDenied}})
+		r.finish(t, m, r.handoff(Handoff{Err: stacks.ErrAdmissionDenied}))
 		return
 	}
 	c := t.Cost()
@@ -622,13 +684,15 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 	if !ok || !e.done {
 		return
 	}
-	if ho, isHo := e.reply.Body.(Handoff); isHo && ho.Err == nil {
+	if ho, isHo := e.reply.Body.(*Handoff); isHo && ho.Err == nil {
 		ft := tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}
 		if xc, ok := r.transferred[ft]; ok && xc.cap == ho.Cap {
 			r.reclaim(ft, xc.cap, false)
 			r.sendCrashRST(t, xc)
 		}
-		e.reply = kern.Msg{Op: "handoff", Body: Handoff{Err: stacks.ErrRegistryUnavailable}}
+		ho.Done()
+		e.reply = r.handoff(Handoff{Err: stacks.ErrRegistryUnavailable})
+		hold(e.reply)
 	}
 }
 
@@ -762,16 +826,13 @@ func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
 	if hc.l == nil {
 		r.fed.release(hc.owner)
 	}
-	msg := kern.Msg{Op: "handoff", Body: ho}
-	if ho.Cap != nil {
-		msg.Size = ho.Snap.Size()
-	} else {
+	if ho.Cap == nil {
 		if port := tc.Local().Port; hc.l == nil && port != 0 {
 			r.ports.Release(port)
 		}
 		_ = r.nif.Mod.ReleaseBQI(r.dom, hc.ourBQI)
 	}
-	r.finish(t, kern.Msg{ID: hc.reqID, Reply: hc.reply}, msg)
+	r.finish(t, kern.Msg{ID: hc.reqID, Reply: hc.reply}, r.handoff(ho))
 }
 
 // transmit is the registry's un-optimized send path.

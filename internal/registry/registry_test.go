@@ -26,6 +26,18 @@ type rig struct {
 	apps   []*kern.Domain
 }
 
+// received copies the hand-off m carries, if it carries one, and gives the
+// record back, as a library does once it has read it.
+func received(m kern.Msg) Handoff {
+	p, ok := m.Body.(*Handoff)
+	if !ok {
+		return Handoff{}
+	}
+	ho := *p
+	p.Done()
+	return ho
+}
+
 func newRig(an1 bool) *rig {
 	s := sim.New()
 	var seg *wire.Segment
@@ -83,7 +95,7 @@ func (rg *rig) connectFrom(t *testing.T, port uint16, budget time.Duration) (Han
 			Op:   "connect",
 			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: port}},
 		})
-		ho, _ = reply.Body.(Handoff)
+		ho = received(reply)
 		got = true
 	})
 	rg.s.RunUntil(budget, func() bool { return got })
@@ -111,7 +123,7 @@ func TestHandshakeAndHandoff(t *testing.T) {
 	gotSrv := false
 	rg.apps[0].Spawn("accept", func(th *kern.Thread) {
 		m := accept.Receive(th)
-		srvHo = m.Body.(Handoff)
+		srvHo = received(m)
 		gotSrv = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return gotSrv })
@@ -386,7 +398,7 @@ func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
 			if m.Op == "abandon" {
 				rg.r1.Svc.Send(th, m)
 			} else {
-				ho, _ = rg.r1.Svc.Call(th, m).Body.(Handoff)
+				ho = received(rg.r1.Svc.Call(th, m))
 			}
 			done = true
 		})

@@ -19,6 +19,10 @@ type Proc struct {
 	w      *worker       // the coroutine running fn; nil until the first resume
 	done   bool
 	killed bool
+	// waitOn is the Cond a WaitUntil is parked on, timedOut whether its
+	// deadline woke it.
+	waitOn   *Cond
+	timedOut bool
 }
 
 // worker is an iter.Pull coroutine that runs procs, one after another. Only

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // The ring against a plain slice, through growth, wrap-around and removal
 // from the middle.
@@ -70,5 +73,43 @@ func TestQueueAndWaitersSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if rounds < 200 {
 		t.Fatalf("consumer ran %d rounds", rounds)
+	}
+}
+
+// PopTimeout allocates nothing on either path: a push that wakes the waiter
+// before its deadline (which is cancelled), and a deadline that passes with
+// the queue empty. The deadline is an event on the proc, not a closure.
+func TestPopTimeoutAllocatesNothing(t *testing.T) {
+	s := New()
+	q := NewQueue[int](s)
+	popped, expired := 0, 0
+	s.Spawn("consumer", func(p *Proc) {
+		for {
+			if _, ok := q.PopTimeout(p, time.Second); ok {
+				popped++
+			} else {
+				expired++
+			}
+		}
+	})
+	want := 0
+	done := func() bool { return popped == want }
+	signalled := func() {
+		want++
+		q.Push(want)
+		s.RunUntil(0, done)
+	}
+	timedOut := func() { s.Run(time.Second) }
+	s.Run(time.Millisecond)
+	signalled()
+	timedOut()
+	if allocs := testing.AllocsPerRun(200, signalled); allocs != 0 {
+		t.Fatalf("a signalled PopTimeout allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, timedOut); allocs != 0 {
+		t.Fatalf("a timed-out PopTimeout allocates %v times, want 0", allocs)
+	}
+	if popped < 201 || expired < 201 {
+		t.Fatalf("%d pops and %d time-outs, want each path run", popped, expired)
 	}
 }

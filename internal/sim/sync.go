@@ -120,27 +120,34 @@ func (c *Cond) remove(p *Proc) bool {
 // WaitUntil parks the proc until Signal/Broadcast wakes it or absolute time
 // deadline passes, whichever is first. It reports true if the proc was
 // signalled, false on timeout. As with Wait, callers must re-check their
-// predicate on a true return.
+// predicate on a true return. The deadline is an event on the proc itself
+// (waitExpired), which costs no closure.
 func (c *Cond) WaitUntil(p *Proc, deadline Time) bool {
 	p.ensureCurrent()
 	if deadline <= c.s.now {
 		return false
 	}
 	c.waiters.push(p)
-	timedOut := false
-	timer := c.s.At(deadline, func() {
-		// Only fire if no Signal claimed the proc first: Signal removes
-		// the waiter synchronously, so membership decides the winner.
-		if c.remove(p) {
-			timedOut = true
-			c.s.resumeNext(p)
-		}
-	})
+	p.waitOn, p.timedOut = c, false
+	timer := c.s.AtArg(deadline, waitExpired, p)
 	p.park()
-	if !timedOut {
+	p.waitOn = nil
+	if !p.timedOut {
 		timer.Cancel()
 	}
-	return !timedOut
+	return !p.timedOut
+}
+
+// waitExpired is WaitUntil's deadline. It wakes the proc only if no Signal
+// claimed it first: Signal removes the waiter synchronously, so membership
+// decides the winner. A killed waiter's deadline still fires, and the proc it
+// resumes is done.
+func waitExpired(a any) {
+	p := a.(*Proc)
+	if p.waitOn.remove(p) {
+		p.timedOut = true
+		p.s.resumeNext(p)
+	}
 }
 
 // Queue is an unbounded FIFO mailbox. Push may be called from any context;
