@@ -742,9 +742,7 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 		snap, rt := c.snapshot()
 		m := kern.Msg{Op: "reregister", ID: l.nextReqID(), Body: registry.ReRegisterReq{
 			Local: snap.Local, Peer: snap.Peer, Cap: rt.cap,
-			PeerHW: rt.peerHW, PeerBQI: rt.peerBQI,
 			SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
-			Owner: l.app,
 		}}
 		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, m, rpcBaseTimeout)
 		if !ok {
@@ -1127,10 +1125,7 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 			Op:   "inherit",
 			ID:   l.nextReqID(),
 			Size: snap.Size(),
-			Body: registry.InheritReq{
-				Snap: snap, Cap: rt.cap, Abort: abnormal,
-				PeerHW: rt.peerHW, PeerBQI: rt.peerBQI,
-			},
+			Body: registry.InheritReq{Snap: snap, Cap: rt.cap, Abort: abnormal},
 		})
 	}
 }

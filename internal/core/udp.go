@@ -139,7 +139,7 @@ func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) erro
 	_, err = u.lib.callPort(t, nil, kern.Msg{
 		Op:   "udp-send",
 		Size: len(payload),
-		Body: registry.UDPSendReq{SrcPort: u.local.Port, Dst: dst.IP, Frame: b},
+		Body: registry.UDPSendReq{Frame: b},
 	})
 	return err
 }

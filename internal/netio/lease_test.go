@@ -98,12 +98,12 @@ func TestSendRejectedWhileLeaseExpired(t *testing.T) {
 }
 
 // InstalledEndpoints is the reborn registry's rebuild source: it must list
-// every live endpoint with its template, deterministically ordered, and
-// must track destruction.
+// every live capability, with its channel, template and owner,
+// deterministically ordered, and must track destruction.
 func TestInstalledEndpointsEnumeration(t *testing.T) {
 	w := newWorld(t, false)
 	spec1, tmpl1 := chanSpecAndTemplate(w, link.EthHeaderLen)
-	cap1, ch1, err := w.m2.CreateChannel(w.krn2, spec1, tmpl1, 8)
+	cap1, ch1, err := w.m2.CreateChannelBQI(w.krn2, w.app2, spec1, tmpl1, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +122,14 @@ func TestInstalledEndpointsEnumeration(t *testing.T) {
 		t.Fatalf("%d endpoints, want 2", len(eps))
 	}
 	// Ordered by capability id: rebuild iterates deterministically.
-	if eps[0].Cap.id > eps[1].Cap.id {
+	if eps[0].id > eps[1].id {
 		t.Fatal("endpoints not ordered by capability id")
 	}
-	if eps[0].Cap != cap1 || eps[0].Channel != ch1 || eps[0].Template.LocalPort != 80 {
+	if eps[0] != cap1 || eps[0].Chan() != ch1 || eps[0].Template().LocalPort != 80 || eps[0].Owner() != w.app2 {
 		t.Fatal("first endpoint does not describe the first channel")
 	}
-	if eps[1].Template.LocalPort != 81 {
-		t.Fatalf("second endpoint template port = %d", eps[1].Template.LocalPort)
+	if eps[1].Template().LocalPort != 81 || eps[1].Owner() != nil {
+		t.Fatalf("second endpoint: template port %d, owner %v", eps[1].Template().LocalPort, eps[1].Owner())
 	}
 
 	// Enumeration is privileged — an application cannot map the host.
@@ -141,7 +141,7 @@ func TestInstalledEndpointsEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps, _ = w.m2.InstalledEndpoints(w.krn2)
-	if len(eps) != 1 || eps[0].Cap != cap2 {
+	if len(eps) != 1 || eps[0] != cap2 {
 		t.Fatal("destroyed endpoint still enumerated")
 	}
 }

@@ -146,10 +146,14 @@ type Capability struct {
 	issuer *kern.Domain
 }
 
-// Template returns the current header template. A restarted registry
-// rebuilds its connection map from these — the module is the authoritative
-// ground truth for what endpoints exist.
+// Template returns the header template the capability was created with. A
+// restarted registry rebuilds its connection map from these — the module is
+// the authoritative ground truth for what endpoints exist.
 func (c *Capability) Template() Template { return c.template }
+
+// Owner returns the application domain the capability was issued to (nil
+// for none).
+func (c *Capability) Owner() *kern.Domain { return c.owner }
 
 // Chan returns the channel the capability grants access to: nil once the
 // capability is revoked, since the channel's record may by then be another
@@ -780,12 +784,13 @@ func (m *Module) ReleaseReservations(holder *kern.Domain) {
 // neither a full five-tuple nor a listener is refused, and so, where
 // demultiplexing is in software, is one whose key another channel holds.
 func (m *Module) CreateChannel(from *kern.Domain, spec filter.Spec, tmpl Template, ringSize int) (*Capability, *Channel, error) {
-	return m.CreateChannelBQI(from, spec, tmpl, ringSize, 0)
+	return m.CreateChannelBQI(from, nil, spec, tmpl, ringSize, 0)
 }
 
-// CreateChannelBQI is CreateChannel with a previously reserved BQI (0 for
-// none).
-func (m *Module) CreateChannelBQI(from *kern.Domain, spec filter.Spec, tmpl Template, ringSize int, bqi uint16) (*Capability, *Channel, error) {
+// CreateChannelBQI is CreateChannel for an endpoint issued to owner (nil for
+// none), on a previously reserved BQI (0 for none). The capability is born
+// whole: its owner and template are the ones it keeps.
+func (m *Module) CreateChannelBQI(from, owner *kern.Domain, spec filter.Spec, tmpl Template, ringSize int, bqi uint16) (*Capability, *Channel, error) {
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: channel creation from unprivileged domain %s", from)
 	}
@@ -793,7 +798,7 @@ func (m *Module) CreateChannelBQI(from *kern.Domain, spec filter.Spec, tmpl Temp
 	if !ok {
 		return nil, nil, fmt.Errorf("netio: cannot demultiplex spec %+v", spec)
 	}
-	return m.createChannel(from, key, tmpl, ringSize, bqi)
+	return m.createChannel(from, owner, key, tmpl, ringSize, bqi)
 }
 
 // CreateRawChannel builds a channel demultiplexed by EtherType alone, for
@@ -804,12 +809,12 @@ func (m *Module) CreateRawChannel(from *kern.Domain, et link.EtherType, tmpl Tem
 	if !from.Privileged {
 		return nil, nil, fmt.Errorf("netio: raw channel creation from unprivileged domain %s", from)
 	}
-	return m.createChannel(from, steerKey{etherType: et}, tmpl, ringSize, 0)
+	return m.createChannel(from, nil, steerKey{etherType: et}, tmpl, ringSize, 0)
 }
 
 // createChannel installs the channel; where demultiplexing is in software,
 // its binding goes into the steering table under key.
-func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
+func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
 	if m.FailSetup != nil {
 		if err := m.FailSetup("create"); err != nil {
 			return nil, nil, err
@@ -832,7 +837,7 @@ func (m *Module) createChannel(from *kern.Domain, key steerKey, tmpl Template, r
 	ch.cap = ringSize
 	ch.noBatch = m.DisableBatching
 	ch.mod = m
-	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, issuer: from}
+	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, owner: owner, issuer: from}
 	m.nextCapID++
 	ch.id = cap.id
 	m.caps[cap.id] = cap
@@ -1005,53 +1010,20 @@ func (m *Module) Installed(cap *Capability) bool {
 	return cap != nil && m.caps[cap.id] == cap
 }
 
-// InstalledEndpoint describes one live endpoint for control-plane state
-// rebuild: the capability, its channel, the installed header template, the
-// owning application domain, and the hardware ring (0 on Ethernet).
-type InstalledEndpoint struct {
-	Cap      *Capability
-	Channel  *Channel
-	Template Template
-	Owner    *kern.Domain
-	BQI      uint16
-}
-
-// InstalledEndpoints enumerates every live endpoint, ordered by capability
-// id (deterministic). A restarted registry rebuilds its port table and
-// connection map from this — the in-kernel module, not the crashed
-// server's memory, is the authoritative record of what exists; exactly the
-// paper's trust split between the module and the registry.
-func (m *Module) InstalledEndpoints(from *kern.Domain) ([]InstalledEndpoint, error) {
+// InstalledEndpoints enumerates every live capability, ordered by id
+// (deterministic). A restarted registry rebuilds its port table and
+// connection map from these — the in-kernel module, not the crashed server's
+// memory, is the authoritative record of what exists; exactly the paper's
+// trust split between the module and the registry.
+func (m *Module) InstalledEndpoints(from *kern.Domain) ([]*Capability, error) {
 	if !from.Privileged {
 		return nil, fmt.Errorf("netio: endpoint enumeration from unprivileged domain %s", from)
 	}
-	eps := make([]InstalledEndpoint, 0, len(m.caps))
+	caps := make([]*Capability, 0, len(m.caps))
 	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
-		cap := m.caps[id]
-		eps = append(eps, InstalledEndpoint{
-			Cap:      cap,
-			Channel:  cap.ch,
-			Template: cap.template,
-			Owner:    cap.owner,
-			BQI:      cap.ch.bqi,
-		})
+		caps = append(caps, m.caps[id])
 	}
-	return eps, nil
-}
-
-// AssignOwner records the application domain a capability was issued to.
-// Only a privileged domain (the registry, which creates channels on behalf
-// of applications) may assign ownership; the module uses it to find what a
-// crashed application held.
-func (m *Module) AssignOwner(from *kern.Domain, cap *Capability, owner *kern.Domain) error {
-	if !from.Privileged {
-		return fmt.Errorf("netio: owner assignment from unprivileged domain %s", from)
-	}
-	if _, ok := m.caps[cap.id]; !ok {
-		return ErrBadCapability
-	}
-	cap.owner = owner
-	return nil
+	return caps, nil
 }
 
 // RevokeOwner reclaims every resource issued to a dead application: its
@@ -1127,19 +1099,6 @@ func (m *Module) Describe(emit func(string, int64)) {
 
 // SoftwareBindings counts installed software demux entries (diagnostics).
 func (m *Module) SoftwareBindings() int { return len(m.steer) }
-
-// UpdateTemplate amends a capability's template (the registry narrows it
-// once the remote endpoint and link address are known).
-func (m *Module) UpdateTemplate(from *kern.Domain, cap *Capability, tmpl Template) error {
-	if !from.Privileged {
-		return fmt.Errorf("netio: template update from unprivileged domain %s", from)
-	}
-	if _, ok := m.caps[cap.id]; !ok {
-		return ErrBadCapability
-	}
-	cap.template = tmpl
-	return nil
-}
 
 // Send is the library's specialized kernel entry for transmission: the
 // calling thread pays the fast trap and the per-packet template check; a

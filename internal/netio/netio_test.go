@@ -326,40 +326,6 @@ func TestDestroyChannelStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestUpdateTemplate(t *testing.T) {
-	w := newWorld(t, false)
-	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-	wide := tmpl
-	wide.RemotePort = 0 // listening: any remote port
-	cap, _, err := w.m1.CreateChannel(w.krn1, spec, Template{
-		LinkSrc: w.addr1, LinkDst: w.addr2, Type: link.TypeIPv4,
-		Proto: ipv4.ProtoTCP, LocalIP: ip1, LocalPort: 1025,
-	}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after error
-	w.app1.Spawn("sender", func(th *kern.Thread) {
-		before = w.m1.Send(th, cap, buildTCPFrame(w, link.EthHeaderLen, 1025, 9999, nil))
-		narrow := tmpl
-		narrow.LinkSrc = w.addr1
-		if err := w.m1.UpdateTemplate(w.krn1, cap, narrow); err != nil {
-			t.Errorf("update: %v", err)
-		}
-		after = w.m1.Send(th, cap, buildTCPFrame(w, link.EthHeaderLen, 1025, 9999, nil))
-	})
-	w.s.Run(0)
-	if before != nil {
-		t.Fatalf("wide template rejected: %v", before)
-	}
-	if after != ErrTemplateMismatch {
-		t.Fatalf("narrowed template accepted stray port: %v", after)
-	}
-	if err := w.m1.UpdateTemplate(w.app1, cap, tmpl); err == nil {
-		t.Fatal("unprivileged template update allowed")
-	}
-}
-
 func TestTemplateVerifyUnit(t *testing.T) {
 	w := newWorld(t, false)
 	_, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)

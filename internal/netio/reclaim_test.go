@@ -13,7 +13,11 @@ import (
 func TestRevokeOwner(t *testing.T) {
 	w := newWorld(t, false)
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-	cap1, _, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	other := w.h2.NewDomain("other", false)
+	if _, _, err := w.m2.CreateChannelBQI(w.app2, w.app2, spec, tmpl, 8, 0); err == nil {
+		t.Fatal("unprivileged domain created an owned channel")
+	}
+	cap1, _, err := w.m2.CreateChannelBQI(w.krn2, w.app2, spec, tmpl, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,19 +25,7 @@ func TestRevokeOwner(t *testing.T) {
 	spec2.LocalPort = 81
 	tmpl2 := tmpl
 	tmpl2.LocalPort = 81
-	cap2, _, err := w.m2.CreateChannel(w.krn2, spec2, tmpl2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	other := w.h2.NewDomain("other", false)
-	if err := w.m2.AssignOwner(w.app2, cap1, w.app2); err == nil {
-		t.Fatal("unprivileged owner assignment allowed")
-	}
-	if err := w.m2.AssignOwner(w.krn2, cap1, w.app2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.m2.AssignOwner(w.krn2, cap2, other); err != nil {
+	if _, _, err := w.m2.CreateChannelBQI(w.krn2, other, spec2, tmpl2, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.m2.LiveCapabilities(w.app2); got != 1 {
@@ -129,7 +121,7 @@ func TestPinnedRegionsAccounting(t *testing.T) {
 	create := func(port uint16) (*Capability, *Channel) {
 		t.Helper()
 		spec.LocalPort, tmpl.LocalPort = port, port
-		cap, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+		cap, ch, err := w.m2.CreateChannelBQI(w.krn2, w.app2, spec, tmpl, 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +135,8 @@ func TestPinnedRegionsAccounting(t *testing.T) {
 	}
 
 	cap1, ch1 := create(80)
-	cap2, _ := create(81)
-	cap3, _ := create(82)
+	create(81)
+	create(82)
 	pinned(3, "after three creates")
 	if got, want := len(ch1.Region.Buf), 8*8; got != want {
 		t.Fatalf("region backing = %d bytes, want the %d-byte descriptor ring", got, want)
@@ -171,11 +163,6 @@ func TestPinnedRegionsAccounting(t *testing.T) {
 	}
 	pinned(2, "after a failed create")
 
-	for _, c := range []*Capability{cap2, cap3} {
-		if err := w.m2.AssignOwner(w.krn2, c, w.app2); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if n, err := w.m2.RevokeOwner(w.krn2, w.app2); n != 2 || err != nil {
 		t.Fatalf("RevokeOwner = %d, %v; want 2, nil", n, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
+	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -17,23 +18,29 @@ func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
 		return
 	}
 	dstPort := uint16(data[2])<<8 | uint16(data[3])
-	ub, ok := r.udpChannels[dstPort]
+	cap, ok := r.udpChannels[dstPort]
 	if !ok {
 		return // port unreachable: the simplified IP library drops
 	}
-	ub.ch.Inject(r.reframe(h, data))
+	r.forward(cap, h, data)
 }
 
-// reframe rebuilds the frame a channel consumer expects around a
-// default-path datagram's payload: the IP header re-encoded from h and a
-// link header addressed to ourselves, so the library-side input path
-// parses it like any frame the device delivered.
-func (r *Server) reframe(h ipv4.Header, data []byte) *pkt.Buf {
+// forward delivers a default-path packet into the channel cap grants,
+// rebuilt as the frame a channel consumer expects: the IP header re-encoded
+// from h and a link header addressed to ourselves, so the library-side input
+// path parses it like any frame the device delivered. A revoked capability's
+// packet is dropped: the record outlived its channel (a sibling shard tore
+// the endpoint down).
+func (r *Server) forward(cap *netio.Capability, h ipv4.Header, data []byte) {
 	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: h.Proto, Src: h.Src, Dst: h.Dst}
 	fwd := pkt.FromBytes(r.nif.Headroom(), data)
 	ih.Encode(fwd)
 	r.nif.Frame(fwd, r.nif.HW, link.TypeIPv4, 0, 0)
-	return fwd
+	if ch := cap.Chan(); ch != nil {
+		ch.Inject(fwd)
+	} else {
+		fwd.Release()
+	}
 }
 
 // inputTCP is the pipeline's TCP hook (stacks.Hooks) for everything the
@@ -54,12 +61,7 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	// retransmitted handshake ACK on the AN1): forward into its channel by
 	// rebuilding the frame bytes the channel consumer expects.
 	if xc, ok := r.transferred[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
-		fwd := r.reframe(s.IP, s.Raw)
-		if ch := xc.cap.Chan(); ch != nil {
-			ch.Inject(fwd)
-		} else {
-			fwd.Release() // the record outlived its channel (a sibling shard tore it down)
-		}
+		r.forward(xc.cap, s.IP, s.Raw)
 		return true
 	}
 
@@ -89,7 +91,7 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 			ourBQI = bqi
 		}
 		hc := r.newConn()
-		hc.opts, hc.owner, hc.l, hc.peerBQI, hc.ourBQI = l.opts, l.owner, l, s.AdvBQI, ourBQI
+		hc.owner, hc.l, hc.peerBQI, hc.ourBQI = l.owner, l, s.AdvBQI, ourBQI
 		tc := &hc.tc
 		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())

@@ -112,7 +112,6 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 	// The honest claim is adopted and brings the sequence numbers with it.
 	err := call(ReRegisterReq{
 		Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-		PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
 		SndNxt: ho.Snap.SndNxt, RcvNxt: ho.Snap.RcvNxt,
 	})
 	if err != nil {
@@ -266,9 +265,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	// The application exits cleanly; the registry inherits the close.
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{
-			Snap: ho.Snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
-		}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })

@@ -126,24 +126,20 @@ type AbandonReq struct{ ID uint64 }
 // exits: the registry drives remaining timers (TIME_WAIT) or, for an
 // abnormal exit, resets the peer.
 type InheritReq struct {
-	Snap    tcp.Snapshot
-	Cap     *netio.Capability
-	Abort   bool
-	PeerHW  link.Addr
-	PeerBQI uint16
+	Snap  tcp.Snapshot
+	Cap   *netio.Capability
+	Abort bool
 }
 
 // ReRegisterReq re-claims a live, handed-off connection with a reborn
 // registry. The registry verifies the claim against the module's installed
-// capability and template before re-adopting — the library is untrusted,
-// the kernel's record is the ground truth.
+// capability and template before re-adopting, and takes the owner from the
+// capability — the library is untrusted, the kernel's record is the ground
+// truth.
 type ReRegisterReq struct {
 	Local, Peer    tcp.Endpoint
 	Cap            *netio.Capability
-	PeerHW         link.Addr
-	PeerBQI        uint16
 	SndNxt, RcvNxt tcp.Seq
-	Owner          *kern.Domain
 }
 
 // hsConn is a connection the registry currently owns: handshaking, or
@@ -162,14 +158,12 @@ type hsConn struct {
 	// connection it meant (runConn).
 	gen uint32
 
-	opts    stacks.Options
 	owner   *kern.Domain // application the connection is destined for
-	peerHW  link.Addr
-	peerBQI uint16     // peer's advertised data-phase BQI
-	ourBQI  uint16     // reserved before the handshake on the AN1
-	reply   *kern.Port // where the outcome goes: the connect's reply port or the listener's accept port
-	l       *listener  // set for passive-side pcbs
-	reqID   uint64     // originating request id (dedup cache completion)
+	peerBQI uint16       // peer's advertised data-phase BQI
+	ourBQI  uint16       // reserved before the handshake on the AN1
+	reply   *kern.Port   // where the outcome goes: the connect's reply port or the listener's accept port
+	l       *listener    // set for passive-side pcbs
+	reqID   uint64       // originating request id (dedup cache completion)
 }
 
 // Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and no
@@ -191,24 +185,14 @@ type listener struct {
 	pending int // handshakes currently held
 }
 
-// xferConn records a connection handed off to a library: enough state to
-// reclaim it if the owning application crashes — the channel and
-// capability to revoke, the port to release, and the sequence numbers at
-// handoff time for crafting a best-effort reset to the peer.
+// xferConn records a connection handed off to a library. Its capability is
+// the module's record of the endpoint — tuple, owner, channel (nil once
+// revoked) — so the record adds only what the module cannot know: the
+// sequence numbers at handoff time, for crafting a best-effort reset to the
+// peer if the owning application crashes.
 type xferConn struct {
-	owner          *kern.Domain
-	cap            *netio.Capability // cap.Chan() is the channel, nil once revoked
-	local, peer    tcp.Endpoint
-	peerHW         link.Addr
-	peerBQI        uint16
+	cap            *netio.Capability
 	sndNxt, rcvNxt tcp.Seq
-}
-
-// udpBinding records a datagram end-point for the same purpose.
-type udpBinding struct {
-	owner *kern.Domain
-	ch    *netio.Channel
-	cap   *netio.Capability
 }
 
 // Server is one shard of a host's registry (see Federation; the paper's
@@ -235,7 +219,7 @@ type Server struct {
 	// there is no separate connection setup phase that can negotiate the
 	// BQIs" — so datagrams arrive at BQI zero and are demultiplexed in
 	// software here.
-	udpChannels map[uint16]*udpBinding
+	udpChannels map[uint16]*netio.Capability
 
 	// watched marks application domains whose death hook is installed, so
 	// a domain opening many connections registers exactly one hook.
@@ -336,7 +320,7 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		conns:       make(map[tcp.FourTuple]*hsConn),
 		listeners:   make(map[uint16]*listener),
 		transferred: make(map[tcp.FourTuple]*xferConn),
-		udpChannels: make(map[uint16]*udpBinding),
+		udpChannels: make(map[uint16]*netio.Capability),
 		watched:     make(map[*kern.Domain]bool),
 		reqCache:    make(map[uint64]*pendingReq),
 		epoch:       1,
@@ -573,7 +557,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.RegistryConnSetup)
 	hc := r.newConn()
-	hc.opts, hc.owner, hc.reply, hc.reqID = req.Opts, req.Owner, m.Reply, m.ID
+	hc.owner, hc.reply, hc.reqID = req.Owner, m.Reply, m.ID
 	port, err := r.ports.Ephemeral()
 	if err != nil {
 		r.release(t, hc, Handoff{Err: err})
@@ -688,7 +672,7 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 		ft := tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}
 		if xc, ok := r.transferred[ft]; ok && xc.cap == ho.Cap {
 			r.reclaim(ft, xc.cap, false)
-			r.sendCrashRST(t, xc)
+			r.sendCrashRST(t, ft, xc)
 		}
 		ho.Done()
 		e.reply = r.handoff(Handoff{Err: stacks.ErrRegistryUnavailable})
@@ -709,7 +693,6 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 		return
 	}
 	hc := r.newConn()
-	hc.peerHW, hc.peerBQI = req.PeerHW, req.PeerBQI
 	tc := &hc.tc
 	tcp.RestoreInto(tc, req.Snap, tcp.Callbacks{})
 	if err := r.attach(hc); err != nil {
@@ -731,13 +714,14 @@ func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 // Channel setup and handoff
 // ---------------------------------------------------------------------------
 
-// setupChannel creates the shared region, ring, capability, template and
-// demux binding for an endpoint, on the BQI the set-up reserved (zero for
-// none) — "nearly 3.4 ms are spent in setting up user channels to the
-// network device".
-func (r *Server) setupChannel(t *kern.Thread, local, remote tcp.Endpoint, bqi uint16) (*netio.Capability, *netio.Channel, error) {
-	c := t.Cost()
-	t.Compute(c.ChannelSetup)
+// setupChannel creates the shared region, ring, capability and demux binding
+// for set-up hc's endpoint, issued to its owner on the BQI it reserved (zero
+// for none) — "nearly 3.4 ms are spent in setting up user channels to the
+// network device". The template is final: it names the peer's link address
+// once ARP knows it.
+func (r *Server) setupChannel(t *kern.Thread, hc *hsConn) (*netio.Capability, *netio.Channel, error) {
+	t.Compute(t.Cost().ChannelSetup)
+	local, remote := hc.tc.Local(), hc.tc.Peer()
 	spec := filter.Spec{
 		LinkHdrLen: r.nif.Mod.Device().HdrLen(),
 		Proto:      ipv4.ProtoTCP,
@@ -750,7 +734,8 @@ func (r *Server) setupChannel(t *kern.Thread, local, remote tcp.Endpoint, bqi ui
 		LocalIP: local.IP, LocalPort: local.Port,
 		RemoteIP: remote.IP, RemotePort: remote.Port,
 	}
-	return r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, bqi)
+	tmpl.LinkDst, _ = r.nif.ARP.Lookup(r.nif.Now(), remote.IP)
+	return r.nif.Mod.CreateChannelBQI(r.dom, hc.owner, spec, tmpl, 32, hc.ourBQI)
 }
 
 // newConn returns a blank connection record: a reused one if there is one.
@@ -851,9 +836,8 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 	r.nif.SendTCP(t, seg, tc.Peer().IP, hc.ourBQI)
 }
 
-// established completes setup: create the channel, narrow its template to
-// the negotiated peer, transfer the state to the library, and route future
-// default-path strays.
+// established completes setup: create the channel, transfer the state to the
+// library, and route future default-path strays.
 func (r *Server) established(hc *hsConn) {
 	tc := &hc.tc
 	if tc.State() != tcp.Established {
@@ -865,8 +849,7 @@ func (r *Server) established(hc *hsConn) {
 		return
 	}
 	t := r.cur
-	c := t.Cost()
-	cap, ch, err := r.setupChannel(t, tc.Local(), tc.Peer(), hc.ourBQI)
+	cap, ch, err := r.setupChannel(t, hc)
 	if err != nil {
 		// Nothing to hand off: answer the requester with the error. The pcb
 		// stays ESTABLISHED, so it must not call back into a record that is
@@ -875,40 +858,16 @@ func (r *Server) established(hc *hsConn) {
 		r.release(nil, hc, Handoff{Err: err})
 		return
 	}
-	// Narrow the template now that the peer link address is known.
-	if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), tc.Peer().IP); ok {
-		hc.peerHW = hw
-	}
-	tmpl := netio.Template{
-		LinkSrc: r.nif.HW, LinkDst: hc.peerHW, Type: link.TypeIPv4,
-		Proto:   ipv4.ProtoTCP,
-		LocalIP: tc.Local().IP, LocalPort: tc.Local().Port,
-		RemoteIP: tc.Peer().IP, RemotePort: tc.Peer().Port,
-	}
-	_ = r.nif.Mod.UpdateTemplate(r.dom, cap, tmpl)
-
 	// Transfer TCP state to user level.
-	t.Compute(c.StateTransfer)
+	t.Compute(t.Cost().StateTransfer)
 	snap := tc.Snapshot()
 	if hc.l != nil {
 		// The accepted connection shares its listener's port; the handoff
 		// takes a reference of its own, balanced by reclaim.
 		r.ports.Retain(tc.Local().Port)
 	}
-	if hc.owner != nil {
-		_ = r.nif.Mod.AssignOwner(r.dom, cap, hc.owner)
-	}
-	r.transferred[tcp.FourTuple{Local: tc.Local(), Peer: tc.Peer()}] = &xferConn{
-		owner:   hc.owner,
-		cap:     cap,
-		local:   tc.Local(),
-		peer:    tc.Peer(),
-		peerHW:  hc.peerHW,
-		peerBQI: hc.peerBQI,
-		sndNxt:  snap.SndNxt,
-		rcvNxt:  snap.RcvNxt,
-	}
-	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, Channel: ch, PeerHW: hc.peerHW, PeerBQI: hc.peerBQI})
+	r.transferred[tc.Tuple()] = &xferConn{cap: cap, sndNxt: snap.SndNxt, rcvNxt: snap.RcvNxt}
+	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, Channel: ch, PeerHW: cap.Template().LinkDst, PeerBQI: hc.peerBQI})
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -1011,7 +970,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// to reset either way.
 	var fts []tcp.FourTuple
 	for ft, xc := range r.transferred {
-		if xc.owner == dom {
+		if xc.cap.Owner() == dom {
 			fts = append(fts, ft)
 		}
 	}
@@ -1019,9 +978,9 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	for _, ft := range fts {
 		// A reset in flight charges this thread, and meanwhile a later
 		// record may have gone.
-		if xc, ok := r.transferred[ft]; ok && xc.owner == dom {
+		if xc, ok := r.transferred[ft]; ok && xc.cap.Owner() == dom {
 			r.reclaim(ft, xc.cap, false)
-			r.sendCrashRST(t, xc)
+			r.sendCrashRST(t, ft, xc)
 		}
 	}
 
@@ -1032,8 +991,8 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		}
 	}
 	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
-		if ub := r.udpChannels[port]; ub.owner == dom {
-			r.unbind(port, ub.cap, 0)
+		if cap := r.udpChannels[port]; cap.Owner() == dom {
+			r.unbind(port, cap, 0)
 		}
 	}
 
@@ -1043,7 +1002,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 }
 
 // sendCrashRST issues the proactive reset for a crashed application's
-// connection, from the state recorded at handoff time.
+// connection ft, from the state recorded at handoff time.
 //
 // The sequence numbers may be stale: the library moved data after handoff
 // without the registry seeing it. A stale RST is silently discarded by the
@@ -1054,19 +1013,19 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 // answered by the receive pipeline's no-endpoint case with a reset aimed
 // exactly at the peer's expected sequence. Either way the peer converges to
 // a reset.
-func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
+func (r *Server) sendCrashRST(t *kern.Thread, ft tcp.FourTuple, xc *xferConn) {
 	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, tcp.FlagACK} {
 		h := tcp.Header{
-			SrcPort: xc.local.Port, DstPort: xc.peer.Port,
+			SrcPort: ft.Local.Port, DstPort: ft.Peer.Port,
 			Seq: xc.sndNxt, Ack: xc.rcvNxt,
 			Flags: flags,
 		}
 		b := pkt.FromBytes(r.nif.Headroom()+tcp.HeaderLen, nil)
-		h.Encode(b, xc.local.IP, xc.peer.IP)
+		h.Encode(b, ft.Local.IP, ft.Peer.IP)
 		c := t.Cost()
 		t.Compute(c.RegistrySendPath)
 		t.Compute(stacks.SegCost(r.host, b.Len(), false))
-		r.nif.SendTCP(t, b, xc.peer.IP, 0)
+		r.nif.SendTCP(t, b, ft.Peer.IP, 0)
 	}
 }
 
@@ -1087,14 +1046,14 @@ func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 // cache (a request older than a registry crash has long exhausted its
 // retry budget).
 func (r *Server) rebuild(t *kern.Thread) {
-	eps, err := r.nif.Mod.InstalledEndpoints(r.dom)
+	caps, err := r.nif.Mod.InstalledEndpoints(r.dom)
 	if err != nil {
 		return
 	}
 	c := t.Cost()
 	n := 0
-	for _, ep := range eps {
-		tmpl := ep.Template
+	for _, cap := range caps {
+		tmpl := cap.Template()
 		if tmpl.LocalIP != r.nif.IP {
 			continue
 		}
@@ -1113,28 +1072,24 @@ func (r *Server) rebuild(t *kern.Thread) {
 			if r.fed.ownerEndpoints(local, peer) != r.shardIdx {
 				continue
 			}
-			_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
+			_ = r.nif.Mod.Reissue(r.dom, cap)
 			t.Compute(c.RegistryPortAlloc)
 			r.ports.Retain(local.Port) // accepted conns share a port
-			r.transferred[tcp.FourTuple{Local: local, Peer: peer}] = &xferConn{
-				owner: ep.Owner, cap: ep.Cap,
-				local: local, peer: peer,
-				peerHW: tmpl.LinkDst, peerBQI: 0,
-				// Sequence numbers are unknown until the library
-				// re-registers; sendCrashRST's ACK-probe half still
-				// converges the peer if the owner dies before then.
-			}
-			r.watch(ep.Owner)
+			// Sequence numbers are unknown until the library re-registers;
+			// sendCrashRST's ACK-probe half still converges the peer if the
+			// owner dies before then.
+			r.transferred[tcp.FourTuple{Local: local, Peer: peer}] = &xferConn{cap: cap}
+			r.watch(cap.Owner())
 			n++
 		case ipv4.ProtoUDP:
 			if r.shardIdx != 0 {
 				continue // shard 0 owns all datagram endpoints
 			}
-			_ = r.nif.Mod.Reissue(r.dom, ep.Cap)
+			_ = r.nif.Mod.Reissue(r.dom, cap)
 			t.Compute(c.RegistryPortAlloc)
 			r.udpPorts.Reserve(tmpl.LocalPort)
-			r.udpChannels[tmpl.LocalPort] = &udpBinding{owner: ep.Owner, ch: ep.Channel, cap: ep.Cap}
-			r.watch(ep.Owner)
+			r.udpChannels[tmpl.LocalPort] = cap
+			r.watch(cap.Owner())
 			n++
 		}
 	}
@@ -1168,18 +1123,11 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 		return
 	}
 	ft := tcp.FourTuple{Local: req.Local, Peer: req.Peer}
-	xc, ok := r.transferred[ft]
-	if !ok {
+	if _, ok := r.transferred[ft]; !ok {
 		r.ports.Retain(req.Local.Port)
-		xc = &xferConn{local: req.Local, peer: req.Peer}
-		r.transferred[ft] = xc
 	}
-	xc.owner = req.Owner
-	xc.cap = req.Cap
-	xc.peerHW = req.PeerHW
-	xc.peerBQI = req.PeerBQI
-	xc.sndNxt, xc.rcvNxt = req.SndNxt, req.RcvNxt
-	r.watch(req.Owner)
+	r.transferred[ft] = &xferConn{cap: req.Cap, sndNxt: req.SndNxt, rcvNxt: req.RcvNxt}
+	r.watch(req.Cap.Owner())
 	// Adopting a connection takes over its lease renewal too (from a dead
 	// predecessor or, across shards, a crashed sibling), or the endpoint
 	// would quarantine again at the next TTL despite being re-registered.

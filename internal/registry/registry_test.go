@@ -139,6 +139,45 @@ func TestHandshakeAndHandoff(t *testing.T) {
 	}
 }
 
+// A handed-off capability is born final, in the one module call that
+// creates it: its template names the peer's link address and the whole
+// four-tuple, and it is issued to the connecting application. The registry's
+// record of the connection is that capability.
+func TestHandoffCapabilityBornFinal(t *testing.T) {
+	rg := newRig(false)
+	rg.listenOn(t, 80)
+	var ho Handoff
+	got := false
+	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
+		ho = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
+			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Owner: rg.apps[1]}}))
+		got = true
+	})
+	rg.s.RunUntil(time.Minute, func() bool { return got })
+	if !got || ho.Err != nil {
+		t.Fatalf("connect: got=%v err=%v", got, ho.Err)
+	}
+	want := netio.Template{
+		LinkSrc: link.MakeAddr(2), LinkDst: link.MakeAddr(1), Type: link.TypeIPv4,
+		Proto:   ipv4.ProtoTCP,
+		LocalIP: rg.ips[1], LocalPort: ho.Snap.Local.Port,
+		RemoteIP: rg.ips[0], RemotePort: 80,
+	}
+	if tmpl := ho.Cap.Template(); tmpl != want {
+		t.Fatalf("handed-off template = %+v, want %+v", tmpl, want)
+	}
+	if ho.PeerHW != want.LinkDst {
+		t.Fatalf("hand-off peer hw = %v, want the template's %v", ho.PeerHW, want.LinkDst)
+	}
+	if ho.Cap.Owner() != rg.apps[1] {
+		t.Fatalf("capability owner = %v, want the connecting application", ho.Cap.Owner())
+	}
+	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
+	if xc == nil || xc.cap != ho.Cap {
+		t.Fatal("the transferred record does not hold the handed-off capability")
+	}
+}
+
 func TestBQIExchangedThroughLinkHeader(t *testing.T) {
 	rg := newRig(true)
 	rg.listenOn(t, 80)
@@ -212,9 +251,7 @@ func TestInheritAbortSendsRST(t *testing.T) {
 	// The "application" dies abnormally: return the connection for abort.
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{
-			Snap: ho.Snap, Cap: ho.Cap, Abort: true, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
-		}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -237,9 +274,7 @@ func TestInheritOrderlyDrivesTimeWait(t *testing.T) {
 	}
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{
-			Snap: ho.Snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
-		}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -267,9 +302,7 @@ func TestInheritTwiceLeaksNothing(t *testing.T) {
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
 		for id := uint64(1); id <= 2; id++ {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: id, Body: InheritReq{
-				Snap: ho.Snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
-			}})
+			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: id, Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		}
 		done = true
 	})
@@ -298,9 +331,7 @@ func TestInheritClosedLeaksNothing(t *testing.T) {
 	snap.State = tcp.Closed
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: 1, Body: InheritReq{
-			Snap: snap, Cap: ho.Cap, PeerHW: ho.PeerHW, PeerBQI: ho.PeerBQI,
-		}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: 1, Body: InheritReq{Snap: snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })

@@ -52,9 +52,7 @@ type ResolveReply struct {
 // pre-binding path a dedicated-server organization would use for every
 // datagram; the RPC ablation measures what bypassing it saves).
 type UDPSendReq struct {
-	SrcPort uint16
-	Dst     ipv4.Addr
-	Frame   *pkt.Buf // complete link frame, built by the library
+	Frame *pkt.Buf // complete link frame, built by the library
 }
 
 // UnbindUDPReq releases a datagram end-point.
@@ -90,18 +88,15 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	var cap *netio.Capability
 	var ch *netio.Channel
 	if err == nil {
-		cap, ch, err = r.nif.Mod.CreateChannelBQI(r.dom, spec, tmpl, 32, bqi)
+		cap, ch, err = r.nif.Mod.CreateChannelBQI(r.dom, req.Owner, spec, tmpl, 32, bqi)
 	}
 	if err != nil {
 		r.unbind(req.Port, nil, bqi)
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
 		return
 	}
-	if req.Owner != nil {
-		_ = r.nif.Mod.AssignOwner(r.dom, cap, req.Owner)
-		r.watch(req.Owner)
-	}
-	r.udpChannels[req.Port] = &udpBinding{owner: req.Owner, ch: ch, cap: cap}
+	r.watch(req.Owner)
+	r.udpChannels[req.Port] = cap
 	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap, Channel: ch}})
 }
 
