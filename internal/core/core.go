@@ -356,13 +356,11 @@ type connRec struct {
 }
 
 // route is what a connection's segments need on their way out: the send
-// capability, the link framing toward the peer, and whether TCP checksums
-// are skipped.
+// capability and the link framing toward the peer.
 type route struct {
-	cap        *netio.Capability
-	peerHW     link.Addr
-	peerBQI    uint16
-	noChecksum bool
+	cap     *netio.Capability
+	peerHW  link.Addr
+	peerBQI uint16
 }
 
 // twRec is a connection in TIME_WAIT once its full record has gone back to
@@ -630,7 +628,7 @@ func (l *Library) adopt(t *kern.Thread, ho *registry.Handoff, opts stacks.Option
 	}
 	c := &Conn{lib: l, rec: r, ch: ho.Channel}
 	r.c = c
-	r.route = route{cap: ho.Cap, peerHW: ho.PeerHW, peerBQI: ho.PeerBQI, noChecksum: opts.NoChecksum}
+	r.route = route{cap: ho.Cap, peerHW: ho.PeerHW, peerBQI: ho.PeerBQI}
 	r.lock.Init(l.s, "conn-engine", 1)
 	tc := &r.tc
 	tcp.RestoreInto(tc, ho.Snap, tcp.Callbacks{})
@@ -680,7 +678,7 @@ func (r *connRec) transmit(seg stacks.Seg) {
 // calling thread, headers built in the shared region, then the specialized
 // kernel entry with the send capability.
 func (l *Library) send(t *kern.Thread, rt *route, src, dst ipv4.Addr, b *pkt.Buf, payloadLen int) {
-	t.Compute(stacks.SegCost(l.host, payloadLen, rt.noChecksum))
+	t.Compute(stacks.SegCost(l.host, payloadLen))
 	ih := ipv4.Header{
 		ID: l.ids.Next(), DF: true, TTL: 64,
 		Proto: ipv4.ProtoTCP, Src: src, Dst: dst,
@@ -915,7 +913,7 @@ func (tr *twRec) readableWaiters() int  { return 0 }
 
 func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
-	if th, ok := r.c.lib.decode(t, b, r.tc.Local().IP, r.noChecksum); ok {
+	if th, ok := r.c.lib.decode(t, b, r.tc.Local().IP); ok {
 		r.EnterEngine(t)
 		r.tc.Input(th, b.Bytes())
 		r.LeaveEngine(t)
@@ -928,7 +926,7 @@ func (r *connRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 func (tr *twRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 	defer b.Release()
 	l := tr.c.lib
-	th, ok := l.decode(t, b, tr.tw.Local().IP, tr.noChecksum)
+	th, ok := l.decode(t, b, tr.tw.Local().IP)
 	switch {
 	case !ok:
 		return
@@ -955,7 +953,7 @@ func (tr *twRec) inputFrame(t *kern.Thread, b *pkt.Buf) {
 
 // decode strips a frame to its TCP segment for the connection whose local
 // address is dst, charging the protocol work (stacks.DecodeSegment).
-func (l *Library) decode(t *kern.Thread, b *pkt.Buf, dst ipv4.Addr, noChecksum bool) (tcp.Header, bool) {
+func (l *Library) decode(t *kern.Thread, b *pkt.Buf, dst ipv4.Addr) (tcp.Header, bool) {
 	if et, _, err := l.nif.StripLink(b); err != nil || et != link.TypeIPv4 {
 		return tcp.Header{}, false
 	}
@@ -963,7 +961,7 @@ func (l *Library) decode(t *kern.Thread, b *pkt.Buf, dst ipv4.Addr, noChecksum b
 	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.Dst != dst {
 		return tcp.Header{}, false
 	}
-	return stacks.DecodeSegment(t, ih, b, noChecksum, 0)
+	return stacks.DecodeSegment(t, ih, b, 0)
 }
 
 // EnterEngine and LeaveEngine bracket every engine operation

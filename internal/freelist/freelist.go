@@ -1,9 +1,10 @@
 // Package freelist is the one free list this repository recycles
-// per-connection records through (DESIGN §5.5). A List belongs to the
-// component that makes the records — a registry shard, a library, a network
-// I/O module, a host — and dies with it: nothing here is process-global, and
-// the garbage collector never empties a list behind its owner's back, so a
-// world's allocation does not depend on what ran before it in the process.
+// per-connection and per-frame records through (DESIGN §5.5). A List belongs
+// to the component that makes the records — a registry shard, a library, a
+// network I/O module, a host, a wire segment — and dies with it: nothing here
+// is process-global, and the garbage collector never empties a list behind
+// its owner's back, so a world's allocation does not depend on what ran
+// before it in the process.
 package freelist
 
 // Record is what a List holds: a pointer to a record that can scrub itself.

@@ -31,9 +31,6 @@ type Meta struct {
 	// AdvBQI is the index a frame waiting for ARP advertises once framed.
 	AdvBQI uint16
 
-	// RxDev names the device the packet arrived on, for diagnostics.
-	RxDev string
-
 	// Rx is the receiving controller's state for the frame (the device, or
 	// the ring it was DMAed into) between arrival and the completion of the
 	// receive interrupt, so that scheduling the completion needs no closure.

@@ -829,7 +829,7 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 	}
 	c := t.Cost()
 	t.Compute(c.RegistrySendPath)
-	t.Compute(stacks.SegCost(r.host, seg.Len(), false))
+	t.Compute(stacks.SegCost(r.host, seg.Len()))
 	// Handshake segments advertise our data-phase BQI in the link header
 	// but are themselves addressed to the peer's protected kernel queue
 	// (BQI zero): only data-phase traffic uses the negotiated rings.
@@ -1024,7 +1024,7 @@ func (r *Server) sendCrashRST(t *kern.Thread, ft tcp.FourTuple, xc *xferConn) {
 		h.Encode(b, ft.Local.IP, ft.Peer.IP)
 		c := t.Cost()
 		t.Compute(c.RegistrySendPath)
-		t.Compute(stacks.SegCost(r.host, b.Len(), false))
+		t.Compute(stacks.SegCost(r.host, b.Len()))
 		r.nif.SendTCP(t, b, ft.Peer.IP, 0)
 	}
 }

@@ -31,11 +31,6 @@ type Options struct {
 	NoDelay bool
 	// NoDelayedAck acknowledges every segment immediately.
 	NoDelayedAck bool
-	// NoChecksum skips charging checksum time (trusted-link variant; the
-	// engine still computes real checksums so corruption tests stay
-	// honest — only the cost model is relieved, as a hardware-checksum
-	// link would).
-	NoChecksum bool
 	// Backlog bounds concurrent handshakes held for a listener; a SYN
 	// arriving beyond it is deterministically dropped (the client's
 	// retransmission retries once capacity frees up). 0 = DefaultBacklog.

@@ -95,7 +95,7 @@ func (n *Netif) Input(t *kern.Thread, b *pkt.Buf, h *Hooks) {
 	}
 	seg := pkt.FromBytes(0, data)
 	defer seg.Release()
-	th, ok := DecodeSegment(t, ih, seg, false, h.Extra)
+	th, ok := DecodeSegment(t, ih, seg, h.Extra)
 	if !ok {
 		return
 	}
@@ -114,25 +114,21 @@ func (n *Netif) Input(t *kern.Thread, b *pkt.Buf, h *Hooks) {
 // library's channel included: it strips and checks the TCP header of seg, an
 // IP payload, and charges t SegCost plus extra. A segment that fails its
 // checksum is dropped uncharged (false); retransmission recovers it.
-func DecodeSegment(t *kern.Thread, ih ipv4.Header, seg *pkt.Buf, noChecksum bool, extra time.Duration) (tcp.Header, bool) {
+func DecodeSegment(t *kern.Thread, ih ipv4.Header, seg *pkt.Buf, extra time.Duration) (tcp.Header, bool) {
 	th, err := tcp.Decode(seg, ih.Src, ih.Dst)
 	if err != nil {
 		return th, false
 	}
-	t.Compute(SegCost(t.Dom.Host, seg.Len(), noChecksum) + extra)
+	t.Compute(SegCost(t.Dom.Host, seg.Len()) + extra)
 	return th, true
 }
 
 // SegCost is the per-segment protocol processing charge, identical in all
 // organizations ("the protocol stack that is executed is nearly identical
 // in all three systems").
-func SegCost(h *kern.Host, n int, noChecksum bool) time.Duration {
+func SegCost(h *kern.Host, n int) time.Duration {
 	m := &h.Cost
-	d := m.TCPSegment + m.IPPacket + 2*m.TimerOp
-	if !noChecksum {
-		d += m.Checksum(n)
-	}
-	return d
+	return m.TCPSegment + m.IPPacket + 2*m.TimerOp + m.Checksum(n)
 }
 
 // MbufCost is the per-packet BSD buffer-layer charge the monolithic

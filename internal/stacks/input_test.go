@@ -66,7 +66,7 @@ func TestInputPipeline(t *testing.T) {
 			return time.Duration(s.Now() - start)
 		}
 
-		if d, want := charged(segment(payload, 7)), SegCost(th.Dom.Host, len(payload), false)+extra; d != want {
+		if d, want := charged(segment(payload, 7)), SegCost(th.Dom.Host, len(payload))+extra; d != want {
 			t.Errorf("good segment charged %v, want SegCost+Extra = %v", d, want)
 		}
 		if len(got) != 1 {

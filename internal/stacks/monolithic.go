@@ -215,7 +215,7 @@ func TCPConfig(nif *Netif, opts Options) tcp.Config {
 // closes, and the Sock is queued for Accept once it completes. nil marks an
 // active open, which owns its local port (a passive pcb shares its
 // listener's reservation and must not release it).
-func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, l *monoListener) (*Sock, error) {
+func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, l *monoListener) (*Sock, error) {
 	ft := tc.Tuple()
 	if _, dup := m.conns[ft]; dup {
 		return nil, tcp.ErrTupleInUse
@@ -227,7 +227,7 @@ func (m *Monolithic) attach(s *sim.Sim, tc *tcp.Conn, opts Options, l *monoListe
 	sock.WriteMove = m.org.writeMove
 	sock.ReadMove = m.org.readMove
 
-	cb := sock.Callbacks(func(seg Seg) { m.transmit(seg, tc, opts) })
+	cb := sock.Callbacks(func(seg Seg) { m.transmit(seg, tc) })
 	if l != nil {
 		l.pending++
 		inner := cb.OnEstablished
@@ -267,12 +267,12 @@ func (mc *monoConn) unhold() {
 
 // transmit charges protocol costs and pushes a segment down IP and the
 // device, in the context of whichever thread is driving the engine.
-func (m *Monolithic) transmit(seg Seg, tc *tcp.Conn, opts Options) {
+func (m *Monolithic) transmit(seg Seg, tc *tcp.Conn) {
 	t := m.cur
 	if t == nil {
 		panic(m.org.name + ": engine transmit outside runEngine")
 	}
-	t.Compute(SegCost(m.host, seg.PayloadLen, opts.NoChecksum) + MbufCost(m.host))
+	t.Compute(SegCost(m.host, seg.PayloadLen) + MbufCost(m.host))
 	m.nif.SendTCP(t, seg.Buf, tc.Peer().IP, 0)
 }
 
@@ -356,7 +356,7 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 	}
 	local := tcp.Endpoint{IP: m.nif.IP, Port: port}
 	tc := tcp.NewConn(TCPConfig(m.nif, opts), local, remote, tcp.Callbacks{})
-	sock, err := m.attach(t.Sim(), tc, opts, nil)
+	sock, err := m.attach(t.Sim(), tc, nil)
 	if err != nil {
 		m.ports.Release(local.Port)
 		return nil, err
@@ -400,7 +400,7 @@ func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 func (m *Monolithic) spawnFromListener(t *kern.Thread, l *monoListener, s Segment) {
 	tc := tcp.NewConn(TCPConfig(m.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 	tc.SetISS(m.nextISS())
-	sock, err := m.attach(t.Sim(), tc, l.opts, l)
+	sock, err := m.attach(t.Sim(), tc, l)
 	if err != nil {
 		return
 	}

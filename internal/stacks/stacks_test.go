@@ -323,12 +323,14 @@ func TestSockBlockingSemantics(t *testing.T) {
 
 func TestSegCostStructure(t *testing.T) {
 	h := kern.NewHost(sim.New(), "h", costs.Default())
-	with := SegCost(h, 1460, false)
-	without := SegCost(h, 1460, true)
-	if with <= without {
-		t.Fatal("checksum must add cost")
+	elided := costs.Default()
+	elided.ChecksumPerByte = 0
+	with := SegCost(h, 1460)
+	without := SegCost(kern.NewHost(sim.New(), "h", elided), 1460)
+	if with-without != h.Cost.Checksum(1460) {
+		t.Fatalf("checksum adds %v, want %v", with-without, h.Cost.Checksum(1460))
 	}
-	small := SegCost(h, 1, false)
+	small := SegCost(h, 1)
 	if with <= small {
 		t.Fatal("per-byte component missing")
 	}

@@ -220,9 +220,7 @@ func (cs *condState) apply(g *Segment, f *inflight) (condDropKind, time.Duration
 				g.s.Bus.Emit(trace.Event{Kind: trace.FrameDup, Node: g.cfg.Name,
 					A: int64(b.Len()), Frame: b.Bytes()})
 			}
-			d := inflightPool.Get().(*inflight)
-			*d = inflight{g: g, src: f.src, dst: f.dst, b: b.Clone()}
-			g.s.AfterArg(g.cfg.Propagation, deliverCB, d)
+			g.s.AfterArg(g.cfg.Propagation, deliverCB, g.newInflight(inflight{src: f.src, dst: f.dst, b: b.Clone()}))
 		}
 		if r.Float64() < lc.ReorderProb {
 			g.stats.Reordered++

@@ -103,9 +103,7 @@ func (g *Segment) flood(f *inflight) {
 	src, dst, b := f.src, f.dst, f.b
 	f.put()
 	g.fanOut(src, b, func(st Station, fb *pkt.Buf) {
-		d := inflightPool.Get().(*inflight)
-		*d = inflight{g: g, src: src, dst: dst, b: fb, st: st}
-		g.egressSend(d)
+		g.egressSend(g.newInflight(inflight{src: src, dst: dst, b: fb, st: st}))
 	})
 }
 
@@ -126,7 +124,6 @@ func switchedDeliverCB(a any) {
 	f := a.(*inflight)
 	g, st, b := f.g, f.st, f.b
 	f.put()
-	b.Meta.RxDev = g.cfg.Name
 	if g.s.Bus.Enabled() {
 		g.s.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
 			Conn: st.Addr().String(), A: int64(b.Len()), Frame: b.Bytes()})

@@ -12,9 +12,9 @@ package wire
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"ulp/internal/freelist"
 	"ulp/internal/link"
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
@@ -95,6 +95,9 @@ type Segment struct {
 
 	stats                         Stats
 	framesSwitched, framesFlooded int
+
+	// free holds the segment's spare in-flight frame records.
+	free freelist.List[*inflight]
 }
 
 // Stats is a segment's cumulative frame counters. Sent and Bytes count
@@ -172,14 +175,13 @@ func (g *Segment) Transmit(src, dst link.Addr, b *pkt.Buf) {
 			A: int64(b.Len()), Frame: b.Bytes()})
 	}
 	tx := g.TxTime(b.Len())
-	f := inflightPool.Get().(*inflight)
-	*f = inflight{g: g, src: src, dst: dst, b: b}
-	res.UseAsyncArg(tx, propagateCB, f)
+	res.UseAsyncArg(tx, propagateCB, g.newInflight(inflight{src: src, dst: dst, b: b}))
 }
 
 // inflight carries one frame through the transmit -> propagate -> deliver
-// pipeline. Records are pooled and the stage callbacks are static functions,
-// so a frame crossing the wire costs no closure allocations.
+// pipeline. Records come from their segment's free list and the stage
+// callbacks are static functions, so a frame crossing the wire costs no
+// allocation.
 type inflight struct {
 	g        *Segment
 	src, dst link.Addr
@@ -187,12 +189,22 @@ type inflight struct {
 	st       Station // resolved egress station (switched fabric only)
 }
 
-var inflightPool = sync.Pool{New: func() any { return new(inflight) }}
-
-func (f *inflight) put() {
-	*f = inflight{}
-	inflightPool.Put(f)
+// newInflight returns a record from the segment's list holding f.
+func (g *Segment) newInflight(f inflight) *inflight {
+	rec := g.free.Get()
+	if rec == nil {
+		rec = new(inflight)
+	}
+	*rec = f
+	rec.g = g
+	return rec
 }
+
+// Scrub drops the record's references.
+func (f *inflight) Scrub() { *f = inflight{} }
+
+// put gives the record back to its segment's list.
+func (f *inflight) put() { f.g.free.Put(f) }
 
 func propagateCB(a any) {
 	f := a.(*inflight)
@@ -237,7 +249,6 @@ func (g *Segment) propagate(f *inflight) {
 }
 
 func (g *Segment) deliver(src, dst link.Addr, b *pkt.Buf) {
-	b.Meta.RxDev = g.cfg.Name
 	if g.s.Bus.Enabled() {
 		g.s.Bus.Emit(trace.Event{Kind: trace.FrameRx, Node: g.cfg.Name,
 			Conn: dst.String(), A: int64(b.Len()), Frame: b.Bytes()})
