@@ -18,22 +18,18 @@ func (k *Checker) onFrame(at time.Duration, w []byte) {
 	if !ok {
 		return
 	}
-	if len(ip) < ipv4.HeaderLen || ip[0]>>4 != 4 {
-		return
+	d, ok := ipv4.Peek(ip)
+	if !ok || d.Fragment() || d.Proto != ipv4.ProtoTCP {
+		return // a fragment's partial TCP segment proves nothing
 	}
-	ihl := int(ip[0]&0x0f) * 4
+	// The segment ends where the datagram's total length says, short of any
+	// link padding.
+	ihl := len(ip) - len(d.Body)
 	total := int(binary.BigEndian.Uint16(ip[2:4]))
-	if ihl < ipv4.HeaderLen || total < ihl || total > len(ip) {
+	if total < ihl || total > len(ip) {
 		return
 	}
-	ff := binary.BigEndian.Uint16(ip[6:8])
-	if ff&0x2000 != 0 || ff&0x1fff != 0 {
-		return // fragment: a partial TCP segment proves nothing
-	}
-	if ip[9] != ipv4.ProtoTCP {
-		return
-	}
-	seg := ip[ihl:total]
+	seg := d.Body[:total-ihl]
 	if len(seg) < tcp.HeaderLen {
 		return
 	}
@@ -41,11 +37,9 @@ func (k *Checker) onFrame(at time.Duration, w []byte) {
 	if off < tcp.HeaderLen || off > len(seg) {
 		return
 	}
-	var srcIP, dstIP ipv4.Addr
-	copy(srcIP[:], ip[12:16])
-	copy(dstIP[:], ip[16:20])
-	src := tcp.Endpoint{IP: srcIP, Port: binary.BigEndian.Uint16(seg[0:2])}
-	dst := tcp.Endpoint{IP: dstIP, Port: binary.BigEndian.Uint16(seg[2:4])}
+	srcPort, dstPort, _ := ipv4.Ports(seg)
+	src := tcp.Endpoint{IP: d.Src, Port: srcPort}
+	dst := tcp.Endpoint{IP: d.Dst, Port: dstPort}
 	seq := tcp.Seq(binary.BigEndian.Uint32(seg[4:8]))
 	ack := tcp.Seq(binary.BigEndian.Uint32(seg[8:12]))
 	flags := seg[13]
@@ -54,18 +48,15 @@ func (k *Checker) onFrame(at time.Duration, w []byte) {
 
 // ipPayload sniffs the link encapsulation (Ethernet II or AN1) and returns
 // the IPv4 datagram bytes. Both framings carry dst(6) src(6) addresses; the
-// EtherType sits at offset 12 for Ethernet and 16 for AN1 (after the two
-// BQI words), so probing for TypeIPv4 followed by an IPv4 version nibble
-// disambiguates them without out-of-band knowledge of the segment flavor.
+// EtherType closes the header, at offset 12 for Ethernet and 16 for AN1
+// (after the two BQI words), so probing for TypeIPv4 followed by an IPv4
+// version nibble disambiguates them without out-of-band knowledge of the
+// segment flavor.
 func ipPayload(w []byte) ([]byte, bool) {
-	const t = uint16(link.TypeIPv4)
-	if len(w) >= link.EthHeaderLen+ipv4.HeaderLen &&
-		binary.BigEndian.Uint16(w[12:14]) == t && w[link.EthHeaderLen]>>4 == 4 {
-		return w[link.EthHeaderLen:], true
-	}
-	if len(w) >= link.AN1HeaderLen+ipv4.HeaderLen &&
-		binary.BigEndian.Uint16(w[16:18]) == t && w[link.AN1HeaderLen]>>4 == 4 {
-		return w[link.AN1HeaderLen:], true
+	for _, hl := range [...]int{link.EthHeaderLen, link.AN1HeaderLen} {
+		if et, _ := link.TypeAt(w, hl); et == link.TypeIPv4 && len(w) >= hl+ipv4.HeaderLen && w[hl]>>4 == 4 {
+			return w[hl:], true
+		}
 	}
 	return nil, false
 }

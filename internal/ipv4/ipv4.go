@@ -106,6 +106,51 @@ func (h *Header) Encode(b *pkt.Buf) {
 	binary.BigEndian.PutUint16(w[10:], ck)
 }
 
+// Datagram is an IPv4 datagram read in place (Peek).
+type Datagram struct {
+	Proto    uint8
+	Src, Dst Addr
+	MF       bool // more fragments follow
+	FragOff  int  // byte offset; nonzero for a later fragment
+	// Body is the bytes past the header and its options, to the end of the
+	// frame (link padding included).
+	Body []byte
+}
+
+// Fragment reports whether the datagram is part of a larger one.
+func (d *Datagram) Fragment() bool { return d.MF || d.FragOff != 0 }
+
+// Peek reads the header of the IPv4 datagram that starts w, in place, for
+// the demultiplexers and checkers that see a frame without taking it. It
+// checks only what locating the body needs — version 4 and a header length
+// that fits — and neither the checksum nor the total length, so a steering
+// table accepts exactly what filter.Spec.Compile's predicates accept. ok is
+// false for anything else.
+func Peek(w []byte) (d Datagram, ok bool) {
+	if len(w) < HeaderLen || w[0]>>4 != 4 {
+		return d, false
+	}
+	hl := int(w[0]&0x0f) * 4
+	if hl < HeaderLen || hl > len(w) {
+		return d, false
+	}
+	ff := binary.BigEndian.Uint16(w[6:])
+	return Datagram{
+		Proto: w[9], Src: Addr(w[12:16]), Dst: Addr(w[16:20]),
+		MF: ff&FlagMF != 0, FragOff: int(ff&0x1fff) * 8,
+		Body: w[hl:],
+	}, true
+}
+
+// Ports reads the source and destination ports that open a TCP or UDP
+// header; ok is false when body is too short to hold them.
+func Ports(body []byte) (src, dst uint16, ok bool) {
+	if len(body) < 4 {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint16(body), binary.BigEndian.Uint16(body[2:]), true
+}
+
 // Decode strips and validates a header from b, trimming the payload to the
 // datagram's total length (link layers may have padded the frame).
 func Decode(b *pkt.Buf) (Header, error) {

@@ -368,3 +368,36 @@ func TestIDGen(t *testing.T) {
 		t.Fatal("IDs not unique")
 	}
 }
+
+// Peek reads a datagram in place: past its options to a body that runs to
+// the end of the bytes, its fragment state, and nothing it cannot locate.
+func TestPeek(t *testing.T) {
+	h := Header{ID: 7, MF: true, FragOff: 1480, TTL: 64, Proto: ProtoUDP, Src: srcA, Dst: dstA,
+		Options: []byte{1, 1, 1, 0}}
+	b := pkt.FromBytes(HeaderLen+4, []byte{0, 53, 4, 1, 'x'})
+	h.Encode(b)
+	w := append(b.Bytes(), 0, 0) // link padding past the total length
+	d, ok := Peek(w)
+	if !ok || d.Proto != ProtoUDP || d.Src != srcA || d.Dst != dstA || !d.MF || d.FragOff != 1480 || !d.Fragment() {
+		t.Fatalf("Peek = %+v, %v", d, ok)
+	}
+	if !bytes.Equal(d.Body, []byte{0, 53, 4, 1, 'x', 0, 0}) {
+		t.Fatalf("body = %x", d.Body)
+	}
+	if src, dst, ok := Ports(d.Body); !ok || src != 53 || dst != 1025 {
+		t.Fatalf("Ports = %d, %d, %v", src, dst, ok)
+	}
+	if _, _, ok := Ports(d.Body[:3]); ok {
+		t.Fatal("ports read from three bytes")
+	}
+	for name, bad := range map[string][]byte{
+		"short":              w[:HeaderLen-1],
+		"header past bytes":  w[:HeaderLen+2],
+		"not version 4":      append([]byte{0x65}, w[1:]...),
+		"header length < 20": append([]byte{0x44}, w[1:]...),
+	} {
+		if _, ok := Peek(bad); ok {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -70,6 +70,16 @@ const (
 	AN1MaxMTU = 65535
 )
 
+// TypeAt reads the EtherType that closes a link header of hdrLen bytes at
+// the start of frame, where both framings keep it; ok is false when the
+// frame is shorter than the header.
+func TypeAt(frame []byte, hdrLen int) (et EtherType, ok bool) {
+	if len(frame) < hdrLen {
+		return 0, false
+	}
+	return EtherType(binary.BigEndian.Uint16(frame[hdrLen-2:])), true
+}
+
 // EthHeader is a decoded Ethernet II header.
 type EthHeader struct {
 	Dst, Src Addr

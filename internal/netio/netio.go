@@ -78,53 +78,25 @@ type Template struct {
 var zeroAddr link.Addr
 
 // Verify checks an outbound frame against the template. hdrLen is the link
-// header length of the device.
+// header length of the device. An IP fragment is refused: a later one's
+// first bytes are payload, not ports, and the library sends none — every
+// datagram it builds carries DF.
 func (t *Template) Verify(frame []byte, hdrLen int) bool {
-	if len(frame) < hdrLen {
-		return false
-	}
-	var dst, src link.Addr
-	copy(dst[:], frame[0:6])
-	copy(src[:], frame[6:12])
-	et := link.EtherType(uint16(frame[hdrLen-2])<<8 | uint16(frame[hdrLen-1]))
-	if src != t.LinkSrc {
-		return false
-	}
-	if t.LinkDst != zeroAddr && dst != t.LinkDst {
-		return false
-	}
-	if et != t.Type {
+	et, ok := link.TypeAt(frame, hdrLen)
+	if !ok || et != t.Type || link.Addr(frame[6:12]) != t.LinkSrc ||
+		t.LinkDst != zeroAddr && link.Addr(frame[0:6]) != t.LinkDst {
 		return false
 	}
 	if t.Proto == 0 {
 		return true
 	}
-	ip := frame[hdrLen:]
-	if len(ip) < ipv4.HeaderLen {
+	d, ok := ipv4.Peek(frame[hdrLen:])
+	if !ok || d.Fragment() || d.Proto != t.Proto || d.Src != t.LocalIP ||
+		t.RemoteIP != (ipv4.Addr{}) && d.Dst != t.RemoteIP {
 		return false
 	}
-	if ip[9] != t.Proto {
-		return false
-	}
-	if [4]byte(ip[12:16]) != t.LocalIP {
-		return false
-	}
-	if t.RemoteIP != ([4]byte{}) && [4]byte(ip[16:20]) != t.RemoteIP {
-		return false
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < ipv4.HeaderLen || len(ip) < ihl+4 {
-		return false
-	}
-	srcPort := uint16(ip[ihl])<<8 | uint16(ip[ihl+1])
-	dstPort := uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3])
-	if srcPort != t.LocalPort {
-		return false
-	}
-	if t.RemotePort != 0 && dstPort != t.RemotePort {
-		return false
-	}
-	return true
+	src, dst, ok := ipv4.Ports(d.Body)
+	return ok && src == t.LocalPort && (t.RemotePort == 0 || dst == t.RemotePort)
 }
 
 // Capability is an unforgeable send/receive right for one channel. It is the
@@ -485,30 +457,18 @@ type steerKey struct {
 // fragment (no transport header) — which are exactly the frames the
 // predicate Spec.Compile returns rejects whatever the Spec.
 func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
-	if len(frame) < hdrLen+20 {
+	if et, _ := link.TypeAt(frame, hdrLen); et != link.TypeIPv4 {
 		return
 	}
-	if uint16(frame[hdrLen-2])<<8|uint16(frame[hdrLen-1]) != 0x0800 {
+	d, ok := ipv4.Peek(frame[hdrLen:])
+	if !ok || d.FragOff != 0 {
+		return full, wild, false
+	}
+	src, dst, ok := ipv4.Ports(d.Body)
+	if !ok {
 		return
 	}
-	ip := frame[hdrLen:]
-	if ip[0]>>4 != 4 {
-		return
-	}
-	if (uint16(ip[6])<<8|uint16(ip[7]))&0x1fff != 0 {
-		return // non-first fragment
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl+4 {
-		return
-	}
-	full = steerKey{
-		proto:      ip[9],
-		localIP:    ipv4.Addr(ip[16:20]),
-		localPort:  uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3]),
-		remoteIP:   ipv4.Addr(ip[12:16]),
-		remotePort: uint16(ip[ihl])<<8 | uint16(ip[ihl+1]),
-	}
+	full = steerKey{proto: d.Proto, localIP: d.Dst, localPort: dst, remoteIP: d.Src, remotePort: src}
 	wild = full
 	wild.remoteIP = ipv4.Addr{}
 	wild.remotePort = 0
@@ -662,10 +622,11 @@ func (m *Module) steerLookup(frame []byte) *binding {
 			return bd
 		}
 	}
-	if len(frame) < hdrLen {
+	et, ok := link.TypeAt(frame, hdrLen)
+	if !ok {
 		return nil
 	}
-	return m.steer[steerKey{etherType: link.EtherType(uint16(frame[hdrLen-2])<<8 | uint16(frame[hdrLen-1]))}]
+	return m.steer[steerKey{etherType: et}]
 }
 
 // deliverMatched accounts and completes a software demux hit. The packet

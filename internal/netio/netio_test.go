@@ -354,3 +354,34 @@ func TestTemplateVerifyUnit(t *testing.T) {
 		t.Fatal("forged link source accepted")
 	}
 }
+
+// A template refuses every IP fragment. A later fragment's first bytes are
+// payload: one whose payload happens to open with the template's ports must
+// not pass as the connection's segment, and the library never fragments.
+func TestTemplateVerifyRefusesFragments(t *testing.T) {
+	w := newWorld(t, false)
+	_, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
+	tmpl.LinkSrc, tmpl.LinkDst = w.addr1, w.addr2
+	tmpl.LocalIP, tmpl.RemoteIP = ip1, ip2
+	tmpl.LocalPort, tmpl.RemotePort = 1025, 80
+	frame := func(h ipv4.Header, payload []byte) []byte {
+		b := pkt.FromBytes(link.EthHeaderLen+ipv4.HeaderLen, payload)
+		h.TTL, h.Proto, h.Src, h.Dst = 64, ipv4.ProtoTCP, ip1, ip2
+		h.Encode(b)
+		lh := link.EthHeader{Dst: w.addr2, Src: w.addr1, Type: link.TypeIPv4}
+		lh.Encode(b)
+		return b.Bytes()
+	}
+	ports := []byte{1025 >> 8, 1025 & 0xff, 0, 80, 'd', 'a', 't', 'a'}
+	if !tmpl.Verify(frame(ipv4.Header{DF: true}, ports), link.EthHeaderLen) {
+		t.Fatal("whole datagram rejected")
+	}
+	for name, h := range map[string]ipv4.Header{
+		"later fragment": {FragOff: 1480},
+		"first fragment": {MF: true},
+	} {
+		if tmpl.Verify(frame(h, ports), link.EthHeaderLen) {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

@@ -293,3 +293,69 @@ func TestManySteeredEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSteeringMatchesCompile holds the steering table to its reference: for
+// any frame bytes, the channel the module's lookup picks is the one a
+// first-match scan of the bound specs' Spec.Compile predicates picks, exact
+// five-tuples ahead of listeners, and none when no predicate accepts.
+func FuzzSteeringMatchesCompile(f *testing.F) {
+	w := newWorld(f, false)
+	udpListener := filter.Spec{LinkHdrLen: link.EthHeaderLen, Proto: ipv4.ProtoUDP, LocalIP: ip2, LocalPort: 53}
+	specs := []filter.Spec{tcpSpec(80, 1025), tcpSpec(90, 2000), tcpSpec(80, 0), tcpSpec(443, 0), udpListener}
+	type bound struct {
+		match func([]byte) bool
+		ch    *Channel
+	}
+	var exact, listeners []bound
+	for _, sp := range specs {
+		_, ch, err := w.m2.CreateChannel(w.krn2, sp, Template{}, 8)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if sp.RemotePort != 0 {
+			exact = append(exact, bound{sp.Compile(), ch})
+		} else {
+			listeners = append(listeners, bound{sp.Compile(), ch})
+		}
+	}
+	scan := append(exact, listeners...)
+	frame := func(srcPort, dstPort uint16, edit func([]byte)) []byte {
+		b := buildTCPFrame(w, link.EthHeaderLen, srcPort, dstPort, []byte("payload"))
+		raw := append([]byte(nil), b.Bytes()...)
+		b.Release()
+		if edit != nil {
+			edit(raw[link.EthHeaderLen:])
+		}
+		return raw
+	}
+	f.Add(frame(1025, 80, nil))
+	f.Add(frame(3000, 80, nil))
+	f.Add(frame(2000, 90, nil))
+	f.Add(frame(2001, 90, nil))
+	f.Add(frame(5000, 443, nil))
+	f.Add(frame(1025, 53, func(ip []byte) { ip[9] = ipv4.ProtoUDP }))
+	f.Add(frame(1025, 80, func(ip []byte) { ip[7] = 0x10 }))         // later fragment
+	f.Add(frame(1025, 80, func(ip []byte) { ip[6] = 0x20 }))         // first fragment
+	f.Add(frame(1025, 80, func(ip []byte) { ip[0] = 0x46 }))         // options: ports move
+	f.Add(frame(1025, 80, func(ip []byte) { ip[0] = 0x44 }))         // header too short
+	f.Add(frame(1025, 80, func(ip []byte) { ip[0] = 0x65 }))         // not version 4
+	f.Add(frame(1025, 80, func(ip []byte) { ip[2], ip[3] = 0, 0 }))  // total length ignored
+	f.Add(frame(1025, 80, nil)[:link.EthHeaderLen+ipv4.HeaderLen+3]) // ports cut short
+	f.Add(frame(1025, 80, nil)[:link.EthHeaderLen-1])                // link header cut short
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var want *Channel
+		for _, b := range scan {
+			if b.match(raw) {
+				want = b.ch
+				break
+			}
+		}
+		var got *Channel
+		if bd := w.m2.steerLookup(raw); bd != nil {
+			got = bd.ch
+		}
+		if got != want {
+			t.Fatalf("frame % x: steering picked %p, the predicates %p", raw, got, want)
+		}
+	})
+}

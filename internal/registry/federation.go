@@ -7,6 +7,7 @@ import (
 	"ulp/internal/chaos"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
+	"ulp/internal/link"
 	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
@@ -193,35 +194,25 @@ func (f *Federation) steer(b *pkt.Buf) {
 // tuple's static owner.
 func (f *Federation) classify(frame []byte) int {
 	hdrLen := f.mod.Device().HdrLen()
-	if len(frame) < hdrLen {
-		return 0
-	}
-	if uint16(frame[hdrLen-2])<<8|uint16(frame[hdrLen-1]) != 0x0800 {
+	if et, _ := link.TypeAt(frame, hdrLen); et != link.TypeIPv4 {
 		return 0 // ARP and everything non-IP
 	}
-	ip := frame[hdrLen:]
-	if len(ip) < ipv4.HeaderLen || ip[0]>>4 != 4 {
-		return 0
-	}
-	if ip[9] != ipv4.ProtoTCP {
+	d, ok := ipv4.Peek(frame[hdrLen:])
+	if !ok || d.Proto != ipv4.ProtoTCP {
 		return 0 // UDP and friends: shard 0 owns the datagram plane
 	}
-	if (uint16(ip[6])<<8|uint16(ip[7]))&0x3fff != 0 {
-		// Any fragment (MF set or nonzero offset): a later fragment carries
-		// no TCP header to peek at, so route the whole datagram's fragments
-		// by the IP pair alone — they all land on one shard's reassembler.
-		local := tcp.Endpoint{IP: ipv4.Addr(ip[16:20])}
-		peer := tcp.Endpoint{IP: ipv4.Addr(ip[12:16])}
+	local, peer := tcp.Endpoint{IP: d.Dst}, tcp.Endpoint{IP: d.Src}
+	if d.Fragment() {
+		// A later fragment carries no TCP header to peek at, so route the
+		// whole datagram's fragments by the IP pair alone — they all land on
+		// one shard's reassembler.
 		return int(endpointHash(local, peer) % uint32(len(f.shards)))
 	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < ipv4.HeaderLen || len(ip) < ihl+4 {
+	src, dst, ok := ipv4.Ports(d.Body)
+	if !ok {
 		return 0
 	}
-	local := tcp.Endpoint{IP: ipv4.Addr(ip[16:20]),
-		Port: uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3])}
-	peer := tcp.Endpoint{IP: ipv4.Addr(ip[12:16]),
-		Port: uint16(ip[ihl])<<8 | uint16(ip[ihl+1])}
+	local.Port, peer.Port = dst, src
 	return f.ownerEndpoints(local, peer)
 }
 
