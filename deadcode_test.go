@@ -1,6 +1,7 @@
 package ulp_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,12 +71,7 @@ var testOnlyAllowed = map[string]string{
 // also fails on an entry that is stale (its function is gone or is now
 // referenced) or names a test that does not exist.
 func TestNoTestOnlyCode(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newModLoader(t, root)
-	l.loadAll()
+	l := loadModule(t)
 
 	type decl struct {
 		key      string
@@ -131,7 +128,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 		}
 	}
 
-	tests := l.testFuncs()
+	tests := l.tests
 	seen := map[string]bool{}
 	var unlisted []decl
 	for fn, d := range decls {
@@ -157,7 +154,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 	for _, d := range unlisted {
 		total += d.lines
 		t.Errorf("%s (%s:%d, %d lines) has no reference from a non-test file: delete it, or list it in testOnlyAllowed with the test that uses it",
-			d.key, relPath(root, d.pos.Filename), d.pos.Line, d.lines)
+			d.key, relPath(l.root, d.pos.Filename), d.pos.Line, d.lines)
 	}
 	if len(unlisted) > 0 {
 		t.Logf("%d unreferenced functions, %d lines", len(unlisted), total)
@@ -199,12 +196,7 @@ var settingExempt = map[string]bool{
 // the test also fails on a stale entry or one naming a test that does not
 // exist.
 func TestEverySettingIsChosen(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newModLoader(t, root)
-	l.loadAll()
+	l := loadModule(t)
 
 	fields := map[*types.Var]string{}
 	var add func(tn *types.TypeName, reach bool)
@@ -275,7 +267,7 @@ func TestEverySettingIsChosen(t *testing.T) {
 		}
 	}
 
-	tests := l.testFuncs()
+	tests := l.tests
 	seen := map[string]bool{}
 	var unchosen []string
 	for f, key := range fields {
@@ -308,12 +300,7 @@ func TestEverySettingIsChosen(t *testing.T) {
 // field, an ablation overriding it — since a cost nothing reads is charged
 // to no CPU and moves no cell of any table.
 func TestEveryCostIsCharged(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newModLoader(t, root)
-	l.loadAll()
+	l := loadModule(t)
 	costs := l.pkgs[modPath+"/internal/costs"]
 	model := costs.pkg.Scope().Lookup("Model").(*types.TypeName)
 	st := model.Type().Underlying().(*types.Struct)
@@ -415,12 +402,7 @@ var (
 // not the module's to check. Deliberate history goes on docsAllowed, and
 // the test also fails on an entry no doc needs any more.
 func TestDocsNameLiveCode(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newModLoader(t, root)
-	l.loadAll()
+	l := loadModule(t)
 	pkgs := map[string]*types.Package{}
 	named := map[string][]types.Type{}
 	for _, p := range l.pkgs {
@@ -433,7 +415,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 			}
 		}
 	}
-	tests := l.testFuncs()
+	tests := l.tests
 
 	// chain reports whether the selectors sels lead from typ through fields
 	// to a field or method.
@@ -482,7 +464,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 
 	mentioned := map[string]bool{}
 	for _, doc := range docFiles {
-		src, err := os.ReadFile(filepath.Join(root, doc))
+		src, err := os.ReadFile(filepath.Join(l.root, doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,11 +524,13 @@ func relPkg(pkg *types.Package) string {
 // modLoader type-checks the module's non-test files, resolving module
 // imports itself and the standard library from source.
 type modLoader struct {
-	t    *testing.T
 	root string
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*modPkg
+	// tests names the Test, Benchmark, Fuzz and Example functions declared
+	// in the module's test files.
+	tests map[string]bool
 }
 
 type modPkg struct {
@@ -555,45 +539,71 @@ type modPkg struct {
 	info  *types.Info
 }
 
-func newModLoader(t *testing.T, root string) *modLoader {
-	fset := token.NewFileSet()
-	return &modLoader{t: t, root: root, fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*modPkg{}}
+var (
+	modOnce sync.Once
+	mod     *modLoader
+	modErr  error
+)
+
+// loadModule type-checks the module once for every guard that reads it (the
+// guards never change what it holds) and fails t with the error the load
+// met, if it met one.
+func loadModule(t *testing.T) *modLoader {
+	t.Helper()
+	modOnce.Do(func() {
+		root, err := filepath.Abs(".")
+		if err != nil {
+			modErr = err
+			return
+		}
+		fset := token.NewFileSet()
+		mod = &modLoader{root: root, fset: fset,
+			std:  importer.ForCompiler(fset, "source", nil),
+			pkgs: map[string]*modPkg{}}
+		if modErr = mod.loadAll(); modErr == nil {
+			mod.tests, modErr = mod.testFuncs()
+		}
+	})
+	if modErr != nil {
+		t.Fatal(modErr)
+	}
+	return mod
 }
 
 func (l *modLoader) Import(path string) (*types.Package, error) {
 	if path != modPath && !strings.HasPrefix(path, modPath+"/") {
 		return l.std.Import(path)
 	}
-	return l.load(path).pkg, nil
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.pkg, nil
 }
 
 // loadAll type-checks every package directory under the module root.
-func (l *modLoader) loadAll() {
-	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
+func (l *modLoader) loadAll() error {
+	return filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		if name := d.Name(); path != l.root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		if len(l.sources(path)) > 0 {
-			l.load(filepath.ToSlash(filepath.Join(modPath, relPath(l.root, path))))
+		if srcs, err := l.sources(path); err != nil || len(srcs) == 0 {
+			return err
 		}
-		return nil
+		_, err = l.load(filepath.ToSlash(filepath.Join(modPath, relPath(l.root, path))))
+		return err
 	})
-	if err != nil {
-		l.t.Fatal(err)
-	}
 }
 
 // sources lists the non-test Go files of dir that the default build
 // context selects.
-func (l *modLoader) sources(dir string) []string {
+func (l *modLoader) sources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		l.t.Fatal(err)
+		return nil, err
 	}
 	var out []string
 	for _, e := range ents {
@@ -602,17 +612,17 @@ func (l *modLoader) sources(dir string) []string {
 			continue
 		}
 		if ok, err := build.Default.MatchFile(dir, name); err != nil {
-			l.t.Fatal(err)
+			return nil, err
 		} else if ok {
 			out = append(out, filepath.Join(dir, name))
 		}
 	}
-	return out
+	return out, nil
 }
 
-func (l *modLoader) load(path string) *modPkg {
+func (l *modLoader) load(path string) (*modPkg, error) {
 	if p, ok := l.pkgs[path]; ok {
-		return p
+		return p, nil
 	}
 	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, modPath)))
 	p := &modPkg{info: &types.Info{
@@ -620,21 +630,25 @@ func (l *modLoader) load(path string) *modPkg {
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}}
-	for _, name := range l.sources(dir) {
+	srcs, err := l.sources(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range srcs {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
-			l.t.Fatal(err)
+			return nil, err
 		}
 		p.files = append(p.files, f)
 	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, p.files, p.info)
 	if err != nil {
-		l.t.Fatalf("type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
 	p.pkg = pkg
 	l.pkgs[path] = p
-	return p
+	return p, nil
 }
 
 // interfaces collects every interface a method could be satisfying: the
@@ -711,7 +725,7 @@ func satisfiesInterface(m *types.Func, ifaces []*types.Interface) bool {
 
 // testFuncs returns the names of the Test, Benchmark, Fuzz and Example
 // functions declared in the module's test files.
-func (l *modLoader) testFuncs() map[string]bool {
+func (l *modLoader) testFuncs() (map[string]bool, error) {
 	out := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -738,10 +752,7 @@ func (l *modLoader) testFuncs() map[string]bool {
 		}
 		return nil
 	})
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	return out
+	return out, err
 }
 
 func recvNamed(t types.Type) *types.Named {
