@@ -1,9 +1,9 @@
 // Package explore is a coverage-guided fault-schedule explorer for the TCP
-// engine. It drives pairs of engine instances (and, via the world scenarios,
-// whole simulated networks) through scripted lifecycles while systematically
-// placing faults — per-frame-index drops, injected resets, aborts, link
-// cuts — around the handshake, simultaneous open/close, retransmission and
-// crash-recovery paths. Every run streams its trace through the RFC 793
+// engine. It drives pairs of engine instances, joined by a pipe, through
+// scripted lifecycles while systematically placing faults — per-frame-index
+// drops, injected resets, aborts and closes, link cuts, partitions and
+// flaps — around the handshake, simultaneous open/close, retransmission,
+// persist and TIME_WAIT paths. Every run streams its trace through the RFC 793
 // conformance checker (internal/conform); the explorer steers schedule
 // mutation toward legal (state, trigger) transition edges not yet covered,
 // and when a run produces a violation it delta-debugs the schedule down to
