@@ -462,7 +462,7 @@ func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
 	}
 	d, ok := ipv4.Peek(frame[hdrLen:])
 	if !ok || d.FragOff != 0 {
-		return full, wild, false
+		return
 	}
 	src, dst, ok := ipv4.Ports(d.Body)
 	if !ok {

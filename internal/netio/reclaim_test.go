@@ -14,9 +14,6 @@ func TestRevokeOwner(t *testing.T) {
 	w := newWorld(t, false)
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
 	other := w.h2.NewDomain("other", false)
-	if _, _, err := w.m2.CreateChannelBQI(w.app2, w.app2, spec, tmpl, 8, 0); err == nil {
-		t.Fatal("unprivileged domain created an owned channel")
-	}
 	cap1, _, err := w.m2.CreateChannelBQI(w.krn2, w.app2, spec, tmpl, 8, 0)
 	if err != nil {
 		t.Fatal(err)

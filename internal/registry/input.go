@@ -14,10 +14,10 @@ import (
 // inputUDP demultiplexes default-path datagrams to bound library
 // end-points (the software fallback when BQIs cannot be negotiated).
 func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
-	if len(data) < 4 {
+	_, dstPort, ok := ipv4.Ports(data)
+	if !ok {
 		return
 	}
-	dstPort := uint16(data[2])<<8 | uint16(data[3])
 	cap, ok := r.udpChannels[dstPort]
 	if !ok {
 		return // port unreachable: the simplified IP library drops
