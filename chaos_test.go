@@ -878,6 +878,66 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 	assertNoPoolLeaks(t)
 }
 
+// An application whose connections were handed off by two registry shards
+// dies after one shard has crashed for good. The dead shard never runs its
+// crash sweep, so its record of the connection it handed off is gone with
+// it; the survivor's sweep ends with the module's RevokeOwner, which is the
+// only thing left that can revoke that channel and unpin its region.
+func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
+	trackPoolLeaks(t)
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
+		Chaos: &chaos.FaultPlan{
+			ShardCrashes: []chaos.ShardCrash{{Host: 0, Shard: 1, At: 200 * time.Millisecond}},
+			// Well inside the lease TTL: the application has not migrated
+			// the dead shard's connection to the survivor.
+			Crashes: []chaos.CrashPoint{{Host: 0, App: "client", At: 400 * time.Millisecond}},
+		},
+	})
+	srv := w.Node(1).App("server")
+	cli := w.Node(0).App("client")
+	accepted := 0
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		for range 2 {
+			if _, err := l.Accept(th); err != nil {
+				return
+			}
+			accepted++
+		}
+	})
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		// Connects go round-robin over the live shards: one through each.
+		for range 2 {
+			if _, err := cli.Stack.Connect(th, w.Endpoint(1, 80), stacks.Options{}); err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+		}
+		th.Sleep(time.Hour)
+	})
+	mod := w.Node(0).Mod
+	w.Run(300 * time.Millisecond)
+	if accepted != 2 || mod.LiveCapabilities(cli.Dom) != 2 {
+		t.Fatalf("before the application crash: %d accepted, %d capabilities held; want 2, 2",
+			accepted, mod.LiveCapabilities(cli.Dom))
+	}
+	if Counter(t, w, "registry.h0.shard1.live") != 0 {
+		t.Fatal("shard 1 did not crash")
+	}
+	w.Run(time.Second)
+	if !cli.Dom.Dead() {
+		t.Fatal("crash point did not fire")
+	}
+	if got := mod.LiveCapabilities(cli.Dom); got != 0 {
+		t.Errorf("%d capabilities of the dead application left in host 0's module", got)
+	}
+	if got := mod.PinnedRegions(); got != 0 {
+		t.Errorf("%d shared regions still pinned on host 0", got)
+	}
+	assertNoPoolLeaks(t)
+}
+
 // A scripted partition under connection churn: the whole segment goes dark
 // for three seconds in the middle of a staggered run of short echo
 // connections. SYNs and data sent into the outage vanish silently (no

@@ -391,16 +391,20 @@ var (
 	keyPart = regexp.MustCompile(`_|^(h|ch|shard)[0-9NK]$`)
 	// fileExt marks a file name.
 	fileExt = map[string]bool{"go": true, "md": true, "json": true, "golden": true, "mod": true}
+	// repoPath is a path into the repository; one holding "..." is a
+	// pattern, not a path.
+	repoPath = regexp.MustCompile(`^(internal|cmd|examples|testdata)/[\w./-]*$`)
 )
 
 // TestDocsNameLiveCode fails when README.md, DESIGN.md or EXPERIMENTS.md
-// name, in backticks, Go code the module does not have. A name of Go shape
-// — pkg.Name, Type.Member or pkg.Type.Member — whose first part is a
-// module package or a module type must resolve in the type-checked module,
-// where Name may also be a test function or a member of one of the
-// package's types; names that start anywhere else (sync.Pool, t.Fatal) are
-// not the module's to check. Deliberate history goes on docsAllowed, and
-// the test also fails on an entry no doc needs any more.
+// name, in backticks, Go code the module does not have, or a repository
+// path (internal/..., cmd/..., examples/..., testdata/...) that does not
+// exist. A name of Go shape — pkg.Name, Type.Member or pkg.Type.Member —
+// whose first part is a module package or a module type must resolve in the
+// type-checked module, where Name may also be a test function or a member of
+// one of the package's types; names that start anywhere else (sync.Pool,
+// t.Fatal) are not the module's to check. Deliberate history goes on
+// docsAllowed, and the test also fails on an entry no doc needs any more.
 func TestDocsNameLiveCode(t *testing.T) {
 	l := loadModule(t)
 	pkgs := map[string]*types.Package{}
@@ -469,6 +473,12 @@ func TestDocsNameLiveCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range backticked.FindAllStringSubmatch(string(src), -1) {
+			if repoPath.MatchString(m[1]) && !strings.Contains(m[1], "...") {
+				if _, err := os.Stat(filepath.Join(l.root, m[1])); err != nil {
+					t.Errorf("%s names `%s`, which the repository does not have: mend the text", doc, m[1])
+				}
+				continue
+			}
 			if !goShaped.MatchString(m[1]) {
 				continue
 			}

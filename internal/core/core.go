@@ -56,11 +56,11 @@ type Library struct {
 	// and requests go to it one IPC each.
 	batchq *sim.Queue[batchItem]
 
-	// conns holds the connections with a full record, tws those compacted
-	// for TIME_WAIT (DESIGN §5.5); twEnded wakes the writers waiting on a
-	// compacted connection for its end.
-	conns   map[*Conn]struct{}
-	tws     twList
+	// live heads the list, through Conn.prev and next, of every connection
+	// from adopt to detach, with its full record or compacted for TIME_WAIT
+	// (DESIGN §5.5); twEnded wakes the writers waiting on a compacted
+	// connection for its end.
+	live    *Conn
 	twEnded sim.Cond
 	// bell is what the input thread sleeps on: adopt attaches every
 	// connection's channel to it. inputUp marks that the thread was spawned:
@@ -187,7 +187,6 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		meta:    reg.Meta(),
 		nif:     reg.Netif(),
 		mod:     reg.Netif().Mod,
-		conns:   make(map[*Conn]struct{}),
 		wheel:   stacks.NewTCPWheel(),
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
@@ -318,12 +317,13 @@ func (l *Library) Host() *kern.Host { return l.host }
 // goes back to the library for its next connection, and the handle answers
 // from final what it would have answered from the engine.
 type Conn struct {
-	lib   *Library
-	rec   *connRec
-	tw    *twRec
-	final *closedConn
-	ch    *netio.Channel
-	done  bool
+	lib        *Library
+	rec        *connRec
+	tw         *twRec
+	final      *closedConn
+	ch         *netio.Channel
+	done       bool
+	prev, next *Conn // Library.live
 }
 
 // closedConn is what a handle remembers of a connection whose record is gone.
@@ -378,30 +378,6 @@ type twRec struct {
 	// expiry due meanwhile waits for it (expired), as a full record's waits
 	// for the engine lock.
 	busy, expired bool
-	prev, next    *twRec // Library.tws
-}
-
-// twList links a library's compact records.
-type twList struct{ head *twRec }
-
-func (l *twList) push(tr *twRec) {
-	tr.next = l.head
-	if l.head != nil {
-		l.head.prev = tr
-	}
-	l.head = tr
-}
-
-func (l *twList) remove(tr *twRec) {
-	if tr.prev != nil {
-		tr.prev.next = tr.next
-	} else {
-		l.head = tr.next
-	}
-	if tr.next != nil {
-		tr.next.prev = tr.prev
-	}
-	tr.prev, tr.next = nil, nil
 }
 
 // Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and a
@@ -456,8 +432,6 @@ func (l *Library) compact(r *connRec) bool {
 	tr := &twRec{c: c, tw: r.tc.Compact(), route: r.route, final: closedConn{stats: r.tc.Stats(), eof: true}}
 	l.wheel.Compact(&r.went, &tr.went, tr.expire)
 	c.ch.Attach(&l.bell, tr)
-	delete(l.conns, c)
-	l.tws.push(tr)
 	c.tw, c.final = tr, &tr.final
 	r.closed = true
 	c.unpin(r)
@@ -650,7 +624,11 @@ func (l *Library) adopt(t *kern.Thread, ho *registry.Handoff, opts stacks.Option
 	tc.SetCallbacks(r.cbs)
 	sock.MarkEstablished()
 
-	l.conns[c] = struct{}{}
+	c.next = l.live
+	if l.live != nil {
+		l.live.prev = c
+	}
+	l.live = c
 	l.wheel.Init(&r.went, tc, r)
 	// An empty engine pass syncs the restored counters (the handshake may
 	// have left the keepalive or retransmit timer armed) onto the wheel.
@@ -720,7 +698,7 @@ func (l *Library) reconnectLoop(t *kern.Thread) {
 		if l.reregisterAll(t) {
 			return
 		}
-		if len(l.conns) == 0 && l.tws.head == nil {
+		if l.live == nil {
 			return // nothing left to re-adopt
 		}
 	}
@@ -762,12 +740,9 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 // and the next must skip those that are done by the time it gets to them:
 // they have left the library, and their channel may be another connection's.
 func (l *Library) sortedConns() []*Conn {
-	out := make([]*Conn, 0, len(l.conns))
-	for c := range l.conns {
+	var out []*Conn
+	for c := l.live; c != nil; c = c.next {
 		out = append(out, c)
-	}
-	for tr := l.tws.head; tr != nil; tr = tr.next {
-		out = append(out, tr.c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].tuple().Less(out[j].tuple()) })
 	return out
@@ -809,19 +784,26 @@ func (c *Conn) fail(err error) {
 // detach takes a connection out of the library, on whichever of the three
 // ways it leaves (fail, teardown or the end of its TIME_WAIT, Exit): it is
 // done, it is queued for the input thread to let go of, the doorbell is
-// poked so the thread notices, and it leaves the connection tables and the
+// poked so the thread notices, and it leaves the library's list and the
 // wheel.
 func (c *Conn) detach() {
 	l := c.lib
 	c.done = true
 	l.closing = append(l.closing, c)
 	l.bell.Poke()
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		l.live = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	}
+	c.prev, c.next = nil, nil
 	if r := c.rec; r != nil {
-		delete(l.conns, c)
 		l.wheel.Drop(&r.went)
 		return
 	}
-	l.tws.remove(c.tw)
 	l.wheel.DropTimeWait(&c.tw.went)
 }
 

@@ -65,9 +65,13 @@ func TestLateConnectReplyReachesNoLaterConnect(t *testing.T) {
 			t.Errorf("%v adopted %d times by the client, accepted %d times by the server", ft, k, accepted[ft])
 		}
 	}
-	if len(adopted) != n || len(accepted) != n || len(cli.conns) != n {
+	live := 0
+	for c := cli.live; c != nil; c = c.next {
+		live++
+	}
+	if len(adopted) != n || len(accepted) != n || live != n {
 		t.Errorf("%d connections adopted, %d accepted, %d live in the client library; want %d",
-			len(adopted), len(accepted), len(cli.conns), n)
+			len(adopted), len(accepted), live, n)
 	}
 	if got := regs[1].TransferredConns(); got != n {
 		t.Errorf("the client's registry has %d connections handed off, want %d", got, n)
@@ -162,9 +166,9 @@ func TestReregisterGiveUpFailsEachConnectionOnce(t *testing.T) {
 
 	// Past every 2MSL: nothing ends a second time.
 	s.Run(2 * time.Minute)
-	if len(srv.conns) != 0 || srv.tws.head != nil || len(srv.closing) != 0 || srv.wheel.Armed() != 0 {
-		t.Fatalf("the library still holds %d connections, compact records %v, %d to let go of, %d timers",
-			len(srv.conns), srv.tws.head != nil, len(srv.closing), srv.wheel.Armed())
+	if srv.live != nil || len(srv.closing) != 0 || srv.wheel.Armed() != 0 {
+		t.Fatalf("the library still holds connections (%v), %d to let go of, %d timers",
+			srv.live != nil, len(srv.closing), srv.wheel.Armed())
 	}
 	if ops["teardown"]+ops["inherit"] != 0 {
 		t.Errorf("%d teardowns and %d inherits posted for failed connections", ops["teardown"], ops["inherit"])

@@ -85,13 +85,17 @@ func TestTimeWaitHoldsACompactRecord(t *testing.T) {
 	if len(recs) > 2 {
 		t.Errorf("the server library made %d connection records for %d connections in TIME_WAIT, want a handful", len(recs), n)
 	}
-	compact := 0
-	for tr := srv.tws.head; tr != nil; tr = tr.next {
-		compact++
+	compact, full := 0, 0
+	for c := srv.live; c != nil; c = c.next {
+		if c.rec != nil {
+			full++
+		} else if c.tw != nil {
+			compact++
+		}
 	}
-	if compact != n || len(srv.conns) != 0 || srv.free.Len() != len(recs) {
+	if compact != n || full != 0 || srv.free.Len() != len(recs) {
 		t.Fatalf("%d compact records, %d full connections, %d of %d records free; want %d, 0, all",
-			compact, len(srv.conns), srv.free.Len(), len(recs), n)
+			compact, full, srv.free.Len(), len(recs), n)
 	}
 	if live := srv.mod.LiveCapabilities(srv.app); live != n {
 		t.Fatalf("%d capabilities held in TIME_WAIT, want %d: each keeps its channel", live, n)
@@ -137,7 +141,7 @@ func TestTimeWaitHoldsACompactRecord(t *testing.T) {
 	if writeErr != stacks.ErrClosed || wrote < 59*time.Second {
 		t.Errorf("Write in TIME_WAIT returned %v at %v, want ErrClosed at its end", writeErr, wrote)
 	}
-	if srv.tws.head != nil || len(srv.closing) != 0 {
+	if srv.live != nil || len(srv.closing) != 0 {
 		t.Fatal("expired compact records are still the library's")
 	}
 	for i, l := range libs {
@@ -169,7 +173,7 @@ func TestExitHandsCompactedConnectionsToTheRegistry(t *testing.T) {
 		exited = true
 	})
 	s.Run(time.Second)
-	if !exited || srv.tws.head != nil {
+	if !exited || srv.live != nil {
 		t.Fatal("Exit did not hand back the compacted connections")
 	}
 	if got := regs[0].OwnedConns(); got != n {
@@ -214,8 +218,8 @@ func TestExitWhileTimeWaitAnswers(t *testing.T) {
 		tr.inputFrame(th, b)
 		answered = true
 		listed := map[*Conn]bool{}
-		for tr := srv.tws.head; tr != nil; tr = tr.next {
-			listed[tr.c] = true
+		for c := srv.live; c != nil; c = c.next {
+			listed[c] = true
 		}
 		pending := 0
 		for i, c := range srvEnds {
@@ -244,7 +248,7 @@ func TestExitWhileTimeWaitAnswers(t *testing.T) {
 	if first.State() != tcp.TimeWait || !first.done {
 		t.Errorf("the connection Exit took is in %v (done %v), want TIME_WAIT, the registry's", first.State(), first.done)
 	}
-	if srv.tws.head != nil || len(srv.closing) != 0 {
+	if srv.live != nil || len(srv.closing) != 0 {
 		t.Fatal("compact records still the library's after Exit")
 	}
 	if got := regs[0].OwnedConns(); got != n {

@@ -18,7 +18,7 @@ func TestLeaseExpiryQuarantinesAndRenewalLifts(t *testing.T) {
 	ttl := 100 * time.Millisecond
 	w.m2.EnableLeases(ttl)
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-	cap, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLeaseExpiryQuarantinesAndRenewalLifts(t *testing.T) {
 	// no-op event just carries the virtual clock forward.)
 	w.s.After(2*ttl, func() {})
 	w.s.Run(2 * ttl)
-	if !w.m2.leases.Expired(cap.id) {
+	if !w.m2.quarantined(ch) {
 		t.Fatal("lease not expired after 2*ttl without renewal")
 	}
 	ch.Inject(mkFrame())
@@ -94,6 +94,78 @@ func TestSendRejectedWhileLeaseExpired(t *testing.T) {
 	}
 	if w.m2.sendRejected != 1 {
 		t.Fatalf("SendRejected = %d, want 1", w.m2.sendRejected)
+	}
+}
+
+// A lease runs out exactly at its ttl, and renewing it, expired or not,
+// extends it by the ttl from the renewal.
+func TestLeaseExpiresExactlyAtTTL(t *testing.T) {
+	w := newWorld(t, false)
+	ttl := 100 * time.Millisecond
+	w.m2.EnableLeases(ttl)
+	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
+	cap, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired := map[time.Duration]bool{}
+	for _, at := range []time.Duration{ttl - time.Millisecond, ttl} {
+		w.s.After(at, func() { expired[at] = w.m2.quarantined(ch) })
+	}
+	w.s.Run(ttl)
+	if expired[ttl-time.Millisecond] || !expired[ttl] {
+		t.Fatalf("expired at ttl-1ms %v, at ttl %v; want false, true", expired[ttl-time.Millisecond], expired[ttl])
+	}
+	if err := w.m2.RenewLease(w.krn2, cap); err != nil {
+		t.Fatal(err)
+	}
+	if w.m2.quarantined(ch) || ch.expires != 2*ttl {
+		t.Fatalf("renewed at %v: quarantined %v, expires %v", ttl, w.m2.quarantined(ch), ch.expires)
+	}
+}
+
+// A channel created before EnableLeases has no lease: the heartbeat does not
+// grant it one, and it never quarantines.
+func TestChannelBeforeLeasesNeverQuarantines(t *testing.T) {
+	w := newWorld(t, false)
+	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
+	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttl := 10 * time.Millisecond
+	w.m2.EnableLeases(ttl)
+	if _, err := w.m2.RenewLeasesIssued(w.krn2); err != nil {
+		t.Fatal(err)
+	}
+	if ch.expires != 0 {
+		t.Fatalf("renewal leased an unleased channel until %v", ch.expires)
+	}
+	w.s.After(10*ttl, func() {})
+	w.s.Run(10 * ttl)
+	ch.Inject(pkt.FromBytes(link.EthHeaderLen, []byte{1}))
+	if ch.Pending() != 1 || ch.Quarantined != 0 {
+		t.Fatalf("unleased channel: pending %d, quarantined %d; want 1, 0", ch.Pending(), ch.Quarantined)
+	}
+	for _, b := range ch.TryRecv() {
+		b.Release()
+	}
+}
+
+// Renewing a destroyed capability fails: its lease went with its channel.
+func TestRenewDestroyedCapabilityFails(t *testing.T) {
+	w := newWorld(t, false)
+	w.m2.EnableLeases(100 * time.Millisecond)
+	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
+	cap, _, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.m2.DestroyChannel(w.krn2, cap); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.m2.RenewLease(w.krn2, cap); err != ErrBadCapability {
+		t.Fatalf("RenewLease of a destroyed capability = %v, want ErrBadCapability", err)
 	}
 }
 

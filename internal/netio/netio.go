@@ -39,7 +39,6 @@ import (
 	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
-	"ulp/internal/lease"
 	"ulp/internal/link"
 	"ulp/internal/netdev"
 	"ulp/internal/pkt"
@@ -157,13 +156,15 @@ type Channel struct {
 	cap        int
 	id         uint64 // owning capability's id (trace correlation)
 	bqi        uint16 // nonzero on AN1
-	noBatch    bool
 	mod        *Module
 	bd         *binding // software demux entry (nil on AN1 / raw kernel)
 	// rec is the record the channel is part of; disowned marks that the
 	// consumer has let go of it (Disown).
 	rec      *chanRec
 	disowned bool
+	// expires is the instant the channel's lease runs out: zero for a
+	// channel created while leases were off, which never quarantines.
+	expires time.Duration
 
 	// posted numbers descriptors written into the shared region's ring.
 	posted uint64
@@ -309,7 +310,7 @@ func (ch *Channel) BQI() uint16 { return ch.bqi }
 // extra notification so a slow consumer is prodded to drain the ring.
 func (ch *Channel) deliver(b *pkt.Buf) {
 	bus := ch.mod.host.S.Bus
-	if ch.mod.quarantined(ch.id) {
+	if ch.mod.quarantined(ch) {
 		// The lease on this endpoint ran out: the control plane that
 		// vouched for it is dead. Deliver nothing until a reborn registry
 		// re-adopts the endpoint and resumes renewing. This single check
@@ -361,7 +362,7 @@ func (ch *Channel) deliver(b *pkt.Buf) {
 			A: int64(ch.id), B: int64(len(ch.rxq))})
 	}
 	ch.postDescriptor(b)
-	if len(ch.rxq) == 1 || ch.noBatch {
+	if len(ch.rxq) == 1 || ch.mod.DisableBatching {
 		ch.notify()
 	}
 }
@@ -527,11 +528,11 @@ type Module struct {
 	// packet batching is very effective").
 	DisableBatching bool
 
-	// leases, when non-nil, bounds how long an endpoint may be served
-	// without the control plane renewing it. The table belongs to the
-	// module, not the registry: leases survive a registry crash exactly
-	// like the channels they guard.
-	leases *lease.Table
+	// leaseTTL, when nonzero, bounds how long an endpoint may be served
+	// without the control plane renewing it. Each channel carries its own
+	// expiry, so leases survive a registry crash exactly like the channels
+	// they guard.
+	leaseTTL time.Duration
 
 	// FailSetup, when non-nil, is consulted by setup-time allocations —
 	// ReserveBQI ("bqi") and channel creation ("create") — and its error is
@@ -796,7 +797,6 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 	ch := &rec.ch
 	ch.rec, ch.Region, ch.bell = rec, &rec.region, &m.unattached
 	ch.cap = ringSize
-	ch.noBatch = m.DisableBatching
 	ch.mod = m
 	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, owner: owner, issuer: from}
 	m.nextCapID++
@@ -835,8 +835,8 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 		m.steer[key] = &rec.bd
 		ch.bd = &rec.bd
 	}
-	if m.leases != nil {
-		m.leases.Grant(cap.id)
+	if m.leaseTTL != 0 {
+		ch.expires = m.now() + m.leaseTTL
 	}
 	return cap, ch, nil
 }
@@ -852,9 +852,7 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 		return ErrBadCapability
 	}
 	delete(m.caps, cap.id)
-	if m.leases != nil {
-		m.leases.Drop(cap.id)
-	}
+	cap.ch.expires = 0 // the lease ends with the capability
 	ringIdle := true
 	if cap.ch.bqi != 0 {
 		if an1, ok := m.dev.(*netdev.AN1); ok {
@@ -896,20 +894,31 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 // EnableLeases arms lease enforcement: every channel created from now on
 // is granted a lease of the given ttl, and an endpoint whose lease runs
 // out is quarantined (no delivery, sends rejected) until renewed.
-// Idempotent — a restarted registry calling it again keeps the existing
-// table, so leases granted by the previous incarnation stay in force.
-func (m *Module) EnableLeases(ttl time.Duration) *lease.Table {
-	if m.leases == nil {
-		m.leases = lease.NewTable(func() time.Duration {
-			return time.Duration(m.host.S.Now())
-		}, ttl)
+// Idempotent — a restarted registry calling it again keeps the first ttl,
+// and the leases granted by the previous incarnation stay in force.
+// Expiry is read lazily against the virtual clock: no event is scheduled.
+func (m *Module) EnableLeases(ttl time.Duration) {
+	if m.leaseTTL == 0 {
+		m.leaseTTL = ttl
 	}
-	return m.leases
 }
 
+// now is the virtual clock lease instants are read against.
+func (m *Module) now() time.Duration { return time.Duration(m.host.S.Now()) }
+
 // quarantined reports whether a channel's lease has expired.
-func (m *Module) quarantined(id uint64) bool {
-	return m.leases != nil && m.leases.Expired(id)
+func (m *Module) quarantined(ch *Channel) bool {
+	return ch.expires != 0 && m.now() >= ch.expires
+}
+
+// renew extends a channel's lease by the ttl from now. An expired lease may
+// be renewed — quarantine is a suspension, not a revocation, so a
+// late-restarting registry can recover endpoints still live in the module —
+// but a channel that never had one stays unleased.
+func (m *Module) renew(ch *Channel) {
+	if ch.expires != 0 {
+		ch.expires = m.now() + m.leaseTTL
+	}
 }
 
 // RenewLeasesIssued extends the leases of the capabilities issued by (or
@@ -923,13 +932,13 @@ func (m *Module) RenewLeasesIssued(from *kern.Domain) (int, error) {
 	if !from.Privileged {
 		return 0, fmt.Errorf("netio: lease renewal from unprivileged domain %s", from)
 	}
-	if m.leases == nil {
+	if m.leaseTTL == 0 {
 		return 0, nil
 	}
 	n := 0
 	for _, cap := range m.caps {
 		if cap.issuer == from {
-			m.leases.Renew(cap.id)
+			m.renew(cap.ch)
 			n++
 		}
 	}
@@ -959,9 +968,7 @@ func (m *Module) RenewLease(from *kern.Domain, cap *Capability) error {
 	if cap == nil || m.caps[cap.id] != cap {
 		return ErrBadCapability
 	}
-	if m.leases != nil {
-		m.leases.Renew(cap.id)
-	}
+	m.renew(cap.ch)
 	return nil
 }
 
@@ -1079,7 +1086,7 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 		}
 		return ErrBadCapability
 	}
-	if m.quarantined(cap.id) {
+	if m.quarantined(cap.ch) {
 		m.sendRejected++
 		if m.host.S.Bus.Enabled() {
 			m.host.S.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),

@@ -204,7 +204,6 @@ type Server struct {
 	Svc  *kern.Port
 
 	ports     *tcp.PortAlloc
-	udpPorts  *tcp.PortAlloc
 	iss       tcp.Seq
 	conns     map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
 	listeners map[uint16]*listener
@@ -213,12 +212,14 @@ type Server struct {
 	// on the AN1 arriving at BQI zero), and remembers what the owning
 	// application holds so a crash can be reclaimed.
 	transferred map[tcp.FourTuple]*xferConn
-	// udpChannels routes datagrams that reach the default path to their
-	// bound end-points. On the AN1 this is the common case: "the hardware
-	// packet demultiplexing mechanism is difficult to exploit because
-	// there is no separate connection setup phase that can negotiate the
-	// BQIs" — so datagrams arrive at BQI zero and are demultiplexed in
-	// software here.
+	// udpChannels holds the bound datagram ports, each with its end-point's
+	// capability; only the service thread writes it (bind, unbind, the crash
+	// sweep, rebuild), one request at a time. It routes datagrams that reach
+	// the default path to their end-points. On the AN1 this is the common
+	// case: "the hardware packet demultiplexing mechanism is difficult to
+	// exploit because there is no separate connection setup phase that can
+	// negotiate the BQIs" — so datagrams arrive at BQI zero and are
+	// demultiplexed in software here.
 	udpChannels map[uint16]*netio.Capability
 
 	// watched marks application domains whose death hook is installed, so
@@ -312,7 +313,6 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		host:     f.host,
 		nif:      f.nif, // one ARP cache and reassembler for all shards
 		ports:    tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1]),
-		udpPorts: tcp.NewPortAlloc(),
 		// Per-host ISS sequence, perturbed per shard so concurrent actives
 		// from different shards start in distinct sequence regions.
 		iss:         tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
@@ -992,7 +992,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	}
 	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
 		if cap := r.udpChannels[port]; cap.Owner() == dom {
-			r.unbind(port, cap, 0)
+			r.unbind(port, cap)
 		}
 	}
 
@@ -1087,7 +1087,6 @@ func (r *Server) rebuild(t *kern.Thread) {
 			}
 			_ = r.nif.Mod.Reissue(r.dom, cap)
 			t.Compute(c.RegistryPortAlloc)
-			r.udpPorts.Reserve(tmpl.LocalPort)
 			r.udpChannels[tmpl.LocalPort] = cap
 			r.watch(cap.Owner())
 			n++
@@ -1149,9 +1148,9 @@ func (r *Server) OwnedConns() int { return len(r.conns) }
 // libraries and not yet reclaimed.
 func (r *Server) TransferredConns() int { return len(r.transferred) }
 
-// PortsInUse returns allocated TCP plus UDP ports. Crash and orderly-exit
-// tests assert this returns to zero.
-func (r *Server) PortsInUse() int { return r.ports.InUse() + r.udpPorts.InUse() }
+// PortsInUse returns allocated TCP plus bound UDP ports. Crash and
+// orderly-exit tests assert this returns to zero.
+func (r *Server) PortsInUse() int { return r.ports.InUse() + len(r.udpChannels) }
 
 // ListenerCount returns registered passive endpoints.
 func (r *Server) ListenerCount() int { return len(r.listeners) }

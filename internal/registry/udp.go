@@ -65,7 +65,7 @@ type UnbindUDPReq struct {
 func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.ChannelSetup)
-	if !r.udpPorts.Reserve(req.Port) {
+	if r.udpChannels[req.Port] != nil {
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: stacks.ErrPortInUse}})
 		return
 	}
@@ -91,7 +91,7 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 		cap, ch, err = r.nif.Mod.CreateChannelBQI(r.dom, req.Owner, spec, tmpl, 32, bqi)
 	}
 	if err != nil {
-		r.unbind(req.Port, nil, bqi)
+		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
 		return
 	}
@@ -128,19 +128,14 @@ func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 
 // handleUnbindUDP reclaims a datagram end-point.
 func (r *Server) handleUnbindUDP(t *kern.Thread, req UnbindUDPReq) {
-	r.unbind(req.Port, req.Cap, 0)
+	r.unbind(req.Port, req.Cap)
 }
 
 // unbind gives back a datagram binding: the channel cap names (nil names
-// none) or, for a bind that failed before it had one, the BQI it reserved
-// (zero for none); its routing entry; and its port. Unbind requests, the
-// crash sweep and a failed bind end here.
-func (r *Server) unbind(port uint16, cap *netio.Capability, bqi uint16) {
+// none) and its port. Unbind requests and the crash sweep end here.
+func (r *Server) unbind(port uint16, cap *netio.Capability) {
 	if cap != nil {
 		_ = r.nif.Mod.DestroyChannel(r.dom, cap)
-	} else {
-		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
 	}
 	delete(r.udpChannels, port)
-	r.udpPorts.Release(port)
 }

@@ -184,6 +184,62 @@ func TestUDPExchangeAndFragmentation(t *testing.T) {
 	}
 }
 
+// A bound port queues at most 64 datagrams and drops the 65th; a port is
+// bound once, a datagram to a closed port is dropped, and the closed port
+// can be bound again.
+func TestUDPQueueLimitAndRebind(t *testing.T) {
+	s, mods, ips := twoHosts(false)
+	ik := NewInKernel(s, mods[0], ips[0])
+	u := ik.UDP()
+	ih := ipv4.Header{Proto: ipv4.ProtoUDP, Src: ips[1], Dst: ips[0]}
+	datagram := func(i int) []byte {
+		b := pkt.FromBytes(udp.HeaderLen, []byte{byte(i)})
+		defer b.Release()
+		uh := udp.Header{SrcPort: 9, DstPort: 53}
+		uh.Encode(b, ih.Src, ih.Dst)
+		return append([]byte(nil), b.Bytes()...)
+	}
+	done := false
+	ik.Host().NewDomain("app", false).Spawn("app", func(th *kern.Thread) {
+		defer func() { done = true }()
+		sock, err := u.Bind(th, 53)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := u.Bind(th, 53); err != ErrPortInUse {
+			t.Errorf("second bind of a bound port: err = %v, want ErrPortInUse", err)
+		}
+		for i := range udpQueueLimit + 1 {
+			u.Input(th, ih, datagram(i))
+		}
+		if len(sock.queue) != udpQueueLimit {
+			t.Errorf("%d datagrams queued, want %d", len(sock.queue), udpQueueLimit)
+		}
+		for i := range udpQueueLimit {
+			if d := sock.Recv(th); d.Payload[0] != byte(i) || d.From.Port != 9 {
+				t.Errorf("datagram %d: payload %v from %v", i, d.Payload, d.From)
+			}
+		}
+		sock.Close(th)
+		u.Input(th, ih, datagram(1))
+		again, err := u.Bind(th, 53)
+		if err != nil {
+			t.Errorf("rebind of a closed port: %v", err)
+			return
+		}
+		u.Input(th, ih, datagram(2))
+		if len(sock.queue) != 0 || len(again.queue) != 1 || again.queue[0].Payload[0] != 2 {
+			t.Errorf("after rebind: closed socket holds %d, new one %v; want 0 and the one sent after the bind",
+				len(sock.queue), again.queue)
+		}
+	})
+	s.RunUntil(time.Second, func() bool { return done })
+	if !done {
+		t.Fatal("app did not finish")
+	}
+}
+
 func TestNetifOffSubnetDropped(t *testing.T) {
 	s, mods, ips := twoHosts(false)
 	nif := NewNetif(s, mods[0], ips[0])

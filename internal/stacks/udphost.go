@@ -13,32 +13,35 @@ import (
 // example and the registry-bypass ablation are built on it).
 type UDPHost struct {
 	nif   *Netif
-	table *udp.Table
-	conds map[uint16]*sim.Cond
+	socks map[uint16]*UDPSock // by bound port
 }
 
 // NewUDPHost creates the service over a network interface.
 func NewUDPHost(nif *Netif) *UDPHost {
-	return &UDPHost{nif: nif, table: udp.NewTable(), conds: make(map[uint16]*sim.Cond)}
+	return &UDPHost{nif: nif, socks: make(map[uint16]*UDPSock)}
 }
+
+// udpQueueLimit is how many datagrams a bound port holds unread; one
+// arriving at a full queue is dropped.
+const udpQueueLimit = 64
 
 // UDPSock is one bound endpoint with blocking receive.
 type UDPSock struct {
-	h    *UDPHost
-	sock *udp.Sock
-	cond *sim.Cond
+	h     *UDPHost
+	port  uint16
+	queue []udp.Datagram
+	cond  *sim.Cond
 }
 
 // Bind claims a local port.
 func (u *UDPHost) Bind(t *kern.Thread, port uint16) (*UDPSock, error) {
 	t.Trap()
-	s, err := u.table.Bind(udp.Endpoint{IP: u.nif.IP, Port: port}, 0)
-	if err != nil {
+	if u.socks[port] != nil {
 		return nil, ErrPortInUse
 	}
-	c := u.nif.sim.NewCond()
-	u.conds[port] = c
-	return &UDPSock{h: u, sock: s, cond: c}, nil
+	s := &UDPSock{h: u, port: port, cond: u.nif.sim.NewCond()}
+	u.socks[port] = s
+	return s, nil
 }
 
 // Input delivers an inbound datagram (called from the organization's input
@@ -52,33 +55,35 @@ func (u *UDPHost) Input(t *kern.Thread, h ipv4.Header, data []byte) {
 		return
 	}
 	t.Compute(c.UDPPacket + c.Checksum(seg.Len()))
-	dst := udp.Endpoint{IP: h.Dst, Port: uh.DstPort}
-	d := udp.Datagram{
-		From:    udp.Endpoint{IP: h.Src, Port: uh.SrcPort},
-		Payload: append([]byte(nil), seg.Bytes()...),
+	s := u.socks[uh.DstPort]
+	if s == nil {
+		// Port unreachable would be ICMP; this stack drops silently, as the
+		// paper's simplified IP library does.
+		return
 	}
-	if u.table.Deliver(dst, d) {
-		if cond := u.conds[uh.DstPort]; cond != nil {
-			if cond.Waiters() > 0 {
-				t.Compute(c.ContextSwitch)
-			}
-			cond.Signal()
-		}
+	if len(s.queue) < udpQueueLimit {
+		s.queue = append(s.queue, udp.Datagram{
+			From:    udp.Endpoint{IP: h.Src, Port: uh.SrcPort},
+			Payload: append([]byte(nil), seg.Bytes()...),
+		})
 	}
-	// Port unreachable would be ICMP; this stack drops silently, as the
-	// paper's simplified IP library does.
+	// A full queue drops the datagram but still wakes the reader.
+	if s.cond.Waiters() > 0 {
+		t.Compute(c.ContextSwitch)
+	}
+	s.cond.Signal()
 }
 
 // Recv blocks for the next datagram.
 func (s *UDPSock) Recv(t *kern.Thread) udp.Datagram {
 	t.Trap()
-	for {
-		if d, ok := s.sock.Recv(); ok {
-			t.Compute(t.Cost().Copy(len(d.Payload)))
-			return d
-		}
+	for len(s.queue) == 0 {
 		s.cond.Wait(t.Proc)
 	}
+	d := s.queue[0]
+	s.queue = s.queue[1:]
+	t.Compute(t.Cost().Copy(len(d.Payload)))
+	return d
 }
 
 // SendTo transmits a datagram, fragmenting when it exceeds the link MTU.
@@ -87,7 +92,7 @@ func (s *UDPSock) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 	t.Trap()
 	t.Compute(c.Copy(len(payload)) + c.UDPPacket + c.Checksum(len(payload)))
 	b := pkt.FromBytes(s.h.nif.Headroom()+udp.HeaderLen, payload)
-	uh := udp.Header{SrcPort: s.sock.Local.Port, DstPort: dst.Port}
+	uh := udp.Header{SrcPort: s.port, DstPort: dst.Port}
 	uh.Encode(b, s.h.nif.IP, dst.IP)
 	frags, err := s.h.nif.WrapIPFragments(b, ipv4.ProtoUDP, dst.IP)
 	if err != nil {
@@ -102,6 +107,5 @@ func (s *UDPSock) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 // Close releases the port.
 func (s *UDPSock) Close(t *kern.Thread) {
 	t.Trap()
-	s.h.table.Unbind(s.sock.Local.Port)
-	delete(s.h.conds, s.sock.Local.Port)
+	delete(s.h.socks, s.port)
 }

@@ -82,61 +82,3 @@ type Endpoint struct {
 
 // String formats the endpoint.
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.IP, e.Port) }
-
-// Table demultiplexes datagrams to bound ports.
-type Table struct {
-	socks map[uint16]*Sock
-}
-
-// Sock is one bound UDP endpoint with a receive queue.
-type Sock struct {
-	Local Endpoint
-	queue []Datagram
-	limit int
-	// Dropped counts datagrams discarded because the queue was full.
-	Dropped int
-}
-
-// NewTable creates an empty table.
-func NewTable() *Table { return &Table{socks: make(map[uint16]*Sock)} }
-
-// Bind claims a port.
-func (t *Table) Bind(local Endpoint, queueLimit int) (*Sock, error) {
-	if _, dup := t.socks[local.Port]; dup {
-		return nil, fmt.Errorf("udp: port %d in use", local.Port)
-	}
-	if queueLimit <= 0 {
-		queueLimit = 64
-	}
-	s := &Sock{Local: local, limit: queueLimit}
-	t.socks[local.Port] = s
-	return s, nil
-}
-
-// Unbind releases a port.
-func (t *Table) Unbind(port uint16) { delete(t.socks, port) }
-
-// Deliver routes a datagram to its socket; it reports whether a socket
-// existed.
-func (t *Table) Deliver(dst Endpoint, d Datagram) bool {
-	s, ok := t.socks[dst.Port]
-	if !ok {
-		return false
-	}
-	if len(s.queue) >= s.limit {
-		s.Dropped++
-		return true
-	}
-	s.queue = append(s.queue, d)
-	return true
-}
-
-// Recv pops the next queued datagram.
-func (s *Sock) Recv() (Datagram, bool) {
-	if len(s.queue) == 0 {
-		return Datagram{}, false
-	}
-	d := s.queue[0]
-	s.queue = s.queue[1:]
-	return d, true
-}

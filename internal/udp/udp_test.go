@@ -87,38 +87,3 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTableBindDeliver(t *testing.T) {
-	tb := NewTable()
-	local := Endpoint{IP: dst, Port: 7}
-	s, err := tb.Bind(local, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.Bind(local, 2); err == nil {
-		t.Fatal("double bind allowed")
-	}
-	if !tb.Deliver(local, Datagram{From: Endpoint{IP: src, Port: 99}, Payload: []byte("a")}) {
-		t.Fatal("delivery to bound port failed")
-	}
-	if tb.Deliver(Endpoint{IP: dst, Port: 8}, Datagram{}) {
-		t.Fatal("delivery to unbound port succeeded")
-	}
-	tb.Deliver(local, Datagram{Payload: []byte("b")})
-	tb.Deliver(local, Datagram{Payload: []byte("c")}) // over limit
-	if s.Dropped != 1 || len(s.queue) != 2 {
-		t.Fatalf("dropped=%d pending=%d", s.Dropped, len(s.queue))
-	}
-	d, ok := s.Recv()
-	if !ok || string(d.Payload) != "a" || d.From.Port != 99 {
-		t.Fatalf("recv = %+v, %v", d, ok)
-	}
-	s.Recv()
-	if _, ok := s.Recv(); ok {
-		t.Fatal("recv from empty queue succeeded")
-	}
-	tb.Unbind(7)
-	if tb.Deliver(local, Datagram{}) {
-		t.Fatal("delivery after unbind succeeded")
-	}
-}
