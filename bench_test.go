@@ -195,8 +195,8 @@ func BenchmarkAblationAN1MTU(b *testing.B) {
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}
-		b.ReportMetric(r.Encap1500Mbps, "encap1500-Mb/s")
-		b.ReportMetric(r.Jumbo64KMbps, "jumbo64k-Mb/s")
+		b.ReportMetric(r.Encap1500.Mbps, "encap1500-Mb/s")
+		b.ReportMetric(r.Jumbo64K.Mbps, "jumbo64k-Mb/s")
 	}
 }
 

@@ -193,7 +193,8 @@ func runAblations(w io.Writer) {
 	}
 	header(w, "Ablation: AN1 64 KB frames (lifting the 1500-byte encapsulation)")
 	if r := experiments.AblationAN1MTU(nil); !fail("an1-mtu", r.Err) {
-		fmt.Fprintf(w, "  1500-byte encapsulation: %.2f Mb/s    64 KB frames: %.2f Mb/s\n", r.Encap1500Mbps, r.Jumbo64KMbps)
+		fmt.Fprintf(w, "  1500-byte encapsulation: %.2f Mb/s, %d rx drops    64 KB frames: %.2f Mb/s, %d rx drops\n",
+			r.Encap1500.Mbps, r.Encap1500.Dropped, r.Jumbo64K.Mbps, r.Jumbo64K.Dropped)
 	}
 	header(w, "Ablation: demultiplexing architecture (per matching packet)")
 	r := experiments.AblationFilter(nil)

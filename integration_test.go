@@ -480,6 +480,55 @@ func TestUserLibUDPDatagrams(t *testing.T) {
 	}
 }
 
+// A datagram end-point closed a second time after its port was bound again
+// leaves the new binding alone: the registry unbinds by capability, so on
+// the AN1, where datagrams reach their end-points through the registry's
+// default path, the new end-point stays bound and keeps receiving.
+func TestUserLibUDPCloseTwiceKeepsRebind(t *testing.T) {
+	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	var got []byte
+	bound := false
+	srv.Go("srv", func(th *kern.Thread) {
+		old, err := srv.Lib.BindUDP(th, 53)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		old.Close(th)
+		sock, err := srv.Lib.BindUDP(th, 53)
+		if err != nil {
+			t.Errorf("rebind: %v", err)
+			return
+		}
+		old.Close(th)
+		// An RPC behind the unbind on the same port: it has been handled.
+		if err := sock.Resolve(th, w.Node(1).IP); err != nil {
+			t.Error(err)
+		}
+		bound = true
+		got = sock.Recv(th).Payload
+	})
+	w.RunUntil(time.Minute, func() bool { return bound })
+	if n := w.Node(0).Registry.PortsInUse(); !bound || n != 1 {
+		t.Fatalf("bound %v, %d ports in use after the second close, want the rebound one", bound, n)
+	}
+	cli.Go("cli", func(th *kern.Thread) {
+		sock, err := cli.Lib.BindUDP(th, 3000)
+		if err == nil {
+			err = sock.SendTo(th, udp.Endpoint{IP: w.Node(0).IP, Port: 53}, []byte("query"))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	w.RunUntil(time.Minute, func() bool { return got != nil })
+	if string(got) != "query" {
+		t.Fatalf("the rebound end-point received %q, want the query", got)
+	}
+}
+
 func TestConcurrentConnectionsIsolated(t *testing.T) {
 	// Two applications on each host, two simultaneous connections: each
 	// must have its own channel/capability, and the streams must not leak

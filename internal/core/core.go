@@ -600,9 +600,9 @@ func (l *Library) adopt(t *kern.Thread, ho *registry.Handoff, opts stacks.Option
 	if r == nil {
 		r = new(connRec)
 	}
-	c := &Conn{lib: l, rec: r, ch: ho.Channel}
+	c := &Conn{lib: l, rec: r, ch: ho.Cap.Chan()}
 	r.c = c
-	r.route = route{cap: ho.Cap, peerHW: ho.PeerHW, peerBQI: ho.PeerBQI}
+	r.route = route{cap: ho.Cap, peerHW: ho.Cap.Template().LinkDst, peerBQI: ho.PeerBQI}
 	r.lock.Init(l.s, "conn-engine", 1)
 	tc := &r.tc
 	tcp.RestoreInto(tc, ho.Snap, tcp.Callbacks{})
@@ -717,8 +717,7 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 		}
 		snap, rt := c.snapshot()
 		m := kern.Msg{Op: "reregister", ID: l.nextReqID(), Body: registry.ReRegisterReq{
-			Local: snap.Local, Peer: snap.Peer, Cap: rt.cap,
-			SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
+			Cap: rt.cap, SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
 		}}
 		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, m, rpcBaseTimeout)
 		if !ok {
@@ -972,10 +971,7 @@ func (r *connRec) teardown() {
 	c, l := r.c, r.c.lib
 	c.detach()
 	l.post(nil, l.svcOwner(r.tc.Local(), r.tc.Peer()), kern.Msg{
-		Op: "teardown", ID: l.nextReqID(),
-		Body: registry.TeardownReq{
-			Local: r.tc.Local(), Peer: r.tc.Peer(), Cap: r.cap,
-		}})
+		Op: "teardown", Body: registry.TeardownReq{Cap: r.cap}})
 	r.closed = true
 }
 
@@ -998,11 +994,8 @@ func (tr *twRec) end(why tcp.Trigger, err error) {
 	tr.final.err = stacks.MapError(err)
 	l.twEnded.Broadcast()
 	c.detach()
-	local, peer := tr.tw.Local(), tr.tw.Peer()
-	l.post(nil, l.svcOwner(local, peer), kern.Msg{
-		Op: "teardown", ID: l.nextReqID(),
-		Body: registry.TeardownReq{Local: local, Peer: peer, Cap: tr.cap},
-	})
+	l.post(nil, l.svcOwner(tr.tw.Local(), tr.tw.Peer()), kern.Msg{
+		Op: "teardown", Body: registry.TeardownReq{Cap: tr.cap}})
 	c.tw = nil
 }
 
@@ -1103,7 +1096,6 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 		c.detach()
 		l.svcOwner(snap.Local, snap.Peer).Send(t, kern.Msg{
 			Op:   "inherit",
-			ID:   l.nextReqID(),
 			Size: snap.Size(),
 			Body: registry.InheritReq{Snap: snap, Cap: rt.cap, Abort: abnormal},
 		})

@@ -74,7 +74,7 @@ func reregisterOrder(t *testing.T, n int) []uint16 {
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {
 		for {
 			m := reborn.Receive(th)
-			order = append(order, m.Body.(registry.ReRegisterReq).Peer.Port)
+			order = append(order, m.Body.(registry.ReRegisterReq).Cap.Template().RemotePort)
 			m.ReplyTo(th, kern.Msg{Op: "reregister-ack"})
 		}
 	})

@@ -50,7 +50,7 @@ func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	u := &UDPConn{
 		lib:   l,
 		cap:   ho.Cap,
-		ch:    ho.Channel,
+		ch:    ho.Cap.Chan(),
 		local: udp.Endpoint{IP: l.nif.IP, Port: port},
 		peers: make(map[ipv4.Addr]link.Addr),
 	}
@@ -193,5 +193,5 @@ func (u *UDPConn) parse(b *pkt.Buf) (udp.Datagram, bool) {
 // Close releases the end-point.
 func (u *UDPConn) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	u.lib.svcDefault().Send(t, kern.Msg{Op: "unbind-udp", Body: registry.UnbindUDPReq{Port: u.local.Port, Cap: u.cap}})
+	u.lib.svcDefault().Send(t, kern.Msg{Op: "unbind-udp", Body: registry.UnbindUDPReq{Cap: u.cap}})
 }

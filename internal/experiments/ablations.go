@@ -49,19 +49,29 @@ func variants[V, R any](run func(V) (R, error), a, b V) (R, R, error) {
 // sized AN1 packets which can be as large as 64K bytes")
 // ---------------------------------------------------------------------------
 
-// MTUResult compares the encapsulation-limited AN1 with full-size frames.
+// MTUResult compares the encapsulation-limited AN1 with full-size frames:
+// each variant's throughput, and the frames both hosts' devices dropped at a
+// full receive ring (netdev rx_dropped).
 type MTUResult struct {
-	Encap1500Mbps, Jumbo64KMbps float64
-	Err                         error
+	Encap1500, Jumbo64K MTURun
+	Err                 error
+}
+
+// MTURun is one variant of the MTU ablation.
+type MTURun struct {
+	Mbps    float64
+	Dropped int64
 }
 
 // AblationAN1MTU lifts the 1500-byte encapsulation restriction.
 func AblationAN1MTU(model *costs.Model) (r MTUResult) {
-	r.Encap1500Mbps, r.Jumbo64KMbps, r.Err = variants(func(net ulp.Net) (float64, error) {
+	r.Encap1500, r.Jumbo64K, r.Err = variants(func(net ulp.Net) (MTURun, error) {
 		w := newWorld(ulp.Config{Org: ulp.OrgUserLib, Net: net, Costs: model})
 		// Large user packets and windows to exercise the big frames.
 		opts := stacks.Options{SndBuf: 65535, RcvBuf: 65535}
-		return bulkSend(w, 2<<20, 16384, opts, 10*time.Minute)
+		mbps, err := bulkSend(w, 2<<20, 16384, opts, 10*time.Minute)
+		snap := w.StatsRegistry().Snapshot()
+		return MTURun{Mbps: mbps, Dropped: snap["netdev.h0.rx_dropped"] + snap["netdev.h1.rx_dropped"]}, err
 	}, ulp.AN1, ulp.AN1Jumbo)
 	return r
 }

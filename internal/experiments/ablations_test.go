@@ -18,9 +18,9 @@ func TestAblationAN1MTU(t *testing.T) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	t.Logf("1500B encapsulation %.2f Mb/s, 64K frames %.2f Mb/s", r.Encap1500Mbps, r.Jumbo64KMbps)
-	if r.Jumbo64KMbps < 1.5*r.Encap1500Mbps {
-		t.Fatalf("64K frames should be a large win: %.2f vs %.2f", r.Jumbo64KMbps, r.Encap1500Mbps)
+	t.Logf("1500B encapsulation %+v, 64K frames %+v", r.Encap1500, r.Jumbo64K)
+	if r.Jumbo64K.Mbps < 1.5*r.Encap1500.Mbps {
+		t.Fatalf("64K frames should be a large win: %.2f vs %.2f", r.Jumbo64K.Mbps, r.Encap1500.Mbps)
 	}
 }
 

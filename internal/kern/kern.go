@@ -340,10 +340,10 @@ type Msg struct {
 	Size int
 	// Reply, when non-nil, is the port the receiver should respond on.
 	Reply *Port
-	// ID, when nonzero, identifies the logical request across retries so a
-	// server can deduplicate: a retried RPC whose original reply was lost
-	// (timeout, dropped request) carries the same ID, and the server replays
-	// the cached outcome instead of executing the operation twice.
+	// ID, when nonzero, identifies a request that may be retried (one with a
+	// Reply port) across its retries so a server can deduplicate: a retry
+	// whose original reply was lost carries the same ID, and the server
+	// replays the cached outcome instead of executing the operation twice.
 	ID uint64
 }
 

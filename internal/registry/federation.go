@@ -332,9 +332,10 @@ func (f *Federation) replicateListeners(restarted int) {
 }
 
 // dropForeign removes, from every other live shard, transferred-connection
-// records whose tuples statically belong to the restarted shard — the
-// survivor adopted them during the outage, and keeping both records would
-// double-release the port when the connection eventually tears down.
+// records whose tuples statically belong to the restarted shard, with their
+// port references — the survivor adopted them during the outage, and keeping
+// both records would double-release the port when the connection eventually
+// tears down. The channels stay: they are the restarted shard's now.
 func (f *Federation) dropForeign(restarted int) {
 	for j, sh := range f.shards {
 		if j == restarted || !f.live[j] {
@@ -342,7 +343,8 @@ func (f *Federation) dropForeign(restarted int) {
 		}
 		for ft := range sh.transferred {
 			if f.ownerEndpoints(ft.Local, ft.Peer) == restarted {
-				sh.reclaim(ft, nil, false)
+				delete(sh.transferred, ft)
+				sh.ports.Release(ft.Local.Port)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // out, and its answer was read late and given back; the dedup entry still
 // holds the record, so while the shard lends and takes back other hand-offs,
 // active and passive, a retry of the id is replayed the original connection
-// — its tuple, capability, channel and snapshot — every time.
+// — its tuple, capability and snapshot — every time.
 func TestReplayedHandoffStaysIntact(t *testing.T) {
 	rg := newRig(false)
 	accept := rg.listenOn(t, 80)
@@ -68,8 +68,7 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 			t.Fatal("no record came back to the shard's list: nothing tested")
 		}
 		got := call(connect(7))
-		if got.Cap != orig.Cap || got.Channel != orig.Channel || got.PeerHW != orig.PeerHW ||
-			got.PeerBQI != orig.PeerBQI || !reflect.DeepEqual(got.Snap, orig.Snap) {
+		if got.Cap != orig.Cap || got.PeerBQI != orig.PeerBQI || !reflect.DeepEqual(got.Snap, orig.Snap) {
 			t.Fatalf("replay %d carries %v>%v (cap %p), want the original %v>%v (cap %p)",
 				replay, got.Snap.Local, got.Snap.Peer, got.Cap, orig.Snap.Local, orig.Snap.Peer, orig.Cap)
 		}

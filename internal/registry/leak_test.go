@@ -59,7 +59,7 @@ func (rg *fedRig) probe(t *testing.T, id uint64) {
 			Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{KeepAliveTicks: 1000}}}))
 		got = true
 		if ho.Err == nil {
-			sh.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap}})
+			sh.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
 		}
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return got })
@@ -279,10 +279,13 @@ func TestFailedBindReleasesBQI(t *testing.T) {
 		return ho
 	}
 	ho := bind(7000, "")
-	reserved := ho.Channel.BQI()
-	call(kern.Msg{Op: "unbind-udp", Body: UnbindUDPReq{Port: 7000, Cap: ho.Cap}})
+	reserved := ho.Cap.Chan().BQI()
+	rg.apps[1].Spawn("unbind", func(th *kern.Thread) {
+		rg.r1.Svc.Send(th, kern.Msg{Op: "unbind-udp", Body: UnbindUDPReq{Cap: ho.Cap}})
+	})
+	rg.s.Run(10 * time.Millisecond)
 	bind(7001, "create") // reserves the index 7000's channel gave back
-	if got := bind(7002, "").Channel.BQI(); got != reserved {
+	if got := bind(7002, "").Cap.Chan().BQI(); got != reserved {
 		t.Fatalf("the bind after a failed one got BQI %d, want %d again", got, reserved)
 	}
 	bind(7003, "bqi")

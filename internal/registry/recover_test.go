@@ -11,6 +11,7 @@ import (
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
+	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -76,8 +77,9 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 }
 
 // Re-registration claims are verified against the module: the capability
-// must be installed and its template must name exactly the claimed
-// four-tuple. A library cannot talk its way into someone else's port.
+// must be installed and name a connection, whose four-tuple the registry
+// reads from its template. A library cannot talk its way into someone
+// else's port.
 func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
@@ -87,33 +89,39 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 	}
 	rg.restartR1()
 
-	call := func(req ReRegisterReq) error {
-		var err error
+	call := func(m kern.Msg) any {
+		var body any
 		done := false
 		rg.apps[1].Spawn("rereg", func(th *kern.Thread) {
-			reply := rg.r1.Svc.Call(th, kern.Msg{Op: "reregister", Body: req})
-			err, _ = reply.Body.(error)
+			body = rg.r1.Svc.Call(th, m).Body
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
+		return body
+	}
+	reregister := func(req ReRegisterReq) error {
+		err, _ := call(kern.Msg{Op: "reregister", Body: req}).(error)
 		return err
 	}
 
 	// A forged claim without a capability is refused.
-	if err := call(ReRegisterReq{Local: ho.Snap.Local, Peer: ho.Snap.Peer}); err == nil {
+	if err := reregister(ReRegisterReq{SndNxt: ho.Snap.SndNxt}); err == nil {
 		t.Fatal("reregister without a capability accepted")
 	}
-	// A real capability claimed for the wrong four-tuple is refused.
-	wrong := ho.Snap.Peer
-	wrong.Port++
-	if err := call(ReRegisterReq{Local: ho.Snap.Local, Peer: wrong, Cap: ho.Cap}); err == nil {
-		t.Fatal("reregister with mismatched tuple accepted")
+	// A real capability of a datagram end-point claimed as a connection is
+	// refused, and leaves no connection record.
+	udp, _ := call(kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53, Owner: rg.apps[1]}}).(UDPHandoff)
+	if udp.Err != nil || udp.Cap == nil {
+		t.Fatalf("bind: %+v", udp)
+	}
+	if err := reregister(ReRegisterReq{Cap: udp.Cap}); err != netio.ErrTemplateMismatch {
+		t.Fatalf("reregister of a datagram capability: err = %v, want %v", err, netio.ErrTemplateMismatch)
+	}
+	if n := rg.r1.TransferredConns(); n != 1 {
+		t.Fatalf("%d transferred connections after the refused claim, want 1", n)
 	}
 	// The honest claim is adopted and brings the sequence numbers with it.
-	err := call(ReRegisterReq{
-		Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-		SndNxt: ho.Snap.SndNxt, RcvNxt: ho.Snap.RcvNxt,
-	})
+	err := reregister(ReRegisterReq{Cap: ho.Cap, SndNxt: ho.Snap.SndNxt, RcvNxt: ho.Snap.RcvNxt})
 	if err != nil {
 		t.Fatalf("honest reregister refused: %v", err)
 	}
@@ -176,9 +184,7 @@ func TestTeardownIdempotent(t *testing.T) {
 	teardown := func() {
 		done := false
 		rg.apps[1].Spawn("td", func(th *kern.Thread) {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{
-				Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-			}})
+			rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
@@ -285,7 +291,8 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	// The peer retransmits into the orphaned tuple; host 1's no-endpoint
 	// path must answer with RST, observable as a new frame arriving on host
 	// 0's channel for the connection (nothing else transmits any more).
-	base := srvHo.Channel.Pending()
+	ch := srvHo.Cap.Chan()
+	base := ch.Pending()
 	sent := false
 	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
@@ -297,10 +304,10 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
 	rg.s.Run(100 * time.Millisecond)
-	if srvHo.Channel.Pending() <= base {
+	if ch.Pending() <= base {
 		t.Fatal("no RST came back for the orphaned TIME_WAIT tuple")
 	}
-	for _, b := range srvHo.Channel.TryRecv() {
+	for _, b := range ch.TryRecv() {
 		b.Release()
 	}
 }

@@ -33,9 +33,7 @@ func tracedFedRig(t *testing.T, shards int) (*fedRig, *conform.Checker) {
 // teardown reclaims a handed-off connection through the service protocol.
 func (rg *fedRig) teardown(svc *kern.Port, app *kern.Domain, ho Handoff) {
 	app.Spawn("teardown", func(th *kern.Thread) {
-		svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{
-			Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-		}})
+		svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
 	})
 }
 
@@ -60,9 +58,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 				continue
 			}
 			accepted++
-			rg.r0.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{
-				Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-			}})
+			rg.r0.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
 		}
 	})
 
@@ -120,9 +116,8 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 		if !got || ho.Err != nil {
 			t.Fatalf("set-up %d through shard %d: got=%v err=%v", i, shard, got, ho.Err)
 		}
-		if ho.Snap.State != tcp.Established || ho.Cap == nil || ho.Channel == nil {
-			t.Fatalf("set-up %d: handoff in state %v, capability %v, channel %v",
-				i, ho.Snap.State, ho.Cap, ho.Channel)
+		if ho.Snap.State != tcp.Established || ho.Cap == nil || ho.Cap.Chan() == nil {
+			t.Fatalf("set-up %d: handoff in state %v, capability %v", i, ho.Snap.State, ho.Cap)
 		}
 		rg.teardown(rg.fed.shards[shard].Svc, rg.apps[1], ho)
 	}
@@ -206,26 +201,22 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 	}
 }
 
-// One-way requests complete their dedup entries like any other: they used to
-// stay "in flight" for ever, so the cache grew by one entry per teardown and
-// every eviction walked past all of them.
+// One-way requests take no dedup entry, even under an id: nothing answers
+// them, so an entry would stay "in flight" for ever, never evicted and walked
+// past by every eviction. Each names no capability here, which ends nothing.
 func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	rg := newRig(false)
+	bodies := []any{TeardownReq{}, InheritReq{}, UnbindUDPReq{}, AbandonReq{ID: 1}}
 	sent := 0
-	rg.apps[1].Spawn("teardowns", func(th *kern.Thread) {
+	rg.apps[1].Spawn("one-way", func(th *kern.Thread) {
 		for ; sent < 3*dedupCap; sent++ {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", ID: uint64(sent + 1), Body: TeardownReq{
-				Local: tcp.Endpoint{IP: rg.ips[1], Port: uint16(2000 + sent)},
-				Peer:  tcp.Endpoint{IP: rg.ips[0], Port: 80},
-			}})
+			rg.r1.Svc.Send(th, kern.Msg{Op: "one-way", ID: uint64(sent + 1), Body: bodies[sent%len(bodies)]})
 		}
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return sent == 3*dedupCap })
 	rg.s.Run(time.Second)
-	if n := len(rg.r1.reqCache); n > dedupCap {
-		t.Fatalf("dedup cache holds %d entries after %d one-way requests, bound %d", n, sent, dedupCap)
-	}
-	if len(rg.r1.reqOrder) != len(rg.r1.reqCache) {
-		t.Fatalf("dedup FIFO has %d ids for %d entries", len(rg.r1.reqOrder), len(rg.r1.reqCache))
+	if len(rg.r1.reqCache) != 0 || len(rg.r1.reqOrder) != 0 {
+		t.Fatalf("dedup cache holds %d entries (FIFO %d) after %d one-way requests, want none",
+			len(rg.r1.reqCache), len(rg.r1.reqOrder), sent)
 	}
 }

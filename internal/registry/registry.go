@@ -65,23 +65,19 @@ type UnlistenReq struct{ Port uint16 }
 
 // TeardownReq reclaims a handed-off connection's resources after the
 // library has driven it to CLOSED ("resources allocated to the application
-// and registered with the network I/O module are now reclaimed").
-type TeardownReq struct {
-	Local, Peer tcp.Endpoint
-	Cap         *netio.Capability
-}
+// and registered with the network I/O module are now reclaimed"). The
+// capability names the connection: its template holds the four-tuple.
+type TeardownReq struct{ Cap *netio.Capability }
 
 // Handoff carries an established connection to a library: the TCP state,
-// the channel and capability for the data path, and the peer's link
-// address and buffer queue index for outbound framing. The record is lent
-// (DESIGN §5.5): it comes from its shard's list, each message that carries
-// it and a connect's dedup entry hold it, and a receiver gives its hold
-// back with Done once it has read the record.
+// the capability for the data path (its channel, and in its template the
+// peer's link address) and the peer's buffer queue index for outbound
+// framing. The record is lent (DESIGN §5.5): it comes from its shard's list,
+// each message that carries it and a connect's dedup entry hold it, and a
+// receiver gives its hold back with Done once it has read the record.
 type Handoff struct {
 	Snap    tcp.Snapshot
 	Cap     *netio.Capability
-	Channel *netio.Channel
-	PeerHW  link.Addr
 	PeerBQI uint16
 	Err     error
 
@@ -124,7 +120,8 @@ type AbandonReq struct{ ID uint64 }
 
 // InheritReq returns a connection to the registry when its application
 // exits: the registry drives remaining timers (TIME_WAIT) or, for an
-// abnormal exit, resets the peer.
+// abnormal exit, resets the peer. A revoked capability, or a snapshot of
+// another four-tuple than the capability's, is refused.
 type InheritReq struct {
 	Snap  tcp.Snapshot
 	Cap   *netio.Capability
@@ -132,12 +129,10 @@ type InheritReq struct {
 }
 
 // ReRegisterReq re-claims a live, handed-off connection with a reborn
-// registry. The registry verifies the claim against the module's installed
-// capability and template before re-adopting, and takes the owner from the
-// capability — the library is untrusted, the kernel's record is the ground
-// truth.
+// registry. The registry takes the four-tuple and the owner from the
+// capability, once the module confirms it is installed — the library is
+// untrusted, the kernel's record is the ground truth.
 type ReRegisterReq struct {
-	Local, Peer    tcp.Endpoint
 	Cap            *netio.Capability
 	SndNxt, RcvNxt tcp.Seq
 }
@@ -232,11 +227,11 @@ type Server struct {
 	// state from the module before serving requests.
 	rebuildPending bool
 
-	// reqCache deduplicates control-plane requests by Msg.ID, bounded FIFO
-	// (reqOrder). A retried request whose original reply was lost replays
-	// the cached reply instead of executing twice; a retry racing an
-	// in-flight connect retargets the eventual handoff to the new reply
-	// port.
+	// reqCache deduplicates the requests that carry a reply port by Msg.ID,
+	// bounded FIFO (reqOrder). A retried request whose original reply was
+	// lost replays the cached reply instead of executing twice; a retry
+	// racing an in-flight connect retargets the eventual handoff to the new
+	// reply port.
 	reqCache map[uint64]*pendingReq
 	reqOrder []uint64
 
@@ -406,7 +401,8 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 }
 
 // dispatch runs one control-plane request through fault injection, the
-// request-ID dedup cache, and the handler switch.
+// request-ID dedup cache (requests with a reply port only), and the handler
+// switch.
 func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
@@ -422,7 +418,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	// run a second handshake. Completed requests replay the cached
 	// reply (the original's was lost with its abandoned reply port);
 	// retries of an in-flight connect retarget the eventual handoff.
-	if m.ID != 0 {
+	if m.ID != 0 && m.Reply != nil {
 		if e, ok := r.reqCache[m.ID]; ok {
 			r.dedupHits++
 			if r.host.S.Bus.Enabled() {
@@ -430,10 +426,8 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 					Text: m.Op + "-dup"})
 			}
 			if e.done {
-				if m.Reply != nil {
-					hold(e.reply)
-					m.ReplyTo(t, e.reply)
-				}
+				hold(e.reply)
+				m.ReplyTo(t, e.reply)
 			} else if e.hc != nil {
 				e.hc.reply = m.Reply
 			}
@@ -450,13 +444,10 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleUnlisten(t, m, req)
 	case InheritReq:
 		r.handleInherit(t, req)
-		r.finish(t, m, kern.Msg{})
 	case TeardownReq:
-		r.handleTeardown(t, req)
-		r.finish(t, m, kern.Msg{})
+		r.reclaim(req.Cap, false)
 	case AbandonReq:
 		r.handleAbandon(t, req.ID)
-		r.finish(t, m, kern.Msg{})
 	case ReRegisterReq:
 		r.handleReRegister(t, m, req)
 	case BindUDPReq:
@@ -466,8 +457,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	case UDPSendReq:
 		r.handleUDPSend(t, m, req)
 	case UnbindUDPReq:
-		r.handleUnbindUDP(t, req)
-		r.finish(t, m, kern.Msg{})
+		r.unbind(req.Cap)
 	}
 }
 
@@ -503,13 +493,9 @@ func (r *Server) track(id uint64) {
 
 // finish records request m's reply in the dedup cache and delivers it to m's
 // reply port, if it has one: from t, or with a nil t asynchronously (a
-// set-up's outcome, sent from an engine callback). One-way requests (nil
-// Reply) are still recorded so a duplicate does not re-execute (a double
-// Teardown would double-release a port) — and must be finished all the same
-// once handled, or their entries count as in flight for ever: never evicted,
-// and walked over by every later eviction. The cache never holds id zero
-// (track), so an untracked request finds no entry. The entry and the reply
-// each hold a hand-off the reply lends; one that neither holds goes back.
+// set-up's outcome, sent from an engine callback). An untracked request
+// (id zero, or no reply port) finds no entry. The entry and the reply each
+// hold a hand-off the reply lends; one that neither holds goes back.
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
 	if e, ok := r.reqCache[m.ID]; ok {
 		e.done, e.reply, e.hc = true, reply, nil
@@ -623,29 +609,38 @@ func (r *Server) unlisten(port uint16) {
 	}
 }
 
-// handleTeardown reclaims the channel and port of a closed connection.
-func (r *Server) handleTeardown(t *kern.Thread, req TeardownReq) {
-	r.reclaim(tcp.FourTuple{Local: req.Local, Peer: req.Peer}, req.Cap, false)
+// tuple is the four-tuple a connection capability's template names.
+func tuple(cap *netio.Capability) tcp.FourTuple {
+	t := cap.Template()
+	return tcp.FourTuple{
+		Local: tcp.Endpoint{IP: t.LocalIP, Port: t.LocalPort},
+		Peer:  tcp.Endpoint{IP: t.RemoteIP, Port: t.RemotePort},
+	}
 }
 
-// reclaim takes back the connection handed off on ft, whichever way it comes
-// back: teardown, inherit, abandon, the crash sweep or dropForeign. It
-// destroys the channel cap names (nil names none: dropForeign's channel is
-// the restarted shard's), and if the connection is still on record it
-// deletes the record and, unless keepPort, drops its port reference (inherit
-// passes that to the registry's pcb). Checking the record makes it
-// idempotent: a duplicated teardown, or one racing a crash sweep, cannot
-// double-release a port another holder owns.
-func (r *Server) reclaim(ft tcp.FourTuple, cap *netio.Capability, keepPort bool) {
-	if cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+// reclaim takes back the connection handed off with cap, whichever way it
+// comes back: teardown, inherit, abandon or the crash sweep. It destroys the
+// channel, and if the record on cap's four-tuple is cap's it deletes the
+// record, returned, and unless keepPort drops its port reference (inherit
+// passes that to the registry's pcb). Checking the record's identity makes
+// it idempotent and confines it to what the caller was issued: a duplicated
+// teardown, one racing a crash sweep, or one whose capability is another
+// connection's cannot release a record or a port another holder owns.
+func (r *Server) reclaim(cap *netio.Capability, keepPort bool) *xferConn {
+	if cap == nil {
+		return nil
 	}
-	if _, ok := r.transferred[ft]; ok {
-		delete(r.transferred, ft)
-		if !keepPort {
-			r.ports.Release(ft.Local.Port)
-		}
+	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+	ft := tuple(cap)
+	xc, ok := r.transferred[ft]
+	if !ok || xc.cap != cap {
+		return nil
 	}
+	delete(r.transferred, ft)
+	if !keepPort {
+		r.ports.Release(ft.Local.Port)
+	}
+	return xc
 }
 
 // handleAbandon withdraws connect request id. Its library stopped waiting for
@@ -669,10 +664,8 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 		return
 	}
 	if ho, isHo := e.reply.Body.(*Handoff); isHo && ho.Err == nil {
-		ft := tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}
-		if xc, ok := r.transferred[ft]; ok && xc.cap == ho.Cap {
-			r.reclaim(ft, xc.cap, false)
-			r.sendCrashRST(t, ft, xc)
+		if xc := r.reclaim(ho.Cap, false); xc != nil {
+			r.sendCrashRST(t, xc)
 		}
 		ho.Done()
 		e.reply = r.handoff(Handoff{Err: stacks.ErrRegistryUnavailable})
@@ -681,14 +674,18 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 }
 
 // handleInherit takes a connection back from an exiting application. A
-// closed one needs no shepherding: its port goes back with its channel. One
-// on a tuple the registry already owns a pcb for — the same connection
-// inherited twice — is refused before anything is registered.
+// closed one needs no shepherding: its port goes back with its channel. A
+// revoked capability, or a snapshot of another four-tuple, is refused with
+// nothing done; one on a tuple the registry already owns a pcb for, before
+// anything is registered.
 func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
 	c := t.Cost()
 	t.Compute(c.StateTransfer)
+	if !r.nif.Mod.Installed(req.Cap) || tuple(req.Cap) != (tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}) {
+		return
+	}
 	live := req.Snap.State != tcp.Closed
-	r.reclaim(tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}, req.Cap, live)
+	r.reclaim(req.Cap, live)
 	if !live {
 		return
 	}
@@ -849,7 +846,7 @@ func (r *Server) established(hc *hsConn) {
 		return
 	}
 	t := r.cur
-	cap, ch, err := r.setupChannel(t, hc)
+	cap, _, err := r.setupChannel(t, hc)
 	if err != nil {
 		// Nothing to hand off: answer the requester with the error. The pcb
 		// stays ESTABLISHED, so it must not call back into a record that is
@@ -867,7 +864,7 @@ func (r *Server) established(hc *hsConn) {
 		r.ports.Retain(tc.Local().Port)
 	}
 	r.transferred[tc.Tuple()] = &xferConn{cap: cap, sndNxt: snap.SndNxt, rcvNxt: snap.RcvNxt}
-	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, Channel: ch, PeerHW: cap.Template().LinkDst, PeerBQI: hc.peerBQI})
+	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, PeerBQI: hc.peerBQI})
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -979,8 +976,8 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		// A reset in flight charges this thread, and meanwhile a later
 		// record may have gone.
 		if xc, ok := r.transferred[ft]; ok && xc.cap.Owner() == dom {
-			r.reclaim(ft, xc.cap, false)
-			r.sendCrashRST(t, ft, xc)
+			r.reclaim(xc.cap, false)
+			r.sendCrashRST(t, xc)
 		}
 	}
 
@@ -992,7 +989,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	}
 	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
 		if cap := r.udpChannels[port]; cap.Owner() == dom {
-			r.unbind(port, cap)
+			r.unbind(cap)
 		}
 	}
 
@@ -1002,7 +999,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 }
 
 // sendCrashRST issues the proactive reset for a crashed application's
-// connection ft, from the state recorded at handoff time.
+// connection xc, from the state recorded at handoff time.
 //
 // The sequence numbers may be stale: the library moved data after handoff
 // without the registry seeing it. A stale RST is silently discarded by the
@@ -1013,7 +1010,8 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 // answered by the receive pipeline's no-endpoint case with a reset aimed
 // exactly at the peer's expected sequence. Either way the peer converges to
 // a reset.
-func (r *Server) sendCrashRST(t *kern.Thread, ft tcp.FourTuple, xc *xferConn) {
+func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
+	ft := tuple(xc.cap)
 	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, tcp.FlagACK} {
 		h := tcp.Header{
 			SrcPort: ft.Local.Port, DstPort: ft.Peer.Port,
@@ -1062,23 +1060,22 @@ func (r *Server) rebuild(t *kern.Thread) {
 			if tmpl.RemotePort == 0 {
 				continue // not a fully specified connection endpoint
 			}
-			local := tcp.Endpoint{IP: tmpl.LocalIP, Port: tmpl.LocalPort}
-			peer := tcp.Endpoint{IP: tmpl.RemoteIP, Port: tmpl.RemotePort}
+			ft := tuple(cap)
 			// A shard adopts only the endpoints it statically owns; its
 			// siblings' slices are theirs to rebuild. Re-issuing moves
 			// lease-renewal responsibility to this incarnation, away from
 			// its dead predecessor or a survivor that adopted the endpoint
 			// during the outage.
-			if r.fed.ownerEndpoints(local, peer) != r.shardIdx {
+			if r.fed.ownerEndpoints(ft.Local, ft.Peer) != r.shardIdx {
 				continue
 			}
 			_ = r.nif.Mod.Reissue(r.dom, cap)
 			t.Compute(c.RegistryPortAlloc)
-			r.ports.Retain(local.Port) // accepted conns share a port
+			r.ports.Retain(ft.Local.Port) // accepted conns share a port
 			// Sequence numbers are unknown until the library re-registers;
 			// sendCrashRST's ACK-probe half still converges the peer if the
 			// owner dies before then.
-			r.transferred[tcp.FourTuple{Local: local, Peer: peer}] = &xferConn{cap: cap}
+			r.transferred[ft] = &xferConn{cap: cap}
 			r.watch(cap.Owner())
 			n++
 		case ipv4.ProtoUDP:
@@ -1103,10 +1100,10 @@ func (r *Server) rebuild(t *kern.Thread) {
 }
 
 // handleReRegister re-adopts a library's live connection after a registry
-// restart. The claim is verified against the module: the capability must
-// be installed and its template must name exactly the claimed four-tuple —
-// a library cannot talk its way into a connection the kernel never gave
-// it.
+// restart. The claim is the capability, verified against the module: it must
+// be installed and name a fully specified TCP endpoint, whose four-tuple the
+// registry reads from its template — a library cannot talk its way into a
+// connection the kernel never gave it.
 func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq) {
 	t.Compute(t.Cost().StateTransfer)
 	mod := r.nif.Mod
@@ -1114,16 +1111,13 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 		r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: netio.ErrBadCapability})
 		return
 	}
-	tmpl := req.Cap.Template()
-	if tmpl.Proto != ipv4.ProtoTCP ||
-		tmpl.LocalIP != req.Local.IP || tmpl.LocalPort != req.Local.Port ||
-		tmpl.RemoteIP != req.Peer.IP || tmpl.RemotePort != req.Peer.Port {
+	if tmpl := req.Cap.Template(); tmpl.Proto != ipv4.ProtoTCP || tmpl.RemotePort == 0 {
 		r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: netio.ErrTemplateMismatch})
 		return
 	}
-	ft := tcp.FourTuple{Local: req.Local, Peer: req.Peer}
+	ft := tuple(req.Cap)
 	if _, ok := r.transferred[ft]; !ok {
-		r.ports.Retain(req.Local.Port)
+		r.ports.Retain(ft.Local.Port)
 	}
 	r.transferred[ft] = &xferConn{cap: req.Cap, sndNxt: req.SndNxt, rcvNxt: req.RcvNxt}
 	r.watch(req.Cap.Owner())

@@ -112,11 +112,11 @@ func TestHandshakeAndHandoff(t *testing.T) {
 	if ho.Snap.State != tcp.Established {
 		t.Fatalf("handoff state = %v", ho.Snap.State)
 	}
-	if ho.Cap == nil || ho.Channel == nil {
+	if ho.Cap == nil || ho.Cap.Chan() == nil {
 		t.Fatal("handoff missing capability or channel")
 	}
-	if ho.PeerHW != link.MakeAddr(1) {
-		t.Fatalf("peer hw = %v", ho.PeerHW)
+	if hw := ho.Cap.Template().LinkDst; hw != link.MakeAddr(1) {
+		t.Fatalf("peer hw = %v", hw)
 	}
 	// The passive side must hand off through the accept port.
 	var srvHo Handoff
@@ -166,9 +166,6 @@ func TestHandoffCapabilityBornFinal(t *testing.T) {
 	if tmpl := ho.Cap.Template(); tmpl != want {
 		t.Fatalf("handed-off template = %+v, want %+v", tmpl, want)
 	}
-	if ho.PeerHW != want.LinkDst {
-		t.Fatalf("hand-off peer hw = %v, want the template's %v", ho.PeerHW, want.LinkDst)
-	}
 	if ho.Cap.Owner() != rg.apps[1] {
 		t.Fatalf("capability owner = %v, want the connecting application", ho.Cap.Owner())
 	}
@@ -188,7 +185,7 @@ func TestBQIExchangedThroughLinkHeader(t *testing.T) {
 	if ho.PeerBQI == 0 {
 		t.Fatal("active side did not learn the peer's BQI from the SYN|ACK link header")
 	}
-	if ho.Channel.BQI() == 0 {
+	if ho.Cap.Chan().BQI() == 0 {
 		t.Fatal("active side channel has no hardware ring")
 	}
 }
@@ -288,8 +285,8 @@ func TestInheritOrderlyDrivesTimeWait(t *testing.T) {
 	}
 }
 
-// An untrusted library may hand the same connection back twice under two
-// request ids. The registry shepherds it once; the second inherit must
+// An untrusted library may hand the same connection back twice. The registry
+// shepherds it once; the second inherit must
 // leave nothing behind, so once the first has closed no pcb, armed wheel
 // timer or port remains.
 func TestInheritTwiceLeaksNothing(t *testing.T) {
@@ -301,8 +298,8 @@ func TestInheritTwiceLeaksNothing(t *testing.T) {
 	}
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		for id := uint64(1); id <= 2; id++ {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: id, Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
+		for range 2 {
+			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		}
 		done = true
 	})
@@ -331,7 +328,7 @@ func TestInheritClosedLeaksNothing(t *testing.T) {
 	snap.State = tcp.Closed
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", ID: 1, Body: InheritReq{Snap: snap, Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -351,9 +348,7 @@ func TestTeardownReclaims(t *testing.T) {
 	}
 	done := false
 	rg.apps[1].Spawn("teardown", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{
-			Local: ho.Snap.Local, Peer: ho.Snap.Peer, Cap: ho.Cap,
-		}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
@@ -364,6 +359,99 @@ func TestTeardownReclaims(t *testing.T) {
 	// The port is reusable.
 	if !rg.r1.ports.Reserve(ho.Snap.Local.Port) {
 		t.Fatal("port not released by teardown")
+	}
+}
+
+// twoConns opens two connections from host 1 to host 0's port 80: the one a
+// request will name, and another it must leave alone.
+func (rg *rig) twoConns(t *testing.T) (sender, other Handoff) {
+	t.Helper()
+	rg.listenOn(t, 80)
+	for _, ho := range []*Handoff{&sender, &other} {
+		got := false
+		if *ho, got = rg.connectFrom(t, 80, time.Minute); !got || ho.Err != nil {
+			t.Fatalf("set-up: got=%v err=%v", got, ho.Err)
+		}
+	}
+	return sender, other
+}
+
+// send posts one-way request m from host 1's application and lets the
+// registry act on it.
+func (rg *rig) send(m kern.Msg) {
+	rg.apps[1].Spawn("send", func(th *kern.Thread) { rg.r1.Svc.Send(th, m) })
+	rg.s.Run(200 * time.Millisecond)
+}
+
+// keeps fails t unless host 1's registry still holds ho's connection: its
+// record, its port reference and its channel.
+func (rg *rig) keeps(t *testing.T, ho Handoff) {
+	t.Helper()
+	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
+	if xc == nil || xc.cap != ho.Cap {
+		t.Fatal("the other connection's record is gone")
+	}
+	if rg.r1.ports.Reserve(ho.Snap.Local.Port) {
+		t.Fatal("the other connection's port was released")
+	}
+	if !rg.r1.nif.Mod.Installed(ho.Cap) {
+		t.Fatal("the other connection's channel was destroyed")
+	}
+}
+
+// A teardown names its connection by capability alone, so one carrying the
+// sender's capability ends the sender's connection and no other.
+func TestTeardownEndsOnlyItsOwnConnection(t *testing.T) {
+	rg := newRig(false)
+	sender, other := rg.twoConns(t)
+	rg.send(kern.Msg{Op: "teardown", Body: TeardownReq{Cap: sender.Cap}})
+	rg.keeps(t, other)
+	if len(rg.r1.transferred) != 1 || rg.r1.nif.Mod.Installed(sender.Cap) {
+		t.Fatal("the sender's own connection was not torn down")
+	}
+}
+
+// An inherit whose snapshot is of another four-tuple than its capability's
+// is refused: the other connection keeps everything, and the registry makes
+// no pcb and sends nothing on its tuple.
+func TestInheritOfAnotherTupleRefused(t *testing.T) {
+	rg := newRig(false)
+	sender, other := rg.twoConns(t)
+	tx := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames")
+	rg.send(kern.Msg{Op: "inherit", Body: InheritReq{Snap: other.Snap, Cap: sender.Cap}})
+	rg.keeps(t, other)
+	if n := rg.r1.OwnedConns(); n != 0 {
+		t.Fatalf("the registry owns %d pcbs after the refused inherit, want none", n)
+	}
+	if n := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames") - tx; n != 0 {
+		t.Fatalf("host 1 sent %d frames after the refused inherit, want none", n)
+	}
+}
+
+// An inherit of a connection that already came back (its capability is
+// revoked) is refused: the registry makes no pcb, sends nothing on the
+// tuple, and leaves the port with whoever holds it now.
+func TestInheritOfRevokedCapabilityRefused(t *testing.T) {
+	rg := newRig(false)
+	rg.listenOn(t, 80)
+	ho, got := rg.connectFrom(t, 80, time.Minute)
+	if !got || ho.Err != nil {
+		t.Fatalf("set-up: got=%v err=%v", got, ho.Err)
+	}
+	rg.send(kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+	if !rg.r1.ports.Reserve(ho.Snap.Local.Port) {
+		t.Fatal("teardown did not release the port")
+	}
+	tx := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames")
+	rg.send(kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
+	if n := rg.r1.OwnedConns(); n != 0 {
+		t.Fatalf("the registry owns %d pcbs after the refused inherit, want none", n)
+	}
+	if n := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames") - tx; n != 0 {
+		t.Fatalf("host 1 sent %d frames after the refused inherit, want none", n)
+	}
+	if rg.r1.ports.Reserve(ho.Snap.Local.Port) {
+		t.Fatal("the refused inherit released the port its new holder reserved")
 	}
 }
 

@@ -29,11 +29,11 @@ type BindUDPReq struct {
 	Owner *kern.Domain
 }
 
-// UDPHandoff conveys the datagram end-point's channel and capability.
+// UDPHandoff conveys the datagram end-point's capability, and with it its
+// channel.
 type UDPHandoff struct {
-	Cap     *netio.Capability
-	Channel *netio.Channel
-	Err     error
+	Cap *netio.Capability
+	Err error
 }
 
 // ResolveReq asks the registry to resolve a peer's link address (the
@@ -55,11 +55,8 @@ type UDPSendReq struct {
 	Frame *pkt.Buf // complete link frame, built by the library
 }
 
-// UnbindUDPReq releases a datagram end-point.
-type UnbindUDPReq struct {
-	Port uint16
-	Cap  *netio.Capability
-}
+// UnbindUDPReq releases the datagram end-point the capability names.
+type UnbindUDPReq struct{ Cap *netio.Capability }
 
 // handleBindUDP allocates the port and builds the channel.
 func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
@@ -86,9 +83,8 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 		bqi, err = r.nif.Mod.ReserveBQI(r.dom)
 	}
 	var cap *netio.Capability
-	var ch *netio.Channel
 	if err == nil {
-		cap, ch, err = r.nif.Mod.CreateChannelBQI(r.dom, req.Owner, spec, tmpl, 32, bqi)
+		cap, _, err = r.nif.Mod.CreateChannelBQI(r.dom, req.Owner, spec, tmpl, 32, bqi)
 	}
 	if err != nil {
 		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
@@ -97,7 +93,7 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	}
 	r.watch(req.Owner)
 	r.udpChannels[req.Port] = cap
-	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap, Channel: ch}})
+	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap}})
 }
 
 // handleResolve performs the address-binding resolution, driving ARP as
@@ -126,16 +122,16 @@ func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 	r.finish(t, m, kern.Msg{Op: "udp-send-ack"})
 }
 
-// handleUnbindUDP reclaims a datagram end-point.
-func (r *Server) handleUnbindUDP(t *kern.Thread, req UnbindUDPReq) {
-	r.unbind(req.Port, req.Cap)
-}
-
-// unbind gives back a datagram binding: the channel cap names (nil names
-// none) and its port. Unbind requests and the crash sweep end here.
-func (r *Server) unbind(port uint16, cap *netio.Capability) {
-	if cap != nil {
-		_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+// unbind gives back the datagram binding cap was issued: its channel, and
+// its port if the binding on record is still cap's — a second unbind after
+// the port was bound again leaves the new binding alone. Unbind requests and
+// the crash sweep end here.
+func (r *Server) unbind(cap *netio.Capability) {
+	if cap == nil {
+		return
 	}
-	delete(r.udpChannels, port)
+	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
+	if port := cap.Template().LocalPort; r.udpChannels[port] == cap {
+		delete(r.udpChannels, port)
+	}
 }

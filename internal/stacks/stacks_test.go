@@ -186,7 +186,7 @@ func TestUDPExchangeAndFragmentation(t *testing.T) {
 
 // A bound port queues at most 64 datagrams and drops the 65th; a port is
 // bound once, a datagram to a closed port is dropped, and the closed port
-// can be bound again.
+// can be bound again, which a second close of the old socket leaves bound.
 func TestUDPQueueLimitAndRebind(t *testing.T) {
 	s, mods, ips := twoHosts(false)
 	ik := NewInKernel(s, mods[0], ips[0])
@@ -228,6 +228,7 @@ func TestUDPQueueLimitAndRebind(t *testing.T) {
 			t.Errorf("rebind of a closed port: %v", err)
 			return
 		}
+		sock.Close(th)
 		u.Input(th, ih, datagram(2))
 		if len(sock.queue) != 0 || len(again.queue) != 1 || again.queue[0].Payload[0] != 2 {
 			t.Errorf("after rebind: closed socket holds %d, new one %v; want 0 and the one sent after the bind",

@@ -104,8 +104,11 @@ func (s *UDPSock) SendTo(t *kern.Thread, dst udp.Endpoint, payload []byte) error
 	return nil
 }
 
-// Close releases the port.
+// Close releases the port, if s still holds it: a second Close after the
+// port was bound again leaves the new socket bound.
 func (s *UDPSock) Close(t *kern.Thread) {
 	t.Trap()
-	delete(s.h.socks, s.port)
+	if s.h.socks[s.port] == s {
+		delete(s.h.socks, s.port)
+	}
 }
