@@ -31,7 +31,6 @@ var testOnlyAllowed = map[string]string{
 	// Leak and audit counters: every crash, churn and recycling test ends
 	// by asserting that nothing stayed outstanding.
 	"internal/freelist.List.Len":               "TestConnRecordsAreReused",
-	"internal/kern.Domain.Dead":                "TestChaosCrashMidTransferResetsPeer",
 	"internal/kern.Domain.Threads":             "TestOneInputThreadServesSequentialConnections",
 	"internal/kern.Region.Pinned":              "TestPinnedRegionsAccounting",
 	"internal/netio.Module.LiveCapabilities":   "TestRevokeOwner",

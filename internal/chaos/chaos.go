@@ -70,14 +70,14 @@ type CrashPoint struct {
 
 // ShardCrash kills one shard of a host's registry at time At. Where
 // sibling shards survive they keep serving (requests and frames for the
-// dead shard's tuples fail over to a successor), and since the leases the
-// dead shard issued expire, its handed-off connections migrate to them. If
-// RestartAfter is nonzero a fresh incarnation of the shard boots that much
-// later, rebuilds its statically-owned endpoints from the network I/O
-// module's installed header templates, and reclaims ownership from the
-// survivors. A zero RestartAfter means the shard never comes back: with no
-// sibling to migrate to, capability leases run out and the module
-// quarantines the endpoints it was serving.
+// dead shard's tuples fail over to a successor), and since the module
+// quarantines the endpoints the dead shard issued, its handed-off
+// connections migrate to them. If RestartAfter is nonzero a fresh
+// incarnation of the shard boots that much later, rebuilds its
+// statically-owned endpoints from the network I/O module's installed header
+// templates, and reclaims ownership from the survivors. A zero RestartAfter
+// means the shard never comes back: with no sibling to migrate to, the
+// endpoints it was serving stay quarantined.
 type ShardCrash struct {
 	// Host indexes the node whose registry loses a shard.
 	Host int

@@ -113,8 +113,8 @@ const (
 
 	// reconnectAttempts bounds how long a library keeps trying to re-adopt
 	// its connections with a reborn registry before surfacing a terminal
-	// error. With the shared backoff schedule this spans several lease
-	// TTLs — long enough for any scheduled restart, finite so a registry
+	// error. With the shared backoff schedule this spans several issuer
+	// graces — long enough for any scheduled restart, finite so a registry
 	// that never returns yields ErrRegistryUnavailable, not a hang.
 	reconnectAttempts = 10
 
@@ -664,14 +664,14 @@ func (l *Library) send(t *kern.Thread, rt *route, src, dst ipv4.Addr, b *pkt.Buf
 	ih.Encode(b)
 	l.nif.Frame(b, rt.peerHW, link.TypeIPv4, rt.peerBQI, 0)
 	// Template violations cannot happen from this code path; a buggy or
-	// malicious library would be stopped here by the kernel. A lease
+	// malicious library would be stopped here by the kernel. A quarantine
 	// rejection is different: it means the control plane died and our
 	// endpoint is quarantined — kick off re-registration with the (to-be-)
 	// reborn registry. The rejected segment, which the kernel gives back, is
 	// recovered by ordinary TCP retransmission once the quarantine lifts.
 	if err := l.mod.Send(t, rt.cap, b); err != nil {
 		b.Release()
-		if err == netio.ErrLeaseExpired {
+		if err == netio.ErrQuarantined {
 			l.scheduleReconnect()
 		}
 	}

@@ -132,8 +132,8 @@ func TestReregisterGiveUpFailsEachConnectionOnce(t *testing.T) {
 			ops[svc.Receive(th).Op]++
 		}
 	})
-	// Once the lease has run out, a write finds the endpoint quarantined and
-	// starts the re-registration.
+	// Once the dead registry's grace has run out, a write finds the endpoint
+	// quarantined and starts the re-registration.
 	srv.app.SpawnAfter(4*time.Second, "write", func(th *kern.Thread) {
 		if _, err := open[0].Write(th, []byte("x")); err != nil {
 			t.Error(err)

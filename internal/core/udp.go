@@ -136,11 +136,15 @@ func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) erro
 	if err != nil {
 		return err
 	}
-	_, err = u.lib.callPort(t, nil, kern.Msg{
+	reply, err := u.lib.callPort(t, nil, kern.Msg{
 		Op:   "udp-send",
 		Size: len(payload),
-		Body: registry.UDPSendReq{Frame: b},
+		Body: registry.UDPSendReq{Cap: u.cap, Frame: b},
 	})
+	if err != nil {
+		return err
+	}
+	err, _ = reply.Body.(error)
 	return err
 }
 

@@ -84,6 +84,7 @@ type Domain struct {
 	// spawns a thread per connection holds only the connections still open.
 	threads    threadList
 	dead       bool
+	diedAt     sim.Time // the instant Kill ran
 	deathHooks []func()
 	cpu        *sim.Resource // non-nil: threads compute here, not Host.CPU
 }
@@ -204,7 +205,7 @@ func (d *Domain) Kill() {
 	if d.dead {
 		return
 	}
-	d.dead = true
+	d.dead, d.diedAt = true, d.Host.S.Now()
 	for t := d.threads.head; t != nil; t = t.next {
 		d.Host.S.Kill(t.Proc)
 	}
@@ -215,6 +216,9 @@ func (d *Domain) Kill() {
 
 // Dead reports whether the domain has been killed.
 func (d *Domain) Dead() bool { return d.dead }
+
+// DiedAt returns the instant the domain was killed; meaningful once Dead.
+func (d *Domain) DiedAt() sim.Time { return d.diedAt }
 
 // Threads counts the domain's live threads.
 func (d *Domain) Threads() int { return d.threads.n }

@@ -117,12 +117,14 @@ func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
 	w := newWorld(t, true)
-	w.m2.EnableLeases(10 * time.Millisecond)
+	issuer := w.h2.NewDomain("registry", true)
 	spec, tmpl := chanSpecAndTemplate(w, link.AN1HeaderLen)
-	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	_, ch, err := w.m2.CreateChannel(issuer, spec, tmpl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const killAt = 10 * time.Millisecond
+	w.s.After(killAt, issuer.Kill)
 	burst := func(at time.Duration, n int) {
 		w.app1.SpawnAfter(at, "burst", func(th *kern.Thread) {
 			for i := 0; i < n; i++ {
@@ -134,19 +136,19 @@ func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 		})
 	}
 	// Two frames are drained and kept, three more sit in the ring, and
-	// three arrive after the lease expired (no renewal).
+	// three arrive once the issuer has been dead for IssuerGrace.
 	var held []*pkt.Buf
 	burst(0, 2)
 	w.app2.SpawnAfter(2*time.Millisecond, "reader", func(th *kern.Thread) { held = wait(th, ch) })
 	burst(5*time.Millisecond, 3)
 	w.s.Run(9 * time.Millisecond)
 	if len(held) != 2 || ch.Pending() != 3 {
-		t.Fatalf("before expiry: %d frames drained, %d queued, want 2 and 3", len(held), ch.Pending())
+		t.Fatalf("before onset: %d frames drained, %d queued, want 2 and 3", len(held), ch.Pending())
 	}
 	if st, ok := statusOf(w, ch.BQI()); !ok || st.InUse != 3 {
-		t.Fatalf("ring InUse = %d before expiry, want 3 (one per queued frame)", st.InUse)
+		t.Fatalf("ring InUse = %d before onset, want 3 (one per queued frame)", st.InUse)
 	}
-	burst(50*time.Millisecond, 3)
+	burst(killAt+IssuerGrace, 3)
 	w.s.Run(0)
 
 	if ch.Quarantined != 3 {
@@ -177,27 +179,29 @@ func TestQuarantineMidBurstReleasesSlotsAndBufs(t *testing.T) {
 // TestZeroCopyQuarantineSweepsAndPoisons verifies revocation safety for a
 // live but distrusting tenant: at quarantine onset the channel's liens on
 // frames the application still holds are reclaimed and the bytes scrubbed,
-// so an expired endpoint can keep no data it no longer has a right to.
+// so a quarantined endpoint can keep no data it no longer has a right to.
 func TestZeroCopyQuarantineSweepsAndPoisons(t *testing.T) {
 	pkt.SetLeakTracking(true)
 	t.Cleanup(func() { pkt.SetLeakTracking(false) })
 	w := newWorld(t, false)
-	w.m2.EnableLeases(10 * time.Millisecond)
+	issuer := w.h2.NewDomain("registry", true)
 	spec, tmpl := chanSpecAndTemplate(w, link.EthHeaderLen)
-	_, ch, err := w.m2.CreateChannel(w.krn2, spec, tmpl, 8)
+	_, ch, err := w.m2.CreateChannel(issuer, spec, tmpl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const killAt = 10 * time.Millisecond
+	w.s.After(killAt, issuer.Kill)
 	var held []*pkt.Buf
 	w.app1.Spawn("early", func(th *kern.Thread) {
 		w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("secret")))
 	})
 	w.app2.SpawnAfter(2_000_000, "reader", func(th *kern.Thread) {
-		held = wait(th, ch) // tenant keeps the references past its lease
+		held = wait(th, ch) // tenant keeps the references past quarantine onset
 	})
-	// A frame arriving after expiry triggers the quarantine sweep.
-	w.app1.SpawnAfter(50_000_000, "late", func(th *kern.Thread) {
-		w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("post-lease")))
+	// A frame arriving after onset triggers the quarantine sweep.
+	w.app1.SpawnAfter(killAt+IssuerGrace, "late", func(th *kern.Thread) {
+		w.m1.SendKernel(th, buildTCPFrame(w, link.EthHeaderLen, 1025, 80, []byte("post-quarantine")))
 	})
 	w.s.Run(0)
 

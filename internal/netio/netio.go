@@ -49,10 +49,10 @@ import (
 var (
 	ErrBadCapability    = errors.New("netio: invalid or revoked capability")
 	ErrTemplateMismatch = errors.New("netio: packet header violates send template")
-	// ErrLeaseExpired reports that the capability's lease ran out — the
-	// control plane that should be renewing it is dead. The endpoint is
-	// quarantined, not revoked: a restarted registry can re-adopt it.
-	ErrLeaseExpired = errors.New("netio: capability lease expired (control plane down)")
+	// ErrQuarantined reports that the capability's issuer has been dead for
+	// IssuerGrace. The endpoint is quarantined, not revoked: a live registry
+	// can re-adopt it (Reissue).
+	ErrQuarantined = errors.New("netio: capability quarantined (issuer dead)")
 	// ErrBQIExhausted reports that the AN1's buffer queue index space is
 	// used up (the hardware table is finite; indices are recycled on
 	// channel destruction, so only a genuinely huge live population hits
@@ -109,12 +109,6 @@ type Capability struct {
 	// owner is the application domain the capability was issued to; the
 	// module uses it to reclaim everything a crashed application held.
 	owner *kern.Domain
-	// issuer is the control-plane domain that created (or re-adopted) the
-	// capability. Issuer-scoped lease renewal lets several registry shards
-	// share one module: each shard's heartbeat extends only the leases it
-	// is responsible for, so a dead shard's endpoints expire on schedule
-	// while its peers' stay fresh.
-	issuer *kern.Domain
 }
 
 // Template returns the header template the capability was created with. A
@@ -162,9 +156,10 @@ type Channel struct {
 	// consumer has let go of it (Disown).
 	rec      *chanRec
 	disowned bool
-	// expires is the instant the channel's lease runs out: zero for a
-	// channel created while leases were off, which never quarantines.
-	expires time.Duration
+	// issuer is the control-plane domain that created (or re-adopted) the
+	// channel; once it has been dead for IssuerGrace the channel is
+	// quarantined, while its sibling shards' channels serve on.
+	issuer *kern.Domain
 
 	// posted numbers descriptors written into the shared region's ring.
 	posted uint64
@@ -182,8 +177,8 @@ type Channel struct {
 	// overflow episodes (bursts); HighWater is the deepest the ring got.
 	Delivered, Dropped, Notifications int
 	Overflows, HighWater              int
-	// Quarantined counts packets suppressed because the channel's lease
-	// expired (control plane down).
+	// Quarantined counts packets suppressed because the channel's issuer
+	// is dead (control plane down).
 	Quarantined int
 	// CopiedBytes counts the bytes the software demux path copied into the
 	// shared region (zero on the AN1, whose rings are DMAed).
@@ -239,8 +234,9 @@ func (ch *Channel) settleInflight() {
 // sweepInflight reclaims the channel's liens outside the normal drain
 // cycle — revocation, quarantine, teardown. With poison set the packet
 // bytes are zeroed in place first, so a live but distrusting tenant that
-// kept references past its lease can never read data it no longer owns; a
-// dead application's sweep skips the scrub (its address space is gone).
+// kept references past quarantine onset can never read data it no longer
+// owns; a dead application's sweep skips the scrub (its address space is
+// gone).
 func (ch *Channel) sweepInflight(poison bool, reason string) {
 	if len(ch.inflight) == 0 {
 		return
@@ -311,9 +307,8 @@ func (ch *Channel) BQI() uint16 { return ch.bqi }
 func (ch *Channel) deliver(b *pkt.Buf) {
 	bus := ch.mod.host.S.Bus
 	if ch.mod.quarantined(ch) {
-		// The lease on this endpoint ran out: the control plane that
-		// vouched for it is dead. Deliver nothing until a reborn registry
-		// re-adopts the endpoint and resumes renewing. This single check
+		// The control plane that vouched for this endpoint is dead. Deliver
+		// nothing until a live registry re-adopts it. This single check
 		// covers every delivery source — software demux, the AN1 hardware
 		// ring, and kernel-path Inject.
 		ch.Quarantined++
@@ -528,12 +523,6 @@ type Module struct {
 	// packet batching is very effective").
 	DisableBatching bool
 
-	// leaseTTL, when nonzero, bounds how long an endpoint may be served
-	// without the control plane renewing it. Each channel carries its own
-	// expiry, so leases survive a registry crash exactly like the channels
-	// they guard.
-	leaseTTL time.Duration
-
 	// FailSetup, when non-nil, is consulted by setup-time allocations —
 	// ReserveBQI ("bqi") and channel creation ("create") — and its error is
 	// returned instead of proceeding. Tests use it to drive the registry's
@@ -543,7 +532,7 @@ type Module struct {
 	// Counters (Describe).
 	sendOK, sendRejected, demuxMatched, demuxDefault int
 	rxDropped                                        int
-	// quarantineDrops counts packets suppressed on lease-expired channels.
+	// quarantineDrops counts packets suppressed on quarantined channels.
 	quarantineDrops int
 	// deliveredTotal/notificationsTotal aggregate the per-channel
 	// counters across all channels (including destroyed ones), so the
@@ -798,7 +787,8 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 	ch.rec, ch.Region, ch.bell = rec, &rec.region, &m.unattached
 	ch.cap = ringSize
 	ch.mod = m
-	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, owner: owner, issuer: from}
+	ch.issuer = from
+	cap := &Capability{id: m.nextCapID, template: tmpl, ch: ch, owner: owner}
 	m.nextCapID++
 	ch.id = cap.id
 	m.caps[cap.id] = cap
@@ -835,9 +825,6 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 		m.steer[key] = &rec.bd
 		ch.bd = &rec.bd
 	}
-	if m.leaseTTL != 0 {
-		ch.expires = m.now() + m.leaseTTL
-	}
 	return cap, ch, nil
 }
 
@@ -852,7 +839,6 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 		return ErrBadCapability
 	}
 	delete(m.caps, cap.id)
-	cap.ch.expires = 0 // the lease ends with the capability
 	ringIdle := true
 	if cap.ch.bqi != 0 {
 		if an1, ok := m.dev.(*netdev.AN1); ok {
@@ -891,63 +877,22 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	return nil
 }
 
-// EnableLeases arms lease enforcement: every channel created from now on
-// is granted a lease of the given ttl, and an endpoint whose lease runs
-// out is quarantined (no delivery, sends rejected) until renewed.
-// Idempotent — a restarted registry calling it again keeps the first ttl,
-// and the leases granted by the previous incarnation stay in force.
-// Expiry is read lazily against the virtual clock: no event is scheduled.
-func (m *Module) EnableLeases(ttl time.Duration) {
-	if m.leaseTTL == 0 {
-		m.leaseTTL = ttl
-	}
-}
+// IssuerGrace is how long a channel outlives its issuer's death before the
+// module quarantines it (no delivery, sends rejected): a registry shard
+// restarted within it re-adopts its endpoints before the data path notices.
+const IssuerGrace = 3 * time.Second
 
-// now is the virtual clock lease instants are read against.
-func (m *Module) now() time.Duration { return time.Duration(m.host.S.Now()) }
-
-// quarantined reports whether a channel's lease has expired.
+// quarantined reports whether a channel's issuer has been dead for
+// IssuerGrace. It is read lazily against the virtual clock: no event is
+// scheduled.
 func (m *Module) quarantined(ch *Channel) bool {
-	return ch.expires != 0 && m.now() >= ch.expires
-}
-
-// renew extends a channel's lease by the ttl from now. An expired lease may
-// be renewed — quarantine is a suspension, not a revocation, so a
-// late-restarting registry can recover endpoints still live in the module —
-// but a channel that never had one stays unleased.
-func (m *Module) renew(ch *Channel) {
-	if ch.expires != 0 {
-		ch.expires = m.now() + m.leaseTTL
-	}
-}
-
-// RenewLeasesIssued extends the leases of the capabilities issued by (or
-// reassigned to) the given domain — a registry shard's heartbeat. Only a
-// privileged domain may renew. A dead shard stops calling this, its
-// endpoints' leases expire and quarantine, and the libraries migrate them
-// to a live shard or re-register them with the next incarnation; the other
-// shards' endpoints never miss a beat. Returns how many leases were
-// extended.
-func (m *Module) RenewLeasesIssued(from *kern.Domain) (int, error) {
-	if !from.Privileged {
-		return 0, fmt.Errorf("netio: lease renewal from unprivileged domain %s", from)
-	}
-	if m.leaseTTL == 0 {
-		return 0, nil
-	}
-	n := 0
-	for _, cap := range m.caps {
-		if cap.issuer == from {
-			m.renew(cap.ch)
-			n++
-		}
-	}
-	return n, nil
+	is := ch.issuer
+	return is.Dead() && time.Duration(m.host.S.Now()-is.DiedAt()) >= IssuerGrace
 }
 
 // Reissue reassigns a capability's issuer: the shard that adopts an
-// endpoint after a migration (re-registration, rebuild) takes over its
-// lease renewal.
+// endpoint after a migration (re-registration, rebuild) vouches for it from
+// then on, which lifts a quarantine with the channel's state intact.
 func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 	if !from.Privileged {
 		return fmt.Errorf("netio: reissue from unprivileged domain %s", from)
@@ -955,20 +900,7 @@ func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 	if cap == nil || m.caps[cap.id] != cap {
 		return ErrBadCapability
 	}
-	cap.issuer = from
-	return nil
-}
-
-// RenewLease extends one capability's lease (re-registration of a single
-// endpoint by a reborn registry).
-func (m *Module) RenewLease(from *kern.Domain, cap *Capability) error {
-	if !from.Privileged {
-		return fmt.Errorf("netio: lease renewal from unprivileged domain %s", from)
-	}
-	if cap == nil || m.caps[cap.id] != cap {
-		return ErrBadCapability
-	}
-	m.renew(cap.ch)
+	cap.ch.issuer = from
 	return nil
 }
 
@@ -1090,9 +1022,9 @@ func (m *Module) Send(t *kern.Thread, cap *Capability, frame *pkt.Buf) error {
 		m.sendRejected++
 		if m.host.S.Bus.Enabled() {
 			m.host.S.Bus.Emit(trace.Event{Kind: trace.VerifyReject, Node: m.dev.Name(),
-				A: int64(cap.id), Text: "lease-expired"})
+				A: int64(cap.id), Text: "quarantined"})
 		}
-		return ErrLeaseExpired
+		return ErrQuarantined
 	}
 	t.Compute(c.TemplateCheck)
 	if !cap.template.Verify(frame.Bytes(), m.dev.HdrLen()) {

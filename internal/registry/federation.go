@@ -82,7 +82,6 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
 	f.slices = partition(lo, hi, n)
-	mod.EnableLeases(LeaseTTL)
 	for i := 0; i < n; i++ {
 		// Policy: a sharded control plane pins each shard to a core of its
 		// own, so the shards' setups run in parallel; a lone registry is the
@@ -258,9 +257,9 @@ func (f *Federation) release(owner *kern.Domain) {
 // successor — with no live sibling, default-path frames are discarded, as
 // the kernel does for a dead domain, and requests queue at the service port
 // for the next incarnation.
-// Leases the dead shard issued stop being renewed, so its handed-off
-// endpoints quarantine at the TTL and their libraries migrate to a survivor
-// or re-register once the shard is back.
+// The endpoints the dead shard issued quarantine netio.IssuerGrace after the
+// kill, and their libraries migrate to a survivor or re-register once the
+// shard is back.
 func (f *Federation) CrashShard(i int) {
 	if !f.live[i] {
 		return
@@ -290,7 +289,7 @@ func (f *Federation) CrashShard(i int) {
 // RestartShard boots a fresh incarnation of a crashed shard. The service
 // port is reused (libraries hold send rights), the shard rebuilds its
 // statically-owned endpoints from the module's installed templates and
-// re-issues their leases, and any survivor that adopted those endpoints
+// re-issues them, and any survivor that adopted those endpoints
 // during the outage drops its foreign records.
 func (f *Federation) RestartShard(i int) {
 	if f.live[i] {

@@ -220,3 +220,20 @@ func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 			len(rg.r1.reqCache), len(rg.r1.reqOrder), sent)
 	}
 }
+
+// A request the registry answers nothing to leaves no dedup entry: an
+// unknown body, or a one-way body sent with a reply port, would otherwise
+// hold an entry that never completes and is never evicted.
+func TestUnansweredRequestLeavesNoDedupEntry(t *testing.T) {
+	rg := newRig(false)
+	done := false
+	rg.apps[1].Spawn("caller", func(th *kern.Thread) {
+		_, _ = rg.r1.Svc.CallTimeout(th, kern.Msg{Op: "bogus", ID: 42, Body: struct{}{}}, time.Second)
+		_, _ = rg.r1.Svc.CallTimeout(th, kern.Msg{Op: "teardown", ID: 43, Body: TeardownReq{}}, time.Second)
+		done = true
+	})
+	rg.s.RunUntil(time.Minute, func() bool { return done })
+	if !done || len(rg.r1.reqCache) != 0 || len(rg.r1.reqOrder) != 0 {
+		t.Fatalf("done %v; dedup cache holds %d entries (FIFO %d), want none", done, len(rg.r1.reqCache), len(rg.r1.reqOrder))
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"time"
 
 	"ulp/internal/chaos"
 	"ulp/internal/filter"
@@ -262,8 +261,8 @@ type Server struct {
 	handoffs freelist.List[*Handoff]
 
 	// fed is the federation this server is shard shardIdx of: it owns a
-	// static slice of the port space, shares the Netif with its sibling
-	// shards and renews only the leases it issued.
+	// static slice of the port space and shares the Netif with its sibling
+	// shards.
 	fed      *Federation
 	shardIdx int
 }
@@ -283,17 +282,8 @@ type pendingReq struct {
 	hc    *hsConn // in-flight connect; a retry retargets hc.reply
 }
 
-// Registry failure-semantics parameters.
-const (
-	// LeaseTTL is how long the module serves an endpoint without the
-	// registry renewing it; LeaseHeartbeat is the renewal period. The TTL
-	// is three heartbeats so one delayed beat never quarantines anything.
-	LeaseTTL       = 3 * time.Second
-	LeaseHeartbeat = 1 * time.Second
-
-	// dedupCap bounds the request-ID cache (FIFO eviction).
-	dedupCap = 512
-)
+// dedupCap bounds the request-ID cache (FIFO eviction).
+const dedupCap = 512
 
 // newShard boots shard i. prev is the crashed incarnation it replaces, nil
 // at first boot: its service port is reused — libraries hold send rights to
@@ -344,21 +334,7 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		Bracket:   r.runEngine,
 		AfterSlow: r.nif.Expire,
 	})
-	r.dom.Spawn("lease-hb", r.leaseHeartbeat)
 	return r
-}
-
-// leaseHeartbeat renews the leases this shard issued, and only those, so a
-// crashed sibling's endpoints expire (and migrate) instead of being kept
-// alive by the survivors. It charges no CPU: the renewal models a
-// kernel-side table write whose cost is negligible next to the IPC-heavy
-// control path, and keeping it free leaves the fault-free experiment timings
-// untouched.
-func (r *Server) leaseHeartbeat(t *kern.Thread) {
-	for {
-		t.Sleep(LeaseHeartbeat)
-		_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
-	}
 }
 
 func (r *Server) nextISS() tcp.Seq {
@@ -401,8 +377,8 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 }
 
 // dispatch runs one control-plane request through fault injection, the
-// request-ID dedup cache (requests with a reply port only), and the handler
-// switch.
+// request-ID dedup cache (requests the registry answers only), and the
+// handler switch. A body no handler takes is dropped, as a lost request is.
 func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
@@ -418,7 +394,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	// run a second handshake. Completed requests replay the cached
 	// reply (the original's was lost with its abandoned reply port);
 	// retries of an in-flight connect retarget the eventual handoff.
-	if m.ID != 0 && m.Reply != nil {
+	if m.ID != 0 && m.Reply != nil && answered(m.Body) {
 		if e, ok := r.reqCache[m.ID]; ok {
 			r.dedupHits++
 			if r.host.S.Bus.Enabled() {
@@ -459,6 +435,16 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	case UnbindUDPReq:
 		r.unbind(req.Cap)
 	}
+}
+
+// answered reports whether the registry replies to a request body: only
+// such a request can complete a dedup entry.
+func answered(body any) bool {
+	switch body.(type) {
+	case ConnectReq, ListenReq, UnlistenReq, ReRegisterReq, BindUDPReq, ResolveReq, UDPSendReq:
+		return true
+	}
+	return false
 }
 
 // track inserts an empty dedup entry for a request id, evicting the oldest
@@ -1062,10 +1048,10 @@ func (r *Server) rebuild(t *kern.Thread) {
 			}
 			ft := tuple(cap)
 			// A shard adopts only the endpoints it statically owns; its
-			// siblings' slices are theirs to rebuild. Re-issuing moves
-			// lease-renewal responsibility to this incarnation, away from
-			// its dead predecessor or a survivor that adopted the endpoint
-			// during the outage.
+			// siblings' slices are theirs to rebuild. Re-issuing makes this
+			// incarnation the endpoint's issuer, away from its dead
+			// predecessor or a survivor that adopted it during the outage,
+			// and so lifts any quarantine.
 			if r.fed.ownerEndpoints(ft.Local, ft.Peer) != r.shardIdx {
 				continue
 			}
@@ -1090,9 +1076,6 @@ func (r *Server) rebuild(t *kern.Thread) {
 		}
 	}
 	r.rebuilt = n
-	// Resume renewing before anything can expire further: re-adopted
-	// endpoints leave quarantine immediately.
-	_, _ = r.nif.Mod.RenewLeasesIssued(r.dom)
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
 			A: int64(r.epoch), B: int64(n)})
@@ -1121,11 +1104,10 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 	}
 	r.transferred[ft] = &xferConn{cap: req.Cap, sndNxt: req.SndNxt, rcvNxt: req.RcvNxt}
 	r.watch(req.Cap.Owner())
-	// Adopting a connection takes over its lease renewal too (from a dead
-	// predecessor or, across shards, a crashed sibling), or the endpoint
-	// would quarantine again at the next TTL despite being re-registered.
+	// The adopting shard becomes the endpoint's issuer (in place of a dead
+	// predecessor or, across shards, a crashed sibling), which lifts its
+	// quarantine.
 	_ = mod.Reissue(r.dom, req.Cap)
-	_ = mod.RenewLease(r.dom, req.Cap)
 	r.reregistered++
 	r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: nil})
 }

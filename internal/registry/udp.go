@@ -52,7 +52,8 @@ type ResolveReply struct {
 // pre-binding path a dedicated-server organization would use for every
 // datagram; the RPC ablation measures what bypassing it saves).
 type UDPSendReq struct {
-	Frame *pkt.Buf // complete link frame, built by the library
+	Cap   *netio.Capability // the sender's datagram end-point
+	Frame *pkt.Buf          // complete link frame, built by the library
 }
 
 // UnbindUDPReq releases the datagram end-point the capability names.
@@ -114,12 +115,25 @@ func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
 	r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{Err: stacks.ErrUnreachable}})
 }
 
-// handleUDPSend relays a datagram through the registry's kernel path.
+// handleUDPSend relays a datagram through the registry's kernel path once
+// its capability vouches for it: the frame must pass the template check
+// Module.Send runs on the fast path, so the relay sends nothing the library
+// could not send itself. A refused frame is released and the error answered.
 func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 	c := t.Cost()
 	t.Compute(c.RegistrySendPath)
-	r.nif.Mod.SendKernel(t, req.Frame)
-	r.finish(t, m, kern.Msg{Op: "udp-send-ack"})
+	mod := r.nif.Mod
+	err := netio.ErrBadCapability
+	if mod.Installed(req.Cap) {
+		if tmpl := req.Cap.Template(); tmpl.Verify(req.Frame.Bytes(), mod.Device().HdrLen()) {
+			mod.SendKernel(t, req.Frame)
+			r.finish(t, m, kern.Msg{Op: "udp-send-ack"})
+			return
+		}
+		err = netio.ErrTemplateMismatch
+	}
+	req.Frame.Release()
+	r.finish(t, m, kern.Msg{Op: "udp-send-ack", Body: err})
 }
 
 // unbind gives back the datagram binding cap was issued: its channel, and

@@ -56,7 +56,7 @@ const (
 
 	// Crash-recovery events.
 	ListenDrop      // SYN dropped by a full listen backlog; A = listener port, B = pending handshakes
-	ChanQuarantine  // delivery suppressed: capability lease expired; A = capability id
+	ChanQuarantine  // delivery suppressed: channel issuer dead; A = capability id
 	RegistryRestart // reborn registry rebuilt state from the module; A = epoch, B = endpoints re-adopted
 
 	// By-reference receive events.
