@@ -337,11 +337,11 @@ func TestChaosTransferSurvivesCombinedFaults(t *testing.T) {
 }
 
 // The tentpole scenario: the SERVER's registry is killed mid-transfer and
-// restarted within the lease TTL. The data path never touches the registry,
-// so the transfer keeps moving through the outage; the reborn registry
-// rebuilds its port table and connection map from the module's installed
-// templates, and — because the restart beat the lease clock — nothing is
-// ever quarantined.
+// restarted within netio.IssuerGrace. The data path never touches the
+// registry, so the transfer keeps moving through the outage; the reborn
+// registry rebuilds its port table and connection map from the module's
+// installed templates, and — because the restart came within the grace —
+// nothing is ever quarantined.
 func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
@@ -412,18 +412,19 @@ func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 	if Counter(t, w, "registry.h0.shard0.rebuilt_endpoints") < 1 {
 		t.Fatal("reborn registry rebuilt nothing from the module's templates")
 	}
-	// Restart within the lease TTL: the quarantine machinery must stay cold.
+	// Restart within the issuer grace: the quarantine machinery must stay cold.
 	if n := Counter(t, w, "netio.h0.quarantine_drops") + Counter(t, w, "netio.h1.quarantine_drops"); n != 0 {
-		t.Fatalf("%d frames quarantined despite the restart beating the lease TTL", n)
+		t.Fatalf("%d frames quarantined despite the restart coming within the issuer grace", n)
 	}
 }
 
-// The outage outlasts the lease TTL: the client host's module quarantines
-// the endpoint (sends rejected with ErrLeaseExpired, delivery suppressed),
-// the library's reconnect loop backs off and re-registers once the registry
-// is reborn, and the transfer then completes — a terminal error never
-// surfaces to the application.
-func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
+// The outage outlasts netio.IssuerGrace: the client host's module
+// quarantines the endpoint once its issuer has been dead that long (sends
+// rejected with netio.ErrQuarantined, delivery suppressed), the library's
+// reconnect loop backs off and re-registers once the registry is reborn, and
+// the transfer then completes — a terminal error never surfaces to the
+// application.
+func TestChaosQuarantineAfterIssuerGraceReregisterResumes(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
@@ -466,7 +467,7 @@ func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		// ~6s of writes: the lease lapses at ~3.1s (crash + TTL), the
+		// ~6s of writes: quarantine starts at ~3.1s (crash + grace), the
 		// registry returns at ~4.1s, and the stream must ride through both.
 		for i := 0; i < chunks; i++ {
 			if _, err := c.Write(th, pattern(chunk)); err != nil {
@@ -479,13 +480,13 @@ func TestChaosLeaseExpiryReregisterResumes(t *testing.T) {
 	})
 	w.RunUntil(2*time.Minute, func() bool { return srvDone })
 	if !srvDone {
-		t.Fatal("transfer did not resume after lease expiry and re-registration")
+		t.Fatal("transfer did not resume after quarantine and re-registration")
 	}
 	if received != chunks*chunk {
 		t.Fatalf("server received %d bytes, want %d", received, chunks*chunk)
 	}
 	if Counter(t, w, "netio.h1.send_rejected") < 1 {
-		t.Fatal("no send was ever rejected: the lease never expired, scenario is not testing quarantine")
+		t.Fatal("no send was ever rejected: the endpoint was never quarantined, scenario is not testing quarantine")
 	}
 	if epoch := Counter(t, w, "registry.h1.shard0.epoch"); epoch != 2 {
 		t.Fatalf("client registry epoch = %d, want 2", epoch)
@@ -889,7 +890,7 @@ func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
 		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
 		Chaos: &chaos.FaultPlan{
 			ShardCrashes: []chaos.ShardCrash{{Host: 0, Shard: 1, At: 200 * time.Millisecond}},
-			// Well inside the lease TTL: the application has not migrated
+			// Well inside the issuer grace: the application has not migrated
 			// the dead shard's connection to the survivor.
 			Crashes: []chaos.CrashPoint{{Host: 0, App: "client", At: 400 * time.Millisecond}},
 		},

@@ -393,12 +393,15 @@ var (
 	// repoPath is a path into the repository; one holding "..." is a
 	// pattern, not a path.
 	repoPath = regexp.MustCompile(`^(internal|cmd|examples|testdata)/[\w./-]*$`)
+	// roadmapItem cites a ROADMAP item by number, which the next renumbering
+	// of the roadmap points at another item.
+	roadmapItem = regexp.MustCompile(`ROADMAP (items? )?[0-9]+`)
 )
 
 // TestDocsNameLiveCode fails when README.md, DESIGN.md or EXPERIMENTS.md
 // name, in backticks, Go code the module does not have, or a repository
 // path (internal/..., cmd/..., examples/..., testdata/...) that does not
-// exist. A name of Go shape — pkg.Name, Type.Member or pkg.Type.Member —
+// exist, or cite a ROADMAP item by number instead of naming its mechanism. A name of Go shape — pkg.Name, Type.Member or pkg.Type.Member —
 // whose first part is a module package or a module type must resolve in the
 // type-checked module, where Name may also be a test function or a member of
 // one of the package's types; names that start anywhere else (sync.Pool,
@@ -470,6 +473,9 @@ func TestDocsNameLiveCode(t *testing.T) {
 		src, err := os.ReadFile(filepath.Join(l.root, doc))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, cite := range roadmapItem.FindAllString(string(src), -1) {
+			t.Errorf("%s cites %q: name the mechanism, for item numbers change whenever the roadmap is renumbered", doc, cite)
 		}
 		for _, m := range backticked.FindAllStringSubmatch(string(src), -1) {
 			if repoPath.MatchString(m[1]) && !strings.Contains(m[1], "...") {

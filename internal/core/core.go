@@ -22,7 +22,6 @@
 package core
 
 import (
-	"hash/fnv"
 	"slices"
 	"sort"
 	"time"
@@ -91,11 +90,14 @@ type Library struct {
 	// seeded jitter, shared schedule with the reconnect path).
 	backoff *stacks.Backoff
 
-	// idBase/reqSeq generate request IDs: the per-app hash base keeps IDs
-	// from different libraries on one registry distinct, the counter keeps
-	// them unique within the app. A retry reuses its request's ID, which
-	// is what lets the registry deduplicate.
-	idBase, reqSeq uint64
+	// reqSeq counts request IDs, which the registry compares only within a
+	// call slot of this library's. A retry reuses its request's ID, which is
+	// what lets the registry deduplicate. busy marks the call slots in use:
+	// a call holds one for its length. slotFreed wakes a caller waiting for
+	// one.
+	reqSeq    uint32
+	busy      []bool
+	slotFreed sim.Cond
 
 	// reconnecting guards the single reconnect thread.
 	reconnecting bool
@@ -130,20 +132,40 @@ const (
 	admissionRetries = 12
 )
 
-// nextReqID issues a fresh request id (never zero).
-func (l *Library) nextReqID() uint64 {
+// nextReqID issues a fresh request id, nonzero until 2^32 have been issued.
+func (l *Library) nextReqID() uint32 {
 	l.reqSeq++
-	return l.idBase | l.reqSeq
+	return l.reqSeq
+}
+
+// takeSlot lends the lowest free call slot for the length of one call,
+// waiting while all registry.CallSlots are lent; putSlot takes it back.
+func (l *Library) takeSlot(t *kern.Thread) uint32 {
+	i := slices.Index(l.busy, false)
+	for ; i < 0 && len(l.busy) == registry.CallSlots; i = slices.Index(l.busy, false) {
+		l.slotFreed.Wait(t.Proc)
+	}
+	if i < 0 {
+		i, l.busy = len(l.busy), append(l.busy, false)
+	}
+	l.busy[i] = true
+	return uint32(i)
+}
+
+func (l *Library) putSlot(s uint32) {
+	l.busy[s] = false
+	l.slotFreed.Signal()
 }
 
 // callPort issues one control-plane RPC to shard service port svc under the
 // deadline/retry policy. A nil svc re-picks the default control port per
 // attempt, so retries fail over past a shard that crashed mid-call. All
-// attempts carry the same request ID, so a retry whose original was executed
-// (reply lost) is answered from the registry's dedup cache rather than
-// re-executed.
+// attempts carry the same request ID on the same call slot, so a retry whose
+// original was executed (reply lost) is answered from the registry's entry
+// for the caller rather than re-executed.
 func (l *Library) callPort(t *kern.Thread, svc *kern.Port, m kern.Msg) (kern.Msg, error) {
-	m.ID = l.nextReqID()
+	m.ID, m.Slot = l.nextReqID(), l.takeSlot(t)
+	defer l.putSlot(m.Slot)
 	timeout := rpcBaseTimeout
 	for attempt := 0; attempt < rpcAttempts; attempt++ {
 		p := svc
@@ -178,8 +200,6 @@ func (l *Library) svcOwner(local, peer tcp.Endpoint) *kern.Port {
 // NewLibrary links the protocol library into an application domain. Control
 // RPCs are routed through the registry's metaregistry index.
 func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library {
-	h := fnv.New64a()
-	h.Write([]byte(app.String()))
 	l := &Library{
 		s:       s,
 		host:    app.Host,
@@ -189,10 +209,10 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		mod:     reg.Netif().Mod,
 		wheel:   stacks.NewTCPWheel(),
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
-		idBase:  h.Sum64() &^ 0xFFFFF, // low 20 bits carry the counter
 	}
 	l.bell.Init(l.host)
 	l.twEnded.Init(s)
+	l.slotFreed.Init(s)
 	cost := &l.host.Cost
 	l.entry = func(t *kern.Thread) { t.Compute(cost.ProcCall) }
 	// Send-side data enters the shared region without a per-byte copy.
@@ -235,7 +255,7 @@ func (l *Library) post(t *kern.Thread, svc *kern.Port, m kern.Msg) {
 	case t != nil:
 		svc.Send(t, m)
 	default:
-		svc.SendAsync(m)
+		svc.SendAsync(l.app, m)
 	}
 }
 
@@ -442,7 +462,7 @@ func (l *Library) compact(r *connRec) bool {
 // registry, then adopt the established connection.
 func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Options) (stacks.Conn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.callConnect(t, registry.ConnectReq{Remote: remote, Opts: opts, Owner: l.app})
+	reply, err := l.callConnect(t, registry.ConnectReq{Remote: remote, Opts: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +494,8 @@ func (l *Library) adoptHandoff(t *kern.Thread, ho *registry.Handoff, opts stacks
 // outlasts the RPC deadline — so every id the library stops waiting for is
 // withdrawn from the shards it went to, except the one that answered it.
 func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg, error) {
-	id := l.nextReqID()
+	id, slot := l.nextReqID(), l.takeSlot(t)
+	defer l.putSlot(slot)
 	var shards [rpcAttempts]*kern.Port
 	asked := shards[:0] // where the current id was posted
 	timeout := rpcBaseTimeout
@@ -489,11 +510,11 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 		if replyPort == nil {
 			replyPort = kern.NewPort(l.host, "connect-reply")
 		}
-		l.post(t, svc, kern.Msg{Op: "connect", ID: id, Reply: replyPort, Body: req})
+		l.post(t, svc, kern.Msg{Op: "connect", ID: id, Slot: slot, Reply: replyPort, Body: req})
 		m, ok := replyPort.ReceiveTimeout(t, timeout)
 		if ok {
 			l.replies.Put(replyPort)
-			l.abandon(t, id, asked, svc)
+			l.abandon(t, registry.AbandonReq{Slot: slot, ID: id}, asked, svc)
 			if ho, isHo := m.Body.(*registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied {
 				denied++
 				if denied > admissionRetries {
@@ -514,17 +535,19 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 			timeout *= 2
 		}
 	}
-	l.abandon(t, id, asked, nil)
+	l.abandon(t, registry.AbandonReq{Slot: slot, ID: id}, asked, nil)
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
 }
 
-// abandon withdraws connect request id from each shard in asked but the one
-// that answered it (nil when none did), so that a set-up nobody will adopt
-// gives back its port and channel.
-func (l *Library) abandon(t *kern.Thread, id uint64, asked []*kern.Port, answered *kern.Port) {
+// abandon withdraws the connect request req names from each shard in asked
+// but the one that answered it (nil when none did), so that a set-up nobody
+// will adopt gives back its port and channel. It sends past the batcher: the
+// abandon must reach the shard before the slot's next call, which retires the
+// entry through which the shard finds what to give back.
+func (l *Library) abandon(t *kern.Thread, req registry.AbandonReq, asked []*kern.Port, answered *kern.Port) {
 	for _, svc := range asked {
 		if svc != answered {
-			l.post(t, svc, kern.Msg{Op: "abandon", Body: registry.AbandonReq{ID: id}})
+			svc.Send(t, kern.Msg{Op: "abandon", Body: req})
 		}
 	}
 }
@@ -546,7 +569,7 @@ type Listener struct {
 func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stacks.Listener, error) {
 	t.Compute(t.Cost().ProcCall)
 	acceptPort := kern.NewPort(l.host, "accept")
-	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort, Owner: l.app}
+	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort}
 	var firstErr error
 	n := 0
 	for i := 0; i < l.meta.Shards(); i++ {
@@ -716,10 +739,8 @@ func (l *Library) reregisterAll(t *kern.Thread) bool {
 			continue // closed or failed while an earlier claim waited for its answer
 		}
 		snap, rt := c.snapshot()
-		m := kern.Msg{Op: "reregister", ID: l.nextReqID(), Body: registry.ReRegisterReq{
-			Cap: rt.cap, SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt,
-		}}
-		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, m, rpcBaseTimeout)
+		req := registry.ReRegisterReq{Cap: rt.cap, SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt}
+		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, kern.Msg{Op: "reregister", Body: req}, rpcBaseTimeout)
 		if !ok {
 			return false
 		}

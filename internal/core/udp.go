@@ -36,7 +36,7 @@ type UDPConn struct {
 // BindUDP allocates a datagram end-point through the registry.
 func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.callPort(t, nil, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port, Owner: l.app}})
+	reply, err := l.callPort(t, nil, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port}})
 	if err != nil {
 		return nil, err
 	}

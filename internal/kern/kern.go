@@ -27,7 +27,7 @@ type Host struct {
 	CPU  *sim.Resource
 	Cost costs.Model
 
-	domains []*Domain
+	ndomains int // domains created, which numbers them (Domain.Index)
 	// wakeups and signals count semaphore posts by what they cost: a wakeup
 	// made a blocked thread runnable, a signal found nobody to wake (Sem.V).
 	wakeups, signals int64
@@ -49,9 +49,8 @@ func (h *Host) Describe(emit func(string, int64)) {
 // NewDomain creates an address space on the host. Privileged domains model
 // the kernel and trusted servers (the registry).
 func (h *Host) NewDomain(name string, privileged bool) *Domain {
-	d := &Domain{Host: h, Name: name, Privileged: privileged}
-	h.domains = append(h.domains, d)
-	return d
+	h.ndomains++
+	return &Domain{Host: h, Name: name, Privileged: privileged, index: h.ndomains - 1}
 }
 
 // ComputeAsync charges d of CPU from event context (interrupt level) and
@@ -79,6 +78,7 @@ type Domain struct {
 	Name       string
 	Privileged bool
 
+	index int // Index
 	// threads lists the live threads in spawn order (Kill walks it); a
 	// thread unlinks itself when its function returns, so a domain that
 	// spawns a thread per connection holds only the connections still open.
@@ -110,6 +110,9 @@ func (d *Domain) ComputeAsync(dur time.Duration, fn func()) {
 }
 
 func (d *Domain) String() string { return d.Host.Name + "/" + d.Name }
+
+// Index numbers the domain on its host, in creation order.
+func (d *Domain) Index() int { return d.index }
 
 // Thread is a simulated thread of control bound to a domain.
 type Thread struct {
@@ -344,11 +347,15 @@ type Msg struct {
 	Size int
 	// Reply, when non-nil, is the port the receiver should respond on.
 	Reply *Port
+	// From is the sending domain: every send writes it, over whatever the
+	// sender wrote, so a server names its callers by From.
+	From *Domain
 	// ID, when nonzero, identifies a request that may be retried (one with a
 	// Reply port) across its retries so a server can deduplicate: a retry
 	// whose original reply was lost carries the same ID, and the server
 	// replays the cached outcome instead of executing the operation twice.
-	ID uint64
+	// Only the IDs of one caller, From's call slot Slot, are compared.
+	ID, Slot uint32
 }
 
 // Batch is a coalesced control-plane message: several requests carried by
@@ -356,7 +363,7 @@ type Msg struct {
 // request to a forming batch is modelled free (a shared-memory write next
 // to the single IPC that carries it). The receiver dispatches each inner
 // message — each with its own ID and Reply port — in order, as if they had
-// arrived back to back.
+// arrived back to back, as the batch's sender's.
 type Batch struct {
 	Msgs []Msg
 }
@@ -383,18 +390,21 @@ func NewPort(h *Host, name string) *Port {
 func (p *Port) Send(t *Thread, m Msg) {
 	c := t.Cost()
 	t.Compute(c.MachIPCSend + c.Copy(m.Size) + c.ContextSwitch)
+	m.From = t.Dom
 	p.q.Push(m)
 }
 
-// SendAsync posts from event context (e.g. a kernel-side completion),
-// charging costs asynchronously. The message waits for the CPU in a record
-// from the host's list, which deliverAsync gives back as it pushes.
-func (p *Port) SendAsync(m Msg) {
+// SendAsync posts for domain from, from event context (e.g. a kernel-side
+// completion, or a library's teardown from its engine), charging costs
+// asynchronously. The message waits for the CPU in a record from the
+// host's list, which deliverAsync gives back as it pushes.
+func (p *Port) SendAsync(from *Domain, m Msg) {
 	c := &p.host.Cost
 	as := p.host.sends.Get()
 	if as == nil {
 		as = new(asyncSend)
 	}
+	m.From = from
 	as.p, as.m = p, m
 	p.host.ComputeAsyncArg(c.MachIPCSend+c.Copy(m.Size), deliverAsync, as)
 }
@@ -447,16 +457,9 @@ func (p *Port) Call(t *Thread, m Msg) Msg {
 // port is abandoned on timeout; a late reply lands in a queue nobody reads,
 // exactly like a Mach RPC whose caller gave up on a dead port.
 func (p *Port) CallTimeout(t *Thread, m Msg, d time.Duration) (Msg, bool) {
-	reply := NewPort(t.Dom.Host, "reply")
-	m.Reply = reply
+	m.Reply = NewPort(t.Dom.Host, "reply")
 	p.Send(t, m)
-	r, ok := reply.q.PopTimeout(t.Proc, d)
-	if !ok {
-		return Msg{}, false
-	}
-	c := t.Cost()
-	t.Compute(c.MachIPCSend + c.Copy(r.Size) + c.ContextSwitch)
-	return r, true
+	return m.Reply.ReceiveTimeout(t, d)
 }
 
 // ReceiveTimeout blocks for a message at most d of virtual time, reporting
@@ -480,5 +483,6 @@ func (m Msg) ReplyTo(t *Thread, r Msg) {
 	}
 	// The responder pays the send; the caller pays the receive-side costs
 	// in Call.
+	r.From = t.Dom
 	m.Reply.q.Push(r)
 }

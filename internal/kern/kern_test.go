@@ -179,10 +179,46 @@ func TestSendAsync(t *testing.T) {
 	port := NewPort(h, "p")
 	var got Msg
 	d.Spawn("recv", func(th *Thread) { got = port.Receive(th) })
-	port.SendAsync(Msg{Op: "evt", Size: 100})
+	port.SendAsync(d, Msg{Op: "evt", Size: 100})
 	s.Run(0)
 	if got.Op != "evt" {
 		t.Fatalf("got = %+v", got)
+	}
+}
+
+// The kernel names a message's sender: a From the sender wrote is
+// overwritten with the domain that sent it, whether the message goes by Send
+// (a batch's carrying IPC too) or by SendAsync, and so is an answer's by
+// ReplyTo. The registry gives a batch's sender to each request inside it.
+func TestSenderCannotBeForged(t *testing.T) {
+	s := sim.New()
+	h := newHost(s)
+	victim, forger := h.NewDomain("victim", false), h.NewDomain("forger", false)
+	svc, reply := NewPort(h, "svc"), NewPort(h, "reply")
+	forged := Msg{Op: "forged", From: victim}
+	forger.Spawn("send", func(th *Thread) {
+		svc.Send(th, forged)
+		svc.Send(th, Msg{Op: "batch", From: victim, Body: Batch{Msgs: []Msg{forged}}})
+	})
+	svc.SendAsync(forger, forged)
+	var got []Msg
+	victim.Spawn("serve", func(th *Thread) {
+		for range 3 {
+			got = append(got, svc.Receive(th))
+		}
+		Msg{Reply: reply}.ReplyTo(th, Msg{From: forger})
+	})
+	s.Run(0)
+	if len(got) != 3 {
+		t.Fatalf("%d messages reached the server, want 3", len(got))
+	}
+	for i, m := range got {
+		if m.From != forger {
+			t.Errorf("message %d (%s) names %v as its sender, want %v", i, m.Op, m.From, forger)
+		}
+	}
+	if m, ok := reply.q.TryPop(); !ok || m.From != victim {
+		t.Errorf("the answer names %v as its sender, want %v", m.From, victim)
 	}
 }
 
@@ -257,10 +293,11 @@ func TestSendAsyncAllocatesNothing(t *testing.T) {
 	s := sim.New()
 	h := newHost(s)
 	p := NewPort(h, "p")
+	d := h.NewDomain("a", false)
 	body := new(int)
 	got := 0
 	step := func() {
-		p.SendAsync(Msg{Op: "async", Body: body, Size: 64})
+		p.SendAsync(d, Msg{Op: "async", Body: body, Size: 64})
 		s.Run(0)
 		if m, ok := p.q.TryPop(); ok && m.Body == body {
 			got++

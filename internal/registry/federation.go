@@ -222,9 +222,6 @@ func (f *Federation) classify(frame []byte) int {
 // admit charges one outstanding setup against owner's quota; false means
 // the setup is refused (the library backs off and retries).
 func (f *Federation) admit(owner *kern.Domain) bool {
-	if owner == nil {
-		return true // trusted callers and tests opt out of tracking
-	}
 	if f.outstanding[owner] >= f.quota {
 		f.denied++
 		return false
@@ -233,14 +230,10 @@ func (f *Federation) admit(owner *kern.Domain) bool {
 	return true
 }
 
-// release returns one outstanding-setup slot.
+// release returns one outstanding-setup slot; an owner charged none (an
+// inherited pcb has none) has none to return.
 func (f *Federation) release(owner *kern.Domain) {
-	if owner == nil {
-		return
-	}
-	if n := f.outstanding[owner]; n > 1 {
-		f.outstanding[owner] = n - 1
-	} else if n == 1 {
+	if f.outstanding[owner]--; f.outstanding[owner] <= 0 {
 		delete(f.outstanding, owner)
 	}
 }
@@ -324,8 +317,7 @@ func (f *Federation) replicateListeners(restarted int) {
 			continue
 		}
 		nsh.ports.Retain(port)
-		nsh.listeners[port] = &listener{port: ln.port, opts: ln.opts,
-			accept: ln.accept, owner: ln.owner, backlog: ln.backlog}
+		nsh.listeners[port] = &listener{opts: ln.opts, accept: ln.accept, owner: ln.owner, backlog: ln.backlog}
 		nsh.watch(ln.owner)
 	}
 }

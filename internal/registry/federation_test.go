@@ -87,15 +87,16 @@ func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 	rg.s.RunUntil(time.Second, func() bool { return done })
 }
 
-// connectVia performs an active open through one specific shard.
-func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id uint64, budget time.Duration) (Handoff, bool) {
+// connectVia performs an active open through one specific shard, calling
+// on slot id.
+func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id uint32, budget time.Duration) (Handoff, bool) {
 	t.Helper()
 	var ho Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 		reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{
-			Op: "connect", ID: id,
-			Body: ConnectReq{Remote: remote, Owner: rg.apps[1]},
+			Op: "connect", ID: id, Slot: id,
+			Body: ConnectReq{Remote: remote},
 		})
 		ho = received(reply)
 		got = true
@@ -164,7 +165,7 @@ func TestFederationAdmissionQuota(t *testing.T) {
 		shard := i
 		rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 			rg.fed.shards[shard].Svc.Call(th, kern.Msg{
-				Op: "connect", Body: ConnectReq{Remote: dead, Owner: rg.apps[1]}})
+				Op: "connect", Body: ConnectReq{Remote: dead}})
 		})
 	}
 	rg.s.Run(10 * time.Millisecond)
@@ -217,7 +218,7 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 		sh := shard
 		rg.apps[1].Spawn("listen", func(th *kern.Thread) {
 			rg.fed.shards[sh].Svc.Call(th, kern.Msg{Op: "listen",
-				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.shards[sh].host, "a"), Owner: rg.apps[1]}})
+				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.shards[sh].host, "a")}})
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
@@ -285,16 +286,17 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 	}
 }
 
-// Regression (stale-state bug #1): the dedup cache must never evict an
-// in-flight entry. Pre-fix, FIFO eviction past dedupCap dropped the oldest
-// entry unconditionally; a retry of a still-running connect then
-// re-executed it — a second ephemeral port and a second handshake for one
-// logical open. The flood here completes >cap requests while one connect
-// is stalled in flight, then retries the connect's ID.
+// Regression (stale-state bug #1): no other call retires an in-flight
+// connect's entry. A FIFO cache once evicted the oldest entry past its bound
+// unconditionally; a retry of a still-running connect then re-executed it —
+// a second ephemeral port and a second handshake for one logical open. Here
+// the connect is caller slot 0's, and another caller of the same domain
+// (slot 1) completes many requests while it is stalled; then the connect's
+// ID is retried on its own slot.
 func TestDedupNeverEvictsInFlight(t *testing.T) {
 	rg := newRig(false)
 	// A connect to a host that answers no ARP: in flight for minutes.
-	inFlightID := uint64(500)
+	inFlightID := uint32(500)
 	started := false
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 		started = true
@@ -308,17 +310,20 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 		t.Fatalf("stalled connect not in flight: owned=%d", rg.r1.OwnedConns())
 	}
 
-	// Flood the cache with dedupCap+50 completed requests (idempotent
-	// unlistens of a port nobody holds).
+	// Flood with 562 completed requests from slot 1 (idempotent unlistens of
+	// a port nobody holds).
 	flooded := false
 	rg.apps[1].Spawn("flood", func(th *kern.Thread) {
-		for i := 0; i < dedupCap+50; i++ {
-			rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: uint64(10000 + i),
+		for i := 0; i < 562; i++ {
+			rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: uint32(10000 + i), Slot: 1,
 				Body: UnlistenReq{Port: 9999}})
 		}
 		flooded = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return flooded })
+	if n := len(rg.r1.calls); n != 2 {
+		t.Fatalf("the registry holds %d callers' entries, want the two callers'", n)
+	}
 
 	// Retry the in-flight connect (a client whose reply timed out). The
 	// entry must still be cached: the retry retargets the eventual handoff

@@ -22,9 +22,9 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 			received(accept.Receive(th))
 		}
 	})
-	connect := func(id uint64) kern.Msg {
+	connect := func(id uint32) kern.Msg {
 		return kern.Msg{Op: "connect", ID: id,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Owner: rg.apps[1]}}
+			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
 	}
 	call := func(m kern.Msg) (ho Handoff) {
 		done := false

@@ -28,18 +28,19 @@ type leakRow struct {
 
 // stall starts a connect through shard that waits for ever: no host answers
 // 10.0.0.9's ARP. opts bounds its retransmissions if the row wants it to
-// give up.
-func (rg *fedRig) stall(shard int, id uint64, opts stacks.Options) {
+// give up. It calls on slot id, so that stalls with distinct ids are
+// distinct callers.
+func (rg *fedRig) stall(shard int, id uint32, opts stacks.Options) {
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-		rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
-			Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}, Opts: opts, Owner: rg.apps[1]}})
+		rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect", ID: id, Slot: id, Body: ConnectReq{
+			Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}, Opts: opts}})
 	})
 	rg.s.Run(10 * time.Millisecond)
 }
 
-// oneWay sends a one-way request to shard from a domain of host 1's own.
+// oneWay sends a one-way request to shard from host 1's application.
 func (rg *fedRig) oneWay(shard int, m kern.Msg) {
-	rg.fed.host.NewDomain("lib", false).Spawn("send", func(th *kern.Thread) {
+	rg.apps[1].Spawn("send", func(th *kern.Thread) {
 		rg.fed.shards[shard].Svc.Send(th, m)
 	})
 	rg.s.Run(100 * time.Millisecond)
@@ -49,7 +50,7 @@ func (rg *fedRig) oneWay(shard int, m kern.Msg) {
 // own (a row may have killed apps[1]) and tears it down. Its pcb has a
 // keepalive timer armed at hand-off, so a wheel entry the set-up's release
 // failed to drop stays armed.
-func (rg *fedRig) probe(t *testing.T, id uint64) {
+func (rg *fedRig) probe(t *testing.T, id uint32) {
 	t.Helper()
 	sh := rg.fed.shards[0]
 	var ho Handoff
@@ -116,9 +117,9 @@ func (rg *fedRig) auditNoLeaks(t *testing.T) {
 				t.Errorf("%s: listener %d counts %d set-ups against its backlog", sh.dom, port, l.pending)
 			}
 		}
-		for id, e := range sh.reqCache {
+		for key, e := range sh.calls {
 			if !e.done {
-				t.Errorf("%s: request %d still in flight", sh.dom, id)
+				t.Errorf("%s: request %d of caller %#x still in flight", sh.dom, e.id, key)
 			}
 		}
 	}
@@ -141,7 +142,7 @@ var leakRows = []leakRow{
 	{name: "port-exhaustion", shards: 2, run: func(t *testing.T, rg *fedRig) {
 		// Two set-ups that give up after two retransmissions hold shard 0's
 		// whole (squeezed) slice; a third must fail with nothing held.
-		for id := uint64(10); id < 12; id++ {
+		for id := uint32(10); id < 12; id++ {
 			rg.stall(0, id, stacks.Options{RexmtR2: 2})
 		}
 		ho, got := rg.connectVia(t, 0, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 12, time.Second)
@@ -179,7 +180,7 @@ var leakRows = []leakRow{
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 			ho = received(rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
-				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}, Owner: rg.apps[1]}}))
+				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}}}))
 			got = true
 		})
 		rg.s.RunUntil(2*time.Minute, func() bool { return got })
@@ -193,13 +194,13 @@ var leakRows = []leakRow{
 	}},
 	{name: "abandon-mid-handshake", run: func(t *testing.T, rg *fedRig) {
 		rg.stall(0, 10, stacks.Options{})
-		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{ID: 10}})
+		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{Slot: 10, ID: 10}})
 	}},
 	{name: "abandon-after-handoff", run: func(t *testing.T, rg *fedRig) {
 		if ho, got := rg.connectVia(t, 0, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 10, time.Minute); !got || ho.Err != nil {
 			t.Fatalf("connect: got=%v err=%v", got, ho.Err)
 		}
-		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{ID: 10}})
+		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{Slot: 10, ID: 10}})
 	}},
 	{name: "app-crash-mid-handshake", run: func(t *testing.T, rg *fedRig) {
 		rg.stall(0, 10, stacks.Options{})

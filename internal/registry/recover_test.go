@@ -110,7 +110,7 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 	}
 	// A real capability of a datagram end-point claimed as a connection is
 	// refused, and leaves no connection record.
-	udp, _ := call(kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53, Owner: rg.apps[1]}}).(UDPHandoff)
+	udp, _ := call(kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53}}).(UDPHandoff)
 	if udp.Err != nil || udp.Cap == nil {
 		t.Fatalf("bind: %+v", udp)
 	}
@@ -140,7 +140,7 @@ func TestReRegisterVerifiedAgainstModule(t *testing.T) {
 func TestDedupReplaysCachedReply(t *testing.T) {
 	rg := newRig(false)
 	accept := kern.NewPort(rg.r0.host, "accept")
-	listen := func(id uint64) error {
+	listen := func(id uint32) error {
 		var err error
 		done := false
 		rg.apps[0].Spawn("listen", func(th *kern.Thread) {

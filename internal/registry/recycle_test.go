@@ -68,7 +68,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	// abandoned mid-life for the first one continuing.)
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 		rg.fed.shards[1].Svc.CallTimeout(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: dead, Owner: rg.apps[1]}}, time.Second)
+			Body: ConnectReq{Remote: dead}}, time.Second)
 	})
 	rg.s.Run(10 * time.Millisecond)
 	if rg.fed.shards[1].OwnedConns() != 1 {
@@ -99,7 +99,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 			reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect",
-				Body: ConnectReq{Remote: dead, Owner: rg.apps[1], Opts: stacks.Options{RexmtR2: 2}}})
+				Body: ConnectReq{Remote: dead, Opts: stacks.Options{RexmtR2: 2}}})
 			ho = received(reply)
 			got = true
 		})
@@ -202,28 +202,29 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 }
 
 // One-way requests take no dedup entry, even under an id: nothing answers
-// them, so an entry would stay "in flight" for ever, never evicted and walked
-// past by every eviction. Each names no capability here, which ends nothing.
+// them, so an entry would stay "in flight" for ever. Each names no
+// capability here, which ends nothing.
 func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	rg := newRig(false)
 	bodies := []any{TeardownReq{}, InheritReq{}, UnbindUDPReq{}, AbandonReq{ID: 1}}
+	const n = 1536
 	sent := 0
 	rg.apps[1].Spawn("one-way", func(th *kern.Thread) {
-		for ; sent < 3*dedupCap; sent++ {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "one-way", ID: uint64(sent + 1), Body: bodies[sent%len(bodies)]})
+		for ; sent < n; sent++ {
+			rg.r1.Svc.Send(th, kern.Msg{Op: "one-way", ID: uint32(sent + 1), Slot: uint32(sent),
+				Body: bodies[sent%len(bodies)]})
 		}
 	})
-	rg.s.RunUntil(time.Minute, func() bool { return sent == 3*dedupCap })
+	rg.s.RunUntil(time.Minute, func() bool { return sent == n })
 	rg.s.Run(time.Second)
-	if len(rg.r1.reqCache) != 0 || len(rg.r1.reqOrder) != 0 {
-		t.Fatalf("dedup cache holds %d entries (FIFO %d) after %d one-way requests, want none",
-			len(rg.r1.reqCache), len(rg.r1.reqOrder), sent)
+	if len(rg.r1.calls) != 0 {
+		t.Fatalf("the registry holds %d callers' entries after %d one-way requests, want none", len(rg.r1.calls), sent)
 	}
 }
 
 // A request the registry answers nothing to leaves no dedup entry: an
 // unknown body, or a one-way body sent with a reply port, would otherwise
-// hold an entry that never completes and is never evicted.
+// hold an entry that never completes.
 func TestUnansweredRequestLeavesNoDedupEntry(t *testing.T) {
 	rg := newRig(false)
 	done := false
@@ -233,7 +234,7 @@ func TestUnansweredRequestLeavesNoDedupEntry(t *testing.T) {
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
-	if !done || len(rg.r1.reqCache) != 0 || len(rg.r1.reqOrder) != 0 {
-		t.Fatalf("done %v; dedup cache holds %d entries (FIFO %d), want none", done, len(rg.r1.reqCache), len(rg.r1.reqOrder))
+	if !done || len(rg.r1.calls) != 0 {
+		t.Fatalf("done %v; the registry holds %d callers' entries, want none", done, len(rg.r1.calls))
 	}
 }

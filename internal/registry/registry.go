@@ -40,26 +40,22 @@ import (
 	"ulp/internal/trace"
 )
 
-// ConnectReq asks the registry to actively open a connection. Owner names
-// the application domain the connection is for, so the registry can
-// reclaim its resources if the application crashes; a nil Owner opts out
-// of crash tracking (trusted callers, tests).
+// ConnectReq asks the registry to actively open a connection for the
+// request's sender (kern.Msg.From).
 type ConnectReq struct {
 	Remote tcp.Endpoint
 	Opts   stacks.Options
-	Owner  *kern.Domain
 }
 
-// ListenReq asks the registry to listen on a port; established connections
-// are handed off through AcceptPort.
+// ListenReq asks the registry to listen on a port for the request's sender;
+// established connections are handed off through AcceptPort.
 type ListenReq struct {
 	Port       uint16
 	Opts       stacks.Options
 	AcceptPort *kern.Port
-	Owner      *kern.Domain
 }
 
-// UnlistenReq stops listening.
+// UnlistenReq stops the sender's listener on Port.
 type UnlistenReq struct{ Port uint16 }
 
 // TeardownReq reclaims a handed-off connection's resources after the
@@ -112,15 +108,15 @@ func drop(m kern.Msg) {
 	}
 }
 
-// AbandonReq withdraws connect request ID, whose library stopped waiting for
-// the answer: the set-up is aborted, or the connection it already handed off
-// to nobody is reset and reclaimed.
-type AbandonReq struct{ ID uint64 }
+// AbandonReq withdraws the sender's connect request ID on call slot Slot,
+// whose answer it stopped waiting for: the set-up is aborted, or the
+// connection it already handed off to nobody is reset and reclaimed.
+type AbandonReq struct{ Slot, ID uint32 }
 
 // InheritReq returns a connection to the registry when its application
 // exits: the registry drives remaining timers (TIME_WAIT) or, for an
-// abnormal exit, resets the peer. A revoked capability, or a snapshot of
-// another four-tuple than the capability's, is refused.
+// abnormal exit, resets the peer. A revoked capability, another domain's, or
+// a snapshot of another four-tuple than the capability's, is refused.
 type InheritReq struct {
 	Snap  tcp.Snapshot
 	Cap   *netio.Capability
@@ -128,8 +124,8 @@ type InheritReq struct {
 }
 
 // ReRegisterReq re-claims a live, handed-off connection with a reborn
-// registry. The registry takes the four-tuple and the owner from the
-// capability, once the module confirms it is installed — the library is
+// registry. The registry takes the four-tuple from the capability, once the
+// module confirms it is installed and issued to the sender — the library is
 // untrusted, the kernel's record is the ground truth.
 type ReRegisterReq struct {
 	Cap            *netio.Capability
@@ -157,7 +153,8 @@ type hsConn struct {
 	ourBQI  uint16       // reserved before the handshake on the AN1
 	reply   *kern.Port   // where the outcome goes: the connect's reply port or the listener's accept port
 	l       *listener    // set for passive-side pcbs
-	reqID   uint64       // originating request id (dedup cache completion)
+	// slot and reqID name the originating request, whose entry it completes.
+	slot, reqID uint32
 }
 
 // Scrub leaves a closed pcb with no callbacks, a dropped wheel entry and no
@@ -171,7 +168,6 @@ func (hc *hsConn) Scrub() {
 
 // listener is a registered passive endpoint.
 type listener struct {
-	port    uint16
 	opts    stacks.Options
 	accept  *kern.Port
 	owner   *kern.Domain
@@ -226,13 +222,11 @@ type Server struct {
 	// state from the module before serving requests.
 	rebuildPending bool
 
-	// reqCache deduplicates the requests that carry a reply port by Msg.ID,
-	// bounded FIFO (reqOrder). A retried request whose original reply was
-	// lost replays the cached reply instead of executing twice; a retry
-	// racing an in-flight connect retargets the eventual handoff to the new
-	// reply port.
-	reqCache map[uint64]*pendingReq
-	reqOrder []uint64
+	// calls holds each caller's latest answered request (callerKey): a retry
+	// whose original reply was lost replays the cached reply instead of
+	// executing twice, one racing an in-flight connect retargets the eventual
+	// handoff to the new reply port (at most once, as in Birrell and Nelson).
+	calls map[uint64]*call
 
 	// Counters (introspection and stats).
 	synDrops     int // SYNs dropped by a full listen backlog
@@ -274,16 +268,39 @@ type crashReq struct {
 	dom *kern.Domain
 }
 
-// pendingReq is one dedup-cache entry: the cached reply once the request
-// completed, or the in-flight handshake it is waiting on.
-type pendingReq struct {
+// call is a caller's entry: its latest request's id, and the cached reply
+// once the request completed, or the in-flight handshake it is waiting on.
+type call struct {
+	id    uint32
 	done  bool
 	reply kern.Msg
 	hc    *hsConn // in-flight connect; a retry retargets hc.reply
 }
 
-// dedupCap bounds the request-ID cache (FIFO eviction).
-const dedupCap = 512
+// CallSlots bounds a library's concurrent control calls: its callers take
+// slots below it, and a call on a higher slot is refused unanswered, so a
+// sender holds at most CallSlots entries in a shard however it misbehaves.
+const CallSlots = 64
+
+// callerKey is a caller's key: its sender's index on the host and its slot.
+func callerKey(from *kern.Domain, slot uint32) uint64 {
+	return uint64(from.Index())<<32 | uint64(slot)
+}
+
+// sender is the host index of the domain whose call key is.
+func sender(key uint64) int { return int(key >> 32) }
+
+// entry returns request id's entry, nil if id is zero (untracked) or its
+// caller has made a later call since.
+func (r *Server) entry(from *kern.Domain, slot, id uint32) *call {
+	if id == 0 {
+		return nil
+	}
+	if e := r.calls[callerKey(from, slot)]; e != nil && e.id == id {
+		return e
+	}
+	return nil
+}
 
 // newShard boots shard i. prev is the crashed incarnation it replaces, nil
 // at first boot: its service port is reused — libraries hold send rights to
@@ -307,7 +324,7 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		transferred: make(map[tcp.FourTuple]*xferConn),
 		udpChannels: make(map[uint16]*netio.Capability),
 		watched:     make(map[*kern.Domain]bool),
-		reqCache:    make(map[uint64]*pendingReq),
+		calls:       make(map[uint64]*call),
 		epoch:       1,
 		faults:      f.faults,
 	}
@@ -364,10 +381,11 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 			continue
 		}
 		if batch, ok := m.Body.(kern.Batch); ok {
-			// A coalesced control-plane batch: one IPC carried several
-			// requests, each with its own id and reply port. Dispatch them
-			// in order as if they had arrived back to back.
+			// A coalesced control-plane batch: one IPC carried several of its
+			// sender's requests, each with its own id and reply port. Dispatch
+			// them in order as if they had arrived back to back.
 			for _, bm := range batch.Msgs {
+				bm.From = m.From
 				r.dispatch(t, bm)
 			}
 			continue
@@ -376,26 +394,31 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 	}
 }
 
-// dispatch runs one control-plane request through fault injection, the
-// request-ID dedup cache (requests the registry answers only), and the
-// handler switch. A body no handler takes is dropped, as a lost request is.
+// dispatch watches the request's sender and runs the request through fault
+// injection, its caller's entry (requests the registry answers only), and
+// the handler switch. A body no handler takes is dropped, as a lost request
+// is; one naming an endpoint by capability acts only on one issued to it.
 func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
 	}
+	r.watch(m.From)
 	if r.faults.DropRequest() {
 		return // the library's RPC never gets a reply
 	}
 	if d := r.faults.RequestDelay(); d > 0 {
 		t.Sleep(d)
 	}
-	// Request-ID dedup: a retry of a request already seen must not
-	// execute twice — a re-run Connect would allocate a second port and
-	// run a second handshake. Completed requests replay the cached
-	// reply (the original's was lost with its abandoned reply port);
-	// retries of an in-flight connect retarget the eventual handoff.
+	// At-most-once: a retry of a request already seen must not execute
+	// twice — a re-run Connect would allocate a second port and run a
+	// second handshake. Completed requests replay the cached reply (the
+	// original's was lost with its abandoned reply port); retries of an
+	// in-flight connect retarget the eventual handoff.
 	if m.ID != 0 && m.Reply != nil && answered(m.Body) {
-		if e, ok := r.reqCache[m.ID]; ok {
+		if m.Slot >= CallSlots {
+			return
+		}
+		if e := r.entry(m.From, m.Slot, m.ID); e != nil {
 			r.dedupHits++
 			if r.host.S.Bus.Enabled() {
 				r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
@@ -409,7 +432,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			}
 			return
 		}
-		r.track(m.ID)
+		r.track(t, m)
 	}
 	switch req := m.Body.(type) {
 	case ConnectReq:
@@ -417,13 +440,18 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	case ListenReq:
 		r.handleListen(t, m, req)
 	case UnlistenReq:
-		r.handleUnlisten(t, m, req)
+		r.unlisten(req.Port, m.From)
+		r.finish(t, m, kern.Msg{Op: "unlisten-ack"})
 	case InheritReq:
-		r.handleInherit(t, req)
+		r.handleInherit(t, m, req)
 	case TeardownReq:
-		r.reclaim(req.Cap, false)
+		if r.issued(req.Cap, m.From) {
+			r.reclaim(req.Cap, false)
+		}
 	case AbandonReq:
-		r.handleAbandon(t, req.ID)
+		if e := r.entry(m.From, req.Slot, req.ID); e != nil {
+			r.abandon(t, e)
+		}
 	case ReRegisterReq:
 		r.handleReRegister(t, m, req)
 	case BindUDPReq:
@@ -433,8 +461,15 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	case UDPSendReq:
 		r.handleUDPSend(t, m, req)
 	case UnbindUDPReq:
-		r.unbind(req.Cap)
+		if r.issued(req.Cap, m.From) {
+			r.unbind(req.Cap)
+		}
 	}
+}
+
+// issued reports whether cap is installed and was issued to domain from.
+func (r *Server) issued(cap *netio.Capability, from *kern.Domain) bool {
+	return r.nif.Mod.Installed(cap) && cap.Owner() == from
 }
 
 // answered reports whether the registry replies to a request body: only
@@ -447,43 +482,31 @@ func answered(body any) bool {
 	return false
 }
 
-// track inserts an empty dedup entry for a request id, evicting the oldest
-// *completed* entry beyond the cache bound. An entry whose reply is not yet
-// cached is never evicted: dropping it would let a retry of that request
-// re-execute a non-idempotent connect — a second port allocation and a
-// second handshake for one logical open. If every tracked entry is still in
-// flight the cache grows past dedupCap temporarily; the admission layer
-// bounds how many setups can be outstanding at once.
-func (r *Server) track(id uint64) {
-	var e *pendingReq
-	if len(r.reqOrder) >= dedupCap {
-		for i, old := range r.reqOrder {
-			if oe, ok := r.reqCache[old]; !ok || oe.done {
-				delete(r.reqCache, old)
-				r.reqOrder = append(r.reqOrder[:i], r.reqOrder[i+1:]...)
-				if ok {
-					drop(oe.reply)
-				}
-				e = oe // out of the map, it is nobody's: the new entry takes its place
-				break
-			}
-		}
-	}
+// track makes request m its caller's latest call. The caller's previous
+// entry is retired, and the hand-off its reply held given back. A connect of
+// it still under way is abandoned: the caller has moved on, and its abandon,
+// which may come after this call, would no longer find the entry.
+func (r *Server) track(t *kern.Thread, m kern.Msg) {
+	key := callerKey(m.From, m.Slot)
+	e := r.calls[key]
 	if e == nil {
-		e = new(pendingReq)
+		e = new(call)
+		r.calls[key] = e
+	} else if e.hc != nil {
+		r.abandon(t, e)
 	}
-	*e = pendingReq{}
-	r.reqCache[id] = e
-	r.reqOrder = append(r.reqOrder, id)
+	drop(e.reply)
+	*e = call{id: m.ID}
 }
 
-// finish records request m's reply in the dedup cache and delivers it to m's
-// reply port, if it has one: from t, or with a nil t asynchronously (a
+// finish records request m's reply in its caller's entry and delivers it to
+// m's reply port, if it has one: from t, or with a nil t asynchronously (a
 // set-up's outcome, sent from an engine callback). An untracked request
-// (id zero, or no reply port) finds no entry. The entry and the reply each
-// hold a hand-off the reply lends; one that neither holds goes back.
+// (id zero, or no reply port), or one its caller has since moved on from,
+// finds no entry. The entry and the reply each hold a hand-off the reply
+// lends; one that neither holds goes back.
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
-	if e, ok := r.reqCache[m.ID]; ok {
+	if e := r.entry(m.From, m.Slot, m.ID); e != nil {
 		e.done, e.reply, e.hc = true, reply, nil
 		hold(reply)
 	}
@@ -494,7 +517,7 @@ func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
 		}
 	case t == nil:
 		hold(reply)
-		m.Reply.SendAsync(reply)
+		m.Reply.SendAsync(r.dom, reply)
 	default:
 		hold(reply)
 		m.ReplyTo(t, reply)
@@ -522,14 +545,14 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// Admission: bound how many setups one application domain may have
 	// outstanding across all shards. A denied setup has no side effects —
 	// the library retries it under backoff with a fresh request id.
-	if !r.fed.admit(req.Owner) {
+	if !r.fed.admit(m.From) {
 		r.finish(t, m, r.handoff(Handoff{Err: stacks.ErrAdmissionDenied}))
 		return
 	}
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.RegistryConnSetup)
 	hc := r.newConn()
-	hc.owner, hc.reply, hc.reqID = req.Owner, m.Reply, m.ID
+	hc.owner, hc.reply, hc.slot, hc.reqID = m.From, m.Reply, m.Slot, m.ID
 	port, err := r.ports.Ephemeral()
 	if err != nil {
 		r.release(t, hc, Handoff{Err: err})
@@ -544,7 +567,6 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// channel itself — and on Ethernet the software demultiplexing binding
 	// — is activated as establishment completes, so handshake segments
 	// reach the registry's default path.
-	r.watch(req.Owner)
 	if r.nif.IsAN1() {
 		t.Compute(t.Cost().BQIReserve)
 		if hc.ourBQI, err = r.nif.Mod.ReserveBQI(r.dom); err != nil {
@@ -556,7 +578,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 		r.release(t, hc, Handoff{Err: err})
 		return
 	}
-	if e, ok := r.reqCache[m.ID]; ok {
+	if e := r.entry(m.From, m.Slot, m.ID); e != nil {
 		e.hc = hc // a retry of this id retargets the eventual handoff
 	}
 	r.runConn(t, hc, func() { tc.OpenActive(r.nextISS()) })
@@ -565,8 +587,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 
 // handleListen registers a passive endpoint.
 func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
-	c := t.Cost()
-	t.Compute(c.RegistryPortAlloc)
+	t.Compute(t.Cost().RegistryPortAlloc)
 	if !r.ports.Reserve(req.Port) {
 		r.finish(t, m, kern.Msg{Op: "listen-ack", Body: stacks.ErrPortInUse})
 		return
@@ -575,21 +596,14 @@ func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 	if bl <= 0 {
 		bl = stacks.DefaultBacklog
 	}
-	r.listeners[req.Port] = &listener{port: req.Port, opts: req.Opts,
-		accept: req.AcceptPort, owner: req.Owner, backlog: bl}
-	r.watch(req.Owner)
+	r.listeners[req.Port] = &listener{opts: req.Opts, accept: req.AcceptPort, owner: m.From, backlog: bl}
 	r.finish(t, m, kern.Msg{Op: "listen-ack", Body: nil})
 }
 
-func (r *Server) handleUnlisten(t *kern.Thread, m kern.Msg, req UnlistenReq) {
-	r.unlisten(req.Port)
-	r.finish(t, m, kern.Msg{Op: "unlisten-ack"})
-}
-
-// unlisten gives back the listener on port, if there is one: its record and
-// its port reference. Unlisten requests and the crash sweep end here.
-func (r *Server) unlisten(port uint16) {
-	if _, ok := r.listeners[port]; ok {
+// unlisten gives back owner's listener on port, if there is one: its record
+// and its port reference. Unlisten requests and the crash sweep end here.
+func (r *Server) unlisten(port uint16, owner *kern.Domain) {
+	if l, ok := r.listeners[port]; ok && l.owner == owner {
 		delete(r.listeners, port)
 		r.ports.Release(port)
 	}
@@ -613,9 +627,6 @@ func tuple(cap *netio.Capability) tcp.FourTuple {
 // teardown, one racing a crash sweep, or one whose capability is another
 // connection's cannot release a record or a port another holder owns.
 func (r *Server) reclaim(cap *netio.Capability, keepPort bool) *xferConn {
-	if cap == nil {
-		return nil
-	}
 	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
 	ft := tuple(cap)
 	xc, ok := r.transferred[ft]
@@ -629,14 +640,15 @@ func (r *Server) reclaim(cap *netio.Capability, keepPort bool) *xferConn {
 	return xc
 }
 
-// handleAbandon withdraws connect request id. Its library stopped waiting for
-// the answer — the RPC budget ran out while the handshake was still
-// retransmitting, or another shard answered first — so nobody will adopt what
-// the request produces: a set-up still under way is aborted, and a
-// connection already handed off to the abandoned reply port is reclaimed as
-// a crashed application's would be. Nothing else would ever free either.
-func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
-	if e, ok := r.reqCache[id]; ok && !e.done && e.hc != nil {
+// abandon withdraws entry e's call, whose answer nobody will adopt: the
+// sender's AbandonReq names it while it is still its slot's latest call (the
+// library's RPC budget ran out while the handshake was still retransmitting,
+// or another shard answered first), or the caller's next call retires it
+// under way. A set-up still under way is aborted, and a connection already
+// handed off to the abandoned reply port is reclaimed as a crashed
+// application's would be. Nothing else would ever free either.
+func (r *Server) abandon(t *kern.Thread, e *call) {
+	if !e.done && e.hc != nil {
 		hc := e.hc
 		// No one is listening for the handoff: abort, and the closed callback
 		// releases the set-up.
@@ -645,8 +657,7 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 	}
 	// The set-up may have completed before the abandon, or while the abort
 	// waited for the engine.
-	e, ok := r.reqCache[id]
-	if !ok || !e.done {
+	if !e.done {
 		return
 	}
 	if ho, isHo := e.reply.Body.(*Handoff); isHo && ho.Err == nil {
@@ -661,13 +672,12 @@ func (r *Server) handleAbandon(t *kern.Thread, id uint64) {
 
 // handleInherit takes a connection back from an exiting application. A
 // closed one needs no shepherding: its port goes back with its channel. A
-// revoked capability, or a snapshot of another four-tuple, is refused with
-// nothing done; one on a tuple the registry already owns a pcb for, before
-// anything is registered.
-func (r *Server) handleInherit(t *kern.Thread, req InheritReq) {
-	c := t.Cost()
-	t.Compute(c.StateTransfer)
-	if !r.nif.Mod.Installed(req.Cap) || tuple(req.Cap) != (tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}) {
+// revoked capability, one issued to another domain than the sender, or a
+// snapshot of another four-tuple, is refused with nothing done; one on a
+// tuple the registry already owns a pcb for, before anything is registered.
+func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req InheritReq) {
+	t.Compute(t.Cost().StateTransfer)
+	if !r.issued(req.Cap, m.From) || tuple(req.Cap) != (tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}) {
 		return
 	}
 	live := req.Snap.State != tcp.Closed
@@ -800,7 +810,7 @@ func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
 		}
 		_ = r.nif.Mod.ReleaseBQI(r.dom, hc.ourBQI)
 	}
-	r.finish(t, kern.Msg{ID: hc.reqID, Reply: hc.reply}, r.handoff(ho))
+	r.finish(t, kern.Msg{From: hc.owner, Slot: hc.slot, ID: hc.reqID, Reply: hc.reply}, r.handoff(ho))
 }
 
 // transmit is the registry's un-optimized send path.
@@ -905,21 +915,20 @@ func (r *Server) watch(dom *kern.Domain) {
 	}
 	r.watched[dom] = true
 	dom.OnDeath(func() {
-		r.Svc.SendAsync(kern.Msg{Op: "crash", Body: crashReq{dom: dom}})
+		r.Svc.SendAsync(r.dom, kern.Msg{Op: "crash", Body: crashReq{dom: dom}})
 	})
 }
 
 // handleCrash reclaims everything a crashed application held: handshaking
 // connections are aborted (RST through the engine), transferred connections
 // have their channels destroyed, ports released and a best-effort reset sent
-// to the peer, listeners and UDP bindings are removed, and finally the
-// network I/O module sweeps any capability still recorded against the dead
-// domain. "To guard against an abnormal application termination, the
+// to the peer, listeners, UDP bindings and its callers' entries are removed,
+// and finally the network I/O module sweeps any capability still recorded
+// against the dead domain. "To guard against an abnormal application termination, the
 // protocol server issues a reset message to the remote peer" — here with no
 // cooperation from the application at all.
 func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
-	c := t.Cost()
-	t.Compute(c.StateTransfer)
+	t.Compute(t.Cost().StateTransfer)
 	delete(r.watched, dom)
 
 	// Every table is walked in key order, never map order: each step puts
@@ -969,13 +978,19 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 
 	// Listeners and datagram bindings.
 	for _, port := range slices.Sorted(maps.Keys(r.listeners)) {
-		if r.listeners[port].owner == dom {
-			r.unlisten(port)
-		}
+		r.unlisten(port, dom)
 	}
 	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
 		if cap := r.udpChannels[port]; cap.Owner() == dom {
 			r.unbind(cap)
+		}
+	}
+
+	// Its callers' entries, in any order: a dropped hold lists a record.
+	for key, e := range r.calls {
+		if sender(key) == dom.Index() {
+			drop(e.reply)
+			delete(r.calls, key)
 		}
 	}
 
@@ -1026,8 +1041,8 @@ func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 // What is deliberately NOT rebuilt: listeners and in-flight handshakes
 // (the library's RPC retry re-creates them), inherited TIME_WAIT pcbs
 // (strays for them get RSTs from the no-endpoint path, which is the
-// correct terminal outcome for a half-dead connection), and the dedup
-// cache (a request older than a registry crash has long exhausted its
+// correct terminal outcome for a half-dead connection), and the callers'
+// entries (a request older than a registry crash has long exhausted its
 // retry budget).
 func (r *Server) rebuild(t *kern.Thread) {
 	caps, err := r.nif.Mod.InstalledEndpoints(r.dom)
@@ -1037,43 +1052,31 @@ func (r *Server) rebuild(t *kern.Thread) {
 	c := t.Cost()
 	n := 0
 	for _, cap := range caps {
-		tmpl := cap.Template()
-		if tmpl.LocalIP != r.nif.IP {
+		// A shard adopts only the endpoints it statically owns — of TCP, the
+		// fully specified connection endpoints in its slice; shard 0 all
+		// datagram endpoints — and its siblings' are theirs to rebuild.
+		// Re-issuing makes this incarnation the endpoint's issuer, away from
+		// its dead predecessor or a survivor that adopted it during the
+		// outage, and so lifts any quarantine.
+		tmpl, ft := cap.Template(), tuple(cap)
+		conn := tmpl.Proto == ipv4.ProtoTCP && tmpl.RemotePort != 0 &&
+			r.fed.ownerEndpoints(ft.Local, ft.Peer) == r.shardIdx
+		if tmpl.LocalIP != r.nif.IP || !conn && (tmpl.Proto != ipv4.ProtoUDP || r.shardIdx != 0) {
 			continue
 		}
-		switch tmpl.Proto {
-		case ipv4.ProtoTCP:
-			if tmpl.RemotePort == 0 {
-				continue // not a fully specified connection endpoint
-			}
-			ft := tuple(cap)
-			// A shard adopts only the endpoints it statically owns; its
-			// siblings' slices are theirs to rebuild. Re-issuing makes this
-			// incarnation the endpoint's issuer, away from its dead
-			// predecessor or a survivor that adopted it during the outage,
-			// and so lifts any quarantine.
-			if r.fed.ownerEndpoints(ft.Local, ft.Peer) != r.shardIdx {
-				continue
-			}
-			_ = r.nif.Mod.Reissue(r.dom, cap)
-			t.Compute(c.RegistryPortAlloc)
+		_ = r.nif.Mod.Reissue(r.dom, cap)
+		t.Compute(c.RegistryPortAlloc)
+		if conn {
 			r.ports.Retain(ft.Local.Port) // accepted conns share a port
 			// Sequence numbers are unknown until the library re-registers;
 			// sendCrashRST's ACK-probe half still converges the peer if the
 			// owner dies before then.
 			r.transferred[ft] = &xferConn{cap: cap}
-			r.watch(cap.Owner())
-			n++
-		case ipv4.ProtoUDP:
-			if r.shardIdx != 0 {
-				continue // shard 0 owns all datagram endpoints
-			}
-			_ = r.nif.Mod.Reissue(r.dom, cap)
-			t.Compute(c.RegistryPortAlloc)
+		} else {
 			r.udpChannels[tmpl.LocalPort] = cap
-			r.watch(cap.Owner())
-			n++
 		}
+		r.watch(cap.Owner())
+		n++
 	}
 	r.rebuilt = n
 	if r.host.S.Bus.Enabled() {
@@ -1084,13 +1087,12 @@ func (r *Server) rebuild(t *kern.Thread) {
 
 // handleReRegister re-adopts a library's live connection after a registry
 // restart. The claim is the capability, verified against the module: it must
-// be installed and name a fully specified TCP endpoint, whose four-tuple the
+// be the sender's and name a fully specified TCP endpoint, whose four-tuple the
 // registry reads from its template — a library cannot talk its way into a
 // connection the kernel never gave it.
 func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq) {
 	t.Compute(t.Cost().StateTransfer)
-	mod := r.nif.Mod
-	if !mod.Installed(req.Cap) {
+	if !r.issued(req.Cap, m.From) {
 		r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: netio.ErrBadCapability})
 		return
 	}
@@ -1103,11 +1105,10 @@ func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq)
 		r.ports.Retain(ft.Local.Port)
 	}
 	r.transferred[ft] = &xferConn{cap: req.Cap, sndNxt: req.SndNxt, rcvNxt: req.RcvNxt}
-	r.watch(req.Cap.Owner())
 	// The adopting shard becomes the endpoint's issuer (in place of a dead
 	// predecessor or, across shards, a crashed sibling), which lifts its
 	// quarantine.
-	_ = mod.Reissue(r.dom, req.Cap)
+	_ = r.nif.Mod.Reissue(r.dom, req.Cap)
 	r.reregistered++
 	r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: nil})
 }

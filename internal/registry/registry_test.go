@@ -150,7 +150,7 @@ func TestHandoffCapabilityBornFinal(t *testing.T) {
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 		ho = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Owner: rg.apps[1]}}))
+			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
 		got = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return got })
@@ -526,7 +526,7 @@ func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
 		return ho
 	}
 	connect := kern.Msg{Op: "connect", ID: 91,
-		Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Owner: rg.apps[1]}}
+		Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
 	if ho := call(connect); ho.Err != nil || ho.Cap == nil {
 		t.Fatalf("connect: %+v", ho)
 	}

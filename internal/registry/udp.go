@@ -22,12 +22,9 @@ import (
 // channels and capabilities, and resolves peer link addresses; datagram
 // traffic then flows directly between library and network I/O module.
 
-// BindUDPReq asks the registry to allocate a datagram end-point. Owner, as
-// in ConnectReq, enables crash reclamation; nil opts out.
-type BindUDPReq struct {
-	Port  uint16
-	Owner *kern.Domain
-}
+// BindUDPReq asks the registry to allocate a datagram end-point for the
+// request's sender, as ConnectReq does a connection.
+type BindUDPReq struct{ Port uint16 }
 
 // UDPHandoff conveys the datagram end-point's capability, and with it its
 // channel.
@@ -85,14 +82,13 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	}
 	var cap *netio.Capability
 	if err == nil {
-		cap, _, err = r.nif.Mod.CreateChannelBQI(r.dom, req.Owner, spec, tmpl, 32, bqi)
+		cap, _, err = r.nif.Mod.CreateChannelBQI(r.dom, m.From, spec, tmpl, 32, bqi)
 	}
 	if err != nil {
 		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
 		return
 	}
-	r.watch(req.Owner)
 	r.udpChannels[req.Port] = cap
 	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap}})
 }
@@ -100,31 +96,28 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 // handleResolve performs the address-binding resolution, driving ARP as
 // needed.
 func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
-	if !ipv4.SameSubnet(r.nif.IP, req.IP) {
-		r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{Err: stacks.ErrUnreachable}})
-		return
-	}
-	for attempt := 0; attempt < 5; attempt++ {
+	reply := ResolveReply{Err: stacks.ErrUnreachable}
+	for attempt := 0; attempt < 5 && ipv4.SameSubnet(r.nif.IP, req.IP); attempt++ {
 		if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), req.IP); ok {
-			r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{HW: hw}})
-			return
+			reply = ResolveReply{HW: hw}
+			break
 		}
 		r.nif.RequestARP(t, req.IP)
 		t.Sleep(2 * time.Millisecond)
 	}
-	r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: ResolveReply{Err: stacks.ErrUnreachable}})
+	r.finish(t, m, kern.Msg{Op: "resolve-reply", Body: reply})
 }
 
 // handleUDPSend relays a datagram through the registry's kernel path once
-// its capability vouches for it: the frame must pass the template check
-// Module.Send runs on the fast path, so the relay sends nothing the library
-// could not send itself. A refused frame is released and the error answered.
+// its capability vouches for it: the capability must be the sender's and the
+// frame must pass the template check Module.Send runs on the fast path, so
+// the relay sends nothing the library could not send itself. A refused frame
+// is released and the error answered.
 func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
-	c := t.Cost()
-	t.Compute(c.RegistrySendPath)
+	t.Compute(t.Cost().RegistrySendPath)
 	mod := r.nif.Mod
 	err := netio.ErrBadCapability
-	if mod.Installed(req.Cap) {
+	if r.issued(req.Cap, m.From) {
 		if tmpl := req.Cap.Template(); tmpl.Verify(req.Frame.Bytes(), mod.Device().HdrLen()) {
 			mod.SendKernel(t, req.Frame)
 			r.finish(t, m, kern.Msg{Op: "udp-send-ack"})
@@ -141,9 +134,6 @@ func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 // the port was bound again leaves the new binding alone. Unbind requests and
 // the crash sweep end here.
 func (r *Server) unbind(cap *netio.Capability) {
-	if cap == nil {
-		return
-	}
 	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
 	if port := cap.Template().LocalPort; r.udpChannels[port] == cap {
 		delete(r.udpChannels, port)

@@ -100,16 +100,17 @@ func replayRows() []replayRow {
 			Conditions: &wire.LinkConditions{Seed: 99, LossProb: 0.05},
 		}, load: chaosStream},
 		// The server's registry is killed mid-transfer and restarted: rebuild
-		// order, lease renewals and the reborn registry's perturbed ISS.
+		// order, re-issue of the rebuilt endpoints and the reborn registry's
+		// perturbed ISS.
 		{name: "registry-crash/17", cfg: Config{Org: OrgUserLib, Net: Ethernet,
 			Conditions: &wire.LinkConditions{Seed: 17, LossProb: 0.03, DupProb: 0.02},
 			Chaos: &chaos.FaultPlan{ShardCrashes: []chaos.ShardCrash{
 				{Host: 0, At: 150 * time.Millisecond, RestartAfter: 200 * time.Millisecond}}},
 		}, load: replayLoad{chunk: 512, writes: 60, pace: 5 * time.Millisecond}, arm: registryReborn},
 		// Both server-side shards of a two-shard federation die in turn, each
-		// for longer than the lease TTL. The server writes: its next write
-		// after the lease expires is quarantined and migrates the endpoint to
-		// the surviving shard.
+		// for longer than netio.IssuerGrace. The server writes: its next write
+		// once the grace has run out is quarantined and migrates the endpoint
+		// to the surviving shard.
 		{name: "shard-crash/23", cfg: Config{Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
 			Conditions: &wire.LinkConditions{Seed: 23, LossProb: 0.03, DupProb: 0.02},
 			Chaos: &chaos.FaultPlan{ShardCrashes: []chaos.ShardCrash{
@@ -178,7 +179,7 @@ func shardsMigrated(t *testing.T, w *World) func() {
 	})
 	return func() {
 		if migrated == 0 {
-			t.Error("lease expiry did not drive a cross-shard migration")
+			t.Error("quarantine did not drive a cross-shard migration")
 		}
 		for i := 0; i < 2; i++ {
 			pfx := fmt.Sprintf("registry.h0.shard%d.", i)
