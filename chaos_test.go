@@ -144,6 +144,146 @@ func TestChaosCrashMidTransferResetsPeer(t *testing.T) {
 	assertNoPoolLeaks(t)
 }
 
+// The client's registry restarts within netio.IssuerGrace, so its rebuild
+// records the connection from the module alone, with no sequence numbers.
+// Data then flows and the client dies: the crash sweep's reset carries
+// sequence numbers the peer discards, and only its ACK probe can end the
+// peer's connection — the peer answers it, and the answer meets the
+// no-endpoint reset. The peer must see a reset, not hang. No conformance
+// checker is attached: the probe acknowledges sequence zero, which it
+// reports as an ACK moving backward.
+func TestChaosCrashAfterRebuildResetsPeerByProbe(t *testing.T) {
+	trackPoolLeaks(t)
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet,
+		Chaos: &chaos.FaultPlan{
+			ShardCrashes: []chaos.ShardCrash{{Host: 1, At: 50 * time.Millisecond, RestartAfter: 200 * time.Millisecond}},
+			Crashes:      []chaos.CrashPoint{{Host: 1, App: "client", At: 600 * time.Millisecond}},
+		},
+	})
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	var srvErr error
+	received := 0
+	srvDone := false
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		c, err := l.Accept(th)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := make([]byte, 4096)
+		for {
+			n, err := c.Read(th, buf)
+			if err != nil {
+				srvErr = err
+				break
+			}
+			if n == 0 {
+				break
+			}
+			received += n
+		}
+		srvDone = true
+		l.Close(th)
+	})
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		for {
+			if _, err := c.Write(th, pattern(512)); err != nil {
+				return
+			}
+			th.Sleep(10 * time.Millisecond)
+		}
+	})
+	w.RunUntil(time.Minute, func() bool { return srvDone })
+	if !cli.Dom.Dead() {
+		t.Fatal("crash point did not fire")
+	}
+	if epoch, rebuilt := Counter(t, w, "registry.h1.shard0.epoch"), Counter(t, w, "registry.h1.shard0.rebuilt_endpoints"); epoch != 2 || rebuilt != 1 {
+		t.Fatalf("client registry epoch %d, %d endpoints rebuilt; want 2 and 1", epoch, rebuilt)
+	}
+	if received < 20*512 {
+		t.Fatalf("server received %d bytes: too little data flowed after the rebuild", received)
+	}
+	if !srvDone || srvErr != stacks.ErrReset {
+		t.Fatalf("server done %v with error %v, want ErrReset from the crash sweep's probe", srvDone, srvErr)
+	}
+	w.Run(5 * time.Second)
+	assertNoLeaks(t, w, 1)
+	assertNoPoolLeaks(t)
+}
+
+// One of the client's two connections is in the slice of a registry shard
+// that dies for good; once its grace has run out the surviving shard adopts
+// it from the module, with no sequence numbers. The client then dies. Both
+// peers must see a reset: the adopted connection's through the crash
+// sweep's ACK probe, whose answer reaches the survivor's default path and
+// must be reset there, not dropped as a dead shard's stray.
+func TestChaosAdoptedConnectionCrashResetsPeer(t *testing.T) {
+	trackPoolLeaks(t)
+	w := NewWorld(Config{
+		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
+		Chaos: &chaos.FaultPlan{
+			ShardCrashes: []chaos.ShardCrash{{Host: 1, Shard: 1, At: 100 * time.Millisecond}},
+			Crashes:      []chaos.CrashPoint{{Host: 1, App: "client", At: 6 * time.Second}},
+		},
+	})
+	srv := w.Node(0).App("server")
+	cli := w.Node(1).App("client")
+	var errs []error
+	srv.Go("srv", func(th *kern.Thread) {
+		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
+		for range 2 {
+			c, err := l.Accept(th)
+			if err != nil {
+				t.Errorf("accept: %v", err)
+				return
+			}
+			srv.Go("read", func(th *kern.Thread) {
+				buf := make([]byte, 4096)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						errs = append(errs, err)
+						return
+					}
+				}
+			})
+		}
+		l.Close(th)
+	})
+	for range 2 {
+		cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				t.Errorf("connect: %v", err)
+				return
+			}
+			for {
+				if _, err := c.Write(th, pattern(512)); err != nil {
+					return
+				}
+				th.Sleep(50 * time.Millisecond)
+			}
+		})
+	}
+	w.RunUntil(time.Minute, func() bool { return len(errs) == 2 })
+	if n := Counter(t, w, "registry.h1.shard0.rebuilt_endpoints"); n != 1 {
+		t.Fatalf("the surviving shard adopted %d connections, want 1", n)
+	}
+	if len(errs) != 2 || errs[0] != stacks.ErrReset || errs[1] != stacks.ErrReset {
+		t.Fatalf("the server's readers ended with %v, want two resets", errs)
+	}
+	w.Run(5 * time.Second)
+	assertNoLeaks(t, w, 1)
+	assertNoPoolLeaks(t)
+}
+
 // A crash while the handshake is still in the registry's hands: the
 // registry-owned pcb is aborted and the reserved channel reclaimed. The
 // control-plane delay holds the ConnectReq until after the crash, which
@@ -420,11 +560,12 @@ func TestChaosRegistryCrashRestartMidTransfer(t *testing.T) {
 
 // The outage outlasts netio.IssuerGrace: the client host's module
 // quarantines the endpoint once its issuer has been dead that long (sends
-// rejected with netio.ErrQuarantined, delivery suppressed), the library's
-// reconnect loop backs off and re-registers once the registry is reborn, and
-// the transfer then completes — a terminal error never surfaces to the
-// application.
-func TestChaosQuarantineAfterIssuerGraceReregisterResumes(t *testing.T) {
+// rejected with netio.ErrQuarantined, delivery suppressed), the reborn
+// registry's rebuild re-issues it from the module, and TCP's retransmissions
+// carry the transfer on to completion — a terminal error never surfaces to
+// the application, and the client library sends its registry no control
+// message from the crash until it closes.
+func TestChaosTransferResumesAfterOutageLongerThanGrace(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet,
 		Chaos: &chaos.FaultPlan{
@@ -435,6 +576,13 @@ func TestChaosQuarantineAfterIssuerGraceReregisterResumes(t *testing.T) {
 		},
 	})
 	enableConformance(t, w)
+	closing := false
+	var requests []string
+	w.Bus().Subscribe(func(e trace.Event) {
+		if !closing && e.Kind == trace.RegistryRPC && e.Node == "h1" && e.At >= 100*time.Millisecond && e.Text != "shard-crash" {
+			requests = append(requests, e.Text)
+		}
+	})
 	srv := w.Node(0).App("server")
 	cli := w.Node(1).App("client")
 	const chunks, chunk = 300, 512
@@ -476,11 +624,12 @@ func TestChaosQuarantineAfterIssuerGraceReregisterResumes(t *testing.T) {
 			}
 			th.Sleep(20 * time.Millisecond)
 		}
+		closing = true
 		c.Close(th)
 	})
 	w.RunUntil(2*time.Minute, func() bool { return srvDone })
 	if !srvDone {
-		t.Fatal("transfer did not resume after quarantine and re-registration")
+		t.Fatal("transfer did not resume after the quarantine")
 	}
 	if received != chunks*chunk {
 		t.Fatalf("server received %d bytes, want %d", received, chunks*chunk)
@@ -491,8 +640,11 @@ func TestChaosQuarantineAfterIssuerGraceReregisterResumes(t *testing.T) {
 	if epoch := Counter(t, w, "registry.h1.shard0.epoch"); epoch != 2 {
 		t.Fatalf("client registry epoch = %d, want 2", epoch)
 	}
-	if Counter(t, w, "registry.h1.reregistered") < 1 {
-		t.Fatal("library never re-registered its connection with the reborn registry")
+	if n := Counter(t, w, "registry.h1.shard0.rebuilt_endpoints"); n != 1 {
+		t.Fatalf("the reborn registry rebuilt %d endpoints, want the connection's 1", n)
+	}
+	if len(requests) != 0 {
+		t.Fatalf("the client library sent control messages %v between the crash and its close", requests)
 	}
 }
 

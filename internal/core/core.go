@@ -87,7 +87,7 @@ type Library struct {
 	wheel *stacks.TCPWheel
 
 	// backoff drives control-plane retry delays (capped exponential with
-	// seeded jitter, shared schedule with the reconnect path).
+	// seeded jitter).
 	backoff *stacks.Backoff
 
 	// reqSeq counts request IDs, which the registry compares only within a
@@ -98,9 +98,6 @@ type Library struct {
 	reqSeq    uint32
 	busy      []bool
 	slotFreed sim.Cond
-
-	// reconnecting guards the single reconnect thread.
-	reconnecting bool
 }
 
 // Control-plane RPC hardening: every registry call carries a deadline and a
@@ -112,13 +109,6 @@ const (
 	rpcAttempts    = 4
 	rpcBaseTimeout = 250 * time.Millisecond
 	rpcTimeoutCap  = 2 * time.Second
-
-	// reconnectAttempts bounds how long a library keeps trying to re-adopt
-	// its connections with a reborn registry before surfacing a terminal
-	// error. With the shared backoff schedule this spans several issuer
-	// graces — long enough for any scheduled restart, finite so a registry
-	// that never returns yields ErrRegistryUnavailable, not a hang.
-	reconnectAttempts = 10
 
 	// batchWindow is how long the batcher thread holds the first queued
 	// control request to coalesce whatever else the application issues in
@@ -688,69 +678,12 @@ func (l *Library) send(t *kern.Thread, rt *route, src, dst ipv4.Addr, b *pkt.Buf
 	l.nif.Frame(b, rt.peerHW, link.TypeIPv4, rt.peerBQI, 0)
 	// Template violations cannot happen from this code path; a buggy or
 	// malicious library would be stopped here by the kernel. A quarantine
-	// rejection is different: it means the control plane died and our
-	// endpoint is quarantined — kick off re-registration with the (to-be-)
-	// reborn registry. The rejected segment, which the kernel gives back, is
-	// recovered by ordinary TCP retransmission once the quarantine lifts.
+	// rejection means the shard that issued the endpoint died: the frame is
+	// dropped, and TCP retransmits it once a shard re-issues the channel, or
+	// gives up at R2 if none does. The library tells the registry nothing.
 	if err := l.mod.Send(t, rt.cap, b); err != nil {
 		b.Release()
-		if err == netio.ErrQuarantined {
-			l.scheduleReconnect()
-		}
 	}
-}
-
-// scheduleReconnect starts the (single) reconnect thread. Called from
-// engine context, so it only spawns; the loop does the blocking work.
-func (l *Library) scheduleReconnect() {
-	if l.reconnecting {
-		return
-	}
-	l.reconnecting = true
-	l.app.Spawn("reconnect", l.reconnectLoop)
-}
-
-// reconnectLoop retries re-registration of every live connection with
-// capped exponential backoff + seeded jitter (the schedule shared with
-// callPort). When the budget is spent without reaching a registry, a
-// terminal ErrRegistryUnavailable is surfaced on every connection.
-func (l *Library) reconnectLoop(t *kern.Thread) {
-	defer func() { l.reconnecting = false }()
-	for attempt := 0; attempt < reconnectAttempts; attempt++ {
-		t.Sleep(l.backoff.Next(attempt))
-		if l.reregisterAll(t) {
-			return
-		}
-		if l.live == nil {
-			return // nothing left to re-adopt
-		}
-	}
-	for _, c := range l.sortedConns() {
-		c.fail(stacks.ErrRegistryUnavailable)
-	}
-}
-
-// reregisterAll re-claims every live connection with the registry. It
-// reports whether the registry answered; a refused claim (capability
-// revoked, template mismatch) fails that connection but counts as contact.
-func (l *Library) reregisterAll(t *kern.Thread) bool {
-	for _, c := range l.sortedConns() {
-		if c.done {
-			continue // closed or failed while an earlier claim waited for its answer
-		}
-		snap, rt := c.snapshot()
-		req := registry.ReRegisterReq{Cap: rt.cap, SndNxt: snap.SndNxt, RcvNxt: snap.RcvNxt}
-		reply, ok := l.svcOwner(snap.Local, snap.Peer).CallTimeout(t, kern.Msg{Op: "reregister", Body: req}, rpcBaseTimeout)
-		if !ok {
-			return false
-		}
-		if err, _ := reply.Body.(error); err != nil {
-			// The reborn registry refused the claim: this endpoint no
-			// longer exists as far as the kernel is concerned.
-			c.fail(stacks.ErrReset)
-		}
-	}
-	return true
 }
 
 // sortedConns returns the live connections, full and compacted, in
@@ -784,25 +717,8 @@ func (c *Conn) snapshot() (tcp.Snapshot, *route) {
 	return c.tw.tw.Snapshot(), &c.tw.route
 }
 
-// fail terminates a connection without driving the engine: the control
-// plane is unreachable (or repudiated the connection), so there is nothing
-// orderly left to do. Blocked readers and writers wake with err.
-func (c *Conn) fail(err error) {
-	if c.done {
-		return
-	}
-	c.detach()
-	if r := c.rec; r != nil {
-		r.tc.SetCallbacks(tcp.Callbacks{})
-		r.sock.Fail(err)
-		return
-	}
-	c.final.err = err
-	c.lib.twEnded.Broadcast()
-}
-
-// detach takes a connection out of the library, on whichever of the three
-// ways it leaves (fail, teardown or the end of its TIME_WAIT, Exit): it is
+// detach takes a connection out of the library, on either way it leaves
+// (teardown or the end of its TIME_WAIT; Exit): it is
 // done, it is queued for the input thread to let go of, the doorbell is
 // poked so the thread notices, and it leaves the library's list and the
 // wheel.

@@ -41,11 +41,11 @@ func shardedLibraries(shards int) (s *sim.Sim, libs [2]*Library, ips [2]ipv4.Add
 	return s, libs, ips, regs
 }
 
-// reregisterOrder accepts n connections through one listener — they all
-// share local port 80 — then kills the registry, stands a recorder in for
-// its next incarnation at the service port, and returns the peer ports in
-// the order reregisterAll issued its claims.
-func reregisterOrder(t *testing.T, n int) []uint16 {
+// exitOrder accepts n connections through one listener — they all share
+// local port 80 — then kills the registry, stands a recorder in for its
+// next incarnation at the service port, and returns the peer ports in the
+// order Exit handed the connections back.
+func exitOrder(t *testing.T, n int) []uint16 {
 	t.Helper()
 	s, libs, ips, regs := twoLibraries()
 	srv, cli := libs[0], libs[1]
@@ -81,37 +81,34 @@ func reregisterOrder(t *testing.T, n int) []uint16 {
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {
 		for {
 			m := reborn.Receive(th)
-			order = append(order, m.Body.(registry.ReRegisterReq).Cap.Template().RemotePort)
-			m.ReplyTo(th, kern.Msg{Op: "reregister-ack"})
+			if req, ok := m.Body.(registry.InheritReq); ok {
+				order = append(order, req.Cap.Template().RemotePort)
+			}
 		}
 	})
-	done := false
-	srv.app.Spawn("reregister", func(th *kern.Thread) { done = srv.reregisterAll(th) })
-	s.RunUntil(2*time.Minute, func() bool { return done })
-	if !done {
-		t.Fatal("reregisterAll did not reach the registry")
-	}
+	srv.app.Spawn("exit", func(th *kern.Thread) { srv.Exit(th, false) })
+	s.RunUntil(time.Minute, func() bool { return len(order) == n })
 	return order
 }
 
-// TestReregisterOrderIsDeterministic: the connections accepted through one
-// listener share its local port, so ordering them by local port alone left
-// the sequence of re-registration RPCs (and of Exit's handbacks and the
-// give-up sweep, which walk the same list) to Go's map iteration.
-func TestReregisterOrderIsDeterministic(t *testing.T) {
+// TestExitOrderIsDeterministic: connections accepted through one listener
+// share its local port, so Exit orders its hand-backs, each a message the
+// registry acts on in turn, by the whole four-tuple: the same order in every
+// construction of the same world.
+func TestExitOrderIsDeterministic(t *testing.T) {
 	const conns = 5
-	first := reregisterOrder(t, conns)
+	first := exitOrder(t, conns)
 	if len(first) != conns {
-		t.Fatalf("%d re-registrations for %d connections", len(first), conns)
+		t.Fatalf("%d hand-backs for %d connections", len(first), conns)
 	}
 	for i := 1; i < len(first); i++ {
 		if first[i-1] >= first[i] {
-			t.Fatalf("re-registration order %v is not four-tuple order", first)
+			t.Fatalf("hand-back order %v is not four-tuple order", first)
 		}
 	}
 	for i := 1; i < 50; i++ {
-		if got := reregisterOrder(t, conns); !reflect.DeepEqual(got, first) {
-			t.Fatalf("construction %d re-registered in order %v, construction 0 in %v", i, got, first)
+		if got := exitOrder(t, conns); !reflect.DeepEqual(got, first) {
+			t.Fatalf("construction %d handed back in order %v, construction 0 in %v", i, got, first)
 		}
 	}
 }

@@ -125,6 +125,15 @@ func (c *Capability) Owner() *kern.Domain { return c.owner }
 // endpoint's.
 func (c *Capability) Chan() *Channel { return c.ch }
 
+// Issuer returns the registry shard that vouches for the capability's
+// channel (see IssuerGrace); nil once the capability is revoked.
+func (c *Capability) Issuer() *kern.Domain {
+	if c.ch == nil {
+		return nil
+	}
+	return c.ch.issuer
+}
+
 // Channel is the shared-memory conduit between the module and one library
 // endpoint: a receive ring in pinned shared memory plus the doorbell it
 // rings. Its consumer waits on a doorbell of its own, onto which Attach
@@ -891,8 +900,9 @@ func (m *Module) quarantined(ch *Channel) bool {
 }
 
 // Reissue reassigns a capability's issuer: the shard that adopts an
-// endpoint after a migration (re-registration, rebuild) vouches for it from
-// then on, which lifts a quarantine with the channel's state intact.
+// endpoint (a restarted shard's rebuild, or a survivor covering a dead
+// sibling) vouches for it from then on, which lifts a quarantine with the
+// channel's state intact.
 func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 	if !from.Privileged {
 		return fmt.Errorf("netio: reissue from unprivileged domain %s", from)
@@ -905,7 +915,7 @@ func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 }
 
 // Installed reports whether cap is a currently valid capability of this
-// module (the reborn registry verifies re-registration claims with it).
+// module (the registry checks the capability a request names with it).
 func (m *Module) Installed(cap *Capability) bool {
 	return cap != nil && m.caps[cap.id] == cap
 }

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"ulp/internal/chaos"
 	"ulp/internal/ipv4"
@@ -149,10 +150,16 @@ func (f *Federation) ownerEndpoints(local, peer tcp.Endpoint) int {
 	return int(endpointHash(local, peer) % uint32(len(f.shards)))
 }
 
-// authoritative reports whether r is the current incarnation of the shard
-// that statically owns the tuple.
+// authoritative reports whether r answers for the tuple: the current
+// incarnation of the shard that statically owns it, or, once the owner has
+// been dead for netio.IssuerGrace, the shard that covers it, which is told
+// at that instant to adopt the owner's endpoints.
 func (f *Federation) authoritative(r *Server, local, peer tcp.Endpoint) bool {
-	return f.shards[f.ownerEndpoints(local, peer)] == r
+	i := f.ownerEndpoints(local, peer)
+	if f.live[i] {
+		return f.shards[i] == r
+	}
+	return f.cover(i) == r.shardIdx && time.Duration(f.s.Now()-f.shards[i].dom.DiedAt()) >= netio.IssuerGrace
 }
 
 // successor returns the next live shard after i (scanning cyclically), or
@@ -166,6 +173,15 @@ func (f *Federation) successor(i int) int {
 		}
 	}
 	return -1
+}
+
+// cover returns the shard that stands for shard i: i itself while it is
+// live, else the next live shard, or -1 when none is.
+func (f *Federation) cover(i int) int {
+	if f.live[i] {
+		return i
+	}
+	return f.successor(i)
 }
 
 // steer is the module's default handler: classify the frame to its
@@ -251,8 +267,8 @@ func (f *Federation) release(owner *kern.Domain) {
 // the kernel does for a dead domain, and requests queue at the service port
 // for the next incarnation.
 // The endpoints the dead shard issued quarantine netio.IssuerGrace after the
-// kill, and their libraries migrate to a survivor or re-register once the
-// shard is back.
+// kill. At that instant the shard that covers it, if the dead one is not back
+// and any shard is live, is told to adopt them (adoptReq).
 func (f *Federation) CrashShard(i int) {
 	if !f.live[i] {
 		return
@@ -277,13 +293,19 @@ func (f *Federation) CrashShard(i int) {
 		sh.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: sh.host.Name,
 			Text: "shard-crash", A: int64(i)})
 	}
+	f.s.After(sim.Dur(netio.IssuerGrace), func() {
+		if j := f.cover(i); f.shards[i] == sh && j >= 0 {
+			cov := f.shards[j]
+			cov.Svc.SendAsync(cov.dom, kern.Msg{Op: "adopt", Body: adoptReq{}})
+		}
+	})
 }
 
 // RestartShard boots a fresh incarnation of a crashed shard. The service
-// port is reused (libraries hold send rights), the shard rebuilds its
-// statically-owned endpoints from the module's installed templates and
-// re-issues them, and any survivor that adopted those endpoints
-// during the outage drops its foreign records.
+// port is reused (libraries hold send rights), the shard rebuilds the
+// endpoints of the slices it covers from the module's installed templates
+// and re-issues them, and any survivor that adopted those endpoints during
+// the outage drops its foreign records.
 func (f *Federation) RestartShard(i int) {
 	if f.live[i] {
 		return
@@ -323,9 +345,10 @@ func (f *Federation) replicateListeners(restarted int) {
 }
 
 // dropForeign removes, from every other live shard, transferred-connection
-// records whose tuples statically belong to the restarted shard, with their
-// port references — the survivor adopted them during the outage, and keeping
-// both records would double-release the port when the connection eventually
+// records whose tuples the restarted shard now covers — its own slice, and a
+// dead sibling's it is now the next live shard after — with their port
+// references: the survivor adopted them during an outage, and keeping both
+// records would double-release the port when the connection eventually
 // tears down. The channels stay: they are the restarted shard's now.
 func (f *Federation) dropForeign(restarted int) {
 	for j, sh := range f.shards {
@@ -333,7 +356,7 @@ func (f *Federation) dropForeign(restarted int) {
 			continue
 		}
 		for ft := range sh.transferred {
-			if f.ownerEndpoints(ft.Local, ft.Peer) == restarted {
+			if f.cover(f.ownerEndpoints(ft.Local, ft.Peer)) == restarted {
 				delete(sh.transferred, ft)
 				sh.ports.Release(ft.Local.Port)
 			}
@@ -418,13 +441,11 @@ func (f *Federation) Describe(emit func(string, int64)) {
 	emit("owned_conns", int64(f.OwnedConns()))
 	emit("transferred", int64(f.TransferredConns()))
 	emit("listeners", int64(f.ListenerCount()))
-	var dedupHits, reregistered int
+	dedupHits := 0
 	for _, sh := range f.shards {
 		dedupHits += sh.dedupHits
-		reregistered += sh.reregistered
 	}
 	emit("dedup_hits", int64(dedupHits))
-	emit("reregistered", int64(reregistered))
 	emit("admission_denied", int64(f.denied))
 	for i, sh := range f.shards {
 		pfx := fmt.Sprintf("shard%d.", i)
@@ -480,10 +501,8 @@ func (m *Meta) Svc(i int) *kern.Port { return m.svc[i] }
 // every shard down it stays on i, whose port queues the request for the
 // next incarnation while the RPC deadline runs.
 func (m *Meta) failover(i int) int {
-	if !m.fed.live[i] {
-		if s := m.fed.successor(i); s >= 0 {
-			return s
-		}
+	if s := m.fed.cover(i); s >= 0 {
+		return s
 	}
 	return i
 }

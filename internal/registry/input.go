@@ -107,8 +107,9 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	}
 
 	// No endpoint: the pipeline resets it. A shard only resets tuples it
-	// authoritatively owns — a stray steered here because its owner shard is
-	// down must be dropped, not answered: the connection it belongs to is
-	// alive in some library, and an RST from a non-owner would kill it.
+	// answers for — a stray steered here because its owner shard is down is
+	// dropped, not answered, until the owner's endpoints quarantine and this
+	// shard adopts them: the connection it belongs to may be alive in some
+	// library, and an RST from a non-owner would kill it.
 	return !r.fed.authoritative(r, s.Local, s.Peer)
 }

@@ -1,8 +1,8 @@
 package registry
 
 // Crash-recovery tests for the registry itself: restart with state rebuild
-// from the network I/O module, verified re-registration, request-ID
-// deduplication, idempotent teardown and bounded listen backlogs.
+// from the network I/O module, request-ID deduplication, idempotent
+// teardown and bounded listen backlogs.
 
 import (
 	"testing"
@@ -11,7 +11,6 @@ import (
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
-	"ulp/internal/netio"
 	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -73,64 +72,6 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 	}
 	if rg.r0.ListenerCount() != 0 {
 		t.Fatal("listener survived the restart; it must be deliberately lost")
-	}
-}
-
-// Re-registration claims are verified against the module: the capability
-// must be installed and name a connection, whose four-tuple the registry
-// reads from its template. A library cannot talk its way into someone
-// else's port.
-func TestReRegisterVerifiedAgainstModule(t *testing.T) {
-	rg := newRig(false)
-	rg.listenOn(t, 80)
-	ho, got := rg.connectFrom(t, 80, time.Minute)
-	if !got || ho.Err != nil {
-		t.Fatal("setup failed")
-	}
-	rg.restartR1()
-
-	call := func(m kern.Msg) any {
-		var body any
-		done := false
-		rg.apps[1].Spawn("rereg", func(th *kern.Thread) {
-			body = rg.r1.Svc.Call(th, m).Body
-			done = true
-		})
-		rg.s.RunUntil(time.Second, func() bool { return done })
-		return body
-	}
-	reregister := func(req ReRegisterReq) error {
-		err, _ := call(kern.Msg{Op: "reregister", Body: req}).(error)
-		return err
-	}
-
-	// A forged claim without a capability is refused.
-	if err := reregister(ReRegisterReq{SndNxt: ho.Snap.SndNxt}); err == nil {
-		t.Fatal("reregister without a capability accepted")
-	}
-	// A real capability of a datagram end-point claimed as a connection is
-	// refused, and leaves no connection record.
-	udp, _ := call(kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53}}).(UDPHandoff)
-	if udp.Err != nil || udp.Cap == nil {
-		t.Fatalf("bind: %+v", udp)
-	}
-	if err := reregister(ReRegisterReq{Cap: udp.Cap}); err != netio.ErrTemplateMismatch {
-		t.Fatalf("reregister of a datagram capability: err = %v, want %v", err, netio.ErrTemplateMismatch)
-	}
-	if n := rg.r1.TransferredConns(); n != 1 {
-		t.Fatalf("%d transferred connections after the refused claim, want 1", n)
-	}
-	// The honest claim is adopted and brings the sequence numbers with it.
-	err := reregister(ReRegisterReq{Cap: ho.Cap, SndNxt: ho.Snap.SndNxt, RcvNxt: ho.Snap.RcvNxt})
-	if err != nil {
-		t.Fatalf("honest reregister refused: %v", err)
-	}
-	if rg.r1.reregistered != 1 {
-		t.Fatalf("reregistered = %d, want 1", rg.r1.reregistered)
-	}
-	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
-	if xc == nil || xc.sndNxt != ho.Snap.SndNxt {
-		t.Fatal("re-registration did not refresh the recorded sequence numbers")
 	}
 }
 

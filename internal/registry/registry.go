@@ -123,15 +123,6 @@ type InheritReq struct {
 	Abort bool
 }
 
-// ReRegisterReq re-claims a live, handed-off connection with a reborn
-// registry. The registry takes the four-tuple from the capability, once the
-// module confirms it is installed and issued to the sender — the library is
-// untrusted, the kernel's record is the ground truth.
-type ReRegisterReq struct {
-	Cap            *netio.Capability
-	SndNxt, RcvNxt tcp.Seq
-}
-
 // hsConn is a connection the registry currently owns: handshaking, or
 // inherited and closing. The pcb and its wheel entry are part of the record,
 // which the shard reuses (DESIGN §5.5): release retires it when the registry
@@ -179,7 +170,8 @@ type listener struct {
 // the module's record of the endpoint — tuple, owner, channel (nil once
 // revoked) — so the record adds only what the module cannot know: the
 // sequence numbers at handoff time, for crafting a best-effort reset to the
-// peer if the owning application crashes.
+// peer if the owning application crashes (none in a record adopted from the
+// module, whose reset only the ACK probe carries).
 type xferConn struct {
 	cap            *netio.Capability
 	sndNxt, rcvNxt tcp.Seq
@@ -229,10 +221,9 @@ type Server struct {
 	calls map[uint64]*call
 
 	// Counters (introspection and stats).
-	synDrops     int // SYNs dropped by a full listen backlog
-	dedupHits    int // duplicate requests answered from the cache
-	reregistered int // connections re-adopted via ReRegisterReq
-	rebuilt      int // endpoints reconstructed from module templates
+	synDrops  int // SYNs dropped by a full listen backlog
+	dedupHits int // duplicate requests answered from the cache
+	rebuilt   int // endpoints adopted from the module's installed templates
 
 	// faults is the control-plane fault injector; nil injects nothing.
 	faults *chaos.Injector
@@ -267,6 +258,11 @@ type Server struct {
 type crashReq struct {
 	dom *kern.Domain
 }
+
+// adoptReq is the internal notification CrashShard posts to the shard that
+// covers a dead sibling once the sibling's endpoints quarantine: the shard
+// runs the recovery sweep (adopt), which takes them over.
+type adoptReq struct{}
 
 // call is a caller's entry: its latest request's id, and the cached reply
 // once the request completed, or the in-flight handshake it is waiting on.
@@ -380,6 +376,10 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 			r.handleCrash(t, cr.dom)
 			continue
 		}
+		if _, ok := m.Body.(adoptReq); ok {
+			r.adopt(t)
+			continue
+		}
 		if batch, ok := m.Body.(kern.Batch); ok {
 			// A coalesced control-plane batch: one IPC carried several of its
 			// sender's requests, each with its own id and reply port. Dispatch
@@ -452,8 +452,6 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		if e := r.entry(m.From, req.Slot, req.ID); e != nil {
 			r.abandon(t, e)
 		}
-	case ReRegisterReq:
-		r.handleReRegister(t, m, req)
 	case BindUDPReq:
 		r.handleBindUDP(t, m, req)
 	case ResolveReq:
@@ -476,7 +474,7 @@ func (r *Server) issued(cap *netio.Capability, from *kern.Domain) bool {
 // such a request can complete a dedup entry.
 func answered(body any) bool {
 	switch body.(type) {
-	case ConnectReq, ListenReq, UnlistenReq, ReRegisterReq, BindUDPReq, ResolveReq, UDPSendReq:
+	case ConnectReq, ListenReq, UnlistenReq, BindUDPReq, ResolveReq, UDPSendReq:
 		return true
 	}
 	return false
@@ -1029,7 +1027,7 @@ func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash recovery: state rebuild and re-registration
+// Crash recovery: rebuild and adoption from the module
 // ---------------------------------------------------------------------------
 
 // rebuild reconstructs the port table and connection map of a restarted
@@ -1045,32 +1043,42 @@ func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 // entries (a request older than a registry crash has long exhausted its
 // retry budget).
 func (r *Server) rebuild(t *kern.Thread) {
+	n := r.adopt(t)
+	if r.host.S.Bus.Enabled() {
+		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
+			A: int64(r.epoch), B: int64(n)})
+	}
+}
+
+// adopt is the one recovery sweep, run by a restarted shard and by the shard
+// that covers a dead sibling once its endpoints quarantine. It takes, in
+// capability-id order, every installed endpoint the shard stands for and
+// does not hold yet (a shard issued every endpoint it holds) — of TCP, the
+// fully specified connection endpoints of each slice it covers
+// (Federation.cover); shard 0 all datagram endpoints — and re-issues each. Re-issuing makes this incarnation the endpoint's
+// issuer, away from a dead shard or a survivor that held it during an
+// outage, and so lifts any quarantine. It returns how many it took.
+func (r *Server) adopt(t *kern.Thread) int {
 	caps, err := r.nif.Mod.InstalledEndpoints(r.dom)
 	if err != nil {
-		return
+		return 0
 	}
 	c := t.Cost()
 	n := 0
 	for _, cap := range caps {
-		// A shard adopts only the endpoints it statically owns — of TCP, the
-		// fully specified connection endpoints in its slice; shard 0 all
-		// datagram endpoints — and its siblings' are theirs to rebuild.
-		// Re-issuing makes this incarnation the endpoint's issuer, away from
-		// its dead predecessor or a survivor that adopted it during the
-		// outage, and so lifts any quarantine.
 		tmpl, ft := cap.Template(), tuple(cap)
 		conn := tmpl.Proto == ipv4.ProtoTCP && tmpl.RemotePort != 0 &&
-			r.fed.ownerEndpoints(ft.Local, ft.Peer) == r.shardIdx
-		if tmpl.LocalIP != r.nif.IP || !conn && (tmpl.Proto != ipv4.ProtoUDP || r.shardIdx != 0) {
-			continue
+			r.fed.cover(r.fed.ownerEndpoints(ft.Local, ft.Peer)) == r.shardIdx
+		if tmpl.LocalIP != r.nif.IP || cap.Issuer() == r.dom ||
+			!conn && (tmpl.Proto != ipv4.ProtoUDP || r.shardIdx != 0) {
+			continue // not this shard's, or held already
 		}
 		_ = r.nif.Mod.Reissue(r.dom, cap)
 		t.Compute(c.RegistryPortAlloc)
 		if conn {
 			r.ports.Retain(ft.Local.Port) // accepted conns share a port
-			// Sequence numbers are unknown until the library re-registers;
-			// sendCrashRST's ACK-probe half still converges the peer if the
-			// owner dies before then.
+			// The sequence numbers are unknown: sendCrashRST's ACK probe
+			// converges the peer if the owner dies.
 			r.transferred[ft] = &xferConn{cap: cap}
 		} else {
 			r.udpChannels[tmpl.LocalPort] = cap
@@ -1078,39 +1086,8 @@ func (r *Server) rebuild(t *kern.Thread) {
 		r.watch(cap.Owner())
 		n++
 	}
-	r.rebuilt = n
-	if r.host.S.Bus.Enabled() {
-		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRestart, Node: r.host.Name,
-			A: int64(r.epoch), B: int64(n)})
-	}
-}
-
-// handleReRegister re-adopts a library's live connection after a registry
-// restart. The claim is the capability, verified against the module: it must
-// be the sender's and name a fully specified TCP endpoint, whose four-tuple the
-// registry reads from its template — a library cannot talk its way into a
-// connection the kernel never gave it.
-func (r *Server) handleReRegister(t *kern.Thread, m kern.Msg, req ReRegisterReq) {
-	t.Compute(t.Cost().StateTransfer)
-	if !r.issued(req.Cap, m.From) {
-		r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: netio.ErrBadCapability})
-		return
-	}
-	if tmpl := req.Cap.Template(); tmpl.Proto != ipv4.ProtoTCP || tmpl.RemotePort == 0 {
-		r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: netio.ErrTemplateMismatch})
-		return
-	}
-	ft := tuple(req.Cap)
-	if _, ok := r.transferred[ft]; !ok {
-		r.ports.Retain(ft.Local.Port)
-	}
-	r.transferred[ft] = &xferConn{cap: req.Cap, sndNxt: req.SndNxt, rcvNxt: req.RcvNxt}
-	// The adopting shard becomes the endpoint's issuer (in place of a dead
-	// predecessor or, across shards, a crashed sibling), which lifts its
-	// quarantine.
-	_ = r.nif.Mod.Reissue(r.dom, req.Cap)
-	r.reregistered++
-	r.finish(t, m, kern.Msg{Op: "reregister-ack", Body: nil})
+	r.rebuilt += n
+	return n
 }
 
 // ---------------------------------------------------------------------------

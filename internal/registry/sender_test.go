@@ -132,9 +132,6 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 			return kern.Msg{Op: "inherit", Body: InheritReq{Snap: conn.Snap, Cap: conn.Cap, Abort: true}}
 		}, false},
 		{"unbind-udp", func() kern.Msg { return kern.Msg{Op: "unbind-udp", Body: UnbindUDPReq{Cap: bound.Cap}} }, false},
-		{"reregister", func() kern.Msg {
-			return kern.Msg{Op: "reregister", Body: ReRegisterReq{Cap: conn.Cap, SndNxt: conn.Snap.SndNxt + 1000}}
-		}, true},
 		{"udp-send", func() kern.Msg {
 			return kern.Msg{Op: "udp-send", Body: UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}
 		}, true},

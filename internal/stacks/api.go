@@ -106,9 +106,10 @@ var (
 	ErrConnTimeout = fmt.Errorf("%w (retransmission/keepalive give-up)", ErrTimeout)
 
 	// ErrRegistryUnavailable reports that the registry server did not
-	// answer a control-plane RPC within its bounded retry budget. Callers
-	// degrade gracefully (fail the connect/bind) instead of blocking
-	// forever on a dead or wedged server.
+	// answer a control RPC within its bounded retry budget. Callers degrade
+	// gracefully (fail the connect/bind) instead of blocking forever on a
+	// dead or wedged server. It never ends an established connection: one
+	// whose every shard is gone fails with ErrConnTimeout.
 	ErrRegistryUnavailable = errors.New("stacks: registry unavailable")
 
 	// ErrAdmissionDenied reports that the registry's admission layer

@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Backoff computes capped exponential retry delays with seeded jitter. It
-// is shared by the library's control-plane RPC retry and the registry
-// reconnect path, so both follow one schedule: delay doubles per attempt up
-// to a cap, and each delay is jittered into [d/2, d) so concurrent
-// retriers on different hosts do not re-synchronize. The jitter stream is
-// seeded, keeping runs deterministic.
+// Backoff computes capped exponential retry delays with seeded jitter, for
+// the library's control-plane RPC retry: delay doubles per attempt up to a
+// cap, and each delay is jittered into [d/2, d) so concurrent retriers on
+// different hosts do not re-synchronize. The jitter stream is seeded,
+// keeping runs deterministic.
 type Backoff struct {
 	base, cap time.Duration
 	rng       *rand.Rand

@@ -94,21 +94,6 @@ func (s *Sock) MarkEstablished() { s.isEst = true }
 // Closed reports whether the engine reached CLOSED, with its error.
 func (s *Sock) Closed() (bool, error) { return s.closed, s.err }
 
-// Fail force-closes the socket with err without driving the engine — the
-// control plane backing the connection is gone (registry reconnect budget
-// spent, or the reborn registry refused the re-registration claim). Every
-// blocked caller is woken and sees err.
-func (s *Sock) Fail(err error) {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.err = err
-	s.readable.Broadcast()
-	s.writable.Broadcast()
-	s.established.Broadcast()
-}
-
 // WaitEstablished blocks until the handshake completes or fails.
 func (s *Sock) WaitEstablished(t *kern.Thread) error {
 	for !s.isEst && !s.closed {

@@ -108,9 +108,9 @@ func replayRows() []replayRow {
 				{Host: 0, At: 150 * time.Millisecond, RestartAfter: 200 * time.Millisecond}}},
 		}, load: replayLoad{chunk: 512, writes: 60, pace: 5 * time.Millisecond}, arm: registryReborn},
 		// Both server-side shards of a two-shard federation die in turn, each
-		// for longer than netio.IssuerGrace. The server writes: its next write
-		// once the grace has run out is quarantined and migrates the endpoint
-		// to the surviving shard.
+		// for longer than netio.IssuerGrace. The server writes: once the
+		// grace has run out the surviving shard adopts the endpoint, and the
+		// restarted shard takes it back.
 		{name: "shard-crash/23", cfg: Config{Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,
 			Conditions: &wire.LinkConditions{Seed: 23, LossProb: 0.03, DupProb: 0.02},
 			Chaos: &chaos.FaultPlan{ShardCrashes: []chaos.ShardCrash{
@@ -169,13 +169,13 @@ func registryReborn(t *testing.T, w *World) func() {
 	}
 }
 
-// shardsMigrated samples the re-registration count before shard 1's crash
-// discards it (the counters belong to a shard incarnation), then checks
-// that both shards came back.
+// shardsMigrated samples the survivor's adoption count before shard 1's
+// crash discards it (the counters belong to a shard incarnation), then
+// checks that both shards came back.
 func shardsMigrated(t *testing.T, w *World) func() {
 	migrated := int64(0)
 	w.Sim.After(sim.Dur(8900*time.Millisecond), func() {
-		migrated = Counter(t, w, "registry.h0.reregistered")
+		migrated = Counter(t, w, "registry.h0.shard1.rebuilt_endpoints")
 	})
 	return func() {
 		if migrated == 0 {
