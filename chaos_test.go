@@ -147,11 +147,11 @@ func TestChaosCrashMidTransferResetsPeer(t *testing.T) {
 // The client's registry restarts within netio.IssuerGrace, so its rebuild
 // records the connection from the module alone, with no sequence numbers.
 // Data then flows and the client dies: the crash sweep's reset carries
-// sequence numbers the peer discards, and only its ACK probe can end the
+// sequence numbers the peer discards, and only its probe can end the
 // peer's connection — the peer answers it, and the answer meets the
-// no-endpoint reset. The peer must see a reset, not hang. No conformance
-// checker is attached: the probe acknowledges sequence zero, which it
-// reports as an ACK moving backward.
+// no-endpoint reset. The peer must see a reset, not hang, and the probe,
+// which knows no acknowledgment number and carries no ACK bit, breaks no
+// conformance rule.
 func TestChaosCrashAfterRebuildResetsPeerByProbe(t *testing.T) {
 	trackPoolLeaks(t)
 	w := NewWorld(Config{
@@ -161,6 +161,7 @@ func TestChaosCrashAfterRebuildResetsPeerByProbe(t *testing.T) {
 			Crashes:      []chaos.CrashPoint{{Host: 1, App: "client", At: 600 * time.Millisecond}},
 		},
 	})
+	enableConformance(t, w)
 	srv := w.Node(0).App("server")
 	cli := w.Node(1).App("client")
 	var srvErr error
@@ -223,7 +224,7 @@ func TestChaosCrashAfterRebuildResetsPeerByProbe(t *testing.T) {
 // that dies for good; once its grace has run out the surviving shard adopts
 // it from the module, with no sequence numbers. The client then dies. Both
 // peers must see a reset: the adopted connection's through the crash
-// sweep's ACK probe, whose answer reaches the survivor's default path and
+// sweep's probe, whose answer reaches the survivor's default path and
 // must be reset there, not dropped as a dead shard's stray.
 func TestChaosAdoptedConnectionCrashResetsPeer(t *testing.T) {
 	trackPoolLeaks(t)

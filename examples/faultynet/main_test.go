@@ -18,10 +18,10 @@ func TestOutput(t *testing.T) {
 
 const want = `wire faults: 5% loss, 2% duplication, 2% corruption, 5% reordering
 
-transferred 204800/204800 bytes in 4.041s of virtual time
+transferred 204800/204800 bytes in 6.041s of virtual time
 integrity: byte-for-byte intact
 
 wire:   284 frames sent, 19 dropped, 6 corrupted, 11 duplicated, 11 reordered
-sender: 155 segments, 1 timeout retransmissions, 10 fast retransmissions, 36 dup-acks seen
-receiver: 147 segments received, 39 out-of-order arrivals queued for reassembly
+sender: 156 segments, 3 timeout retransmissions, 9 fast retransmissions, 35 dup-acks seen
+receiver: 147 segments received, 38 out-of-order arrivals queued for reassembly
 `

@@ -22,6 +22,9 @@ const (
 	maxViolations = 100
 )
 
+// backoff is the 4.3BSD retransmission backoff table, indexed by shift.
+var backoff = [13]int{1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 64, 64}
+
 // Violation is one conformance failure, with enough structure for the
 // explorer to key, dedup, and shrink on it.
 type Violation struct {
@@ -78,8 +81,10 @@ type connTrack struct {
 	sawRexmit    bool
 	lastRexmitAt time.Duration
 
-	// Jacobson estimator mirror (valid only when birth).
-	srtt, rttvar int
+	// Jacobson estimator mirror (valid only when birth); sampled is set by
+	// the first RTT sample, which may leave srtt at 0.
+	srtt, rttvar         int
+	sampled, baseUnknown bool
 }
 
 // flowKey identifies one direction of one four-tuple on the wire.
@@ -185,6 +190,11 @@ func (k *Checker) onState(e trace.Event) {
 	if !ct.seen {
 		ct.seen = true
 		ct.birth = from == tcp.Closed
+	} else if from == tcp.Closed && ct.sampled {
+		// The label is reopened, by the same pcb (which keeps its sample
+		// count) or a new one: the back-off base is unknown until the
+		// next sample.
+		ct.sampled, ct.baseUnknown = false, true
 	}
 
 	edge := Edge{From: from, To: to, Via: via}
@@ -267,6 +277,17 @@ func (k *Checker) onRexmit(e trace.Event) {
 	if shift < minShift || shift > 12 || rto < 1 || rto > 128 {
 		k.report(e.Conn, e.At, RuleRexmitRange,
 			fmt.Sprintf("shift %d, RTO %d ticks out of range", shift, rto), nil)
+	} else if !fast && ct.birth && !ct.baseUnknown {
+		// A time-out backs off from the estimator's RTO, or from 3 s
+		// before the first sample.
+		base := 6
+		if ct.sampled {
+			base = max((ct.srtt>>3)+ct.rttvar, 2)
+		}
+		if want := min(base*backoff[shift], 128); int(rto) != want {
+			k.report(e.Conn, e.At, RuleRTOMismatch,
+				fmt.Sprintf("time-out %d armed %d ticks; the estimator backs off to %d", shift, rto, want), nil)
+		}
 	}
 	ct.sawRexmit = true
 	ct.lastRexmitAt = e.At
@@ -315,6 +336,7 @@ func (k *Checker) onRTO(e trace.Event) {
 			ct.srtt = m << 3
 			ct.rttvar = m << 1
 		}
+		ct.sampled, ct.baseUnknown = true, false
 		want := (ct.srtt >> 3) + ct.rttvar
 		if want < 2 {
 			want = 2

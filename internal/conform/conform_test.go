@@ -224,6 +224,42 @@ func TestRTOMismatch(t *testing.T) {
 	expectOne(t, k, RuleRTOMismatch)
 }
 
+// TestBackoffBase: a time-out backs off from the estimator's RTO once a
+// sample exists, even a one-tick sample that leaves srtt at 0, and from 3 s
+// before. A reopened label's base is not checked until its next sample.
+func TestBackoffBase(t *testing.T) {
+	rexmit := func(at time.Duration, shift, rto int64) trace.Event {
+		return trace.Event{At: at, Kind: trace.TCPRexmit, Conn: "c", A: shift, B: rto, Text: "timeout"}
+	}
+	open := []trace.Event{
+		st(0, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
+		rexmit(6*tick, 1, 12), // no sample yet: 3 s doubled
+		st(7*tick, "c", tcp.SynSent, tcp.Established, tcp.TrigSegment),
+		trace.Event{At: 8 * tick, Kind: trace.TCPRTO, Conn: "c", A: 1, B: 2},
+	}
+	k := New()
+	feed(k, open...)
+	feed(k, rexmit(10*tick, 1, 4), rexmit(14*tick, 2, 8))
+	if vs := k.Violations(); len(vs) != 0 {
+		t.Fatalf("back-off from the sampled RTO flagged: %v", vs)
+	}
+	k = New()
+	feed(k, open...)
+	feed(k, rexmit(10*tick, 1, 12))
+	expectOne(t, k, RuleRTOMismatch)
+
+	k = New()
+	feed(k, open...)
+	feed(k,
+		st(9*tick, "c", tcp.Established, tcp.Closed, tcp.TrigUser),
+		st(10*tick, "c", tcp.Closed, tcp.SynSent, tcp.TrigUser),
+		rexmit(16*tick, 1, 12),
+	)
+	if vs := k.Violations(); len(vs) != 0 {
+		t.Fatalf("reopened label's back-off flagged: %v", vs)
+	}
+}
+
 func TestRexmitAndPersistStateRules(t *testing.T) {
 	k := New()
 	feed(k,

@@ -171,7 +171,7 @@ type listener struct {
 // revoked) — so the record adds only what the module cannot know: the
 // sequence numbers at handoff time, for crafting a best-effort reset to the
 // peer if the owning application crashes (none in a record adopted from the
-// module, whose reset only the ACK probe carries).
+// module, whose reset only the probe carries).
 type xferConn struct {
 	cap            *netio.Capability
 	sndNxt, rcvNxt tcp.Seq
@@ -1000,18 +1000,21 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 // sendCrashRST issues the proactive reset for a crashed application's
 // connection xc, from the state recorded at handoff time.
 //
-// The sequence numbers may be stale: the library moved data after handoff
-// without the registry seeing it. A stale RST is silently discarded by the
-// peer (it elicits no challenge), so the RST alone only covers a connection
-// that never advanced. The bare ACK sent after it covers the rest: an
-// out-of-window ACK makes the peer respond with its own ACK, which lands on
-// this host's default path — the tuple is already reclaimed — and is
-// answered by the receive pipeline's no-endpoint case with a reset aimed
-// exactly at the peer's expected sequence. Either way the peer converges to
-// a reset.
+// The sequence numbers may be stale, or (for an adopted or rebuilt
+// connection) unknown: the library moved data after handoff without the
+// registry seeing it. A stale RST is silently discarded by the peer (it
+// elicits no challenge), so the RST alone only covers a connection that
+// never advanced. The bare probe sent after it covers the rest: the peer
+// tests its sequence number before anything else (RFC 793 p. 69) and
+// answers an unacceptable one with its own ACK, which lands on this host's
+// default path — the tuple is already reclaimed — and is answered by the
+// receive pipeline's no-endpoint case with a reset aimed exactly at the
+// peer's expected sequence. Either way the peer converges to a reset. The
+// probe carries no ACK bit, so an unknown acknowledgment number claims
+// nothing.
 func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
 	ft := tuple(xc.cap)
-	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, tcp.FlagACK} {
+	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, 0} {
 		h := tcp.Header{
 			SrcPort: ft.Local.Port, DstPort: ft.Peer.Port,
 			Seq: xc.sndNxt, Ack: xc.rcvNxt,
@@ -1077,7 +1080,7 @@ func (r *Server) adopt(t *kern.Thread) int {
 		t.Compute(c.RegistryPortAlloc)
 		if conn {
 			r.ports.Retain(ft.Local.Port) // accepted conns share a port
-			// The sequence numbers are unknown: sendCrashRST's ACK probe
+			// The sequence numbers are unknown: sendCrashRST's probe
 			// converges the peer if the owner dies.
 			r.transferred[ft] = &xferConn{cap: cap}
 		} else {

@@ -219,9 +219,12 @@ type Conn struct {
 
 	// NewReno fast recovery (RFC 6582): recover is snd_max when recovery
 	// last began (or a time-out fired), kept within 2^31 of snd_una by
-	// pulling it up on every new ACK outside recovery.
+	// pulling it up on every new ACK outside recovery. dupHeld is an ACK at
+	// snd_una that moved the window, held until a true duplicate counts it
+	// (processAck).
 	recover    Seq
 	inRecovery bool
+	dupHeld    bool
 
 	// Receive sequence space.
 	irs            Seq

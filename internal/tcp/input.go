@@ -51,9 +51,9 @@ func (c *Conn) Input(h Header, data []byte) {
 	if ok && wnd == 0 && segLen > 0 {
 		// Zero window: only window probes at rcv_nxt are interesting; the
 		// probe data is dropped but must be acknowledged so the sender
-		// keeps probing and discovers the reopening.
+		// keeps probing and discovers the reopening. It still carried
+		// data, so processAck does not take it for a duplicate ACK.
 		c.ackNow = true
-		data = nil
 		segLen = 0
 		fin = false
 	}
@@ -92,7 +92,7 @@ func (c *Conn) Input(h Header, data []byte) {
 	if h.Flags&FlagACK == 0 {
 		return // every segment past SYN must carry ACK
 	}
-	if !c.processAck(h) {
+	if !c.processAck(h, len(data)) {
 		return // connection closed or segment dropped
 	}
 
@@ -277,9 +277,10 @@ func (c *Conn) inputSynSent(h Header, data []byte) {
 	c.Output()
 }
 
-// processAck implements the ESTABLISHED-and-later ACK rules; it reports
-// whether processing of the segment should continue.
-func (c *Conn) processAck(h Header) bool {
+// processAck implements the ESTABLISHED-and-later ACK rules for a segment
+// that arrived with payload bytes of data; it reports whether processing of
+// the segment should continue.
+func (c *Conn) processAck(h Header, payload int) bool {
 	// SYN_RCVD: does this ACK complete the handshake?
 	if c.state == SynRcvd {
 		if c.sndUna.Leq(h.Ack) && h.Ack.Leq(c.sndMax) {
@@ -296,12 +297,18 @@ func (c *Conn) processAck(h Header) bool {
 
 	switch {
 	case h.Ack.Leq(c.sndUna):
-		// Duplicate ACK. Count it only if it is a "true" duplicate: no
-		// data, no window change, and we have outstanding data.
-		if h.Ack == c.sndUna && c.snd.len() > 0 && int(h.Window) == c.sndWnd {
-			c.stats.DupAcksRcvd++
-			c.dupAcks++
-			c.dupAck()
+		// Duplicate ACK (RFC 5681 §2): at snd_una, carrying no data, with
+		// data outstanding, and the window unchanged. One whose window grew
+		// because the peer's application read is held instead, outside
+		// recovery: it counts once a true duplicate follows it (dupAck), so
+		// window updates alone never start a recovery.
+		if h.Ack == c.sndUna && payload == 0 && c.snd.len() > 0 {
+			switch wnd := int(h.Window); {
+			case wnd == c.sndWnd:
+				c.dupAck()
+			case wnd > c.sndWnd && !c.inRecovery:
+				c.dupHeld = true
+			}
 		}
 		// Old ACK: ignore (but continue with payload processing).
 		c.updateSndWnd(h)
@@ -315,7 +322,7 @@ func (c *Conn) processAck(h Header) bool {
 
 	// New ACK.
 	acked := h.Ack.Diff(c.sndUna)
-	c.dupAcks = 0
+	c.dupAcks, c.dupHeld = 0, false
 
 	// RTT sample (Karn: only if the timed sequence is covered and we did
 	// not retransmit it — t_rtt is zeroed on retransmission).
@@ -417,11 +424,18 @@ func (c *Conn) updateSndWnd(h Header) {
 	}
 }
 
-// dupAck acts on a counted duplicate ACK. The first two send new data by
-// limited transmit (RFC 3042), the third starts NewReno fast recovery (RFC
-// 6582), and each one during recovery inflates cwnd by the segment that has
-// left the network, for Input's closing Output to fill.
+// dupAck counts a true duplicate ACK, and the held window-moving one before
+// it if any, up to the third. The first two send new data by limited
+// transmit (RFC 3042), the third starts NewReno fast recovery (RFC 6582), and
+// each one during recovery inflates cwnd by the segment that has left the
+// network, for Input's closing Output to fill.
 func (c *Conn) dupAck() {
+	c.stats.DupAcksRcvd++
+	c.dupAcks++
+	if c.dupHeld && c.dupAcks < 3 {
+		c.dupAcks++
+	}
+	c.dupHeld = false
 	switch {
 	case c.inRecovery:
 		c.cwnd += c.sndMSS

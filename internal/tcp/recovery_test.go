@@ -2,7 +2,11 @@ package tcp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
+
+	"ulp/internal/trace"
 )
 
 // Loss recovery with the default 8 KiB buffers and MSS 1460: a warmed-up
@@ -332,5 +336,223 @@ func TestCongestionAvoidanceCountsBytes(t *testing.T) {
 	atLeast := mss * n.a.sndUna.Diff(una0) / n.a.cwnd
 	if grew < atLeast*19/20 {
 		t.Fatalf("cwnd grew %d bytes over %d acknowledged, want at least %d", grew, n.a.sndUna.Diff(una0), atLeast*19/20)
+	}
+}
+
+// flight warms a up and has it send five full segments that b never sees;
+// the test then plays b's ACKs to a by hand with ackA.
+func flight(t *testing.T) *testNet {
+	t.Helper()
+	n := newTestNet(t, defaultCfg())
+	n.connect()
+	warmUp(t, n)
+	n.a.Write(pattern(5 * mss))
+	n.toB = nil
+	if out := n.a.sndMax.Diff(n.a.sndUna); out != 5*mss {
+		t.Fatalf("a has %d bytes in flight, want 5 segments", out)
+	}
+	return n
+}
+
+// ackA delivers to a a bare ACK from b for una+k segments, advertising wnd.
+func ackA(n *testNet, una Seq, k, wnd int) {
+	n.a.Input(Header{SrcPort: 80, DstPort: 1025, Seq: n.a.rcvNxt, Ack: una.Add(k * mss),
+		Flags: FlagACK, Window: uint16(wnd)}, nil)
+}
+
+// TestWindowMovingAckCountsBeforeTwoDuplicates: the peer's application
+// reads while the first segment is lost, so the first ACK at snd_una moves
+// the window. Held, it counts with the two true duplicates that follow, and
+// the five-segment flight is repaired by fast retransmission, not a
+// time-out. Refusing the window-moving ACK (rule (e) alone) leaves two.
+func TestWindowMovingAckCountsBeforeTwoDuplicates(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	ackA(n, una, 1, 8192-mss) // segment 1 arrived, unread
+	ackA(n, una, 1, 8192)     // segment 2 lost; the application read
+	ackA(n, una, 1, 8192)
+	ackA(n, una, 1, 8192)
+	if st := n.a.Stats(); st.FastRexmits != 1 || st.Rexmits != 0 || !n.a.inRecovery {
+		t.Fatalf("fast %d, time-outs %d, in recovery %v; want 1, 0 and true", st.FastRexmits, st.Rexmits, n.a.inRecovery)
+	}
+	ackA(n, una, 5, 8192)
+	if n.a.inRecovery || n.a.Stats().Rexmits != 0 {
+		t.Fatal("the full ACK did not end recovery without a time-out")
+	}
+}
+
+// TestWindowUpdatesAloneStartNoRecovery: nothing is lost, and the peer's
+// application reads a little at a time, so ACK after ACK at snd_una opens
+// the window while data is outstanding. None of them is a duplicate, as
+// they would be if every ACK whose window did not shrink counted.
+func TestWindowUpdatesAloneStartNoRecovery(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	ackA(n, una, 1, 2*mss)
+	for _, wnd := range []int{3 * mss, 4 * mss, 5 * mss, 8192} {
+		ackA(n, una, 1, wnd)
+	}
+	if st := n.a.Stats(); st.DupAcksRcvd != 0 || st.FastRexmits != 0 || n.a.inRecovery {
+		t.Fatalf("window updates counted %d duplicates and %d fast retransmissions", st.DupAcksRcvd, st.FastRexmits)
+	}
+}
+
+// TestHeldAckCountsUpToThree: duplicate, duplicate, window-moving ACK,
+// duplicate. The last counts itself and the held one, but the count stops at
+// three, so recovery starts exactly once; adding the held one regardless
+// would jump the count from 2 to 4, past the threshold.
+func TestHeldAckCountsUpToThree(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	ackA(n, una, 1, 8192-mss)
+	ackA(n, una, 1, 8192-mss)
+	ackA(n, una, 1, 8192-mss)
+	ackA(n, una, 1, 8192)
+	ackA(n, una, 1, 8192)
+	ackA(n, una, 1, 8192)
+	if st := n.a.Stats(); st.FastRexmits != 1 || !n.a.inRecovery {
+		t.Fatalf("fast %d, in recovery %v; want one recovery", st.FastRexmits, n.a.inRecovery)
+	}
+}
+
+// TestWindowMovingAckInRecoveryDoesNotInflate: in recovery only a true
+// duplicate says a segment left the network; a window update does not
+// inflate cwnd, as it would if it counted as a duplicate, and is not held.
+func TestWindowMovingAckInRecoveryDoesNotInflate(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	for range 4 {
+		ackA(n, una, 1, 8192-mss)
+	}
+	if !n.a.inRecovery {
+		t.Fatal("three duplicates did not start recovery")
+	}
+	cwnd := n.a.cwnd
+	ackA(n, una, 1, 8192)
+	if n.a.cwnd != cwnd || n.a.dupHeld {
+		t.Fatalf("window update in recovery took cwnd %d -> %d (held %v), want it unchanged and not held", cwnd, n.a.cwnd, n.a.dupHeld)
+	}
+	ackA(n, una, 1, 8192)
+	if n.a.cwnd != cwnd+mss {
+		t.Fatalf("duplicate in recovery took cwnd %d -> %d, want one segment more", cwnd, n.a.cwnd)
+	}
+}
+
+// TestNewAckClearsHeldAck: an ACK that moves snd_una drops the held
+// window-moving ACK, so two later duplicates are two, not three.
+func TestNewAckClearsHeldAck(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	ackA(n, una, 1, 8192-2*mss)
+	ackA(n, una, 1, 8192-mss) // held
+	ackA(n, una, 2, 8192-2*mss)
+	ackA(n, una, 2, 8192-2*mss)
+	ackA(n, una, 2, 8192-2*mss)
+	if st := n.a.Stats(); st.FastRexmits != 0 || n.a.dupAcks != 2 {
+		t.Fatalf("fast %d, %d duplicates counted; want 0 and 2", st.FastRexmits, n.a.dupAcks)
+	}
+}
+
+// TestDataSegmentIsNotDuplicateAck: RFC 5681 §2 rule (b). Both ends send
+// four segments at once, and b's reach a before a's reach b: each carries
+// a's snd_una as its ACK, but it carries data, so none is a duplicate.
+func TestDataSegmentIsNotDuplicateAck(t *testing.T) {
+	n := newTestNet(t, defaultCfg())
+	n.connect()
+	warmUp(t, n)
+	back := pattern(40000)
+	checkIntegrity(t, back, n.pump(n.b, n.a, back, 5000))
+	n.run(5)
+	ab, ba := pattern(4*mss), pattern(4*mss)
+	n.a.Write(ab)
+	n.b.Write(ba)
+	if len(n.toB) != 4 || len(n.toA) != 4 {
+		t.Fatalf("a sent %d segments and b %d, want 4 each", len(n.toB), len(n.toA))
+	}
+	toB := n.toB
+	n.toB = nil
+	for len(n.toA) > 0 {
+		seg := n.toA[0]
+		n.toA = n.toA[1:]
+		h, err := Decode(seg, n.bIP, n.aIP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.a.Input(h, seg.Bytes())
+	}
+	if d := n.a.Stats().DupAcksRcvd; d != 0 {
+		t.Fatalf("a counted %d of b's data segments as duplicate ACKs", d)
+	}
+	n.toB = append(toB, n.toB...)
+	n.run(10)
+	for _, tc := range []struct {
+		dst  *Conn
+		want []byte
+	}{{n.b, ab}, {n.a, ba}} {
+		got := make([]byte, 8*mss)
+		checkIntegrity(t, tc.want, got[:tc.dst.Read(got)])
+	}
+}
+
+// TestBackoffFromOneTickSample: a one-tick RTT sample leaves srtt at 0, and
+// the time-outs that follow still back off from the estimator's RTO, not
+// from the 3 s used before any sample.
+func TestBackoffFromOneTickSample(t *testing.T) {
+	n := newTestNet(t, defaultCfg())
+	n.connect()
+	n.a.Write(pattern(100))
+	n.run(5)
+	if n.a.stats.RTTSamples != 1 || n.a.srtt != 0 {
+		t.Fatalf("%d RTT samples, srtt %d; want one sample of one tick", n.a.stats.RTTSamples, n.a.srtt)
+	}
+	n.drop = func(string, Header, int) bool { return true }
+	n.a.Write(pattern(100))
+	armed := []int{n.a.tRexmt}
+	for len(armed) < 3 {
+		rexmits := n.a.stats.Rexmits
+		n.a.SlowTick()
+		if n.a.stats.Rexmits > rexmits {
+			armed = append(armed, n.a.tRexmt)
+		}
+	}
+	if want := []int{2, 4, 8}; !slices.Equal(armed, want) {
+		t.Fatalf("the send and two time-outs armed %v ticks, want %v", armed, want)
+	}
+
+	// A restored connection brings its estimator but no sample count.
+	snap := n.a.Snapshot()
+	snap.SRTT, snap.RTTVar, snap.RxtCur = 8<<3, 8, 16
+	na := new(Conn)
+	RestoreInto(na, snap, n.a.cb)
+	for na.stats.Rexmits == 0 {
+		na.SlowTick()
+	}
+	if na.tRexmt != 32 {
+		t.Fatalf("restored connection's time-out armed %d ticks, want 32 from its estimator's 16", na.tRexmt)
+	}
+}
+
+// TestTimeoutEventCountsDuplicates: the traced time-out says why fast
+// retransmission did not repair the loss: C carries the duplicates counted
+// since the last new ACK, here two.
+func TestTimeoutEventCountsDuplicates(t *testing.T) {
+	n := flight(t)
+	var dups []int64
+	bus := trace.NewBus(func() time.Duration { return 0 })
+	bus.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.TCPRexmit && e.Text == "timeout" {
+			dups = append(dups, e.C)
+		}
+	})
+	n.a.SetTrace(bus, "a")
+	una := n.a.sndUna
+	for range 3 {
+		ackA(n, una, 1, 8192-mss)
+	}
+	for len(dups) == 0 {
+		n.a.SlowTick()
+	}
+	if dups[0] != 2 {
+		t.Fatalf("time-out event carries C = %d, want 2 duplicates", dups[0])
 	}
 }

@@ -210,29 +210,35 @@ func (c *Conn) rexmtTimeout() {
 	if base < minRexmtTicks {
 		base = minRexmtTicks
 	}
-	if c.srtt == 0 {
-		base = 6 // pre-measurement default (3 s)
+	if c.stats.RTTSamples == 0 && c.srtt == 0 {
+		// Pre-measurement default (3 s). A sample of one tick leaves srtt
+		// at 0 too, so the count decides; a restored connection brings its
+		// srtt but not the count.
+		base = 6
 	}
 	c.rxtCur = base * rexmtBackoff[c.rxtShift]
 	if c.rxtCur > maxRexmtTicks {
 		c.rxtCur = maxRexmtTicks
 	}
 
+	// Traced before the count is cleared: it says why fast retransmission
+	// did not repair the loss.
+	if c.bus.Enabled() {
+		c.bus.Emit(trace.Event{Kind: trace.TCPRexmit, Conn: c.busLabel,
+			A: int64(c.rxtShift), B: int64(c.rxtCur), C: int64(c.dupAcks), Text: "timeout"})
+	}
+
 	// Collapse cwnd to one segment and leave fast recovery; duplicates for
 	// what was sent before now must not start it again.
 	c.halveWindow()
 	c.cwnd = c.sndMSS
-	c.dupAcks = 0
+	c.dupAcks, c.dupHeld = 0, false
 	c.inRecovery = false
 	c.recover = c.sndMax
 
 	// Karn: a retransmitted sequence must not be timed.
 	c.tRtt = 0
 
-	if c.bus.Enabled() {
-		c.bus.Emit(trace.Event{Kind: trace.TCPRexmit, Conn: c.busLabel,
-			A: int64(c.rxtShift), B: int64(c.rxtCur), Text: "timeout"})
-	}
 	c.sndNxt = c.sndUna
 	c.setTimer(&c.tRexmt, c.rxtCur)
 	c.outputForced()

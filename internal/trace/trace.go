@@ -37,7 +37,7 @@ const (
 
 	// TCP engine events. Conn labels the connection.
 	TCPState    // state transition; Text = "OLD->NEW", A/B = old/new state ordinals, C = trigger class
-	TCPRexmit   // retransmission; Text = "timeout" or "fast", A = backoff shift, B = RTO ticks
+	TCPRexmit   // retransmission; Text = "timeout" or "fast", A = backoff shift, B = RTO ticks; on a timeout C = duplicate ACKs counted since the last new ACK or time-out
 	TCPRTO      // RTO updated from an RTT sample; A = sample ticks, B = new RTO ticks
 	TCPPersist  // zero-window probe sent; A = persist shift, B = interval ticks
 	TCPTimeWait // 2*MSL timer armed or re-armed; A = ticks until release

@@ -20,9 +20,9 @@ import (
 func TestLossRecoveryPinned(t *testing.T) {
 	const (
 		flows, perFlow, write = 8, 512 << 10, 4096
-		wantDone              = time.Duration(15031318964)
-		wantTimeouts          = 31
-		wantFast              = 51
+		wantDone              = time.Duration(5024032916)
+		wantTimeouts          = 14
+		wantFast              = 73
 	)
 	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
 	enableConformance(t, w)
