@@ -1,7 +1,8 @@
 // Faultynet: runs the user-level library over a hostile Ethernet — packet
 // loss, duplication, single-bit corruption and reordering injected at the
-// wire — and shows the protocol machinery (checksums, retransmission, fast
-// retransmit, reassembly) delivering a byte-perfect stream anyway.
+// wire — and shows the protocol machinery (checksums, retransmission, tail
+// loss probes, fast retransmit, reassembly) delivering a byte-perfect stream
+// anyway.
 //
 // Exits non-zero if the transfer fails verification, so it doubles as a
 // scriptable smoke test.
@@ -152,8 +153,8 @@ func run(stdout io.Writer) int {
 		ws.Sent, ws.Dropped, ws.Corrupted, ws.Duplicated, ws.Reordered)
 	if st.cConn != nil {
 		cs := st.cConn.Stats()
-		fmt.Fprintf(stdout, "sender: %d segments, %d timeout retransmissions, %d fast retransmissions, %d dup-acks seen\n",
-			cs.SegsSent, cs.Rexmits, cs.FastRexmits, cs.DupAcksRcvd)
+		fmt.Fprintf(stdout, "sender: %d segments, %d timeout retransmissions, %d tail loss probes, %d fast retransmissions, %d dup-acks seen\n",
+			cs.SegsSent, cs.Rexmits, cs.TailProbes, cs.FastRexmits, cs.DupAcksRcvd)
 	}
 	if st.sConn != nil {
 		ss := st.sConn.Stats()

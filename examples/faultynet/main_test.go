@@ -18,10 +18,10 @@ func TestOutput(t *testing.T) {
 
 const want = `wire faults: 5% loss, 2% duplication, 2% corruption, 5% reordering
 
-transferred 204800/204800 bytes in 6.041s of virtual time
+transferred 204800/204800 bytes in 9.011s of virtual time
 integrity: byte-for-byte intact
 
-wire:   284 frames sent, 19 dropped, 6 corrupted, 11 duplicated, 11 reordered
-sender: 156 segments, 3 timeout retransmissions, 9 fast retransmissions, 35 dup-acks seen
-receiver: 147 segments received, 38 out-of-order arrivals queued for reassembly
+wire:   303 frames sent, 21 dropped, 6 corrupted, 11 duplicated, 12 reordered
+sender: 164 segments, 4 timeout retransmissions, 5 tail loss probes, 11 fast retransmissions, 45 dup-acks seen
+receiver: 153 segments received, 45 out-of-order arrivals queued for reassembly
 `

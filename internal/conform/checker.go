@@ -2,6 +2,7 @@ package conform
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"ulp/internal/tcp"
@@ -17,6 +18,8 @@ const (
 	// between ticks legitimately elapses in (N-1, N] tick periods. One
 	// extra tick on each side absorbs the arming phase.
 	slack = tick
+	// fastTick is the fast-timeout period the tail loss probe counts in.
+	fastTick = 200 * time.Millisecond
 	// maxViolations caps the report list so a systematically broken run
 	// cannot accumulate unbounded reports; Truncated reports overflow.
 	maxViolations = 100
@@ -58,12 +61,18 @@ const (
 	RuleAckRegress    = "ack-regress"         // ACK field moved backward on a flow
 	RuleDataAfterFin  = "data-after-fin"      // payload beyond the flow's FIN
 	RuleFinMoved      = "fin-moved"           // FIN retransmitted at a different sequence
+	RuleProbeRepeat   = "probe-repeat"        // second tail loss probe with no new ACK between
+	RuleProbeRecovery = "probe-in-recovery"   // tail loss probe during fast recovery
+	RuleProbeEarly    = "probe-early"         // tail loss probe within a fast tick of new data or an RTT sample
 )
 
 // connTrack is the checker's per-connection-label state.
 type connTrack struct {
 	seen  bool
 	state tcp.State
+	// flow names the connection's outbound flow as checkSegment keys it,
+	// or is "" when its label names no four-tuple (flowOf).
+	flow string
 	// birth is set when the first observed event shows the connection in
 	// Closed: only then do we know the engine's estimator state from the
 	// start, so estimator-mirror and Karn checks apply. Connections first
@@ -85,19 +94,35 @@ type connTrack struct {
 	// the first RTT sample, which may leave srtt at 0.
 	srtt, rttvar         int
 	sampled, baseUnknown bool
+	// sampleAt is the time of the last RTT sample: a new ACK the engine is
+	// known to have received.
+	sampleAt time.Duration
 }
 
-// flowKey identifies one direction of one four-tuple on the wire.
-type flowKey struct {
-	src, dst tcp.Endpoint
-}
-
-// flowTrack is per-directed-flow sequence bookkeeping.
+// flowTrack is per-directed-flow sequence bookkeeping, and the tail loss
+// probe state of the flow's sender, which the flow's sends and the ACKs
+// sent back show. Frames are seen as they are sent, so an ACK counts from
+// before its receiver has it (or if it is lost): the probe rules err
+// toward silence.
 type flowTrack struct {
 	hasAck  bool
 	maxAck  tcp.Seq
 	finSeen bool
 	finSeq  tcp.Seq // sequence number of the FIN flag itself
+
+	// sndEnd ends the highest sequence space sent (valid once sent), and
+	// newDataAt is when a segment last extended it.
+	sent      bool
+	sndEnd    tcp.Seq
+	newDataAt time.Duration
+	// recovering: the sender began fast recovery when it had sent up to
+	// recover; a time-out or an ACK of recover sent back ends it.
+	recovering bool
+	recover    tcp.Seq
+	// probed: the sender probed its tail with snd_una at probeUna; an ACK
+	// above it sent back clears it.
+	probed   bool
+	probeUna tcp.Seq
 }
 
 // Checker consumes TCP trace events (and transmitted frames) and verifies
@@ -105,7 +130,7 @@ type flowTrack struct {
 // Attach, or feed it directly with HandleEvent / Segment.
 type Checker struct {
 	conns map[string]*connTrack
-	flows map[flowKey]*flowTrack
+	flows map[string]*flowTrack // keyed "src>dst"
 	cov   *Coverage
 
 	idx        int // events observed (all kinds), for violation indexing
@@ -117,7 +142,7 @@ type Checker struct {
 func New() *Checker {
 	return &Checker{
 		conns: make(map[string]*connTrack),
-		flows: make(map[flowKey]*flowTrack),
+		flows: make(map[string]*flowTrack),
 		cov:   NewCoverage(),
 	}
 }
@@ -147,10 +172,21 @@ func (k *Checker) report(conn string, at time.Duration, rule, detail string, edg
 func (k *Checker) conn(label string) *connTrack {
 	ct := k.conns[label]
 	if ct == nil {
-		ct = &connTrack{}
+		ct = &connTrack{flow: flowOf(label)}
 		k.conns[label] = ct
 	}
 	return ct
+}
+
+// flowOf returns the outbound flow a connection's label names. Shells
+// label a connection "<owner> local>peer", which ends in the flow's name
+// as checkSegment keys it; a label without a four-tuple gives "".
+func flowOf(label string) string {
+	t := label[strings.LastIndexByte(label, ' ')+1:]
+	if !strings.Contains(t, ">") {
+		return ""
+	}
+	return t
 }
 
 // HandleEvent is the bus subscriber: it dispatches on the TCP event kinds
@@ -259,7 +295,22 @@ func (k *Checker) onTimeWaitArm(e trace.Event) {
 
 func (k *Checker) onRexmit(e trace.Event) {
 	ct := k.conn(e.Conn)
+	ft := k.flows[ct.flow]
 	fast := e.Text == "fast"
+	switch {
+	case e.Text == "probe":
+		k.onProbe(e, ct, ft)
+		return
+	case ft == nil:
+	case fast && e.C > 0:
+		// Fast recovery begins (C counts the duplicates; a partial ACK's
+		// retransmission carries 0), unless an ACK of all the sender has
+		// sent is already on its way back to end it.
+		rt := k.flows[reverse(ct.flow)]
+		ft.recovering, ft.recover = rt == nil || !rt.hasAck || rt.maxAck.Less(ft.sndEnd), ft.sndEnd
+	case !fast:
+		ft.recovering = false
+	}
 	if ct.seen {
 		if fast && !inSet(fastRexmitStates, ct.state) {
 			k.report(e.Conn, e.At, RuleRexmitState,
@@ -293,8 +344,56 @@ func (k *Checker) onRexmit(e trace.Event) {
 	ct.lastRexmitAt = e.At
 }
 
+// onProbe checks a tail loss probe: it comes in a state that can carry
+// data and before any back-off, once per tail until a new ACK, never in
+// fast recovery, and never within a fast tick of the last new-data send or
+// RTT sample, both of which re-arm its time-out of at least two fast
+// ticks. A probe is no retransmission for Karn's rule here: one that sends
+// new data times it legitimately, and one that resends stops the
+// measurement in the engine.
+func (k *Checker) onProbe(e trace.Event, ct *connTrack, ft *flowTrack) {
+	if ct.seen && !inSet(probeStates, ct.state) {
+		k.report(e.Conn, e.At, RuleRexmitState,
+			fmt.Sprintf("tail loss probe in %s", ct.state), nil)
+	}
+	if e.A != 0 || e.B < 1 || e.B > 128 {
+		k.report(e.Conn, e.At, RuleRexmitRange,
+			fmt.Sprintf("tail loss probe at shift %d, RTO %d ticks; a probe never follows a back-off", e.A, e.B), nil)
+	}
+	if ft == nil {
+		return
+	}
+	if ft.recovering {
+		k.report(e.Conn, e.At, RuleProbeRecovery,
+			fmt.Sprintf("tail loss probe in fast recovery (until %d is acknowledged)", ft.recover), nil)
+	}
+	if ft.probed {
+		k.report(e.Conn, e.At, RuleProbeRepeat,
+			fmt.Sprintf("second tail loss probe with no ACK above %d since the first", ft.probeUna), nil)
+	}
+	if since := e.At - max(ft.newDataAt, ct.sampleAt); since < fastTick {
+		k.report(e.Conn, e.At, RuleProbeEarly,
+			fmt.Sprintf("tail loss probe %v after the last new-data send or RTT sample", since), nil)
+	}
+	// C is snd_una. An ACK above it already sent back may reach the sender
+	// and let it probe again with no further ACK to show for it.
+	una := tcp.Seq(uint32(e.C))
+	rt := k.flows[reverse(ct.flow)]
+	ft.probed, ft.probeUna = rt == nil || !rt.hasAck || rt.maxAck.Leq(una), una
+}
+
+// reverse names the flow opposite f ("src>dst" becomes "dst>src").
+func reverse(f string) string {
+	i := strings.IndexByte(f, '>')
+	if i < 0 {
+		return ""
+	}
+	return f[i+1:] + ">" + f[:i]
+}
+
 func (k *Checker) onRTO(e trace.Event) {
 	ct := k.conn(e.Conn)
+	ct.sampleAt = e.At
 	sample, rto := int(e.A), int(e.B)
 	if ct.seen && !inSet(rtoStates, ct.state) {
 		k.report(e.Conn, e.At, RuleRTOState,
@@ -381,15 +480,14 @@ func (k *Checker) checkSegment(at time.Duration, src, dst tcp.Endpoint, seq, ack
 		// monotonicity claims apply.
 		return
 	}
-	key := flowKey{src, dst}
-	ft := k.flows[key]
+	label := src.String() + ">" + dst.String()
+	ft := k.flows[label]
 	if ft == nil || flags&tcp.FlagSYN != 0 {
 		// First sighting, or a SYN starting a new incarnation of the
 		// four-tuple: reset the flow bookkeeping.
 		ft = &flowTrack{}
-		k.flows[key] = ft
+		k.flows[label] = ft
 	}
-	label := src.String() + ">" + dst.String()
 
 	if flags&tcp.FlagACK != 0 {
 		if ft.hasAck && ack.Less(ft.maxAck) {
@@ -399,7 +497,32 @@ func (k *Checker) checkSegment(at time.Duration, src, dst tcp.Endpoint, seq, ack
 		if !ft.hasAck || ft.maxAck.Less(ack) {
 			ft.hasAck = true
 			ft.maxAck = ack
+			// A new ACK for the sender the other way: one above its
+			// snd_una at the probe lets it probe again, and one of recover
+			// ends its recovery.
+			if rt := k.flows[reverse(label)]; rt != nil {
+				if rt.probed && rt.probeUna.Less(ack) {
+					rt.probed = false
+				}
+				if rt.recovering && rt.recover.Leq(ack) {
+					rt.recovering = false
+				}
+			}
 		}
+	}
+
+	end := seq.Add(dataLen)
+	if flags&tcp.FlagSYN != 0 {
+		end = end.Add(1)
+	}
+	if flags&tcp.FlagFIN != 0 {
+		end = end.Add(1)
+	}
+	if !ft.sent || ft.sndEnd.Less(end) {
+		if end != seq {
+			ft.newDataAt = at
+		}
+		ft.sent, ft.sndEnd = true, end
 	}
 
 	if ft.finSeen {

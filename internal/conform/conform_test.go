@@ -387,3 +387,75 @@ func TestBusAttach(t *testing.T) {
 		t.Error("active open edge not covered")
 	}
 }
+
+// TestProbeRules: a tail loss probe comes once per tail until an ACK above
+// the snd_una it probed at, never in fast recovery, never within a fast
+// tick of new data or an RTT sample, and never after a back-off.
+func TestProbeRules(t *testing.T) {
+	const conn = "h1 10.0.0.1:1000>10.0.0.2:2000"
+	a := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 1000}
+	b := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
+	ms := time.Millisecond
+	type step func(k *Checker)
+	data := func(at time.Duration, seqn tcp.Seq, n int) step {
+		return func(k *Checker) {
+			k.Segment(at, a, b, tcp.Header{Seq: seqn, Ack: 5000, Flags: tcp.FlagACK}, n)
+		}
+	}
+	ack := func(at time.Duration, ackn tcp.Seq) step {
+		return func(k *Checker) {
+			k.Segment(at, b, a, tcp.Header{Seq: 5000, Ack: ackn, Flags: tcp.FlagACK}, 0)
+		}
+	}
+	ev := func(e trace.Event) step {
+		return func(k *Checker) { e.Conn = conn; k.HandleEvent(e) }
+	}
+	probe := func(at time.Duration, shift int64, una tcp.Seq) step {
+		return ev(trace.Event{At: at, Kind: trace.TCPRexmit, A: shift, B: 2, C: int64(una), Text: "probe"})
+	}
+	fast := func(at time.Duration, dups int64) step {
+		return ev(trace.Event{At: at, Kind: trace.TCPRexmit, B: 2, C: dups, Text: "fast"})
+	}
+	flight := []step{
+		ev(st(0, conn, tcp.Closed, tcp.SynSent, tcp.TrigUser)),
+		ev(st(100*ms, conn, tcp.SynSent, tcp.Established, tcp.TrigSegment)),
+		ack(100*ms, 101),
+		data(time.Second, 101, 500),
+		data(time.Second, 601, 500),
+		data(time.Second, 1101, 500),
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		rule  string // "" for none
+	}{
+		{"probe, ACK, probe", []step{probe(1500*ms, 0, 101), ack(1600*ms, 601), probe(2200*ms, 0, 601)}, ""},
+		{"second probe with no ACK", []step{probe(1500*ms, 0, 101), ack(1600*ms, 101), probe(2200*ms, 0, 101)}, RuleProbeRepeat},
+		// The ACK above snd_una was sent before the first probe; the
+		// sender may have it only after.
+		{"ACK on its way at the first probe", []step{ack(1450*ms, 601), probe(1500*ms, 0, 101), probe(2200*ms, 0, 601)}, ""},
+		{"probe in recovery", []step{fast(1200*ms, 3), probe(1800*ms, 0, 101)}, RuleProbeRecovery},
+		{"partial ACK keeps recovery", []step{fast(1200*ms, 3), ack(1300*ms, 601), fast(1300*ms, 0), probe(1900*ms, 0, 601)}, RuleProbeRecovery},
+		{"full ACK ends recovery", []step{fast(1200*ms, 3), ack(1300*ms, 1601), data(1400*ms, 1601, 500), probe(2000*ms, 0, 1601)}, ""},
+		{"time-out ends recovery", []step{fast(1200*ms, 3),
+			ev(trace.Event{At: 2 * time.Second, Kind: trace.TCPRexmit, A: 1, B: 12, C: 1, Text: "timeout"}),
+			ack(2100*ms, 601), probe(2700*ms, 0, 601)}, ""},
+		{"probe right after new data", []step{data(1100*ms, 1601, 500), probe(1200*ms, 0, 101)}, RuleProbeEarly},
+		{"probe right after an RTT sample", []step{ev(trace.Event{At: 1400 * ms, Kind: trace.TCPRTO, A: 1, B: 2}), probe(1500*ms, 0, 101)}, RuleProbeEarly},
+		{"probe after a back-off", []step{probe(1500*ms, 1, 101)}, RuleRexmitRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			for _, s := range append(append([]step{}, flight...), tc.steps...) {
+				s(k)
+			}
+			if tc.rule == "" {
+				if vs := k.Violations(); len(vs) != 0 {
+					t.Fatalf("legal probe flagged: %v", vs)
+				}
+				return
+			}
+			expectOne(t, k, tc.rule)
+		})
+	}
+}

@@ -123,8 +123,8 @@ func edgeKnown(from, to tcp.State) bool {
 // States in which the engine may legitimately emit the non-state trace
 // events. Retransmission timeouts require an armed retransmit timer; fast
 // retransmits require duplicate-ACK processing in a synchronized state; RTT
-// samples and persist probes require a synchronized state that can still
-// carry data.
+// samples, persist probes and tail loss probes require a synchronized state
+// that can still carry data.
 var (
 	rexmitStates = stateSet(tcp.SynSent, tcp.SynRcvd, tcp.Established,
 		tcp.FinWait1, tcp.CloseWait, tcp.Closing, tcp.LastAck)
@@ -133,6 +133,8 @@ var (
 	rtoStates = stateSet(tcp.Established, tcp.FinWait1,
 		tcp.CloseWait, tcp.Closing, tcp.LastAck)
 	persistStates = stateSet(tcp.Established, tcp.FinWait1,
+		tcp.CloseWait, tcp.Closing, tcp.LastAck)
+	probeStates = stateSet(tcp.Established, tcp.FinWait1,
 		tcp.CloseWait, tcp.Closing, tcp.LastAck)
 )
 

@@ -27,6 +27,32 @@ func TestLibraryFullCoverage(t *testing.T) {
 	}
 }
 
+// TestTailLossScenarios: the tail-loss scenarios still lose what they mean
+// to. In the first, A's probe draws the duplicate that starts fast
+// retransmission, which repairs the hole with no time-out; in the second,
+// fast retransmission starts with no probe, is lost, and the time-out
+// repairs it.
+func TestTailLossScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		probes, fast, timeouts int
+	}{
+		{"tail-loss-probe", 1, 1, 0},
+		{"recovery-stall", 0, 1, 1},
+	} {
+		sc, _ := ScenarioByName(tc.name)
+		res := Run(sc, nil)
+		st := res.Stats[A]
+		if st.TailProbes != tc.probes || st.FastRexmits != tc.fast || st.Rexmits != tc.timeouts {
+			t.Errorf("%s: probes %d, fast %d, time-outs %d; want %d, %d, %d", tc.name,
+				st.TailProbes, st.FastRexmits, st.Rexmits, tc.probes, tc.fast, tc.timeouts)
+		}
+		if res.Final != [2]tcp.State{tcp.Closed, tcp.Closed} || len(res.Violations) != 0 {
+			t.Errorf("%s: final %v, violations %v", tc.name, res.Final, res.Violations)
+		}
+	}
+}
+
 // TestExploreSmoke is the CI exploration gate: a fixed seed and budget must
 // reach at least 90%% edge coverage, find nothing on the healthy engine,
 // and be bit-deterministic across runs.

@@ -138,6 +138,7 @@ type Result struct {
 	Steps      int
 	Frames     int
 	Final      [2]tcp.State
+	Stats      [2]tcp.Stats // each side's engine counters at the end
 }
 
 // inseg is one in-flight segment.
@@ -196,7 +197,9 @@ func Run(sc Scenario, faults []Fault) Result {
 		h.conns[i] = tcp.NewConn(cfg, h.eps[i], h.eps[1-i], tcp.Callbacks{
 			Send: func(b *pkt.Buf, hdr tcp.Header, pl int) { h.send(Side(i), b, hdr, pl) },
 		})
-		h.conns[i].SetTrace(bus, sideName(Side(i)))
+		// The label ends in the connection's four-tuple, as the shells'
+		// do, so the checker can pair it with its frames.
+		h.conns[i].SetTrace(bus, sideName(Side(i))+" "+h.eps[i].String()+">"+h.eps[1-i].String())
 	}
 	h.conns[B].SetISS(500_000)
 
@@ -288,6 +291,7 @@ func Run(sc Scenario, faults []Fault) Result {
 		Steps:      h.step,
 		Frames:     h.frames,
 		Final:      [2]tcp.State{h.conns[A].State(), h.conns[B].State()},
+		Stats:      [2]tcp.Stats{h.conns[A].Stats(), h.conns[B].Stats()},
 	}
 }
 

@@ -282,6 +282,31 @@ func Library() []Scenario {
 		},
 	})
 
+	// Tail loss: A warms up with 8 KiB, then sends a short flight and loses
+	// one of its last segments, so too few follow it to draw three
+	// duplicate ACKs. The tail loss probe draws the missing one and fast
+	// retransmission repairs the hole. In the second scenario a loss in the
+	// first write starts fast retransmission, which is lost too: recovery
+	// stalls until the retransmission timer, and no probe may go in between
+	// (conform's probe rules).
+	tail := withOpen(
+		Op{Step: 10, Side: A, Kind: OpWrite, Arg: 8192},
+		Op{Step: 60, Side: A, Kind: OpWrite, Arg: 2560},
+		Op{Step: 120, Side: A, Kind: OpClose},
+		Op{Step: 130, Side: B, Kind: OpClose},
+	)
+	add(Scenario{
+		Name: "tail-loss-probe", TimeWaitTicks: 10, MaxSteps: 400, Ops: tail,
+		Faults: []Fault{{Kind: FaultDrop, At: 41}}, // the flight's fourth segment
+	})
+	add(Scenario{
+		Name: "recovery-stall", TimeWaitTicks: 10, MaxSteps: 400, Ops: tail,
+		Faults: []Fault{
+			{Kind: FaultDrop, At: 10},
+			{Kind: FaultDrop, At: 18}, // its fast retransmission
+		},
+	})
+
 	// TIME_WAIT's one rule (tcp.TW), which the protocol library's compact
 	// record runs once a connection that closed first is compacted, and a
 	// pcb in TIME_WAIT runs on its own state. A closes first. In the first

@@ -15,14 +15,16 @@ import (
 // one of its timers actually fires, so an idle connection costs nothing
 // per tick and timer CPU is charged per fire:
 //
-//   - Each connection registers a WheelEnt holding one slow-wheel and one
-//     fast-wheel timer plus lastSeen, the slow tick the connection's
-//     counters were last advanced to.
+//   - Each connection registers a WheelEnt holding one slow-wheel and two
+//     fast-wheel timers plus lastSeen and lastFast, the slow and fast ticks
+//     the connection's counters were last advanced to.
 //   - Sync, called with the connection's engine locked, first catches the
-//     tick counters up to the wheel clock (AdvanceSlowTicks — O(fires),
-//     and nothing can have fired unseen because the wheel is always armed
-//     for the earliest deadline), then re-arms the slow timer for
-//     NextSlowTicks and the fast timer iff a delayed ACK is pending.
+//     tick counters up to the wheel clocks (AdvanceSlowTicks and
+//     AdvanceFastTicks — O(fires), and nothing can have fired unseen
+//     because the wheels are always armed for the earliest deadline), then
+//     re-arms the slow timer for NextSlowTicks, the probe timer for
+//     NextFastTicks (the tail loss probe's exact deadline), and the
+//     delayed-ACK timer for the next tick iff a delayed ACK is pending.
 //   - Drive spawns the one fast/slow driver pair: each advances its wheel
 //     once per tick period and runs every due entry's Sync under that
 //     connection's engine lock.
@@ -57,8 +59,14 @@ type WheelEnt struct {
 	slowT, fastT timerwheel.Timer
 	lastSeen     uint64
 	slowDeadline uint64
+	// probeT is the tail loss probe's timer on the fast wheel, armed for
+	// its deadline and moved on each new ACK or send; lastFast is the fast
+	// tick the probe counter was last advanced to.
+	probeT        timerwheel.Timer
+	lastFast      uint64
+	probeDeadline uint64
 	// The timers' callbacks, bound once: Sync re-arms on most segments.
-	onSlow, onFast func()
+	onSlow, onFast, onProbe func()
 	// dropped entries stay dropped: the shell no longer drives this engine
 	// (it closed, or was handed to another shell while still live), so a
 	// later Sync or a fire already past the wheel must not re-arm it.
@@ -79,7 +87,8 @@ type TimeWaitEnt struct {
 
 // NewTCPWheel builds the two wheels: the slow wheel spans 2^16 ticks
 // (~9 virtual hours at 500 ms), far beyond the largest BSD timer; the fast
-// wheel only ever holds next-tick delayed-ACK deadlines.
+// wheel holds next-tick delayed-ACK deadlines and tail loss probes, at most
+// four ticks out.
 func NewTCPWheel() *TCPWheel {
 	return &TCPWheel{
 		slow: timerwheel.New(2, 256),
@@ -101,18 +110,19 @@ func (w *TCPWheel) Add(tc *tcp.Conn, owner any) *WheelEnt {
 
 // Init is Add onto an entry the caller supplies: one embedded in a
 // connection record that is reused. The entry must be dropped and Idle; it
-// keeps the two callbacks bound to it.
+// keeps the callbacks bound to it.
 func (w *TCPWheel) Init(e *WheelEnt, tc *tcp.Conn, owner any) {
-	onSlow, onFast := e.onSlow, e.onFast
+	onSlow, onFast, onProbe := e.onSlow, e.onFast, e.onProbe
 	if onSlow == nil {
-		onSlow, onFast = e.fireSlow, e.fireFast
+		onSlow, onFast, onProbe = e.fireSlow, e.fireFast, e.fireProbe
 	}
-	*e = WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now(), onSlow: onSlow, onFast: onFast}
+	*e = WheelEnt{Owner: owner, w: w, tc: tc, lastSeen: w.slow.Now(), lastFast: w.fast.Now(),
+		onSlow: onSlow, onFast: onFast, onProbe: onProbe}
 }
 
 // Scrub zeroes a dropped, idle entry its owner is putting aside for reuse,
 // but for the callbacks bound to it.
-func (e *WheelEnt) Scrub() { *e = WheelEnt{onSlow: e.onSlow, onFast: e.onFast} }
+func (e *WheelEnt) Scrub() { *e = WheelEnt{onSlow: e.onSlow, onFast: e.onFast, onProbe: e.onProbe} }
 
 // Idle reports that no fire of the entry is under way. A dropped, idle entry
 // is touched by nobody but its owner and may be reused.
@@ -124,6 +134,7 @@ func (w *TCPWheel) Drop(e *WheelEnt) {
 	e.dropped = true
 	w.slow.Cancel(&e.slowT)
 	w.fast.Cancel(&e.fastT)
+	w.fast.Cancel(&e.probeT)
 }
 
 // Compact moves e's connection, which its Sync has just left in TIME_WAIT
@@ -147,7 +158,7 @@ func (e *TimeWaitEnt) fire() { e.w.expire(e) }
 // connection's engine lock held. It advances the tick counters to "now"
 // (firing any counter whose deadline the wheel has reached — normally none
 // on engine entry, exactly one when called from a wheel fire), then
-// re-arms both wheel timers from the resulting counter state. On a dropped
+// re-arms the wheel timers from the resulting counter state. On a dropped
 // entry it does nothing: the engine operation that dropped it (a close, or
 // the registry's handoff of an ESTABLISHED pcb whose keepalive is armed)
 // is typically bracketed by an exit Sync.
@@ -159,6 +170,10 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 		e.lastSeen = w.slow.Now()
 		e.tc.AdvanceSlowTicks(int(n))
 	}
+	if n := w.fast.Now() - e.lastFast; n > 0 {
+		e.lastFast = w.fast.Now()
+		e.tc.AdvanceFastTicks(int(n))
+	}
 	next := e.tc.NextSlowTicks()
 	if next == 0 {
 		w.slow.Cancel(&e.slowT)
@@ -168,6 +183,12 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 			w.slow.Set(&e.slowT, uint64(next), e.onSlow)
 			e.slowDeadline = deadline
 		}
+	}
+	if next := e.tc.NextFastTicks(); next == 0 {
+		w.fast.Cancel(&e.probeT)
+	} else if deadline := w.fast.Now() + uint64(next); !e.probeT.Armed() || e.probeDeadline != deadline {
+		w.fast.Set(&e.probeT, uint64(next), e.onProbe)
+		e.probeDeadline = deadline
 	}
 	if e.tc.DelAckPending() {
 		if !e.fastT.Armed() {
@@ -204,8 +225,17 @@ func (e *WheelEnt) flushDelAck() {
 		return
 	}
 	e.w.Sync(e)
-	e.tc.FastTick()
+	e.tc.FlushDelAck()
 	e.w.Sync(e)
+}
+
+// fireProbe runs when the fast wheel reaches the tail loss probe's
+// deadline: Sync catches the probe counter up, which sends the probe, and
+// re-arms; like fireSlow, it does nothing more if the probe already went.
+func (e *WheelEnt) fireProbe() {
+	e.firing++
+	e.w.execFast(e, (*WheelEnt).sync)
+	e.firing--
 }
 
 // AdvanceSlow moves the slow wheel one tick, dispatching each due entry
@@ -220,7 +250,8 @@ func (w *TCPWheel) AdvanceSlow(exec func(e *WheelEnt, fn func(*WheelEnt))) int {
 	return fired
 }
 
-// AdvanceFast is AdvanceSlow for the 200 ms delayed-ACK wheel.
+// AdvanceFast is AdvanceSlow for the 200 ms wheel of delayed ACKs and tail
+// loss probes.
 func (w *TCPWheel) AdvanceFast(exec func(e *WheelEnt, fn func(*WheelEnt))) int {
 	w.execFast = exec
 	fired := w.fast.Advance(1)

@@ -124,10 +124,10 @@ func (p *tickPipe) until(t *testing.T, cond func() bool) {
 	}
 }
 
-// runLifecycle drives one connection through every timer the engine has:
-// a lossy handshake and transfer (retransmit, delayed ACK), a receiver
+// runLifecycle drives one connection through every BSD timer the engine
+// has: a lossy handshake and transfer (retransmit, delayed ACK), a receiver
 // that stops reading (persist), a long silence (keepalive), and an orderly
-// close (2MSL).
+// close (2MSL). The tail loss probe has its own run, runTailLoss.
 func runLifecycle(t *testing.T, wheel bool, seed int64) *tickPipe {
 	t.Helper()
 	p := newTickPipe(wheel, tcp.Config{MSS: 512, KeepAliveTicks: 40, TimeWaitTicks: 30})
@@ -248,13 +248,15 @@ func TestWheelFireOnDroppedEntryIsNoop(t *testing.T) {
 	// One data segment leaves a delayed ACK pending at the receiver, so
 	// both of its wheel timers are armed.
 	// (Sent on an odd step it arrives on an even one, which has no fast
-	// timeout to flush the ACK at once.)
+	// timeout to flush the ACK at once.) The sender's byte is still
+	// unacknowledged, so its tail loss probe is armed too: four timers, the
+	// two slow ones, the receiver's delayed ACK and the sender's probe.
 	p.until(t, func() bool { return p.step%2 == 1 })
 	p.engine(0, func(c *tcp.Conn) { c.Write([]byte("x")) })
 	p.advance()
 	p.advance()
-	if !p.conns[1].DelAckPending() || p.wheel.Armed() != 3 {
-		t.Fatalf("delayed ACK pending = %v, %d timers armed; want true, 3 (two slow, one fast)",
+	if !p.conns[1].DelAckPending() || p.wheel.Armed() != 4 {
+		t.Fatalf("delayed ACK pending = %v, %d timers armed; want true, 4 (two slow, delayed ACK, probe)",
 			p.conns[1].DelAckPending(), p.wheel.Armed())
 	}
 	sent := p.sent[1]
@@ -272,5 +274,52 @@ func TestWheelFireOnDroppedEntryIsNoop(t *testing.T) {
 	}
 	if n := p.wheel.Armed(); n != 0 {
 		t.Errorf("fires on a dropped entry left %d timers armed", n)
+	}
+}
+
+// runTailLoss warms a connection up, then loses the third segment of a
+// five-segment flight with nothing behind it, the loss only the tail loss
+// probe repairs without a time-out.
+func runTailLoss(t *testing.T, wheel bool) *tickPipe {
+	t.Helper()
+	p := newTickPipe(wheel, tcp.Config{MSS: 512})
+	buf := make([]byte, 4096)
+	read := func() {
+		p.engine(1, func(c *tcp.Conn) {
+			for c.Read(buf) > 0 {
+			}
+		})
+	}
+	p.engine(1, func(c *tcp.Conn) { c.OpenListen() })
+	p.engine(0, func(c *tcp.Conn) { c.OpenActive(1000) })
+	write := func(n int) {
+		p.engine(0, func(c *tcp.Conn) { c.Write(make([]byte, n)) })
+		for limit := p.step + 200; p.step < limit; p.advance() {
+			read()
+		}
+	}
+	p.until(t, func() bool { return p.conns[0].State() == tcp.Established })
+	write(8192)
+	p.drop[0][p.sent[0]+2] = true
+	write(5 * 512)
+	return p
+}
+
+// TestWheelProbeMatchesTickScan: the tail loss probe the fast wheel drives
+// from its own timer fires at the tick, and with the segments, that every
+// connection's FastTick gives, and repairs the loss with no time-out.
+func TestWheelProbeMatchesTickScan(t *testing.T) {
+	ref, got := runTailLoss(t, false), runTailLoss(t, true)
+	if !reflect.DeepEqual(ref.log, got.log) {
+		t.Fatalf("wheel and tick scan differ:\n tick scan: %q\n wheel:     %q", ref.log[0], got.log[0])
+	}
+	for _, p := range []*tickPipe{ref, got} {
+		st := p.conns[0].Stats()
+		if st.TailProbes != 1 || st.FastRexmits != 1 || st.Rexmits != 0 {
+			t.Fatalf("probes %d, fast %d, time-outs %d; want 1, 1, 0", st.TailProbes, st.FastRexmits, st.Rexmits)
+		}
+	}
+	if n := got.wheel.Armed(); n != 0 {
+		t.Errorf("%d wheel timers armed once the flight is acknowledged", n)
 	}
 }

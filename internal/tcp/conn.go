@@ -106,6 +106,12 @@ const (
 	// rexmtR1 is the RFC 1122 R1 threshold ("at least 3 retransmissions"
 	// before the advisory fires), capped at the connection's R2.
 	rexmtR1 = 3
+
+	// probeTicks is the tail loss probe's time-out (PTO) in fast-timeout
+	// ticks (200 ms each), one more with a single segment in flight: RFC
+	// 8985's two round trips, with room for the peer's 200 ms delayed ACK.
+	// A counter of k fires (k-1)*200 to k*200 ms after it is armed.
+	probeTicks = 3
 )
 
 // Config parameterizes a connection. The zero value is completed with
@@ -189,6 +195,7 @@ type Stats struct {
 	DelayedAcks, AcksSent int
 	WindowProbes          int
 	KeepProbes            int
+	TailProbes            int // tail loss probes sent (RFC 8985 §7)
 	R1Advisories          int // retransmit runs that crossed the R1 threshold
 	RexmtGiveUps          int // connections abandoned after exceeding R2
 	BadChecksumOrTrim     int
@@ -225,6 +232,8 @@ type Conn struct {
 	recover    Seq
 	inRecovery bool
 	dupHeld    bool
+	// probed: this tail has had its loss probe; a new ACK clears it.
+	probed bool
 
 	// Receive sequence space.
 	irs            Seq
@@ -250,6 +259,11 @@ type Conn struct {
 	rxtShift                       int
 	persistShift                   int
 	keepProbes                     int
+
+	// tProbe is the tail loss probe, in fast-timeout ticks; 0 = off. It is
+	// re-armed on every new ACK and send, so it stays out of
+	// Stats.TimerOps, which counts the BSD timers.
+	tProbe int
 
 	// RTT estimation (fixed point: srtt<<3, rttvar<<2), in ticks.
 	tRtt   int // running measurement; 0 = not timing
@@ -400,7 +414,21 @@ func (c *Conn) OpenListen() {
 	if c.state != Closed {
 		panic("tcp: OpenListen on non-closed connection")
 	}
+	c.renew()
 	c.setState(Listen, TrigUser)
+}
+
+// renew gives an open on a pcb that has closed Init's state, keeping its
+// configuration, endpoints, callbacks, trace label and any ISS set for it:
+// nothing of the old connection (its close, its FIN, its counters) carries
+// into the new one.
+func (c *Conn) renew() {
+	if !c.closedOnce {
+		return
+	}
+	bus, label, iss := c.bus, c.busLabel, c.iss
+	c.Init(c.cfg, c.local, c.peer, c.cb)
+	c.bus, c.busLabel, c.iss = bus, label, iss
 }
 
 // OpenActive starts a connection attempt (active open) with the given
@@ -410,6 +438,7 @@ func (c *Conn) OpenActive(iss Seq) {
 	if c.state != Closed {
 		panic("tcp: OpenActive on non-closed connection")
 	}
+	c.renew()
 	c.iss = iss
 	c.sndUna, c.sndNxt, c.sndMax, c.recover = iss, iss, iss, iss
 	c.snd.start = iss.Add(1) // first data byte follows the SYN
@@ -504,4 +533,5 @@ func (c *Conn) cancelTimers() {
 			c.stats.TimerOps++
 		}
 	}
+	c.tProbe = 0
 }

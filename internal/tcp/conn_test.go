@@ -542,3 +542,34 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("timer operations not counted")
 	}
 }
+
+// TestReopenAfterCloseStartsFresh: an open on a pcb whose connection has
+// closed starts a new connection. Nothing of the old one's close carries
+// over: the new one stays ESTABLISHED after its handshake, takes writes,
+// and reports its own close.
+func TestReopenAfterCloseStartsFresh(t *testing.T) {
+	n := newTestNet(t, Config{MSS: 1460, TimeWaitTicks: 2})
+	n.connect()
+	n.a.Close()
+	n.deliver()
+	n.b.Close()
+	for u := 0; u < 50 && (n.a.State() != Closed || n.b.State() != Closed); u++ {
+		n.tick()
+	}
+	if n.a.State() != Closed || n.b.State() != Closed {
+		t.Fatalf("first connection did not close: a=%v b=%v", n.a.State(), n.b.State())
+	}
+	n.aEvents.closed = false
+	n.b.OpenListen()
+	n.a.OpenActive(50_000)
+	n.deliver()
+	if n.a.State() != Established || n.b.State() != Established {
+		t.Fatalf("reopened: a=%v b=%v, want both ESTABLISHED", n.a.State(), n.b.State())
+	}
+	data := pattern(3000)
+	checkIntegrity(t, data, n.pump(n.a, n.b, data, 100))
+	n.a.Abort()
+	if !n.aEvents.closed || n.aEvents.closedErr != ErrReset {
+		t.Fatalf("second close reported %v (closed %v), want %v", n.aEvents.closedErr, n.aEvents.closed, ErrReset)
+	}
+}

@@ -381,6 +381,8 @@ func (c *Conn) processAck(h Header, payload int) bool {
 	if c.inRecovery {
 		c.recoveryAck(acked)
 	}
+	c.probed = false
+	c.armProbe()
 
 	if ackedData > 0 && c.cb.OnWritable != nil {
 		c.cb.OnWritable()
@@ -461,6 +463,7 @@ func (c *Conn) enterRecovery() {
 	c.halveWindow()
 	c.recover = c.sndMax
 	c.inRecovery = true
+	c.tProbe = 0
 	c.retransmitUna()
 	c.cwnd = c.ssthresh + 3*c.sndMSS
 	c.setTimer(&c.tRexmt, c.rxtCur)
@@ -494,7 +497,7 @@ func (c *Conn) retransmitUna() {
 	c.tRtt = 0 // Karn
 	if c.bus.Enabled() {
 		c.bus.Emit(trace.Event{Kind: trace.TCPRexmit, Conn: c.busLabel,
-			A: int64(c.rxtShift), B: int64(c.rxtCur), Text: "fast"})
+			A: int64(c.rxtShift), B: int64(c.rxtCur), C: int64(c.dupAcks), Text: "fast"})
 	}
 	saved := c.sndNxt
 	c.sndNxt = c.sndUna
@@ -532,4 +535,5 @@ func (c *Conn) cancelDataTimers() {
 	c.clearTimer(&c.tRexmt)
 	c.clearTimer(&c.tPersist)
 	c.clearTimer(&c.tKeep)
+	c.tProbe = 0
 }

@@ -10,6 +10,7 @@ package tcp
 // probe backoff) and blowing up the RTO.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -108,55 +109,62 @@ func TestPersistProbeNotTimedKarn(t *testing.T) {
 	}
 }
 
-// TestRetransmitNotSampledUnderLoss drops a data segment, forces a
-// retransmission timeout, and verifies the ACK of the retransmitted
-// segment does not feed the RTT estimator (the classic Karn case).
+// TestRetransmitNotSampledUnderLoss loses a lone segment sent so that its
+// probe falls due before the retransmission timer. The probe resends it
+// (Karn: its ACK gives no RTT sample) without a back-off, and the timer
+// stays armed; when the probe is lost too, the time-out repairs the loss,
+// and its ACK gives no sample either.
 func TestRetransmitNotSampledUnderLoss(t *testing.T) {
-	n := newTestNet(t, defaultCfg())
-	n.connect()
+	for _, tc := range []struct {
+		name                   string
+		lost                   int // transmissions of the segment lost
+		wantProbes, wantRexmit int
+	}{
+		{"probe repairs", 1, 1, 0},
+		{"probe lost, time-out repairs", 2, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newTestNet(t, defaultCfg())
+			n.connect()
 
-	// Prime the estimator with one clean round so srtt != 0.
-	got := n.pump(n.a, n.b, pattern(512), 50)
-	checkIntegrity(t, pattern(512), got)
+			// Prime the estimator with one clean round so srtt != 0.
+			got := n.pump(n.a, n.b, pattern(512), 50)
+			checkIntegrity(t, pattern(512), got)
 
-	// Wait out the last ACK so the next write is not Nagle-held.
-	for u := 0; u < 20 && n.a.sndUna != n.a.sndMax; u++ {
-		n.tick()
-	}
-
-	// Drop the next data segment from a once.
-	dropped := false
-	n.drop = func(dir string, h Header, payloadLen int) bool {
-		if dir == "a->b" && payloadLen > 0 && !dropped {
-			dropped = true
-			return true
-		}
-		return false
-	}
-	samplesBefore := n.a.stats.RTTSamples
-	if n.a.Write(pattern(256)) != 256 {
-		t.Fatal("write failed")
-	}
-	n.deliver()
-	if !dropped {
-		t.Fatal("fault injection never triggered")
-	}
-
-	// Run until the retransmission timer fires and the segment is
-	// re-sent and acknowledged.
-	rexBefore := n.a.stats.Rexmits
-	for u := 0; u < 200 && n.a.sndUna != n.a.sndMax; u++ {
-		n.tick()
-	}
-	if n.a.sndUna != n.a.sndMax {
-		t.Fatal("retransmission never recovered the loss")
-	}
-	if n.a.stats.Rexmits == rexBefore {
-		t.Fatal("no retransmission happened — test exercised nothing")
-	}
-	if n.a.stats.RTTSamples != samplesBefore {
-		t.Fatalf("RTT sample taken from a retransmitted segment (%d -> %d samples): Karn violation",
-			samplesBefore, n.a.stats.RTTSamples)
+			// Wait out the last ACK so the next write is not Nagle-held,
+			// and send just after a slow tick on a fast one: the probe
+			// (four fast ticks) then falls due 800 ms on, the time-out (two
+			// slow ticks) 1 s on.
+			for u := 0; u < 40 && (n.a.sndUna != n.a.sndMax || n.now%10 != 0); u++ {
+				n.tick()
+			}
+			if n.a.rxtCur != minRexmtTicks {
+				t.Fatalf("RTO %d ticks, want %d", n.a.rxtCur, minRexmtTicks)
+			}
+			log := traceProbes(n)
+			n.drop = dropSends([]int{1, 2}[:tc.lost]...)
+			if n.a.Write(pattern(256)) != 256 {
+				t.Fatal("write failed")
+			}
+			for u := 0; u < 200 && n.a.sndUna != n.a.sndMax; u++ {
+				n.tick()
+			}
+			if n.a.sndUna != n.a.sndMax {
+				t.Fatal("the loss was never repaired")
+			}
+			st := n.a.Stats()
+			if st.TailProbes != tc.wantProbes || st.Rexmits != tc.wantRexmit {
+				t.Fatalf("probes %d, time-outs %d; want %d, %d", st.TailProbes, st.Rexmits, tc.wantProbes, tc.wantRexmit)
+			}
+			// Nothing backs off before the probe, and the retransmission
+			// timer (two ticks) still runs, one tick from firing.
+			if want := []string{"shift 0, retransmission timer 1"}; !slices.Equal(log.probes, want) {
+				t.Fatalf("probes: %q, want %q", log.probes, want)
+			}
+			if len(log.samples) != 0 {
+				t.Fatalf("RTT samples %v taken from a resent segment: Karn violation", log.samples)
+			}
+		})
 	}
 }
 

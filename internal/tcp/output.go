@@ -188,7 +188,8 @@ func (c *Conn) outputOne(force bool) bool {
 			c.sndNxt = c.sndNxt.Add(1)
 		}
 	}
-	if c.sndMax.Less(c.sndNxt) {
+	newData := c.sndMax.Less(c.sndNxt)
+	if newData {
 		// Sending new data: start an RTT measurement if none is running.
 		if c.tRtt == 0 && (length > 0 || sendSYN || sendFIN) {
 			c.tRtt = 1
@@ -200,6 +201,9 @@ func (c *Conn) outputOne(force bool) bool {
 	// the persist machinery owns the channel).
 	if c.tRexmt == 0 && c.tPersist == 0 && c.sndNxt != c.sndUna {
 		c.setTimer(&c.tRexmt, c.rxtCur)
+	}
+	if newData {
+		c.armProbe()
 	}
 
 	if wa := c.rcvNxt.Add(adv); c.rcvAdv.Less(wa) {

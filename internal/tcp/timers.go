@@ -5,9 +5,10 @@ import "ulp/internal/trace"
 // Timer machinery in the 4.3BSD style: all protocol timers are tick
 // counters decremented by two periodic timeouts the shell drives — SlowTick
 // every 500 ms (retransmit, persist, keepalive, 2*MSL) and FastTick every
-// 200 ms (delayed acknowledgments). "Practically every message arrival and
-// departure involves timer operations": Stats.TimerOps counts them, while
-// the shells' SegCost charges a fixed two TimerOp per segment.
+// 200 ms (the tail loss probe, delayed acknowledgments). "Practically every
+// message arrival and departure involves timer operations": Stats.TimerOps
+// counts them, while the shells' SegCost charges a fixed two TimerOp per
+// segment.
 
 // rexmtBackoff is the BSD retransmission backoff table.
 var rexmtBackoff = [maxRexmtShift + 1]int{1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 64, 64}
@@ -78,13 +79,95 @@ func (c *Conn) persistBackoff() int {
 	return v
 }
 
-// FastTick is the 200 ms timeout: it flushes pending delayed ACKs.
+// FastTick is the 200 ms timeout: it counts the tail loss probe down, then
+// flushes a pending delayed ACK. The probe goes first so that a probe
+// armed by the flush's own send counts from the next tick, as it does when
+// a timer wheel drives the two separately (AdvanceFastTicks, FlushDelAck).
 func (c *Conn) FastTick() {
+	c.AdvanceFastTicks(1)
+	c.FlushDelAck()
+}
+
+// FlushDelAck sends a pending delayed ACK: FastTick's second half, which a
+// timer-wheel shell runs on its own delayed-ACK timer.
+func (c *Conn) FlushDelAck() {
 	if c.delAck {
 		c.delAck = false
 		c.ackNow = true
 		c.Output()
 	}
+}
+
+// NextFastTicks reports how many FastTicks from now the tail loss probe
+// fires, or 0 when it is not armed. A timer-wheel shell arms a fast-wheel
+// timer for exactly this many ticks.
+func (c *Conn) NextFastTicks() int { return c.tProbe }
+
+// AdvanceFastTicks applies n FastTicks' worth of the probe countdown, as
+// AdvanceSlowTicks does for the slow timers; the delayed ACK is not
+// flushed. The probe fires at most once: it is not re-armed until a new
+// ACK.
+func (c *Conn) AdvanceFastTicks(n int) {
+	if c.tProbe == 0 {
+		return
+	}
+	if n < c.tProbe {
+		c.tProbe -= n
+		return
+	}
+	c.tProbe = 0
+	c.probeTimeout()
+}
+
+// armProbe arms the tail loss probe for the flight now outstanding, or
+// disarms it where no probe is due: nothing is outstanding, the
+// retransmission timer does not cover it (the persist machinery owns a
+// zero window), recovery is repairing a loss, a time-out has backed off,
+// or this tail has had its probe. Called on every new ACK and every send
+// of new data, so the probe falls due a PTO after the last of them.
+func (c *Conn) armProbe() {
+	flight := c.sndMax.Diff(c.sndUna)
+	if flight == 0 || c.tRexmt == 0 || c.inRecovery || c.rxtShift != 0 || c.probed || !canSendData(c.state) {
+		c.tProbe = 0
+		return
+	}
+	c.tProbe = probeTicks
+	if flight <= c.sndMSS {
+		// A lone segment's ACK may wait out the peer's delayed-ACK timer.
+		c.tProbe++
+	}
+}
+
+// probeTimeout sends the tail loss probe (RFC 8985 §7): one more segment,
+// so that a receiver missing a segment of a flight too short to draw three
+// duplicate ACKs sends one more at once (RFC 5681 §4.2), and fast
+// retransmission can repair the hole without waiting for the
+// retransmission timer. Without SACK the probe can do nothing else:
+// the duplicate it draws says only that something is missing. It is new
+// data if the window (and Nagle) allow, else the highest segment sent
+// again. cwnd is raised one segment for this one send; the retransmission
+// timer stays armed and nothing backs off.
+func (c *Conn) probeTimeout() {
+	c.probed = true
+	c.stats.TailProbes++
+	if c.bus.Enabled() {
+		c.bus.Emit(trace.Event{Kind: trace.TCPRexmit, Conn: c.busLabel,
+			A: int64(c.rxtShift), B: int64(c.rxtCur), C: int64(c.sndUna), Text: "probe"})
+	}
+	cwnd, sndMax := c.cwnd, c.sndMax
+	c.cwnd += c.sndMSS
+	if c.sndNxt == c.sndMax {
+		c.outputOne(false)
+	}
+	if c.sndMax == sndMax {
+		// Karn: the resent segment must not be timed.
+		c.tRtt = 0
+		saved := c.sndNxt
+		c.sndNxt = seqMax(c.sndUna, c.sndMax.Add(-c.sndMSS))
+		c.outputOne(true)
+		c.sndNxt = seqMax(saved, c.sndNxt)
+	}
+	c.cwnd = cwnd
 }
 
 // SlowTick is the 500 ms timeout driving all other timers.
@@ -229,7 +312,9 @@ func (c *Conn) rexmtTimeout() {
 	}
 
 	// Collapse cwnd to one segment and leave fast recovery; duplicates for
-	// what was sent before now must not start it again.
+	// what was sent before now must not start it again. The probe waits for
+	// a new ACK.
+	c.tProbe = 0
 	c.halveWindow()
 	c.cwnd = c.sndMSS
 	c.dupAcks, c.dupHeld = 0, false

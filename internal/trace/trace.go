@@ -37,7 +37,7 @@ const (
 
 	// TCP engine events. Conn labels the connection.
 	TCPState    // state transition; Text = "OLD->NEW", A/B = old/new state ordinals, C = trigger class
-	TCPRexmit   // retransmission; Text = "timeout" or "fast", A = backoff shift, B = RTO ticks; on a timeout C = duplicate ACKs counted since the last new ACK or time-out
+	TCPRexmit   // retransmission; Text = "timeout", "fast" or "probe", A = backoff shift, B = RTO ticks; C = duplicate ACKs counted since the last new ACK or time-out (a fast retransmission that begins recovery has 3, one on a partial ACK 0). A "probe" is a tail loss probe — one segment, new data or the highest sent again, a probe time-out after the last new ACK or send, so that the peer sends the duplicate ACK a short flight cannot draw — and its C is snd_una
 	TCPRTO      // RTO updated from an RTT sample; A = sample ticks, B = new RTO ticks
 	TCPPersist  // zero-window probe sent; A = persist shift, B = interval ticks
 	TCPTimeWait // 2*MSL timer armed or re-armed; A = ticks until release
