@@ -18,10 +18,10 @@ func TestOutput(t *testing.T) {
 
 const want = `wire faults: 5% loss, 2% duplication, 2% corruption, 5% reordering
 
-transferred 204800/204800 bytes in 9.011s of virtual time
+transferred 204800/204800 bytes in 5.604s of virtual time
 integrity: byte-for-byte intact
 
-wire:   303 frames sent, 21 dropped, 6 corrupted, 11 duplicated, 12 reordered
-sender: 164 segments, 4 timeout retransmissions, 5 tail loss probes, 11 fast retransmissions, 45 dup-acks seen
-receiver: 153 segments received, 45 out-of-order arrivals queued for reassembly
+wire:   287 frames sent, 19 dropped, 6 corrupted, 11 duplicated, 11 reordered
+sender: 156 segments, 2 timeout retransmissions, 2 tail loss probes, 10 fast retransmissions, 35 dup-acks seen
+receiver: 149 segments received, 40 out-of-order arrivals queued for reassembly
 `

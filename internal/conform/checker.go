@@ -64,6 +64,7 @@ const (
 	RuleProbeRepeat   = "probe-repeat"        // second tail loss probe with no new ACK between
 	RuleProbeRecovery = "probe-in-recovery"   // tail loss probe during fast recovery
 	RuleProbeEarly    = "probe-early"         // tail loss probe within a fast tick of new data or an RTT sample
+	RuleFastEntry     = "fast-entry"          // fast recovery begun before an ACK covered the last recover
 )
 
 // connTrack is the checker's per-connection-label state.
@@ -115,10 +116,12 @@ type flowTrack struct {
 	sent      bool
 	sndEnd    tcp.Seq
 	newDataAt time.Duration
-	// recovering: the sender began fast recovery when it had sent up to
-	// recover; a time-out or an ACK of recover sent back ends it.
-	recovering bool
-	recover    tcp.Seq
+	// recover is what the sender had sent at its last recovery entry or
+	// time-out (once guarded): it begins recovery again only after an ACK
+	// of recover is sent back. recovering: that entry began fast recovery,
+	// which a time-out or an ACK of recover sent back ends.
+	recovering, guarded bool
+	recover             tcp.Seq
 	// probed: the sender probed its tail with snd_una at probeUna; an ACK
 	// above it sent back clears it.
 	probed   bool
@@ -305,11 +308,16 @@ func (k *Checker) onRexmit(e trace.Event) {
 	case fast && e.C > 0:
 		// Fast recovery begins (C counts the duplicates; a partial ACK's
 		// retransmission carries 0), unless an ACK of all the sender has
-		// sent is already on its way back to end it.
+		// sent is already on its way back to end it. Below the last
+		// recover, duplicates may echo the resends of a time-out.
 		rt := k.flows[reverse(ct.flow)]
-		ft.recovering, ft.recover = rt == nil || !rt.hasAck || rt.maxAck.Less(ft.sndEnd), ft.sndEnd
+		if ft.guarded && !rt.acks(ft.recover) {
+			k.report(e.Conn, e.At, RuleFastEntry,
+				fmt.Sprintf("fast recovery begun with no ACK of %d, sent up to at the last recovery or time-out", ft.recover), nil)
+		}
+		ft.recovering, ft.guarded, ft.recover = !rt.acks(ft.sndEnd), true, ft.sndEnd
 	case !fast:
-		ft.recovering = false
+		ft.recovering, ft.guarded, ft.recover = false, true, ft.sndEnd
 	}
 	if ct.seen {
 		if fast && !inSet(fastRexmitStates, ct.state) {
@@ -378,8 +386,13 @@ func (k *Checker) onProbe(e trace.Event, ct *connTrack, ft *flowTrack) {
 	// C is snd_una. An ACK above it already sent back may reach the sender
 	// and let it probe again with no further ACK to show for it.
 	una := tcp.Seq(uint32(e.C))
-	rt := k.flows[reverse(ct.flow)]
-	ft.probed, ft.probeUna = rt == nil || !rt.hasAck || rt.maxAck.Leq(una), una
+	ft.probed, ft.probeUna = !k.flows[reverse(ct.flow)].acks(una.Add(1)), una
+}
+
+// acks reports whether an ACK of s has been sent on flow ft (nil: none).
+// Sent is not received: the rules that use it err toward silence.
+func (ft *flowTrack) acks(s tcp.Seq) bool {
+	return ft != nil && ft.hasAck && s.Leq(ft.maxAck)
 }
 
 // reverse names the flow opposite f ("src>dst" becomes "dst>src").

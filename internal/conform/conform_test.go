@@ -388,42 +388,80 @@ func TestBusAttach(t *testing.T) {
 	}
 }
 
+// Sender-side rule scripts: the connection labelled conn sends from a to b,
+// and a step is one frame or trace event fed to the checker.
+const conn = "h1 10.0.0.1:1000>10.0.0.2:2000"
+
+var (
+	epA = tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 1000}
+	epB = tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
+)
+
+type step func(k *Checker)
+
+// data is a sends n bytes at seqn; ack is b acknowledging ackn.
+func data(at time.Duration, seqn tcp.Seq, n int) step {
+	return func(k *Checker) {
+		k.Segment(at, epA, epB, tcp.Header{Seq: seqn, Ack: 5000, Flags: tcp.FlagACK}, n)
+	}
+}
+
+func ack(at time.Duration, ackn tcp.Seq) step {
+	return func(k *Checker) {
+		k.Segment(at, epB, epA, tcp.Header{Seq: 5000, Ack: ackn, Flags: tcp.FlagACK}, 0)
+	}
+}
+
+func ev(e trace.Event) step {
+	return func(k *Checker) { e.Conn = conn; k.HandleEvent(e) }
+}
+
+func probe(at time.Duration, shift int64, una tcp.Seq) step {
+	return ev(trace.Event{At: at, Kind: trace.TCPRexmit, A: shift, B: 2, C: int64(una), Text: "probe"})
+}
+
+// fast is a fast retransmission after dups duplicates: 3 begins recovery,
+// 0 answers a partial ACK.
+func fast(at time.Duration, dups int64) step {
+	return ev(trace.Event{At: at, Kind: trace.TCPRexmit, B: 2, C: dups, Text: "fast"})
+}
+
+func timeout(at time.Duration) step {
+	return ev(trace.Event{At: at, Kind: trace.TCPRexmit, A: 1, B: 12, C: 1, Text: "timeout"})
+}
+
+// flight opens conn and has a send [101, 1601) in three segments at 1 s.
+var flight = []step{
+	ev(st(0, conn, tcp.Closed, tcp.SynSent, tcp.TrigUser)),
+	ev(st(100*time.Millisecond, conn, tcp.SynSent, tcp.Established, tcp.TrigSegment)),
+	ack(100*time.Millisecond, 101),
+	data(time.Second, 101, 500),
+	data(time.Second, 601, 500),
+	data(time.Second, 1101, 500),
+}
+
+// checkSteps feeds flight and then steps, and wants a report of rule alone,
+// or none if rule is "".
+func checkSteps(t *testing.T, steps []step, rule string) {
+	t.Helper()
+	k := New()
+	for _, s := range append(append([]step{}, flight...), steps...) {
+		s(k)
+	}
+	if rule == "" {
+		if vs := k.Violations(); len(vs) != 0 {
+			t.Fatalf("legal run flagged: %v", vs)
+		}
+		return
+	}
+	expectOne(t, k, rule)
+}
+
 // TestProbeRules: a tail loss probe comes once per tail until an ACK above
 // the snd_una it probed at, never in fast recovery, never within a fast
 // tick of new data or an RTT sample, and never after a back-off.
 func TestProbeRules(t *testing.T) {
-	const conn = "h1 10.0.0.1:1000>10.0.0.2:2000"
-	a := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 1000}
-	b := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 2}, Port: 2000}
 	ms := time.Millisecond
-	type step func(k *Checker)
-	data := func(at time.Duration, seqn tcp.Seq, n int) step {
-		return func(k *Checker) {
-			k.Segment(at, a, b, tcp.Header{Seq: seqn, Ack: 5000, Flags: tcp.FlagACK}, n)
-		}
-	}
-	ack := func(at time.Duration, ackn tcp.Seq) step {
-		return func(k *Checker) {
-			k.Segment(at, b, a, tcp.Header{Seq: 5000, Ack: ackn, Flags: tcp.FlagACK}, 0)
-		}
-	}
-	ev := func(e trace.Event) step {
-		return func(k *Checker) { e.Conn = conn; k.HandleEvent(e) }
-	}
-	probe := func(at time.Duration, shift int64, una tcp.Seq) step {
-		return ev(trace.Event{At: at, Kind: trace.TCPRexmit, A: shift, B: 2, C: int64(una), Text: "probe"})
-	}
-	fast := func(at time.Duration, dups int64) step {
-		return ev(trace.Event{At: at, Kind: trace.TCPRexmit, B: 2, C: dups, Text: "fast"})
-	}
-	flight := []step{
-		ev(st(0, conn, tcp.Closed, tcp.SynSent, tcp.TrigUser)),
-		ev(st(100*ms, conn, tcp.SynSent, tcp.Established, tcp.TrigSegment)),
-		ack(100*ms, 101),
-		data(time.Second, 101, 500),
-		data(time.Second, 601, 500),
-		data(time.Second, 1101, 500),
-	}
 	for _, tc := range []struct {
 		name  string
 		steps []step
@@ -437,25 +475,38 @@ func TestProbeRules(t *testing.T) {
 		{"probe in recovery", []step{fast(1200*ms, 3), probe(1800*ms, 0, 101)}, RuleProbeRecovery},
 		{"partial ACK keeps recovery", []step{fast(1200*ms, 3), ack(1300*ms, 601), fast(1300*ms, 0), probe(1900*ms, 0, 601)}, RuleProbeRecovery},
 		{"full ACK ends recovery", []step{fast(1200*ms, 3), ack(1300*ms, 1601), data(1400*ms, 1601, 500), probe(2000*ms, 0, 1601)}, ""},
-		{"time-out ends recovery", []step{fast(1200*ms, 3),
-			ev(trace.Event{At: 2 * time.Second, Kind: trace.TCPRexmit, A: 1, B: 12, C: 1, Text: "timeout"}),
-			ack(2100*ms, 601), probe(2700*ms, 0, 601)}, ""},
+		{"time-out ends recovery", []step{fast(1200*ms, 3), timeout(2 * time.Second), ack(2100*ms, 601), probe(2700*ms, 0, 601)}, ""},
 		{"probe right after new data", []step{data(1100*ms, 1601, 500), probe(1200*ms, 0, 101)}, RuleProbeEarly},
 		{"probe right after an RTT sample", []step{ev(trace.Event{At: 1400 * ms, Kind: trace.TCPRTO, A: 1, B: 2}), probe(1500*ms, 0, 101)}, RuleProbeEarly},
 		{"probe after a back-off", []step{probe(1500*ms, 1, 101)}, RuleRexmitRange},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := New()
-			for _, s := range append(append([]step{}, flight...), tc.steps...) {
-				s(k)
-			}
-			if tc.rule == "" {
-				if vs := k.Violations(); len(vs) != 0 {
-					t.Fatalf("legal probe flagged: %v", vs)
-				}
-				return
-			}
-			expectOne(t, k, tc.rule)
-		})
+		t.Run(tc.name, func(t *testing.T) { checkSteps(t, tc.steps, tc.rule) })
+	}
+}
+
+// TestFastEntryRule: three duplicates begin fast recovery only once an ACK
+// of recover, what was sent at the last recovery entry or time-out, has
+// been sent back; the first recovery needs none. Below recover they may
+// echo a time-out's resends.
+func TestFastEntryRule(t *testing.T) {
+	ms := time.Millisecond
+	// The next flight, [1601, 3101), which b acknowledges only to 1601.
+	next := []step{data(2200*ms, 1601, 500), data(2200*ms, 2101, 500), data(2200*ms, 2601, 500)}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		rule  string // "" for none
+	}{
+		{"first recovery", []step{fast(1200*ms, 3)}, ""},
+		{"partial ACK's retransmission", []step{fast(1200*ms, 3), ack(1300*ms, 601), fast(1300*ms, 0)}, ""},
+		{"full ACK at recover, recovery", append([]step{fast(1200*ms, 3), ack(1300*ms, 1601)}, append(next, fast(2400*ms, 3))...), ""},
+		{"recovery with recover unacknowledged", []step{fast(1200*ms, 3), ack(1300*ms, 1101), fast(1400*ms, 3)}, RuleFastEntry},
+		{"time-out, ACK of recover, recovery", append([]step{timeout(2 * time.Second), ack(2100*ms, 1601)}, append(next, fast(2400*ms, 3))...), ""},
+		{"time-out, duplicates below recover", []step{timeout(2 * time.Second), ack(2100*ms, 601), fast(2300*ms, 3)}, RuleFastEntry},
+		// The ACK of recover was sent before the time-out and is lost or
+		// late; the sender may have it only after.
+		{"ACK of recover on its way at the time-out", append([]step{ack(1900*ms, 1601), timeout(2 * time.Second)}, append(next, fast(2400*ms, 3))...), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSteps(t, tc.steps, tc.rule) })
 	}
 }

@@ -31,7 +31,10 @@ func TestLibraryFullCoverage(t *testing.T) {
 // to. In the first, A's probe draws the duplicate that starts fast
 // retransmission, which repairs the hole with no time-out; in the second,
 // fast retransmission starts with no probe, is lost, and the time-out
-// repairs it.
+// repairs it; in the third, a loss right after a recovery's full ACK at
+// recover is repaired by a second fast retransmission, with no time-out;
+// in the fourth, three duplicates below a time-out's recover start no
+// recovery, and a second time-out repairs the hole.
 func TestTailLossScenarios(t *testing.T) {
 	for _, tc := range []struct {
 		name                   string
@@ -39,6 +42,8 @@ func TestTailLossScenarios(t *testing.T) {
 	}{
 		{"tail-loss-probe", 1, 1, 0},
 		{"recovery-stall", 0, 1, 1},
+		{"recovery-back-to-back", 1, 2, 0},
+		{"timeout-below-recover", 2, 0, 2},
 	} {
 		sc, _ := ScenarioByName(tc.name)
 		res := Run(sc, nil)

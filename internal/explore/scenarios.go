@@ -288,7 +288,15 @@ func Library() []Scenario {
 	// retransmission repairs the hole. In the second scenario a loss in the
 	// first write starts fast retransmission, which is lost too: recovery
 	// stalls until the retransmission timer, and no probe may go in between
-	// (conform's probe rules).
+	// (conform's probe rules). In the third the same loss is repaired, the
+	// full ACK lands exactly on recover, and the first segment sent above
+	// it is lost: the duplicates it draws (one of them after a probe) start
+	// the next recovery at once (conform's fast-entry rule), with no
+	// time-out. In the fourth, B's first ACK and A's probe are lost, and A
+	// times out; its resend is acknowledged, and the next segment is lost
+	// too. The three duplicates it draws lie below the time-out's recover,
+	// where they may echo its resends: they start no recovery (fast-entry
+	// again), and a second time-out repairs the hole.
 	tail := withOpen(
 		Op{Step: 10, Side: A, Kind: OpWrite, Arg: 8192},
 		Op{Step: 60, Side: A, Kind: OpWrite, Arg: 2560},
@@ -304,6 +312,21 @@ func Library() []Scenario {
 		Faults: []Fault{
 			{Kind: FaultDrop, At: 10},
 			{Kind: FaultDrop, At: 18}, // its fast retransmission
+		},
+	})
+	add(Scenario{
+		Name: "recovery-back-to-back", TimeWaitTicks: 10, MaxSteps: 400, Ops: tail,
+		Faults: []Fault{
+			{Kind: FaultDrop, At: 10},
+			{Kind: FaultDrop, At: 19}, // the first segment above recover
+		},
+	})
+	add(Scenario{
+		Name: "timeout-below-recover", TimeWaitTicks: 10, MaxSteps: 400, Ops: tail,
+		Faults: []Fault{
+			{Kind: FaultDrop, At: 4}, // B's ACK of the first segment
+			{Kind: FaultDrop, At: 5}, // A's probe
+			{Kind: FaultDrop, At: 8}, // the segment after the time-out's resend
 		},
 	})
 

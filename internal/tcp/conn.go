@@ -225,10 +225,11 @@ type Conn struct {
 	dupAcks                int
 
 	// NewReno fast recovery (RFC 6582): recover is snd_max when recovery
-	// last began (or a time-out fired), kept within 2^31 of snd_una by
-	// pulling it up on every new ACK outside recovery. dupHeld is an ACK at
-	// snd_una that moved the window, held until a true duplicate counts it
-	// (processAck).
+	// last began (or a time-out fired); an ACK at or above it covers all
+	// that was sent then, ends recovery and lets three duplicates start the
+	// next. Pulled up to snd_una on every new ACK outside recovery, it stays
+	// within 2^31. dupHeld is an ACK at snd_una that moved the window, held
+	// until a true duplicate counts it (processAck).
 	recover    Seq
 	inRecovery bool
 	dupHeld    bool

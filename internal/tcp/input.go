@@ -441,10 +441,9 @@ func (c *Conn) dupAck() {
 	switch {
 	case c.inRecovery:
 		c.cwnd += c.sndMSS
-	case c.dupAcks == 3 && c.recover.Less(c.sndUna):
-		// recover is snd_max as it stood when recovery last began or a
-		// time-out fired. Until an ACK covers data first sent after that,
-		// duplicates may be echoes of that loss, not a new one.
+	case c.dupAcks == 3 && c.recover.Leq(c.sndUna):
+		// The ACK covers recover, as a full ACK does (recoveryAck). Below
+		// it, duplicates may echo the go-back-N resends of a time-out.
 		c.enterRecovery()
 	case c.dupAcks < 3 && c.sndNxt == c.sndMax:
 		// One segment beyond cwnd per duplicate so far; Nagle,

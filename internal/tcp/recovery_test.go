@@ -227,6 +227,71 @@ func TestDupAcksFromBeforeTimeoutDoNotStartRecovery(t *testing.T) {
 	}
 }
 
+// TestLossAfterFullAckAtRecoverRepairedFast: a fast recovery ends on a
+// full ACK exactly at recover, and the first segment sent after it is lost.
+// That ACK covers recover, so the three duplicates the loss draws start the
+// next recovery; refusing them until snd_una passes recover leaves the hole
+// to the retransmission timer.
+func TestLossAfterFullAckAtRecoverRepairedFast(t *testing.T) {
+	n := newTestNet(t, defaultCfg())
+	n.connect()
+	warmUp(t, n)
+	first, next, lost := dropSends(3), Seq(0), false
+	n.drop = func(dir string, h Header, pl int) bool {
+		if first(dir, h, pl) {
+			return true
+		}
+		if dir == "a->b" && pl > 0 && !lost && n.a.stats.FastRexmits == 1 && !n.a.inRecovery {
+			next, lost = h.Seq, true
+			return true
+		}
+		return false
+	}
+	var exits []Seq
+	n.around = func(c *Conn, h Header, input func()) {
+		was, recover := c.inRecovery, c.recover
+		input()
+		if c == n.a && was && !c.inRecovery {
+			if c.sndUna != recover {
+				t.Errorf("full ACK at %d, want exactly recover %d", c.sndUna, recover)
+			}
+			exits = append(exits, c.sndUna)
+		}
+	}
+	data := pattern(20000)
+	checkIntegrity(t, data, n.pump(n.a, n.b, data, 10000))
+	if !lost || len(exits) == 0 || next != exits[0] {
+		t.Fatalf("lost %v at %d, recoveries left at %v; want the segment at the first full ACK lost", lost, next, exits)
+	}
+	if st := n.a.Stats(); st.Rexmits != 0 || st.FastRexmits != 2 {
+		t.Fatalf("time-outs %d, fast %d; want 0 and 2 (one recovery per loss)", st.Rexmits, st.FastRexmits)
+	}
+}
+
+// TestDupAcksAfterTimeoutCoveredStartRecovery: once an ACK covers all that
+// was sent before a time-out, duplicates can no longer echo its go-back-N
+// resends, and three of them start fast recovery for a new hole.
+func TestDupAcksAfterTimeoutCoveredStartRecovery(t *testing.T) {
+	n := flight(t)
+	una := n.a.sndUna
+	for n.a.Stats().Rexmits == 0 {
+		n.a.SlowTick()
+	}
+	n.toB = nil
+	ackA(n, una, 5, 8192) // everything sent before the time-out
+	if n.a.sndUna != n.a.recover {
+		t.Fatalf("snd_una %d after the ACK, want recover %d", n.a.sndUna, n.a.recover)
+	}
+	n.a.Write(pattern(4 * mss))
+	n.toB = nil // the first of them is lost
+	for range 3 {
+		ackA(n, una, 5, 8192)
+	}
+	if st := n.a.Stats(); st.FastRexmits != 1 || !n.a.inRecovery {
+		t.Fatalf("fast %d, in recovery %v; want three duplicates to start recovery", st.FastRexmits, n.a.inRecovery)
+	}
+}
+
 // TestRecoveryAcrossWrapAndRestore: recover follows snd_una, so fast recovery
 // still starts after the sequence space wraps from an ISS just below 2^32,
 // and on a connection rebuilt from a snapshot.

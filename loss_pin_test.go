@@ -20,9 +20,9 @@ import (
 func TestLossRecoveryPinned(t *testing.T) {
 	const (
 		flows, perFlow, write = 8, 512 << 10, 4096
-		wantDone              = time.Duration(4008793888)
-		wantTimeouts          = 9
-		wantFast              = 70
+		wantDone              = time.Duration(2627072756)
+		wantTimeouts          = 4
+		wantFast              = 89
 	)
 	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
 	enableConformance(t, w)
