@@ -235,6 +235,7 @@ func TestChaosAdoptedConnectionCrashResetsPeer(t *testing.T) {
 			Crashes:      []chaos.CrashPoint{{Host: 1, App: "client", At: 6 * time.Second}},
 		},
 	})
+	enableConformance(t, w)
 	srv := w.Node(0).App("server")
 	cli := w.Node(1).App("client")
 	var errs []error
@@ -1034,9 +1035,11 @@ func TestChaosShardCrashesUnderChurnLeaveNoLeaks(t *testing.T) {
 
 // An application whose connections were handed off by two registry shards
 // dies after one shard has crashed for good. The dead shard never runs its
-// crash sweep, so its record of the connection it handed off is gone with
-// it; the survivor's sweep ends with the module's RevokeOwner, which is the
-// only thing left that can revoke that channel and unpin its region.
+// crash sweep; the survivor's sweep revokes, through the module's
+// RevokeOwner, every endpoint issued to the application, so the one the dead
+// shard issued is revoked and its region unpinned too. Both peers are reset
+// by the probe: the one of the dead shard's connection is answered by the
+// survivor, since no endpoint on the host claims its tuple any more.
 func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
 	trackPoolLeaks(t)
 	w := NewWorld(Config{
@@ -1048,16 +1051,26 @@ func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
 			Crashes: []chaos.CrashPoint{{Host: 0, App: "client", At: 400 * time.Millisecond}},
 		},
 	})
+	enableConformance(t, w)
 	srv := w.Node(1).App("server")
 	cli := w.Node(0).App("client")
-	accepted := 0
+	var errs []error
 	srv.Go("srv", func(th *kern.Thread) {
 		l, _ := srv.Stack.Listen(th, 80, stacks.Options{})
 		for range 2 {
-			if _, err := l.Accept(th); err != nil {
+			c, err := l.Accept(th)
+			if err != nil {
 				return
 			}
-			accepted++
+			srv.Go("read", func(th *kern.Thread) {
+				buf := make([]byte, 64)
+				for {
+					if n, err := c.Read(th, buf); err != nil || n == 0 {
+						errs = append(errs, err)
+						return
+					}
+				}
+			})
 		}
 	})
 	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
@@ -1072,9 +1085,8 @@ func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
 	})
 	mod := w.Node(0).Mod
 	w.Run(300 * time.Millisecond)
-	if accepted != 2 || mod.LiveCapabilities(cli.Dom) != 2 {
-		t.Fatalf("before the application crash: %d accepted, %d capabilities held; want 2, 2",
-			accepted, mod.LiveCapabilities(cli.Dom))
+	if mod.LiveCapabilities(cli.Dom) != 2 {
+		t.Fatalf("before the application crash: %d capabilities held, want 2", mod.LiveCapabilities(cli.Dom))
 	}
 	if Counter(t, w, "registry.h0.shard1.live") != 0 {
 		t.Fatal("shard 1 did not crash")
@@ -1082,6 +1094,9 @@ func TestChaosRevokeOwnerReclaimsDeadShardsChannel(t *testing.T) {
 	w.Run(time.Second)
 	if !cli.Dom.Dead() {
 		t.Fatal("crash point did not fire")
+	}
+	if len(errs) != 2 || errs[0] != stacks.ErrReset || errs[1] != stacks.ErrReset {
+		t.Errorf("the server's readers ended with %v, want two resets", errs)
 	}
 	if got := mod.LiveCapabilities(cli.Dom); got != 0 {
 		t.Errorf("%d capabilities of the dead application left in host 0's module", got)

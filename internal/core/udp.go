@@ -197,5 +197,5 @@ func (u *UDPConn) parse(b *pkt.Buf) (udp.Datagram, bool) {
 // Close releases the end-point.
 func (u *UDPConn) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	u.lib.svcDefault().Send(t, kern.Msg{Op: "unbind-udp", Body: registry.UnbindUDPReq{Cap: u.cap}})
+	u.lib.svcDefault().Send(t, kern.Msg{Op: "unbind-udp", Body: registry.TeardownReq{Cap: u.cap}})
 }

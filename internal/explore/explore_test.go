@@ -34,23 +34,25 @@ func TestLibraryFullCoverage(t *testing.T) {
 // repairs it; in the third, a loss right after a recovery's full ACK at
 // recover is repaired by a second fast retransmission, with no time-out;
 // in the fourth, three duplicates below a time-out's recover start no
-// recovery, and a second time-out repairs the hole.
+// recovery, and a second time-out repairs the hole. A's segment count pins
+// that every probe puts a segment on the wire: the fourth's probe at 4.9 s
+// resends the highest segment of a flight limited transmit took past cwnd.
 func TestTailLossScenarios(t *testing.T) {
 	for _, tc := range []struct {
-		name                   string
-		probes, fast, timeouts int
+		name                         string
+		probes, fast, timeouts, segs int
 	}{
-		{"tail-loss-probe", 1, 1, 0},
-		{"recovery-stall", 0, 1, 1},
-		{"recovery-back-to-back", 1, 2, 0},
-		{"timeout-below-recover", 2, 0, 2},
+		{"tail-loss-probe", 1, 1, 0, 27},
+		{"recovery-stall", 0, 1, 1, 27},
+		{"recovery-back-to-back", 1, 2, 0, 27},
+		{"timeout-below-recover", 2, 0, 2, 25},
 	} {
 		sc, _ := ScenarioByName(tc.name)
 		res := Run(sc, nil)
 		st := res.Stats[A]
-		if st.TailProbes != tc.probes || st.FastRexmits != tc.fast || st.Rexmits != tc.timeouts {
-			t.Errorf("%s: probes %d, fast %d, time-outs %d; want %d, %d, %d", tc.name,
-				st.TailProbes, st.FastRexmits, st.Rexmits, tc.probes, tc.fast, tc.timeouts)
+		if st.TailProbes != tc.probes || st.FastRexmits != tc.fast || st.Rexmits != tc.timeouts || st.SegsSent != tc.segs {
+			t.Errorf("%s: probes %d, fast %d, time-outs %d, segments %d; want %d, %d, %d, %d", tc.name,
+				st.TailProbes, st.FastRexmits, st.Rexmits, st.SegsSent, tc.probes, tc.fast, tc.timeouts, tc.segs)
 		}
 		if res.Final != [2]tcp.State{tcp.Closed, tcp.Closed} || len(res.Violations) != 0 {
 			t.Errorf("%s: final %v, violations %v", tc.name, res.Final, res.Violations)

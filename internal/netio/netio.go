@@ -111,9 +111,9 @@ type Capability struct {
 	owner *kern.Domain
 }
 
-// Template returns the header template the capability was created with. A
-// restarted registry rebuilds its connection map from these — the module is
-// the authoritative ground truth for what endpoints exist.
+// Template returns the header template the capability was created with: the
+// registry reads an endpoint's four-tuple from it, since the module, not the
+// registry, is the authoritative record of what endpoints exist.
 func (c *Capability) Template() Template { return c.template }
 
 // Owner returns the application domain the capability was issued to (nil
@@ -160,7 +160,7 @@ type Channel struct {
 	id         uint64 // owning capability's id (trace correlation)
 	bqi        uint16 // nonzero on AN1
 	mod        *Module
-	bd         *binding // software demux entry (nil on AN1 / raw kernel)
+	bd         *binding // its entry in Module.steer
 	// rec is the record the channel is part of; disowned marks that the
 	// consumer has let go of it (Disown).
 	rec      *chanRec
@@ -437,13 +437,13 @@ func (r *chanRec) Scrub() {
 	r.bd = binding{}
 }
 
-// binding is one software demux entry, installed in Module.steer under key.
+// binding is one endpoint table entry, installed in Module.steer under key.
 type binding struct {
 	ch  *Channel
 	key steerKey
 }
 
-// steerKey indexes the software demux table. An endpoint's key is its
+// steerKey indexes the endpoint table. An endpoint's key is its
 // Spec's fields — protocol, local address and port, remote address and
 // port — with the remote half zeroed for a listener; a raw channel's key is
 // its EtherType alone.
@@ -474,10 +474,12 @@ func steerKeys(hdrLen int, frame []byte) (full, wild steerKey, ok bool) {
 		return
 	}
 	full = steerKey{proto: d.Proto, localIP: d.Dst, localPort: dst, remoteIP: d.Src, remotePort: src}
-	wild = full
-	wild.remoteIP = ipv4.Addr{}
-	wild.remotePort = 0
-	return full, wild, true
+	return full, full.port(), true
+}
+
+// port is the key's listener form: its local half.
+func (k steerKey) port() steerKey {
+	return steerKey{proto: k.proto, localIP: k.localIP, localPort: k.localPort}
 }
 
 // steerable returns a Spec's key: a fully specified five-tuple, or a
@@ -515,11 +517,14 @@ type Module struct {
 	// post costs a SemSignal and wakes nobody.
 	unattached Doorbell
 
-	// steer is the software demux table: fully specified five-tuple
-	// endpoints, listener endpoints (remote wildcarded) and raw EtherType
-	// channels, each under its own key. An inbound frame consults its
-	// five-tuple, then its listener form, then its EtherType.
+	// steer is the endpoint table: fully specified five-tuple endpoints,
+	// listener endpoints (remote wildcarded) and raw EtherType channels, each
+	// under its own key. On a device without hardware demultiplexing it is
+	// the software demux too: an inbound frame consults its five-tuple, then
+	// its listener form, then its EtherType. bound counts the endpoints on
+	// each local port, under the listener form of their keys.
 	steer map[steerKey]*binding
+	bound map[steerKey]int
 
 	defaultRx netdev.RxHandler
 
@@ -565,6 +570,7 @@ func New(h *kern.Host, dev netdev.Device) *Module {
 		nextBQI:   1,
 		caps:      make(map[uint64]*Capability),
 		steer:     make(map[steerKey]*binding),
+		bound:     make(map[steerKey]int),
 	}
 	m.unattached.Init(h)
 	dev.SetRxHandler(m.rxSoftware)
@@ -772,8 +778,8 @@ func (m *Module) CreateRawChannel(from *kern.Domain, et link.EtherType, tmpl Tem
 	return m.createChannel(from, nil, steerKey{etherType: et}, tmpl, ringSize, 0)
 }
 
-// createChannel installs the channel; where demultiplexing is in software,
-// its binding goes into the steering table under key.
+// createChannel installs the channel, with its binding in the endpoint table
+// under key.
 func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Template, ringSize int, reservedBQI uint16) (*Capability, *Channel, error) {
 	if m.FailSetup != nil {
 		if err := m.FailSetup("create"); err != nil {
@@ -781,7 +787,7 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 		}
 	}
 	an1, hardware := m.dev.(*netdev.AN1)
-	if !hardware && m.steer[key] != nil {
+	if m.steer[key] != nil {
 		return nil, nil, fmt.Errorf("netio: demux key %+v already has a channel", key)
 	}
 	if ringSize <= 0 {
@@ -829,11 +835,11 @@ func (m *Module) createChannel(from, owner *kern.Domain, key steerKey, tmpl Temp
 			}
 		}
 		an1.InstallRing(ch.bqi, &rec.ring, ringSize, rec.rx)
-	} else {
-		rec.bd = binding{ch: ch, key: key}
-		m.steer[key] = &rec.bd
-		ch.bd = &rec.bd
 	}
+	rec.bd = binding{ch: ch, key: key}
+	m.steer[key] = &rec.bd
+	ch.bd = &rec.bd
+	m.bound[key.port()]++
 	return cap, ch, nil
 }
 
@@ -855,10 +861,13 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 		}
 		m.freeBQI = append(m.freeBQI, cap.ch.bqi)
 	}
-	if bd := cap.ch.bd; bd != nil {
-		delete(m.steer, bd.key)
-		cap.ch.bd = nil
+	delete(m.steer, cap.ch.bd.key)
+	if pk := cap.ch.bd.key.port(); m.bound[pk] > 1 {
+		m.bound[pk]--
+	} else {
+		delete(m.bound, pk)
 	}
+	cap.ch.bd = nil
 	// Packets still queued in the ring die with the channel: nobody will
 	// ever drain it again, so they must be returned to the pool here or
 	// they leak (found by the pool leak report under the chaos scenarios).
@@ -914,6 +923,23 @@ func (m *Module) Reissue(from *kern.Domain, cap *Capability) error {
 	return nil
 }
 
+// Endpoint returns the installed endpoint whose key tmpl's protocol and
+// addresses spell (a listener's with the remote half zero), or nil.
+func (m *Module) Endpoint(tmpl Template) *Capability {
+	bd := m.steer[steerKey{proto: tmpl.Proto, localIP: tmpl.LocalIP, localPort: tmpl.LocalPort,
+		remoteIP: tmpl.RemoteIP, remotePort: tmpl.RemotePort}]
+	if bd == nil {
+		return nil
+	}
+	return m.caps[bd.ch.id]
+}
+
+// PortHeld reports whether an installed endpoint of protocol proto is bound
+// to local address ip and port.
+func (m *Module) PortHeld(proto uint8, ip ipv4.Addr, port uint16) bool {
+	return m.bound[steerKey{proto: proto, localIP: ip, localPort: port}] > 0
+}
+
 // Installed reports whether cap is a currently valid capability of this
 // module (the registry checks the capability a request names with it).
 func (m *Module) Installed(cap *Capability) bool {
@@ -921,10 +947,10 @@ func (m *Module) Installed(cap *Capability) bool {
 }
 
 // InstalledEndpoints enumerates every live capability, ordered by id
-// (deterministic). A restarted registry rebuilds its port table and
-// connection map from these — the in-kernel module, not the crashed server's
-// memory, is the authoritative record of what exists; exactly the paper's
-// trust split between the module and the registry.
+// (deterministic). The registry's recovery and crash sweeps walk these — the
+// in-kernel module, not a server's memory, is the authoritative record of
+// what exists; exactly the paper's trust split between the module and the
+// registry.
 func (m *Module) InstalledEndpoints(from *kern.Domain) ([]*Capability, error) {
 	if !from.Privileged {
 		return nil, fmt.Errorf("netio: endpoint enumeration from unprivileged domain %s", from)
@@ -938,20 +964,20 @@ func (m *Module) InstalledEndpoints(from *kern.Domain) ([]*Capability, error) {
 
 // RevokeOwner reclaims every resource issued to a dead application: its
 // capabilities are revoked, demux bindings and hardware rings removed, and
-// shared regions unpinned. It returns the number of capabilities revoked.
-// This is the network I/O module's half of crash-failure reclamation — it
-// runs even if the registry's own records were incomplete, so a crash can
-// never leak kernel resources.
-func (m *Module) RevokeOwner(from *kern.Domain, owner *kern.Domain) (int, error) {
+// shared regions unpinned. It returns the capabilities revoked, in id order.
+// This is the network I/O module's half of crash-failure reclamation, and
+// the registry's crash sweep: the module's records are the only ones there
+// are, so a crash can never leak kernel resources.
+func (m *Module) RevokeOwner(from *kern.Domain, owner *kern.Domain) ([]*Capability, error) {
 	if !from.Privileged {
-		return 0, fmt.Errorf("netio: owner revocation from unprivileged domain %s", from)
+		return nil, fmt.Errorf("netio: owner revocation from unprivileged domain %s", from)
 	}
-	revoked := 0
+	var revoked []*Capability
 	// Capability-id order: on the AN1 the order decides which ring indices
 	// the next set-ups reuse.
 	for _, id := range slices.Sorted(maps.Keys(m.caps)) {
-		if cap, ok := m.caps[id]; ok && cap.owner == owner && m.DestroyChannel(from, cap) == nil {
-			revoked++
+		if cap := m.caps[id]; cap.owner == owner && m.DestroyChannel(from, cap) == nil {
+			revoked = append(revoked, cap)
 		}
 	}
 	return revoked, nil
@@ -1007,7 +1033,7 @@ func (m *Module) Describe(emit func(string, int64)) {
 	}
 }
 
-// SoftwareBindings counts installed software demux entries (diagnostics).
+// SoftwareBindings counts the endpoint table's entries (diagnostics).
 func (m *Module) SoftwareBindings() int { return len(m.steer) }
 
 // Send is the library's specialized kernel entry for transmission: the

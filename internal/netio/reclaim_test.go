@@ -30,9 +30,9 @@ func TestRevokeOwner(t *testing.T) {
 	}
 	pinnedBefore := w.m2.PinnedRegions()
 
-	n, err := w.m2.RevokeOwner(w.krn2, w.app2)
-	if err != nil || n != 1 {
-		t.Fatalf("RevokeOwner = %d, %v; want 1, nil", n, err)
+	revoked, err := w.m2.RevokeOwner(w.krn2, w.app2)
+	if err != nil || len(revoked) != 1 {
+		t.Fatalf("RevokeOwner = %d, %v; want 1, nil", len(revoked), err)
 	}
 	if got := w.m2.LiveCapabilities(w.app2); got != 0 {
 		t.Fatalf("app2 capabilities after revoke = %d, want 0", got)
@@ -160,8 +160,8 @@ func TestPinnedRegionsAccounting(t *testing.T) {
 	}
 	pinned(2, "after a failed create")
 
-	if n, err := w.m2.RevokeOwner(w.krn2, w.app2); n != 2 || err != nil {
-		t.Fatalf("RevokeOwner = %d, %v; want 2, nil", n, err)
+	if revoked, err := w.m2.RevokeOwner(w.krn2, w.app2); len(revoked) != 2 || err != nil {
+		t.Fatalf("RevokeOwner = %d, %v; want 2, nil", len(revoked), err)
 	}
 	pinned(0, "after the crash sweep")
 }

@@ -3,7 +3,6 @@ package registry
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"ulp/internal/chaos"
 	"ulp/internal/ipv4"
@@ -150,18 +149,6 @@ func (f *Federation) ownerEndpoints(local, peer tcp.Endpoint) int {
 	return int(endpointHash(local, peer) % uint32(len(f.shards)))
 }
 
-// authoritative reports whether r answers for the tuple: the current
-// incarnation of the shard that statically owns it, or, once the owner has
-// been dead for netio.IssuerGrace, the shard that covers it, which is told
-// at that instant to adopt the owner's endpoints.
-func (f *Federation) authoritative(r *Server, local, peer tcp.Endpoint) bool {
-	i := f.ownerEndpoints(local, peer)
-	if f.live[i] {
-		return f.shards[i] == r
-	}
-	return f.cover(i) == r.shardIdx && time.Duration(f.s.Now()-f.shards[i].dom.DiedAt()) >= netio.IssuerGrace
-}
-
 // successor returns the next live shard after i (scanning cyclically), or
 // -1 when no shard is live.
 func (f *Federation) successor(i int) int {
@@ -302,17 +289,15 @@ func (f *Federation) CrashShard(i int) {
 }
 
 // RestartShard boots a fresh incarnation of a crashed shard. The service
-// port is reused (libraries hold send rights), the shard rebuilds the
-// endpoints of the slices it covers from the module's installed templates
-// and re-issues them, and any survivor that adopted those endpoints during
-// the outage drops its foreign records.
+// port is reused (libraries hold send rights), and the shard re-issues the
+// endpoints of the slices it covers, taking them from whichever shard issued
+// them last.
 func (f *Federation) RestartShard(i int) {
 	if f.live[i] {
 		return
 	}
 	f.shards[i] = f.newShard(i, f.shards[i])
 	f.live[i] = true
-	f.dropForeign(i)
 	f.replicateListeners(i)
 }
 
@@ -341,26 +326,6 @@ func (f *Federation) replicateListeners(restarted int) {
 		nsh.ports.Retain(port)
 		nsh.listeners[port] = &listener{opts: ln.opts, accept: ln.accept, owner: ln.owner, backlog: ln.backlog}
 		nsh.watch(ln.owner)
-	}
-}
-
-// dropForeign removes, from every other live shard, transferred-connection
-// records whose tuples the restarted shard now covers — its own slice, and a
-// dead sibling's it is now the next live shard after — with their port
-// references: the survivor adopted them during an outage, and keeping both
-// records would double-release the port when the connection eventually
-// tears down. The channels stay: they are the restarted shard's now.
-func (f *Federation) dropForeign(restarted int) {
-	for j, sh := range f.shards {
-		if j == restarted || !f.live[j] {
-			continue
-		}
-		for ft := range sh.transferred {
-			if f.cover(f.ownerEndpoints(ft.Local, ft.Peer)) == restarted {
-				delete(sh.transferred, ft)
-				sh.ports.Release(ft.Local.Port)
-			}
-		}
 	}
 }
 
@@ -402,8 +367,17 @@ func (f *Federation) SetControlFaults(inj *chaos.Injector) {
 func (f *Federation) SetEphemeralRange(lo, hi uint16) {
 	f.slices = partition(lo, hi, len(f.shards))
 	for i, sh := range f.shards {
-		sh.ports = tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1])
+		sh.ports = f.portAlloc(i)
 	}
+}
+
+// portAlloc returns shard i's port allocator, which passes over a port the
+// module holds a TCP endpoint on: a handed-off connection's port is held
+// there for as long as its endpoint is installed.
+func (f *Federation) portAlloc(i int) *tcp.PortAlloc {
+	a := tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1])
+	a.Held = func(p uint16) bool { return f.mod.PortHeld(ipv4.ProtoTCP, f.ip, p) }
+	return a
 }
 
 // sumLive totals a per-shard count over the live shards (a dead shard's

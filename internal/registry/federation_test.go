@@ -200,8 +200,8 @@ func TestFederationAdmissionQuota(t *testing.T) {
 
 // A crashed shard's incarnation is rebuilt from the module on restart, and
 // only with the endpoints it statically owns: the other shards' live
-// connections stay where they are (dropForeign removes nothing of theirs),
-// and listeners come back via replication from a surviving sibling.
+// connections stay where they are, and listeners come back via replication
+// from a surviving sibling.
 func TestFederationShardRestartRebuilds(t *testing.T) {
 	rg := newFedRig(t, 2, 0)
 	rg.listenOn0(t, 80)
@@ -252,11 +252,13 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 	}
 }
 
-// Frames for a dead shard's tuples fail over to the successor, and the
-// successor must not answer tuples it is not authoritative for with RST —
-// a reset would kill a live connection that is merely mid-migration.
-func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
+// Frames for a dead shard's tuples fail over to the successor, which must
+// not answer one of a live connection with RST — a reset would kill a
+// connection that is merely mid-migration. The module's endpoint table
+// names the connection, so the stray goes into its channel. On the AN1 a
+// frame sent to BQI zero takes the default path, where the registry decides.
+func TestFederationDeadShardStrayForwardedNotReset(t *testing.T) {
+	rg := newFedRigOn(t, true, 2, 0)
 	rg.listenOn0(t, 80)
 	ho, got := rg.connectVia(t, 1, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Minute)
 	if !got || ho.Err != nil {
@@ -266,7 +268,8 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 	rg.s.Run(10 * time.Millisecond)
 
 	// The peer retransmits into the dead shard's tuple. The frame steers to
-	// the successor (shard 0), which does not own it: it must drop, not RST.
+	// the successor (shard 0), which does not own it: it must not RST.
+	rx0 := counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames")
 	sent := false
 	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
 		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
@@ -278,11 +281,12 @@ func TestFederationDeadShardStrayDropsNotRST(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Second, func() bool { return sent })
 	rg.s.Run(100 * time.Millisecond)
-	rx0 := counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames")
-	// Host 0 received no RST: its rx counter grew only by its own ARP
-	// traffic (none expected — addresses already resolved). Allow zero.
+	// Host 0 received no RST (and no ARP: addresses are resolved).
 	if counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames") != rx0 {
-		t.Fatal("successor answered a non-authoritative stray")
+		t.Fatal("successor answered a dead shard's stray")
+	}
+	if ch := ho.Cap.Chan(); ch.Delivered != 1 {
+		t.Fatalf("%d frames delivered into the connection's channel, want the stray", ch.Delivered)
 	}
 }
 
@@ -346,5 +350,99 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	}
 	if rg.r1.PortsInUse() != base {
 		t.Fatalf("retry allocated a second port: %d -> %d", base, rg.r1.PortsInUse())
+	}
+}
+
+// adoptVia1 sets up a connection through shard 1 of an AN1 rig and lets
+// shard 1 die for longer than netio.IssuerGrace, so that shard 0, which
+// covers it, adopts the connection.
+func adoptVia1(t *testing.T) (*fedRig, Handoff) {
+	t.Helper()
+	rg := newFedRigOn(t, true, 2, 0)
+	rg.listenOn0(t, 80)
+	ho, got := rg.connectVia(t, 1, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 1, time.Minute)
+	if !got || ho.Err != nil {
+		t.Fatalf("set-up: got=%v err=%v", got, ho.Err)
+	}
+	rg.fed.CrashShard(1)
+	rg.s.Run(netio.IssuerGrace + 100*time.Millisecond)
+	if sh0 := rg.fed.shards[0]; sh0.rebuilt != 1 || sh0.TransferredConns() != 1 || ho.Cap.Issuer() != sh0.dom {
+		t.Fatalf("shard 0 adopted %d connections and holds %d; want the dead shard's 1", sh0.rebuilt, sh0.TransferredConns())
+	}
+	return rg, ho
+}
+
+// A segment of an adopted connection that reaches the default path — on the
+// AN1, one sent to BQI zero — is forwarded into the library's channel: the
+// module's endpoint table names it, though no shard issued it before.
+func TestAdoptedConnectionStrayReachesChannel(t *testing.T) {
+	rg, ho := adoptVia1(t)
+	ch := ho.Cap.Chan()
+	before := ch.Delivered
+	sent := false
+	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
+		hdr := tcp.Header{SrcPort: 80, DstPort: ho.Snap.Local.Port,
+			Seq: ho.Snap.RcvNxt, Ack: ho.Snap.SndNxt, Flags: tcp.FlagACK, Window: 100}
+		b := pktFromBytes(rg.r0.nif.Headroom()+tcp.HeaderLen, nil)
+		hdr.Encode(b, rg.ips[0], rg.ips[1])
+		rg.r0.nif.SendTCP(th, b, rg.ips[1], 0)
+		sent = true
+	})
+	rg.s.RunUntil(time.Second, func() bool { return sent })
+	rg.s.Run(100 * time.Millisecond)
+	if got := ch.Delivered - before; got != 1 || ch.Pending() != 1 {
+		t.Fatalf("%d frames delivered into the adopted connection's channel, %d queued; want 1 and 1", got, ch.Pending())
+	}
+	ch.TryRecv()
+}
+
+// The dead shard comes back and takes its connection from the survivor
+// that adopted it; once the connection is torn down, no shard holds a
+// port. The survivor's adoption took no port of its own to give back.
+func TestRestartAfterAdoptionLeavesNoPorts(t *testing.T) {
+	rg, ho := adoptVia1(t)
+	rg.fed.RestartShard(1)
+	rg.s.Run(50 * time.Millisecond)
+	if sh1 := rg.fed.shards[1]; sh1.rebuilt != 1 || ho.Cap.Issuer() != sh1.dom {
+		t.Fatalf("the restarted shard took back %d connections, want 1", sh1.rebuilt)
+	}
+	rg.teardown(rg.fed.shards[1].Svc, rg.apps[1], ho)
+	rg.s.Run(50 * time.Millisecond)
+	for i, sh := range rg.fed.shards {
+		if n := sh.PortsInUse(); n != 0 {
+			t.Errorf("shard %d holds %d ports after the teardown, want 0", i, n)
+		}
+	}
+	rg.auditNoLeaks(t)
+}
+
+// A datagram end-point bound through a survivor while shard 0 was down is
+// taken back by shard 0's restart, which stands for every datagram
+// end-point, and unbound through it: then no shard holds its port, and the
+// survivor can bind it again.
+func TestBindingTakenBackByRestartLeavesNoPort(t *testing.T) {
+	rg := newFedRig(t, 2, 0)
+	rg.fed.CrashShard(0)
+	bind := func(shard int) (ho UDPHandoff) {
+		rg.apps[1].Spawn("bind", func(th *kern.Thread) {
+			ho, _ = rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53}}).Body.(UDPHandoff)
+		})
+		rg.s.Run(50 * time.Millisecond)
+		return ho
+	}
+	ho := bind(1)
+	if ho.Err != nil || ho.Cap == nil {
+		t.Fatalf("bind through the survivor: %v", ho.Err)
+	}
+	rg.fed.RestartShard(0)
+	rg.s.Run(50 * time.Millisecond)
+	rg.oneWay(0, kern.Msg{Op: "unbind-udp", Body: TeardownReq{Cap: ho.Cap}})
+	for i, sh := range rg.fed.shards {
+		if n := sh.PortsInUse(); n != 0 {
+			t.Errorf("shard %d holds %d ports after the unbind, want 0", i, n)
+		}
+	}
+	if again := bind(1); again.Err != nil {
+		t.Fatalf("the survivor refused to bind the freed port again: %v", again.Err)
 	}
 }

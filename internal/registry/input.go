@@ -11,15 +11,19 @@ import (
 	"ulp/internal/trace"
 )
 
-// inputUDP demultiplexes default-path datagrams to bound library
-// end-points (the software fallback when BQIs cannot be negotiated).
+// inputUDP demultiplexes default-path datagrams to bound library end-points
+// (the software fallback when BQIs cannot be negotiated). On the AN1 this is
+// the common case: "the hardware packet demultiplexing mechanism is difficult
+// to exploit because there is no separate connection setup phase that can
+// negotiate the BQIs" — so datagrams arrive at BQI zero and are
+// demultiplexed in software here, by the module's endpoint table.
 func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
 	_, dstPort, ok := ipv4.Ports(data)
 	if !ok {
 		return
 	}
-	cap, ok := r.udpChannels[dstPort]
-	if !ok {
+	cap := r.nif.Mod.Endpoint(netio.Template{Proto: ipv4.ProtoUDP, LocalIP: r.nif.IP, LocalPort: dstPort})
+	if cap == nil {
 		return // port unreachable: the simplified IP library drops
 	}
 	r.forward(cap, h, data)
@@ -28,24 +32,18 @@ func (r *Server) inputUDP(t *kern.Thread, h ipv4.Header, data []byte) {
 // forward delivers a default-path packet into the channel cap grants,
 // rebuilt as the frame a channel consumer expects: the IP header re-encoded
 // from h and a link header addressed to ourselves, so the library-side input
-// path parses it like any frame the device delivered. A revoked capability's
-// packet is dropped: the record outlived its channel (a sibling shard tore
-// the endpoint down).
+// path parses it like any frame the device delivered.
 func (r *Server) forward(cap *netio.Capability, h ipv4.Header, data []byte) {
 	ih := ipv4.Header{ID: h.ID, TTL: h.TTL, Proto: h.Proto, Src: h.Src, Dst: h.Dst}
 	fwd := pkt.FromBytes(r.nif.Headroom(), data)
 	ih.Encode(fwd)
 	r.nif.Frame(fwd, r.nif.HW, link.TypeIPv4, 0, 0)
-	if ch := cap.Chan(); ch != nil {
-		ch.Inject(fwd)
-	} else {
-		fwd.Release()
-	}
+	cap.Chan().Inject(fwd)
 }
 
 // inputTCP is the pipeline's TCP hook (stacks.Hooks) for everything the
 // per-connection demultiplexing did not claim: handshake segments, strays
-// for transferred connections, and segments for nonexistent endpoints.
+// for handed-off connections, and segments for nonexistent endpoints.
 func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	// Registry-owned pcb (handshaking or inherited)?
 	if hc, ok := r.conns[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
@@ -57,11 +55,12 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		return true
 	}
 
-	// Stray default-path segment of a transferred connection (e.g. a
+	// Stray default-path segment of a handed-off connection (e.g. a
 	// retransmitted handshake ACK on the AN1): forward into its channel by
 	// rebuilding the frame bytes the channel consumer expects.
-	if xc, ok := r.transferred[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
-		r.forward(xc.cap, s.IP, s.Raw)
+	if cap := r.nif.Mod.Endpoint(netio.Template{Proto: ipv4.ProtoTCP,
+		LocalIP: s.Local.IP, LocalPort: s.Local.Port, RemoteIP: s.Peer.IP, RemotePort: s.Peer.Port}); cap != nil {
+		r.forward(cap, s.IP, s.Raw)
 		return true
 	}
 
@@ -106,10 +105,8 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		return true
 	}
 
-	// No endpoint: the pipeline resets it. A shard only resets tuples it
-	// answers for — a stray steered here because its owner shard is down is
-	// dropped, not answered, until the owner's endpoints quarantine and this
-	// shard adopts them: the connection it belongs to may be alive in some
-	// library, and an RST from a non-owner would kill it.
-	return !r.fed.authoritative(r, s.Local, s.Peer)
+	// No endpoint: the pipeline resets it. The module's table holds every
+	// endpoint on the host, whichever shard issued it, so no library holds a
+	// connection on this tuple for the reset to kill.
+	return false
 }

@@ -282,7 +282,7 @@ func TestFailedBindReleasesBQI(t *testing.T) {
 	ho := bind(7000, "")
 	reserved := ho.Cap.Chan().BQI()
 	rg.apps[1].Spawn("unbind", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "unbind-udp", Body: UnbindUDPReq{Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "unbind-udp", Body: TeardownReq{Cap: ho.Cap}})
 	})
 	rg.s.Run(10 * time.Millisecond)
 	bind(7001, "create") // reserves the index 7000's channel gave back

@@ -54,12 +54,12 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 		t.Fatalf("rebuilt %d endpoints, want 1 (the transferred connection)", rg.r1.rebuilt)
 	}
 	if rg.r1.TransferredConns() != 1 {
-		t.Fatalf("transferred map has %d entries after rebuild, want 1", rg.r1.TransferredConns())
+		t.Fatalf("restarted registry holds %d transferred conns, want 1", rg.r1.TransferredConns())
 	}
-	// The connection's local port is reserved again — a post-restart
-	// allocation cannot collide with the live connection.
+	// The connection's local port stays held by its endpoint — a
+	// post-restart allocation cannot collide with the live connection.
 	if rg.r1.ports.Reserve(ho.Snap.Local.Port) {
-		t.Fatal("rebuild did not re-reserve the transferred connection's port")
+		t.Fatal("the restarted registry let the transferred connection's port go")
 	}
 
 	// The passive host: its transferred connection is rebuilt too, but the
@@ -112,9 +112,9 @@ func TestDedupReplaysCachedReply(t *testing.T) {
 	}
 }
 
-// A duplicated teardown must not double-release the connection's port: the
-// release happens only if the transferred entry still existed, so a
-// duplicate cannot free a port a new holder owns.
+// A duplicated teardown must not double-release the connection's port: only
+// the first destruction of its endpoint succeeds, so a duplicate cannot free
+// a port a new holder owns.
 func TestTeardownIdempotent(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)

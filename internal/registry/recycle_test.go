@@ -206,7 +206,7 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 // capability here, which ends nothing.
 func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	rg := newRig(false)
-	bodies := []any{TeardownReq{}, InheritReq{}, UnbindUDPReq{}, AbandonReq{ID: 1}}
+	bodies := []any{TeardownReq{}, InheritReq{}, AbandonReq{ID: 1}}
 	const n = 1536
 	sent := 0
 	rg.apps[1].Spawn("one-way", func(th *kern.Thread) {

@@ -58,10 +58,11 @@ type ListenReq struct {
 // UnlistenReq stops the sender's listener on Port.
 type UnlistenReq struct{ Port uint16 }
 
-// TeardownReq reclaims a handed-off connection's resources after the
-// library has driven it to CLOSED ("resources allocated to the application
-// and registered with the network I/O module are now reclaimed"). The
-// capability names the connection: its template holds the four-tuple.
+// TeardownReq reclaims a handed-off endpoint's resources: a connection's
+// after the library has driven it to CLOSED ("resources allocated to the
+// application and registered with the network I/O module are now
+// reclaimed"), or a datagram binding's when it closes. The capability names
+// the endpoint: its template holds the tuple.
 type TeardownReq struct{ Cap *netio.Capability }
 
 // Handoff carries an established connection to a library: the TCP state,
@@ -166,17 +167,6 @@ type listener struct {
 	pending int // handshakes currently held
 }
 
-// xferConn records a connection handed off to a library. Its capability is
-// the module's record of the endpoint — tuple, owner, channel (nil once
-// revoked) — so the record adds only what the module cannot know: the
-// sequence numbers at handoff time, for crafting a best-effort reset to the
-// peer if the owning application crashes (none in a record adopted from the
-// module, whose reset only the probe carries).
-type xferConn struct {
-	cap            *netio.Capability
-	sndNxt, rcvNxt tcp.Seq
-}
-
 // Server is one shard of a host's registry (see Federation; the paper's
 // single registry is the only shard of a one-shard federation).
 type Server struct {
@@ -185,24 +175,13 @@ type Server struct {
 	nif  *stacks.Netif
 	Svc  *kern.Port
 
+	// ports holds the references of listeners, set-ups and inherited pcbs;
+	// a handed-off connection's port is held by its endpoint in the module
+	// (Federation.portAlloc).
 	ports     *tcp.PortAlloc
 	iss       tcp.Seq
 	conns     map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
 	listeners map[uint16]*listener
-	// transferred routes stray default-path segments of handed-off
-	// connections into their channels (e.g. a retransmitted handshake ACK
-	// on the AN1 arriving at BQI zero), and remembers what the owning
-	// application holds so a crash can be reclaimed.
-	transferred map[tcp.FourTuple]*xferConn
-	// udpChannels holds the bound datagram ports, each with its end-point's
-	// capability; only the service thread writes it (bind, unbind, the crash
-	// sweep, rebuild), one request at a time. It routes datagrams that reach
-	// the default path to their end-points. On the AN1 this is the common
-	// case: "the hardware packet demultiplexing mechanism is difficult to
-	// exploit because there is no separate connection setup phase that can
-	// negotiate the BQIs" — so datagrams arrive at BQI zero and are
-	// demultiplexed in software here.
-	udpChannels map[uint16]*netio.Capability
 
 	// watched marks application domains whose death hook is installed, so
 	// a domain opening many connections registers exactly one hook.
@@ -229,8 +208,8 @@ type Server struct {
 	faults *chaos.Injector
 
 	// wheel holds the TCP timers of every owned pcb. Each incarnation has
-	// its own: owned pcbs die with the old one, and rebuild() only
-	// reconstructs transferred endpoints.
+	// its own: owned pcbs die with the old one, and rebuild() only re-issues
+	// handed-off endpoints.
 	wheel *stacks.TCPWheel
 
 	rxq  *sim.Queue[*pkt.Buf]
@@ -310,19 +289,17 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		shardIdx: i,
 		host:     f.host,
 		nif:      f.nif, // one ARP cache and reassembler for all shards
-		ports:    tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1]),
+		ports:    f.portAlloc(i),
 		// Per-host ISS sequence, perturbed per shard so concurrent actives
 		// from different shards start in distinct sequence regions.
-		iss:         tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
-		wheel:       stacks.NewTCPWheel(),
-		conns:       make(map[tcp.FourTuple]*hsConn),
-		listeners:   make(map[uint16]*listener),
-		transferred: make(map[tcp.FourTuple]*xferConn),
-		udpChannels: make(map[uint16]*netio.Capability),
-		watched:     make(map[*kern.Domain]bool),
-		calls:       make(map[uint64]*call),
-		epoch:       1,
-		faults:      f.faults,
+		iss:       tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
+		wheel:     stacks.NewTCPWheel(),
+		conns:     make(map[tcp.FourTuple]*hsConn),
+		listeners: make(map[uint16]*listener),
+		watched:   make(map[*kern.Domain]bool),
+		calls:     make(map[uint64]*call),
+		epoch:     1,
+		faults:    f.faults,
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
@@ -446,7 +423,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleInherit(t, m, req)
 	case TeardownReq:
 		if r.issued(req.Cap, m.From) {
-			r.reclaim(req.Cap, false)
+			_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap) // its port goes with it
 		}
 	case AbandonReq:
 		if e := r.entry(m.From, req.Slot, req.ID); e != nil {
@@ -458,10 +435,6 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.handleResolve(t, m, req)
 	case UDPSendReq:
 		r.handleUDPSend(t, m, req)
-	case UnbindUDPReq:
-		if r.issued(req.Cap, m.From) {
-			r.unbind(req.Cap)
-		}
 	}
 }
 
@@ -616,28 +589,6 @@ func tuple(cap *netio.Capability) tcp.FourTuple {
 	}
 }
 
-// reclaim takes back the connection handed off with cap, whichever way it
-// comes back: teardown, inherit, abandon or the crash sweep. It destroys the
-// channel, and if the record on cap's four-tuple is cap's it deletes the
-// record, returned, and unless keepPort drops its port reference (inherit
-// passes that to the registry's pcb). Checking the record's identity makes
-// it idempotent and confines it to what the caller was issued: a duplicated
-// teardown, one racing a crash sweep, or one whose capability is another
-// connection's cannot release a record or a port another holder owns.
-func (r *Server) reclaim(cap *netio.Capability, keepPort bool) *xferConn {
-	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
-	ft := tuple(cap)
-	xc, ok := r.transferred[ft]
-	if !ok || xc.cap != cap {
-		return nil
-	}
-	delete(r.transferred, ft)
-	if !keepPort {
-		r.ports.Release(ft.Local.Port)
-	}
-	return xc
-}
-
 // abandon withdraws entry e's call, whose answer nobody will adopt: the
 // sender's AbandonReq names it while it is still its slot's latest call (the
 // library's RPC budget ran out while the handshake was still retransmitting,
@@ -659,8 +610,8 @@ func (r *Server) abandon(t *kern.Thread, e *call) {
 		return
 	}
 	if ho, isHo := e.reply.Body.(*Handoff); isHo && ho.Err == nil {
-		if xc := r.reclaim(ho.Cap, false); xc != nil {
-			r.sendCrashRST(t, xc)
+		if r.nif.Mod.DestroyChannel(r.dom, ho.Cap) == nil { // only the first succeeds
+			r.probePeer(t, ho.Cap)
 		}
 		ho.Done()
 		e.reply = r.handoff(Handoff{Err: stacks.ErrRegistryUnavailable})
@@ -678,9 +629,8 @@ func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req InheritReq) {
 	if !r.issued(req.Cap, m.From) || tuple(req.Cap) != (tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}) {
 		return
 	}
-	live := req.Snap.State != tcp.Closed
-	r.reclaim(req.Cap, live)
-	if !live {
+	_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap)
+	if req.Snap.State == tcp.Closed {
 		return
 	}
 	hc := r.newConn()
@@ -690,6 +640,7 @@ func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req InheritReq) {
 		r.free.Put(hc)
 		return
 	}
+	r.ports.Retain(req.Snap.Local.Port) // the pcb's, given back by release
 	if req.Abort {
 		// "To guard against an abnormal application termination, the
 		// protocol server issues a reset message to the remote peer."
@@ -780,10 +731,11 @@ func (hc *hsConn) closed(err error) {
 //     has unwound, and the bumped gen turns away a thread that waited for the
 //     engine with it in hand);
 //   - an active set-up's admission slot (an inherited pcb has no owner);
-//   - unless ho carries a capability — a hand-off passes both to the
-//     transferred record — its port reference (none for a passive set-up,
-//     which shares its listener's, or for an active one whose allocation
-//     failed) and its reserved BQI;
+//   - its port reference (none for a passive set-up, which shares its
+//     listener's, or for an active one whose allocation failed): a handed-off
+//     connection's port is held by its endpoint;
+//   - unless ho carries a capability, whose channel took it, its reserved
+//     BQI;
 //   - last, the answer: ho goes to hc.reply, from t or with a nil t
 //     asynchronously (an engine callback), and completes the connect's dedup
 //     entry even if nobody waits any more: the entry must not name a record
@@ -802,10 +754,10 @@ func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
 	if hc.l == nil {
 		r.fed.release(hc.owner)
 	}
+	if port := tc.Local().Port; hc.l == nil && port != 0 {
+		r.ports.Release(port)
+	}
 	if ho.Cap == nil {
-		if port := tc.Local().Port; hc.l == nil && port != 0 {
-			r.ports.Release(port)
-		}
 		_ = r.nif.Mod.ReleaseBQI(r.dom, hc.ourBQI)
 	}
 	r.finish(t, kern.Msg{From: hc.owner, Slot: hc.slot, ID: hc.reqID, Reply: hc.reply}, r.handoff(ho))
@@ -827,8 +779,8 @@ func (r *Server) transmit(seg *pkt.Buf, hc *hsConn, h tcp.Header) {
 	r.nif.SendTCP(t, seg, tc.Peer().IP, hc.ourBQI)
 }
 
-// established completes setup: create the channel, transfer the state to the
-// library, and route future default-path strays.
+// established completes setup: create the channel and transfer the state to
+// the library.
 func (r *Server) established(hc *hsConn) {
 	tc := &hc.tc
 	if tc.State() != tcp.Established {
@@ -851,14 +803,7 @@ func (r *Server) established(hc *hsConn) {
 	}
 	// Transfer TCP state to user level.
 	t.Compute(t.Cost().StateTransfer)
-	snap := tc.Snapshot()
-	if hc.l != nil {
-		// The accepted connection shares its listener's port; the handoff
-		// takes a reference of its own, balanced by reclaim.
-		r.ports.Retain(tc.Local().Port)
-	}
-	r.transferred[tc.Tuple()] = &xferConn{cap: cap, sndNxt: snap.SndNxt, rcvNxt: snap.RcvNxt}
-	r.release(nil, hc, Handoff{Snap: snap, Cap: cap, PeerBQI: hc.peerBQI})
+	r.release(nil, hc, Handoff{Snap: tc.Snapshot(), Cap: cap, PeerBQI: hc.peerBQI})
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -918,19 +863,19 @@ func (r *Server) watch(dom *kern.Domain) {
 }
 
 // handleCrash reclaims everything a crashed application held: handshaking
-// connections are aborted (RST through the engine), transferred connections
-// have their channels destroyed, ports released and a best-effort reset sent
-// to the peer, listeners, UDP bindings and its callers' entries are removed,
-// and finally the network I/O module sweeps any capability still recorded
-// against the dead domain. "To guard against an abnormal application termination, the
-// protocol server issues a reset message to the remote peer" — here with no
-// cooperation from the application at all.
+// connections are aborted (RST through the engine), the network I/O module
+// revokes every endpoint issued to it, whichever shard issued it, and each
+// revoked connection's peer is probed into a reset; its listeners and its
+// callers' entries are removed. "To guard against an abnormal application
+// termination, the protocol server issues a reset message to the remote
+// peer" — here with no cooperation from the application at all.
 func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	t.Compute(t.Cost().StateTransfer)
 	delete(r.watched, dom)
 
-	// Every table is walked in key order, never map order: each step puts
-	// frames on the wire or frees a ring index the next set-up reuses.
+	// Every table is walked in key or capability-id order, never map order:
+	// each step puts frames on the wire or frees a ring index the next set-up
+	// reuses.
 	//
 	// Registry-owned pcbs (handshakes in flight for the dead app): abort.
 	var dead []*hsConn
@@ -951,37 +896,17 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		r.runConn(t, hc, hc.tc.Abort) // the closed callback releases the set-up
 	}
 
-	// Transferred connections: revoke the channel, release the port, reset
-	// the peer. The sequence numbers recorded at handoff time may be stale
-	// if the application moved data afterwards; if the peer answers the
-	// stale reset with a challenge ACK, that ACK lands on the (now
-	// reclaimed) default path below and is answered with an exactly-aimed
-	// RST by the receive pipeline's no-endpoint case — so the peer converges
-	// to reset either way.
-	var fts []tcp.FourTuple
-	for ft, xc := range r.transferred {
-		if xc.cap.Owner() == dom {
-			fts = append(fts, ft)
-		}
-	}
-	sort.Slice(fts, func(i, j int) bool { return fts[i].Less(fts[j]) })
-	for _, ft := range fts {
-		// A reset in flight charges this thread, and meanwhile a later
-		// record may have gone.
-		if xc, ok := r.transferred[ft]; ok && xc.cap.Owner() == dom {
-			r.reclaim(xc.cap, false)
-			r.sendCrashRST(t, xc)
+	// Its endpoints, all revoked before the first probe leaves: a shard
+	// that sweeps later finds none, so each peer is probed once.
+	revoked, _ := r.nif.Mod.RevokeOwner(r.dom, dom)
+	for _, cap := range revoked {
+		if cap.Template().Proto == ipv4.ProtoTCP {
+			r.probePeer(t, cap)
 		}
 	}
 
-	// Listeners and datagram bindings.
 	for _, port := range slices.Sorted(maps.Keys(r.listeners)) {
 		r.unlisten(port, dom)
-	}
-	for _, port := range slices.Sorted(maps.Keys(r.udpChannels)) {
-		if cap := r.udpChannels[port]; cap.Owner() == dom {
-			r.unbind(cap)
-		}
 	}
 
 	// Its callers' entries, in any order: a dropped hold lists a record.
@@ -991,53 +916,37 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 			delete(r.calls, key)
 		}
 	}
-
-	// Final sweep: the module revokes anything still issued to the dead
-	// domain, even if the registry's own records were incomplete.
-	_, _ = r.nif.Mod.RevokeOwner(r.dom, dom)
 }
 
-// sendCrashRST issues the proactive reset for a crashed application's
-// connection xc, from the state recorded at handoff time.
-//
-// The sequence numbers may be stale, or (for an adopted or rebuilt
-// connection) unknown: the library moved data after handoff without the
-// registry seeing it. A stale RST is silently discarded by the peer (it
-// elicits no challenge), so the RST alone only covers a connection that
-// never advanced. The bare probe sent after it covers the rest: the peer
-// tests its sequence number before anything else (RFC 793 p. 69) and
-// answers an unacceptable one with its own ACK, which lands on this host's
-// default path — the tuple is already reclaimed — and is answered by the
-// receive pipeline's no-endpoint case with a reset aimed exactly at the
-// peer's expected sequence. Either way the peer converges to a reset. The
-// probe carries no ACK bit, so an unknown acknowledgment number claims
-// nothing.
-func (r *Server) sendCrashRST(t *kern.Thread, xc *xferConn) {
-	ft := tuple(xc.cap)
-	for _, flags := range []uint8{tcp.FlagRST | tcp.FlagACK, 0} {
-		h := tcp.Header{
-			SrcPort: ft.Local.Port, DstPort: ft.Peer.Port,
-			Seq: xc.sndNxt, Ack: xc.rcvNxt,
-			Flags: flags,
-		}
-		b := pkt.FromBytes(r.nif.Headroom()+tcp.HeaderLen, nil)
-		h.Encode(b, ft.Local.IP, ft.Peer.IP)
-		c := t.Cost()
-		t.Compute(c.RegistrySendPath)
-		t.Compute(stacks.SegCost(r.host, b.Len()))
-		r.nif.SendTCP(t, b, ft.Peer.IP, 0)
-	}
+// probePeer resets the peer of reclaimed connection cap — one its
+// application dropped by crashing or abandoning it — without knowing the
+// sequence numbers, which the library moved after the hand-off unseen. It
+// sends a bare segment: the peer tests its sequence number before anything
+// else (RFC 793 p. 69) and answers an unacceptable one with its own ACK,
+// which lands on this host's default path, where the tuple is gone, and is
+// answered by the receive pipeline's no-endpoint case with a reset aimed
+// exactly at the peer's expected sequence. The probe carries no ACK bit, so
+// it claims nothing about data it never saw.
+func (r *Server) probePeer(t *kern.Thread, cap *netio.Capability) {
+	ft := tuple(cap)
+	h := tcp.Header{SrcPort: ft.Local.Port, DstPort: ft.Peer.Port}
+	b := pkt.FromBytes(r.nif.Headroom()+tcp.HeaderLen, nil)
+	h.Encode(b, ft.Local.IP, ft.Peer.IP)
+	c := t.Cost()
+	t.Compute(c.RegistrySendPath)
+	t.Compute(stacks.SegCost(r.host, b.Len()))
+	r.nif.SendTCP(t, b, ft.Peer.IP, 0)
 }
 
 // ---------------------------------------------------------------------------
 // Crash recovery: rebuild and adoption from the module
 // ---------------------------------------------------------------------------
 
-// rebuild reconstructs the port table and connection map of a restarted
-// registry from the network I/O module's installed header templates — the
-// in-kernel module, not the crashed server's memory, is the authoritative
-// record of what endpoints exist (the paper's trust split: the module is
-// trusted, everything above it is reconstructible).
+// rebuild re-issues, to a restarted registry, the endpoints the network I/O
+// module holds for it — the in-kernel module, not the crashed server's
+// memory, is the authoritative record of what endpoints exist (the paper's
+// trust split: the module is trusted, everything above it is
+// reconstructible).
 //
 // What is deliberately NOT rebuilt: listeners and in-flight handshakes
 // (the library's RPC retry re-creates them), inherited TIME_WAIT pcbs
@@ -1054,13 +963,13 @@ func (r *Server) rebuild(t *kern.Thread) {
 }
 
 // adopt is the one recovery sweep, run by a restarted shard and by the shard
-// that covers a dead sibling once its endpoints quarantine. It takes, in
-// capability-id order, every installed endpoint the shard stands for and
-// does not hold yet (a shard issued every endpoint it holds) — of TCP, the
-// fully specified connection endpoints of each slice it covers
-// (Federation.cover); shard 0 all datagram endpoints — and re-issues each. Re-issuing makes this incarnation the endpoint's
-// issuer, away from a dead shard or a survivor that held it during an
-// outage, and so lifts any quarantine. It returns how many it took.
+// that covers a dead sibling once its endpoints quarantine. It re-issues, in
+// capability-id order, every installed endpoint the shard stands for and did
+// not issue — of TCP, the connection endpoints of each slice it covers
+// (Federation.cover); shard 0 all datagram endpoints. Re-issuing makes this
+// incarnation the endpoint's issuer, away from a dead shard or a survivor
+// that held it during an outage, and so lifts any quarantine. It returns how
+// many it took.
 func (r *Server) adopt(t *kern.Thread) int {
 	caps, err := r.nif.Mod.InstalledEndpoints(r.dom)
 	if err != nil {
@@ -1078,14 +987,6 @@ func (r *Server) adopt(t *kern.Thread) int {
 		}
 		_ = r.nif.Mod.Reissue(r.dom, cap)
 		t.Compute(c.RegistryPortAlloc)
-		if conn {
-			r.ports.Retain(ft.Local.Port) // accepted conns share a port
-			// The sequence numbers are unknown: sendCrashRST's probe
-			// converges the peer if the owner dies.
-			r.transferred[ft] = &xferConn{cap: cap}
-		} else {
-			r.udpChannels[tmpl.LocalPort] = cap
-		}
 		r.watch(cap.Owner())
 		n++
 	}
@@ -1101,13 +1002,37 @@ func (r *Server) adopt(t *kern.Thread) int {
 // (handshaking, inherited, TIME_WAIT).
 func (r *Server) OwnedConns() int { return len(r.conns) }
 
-// TransferredConns returns how many connections are handed off to
-// libraries and not yet reclaimed.
-func (r *Server) TransferredConns() int { return len(r.transferred) }
+// endpoints returns the module's endpoints of protocol proto that this shard
+// issued, or adopted, and the module still holds.
+func (r *Server) endpoints(proto uint8) []*netio.Capability {
+	caps, _ := r.nif.Mod.InstalledEndpoints(r.dom)
+	mine := caps[:0]
+	for _, cap := range caps {
+		if cap.Issuer() == r.dom && cap.Template().Proto == proto {
+			mine = append(mine, cap)
+		}
+	}
+	return mine
+}
 
-// PortsInUse returns allocated TCP plus bound UDP ports. Crash and
-// orderly-exit tests assert this returns to zero.
-func (r *Server) PortsInUse() int { return r.ports.InUse() + len(r.udpChannels) }
+// TransferredConns returns how many connections this shard handed off to
+// libraries, or adopted, and the module still holds.
+func (r *Server) TransferredConns() int { return len(r.endpoints(ipv4.ProtoTCP)) }
+
+// PortsInUse returns the TCP ports this shard's tables or its connections'
+// endpoints hold, plus its bound UDP ports. Crash and orderly-exit tests
+// assert this returns to zero.
+func (r *Server) PortsInUse() int {
+	n := r.ports.InUse() + len(r.endpoints(ipv4.ProtoUDP))
+	seen := make(map[uint16]bool)
+	for _, cap := range r.endpoints(ipv4.ProtoTCP) {
+		if p := cap.Template().LocalPort; !seen[p] && !r.ports.Holds(p) {
+			seen[p] = true
+			n++
+		}
+	}
+	return n
+}
 
 // ListenerCount returns registered passive endpoints.
 func (r *Server) ListenerCount() int { return len(r.listeners) }

@@ -169,9 +169,8 @@ func TestHandoffCapabilityBornFinal(t *testing.T) {
 	if ho.Cap.Owner() != rg.apps[1] {
 		t.Fatalf("capability owner = %v, want the connecting application", ho.Cap.Owner())
 	}
-	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
-	if xc == nil || xc.cap != ho.Cap {
-		t.Fatal("the transferred record does not hold the handed-off capability")
+	if rg.r1.nif.Mod.Endpoint(want) != ho.Cap || rg.r1.TransferredConns() != 1 {
+		t.Fatal("the module does not hold the handed-off endpoint as the shard's")
 	}
 }
 
@@ -333,9 +332,9 @@ func TestInheritClosedLeaksNothing(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
 	rg.s.Run(100 * time.Millisecond)
-	if len(rg.r1.conns) != 0 || len(rg.r1.transferred) != 0 || rg.r1.ports.InUse() != 0 {
+	if len(rg.r1.conns) != 0 || rg.r1.TransferredConns() != 0 || rg.r1.PortsInUse() != 0 {
 		t.Fatalf("registry left %d pcbs, %d transferred connections, %d ports",
-			len(rg.r1.conns), len(rg.r1.transferred), rg.r1.ports.InUse())
+			len(rg.r1.conns), rg.r1.TransferredConns(), rg.r1.PortsInUse())
 	}
 }
 
@@ -353,8 +352,8 @@ func TestTeardownReclaims(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
 	rg.s.Run(50 * time.Millisecond)
-	if len(rg.r1.transferred) != 0 {
-		t.Fatal("transferred entry not reclaimed")
+	if rg.r1.TransferredConns() != 0 {
+		t.Fatal("handed-off endpoint not reclaimed")
 	}
 	// The port is reusable.
 	if !rg.r1.ports.Reserve(ho.Snap.Local.Port) {
@@ -383,13 +382,12 @@ func (rg *rig) send(m kern.Msg) {
 	rg.s.Run(200 * time.Millisecond)
 }
 
-// keeps fails t unless host 1's registry still holds ho's connection: its
-// record, its port reference and its channel.
+// keeps fails t unless host 1 still holds ho's connection: its endpoint in
+// the module, and with it its port and its channel.
 func (rg *rig) keeps(t *testing.T, ho Handoff) {
 	t.Helper()
-	xc := rg.r1.transferred[tcp.FourTuple{Local: ho.Snap.Local, Peer: ho.Snap.Peer}]
-	if xc == nil || xc.cap != ho.Cap {
-		t.Fatal("the other connection's record is gone")
+	if rg.r1.nif.Mod.Endpoint(ho.Cap.Template()) != ho.Cap {
+		t.Fatal("the other connection's endpoint is gone")
 	}
 	if rg.r1.ports.Reserve(ho.Snap.Local.Port) {
 		t.Fatal("the other connection's port was released")
@@ -406,7 +404,7 @@ func TestTeardownEndsOnlyItsOwnConnection(t *testing.T) {
 	sender, other := rg.twoConns(t)
 	rg.send(kern.Msg{Op: "teardown", Body: TeardownReq{Cap: sender.Cap}})
 	rg.keeps(t, other)
-	if len(rg.r1.transferred) != 1 || rg.r1.nif.Mod.Installed(sender.Cap) {
+	if rg.r1.TransferredConns() != 1 || rg.r1.nif.Mod.Installed(sender.Cap) {
 		t.Fatal("the sender's own connection was not torn down")
 	}
 }
@@ -531,7 +529,7 @@ func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
 		t.Fatalf("connect: %+v", ho)
 	}
 	call(kern.Msg{Op: "abandon", Body: AbandonReq{ID: 91}})
-	if n := len(rg.r1.transferred); n != 0 {
+	if n := rg.r1.TransferredConns(); n != 0 {
 		t.Fatalf("%d transferred connections after the abandon, want 0", n)
 	}
 	if n := rg.r1.PortsInUse(); n != 0 {

@@ -53,14 +53,11 @@ type UDPSendReq struct {
 	Frame *pkt.Buf          // complete link frame, built by the library
 }
 
-// UnbindUDPReq releases the datagram end-point the capability names.
-type UnbindUDPReq struct{ Cap *netio.Capability }
-
 // handleBindUDP allocates the port and builds the channel.
 func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.ChannelSetup)
-	if r.udpChannels[req.Port] != nil {
+	if r.nif.Mod.PortHeld(ipv4.ProtoUDP, r.nif.IP, req.Port) {
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: stacks.ErrPortInUse}})
 		return
 	}
@@ -89,7 +86,6 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
 		return
 	}
-	r.udpChannels[req.Port] = cap
 	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap}})
 }
 
@@ -127,15 +123,4 @@ func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
 	}
 	req.Frame.Release()
 	r.finish(t, m, kern.Msg{Op: "udp-send-ack", Body: err})
-}
-
-// unbind gives back the datagram binding cap was issued: its channel, and
-// its port if the binding on record is still cap's — a second unbind after
-// the port was bound again leaves the new binding alone. Unbind requests and
-// the crash sweep end here.
-func (r *Server) unbind(cap *netio.Capability) {
-	_ = r.nif.Mod.DestroyChannel(r.dom, cap)
-	if port := cap.Template().LocalPort; r.udpChannels[port] == cap {
-		delete(r.udpChannels, port)
-	}
 }

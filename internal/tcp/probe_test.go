@@ -70,3 +70,36 @@ func TestLossFreeFlowNeverProbes(t *testing.T) {
 		t.Fatalf("loss-free flows sent %d and %d tail loss probes", a, b)
 	}
 }
+
+// TestProbeResendsPastLimitedTransmit: two duplicate ACKs let limited
+// transmit take a cwnd-limited flight to cwnd + 2 segments, and then
+// nothing more arrives. The probe resends the highest segment, which is
+// already in flight: a frame leaves for the probe that is counted, though
+// cwnd + 1 segment is less than what the resend would count in flight.
+func TestProbeResendsPastLimitedTransmit(t *testing.T) {
+	n := newTestNet(t, defaultCfg())
+	n.connect()
+	warmUp(t, n)
+	n.a.cwnd = 2 * mss
+	una := n.a.sndUna
+	n.a.Write(pattern(5 * mss))
+	n.toB = nil
+	for range 2 {
+		ackA(n, una, 0, n.a.sndWnd)
+	}
+	n.toB = nil
+	if out, cwnd := n.a.sndMax.Diff(n.a.sndUna), n.a.cwnd; out != cwnd+2*mss {
+		t.Fatalf("%d bytes in flight with cwnd %d, want limited transmit to reach cwnd + 2 segments", out, cwnd)
+	}
+	n.a.AdvanceFastTicks(probeTicks + 1)
+	if st := n.a.Stats(); st.TailProbes != 1 || len(n.toB) != 1 {
+		t.Fatalf("%d probes counted, %d frames sent; want 1 and 1", st.TailProbes, len(n.toB))
+	}
+	h, err := Decode(n.toB[0], n.aIP, n.bIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := n.a.sndMax.Add(-mss); h.Seq != want {
+		t.Fatalf("probe starts at %d, want the highest segment at %d", h.Seq, want)
+	}
+}

@@ -58,6 +58,9 @@ type PortAlloc struct {
 	lo, hi uint16 // ephemeral range [lo, hi)
 	next   uint16
 	inUse  map[uint16]int
+	// Held, if set, reports a port another table holds: Reserve and
+	// Ephemeral pass it over.
+	Held func(p uint16) bool
 }
 
 // NewPortAlloc creates an allocator over the classic BSD range.
@@ -80,7 +83,7 @@ func (a *PortAlloc) EphemeralRange() (lo, hi uint16) { return a.lo, a.hi }
 
 // Reserve claims a specific port (bind); it reports whether it was free.
 func (a *PortAlloc) Reserve(p uint16) bool {
-	if a.inUse[p] > 0 {
+	if a.inUse[p] > 0 || a.Held != nil && a.Held(p) {
 		return false
 	}
 	a.inUse[p] = 1
@@ -101,7 +104,7 @@ func (a *PortAlloc) Ephemeral() (uint16, error) {
 		if a.next >= a.hi {
 			a.next = a.lo
 		}
-		if a.inUse[p] == 0 {
+		if a.inUse[p] == 0 && (a.Held == nil || !a.Held(p)) {
 			a.inUse[p] = 1
 			return p, nil
 		}
@@ -117,6 +120,9 @@ func (a *PortAlloc) Release(p uint16) {
 		delete(a.inUse, p)
 	}
 }
+
+// Holds reports whether p has a reference here.
+func (a *PortAlloc) Holds(p uint16) bool { return a.inUse[p] > 0 }
 
 // InUse returns the number of allocated ports. Crash-reclamation tests
 // assert this returns to zero after an application dies.

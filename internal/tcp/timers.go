@@ -145,8 +145,10 @@ func (c *Conn) armProbe() {
 // retransmission timer. Without SACK the probe can do nothing else:
 // the duplicate it draws says only that something is missing. It is new
 // data if the window (and Nagle) allow, else the highest segment sent
-// again. cwnd is raised one segment for this one send; the retransmission
-// timer stays armed and nothing backs off.
+// again, which is in flight already: neither cwnd, however far limited
+// transmit took the flight past it, nor a window the peer has since shrunk
+// holds it back. cwnd is raised one segment for this one send; the
+// retransmission timer stays armed and nothing backs off.
 func (c *Conn) probeTimeout() {
 	c.probed = true
 	c.stats.TailProbes++
@@ -162,10 +164,11 @@ func (c *Conn) probeTimeout() {
 	if c.sndMax == sndMax {
 		// Karn: the resent segment must not be timed.
 		c.tRtt = 0
-		saved := c.sndNxt
+		saved, wnd, flight := c.sndNxt, c.sndWnd, c.sndMax.Diff(c.sndUna)
+		c.cwnd, c.sndWnd = max(c.cwnd, flight), max(wnd, flight)
 		c.sndNxt = seqMax(c.sndUna, c.sndMax.Add(-c.sndMSS))
 		c.outputOne(true)
-		c.sndNxt = seqMax(saved, c.sndNxt)
+		c.sndNxt, c.sndWnd = seqMax(saved, c.sndNxt), wnd
 	}
 	c.cwnd = cwnd
 }

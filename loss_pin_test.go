@@ -20,9 +20,9 @@ import (
 func TestLossRecoveryPinned(t *testing.T) {
 	const (
 		flows, perFlow, write = 8, 512 << 10, 4096
-		wantDone              = time.Duration(2627072756)
+		wantDone              = time.Duration(3522762680)
 		wantTimeouts          = 4
-		wantFast              = 89
+		wantFast              = 87
 	)
 	w := NewWorld(Config{Org: OrgUserLib, Net: AN1})
 	enableConformance(t, w)
