@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -49,7 +50,7 @@ const (
 	RuleIllegalEdge   = "illegal-edge"        // transition outside the legal relation
 	RuleBadTrigger    = "bad-trigger"         // legal edge, impossible trigger class
 	RuleDiscontinuity = "state-discontinuity" // event's old state != tracked state
-	RuleTimeWait      = "timewait-duration"   // TIME_WAIT shorter/longer than armed 2*MSL
+	RuleTimeWait      = "timewait-duration"   // 2*MSL fired sooner/later than armed, or released before it fired
 	RuleTimeWaitArm   = "timewait-arm-state"  // 2*MSL armed outside TIME_WAIT
 	RuleRexmitState   = "rexmit-state"        // retransmission in an impossible state
 	RuleRexmitRange   = "rexmit-range"        // backoff shift or RTO out of range
@@ -258,10 +259,12 @@ func (k *Checker) onState(e trace.Event) {
 	ct.state = to
 }
 
-// checkTimeWaitRelease verifies the 2*MSL quiet period: the timer release
-// must come the armed number of ticks after the most recent arming. A timer
-// armed between host ticks legitimately fires within (N-1, N] tick periods;
-// slack widens both bounds.
+// checkTimeWaitRelease verifies the 2*MSL quiet period: the timer wheel
+// must fire the release the armed number of ticks after the most recent
+// arming, and the release may only follow the fire (it waits for the CPU and
+// the connection). A timer armed between host ticks legitimately fires
+// within (N-1, N] tick periods; slack widens both bounds. A release no wheel
+// fired (Fired zero) is its own fire.
 func (k *Checker) checkTimeWaitRelease(e trace.Event, ct *connTrack) {
 	if !ct.twArmed {
 		if ct.sawTWEntry {
@@ -270,12 +273,17 @@ func (k *Checker) checkTimeWaitRelease(e trace.Event, ct *connTrack) {
 		}
 		return
 	}
-	elapsed := e.At - ct.twArmedAt
+	fired := cmp.Or(e.Fired, e.At)
+	elapsed := fired - ct.twArmedAt
 	lo := time.Duration(ct.twTicks-1)*tick - slack
 	hi := time.Duration(ct.twTicks)*tick + slack
-	if elapsed < lo || elapsed > hi {
+	switch {
+	case e.At < fired:
 		k.report(e.Conn, e.At, RuleTimeWait,
-			fmt.Sprintf("TIME_WAIT lasted %v since last 2*MSL arm; armed for %d ticks (want (%v, %v])",
+			fmt.Sprintf("TIME_WAIT released %v before the wheel fired it", fired-e.At), nil)
+	case elapsed < lo || elapsed > hi:
+		k.report(e.Conn, e.At, RuleTimeWait,
+			fmt.Sprintf("2*MSL fired %v after its last arm; armed for %d ticks (want (%v, %v])",
 				elapsed, ct.twTicks, lo, hi), nil)
 	}
 	ct.twArmed = false

@@ -171,6 +171,46 @@ func TestTimeWaitCutShort(t *testing.T) {
 	expectOne(t, k, RuleTimeWait)
 }
 
+// TestTimeWaitFireAndRelease: the rule bounds the instant the wheel fired
+// the 2*MSL, not the release, which waits for the CPU and the connection
+// after the fire and may come no sooner.
+func TestTimeWaitFireAndRelease(t *testing.T) {
+	armed := 4 * tick
+	release := func(fired, at time.Duration) trace.Event {
+		e := st(at, "c", tcp.TimeWait, tcp.Closed, tcp.TrigTimer)
+		e.Fired = fired
+		return e
+	}
+	for _, tc := range []struct {
+		name string
+		rel  trace.Event
+		rule string // "" for none
+	}{
+		{"on time", release(armed+120*tick, armed+120*tick+time.Millisecond), ""},
+		{"late release of a timely fire", release(armed+120*tick, armed+122*tick), ""},
+		{"late fire", release(armed+122*tick, armed+122*tick), RuleTimeWait},
+		{"early fire", release(armed+118*tick-time.Millisecond, armed+120*tick), RuleTimeWait},
+		{"release before the fire", release(armed+120*tick, armed+119*tick), RuleTimeWait},
+		{"no wheel, late release", release(0, armed+122*tick), RuleTimeWait},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			feed(k,
+				st(3*tick, "c", tcp.FinWait2, tcp.TimeWait, tcp.TrigSegment),
+				trace.Event{At: armed, Kind: trace.TCPTimeWait, Conn: "c", A: 120},
+				tc.rel,
+			)
+			if tc.rule == "" {
+				if vs := k.Violations(); len(vs) != 0 {
+					t.Fatalf("flagged: %v", vs)
+				}
+				return
+			}
+			expectOne(t, k, tc.rule)
+		})
+	}
+}
+
 func TestTimeWaitRearmRestartsClock(t *testing.T) {
 	k := New()
 	feed(k,

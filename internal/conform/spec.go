@@ -4,7 +4,7 @@
 // classes (user call, segment arrival, reset, timer expiry) that may cause
 // it — plus cross-event invariants the RFC and the 4.3BSD timer design
 // imply: sequence-space monotonicity on the wire, no data after a FIN,
-// TIME_WAIT lasting exactly the armed 2*MSL interval, and Karn-compliant
+// a 2*MSL timer firing exactly the armed interval on, and Karn-compliant
 // RTT sampling (no sample may span a retransmission).
 //
 // The checker is a passive trace.Bus consumer: it never touches the engine,

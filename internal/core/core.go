@@ -51,9 +51,6 @@ type Library struct {
 	meta *registry.Meta
 	// rr sequences round-robin connect routing across live shards.
 	rr uint64
-	// batchq feeds the batcher thread; nil when the registry is one shard
-	// and requests go to it one IPC each.
-	batchq *sim.Queue[batchItem]
 
 	// live heads the list, through Conn.prev and next, of every connection
 	// from adopt to detach, with its full record or compacted for TIME_WAIT
@@ -109,11 +106,6 @@ const (
 	rpcAttempts    = 4
 	rpcBaseTimeout = 250 * time.Millisecond
 	rpcTimeoutCap  = 2 * time.Second
-
-	// batchWindow is how long the batcher thread holds the first queued
-	// control request to coalesce whatever else the application issues in
-	// the same tick into one kernel IPC per shard.
-	batchWindow = 100 * time.Microsecond
 
 	// admissionRetries bounds how often a quota-denied connect is retried
 	// (each retry is a fresh request under the shared backoff schedule —
@@ -208,16 +200,6 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 	// Send-side data enters the shared region without a per-byte copy.
 	l.writeMove = func(t *kern.Thread, n int) { t.Compute(cost.SockbufOp) }
 	l.readMove = func(t *kern.Thread, n int) { t.Compute(cost.Copy(n) + cost.SockbufOp) }
-	// Policy: against a sharded registry, connects and teardowns are held
-	// for batchWindow on a dedicated thread and coalesced into one IPC per
-	// shard, which is what keeps N shards fed under churn. A lone registry
-	// gets each request as its own IPC from the calling thread, with no
-	// added latency: there is one port to send to and the paper's library
-	// has no such thread.
-	if l.meta.Shards() > 1 {
-		l.batchq = sim.NewQueue[batchItem](s)
-		app.Spawn("lib-batch", l.batcher)
-	}
 	// There is no library-wide engine lock to bracket a wheel advance with;
 	// each fire takes its connection's own.
 	l.wheel.Drive(l.app, "lib", stacks.DriverHooks{
@@ -226,82 +208,6 @@ func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library
 		},
 	})
 	return l
-}
-
-// batchItem is one control request queued for coalescing.
-type batchItem struct {
-	svc *kern.Port
-	m   kern.Msg
-}
-
-// post sends a control request whose reply, if any, comes back on m.Reply:
-// through the batcher when there is one (a queue push has no cost and never
-// blocks, so engine context may call it), else as one IPC — charged to t, or
-// with a nil t from engine context, asynchronously to the host.
-func (l *Library) post(t *kern.Thread, svc *kern.Port, m kern.Msg) {
-	switch {
-	case l.batchq != nil:
-		l.batchq.Push(batchItem{svc: svc, m: m})
-	case t != nil:
-		svc.Send(t, m)
-	default:
-		svc.SendAsync(l.app, m)
-	}
-}
-
-// batcher coalesces the control requests issued within one window into a
-// single kernel IPC per destination shard: under churn, the per-request
-// Mach IPC + context-switch cost is paid once per batch instead of once
-// per request. Arrival order is preserved within and across batches.
-func (l *Library) batcher(t *kern.Thread) {
-	// The two lists are scratch, reused from batch to batch. A batch's
-	// message list is not: it travels in the IPC and is the registry's.
-	var items, rest []batchItem
-	for {
-		first := l.batchq.Pop(t.Proc)
-		t.Sleep(batchWindow)
-		items = append(items[:0], first)
-		for {
-			it, ok := l.batchq.TryPop()
-			if !ok {
-				break
-			}
-			items = append(items, it)
-		}
-		// Group by destination shard in arrival order (first-seen shard
-		// flushes first — deterministic, no map iteration).
-		for len(items) > 0 {
-			svc := items[0].svc
-			n, size := 0, 0
-			for _, it := range items {
-				if it.svc == svc {
-					n++
-					size += it.m.Size
-				}
-			}
-			var msgs []kern.Msg
-			if n > 1 {
-				msgs = make([]kern.Msg, 0, n)
-			}
-			rest = rest[:0]
-			for _, it := range items {
-				switch {
-				case it.svc != svc:
-					rest = append(rest, it)
-				case n > 1:
-					msgs = append(msgs, it.m)
-				}
-			}
-			if n == 1 {
-				svc.Send(t, items[0].m)
-			} else {
-				svc.Send(t, kern.Msg{Op: "batch", Size: size, Body: kern.Batch{Msgs: msgs}})
-			}
-			items, rest = rest, items
-		}
-		clear(items[:cap(items)]) // the requests are sent: do not pin them
-		clear(rest[:cap(rest)])
-	}
 }
 
 // seedFrom derives a per-host jitter seed so retry schedules differ across
@@ -500,7 +406,7 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 		if replyPort == nil {
 			replyPort = kern.NewPort(l.host, "connect-reply")
 		}
-		l.post(t, svc, kern.Msg{Op: "connect", ID: id, Slot: slot, Reply: replyPort, Body: req})
+		svc.Send(t, kern.Msg{Op: "connect", ID: id, Slot: slot, Reply: replyPort, Body: req})
 		m, ok := replyPort.ReceiveTimeout(t, timeout)
 		if ok {
 			l.replies.Put(replyPort)
@@ -531,9 +437,9 @@ func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg
 
 // abandon withdraws the connect request req names from each shard in asked
 // but the one that answered it (nil when none did), so that a set-up nobody
-// will adopt gives back its port and channel. It sends past the batcher: the
-// abandon must reach the shard before the slot's next call, which retires the
-// entry through which the shard finds what to give back.
+// will adopt gives back its port and channel. The abandon reaches the shard
+// before the slot's next call, which retires the entry through which the
+// shard finds what to give back.
 func (l *Library) abandon(t *kern.Thread, req registry.AbandonReq, asked []*kern.Port, answered *kern.Port) {
 	for _, svc := range asked {
 		if svc != answered {
@@ -907,13 +813,14 @@ func (r *connRec) LeaveEngine(t *kern.Thread) {
 func (r *connRec) teardown() {
 	c, l := r.c, r.c.lib
 	c.detach()
-	l.post(nil, l.svcOwner(r.tc.Local(), r.tc.Peer()), kern.Msg{
+	l.svcOwner(r.tc.Local(), r.tc.Peer()).SendAsync(l.app, kern.Msg{
 		Op: "teardown", Body: registry.TeardownReq{Cap: r.cap}})
 	r.closed = true
 }
 
 // expire is the end of the 2MSL, run by the wheel's slow driver.
-func (tr *twRec) expire(*kern.Thread) {
+func (tr *twRec) expire(_ *kern.Thread, fired time.Duration) {
+	tr.tw.Fired = fired
 	if tr.busy {
 		tr.expired = true
 		return
@@ -931,7 +838,7 @@ func (tr *twRec) end(why tcp.Trigger, err error) {
 	tr.final.err = stacks.MapError(err)
 	l.twEnded.Broadcast()
 	c.detach()
-	l.post(nil, l.svcOwner(tr.tw.Local(), tr.tw.Peer()), kern.Msg{
+	l.svcOwner(tr.tw.Local(), tr.tw.Peer()).SendAsync(l.app, kern.Msg{
 		Op: "teardown", Body: registry.TeardownReq{Cap: tr.cap}})
 	c.tw = nil
 }

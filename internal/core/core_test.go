@@ -16,6 +16,7 @@ import (
 	"ulp/internal/sim"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
+	"ulp/internal/trace"
 	"ulp/internal/wire"
 )
 
@@ -173,15 +174,12 @@ func TestCallSlotsWaitAtTheRegistryBound(t *testing.T) {
 }
 
 // An abandon reaches its shard before the caller's next call on the same
-// slot, also from a library that batches its requests to a sharded registry:
-// that call retires the entry through which the abandon finds the connection
-// it reclaims, one handed off to a reply port nobody reads.
+// slot, also against a sharded registry: that call retires the entry through
+// which the abandon finds the connection it reclaims, one handed off to a
+// reply port nobody reads.
 func TestAbandonPrecedesTheSlotsNextCall(t *testing.T) {
 	s, libs, ips, regs := shardedLibraries(2)
 	srv, cli := libs[0], libs[1]
-	if cli.batchq == nil {
-		t.Fatal("the library does not batch against a sharded registry")
-	}
 	srv.app.Spawn("server", func(th *kern.Thread) {
 		if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
 			t.Error(err)
@@ -210,5 +208,42 @@ func TestAbandonPrecedesTheSlotsNextCall(t *testing.T) {
 	s.Run(time.Second)
 	if n := regs[1].TransferredConns(); n != 0 {
 		t.Fatalf("%d connections handed off to nobody after the abandon, want none", n)
+	}
+}
+
+// A library sends a connect to a sharded registry from the calling thread, as
+// it does to a lone one: the shard dispatches the request as soon as the
+// caller's procedure call and the IPC into the shard's domain are paid, with
+// no hold in between to coalesce it with others.
+func TestShardedConnectLeavesFromTheCaller(t *testing.T) {
+	s, libs, ips, _ := shardedLibraries(2)
+	srv, cli := libs[0], libs[1]
+	s.Bus = trace.NewBus(func() time.Duration { return time.Duration(s.Now()) })
+	var dispatched []time.Duration
+	s.Bus.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.RegistryRPC && e.Node == "h1" && e.Text == "connect" {
+			dispatched = append(dispatched, e.At)
+		}
+	})
+	srv.app.Spawn("server", func(th *kern.Thread) {
+		if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Run(100 * time.Millisecond)
+	var called time.Duration
+	done := false
+	cli.app.Spawn("client", func(th *kern.Thread) {
+		called = time.Duration(s.Now())
+		if _, err := cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, stacks.Options{}); err != nil {
+			t.Error(err)
+		}
+		done = true
+	})
+	s.RunUntil(time.Minute, func() bool { return done })
+	c := cli.host.Cost
+	want := called + c.ProcCall + c.MachIPCSend + c.ContextSwitch
+	if len(dispatched) != 1 || dispatched[0] != want {
+		t.Fatalf("connect dispatched at %v, want once at %v (the call at %v, then its procedure call and IPC)", dispatched, want, called)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ulp/internal/conform"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -12,6 +13,7 @@ import (
 	"ulp/internal/sim"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
+	"ulp/internal/trace"
 )
 
 // closeFirst runs n connections through two libraries, one at a time: the
@@ -253,5 +255,73 @@ func TestExitWhileTimeWaitAnswers(t *testing.T) {
 	}
 	if got := regs[0].OwnedConns(); got != n {
 		t.Fatalf("the registry inherited %d connections in TIME_WAIT, want %d", got, n)
+	}
+}
+
+// TestTimeWaitReleaseCarriesItsFire: a 2MSL expiry is traced with the instant
+// the wheel fired it, whether the library's compact record or, after Exit,
+// the registry's inherited pcb ends the TIME_WAIT, and the release follows
+// the fire; the conformance checker finds the library's fires within the
+// 2MSL's bounds.
+func TestTimeWaitReleaseCarriesItsFire(t *testing.T) {
+	const n = 3
+	for _, exit := range []bool{false, true} {
+		s, libs, ips, _ := twoLibraries()
+		srv, cli := libs[0], libs[1]
+		s.Bus = trace.NewBus(func() time.Duration { return time.Duration(s.Now()) })
+		k := conform.New()
+		s.Bus.Subscribe(k.HandleEvent)
+		var releases []trace.Event
+		s.Bus.Subscribe(func(e trace.Event) {
+			if e.Kind == trace.TCPState && tcp.State(e.A) == tcp.TimeWait && tcp.Trigger(e.C) == tcp.TrigTimer {
+				releases = append(releases, e)
+			}
+		})
+		srv.app.Spawn("srv", func(th *kern.Thread) {
+			l, err := srv.Listen(th, 80, stacks.Options{Backlog: n})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for range n {
+				c, err := l.Accept(th)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c.Close(th)
+			}
+		})
+		cli.app.SpawnAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+			for range n {
+				c, err := cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, stacks.Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				readAll(t, th, c)
+				c.Close(th)
+			}
+			if exit {
+				srv.app.SpawnAfter(time.Second, "exit", func(th *kern.Thread) { srv.Exit(th, false) })
+			}
+		})
+		s.Run(70 * time.Second)
+		if len(releases) != n {
+			t.Fatalf("exit %v: %d TIME_WAIT releases by timer, want %d", exit, len(releases), n)
+		}
+		for _, e := range releases {
+			if e.Fired == 0 || e.Fired > e.At {
+				t.Errorf("exit %v: %s released at %v, fired at %v", exit, e.Conn, e.At, e.Fired)
+			}
+		}
+		// The inherited pcb's trace begins in TIME_WAIT under the label of
+		// the registry's hand-off pcb, last seen ESTABLISHED: after Exit only
+		// the 2MSL rule is held.
+		for _, v := range k.Violations() {
+			if !exit || v.Rule == conform.RuleTimeWait {
+				t.Errorf("exit %v: %v", exit, v)
+			}
+		}
 	}
 }

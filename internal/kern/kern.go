@@ -358,16 +358,6 @@ type Msg struct {
 	ID, Slot uint32
 }
 
-// Batch is a coalesced control-plane message: several requests carried by
-// one IPC. The sender pays one Send for the whole batch; appending a
-// request to a forming batch is modelled free (a shared-memory write next
-// to the single IPC that carries it). The receiver dispatches each inner
-// message — each with its own ID and Reply port — in order, as if they had
-// arrived back to back, as the batch's sender's.
-type Batch struct {
-	Msgs []Msg
-}
-
 // Port is a Mach-style message port: a kernel-protected queue with send and
 // receive rights. Sends charge the one-way IPC cost plus in-line data copy;
 // the receiver side charges the context switch upon wakeup (modelled at

@@ -188,8 +188,7 @@ func TestSendAsync(t *testing.T) {
 
 // The kernel names a message's sender: a From the sender wrote is
 // overwritten with the domain that sent it, whether the message goes by Send
-// (a batch's carrying IPC too) or by SendAsync, and so is an answer's by
-// ReplyTo. The registry gives a batch's sender to each request inside it.
+// or by SendAsync, and so is an answer's by ReplyTo.
 func TestSenderCannotBeForged(t *testing.T) {
 	s := sim.New()
 	h := newHost(s)
@@ -198,19 +197,18 @@ func TestSenderCannotBeForged(t *testing.T) {
 	forged := Msg{Op: "forged", From: victim}
 	forger.Spawn("send", func(th *Thread) {
 		svc.Send(th, forged)
-		svc.Send(th, Msg{Op: "batch", From: victim, Body: Batch{Msgs: []Msg{forged}}})
 	})
 	svc.SendAsync(forger, forged)
 	var got []Msg
 	victim.Spawn("serve", func(th *Thread) {
-		for range 3 {
+		for range 2 {
 			got = append(got, svc.Receive(th))
 		}
 		Msg{Reply: reply}.ReplyTo(th, Msg{From: forger})
 	})
 	s.Run(0)
-	if len(got) != 3 {
-		t.Fatalf("%d messages reached the server, want 3", len(got))
+	if len(got) != 2 {
+		t.Fatalf("%d messages reached the server, want 2", len(got))
 	}
 	for i, m := range got {
 		if m.From != forger {

@@ -161,8 +161,8 @@ type Channel struct {
 	bqi        uint16 // nonzero on AN1
 	mod        *Module
 	bd         *binding // its entry in Module.steer
-	// rec is the record the channel is part of; disowned marks that the
-	// consumer has let go of it (Disown).
+	// rec is the record the channel is part of, nil once it is left to the
+	// collector; disowned marks that the consumer has let go of it (Disown).
 	rec      *chanRec
 	disowned bool
 	// issuer is the control-plane domain that created (or re-adopted) the
@@ -283,13 +283,16 @@ func (ch *Channel) Pending() int { return len(ch.rxq) }
 // TryRecv or read the channel again, made by the thread that did so. The
 // channel leaves the doorbell it was attached to for the module's unattached
 // one, so that frames still arriving before it is destroyed wake nobody. A
-// channel disowned before it is destroyed has no user left but the module,
-// which may then give its record to the next endpoint; one that is not — its
-// consumer was killed, or never said — is left to the collector.
+// disowned channel has no user left but the module, which gives its record to
+// the next endpoint once it is destroyed too, in either order; one never
+// disowned — its consumer was killed, or never said — is the collector's.
 func (ch *Channel) Disown() {
 	ch.bell.unlink(ch)
 	ch.bell, ch.owner = &ch.mod.unattached, nil
 	ch.disowned = true
+	if ch.bd == nil && ch.rec != nil { // destroyed, its ring idle
+		ch.mod.free.Put(ch.rec)
+	}
 }
 
 // Inject delivers a frame into the channel from the kernel's default input
@@ -882,14 +885,16 @@ func (m *Module) DestroyChannel(from *kern.Domain, cap *Capability) error {
 	if m.host.S.Bus.Enabled() {
 		m.host.S.Bus.Emit(trace.Event{Kind: trace.CapRevoked, Node: m.dev.Name(), A: int64(cap.id)})
 	}
-	// The record is reused only when the module holds the last reference to
-	// it: the consumer said it is gone, no frame is between arrival and
-	// interrupt in the ring, and the doorbell it rang has just let go of it.
-	// Every other destroyed channel — a crashed application's, whose
-	// consumer was killed, a datagram or raw one, whose consumer never says —
-	// is the collector's.
+	// The record is reused only once the module holds the last reference to
+	// it: the consumer said it is gone (here, or later in Disown), no frame
+	// is between arrival and interrupt in the ring, and the doorbell it rang
+	// has let go of it. Every other destroyed channel — a crashed
+	// application's, whose consumer was killed, a datagram or raw one, whose
+	// consumer never says, one whose ring was busy — is the collector's.
 	cap.ch = nil
-	if ch.disowned && ringIdle {
+	if !ringIdle {
+		ch.rec = nil
+	} else if ch.disowned {
 		m.free.Put(ch.rec)
 	}
 	return nil

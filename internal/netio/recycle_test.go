@@ -8,7 +8,8 @@ import (
 
 // A destroyed channel's record goes to the next endpoint only when the
 // module provably holds the last reference to it: the consumer disowned the
-// channel and no frame is in its ring on its way to the module. The
+// channel, before or after it was destroyed, and no frame is in its ring on
+// its way to the module. The
 // capability is never reused, so a stale one stays fenced however often its
 // channel's record has been.
 func TestChannelRecordsAreReused(t *testing.T) {
@@ -41,6 +42,23 @@ func TestChannelRecordsAreReused(t *testing.T) {
 		destroy(cap1)
 		if w.m2.free.Len() != 0 || ch1.Region == nil || cap1.Chan() != nil {
 			t.Fatalf("an1=%v: a channel nobody disowned was put up for reuse", an1)
+		}
+
+		// Destroyed first, as a teardown that overtakes the consumer's
+		// last drain is: the record is free once the consumer disowns it.
+		cap2, ch2 := create(81)
+		destroy(cap2)
+		if w.m2.free.Len() != 0 {
+			t.Fatalf("an1=%v: a channel still owned was put up for reuse", an1)
+		}
+		ch2.Disown()
+		if w.m2.free.Len() != 1 {
+			t.Fatalf("an1=%v: %d records free after a destroyed channel was disowned, want 1", an1, w.m2.free.Len())
+		}
+		if cap5, ch5 := create(81); ch5 != ch2 || w.m2.free.Len() != 0 {
+			t.Fatalf("an1=%v: the next channel was not made from the record disowned last", an1)
+		} else {
+			destroy(cap5)
 		}
 
 		// Disowned: the next endpoint is made from the record.

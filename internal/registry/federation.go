@@ -19,13 +19,12 @@ import (
 // Federation is one host's registry: N registry servers (shards) sharing a
 // single network interface, each owning a static contiguous slice of the
 // ephemeral port space. N = 1 is the paper's registry — one trusted server
-// per host, computing on the host CPU. N > 1 is the same code plus three
+// per host, computing on the host CPU. N > 1 is the same code plus two
 // policies: each shard is pinned to a CPU of its own (NewFederation), so
 // connection setup work that a lone registry serializes on one CPU (~6.5 ms
-// per setup) spreads across the shards; the libraries coalesce their
-// requests into batches (core.NewLibrary); and requests and frames for a
-// dead shard's tuples go to a live sibling (successor). Data-path frames
-// never touch the federation at all.
+// per setup) spreads across the shards; and requests and frames for a dead
+// shard's tuples go to a live sibling (successor). Data-path frames never
+// touch the federation at all.
 //
 // Ownership is static and derivable, which is what makes the control plane
 // recoverable: a frame or control request for tuple (local, peer) belongs

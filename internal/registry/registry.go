@@ -357,16 +357,6 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 			r.adopt(t)
 			continue
 		}
-		if batch, ok := m.Body.(kern.Batch); ok {
-			// A coalesced control-plane batch: one IPC carried several of its
-			// sender's requests, each with its own id and reply port. Dispatch
-			// them in order as if they had arrived back to back.
-			for _, bm := range batch.Msgs {
-				bm.From = m.From
-				r.dispatch(t, bm)
-			}
-			continue
-		}
 		r.dispatch(t, m)
 	}
 }

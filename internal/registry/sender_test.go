@@ -217,45 +217,6 @@ func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
 	}
 }
 
-// A request inside a batch is its batch's sender's, whatever From it carries:
-// a second domain's batched unlisten and teardown that name the victim as
-// their sender leave the victim's listener and connection alone, and the
-// victim's own batched unlisten that names the second domain ends its
-// listener.
-func TestBatchedRequestsAreTheBatchSenders(t *testing.T) {
-	rg := newRig(false)
-	rg.listenOn(t, 80)
-	var conn Handoff
-	rg.from(rg.apps[1], func(th *kern.Thread) {
-		conn = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
-	})
-	if conn.Err != nil {
-		t.Fatalf("set-up: %v", conn.Err)
-	}
-	intruder0 := rg.r0.host.NewDomain("intruder", false)
-	intruder1 := rg.r1.host.NewDomain("intruder", false)
-	rg.from(intruder0, func(th *kern.Thread) {
-		rg.r0.Svc.Send(th, kern.Msg{Op: "batch", Body: kern.Batch{Msgs: []kern.Msg{
-			{Op: "unlisten", From: rg.apps[0], Body: UnlistenReq{Port: 80}}}}})
-	})
-	rg.from(intruder1, func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "batch", Body: kern.Batch{Msgs: []kern.Msg{
-			{Op: "teardown", From: rg.apps[1], Body: TeardownReq{Cap: conn.Cap}}}}})
-	})
-	if n := rg.r0.ListenerCount(); n != 1 {
-		t.Fatalf("%d listeners after a forged batched unlisten, want 1", n)
-	}
-	rg.keeps(t, conn)
-	rg.from(rg.apps[0], func(th *kern.Thread) {
-		rg.r0.Svc.Send(th, kern.Msg{Op: "batch", Body: kern.Batch{Msgs: []kern.Msg{
-			{Op: "unlisten", From: intruder0, Body: UnlistenReq{Port: 80}}}}})
-	})
-	if n := rg.r0.ListenerCount(); n != 0 {
-		t.Fatalf("%d listeners after the owner's batched unlisten, want none", n)
-	}
-}
-
 // A caller's next call retires its entry, and with it the entry's hold on the
 // hand-off that answered its connect: the record goes back to the shard's
 // list for the next set-up.

@@ -47,6 +47,7 @@ type TCPWheel struct {
 	// expire runs a due TimeWaitEnt on the slow driver's thread, charged
 	// like any fire; Drive sets it.
 	expire func(e *TimeWaitEnt)
+	fired  time.Duration // when the slow driver woke for the tick now firing
 }
 
 // WheelEnt is one connection's wheel registration. Owner carries the
@@ -82,7 +83,7 @@ type WheelEnt struct {
 type TimeWaitEnt struct {
 	w      *TCPWheel
 	slowT  timerwheel.Timer
-	expire func(t *kern.Thread)
+	expire func(t *kern.Thread, fired time.Duration)
 }
 
 // NewTCPWheel builds the two wheels: the slow wheel spans 2^16 ticks
@@ -143,7 +144,7 @@ func (w *TCPWheel) Drop(e *WheelEnt) {
 // timers due on it as the full connection would have, and then runs expire
 // on the slow driver's thread, charged one TimerOp like any fire. e is
 // dropped. Nothing but the shell's bookkeeping changes: no timer is set.
-func (w *TCPWheel) Compact(e *WheelEnt, tw *TimeWaitEnt, expire func(t *kern.Thread)) {
+func (w *TCPWheel) Compact(e *WheelEnt, tw *TimeWaitEnt, expire func(t *kern.Thread, fired time.Duration)) {
 	tw.w, tw.expire = w, expire
 	w.slow.Move(&e.slowT, &tw.slowT, tw.fire)
 	w.Drop(e)
@@ -168,6 +169,7 @@ func (w *TCPWheel) Sync(e *WheelEnt) {
 	}
 	if n := w.slow.Now() - e.lastSeen; n > 0 {
 		e.lastSeen = w.slow.Now()
+		e.tc.Fired = w.fired
 		e.tc.AdvanceSlowTicks(int(n))
 	}
 	if n := w.fast.Now() - e.lastFast; n > 0 {
@@ -287,19 +289,19 @@ func (w *TCPWheel) Drive(dom *kern.Domain, name string, h DriverHooks) {
 		h.Fire = func(_ *kern.Thread, e *WheelEnt, fn func(*WheelEnt)) { fn(e) }
 	}
 	dom.Spawn(name+"-fast", func(t *kern.Thread) {
-		drive(t, 200*time.Millisecond, w.AdvanceFast, h, nil)
+		drive(t, 200*time.Millisecond, w.AdvanceFast, h, nil, nil)
 	})
 	dom.Spawn(name+"-slow", func(t *kern.Thread) {
 		w.expire = func(e *TimeWaitEnt) {
 			t.Compute(t.Cost().TimerOp)
-			e.expire(t)
+			e.expire(t, w.fired)
 		}
-		drive(t, 500*time.Millisecond, w.AdvanceSlow, h, h.AfterSlow)
+		drive(t, 500*time.Millisecond, w.AdvanceSlow, h, h.AfterSlow, &w.fired)
 	})
 }
 
-// drive is the body of one driver thread.
-func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEnt, func(*WheelEnt))) int, h DriverHooks, after func()) {
+// drive is the body of one driver thread; fired, when set, notes each wake.
+func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEnt, func(*WheelEnt))) int, h DriverHooks, after func(), fired *time.Duration) {
 	exec := func(e *WheelEnt, fn func(*WheelEnt)) {
 		t.Compute(t.Cost().TimerOp)
 		h.Fire(t, e, fn)
@@ -307,6 +309,9 @@ func drive(t *kern.Thread, period time.Duration, advance func(exec func(*WheelEn
 	tick := func() { advance(exec) }
 	for {
 		t.Sleep(period)
+		if fired != nil {
+			*fired = time.Duration(t.Dom.Host.S.Now())
+		}
 		h.Bracket(t, tick)
 		if after != nil {
 			after()

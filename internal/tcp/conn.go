@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"ulp/internal/pkt"
 	"ulp/internal/trace"
@@ -292,6 +293,9 @@ type Conn struct {
 	// allocation-free.
 	bus      *trace.Bus
 	busLabel string
+	// Fired is the instant the shell's timer wheel last advanced the slow
+	// timers, traced with a transition they cause; observer only.
+	Fired time.Duration
 }
 
 // SetTrace attaches a trace bus; label names this connection in events
@@ -369,7 +373,7 @@ func (c *Conn) setState(s State, why Trigger) {
 	}
 	prev := c.state
 	c.state = s
-	emitState(c.bus, c.busLabel, prev, s, why)
+	emitState(c.bus, c.busLabel, prev, s, why, c.Fired)
 	switch s {
 	case Established:
 		if c.cfg.KeepAliveTicks > 0 {
@@ -399,13 +403,15 @@ func (c *Conn) setState(s State, why Trigger) {
 	}
 }
 
-// emitState traces a connection's transition from prev to s.
-func emitState(bus *trace.Bus, label string, prev, s State, why Trigger) {
+// emitState traces a connection's transition from prev to s, with the
+// instant the wheel last advanced its slow timers.
+func emitState(bus *trace.Bus, label string, prev, s State, why Trigger, fired time.Duration) {
 	if bus.Enabled() {
 		bus.Emit(trace.Event{
 			Kind: trace.TCPState, Conn: label,
 			A: int64(prev), B: int64(s), C: int64(why),
-			Text: prev.String() + "->" + s.String(),
+			Text:  prev.String() + "->" + s.String(),
+			Fired: fired,
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"time"
+
 	"ulp/internal/pkt"
 	"ulp/internal/trace"
 )
@@ -22,6 +24,8 @@ type TW struct {
 	headroom       int
 	bus            *trace.Bus
 	label          string
+	// Fired is Conn.Fired for the 2MSL expiry.
+	Fired time.Duration
 }
 
 // Compact returns c's TIME_WAIT state as a TW. c must be in TIME_WAIT;
@@ -111,7 +115,7 @@ func (tw *TW) Close(why Trigger, st *Stats) {
 	if why != TrigTimer {
 		st.TimerOps++
 	}
-	emitState(tw.bus, tw.label, TimeWait, Closed, why)
+	emitState(tw.bus, tw.label, TimeWait, Closed, why, tw.Fired)
 }
 
 // Local and Peer return the connection's endpoints.

@@ -111,6 +111,9 @@ type Event struct {
 	Conn    string // connection / channel / domain label ("" when not applicable)
 	A, B, C int64  // kind-specific numeric payload
 	Text    string // kind-specific detail (state names, drop reason, RPC op)
+	// Fired is, on a TCPState event, when the timer wheel last fired the slow
+	// timers: a timer-caused transition's own fire (zero with no wheel).
+	Fired time.Duration
 
 	// Frame holds raw frame bytes for Frame* events. Read-only,
 	// callback-lifetime only.
