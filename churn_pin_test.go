@@ -13,7 +13,9 @@ import (
 // recorded when each library's connections came to share one input thread
 // (a frame that finds it running costs a signal, not a wakeup), and the
 // sharded row again when a library's requests to a sharded registry came to
-// leave from the calling thread, with no hold to coalesce them; the paper
+// leave from the calling thread, with no hold to coalesce them; both rows
+// again when a frame that finds a registry shard's input thread at work came
+// to cost a signal, not a wakeup, as a channel's doorbell charges; the paper
 // tables (ulbench's golden file) pin only the lone shape, and bench/'s
 // baselines pin the sharded one only outside `go test`. A change meant to
 // move them records new constants and says why.
@@ -22,8 +24,8 @@ func TestChurnVirtualNumbersPinned(t *testing.T) {
 		shards                  int
 		p50, p99, p999, virtual time.Duration
 	}{
-		{0, 116239004, 171162096, 173147928, 1536870016},
-		{4, 17974660, 37147120, 37322524, 360257708},
+		{0, 110969076, 164803132, 165367932, 1530950516},
+		{4, 16409220, 36058276, 36985320, 358335628},
 	} {
 		r := experiments.Churn(experiments.ChurnConfig{Conns: 200, Shards: want.shards})
 		if r.Err != nil {

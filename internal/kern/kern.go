@@ -29,7 +29,8 @@ type Host struct {
 
 	ndomains int // domains created, which numbers them (Domain.Index)
 	// wakeups and signals count semaphore posts by what they cost: a wakeup
-	// made a blocked thread runnable, a signal found nobody to wake (Sem.V).
+	// made a blocked thread runnable, a signal found nobody to wake (Sem.V,
+	// Domain.Notify).
 	wakeups, signals int64
 	// sends holds the records of SendAsync messages that have been pushed.
 	sends freelist.List[*asyncSend]
@@ -107,6 +108,22 @@ func (d *Domain) CPU() *sim.Resource {
 // event context (the pinned-core analogue of Host.ComputeAsync).
 func (d *Domain) ComputeAsync(dur time.Duration, fn func()) {
 	d.CPU().UseAsync(dur, fn)
+}
+
+// Notify charges and counts, from event context, one post to a thread of
+// the domain that is fed through a queue, by Sem.V's rule: KernelWakeup on
+// the domain's compute resource if the thread is asleep on the queue and
+// must be made runnable, else SemSignal, since the running thread will find
+// the work before it sleeps again.
+func (d *Domain) Notify(asleep bool) {
+	h := d.Host
+	if asleep {
+		h.wakeups++
+		d.ComputeAsync(h.Cost.KernelWakeup, nil)
+		return
+	}
+	h.signals++
+	d.ComputeAsync(h.Cost.SemSignal, nil)
 }
 
 func (d *Domain) String() string { return d.Host.Name + "/" + d.Name }

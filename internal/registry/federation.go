@@ -172,8 +172,11 @@ func (f *Federation) cover(i int) int {
 
 // steer is the module's default handler: classify the frame to its
 // authoritative shard (successor when that shard is down) and deliver it to
-// the shard's receive queue, charging the wakeup to the CPU the shard
-// computes on.
+// the shard's receive queue. A frame into an empty queue posts the shard's
+// input thread the way a channel's doorbell posts its consumer, on the CPU
+// the shard computes on: a kernel wakeup if the thread sleeps in its
+// receive, a signal if it is still at work (a set-up's ChannelSetup or
+// StateTransfer) and will pop the frame before it sleeps again.
 func (f *Federation) steer(b *pkt.Buf) {
 	i := f.classify(b.Bytes())
 	if !f.live[i] {
@@ -185,7 +188,7 @@ func (f *Federation) steer(b *pkt.Buf) {
 	}
 	sh := f.shards[i]
 	if sh.rxq.Len() == 0 {
-		sh.dom.ComputeAsync(sh.host.Cost.KernelWakeup, nil)
+		sh.dom.Notify(sh.rxq.Waiters() > 0)
 	}
 	sh.rxq.Push(b)
 }

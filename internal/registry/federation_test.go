@@ -17,6 +17,7 @@ import (
 	"ulp/internal/link"
 	"ulp/internal/netdev"
 	"ulp/internal/netio"
+	"ulp/internal/pkt"
 	"ulp/internal/sim"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -150,6 +151,66 @@ func TestFederationSteersHandshakeToOwner(t *testing.T) {
 	// No shard adopted another's connection.
 	if rg.fed.TransferredConns() != 4 {
 		t.Fatalf("federation transferred %d conns, want 4", rg.fed.TransferredConns())
+	}
+}
+
+// A frame into a shard's empty receive queue posts the shard's input thread
+// as a channel's doorbell posts its consumer: a kernel wakeup, on the shard's
+// CPU, only while the thread sleeps in its receive; a semaphore signal while
+// it is at work on a set-up (here the state transfer after setupChannel).
+// Both are counted in the host's wakeups and signals.
+func TestShardPostCostsWhatTheDoorbellCharges(t *testing.T) {
+	rg := newFedRig(t, 4, 0)
+	rg.listenOn0(t, 80)
+	sh := rg.fed.shards[0]
+	cost := sh.host.Cost
+	// post steers a frame no handler takes (an unknown EtherType, which
+	// classifies to shard 0) into the shard's empty queue and returns what
+	// that cost, by counter and on the shard's CPU.
+	post := func() (wakeups, signals int64, cpu time.Duration) {
+		if n := sh.rxq.Len(); n != 0 {
+			t.Fatalf("shard queue holds %d frames, want it empty", n)
+		}
+		w0, s0 := counter(t, sh.host.Describe, "wakeups"), counter(t, sh.host.Describe, "signals")
+		busy := sh.dom.CPU().Busy()
+		b := pkt.FromBytes(link.EthHeaderLen, make([]byte, 46))
+		lh := link.EthHeader{Dst: link.MakeAddr(2), Src: link.MakeAddr(9), Type: 0x88b5}
+		lh.Encode(b)
+		rg.fed.steer(b)
+		return counter(t, sh.host.Describe, "wakeups") - w0,
+			counter(t, sh.host.Describe, "signals") - s0,
+			time.Duration(sh.dom.CPU().Busy() - busy)
+	}
+	type charge struct {
+		wakeups, signals int64
+		cpu              time.Duration
+	}
+	var atWork *charge
+	rg.fed.mod.FailSetup = func(op string) error {
+		if op == "create" && atWork == nil {
+			// setupChannel is done; the input thread now computes the state
+			// transfer.
+			rg.s.After(sim.Dur(100*time.Microsecond), func() {
+				w, s, c := post()
+				atWork = &charge{w, s, c}
+			})
+		}
+		return nil
+	}
+	if ho, got := rg.connectVia(t, 0, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Minute); !got || ho.Err != nil {
+		t.Fatalf("connect: got=%v err=%v", got, ho.Err)
+	}
+	if atWork == nil {
+		t.Fatal("no frame reached the shard during its set-up")
+	}
+	if *atWork != (charge{0, 1, cost.SemSignal}) {
+		t.Errorf("frame to a shard at work: %d wakeups, %d signals, %v of CPU; want 0, 1, %v",
+			atWork.wakeups, atWork.signals, atWork.cpu, cost.SemSignal)
+	}
+	rg.s.Run(100 * time.Millisecond) // the shard falls asleep
+	if w, s, c := post(); (charge{w, s, c}) != (charge{1, 0, cost.KernelWakeup}) {
+		t.Errorf("frame to a sleeping shard: %d wakeups, %d signals, %v of CPU; want 1, 0, %v",
+			w, s, c, cost.KernelWakeup)
 	}
 }
 

@@ -94,7 +94,7 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		tc := &hc.tc
 		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
-		if err := r.attach(hc); err != nil {
+		if err := r.attach(hc, nil); err != nil {
 			r.release(t, hc, Handoff{Err: err}) // a duplicate tuple: nobody to tell
 			return true
 		}

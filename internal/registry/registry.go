@@ -535,7 +535,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 			return
 		}
 	}
-	if err := r.attach(hc); err != nil {
+	if err := r.attach(hc, nil); err != nil {
 		r.release(t, hc, Handoff{Err: err})
 		return
 	}
@@ -626,10 +626,11 @@ func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req InheritReq) {
 	hc := r.newConn()
 	tc := &hc.tc
 	tcp.RestoreInto(tc, req.Snap, tcp.Callbacks{})
-	if err := r.attach(hc); err != nil {
+	if err := r.attach(hc, req.Cap.Owner()); err != nil {
 		r.free.Put(hc)
 		return
 	}
+	tc.TraceRestored()
 	r.ports.Retain(req.Snap.Local.Port) // the pcb's, given back by release
 	if req.Abort {
 		// "To guard against an abnormal application termination, the
@@ -680,8 +681,11 @@ func (r *Server) newConn() *hsConn {
 
 // attach makes the registry the owner of hc's initialised pcb: on the wheel,
 // in the connection map, with the registry-side callbacks. It refuses a pcb
-// whose four-tuple is taken before it registers anything.
-func (r *Server) attach(hc *hsConn) error {
+// whose four-tuple is taken before it registers anything. app, non-nil for an
+// inherited pcb, is the application whose connection the pcb continues, and
+// names it in trace events as its library did, so the trace reads as one
+// connection; a set-up is named by the host.
+func (r *Server) attach(hc *hsConn, app *kern.Domain) error {
 	tc := &hc.tc
 	ft := tc.Tuple()
 	if _, dup := r.conns[ft]; dup {
@@ -690,7 +694,11 @@ func (r *Server) attach(hc *hsConn) error {
 	r.conns[ft] = hc
 	r.wheel.Init(&hc.went, tc, nil)
 	if r.host.S.Bus.Enabled() {
-		tc.SetTrace(r.host.S.Bus, r.host.Name+" "+tc.Local().String()+">"+tc.Peer().String())
+		who := r.host.Name
+		if app != nil {
+			who = app.String()
+		}
+		tc.SetTrace(r.host.S.Bus, who+" "+tc.Local().String()+">"+tc.Peer().String())
 	}
 	if hc.cb.Send == nil {
 		hc.cb = tcp.Callbacks{Send: hc.send, OnEstablished: hc.established, OnClosed: hc.closed}

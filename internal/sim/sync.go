@@ -210,3 +210,6 @@ func (q *Queue[T]) TryPop() (T, bool) {
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.len() }
+
+// Waiters returns the number of procs blocked in Pop or PopTimeout.
+func (q *Queue[T]) Waiters() int { return q.cond.Waiters() }

@@ -522,8 +522,12 @@ func (c *Conn) enterTimeWait(why Trigger) {
 	c.setState(TimeWait, why)
 	c.cancelDataTimers()
 	c.setTimer(&c.t2MSL, c.cfg.TimeWaitTicks)
-	// Traced so the conformance checker can verify TIME_WAIT lasts exactly
-	// TimeWaitTicks from its arming.
+	c.traceTimeWaitArm()
+}
+
+// traceTimeWaitArm traces an arming of the 2*MSL timer, so the conformance
+// checker can verify TIME_WAIT lasts exactly TimeWaitTicks from it.
+func (c *Conn) traceTimeWaitArm() {
 	if c.bus.Enabled() {
 		c.bus.Emit(trace.Event{Kind: trace.TCPTimeWait, Conn: c.busLabel,
 			A: int64(c.cfg.TimeWaitTicks)})

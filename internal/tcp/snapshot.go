@@ -93,3 +93,12 @@ func RestoreInto(c *Conn, s Snapshot, cb Callbacks) {
 		c.setTimer(&c.tKeep, c.cfg.KeepAliveTicks)
 	}
 }
+
+// TraceRestored traces what RestoreInto armed that a trace of the connection
+// must show, for a shell that attaches the bus after the restore: the full
+// 2*MSL of a connection restored in TIME_WAIT, which its release is held to.
+func (c *Conn) TraceRestored() {
+	if c.state == TimeWait {
+		c.traceTimeWaitArm()
+	}
+}
