@@ -9,6 +9,8 @@ package ulp
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -887,36 +889,77 @@ func TestChaosZeroCopyCrashSweepsReferences(t *testing.T) {
 
 // A registry-crash entry is honoured whatever the world's shape, or refused:
 // the plan that crashes "the registry" (shard 0) of a four-shard world must
-// really take that shard down and bring it back — a new incarnation, with the
-// listeners re-replicated from a sibling — and a plan naming a shard the world
-// does not have must be rejected, not dropped. Both used to be silently
-// ignored: the lone and the sharded shape each read only its own list.
+// really take that shard down and bring it back as a new incarnation, and a
+// plan naming a shard the world does not have must be rejected, not dropped.
+// Both used to be silently ignored: the lone and the sharded shape each read
+// only its own list. The host keeps its one listener record throughout, so a
+// SYN whose tuple hashes to shard 0 is accepted by the sibling that covers
+// for it and, with no copy step, by its next incarnation.
 func TestChaosCrashScheduleHonouredOrRefused(t *testing.T) {
+	const crashAt, restartAt = 100 * time.Millisecond, 300 * time.Millisecond
 	plan := func(shard int) *chaos.FaultPlan {
 		return &chaos.FaultPlan{Seed: 5, ShardCrashes: []chaos.ShardCrash{
-			{Host: 0, Shard: shard, At: 100 * time.Millisecond, RestartAfter: 200 * time.Millisecond}}}
+			{Host: 0, Shard: shard, At: crashAt, RestartAfter: restartAt - crashAt}}}
 	}
 	w := NewWorld(Config{Org: OrgUserLib, Net: Ethernet, RegistryShards: 4, Chaos: plan(0)})
-	srv := w.Node(0).App("server")
-	srv.Go("srv", func(th *kern.Thread) {
-		if _, err := srv.Stack.Listen(th, 80, stacks.Options{}); err != nil {
-			t.Errorf("listen: %v", err)
+	// Host 0's passive set-ups of shard 0's tuples, by when they established.
+	var covered, reborn int
+	w.EnableTrace().Subscribe(func(e trace.Event) {
+		if e.Kind != trace.TCPState || e.A != int64(tcp.SynRcvd) || e.B != int64(tcp.Established) ||
+			!strings.HasPrefix(e.Conn, "h0 ") {
+			return
+		}
+		port, err := strconv.Atoi(e.Conn[strings.LastIndex(e.Conn, ":")+1:])
+		if err != nil || passiveShard(w.Endpoint(0, 80), w.Endpoint(1, uint16(port)), 4) != 0 {
+			return
+		}
+		switch {
+		case e.At > crashAt && e.At < restartAt:
+			covered++
+		case e.At > restartAt:
+			reborn++
+		}
+	})
+	serveAndClose(t, w, stacks.Options{})
+	cli := w.Node(1).App("client")
+	var refused []time.Duration
+	cli.GoAfter(time.Millisecond, "cli", func(th *kern.Thread) {
+		buf := make([]byte, 64)
+		for {
+			start := w.Now()
+			c, err := cli.Stack.Connect(th, w.Endpoint(0, 80), stacks.Options{})
+			if err != nil {
+				refused = append(refused, start)
+				continue
+			}
+			for {
+				if n, err := c.Read(th, buf); err != nil || n == 0 {
+					break
+				}
+			}
+			c.Close(th)
 		}
 	})
 	reg := w.Node(0).Registry
-	w.Run(150 * time.Millisecond)
+	w.Run(crashAt + 50*time.Millisecond)
 	if Counter(t, w, "registry.h0.shard0.live") != 0 {
 		t.Fatal("shard 0 still live after its scheduled crash")
 	}
-	if got := reg.ListenerCount(); got != 3 {
-		t.Fatalf("%d listeners on the three survivors, want 3", got)
+	if got := reg.ListenerCount(); got != 1 {
+		t.Fatalf("%d listeners while shard 0 is down, want the host's one", got)
 	}
-	w.Run(250 * time.Millisecond)
+	w.Run(restartAt - crashAt + 100*time.Millisecond)
 	if live, epoch := Counter(t, w, "registry.h0.shard0.live"), Counter(t, w, "registry.h0.shard0.epoch"); live != 1 || epoch != 2 {
 		t.Fatalf("shard 0 live=%d epoch=%d after its scheduled restart, want 1 and 2", live, epoch)
 	}
-	if got := reg.ListenerCount(); got != 4 {
-		t.Fatalf("%d listeners on the four shards, want 4 (re-replicated to the reborn one)", got)
+	if got := reg.ListenerCount(); got != 1 {
+		t.Fatalf("%d listeners after shard 0's restart, want the host's one", got)
+	}
+	if covered == 0 || reborn == 0 {
+		t.Errorf("shard 0's tuples: %d set-ups accepted while it was covered, %d after its restart; want some of each", covered, reborn)
+	}
+	if len(refused) != 0 {
+		t.Errorf("connects started at %v failed", refused)
 	}
 
 	defer func() {
@@ -928,10 +971,22 @@ func TestChaosCrashScheduleHonouredOrRefused(t *testing.T) {
 	NewWorld(Config{Org: OrgUserLib, Net: Ethernet, Chaos: plan(3)})
 }
 
+// passiveShard is the shard that owns a passive open's tuple among n: the
+// FNV-1a hash of the local and the peer endpoint, each its address and then
+// its port, high byte first.
+func passiveShard(local, peer tcp.Endpoint, n int) int {
+	h := fnv.New32a()
+	for _, e := range []tcp.Endpoint{local, peer} {
+		h.Write(e.IP[:])
+		h.Write([]byte{byte(e.Port >> 8), byte(e.Port)})
+	}
+	return int(h.Sum32() % uint32(n))
+}
+
 // Shards crash independently — on both hosts — while a dozen connections
 // churn through setup, echo, and teardown. The control plane must keep
 // admitting and completing setups (dead shards are routed around via
-// successor steering and replicated listeners), migrated connections must
+// successor steering and the one listener table), migrated connections must
 // finish their transfers, and when the dust settles nothing may leak: no
 // ports, no transferred-connection records, no capabilities, no pinned
 // regions, no pool buffers — on either host — with the RFC 793 conformance

@@ -456,36 +456,19 @@ type Listener struct {
 	accept *kern.Port
 }
 
-// Listen implements stacks.Stack. The listener is replicated to every
-// registry shard — a passive tuple's handshake runs on the shard its hash
-// selects, and any shard must be able to answer a SYN — so the effective
-// backlog is per shard (N× the single-registry bound). A dead shard a live
-// sibling covers for is skipped: its next incarnation re-replicates from a
-// survivor.
+// Listen implements stacks.Stack. The listen is one call, to the default
+// shard: it writes the host's one listener record, which every shard reads,
+// so a SYN is answered whichever shard its hash selects.
 func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stacks.Listener, error) {
 	t.Compute(t.Cost().ProcCall)
 	acceptPort := kern.NewPort(l.host, "accept")
 	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort}
-	var firstErr error
-	n := 0
-	for i := 0; i < l.meta.Shards(); i++ {
-		if l.meta.Covered(i) {
-			continue
-		}
-		reply, err := l.callPort(t, l.meta.Svc(i), kern.Msg{Op: "listen", Body: req})
-		if err == nil {
-			err, _ = reply.Body.(error)
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n++
+	reply, err := l.callPort(t, nil, kern.Msg{Op: "listen", Body: req})
+	if err == nil {
+		err, _ = reply.Body.(error)
 	}
-	if n == 0 {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return &Listener{lib: l, port: port, opts: opts, accept: acceptPort}, nil
 }
@@ -499,17 +482,10 @@ func (ln *Listener) Accept(t *kern.Thread) (stacks.Conn, error) {
 }
 
 // Close stops listening. A registry that has become unavailable is
-// tolerated: the endpoint is abandoned and reclaimed by crash cleanup. The
-// unlisten goes to every shard the listen went to.
+// tolerated: the endpoint is abandoned and reclaimed by crash cleanup.
 func (ln *Listener) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	l := ln.lib
-	m := kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}}
-	for i := 0; i < l.meta.Shards(); i++ {
-		if !l.meta.Covered(i) {
-			_, _ = l.callPort(t, l.meta.Svc(i), m)
-		}
-	}
+	_, _ = ln.lib.callPort(t, nil, kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}})
 }
 
 // adopt turns a registry handoff into a live library connection. It copies

@@ -2,7 +2,8 @@ package registry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"ulp/internal/chaos"
 	"ulp/internal/ipv4"
@@ -29,8 +30,8 @@ import (
 // Ownership is static and derivable, which is what makes the control plane
 // recoverable: a frame or control request for tuple (local, peer) belongs
 // to the shard whose port slice contains local.Port (an active open that
-// shard performed), else to FNV(local, peer) mod N (a passive open —
-// listeners are replicated to every shard so any of them can run the
+// shard performed), else to FNV(local, peer) mod N (a passive open — every
+// shard reads the host's one listener table, so any of them can run the
 // handshake for the tuples it owns). Nothing about routing lives only in
 // memory: the metaregistry index (Meta) is rebuilt from this rule at any
 // time.
@@ -57,6 +58,11 @@ type Federation struct {
 	quota       int
 	outstanding map[*kern.Domain]int
 	denied      int
+
+	// listeners is the host's one listener table: a listen writes one
+	// record, which every shard's input path reads and the crash of one
+	// shard leaves in place.
+	listeners map[uint16]*listener
 }
 
 // DefaultAdmissionQuota bounds outstanding setups per application domain.
@@ -77,6 +83,7 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 		cpus:        make([]*sim.Resource, n),
 		quota:       DefaultAdmissionQuota,
 		outstanding: make(map[*kern.Domain]int),
+		listeners:   make(map[uint16]*listener),
 	}
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
@@ -138,7 +145,7 @@ func endpointHash(local, peer tcp.Endpoint) uint32 {
 
 // ownerEndpoints returns the statically-owning shard index for a tuple:
 // slice match on the local port (active opens), else tuple hash (passive
-// opens on a replicated listener port).
+// opens on a listener's port).
 func (f *Federation) ownerEndpoints(local, peer tcp.Endpoint) int {
 	for i, sl := range f.slices {
 		if local.Port >= sl[0] && local.Port < sl[1] {
@@ -249,12 +256,13 @@ func (f *Federation) release(owner *kern.Domain) {
 
 // CrashShard kills one shard abruptly: its threads die at their next
 // scheduling point, its receive queue is drained back to the pool, and the
-// admission slots and reserved ring indices its in-flight setups held are
-// returned (their owners get no reply; the library's RPC deadline surfaces
-// the loss). Frames and requests for the dead shard's tuples steer to the
-// successor — with no live sibling, default-path frames are discarded, as
-// the kernel does for a dead domain, and requests queue at the service port
-// for the next incarnation.
+// admission slots, listen backlog slots and reserved ring indices its
+// in-flight setups held are returned (their owners get no reply; the
+// library's RPC deadline surfaces the loss). Frames and requests for the
+// dead shard's tuples steer to the successor — with no live sibling,
+// default-path frames are discarded, as the kernel does for a dead domain,
+// requests queue at the service port for the next incarnation, and the
+// listeners are lost with the last shard.
 // The endpoints the dead shard issued quarantine netio.IssuerGrace after the
 // kill. At that instant the shard that covers it, if the dead one is not back
 // and any shard is live, is told to adopt them (adoptReq).
@@ -267,7 +275,12 @@ func (f *Federation) CrashShard(i int) {
 	for _, hc := range sh.conns {
 		if hc.l == nil { // as in Server.release: only active set-ups hold one
 			f.release(hc.owner)
+		} else {
+			hc.l.pending--
 		}
+	}
+	if f.successor(i) < 0 {
+		clear(f.listeners)
 	}
 	f.mod.ReleaseReservations(sh.dom)
 	sh.dom.Kill()
@@ -293,41 +306,18 @@ func (f *Federation) CrashShard(i int) {
 // RestartShard boots a fresh incarnation of a crashed shard. The service
 // port is reused (libraries hold send rights), and the shard re-issues the
 // endpoints of the slices it covers, taking them from whichever shard issued
-// them last.
+// them last. It reads the one listener table as every shard does, and
+// watches each listener's owner, so that its crash sweep reaps the passive
+// set-ups it will hold for that owner.
 func (f *Federation) RestartShard(i int) {
 	if f.live[i] {
 		return
 	}
-	f.shards[i] = f.newShard(i, f.shards[i])
+	sh := f.newShard(i, f.shards[i])
+	f.shards[i] = sh
 	f.live[i] = true
-	f.replicateListeners(i)
-}
-
-// replicateListeners copies the listener set from a live sibling onto the
-// restarted shard. Listeners are replicated to every shard (a passive
-// tuple's handshake runs wherever its hash lands), so the sibling's set is
-// authoritative; without this, SYNs hashed to the reborn shard would be
-// reset until the application re-listened.
-func (f *Federation) replicateListeners(restarted int) {
-	src := f.successor(restarted)
-	if src < 0 || src == restarted {
-		return
-	}
-	nsh, from := f.shards[restarted], f.shards[src]
-	ports := make([]int, 0, len(from.listeners))
-	for port := range from.listeners {
-		ports = append(ports, int(port))
-	}
-	sort.Ints(ports) // deterministic replication order
-	for _, p := range ports {
-		port := uint16(p)
-		ln := from.listeners[port]
-		if _, ok := nsh.listeners[port]; ok {
-			continue
-		}
-		nsh.ports.Retain(port)
-		nsh.listeners[port] = &listener{opts: ln.opts, accept: ln.accept, owner: ln.owner, backlog: ln.backlog}
-		nsh.watch(ln.owner)
+	for _, port := range slices.Sorted(maps.Keys(f.listeners)) {
+		sh.watch(f.listeners[port].owner)
 	}
 }
 
@@ -373,13 +363,29 @@ func (f *Federation) SetEphemeralRange(lo, hi uint16) {
 	}
 }
 
-// portAlloc returns shard i's port allocator, which passes over a port the
-// module holds a TCP endpoint on: a handed-off connection's port is held
-// there for as long as its endpoint is installed.
+// portAlloc returns shard i's port allocator, which passes over a port a
+// listener or the module holds: a handed-off connection's port is held by
+// its endpoint for as long as the endpoint is installed.
 func (f *Federation) portAlloc(i int) *tcp.PortAlloc {
 	a := tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1])
-	a.Held = func(p uint16) bool { return f.mod.PortHeld(ipv4.ProtoTCP, f.ip, p) }
+	a.Held = f.held
 	return a
+}
+
+// held reports whether a listener or an installed TCP endpoint holds port p.
+func (f *Federation) held(p uint16) bool {
+	return f.listeners[p] != nil || f.mod.PortHeld(ipv4.ProtoTCP, f.ip, p)
+}
+
+// portTaken reports whether port p is held anywhere on the host: by a
+// listener, an endpoint, or a live shard's set-ups and inherited pcbs.
+func (f *Federation) portTaken(p uint16) bool {
+	for i, sh := range f.shards {
+		if f.live[i] && sh.ports.Holds(p) {
+			return true
+		}
+	}
+	return f.held(p)
 }
 
 // sumLive totals a per-shard count over the live shards (a dead shard's
@@ -394,8 +400,8 @@ func (f *Federation) sumLive(count func(*Server) int) int {
 	return n
 }
 
-// PortsInUse sums allocated ports across live shards.
-func (f *Federation) PortsInUse() int { return f.sumLive((*Server).PortsInUse) }
+// PortsInUse sums allocated ports across live shards, a listener's once.
+func (f *Federation) PortsInUse() int { return f.sumLive((*Server).PortsInUse) + len(f.listeners) }
 
 // OwnedConns sums registry-owned pcbs across live shards.
 func (f *Federation) OwnedConns() int { return f.sumLive((*Server).OwnedConns) }
@@ -403,9 +409,8 @@ func (f *Federation) OwnedConns() int { return f.sumLive((*Server).OwnedConns) }
 // TransferredConns sums handed-off connections across live shards.
 func (f *Federation) TransferredConns() int { return f.sumLive((*Server).TransferredConns) }
 
-// ListenerCount sums registered passive endpoints across live shards: a
-// replicated listener counts once per shard holding it.
-func (f *Federation) ListenerCount() int { return f.sumLive((*Server).ListenerCount) }
+// ListenerCount returns the host's registered passive endpoints.
+func (f *Federation) ListenerCount() int { return len(f.listeners) }
 
 // Describe emits the registry's counters under their stats names: the shard
 // count, totals (the tables over the live shards, the event counts over every
@@ -467,9 +472,6 @@ func (m *Meta) Rebuild() {
 	}
 }
 
-// Shards returns the shard count.
-func (m *Meta) Shards() int { return len(m.svc) }
-
 // Svc returns shard i's service port (stable across restarts).
 func (m *Meta) Svc(i int) *kern.Port { return m.svc[i] }
 
@@ -482,13 +484,6 @@ func (m *Meta) failover(i int) int {
 	}
 	return i
 }
-
-// Covered reports whether shard i is down while a live sibling stands in
-// for it. Requests replicated to every shard skip a covered one (its next
-// incarnation copies the state from a survivor); with no survivor they go
-// to the dead shard's port all the same — which is all a lone registry's
-// crash can mean.
-func (m *Meta) Covered(i int) bool { return m.failover(i) != i }
 
 // Route picks the shard for the seq-th connect: round-robin over the
 // shards, advanced past dead ones.

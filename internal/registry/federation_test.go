@@ -2,7 +2,7 @@ package registry
 
 // Federation tests: static shard ownership, frame steering to the
 // authoritative shard, the per-application admission quota, shard
-// crash/restart with ownership-filtered rebuild and listener replication,
+// crash/restart with ownership-filtered rebuild and the one listener table,
 // and the dedup-cache regression the sharded control plane exposed:
 // eviction of in-flight setups. The connect path's error branches are
 // audited in leak_test.go.
@@ -261,8 +261,8 @@ func TestFederationAdmissionQuota(t *testing.T) {
 
 // A crashed shard's incarnation is rebuilt from the module on restart, and
 // only with the endpoints it statically owns: the other shards' live
-// connections stay where they are, and listeners come back via replication
-// from a surviving sibling.
+// connections stay where they are, and the host's one listener record stays
+// as it was.
 func TestFederationShardRestartRebuilds(t *testing.T) {
 	rg := newFedRig(t, 2, 0)
 	rg.listenOn0(t, 80)
@@ -272,18 +272,14 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 			t.Fatalf("shard %d connect failed: %v", shard, ho.Err)
 		}
 	}
-	// Replicated listener on every shard (the library's fed Listen
-	// broadcasts; here we do it by hand).
-	for shard := 0; shard < 2; shard++ {
-		done := false
-		sh := shard
-		rg.apps[1].Spawn("listen", func(th *kern.Thread) {
-			rg.fed.shards[sh].Svc.Call(th, kern.Msg{Op: "listen",
-				Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.shards[sh].host, "a")}})
-			done = true
-		})
-		rg.s.RunUntil(time.Second, func() bool { return done })
-	}
+	// One listen, to shard 1: the crash below does not take the record.
+	done := false
+	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
+		rg.fed.shards[1].Svc.Call(th, kern.Msg{Op: "listen",
+			Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.host, "a")}})
+		done = true
+	})
+	rg.s.RunUntil(time.Second, func() bool { return done })
 
 	rg.fed.CrashShard(1)
 	if rg.fed.live[1] {
@@ -307,9 +303,77 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 	if rg.fed.shards[0].TransferredConns() != 1 {
 		t.Fatalf("surviving shard lost its connection: %d", rg.fed.shards[0].TransferredConns())
 	}
-	// The replicated listener came back from the surviving sibling.
-	if sh1.ListenerCount() != 1 {
-		t.Fatalf("restarted shard has %d listeners, want 1 (replicated from sibling)", sh1.ListenerCount())
+	if n := rg.fed.ListenerCount(); n != 1 {
+		t.Fatalf("%d listeners after the restart, want the one record", n)
+	}
+}
+
+// A shard that dies holding a passive handshake gives back its listener's
+// backlog slot: the listener counts no set-up once the shard is gone, and
+// after the restart the host holds a full backlog of handshakes at once,
+// with no SYN dropped. The far host connects; host 1 listens by one call.
+func TestListenBacklogSurvivesShardCrash(t *testing.T) {
+	const port, backlog = 7070, 2
+	rg := newFedRig(t, 4, 0)
+	done := false
+	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
+		reply := rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: port,
+			Opts: stacks.Options{Backlog: backlog}, AcceptPort: kern.NewPort(rg.fed.host, "accept")}})
+		if err, _ := reply.Body.(error); err != nil {
+			t.Errorf("listen: %v", err)
+		}
+		done = true
+	})
+	rg.s.RunUntil(time.Second, func() bool { return done })
+	// connect opens a connection from the far host on call slot id.
+	returned, failed := 0, 0
+	connect := func(id uint32) {
+		rg.apps[0].Spawn("connect", func(th *kern.Thread) {
+			ho := received(rg.r0.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Slot: id,
+				Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[1], Port: port}}}))
+			if ho.Err != nil {
+				failed++
+			}
+			returned++
+		})
+	}
+	l := rg.fed.listeners[port]
+
+	connect(1)
+	rg.s.RunUntil(time.Second, func() bool { return rg.fed.OwnedConns() > 0 })
+	held := -1
+	for i, sh := range rg.fed.shards {
+		if len(sh.conns) > 0 {
+			held = i
+		}
+	}
+	if held < 0 || l.pending != 1 {
+		t.Fatalf("no shard holds the handshake (pending %d)", l.pending)
+	}
+	rg.fed.CrashShard(held)
+	if l.pending != 0 {
+		t.Fatalf("the listener counts %d set-ups after the crash of the shard that held them", l.pending)
+	}
+	rg.s.RunUntil(time.Minute, func() bool { return returned == 1 })
+	rg.fed.RestartShard(held)
+	rg.s.Run(50 * time.Millisecond)
+
+	returned, failed = 0, 0
+	most := 0
+	for id := uint32(2); id < 2+backlog; id++ {
+		connect(id)
+	}
+	rg.s.RunUntil(time.Minute, func() bool {
+		most = max(most, l.pending)
+		return returned == backlog
+	})
+	drops := 0
+	for _, sh := range rg.fed.shards {
+		drops += sh.synDrops
+	}
+	if returned != backlog || failed != 0 || drops != 0 || most != backlog || l.pending != 0 {
+		t.Fatalf("after the restart: %d of %d connects returned, %d failed, %d SYNs dropped, up to %d held at once, %d still held",
+			returned, backlog, failed, drops, most, l.pending)
 	}
 }
 

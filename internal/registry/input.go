@@ -67,7 +67,7 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 	// SYN for a registered listener: clone a pcb and let the handshake
 	// proceed; setup of the user channel happens before the SYN|ACK goes
 	// out so the BQI can ride its link header.
-	if l, ok := r.listeners[s.Local.Port]; ok && s.OpensConnection() {
+	if l := r.fed.listeners[s.Local.Port]; l != nil && s.OpensConnection() {
 		if l.pending >= l.backlog {
 			// Backlog full: drop the SYN deterministically instead of
 			// growing hsConn state without bound under a SYN flood. The

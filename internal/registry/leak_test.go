@@ -108,14 +108,16 @@ func (rg *fedRig) auditNoLeaks(t *testing.T) {
 			shards = append(shards, f.shards[i])
 		}
 	}
+	for _, fed := range []*Federation{rg.r0.fed, f} {
+		for port, l := range fed.listeners {
+			if l.pending != 0 {
+				t.Errorf("%s: listener %d counts %d set-ups against its backlog", fed.host.Name, port, l.pending)
+			}
+		}
+	}
 	for _, sh := range shards {
 		if len(sh.conns) != 0 || sh.wheel.Armed() != 0 {
 			t.Errorf("%s: %d pcbs, %d armed wheel timers left", sh.dom, len(sh.conns), sh.wheel.Armed())
-		}
-		for port, l := range sh.listeners {
-			if l.pending != 0 {
-				t.Errorf("%s: listener %d counts %d set-ups against its backlog", sh.dom, port, l.pending)
-			}
 		}
 		for key, e := range sh.calls {
 			if !e.done {

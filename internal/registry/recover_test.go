@@ -63,14 +63,14 @@ func TestRestartRebuildsFromModule(t *testing.T) {
 	}
 
 	// The passive host: its transferred connection is rebuilt too, but the
-	// listener is not — listeners have no kernel-side template to rebuild
-	// from, by design.
+	// listener is not — the host's listener table goes with its last live
+	// shard, and a lone registry is that shard.
 	rg.r0 = restart(rg.r0)
 	rg.s.Run(50 * time.Millisecond)
 	if rg.r0.TransferredConns() != 1 {
 		t.Fatalf("passive side rebuilt %d transferred conns, want 1", rg.r0.TransferredConns())
 	}
-	if rg.r0.ListenerCount() != 0 {
+	if rg.r0.fed.ListenerCount() != 0 {
 		t.Fatal("listener survived the restart; it must be deliberately lost")
 	}
 }
@@ -103,8 +103,8 @@ func TestDedupReplaysCachedReply(t *testing.T) {
 	if rg.r0.dedupHits != 1 {
 		t.Fatalf("dedup hits = %d, want 1", rg.r0.dedupHits)
 	}
-	if rg.r0.ListenerCount() != 1 {
-		t.Fatalf("%d listeners after retry, want 1", rg.r0.ListenerCount())
+	if rg.r0.fed.ListenerCount() != 1 {
+		t.Fatalf("%d listeners after retry, want 1", rg.r0.fed.ListenerCount())
 	}
 	// A genuinely new request still executes (and correctly fails).
 	if err := listen(78); err != stacks.ErrPortInUse {

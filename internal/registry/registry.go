@@ -22,8 +22,6 @@
 package registry
 
 import (
-	"maps"
-	"slices"
 	"sort"
 
 	"ulp/internal/chaos"
@@ -158,7 +156,9 @@ func (hc *hsConn) Scrub() {
 	*hc = hsConn{r: hc.r, tc: hc.tc, went: hc.went, cb: hc.cb, gen: hc.gen}
 }
 
-// listener is a registered passive endpoint.
+// listener is a registered passive endpoint: the host's one record of it
+// (Federation.listeners). It holds its port, and its backlog bounds the
+// handshakes every shard holds for it together.
 type listener struct {
 	opts    stacks.Options
 	accept  *kern.Port
@@ -175,13 +175,12 @@ type Server struct {
 	nif  *stacks.Netif
 	Svc  *kern.Port
 
-	// ports holds the references of listeners, set-ups and inherited pcbs;
-	// a handed-off connection's port is held by its endpoint in the module
-	// (Federation.portAlloc).
-	ports     *tcp.PortAlloc
-	iss       tcp.Seq
-	conns     map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
-	listeners map[uint16]*listener
+	// ports holds the references of set-ups and inherited pcbs; a listener
+	// holds its own port, and a handed-off connection's is held by its
+	// endpoint in the module (Federation.portAlloc).
+	ports *tcp.PortAlloc
+	iss   tcp.Seq
+	conns map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
 
 	// watched marks application domains whose death hook is installed, so
 	// a domain opening many connections registers exactly one hook.
@@ -292,14 +291,13 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		ports:    f.portAlloc(i),
 		// Per-host ISS sequence, perturbed per shard so concurrent actives
 		// from different shards start in distinct sequence regions.
-		iss:       tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
-		wheel:     stacks.NewTCPWheel(),
-		conns:     make(map[tcp.FourTuple]*hsConn),
-		listeners: make(map[uint16]*listener),
-		watched:   make(map[*kern.Domain]bool),
-		calls:     make(map[uint64]*call),
-		epoch:     1,
-		faults:    f.faults,
+		iss:     tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
+		wheel:   stacks.NewTCPWheel(),
+		conns:   make(map[tcp.FourTuple]*hsConn),
+		watched: make(map[*kern.Domain]bool),
+		calls:   make(map[uint64]*call),
+		epoch:   1,
+		faults:  f.faults,
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
@@ -546,10 +544,14 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	// The reply is sent by the established/closed callbacks.
 }
 
-// handleListen registers a passive endpoint.
+// handleListen registers a passive endpoint: it writes the host's one record,
+// which every shard reads from then on, and has every live shard watch the
+// owner, so that each shard's crash sweep reaps the passive set-ups it holds
+// for it. A port held anywhere on the host is refused.
 func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 	t.Compute(t.Cost().RegistryPortAlloc)
-	if !r.ports.Reserve(req.Port) {
+	f := r.fed
+	if f.portTaken(req.Port) {
 		r.finish(t, m, kern.Msg{Op: "listen-ack", Body: stacks.ErrPortInUse})
 		return
 	}
@@ -557,16 +559,20 @@ func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 	if bl <= 0 {
 		bl = stacks.DefaultBacklog
 	}
-	r.listeners[req.Port] = &listener{opts: req.Opts, accept: req.AcceptPort, owner: m.From, backlog: bl}
+	f.listeners[req.Port] = &listener{opts: req.Opts, accept: req.AcceptPort, owner: m.From, backlog: bl}
+	for i, sh := range f.shards {
+		if f.live[i] {
+			sh.watch(m.From)
+		}
+	}
 	r.finish(t, m, kern.Msg{Op: "listen-ack", Body: nil})
 }
 
-// unlisten gives back owner's listener on port, if there is one: its record
-// and its port reference. Unlisten requests and the crash sweep end here.
+// unlisten deletes owner's listener on port, if there is one, and with it
+// the listener's hold on its port.
 func (r *Server) unlisten(port uint16, owner *kern.Domain) {
-	if l, ok := r.listeners[port]; ok && l.owner == owner {
-		delete(r.listeners, port)
-		r.ports.Release(port)
+	if l := r.fed.listeners[port]; l != nil && l.owner == owner {
+		delete(r.fed.listeners, port)
 	}
 }
 
@@ -903,7 +909,9 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		}
 	}
 
-	for _, port := range slices.Sorted(maps.Keys(r.listeners)) {
+	// Its listeners, in any order: the first shard to sweep deletes them,
+	// and a deletion sends nothing.
+	for port := range r.fed.listeners {
 		r.unlisten(port, dom)
 	}
 
@@ -946,12 +954,13 @@ func (r *Server) probePeer(t *kern.Thread, cap *netio.Capability) {
 // trust split: the module is trusted, everything above it is
 // reconstructible).
 //
-// What is deliberately NOT rebuilt: listeners and in-flight handshakes
-// (the library's RPC retry re-creates them), inherited TIME_WAIT pcbs
-// (strays for them get RSTs from the no-endpoint path, which is the
-// correct terminal outcome for a half-dead connection), and the callers'
-// entries (a request older than a registry crash has long exhausted its
-// retry budget).
+// Listeners need no rebuilding: the host's one table outlives a shard, and
+// dies only with the last live one. What is deliberately NOT rebuilt:
+// in-flight handshakes (the library's RPC retry re-creates an active one, the
+// peer's SYN retransmission a passive one), inherited TIME_WAIT pcbs (strays
+// for them get RSTs from the no-endpoint path, which is the correct terminal
+// outcome for a half-dead connection), and the callers' entries (a request
+// older than a registry crash has long exhausted its retry budget).
 func (r *Server) rebuild(t *kern.Thread) {
 	n := r.adopt(t)
 	if r.host.S.Bus.Enabled() {
@@ -1018,19 +1027,22 @@ func (r *Server) endpoints(proto uint8) []*netio.Capability {
 func (r *Server) TransferredConns() int { return len(r.endpoints(ipv4.ProtoTCP)) }
 
 // PortsInUse returns the TCP ports this shard's tables or its connections'
-// endpoints hold, plus its bound UDP ports. Crash and orderly-exit tests
-// assert this returns to zero.
+// endpoints hold, but not a listener's (Federation.PortsInUse counts those),
+// plus its bound UDP ports. Crash and orderly-exit tests assert this returns
+// to zero.
 func (r *Server) PortsInUse() int {
 	n := r.ports.InUse() + len(r.endpoints(ipv4.ProtoUDP))
 	seen := make(map[uint16]bool)
 	for _, cap := range r.endpoints(ipv4.ProtoTCP) {
-		if p := cap.Template().LocalPort; !seen[p] && !r.ports.Holds(p) {
+		if p := cap.Template().LocalPort; !seen[p] && !r.ports.Holds(p) && r.fed.listeners[p] == nil {
 			seen[p] = true
 			n++
 		}
 	}
+	for p := range r.fed.listeners {
+		if r.ports.Holds(p) {
+			n--
+		}
+	}
 	return n
 }
-
-// ListenerCount returns registered passive endpoints.
-func (r *Server) ListenerCount() int { return len(r.listeners) }

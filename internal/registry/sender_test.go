@@ -80,7 +80,7 @@ func TestForeignUnlistenLeavesTheListener(t *testing.T) {
 	rg.from(rg.r0.host.NewDomain("intruder", false), func(th *kern.Thread) {
 		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: UnlistenReq{Port: 80}})
 	})
-	if n := rg.r0.ListenerCount(); n != 1 {
+	if n := rg.r0.fed.ListenerCount(); n != 1 {
 		t.Fatalf("%d listeners after another domain's unlisten, want the owner's 1", n)
 	}
 	if rg.r0.ports.Reserve(80) {
