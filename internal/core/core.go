@@ -73,7 +73,7 @@ type Library struct {
 
 	ids ipv4.IDGen
 	// free holds the records of closed connections nobody is inside any more,
-	// replies the connect reply ports whose one answer has been received.
+	// replies the reply ports of calls none of whose waits timed out.
 	free    freelist.List[*connRec]
 	replies freelist.List[*kern.Port]
 	// The socket-call cost hooks are the same for every connection.
@@ -90,11 +90,20 @@ type Library struct {
 	// reqSeq counts request IDs, which the registry compares only within a
 	// call slot of this library's. A retry reuses its request's ID, which is
 	// what lets the registry deduplicate. busy marks the call slots in use:
-	// a call holds one for its length. slotFreed wakes a caller waiting for
-	// one.
+	// a call holds one for its length. gaveUp holds, per slot, the
+	// withdrawal of the slot's last call if that call gave up. slotFreed
+	// wakes a caller waiting for a slot.
 	reqSeq    uint32
 	busy      []bool
+	gaveUp    []withdrawal
 	slotFreed sim.Cond
+}
+
+// withdrawal is the abandon a call that gave up sent, and the port it went
+// to (nil if the slot's last call did not give up).
+type withdrawal struct {
+	svc     *kern.Port
+	abandon kern.Msg
 }
 
 // Control-plane RPC hardening: every registry call carries a deadline and a
@@ -128,7 +137,7 @@ func (l *Library) takeSlot(t *kern.Thread) uint32 {
 		l.slotFreed.Wait(t.Proc)
 	}
 	if i < 0 {
-		i, l.busy = len(l.busy), append(l.busy, false)
+		i, l.busy, l.gaveUp = len(l.busy), append(l.busy, false), append(l.gaveUp, withdrawal{})
 	}
 	l.busy[i] = true
 	return uint32(i)
@@ -139,44 +148,73 @@ func (l *Library) putSlot(s uint32) {
 	l.slotFreed.Signal()
 }
 
-// callPort issues one control-plane RPC to shard service port svc under the
-// deadline/retry policy. A nil svc re-picks the default control port per
-// attempt, so retries fail over past a shard that crashed mid-call. All
-// attempts carry the same request ID on the same call slot, so a retry whose
-// original was executed (reply lost) is answered from the registry's entry
-// for the caller rather than re-executed.
-func (l *Library) callPort(t *kern.Thread, svc *kern.Port, m kern.Msg) (kern.Msg, error) {
+// call issues one control-plane RPC to registry shard shard under the
+// deadline/retry policy. Every attempt goes to the call's shard, or while it
+// is down to the next live one, carries the call's one request ID on its one
+// call slot, and waits on its one reply port: an answer that arrives after
+// its attempt's deadline is taken by the next attempt, and the registry's
+// entry for the caller, which is the host's, runs no retry a second time. A
+// quota denial is retried as a fresh request under backoff — the denied
+// attempt executed nothing, and its own id is answered, on a fresh reply port
+// if a wait timed out, for a denied attempt's retry may still be answered. A
+// call that gives up withdraws its id, so that a set-up nobody will adopt
+// gives back its port and channel. The reply port is reused only if no wait
+// on it timed out: a late answer may still land on it.
+//
+// The withdrawal must reach the registry before the slot's next call, which
+// retires the caller's entry through which the registry finds what to give
+// back, on whichever shard it lands. So a call on a slot whose last call gave
+// up withdraws that call's id once more, ahead of itself on its own port, if
+// the first withdrawal went to another shard's.
+func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) {
 	m.ID, m.Slot = l.nextReqID(), l.takeSlot(t)
 	defer l.putSlot(m.Slot)
-	timeout := rpcBaseTimeout
-	for attempt := 0; attempt < rpcAttempts; attempt++ {
-		p := svc
-		if p == nil {
-			p = l.svcDefault()
-		}
-		if reply, ok := p.CallTimeout(t, m, timeout); ok {
-			return reply, nil
-		}
-		if attempt < rpcAttempts-1 {
-			t.Sleep(l.backoff.Next(attempt))
-		}
-		if timeout < rpcTimeoutCap {
-			timeout *= 2
-		}
+	if w := l.gaveUp[m.Slot]; w.svc != nil && w.svc != l.meta.Svc(shard) {
+		l.meta.Svc(shard).SendAsync(l.app, w.abandon)
 	}
+	l.gaveUp[m.Slot] = withdrawal{}
+	if m.Reply = l.replies.Get(); m.Reply == nil {
+		m.Reply = kern.NewPort(l.host, "reply")
+	}
+	timeout := rpcBaseTimeout
+	denied := 0
+	for attempt := 0; attempt < rpcAttempts; {
+		l.meta.Svc(shard).Send(t, m)
+		reply, ok := m.Reply.ReceiveTimeout(t, timeout)
+		if !ok {
+			attempt++
+			if attempt < rpcAttempts {
+				t.Sleep(l.backoff.Next(attempt - 1))
+			}
+			timeout = min(2*timeout, rpcTimeoutCap)
+			continue
+		}
+		if ho, isHo := reply.Body.(*registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied && denied < admissionRetries {
+			denied++
+			ho.Done()
+			m.ID = l.nextReqID()
+			if attempt > 0 {
+				m.Reply = kern.NewPort(l.host, "reply")
+			}
+			t.Sleep(l.backoff.Next(denied - 1))
+			continue // denied retries do not burn the deadline budget
+		}
+		if attempt == 0 {
+			l.replies.Put(m.Reply)
+		}
+		return reply, nil
+	}
+	// Posted, not sent: the caller does not wait for the withdrawal.
+	w := withdrawal{l.meta.Svc(shard), kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: m.ID}}}
+	w.svc.SendAsync(l.app, w.abandon)
+	l.gaveUp[m.Slot] = w
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
-}
-
-// svcDefault returns the default control port: the datagram-plane shard (0)
-// with live failover.
-func (l *Library) svcDefault() *kern.Port {
-	return l.meta.Svc(l.meta.Route(0))
 }
 
 // svcOwner returns the control port of the shard that owns a tuple,
 // failing over to the next live shard while the owner is down.
 func (l *Library) svcOwner(local, peer tcp.Endpoint) *kern.Port {
-	return l.meta.Svc(l.meta.OwnerOrSuccessor(local, peer))
+	return l.meta.Svc(l.meta.Owner(local, peer))
 }
 
 // NewLibrary links the protocol library into an application domain. Control
@@ -358,7 +396,9 @@ func (l *Library) compact(r *connRec) bool {
 // registry, then adopt the established connection.
 func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Options) (stacks.Conn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.callConnect(t, registry.ConnectReq{Remote: remote, Opts: opts})
+	shard := l.meta.Route(l.rr)
+	l.rr++
+	reply, err := l.call(t, shard, kern.Msg{Op: "connect", Body: registry.ConnectReq{Remote: remote, Opts: opts}})
 	if err != nil {
 		return nil, err
 	}
@@ -379,75 +419,6 @@ func (l *Library) adoptHandoff(t *kern.Thread, ho *registry.Handoff, opts stacks
 	return l.adopt(t, ho, opts), nil
 }
 
-// callConnect issues an active open under callPort's deadline/retry policy:
-// round-robin over live shards (re-picked per retry, so a crashed shard's
-// retries fail over), posted with a private reply port per attempt: one that
-// received its answer is reused (nothing addresses it again), one that timed
-// out never is (a late answer may still land on it). A quota
-// denial is retried as a fresh request under backoff — the denied attempt
-// executed nothing, and reusing its id would only replay the cached denial.
-// An attempt that timed out may still be executing — a handshake under loss
-// outlasts the RPC deadline — so every id the library stops waiting for is
-// withdrawn from the shards it went to, except the one that answered it.
-func (l *Library) callConnect(t *kern.Thread, req registry.ConnectReq) (kern.Msg, error) {
-	id, slot := l.nextReqID(), l.takeSlot(t)
-	defer l.putSlot(slot)
-	var shards [rpcAttempts]*kern.Port
-	asked := shards[:0] // where the current id was posted
-	timeout := rpcBaseTimeout
-	denied := 0
-	for attempt := 0; attempt < rpcAttempts; {
-		svc := l.meta.Svc(l.meta.Route(l.rr))
-		l.rr++
-		if !slices.Contains(asked, svc) {
-			asked = append(asked, svc)
-		}
-		replyPort := l.replies.Get()
-		if replyPort == nil {
-			replyPort = kern.NewPort(l.host, "connect-reply")
-		}
-		svc.Send(t, kern.Msg{Op: "connect", ID: id, Slot: slot, Reply: replyPort, Body: req})
-		m, ok := replyPort.ReceiveTimeout(t, timeout)
-		if ok {
-			l.replies.Put(replyPort)
-			l.abandon(t, registry.AbandonReq{Slot: slot, ID: id}, asked, svc)
-			if ho, isHo := m.Body.(*registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied {
-				denied++
-				if denied > admissionRetries {
-					return m, nil // surface the denial to the application
-				}
-				ho.Done()
-				id, asked = l.nextReqID(), asked[:0]
-				t.Sleep(l.backoff.Next(denied - 1))
-				continue // denied retries do not burn the deadline budget
-			}
-			return m, nil
-		}
-		attempt++
-		if attempt < rpcAttempts {
-			t.Sleep(l.backoff.Next(attempt - 1))
-		}
-		if timeout < rpcTimeoutCap {
-			timeout *= 2
-		}
-	}
-	l.abandon(t, registry.AbandonReq{Slot: slot, ID: id}, asked, nil)
-	return kern.Msg{}, stacks.ErrRegistryUnavailable
-}
-
-// abandon withdraws the connect request req names from each shard in asked
-// but the one that answered it (nil when none did), so that a set-up nobody
-// will adopt gives back its port and channel. The abandon reaches the shard
-// before the slot's next call, which retires the entry through which the
-// shard finds what to give back.
-func (l *Library) abandon(t *kern.Thread, req registry.AbandonReq, asked []*kern.Port, answered *kern.Port) {
-	for _, svc := range asked {
-		if svc != answered {
-			svc.Send(t, kern.Msg{Op: "abandon", Body: req})
-		}
-	}
-}
-
 // Listener is the library side of a passive open.
 type Listener struct {
 	lib    *Library
@@ -463,7 +434,7 @@ func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stac
 	t.Compute(t.Cost().ProcCall)
 	acceptPort := kern.NewPort(l.host, "accept")
 	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort}
-	reply, err := l.callPort(t, nil, kern.Msg{Op: "listen", Body: req})
+	reply, err := l.call(t, 0, kern.Msg{Op: "listen", Body: req})
 	if err == nil {
 		err, _ = reply.Body.(error)
 	}
@@ -485,7 +456,7 @@ func (ln *Listener) Accept(t *kern.Thread) (stacks.Conn, error) {
 // tolerated: the endpoint is abandoned and reclaimed by crash cleanup.
 func (ln *Listener) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	_, _ = ln.lib.callPort(t, nil, kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}})
+	_, _ = ln.lib.call(t, 0, kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}})
 }
 
 // adopt turns a registry handoff into a live library connection. It copies

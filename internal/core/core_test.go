@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ulp/internal/chaos"
 	"ulp/internal/costs"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -173,41 +174,55 @@ func TestCallSlotsWaitAtTheRegistryBound(t *testing.T) {
 	}
 }
 
-// An abandon reaches its shard before the caller's next call on the same
-// slot, also against a sharded registry: that call retires the entry through
-// which the abandon finds the connection it reclaims, one handed off to a
-// reply port nobody reads.
+// A call that gives up withdraws its id, and the withdrawal reaches the
+// registry before the caller's next call on the same slot, which would retire
+// the entry through which the registry finds what to give back: here a
+// connection handed off, after the give-up, to a reply port nobody reads.
+// Every request waits 10 s at the client's two-shard registry, longer than
+// the whole retry budget, so the connect and the listen after it give up,
+// and the connect's set-up completes while the library has stopped waiting.
+// The listen goes to shard 0; the connect goes there too, or, after a first
+// connect that succeeded, to shard 1, whose queue holds the connect's four
+// attempts ahead of its withdrawal: so the listen withdraws the connect's id
+// once more, ahead of itself. (With one table of callers' entries per host,
+// the listen once retired the connect's entry on shard 0 while the
+// withdrawal still waited on shard 1, and the connection was left handed off
+// to nobody.)
 func TestAbandonPrecedesTheSlotsNextCall(t *testing.T) {
-	s, libs, ips, regs := shardedLibraries(2)
-	srv, cli := libs[0], libs[1]
-	srv.app.Spawn("server", func(th *kern.Thread) {
-		if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
-			t.Error(err)
+	for _, first := range []bool{false, true} {
+		s, libs, ips, regs := shardedLibraries(2)
+		srv, cli := libs[0], libs[1]
+		srv.app.Spawn("server", func(th *kern.Thread) {
+			if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
+				t.Error(err)
+			}
+		})
+		s.Run(100 * time.Millisecond)
+		var errs [2]error
+		adopted, done := 0, false
+		cli.app.Spawn("client", func(th *kern.Thread) {
+			if first {
+				if _, err := cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, stacks.Options{}); err != nil {
+					t.Error(err)
+				}
+				adopted++
+			}
+			regs[1].SetControlFaults(chaos.NewInjector(1, chaos.ControlFaults{DelayProb: 1, Delay: 10 * time.Second}))
+			_, errs[0] = cli.Connect(th, tcp.Endpoint{IP: ips[0], Port: 80}, stacks.Options{})
+			_, errs[1] = cli.Listen(th, 81, stacks.Options{})
+			done = true
+		})
+		s.RunUntil(time.Minute, func() bool { return done })
+		if !done || errs[0] != stacks.ErrRegistryUnavailable || errs[1] != stacks.ErrRegistryUnavailable {
+			t.Fatalf("first connect %v: connect and listen returned %v (done %v), want both to give up", first, errs, done)
 		}
-	})
-	s.Run(100 * time.Millisecond)
-	svc := cli.meta.Svc(0)
-	done := false
-	cli.app.Spawn("client", func(th *kern.Thread) {
-		// A connect on slot 0, the one the next call takes, whose hand-off
-		// lands on a reply port nobody reads. Its id is one the library has
-		// not issued yet.
-		svc.Send(th, kern.Msg{Op: "connect", ID: 1000, Reply: kern.NewPort(cli.host, "connect-reply"),
-			Body: registry.ConnectReq{Remote: tcp.Endpoint{IP: ips[0], Port: 80}}})
-		th.Sleep(time.Second)
-		if regs[1].TransferredConns() != 1 {
-			t.Error("the connect was not handed off")
+		s.Run(2 * time.Minute)
+		if n := regs[0].TransferredConns(); n != adopted+1 {
+			t.Fatalf("first connect %v: the server's host handed off %d connections, want %d", first, n, adopted+1)
 		}
-		cli.abandon(th, registry.AbandonReq{ID: 1000}, []*kern.Port{svc}, nil)
-		if _, err := cli.callPort(th, svc, kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: 9999}}); err != nil {
-			t.Error(err)
+		if n := regs[1].TransferredConns(); n != adopted {
+			t.Fatalf("first connect %v: the client's host handed off %d connections, want the %d adopted", first, n, adopted)
 		}
-		done = true
-	})
-	s.RunUntil(time.Minute, func() bool { return done })
-	s.Run(time.Second)
-	if n := regs[1].TransferredConns(); n != 0 {
-		t.Fatalf("%d connections handed off to nobody after the abandon, want none", n)
 	}
 }
 

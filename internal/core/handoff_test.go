@@ -17,11 +17,12 @@ import (
 
 // TestLateConnectReplyReachesNoLaterConnect: the client's registry holds
 // every request 300 ms, past the first RPC deadline (250 ms), so each
-// connect's first attempt times out and its answer lands late on the
-// attempt's reply port, while the retry is answered from the dedup cache on
-// its own. The library reuses a reply port only once it has received its
-// answer: a late answer must never reach a later Connect, which would adopt
-// a connection twice, and every connection is adopted exactly once on each
+// connect's first attempt times out and its answer lands late on the call's
+// reply port, where the retry's wait takes it; the retry itself reaches the
+// registry later still and is answered from the dedup cache onto the same
+// port. The library reuses a reply port only if no wait on it timed out: a
+// late answer must never reach a later Connect, which would adopt a
+// connection twice, and every connection is adopted exactly once on each
 // side.
 func TestLateConnectReplyReachesNoLaterConnect(t *testing.T) {
 	const n = 5
@@ -80,8 +81,8 @@ func TestLateConnectReplyReachesNoLaterConnect(t *testing.T) {
 	if got := regs[1].TransferredConns(); got != n {
 		t.Errorf("the client's registry has %d connections handed off, want %d", got, n)
 	}
-	if inj.DelayedRequests < 2*n || cli.replies.Len() == 0 {
-		t.Errorf("%d requests delayed, %d reply ports kept; want every connect's two attempts, and one: nothing tested",
+	if inj.DelayedRequests < 2*n || cli.replies.Len() != 0 {
+		t.Errorf("%d requests delayed, %d reply ports kept for reuse; want every connect's two attempts, and none",
 			inj.DelayedRequests, cli.replies.Len())
 	}
 }
@@ -157,7 +158,7 @@ func TestSurvivorAdoptsDeadShardsConnections(t *testing.T) {
 	var cover *kern.Domain
 	for _, c := range conns {
 		ft := c.tuple()
-		if cli.meta.OwnerOrSuccessor(ft.Local, ft.Peer) == 1 {
+		if cli.meta.Owner(ft.Local, ft.Peer) == 1 {
 			victims = append(victims, c)
 		} else {
 			cover = c.rec.cap.Issuer()

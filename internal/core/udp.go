@@ -36,7 +36,7 @@ type UDPConn struct {
 // BindUDP allocates a datagram end-point through the registry.
 func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.callPort(t, nil, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port}})
+	reply, err := l.call(t, 0, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port}})
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func (u *UDPConn) Resolve(t *kern.Thread, ip ipv4.Addr) error {
 		return nil
 	}
 	t.Compute(t.Cost().ProcCall)
-	reply, err := u.lib.callPort(t, nil, kern.Msg{Op: "resolve", Body: registry.ResolveReq{IP: ip}})
+	reply, err := u.lib.call(t, 0, kern.Msg{Op: "resolve", Body: registry.ResolveReq{IP: ip}})
 	if err != nil {
 		return err
 	}
@@ -136,7 +136,7 @@ func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) erro
 	if err != nil {
 		return err
 	}
-	reply, err := u.lib.callPort(t, nil, kern.Msg{
+	reply, err := u.lib.call(t, 0, kern.Msg{
 		Op:   "udp-send",
 		Size: len(payload),
 		Body: registry.UDPSendReq{Cap: u.cap, Frame: b},
@@ -197,5 +197,5 @@ func (u *UDPConn) parse(b *pkt.Buf) (udp.Datagram, bool) {
 // Close releases the end-point.
 func (u *UDPConn) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	u.lib.svcDefault().Send(t, kern.Msg{Op: "unbind-udp", Body: registry.TeardownReq{Cap: u.cap}})
+	u.lib.meta.Svc(0).Send(t, kern.Msg{Op: "unbind-udp", Body: registry.TeardownReq{Cap: u.cap}})
 }

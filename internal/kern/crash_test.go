@@ -65,9 +65,9 @@ func TestOnDeathAfterKill(t *testing.T) {
 	}
 }
 
-// CallTimeout returns ok=false when the server never replies, and the
-// caller resumes at the deadline.
-func TestCallTimeout(t *testing.T) {
+// ReceiveTimeout on a reply port of the caller's returns ok=false when the
+// server never replies, and the caller resumes at the deadline.
+func TestReceiveTimeout(t *testing.T) {
 	s := sim.New()
 	h := newHost(s)
 	srv := h.NewDomain("server", true)
@@ -88,11 +88,14 @@ func TestCallTimeout(t *testing.T) {
 	var gotAck, timedOut bool
 	var elapsed sim.Dur
 	app.Spawn("client", func(th *Thread) {
-		if r, ok := svc.CallTimeout(th, Msg{Op: "answer"}, 100*time.Millisecond); ok && r.Op == "ack" {
+		reply := NewPort(h, "reply")
+		svc.Send(th, Msg{Op: "answer", Reply: reply})
+		if r, ok := reply.ReceiveTimeout(th, 100*time.Millisecond); ok && r.Op == "ack" {
 			gotAck = true
 		}
 		start := th.Now()
-		if _, ok := svc.CallTimeout(th, Msg{Op: "ignore"}, 50*time.Millisecond); !ok {
+		svc.Send(th, Msg{Op: "ignore", Reply: reply})
+		if _, ok := reply.ReceiveTimeout(th, 50*time.Millisecond); !ok {
 			timedOut = true
 			elapsed = th.Now().Sub(start)
 		}

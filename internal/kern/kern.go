@@ -459,20 +459,10 @@ func (p *Port) Call(t *Thread, m Msg) Msg {
 	return r
 }
 
-// CallTimeout is Call with a deadline: it blocks for the reply at most d of
-// virtual time, reporting false if the server never answered. The reply
-// port is abandoned on timeout; a late reply lands in a queue nobody reads,
-// exactly like a Mach RPC whose caller gave up on a dead port.
-func (p *Port) CallTimeout(t *Thread, m Msg, d time.Duration) (Msg, bool) {
-	m.Reply = NewPort(t.Dom.Host, "reply")
-	p.Send(t, m)
-	return m.Reply.ReceiveTimeout(t, d)
-}
-
 // ReceiveTimeout blocks for a message at most d of virtual time, reporting
 // false if none arrived. On success it charges the receive-side IPC costs,
-// like Call's reply path — callers waiting on a caller-owned reply port
-// (batched RPCs) pay what a plain Call would have.
+// like Call's reply path — a caller waiting on a reply port of its own under
+// a deadline (a library's control call) pays what a plain Call would have.
 func (p *Port) ReceiveTimeout(t *Thread, d time.Duration) (Msg, bool) {
 	r, ok := p.q.PopTimeout(t.Proc, d)
 	if !ok {

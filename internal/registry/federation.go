@@ -2,8 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"ulp/internal/chaos"
 	"ulp/internal/ipv4"
@@ -63,6 +61,14 @@ type Federation struct {
 	// record, which every shard's input path reads and the crash of one
 	// shard leaves in place.
 	listeners map[uint16]*listener
+
+	// calls is the host's one at-most-once table, as in Birrell and Nelson:
+	// each caller's latest request (callerKey), whichever shard it reached,
+	// so that a retry finds its call's entry on any shard.
+	calls map[uint64]*call
+	// watched marks the application domains whose one death hook is
+	// installed (watch).
+	watched map[*kern.Domain]bool
 }
 
 // DefaultAdmissionQuota bounds outstanding setups per application domain.
@@ -84,6 +90,8 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 		quota:       DefaultAdmissionQuota,
 		outstanding: make(map[*kern.Domain]int),
 		listeners:   make(map[uint16]*listener),
+		calls:       make(map[uint64]*call),
+		watched:     make(map[*kern.Domain]bool),
 	}
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
@@ -250,6 +258,25 @@ func (f *Federation) release(owner *kern.Domain) {
 	}
 }
 
+// watch arranges for the registry to learn of an application domain's
+// death: one hook per domain per host, however many requests it sends to
+// however many shards. The hook runs in whatever context performed the kill,
+// so it only posts one crash sweep to each shard's service port — a dead
+// shard's queues it for the next incarnation, behind whatever the domain left
+// there — and the sweeps run on the service threads.
+func (f *Federation) watch(dom *kern.Domain) {
+	if dom == nil || f.watched[dom] {
+		return
+	}
+	f.watched[dom] = true
+	dom.OnDeath(func() {
+		delete(f.watched, dom)
+		for _, sh := range f.shards {
+			sh.Svc.SendAsync(sh.dom, kern.Msg{Op: "crash", Body: crashReq{dom: dom}})
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Shard lifecycle: crash, restart, migration support
 // ---------------------------------------------------------------------------
@@ -258,11 +285,12 @@ func (f *Federation) release(owner *kern.Domain) {
 // scheduling point, its receive queue is drained back to the pool, and the
 // admission slots, listen backlog slots and reserved ring indices its
 // in-flight setups held are returned (their owners get no reply; the
-// library's RPC deadline surfaces the loss). Frames and requests for the
-// dead shard's tuples steer to the successor — with no live sibling,
-// default-path frames are discarded, as the kernel does for a dead domain,
-// requests queue at the service port for the next incarnation, and the
-// listeners are lost with the last shard.
+// library's RPC deadline surfaces the loss), as are the callers' entries of
+// the requests it was running, so that a retry runs them afresh. Frames and
+// requests for the dead shard's tuples steer to the successor — with no live
+// sibling, default-path frames are discarded, as the kernel does for a dead
+// domain, requests queue at the service port for the next incarnation, and
+// the listeners and the callers' entries are lost with the last shard.
 // The endpoints the dead shard issued quarantine netio.IssuerGrace after the
 // kill. At that instant the shard that covers it, if the dead one is not back
 // and any shard is live, is told to adopt them (adoptReq).
@@ -279,8 +307,14 @@ func (f *Federation) CrashShard(i int) {
 			hc.l.pending--
 		}
 	}
+	for key, e := range f.calls {
+		if !e.done && e.r == sh {
+			delete(f.calls, key)
+		}
+	}
 	if f.successor(i) < 0 {
 		clear(f.listeners)
+		clear(f.calls)
 	}
 	f.mod.ReleaseReservations(sh.dom)
 	sh.dom.Kill()
@@ -306,19 +340,14 @@ func (f *Federation) CrashShard(i int) {
 // RestartShard boots a fresh incarnation of a crashed shard. The service
 // port is reused (libraries hold send rights), and the shard re-issues the
 // endpoints of the slices it covers, taking them from whichever shard issued
-// them last. It reads the one listener table as every shard does, and
-// watches each listener's owner, so that its crash sweep reaps the passive
-// set-ups it will hold for that owner.
+// them last. It reads the host's listener and caller tables as every shard
+// does, and the host's death hooks post its crash sweeps.
 func (f *Federation) RestartShard(i int) {
 	if f.live[i] {
 		return
 	}
-	sh := f.newShard(i, f.shards[i])
-	f.shards[i] = sh
+	f.shards[i] = f.newShard(i, f.shards[i])
 	f.live[i] = true
-	for _, port := range slices.Sorted(maps.Keys(f.listeners)) {
-		sh.watch(f.listeners[port].owner)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -472,28 +501,19 @@ func (m *Meta) Rebuild() {
 	}
 }
 
-// Svc returns shard i's service port (stable across restarts).
-func (m *Meta) Svc(i int) *kern.Port { return m.svc[i] }
-
-// failover returns shard i, or while it is down the next live shard; with
-// every shard down it stays on i, whose port queues the request for the
-// next incarnation while the RPC deadline runs.
-func (m *Meta) failover(i int) int {
+// Svc returns the service port (stable across restarts) of shard i, or while
+// it is down of the next live shard (cross-shard migration); with every
+// shard down it stays on i's, which queues a request for the next
+// incarnation while the RPC deadline runs.
+func (m *Meta) Svc(i int) *kern.Port {
 	if s := m.fed.cover(i); s >= 0 {
-		return s
+		i = s
 	}
-	return i
+	return m.svc[i]
 }
 
-// Route picks the shard for the seq-th connect: round-robin over the
-// shards, advanced past dead ones.
-func (m *Meta) Route(seq uint64) int {
-	return m.failover(int(seq % uint64(len(m.svc))))
-}
+// Route picks the shard for the seq-th connect: round-robin over the shards.
+func (m *Meta) Route(seq uint64) int { return int(seq % uint64(len(m.svc))) }
 
-// OwnerOrSuccessor routes to the shard that statically owns a tuple, falling
-// over to the next live shard while the owner is down (cross-shard
-// migration).
-func (m *Meta) OwnerOrSuccessor(local, peer tcp.Endpoint) int {
-	return m.failover(m.fed.ownerEndpoints(local, peer))
-}
+// Owner returns the shard that statically owns a tuple.
+func (m *Meta) Owner(local, peer tcp.Endpoint) int { return m.fed.ownerEndpoints(local, peer) }

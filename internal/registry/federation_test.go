@@ -450,13 +450,13 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 		flooded = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return flooded })
-	if n := len(rg.r1.calls); n != 2 {
+	if n := len(rg.r1.fed.calls); n != 2 {
 		t.Fatalf("the registry holds %d callers' entries, want the two callers'", n)
 	}
 
 	// Retry the in-flight connect (a client whose reply timed out). The
-	// entry must still be cached: the retry retargets the eventual handoff
-	// instead of running a second handshake.
+	// entry must still be cached: the retry is dropped, its answer due on
+	// the call's reply port, instead of running a second handshake.
 	hits := rg.r1.dedupHits
 	retried := false
 	rg.apps[1].Spawn("retry", func(th *kern.Thread) {

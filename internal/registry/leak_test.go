@@ -119,9 +119,11 @@ func (rg *fedRig) auditNoLeaks(t *testing.T) {
 		if len(sh.conns) != 0 || sh.wheel.Armed() != 0 {
 			t.Errorf("%s: %d pcbs, %d armed wheel timers left", sh.dom, len(sh.conns), sh.wheel.Armed())
 		}
-		for key, e := range sh.calls {
+	}
+	for _, fed := range []*Federation{rg.r0.fed, f} {
+		for key, e := range fed.calls {
 			if !e.done {
-				t.Errorf("%s: request %d of caller %#x still in flight", sh.dom, e.id, key)
+				t.Errorf("%s: request %d of caller %#x still in flight", fed.host.Name, e.id, key)
 			}
 		}
 	}

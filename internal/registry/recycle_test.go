@@ -67,8 +67,9 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	// the checker would take a second connection on a four-tuple this test
 	// abandoned mid-life for the first one continuing.)
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-		rg.fed.shards[1].Svc.CallTimeout(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: dead}}, time.Second)
+		reply := kern.NewPort(rg.fed.host, "reply")
+		rg.fed.shards[1].Svc.Send(th, kern.Msg{Op: "connect", Reply: reply, Body: ConnectReq{Remote: dead}})
+		reply.ReceiveTimeout(th, time.Second)
 	})
 	rg.s.Run(10 * time.Millisecond)
 	if rg.fed.shards[1].OwnedConns() != 1 {
@@ -217,8 +218,8 @@ func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return sent == n })
 	rg.s.Run(time.Second)
-	if len(rg.r1.calls) != 0 {
-		t.Fatalf("the registry holds %d callers' entries after %d one-way requests, want none", len(rg.r1.calls), sent)
+	if len(rg.r1.fed.calls) != 0 {
+		t.Fatalf("the registry holds %d callers' entries after %d one-way requests, want none", len(rg.r1.fed.calls), sent)
 	}
 }
 
@@ -229,12 +230,15 @@ func TestUnansweredRequestLeavesNoDedupEntry(t *testing.T) {
 	rg := newRig(false)
 	done := false
 	rg.apps[1].Spawn("caller", func(th *kern.Thread) {
-		_, _ = rg.r1.Svc.CallTimeout(th, kern.Msg{Op: "bogus", ID: 42, Body: struct{}{}}, time.Second)
-		_, _ = rg.r1.Svc.CallTimeout(th, kern.Msg{Op: "teardown", ID: 43, Body: TeardownReq{}}, time.Second)
+		reply := kern.NewPort(rg.r1.host, "reply")
+		for i, body := range []any{struct{}{}, TeardownReq{}} {
+			rg.r1.Svc.Send(th, kern.Msg{Op: "unanswered", ID: uint32(42 + i), Reply: reply, Body: body})
+			reply.ReceiveTimeout(th, time.Second)
+		}
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
-	if !done || len(rg.r1.calls) != 0 {
-		t.Fatalf("done %v; the registry holds %d callers' entries, want none", done, len(rg.r1.calls))
+	if !done || len(rg.r1.fed.calls) != 0 {
+		t.Fatalf("done %v; the registry holds %d callers' entries, want none", done, len(rg.r1.fed.calls))
 	}
 }

@@ -182,21 +182,11 @@ type Server struct {
 	iss   tcp.Seq
 	conns map[tcp.FourTuple]*hsConn // owned pcbs: set-ups and inherited
 
-	// watched marks application domains whose death hook is installed, so
-	// a domain opening many connections registers exactly one hook.
-	watched map[*kern.Domain]bool
-
 	// epoch counts registry incarnations on this host (1 = first boot).
 	epoch int
 	// rebuildPending marks a restarted server that must reconstruct its
 	// state from the module before serving requests.
 	rebuildPending bool
-
-	// calls holds each caller's latest answered request (callerKey): a retry
-	// whose original reply was lost replays the cached reply instead of
-	// executing twice, one racing an in-flight connect retargets the eventual
-	// handoff to the new reply port (at most once, as in Birrell and Nelson).
-	calls map[uint64]*call
 
 	// Counters (introspection and stats).
 	synDrops  int // SYNs dropped by a full listen backlog
@@ -242,18 +232,20 @@ type crashReq struct {
 // runs the recovery sweep (adopt), which takes them over.
 type adoptReq struct{}
 
-// call is a caller's entry: its latest request's id, and the cached reply
-// once the request completed, or the in-flight handshake it is waiting on.
+// call is a caller's entry in the host's table (Federation.calls): its latest
+// request's id, the shard that runs it, the set-up of a connect under way,
+// and the cached reply once the request completed.
 type call struct {
 	id    uint32
 	done  bool
 	reply kern.Msg
-	hc    *hsConn // in-flight connect; a retry retargets hc.reply
+	r     *Server // the shard running the request
+	hc    *hsConn // in-flight connect, on r
 }
 
 // CallSlots bounds a library's concurrent control calls: its callers take
 // slots below it, and a call on a higher slot is refused unanswered, so a
-// sender holds at most CallSlots entries in a shard however it misbehaves.
+// sender holds at most CallSlots entries on a host however it misbehaves.
 const CallSlots = 64
 
 // callerKey is a caller's key: its sender's index on the host and its slot.
@@ -266,11 +258,11 @@ func sender(key uint64) int { return int(key >> 32) }
 
 // entry returns request id's entry, nil if id is zero (untracked) or its
 // caller has made a later call since.
-func (r *Server) entry(from *kern.Domain, slot, id uint32) *call {
+func (f *Federation) entry(from *kern.Domain, slot, id uint32) *call {
 	if id == 0 {
 		return nil
 	}
-	if e := r.calls[callerKey(from, slot)]; e != nil && e.id == id {
+	if e := f.calls[callerKey(from, slot)]; e != nil && e.id == id {
 		return e
 	}
 	return nil
@@ -291,13 +283,11 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 		ports:    f.portAlloc(i),
 		// Per-host ISS sequence, perturbed per shard so concurrent actives
 		// from different shards start in distinct sequence regions.
-		iss:     tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
-		wheel:   stacks.NewTCPWheel(),
-		conns:   make(map[tcp.FourTuple]*hsConn),
-		watched: make(map[*kern.Domain]bool),
-		calls:   make(map[uint64]*call),
-		epoch:   1,
-		faults:  f.faults,
+		iss:    tcp.Seq(30000 + 7919*uint32(f.ip[3]) + 1000003*uint32(i)),
+		wheel:  stacks.NewTCPWheel(),
+		conns:  make(map[tcp.FourTuple]*hsConn),
+		epoch:  1,
+		faults: f.faults,
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
@@ -367,7 +357,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
 	}
-	r.watch(m.From)
+	r.fed.watch(m.From)
 	if r.faults.DropRequest() {
 		return // the library's RPC never gets a reply
 	}
@@ -376,14 +366,20 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	}
 	// At-most-once: a retry of a request already seen must not execute
 	// twice — a re-run Connect would allocate a second port and run a
-	// second handshake. Completed requests replay the cached reply (the
-	// original's was lost with its abandoned reply port); retries of an
-	// in-flight connect retarget the eventual handoff.
+	// second handshake. The entry is the host's, so a retry finds it on
+	// whichever shard it lands. A completed request's retry is replayed the
+	// cached reply; one of a request under way is dropped, for the answer
+	// goes to the reply port every attempt of a call shares; so is an
+	// attempt of an older call on the slot, one that waited at a shard that
+	// was down while its caller moved on.
 	if m.ID != 0 && m.Reply != nil && answered(m.Body) {
 		if m.Slot >= CallSlots {
 			return
 		}
-		if e := r.entry(m.From, m.Slot, m.ID); e != nil {
+		if e := r.fed.calls[callerKey(m.From, m.Slot)]; e != nil && m.ID <= e.id {
+			if m.ID < e.id {
+				return
+			}
 			r.dedupHits++
 			if r.host.S.Bus.Enabled() {
 				r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name,
@@ -392,8 +388,6 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			if e.done {
 				hold(e.reply)
 				m.ReplyTo(t, e.reply)
-			} else if e.hc != nil {
-				e.hc.reply = m.Reply
 			}
 			return
 		}
@@ -414,7 +408,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap) // its port goes with it
 		}
 	case AbandonReq:
-		if e := r.entry(m.From, req.Slot, req.ID); e != nil {
+		if e := r.fed.entry(m.From, req.Slot, req.ID); e != nil {
 			r.abandon(t, e)
 		}
 	case BindUDPReq:
@@ -441,21 +435,22 @@ func answered(body any) bool {
 	return false
 }
 
-// track makes request m its caller's latest call. The caller's previous
-// entry is retired, and the hand-off its reply held given back. A connect of
-// it still under way is abandoned: the caller has moved on, and its abandon,
-// which may come after this call, would no longer find the entry.
+// track makes request m its caller's latest call, run by this shard. The
+// caller's previous entry is retired, on whichever shard it ran, and the
+// hand-off its reply held given back. A connect of it still under way is
+// abandoned: the caller has moved on, and its abandon, which may come after
+// this call, would no longer find the entry.
 func (r *Server) track(t *kern.Thread, m kern.Msg) {
 	key := callerKey(m.From, m.Slot)
-	e := r.calls[key]
+	e := r.fed.calls[key]
 	if e == nil {
 		e = new(call)
-		r.calls[key] = e
+		r.fed.calls[key] = e
 	} else if e.hc != nil {
 		r.abandon(t, e)
 	}
 	drop(e.reply)
-	*e = call{id: m.ID}
+	*e = call{id: m.ID, r: r}
 }
 
 // finish records request m's reply in its caller's entry and delivers it to
@@ -465,7 +460,7 @@ func (r *Server) track(t *kern.Thread, m kern.Msg) {
 // finds no entry. The entry and the reply each hold a hand-off the reply
 // lends; one that neither holds goes back.
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
-	if e := r.entry(m.From, m.Slot, m.ID); e != nil {
+	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
 		e.done, e.reply, e.hc = true, reply, nil
 		hold(reply)
 	}
@@ -537,17 +532,16 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 		r.release(t, hc, Handoff{Err: err})
 		return
 	}
-	if e := r.entry(m.From, m.Slot, m.ID); e != nil {
-		e.hc = hc // a retry of this id retargets the eventual handoff
+	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
+		e.hc = hc // through which a retiring call or an abandon aborts it
 	}
 	r.runConn(t, hc, func() { tc.OpenActive(r.nextISS()) })
 	// The reply is sent by the established/closed callbacks.
 }
 
 // handleListen registers a passive endpoint: it writes the host's one record,
-// which every shard reads from then on, and has every live shard watch the
-// owner, so that each shard's crash sweep reaps the passive set-ups it holds
-// for it. A port held anywhere on the host is refused.
+// which every shard reads from then on. A port held anywhere on the host is
+// refused.
 func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 	t.Compute(t.Cost().RegistryPortAlloc)
 	f := r.fed
@@ -560,11 +554,6 @@ func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
 		bl = stacks.DefaultBacklog
 	}
 	f.listeners[req.Port] = &listener{opts: req.Opts, accept: req.AcceptPort, owner: m.From, backlog: bl}
-	for i, sh := range f.shards {
-		if f.live[i] {
-			sh.watch(m.From)
-		}
-	}
 	r.finish(t, m, kern.Msg{Op: "listen-ack", Body: nil})
 }
 
@@ -587,18 +576,17 @@ func tuple(cap *netio.Capability) tcp.FourTuple {
 
 // abandon withdraws entry e's call, whose answer nobody will adopt: the
 // sender's AbandonReq names it while it is still its slot's latest call (the
-// library's RPC budget ran out while the handshake was still retransmitting,
-// or another shard answered first), or the caller's next call retires it
-// under way. A set-up still under way is aborted, and a connection already
-// handed off to the abandoned reply port is reclaimed as a crashed
+// library's RPC budget ran out while the handshake was still retransmitting),
+// or the caller's next call retires it under way. A set-up still under way is
+// aborted, through the engine of the shard that runs it, and a connection
+// already handed off to the abandoned reply port is reclaimed as a crashed
 // application's would be. Nothing else would ever free either.
 func (r *Server) abandon(t *kern.Thread, e *call) {
-	if !e.done && e.hc != nil {
-		hc := e.hc
+	if hc := e.hc; !e.done && hc != nil {
 		// No one is listening for the handoff: abort, and the closed callback
 		// releases the set-up.
 		hc.reply = nil
-		r.runConn(t, hc, hc.tc.Abort)
+		hc.r.runConn(t, hc, hc.tc.Abort)
 	}
 	// The set-up may have completed before the abandon, or while the abort
 	// waited for the engine.
@@ -852,30 +840,16 @@ func (r *Server) runConn(t *kern.Thread, hc *hsConn, fn func()) {
 // Crash-failure reclamation
 // ---------------------------------------------------------------------------
 
-// watch arranges for the registry to learn of an application domain's
-// death. The hook runs in whatever context performed the kill, so it only
-// posts an async notification; real reclamation happens on the service
-// thread. One hook per domain, however many connections it opens.
-func (r *Server) watch(dom *kern.Domain) {
-	if dom == nil || r.watched[dom] {
-		return
-	}
-	r.watched[dom] = true
-	dom.OnDeath(func() {
-		r.Svc.SendAsync(r.dom, kern.Msg{Op: "crash", Body: crashReq{dom: dom}})
-	})
-}
-
-// handleCrash reclaims everything a crashed application held: handshaking
-// connections are aborted (RST through the engine), the network I/O module
-// revokes every endpoint issued to it, whichever shard issued it, and each
-// revoked connection's peer is probed into a reset; its listeners and its
-// callers' entries are removed. "To guard against an abnormal application
+// handleCrash is one shard's sweep of a crashed application (Federation.watch
+// posts one to each shard): the shard's handshaking connections for it are
+// aborted (RST through the engine), the network I/O module revokes every
+// endpoint issued to it, whichever shard issued it, and each revoked
+// connection's peer is probed into a reset; its listeners and its callers'
+// entries are removed. "To guard against an abnormal application
 // termination, the protocol server issues a reset message to the remote
 // peer" — here with no cooperation from the application at all.
 func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	t.Compute(t.Cost().StateTransfer)
-	delete(r.watched, dom)
 
 	// Every table is walked in key or capability-id order, never map order:
 	// each step puts frames on the wire or frees a ring index the next set-up
@@ -915,11 +889,12 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 		r.unlisten(port, dom)
 	}
 
-	// Its callers' entries, in any order: a dropped hold lists a record.
-	for key, e := range r.calls {
+	// Its callers' entries, in any order: the first shard to sweep deletes
+	// them, and a dropped hold lists a record.
+	for key, e := range r.fed.calls {
 		if sender(key) == dom.Index() {
 			drop(e.reply)
-			delete(r.calls, key)
+			delete(r.fed.calls, key)
 		}
 	}
 }
@@ -954,13 +929,12 @@ func (r *Server) probePeer(t *kern.Thread, cap *netio.Capability) {
 // trust split: the module is trusted, everything above it is
 // reconstructible).
 //
-// Listeners need no rebuilding: the host's one table outlives a shard, and
-// dies only with the last live one. What is deliberately NOT rebuilt:
+// Listeners, callers' entries and death hooks need no rebuilding: they are
+// the host's and outlive a shard. What is deliberately NOT rebuilt:
 // in-flight handshakes (the library's RPC retry re-creates an active one, the
-// peer's SYN retransmission a passive one), inherited TIME_WAIT pcbs (strays
-// for them get RSTs from the no-endpoint path, which is the correct terminal
-// outcome for a half-dead connection), and the callers' entries (a request
-// older than a registry crash has long exhausted its retry budget).
+// peer's SYN retransmission a passive one), and inherited TIME_WAIT pcbs
+// (strays for them get RSTs from the no-endpoint path, which is the correct
+// terminal outcome for a half-dead connection).
 func (r *Server) rebuild(t *kern.Thread) {
 	n := r.adopt(t)
 	if r.host.S.Bus.Enabled() {
@@ -994,7 +968,6 @@ func (r *Server) adopt(t *kern.Thread) int {
 		}
 		_ = r.nif.Mod.Reissue(r.dom, cap)
 		t.Compute(c.RegistryPortAlloc)
-		r.watch(cap.Owner())
 		n++
 	}
 	r.rebuilt += n

@@ -173,8 +173,9 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 
 // The callers' entries are bounded by the callers alive: eight threads of
 // one domain, each on a call slot of its own as a library's callers are,
-// make 10 000 calls across two shards, and each shard keeps at most eight
-// entries; once the domain is killed, no shard keeps one of its entries.
+// make 10 000 calls across two shards, and the host keeps at most eight
+// entries, one table for both shards; once the domain is killed, it keeps
+// none of its entries.
 func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
 	rg := newFedRig(t, 2, 0)
 	const threads, calls = 8, 10000
@@ -195,24 +196,14 @@ func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
 	if finished != threads {
 		t.Fatalf("%d of %d callers finished", finished, threads)
 	}
-	mine := func(sh *Server) (n int) {
-		for key := range sh.calls {
-			if sender(key) == app.Index() {
-				n++
-			}
-		}
-		return n
-	}
-	for i, sh := range rg.fed.shards {
-		if n := len(sh.calls); n == 0 || n > threads {
-			t.Errorf("shard %d keeps %d entries after %d calls from %d callers, want 1 to %d", i, n, calls, threads, threads)
-		}
+	if n := len(rg.fed.calls); n == 0 || n > threads {
+		t.Errorf("the host keeps %d entries after %d calls from %d callers, want 1 to %d", n, calls, threads, threads)
 	}
 	app.Kill()
 	rg.s.Run(100 * time.Millisecond)
-	for i, sh := range rg.fed.shards {
-		if n := mine(sh); n != 0 {
-			t.Errorf("shard %d keeps %d entries of the killed domain, want none", i, n)
+	for key := range rg.fed.calls {
+		if sender(key) == app.Index() {
+			t.Errorf("the host keeps entry %#x of the killed domain", key)
 		}
 	}
 }
@@ -240,8 +231,10 @@ func TestNextCallGivesBackTheHandoff(t *testing.T) {
 	}
 }
 
-// A sender that calls on ever more slots holds at most CallSlots entries in a
-// shard: a call on a higher slot is refused, unanswered and untracked.
+// A sender that calls on ever more slots holds at most CallSlots entries on a
+// host: a call on a higher slot is refused, unanswered and untracked. Each
+// call goes to both shards, and the second is answered from the first's
+// entry.
 func TestCallSlotsBoundASendersEntries(t *testing.T) {
 	rg := newFedRig(t, 2, 0)
 	app := rg.apps[1]
@@ -250,8 +243,9 @@ func TestCallSlotsBoundASendersEntries(t *testing.T) {
 	app.Spawn("caller", func(th *kern.Thread) {
 		for slot := range uint32(CallSlots + 16) {
 			for _, sh := range rg.fed.shards {
-				if _, ok := sh.Svc.CallTimeout(th, kern.Msg{Op: "unlisten", ID: 1, Slot: slot,
-					Body: UnlistenReq{Port: 9999}}, 10*time.Millisecond); ok {
+				reply := kern.NewPort(rg.fed.host, "reply")
+				sh.Svc.Send(th, kern.Msg{Op: "unlisten", ID: 1, Slot: slot, Reply: reply, Body: UnlistenReq{Port: 9999}})
+				if _, ok := reply.ReceiveTimeout(th, 10*time.Millisecond); ok {
 					answered++
 				}
 			}
@@ -265,10 +259,8 @@ func TestCallSlotsBoundASendersEntries(t *testing.T) {
 	if want := 2 * CallSlots; answered != want {
 		t.Errorf("%d calls answered, want the %d on slots below CallSlots", answered, want)
 	}
-	for i, sh := range rg.fed.shards {
-		if n := len(sh.calls); n != CallSlots {
-			t.Errorf("shard %d keeps %d entries of one sender, want CallSlots (%d)", i, n, CallSlots)
-		}
+	if n, hits := len(rg.fed.calls), rg.fed.shards[1].dedupHits; n != CallSlots || hits != CallSlots {
+		t.Errorf("the host keeps %d entries of one sender, shard 1 answered %d from them; want CallSlots (%d) each", n, hits, CallSlots)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
 	"ulp/internal/tcp"
+	"ulp/internal/trace"
 )
 
 // organization is everything that distinguishes one monolithic structure
@@ -372,8 +373,8 @@ func (m *Monolithic) Connect(t *kern.Thread, remote tcp.Endpoint, opts Options) 
 
 // inputTCP is the pipeline's TCP hook: a segment for a pcb runs the engine,
 // a bare SYN for a listener clones one unless the listener's backlog is full
-// (then it is dropped, as the registry drops it), and anything else is no
-// endpoint's.
+// (then it is dropped and traced, as the registry drops it), and anything
+// else is no endpoint's.
 func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 	if mc, ok := m.conns[tcp.FourTuple{Local: s.Local, Peer: s.Peer}]; ok {
 		waiting := mc.sock.ReadableWaiters() > 0
@@ -388,6 +389,9 @@ func (m *Monolithic) inputTCP(t *kern.Thread, s Segment) bool {
 	if l, ok := m.listeners[s.Local.Port]; ok && !l.closed && s.OpensConnection() {
 		if l.pending < l.backlog {
 			m.spawnFromListener(t, l, s)
+		} else if bus := m.host.S.Bus; bus.Enabled() {
+			bus.Emit(trace.Event{Kind: trace.ListenDrop, Node: m.host.Name,
+				A: int64(s.Local.Port), B: int64(l.pending)})
 		}
 		return true
 	}

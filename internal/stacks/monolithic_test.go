@@ -12,6 +12,7 @@ import (
 	"ulp/internal/pkt"
 	"ulp/internal/sim"
 	"ulp/internal/tcp"
+	"ulp/internal/trace"
 )
 
 // organizations are the two hook sets over the one Monolithic core.
@@ -163,8 +164,10 @@ func TestOrganizationsDifferOnlyInCost(t *testing.T) {
 
 // TestSynFloodBoundedByBacklog: a monolithic listener holds at most
 // Options.Backlog handshakes, as the registry does. SYNs beyond it are
-// dropped, and a slot comes back when its handshake gives up or completes.
-// (The monolithic stacks ignored Backlog and cloned a pcb for every SYN.)
+// dropped, each with a trace.ListenDrop event as the registry emits, and a
+// slot comes back when its handshake gives up or completes. (The monolithic
+// stacks ignored Backlog and cloned a pcb for every SYN, and later dropped
+// the excess untraced.)
 func TestSynFloodBoundedByBacklog(t *testing.T) {
 	for _, org := range organizations {
 		t.Run(org.name, func(t *testing.T) {
@@ -172,6 +175,13 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 			srv := org.build(s, mods[0], ips[0])
 			cli := org.build(s, mods[1], ips[1])
 			const backlog, syns = 4, 40
+			s.Bus = trace.NewBus(func() time.Duration { return time.Duration(s.Now()) })
+			drops := 0
+			s.Bus.Subscribe(func(e trace.Event) {
+				if e.Kind == trace.ListenDrop && e.Node == srv.Host().Name && e.A == 80 && e.B == backlog {
+					drops++
+				}
+			})
 			accepted := 0
 			srv.Host().NewDomain("app", false).Spawn("srv", func(th *kern.Thread) {
 				l, err := srv.Listen(th, 80, Options{Backlog: backlog})
@@ -204,6 +214,9 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 			if got := len(srv.conns); got != backlog {
 				t.Fatalf("%d SYNs left %d pcbs, want the backlog (%d)", syns, got, backlog)
 			}
+			if drops != syns-backlog {
+				t.Fatalf("%d listen drops traced for %d SYNs at backlog %d, want %d", drops, syns, backlog, syns-backlog)
+			}
 
 			// The flood's handshakes give up once their SYN|ACK
 			// retransmissions run out; then more connections than the
@@ -222,8 +235,9 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 				}
 			})
 			s.RunUntil(time.Minute, func() bool { return accepted == conns })
-			if accepted != conns {
-				t.Fatalf("accepted %d of %d connections after the flood", accepted, conns)
+			if accepted != conns || drops != syns-backlog {
+				t.Fatalf("accepted %d of %d connections after the flood, %d listen drops traced in all; want %d",
+					accepted, conns, drops, syns-backlog)
 			}
 		})
 	}

@@ -148,8 +148,9 @@ type Config struct {
 	// plane is built from, each owning a static slice of the port space,
 	// fronted by a stateless metaregistry index in every library. 0 or 1
 	// builds one shard: the paper's single registry on the host CPU. With
-	// two or more, each shard is pinned to its own CPU, the libraries batch
-	// their requests, and a dead shard's work fails over to a live sibling.
+	// two or more, each shard is pinned to its own CPU, each library call
+	// goes to one shard (round-robin per connect), and a dead shard's work
+	// fails over to a live sibling.
 	// Two or more is OrgUserLib only.
 	RegistryShards int
 }
