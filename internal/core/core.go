@@ -89,21 +89,20 @@ type Library struct {
 
 	// reqSeq counts request IDs, which the registry compares only within a
 	// call slot of this library's. A retry reuses its request's ID, which is
-	// what lets the registry deduplicate. busy marks the call slots in use:
-	// a call holds one for its length. gaveUp holds, per slot, the
-	// withdrawal of the slot's last call if that call gave up. slotFreed
-	// wakes a caller waiting for a slot.
+	// what lets the registry deduplicate. slots holds the call slots: a call
+	// holds one for its length. slotFreed wakes a caller waiting for one.
 	reqSeq    uint32
-	busy      []bool
-	gaveUp    []withdrawal
+	slots     []callSlot
 	slotFreed sim.Cond
 }
 
-// withdrawal is the abandon a call that gave up sent, and the port it went
-// to (nil if the slot's last call did not give up).
-type withdrawal struct {
-	svc     *kern.Port
-	abandon kern.Msg
+// callSlot is one call slot: whether a call holds it, and the id of the
+// slot's last call and the port its withdrawal went to, if that call gave
+// up (gaveUpSvc nil if it did not).
+type callSlot struct {
+	busy      bool
+	gaveUpID  uint32
+	gaveUpSvc *kern.Port
 }
 
 // Control-plane RPC hardening: every registry call carries a deadline and a
@@ -123,56 +122,56 @@ const (
 	admissionRetries = 12
 )
 
-// nextReqID issues a fresh request id, nonzero until 2^32 have been issued.
+// nextReqID issues a fresh request id. Ids rise per library, and so per
+// sender and slot, which is how the registry tells a caller's later call
+// from an earlier one: in serial-number arithmetic (RFC 1982), so they wrap,
+// past zero, which marks a request the registry does not track.
 func (l *Library) nextReqID() uint32 {
-	l.reqSeq++
+	if l.reqSeq++; l.reqSeq == 0 {
+		l.reqSeq++
+	}
 	return l.reqSeq
 }
 
 // takeSlot lends the lowest free call slot for the length of one call,
 // waiting while all registry.CallSlots are lent; putSlot takes it back.
 func (l *Library) takeSlot(t *kern.Thread) uint32 {
-	i := slices.Index(l.busy, false)
-	for ; i < 0 && len(l.busy) == registry.CallSlots; i = slices.Index(l.busy, false) {
+	free := func(s callSlot) bool { return !s.busy }
+	i := slices.IndexFunc(l.slots, free)
+	for ; i < 0 && len(l.slots) == registry.CallSlots; i = slices.IndexFunc(l.slots, free) {
 		l.slotFreed.Wait(t.Proc)
 	}
 	if i < 0 {
-		i, l.busy, l.gaveUp = len(l.busy), append(l.busy, false), append(l.gaveUp, withdrawal{})
+		i, l.slots = len(l.slots), append(l.slots, callSlot{})
 	}
-	l.busy[i] = true
+	l.slots[i].busy = true
 	return uint32(i)
 }
 
 func (l *Library) putSlot(s uint32) {
-	l.busy[s] = false
+	l.slots[s].busy = false
 	l.slotFreed.Signal()
 }
 
-// call issues one control-plane RPC to registry shard shard under the
-// deadline/retry policy. Every attempt goes to the call's shard, or while it
-// is down to the next live one, carries the call's one request ID on its one
-// call slot, and waits on its one reply port: an answer that arrives after
-// its attempt's deadline is taken by the next attempt, and the registry's
-// entry for the caller, which is the host's, runs no retry a second time. A
-// quota denial is retried as a fresh request under backoff — the denied
-// attempt executed nothing, and its own id is answered, on a fresh reply port
-// if a wait timed out, for a denied attempt's retry may still be answered. A
+// call issues one control-plane RPC to registry shard shard, or while it is
+// down to the next live one, under the deadline/retry policy. Every attempt
+// carries the call's one id and slot and waits on its one reply port: an
+// answer that arrives after its attempt's deadline is taken by the next, and
+// the host's entry for the caller runs no retry twice. A quota denial is
+// retried as a fresh id under backoff (the denied attempt executed nothing),
+// on a fresh reply port if a wait timed out, for the denied id's replays may
+// still land there; so too the port is reused only if no wait timed out. A
 // call that gives up withdraws its id, so that a set-up nobody will adopt
-// gives back its port and channel. The reply port is reused only if no wait
-// on it timed out: a late answer may still land on it.
-//
-// The withdrawal must reach the registry before the slot's next call, which
-// retires the caller's entry through which the registry finds what to give
-// back, on whichever shard it lands. So a call on a slot whose last call gave
-// up withdraws that call's id once more, ahead of itself on its own port, if
-// the first withdrawal went to another shard's.
+// gives back its port and channel; the slot's next call, which retires the
+// entry through which the registry finds what to give back, withdraws it
+// once more ahead of itself if it goes to another shard.
 func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) {
 	m.ID, m.Slot = l.nextReqID(), l.takeSlot(t)
 	defer l.putSlot(m.Slot)
-	if w := l.gaveUp[m.Slot]; w.svc != nil && w.svc != l.meta.Svc(shard) {
-		l.meta.Svc(shard).SendAsync(l.app, w.abandon)
+	if last := l.slots[m.Slot]; last.gaveUpSvc != nil && last.gaveUpSvc != l.meta.Svc(shard) {
+		l.meta.Svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: last.gaveUpID}})
 	}
-	l.gaveUp[m.Slot] = withdrawal{}
+	l.slots[m.Slot].gaveUpSvc = nil
 	if m.Reply = l.replies.Get(); m.Reply == nil {
 		m.Reply = kern.NewPort(l.host, "reply")
 	}
@@ -205,9 +204,8 @@ func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) 
 		return reply, nil
 	}
 	// Posted, not sent: the caller does not wait for the withdrawal.
-	w := withdrawal{l.meta.Svc(shard), kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: m.ID}}}
-	w.svc.SendAsync(l.app, w.abandon)
-	l.gaveUp[m.Slot] = w
+	l.meta.Svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: m.ID}})
+	l.slots[m.Slot] = callSlot{busy: true, gaveUpID: m.ID, gaveUpSvc: l.meta.Svc(shard)}
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -141,8 +142,8 @@ func TestCallSlotsBoundedByConcurrentCalls(t *testing.T) {
 	if finished != threads {
 		t.Fatalf("%d of %d callers finished", finished, threads)
 	}
-	if n := len(lib.busy); n < 2 || n > threads || slices.Contains(lib.busy, true) {
-		t.Fatalf("slots %v after the calls; want 2 to %d made, all free", lib.busy, threads)
+	if n := len(lib.slots); n < 2 || n > threads || slices.ContainsFunc(lib.slots, func(s callSlot) bool { return s.busy }) {
+		t.Fatalf("slots %v after the calls; want 2 to %d made, all free", lib.slots, threads)
 	}
 }
 
@@ -166,11 +167,34 @@ func TestCallSlotsWaitAtTheRegistryBound(t *testing.T) {
 	if finished != threads {
 		t.Fatalf("%d of %d callers finished", finished, threads)
 	}
-	if n := len(lib.busy); n != registry.CallSlots || slices.Contains(lib.busy, true) {
-		t.Fatalf("%d slots made, want registry.CallSlots (%d), all free: %v", n, registry.CallSlots, lib.busy)
+	if n := len(lib.slots); n != registry.CallSlots || slices.ContainsFunc(lib.slots, func(s callSlot) bool { return s.busy }) {
+		t.Fatalf("%d slots made, want registry.CallSlots (%d), all free: %v", n, registry.CallSlots, lib.slots)
 	}
 	if n := regs[0].ListenerCount(); n != threads {
 		t.Fatalf("%d listeners, want %d", n, threads)
+	}
+}
+
+// Request ids wrap: calls on one slot across the wrap of the library's id
+// counter are each answered, for the registry orders a caller's ids in
+// serial-number arithmetic, and no call takes id zero, which it does not
+// track.
+func TestRequestIDsWrapOnASlot(t *testing.T) {
+	s, libs, _, regs := twoLibraries()
+	lib := libs[0]
+	lib.reqSeq = math.MaxUint32 - 1
+	done := false
+	lib.app.Spawn("caller", func(th *kern.Thread) {
+		for port := uint16(8000); port < 8003; port++ {
+			if _, err := lib.Listen(th, port, stacks.Options{}); err != nil {
+				t.Errorf("listen %d: %v", port, err)
+			}
+		}
+		done = true
+	})
+	s.RunUntil(time.Minute, func() bool { return done })
+	if n := regs[0].ListenerCount(); !done || n != 3 || lib.reqSeq != 2 {
+		t.Fatalf("%d listeners (done %v), the last id %d; want 3, the last id 2", n, done, lib.reqSeq)
 	}
 }
 

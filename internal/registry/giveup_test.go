@@ -151,3 +151,51 @@ func TestShardedDenialIsNotTakenForALaterID(t *testing.T) {
 		t.Errorf("connect returned %v (done %v) after the registry denied %d requests; want ErrAdmissionDenied after 13", err, done, denied)
 	}
 }
+
+// A withdrawal that overtakes every attempt of its call: the call's attempt
+// waited at shard 1 while the withdrawal, re-sent ahead of the slot's next
+// call, reached shard 0 first. The attempt, served after the withdrawal,
+// replays the withdrawal's answer and starts no set-up, so the slot's next
+// call, which retires the entry, leaves no connection handed off to a reply
+// port nobody reads.
+func TestAbandonOvertakingItsAttemptsStartsNoSetup(t *testing.T) {
+	s := sim.New()
+	seg := wire.New(s, wire.EthernetConfig())
+	var feds [2]*registry.Federation
+	var apps [2]*kern.Domain
+	for i, ip := range []ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}} {
+		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
+		feds[i] = registry.NewFederation(s, netio.New(h, netdev.NewLance(h, seg, link.MakeAddr(i+1))), ip, 2)
+		apps[i] = h.NewDomain("app", false)
+	}
+	srv := core.NewLibrary(s, apps[0], feds[0])
+	apps[0].Spawn("server", func(th *kern.Thread) {
+		if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Run(100 * time.Millisecond)
+	fed, h := feds[1], apps[1].Host
+	reply := kern.NewPort(h, "reply")
+	var answer kern.Msg
+	answered, done := false, false
+	apps[1].Spawn("caller", func(th *kern.Thread) {
+		fed.Meta().Svc(0).Send(th, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: 0, ID: 7}})
+		th.Sleep(10 * time.Millisecond)
+		fed.Meta().Svc(1).Send(th, kern.Msg{Op: "connect", ID: 7, Slot: 0, Reply: reply,
+			Body: registry.ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}}})
+		answer, answered = reply.ReceiveTimeout(th, time.Second)
+		fed.Meta().Svc(0).Send(th, kern.Msg{Op: "listen", ID: 8, Slot: 0, Reply: kern.NewPort(h, "reply"),
+			Body: registry.ListenReq{Port: 81}})
+		done = true
+	})
+	s.RunUntil(time.Minute, func() bool { return done })
+	s.Run(time.Second)
+	if !answered || answer.Body != stacks.ErrRegistryUnavailable {
+		t.Fatalf("the overtaken attempt was answered %v (%v), want the withdrawal's ErrRegistryUnavailable", answer, answered)
+	}
+	if fed.OwnedConns() != 0 || fed.TransferredConns() != 0 || feds[0].TransferredConns() != 0 {
+		t.Fatalf("the caller's host holds %d set-ups and handed off %d connections, the listener's %d; want none",
+			fed.OwnedConns(), fed.TransferredConns(), feds[0].TransferredConns())
+	}
+}

@@ -204,7 +204,10 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 
 // One-way requests take no dedup entry, even under an id: nothing answers
 // them, so an entry would stay "in flight" for ever. Each names no
-// capability here, which ends nothing.
+// capability here, which ends nothing. An AbandonReq of a call the registry
+// has not seen records that call as answered, so that an attempt of it that
+// comes later starts nothing: the abandons, all of slot 0's id 1, leave that
+// one entry, done.
 func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	rg := newRig(false)
 	bodies := []any{TeardownReq{}, InheritReq{}, AbandonReq{ID: 1}}
@@ -218,8 +221,9 @@ func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return sent == n })
 	rg.s.Run(time.Second)
-	if len(rg.r1.fed.calls) != 0 {
-		t.Fatalf("the registry holds %d callers' entries after %d one-way requests, want none", len(rg.r1.fed.calls), sent)
+	e := rg.r1.fed.calls[callerKey(rg.apps[1], 0)]
+	if len(rg.r1.fed.calls) != 1 || e == nil || !e.done || e.id != 1 {
+		t.Fatalf("the registry holds %d callers' entries after %d one-way requests, want only slot 0's withdrawn id 1, done", len(rg.r1.fed.calls), sent)
 	}
 }
 

@@ -376,8 +376,8 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		if m.Slot >= CallSlots {
 			return
 		}
-		if e := r.fed.calls[callerKey(m.From, m.Slot)]; e != nil && m.ID <= e.id {
-			if m.ID < e.id {
+		if e := r.fed.calls[callerKey(m.From, m.Slot)]; e != nil && !before(e.id, m.ID) {
+			if m.ID != e.id {
 				return
 			}
 			r.dedupHits++
@@ -388,6 +388,13 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			if e.done {
 				hold(e.reply)
 				m.ReplyTo(t, e.reply)
+			} else if hc := e.hc; hc != nil && len(r.fed.shards) > 1 {
+				// Shards run set-ups in parallel, so a full listen backlog
+				// drops the SYNs of simultaneous connects together, and
+				// again at their retransmissions, armed on one tick, after
+				// their callers gave up. The callers' jittered retries spread
+				// them: a set-up's retry runs its retransmission time-out now.
+				hc.r.runConn(t, hc, hc.tc.RexmtNow)
 			}
 			return
 		}
@@ -408,8 +415,14 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 			_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap) // its port goes with it
 		}
 	case AbandonReq:
-		if e := r.fed.entry(m.From, req.Slot, req.ID); e != nil {
+		if e := r.fed.calls[callerKey(m.From, req.Slot)]; e != nil && e.id == req.ID {
 			r.abandon(t, e)
+		} else if req.Slot < CallSlots && (e == nil || before(e.id, req.ID)) {
+			// The withdrawal overtook every attempt of its call, which wait at
+			// another shard: the call is recorded as answered, so that an
+			// attempt run later replays that instead of starting a set-up.
+			e = r.track(t, kern.Msg{From: m.From, Slot: req.Slot, ID: req.ID})
+			e.done, e.reply = true, kern.Msg{Op: m.Op, Body: stacks.ErrRegistryUnavailable}
 		}
 	case BindUDPReq:
 		r.handleBindUDP(t, m, req)
@@ -435,12 +448,17 @@ func answered(body any) bool {
 	return false
 }
 
-// track makes request m its caller's latest call, run by this shard. The
-// caller's previous entry is retired, on whichever shard it ran, and the
-// hand-off its reply held given back. A connect of it still under way is
-// abandoned: the caller has moved on, and its abandon, which may come after
-// this call, would no longer find the entry.
-func (r *Server) track(t *kern.Thread, m kern.Msg) {
+// before reports whether a caller's id a was issued before its id b: ids
+// rise per caller and wrap, so they compare in serial-number arithmetic
+// (RFC 1982), which holds while fewer than 2^31 ids separate them.
+func before(a, b uint32) bool { return int32(a-b) < 0 }
+
+// track makes request m its caller's latest call, run by this shard, and
+// returns its entry. The caller's previous entry is retired, on whichever
+// shard it ran, and the hand-off its reply held given back. A connect of it
+// still under way is abandoned: the caller has moved on, and its abandon,
+// which may come after this call, would no longer find the entry.
+func (r *Server) track(t *kern.Thread, m kern.Msg) *call {
 	key := callerKey(m.From, m.Slot)
 	e := r.fed.calls[key]
 	if e == nil {
@@ -451,6 +469,7 @@ func (r *Server) track(t *kern.Thread, m kern.Msg) {
 	}
 	drop(e.reply)
 	*e = call{id: m.ID, r: r}
+	return e
 }
 
 // finish records request m's reply in its caller's entry and delivers it to
@@ -580,7 +599,9 @@ func tuple(cap *netio.Capability) tcp.FourTuple {
 // or the caller's next call retires it under way. A set-up still under way is
 // aborted, through the engine of the shard that runs it, and a connection
 // already handed off to the abandoned reply port is reclaimed as a crashed
-// application's would be. Nothing else would ever free either.
+// application's would be. Nothing else would ever free either. The abort runs
+// on this shard's thread, which pays for it and for the RST: the request that
+// called for it came here.
 func (r *Server) abandon(t *kern.Thread, e *call) {
 	if hc := e.hc; !e.done && hc != nil {
 		// No one is listening for the handoff: abort, and the closed callback

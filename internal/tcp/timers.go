@@ -272,6 +272,16 @@ func dec(t *int) bool {
 	return *t == 0
 }
 
+// RexmtNow runs the retransmission time-out at once, as if the timer had
+// run out: what is outstanding is sent again under the back-off and the
+// R2 give-up of a time-out. It does nothing while the timer is not armed.
+func (c *Conn) RexmtNow() {
+	if c.tRexmt != 0 {
+		c.tRexmt = 0
+		c.rexmtTimeout()
+	}
+}
+
 // rexmtTimeout handles expiry of the retransmission timer: exponential
 // backoff, congestion collapse to one segment (slow start), go-back-N.
 func (c *Conn) rexmtTimeout() {
