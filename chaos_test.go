@@ -985,8 +985,8 @@ func passiveShard(local, peer tcp.Endpoint, n int) int {
 
 // Shards crash independently — on both hosts — while a dozen connections
 // churn through setup, echo, and teardown. The control plane must keep
-// admitting and completing setups (dead shards are routed around via
-// successor steering and the one listener table), migrated connections must
+// admitting and completing setups (dead shards are routed around through
+// the covering shard and the one listener table), migrated connections must
 // finish their transfers, and when the dust settles nothing may leak: no
 // ports, no transferred-connection records, no capabilities, no pinned
 // regions, no pool buffers — on either host — with the RFC 793 conformance

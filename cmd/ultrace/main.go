@@ -173,11 +173,14 @@ func run(args []string, stdout io.Writer) int {
 	if checker != nil {
 		cov := checker.Coverage()
 		fmt.Fprintf(stdout, "conformance: %d violations, %d/%d legal transition edges exercised\n",
-			len(checker.Violations()), cov.Count(), cov.Total())
+			checker.Reported(), cov.Count(), cov.Total())
 		for _, v := range checker.Violations() {
 			fmt.Fprintln(stdout, "  ", v)
 		}
-		if len(checker.Violations()) > 0 {
+		if n := checker.Reported() - len(checker.Violations()); n > 0 {
+			fmt.Fprintf(stdout, "   and %d more\n", n)
+		}
+		if checker.Reported() > 0 {
 			return 1
 		}
 	}

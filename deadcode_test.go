@@ -43,7 +43,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/netio.Module.SoftwareBindings":   "TestDestroyChannelRemovesSteered",
 	"internal/stacks.TCPWheel.Armed":           "TestWheelDropIsFinal",
 	"internal/sim.Timer.Pending":               "TestCancelRemovesEagerly",
-	"internal/conform.Checker.Truncated":       "TestReplayMatrix",
 	"internal/wire.Segment.SwitchStats":        "TestReplayMatrix",
 	"internal/pkt.Buf.Headroom":                "TestFragmentSingleWhenFits",
 	"internal/tcp.Conn.Callbacks":              "TestConnectionRecordsAreReused",

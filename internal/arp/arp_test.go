@@ -55,6 +55,31 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// FuzzDecode: Decode takes any bytes off the wire without panicking; what it
+// accepts re-encodes to the 28 bytes it read, and Decode∘Encode gives the
+// packet back.
+func FuzzDecode(f *testing.F) {
+	req := Packet{Op: OpRequest, SenderHW: hwA, SenderIP: ipA, TargetIP: ipB}
+	f.Add(req.Encode(0).Bytes())
+	reply := Packet{Op: OpReply, SenderHW: hwB, SenderIP: ipB, TargetHW: hwA, TargetIP: ipA}
+	f.Add(append(reply.Encode(0).Bytes(), 0, 0)) // with link padding
+	f.Add(req.Encode(0).Bytes()[:PacketLen-1])
+	f.Add([]byte{0, 1, 0x86, 0xdd, 6, 16})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p, err := Decode(pkt.FromBytes(0, in))
+		if err != nil {
+			return
+		}
+		if out := p.Encode(0).Bytes(); !slices.Equal(out, in[:PacketLen]) {
+			t.Fatalf("% x decodes to %+v, which encodes to % x", in, p, out)
+		}
+		if got, err := Decode(p.Encode(0)); err != nil || got != p {
+			t.Fatalf("%+v round-trips to %+v (%v)", p, got, err)
+		}
+	})
+}
+
 func TestRequestReplyExchange(t *testing.T) {
 	a := NewCache(hwA, ipA, 100, 2, 40)
 	b := NewCache(hwB, ipB, 100, 2, 40)

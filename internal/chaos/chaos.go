@@ -70,7 +70,7 @@ type CrashPoint struct {
 
 // ShardCrash kills one shard of a host's registry at time At. Where
 // sibling shards survive they keep serving (requests and frames for the
-// dead shard's tuples fail over to a successor), and since the module
+// dead shard's tuples fail over to the next live shard), and since the module
 // quarantines the endpoints the dead shard issued, its handed-off
 // connections migrate to them. If RestartAfter is nonzero a fresh
 // incarnation of the shard boots that much later, rebuilds its

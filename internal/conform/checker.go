@@ -22,7 +22,7 @@ const (
 	// fastTick is the fast-timeout period the tail loss probe counts in.
 	fastTick = 200 * time.Millisecond
 	// maxViolations caps the report list so a systematically broken run
-	// cannot accumulate unbounded reports; Truncated reports overflow.
+	// cannot accumulate unbounded reports; Reported counts them all.
 	maxViolations = 100
 )
 
@@ -139,7 +139,7 @@ type Checker struct {
 
 	idx        int // events observed (all kinds), for violation indexing
 	violations []Violation
-	truncated  bool
+	reported   int // violations found, kept or dropped past maxViolations
 }
 
 // New creates a checker.
@@ -157,15 +157,15 @@ func (k *Checker) Attach(bus *trace.Bus) { bus.Subscribe(k.HandleEvent) }
 // Violations returns the accumulated reports.
 func (k *Checker) Violations() []Violation { return k.violations }
 
-// Truncated reports whether reports were dropped after the first 100.
-func (k *Checker) Truncated() bool { return k.truncated }
+// Reported counts every violation found: the first 100, which Violations
+// keeps, and each dropped after them.
+func (k *Checker) Reported() int { return k.reported }
 
 // Coverage returns the legal-edge coverage accumulated so far.
 func (k *Checker) Coverage() *Coverage { return k.cov }
 
 func (k *Checker) report(conn string, at time.Duration, rule, detail string, edge *Edge) {
-	if len(k.violations) >= maxViolations {
-		k.truncated = true
+	if k.reported++; len(k.violations) >= maxViolations {
 		return
 	}
 	k.violations = append(k.violations, Violation{

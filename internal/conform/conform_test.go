@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,23 @@ func TestIllegalEdge(t *testing.T) {
 	}
 	if !strings.Contains(v.Detail, "LISTEN") {
 		t.Errorf("detail %q does not name the edge", v.Detail)
+	}
+}
+
+// TestReportsPastTheCapAreCounted: a run that breaks a rule 150 times keeps
+// the first 100 reports and counts all 150.
+func TestReportsPastTheCapAreCounted(t *testing.T) {
+	k := New()
+	for i := range 150 {
+		conn := fmt.Sprintf("c%d", i)
+		feed(k,
+			st(0, conn, tcp.Closed, tcp.SynSent, tcp.TrigUser),
+			st(tick, conn, tcp.SynSent, tcp.Established, tcp.TrigSegment),
+			st(2*tick, conn, tcp.Established, tcp.Listen, tcp.TrigSegment),
+		)
+	}
+	if n, kept := k.Reported(), len(k.Violations()); n != 150 || kept != maxViolations {
+		t.Fatalf("%d violations counted and %d kept, want 150 and %d", n, kept, maxViolations)
 	}
 }
 

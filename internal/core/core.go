@@ -26,13 +26,13 @@ import (
 	"sort"
 	"time"
 
+	"ulp/internal/ctl"
 	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
 	"ulp/internal/netio"
 	"ulp/internal/pkt"
-	"ulp/internal/registry"
 	"ulp/internal/sim"
 	"ulp/internal/stacks"
 	"ulp/internal/tcp"
@@ -46,9 +46,9 @@ type Library struct {
 	mod  *netio.Module
 	nif  *stacks.Netif
 
-	// meta is the metaregistry index: control-plane requests are routed to
-	// the authoritative registry shard through it.
-	meta *registry.Meta
+	// reg is the host's registry as the library reaches it: the shards'
+	// service ports, and the slices by which a tuple's shard is known.
+	reg ctl.Shards
 	// rr sequences round-robin connect routing across live shards.
 	rr uint64
 
@@ -134,11 +134,11 @@ func (l *Library) nextReqID() uint32 {
 }
 
 // takeSlot lends the lowest free call slot for the length of one call,
-// waiting while all registry.CallSlots are lent; putSlot takes it back.
+// waiting while all ctl.CallSlots are lent; putSlot takes it back.
 func (l *Library) takeSlot(t *kern.Thread) uint32 {
 	free := func(s callSlot) bool { return !s.busy }
 	i := slices.IndexFunc(l.slots, free)
-	for ; i < 0 && len(l.slots) == registry.CallSlots; i = slices.IndexFunc(l.slots, free) {
+	for ; i < 0 && len(l.slots) == ctl.CallSlots; i = slices.IndexFunc(l.slots, free) {
 		l.slotFreed.Wait(t.Proc)
 	}
 	if i < 0 {
@@ -168,8 +168,8 @@ func (l *Library) putSlot(s uint32) {
 func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) {
 	m.ID, m.Slot = l.nextReqID(), l.takeSlot(t)
 	defer l.putSlot(m.Slot)
-	if last := l.slots[m.Slot]; last.gaveUpSvc != nil && last.gaveUpSvc != l.meta.Svc(shard) {
-		l.meta.Svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: last.gaveUpID}})
+	if last := l.slots[m.Slot]; last.gaveUpSvc != nil && last.gaveUpSvc != l.svc(shard) {
+		l.svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: m.Slot, ID: last.gaveUpID}})
 	}
 	l.slots[m.Slot].gaveUpSvc = nil
 	if m.Reply = l.replies.Get(); m.Reply == nil {
@@ -178,7 +178,7 @@ func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) 
 	timeout := rpcBaseTimeout
 	denied := 0
 	for attempt := 0; attempt < rpcAttempts; {
-		l.meta.Svc(shard).Send(t, m)
+		l.svc(shard).Send(t, m)
 		reply, ok := m.Reply.ReceiveTimeout(t, timeout)
 		if !ok {
 			attempt++
@@ -188,7 +188,7 @@ func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) 
 			timeout = min(2*timeout, rpcTimeoutCap)
 			continue
 		}
-		if ho, isHo := reply.Body.(*registry.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied && denied < admissionRetries {
+		if ho, isHo := reply.Body.(*ctl.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied && denied < admissionRetries {
 			denied++
 			ho.Done()
 			m.ID = l.nextReqID()
@@ -204,27 +204,39 @@ func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) 
 		return reply, nil
 	}
 	// Posted, not sent: the caller does not wait for the withdrawal.
-	l.meta.Svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: m.Slot, ID: m.ID}})
-	l.slots[m.Slot] = callSlot{busy: true, gaveUpID: m.ID, gaveUpSvc: l.meta.Svc(shard)}
+	l.svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: m.Slot, ID: m.ID}})
+	l.slots[m.Slot] = callSlot{busy: true, gaveUpID: m.ID, gaveUpSvc: l.svc(shard)}
 	return kern.Msg{}, stacks.ErrRegistryUnavailable
+}
+
+// svc returns the service port of shard i, or while it is down of the next
+// live shard (cross-shard migration); with every shard down it stays on i's,
+// which queues a request for the next incarnation while the RPC deadline
+// runs.
+func (l *Library) svc(i int) *kern.Port {
+	if c := l.reg.Cover(i); c >= 0 {
+		i = c
+	}
+	return l.reg.Svc[i]
 }
 
 // svcOwner returns the control port of the shard that owns a tuple,
 // failing over to the next live shard while the owner is down.
 func (l *Library) svcOwner(local, peer tcp.Endpoint) *kern.Port {
-	return l.meta.Svc(l.meta.Owner(local, peer))
+	return l.svc(l.reg.Owner(local, peer))
 }
 
-// NewLibrary links the protocol library into an application domain. Control
-// RPCs are routed through the registry's metaregistry index.
-func NewLibrary(s *sim.Sim, app *kern.Domain, reg *registry.Federation) *Library {
+// NewLibrary links the protocol library into an application domain, over
+// its host's network interface. It reaches the registry only through reg's
+// service ports, and reads a shard's liveness from its port.
+func NewLibrary(s *sim.Sim, app *kern.Domain, nif *stacks.Netif, reg ctl.Shards) *Library {
 	l := &Library{
 		s:       s,
 		host:    app.Host,
 		app:     app,
-		meta:    reg.Meta(),
-		nif:     reg.Netif(),
-		mod:     reg.Netif().Mod,
+		reg:     reg,
+		nif:     nif,
+		mod:     nif.Mod,
 		wheel:   stacks.NewTCPWheel(),
 		backoff: stacks.NewBackoff(seedFrom(app.Host.Name), rpcBaseTimeout/2, rpcTimeoutCap),
 	}
@@ -394,13 +406,13 @@ func (l *Library) compact(r *connRec) bool {
 // registry, then adopt the established connection.
 func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Options) (stacks.Conn, error) {
 	t.Compute(t.Cost().ProcCall)
-	shard := l.meta.Route(l.rr)
+	shard := int(l.rr % uint64(len(l.reg.Svc)))
 	l.rr++
-	reply, err := l.call(t, shard, kern.Msg{Op: "connect", Body: registry.ConnectReq{Remote: remote, Opts: opts}})
+	reply, err := l.call(t, shard, kern.Msg{Op: "connect", Body: ctl.ConnectReq{Remote: remote, Opts: opts}})
 	if err != nil {
 		return nil, err
 	}
-	ho, ok := reply.Body.(*registry.Handoff)
+	ho, ok := reply.Body.(*ctl.Handoff)
 	if !ok {
 		return nil, stacks.ErrClosed
 	}
@@ -409,7 +421,7 @@ func (l *Library) Connect(t *kern.Thread, remote tcp.Endpoint, opts stacks.Optio
 
 // adoptHandoff adopts the connection a hand-off carries, or returns its
 // error, and gives the record back.
-func (l *Library) adoptHandoff(t *kern.Thread, ho *registry.Handoff, opts stacks.Options) (stacks.Conn, error) {
+func (l *Library) adoptHandoff(t *kern.Thread, ho *ctl.Handoff, opts stacks.Options) (stacks.Conn, error) {
 	defer ho.Done()
 	if ho.Err != nil {
 		return nil, ho.Err
@@ -431,7 +443,7 @@ type Listener struct {
 func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stacks.Listener, error) {
 	t.Compute(t.Cost().ProcCall)
 	acceptPort := kern.NewPort(l.host, "accept")
-	req := registry.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort}
+	req := ctl.ListenReq{Port: port, Opts: opts, AcceptPort: acceptPort}
 	reply, err := l.call(t, 0, kern.Msg{Op: "listen", Body: req})
 	if err == nil {
 		err, _ = reply.Body.(error)
@@ -447,19 +459,19 @@ func (l *Library) Listen(t *kern.Thread, port uint16, opts stacks.Options) (stac
 func (ln *Listener) Accept(t *kern.Thread) (stacks.Conn, error) {
 	m := ln.accept.Receive(t)
 	t.Compute(t.Cost().ContextSwitch) // handoff message receipt
-	return ln.lib.adoptHandoff(t, m.Body.(*registry.Handoff), ln.opts)
+	return ln.lib.adoptHandoff(t, m.Body.(*ctl.Handoff), ln.opts)
 }
 
 // Close stops listening. A registry that has become unavailable is
 // tolerated: the endpoint is abandoned and reclaimed by crash cleanup.
 func (ln *Listener) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	_, _ = ln.lib.call(t, 0, kern.Msg{Op: "unlisten", Body: registry.UnlistenReq{Port: ln.port}})
+	_, _ = ln.lib.call(t, 0, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: ln.port}})
 }
 
 // adopt turns a registry handoff into a live library connection. It copies
 // what it keeps out of ho.
-func (l *Library) adopt(t *kern.Thread, ho *registry.Handoff, opts stacks.Options) *Conn {
+func (l *Library) adopt(t *kern.Thread, ho *ctl.Handoff, opts stacks.Options) *Conn {
 	r := l.free.Get()
 	if r == nil {
 		r = new(connRec)
@@ -759,7 +771,7 @@ func (r *connRec) teardown() {
 	c, l := r.c, r.c.lib
 	c.detach()
 	l.svcOwner(r.tc.Local(), r.tc.Peer()).SendAsync(l.app, kern.Msg{
-		Op: "teardown", Body: registry.TeardownReq{Cap: r.cap}})
+		Op: "teardown", Body: ctl.TeardownReq{Cap: r.cap}})
 	r.closed = true
 }
 
@@ -784,7 +796,7 @@ func (tr *twRec) end(why tcp.Trigger, err error) {
 	l.twEnded.Broadcast()
 	c.detach()
 	l.svcOwner(tr.tw.Local(), tr.tw.Peer()).SendAsync(l.app, kern.Msg{
-		Op: "teardown", Body: registry.TeardownReq{Cap: tr.cap}})
+		Op: "teardown", Body: ctl.TeardownReq{Cap: tr.cap}})
 	c.tw = nil
 }
 
@@ -886,7 +898,7 @@ func (l *Library) Exit(t *kern.Thread, abnormal bool) {
 		l.svcOwner(snap.Local, snap.Peer).Send(t, kern.Msg{
 			Op:   "inherit",
 			Size: snap.Size(),
-			Body: registry.InheritReq{Snap: snap, Cap: rt.cap, Abort: abnormal},
+			Body: ctl.InheritReq{Snap: snap, Cap: rt.cap, Abort: abnormal},
 		})
 	}
 }

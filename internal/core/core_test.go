@@ -9,6 +9,7 @@ import (
 
 	"ulp/internal/chaos"
 	"ulp/internal/costs"
+	"ulp/internal/ctl"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -39,7 +40,7 @@ func shardedLibraries(shards int) (s *sim.Sim, libs [2]*Library, ips [2]ipv4.Add
 		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
 		mod := netio.New(h, netdev.NewLance(h, seg, link.MakeAddr(i+1)))
 		regs[i] = registry.NewFederation(s, mod, ips[i], shards)
-		libs[i] = NewLibrary(s, h.NewDomain("app", false), regs[i])
+		libs[i] = NewLibrary(s, h.NewDomain("app", false), regs[i].Netif(), regs[i].Shards)
 	}
 	return s, libs, ips, regs
 }
@@ -79,12 +80,12 @@ func exitOrder(t *testing.T, n int) []uint16 {
 	}
 
 	regs[0].CrashShard(0)
-	reborn := srv.meta.Svc(0)
+	reborn := srv.svc(0)
 	var order []uint16
 	srv.host.NewDomain("recorder", true).Spawn("svc", func(th *kern.Thread) {
 		for {
 			m := reborn.Receive(th)
-			if req, ok := m.Body.(registry.InheritReq); ok {
+			if req, ok := m.Body.(ctl.InheritReq); ok {
 				order = append(order, req.Cap.Template().RemotePort)
 			}
 		}
@@ -147,13 +148,13 @@ func TestCallSlotsBoundedByConcurrentCalls(t *testing.T) {
 	}
 }
 
-// A library lends at most registry.CallSlots slots, the most the registry
+// A library lends at most ctl.CallSlots slots, the most the registry
 // answers on: a caller that finds them all lent waits for one. More threads
 // than that listening at once all get their listener.
 func TestCallSlotsWaitAtTheRegistryBound(t *testing.T) {
 	s, libs, _, regs := twoLibraries()
 	lib := libs[0]
-	const threads = registry.CallSlots + 8
+	const threads = ctl.CallSlots + 8
 	finished := 0
 	for i := range threads {
 		lib.app.Spawn("caller", func(th *kern.Thread) {
@@ -167,8 +168,8 @@ func TestCallSlotsWaitAtTheRegistryBound(t *testing.T) {
 	if finished != threads {
 		t.Fatalf("%d of %d callers finished", finished, threads)
 	}
-	if n := len(lib.slots); n != registry.CallSlots || slices.ContainsFunc(lib.slots, func(s callSlot) bool { return s.busy }) {
-		t.Fatalf("%d slots made, want registry.CallSlots (%d), all free: %v", n, registry.CallSlots, lib.slots)
+	if n := len(lib.slots); n != ctl.CallSlots || slices.ContainsFunc(lib.slots, func(s callSlot) bool { return s.busy }) {
+		t.Fatalf("%d slots made, want ctl.CallSlots (%d), all free: %v", n, ctl.CallSlots, lib.slots)
 	}
 	if n := regs[0].ListenerCount(); n != threads {
 		t.Fatalf("%d listeners, want %d", n, threads)

@@ -158,7 +158,7 @@ func TestSurvivorAdoptsDeadShardsConnections(t *testing.T) {
 	var cover *kern.Domain
 	for _, c := range conns {
 		ft := c.tuple()
-		if cli.meta.Owner(ft.Local, ft.Peer) == 1 {
+		if cli.reg.Owner(ft.Local, ft.Peer) == 1 {
 			victims = append(victims, c)
 		} else {
 			cover = c.rec.cap.Issuer()

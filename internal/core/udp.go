@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 
+	"ulp/internal/ctl"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
 	"ulp/internal/netio"
 	"ulp/internal/pkt"
-	"ulp/internal/registry"
 	"ulp/internal/stacks"
 	"ulp/internal/udp"
 )
@@ -36,11 +36,11 @@ type UDPConn struct {
 // BindUDP allocates a datagram end-point through the registry.
 func (l *Library) BindUDP(t *kern.Thread, port uint16) (*UDPConn, error) {
 	t.Compute(t.Cost().ProcCall)
-	reply, err := l.call(t, 0, kern.Msg{Op: "bind-udp", Body: registry.BindUDPReq{Port: port}})
+	reply, err := l.call(t, 0, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: port}})
 	if err != nil {
 		return nil, err
 	}
-	ho, ok := reply.Body.(registry.UDPHandoff)
+	ho, ok := reply.Body.(ctl.UDPHandoff)
 	if !ok {
 		return nil, stacks.ErrClosed
 	}
@@ -66,11 +66,11 @@ func (u *UDPConn) Resolve(t *kern.Thread, ip ipv4.Addr) error {
 		return nil
 	}
 	t.Compute(t.Cost().ProcCall)
-	reply, err := u.lib.call(t, 0, kern.Msg{Op: "resolve", Body: registry.ResolveReq{IP: ip}})
+	reply, err := u.lib.call(t, 0, kern.Msg{Op: "resolve", Body: ctl.ResolveReq{IP: ip}})
 	if err != nil {
 		return err
 	}
-	rr, ok := reply.Body.(registry.ResolveReply)
+	rr, ok := reply.Body.(ctl.ResolveReply)
 	if !ok {
 		return stacks.ErrClosed
 	}
@@ -139,7 +139,7 @@ func (u *UDPConn) SendVia(t *kern.Thread, dst udp.Endpoint, payload []byte) erro
 	reply, err := u.lib.call(t, 0, kern.Msg{
 		Op:   "udp-send",
 		Size: len(payload),
-		Body: registry.UDPSendReq{Cap: u.cap, Frame: b},
+		Body: ctl.UDPSendReq{Cap: u.cap, Frame: b},
 	})
 	if err != nil {
 		return err
@@ -197,5 +197,5 @@ func (u *UDPConn) parse(b *pkt.Buf) (udp.Datagram, bool) {
 // Close releases the end-point.
 func (u *UDPConn) Close(t *kern.Thread) {
 	t.Compute(t.Cost().ProcCall)
-	u.lib.meta.Svc(0).Send(t, kern.Msg{Op: "unbind-udp", Body: registry.TeardownReq{Cap: u.cap}})
+	u.lib.svc(0).Send(t, kern.Msg{Op: "unbind-udp", Body: ctl.TeardownReq{Cap: u.cap}})
 }

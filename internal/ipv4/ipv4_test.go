@@ -3,6 +3,7 @@ package ipv4
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -400,4 +401,84 @@ func TestPeek(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestReassemblyIgnoresFragmentsPastTheEnd: fragments that lie past the
+// datagram's last byte, as a hostile or broken sender may add, neither
+// crash the reassembler (two adjacent ones used to slice out of range) nor,
+// with a gap before them, keep the datagram from completing.
+func TestReassemblyIgnoresFragmentsPastTheEnd(t *testing.T) {
+	payload := []byte("twenty-four bytes long!!")
+	for _, strays := range [][]int{{24, 32}, {40}} {
+		r := NewReassembler(10)
+		h := Header{TTL: 64, Proto: ProtoUDP, Src: srcA, Dst: dstA, ID: 3, MF: true}
+		r.Insert(0, h, payload[:16])
+		for _, off := range strays {
+			h.FragOff = off
+			r.Insert(0, h, bytes.Repeat([]byte{0xee}, 8))
+		}
+		h.FragOff, h.MF = 16, false
+		_, got, ok := r.Insert(0, h, payload[16:])
+		if !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("strays at %v: completed %v with %q, want %q", strays, ok, got, payload)
+		}
+	}
+}
+
+// FuzzReassembly feeds the reassembler fragments of one datagram of size%4000
+// + 1 seeded bytes, in an order the fuzzer picks, with duplicates, overlaps
+// and strays. Each 3-byte step of plan sends the piece that starts plan[1]
+// 8-byte blocks in (wrapped into the datagram) and runs plan[2]%32 + 1 blocks
+// or to the end; plan[0]%4 == 2 sends it past the datagram's end instead, and
+// 3 as another datagram's. Insert never panics, every completion of the
+// datagram carries its payload and comes as soon as its pieces cover it, and
+// Expire leaves no entry. Only the first 64 steps are sent.
+func FuzzReassembly(f *testing.F) {
+	f.Add(uint16(40), []byte{0, 0, 31})                           // one piece: the whole datagram
+	f.Add(uint16(99), []byte{0, 2, 0, 1, 1, 0, 0, 0, 0})          // in reverse order
+	f.Add(uint16(99), []byte{0, 0, 1, 0, 0, 1, 0, 1, 3})          // a duplicate, then an overlap
+	f.Add(uint16(23), []byte{0, 0, 1, 2, 0, 0, 2, 1, 0, 0, 2, 0}) // two adjacent pieces past the end
+	f.Add(uint16(999), []byte{3, 0, 31, 0, 0, 31, 2, 9, 0, 0, 31, 31, 3, 31, 31, 0, 62, 31, 0, 93, 31})
+	f.Fuzz(func(t *testing.T, size uint16, plan []byte) {
+		n := int(size)%4000 + 1
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + int(size))
+		}
+		blocks := (n + 7) / 8
+		have := make([]bool, blocks) // the blocks sent since the last completion
+		r := NewReassembler(10)
+		for plan = plan[:min(len(plan), 3*64)]; len(plan) >= 3; plan = plan[3:] {
+			off := int(plan[1]) % blocks * 8
+			end := min(off+(int(plan[2])%32+1)*8, n)
+			h := Header{TTL: 64, Proto: ProtoUDP, Src: srcA, Dst: dstA, ID: 7, FragOff: off, MF: end < n}
+			switch plan[0] % 4 {
+			case 2:
+				h.FragOff, h.MF = off+blocks*8, true
+			case 3:
+				h.ID++
+			default:
+				for b := off / 8; b < (end+7)/8; b++ {
+					have[b] = true
+				}
+			}
+			hdr, got, ok := r.Insert(0, h, payload[off:end])
+			if hdr.ID == 8 {
+				continue // the other datagram is no concern of this one
+			}
+			if ok != !slices.Contains(have, false) {
+				t.Fatalf("after the piece at %d..%d the datagram completed %v, with its blocks %v", off, end, ok, have)
+			}
+			if ok {
+				if !bytes.Equal(got, payload) || hdr.MF || hdr.FragOff != 0 || hdr.TotalLen != HeaderLen+n {
+					t.Fatalf("completed as %v with %d bytes, want the %d-byte payload", hdr, len(got), n)
+				}
+				clear(have)
+			}
+		}
+		r.Expire(10)
+		if len(r.entries) != 0 {
+			t.Fatalf("%d entries left after they expired", len(r.entries))
+		}
+	})
 }

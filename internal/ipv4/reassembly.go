@@ -66,29 +66,28 @@ func (r *Reassembler) Insert(now uint64, h Header, payload []byte) (Header, []by
 	if e.totalLen < 0 {
 		return Header{}, nil, false
 	}
-	// Check coverage [0, totalLen) by the received fragments.
+	// Check coverage [0, totalLen) by the received fragments; bytes past
+	// totalLen, which only a broken or hostile sender sends, are ignored.
 	frags := append([]fragment(nil), e.frags...)
 	sort.Slice(frags, func(i, j int) bool { return frags[i].off < frags[j].off })
 	covered := 0
 	for _, f := range frags {
+		if covered >= e.totalLen {
+			break
+		}
 		if f.off > covered {
 			return Header{}, nil, false // hole
 		}
-		if end := f.off + len(f.data); end > covered {
-			covered = end
-		}
+		covered = max(covered, f.off+len(f.data))
 	}
 	if covered < e.totalLen {
 		return Header{}, nil, false
 	}
 	out := make([]byte, e.totalLen)
 	for _, f := range frags {
-		end := f.off + len(f.data)
-		if end > e.totalLen {
-			end = e.totalLen
-			f.data = f.data[:end-f.off]
+		if f.off < e.totalLen {
+			copy(out[f.off:], f.data)
 		}
-		copy(out[f.off:], f.data)
 	}
 	hdr := e.hdr
 	hdr.MF = false

@@ -177,3 +177,43 @@ func TestFinishedThreadsLeaveTheDomain(t *testing.T) {
 		t.Fatalf("kill unwound %v, want [a b c]", unwound)
 	}
 }
+
+// TestPortReadsDeadWithItsReceiver: a port reads dead from the instant the
+// domain holding its receive right is killed, and live again once the right
+// moves to another domain; a request sent while it is dead queues, and
+// drains into the right's next holder.
+func TestPortReadsDeadWithItsReceiver(t *testing.T) {
+	s := sim.New()
+	h := newHost(s)
+	p := NewPort(h, "svc")
+	if p.Dead() {
+		t.Fatal("a port nobody has taken the receive right of reads dead")
+	}
+	old := h.NewDomain("server", true)
+	p.SetReceiver(old)
+	old.Spawn("service", func(th *Thread) { p.Receive(th) })
+	s.Run(time.Millisecond)
+	if p.Dead() {
+		t.Fatal("the port reads dead while its receiver lives")
+	}
+	old.Kill()
+	if !p.Dead() {
+		t.Fatal("the port reads live after its receiver's kill")
+	}
+	h.NewDomain("client", false).Spawn("caller", func(th *Thread) { p.Send(th, Msg{Op: "request"}) })
+	s.Run(time.Millisecond)
+	if !p.Dead() {
+		t.Fatal("a send revived a dead port")
+	}
+	next := h.NewDomain("server", true)
+	p.SetReceiver(next)
+	if p.Dead() {
+		t.Fatal("the port reads dead after its receive right moved to a live domain")
+	}
+	var got string
+	next.Spawn("service", func(th *Thread) { got = p.Receive(th).Op })
+	s.Run(time.Millisecond)
+	if got != "request" {
+		t.Fatalf("the new receiver got %q, want the request queued while the port was dead", got)
+	}
+}

@@ -383,7 +383,20 @@ type Port struct {
 	host *Host
 	name string
 	q    sim.Queue[Msg]
+	// recv is the domain that holds the receive right, nil for a port whose
+	// receiver is its creator's own thread (a reply or accept port).
+	recv *Domain
 }
+
+// SetReceiver moves the port's receive right to domain d: a server's port
+// that outlives the server's crash passes to its next incarnation, and what
+// was queued meanwhile drains into it.
+func (p *Port) SetReceiver(d *Domain) { p.recv = d }
+
+// Dead reports whether the domain holding the port's receive right has been
+// killed (Mach's dead name), until the right moves to another domain.
+// Messages sent to a dead port still queue, for the right's next holder.
+func (p *Port) Dead() bool { return p.recv != nil && p.recv.dead }
 
 // NewPort creates a port on host h.
 func NewPort(h *Host, name string) *Port {

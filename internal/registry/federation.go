@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ulp/internal/chaos"
+	"ulp/internal/ctl"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -22,7 +23,7 @@ import (
 // policies: each shard is pinned to a CPU of its own (NewFederation), so
 // connection setup work that a lone registry serializes on one CPU (~6.5 ms
 // per setup) spreads across the shards; and requests and frames for a dead
-// shard's tuples go to a live sibling (successor). Data-path frames never
+// shard's tuples go to a live sibling (Shards.Cover). Data-path frames never
 // touch the federation at all.
 //
 // Ownership is static and derivable, which is what makes the control plane
@@ -31,8 +32,9 @@ import (
 // shard performed), else to FNV(local, peer) mod N (a passive open — every
 // shard reads the host's one listener table, so any of them can run the
 // handshake for the tuples it owns). Nothing about routing lives only in
-// memory: the metaregistry index (Meta) is rebuilt from this rule at any
-// time.
+// memory: the embedded ctl.Shards, which each library copies, holds the
+// service ports and the slices, and a shard's liveness is its service
+// port's, which the kernel keeps.
 type Federation struct {
 	s    *sim.Sim
 	mod  *netio.Module
@@ -40,11 +42,10 @@ type Federation struct {
 	ip   ipv4.Addr
 	nif  *stacks.Netif
 
-	shards []*Server
-	live   []bool
-	names  []string        // per-shard domain and service-port name
-	cpus   []*sim.Resource // per-shard pinned CPU; nil = the host CPU
-	slices [][2]uint16     // per-shard ephemeral [lo,hi)
+	ctl.Shards // the service ports and per-shard ephemeral [lo,hi)
+	shards     []*Server
+	names      []string        // per-shard domain and service-port name
+	cpus       []*sim.Resource // per-shard pinned CPU; nil = the host CPU
 
 	// faults is the control-plane fault injector every incarnation of every
 	// shard starts with; nil injects nothing.
@@ -84,7 +85,6 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 		host:        mod.Device().Host(),
 		ip:          ip,
 		nif:         stacks.NewNetif(s, mod, ip),
-		live:        make([]bool, n),
 		names:       make([]string, n),
 		cpus:        make([]*sim.Resource, n),
 		quota:       DefaultAdmissionQuota,
@@ -95,7 +95,7 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 	}
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
-	f.slices = partition(lo, hi, n)
+	f.Slices = partition(lo, hi, n)
 	for i := 0; i < n; i++ {
 		// Policy: a sharded control plane pins each shard to a core of its
 		// own, so the shards' setups run in parallel; a lone registry is the
@@ -105,8 +105,8 @@ func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federati
 			f.names[i] = fmt.Sprintf("registry%d", i)
 			f.cpus[i] = f.host.NewCPU(fmt.Sprintf("shard%d-cpu", i))
 		}
+		f.Svc = append(f.Svc, kern.NewPort(f.host, f.names[i]))
 		f.shards = append(f.shards, f.newShard(i, nil))
-		f.live[i] = true
 	}
 	mod.SetDefaultHandler(f.steer)
 	return f
@@ -131,75 +131,18 @@ func partition(lo, hi uint16, n int) [][2]uint16 {
 // Ownership and frame steering
 // ---------------------------------------------------------------------------
 
-// endpointHash is the tuple hash behind passive-open ownership (FNV-1a).
-func endpointHash(local, peer tcp.Endpoint) uint32 {
-	h := uint32(2166136261)
-	mix := func(b byte) {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	for _, b := range local.IP {
-		mix(b)
-	}
-	mix(byte(local.Port >> 8))
-	mix(byte(local.Port))
-	for _, b := range peer.IP {
-		mix(b)
-	}
-	mix(byte(peer.Port >> 8))
-	mix(byte(peer.Port))
-	return h
-}
-
-// ownerEndpoints returns the statically-owning shard index for a tuple:
-// slice match on the local port (active opens), else tuple hash (passive
-// opens on a listener's port).
-func (f *Federation) ownerEndpoints(local, peer tcp.Endpoint) int {
-	for i, sl := range f.slices {
-		if local.Port >= sl[0] && local.Port < sl[1] {
-			return i
-		}
-	}
-	return int(endpointHash(local, peer) % uint32(len(f.shards)))
-}
-
-// successor returns the next live shard after i (scanning cyclically), or
-// -1 when no shard is live.
-func (f *Federation) successor(i int) int {
-	n := len(f.shards)
-	for d := 1; d <= n; d++ {
-		j := (i + d) % n
-		if f.live[j] {
-			return j
-		}
-	}
-	return -1
-}
-
-// cover returns the shard that stands for shard i: i itself while it is
-// live, else the next live shard, or -1 when none is.
-func (f *Federation) cover(i int) int {
-	if f.live[i] {
-		return i
-	}
-	return f.successor(i)
-}
-
 // steer is the module's default handler: classify the frame to its
-// authoritative shard (successor when that shard is down) and deliver it to
+// authoritative shard (its cover when that shard is down) and deliver it to
 // the shard's receive queue. A frame into an empty queue posts the shard's
 // input thread the way a channel's doorbell posts its consumer, on the CPU
 // the shard computes on: a kernel wakeup if the thread sleeps in its
 // receive, a signal if it is still at work (a set-up's ChannelSetup or
 // StateTransfer) and will pop the frame before it sleeps again.
 func (f *Federation) steer(b *pkt.Buf) {
-	i := f.classify(b.Bytes())
-	if !f.live[i] {
-		i = f.successor(i)
-		if i < 0 {
-			b.Release() // whole control plane down: frame dies
-			return
-		}
+	i := f.Cover(f.classify(b.Bytes()))
+	if i < 0 {
+		b.Release() // whole control plane down: frame dies
+		return
 	}
 	sh := f.shards[i]
 	if sh.rxq.Len() == 0 {
@@ -225,14 +168,14 @@ func (f *Federation) classify(frame []byte) int {
 		// A later fragment carries no TCP header to peek at, so route the
 		// whole datagram's fragments by the IP pair alone — they all land on
 		// one shard's reassembler.
-		return int(endpointHash(local, peer) % uint32(len(f.shards)))
+		return f.Spread(local, peer)
 	}
 	src, dst, ok := ipv4.Ports(d.Body)
 	if !ok {
 		return 0
 	}
 	local.Port, peer.Port = dst, src
-	return f.ownerEndpoints(local, peer)
+	return f.Owner(local, peer)
 }
 
 // ---------------------------------------------------------------------------
@@ -281,13 +224,14 @@ func (f *Federation) watch(dom *kern.Domain) {
 // Shard lifecycle: crash, restart, migration support
 // ---------------------------------------------------------------------------
 
-// CrashShard kills one shard abruptly: its threads die at their next
-// scheduling point, its receive queue is drained back to the pool, and the
+// CrashShard kills one shard abruptly: its service port reads dead from this
+// instant, its threads die at their next scheduling point, its receive queue
+// is drained back to the pool, and the
 // admission slots, listen backlog slots and reserved ring indices its
 // in-flight setups held are returned (their owners get no reply; the
 // library's RPC deadline surfaces the loss), as are the callers' entries of
 // the requests it was running, so that a retry runs them afresh. Frames and
-// requests for the dead shard's tuples steer to the successor — with no live
+// requests for the dead shard's tuples steer to its cover — with no live
 // sibling, default-path frames are discarded, as the kernel does for a dead
 // domain, requests queue at the service port for the next incarnation, and
 // the listeners and the callers' entries are lost with the last shard.
@@ -295,11 +239,11 @@ func (f *Federation) watch(dom *kern.Domain) {
 // kill. At that instant the shard that covers it, if the dead one is not back
 // and any shard is live, is told to adopt them (adoptReq).
 func (f *Federation) CrashShard(i int) {
-	if !f.live[i] {
+	sh := f.shards[i]
+	if sh.Svc.Dead() {
 		return
 	}
-	f.live[i] = false
-	sh := f.shards[i]
+	sh.dom.Kill()
 	for _, hc := range sh.conns {
 		if hc.l == nil { // as in Server.release: only active set-ups hold one
 			f.release(hc.owner)
@@ -312,12 +256,11 @@ func (f *Federation) CrashShard(i int) {
 			delete(f.calls, key)
 		}
 	}
-	if f.successor(i) < 0 {
+	if f.Cover(i) < 0 {
 		clear(f.listeners)
 		clear(f.calls)
 	}
 	f.mod.ReleaseReservations(sh.dom)
-	sh.dom.Kill()
 	for {
 		b, ok := sh.rxq.TryPop()
 		if !ok {
@@ -330,7 +273,7 @@ func (f *Federation) CrashShard(i int) {
 			Text: "shard-crash", A: int64(i)})
 	}
 	f.s.After(sim.Dur(netio.IssuerGrace), func() {
-		if j := f.cover(i); f.shards[i] == sh && j >= 0 {
+		if j := f.Cover(i); f.shards[i] == sh && j >= 0 {
 			cov := f.shards[j]
 			cov.Svc.SendAsync(cov.dom, kern.Msg{Op: "adopt", Body: adoptReq{}})
 		}
@@ -338,16 +281,16 @@ func (f *Federation) CrashShard(i int) {
 }
 
 // RestartShard boots a fresh incarnation of a crashed shard. The service
-// port is reused (libraries hold send rights), and the shard re-issues the
+// port is reused (libraries hold send rights) and reads live again once its
+// receive right moves to the new incarnation, which re-issues the
 // endpoints of the slices it covers, taking them from whichever shard issued
 // them last. It reads the host's listener and caller tables as every shard
 // does, and the host's death hooks post its crash sweeps.
 func (f *Federation) RestartShard(i int) {
-	if f.live[i] {
+	if !f.Svc[i].Dead() {
 		return
 	}
 	f.shards[i] = f.newShard(i, f.shards[i])
-	f.live[i] = true
 }
 
 // ---------------------------------------------------------------------------
@@ -384,9 +327,10 @@ func (f *Federation) SetControlFaults(inj *chaos.Injector) {
 // SetEphemeralRange widens (or moves) the TCP ephemeral port range — many-host
 // churn worlds need more than the classic [1024,5000) window — and
 // repartitions it into per-shard contiguous slices. Must be called before
-// any traffic (ownership is derived from the slices).
+// any library is linked (each copies the slices) and before any traffic
+// (ownership is derived from them).
 func (f *Federation) SetEphemeralRange(lo, hi uint16) {
-	f.slices = partition(lo, hi, len(f.shards))
+	f.Slices = partition(lo, hi, len(f.shards))
 	for i, sh := range f.shards {
 		sh.ports = f.portAlloc(i)
 	}
@@ -396,7 +340,7 @@ func (f *Federation) SetEphemeralRange(lo, hi uint16) {
 // listener or the module holds: a handed-off connection's port is held by
 // its endpoint for as long as the endpoint is installed.
 func (f *Federation) portAlloc(i int) *tcp.PortAlloc {
-	a := tcp.NewPortAllocRange(f.slices[i][0], f.slices[i][1])
+	a := tcp.NewPortAllocRange(f.Slices[i][0], f.Slices[i][1])
 	a.Held = f.held
 	return a
 }
@@ -409,8 +353,8 @@ func (f *Federation) held(p uint16) bool {
 // portTaken reports whether port p is held anywhere on the host: by a
 // listener, an endpoint, or a live shard's set-ups and inherited pcbs.
 func (f *Federation) portTaken(p uint16) bool {
-	for i, sh := range f.shards {
-		if f.live[i] && sh.ports.Holds(p) {
+	for _, sh := range f.shards {
+		if !sh.Svc.Dead() && sh.ports.Holds(p) {
 			return true
 		}
 	}
@@ -421,8 +365,8 @@ func (f *Federation) portTaken(p uint16) bool {
 // tables died with it).
 func (f *Federation) sumLive(count func(*Server) int) int {
 	n := 0
-	for i, sh := range f.shards {
-		if f.live[i] {
+	for _, sh := range f.shards {
+		if !sh.Svc.Dead() {
 			n += count(sh)
 		}
 	}
@@ -459,9 +403,9 @@ func (f *Federation) Describe(emit func(string, int64)) {
 	emit("admission_denied", int64(f.denied))
 	for i, sh := range f.shards {
 		pfx := fmt.Sprintf("shard%d.", i)
-		live := int64(0)
-		if f.live[i] {
-			live = 1
+		live := int64(1)
+		if sh.Svc.Dead() {
+			live = 0
 		}
 		emit(pfx+"live", live)
 		emit(pfx+"epoch", int64(sh.epoch))
@@ -469,51 +413,3 @@ func (f *Federation) Describe(emit func(string, int64)) {
 		emit(pfx+"rebuilt_endpoints", int64(sh.rebuilt))
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Metaregistry
-// ---------------------------------------------------------------------------
-
-// Meta is the metaregistry: the thin routing index libraries consult to
-// reach the authoritative shard. It holds no connection state — just the
-// shard service ports, with ownership and liveness read through to the
-// federation — so it can be discarded and rebuilt at any time (Rebuild does
-// exactly that, and is all a metaregistry restart is).
-type Meta struct {
-	fed *Federation
-	svc []*kern.Port
-}
-
-// Meta builds (or rebuilds — it is stateless) the routing index.
-func (f *Federation) Meta() *Meta {
-	m := &Meta{fed: f}
-	m.Rebuild()
-	return m
-}
-
-// Rebuild reconstructs the index from the federation. Service ports survive
-// shard restarts (the new incarnation reuses them), so a rebuilt index is
-// valid across any crash/restart history.
-func (m *Meta) Rebuild() {
-	m.svc = m.svc[:0]
-	for _, sh := range m.fed.shards {
-		m.svc = append(m.svc, sh.Svc)
-	}
-}
-
-// Svc returns the service port (stable across restarts) of shard i, or while
-// it is down of the next live shard (cross-shard migration); with every
-// shard down it stays on i's, which queues a request for the next
-// incarnation while the RPC deadline runs.
-func (m *Meta) Svc(i int) *kern.Port {
-	if s := m.fed.cover(i); s >= 0 {
-		i = s
-	}
-	return m.svc[i]
-}
-
-// Route picks the shard for the seq-th connect: round-robin over the shards.
-func (m *Meta) Route(seq uint64) int { return int(seq % uint64(len(m.svc))) }
-
-// Owner returns the shard that statically owns a tuple.
-func (m *Meta) Owner(local, peer tcp.Endpoint) int { return m.fed.ownerEndpoints(local, peer) }

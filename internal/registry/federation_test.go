@@ -10,6 +10,7 @@ package registry
 import (
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/costs"
 	"ulp/internal/ipv4"
@@ -79,7 +80,7 @@ func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: port, AcceptPort: accept}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
 		}
@@ -90,14 +91,14 @@ func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 
 // connectVia performs an active open through one specific shard, calling
 // on slot id.
-func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id uint32, budget time.Duration) (Handoff, bool) {
+func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id uint32, budget time.Duration) (ctl.Handoff, bool) {
 	t.Helper()
-	var ho Handoff
+	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 		reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{
 			Op: "connect", ID: id, Slot: id,
-			Body: ConnectReq{Remote: remote},
+			Body: ctl.ConnectReq{Remote: remote},
 		})
 		ho = received(reply)
 		got = true
@@ -111,19 +112,19 @@ func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id ui
 func TestFederationPartitionsPortSpace(t *testing.T) {
 	rg := newFedRig(t, 4, 0)
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
-	if rg.fed.slices[0][0] != lo || rg.fed.slices[3][1] != hi {
-		t.Fatalf("slices %v do not span [%d,%d)", rg.fed.slices, lo, hi)
+	if rg.fed.Slices[0][0] != lo || rg.fed.Slices[3][1] != hi {
+		t.Fatalf("slices %v do not span [%d,%d)", rg.fed.Slices, lo, hi)
 	}
 	for i := 1; i < 4; i++ {
-		if rg.fed.slices[i][0] != rg.fed.slices[i-1][1] {
-			t.Fatalf("gap or overlap between slice %d and %d: %v", i-1, i, rg.fed.slices)
+		if rg.fed.Slices[i][0] != rg.fed.Slices[i-1][1] {
+			t.Fatalf("gap or overlap between slice %d and %d: %v", i-1, i, rg.fed.Slices)
 		}
 	}
 	peer := tcp.Endpoint{IP: rg.ips[0], Port: 80}
-	for i, sl := range rg.fed.slices {
+	for i, sl := range rg.fed.Slices {
 		for _, p := range []uint16{sl[0], sl[1] - 1} {
 			local := tcp.Endpoint{IP: rg.ips[1], Port: p}
-			if got := rg.fed.ownerEndpoints(local, peer); got != i {
+			if got := rg.fed.Owner(local, peer); got != i {
 				t.Fatalf("port %d owned by shard %d, want %d", p, got, i)
 			}
 		}
@@ -141,7 +142,7 @@ func TestFederationSteersHandshakeToOwner(t *testing.T) {
 		if !got || ho.Err != nil {
 			t.Fatalf("shard %d connect: got=%v err=%v", shard, got, ho.Err)
 		}
-		if rg.fed.ownerEndpoints(ho.Snap.Local, ho.Snap.Peer) != shard {
+		if rg.fed.Owner(ho.Snap.Local, ho.Snap.Peer) != shard {
 			t.Fatalf("shard %d handed off a tuple it does not own: %v", shard, ho.Snap.Local)
 		}
 		if rg.fed.shards[shard].TransferredConns() != 1 {
@@ -226,7 +227,7 @@ func TestFederationAdmissionQuota(t *testing.T) {
 		shard := i
 		rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 			rg.fed.shards[shard].Svc.Call(th, kern.Msg{
-				Op: "connect", Body: ConnectReq{Remote: dead}})
+				Op: "connect", Body: ctl.ConnectReq{Remote: dead}})
 		})
 	}
 	rg.s.Run(10 * time.Millisecond)
@@ -276,13 +277,13 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 	done := false
 	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
 		rg.fed.shards[1].Svc.Call(th, kern.Msg{Op: "listen",
-			Body: ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.host, "a")}})
+			Body: ctl.ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.host, "a")}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
 
 	rg.fed.CrashShard(1)
-	if rg.fed.live[1] {
+	if !rg.fed.Svc[1].Dead() {
 		t.Fatal("shard 1 still live after crash")
 	}
 	rg.s.Run(50 * time.Millisecond)
@@ -317,7 +318,7 @@ func TestListenBacklogSurvivesShardCrash(t *testing.T) {
 	rg := newFedRig(t, 4, 0)
 	done := false
 	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: port,
+		reply := rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port,
 			Opts: stacks.Options{Backlog: backlog}, AcceptPort: kern.NewPort(rg.fed.host, "accept")}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
@@ -330,7 +331,7 @@ func TestListenBacklogSurvivesShardCrash(t *testing.T) {
 	connect := func(id uint32) {
 		rg.apps[0].Spawn("connect", func(th *kern.Thread) {
 			ho := received(rg.r0.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Slot: id,
-				Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[1], Port: port}}}))
+				Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[1], Port: port}}}))
 			if ho.Err != nil {
 				failed++
 			}
@@ -377,7 +378,7 @@ func TestListenBacklogSurvivesShardCrash(t *testing.T) {
 	}
 }
 
-// Frames for a dead shard's tuples fail over to the successor, which must
+// Frames for a dead shard's tuples fail over to the covering shard, which must
 // not answer one of a live connection with RST — a reset would kill a
 // connection that is merely mid-migration. The module's endpoint table
 // names the connection, so the stray goes into its channel. On the AN1 a
@@ -393,7 +394,7 @@ func TestFederationDeadShardStrayForwardedNotReset(t *testing.T) {
 	rg.s.Run(10 * time.Millisecond)
 
 	// The peer retransmits into the dead shard's tuple. The frame steers to
-	// the successor (shard 0), which does not own it: it must not RST.
+	// the covering shard (shard 0), which does not own it: it must not RST.
 	rx0 := counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames")
 	sent := false
 	rg.r0.host.NewDomain("k", true).Spawn("tx", func(th *kern.Thread) {
@@ -408,7 +409,7 @@ func TestFederationDeadShardStrayForwardedNotReset(t *testing.T) {
 	rg.s.Run(100 * time.Millisecond)
 	// Host 0 received no RST (and no ARP: addresses are resolved).
 	if counter(t, rg.r0.nif.Mod.Device().Describe, "rx_frames") != rx0 {
-		t.Fatal("successor answered a dead shard's stray")
+		t.Fatal("the covering shard answered a dead shard's stray")
 	}
 	if ch := ho.Cap.Chan(); ch.Delivered != 1 {
 		t.Fatalf("%d frames delivered into the connection's channel, want the stray", ch.Delivered)
@@ -430,7 +431,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 		started = true
 		rg.r1.Svc.Call(th, kern.Msg{Op: "connect", ID: inFlightID,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}}})
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}}})
 	})
 	rg.s.RunUntil(time.Second, func() bool { return started })
 	rg.s.Run(10 * time.Millisecond)
@@ -445,7 +446,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	rg.apps[1].Spawn("flood", func(th *kern.Thread) {
 		for i := 0; i < 562; i++ {
 			rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: uint32(10000 + i), Slot: 1,
-				Body: UnlistenReq{Port: 9999}})
+				Body: ctl.UnlistenReq{Port: 9999}})
 		}
 		flooded = true
 	})
@@ -462,7 +463,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 	rg.apps[1].Spawn("retry", func(th *kern.Thread) {
 		retried = true
 		rg.r1.Svc.Call(th, kern.Msg{Op: "connect", ID: inFlightID,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}}})
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}}})
 	})
 	rg.s.RunUntil(time.Second, func() bool { return retried })
 	rg.s.Run(10 * time.Millisecond)
@@ -481,7 +482,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 // adoptVia1 sets up a connection through shard 1 of an AN1 rig and lets
 // shard 1 die for longer than netio.IssuerGrace, so that shard 0, which
 // covers it, adopts the connection.
-func adoptVia1(t *testing.T) (*fedRig, Handoff) {
+func adoptVia1(t *testing.T) (*fedRig, ctl.Handoff) {
 	t.Helper()
 	rg := newFedRigOn(t, true, 2, 0)
 	rg.listenOn0(t, 80)
@@ -548,9 +549,9 @@ func TestRestartAfterAdoptionLeavesNoPorts(t *testing.T) {
 func TestBindingTakenBackByRestartLeavesNoPort(t *testing.T) {
 	rg := newFedRig(t, 2, 0)
 	rg.fed.CrashShard(0)
-	bind := func(shard int) (ho UDPHandoff) {
+	bind := func(shard int) (ho ctl.UDPHandoff) {
 		rg.apps[1].Spawn("bind", func(th *kern.Thread) {
-			ho, _ = rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53}}).Body.(UDPHandoff)
+			ho, _ = rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
 		})
 		rg.s.Run(50 * time.Millisecond)
 		return ho
@@ -561,7 +562,7 @@ func TestBindingTakenBackByRestartLeavesNoPort(t *testing.T) {
 	}
 	rg.fed.RestartShard(0)
 	rg.s.Run(50 * time.Millisecond)
-	rg.oneWay(0, kern.Msg{Op: "unbind-udp", Body: TeardownReq{Cap: ho.Cap}})
+	rg.oneWay(0, kern.Msg{Op: "unbind-udp", Body: ctl.TeardownReq{Cap: ho.Cap}})
 	for i, sh := range rg.fed.shards {
 		if n := sh.PortsInUse(); n != 0 {
 			t.Errorf("shard %d holds %d ports after the unbind, want 0", i, n)

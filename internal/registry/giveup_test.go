@@ -12,6 +12,7 @@ import (
 	"ulp/internal/chaos"
 	"ulp/internal/core"
 	"ulp/internal/costs"
+	"ulp/internal/ctl"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -34,7 +35,7 @@ func giveUpWorld() (*sim.Sim, *registry.Federation, *core.Library, *chaos.Inject
 	for i, ip := range []ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}} {
 		h := kern.NewHost(s, []string{"h0", "h1"}[i], costs.Default())
 		fed = registry.NewFederation(s, netio.New(h, netdev.NewAN1(h, seg, link.MakeAddr(i+1), 0)), ip, 4)
-		lib = core.NewLibrary(s, h.NewDomain("app", false), fed)
+		lib = core.NewLibrary(s, h.NewDomain("app", false), fed.Netif(), fed.Shards)
 	}
 	inj := chaos.NewInjector(1, chaos.ControlFaults{DropRequestProb: 1})
 	fed.SetControlFaults(inj)
@@ -128,11 +129,11 @@ func TestShardedDenialIsNotTakenForALaterID(t *testing.T) {
 	fed.SetQuota(1)
 	fed.SetControlFaults(chaos.NewInjector(1, chaos.ControlFaults{DelayProb: 1, Delay: 300 * time.Millisecond}))
 	app := h.NewDomain("app", false)
-	lib := core.NewLibrary(s, app, fed)
+	lib := core.NewLibrary(s, app, fed.Netif(), fed.Shards)
 	nowhere := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}
 	app.Spawn("stall", func(th *kern.Thread) {
-		fed.Meta().Svc(1).Send(th, kern.Msg{Op: "connect", ID: 1 << 31, Slot: registry.CallSlots - 1,
-			Reply: kern.NewPort(h, "reply"), Body: registry.ConnectReq{Remote: nowhere}})
+		fed.Svc[1].Send(th, kern.Msg{Op: "connect", ID: 1 << 31, Slot: ctl.CallSlots - 1,
+			Reply: kern.NewPort(h, "reply"), Body: ctl.ConnectReq{Remote: nowhere}})
 	})
 	var err error
 	done := false
@@ -168,7 +169,7 @@ func TestAbandonOvertakingItsAttemptsStartsNoSetup(t *testing.T) {
 		feds[i] = registry.NewFederation(s, netio.New(h, netdev.NewLance(h, seg, link.MakeAddr(i+1))), ip, 2)
 		apps[i] = h.NewDomain("app", false)
 	}
-	srv := core.NewLibrary(s, apps[0], feds[0])
+	srv := core.NewLibrary(s, apps[0], feds[0].Netif(), feds[0].Shards)
 	apps[0].Spawn("server", func(th *kern.Thread) {
 		if _, err := srv.Listen(th, 80, stacks.Options{}); err != nil {
 			t.Error(err)
@@ -180,13 +181,13 @@ func TestAbandonOvertakingItsAttemptsStartsNoSetup(t *testing.T) {
 	var answer kern.Msg
 	answered, done := false, false
 	apps[1].Spawn("caller", func(th *kern.Thread) {
-		fed.Meta().Svc(0).Send(th, kern.Msg{Op: "abandon", Body: registry.AbandonReq{Slot: 0, ID: 7}})
+		fed.Svc[0].Send(th, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: 0, ID: 7}})
 		th.Sleep(10 * time.Millisecond)
-		fed.Meta().Svc(1).Send(th, kern.Msg{Op: "connect", ID: 7, Slot: 0, Reply: reply,
-			Body: registry.ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}}})
+		fed.Svc[1].Send(th, kern.Msg{Op: "connect", ID: 7, Slot: 0, Reply: reply,
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 1}, Port: 80}}})
 		answer, answered = reply.ReceiveTimeout(th, time.Second)
-		fed.Meta().Svc(0).Send(th, kern.Msg{Op: "listen", ID: 8, Slot: 0, Reply: kern.NewPort(h, "reply"),
-			Body: registry.ListenReq{Port: 81}})
+		fed.Svc[0].Send(th, kern.Msg{Op: "listen", ID: 8, Slot: 0, Reply: kern.NewPort(h, "reply"),
+			Body: ctl.ListenReq{Port: 81}})
 		done = true
 	})
 	s.RunUntil(time.Minute, func() bool { return done })

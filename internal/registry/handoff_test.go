@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/kern"
 	"ulp/internal/tcp"
@@ -24,9 +25,9 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 	})
 	connect := func(id uint32) kern.Msg {
 		return kern.Msg{Op: "connect", ID: id,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
 	}
-	call := func(m kern.Msg) (ho Handoff) {
+	call := func(m kern.Msg) (ho ctl.Handoff) {
 		done := false
 		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
 			ho = received(rg.r1.Svc.Call(th, m))
@@ -39,7 +40,7 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 		return ho
 	}
 
-	var orig Handoff
+	var orig ctl.Handoff
 	timedOut, late := false, false
 	rg.apps[1].Spawn("lib", func(th *kern.Thread) {
 		first := kern.NewPort(rg.r1.host, "first")
@@ -82,7 +83,8 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 // shard's list, and one more Done panics, as a second pkt.Buf.Release does.
 func TestHandoffDonePastZeroPanics(t *testing.T) {
 	r := &Server{}
-	ho := &Handoff{r: r, holds: 1}
+	ho := ctl.Lend(&r.handoffs, ctl.Handoff{})
+	ctl.Hold(kern.Msg{Body: ho})
 	ho.Done()
 	if r.handoffs.Len() != 1 {
 		t.Fatal("the last hold did not give the record back")

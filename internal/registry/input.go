@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"ulp/internal/ctl"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
@@ -95,7 +96,7 @@ func (r *Server) inputTCP(t *kern.Thread, s stacks.Segment) bool {
 		tc.Init(stacks.TCPConfig(r.nif, l.opts), s.Local, s.Peer, tcp.Callbacks{})
 		tc.SetISS(r.nextISS())
 		if err := r.attach(hc, nil); err != nil {
-			r.release(t, hc, Handoff{Err: err}) // a duplicate tuple: nobody to tell
+			r.release(t, hc, ctl.Handoff{Err: err}) // a duplicate tuple: nobody to tell
 			return true
 		}
 		hc.reply = l.accept

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -32,7 +33,7 @@ type leakRow struct {
 // distinct callers.
 func (rg *fedRig) stall(shard int, id uint32, opts stacks.Options) {
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-		rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect", ID: id, Slot: id, Body: ConnectReq{
+		rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect", ID: id, Slot: id, Body: ctl.ConnectReq{
 			Remote: tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}, Opts: opts}})
 	})
 	rg.s.Run(10 * time.Millisecond)
@@ -53,14 +54,14 @@ func (rg *fedRig) oneWay(shard int, m kern.Msg) {
 func (rg *fedRig) probe(t *testing.T, id uint32) {
 	t.Helper()
 	sh := rg.fed.shards[0]
-	var ho Handoff
+	var ho ctl.Handoff
 	got := false
 	rg.fed.host.NewDomain("probe", false).Spawn("probe", func(th *kern.Thread) {
-		ho = received(sh.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ConnectReq{
+		ho = received(sh.Svc.Call(th, kern.Msg{Op: "connect", ID: id, Body: ctl.ConnectReq{
 			Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{KeepAliveTicks: 1000}}}))
 		got = true
 		if ho.Err == nil {
-			sh.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+			sh.Svc.Send(th, kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 		}
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return got })
@@ -104,7 +105,7 @@ func (rg *fedRig) auditNoLeaks(t *testing.T) {
 	}
 	shards := []*Server{rg.r0}
 	for i := 0; i < len(f.shards); i++ {
-		if f.live[i] {
+		if !f.Svc[i].Dead() {
 			shards = append(shards, f.shards[i])
 		}
 	}
@@ -180,10 +181,10 @@ var leakRows = []leakRow{
 	{name: "give-up-under-partition", run: func(t *testing.T, rg *fedRig) {
 		start := time.Duration(rg.s.Now())
 		rg.seg.SetConditions(&wire.LinkConditions{Partitions: []wire.Window{{From: start}}})
-		var ho Handoff
+		var ho ctl.Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-			ho = received(rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ConnectReq{
+			ho = received(rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "connect", ID: 10, Body: ctl.ConnectReq{
 				Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}, Opts: stacks.Options{RexmtR2: 2}}}))
 			got = true
 		})
@@ -198,13 +199,13 @@ var leakRows = []leakRow{
 	}},
 	{name: "abandon-mid-handshake", run: func(t *testing.T, rg *fedRig) {
 		rg.stall(0, 10, stacks.Options{})
-		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{Slot: 10, ID: 10}})
+		rg.oneWay(0, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: 10, ID: 10}})
 	}},
 	{name: "abandon-after-handoff", run: func(t *testing.T, rg *fedRig) {
 		if ho, got := rg.connectVia(t, 0, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 10, time.Minute); !got || ho.Err != nil {
 			t.Fatalf("connect: got=%v err=%v", got, ho.Err)
 		}
-		rg.oneWay(0, kern.Msg{Op: "abandon", Body: AbandonReq{Slot: 10, ID: 10}})
+		rg.oneWay(0, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: 10, ID: 10}})
 	}},
 	{name: "app-crash-mid-handshake", run: func(t *testing.T, rg *fedRig) {
 		rg.stall(0, 10, stacks.Options{})
@@ -255,17 +256,17 @@ func TestSetupExitsLeakNothing(t *testing.T) {
 func TestFailedBindReleasesBQI(t *testing.T) {
 	rg := newRig(true)
 	mod := rg.r1.nif.Mod
-	call := func(m kern.Msg) UDPHandoff {
-		var ho UDPHandoff
+	call := func(m kern.Msg) ctl.UDPHandoff {
+		var ho ctl.UDPHandoff
 		done := false
 		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
-			ho, _ = rg.r1.Svc.Call(th, m).Body.(UDPHandoff)
+			ho, _ = rg.r1.Svc.Call(th, m).Body.(ctl.UDPHandoff)
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
 		return ho
 	}
-	bind := func(port uint16, failing string) UDPHandoff {
+	bind := func(port uint16, failing string) ctl.UDPHandoff {
 		mod.FailSetup = func(op string) error {
 			if op == failing {
 				return errors.New("induced: " + op + " failed")
@@ -274,7 +275,7 @@ func TestFailedBindReleasesBQI(t *testing.T) {
 		}
 		defer func() { mod.FailSetup = nil }()
 		held := rg.r1.PortsInUse()
-		ho := call(kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: port}})
+		ho := call(kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: port}})
 		if (ho.Err == nil) != (failing == "") {
 			t.Fatalf("bind %d failing %q: err %v", port, failing, ho.Err)
 		}
@@ -286,7 +287,7 @@ func TestFailedBindReleasesBQI(t *testing.T) {
 	ho := bind(7000, "")
 	reserved := ho.Cap.Chan().BQI()
 	rg.apps[1].Spawn("unbind", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "unbind-udp", Body: TeardownReq{Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "unbind-udp", Body: ctl.TeardownReq{Cap: ho.Cap}})
 	})
 	rg.s.Run(10 * time.Millisecond)
 	bind(7001, "create") // reserves the index 7000's channel gave back

@@ -7,6 +7,7 @@ package registry
 import (
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -86,7 +87,7 @@ func TestDedupReplaysCachedReply(t *testing.T) {
 		done := false
 		rg.apps[0].Spawn("listen", func(th *kern.Thread) {
 			reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", ID: id,
-				Body: ListenReq{Port: 80, AcceptPort: accept}})
+				Body: ctl.ListenReq{Port: 80, AcceptPort: accept}})
 			err, _ = reply.Body.(error)
 			done = true
 		})
@@ -125,7 +126,7 @@ func TestTeardownIdempotent(t *testing.T) {
 	teardown := func() {
 		done := false
 		rg.apps[1].Spawn("td", func(th *kern.Thread) {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+			rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })
@@ -153,7 +154,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
 		rg.r0.Svc.Call(th, kern.Msg{Op: "listen",
-			Body: ListenReq{Port: 80, Opts: stacks.Options{Backlog: 4}, AcceptPort: accept}})
+			Body: ctl.ListenReq{Port: 80, Opts: stacks.Options{Backlog: 4}, AcceptPort: accept}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
@@ -200,7 +201,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	// Drain the passive handoff so we can watch host 0's data channel.
-	var srvHo Handoff
+	var srvHo ctl.Handoff
 	gotSrv := false
 	rg.apps[0].Spawn("accept", func(th *kern.Thread) {
 		m := accept.Receive(th)
@@ -212,7 +213,7 @@ func TestOrphanedTimeWaitStrayGetsRST(t *testing.T) {
 	// The application exits cleanly; the registry inherits the close.
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/conform"
 	"ulp/internal/ipv4"
@@ -31,9 +32,9 @@ func tracedFedRig(t *testing.T, shards int) (*fedRig, *conform.Checker) {
 }
 
 // teardown reclaims a handed-off connection through the service protocol.
-func (rg *fedRig) teardown(svc *kern.Port, app *kern.Domain, ho Handoff) {
+func (rg *fedRig) teardown(svc *kern.Port, app *kern.Domain, ho ctl.Handoff) {
 	app.Spawn("teardown", func(th *kern.Thread) {
-		svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+		svc.Send(th, kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 	})
 }
 
@@ -47,7 +48,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	accept := kern.NewPort(rg.r0.host, "accept")
 	accepted := 0
 	rg.apps[0].Spawn("srv", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: accept}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
 			return
@@ -58,7 +59,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 				continue
 			}
 			accepted++
-			rg.r0.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+			rg.r0.Svc.Send(th, kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 		}
 	})
 
@@ -68,7 +69,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	// abandoned mid-life for the first one continuing.)
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 		reply := kern.NewPort(rg.fed.host, "reply")
-		rg.fed.shards[1].Svc.Send(th, kern.Msg{Op: "connect", Reply: reply, Body: ConnectReq{Remote: dead}})
+		rg.fed.shards[1].Svc.Send(th, kern.Msg{Op: "connect", Reply: reply, Body: ctl.ConnectReq{Remote: dead}})
 		reply.ReceiveTimeout(th, time.Second)
 	})
 	rg.s.Run(10 * time.Millisecond)
@@ -96,11 +97,11 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 
 	// 3. Give-up before handoff: nobody answers, two retransmissions allowed.
 	for shard := 0; shard < 2; shard++ {
-		var ho Handoff
+		var ho ctl.Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 			reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect",
-				Body: ConnectReq{Remote: dead, Opts: stacks.Options{RexmtR2: 2}}})
+				Body: ctl.ConnectReq{Remote: dead, Opts: stacks.Options{RexmtR2: 2}}})
 			ho = received(reply)
 			got = true
 		})
@@ -130,7 +131,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 
 	done := false
 	rg.apps[0].Spawn("unlisten", func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: UnlistenReq{Port: 80}})
+		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
@@ -210,7 +211,7 @@ func TestConnectionRecordsAreReused(t *testing.T) {
 // one entry, done.
 func TestOneWayRequestsLeaveTheDedupCache(t *testing.T) {
 	rg := newRig(false)
-	bodies := []any{TeardownReq{}, InheritReq{}, AbandonReq{ID: 1}}
+	bodies := []any{ctl.TeardownReq{}, ctl.InheritReq{}, ctl.AbandonReq{ID: 1}}
 	const n = 1536
 	sent := 0
 	rg.apps[1].Spawn("one-way", func(th *kern.Thread) {
@@ -235,7 +236,7 @@ func TestUnansweredRequestLeavesNoDedupEntry(t *testing.T) {
 	done := false
 	rg.apps[1].Spawn("caller", func(th *kern.Thread) {
 		reply := kern.NewPort(rg.r1.host, "reply")
-		for i, body := range []any{struct{}{}, TeardownReq{}} {
+		for i, body := range []any{struct{}{}, ctl.TeardownReq{}} {
 			rg.r1.Svc.Send(th, kern.Msg{Op: "unanswered", ID: uint32(42 + i), Reply: reply, Body: body})
 			reply.ReceiveTimeout(th, time.Second)
 		}

@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"ulp/internal/chaos"
+	"ulp/internal/ctl"
 	"ulp/internal/filter"
 	"ulp/internal/freelist"
 	"ulp/internal/ipv4"
@@ -37,90 +38,6 @@ import (
 	"ulp/internal/tcp"
 	"ulp/internal/trace"
 )
-
-// ConnectReq asks the registry to actively open a connection for the
-// request's sender (kern.Msg.From).
-type ConnectReq struct {
-	Remote tcp.Endpoint
-	Opts   stacks.Options
-}
-
-// ListenReq asks the registry to listen on a port for the request's sender;
-// established connections are handed off through AcceptPort.
-type ListenReq struct {
-	Port       uint16
-	Opts       stacks.Options
-	AcceptPort *kern.Port
-}
-
-// UnlistenReq stops the sender's listener on Port.
-type UnlistenReq struct{ Port uint16 }
-
-// TeardownReq reclaims a handed-off endpoint's resources: a connection's
-// after the library has driven it to CLOSED ("resources allocated to the
-// application and registered with the network I/O module are now
-// reclaimed"), or a datagram binding's when it closes. The capability names
-// the endpoint: its template holds the tuple.
-type TeardownReq struct{ Cap *netio.Capability }
-
-// Handoff carries an established connection to a library: the TCP state,
-// the capability for the data path (its channel, and in its template the
-// peer's link address) and the peer's buffer queue index for outbound
-// framing. The record is lent (DESIGN §5.5): it comes from its shard's list,
-// each message that carries it and a connect's dedup entry hold it, and a
-// receiver gives its hold back with Done once it has read the record.
-type Handoff struct {
-	Snap    tcp.Snapshot
-	Cap     *netio.Capability
-	PeerBQI uint16
-	Err     error
-
-	r     *Server // the shard whose list the record goes back to
-	holds int
-}
-
-// Done gives back one hold on the record; the last returns it to its shard's
-// list, and a Done past the last panics.
-func (ho *Handoff) Done() {
-	ho.holds--
-	switch {
-	case ho.holds == 0:
-		ho.r.handoffs.Put(ho)
-	case ho.holds < 0:
-		panic("registry: hand-off given back more often than it was held")
-	}
-}
-
-// Scrub leaves the record with nothing but its shard.
-func (ho *Handoff) Scrub() { *ho = Handoff{r: ho.r} }
-
-// hold and drop count a holder of the hand-off record m carries, if any.
-func hold(m kern.Msg) {
-	if ho, ok := m.Body.(*Handoff); ok {
-		ho.holds++
-	}
-}
-
-func drop(m kern.Msg) {
-	if ho, ok := m.Body.(*Handoff); ok {
-		ho.Done()
-	}
-}
-
-// AbandonReq withdraws the sender's connect request ID on call slot Slot,
-// whose answer it stopped waiting for: the set-up is aborted, or the
-// connection it already handed off to nobody is reset and reclaimed.
-type AbandonReq struct{ Slot, ID uint32 }
-
-// InheritReq returns a connection to the registry when its application
-// exits: the registry drives remaining timers (TIME_WAIT) or, for an
-// abnormal exit, resets the peer. A revoked capability, another domain's, or
-// a snapshot of another four-tuple than the capability's, is refused.
-type InheritReq struct {
-	Snap  tcp.Snapshot
-	Cap   *netio.Capability
-	Abort bool
-}
 
 // hsConn is a connection the registry currently owns: handshaking, or
 // inherited and closing. The pcb and its wheel entry are part of the record,
@@ -211,7 +128,7 @@ type Server struct {
 	free    freelist.List[*hsConn]
 	retired []*hsConn
 	// handoffs holds hand-off records no message or dedup entry holds.
-	handoffs freelist.List[*Handoff]
+	handoffs freelist.List[*ctl.Handoff]
 
 	// fed is the federation this server is shard shardIdx of: it owns a
 	// static slice of the port space and shares the Netif with its sibling
@@ -243,11 +160,6 @@ type call struct {
 	hc    *hsConn // in-flight connect, on r
 }
 
-// CallSlots bounds a library's concurrent control calls: its callers take
-// slots below it, and a call on a higher slot is refused unanswered, so a
-// sender holds at most CallSlots entries on a host however it misbehaves.
-const CallSlots = 64
-
 // callerKey is a caller's key: its sender's index on the host and its slot.
 func callerKey(from *kern.Domain, slot uint32) uint64 {
 	return uint64(from.Index())<<32 | uint64(slot)
@@ -269,15 +181,17 @@ func (f *Federation) entry(from *kern.Domain, slot, id uint32) *call {
 }
 
 // newShard boots shard i. prev is the crashed incarnation it replaces, nil
-// at first boot: its service port is reused — libraries hold send rights to
-// it, and a Mach-style port queue outlives the domain that was receiving
-// from it, so requests queued across the outage drain into the new server —
-// and the port table and connection map are rebuilt from the module's
-// installed header templates before the first request is served.
+// at first boot. The shard's one service port moves to each incarnation —
+// libraries hold send rights to it, and a Mach-style port queue outlives the
+// domain that was receiving from it, so requests queued across the outage
+// drain into the new server — and a restarted shard rebuilds its port table
+// and connection map from the module's installed header templates before the
+// first request is served.
 func (f *Federation) newShard(i int, prev *Server) *Server {
 	r := &Server{
 		fed:      f,
 		shardIdx: i,
+		Svc:      f.Svc[i],
 		host:     f.host,
 		nif:      f.nif, // one ARP cache and reassembler for all shards
 		ports:    f.portAlloc(i),
@@ -291,16 +205,14 @@ func (f *Federation) newShard(i int, prev *Server) *Server {
 	}
 	if prev != nil {
 		r.epoch = prev.epoch + 1
-		r.Svc = prev.Svc
 		r.rebuildPending = true
 		// Perturb the ISS base per incarnation so connections the reborn
 		// registry opens cannot collide with sequence space the crashed one
 		// was using.
 		r.iss += tcp.Seq(250007 * uint32(r.epoch-1))
-	} else {
-		r.Svc = kern.NewPort(r.host, f.names[i])
 	}
 	r.dom = r.host.NewDomain(f.names[i], true)
+	r.Svc.SetReceiver(r.dom)
 	r.dom.PinCPU(f.cpus[i]) // nil for a lone registry: it stays on the host CPU
 	r.lock = f.s.NewSemaphore("registry-engine", 1)
 	r.rxq = sim.NewQueue[*pkt.Buf](f.s)
@@ -372,8 +284,8 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	// goes to the reply port every attempt of a call shares; so is an
 	// attempt of an older call on the slot, one that waited at a shard that
 	// was down while its caller moved on.
-	if m.ID != 0 && m.Reply != nil && answered(m.Body) {
-		if m.Slot >= CallSlots {
+	if _, answered := m.Body.(ctl.Answered); answered && m.ID != 0 && m.Reply != nil {
+		if m.Slot >= ctl.CallSlots {
 			return
 		}
 		if e := r.fed.calls[callerKey(m.From, m.Slot)]; e != nil && !before(e.id, m.ID) {
@@ -386,7 +298,7 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 					Text: m.Op + "-dup"})
 			}
 			if e.done {
-				hold(e.reply)
+				ctl.Hold(e.reply)
 				m.ReplyTo(t, e.reply)
 			} else if hc := e.hc; hc != nil && len(r.fed.shards) > 1 {
 				// Shards run set-ups in parallel, so a full listen backlog
@@ -401,34 +313,34 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 		r.track(t, m)
 	}
 	switch req := m.Body.(type) {
-	case ConnectReq:
+	case ctl.ConnectReq:
 		r.handleConnect(t, m, req)
-	case ListenReq:
+	case ctl.ListenReq:
 		r.handleListen(t, m, req)
-	case UnlistenReq:
+	case ctl.UnlistenReq:
 		r.unlisten(req.Port, m.From)
 		r.finish(t, m, kern.Msg{Op: "unlisten-ack"})
-	case InheritReq:
+	case ctl.InheritReq:
 		r.handleInherit(t, m, req)
-	case TeardownReq:
+	case ctl.TeardownReq:
 		if r.issued(req.Cap, m.From) {
 			_ = r.nif.Mod.DestroyChannel(r.dom, req.Cap) // its port goes with it
 		}
-	case AbandonReq:
+	case ctl.AbandonReq:
 		if e := r.fed.calls[callerKey(m.From, req.Slot)]; e != nil && e.id == req.ID {
 			r.abandon(t, e)
-		} else if req.Slot < CallSlots && (e == nil || before(e.id, req.ID)) {
+		} else if req.Slot < ctl.CallSlots && (e == nil || before(e.id, req.ID)) {
 			// The withdrawal overtook every attempt of its call, which wait at
 			// another shard: the call is recorded as answered, so that an
 			// attempt run later replays that instead of starting a set-up.
 			e = r.track(t, kern.Msg{From: m.From, Slot: req.Slot, ID: req.ID})
 			e.done, e.reply = true, kern.Msg{Op: m.Op, Body: stacks.ErrRegistryUnavailable}
 		}
-	case BindUDPReq:
+	case ctl.BindUDPReq:
 		r.handleBindUDP(t, m, req)
-	case ResolveReq:
+	case ctl.ResolveReq:
 		r.handleResolve(t, m, req)
-	case UDPSendReq:
+	case ctl.UDPSendReq:
 		r.handleUDPSend(t, m, req)
 	}
 }
@@ -436,16 +348,6 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 // issued reports whether cap is installed and was issued to domain from.
 func (r *Server) issued(cap *netio.Capability, from *kern.Domain) bool {
 	return r.nif.Mod.Installed(cap) && cap.Owner() == from
-}
-
-// answered reports whether the registry replies to a request body: only
-// such a request can complete a dedup entry.
-func answered(body any) bool {
-	switch body.(type) {
-	case ConnectReq, ListenReq, UnlistenReq, BindUDPReq, ResolveReq, UDPSendReq:
-		return true
-	}
-	return false
 }
 
 // before reports whether a caller's id a was issued before its id b: ids
@@ -467,7 +369,7 @@ func (r *Server) track(t *kern.Thread, m kern.Msg) *call {
 	} else if e.hc != nil {
 		r.abandon(t, e)
 	}
-	drop(e.reply)
+	ctl.Drop(e.reply)
 	*e = call{id: m.ID, r: r}
 	return e
 }
@@ -481,32 +383,23 @@ func (r *Server) track(t *kern.Thread, m kern.Msg) *call {
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
 	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
 		e.done, e.reply, e.hc = true, reply, nil
-		hold(reply)
+		ctl.Hold(reply)
 	}
+	ctl.Hold(reply)
 	switch {
 	case m.Reply == nil:
-		if ho, ok := reply.Body.(*Handoff); ok && ho.holds == 0 {
-			r.handoffs.Put(ho)
-		}
+		ctl.Drop(reply) // nobody to deliver it to
 	case t == nil:
-		hold(reply)
 		m.Reply.SendAsync(r.dom, reply)
 	default:
-		hold(reply)
 		m.ReplyTo(t, reply)
 	}
 }
 
 // handoff lends a record from the shard's list carrying ho, in the message
 // that answers a connect or an accept.
-func (r *Server) handoff(ho Handoff) kern.Msg {
-	rec := r.handoffs.Get()
-	if rec == nil {
-		rec = new(Handoff)
-	}
-	*rec = ho
-	rec.r = r
-	msg := kern.Msg{Op: "handoff", Body: rec}
+func (r *Server) handoff(ho ctl.Handoff) kern.Msg {
+	msg := kern.Msg{Op: "handoff", Body: ctl.Lend(&r.handoffs, ho)}
 	if ho.Cap != nil {
 		msg.Size = ho.Snap.Size()
 	}
@@ -514,12 +407,12 @@ func (r *Server) handoff(ho Handoff) kern.Msg {
 }
 
 // handleConnect performs the active open on the library's behalf.
-func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
+func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ctl.ConnectReq) {
 	// Admission: bound how many setups one application domain may have
 	// outstanding across all shards. A denied setup has no side effects —
 	// the library retries it under backoff with a fresh request id.
 	if !r.fed.admit(m.From) {
-		r.finish(t, m, r.handoff(Handoff{Err: stacks.ErrAdmissionDenied}))
+		r.finish(t, m, r.handoff(ctl.Handoff{Err: stacks.ErrAdmissionDenied}))
 		return
 	}
 	c := t.Cost()
@@ -528,7 +421,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	hc.owner, hc.reply, hc.slot, hc.reqID = m.From, m.Reply, m.Slot, m.ID
 	port, err := r.ports.Ephemeral()
 	if err != nil {
-		r.release(t, hc, Handoff{Err: err})
+		r.release(t, hc, ctl.Handoff{Err: err})
 		return
 	}
 	tc := &hc.tc
@@ -543,12 +436,12 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 	if r.nif.IsAN1() {
 		t.Compute(t.Cost().BQIReserve)
 		if hc.ourBQI, err = r.nif.Mod.ReserveBQI(r.dom); err != nil {
-			r.release(t, hc, Handoff{Err: err})
+			r.release(t, hc, ctl.Handoff{Err: err})
 			return
 		}
 	}
 	if err := r.attach(hc, nil); err != nil {
-		r.release(t, hc, Handoff{Err: err})
+		r.release(t, hc, ctl.Handoff{Err: err})
 		return
 	}
 	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
@@ -561,7 +454,7 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ConnectReq) {
 // handleListen registers a passive endpoint: it writes the host's one record,
 // which every shard reads from then on. A port held anywhere on the host is
 // refused.
-func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ListenReq) {
+func (r *Server) handleListen(t *kern.Thread, m kern.Msg, req ctl.ListenReq) {
 	t.Compute(t.Cost().RegistryPortAlloc)
 	f := r.fed
 	if f.portTaken(req.Port) {
@@ -614,13 +507,13 @@ func (r *Server) abandon(t *kern.Thread, e *call) {
 	if !e.done {
 		return
 	}
-	if ho, isHo := e.reply.Body.(*Handoff); isHo && ho.Err == nil {
+	if ho, isHo := e.reply.Body.(*ctl.Handoff); isHo && ho.Err == nil {
 		if r.nif.Mod.DestroyChannel(r.dom, ho.Cap) == nil { // only the first succeeds
 			r.probePeer(t, ho.Cap)
 		}
 		ho.Done()
-		e.reply = r.handoff(Handoff{Err: stacks.ErrRegistryUnavailable})
-		hold(e.reply)
+		e.reply = r.handoff(ctl.Handoff{Err: stacks.ErrRegistryUnavailable})
+		ctl.Hold(e.reply)
 	}
 }
 
@@ -629,7 +522,7 @@ func (r *Server) abandon(t *kern.Thread, e *call) {
 // revoked capability, one issued to another domain than the sender, or a
 // snapshot of another four-tuple, is refused with nothing done; one on a
 // tuple the registry already owns a pcb for, before anything is registered.
-func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req InheritReq) {
+func (r *Server) handleInherit(t *kern.Thread, m kern.Msg, req ctl.InheritReq) {
 	t.Compute(t.Cost().StateTransfer)
 	if !r.issued(req.Cap, m.From) || tuple(req.Cap) != (tcp.FourTuple{Local: req.Snap.Local, Peer: req.Snap.Peer}) {
 		return
@@ -734,7 +627,7 @@ func (hc *hsConn) closed(err error) {
 	if hc.l != nil {
 		hc.reply = nil
 	}
-	hc.r.release(nil, hc, Handoff{Err: stacks.MapError(err)})
+	hc.r.release(nil, hc, ctl.Handoff{Err: stacks.MapError(err)})
 }
 
 // release ends set-up hc — it failed, was refused, gave up, was abandoned or
@@ -753,7 +646,7 @@ func (hc *hsConn) closed(err error) {
 //     asynchronously (an engine callback), and completes the connect's dedup
 //     entry even if nobody waits any more: the entry must not name a record
 //     about to be reused.
-func (r *Server) release(t *kern.Thread, hc *hsConn, ho Handoff) {
+func (r *Server) release(t *kern.Thread, hc *hsConn, ho ctl.Handoff) {
 	tc := &hc.tc
 	if ft := tc.Tuple(); r.conns[ft] == hc {
 		delete(r.conns, ft)
@@ -811,12 +704,12 @@ func (r *Server) established(hc *hsConn) {
 		// stays ESTABLISHED, so it must not call back into a record that is
 		// no longer this connection's.
 		tc.SetCallbacks(tcp.Callbacks{})
-		r.release(nil, hc, Handoff{Err: err})
+		r.release(nil, hc, ctl.Handoff{Err: err})
 		return
 	}
 	// Transfer TCP state to user level.
 	t.Compute(t.Cost().StateTransfer)
-	r.release(nil, hc, Handoff{Snap: tc.Snapshot(), Cap: cap, PeerBQI: hc.peerBQI})
+	r.release(nil, hc, ctl.Handoff{Snap: tc.Snapshot(), Cap: cap, PeerBQI: hc.peerBQI})
 }
 
 func (r *Server) runEngine(t *kern.Thread, fn func()) {
@@ -914,7 +807,7 @@ func (r *Server) handleCrash(t *kern.Thread, dom *kern.Domain) {
 	// them, and a dropped hold lists a record.
 	for key, e := range r.fed.calls {
 		if sender(key) == dom.Index() {
-			drop(e.reply)
+			ctl.Drop(e.reply)
 			delete(r.fed.calls, key)
 		}
 	}
@@ -968,7 +861,7 @@ func (r *Server) rebuild(t *kern.Thread) {
 // that covers a dead sibling once its endpoints quarantine. It re-issues, in
 // capability-id order, every installed endpoint the shard stands for and did
 // not issue — of TCP, the connection endpoints of each slice it covers
-// (Federation.cover); shard 0 all datagram endpoints. Re-issuing makes this
+// (Shards.Cover); shard 0 all datagram endpoints. Re-issuing makes this
 // incarnation the endpoint's issuer, away from a dead shard or a survivor
 // that held it during an outage, and so lifts any quarantine. It returns how
 // many it took.
@@ -982,7 +875,7 @@ func (r *Server) adopt(t *kern.Thread) int {
 	for _, cap := range caps {
 		tmpl, ft := cap.Template(), tuple(cap)
 		conn := tmpl.Proto == ipv4.ProtoTCP && tmpl.RemotePort != 0 &&
-			r.fed.cover(r.fed.ownerEndpoints(ft.Local, ft.Peer)) == r.shardIdx
+			r.fed.Cover(r.fed.Owner(ft.Local, ft.Peer)) == r.shardIdx
 		if tmpl.LocalIP != r.nif.IP || cap.Issuer() == r.dom ||
 			!conn && (tmpl.Proto != ipv4.ProtoUDP || r.shardIdx != 0) {
 			continue // not this shard's, or held already

@@ -3,6 +3,7 @@ package registry
 import (
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/costs"
 	"ulp/internal/ipv4"
@@ -28,10 +29,10 @@ type rig struct {
 
 // received copies the hand-off m carries, if it carries one, and gives the
 // record back, as a library does once it has read it.
-func received(m kern.Msg) Handoff {
-	p, ok := m.Body.(*Handoff)
+func received(m kern.Msg) ctl.Handoff {
+	p, ok := m.Body.(*ctl.Handoff)
 	if !ok {
-		return Handoff{}
+		return ctl.Handoff{}
 	}
 	ho := *p
 	p.Done()
@@ -72,7 +73,7 @@ func (rg *rig) listenOn(t *testing.T, port uint16) *kern.Port {
 	done := false
 	var failure error
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: port, AcceptPort: accept}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			failure = err
 		}
@@ -86,14 +87,14 @@ func (rg *rig) listenOn(t *testing.T, port uint16) *kern.Port {
 }
 
 // connectFrom performs an active open from host 1 to host 0.
-func (rg *rig) connectFrom(t *testing.T, port uint16, budget time.Duration) (Handoff, bool) {
+func (rg *rig) connectFrom(t *testing.T, port uint16, budget time.Duration) (ctl.Handoff, bool) {
 	t.Helper()
-	var ho Handoff
+	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 		reply := rg.r1.Svc.Call(th, kern.Msg{
 			Op:   "connect",
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: port}},
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: port}},
 		})
 		ho = received(reply)
 		got = true
@@ -119,7 +120,7 @@ func TestHandshakeAndHandoff(t *testing.T) {
 		t.Fatalf("peer hw = %v", hw)
 	}
 	// The passive side must hand off through the accept port.
-	var srvHo Handoff
+	var srvHo ctl.Handoff
 	gotSrv := false
 	rg.apps[0].Spawn("accept", func(th *kern.Thread) {
 		m := accept.Receive(th)
@@ -146,11 +147,11 @@ func TestHandshakeAndHandoff(t *testing.T) {
 func TestHandoffCapabilityBornFinal(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	var ho Handoff
+	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
 		ho = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
 		got = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return got })
@@ -195,7 +196,7 @@ func TestListenPortConflict(t *testing.T) {
 	var second error
 	done := false
 	rg.apps[0].Spawn("listen2", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a2")}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a2")}})
 		second, _ = reply.Body.(error)
 		done = true
 	})
@@ -211,8 +212,8 @@ func TestUnlistenReleases(t *testing.T) {
 	done := false
 	var relisten error
 	rg.apps[0].Spawn("cycle", func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: UnlistenReq{Port: 80}})
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a")}})
+		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
+		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a")}})
 		relisten, _ = reply.Body.(error)
 		done = true
 	})
@@ -247,7 +248,7 @@ func TestInheritAbortSendsRST(t *testing.T) {
 	// The "application" dies abnormally: return the connection for abort.
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -270,7 +271,7 @@ func TestInheritOrderlyDrivesTimeWait(t *testing.T) {
 	}
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -298,7 +299,7 @@ func TestInheritTwiceLeaksNothing(t *testing.T) {
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
 		for range 2 {
-			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
+			rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: ho.Snap, Cap: ho.Cap}})
 		}
 		done = true
 	})
@@ -327,7 +328,7 @@ func TestInheritClosedLeaksNothing(t *testing.T) {
 	snap.State = tcp.Closed
 	done := false
 	rg.apps[1].Spawn("exit", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: InheritReq{Snap: snap, Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: snap, Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Minute, func() bool { return done })
@@ -347,7 +348,7 @@ func TestTeardownReclaims(t *testing.T) {
 	}
 	done := false
 	rg.apps[1].Spawn("teardown", func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
@@ -363,10 +364,10 @@ func TestTeardownReclaims(t *testing.T) {
 
 // twoConns opens two connections from host 1 to host 0's port 80: the one a
 // request will name, and another it must leave alone.
-func (rg *rig) twoConns(t *testing.T) (sender, other Handoff) {
+func (rg *rig) twoConns(t *testing.T) (sender, other ctl.Handoff) {
 	t.Helper()
 	rg.listenOn(t, 80)
-	for _, ho := range []*Handoff{&sender, &other} {
+	for _, ho := range []*ctl.Handoff{&sender, &other} {
 		got := false
 		if *ho, got = rg.connectFrom(t, 80, time.Minute); !got || ho.Err != nil {
 			t.Fatalf("set-up: got=%v err=%v", got, ho.Err)
@@ -384,7 +385,7 @@ func (rg *rig) send(m kern.Msg) {
 
 // keeps fails t unless host 1 still holds ho's connection: its endpoint in
 // the module, and with it its port and its channel.
-func (rg *rig) keeps(t *testing.T, ho Handoff) {
+func (rg *rig) keeps(t *testing.T, ho ctl.Handoff) {
 	t.Helper()
 	if rg.r1.nif.Mod.Endpoint(ho.Cap.Template()) != ho.Cap {
 		t.Fatal("the other connection's endpoint is gone")
@@ -402,7 +403,7 @@ func (rg *rig) keeps(t *testing.T, ho Handoff) {
 func TestTeardownEndsOnlyItsOwnConnection(t *testing.T) {
 	rg := newRig(false)
 	sender, other := rg.twoConns(t)
-	rg.send(kern.Msg{Op: "teardown", Body: TeardownReq{Cap: sender.Cap}})
+	rg.send(kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: sender.Cap}})
 	rg.keeps(t, other)
 	if rg.r1.TransferredConns() != 1 || rg.r1.nif.Mod.Installed(sender.Cap) {
 		t.Fatal("the sender's own connection was not torn down")
@@ -416,7 +417,7 @@ func TestInheritOfAnotherTupleRefused(t *testing.T) {
 	rg := newRig(false)
 	sender, other := rg.twoConns(t)
 	tx := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames")
-	rg.send(kern.Msg{Op: "inherit", Body: InheritReq{Snap: other.Snap, Cap: sender.Cap}})
+	rg.send(kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: other.Snap, Cap: sender.Cap}})
 	rg.keeps(t, other)
 	if n := rg.r1.OwnedConns(); n != 0 {
 		t.Fatalf("the registry owns %d pcbs after the refused inherit, want none", n)
@@ -436,12 +437,12 @@ func TestInheritOfRevokedCapabilityRefused(t *testing.T) {
 	if !got || ho.Err != nil {
 		t.Fatalf("set-up: got=%v err=%v", got, ho.Err)
 	}
-	rg.send(kern.Msg{Op: "teardown", Body: TeardownReq{Cap: ho.Cap}})
+	rg.send(kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: ho.Cap}})
 	if !rg.r1.ports.Reserve(ho.Snap.Local.Port) {
 		t.Fatal("teardown did not release the port")
 	}
 	tx := counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames")
-	rg.send(kern.Msg{Op: "inherit", Body: InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
+	rg.send(kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: ho.Snap, Cap: ho.Cap, Abort: true}})
 	if n := rg.r1.OwnedConns(); n != 0 {
 		t.Fatalf("the registry owns %d pcbs after the refused inherit, want none", n)
 	}
@@ -509,7 +510,7 @@ func pktFromBytes(headroom int, b []byte) *pktBuf { return pkt.FromBytes(headroo
 func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	call := func(m kern.Msg) (ho Handoff) {
+	call := func(m kern.Msg) (ho ctl.Handoff) {
 		done := false
 		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
 			if m.Op == "abandon" {
@@ -524,11 +525,11 @@ func TestAbandonReclaimsHandedOffConnect(t *testing.T) {
 		return ho
 	}
 	connect := kern.Msg{Op: "connect", ID: 91,
-		Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
+		Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
 	if ho := call(connect); ho.Err != nil || ho.Cap == nil {
 		t.Fatalf("connect: %+v", ho)
 	}
-	call(kern.Msg{Op: "abandon", Body: AbandonReq{ID: 91}})
+	call(kern.Msg{Op: "abandon", Body: ctl.AbandonReq{ID: 91}})
 	if n := rg.r1.TransferredConns(); n != 0 {
 		t.Fatalf("%d transferred connections after the abandon, want 0", n)
 	}

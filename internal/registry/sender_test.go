@@ -8,6 +8,7 @@ package registry
 import (
 	"testing"
 	"time"
+	"ulp/internal/ctl"
 
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
@@ -36,8 +37,8 @@ func (rg *rig) from(dom *kern.Domain, fn func(th *kern.Thread)) {
 func TestForeignConnectIDGetsItsOwnAnswer(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	connect := kern.Msg{Op: "connect", ID: 5, Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
-	var victim, intruder Handoff
+	connect := kern.Msg{Op: "connect", ID: 5, Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
+	var victim, intruder ctl.Handoff
 	rg.from(rg.apps[1], func(th *kern.Thread) { victim = received(rg.r1.Svc.Call(th, connect)) })
 	if victim.Err != nil || victim.Cap == nil {
 		t.Fatalf("the victim's connect: %+v", victim)
@@ -59,16 +60,16 @@ func TestForeignConnectIDGetsItsOwnAnswer(t *testing.T) {
 func TestForeignAbandonLeavesTheCallAlone(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	var victim Handoff
+	var victim ctl.Handoff
 	rg.from(rg.apps[1], func(th *kern.Thread) {
 		victim = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect", ID: 5,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
 	})
 	if victim.Err != nil || victim.Cap == nil {
 		t.Fatalf("the victim's connect: %+v", victim)
 	}
 	rg.from(rg.r1.host.NewDomain("intruder", false), func(th *kern.Thread) {
-		rg.r1.Svc.Send(th, kern.Msg{Op: "abandon", Body: AbandonReq{ID: 5}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{ID: 5}})
 	})
 	rg.keeps(t, victim)
 }
@@ -78,7 +79,7 @@ func TestForeignUnlistenLeavesTheListener(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
 	rg.from(rg.r0.host.NewDomain("intruder", false), func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: UnlistenReq{Port: 80}})
+		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
 	})
 	if n := rg.r0.fed.ListenerCount(); n != 1 {
 		t.Fatalf("%d listeners after another domain's unlisten, want the owner's 1", n)
@@ -111,12 +112,12 @@ func (rg *rig) udpFrame(cap *netio.Capability) *pkt.Buf {
 func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	var conn Handoff
-	var bound UDPHandoff
+	var conn ctl.Handoff
+	var bound ctl.UDPHandoff
 	rg.from(rg.apps[1], func(th *kern.Thread) {
 		conn = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
-		bound, _ = rg.r1.Svc.Call(th, kern.Msg{Op: "bind-udp", Body: BindUDPReq{Port: 53}}).Body.(UDPHandoff)
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
+		bound, _ = rg.r1.Svc.Call(th, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
 	})
 	if conn.Err != nil || bound.Err != nil {
 		t.Fatalf("set-up: %v, bind: %v", conn.Err, bound.Err)
@@ -127,13 +128,13 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 		msg     func() kern.Msg
 		replies bool
 	}{
-		{"teardown", func() kern.Msg { return kern.Msg{Op: "teardown", Body: TeardownReq{Cap: conn.Cap}} }, false},
+		{"teardown", func() kern.Msg { return kern.Msg{Op: "teardown", Body: ctl.TeardownReq{Cap: conn.Cap}} }, false},
 		{"inherit", func() kern.Msg {
-			return kern.Msg{Op: "inherit", Body: InheritReq{Snap: conn.Snap, Cap: conn.Cap, Abort: true}}
+			return kern.Msg{Op: "inherit", Body: ctl.InheritReq{Snap: conn.Snap, Cap: conn.Cap, Abort: true}}
 		}, false},
-		{"unbind-udp", func() kern.Msg { return kern.Msg{Op: "unbind-udp", Body: TeardownReq{Cap: bound.Cap}} }, false},
+		{"unbind-udp", func() kern.Msg { return kern.Msg{Op: "unbind-udp", Body: ctl.TeardownReq{Cap: bound.Cap}} }, false},
 		{"udp-send", func() kern.Msg {
-			return kern.Msg{Op: "udp-send", Body: UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}
+			return kern.Msg{Op: "udp-send", Body: ctl.UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}
 		}, true},
 	}
 	tx := func() int64 { return counter(t, rg.r1.nif.Mod.Device().Describe, "tx_frames") }
@@ -164,7 +165,7 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 	before := tx()
 	var answer any
 	rg.from(rg.apps[1], func(th *kern.Thread) {
-		answer = rg.r1.Svc.Call(th, kern.Msg{Op: "udp-send", Body: UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}).Body
+		answer = rg.r1.Svc.Call(th, kern.Msg{Op: "udp-send", Body: ctl.UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}).Body
 	})
 	if answer != nil || tx()-before != 1 {
 		t.Fatalf("the owner's relay of the same frame: answered %v, %d frames sent; want nil, 1", answer, tx()-before)
@@ -187,7 +188,7 @@ func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
 				made++
 				id++
 				svc := rg.fed.shards[made%2].Svc
-				svc.Call(th, kern.Msg{Op: "unlisten", ID: id, Slot: slot, Body: UnlistenReq{Port: 9999}})
+				svc.Call(th, kern.Msg{Op: "unlisten", ID: id, Slot: slot, Body: ctl.UnlistenReq{Port: 9999}})
 			}
 			finished++
 		})
@@ -214,17 +215,17 @@ func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
 func TestNextCallGivesBackTheHandoff(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
-	var ho Handoff
+	var ho ctl.Handoff
 	rg.from(rg.apps[1], func(th *kern.Thread) {
 		ho = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect", ID: 1,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
 	})
 	if ho.Err != nil {
 		t.Fatalf("set-up: %v", ho.Err)
 	}
 	listed := rg.r1.handoffs.Len()
 	rg.from(rg.apps[1], func(th *kern.Thread) {
-		rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: 2, Body: UnlistenReq{Port: 9999}})
+		rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: 2, Body: ctl.UnlistenReq{Port: 9999}})
 	})
 	if n := rg.r1.handoffs.Len(); n != listed+1 {
 		t.Fatalf("%d hand-off records listed after the caller's next call, want %d", n, listed+1)
@@ -241,10 +242,10 @@ func TestCallSlotsBoundASendersEntries(t *testing.T) {
 	answered := 0
 	done := false
 	app.Spawn("caller", func(th *kern.Thread) {
-		for slot := range uint32(CallSlots + 16) {
+		for slot := range uint32(ctl.CallSlots + 16) {
 			for _, sh := range rg.fed.shards {
 				reply := kern.NewPort(rg.fed.host, "reply")
-				sh.Svc.Send(th, kern.Msg{Op: "unlisten", ID: 1, Slot: slot, Reply: reply, Body: UnlistenReq{Port: 9999}})
+				sh.Svc.Send(th, kern.Msg{Op: "unlisten", ID: 1, Slot: slot, Reply: reply, Body: ctl.UnlistenReq{Port: 9999}})
 				if _, ok := reply.ReceiveTimeout(th, 10*time.Millisecond); ok {
 					answered++
 				}
@@ -256,11 +257,11 @@ func TestCallSlotsBoundASendersEntries(t *testing.T) {
 	if !done {
 		t.Fatal("the caller did not finish")
 	}
-	if want := 2 * CallSlots; answered != want {
-		t.Errorf("%d calls answered, want the %d on slots below CallSlots", answered, want)
+	if want := 2 * ctl.CallSlots; answered != want {
+		t.Errorf("%d calls answered, want the %d on slots below ctl.CallSlots", answered, want)
 	}
-	if n, hits := len(rg.fed.calls), rg.fed.shards[1].dedupHits; n != CallSlots || hits != CallSlots {
-		t.Errorf("the host keeps %d entries of one sender, shard 1 answered %d from them; want CallSlots (%d) each", n, hits, CallSlots)
+	if n, hits := len(rg.fed.calls), rg.fed.shards[1].dedupHits; n != ctl.CallSlots || hits != ctl.CallSlots {
+		t.Errorf("the host keeps %d entries of one sender, shard 1 answered %d from them; want ctl.CallSlots (%d) each", n, hits, ctl.CallSlots)
 	}
 }
 
@@ -276,12 +277,12 @@ func TestNextCallAbandonsTheConnectUnderWay(t *testing.T) {
 	reply := kern.NewPort(rg.r1.host, "connect-reply")
 	rg.from(app, func(th *kern.Thread) {
 		rg.r1.Svc.Send(th, kern.Msg{Op: "connect", ID: 1, Reply: reply,
-			Body: ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}})
+			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}})
 		for rg.r1.OwnedConns() == 0 {
 			th.Sleep(time.Microsecond)
 		}
-		rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: 2, Body: UnlistenReq{Port: 9999}})
-		rg.r1.Svc.Send(th, kern.Msg{Op: "abandon", Body: AbandonReq{ID: 1}})
+		rg.r1.Svc.Call(th, kern.Msg{Op: "unlisten", ID: 2, Body: ctl.UnlistenReq{Port: 9999}})
+		rg.r1.Svc.Send(th, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{ID: 1}})
 	})
 	rg.s.Run(time.Second)
 	if n := rg.r1.OwnedConns() + rg.r1.TransferredConns(); n != 0 {

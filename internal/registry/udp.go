@@ -3,12 +3,12 @@ package registry
 import (
 	"time"
 
+	"ulp/internal/ctl"
 	"ulp/internal/filter"
 	"ulp/internal/ipv4"
 	"ulp/internal/kern"
 	"ulp/internal/link"
 	"ulp/internal/netio"
-	"ulp/internal/pkt"
 	"ulp/internal/stacks"
 )
 
@@ -22,43 +22,12 @@ import (
 // channels and capabilities, and resolves peer link addresses; datagram
 // traffic then flows directly between library and network I/O module.
 
-// BindUDPReq asks the registry to allocate a datagram end-point for the
-// request's sender, as ConnectReq does a connection.
-type BindUDPReq struct{ Port uint16 }
-
-// UDPHandoff conveys the datagram end-point's capability, and with it its
-// channel.
-type UDPHandoff struct {
-	Cap *netio.Capability
-	Err error
-}
-
-// ResolveReq asks the registry to resolve a peer's link address (the
-// address-binding phase of an RPC system).
-type ResolveReq struct {
-	IP ipv4.Addr
-}
-
-// ResolveReply carries the resolution result.
-type ResolveReply struct {
-	HW  link.Addr
-	Err error
-}
-
-// UDPSendReq relays one datagram through the registry (the un-optimized
-// pre-binding path a dedicated-server organization would use for every
-// datagram; the RPC ablation measures what bypassing it saves).
-type UDPSendReq struct {
-	Cap   *netio.Capability // the sender's datagram end-point
-	Frame *pkt.Buf          // complete link frame, built by the library
-}
-
 // handleBindUDP allocates the port and builds the channel.
-func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
+func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req ctl.BindUDPReq) {
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.ChannelSetup)
 	if r.nif.Mod.PortHeld(ipv4.ProtoUDP, r.nif.IP, req.Port) {
-		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: stacks.ErrPortInUse}})
+		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: ctl.UDPHandoff{Err: stacks.ErrPortInUse}})
 		return
 	}
 	spec := filter.Spec{
@@ -83,19 +52,19 @@ func (r *Server) handleBindUDP(t *kern.Thread, m kern.Msg, req BindUDPReq) {
 	}
 	if err != nil {
 		_ = r.nif.Mod.ReleaseBQI(r.dom, bqi)
-		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Err: err}})
+		r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: ctl.UDPHandoff{Err: err}})
 		return
 	}
-	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: UDPHandoff{Cap: cap}})
+	r.finish(t, m, kern.Msg{Op: "udp-handoff", Body: ctl.UDPHandoff{Cap: cap}})
 }
 
 // handleResolve performs the address-binding resolution, driving ARP as
 // needed.
-func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
-	reply := ResolveReply{Err: stacks.ErrUnreachable}
+func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ctl.ResolveReq) {
+	reply := ctl.ResolveReply{Err: stacks.ErrUnreachable}
 	for attempt := 0; attempt < 5 && ipv4.SameSubnet(r.nif.IP, req.IP); attempt++ {
 		if hw, ok := r.nif.ARP.Lookup(r.nif.Now(), req.IP); ok {
-			reply = ResolveReply{HW: hw}
+			reply = ctl.ResolveReply{HW: hw}
 			break
 		}
 		r.nif.RequestARP(t, req.IP)
@@ -109,7 +78,7 @@ func (r *Server) handleResolve(t *kern.Thread, m kern.Msg, req ResolveReq) {
 // frame must pass the template check Module.Send runs on the fast path, so
 // the relay sends nothing the library could not send itself. A refused frame
 // is released and the error answered.
-func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req UDPSendReq) {
+func (r *Server) handleUDPSend(t *kern.Thread, m kern.Msg, req ctl.UDPSendReq) {
 	t.Compute(t.Cost().RegistrySendPath)
 	mod := r.nif.Mod
 	err := netio.ErrBadCapability

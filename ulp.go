@@ -146,7 +146,7 @@ type Config struct {
 
 	// RegistryShards is the number of registry servers each host's control
 	// plane is built from, each owning a static slice of the port space,
-	// fronted by a stateless metaregistry index in every library. 0 or 1
+	// whose service ports every library holds. 0 or 1
 	// builds one shard: the paper's single registry on the host CPU. With
 	// two or more, each shard is pinned to its own CPU, each library call
 	// goes to one shard (round-robin per connect), and a dead shard's work
@@ -418,7 +418,7 @@ func (n *Node) App(name string) *App {
 	dom := n.Host.NewDomain(name, false)
 	a := &App{Node: n, Dom: dom}
 	if n.Registry != nil {
-		a.Lib = core.NewLibrary(n.world.Sim, dom, n.Registry)
+		a.Lib = core.NewLibrary(n.world.Sim, dom, n.Registry.Netif(), n.Registry.Shards)
 		a.Stack = a.Lib
 	} else {
 		a.Stack = n.Monolithic
