@@ -47,7 +47,7 @@ func assertNoPoolLeaks(t *testing.T) {
 
 // assertNoLeaks audits hosts once everything on them has crashed, exited or
 // closed: no allocated ports, no transferred or registry-owned connections,
-// no listeners, no admission slots, no live capabilities, no pinned regions.
+// no listeners, no live capabilities, no pinned regions.
 func assertNoLeaks(t *testing.T, w *World, hosts ...int) {
 	t.Helper()
 	for _, host := range hosts {
@@ -64,9 +64,6 @@ func assertNoLeaks(t *testing.T, w *World, hosts ...int) {
 		}
 		if got := r.ListenerCount(); got != 0 {
 			t.Errorf("host %d: %d listeners remain", host, got)
-		}
-		if got := r.Outstanding(nil); got != 0 {
-			t.Errorf("host %d: %d admission slots still held", host, got)
 		}
 		if got := n.Mod.LiveCapabilities(nil); got != 0 {
 			t.Errorf("host %d: %d live capabilities", host, got)

@@ -30,23 +30,22 @@ import (
 var testOnlyAllowed = map[string]string{
 	// Leak and audit counters: every crash, churn and recycling test ends
 	// by asserting that nothing stayed outstanding.
-	"internal/freelist.List.Len":               "TestConnRecordsAreReused",
-	"internal/kern.Domain.Threads":             "TestOneInputThreadServesSequentialConnections",
-	"internal/kern.Region.Pinned":              "TestPinnedRegionsAccounting",
-	"internal/netio.Module.LiveCapabilities":   "TestRevokeOwner",
-	"internal/netio.Module.PinnedRegions":      "TestPinnedRegionsAccounting",
-	"internal/pkt.FormatLeakReport":            "TestZeroCopyDestroySweepsInflight",
-	"internal/pkt.OutstandingCount":            "TestZeroCopyDestroySweepsInflight",
-	"internal/pkt.SetLeakTracking":             "TestZeroCopyDestroySweepsInflight",
-	"internal/registry.Federation.Outstanding": "TestFederationAdmissionQuota",
-	"internal/netdev.AN1.RingStatus":           "TestQuarantineMidBurstReleasesSlotsAndBufs",
-	"internal/netio.Module.SoftwareBindings":   "TestDestroyChannelRemovesSteered",
-	"internal/stacks.TCPWheel.Armed":           "TestWheelDropIsFinal",
-	"internal/sim.Timer.Pending":               "TestCancelRemovesEagerly",
-	"internal/wire.Segment.SwitchStats":        "TestReplayMatrix",
-	"internal/pkt.Buf.Headroom":                "TestFragmentSingleWhenFits",
-	"internal/tcp.Conn.Callbacks":              "TestConnectionRecordsAreReused",
-	"internal/core.Conn.Channel":               "TestUserLibBQIExchangeOnAN1",
+	"internal/freelist.List.Len":             "TestConnRecordsAreReused",
+	"internal/kern.Domain.Threads":           "TestOneInputThreadServesSequentialConnections",
+	"internal/kern.Region.Pinned":            "TestPinnedRegionsAccounting",
+	"internal/netio.Module.LiveCapabilities": "TestRevokeOwner",
+	"internal/netio.Module.PinnedRegions":    "TestPinnedRegionsAccounting",
+	"internal/pkt.FormatLeakReport":          "TestZeroCopyDestroySweepsInflight",
+	"internal/pkt.OutstandingCount":          "TestZeroCopyDestroySweepsInflight",
+	"internal/pkt.SetLeakTracking":           "TestZeroCopyDestroySweepsInflight",
+	"internal/netdev.AN1.RingStatus":         "TestQuarantineMidBurstReleasesSlotsAndBufs",
+	"internal/netio.Module.SoftwareBindings": "TestDestroyChannelRemovesSteered",
+	"internal/stacks.TCPWheel.Armed":         "TestWheelDropIsFinal",
+	"internal/sim.Timer.Pending":             "TestCancelRemovesEagerly",
+	"internal/wire.Segment.SwitchStats":      "TestReplayMatrix",
+	"internal/pkt.Buf.Headroom":              "TestFragmentSingleWhenFits",
+	"internal/tcp.Conn.Callbacks":            "TestConnectionRecordsAreReused",
+	"internal/core.Conn.Channel":             "TestUserLibBQIExchangeOnAN1",
 
 	// Drivers of behaviour production reaches another way: an application
 	// exiting (the registry inherits its connections; crashes reach the

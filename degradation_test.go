@@ -7,7 +7,7 @@ package ulp
 // a blocked sender and a blocked receiver (the receiver via keepalive
 // dead-peer detection); and a connection setup whose SYNs die in a
 // partitioned segment must surface the registry's bounded failure without
-// leaking admission slots or ports. The conformance checker rides along
+// leaking ports. The conformance checker rides along
 // everywhere: give-ups and keepalive teardowns must be legal transitions.
 
 import (
@@ -190,9 +190,8 @@ func TestPermanentPartitionTimesOutSendAndRecv(t *testing.T) {
 // into a partitioned segment: the registry's handshake SYNs vanish, the
 // library's control RPC hits its deadline/backoff budget and surfaces
 // ErrRegistryUnavailable in bounded time, and once the registry's own R2
-// give-up fires, the abandoned setup releases its admission slot and
-// ephemeral port — nothing leaks from a setup whose requester gave up
-// first.
+// give-up fires, the abandoned setup releases its ephemeral port —
+// nothing leaks from a setup whose requester gave up first.
 func TestConnectThroughPartitionBoundedAndLeakFree(t *testing.T) {
 	w := NewWorld(Config{
 		Org: OrgUserLib, Net: Ethernet, RegistryShards: 2,

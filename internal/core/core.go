@@ -114,12 +114,6 @@ const (
 	rpcAttempts    = 4
 	rpcBaseTimeout = 250 * time.Millisecond
 	rpcTimeoutCap  = 2 * time.Second
-
-	// admissionRetries bounds how often a quota-denied connect is retried
-	// (each retry is a fresh request under the shared backoff schedule —
-	// the denial executed nothing, so a new id is correct and required:
-	// reusing the id would replay the cached denial forever).
-	admissionRetries = 12
 )
 
 // nextReqID issues a fresh request id. Ids rise per library, and so per
@@ -154,17 +148,17 @@ func (l *Library) putSlot(s uint32) {
 }
 
 // call issues one control-plane RPC to registry shard shard, or while it is
-// down to the next live one, under the deadline/retry policy. Every attempt
+// down to the next live one, under the deadline/retry policy. It holds one of
+// the library's ctl.CallSlots for its length, which is what the registry
+// admits a request on and bounds the library's set-ups by. Every attempt
 // carries the call's one id and slot and waits on its one reply port: an
 // answer that arrives after its attempt's deadline is taken by the next, and
-// the host's entry for the caller runs no retry twice. A quota denial is
-// retried as a fresh id under backoff (the denied attempt executed nothing),
-// on a fresh reply port if a wait timed out, for the denied id's replays may
-// still land there; so too the port is reused only if no wait timed out. A
-// call that gives up withdraws its id, so that a set-up nobody will adopt
-// gives back its port and channel; the slot's next call, which retires the
-// entry through which the registry finds what to give back, withdraws it
-// once more ahead of itself if it goes to another shard.
+// the host's entry for the caller runs no retry twice. The port is reused
+// only if no wait timed out, for a late answer may still land there. A call
+// that gives up withdraws its id, so that a set-up nobody will adopt gives
+// back its port and channel; the slot's next call, which retires the entry
+// through which the registry finds what to give back, withdraws it once more
+// ahead of itself if it goes to another shard.
 func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) {
 	m.ID, m.Slot = l.nextReqID(), l.takeSlot(t)
 	defer l.putSlot(m.Slot)
@@ -176,32 +170,18 @@ func (l *Library) call(t *kern.Thread, shard int, m kern.Msg) (kern.Msg, error) 
 		m.Reply = kern.NewPort(l.host, "reply")
 	}
 	timeout := rpcBaseTimeout
-	denied := 0
-	for attempt := 0; attempt < rpcAttempts; {
+	for attempt := range rpcAttempts {
 		l.svc(shard).Send(t, m)
-		reply, ok := m.Reply.ReceiveTimeout(t, timeout)
-		if !ok {
-			attempt++
-			if attempt < rpcAttempts {
-				t.Sleep(l.backoff.Next(attempt - 1))
+		if reply, ok := m.Reply.ReceiveTimeout(t, timeout); ok {
+			if attempt == 0 {
+				l.replies.Put(m.Reply)
 			}
-			timeout = min(2*timeout, rpcTimeoutCap)
-			continue
+			return reply, nil
 		}
-		if ho, isHo := reply.Body.(*ctl.Handoff); isHo && ho.Err == stacks.ErrAdmissionDenied && denied < admissionRetries {
-			denied++
-			ho.Done()
-			m.ID = l.nextReqID()
-			if attempt > 0 {
-				m.Reply = kern.NewPort(l.host, "reply")
-			}
-			t.Sleep(l.backoff.Next(denied - 1))
-			continue // denied retries do not burn the deadline budget
+		if attempt+1 < rpcAttempts {
+			t.Sleep(l.backoff.Next(attempt))
 		}
-		if attempt == 0 {
-			l.replies.Put(m.Reply)
-		}
-		return reply, nil
+		timeout = min(2*timeout, rpcTimeoutCap)
 	}
 	// Posted, not sent: the caller does not wait for the withdrawal.
 	l.svc(shard).SendAsync(l.app, kern.Msg{Op: "abandon", Body: ctl.AbandonReq{Slot: m.Slot, ID: m.ID}})

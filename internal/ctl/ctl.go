@@ -21,9 +21,11 @@ import (
 	"ulp/internal/tcp"
 )
 
-// Answered is a request the registry replies to: only such a request
-// completes its caller's entry. A request type is one by declaring so, next
-// to its definition, so no list of them can leave a new one out.
+// Answered is a request the registry replies to, and admits only as a call:
+// a nonzero id, a reply port and a slot below CallSlots; anything else is
+// refused unanswered. Only such a request completes its caller's entry. A
+// request type is one by declaring so, next to its definition, so no list of
+// them can leave a new one out.
 type Answered interface{ answered() }
 
 // ConnectReq asks the registry to actively open a connection for the
@@ -91,9 +93,10 @@ type InheritReq struct {
 	Abort bool
 }
 
-// CallSlots bounds a library's concurrent control calls: its callers take
-// slots below it, and a call on a higher slot is refused unanswered, so a
-// sender holds at most CallSlots entries on a host however it misbehaves.
+// CallSlots bounds what one sender can make its host's registry hold: a call
+// takes a slot below it for its length, each slot has one entry on the host,
+// and a set-up runs only under its call's live entry, so a sender holds at
+// most CallSlots entries and CallSlots set-ups however it misbehaves.
 const CallSlots = 64
 
 // Handoff carries an established connection to a library: the TCP state,

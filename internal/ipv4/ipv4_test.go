@@ -425,6 +425,25 @@ func TestReassemblyIgnoresFragmentsPastTheEnd(t *testing.T) {
 	}
 }
 
+// TestReassemblyStoresNoRepeats: a sender that repeats one fragment of a
+// datagram with a hole gets nothing more kept for it, however often it
+// repeats it: the last fragment and one copy are all the entry holds.
+func TestReassemblyStoresNoRepeats(t *testing.T) {
+	r := NewReassembler(10)
+	h := Header{TTL: 64, Proto: ProtoUDP, Src: srcA, Dst: dstA, ID: 9, FragOff: 16}
+	r.Insert(0, h, make([]byte, 8)) // the last fragment; bytes 8..16 never come
+	h.FragOff, h.MF = 0, true
+	for range 16000 {
+		if _, _, ok := r.Insert(0, h, make([]byte, 8)); ok {
+			t.Fatal("a datagram with a hole completed")
+		}
+	}
+	e := r.entries[reasmKey{srcA, dstA, ProtoUDP, 9}]
+	if n := len(e.frags); n > 2 {
+		t.Fatalf("%d fragments stored for 16 000 copies of one and the last, want at most 2", n)
+	}
+}
+
 // FuzzReassembly feeds the reassembler fragments of one datagram of size%4000
 // + 1 seeded bytes, in an order the fuzzer picks, with duplicates, overlaps
 // and strays. Each 3-byte step of plan sends the piece that starts plan[1]

@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -17,15 +18,25 @@ type reasmKey struct {
 type fragment struct {
 	off  int
 	data []byte
-	last bool
 }
 
 // reasmEntry accumulates fragments for one datagram.
 type reasmEntry struct {
-	frags    []fragment
-	totalLen int // payload length once the last fragment is seen; -1 until then
+	frags    []fragment // in offset order, each adding bytes the others lack
+	totalLen int        // payload length once the last fragment is seen; -1 until then
 	deadline uint64
 	hdr      Header
+}
+
+// covers reports whether the stored fragments cover payload bytes [lo, hi).
+func (e *reasmEntry) covers(lo, hi int) bool {
+	for _, f := range e.frags {
+		if lo >= hi || f.off > lo {
+			break
+		}
+		lo = max(lo, f.off+len(f.data))
+	}
+	return lo >= hi
 }
 
 // Reassembler reconstructs fragmented datagrams. It is pure: the caller
@@ -48,7 +59,10 @@ func NewReassembler(ttl uint64) *Reassembler {
 
 // Insert adds a fragment. When the datagram completes, it returns the
 // header (of the first fragment, with fragmentation fields cleared) and the
-// full payload.
+// full payload. A fragment is stored only if it adds bytes the stored ones
+// do not cover, so a repeated fragment costs nothing to keep, and bytes past
+// the 65 535-byte datagram limit, or past the last fragment's end, which only
+// a broken or hostile sender sends, are ignored.
 func (r *Reassembler) Insert(now uint64, h Header, payload []byte) (Header, []byte, bool) {
 	key := reasmKey{h.Src, h.Dst, h.Proto, h.ID}
 	e := r.entries[key]
@@ -59,32 +73,18 @@ func (r *Reassembler) Insert(now uint64, h Header, payload []byte) (Header, []by
 	if h.FragOff == 0 {
 		e.hdr = h
 	}
-	e.frags = append(e.frags, fragment{off: h.FragOff, data: append([]byte(nil), payload...), last: !h.MF})
 	if !h.MF {
 		e.totalLen = h.FragOff + len(payload)
 	}
-	if e.totalLen < 0 {
-		return Header{}, nil, false
+	if end := min(h.FragOff+len(payload), MaxTotalLen-HeaderLen); !e.covers(h.FragOff, end) {
+		i := sort.Search(len(e.frags), func(i int) bool { return e.frags[i].off > h.FragOff })
+		e.frags = slices.Insert(e.frags, i, fragment{off: h.FragOff, data: append([]byte(nil), payload[:end-h.FragOff]...)})
 	}
-	// Check coverage [0, totalLen) by the received fragments; bytes past
-	// totalLen, which only a broken or hostile sender sends, are ignored.
-	frags := append([]fragment(nil), e.frags...)
-	sort.Slice(frags, func(i, j int) bool { return frags[i].off < frags[j].off })
-	covered := 0
-	for _, f := range frags {
-		if covered >= e.totalLen {
-			break
-		}
-		if f.off > covered {
-			return Header{}, nil, false // hole
-		}
-		covered = max(covered, f.off+len(f.data))
-	}
-	if covered < e.totalLen {
+	if e.totalLen < 0 || !e.covers(0, e.totalLen) {
 		return Header{}, nil, false
 	}
 	out := make([]byte, e.totalLen)
-	for _, f := range frags {
+	for _, f := range e.frags {
 		if f.off < e.totalLen {
 			copy(out[f.off:], f.data)
 		}

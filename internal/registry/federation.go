@@ -51,12 +51,9 @@ type Federation struct {
 	// shard starts with; nil injects nothing.
 	faults *chaos.Injector
 
-	// Admission: bounded outstanding setups per application domain across
-	// all shards. Serialized by the simulation scheduler, like everything
-	// else on this host.
-	quota       int
-	outstanding map[*kern.Domain]int
-	denied      int
+	// denied counts answered requests refused at admission: ones that are
+	// not a call (no id, no reply port, or a slot at or above ctl.CallSlots).
+	denied int
 
 	// listeners is the host's one listener table: a listen writes one
 	// record, which every shard's input path reads and the crash of one
@@ -72,26 +69,21 @@ type Federation struct {
 	watched map[*kern.Domain]bool
 }
 
-// DefaultAdmissionQuota bounds outstanding setups per application domain.
-const DefaultAdmissionQuota = 64
-
 // NewFederation boots a host's registry over its network I/O module, as n
 // shards (fewer than two: the lone registry).
 func NewFederation(s *sim.Sim, mod *netio.Module, ip ipv4.Addr, n int) *Federation {
 	n = max(n, 1)
 	f := &Federation{
-		s:           s,
-		mod:         mod,
-		host:        mod.Device().Host(),
-		ip:          ip,
-		nif:         stacks.NewNetif(s, mod, ip),
-		names:       make([]string, n),
-		cpus:        make([]*sim.Resource, n),
-		quota:       DefaultAdmissionQuota,
-		outstanding: make(map[*kern.Domain]int),
-		listeners:   make(map[uint16]*listener),
-		calls:       make(map[uint64]*call),
-		watched:     make(map[*kern.Domain]bool),
+		s:         s,
+		mod:       mod,
+		host:      mod.Device().Host(),
+		ip:        ip,
+		nif:       stacks.NewNetif(s, mod, ip),
+		names:     make([]string, n),
+		cpus:      make([]*sim.Resource, n),
+		listeners: make(map[uint16]*listener),
+		calls:     make(map[uint64]*call),
+		watched:   make(map[*kern.Domain]bool),
 	}
 	// Partition the classic ephemeral window; SetEphemeralRange repartitions.
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
@@ -179,27 +171,8 @@ func (f *Federation) classify(frame []byte) int {
 }
 
 // ---------------------------------------------------------------------------
-// Admission
+// Death watch
 // ---------------------------------------------------------------------------
-
-// admit charges one outstanding setup against owner's quota; false means
-// the setup is refused (the library backs off and retries).
-func (f *Federation) admit(owner *kern.Domain) bool {
-	if f.outstanding[owner] >= f.quota {
-		f.denied++
-		return false
-	}
-	f.outstanding[owner]++
-	return true
-}
-
-// release returns one outstanding-setup slot; an owner charged none (an
-// inherited pcb has none) has none to return.
-func (f *Federation) release(owner *kern.Domain) {
-	if f.outstanding[owner]--; f.outstanding[owner] <= 0 {
-		delete(f.outstanding, owner)
-	}
-}
 
 // watch arranges for the registry to learn of an application domain's
 // death: one hook per domain per host, however many requests it sends to
@@ -226,11 +199,10 @@ func (f *Federation) watch(dom *kern.Domain) {
 
 // CrashShard kills one shard abruptly: its service port reads dead from this
 // instant, its threads die at their next scheduling point, its receive queue
-// is drained back to the pool, and the
-// admission slots, listen backlog slots and reserved ring indices its
-// in-flight setups held are returned (their owners get no reply; the
-// library's RPC deadline surfaces the loss), as are the callers' entries of
-// the requests it was running, so that a retry runs them afresh. Frames and
+// is drained back to the pool, and the listen backlog slots and reserved ring
+// indices its in-flight setups held are returned (their owners get no reply;
+// the library's RPC deadline surfaces the loss), as are the callers' entries
+// of the requests it was running, so that a retry runs them afresh. Frames and
 // requests for the dead shard's tuples steer to its cover — with no live
 // sibling, default-path frames are discarded, as the kernel does for a dead
 // domain, requests queue at the service port for the next incarnation, and
@@ -245,9 +217,7 @@ func (f *Federation) CrashShard(i int) {
 	}
 	sh.dom.Kill()
 	for _, hc := range sh.conns {
-		if hc.l == nil { // as in Server.release: only active set-ups hold one
-			f.release(hc.owner)
-		} else {
+		if hc.l != nil {
 			hc.l.pending--
 		}
 	}
@@ -299,20 +269,6 @@ func (f *Federation) RestartShard(i int) {
 
 // Netif exposes the shared interface wiring.
 func (f *Federation) Netif() *stacks.Netif { return f.nif }
-
-// Outstanding counts the admission slots currently charged; with a non-nil
-// owner, only those charged to that domain. Leak audits assert it reaches
-// zero.
-func (f *Federation) Outstanding(owner *kern.Domain) int {
-	if owner != nil {
-		return f.outstanding[owner]
-	}
-	n := 0
-	for _, held := range f.outstanding {
-		n += held
-	}
-	return n
-}
 
 // SetControlFaults installs a chaos injector for control-plane faults
 // (dropped or delayed service requests) on every shard. A nil injector is
@@ -387,7 +343,8 @@ func (f *Federation) ListenerCount() int { return len(f.listeners) }
 
 // Describe emits the registry's counters under their stats names: the shard
 // count, totals (the tables over the live shards, the event counts over every
-// shard's current incarnation), then each shard's incarnation counters, which
+// shard's current incarnation; admission_denied, the answered requests refused
+// at admission as no call), then each shard's incarnation counters, which
 // restart with it.
 func (f *Federation) Describe(emit func(string, int64)) {
 	emit("shards", int64(len(f.shards)))

@@ -1,11 +1,10 @@
 package registry
 
 // Federation tests: static shard ownership, frame steering to the
-// authoritative shard, the per-application admission quota, shard
-// crash/restart with ownership-filtered rebuild and the one listener table,
-// and the dedup-cache regression the sharded control plane exposed:
-// eviction of in-flight setups. The connect path's error branches are
-// audited in leak_test.go.
+// authoritative shard, shard crash/restart with ownership-filtered rebuild
+// and the one listener table, and the dedup-cache regression the sharded
+// control plane exposed: eviction of in-flight setups. The connect path's
+// error branches are audited in leak_test.go.
 
 import (
 	"testing"
@@ -37,15 +36,16 @@ type fedRig struct {
 	fed  *Federation
 	ips  []ipv4.Addr
 	apps []*kern.Domain
+	calls
 }
 
-func newFedRig(t *testing.T, shards, quota int) *fedRig {
-	return newFedRigOn(t, false, shards, quota)
+func newFedRig(t *testing.T, shards int) *fedRig {
+	return newFedRigOn(t, false, shards)
 }
 
 // newFedRigOn is newFedRig on an AN1 segment if an1 is set, else on an
 // Ethernet.
-func newFedRigOn(t *testing.T, an1 bool, shards, quota int) *fedRig {
+func newFedRigOn(t *testing.T, an1 bool, shards int) *fedRig {
 	t.Helper()
 	s := sim.New()
 	rg := &fedRig{s: s, ips: []ipv4.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}}}
@@ -68,9 +68,6 @@ func newFedRigOn(t *testing.T, an1 bool, shards, quota int) *fedRig {
 	}
 	rg.r0 = NewFederation(s, mkMod(0), rg.ips[0], 1).shards[0]
 	rg.fed = NewFederation(s, mkMod(1), rg.ips[1], shards)
-	if quota > 0 {
-		rg.fed.quota = quota
-	}
 	return rg
 }
 
@@ -80,7 +77,7 @@ func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
+		reply := rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
 		}
@@ -90,17 +87,18 @@ func (rg *fedRig) listenOn0(t *testing.T, port uint16) {
 }
 
 // connectVia performs an active open through one specific shard, calling
-// on slot id.
+// on slot id, or with id 0 as a fresh call (calls.stamp).
 func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id uint32, budget time.Duration) (ctl.Handoff, bool) {
 	t.Helper()
 	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-		reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{
-			Op: "connect", ID: id, Slot: id,
-			Body: ctl.ConnectReq{Remote: remote},
-		})
-		ho = received(reply)
+		m := kern.Msg{Op: "connect", ID: id, Slot: id, Body: ctl.ConnectReq{Remote: remote}}
+		if id == 0 {
+			m = rg.stamp(m)
+			defer rg.free(m.Slot)
+		}
+		ho = received(rg.fed.shards[shard].Svc.Call(th, m))
 		got = true
 	})
 	rg.s.RunUntil(budget, func() bool { return got })
@@ -110,7 +108,7 @@ func (rg *fedRig) connectVia(t *testing.T, shard int, remote tcp.Endpoint, id ui
 // Shard slices partition the ephemeral window with no gaps or overlaps,
 // and every port in a shard's slice maps back to that shard.
 func TestFederationPartitionsPortSpace(t *testing.T) {
-	rg := newFedRig(t, 4, 0)
+	rg := newFedRig(t, 4)
 	lo, hi := tcp.NewPortAlloc().EphemeralRange()
 	if rg.fed.Slices[0][0] != lo || rg.fed.Slices[3][1] != hi {
 		t.Fatalf("slices %v do not span [%d,%d)", rg.fed.Slices, lo, hi)
@@ -135,7 +133,7 @@ func TestFederationPartitionsPortSpace(t *testing.T) {
 // on the shared interface is classified by tuple and steered to shard k's
 // receive queue, not to shard 0.
 func TestFederationSteersHandshakeToOwner(t *testing.T) {
-	rg := newFedRig(t, 4, 0)
+	rg := newFedRig(t, 4)
 	rg.listenOn0(t, 80)
 	for shard := 0; shard < 4; shard++ {
 		ho, got := rg.connectVia(t, shard, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Minute)
@@ -161,7 +159,7 @@ func TestFederationSteersHandshakeToOwner(t *testing.T) {
 // it is at work on a set-up (here the state transfer after setupChannel).
 // Both are counted in the host's wakeups and signals.
 func TestShardPostCostsWhatTheDoorbellCharges(t *testing.T) {
-	rg := newFedRig(t, 4, 0)
+	rg := newFedRig(t, 4)
 	rg.listenOn0(t, 80)
 	sh := rg.fed.shards[0]
 	cost := sh.host.Cost
@@ -215,57 +213,12 @@ func TestShardPostCostsWhatTheDoorbellCharges(t *testing.T) {
 	}
 }
 
-// The admission quota bounds outstanding setups per application domain:
-// with quota 2 and two handshakes stalled against an unresolvable peer, a
-// third connect is refused immediately with ErrAdmissionDenied and no side
-// effects; completion of a setup frees its slot.
-func TestFederationAdmissionQuota(t *testing.T) {
-	rg := newFedRig(t, 2, 2)
-	// 10.0.0.9 answers no ARP: the two admitted setups stay in flight.
-	dead := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}
-	for i := 0; i < 2; i++ {
-		shard := i
-		rg.apps[1].Spawn("stall", func(th *kern.Thread) {
-			rg.fed.shards[shard].Svc.Call(th, kern.Msg{
-				Op: "connect", Body: ctl.ConnectReq{Remote: dead}})
-		})
-	}
-	rg.s.Run(10 * time.Millisecond)
-	if got := rg.fed.Outstanding(rg.apps[1]); got != 2 {
-		t.Fatalf("outstanding = %d, want 2", got)
-	}
-	portsBefore := rg.fed.PortsInUse()
-	ho, got := rg.connectVia(t, 0, dead, 0, time.Second)
-	if !got {
-		t.Fatal("denied connect never answered")
-	}
-	if ho.Err != stacks.ErrAdmissionDenied {
-		t.Fatalf("third connect err = %v, want ErrAdmissionDenied", ho.Err)
-	}
-	if rg.fed.denied != 1 {
-		t.Fatalf("denied = %d, want 1", rg.fed.denied)
-	}
-	// A denied setup has no side effects: no port, no pcb, no slot.
-	if rg.fed.PortsInUse() != portsBefore {
-		t.Fatalf("denied connect allocated a port: %d -> %d", portsBefore, rg.fed.PortsInUse())
-	}
-	if got := rg.fed.Outstanding(rg.apps[1]); got != 2 {
-		t.Fatalf("outstanding after denial = %d, want 2", got)
-	}
-	// Let the stalled handshakes give up (12 SYN backoffs capped at 64 s
-	// each — just over ten virtual minutes); their slots must come back.
-	rg.s.Run(11 * time.Minute)
-	if got := rg.fed.Outstanding(rg.apps[1]); got != 0 {
-		t.Fatalf("outstanding after aborts = %d, want 0 (admission slots leaked)", got)
-	}
-}
-
 // A crashed shard's incarnation is rebuilt from the module on restart, and
 // only with the endpoints it statically owns: the other shards' live
 // connections stay where they are, and the host's one listener record stays
 // as it was.
 func TestFederationShardRestartRebuilds(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
+	rg := newFedRig(t, 2)
 	rg.listenOn0(t, 80)
 	// One connection owned by each shard.
 	for shard := 0; shard < 2; shard++ {
@@ -276,7 +229,7 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 	// One listen, to shard 1: the crash below does not take the record.
 	done := false
 	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
-		rg.fed.shards[1].Svc.Call(th, kern.Msg{Op: "listen",
+		rg.call(th, rg.fed.shards[1].Svc, kern.Msg{Op: "listen",
 			Body: ctl.ListenReq{Port: 7070, AcceptPort: kern.NewPort(rg.fed.host, "a")}})
 		done = true
 	})
@@ -315,10 +268,10 @@ func TestFederationShardRestartRebuilds(t *testing.T) {
 // with no SYN dropped. The far host connects; host 1 listens by one call.
 func TestListenBacklogSurvivesShardCrash(t *testing.T) {
 	const port, backlog = 7070, 2
-	rg := newFedRig(t, 4, 0)
+	rg := newFedRig(t, 4)
 	done := false
 	rg.apps[1].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.fed.shards[0].Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port,
+		reply := rg.call(th, rg.fed.shards[0].Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port,
 			Opts: stacks.Options{Backlog: backlog}, AcceptPort: kern.NewPort(rg.fed.host, "accept")}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
@@ -384,7 +337,7 @@ func TestListenBacklogSurvivesShardCrash(t *testing.T) {
 // names the connection, so the stray goes into its channel. On the AN1 a
 // frame sent to BQI zero takes the default path, where the registry decides.
 func TestFederationDeadShardStrayForwardedNotReset(t *testing.T) {
-	rg := newFedRigOn(t, true, 2, 0)
+	rg := newFedRigOn(t, true, 2)
 	rg.listenOn0(t, 80)
 	ho, got := rg.connectVia(t, 1, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 0, time.Minute)
 	if !got || ho.Err != nil {
@@ -484,7 +437,7 @@ func TestDedupNeverEvictsInFlight(t *testing.T) {
 // covers it, adopts the connection.
 func adoptVia1(t *testing.T) (*fedRig, ctl.Handoff) {
 	t.Helper()
-	rg := newFedRigOn(t, true, 2, 0)
+	rg := newFedRigOn(t, true, 2)
 	rg.listenOn0(t, 80)
 	ho, got := rg.connectVia(t, 1, tcp.Endpoint{IP: rg.ips[0], Port: 80}, 1, time.Minute)
 	if !got || ho.Err != nil {
@@ -547,11 +500,11 @@ func TestRestartAfterAdoptionLeavesNoPorts(t *testing.T) {
 // end-point, and unbound through it: then no shard holds its port, and the
 // survivor can bind it again.
 func TestBindingTakenBackByRestartLeavesNoPort(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
+	rg := newFedRig(t, 2)
 	rg.fed.CrashShard(0)
 	bind := func(shard int) (ho ctl.UDPHandoff) {
 		rg.apps[1].Spawn("bind", func(th *kern.Thread) {
-			ho, _ = rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
+			ho, _ = rg.call(th, rg.fed.shards[shard].Svc, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
 		})
 		rg.s.Run(50 * time.Millisecond)
 		return ho

@@ -48,7 +48,7 @@ func giveUpWorld() (*sim.Sim, *registry.Federation, *core.Library, *chaos.Inject
 // attempts shared one reply port (4.4889, 4.4866 and 4.4866 s of virtual
 // time: the connect then sent an abandon to each of the four shards its
 // attempts had gone to), and the call's one abandon is dropped too. Nothing is left on any shard: no caller's entry, set-up, port,
-// admission slot, ring index or capability.
+// ring index or capability.
 func TestShardedGiveUpLeaksNothing(t *testing.T) {
 	calls := []struct {
 		name  string
@@ -89,10 +89,10 @@ func TestShardedGiveUpLeaksNothing(t *testing.T) {
 			t.Errorf("%s: %d requests dropped, want the call's four attempts and its abandon", c.name, inj.DroppedRequests)
 		}
 		if fed.Callers() != 0 || fed.OwnedConns() != 0 || fed.PortsInUse() != 0 || fed.TransferredConns() != 0 ||
-			fed.ListenerCount() != 0 || fed.Outstanding(nil) != 0 || mod.LiveCapabilities(nil) != 0 || mod.PinnedRegions() != 0 {
-			t.Errorf("%s left %d entries, %d set-ups, %d ports, %d endpoints, %d listeners, %d admission slots, %d capabilities, %d pinned regions",
+			fed.ListenerCount() != 0 || mod.LiveCapabilities(nil) != 0 || mod.PinnedRegions() != 0 {
+			t.Errorf("%s left %d entries, %d set-ups, %d ports, %d endpoints, %d listeners, %d capabilities, %d pinned regions",
 				c.name, fed.Callers(), fed.OwnedConns(), fed.PortsInUse(), fed.TransferredConns(), fed.ListenerCount(),
-				fed.Outstanding(nil), mod.LiveCapabilities(nil), mod.PinnedRegions())
+				mod.LiveCapabilities(nil), mod.PinnedRegions())
 		}
 		// The module hands out ring indexes from 1 up, freed ones first: with
 		// none held, 16 reservations get exactly 1 to 16.
@@ -108,48 +108,6 @@ func TestShardedGiveUpLeaksNothing(t *testing.T) {
 		if highest != 16 {
 			t.Errorf("%s: a ring index is held: 16 reservations reach index %d", c.name, highest)
 		}
-	}
-}
-
-// A quota denial that comes after its call's first wait timed out: the
-// denied id's retry is still queued at the shard, which replays the denial,
-// and the library has moved on to a fresh id. Every request waits 300 ms at
-// the two-shard registry, past the first RPC deadline (250 ms), and the
-// application's one admission slot is held by a set-up toward a peer that
-// never answers. Connect is denied, retried under backoff, and returns
-// ErrAdmissionDenied once its thirteenth id was denied: the registry denied
-// thirteen requests, and no replay of an older id's denial was taken for a
-// newer one's. (With one reply port across the whole call, each replay
-// counted as a denial of its own.)
-func TestShardedDenialIsNotTakenForALaterID(t *testing.T) {
-	s := sim.New()
-	seg := wire.New(s, wire.AN1Config())
-	h := kern.NewHost(s, "h0", costs.Default())
-	fed := registry.NewFederation(s, netio.New(h, netdev.NewAN1(h, seg, link.MakeAddr(1), 0)), ipv4.Addr{10, 0, 0, 1}, 2)
-	fed.SetQuota(1)
-	fed.SetControlFaults(chaos.NewInjector(1, chaos.ControlFaults{DelayProb: 1, Delay: 300 * time.Millisecond}))
-	app := h.NewDomain("app", false)
-	lib := core.NewLibrary(s, app, fed.Netif(), fed.Shards)
-	nowhere := tcp.Endpoint{IP: ipv4.Addr{10, 0, 0, 9}, Port: 80}
-	app.Spawn("stall", func(th *kern.Thread) {
-		fed.Svc[1].Send(th, kern.Msg{Op: "connect", ID: 1 << 31, Slot: ctl.CallSlots - 1,
-			Reply: kern.NewPort(h, "reply"), Body: ctl.ConnectReq{Remote: nowhere}})
-	})
-	var err error
-	done := false
-	app.SpawnAfter(10*time.Millisecond, "caller", func(th *kern.Thread) {
-		_, err = lib.Connect(th, nowhere, stacks.Options{})
-		done = true
-	})
-	s.RunUntil(time.Minute, func() bool { return done })
-	denied := int64(-1)
-	fed.Describe(func(key string, v int64) {
-		if key == "admission_denied" {
-			denied = v
-		}
-	})
-	if !done || err != stacks.ErrAdmissionDenied || denied != 13 {
-		t.Errorf("connect returned %v (done %v) after the registry denied %d requests; want ErrAdmissionDenied after 13", err, done, denied)
 	}
 }
 

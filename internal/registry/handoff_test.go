@@ -27,9 +27,14 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 		return kern.Msg{Op: "connect", ID: id,
 			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}
 	}
+	// call sends connect m, or with id 0 a fresh connect (calls.stamp).
 	call := func(m kern.Msg) (ho ctl.Handoff) {
 		done := false
 		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
+			if m.ID == 0 {
+				m = rg.stamp(m)
+				defer rg.free(m.Slot)
+			}
 			ho = received(rg.r1.Svc.Call(th, m))
 			done = true
 		})
@@ -57,14 +62,21 @@ func TestReplayedHandoffStaysIntact(t *testing.T) {
 		t.Fatalf("first attempt: timed out %v, answer read %v, %+v", timedOut, late, orig)
 	}
 
-	// Requests without an id are not tracked: each record comes back as soon
-	// as it is read, and the next set-up is lent it again.
+	// Calls on another slot leave request 7's entry alone: the slot's next
+	// call retires each one's entry, which gives its record back, and the
+	// next set-up is lent it again.
 	for replay := range 2 {
 		for range 3 {
 			if ho := call(connect(0)); ho.Cap == orig.Cap || ho.Snap.Local == orig.Snap.Local {
 				t.Fatal("another set-up was handed request 7's connection")
 			}
 		}
+		retired := false
+		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
+			rg.call(th, rg.r1.Svc, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 9999}})
+			retired = true
+		})
+		rg.s.RunUntil(time.Minute, func() bool { return retired })
 		if rg.r1.handoffs.Len() == 0 {
 			t.Fatal("no record came back to the shard's list: nothing tested")
 		}

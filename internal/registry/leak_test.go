@@ -98,10 +98,10 @@ func (rg *fedRig) auditBQIs(t *testing.T) {
 func (rg *fedRig) auditNoLeaks(t *testing.T) {
 	t.Helper()
 	f, m := rg.fed, rg.fed.Netif().Mod
-	if f.PortsInUse() != 0 || f.OwnedConns() != 0 || f.TransferredConns() != 0 || f.Outstanding(nil) != 0 ||
+	if f.PortsInUse() != 0 || f.OwnedConns() != 0 || f.TransferredConns() != 0 ||
 		m.LiveCapabilities(nil) != 0 || m.PinnedRegions() != 0 {
-		t.Errorf("host 1 leaks: ports %d, owned %d, transferred %d, admission slots %d, capabilities %d, pinned regions %d",
-			f.PortsInUse(), f.OwnedConns(), f.TransferredConns(), f.Outstanding(nil), m.LiveCapabilities(nil), m.PinnedRegions())
+		t.Errorf("host 1 leaks: ports %d, owned %d, transferred %d, capabilities %d, pinned regions %d",
+			f.PortsInUse(), f.OwnedConns(), f.TransferredConns(), m.LiveCapabilities(nil), m.PinnedRegions())
 	}
 	shards := []*Server{rg.r0}
 	for i := 0; i < len(f.shards); i++ {
@@ -154,8 +154,8 @@ var leakRows = []leakRow{
 		if !got || ho.Err != tcp.ErrPortExhausted {
 			t.Fatalf("connect on an exhausted slice: got=%v err=%v", got, ho.Err)
 		}
-		if out := rg.fed.Outstanding(rg.apps[1]); out != 2 {
-			t.Fatalf("the refused set-up kept an admission slot: %d outstanding, want 2", out)
+		if n := rg.fed.OwnedConns(); n != 2 {
+			t.Fatalf("the refused set-up kept a pcb: %d set-ups, want 2", n)
 		}
 		rg.s.Run(2 * time.Minute)
 	}},
@@ -222,7 +222,7 @@ var leakRows = []leakRow{
 }
 
 // Every set-up exit gives back everything the set-up held: ports, pcbs and
-// their wheel entries, backlog and admission slots, capabilities and pinned
+// their wheel entries, backlog slots, capabilities and pinned
 // regions, its dedup entry and its BQI; and a clean set-up follows.
 func TestSetupExitsLeakNothing(t *testing.T) {
 	for _, an1 := range []bool{false, true} {
@@ -232,7 +232,7 @@ func TestSetupExitsLeakNothing(t *testing.T) {
 				continue
 			}
 			t.Run(net+"/"+row.name, func(t *testing.T) {
-				rg := newFedRigOn(t, an1, max(row.shards, 1), 0)
+				rg := newFedRigOn(t, an1, max(row.shards, 1))
 				if row.name == "port-exhaustion" {
 					rg.fed.SetEphemeralRange(2000, 2004) // shard 0 gets two ports
 				}
@@ -260,7 +260,7 @@ func TestFailedBindReleasesBQI(t *testing.T) {
 		var ho ctl.UDPHandoff
 		done := false
 		rg.apps[1].Spawn("lib", func(th *kern.Thread) {
-			ho, _ = rg.r1.Svc.Call(th, m).Body.(ctl.UDPHandoff)
+			ho, _ = rg.call(th, rg.r1.Svc, m).Body.(ctl.UDPHandoff)
 			done = true
 		})
 		rg.s.RunUntil(time.Second, func() bool { return done })

@@ -153,7 +153,7 @@ func TestSynFloodBoundedByBacklog(t *testing.T) {
 	accept := kern.NewPort(rg.r0.host, "accept")
 	done := false
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "listen",
+		rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen",
 			Body: ctl.ListenReq{Port: 80, Opts: stacks.Options{Backlog: 4}, AcceptPort: accept}})
 		done = true
 	})

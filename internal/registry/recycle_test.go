@@ -23,7 +23,7 @@ import (
 // tracedFedRig is newFedRig with an RFC 793 conformance checker on every
 // registry pcb of both hosts.
 func tracedFedRig(t *testing.T, shards int) (*fedRig, *conform.Checker) {
-	rg := newFedRig(t, shards, 0)
+	rg := newFedRig(t, shards)
 	bus := trace.NewBus(func() time.Duration { return time.Duration(rg.s.Now()) })
 	ck := conform.New()
 	ck.Attach(bus)
@@ -48,7 +48,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	accept := kern.NewPort(rg.r0.host, "accept")
 	accepted := 0
 	rg.apps[0].Spawn("srv", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: accept}})
+		reply := rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			t.Errorf("listen: %v", err)
 			return
@@ -69,7 +69,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	// abandoned mid-life for the first one continuing.)
 	rg.apps[1].Spawn("stall", func(th *kern.Thread) {
 		reply := kern.NewPort(rg.fed.host, "reply")
-		rg.fed.shards[1].Svc.Send(th, kern.Msg{Op: "connect", Reply: reply, Body: ctl.ConnectReq{Remote: dead}})
+		rg.fed.shards[1].Svc.Send(th, rg.stamp(kern.Msg{Op: "connect", Reply: reply, Body: ctl.ConnectReq{Remote: dead}}))
 		reply.ReceiveTimeout(th, time.Second)
 	})
 	rg.s.Run(10 * time.Millisecond)
@@ -100,7 +100,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 		var ho ctl.Handoff
 		got := false
 		rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-			reply := rg.fed.shards[shard].Svc.Call(th, kern.Msg{Op: "connect",
+			reply := rg.call(th, rg.fed.shards[shard].Svc, kern.Msg{Op: "connect",
 				Body: ctl.ConnectReq{Remote: dead, Opts: stacks.Options{RexmtR2: 2}}})
 			ho = received(reply)
 			got = true
@@ -131,7 +131,7 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 
 	done := false
 	rg.apps[0].Spawn("unlisten", func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
+		rg.call(th, rg.r0.Svc, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
 		done = true
 	})
 	rg.s.RunUntil(time.Second, func() bool { return done })
@@ -142,11 +142,11 @@ func TestFailedHandshakesThenCleanSetups(t *testing.T) {
 	for host, f := range []*Federation{rg.r0.fed, rg.fed} {
 		m := f.Netif().Mod
 		if f.PortsInUse() != 0 || f.TransferredConns() != 0 || f.OwnedConns() != 0 ||
-			f.ListenerCount() != 0 || f.Outstanding(nil) != 0 ||
+			f.ListenerCount() != 0 ||
 			m.LiveCapabilities(nil) != 0 || m.PinnedRegions() != 0 {
-			t.Errorf("host %d leaks: ports %d, transferred %d, owned %d, listeners %d, admission slots %d, capabilities %d, pinned regions %d",
+			t.Errorf("host %d leaks: ports %d, transferred %d, owned %d, listeners %d, capabilities %d, pinned regions %d",
 				host, f.PortsInUse(), f.TransferredConns(), f.OwnedConns(), f.ListenerCount(),
-				f.Outstanding(nil), m.LiveCapabilities(nil), m.PinnedRegions())
+				m.LiveCapabilities(nil), m.PinnedRegions())
 		}
 	}
 }

@@ -168,8 +168,8 @@ func callerKey(from *kern.Domain, slot uint32) uint64 {
 // sender is the host index of the domain whose call key is.
 func sender(key uint64) int { return int(key >> 32) }
 
-// entry returns request id's entry, nil if id is zero (untracked) or its
-// caller has made a later call since.
+// entry returns request id's entry, nil if id is zero (a passive set-up's)
+// or its caller has made a later call since.
 func (f *Federation) entry(from *kern.Domain, slot, id uint32) *call {
 	if id == 0 {
 		return nil
@@ -262,9 +262,10 @@ func (r *Server) serviceLoop(t *kern.Thread) {
 }
 
 // dispatch watches the request's sender and runs the request through fault
-// injection, its caller's entry (requests the registry answers only), and
-// the handler switch. A body no handler takes is dropped, as a lost request
-// is; one naming an endpoint by capability acts only on one issued to it.
+// injection, admission and its caller's entry (requests the registry answers
+// only), and the handler switch. A body no handler takes is dropped, as a lost
+// request is; one naming an endpoint by capability acts only on one issued to
+// it.
 func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if r.host.S.Bus.Enabled() {
 		r.host.S.Bus.Emit(trace.Event{Kind: trace.RegistryRPC, Node: r.host.Name, Text: m.Op})
@@ -276,6 +277,10 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	if d := r.faults.RequestDelay(); d > 0 {
 		t.Sleep(d)
 	}
+	// Admission: a request the registry answers must be a call (an id, a
+	// reply port, a slot below ctl.CallSlots), whose entry bounds what it
+	// starts.
+	//
 	// At-most-once: a retry of a request already seen must not execute
 	// twice — a re-run Connect would allocate a second port and run a
 	// second handshake. The entry is the host's, so a retry finds it on
@@ -284,8 +289,9 @@ func (r *Server) dispatch(t *kern.Thread, m kern.Msg) {
 	// goes to the reply port every attempt of a call shares; so is an
 	// attempt of an older call on the slot, one that waited at a shard that
 	// was down while its caller moved on.
-	if _, answered := m.Body.(ctl.Answered); answered && m.ID != 0 && m.Reply != nil {
-		if m.Slot >= ctl.CallSlots {
+	if _, answered := m.Body.(ctl.Answered); answered {
+		if m.ID == 0 || m.Reply == nil || m.Slot >= ctl.CallSlots {
+			r.fed.denied++
 			return
 		}
 		if e := r.fed.calls[callerKey(m.From, m.Slot)]; e != nil && !before(e.id, m.ID) {
@@ -376,10 +382,10 @@ func (r *Server) track(t *kern.Thread, m kern.Msg) *call {
 
 // finish records request m's reply in its caller's entry and delivers it to
 // m's reply port, if it has one: from t, or with a nil t asynchronously (a
-// set-up's outcome, sent from an engine callback). An untracked request
-// (id zero, or no reply port), or one its caller has since moved on from,
-// finds no entry. The entry and the reply each hold a hand-off the reply
-// lends; one that neither holds goes back.
+// set-up's outcome, sent from an engine callback). A passive set-up (id
+// zero), or a call its caller has since moved on from, finds no entry. The
+// entry and the reply each hold a hand-off the reply lends; one that neither
+// holds goes back.
 func (r *Server) finish(t *kern.Thread, m, reply kern.Msg) {
 	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
 		e.done, e.reply, e.hc = true, reply, nil
@@ -406,15 +412,12 @@ func (r *Server) handoff(ho ctl.Handoff) kern.Msg {
 	return msg
 }
 
-// handleConnect performs the active open on the library's behalf.
+// handleConnect performs the active open on the library's behalf. The set-up
+// starts only under its caller's live entry, through which the slot's next
+// call, an abandon or the crash sweep aborts it, so a sender's set-ups are
+// bounded by its call slots: a call retired while it computed (the slot's next
+// call was tracked on another shard) is answered without one.
 func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ctl.ConnectReq) {
-	// Admission: bound how many setups one application domain may have
-	// outstanding across all shards. A denied setup has no side effects —
-	// the library retries it under backoff with a fresh request id.
-	if !r.fed.admit(m.From) {
-		r.finish(t, m, r.handoff(ctl.Handoff{Err: stacks.ErrAdmissionDenied}))
-		return
-	}
 	c := t.Cost()
 	t.Compute(c.RegistryPortAlloc + c.RegistryConnSetup)
 	hc := r.newConn()
@@ -444,9 +447,13 @@ func (r *Server) handleConnect(t *kern.Thread, m kern.Msg, req ctl.ConnectReq) {
 		r.release(t, hc, ctl.Handoff{Err: err})
 		return
 	}
-	if e := r.fed.entry(m.From, m.Slot, m.ID); e != nil {
-		e.hc = hc // through which a retiring call or an abandon aborts it
+	// After the last yield, so the entry is still the call's when it takes hc.
+	e := r.fed.entry(m.From, m.Slot, m.ID)
+	if e == nil {
+		r.release(t, hc, ctl.Handoff{Err: stacks.ErrRegistryUnavailable})
+		return
 	}
+	e.hc = hc
 	r.runConn(t, hc, func() { tc.OpenActive(r.nextISS()) })
 	// The reply is sent by the established/closed callbacks.
 }
@@ -636,7 +643,6 @@ func (hc *hsConn) closed(err error) {
 //     backlog slot; the record is retired (runEngine frees it when the pass
 //     has unwound, and the bumped gen turns away a thread that waited for the
 //     engine with it in hand);
-//   - an active set-up's admission slot (an inherited pcb has no owner);
 //   - its port reference (none for a passive set-up, which shares its
 //     listener's, or for an active one whose allocation failed): a handed-off
 //     connection's port is held by its endpoint;
@@ -656,9 +662,6 @@ func (r *Server) release(t *kern.Thread, hc *hsConn, ho ctl.Handoff) {
 		if hc.l != nil {
 			hc.l.pending--
 		}
-	}
-	if hc.l == nil {
-		r.fed.release(hc.owner)
 	}
 	if port := tc.Local().Port; hc.l == nil && port != 0 {
 		r.ports.Release(port)

@@ -25,6 +25,36 @@ type rig struct {
 	r0, r1 *Server
 	ips    []ipv4.Addr
 	apps   []*kern.Domain
+	calls
+}
+
+// calls stamps a rig's requests as a library stamps its calls: each gets an
+// id no earlier one had and a slot no call still in flight holds. It takes
+// slots from the top down, clear of the low slots tests name themselves.
+type calls struct {
+	last uint32
+	busy [ctl.CallSlots]bool
+}
+
+// stamp makes m a fresh call, which holds its slot until free gives it back.
+func (c *calls) stamp(m kern.Msg) kern.Msg {
+	c.last++
+	slot := ctl.CallSlots - 1
+	for c.busy[slot] {
+		slot--
+	}
+	c.busy[slot] = true
+	m.ID, m.Slot = c.last, uint32(slot)
+	return m
+}
+
+func (c *calls) free(slot uint32) { c.busy[slot] = false }
+
+// call sends m to svc from th as a fresh call and returns its answer.
+func (c *calls) call(th *kern.Thread, svc *kern.Port, m kern.Msg) kern.Msg {
+	m = c.stamp(m)
+	defer c.free(m.Slot)
+	return svc.Call(th, m)
 }
 
 // received copies the hand-off m carries, if it carries one, and gives the
@@ -73,7 +103,7 @@ func (rg *rig) listenOn(t *testing.T, port uint16) *kern.Port {
 	done := false
 	var failure error
 	rg.apps[0].Spawn("listen", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
+		reply := rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: port, AcceptPort: accept}})
 		if err, _ := reply.Body.(error); err != nil {
 			failure = err
 		}
@@ -92,7 +122,7 @@ func (rg *rig) connectFrom(t *testing.T, port uint16, budget time.Duration) (ctl
 	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-		reply := rg.r1.Svc.Call(th, kern.Msg{
+		reply := rg.call(th, rg.r1.Svc, kern.Msg{
 			Op:   "connect",
 			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: port}},
 		})
@@ -150,7 +180,7 @@ func TestHandoffCapabilityBornFinal(t *testing.T) {
 	var ho ctl.Handoff
 	got := false
 	rg.apps[1].Spawn("connect", func(th *kern.Thread) {
-		ho = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
+		ho = received(rg.call(th, rg.r1.Svc, kern.Msg{Op: "connect",
 			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
 		got = true
 	})
@@ -196,7 +226,7 @@ func TestListenPortConflict(t *testing.T) {
 	var second error
 	done := false
 	rg.apps[0].Spawn("listen2", func(th *kern.Thread) {
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a2")}})
+		reply := rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a2")}})
 		second, _ = reply.Body.(error)
 		done = true
 	})
@@ -212,8 +242,8 @@ func TestUnlistenReleases(t *testing.T) {
 	done := false
 	var relisten error
 	rg.apps[0].Spawn("cycle", func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
-		reply := rg.r0.Svc.Call(th, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a")}})
+		rg.call(th, rg.r0.Svc, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
+		reply := rg.call(th, rg.r0.Svc, kern.Msg{Op: "listen", Body: ctl.ListenReq{Port: 80, AcceptPort: kern.NewPort(rg.r0.host, "a")}})
 		relisten, _ = reply.Body.(error)
 		done = true
 	})

@@ -79,7 +79,7 @@ func TestForeignUnlistenLeavesTheListener(t *testing.T) {
 	rg := newRig(false)
 	rg.listenOn(t, 80)
 	rg.from(rg.r0.host.NewDomain("intruder", false), func(th *kern.Thread) {
-		rg.r0.Svc.Call(th, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
+		rg.call(th, rg.r0.Svc, kern.Msg{Op: "unlisten", Body: ctl.UnlistenReq{Port: 80}})
 	})
 	if n := rg.r0.fed.ListenerCount(); n != 1 {
 		t.Fatalf("%d listeners after another domain's unlisten, want the owner's 1", n)
@@ -115,9 +115,9 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 	var conn ctl.Handoff
 	var bound ctl.UDPHandoff
 	rg.from(rg.apps[1], func(th *kern.Thread) {
-		conn = received(rg.r1.Svc.Call(th, kern.Msg{Op: "connect",
+		conn = received(rg.call(th, rg.r1.Svc, kern.Msg{Op: "connect",
 			Body: ctl.ConnectReq{Remote: tcp.Endpoint{IP: rg.ips[0], Port: 80}}}))
-		bound, _ = rg.r1.Svc.Call(th, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
+		bound, _ = rg.call(th, rg.r1.Svc, kern.Msg{Op: "bind-udp", Body: ctl.BindUDPReq{Port: 53}}).Body.(ctl.UDPHandoff)
 	})
 	if conn.Err != nil || bound.Err != nil {
 		t.Fatalf("set-up: %v, bind: %v", conn.Err, bound.Err)
@@ -143,7 +143,7 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 		var answer any
 		rg.from(intruder, func(th *kern.Thread) {
 			if row.replies {
-				answer = rg.r1.Svc.Call(th, row.msg()).Body
+				answer = rg.call(th, rg.r1.Svc, row.msg()).Body
 			} else {
 				rg.r1.Svc.Send(th, row.msg())
 			}
@@ -165,7 +165,7 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 	before := tx()
 	var answer any
 	rg.from(rg.apps[1], func(th *kern.Thread) {
-		answer = rg.r1.Svc.Call(th, kern.Msg{Op: "udp-send", Body: ctl.UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}).Body
+		answer = rg.call(th, rg.r1.Svc, kern.Msg{Op: "udp-send", Body: ctl.UDPSendReq{Cap: bound.Cap, Frame: rg.udpFrame(bound.Cap)}}).Body
 	})
 	if answer != nil || tx()-before != 1 {
 		t.Fatalf("the owner's relay of the same frame: answered %v, %d frames sent; want nil, 1", answer, tx()-before)
@@ -178,7 +178,7 @@ func TestCapabilityRequestsActOnlyForTheOwner(t *testing.T) {
 // entries, one table for both shards; once the domain is killed, it keeps
 // none of its entries.
 func TestCallerEntriesBoundedByLiveCallers(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
+	rg := newFedRig(t, 2)
 	const threads, calls = 8, 10000
 	app := rg.apps[1]
 	id, made, finished := uint32(0), 0, 0
@@ -237,7 +237,7 @@ func TestNextCallGivesBackTheHandoff(t *testing.T) {
 // call goes to both shards, and the second is answered from the first's
 // entry.
 func TestCallSlotsBoundASendersEntries(t *testing.T) {
-	rg := newFedRig(t, 2, 0)
+	rg := newFedRig(t, 2)
 	app := rg.apps[1]
 	answered := 0
 	done := false

@@ -111,12 +111,6 @@ var (
 	// dead or wedged server. It never ends an established connection: one
 	// whose every shard is gone fails with ErrConnTimeout.
 	ErrRegistryUnavailable = errors.New("stacks: registry unavailable")
-
-	// ErrAdmissionDenied reports that the registry's admission layer
-	// refused a setup because the application domain already has its quota
-	// of outstanding setups. The library backs off and retries; it reaches
-	// applications only when the retry budget is exhausted too.
-	ErrAdmissionDenied = errors.New("stacks: connection setup admission denied")
 )
 
 // MapError converts engine close reasons to API errors.
